@@ -481,7 +481,7 @@ func archetypeProfiles(w *plants.SyntheticWorkload, granularity int, verbose boo
 	}
 	for d := range w.Designs {
 		p, err := switching.Compute(plants.SwitchingPlant(w.Apps[firstApp[d]]),
-			switching.Config{Horizon: 800, Workers: workers, TwGranularity: granularity})
+			switching.Config{Horizon: 800, TwGranularity: granularity})
 		if err != nil {
 			if verbose {
 				fmt.Printf("  archetype %02d dropped: %v\n", d, err)

@@ -1,4 +1,4 @@
-package control
+package control_test
 
 import (
 	"math"
@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	. "tightcps/internal/control"
 	"tightcps/internal/lti"
 	"tightcps/internal/mat"
 	"tightcps/internal/plants"

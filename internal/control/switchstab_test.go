@@ -1,9 +1,10 @@
-package control
+package control_test
 
 import (
 	"math"
 	"testing"
 
+	. "tightcps/internal/control"
 	"tightcps/internal/lti"
 	"tightcps/internal/mat"
 	"tightcps/internal/plants"

@@ -43,13 +43,11 @@ type Options struct {
 	// for every application's (KT, KE) pair before profiling, as Sec. 3
 	// recommends. Applications failing the check abort the run.
 	CheckSwitchingStability bool
-	// Workers is the engine's concurrency budget. During profiling it is
-	// split between the per-application fan-out and each application's
-	// dwell sweeps (total ≈ Workers); during mapping it sizes the
-	// verifier's BFS-frontier pool. Pinning Switching.Workers or
-	// Verify.Workers overrides the respective pool. 0 uses GOMAXPROCS;
-	// 1 forces a fully serial run. The allocation is identical for every
-	// worker count.
+	// Workers is the engine's concurrency budget. During profiling it
+	// bounds the per-application fan-out; during mapping it sizes the
+	// verifier's BFS-frontier pool, unless Verify.Workers pins that. 0
+	// uses GOMAXPROCS; 1 forces a fully serial run. The allocation is
+	// identical for every worker count.
 	Workers int
 	// Cache memoizes slot-admission verdicts. Nil uses a fresh per-call
 	// cache (which still deduplicates within the run); supplying one reuses

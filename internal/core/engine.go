@@ -80,26 +80,7 @@ func (d *Dimensioner) profileStage(ctx context.Context) ([]*switching.Profile, [
 	n := len(d.Apps)
 	profiles := make([]*switching.Profile, n)
 	stability := make([]control.CQLFResult, n)
-	budget := d.Opts.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	outer := budget
-	if outer > n {
-		outer = n
-	}
-	scfg := d.Opts.Switching
-	if scfg.Workers == 0 {
-		// Split the budget between the app fan-out and each app's per-Tw
-		// dwell sweeps so total concurrency stays ≈ Workers: with more apps
-		// than workers each sweep runs serially; with few apps the spare
-		// budget goes into the sweeps. Workers=1 means a fully serial run.
-		scfg.Workers = budget / outer
-		if scfg.Workers < 1 {
-			scfg.Workers = 1
-		}
-	}
-	err := forEachApp(ctx, n, outer, func(ctx context.Context, i int) error {
+	err := forEachApp(ctx, n, d.Opts.Workers, func(ctx context.Context, i int) error {
 		a := d.Apps[i]
 		if d.Opts.CheckSwitchingStability {
 			res, err := control.SwitchingStable(a.Plant, a.KT, a.KE)
@@ -108,7 +89,7 @@ func (d *Dimensioner) profileStage(ctx context.Context) ([]*switching.Profile, [
 			}
 			stability[i] = res
 		}
-		p, err := switching.Compute(plantOf(a), scfg)
+		p, err := switching.Compute(plantOf(a), d.Opts.Switching)
 		if err != nil {
 			return fmt.Errorf("core: profiling %s: %w", a.Name, err)
 		}

@@ -1,5 +1,5 @@
 // Package switching implements the paper's core offline analysis (Sec. 3):
-// the bi-modal switched closed loop and the exhaustive simulation over all
+// the bi-modal switched closed loop and the exhaustive analysis of all
 // switching sequences permitted by the proposed strategy, producing for each
 // application the settling times JT and JE, the dwell-time tables Tdw−(Tw)
 // and Tdw+(Tw), and the maximum tolerable wait T*w.
@@ -11,14 +11,27 @@
 // TT slot, no delay) for Tdw samples, then in ME again until it settles.
 // Settling time J is the first sample index after which |y| never exceeds
 // the tolerance.
+//
+// Every (Tw, Tdw) pair is still decided by simulation, but only the samples
+// that can change the answer are simulated (sweep.go). Trajectories that
+// share a prefix share its simulation: the Tw ME-samples are common to all
+// dwells at that wait, and dwell d is dwell d−1 plus one MT-sample, so each
+// pair costs one MT step plus its own ME tail. The tail stops as soon as the
+// augmented state [x; u_prev] enters an invariant ellipsoid of the ME closed
+// loop inside which |y| ≤ tolerance — a quadratic Lyapunov level set, checked
+// once per application — because from there on no sample can leave the band
+// and the settling index is already known. The states visited are computed
+// with the same floating-point operations in the same order as a plain
+// sample-by-sample run, and the cut-off only skips samples proven to stay in
+// band, so the result is exactly that of simulating every pair to the
+// horizon. An ME loop with no such certificate (not Schur-stable, or too
+// ill-conditioned to trust) is simply simulated to the horizon.
 package switching
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"tightcps/internal/lti"
 )
@@ -38,9 +51,10 @@ type Config struct {
 	// for Tw that are multiples of this value, and lookups round the actual
 	// wait *up* to the next grid point (conservative). Default 1 (exact).
 	TwGranularity int
-	// Workers bounds the goroutines used for the per-Tw dwell sweeps
-	// (they are independent). 0 uses GOMAXPROCS; 1 forces serial. The
-	// result is identical either way.
+	// Workers has no effect: one application's sweep takes a millisecond
+	// or two and runs on the calling goroutine. The field remains so that
+	// callers setting it keep compiling; parallelism is across
+	// applications (core.Options.Workers).
 	Workers int
 }
 
@@ -102,24 +116,44 @@ type Plant struct {
 }
 
 // Simulator simulates the switched closed loop for arbitrary mode
-// sequences. It is also used by the co-simulation layer.
+// sequences. It is also used by the co-simulation layer. Stepping and
+// reading the output allocate nothing: the matrices are flattened once at
+// construction and the state is double-buffered. Each sample performs the
+// same floating-point operations, in the same order, as lti.System.Step,
+// lti.System.Output and lti.Feedback.U.
 type Simulator struct {
-	sys *lti.System
-	kT  lti.Feedback
-	kE  lti.Feedback
-	n   int
+	n     int
+	phi   []float64 // Φ, n×n row-major
+	gamma []float64 // Γ, n
+	c     []float64 // C, n
+	kT    []float64 // KT, n
+	kE    []float64 // KE, n+1; the last gain multiplies the held input
 
-	x     []float64 // current plant state
-	uPrev float64   // input still held/applied from previous sample
-	z     []float64 // scratch augmented state
+	// z is the augmented state [x; uPrev]: the plant state and the input
+	// still held/applied from the previous sample. next is the buffer the
+	// next step writes.
+	z, next []float64
 }
 
 // NewSimulator returns a simulator positioned at the post-disturbance state.
 func NewSimulator(p Plant) *Simulator {
-	if p.KT.Order() != p.Sys.Order() || p.KE.Order() != p.Sys.Order()+1 {
+	n := p.Sys.Order()
+	if p.KT.Order() != n || p.KE.Order() != n+1 {
 		panic(lti.ErrShape)
 	}
-	s := &Simulator{sys: p.Sys, kT: p.KT, kE: p.KE, n: p.Sys.Order()}
+	s := &Simulator{
+		n:     n,
+		phi:   make([]float64, 0, n*n),
+		gamma: p.Sys.Gamma.Col(0),
+		c:     p.Sys.C.Row(0),
+		kT:    p.KT.K.Row(0),
+		kE:    p.KE.K.Row(0),
+		z:     make([]float64, n+1),
+		next:  make([]float64, n+1),
+	}
+	for i := 0; i < n; i++ {
+		s.phi = append(s.phi, p.Sys.Phi.Row(i)...)
+	}
 	s.Reset(p.X0)
 	return s
 }
@@ -127,35 +161,70 @@ func NewSimulator(p Plant) *Simulator {
 // Reset places the simulator at state x0 with zero held input (steady state
 // immediately before the disturbance).
 func (s *Simulator) Reset(x0 []float64) {
-	s.x = append(s.x[:0], x0...)
-	s.uPrev = 0
-	if s.z == nil {
-		s.z = make([]float64, s.n+1)
+	if len(x0) != s.n {
+		panic(lti.ErrShape)
 	}
+	copy(s.z, x0)
+	s.z[s.n] = 0
+}
+
+// dot returns Σ a[j]·b[j] over len(a), accumulated left to right from zero
+// exactly as mat.Matrix.MulVec does.
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for j, v := range a {
+		s += v * b[j]
+	}
+	return s
 }
 
 // Output returns the current plant output y.
-func (s *Simulator) Output() float64 { return s.sys.Output(s.x) }
+func (s *Simulator) Output() float64 { return dot(s.c, s.z) }
 
 // State returns a copy of the current plant state.
-func (s *Simulator) State() []float64 { return append([]float64(nil), s.x...) }
+func (s *Simulator) State() []float64 { return append([]float64(nil), s.z[:s.n]...) }
+
+// advance applies input u for one sample, x ← Φ·x + Γ·u, and leaves held
+// as the input in flight.
+func (s *Simulator) advance(u, held float64) {
+	n := s.n
+	for i := 0; i < n; i++ {
+		s.next[i] = dot(s.phi[i*n:(i+1)*n], s.z) + s.gamma[i]*u
+	}
+	s.next[n] = held
+	s.z, s.next = s.next, s.z
+}
 
 // StepMT advances one sample in mode MT: u = −KT·x applied immediately.
 func (s *Simulator) StepMT() {
-	u := s.kT.U(s.x)
-	s.x = s.sys.Step(s.x, u)
-	s.uPrev = u
+	u := -dot(s.kT, s.z)
+	s.advance(u, u)
 }
 
 // StepME advances one sample in mode ME: the held input uPrev is applied,
 // and the ET controller's command −KE·[x; uPrev] becomes the next held
 // input (one-sample delay, Eqs. 4–5).
 func (s *Simulator) StepME() {
-	copy(s.z, s.x)
-	s.z[s.n] = s.uPrev
-	cmd := s.kE.U(s.z)
-	s.x = s.sys.Step(s.x, s.uPrev)
-	s.uPrev = cmd
+	s.advance(s.z[s.n], -dot(s.kE, s.z))
+}
+
+// Checkpoint is a saved Simulator state: the plant state and the held
+// input. The zero value is ready to use; a checkpoint reused across saves
+// allocates only on its first.
+type Checkpoint struct {
+	z []float64
+}
+
+// Save records the simulator's current state in cp.
+func (s *Simulator) Save(cp *Checkpoint) { cp.z = append(cp.z[:0], s.z...) }
+
+// Restore returns the simulator to a state saved from a simulator of the
+// same plant order.
+func (s *Simulator) Restore(cp *Checkpoint) {
+	if len(cp.z) != len(s.z) {
+		panic(lti.ErrShape)
+	}
+	copy(s.z, cp.z)
 }
 
 // Mode identifies a communication/controller mode.
@@ -195,30 +264,10 @@ func SimulateSequence(p Plant, seq []Mode, horizon int) []float64 {
 // strategy "wait Tw samples in ME, dwell in MT, then ME forever", and
 // whether it settles within the horizon.
 func SettleAfterSwitch(p Plant, tw, dwell int, cfg Config) (int, bool) {
-	cfg = cfg.withDefaults(p.JStar)
-	s := NewSimulator(p)
-	return settleFrom(s, tw, dwell, cfg)
-}
-
-// settleFrom runs the wait/dwell/return pattern on an already-reset
-// simulator and measures settling.
-func settleFrom(s *Simulator, tw, dwell int, cfg Config) (int, bool) {
-	y := make([]float64, cfg.Horizon+1)
-	for k := 0; k <= cfg.Horizon; k++ {
-		y[k] = s.Output()
-		if k == cfg.Horizon {
-			break
-		}
-		switch {
-		case k < tw:
-			s.StepME()
-		case k < tw+dwell:
-			s.StepMT()
-		default:
-			s.StepME()
-		}
-	}
-	return lti.SettlingIndex(y, cfg.Tol)
+	w := newSweeper(p, cfg.withDefaults(p.JStar))
+	w.waitTo(tw)
+	w.dwellTo(dwell)
+	return w.settle()
 }
 
 // Compute derives the full switching profile of an application by
@@ -232,14 +281,18 @@ func Compute(p Plant, cfg Config) (*Profile, error) {
 
 	prof := &Profile{Name: p.Name, JStar: p.JStar, R: p.R, Granularity: cfg.TwGranularity}
 
+	w := newSweeper(p, cfg)
+
 	// JT: dedicated slot = MT from the disturbance on.
-	jt, okT := SettleAfterSwitch(p, 0, cfg.Horizon, cfg)
+	w.dwellTo(cfg.Horizon)
+	jt, okT := w.settle()
 	if !okT {
 		return nil, fmt.Errorf("switching: %s never settles in MT within horizon %d", p.Name, cfg.Horizon)
 	}
 	prof.JT = jt
-	// JE: ET only.
-	je, okE := SettleAfterSwitch(p, cfg.Horizon, 0, cfg)
+	// JE: ET only — the ME tail from the disturbance instant itself.
+	w.waitTo(0)
+	je, okE := w.settle()
 	if !okE {
 		je = math.MaxInt32 // ET-only loop too slow to settle in horizon (still usable if stable)
 	}
@@ -252,42 +305,19 @@ func Compute(p Plant, cfg Config) (*Profile, error) {
 		return prof, ErrRequirementTrivial
 	}
 
-	// Sweep every Tw until the requirement becomes unattainable; the per-Tw
-	// dwell sweeps are independent, so batches run in parallel and results
-	// are truncated at the first unattainable wait (identical to a serial
-	// scan).
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type row struct {
-		minDwell, plusDwell, jAtMin, jBest int
-		attainable                         bool
-	}
-	done := false
-	for base := 0; !done; base += workers {
-		rows := make([]row, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				r := &rows[w]
-				r.minDwell, r.plusDwell, r.jAtMin, r.jBest, r.attainable = sweepDwell(p, base+w, cfg)
-			}(w)
+	// Sweep every Tw until the requirement becomes unattainable. JE > J*
+	// bounds the loop: a wait past the horizon is the ET-only run.
+	for tw := 0; ; tw++ {
+		w.waitTo(tw)
+		minDwell, plusDwell, jAtMin, jBest, attainable := w.dwellRow(cfg.MaxDwell, p.JStar)
+		if !attainable {
+			break
 		}
-		wg.Wait()
-		for w, r := range rows {
-			if !r.attainable {
-				done = true
-				break
-			}
-			prof.TdwMinus = append(prof.TdwMinus, r.minDwell)
-			prof.TdwPlus = append(prof.TdwPlus, r.plusDwell)
-			prof.JAtMin = append(prof.JAtMin, r.jAtMin)
-			prof.JBest = append(prof.JBest, r.jBest)
-			prof.TwStar = base + w
-		}
+		prof.TdwMinus = append(prof.TdwMinus, minDwell)
+		prof.TdwPlus = append(prof.TdwPlus, plusDwell)
+		prof.JAtMin = append(prof.JAtMin, jAtMin)
+		prof.JBest = append(prof.JBest, jBest)
+		prof.TwStar = tw
 	}
 	if len(prof.TdwMinus) == 0 {
 		return prof, ErrRequirementInfeasible
@@ -344,46 +374,6 @@ func coarsen(exact *Profile, g int) *Profile {
 		c.TwStar = hi
 	}
 	return c
-}
-
-// sweepDwell scans dwell = 1..MaxDwell at fixed Tw. It returns the minimum
-// dwell meeting J ≤ J*, the smallest dwell achieving the best attainable J
-// (= Tdw+), and the settling times at those two dwells. attainable is false
-// when no dwell meets the requirement (Tw > T*w).
-func sweepDwell(p Plant, tw int, cfg Config) (minDwell, plusDwell, jAtMin, jBest int, attainable bool) {
-	js := make([]int, cfg.MaxDwell+1)
-	for d := 1; d <= cfg.MaxDwell; d++ {
-		j, ok := SettleAfterSwitch(p, tw, d, cfg)
-		if !ok {
-			j = math.MaxInt32
-		}
-		js[d] = j
-	}
-	minDwell = -1
-	for d := 1; d <= cfg.MaxDwell; d++ {
-		if js[d] <= p.JStar {
-			minDwell = d
-			jAtMin = js[d]
-			break
-		}
-	}
-	if minDwell < 0 {
-		return 0, 0, 0, 0, false
-	}
-	// Tdw+: the first dwell attaining the minimum achievable settling time.
-	// Staying in MT beyond it "will not get improved" (and, because the
-	// switch-back transient matters, can even be slightly worse), which is
-	// exactly the paper's reading — e.g. for C1 at Tw=0 it reports Tdw+=6
-	// with J equal to the dedicated-slot JT.
-	jBest = js[1]
-	plusDwell = 1
-	for d := 2; d <= cfg.MaxDwell; d++ {
-		if js[d] < jBest {
-			jBest = js[d]
-			plusDwell = d
-		}
-	}
-	return minDwell, plusDwell, jAtMin, jBest, true
 }
 
 // Lookup returns (Tdw−, Tdw+) for an observed wait tw, applying the
@@ -462,20 +452,22 @@ func (p *Profile) MaxTdwPlus() int {
 // Validate cross-checks internal consistency of a profile: table lengths,
 // Tdw− ≤ Tdw+, and that every dwell in [Tdw−, Tdw+] still meets the
 // requirement (the scheduler may preempt anywhere in that window, so the
-// whole window must be safe). It re-simulates, so it is not free.
+// whole window must be safe). It re-simulates every dwell in every window.
 func (p *Profile) Validate(pl Plant, cfg Config) error {
-	cfg = cfg.withDefaults(p.JStar)
 	want := p.TwStar/p.Granularity + 1
 	if len(p.TdwMinus) != want || len(p.TdwPlus) != want {
 		return fmt.Errorf("switching: table length %d/%d, want %d", len(p.TdwMinus), len(p.TdwPlus), want)
 	}
+	w := newSweeper(pl, cfg.withDefaults(p.JStar))
 	for i := range p.TdwMinus {
 		if p.TdwMinus[i] > p.TdwPlus[i] {
 			return fmt.Errorf("switching: Tdw−[%d]=%d > Tdw+[%d]=%d", i, p.TdwMinus[i], i, p.TdwPlus[i])
 		}
 		tw := i * p.Granularity
+		w.waitTo(tw)
 		for d := p.TdwMinus[i]; d <= p.TdwPlus[i]; d++ {
-			j, ok := SettleAfterSwitch(pl, tw, d, cfg)
+			w.dwellTo(d)
+			j, ok := w.settle()
 			if !ok || j > p.JStar {
 				return fmt.Errorf("switching: dwell %d in window [%d,%d] at Tw=%d violates J*: J=%d",
 					d, p.TdwMinus[i], p.TdwPlus[i], tw, j)

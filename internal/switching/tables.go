@@ -78,11 +78,13 @@ type SurfacePoint struct {
 // Tw ∈ [0, twMax], Tdw ∈ [0, dwMax] — the data behind Fig. 3. Points that
 // do not settle within the horizon carry J = MaxInt32 and JSec = +Inf.
 func Surface(p Plant, twMax, dwMax int, cfg Config) []SurfacePoint {
-	cfg = cfg.withDefaults(p.JStar)
+	w := newSweeper(p, cfg.withDefaults(p.JStar))
 	out := make([]SurfacePoint, 0, (twMax+1)*(dwMax+1))
 	for tw := 0; tw <= twMax; tw++ {
+		w.waitTo(tw)
 		for d := 0; d <= dwMax; d++ {
-			j, ok := SettleAfterSwitch(p, tw, d, cfg)
+			w.dwellTo(d)
+			j, ok := w.settle()
 			pt := SurfacePoint{Tw: tw, Tdw: d, J: j}
 			if !ok {
 				pt.J = math.MaxInt32
