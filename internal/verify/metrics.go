@@ -7,6 +7,7 @@ package verify
 // hold with telemetry enabled because the hot loop is untouched.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -17,15 +18,17 @@ var (
 	obsRuns = obs.NewCounter("tightcps_verify_runs_total",
 		"Completed verification runs (coordinator side: local searches and distributed runs both count once).")
 	obsStates = obs.NewCounter("tightcps_verify_states_total",
-		"States visited across completed verification runs.")
+		"States visited across completed and budget-exceeded verification runs.")
 	obsTransitions = obs.NewCounter("tightcps_verify_transitions_total",
-		"Transitions generated across completed verification runs.")
+		"Transitions generated across completed and budget-exceeded verification runs.")
 	obsLevels = obs.NewCounter("tightcps_verify_levels_total",
 		"BFS levels expanded by local search drivers.")
 	obsViolations = obs.NewCounter("tightcps_verify_violations_total",
 		"Completed runs whose verdict was a deadline violation.")
 	obsErrors = obs.NewCounter("tightcps_verify_errors_total",
 		"Verification runs that ended in an error (budget exhaustion, encoding limits, backend failures).")
+	obsBudgetExceeded = obs.NewCounter("tightcps_verify_budget_exceeded_total",
+		"Verification runs that stopped at Config.MaxStates (ErrTooLarge); their explored states and transitions are in the states/transitions totals.")
 	obsActive = obs.NewGauge("tightcps_verify_active_runs",
 		"Verification runs currently executing.")
 	obsSetCASRetries = obs.NewCounter("tightcps_verify_set_cas_retries_total",
@@ -140,6 +143,13 @@ func wireCounters(from, to int) linkCounters {
 func (v *Verifier) recordRun(res Result, err error) {
 	if err != nil {
 		obsErrors.Inc()
+		// A budget-exceeded run did real work — its levels are already in
+		// obsLevels — so the states it explored count too.
+		if errors.Is(err, ErrTooLarge) {
+			obsBudgetExceeded.Inc()
+			obsStates.Add(uint64(res.States))
+			obsTransitions.Add(uint64(res.Transitions))
+		}
 		return
 	}
 	obsRuns.Inc()

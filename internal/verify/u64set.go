@@ -8,6 +8,9 @@ type u64Set struct {
 	slots []uint64
 	n     int
 	mask  uint64
+
+	hashes []uint64 // addChunk scratch: one hash per key of the chunk
+	sink   uint64   // keeps addChunk's touch loads alive
 }
 
 // newU64Set creates a set with the given initial capacity (rounded up to a
@@ -57,6 +60,37 @@ func (s *u64Set) addHashed(k, h uint64) bool {
 		}
 		i = (i + 1) & s.mask
 	}
+}
+
+// addChunk inserts keys in order and appends to fresh the index of every key
+// that was absent — exactly the indices a per-key add loop would report, in
+// the same order, duplicates inside the chunk included. It runs in two
+// passes over the chunk. The first hashes every key and reads its home
+// slot without looking at the value, so the loads are independent and the
+// core has the chunk's cache misses in flight together instead of one per
+// insert. The second is the per-key addHashed, in order, on slots that are
+// by then on their way into the cache. The reserve up front means the table
+// cannot move between the passes.
+func (s *u64Set) addChunk(keys []uint64, fresh []int32) []int32 {
+	s.reserve(len(keys))
+	if cap(s.hashes) < len(keys) {
+		s.hashes = make([]uint64, 2*len(keys))
+	}
+	hashes := s.hashes[:len(keys)]
+	slots, mask := s.slots, s.mask
+	var sink uint64
+	for i, k := range keys {
+		h := hashU64(k)
+		hashes[i] = h
+		sink += slots[h&mask]
+	}
+	s.sink = sink
+	for i, k := range keys {
+		if s.addHashed(k, hashes[i]) {
+			fresh = append(fresh, int32(i))
+		}
+	}
+	return fresh
 }
 
 // contains reports membership.

@@ -856,12 +856,12 @@ func (v *Verifier) dispatch() (Result, error) {
 	}
 	if v.wide {
 		if workers == 1 || v.cfg.Trace {
-			return v.runSequentialWide()
+			return runSequential(v, newWideSet(1<<12), v.initialWide(), v.successorsWide)
 		}
 		return v.runParallelWide(workers, auto)
 	}
 	if workers == 1 || v.cfg.Trace {
-		return v.runSequential()
+		return runSequential(v, newU64Set(1<<16), v.initial(), v.successors)
 	}
 	return v.runParallel(workers, auto)
 }
@@ -882,26 +882,48 @@ func levelReserve(frontier, prevFrontier int) int {
 	return est
 }
 
-// runSequential is the single-goroutine BFS: frontier states are expanded in
-// insertion order and the search stops at the first violation encountered.
-// The frontier slices and the expansion scratch are recycled across levels,
-// so the steady-state loop allocates only when the visited set grows.
-func (v *Verifier) runSequential() (Result, error) {
+// seqChunk is how many frontier states the sequential driver expands before
+// it inserts their successors: enough that one chunk's visited-set misses
+// overlap (see u64Set.addChunk), few enough that the successor buffer and
+// the slots it touched are still in cache when they are resolved.
+const seqChunk = 128
+
+// visitedSet is what the sequential driver needs from a single-owner
+// visited set; u64Set and wideSet are its two instances.
+type visitedSet[K comparable] interface {
+	add(K) bool
+	reserve(n int)
+	addChunk(keys []K, fresh []int32) []int32
+}
+
+// runSequential is the single-goroutine BFS over either packed encoding:
+// frontier states are expanded in insertion order and the search stops at
+// the first violation encountered. Each level is processed in chunks of
+// seqChunk frontier states — expand the chunk into one successor buffer,
+// then insert the buffer with addChunk — which visits, counts and orders
+// states exactly like expanding and inserting one state at a time: addChunk
+// reports the same fresh successors in the same order, and a violation (or
+// the state budget) found mid-chunk takes effect only after the successors
+// of the states before it have been committed. The frontier slices, the
+// chunk buffers and the expansion scratch are recycled, so the steady-state
+// loop allocates only when the visited set grows.
+func runSequential[K comparable, S visitedSet[K]](v *Verifier, visited S, init K,
+	successors func(K, *expandScratch, []K, []uint32) ([]K, []uint32, int)) (Result, error) {
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newU64Set(1 << 16)
-	init := v.initial()
 	visited.add(init)
-	frontier := []uint64{init}
-	var next []uint64 // recycled: swapped with frontier at every level
-	var parents map[uint64]parentEdge
+	frontier := []K{init}
+	var next []K // recycled: swapped with frontier at every level
+	var parents map[K]parentEdge[K]
 	if v.cfg.Trace {
-		parents = map[uint64]parentEdge{}
+		parents = map[K]parentEdge[K]{}
 	}
 	res.States = 1
 
 	var sc expandScratch
-	var succBuf []uint64
-	var choiceBuf []uint32
+	var succ []K           // the chunk's successors, in expansion order
+	var masks []uint32     // disturbance mask per successor
+	var fresh []int32      // indices into succ of the first-seen ones
+	var ends [seqChunk]int // ends[i] = len(succ) once chunk[i] is expanded
 	prevFrontier := 1
 	for depth := 0; len(frontier) > 0; depth++ {
 		res.Depth = depth
@@ -909,32 +931,43 @@ func (v *Verifier) runSequential() (Result, error) {
 		levelTrans := res.Transitions
 		visited.reserve(levelReserve(len(frontier), prevFrontier))
 		next = next[:0]
-		for _, s := range frontier {
-			succBuf = succBuf[:0]
-			choiceBuf = choiceBuf[:0]
-			var viol int
-			succBuf, choiceBuf, viol = v.successors(s, &sc, succBuf, choiceBuf)
+		for lo := 0; lo < len(frontier); lo += seqChunk {
+			chunk := frontier[lo:min(lo+seqChunk, len(frontier))]
+			succ, masks = succ[:0], masks[:0]
+			viol := -1
+			for i, s := range chunk {
+				succ, masks, viol = successors(s, &sc, succ, masks)
+				if viol >= 0 {
+					chunk = chunk[:i+1] // ends at the violator
+					break
+				}
+				ends[i] = len(succ)
+			}
+			fresh = visited.addChunk(succ, fresh[:0])
+			p := 0 // chunk index of the state that produced succ[i]
+			for _, i := range fresh {
+				for ends[p] <= int(i) {
+					p++
+				}
+				res.States++
+				if res.States > v.cfg.MaxStates {
+					res.Transitions += ends[p]
+					return res, ErrTooLarge
+				}
+				if parents != nil {
+					parents[succ[i]] = parentEdge[K]{prev: chunk[p], disturbed: masks[i]}
+				}
+				next = append(next, succ[i])
+			}
+			res.Transitions += len(succ)
 			if viol >= 0 {
 				res.Schedulable = false
 				res.Violator = viol
-				if v.cfg.Trace {
-					res.Counterexample = v.rebuildTrace(parents, s, init)
+				if parents != nil {
+					res.Counterexample = v.traceFromMasks(maskPath(parents, chunk[len(chunk)-1], init))
 				}
 				v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
 				return res, nil
-			}
-			res.Transitions += len(succBuf)
-			for i, ns := range succBuf {
-				if visited.add(ns) {
-					res.States++
-					if res.States > v.cfg.MaxStates {
-						return res, ErrTooLarge
-					}
-					if v.cfg.Trace {
-						parents[ns] = parentEdge{prev: s, disturbed: choiceBuf[i]}
-					}
-					next = append(next, ns)
-				}
 			}
 		}
 		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
@@ -944,82 +977,19 @@ func (v *Verifier) runSequential() (Result, error) {
 	return res, nil
 }
 
-// runSequentialWide mirrors runSequential over the multi-word encoding.
-func (v *Verifier) runSequentialWide() (Result, error) {
-	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newWideSet(1 << 12)
-	init := v.initialWide()
-	visited.add(init)
-	frontier := []wstate{init}
-	var next []wstate // recycled: swapped with frontier at every level
-	var parents map[wstate]parentEdgeWide
-	if v.cfg.Trace {
-		parents = map[wstate]parentEdgeWide{}
-	}
-	res.States = 1
-
-	var sc expandScratch
-	var succBuf []wstate
-	var choiceBuf []uint32
-	prevFrontier := 1
-	for depth := 0; len(frontier) > 0; depth++ {
-		res.Depth = depth
-		obsLevels.Inc()
-		levelTrans := res.Transitions
-		visited.reserve(levelReserve(len(frontier), prevFrontier))
-		next = next[:0]
-		for _, s := range frontier {
-			succBuf = succBuf[:0]
-			choiceBuf = choiceBuf[:0]
-			var viol int
-			succBuf, choiceBuf, viol = v.successorsWide(s, &sc, succBuf, choiceBuf)
-			if viol >= 0 {
-				res.Schedulable = false
-				res.Violator = viol
-				if v.cfg.Trace {
-					res.Counterexample = v.rebuildTraceWide(parents, s, init)
-				}
-				v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-				return res, nil
-			}
-			res.Transitions += len(succBuf)
-			for i, ns := range succBuf {
-				if visited.add(ns) {
-					res.States++
-					if res.States > v.cfg.MaxStates {
-						return res, ErrTooLarge
-					}
-					if v.cfg.Trace {
-						parents[ns] = parentEdgeWide{prev: s, disturbed: choiceBuf[i]}
-					}
-					next = append(next, ns)
-				}
-			}
-		}
-		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-		prevFrontier = len(frontier)
-		frontier, next = next, frontier
-	}
-	return res, nil
-}
-
-type parentEdge struct {
-	prev      uint64
+// parentEdge is a trace-mode parent pointer: the state a visited state was
+// first reached from and the disturbance subset that led there.
+type parentEdge[K comparable] struct {
+	prev      K
 	disturbed uint32
 }
 
-type parentEdgeWide struct {
-	prev      wstate
-	disturbed uint32
-}
-
-// rebuildTrace walks parent pointers from the state whose expansion
-// violated the deadline back to the initial state, returning the
-// disturbance schedule (step k → apps disturbed at sample k). The final
-// adversarial step that triggers the miss during expansion of `last` is not
-// in the parent map; the violation occurs one sample after the returned
-// schedule ends.
-func (v *Verifier) rebuildTrace(parents map[uint64]parentEdge, last, init uint64) [][]int {
+// maskPath walks parent pointers from the state whose expansion violated
+// the deadline back to the initial state, returning the disturbance masks
+// in reverse order. The final adversarial step that triggers the miss
+// during expansion of `last` is not in the parent map; the violation occurs
+// one sample after the schedule ends.
+func maskPath[K comparable](parents map[K]parentEdge[K], last, init K) []uint32 {
 	var rev []uint32
 	for s := last; s != init; {
 		e, ok := parents[s]
@@ -1029,21 +999,7 @@ func (v *Verifier) rebuildTrace(parents map[uint64]parentEdge, last, init uint64
 		rev = append(rev, e.disturbed)
 		s = e.prev
 	}
-	return v.traceFromMasks(rev)
-}
-
-// rebuildTraceWide is rebuildTrace over the multi-word encoding.
-func (v *Verifier) rebuildTraceWide(parents map[wstate]parentEdgeWide, last, init wstate) [][]int {
-	var rev []uint32
-	for s := last; s != init; {
-		e, ok := parents[s]
-		if !ok {
-			break
-		}
-		rev = append(rev, e.disturbed)
-		s = e.prev
-	}
-	return v.traceFromMasks(rev)
+	return rev
 }
 
 // traceFromMasks converts a reversed list of disturbance bitmasks into the

@@ -8,6 +8,9 @@ type wideSet struct {
 	slots []wstate
 	n     int
 	mask  uint64
+
+	hashes []uint64 // addChunk scratch: one hash per key of the chunk
+	sink   uint64   // keeps addChunk's touch loads alive
 }
 
 // newWideSet creates a set with the given initial capacity (rounded up to a
@@ -46,6 +49,33 @@ func (s *wideSet) addHashed(k wstate, h uint64) bool {
 		}
 		i = (i + 1) & s.mask
 	}
+}
+
+// addChunk inserts keys in order and appends to fresh the index of every key
+// that was absent, probing ahead exactly like u64Set.addChunk. Touching a
+// home slot's first word is enough: slots are 32 bytes in a power-of-two
+// table of at least 512, which the allocator aligns to a cache line or
+// better, so no slot straddles two lines.
+func (s *wideSet) addChunk(keys []wstate, fresh []int32) []int32 {
+	s.reserve(len(keys))
+	if cap(s.hashes) < len(keys) {
+		s.hashes = make([]uint64, 2*len(keys))
+	}
+	hashes := s.hashes[:len(keys)]
+	slots, mask := s.slots, s.mask
+	var sink uint64
+	for i := range keys {
+		h := hashW(keys[i])
+		hashes[i] = h
+		sink += slots[h&mask][0]
+	}
+	s.sink = sink
+	for i := range keys {
+		if s.addHashed(keys[i], hashes[i]) {
+			fresh = append(fresh, int32(i))
+		}
+	}
+	return fresh
 }
 
 // contains reports membership.
