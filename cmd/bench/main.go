@@ -7,6 +7,9 @@
 //     sequential narrow-encoding search — the canonical states/second and
 //     allocation number (the same workload as BenchmarkVerifyS1 in
 //     bench_test.go);
+//   - VerifyS1Workers2: S1 on the in-process parallel search with two
+//     owner-partitioned lanes (verify.Config.Workers = 2) — the engine
+//     behind the admission service's cold verdicts;
 //   - VerifyWideFleet9: a nine-instance fleet on the multi-word encoding
 //     under the symmetry quotient;
 //   - VerifyS1Loopback2 / VerifyS1Loopback4: S1 distributed over two and
@@ -132,8 +135,8 @@ type report struct {
 	// LaneScaling is the workers-per-node study with contention counters —
 	// the PR-10 lock-free set / work-stealing trajectory.
 	LaneScaling []laneScalingEntry `json:"lane_scaling"`
-	BRatio      float64        `json:"b_per_op_improvement"`
-	AllocsRat   float64        `json:"allocs_per_op_improvement"`
+	BRatio      float64            `json:"b_per_op_improvement"`
+	AllocsRat   float64            `json:"allocs_per_op_improvement"`
 }
 
 // baselineS1 is the pre-PR-4 VerifyS1 measurement (PR-3 tree, same host
@@ -261,6 +264,11 @@ func main() {
 	rep.Current = append(rep.Current, measure("VerifyS1", &states, func() (verify.Result, error) {
 		return verify.Slot(s1, verify.Config{NondetTies: true, Workers: 1})
 	}))
+	fmt.Fprintln(os.Stderr, "bench: VerifyS1Workers2 (narrow, two owner-partitioned lanes)...")
+	lanes2 := measure("VerifyS1Workers2", &states, func() (verify.Result, error) {
+		return verify.Slot(s1, verify.Config{NondetTies: true, Workers: 2})
+	})
+	rep.Current = append(rep.Current, lanes2)
 	fmt.Fprintln(os.Stderr, "bench: VerifyWideFleet9 (wide, symmetry quotient)...")
 	rep.Current = append(rep.Current, measure("VerifyWideFleet9", &states, func() (verify.Result, error) {
 		return verify.Slot(fleet9, verify.Config{NondetTies: true, SymmetryReduction: true, Workers: 1})
@@ -271,7 +279,18 @@ func main() {
 	rep.Scaling = append(rep.Scaling, scalingEntry{
 		Nodes: 1, Topology: "local", WorkersPerNode: 1, CoresTotal: 1, StatesPerSec: single,
 		SpeedupVsSingle: 1, SpeedupVsPR4: single / baselineLoopback2PR4,
+	}, scalingEntry{
+		Nodes: 1, Topology: "local", WorkersPerNode: 2, CoresTotal: 2, StatesPerSec: lanes2.StatesPerSec,
+		SpeedupVsSingle: lanes2.StatesPerSec / single, SpeedupVsPR4: lanes2.StatesPerSec / baselineLoopback2PR4,
 	})
+	// Local-lanes gate: where two lanes have two cores to run on, the
+	// parallel search must not lose to the sequential one (the shared-set
+	// driver it replaced ran at 0.5×).
+	if runtime.GOMAXPROCS(0) >= 2 && lanes2.StatesPerSec < single {
+		fmt.Fprintf(os.Stderr, "bench: FAIL: on a %d-proc host the 2-lane local search (%.0f states/s) is slower than the sequential one (%.0f states/s)\n",
+			runtime.GOMAXPROCS(0), lanes2.StatesPerSec, single)
+		os.Exit(1)
+	}
 
 	// Distributed S1: the mesh topology at two and four loopback workers,
 	// each at per-node expansion pools of 1 and 4 lanes (the node-scaling ×

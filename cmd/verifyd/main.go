@@ -26,6 +26,13 @@
 //	verifyd -http 127.0.0.1:9833 -listen "" [-nodes 4]      # front door only
 //	verifyd -http :9833 -connect host1:9471,host2:9471      # front door over a fleet
 //
+// -workers N sets the lanes of a search: of each worker node's pool on the
+// worker plane and behind -nodes/-connect (0 = GOMAXPROCS with the node's
+// contention-aware tuner picking the active count), of the owner-partitioned
+// local engine when the front door verifies in-process (0 = GOMAXPROCS
+// lanes, nothing to tune; the service always runs at least two, so that
+// every backend reports the same minimum-state violator).
+//
 // Resilience: -connect dials with a bounded exponential-backoff retry
 // (-connect-retries, -connect-backoff) so the fleet may boot in any
 // order. -ft makes the distributed runs fault-tolerant — worker deaths
@@ -89,7 +96,7 @@ func main() {
 	connectBackoff := flag.Duration("connect-backoff", 500*time.Millisecond, "base backoff between -connect dial attempts (doubled per attempt, capped at 10s)")
 	ft := flag.Bool("ft", false, "fault-tolerant distributed runs: survive worker deaths by shard reassignment and rollback (see -ftdir)")
 	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
-	workers := flag.Int("workers", 0, "expansion workers per search/node (0 = GOMAXPROCS lanes with contention-aware autotuning, 1 = sequential)")
+	workers := flag.Int("workers", 0, "lanes per local search or per node (0 = GOMAXPROCS, autotuned on distributed nodes; 1 = sequential)")
 	cachedir := flag.String("cachedir", "", "persist admission verdicts under this directory (sharded, incremental)")
 	checkpoint := flag.Duration("checkpoint", 30*time.Second, "verdict-cache checkpoint interval")
 	queue := flag.Int("queue", 64, "admission request queue depth")

@@ -57,9 +57,9 @@ import (
 // flush threshold of per-destination send buffers. meshParallelThreshold
 // is the smallest bucket remainder (or inbox batch) worth fanning across
 // the lane pool — below it the spawn barrier costs more than the lanes
-// save, mirroring the local drivers' serialLevelThreshold; meshLaneChunk
-// is the lanes' work-stealing claim size; meshFreeBatches caps the
-// worker-local batch free list.
+// save (the local search's serialLevelThreshold in internal/verify, for
+// the same reason); meshLaneChunk is the lanes' work-stealing claim size;
+// meshFreeBatches caps the worker-local batch free list.
 const (
 	meshChunk             = 1024
 	meshPollBudget        = 25 * time.Millisecond
@@ -1180,7 +1180,7 @@ func (w *meshWorker) laneExpand(lane int, ln *meshLane) {
 				if !ln.haveViol || verify.LessState(s, ln.violState) {
 					ln.haveViol, ln.violState, ln.violApp = true, s, violApp
 				}
-				for { // tighten the shared skip bound (runParallel idiom)
+				for { // tighten the shared skip bound
 					mv := t.minViol.Load()
 					if mv != nil && !verify.LessState(s, *mv) {
 						break

@@ -202,3 +202,36 @@ func TestExpanderSuccessorsHashedIntoAllocFree(t *testing.T) {
 		t.Fatalf("SuccessorsHashedInto allocates %.1f times per sweep, want 0", allocs)
 	}
 }
+
+// TestParallelSearchAllocAmortized gates the parallel driver the way
+// TestSequentialSearchAllocAmortized gates the sequential one, on the
+// paper's largest slot (S1, 1,440,712 states over 51 levels) with two lanes:
+// a run allocates per lane (sets, staging, scratch — each growing by
+// doubling), per phase of a round (one goroutine per lane) and per table
+// growth, never per state. The bound is a few dozen allocations per level
+// and lane; one per thousand states would already be 1,440.
+func TestParallelSearchAllocAmortized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
+	}
+	if testing.Short() {
+		t.Skip("full S1 state space three times")
+	}
+	ps := caseProfiles(t, "C1", "C5", "C4", "C3")
+	const lanes = 2
+	var res Result
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if res, err = Slot(ps, Config{NondetTies: true, Workers: lanes}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !res.Schedulable || res.States != 1440712 {
+		t.Fatalf("S1: %+v", res)
+	}
+	levels := res.Depth + 1
+	if budget := float64(20 * levels * lanes); allocs > budget {
+		t.Fatalf("parallel S1 search (%d states, %d levels, %d lanes) allocates %.0f times, budget %.0f", res.States, levels, lanes, allocs, budget)
+	}
+	t.Logf("%.0f allocations for %d states over %d levels", allocs, res.States, levels)
+}

@@ -223,9 +223,10 @@ func (e *Expander) NewSet(capacity int) *StateSet {
 	return &StateSet{narrow: newU64Set(capacity)}
 }
 
-// NewShardedSet returns a visited set striped 64-way by hash — the same
-// sharding as the local parallel searches — for drivers that absorb
-// states from several goroutines at once. Add and AddHashed are lock-free
+// NewShardedSet returns a visited set striped 64-way by hash for drivers
+// that absorb states from several goroutines at once (the lane pools of the
+// distributed nodes; the local parallel search gives every lane a private
+// set instead). Add and AddHashed are lock-free
 // (CAS-claimed slots; see shardset.go for the exactness argument) and
 // contend only when two states race for the same slot. Len is exact and
 // Reserve/Reset rebuild tables in place, so both require quiescence —

@@ -51,8 +51,11 @@ var (
 
 // ContentionStats is the cumulative contention ledger of the lock-free
 // visited sets and work-stealing queues, as folded into the obs counters at
-// run teardown. The bench harness snapshots it around a measured run to
-// report per-run deltas in BENCH_verify.json's lane_scaling rows.
+// run teardown. Only the lane pools of distributed nodes feed it: a local
+// search, sequential or parallel, shares no set and steals no work, so it
+// leaves every counter where it was. The bench harness snapshots it around a
+// measured run to report per-run deltas in BENCH_verify.json's lane_scaling
+// rows.
 type ContentionStats struct {
 	CASRetries uint64
 	ProbeSteps uint64
@@ -70,9 +73,11 @@ func Contention() ContentionStats {
 	}
 }
 
-// flushContention folds one run's visited-set ledger and steal count into
-// the obs counters — called at run teardown, never per state or per level.
-func flushContention(set SetStats, adds int64, steals int64) {
+// FlushContention folds one worker session's visited-set ledger and steal
+// count into the obs counters. The distributed workers own standing visited
+// sets and work queues, so they pass ledger *deltas*, at session teardown —
+// never per state or per level.
+func FlushContention(set SetStats, adds int64, steals int64) {
 	if set.Probes > 0 {
 		obsSetProbeSteps.Add(uint64(set.Probes))
 	}
@@ -88,13 +93,6 @@ func flushContention(set SetStats, adds int64, steals int64) {
 	if adds > 0 {
 		obsProbeLen.Observe(float64(set.Probes) / float64(adds))
 	}
-}
-
-// FlushContention is flushContention for the distributed workers: they own
-// standing visited sets and work queues, so they fold ledger *deltas* into
-// the obs counters at session teardown.
-func FlushContention(set SetStats, adds int64, steals int64) {
-	flushContention(set, adds, steals)
 }
 
 // linkCounters are the labeled wire-volume handles of one directed mesh

@@ -1,372 +1,220 @@
 package verify
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Parallel BFS tuning.
+// Tuning of the owner-partitioned parallel BFS (DESIGN.md §1 has the numbers).
 const (
-	// serialLevelThreshold: levels with fewer frontier states than this are
-	// expanded on the calling goroutine — spawning workers for tiny levels
+	// serialLevelThreshold: levels with fewer frontier states than this run
+	// both phases on the calling goroutine — waking lanes for tiny levels
 	// (the first few samples, or single-app checks) costs more than it saves.
 	serialLevelThreshold = 512
-	// chunkSize is the work-stealing granularity: lanes claim frontier
-	// states in blocks of this many from their WorkQueue partition,
-	// balancing levels whose expansion cost varies state to state.
-	chunkSize = 128
+	// insertChunk is the piece size in which a lane feeds addChunk: enough
+	// keys that their cache misses overlap, few enough to stay cached.
+	insertChunk = 256
+	// stageCap bounds the successors a lane stages before the level pauses
+	// for an insert phase: staging memory is lanes × stageCap keys however
+	// wide the level is, and the keys are still cached when they are inserted.
+	stageCap = 1 << 15
+	// minParts is the least number of partitions the hash space is cut into;
+	// with fewer lanes every lane owns several, each in a set of its own, so
+	// that one table growth moves 1/16 of the visited set and not half of it.
+	minParts = 16
+	// maxLanes caps the lane count: every lane stages into one buffer per
+	// partition, and there are at least as many partitions as lanes.
+	maxLanes = 256
+	// outPad is spare capacity, in slice headers, behind every lane's out.
+	// The allocator puts the lanes' header arrays side by side and each lane
+	// rewrites its own on every staged successor: 128 bytes keep them off one
+	// another's cache line.
+	outPad = 6
 )
 
-// noViolation is the sentinel for the atomic minimum-violating-state value.
-// Packed states are compared as raw uint64s; the minimum over all violating
-// states of a level is independent of frontier order, which makes the
-// parallel verdict (and Violator) deterministic across runs and worker
-// counts.
-const noViolation = math.MaxUint64
+// ownerOf maps a state's hash to the partition that owns the state, from the
+// hash's top 32 bits: the visited sets index their tables with the low bits,
+// so ownership and table slot never correlate, and the multiply-shift splits
+// the hash space evenly for any partition count, not only powers of two.
+func ownerOf(h uint64, partitions int) int { return int((h >> 32) * uint64(partitions) >> 32) }
 
-// violRec records one violating frontier state found during a level.
-type violRec struct {
-	state uint64 // the packed frontier state whose expansion violated
-	app   int    // the application that missed its deadline
+// lane is one owner of the partitioned search: the states whose hash maps
+// to one of its partitions live in its private sets and are expanded from its
+// private frontier. Other lanes read only out, and only across a barrier.
+type lane[K comparable, S visitedSet[K]] struct {
+	visited  []S   // visited[j] holds partition i·parts+j, for lane i
+	frontier []K   // owned states of this level; [pos:] not yet expanded
+	pos      int   // expansion cursor into frontier
+	next     []K   // owned states first seen this level: the next frontier
+	out      [][]K // out[p]: successors staged for partition p in this round
+	trans    int   // successors generated in this round
+	viol     K     // smallest violating state of the level known to the lane…
+	violApp  int   // …and the application that misses its deadline there, or −1
+	fresh    []int32
+	succ     []K
+	masks    []uint32
+	sc       expandScratch
+	_        [128]byte // keeps the next lane's cursor off this scratch's cache line
 }
 
-// bfsWorker holds one worker's reusable scratch and per-level output.
-type bfsWorker struct {
-	sc     expandScratch
-	succ   []uint64
-	choice []uint32
-	next   []uint64 // fresh states discovered this level
-	trans  int      // successors generated this level
-	viols  []violRec
-}
-
-// runParallel performs the level-synchronous sharded BFS. It visits exactly
-// the states the sequential search visits: the visited set is sharded 64-way
-// by state hash, every level is a barrier, and within a level lanes claim
-// frontier chunks from a work-stealing queue (own partition first, then the
-// busiest other lane's). For schedulable sets the search is exhaustive, so
-// States, Transitions and Depth equal the sequential counts. On a violation
-// the level is still swept far enough to find the minimum violating packed
-// state, so Schedulable and Violator are deterministic (though Violator may
-// differ from the sequential path's first-in-expansion-order pick when
-// several applications can violate at the same depth).
+// runLanes is the parallel search over either packed encoding: a
+// level-synchronous BFS over n owner-partitioned lanes. Every state has one
+// owner (ownerOf its hash), is inserted into exactly one private set and is
+// expanded by exactly one lane — no shared set, no CAS, no merge. A level is
+// a sequence of rounds of two phases, each ending in a barrier: in expand
+// every lane expands its frontier from its cursor until it has staged
+// stageCap successors, each in the buffer of its partition; in insert every
+// lane drains the buffers of its partitions through addChunk (the sequential
+// driver's probe-ahead insert), and the fresh keys are its next frontier.
 //
-// With auto set (Config.Workers = 0) the pool holds `workers` lanes but a
-// LaneTuner picks how many wake each level, adapting to contention; the
-// verdict does not depend on the active count, so tuning is free of
-// determinism cost.
-func (v *Verifier) runParallel(workers int, auto bool) (Result, error) {
+// The levels are those of the sequential search and each state is fresh
+// once, so on schedulable sets States, Transitions and Depth equal the
+// sequential counts for any lane count. On a violation the level is swept
+// far enough to find its minimum violating packed state (less) — a property
+// of the level alone, so Schedulable, Depth and Violator do not depend on the
+// lane count either (Violator may differ from the sequential engine's
+// first-in-expansion-order pick); States is then the size of levels 0..Depth.
+func runLanes[K comparable, S visitedSet[K]](v *Verifier, n int, newSet func(capacity int) S, capacity int, init K,
+	successors func(K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
+	hash func(K) uint64, less func(a, b K) bool) (Result, error) {
+	n = min(n, maxLanes)
+	parts := max(1, minParts/n)
+	np := n * parts
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newShardedU64Set(1 << 16)
-	init := v.initial()
-	visited.add(init)
-	frontier := []uint64{init}
+	lanes := make([]lane[K, S], n)
+	for i := range lanes {
+		for range parts {
+			lanes[i].visited = append(lanes[i].visited, newSet(capacity/np))
+		}
+		lanes[i].out = make([][]K, np, np+outPad)
+	}
+	p := ownerOf(hash(init), np)
+	lanes[p/parts].visited[p%parts].add(init)
+	lanes[p/parts].next = []K{init}
 
-	var states atomic.Int64 // fresh states across the whole search
+	var (
+		states   atomic.Int64 // fresh states across all lanes
+		tooLarge atomic.Bool  // states exceeded the budget
+		// Written between phases only, by the caller:
+		reserve int  // room every set makes before the level's first insert
+		minViol K    // the level's smallest violating state so far…
+		minApp  = -1 // …and its violator, or −1
+	)
 	states.Store(1)
 	maxStates := int64(v.cfg.MaxStates)
-	var tooLarge atomic.Bool
 
-	ws := make([]*bfsWorker, workers)
-	for i := range ws {
-		ws[i] = &bfsWorker{}
+	expand := func(i int) {
+		l := &lanes[i]
+		for p := range l.out {
+			l.out[p] = l.out[p][:0]
+		}
+		// Once a violation is known the level decides the verdict and nothing
+		// more is inserted: sweep the rest for a smaller violator, unstaged.
+		l.viol, l.violApp = minViol, minApp
+		for staged := 0; l.pos < len(l.frontier) && (staged < stageCap || l.violApp >= 0); l.pos++ {
+			s := l.frontier[l.pos]
+			if l.violApp >= 0 && less(l.viol, s) {
+				continue // cannot lower the minimum
+			}
+			var app int
+			l.succ, l.masks, app = successors(s, &l.sc, l.succ[:0], l.masks[:0])
+			if app >= 0 {
+				l.viol, l.violApp = s, app
+				continue
+			}
+			l.trans += len(l.succ)
+			if l.violApp >= 0 {
+				continue
+			}
+			for _, ns := range l.succ {
+				p := ownerOf(hash(ns), np)
+				l.out[p] = append(l.out[p], ns)
+			}
+			staged += len(l.succ)
+		}
 	}
-	var wq WorkQueue
-	var tuner *LaneTuner
-	if auto {
-		tuner = NewLaneTuner(workers)
+	insert := func(i int) {
+		l := &lanes[i]
+		for j, set := range l.visited {
+			set.reserve(reserve)
+			for src := range lanes {
+				keys := lanes[src].out[i*parts+j]
+				for lo := 0; lo < len(keys) && !tooLarge.Load(); lo += insertChunk {
+					piece := keys[lo:min(lo+insertChunk, len(keys))]
+					l.fresh = set.addChunk(piece, l.fresh[:0])
+					for _, k := range l.fresh {
+						l.next = append(l.next, piece[k])
+					}
+					if states.Add(int64(len(l.fresh))) > maxStates {
+						tooLarge.Store(true)
+					}
+				}
+			}
+		}
 	}
-	defer func() {
-		flushContention(visited.stats(), int64(res.Transitions), wq.Steals())
-	}()
-	var spare []uint64 // recycled merge buffer, swapped with frontier per level
 
-	prevFrontier := 1
-	for depth := 0; len(frontier) > 0; depth++ {
-		res.Depth = depth
-		obsLevels.Inc()
-		levelTrans := res.Transitions
-		visited.reserve(levelReserve(len(frontier), prevFrontier))
-		var minViol atomic.Uint64
-		minViol.Store(noViolation)
-
-		expand := func(w *bfsWorker, lane int) {
-			w.next = w.next[:0]
-			w.trans = 0
-			w.viols = w.viols[:0]
-			for {
-				lo, hi, ok := wq.Next(lane)
-				if !ok || tooLarge.Load() {
-					return
-				}
-				for _, s := range frontier[lo:hi] {
-					// A violating state smaller than s already decides this
-					// level; expanding s cannot change the verdict.
-					if mv := minViol.Load(); mv != noViolation && s > mv {
-						continue
-					}
-					w.succ = w.succ[:0]
-					w.choice = w.choice[:0]
-					var viol int
-					w.succ, w.choice, viol = v.successors(s, &w.sc, w.succ, w.choice)
-					if viol >= 0 {
-						w.viols = append(w.viols, violRec{state: s, app: viol})
-						for {
-							mv := minViol.Load()
-							if s >= mv || minViol.CompareAndSwap(mv, s) {
-								break
-							}
-						}
-						continue
-					}
-					w.trans += len(w.succ)
-					for _, ns := range w.succ {
-						if visited.add(ns) {
-							w.next = append(w.next, ns)
-							if states.Add(1) > maxStates {
-								tooLarge.Store(true)
-								return
-							}
-						}
-					}
-				}
+	// each runs one phase on every lane and returns when all are done: every
+	// lane on a goroutine of its own (lane 0 too: all lanes then run at one
+	// stack depth, whoever calls) or, for a small level, all on the caller.
+	each := func(phase func(int), parallel bool) {
+		var wg sync.WaitGroup
+		for i := range lanes {
+			if !parallel {
+				phase(i)
+				continue
 			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				phase(i)
+			}()
 		}
+		wg.Wait()
+	}
 
-		act := workers
-		if tuner != nil {
-			act = tuner.Lanes()
+	prevWidth := 1
+	for depth := 0; ; depth++ {
+		width := 0
+		for i := range lanes {
+			l := &lanes[i]
+			l.frontier, l.next, l.pos = l.next, l.frontier[:0], 0
+			width += len(l.frontier)
 		}
-		if len(frontier) < serialLevelThreshold || act == 1 {
-			act = 1
-			wq.Reset(len(frontier), 1, chunkSize)
-			expand(ws[0], 0)
-		} else {
-			wq.Reset(len(frontier), act, chunkSize)
-			retries0 := visited.stats().Retries
-			start := time.Now()
-			var wg sync.WaitGroup
-			wg.Add(act)
-			for lane, w := range ws[:act] {
-				go func(w *bfsWorker, lane int) {
-					defer wg.Done()
-					expand(w, lane)
-				}(w, lane)
-			}
-			wg.Wait()
-			if tuner != nil {
-				tuner.Observe(len(frontier), time.Since(start),
-					visited.stats().Retries-retries0)
-			}
-		}
-
-		res.States = int(states.Load())
-		// A recorded violation is definitive even when the state budget
-		// tripped in the same level — prefer the verdict over ErrTooLarge.
-		if mv := minViol.Load(); mv != noViolation {
-			res.Schedulable = false
-			for _, w := range ws[:act] {
-				for _, vr := range w.viols {
-					if vr.state == mv {
-						res.Violator = vr.app
-					}
-				}
-				res.Transitions += w.trans
-			}
-			v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
+		if width == 0 {
 			return res, nil
 		}
-		if tooLarge.Load() {
-			return res, ErrTooLarge
-		}
-
-		total := 0
-		for _, w := range ws[:act] {
-			res.Transitions += w.trans
-			total += len(w.next)
-		}
-		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-		if cap(spare) < total {
-			spare = make([]uint64, 0, total)
-		}
-		spare = spare[:0]
-		for _, w := range ws[:act] {
-			spare = append(spare, w.next...)
-		}
-		prevFrontier = len(frontier)
-		frontier, spare = spare, frontier
-	}
-	return res, nil
-}
-
-// violRecW records one violating wide frontier state found during a level.
-type violRecW struct {
-	state wstate
-	app   int
-}
-
-// bfsWideWorker holds one worker's reusable scratch and per-level output
-// for the multi-word search.
-type bfsWideWorker struct {
-	sc     expandScratch
-	succ   []wstate
-	choice []uint32
-	next   []wstate
-	trans  int
-	viols  []violRecW
-}
-
-// runParallelWide is runParallel over the multi-word encoding: the same
-// level-synchronous sharded BFS, with the minimum-violator tie-break taken
-// lexicographically over the state words (lessW) through an atomic pointer
-// instead of an atomic uint64. The determinism argument is unchanged: the
-// minimum violating packed state of the first violating level does not
-// depend on frontier order or worker count.
-func (v *Verifier) runParallelWide(workers int, auto bool) (Result, error) {
-	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	visited := newShardedWideSet(1 << 12)
-	init := v.initialWide()
-	visited.add(init)
-	frontier := []wstate{init}
-
-	var states atomic.Int64
-	states.Store(1)
-	maxStates := int64(v.cfg.MaxStates)
-	var tooLarge atomic.Bool
-
-	ws := make([]*bfsWideWorker, workers)
-	for i := range ws {
-		ws[i] = &bfsWideWorker{}
-	}
-	var wq WorkQueue
-	var tuner *LaneTuner
-	if auto {
-		tuner = NewLaneTuner(workers)
-	}
-	defer func() {
-		flushContention(visited.stats(), int64(res.Transitions), wq.Steals())
-	}()
-	var spare []wstate // recycled merge buffer, swapped with frontier per level
-
-	prevFrontier := 1
-	for depth := 0; len(frontier) > 0; depth++ {
-		res.Depth = depth
+		res.Depth, res.States = depth, int(states.Load())
 		obsLevels.Inc()
 		levelTrans := res.Transitions
-		visited.reserve(levelReserve(len(frontier), prevFrontier))
-		var minViol atomic.Pointer[wstate]
-
-		expand := func(w *bfsWideWorker, lane int) {
-			w.next = w.next[:0]
-			w.trans = 0
-			w.viols = w.viols[:0]
-			for {
-				lo, hi, ok := wq.Next(lane)
-				if !ok || tooLarge.Load() {
-					return
-				}
-				for _, s := range frontier[lo:hi] {
-					// A violating state smaller than s already decides this
-					// level; expanding s cannot change the verdict.
-					if mv := minViol.Load(); mv != nil && lessW(*mv, s) {
-						continue
-					}
-					w.succ = w.succ[:0]
-					w.choice = w.choice[:0]
-					var viol int
-					w.succ, w.choice, viol = v.successorsWide(s, &w.sc, w.succ, w.choice)
-					if viol >= 0 {
-						w.viols = append(w.viols, violRecW{state: s, app: viol})
-						for {
-							mv := minViol.Load()
-							if mv != nil && !lessW(s, *mv) {
-								break
-							}
-							sc := s
-							if minViol.CompareAndSwap(mv, &sc) {
-								break
-							}
-						}
-						continue
-					}
-					w.trans += len(w.succ)
-					for _, ns := range w.succ {
-						if visited.add(ns) {
-							w.next = append(w.next, ns)
-							if states.Add(1) > maxStates {
-								tooLarge.Store(true)
-								return
-							}
-						}
-					}
+		reserve = levelReserve(width, prevWidth) / np
+		parallel := width >= serialLevelThreshold
+		for more := true; more; {
+			each(expand, parallel)
+			more = false
+			for i := range lanes {
+				l := &lanes[i]
+				res.Transitions += l.trans
+				l.trans = 0
+				more = more || l.pos < len(l.frontier)
+				if l.violApp >= 0 && (minApp < 0 || less(l.viol, minViol)) {
+					minViol, minApp = l.viol, l.violApp
 				}
 			}
-		}
-
-		act := workers
-		if tuner != nil {
-			act = tuner.Lanes()
-		}
-		if len(frontier) < serialLevelThreshold || act == 1 {
-			act = 1
-			wq.Reset(len(frontier), 1, chunkSize)
-			expand(ws[0], 0)
-		} else {
-			wq.Reset(len(frontier), act, chunkSize)
-			retries0 := visited.stats().Retries
-			start := time.Now()
-			var wg sync.WaitGroup
-			wg.Add(act)
-			for lane, w := range ws[:act] {
-				go func(w *bfsWideWorker, lane int) {
-					defer wg.Done()
-					expand(w, lane)
-				}(w, lane)
+			if minApp >= 0 {
+				continue
 			}
-			wg.Wait()
-			if tuner != nil {
-				tuner.Observe(len(frontier), time.Since(start),
-					visited.stats().Retries-retries0)
+			each(insert, parallel)
+			reserve = 0
+			if tooLarge.Load() {
+				res.States = int(states.Load())
+				return res, ErrTooLarge
 			}
 		}
-
-		res.States = int(states.Load())
-		// A recorded violation is definitive even when the state budget
-		// tripped in the same level — prefer the verdict over ErrTooLarge.
-		if mv := minViol.Load(); mv != nil {
-			res.Schedulable = false
-			for _, w := range ws[:act] {
-				for _, vr := range w.viols {
-					if vr.state == *mv {
-						res.Violator = vr.app
-					}
-				}
-				res.Transitions += w.trans
-			}
-			v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
+		v.cfg.RunTrace.AddLevel(depth, width, res.Transitions-levelTrans)
+		if minApp >= 0 {
+			res.Schedulable, res.Violator = false, minApp
 			return res, nil
 		}
-		if tooLarge.Load() {
-			return res, ErrTooLarge
-		}
-
-		total := 0
-		for _, w := range ws[:act] {
-			res.Transitions += w.trans
-			total += len(w.next)
-		}
-		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-		if cap(spare) < total {
-			spare = make([]wstate, 0, total)
-		}
-		spare = spare[:0]
-		for _, w := range ws[:act] {
-			spare = append(spare, w.next...)
-		}
-		prevFrontier = len(frontier)
-		frontier, spare = spare, frontier
+		prevWidth = width
 	}
-	return res, nil
 }

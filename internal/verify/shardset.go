@@ -6,9 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Sharding of the visited set for the parallel BFS: the stripe is selected by
-// the top bits of the mixed hash, the open-addressing probe inside a stripe by
-// the low bits, so the two never correlate.
+// Sharding of the visited set shared by the lanes of one distributed node
+// (the local parallel BFS partitions by owner instead and shares no set —
+// parallel.go): the stripe is selected by the top bits of the mixed hash, the
+// open-addressing probe inside a stripe by the low bits, so the two never
+// correlate.
 //
 // The stripes are lock-free on the hot path. A narrow stripe is a slice of
 // atomic uint64 slots (zero = empty; the packed encoding never produces zero)

@@ -2,11 +2,13 @@ package verify
 
 import "time"
 
-// LaneTuner adapts the number of active expansion lanes between sampling
-// windows (BFS levels locally, poll batches in the mesh workers). It exists
-// for Config.Workers = 0 ("auto"): the pool is sized at GOMAXPROCS but the
-// tuner decides how many lanes actually wake each window, hill-climbing on
-// observed throughput with a contention override.
+// LaneTuner adapts the number of active expansion lanes of a distributed
+// node's pool between sampling windows (BFS levels in the relay nodes, poll
+// batches in the mesh workers). It exists for Workers = 0 ("auto") there:
+// the pool is sized at GOMAXPROCS but the tuner decides how many lanes
+// actually wake each window, hill-climbing on observed throughput with a
+// contention override. The local search does not use it: its lanes share
+// nothing to contend on (parallel.go).
 //
 // Policy: start with every lane active. After each window big enough to be a
 // signal (tuneMinStates states), compare states/sec against the previous

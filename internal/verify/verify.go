@@ -35,6 +35,7 @@
 package verify
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -85,15 +86,19 @@ type Config struct {
 	// reconstructed. Costs ~2× memory. Tracing forces the sequential
 	// search path regardless of Workers.
 	Trace bool
-	// Workers bounds the goroutines expanding the BFS frontier. 0 means
-	// auto: a pool of GOMAXPROCS lanes whose active count a contention-
-	// aware tuner adapts level to level (LaneTuner); 1 forces the
-	// sequential search. The parallel search
-	// shards the visited set 64-way by state hash and synchronises at
-	// level boundaries; it visits exactly the same state space, so the
-	// verdict — and, for schedulable sets, States/Transitions/Depth — is
-	// identical to the sequential path. Small levels are expanded
-	// serially either way, so single-app checks do not regress.
+	// Workers is the number of lanes of the search: 0 means GOMAXPROCS, 1
+	// forces the sequential search. The parallel search partitions the
+	// states among the lanes by hash — every lane owns a private visited
+	// set and frontier — and synchronises at level boundaries; it visits
+	// exactly the sequential search's state space, so the verdict — and, for
+	// schedulable sets, States/Transitions/Depth — is identical to the
+	// sequential path and to every other lane count. On a violation the
+	// parallel search reports the application missing its deadline in the
+	// minimum violating packed state of the first violating level, for any
+	// lane count; the sequential search the first it meets. Small levels
+	// run on the calling goroutine either way, so single-app checks do not
+	// regress. In a distributed run Workers sizes every node's lane pool
+	// instead, and 0 lets each node tune its active lanes (LaneTuner).
 	Workers int
 	// SymmetryReduction canonicalises every state by sorting the lanes of
 	// applications with identical profiles (name excluded), exploring the
@@ -287,8 +292,11 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 		return nil, fmt.Errorf("%w: %d applications (max %d)", ErrEncoding, n, maxApps)
 	}
 	for _, p := range profiles {
-		if p.TwStar > maxClock || p.R > maxClock {
-			return nil, fmt.Errorf("%w: clocks up to %d samples exceed %d", ErrEncoding, p.R, maxClock)
+		if p.TwStar > maxClock {
+			return nil, fmt.Errorf("%w: %s has T*w=%d samples, clocks hold at most %d", ErrEncoding, p.Name, p.TwStar, maxClock)
+		}
+		if p.R > maxClock {
+			return nil, fmt.Errorf("%w: %s has r=%d samples, clocks hold at most %d", ErrEncoding, p.Name, p.R, maxClock)
 		}
 		if p.MaxTdwPlus() > maxTdw {
 			return nil, fmt.Errorf("%w: Tdw+ %d exceeds %d", ErrEncoding, p.MaxTdwPlus(), maxTdw)
@@ -442,10 +450,10 @@ func (v *Verifier) initial() uint64 {
 // decoded base state, the successor arena (states plus the disturbance
 // bitmask that produced each) and the fixed-size index buffers of the
 // scheduling helpers. Each search goroutine owns exactly one scratch —
-// the sequential drivers keep one on the stack, every parallel BFS worker
-// and every distributed node embeds its own — so the hot path performs no
-// allocation once the arena has grown to the verifier's maximum fanout
-// (TestExpansionCoreAllocFree gates this).
+// the sequential driver keeps one on the stack, every lane of the parallel
+// driver and every distributed node embeds its own — so the hot path
+// performs no allocation once the arena has grown to the verifier's maximum
+// fanout (TestExpansionCoreAllocFree gates this).
 type expandScratch struct {
 	base   cstate
 	states []cstate // successor arena, reset by expand
@@ -828,8 +836,8 @@ func (v *Verifier) missCheck(c *cstate) int {
 	return -1
 }
 
-// Run performs the BFS reachability analysis, fanning the frontier out over
-// Config.Workers goroutines (sequentially when Workers is 1 or a trace is
+// Run performs the BFS reachability analysis on Config.Workers
+// owner-partitioned lanes (sequentially when Workers is 1 or a trace is
 // requested). Application sets that do not fit the one-word encoding run on
 // the multi-word wide path with identical semantics. Every completed run —
 // local or distributed — is folded into the engine metrics and, when
@@ -849,22 +857,34 @@ func (v *Verifier) dispatch() (Result, error) {
 		cfg.Distributed = nil
 		return v.cfg.Distributed(v.profs, cfg)
 	}
+	if v.wide {
+		return search(v, newWideSet, wideSetCap, v.initialWide(), v.successorsWide, hashW, lessW)
+	}
+	return search(v, newU64Set, u64SetCap, v.initial(), v.successors, hashU64, cmp.Less[uint64])
+}
+
+// search runs the local driver Config asks for over one packed encoding:
+// the sequential one for Workers = 1 or a Trace, otherwise Workers lanes
+// (GOMAXPROCS for 0).
+func search[K comparable, S visitedSet[K]](v *Verifier, newSet func(capacity int) S, capacity int, init K,
+	successors func(K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
+	hash func(K) uint64, less func(a, b K) bool) (Result, error) {
 	workers := v.cfg.Workers
-	auto := workers <= 0
-	if auto {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if v.wide {
-		if workers == 1 || v.cfg.Trace {
-			return runSequential(v, newWideSet(1<<12), v.initialWide(), v.successorsWide)
-		}
-		return v.runParallelWide(workers, auto)
-	}
 	if workers == 1 || v.cfg.Trace {
-		return runSequential(v, newU64Set(1<<16), v.initial(), v.successors)
+		return runSequential(v, newSet(capacity), init, successors)
 	}
-	return v.runParallel(workers, auto)
+	return runLanes(v, workers, newSet, capacity, init, successors, hash, less)
 }
+
+// Initial capacity of a search's visited set, per encoding; the parallel
+// search splits it across its partitions.
+const (
+	u64SetCap  = 1 << 16
+	wideSetCap = 1 << 12
+)
 
 // levelReserve estimates how many fresh states the coming level will
 // discover from the previous level's fanout — the previous level turned

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tightcps/internal/plants"
@@ -266,6 +267,30 @@ func TestConfigValidation(t *testing.T) {
 	// Symmetry reduction cannot produce counterexample traces.
 	if _, err := New([]*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{SymmetryReduction: true, Trace: true}); err == nil {
 		t.Fatal("SymmetryReduction+Trace accepted")
+	}
+}
+
+// TestClockLimitErrorNamesField: a profile whose T*w or r does not fit the
+// 7-bit clocks is refused with ErrEncoding, and the message names the
+// application, the field over the limit and its value — T*w = 130 used to be
+// reported as "clocks up to 200", r's value.
+func TestClockLimitErrorNamesField(t *testing.T) {
+	ok := prof("Fine", 5, 2, 4, 20)
+	for _, c := range []struct {
+		bad  *switching.Profile
+		want string
+	}{
+		{prof("SlowWait", 130, 2, 4, 200), "SlowWait has T*w=130 "},
+		{prof("RareEvent", 5, 2, 4, 200), "RareEvent has r=200 "},
+		{prof("Edge", 127, 2, 4, 128), "Edge has r=128 "},
+	} {
+		_, err := New([]*switching.Profile{ok, c.bad}, Config{})
+		if !errors.Is(err, ErrEncoding) || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "at most 127") {
+			t.Errorf("%s: error %q, want ErrEncoding naming %q and the limit 127", c.bad.Name, err, c.want)
+		}
+	}
+	if _, err := New([]*switching.Profile{prof("AtLimit", 126, 2, 4, 127)}, Config{}); err != nil {
+		t.Errorf("T*w=126, r=127 fit the clocks: %v", err)
 	}
 }
 
