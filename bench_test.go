@@ -2,8 +2,8 @@
 // benchmark per artefact (Table 1, Figs. 2–4 and 8–9, the Sec. 5
 // dimensioning and verification-time studies) plus ablations, the
 // concurrent-engine scaling suite (Dimension/Verify at Workers=1 vs
-// GOMAXPROCS, admission-cache hit rates), and the wide-state fleet
-// verifications past the paper's 6-application scale. The engine and the
+// GOMAXPROCS, admission-cache hit rates), and the fleet verifications
+// past the paper's 6-application scale. The engine and the
 // state encodings are documented in DESIGN.md. Run:
 //
 //	go test -bench=. -benchmem
@@ -389,10 +389,10 @@ func BenchmarkOptimalPartitionCached(b *testing.B) {
 	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
 }
 
-// --- Wide-state verifier -------------------------------------------------
+// --- Fleets past the paper's scale ----------------------------------------
 
 // fleetProfiles builds n identical synthetic profiles (distinct names) with
-// constant dwell windows — the fleet workload of the wide encoding.
+// constant dwell windows — the fleet workload past the paper's six apps.
 func fleetProfiles(n, twStar, dm, dp, r int) []*switching.Profile {
 	out := make([]*switching.Profile, n)
 	for i := range out {
@@ -411,8 +411,10 @@ func fleetProfiles(n, twStar, dm, dp, r int) []*switching.Profile {
 }
 
 // BenchmarkVerifyWideFleet9 model-checks a nine-application fleet — past
-// the paper's scale — on the multi-word encoding under the symmetry
-// quotient (sequentially; the parallel variant is the WorkersMax sibling).
+// the paper's scale — under the symmetry quotient (sequentially; the
+// parallel variant is the WorkersMax sibling). The name dates from the fixed
+// 7-bit clocks, under which nine apps needed the multi-word encoding; fitted
+// to r = 9 the state is 9·6+8 = 62 bits and runs on the one-word engine.
 func BenchmarkVerifyWideFleet9(b *testing.B) {
 	ps := fleetProfiles(9, 8, 1, 2, 9)
 	b.ResetTimer()
@@ -428,8 +430,8 @@ func BenchmarkVerifyWideFleet9(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyWideFleet9WorkersMax is the same quotient search on the
-// sharded parallel BFS at full width.
+// BenchmarkVerifyWideFleet9WorkersMax is the same quotient search on
+// GOMAXPROCS owner-partitioned lanes.
 func BenchmarkVerifyWideFleet9WorkersMax(b *testing.B) {
 	ps := fleetProfiles(9, 8, 1, 2, 9)
 	b.ResetTimer()

@@ -13,10 +13,12 @@
 //
 // Beyond the paper's evaluation, -synthetic N dimensions a seeded random
 // workload of N applications (see internal/plants.Synthetic): first-fit
-// with exact wide-state verification under the symmetry quotient, a DP
-// partitioner comparison on a tractable sample, and per-run statistics
-// (slots needed, states explored, cache traffic). Slots of 8+ fleet
-// instances exercise the multi-word encoding past the paper's 6-app scale.
+// with exact verification under the symmetry quotient, a DP partitioner
+// comparison on a tractable sample, and per-run statistics (slots needed,
+// states explored, cache traffic). Slots grow past the paper's 6-app scale;
+// the packed state is fitted to each candidate's largest r, so a fleet at
+// r ≤ 32 runs on the one-word encoding up to 8 instances and on the
+// multi-word one from 9.
 //
 // Scale-out and warm-start knobs:
 //
@@ -578,8 +580,9 @@ func syntheticCacheKey(budget int) uint64 {
 
 // runSynthetic dimensions a seeded synthetic workload end-to-end: archetype
 // profiling (one switching analysis per design, cloned across fleet
-// instances), first-fit mapping with exact wide-state verification under
-// the symmetry quotient, and a DP-partitioner comparison on a tractable
+// instances), first-fit mapping with exact verification under the symmetry
+// quotient (one-word or multi-word states, whichever the candidate's size
+// and largest r need), and a DP-partitioner comparison on a tractable
 // sample. Admission checks are prefiltered by counterexample replay
 // (verify.Refute) and bounded by the -maxstates budget; a busted budget
 // rejects conservatively (never unsoundly) and is reported. With

@@ -19,27 +19,32 @@ import (
 )
 
 // equivalenceCases: schedulable and violating sets on both encodings.
-// S1 (1 440 712 states) is the paper's hardest verification; overload7
+// S1 (1 440 712 states) is the paper's hardest verification; overloadWide
 // exercises the wide encoding's violation path; the sym cases run the
-// quotient on both encodings.
+// quotient on both encodings. The wide cases are wide by their own n and r
+// (lanes are fitted to the set's largest r): 7 apps at r = 65, 6 bounded
+// with an r = 33 application among them.
 var equivalenceCases = []struct {
 	name string
 	apps []string // named case-study slot, or
 	ps   func() []*switching.Profile
 	spec verify.Spec
+	wide bool
 }{
 	{name: "S2", apps: []string{"C6", "C2"}},
 	{name: "S1", apps: []string{"C1", "C5", "C4", "C3"}},
 	{name: "overloadNarrow", ps: func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
 	}},
-	{name: "overloadWide", ps: func() []*switching.Profile { return fleet(7, 2, 1, 2, 5) }},
+	{name: "overloadWide", ps: func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, wide: true},
 	{name: "narrowSym", ps: func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) },
 		spec: verify.Spec{Symmetry: true}},
-	{name: "wideSym", ps: func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) },
+	{name: "fleet7Sym", ps: func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) },
 		spec: verify.Spec{Symmetry: true}},
-	{name: "wideBounded", ps: func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) },
-		spec: verify.Spec{Bounded: true}},
+	{name: "wideSym", ps: func() []*switching.Profile { return append(fleet(5, 6, 1, 2, 8), prof("X", 4, 2, 3, 33)) },
+		spec: verify.Spec{Symmetry: true, MaxDisturbances: 1}, wide: true},
+	{name: "wideBounded", ps: func() []*switching.Profile { return fleet(6, 5, 2, 4, 33) },
+		spec: verify.Spec{Bounded: true}, wide: true},
 }
 
 // TestServiceVerdictEquivalence is the tentpole assertion: one service
@@ -65,6 +70,11 @@ func TestServiceVerdictEquivalence(t *testing.T) {
 					req = inlineReq(ps, tc.spec)
 				}
 				want := localVerdictJSON(t, ps, tc.spec, names)
+				if cfg, err := tc.spec.Config(ps); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				} else if e, err := verify.NewExpander(ps, cfg); err != nil || e.Wide() != tc.wide {
+					t.Fatalf("%s: wide=%v, %v", tc.name, e != nil && e.Wide(), err)
+				}
 
 				status, resp, gotVerdict := r.submit(t, req)
 				if status != http.StatusOK {

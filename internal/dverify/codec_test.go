@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -14,12 +15,13 @@ import (
 )
 
 // codecFor builds a frontierCodec over a real expander with the given
-// state width: 1 word (narrow triple) or 4 words (7-app wide fleet).
+// state width: 1 word (narrow triple) or 4 words (seven apps at r = 65 —
+// 9-bit lanes; at r ≤ 64 a seven-app fleet fits one word).
 func codecFor(t *testing.T, words int) *frontierCodec {
 	t.Helper()
 	ps := fleet(3, 5, 2, 4, 20)
 	if words == 4 {
-		ps = fleet(7, 6, 1, 2, 10)
+		ps = fleet(7, 6, 1, 2, 65)
 	}
 	exp, err := verify.NewExpander(ps, verify.Config{NondetTies: true})
 	if err != nil {
@@ -244,30 +246,42 @@ func TestSendFilterExactness(t *testing.T) {
 
 // TestProtocolVersionHandshake: both mismatch directions must fail loudly
 // before any frontier moves — a coordinator rejects a node echoing another
-// protocol version, and a node rejects a job carrying one (a PR-3 binary
-// has no Proto field and presents as 0 either way).
+// protocol version, and a node rejects a job carrying one. The stale peers
+// are a PR-3 binary (no Proto field: presents as 0 either way) and a
+// version-6 one, which packs states with fixed 7-bit clocks and would decode
+// a fitted-layout frontier into different states without any error.
 func TestProtocolVersionHandshake(t *testing.T) {
-	job := Job{
-		Proto:    0, // what a PR-3 coordinator's gob stream decodes to
-		Profiles: []switching.Profile{*prof("A", 5, 2, 4, 20)},
-		NumNodes: 1,
+	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
+	for _, stale := range []int{0, 6} {
+		named := fmt.Sprintf("protocol %d", stale)
+		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
+		if _, _, err := newNode(&job, nil); err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("relay node accepted a %s job (err=%v)", named, err)
+		}
+		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("mesh worker accepted a %s job (err=%v)", named, err)
+		}
+
+		// A stale worker answers Init with its own version; the coordinator
+		// must stop there, on either topology.
+		for _, topo := range []verify.DistTopology{verify.TopologyRelay, verify.TopologyAuto} {
+			var kinds []Kind
+			worker := transportFunc(func(req *Request) (*Response, error) {
+				kinds = append(kinds, req.Kind)
+				return &Response{Proto: stale, ViolApp: -1, Fresh: 1, Next: 1}, nil
+			})
+			_, err := Verify(ps, verify.Config{NondetTies: true, DistTopology: topo}, []Transport{worker})
+			if err == nil || !strings.Contains(err.Error(), named) {
+				t.Fatalf("%q coordinator accepted a %s worker (err=%v)", topo, named, err)
+			}
+			if !slices.Equal(kinds, []Kind{KindInit}) {
+				t.Fatalf("%q coordinator sent %v to a %s worker, want Init only", topo, kinds, named)
+			}
+		}
 	}
-	if _, _, err := newNode(&job, nil); err == nil {
-		t.Fatal("node accepted a protocol-0 job")
-	}
-	job.Proto = protoVersion
+	job := Job{Proto: protoVersion, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 	if _, _, err := newNode(&job, nil); err != nil {
 		t.Fatalf("node rejected the current protocol: %v", err)
-	}
-
-	// A stale worker: answers Init like PR-3 (no Proto echo).
-	stale := transportFunc(func(req *Request) (*Response, error) {
-		return &Response{ViolApp: -1, Fresh: 1, Next: 1}, nil
-	})
-	_, err := Verify([]*switching.Profile{prof("A", 5, 2, 4, 20)}, verify.Config{NondetTies: true},
-		[]Transport{stale})
-	if err == nil || !strings.Contains(err.Error(), "protocol") {
-		t.Fatalf("coordinator accepted a protocol-0 worker (err=%v)", err)
 	}
 }
 

@@ -45,34 +45,43 @@ func verifyOver(t *testing.T, nodes int, ps []*switching.Profile, cfg verify.Con
 // equivalenceCases is the distributed-vs-local matrix shared by the
 // topology tests: schedulable and violating sets on both encodings, at
 // the n = 6/7/12 boundaries, with and without the symmetry quotient.
+// words is the state width the set must have (TestLoopbackMatchesLocal
+// checks it): lanes are fitted to the set's largest r, so a fixture is on
+// the 4-word wire only by its own n and r.
 var equivalenceCases = []struct {
-	name string
-	ps   func() []*switching.Profile
-	sym  bool
-	md   int // MaxDisturbances (0 = exact)
+	name  string
+	ps    func() []*switching.Profile
+	sym   bool
+	md    int // MaxDisturbances (0 = exact)
+	words int
 }{
-	{"single", func() []*switching.Profile { return []*switching.Profile{prof("A", 5, 2, 4, 20)} }, false, 0},
+	{"single", func() []*switching.Profile { return []*switching.Profile{prof("A", 5, 2, 4, 20)} }, false, 0, 1},
 	{"overload2", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
-	}, false, 0},
+	}, false, 0, 1},
 	{"loosePair", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	}, false, 0},
+	}, false, 0, 1},
 	{"asymTriple", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
-	}, false, 0},
-	{"narrow6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) }, false, 0},
-	// Wide-encoding cases. The unquotiented schedulable 7-app spaces run
-	// to millions of states, so the exhaustive-count checks ride the
-	// symmetry quotient (canonicalisation happens inside the shared
-	// expansion core, identically on every node) and the bounded mode
-	// (6 apps × 11-bit lanes no longer fit one word).
-	{"het7sym", func() []*switching.Profile { return append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)) }, true, 0},
-	{"fleet7sym", func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) }, true, 0},
-	{"fleet9sym", func() []*switching.Profile { return fleet(9, 8, 1, 2, 9) }, true, 0},
-	{"wideBounded6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) }, false, 2},
-	{"overload7", func() []*switching.Profile { return fleet(7, 2, 1, 2, 5) }, false, 0},
-	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 6) }, false, 0},
+	}, false, 0, 1},
+	{"narrow6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) }, false, 0, 1},
+	// Fleets past the paper's scale. The unquotiented schedulable 7-app
+	// spaces run to millions of states, so the exhaustive-count checks ride
+	// the symmetry quotient (canonicalisation happens inside the shared
+	// expansion core, identically on every node). With r ≤ 12 they fit one
+	// word.
+	{"het7sym", func() []*switching.Profile { return append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)) }, true, 0, 1},
+	{"fleet7sym", func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) }, true, 0, 1},
+	{"fleet9sym", func() []*switching.Profile { return fleet(9, 8, 1, 2, 9) }, true, 0, 1},
+	{"overload7", func() []*switching.Profile { return fleet(7, 2, 1, 2, 5) }, false, 0, 1},
+	// Wide-encoding cases: one rare application (r = 33) widens every lane
+	// of a bounded six-app set to 10 bits, schedulable under the quotient
+	// and violating without it; seven apps at r = 65; twelve at r = 6.
+	{"wideMixed6sym", func() []*switching.Profile { return append(fleet(5, 6, 1, 2, 8), prof("X", 4, 2, 3, 33)) }, true, 1, 4},
+	{"wideBounded6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 33) }, false, 2, 4},
+	{"overload7wide", func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, false, 0, 4},
+	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 6) }, false, 0, 4},
 }
 
 // checkMatchesLocal asserts one distributed result against the local
@@ -111,6 +120,9 @@ func TestLoopbackMatchesLocal(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
 		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md, Workers: 4}
+		if exp, err := verify.NewExpander(ps, cfg); err != nil || exp.StateWords() != tc.words {
+			t.Fatalf("%s: fixture yields %d-word states, want %d (%v)", tc.name, exp.StateWords(), tc.words, err)
+		}
 		local, err := verify.Slot(ps, cfg)
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
@@ -210,7 +222,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		ps   []*switching.Profile
 	}{
 		{"schedulable", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}},
-		{"violating", fleet(7, 2, 1, 2, 5)},
+		{"violating", fleet(7, 2, 1, 2, 65)}, // 4-word states over TCP
 	} {
 		local, err := verify.Slot(tc.ps, cfg)
 		if err != nil {

@@ -24,7 +24,10 @@ import (
 // verifyd daemon), corrupting the search with no error. KindInit therefore
 // carries the coordinator's version in Job.Proto and the node echoes its
 // own in Response.Proto, so either side rejects a mismatch loudly before
-// any frontier is exchanged. Version 6 is the PR-9 fault-tolerance
+// any frontier is exchanged. Version 7 changes no field: it marks the
+// packed-state layout whose lane clocks are fitted to the job's largest r
+// (verify.Verifier.valBits), which a version-6 peer would decode into
+// different states. Version 6 is the PR-9 fault-tolerance
 // protocol (explicit shard-ownership tables, era-tagged mesh frames,
 // checkpoint/recovery control: Job carries Owners/Era/Cut, KindPoll can
 // carry a Recover order, snapshots report checkpoint progress and dead
@@ -35,7 +38,7 @@ import (
 // pipelined levels, poll/epoch control plane); version 2 is the PR-4
 // relay protocol (per-source absorb batch lists, codec-framed); PR-3
 // binaries predate the field and present as version 0.
-const protoVersion = 6
+const protoVersion = 7
 
 // Kind discriminates coordinator requests.
 type Kind uint8

@@ -21,11 +21,12 @@ import (
 // and the lane merge from genuinely concurrent goroutines on every node.
 func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 	sel := map[string]bool{
-		"overload2":    true, // narrow, violating at level 1
-		"narrow6":      true, // narrow, schedulable, largest one-word fleet
-		"het7sym":      true, // wide, schedulable, symmetry quotient
-		"wideBounded6": true, // wide via bounded-disturbance lanes
-		"overload12":   true, // wide, violating, deepest fan-out
+		"overload2":     true, // narrow, violating at level 1
+		"narrow6":       true, // narrow, schedulable, six apps at r = 20
+		"het7sym":       true, // seven apps on one word, schedulable, symmetry quotient
+		"wideMixed6sym": true, // wide, schedulable, symmetry quotient
+		"wideBounded6":  true, // wide via bounded-disturbance lanes at r = 33
+		"overload12":    true, // wide, violating, deepest fan-out
 	}
 	for _, tc := range equivalenceCases {
 		if !sel[tc.name] {

@@ -50,18 +50,21 @@ func TestExpansionCoreAllocFree(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		n    int
+		n, r int
 		cfg  Config
 	}{
-		{"narrow", 4, Config{NondetTies: true}},
-		{"narrow-bounded", 4, Config{NondetTies: true, MaxDisturbances: 2}},
-		{"wide", 7, Config{NondetTies: true}},
-		{"symmetry", 5, Config{NondetTies: true, SymmetryReduction: true}},
+		{"narrow", 4, 10, Config{NondetTies: true}},
+		{"narrow-bounded", 4, 10, Config{NondetTies: true, MaxDisturbances: 2}},
+		{"wide", 7, 65, Config{NondetTies: true}},
+		{"symmetry", 5, 10, Config{NondetTies: true, SymmetryReduction: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v, err := New(fleet(tc.n, 6, 1, 2, 10), tc.cfg)
+			v, err := New(fleet(tc.n, 6, 1, 2, tc.r), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if v.wide != (tc.name == "wide") {
+				t.Fatalf("wide=%v", v.wide)
 			}
 			var sc expandScratch
 			if !v.wide {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tightcps/internal/switching"
@@ -69,7 +70,34 @@ func testVerifier(t testing.TB, ps []*switching.Profile, cfg Config, forceWide b
 	return v
 }
 
-// refBFS is refSearch over a slot's exported expansion seam.
+// wideMixed6 is the smallest schedulable set of these suites that is wide by
+// its own r: five tight instances and one rare application whose r = 33
+// makes every bounded lane 2+6+2 bits, 6·10+8 = 68 in all. One disturbance
+// each and the quotient keep it at 70,370 states.
+func wideMixed6() []*switching.Profile {
+	return append(fleet(5, 6, 1, 2, 8), prof("X", 4, 2, 3, 33))
+}
+
+// encodings returns the forceWide settings to run a fixture under: the
+// fitted encoding and, when that is the one-word one, the forced multi-word
+// one. It holds the fixture to its name — a row called ".../wide/..." must
+// be wide by its own r, so the multi-word path keeps coverage that needs no
+// forcing.
+func encodings(t testing.TB, name string, ps []*switching.Profile, cfg Config) []bool {
+	t.Helper()
+	wide := testVerifier(t, ps, cfg, false).wide
+	if wide != strings.Contains(name, "/wide") {
+		t.Fatalf("%s: wide=%v", name, wide)
+	}
+	if wide {
+		return []bool{false}
+	}
+	return []bool{false, true}
+}
+
+// refBFS is refSearch over a slot's exported expansion seam. Every state it
+// expands must decode and pack again to the same bits: the fitted layout
+// loses nothing a reachable state holds.
 func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (Result, error, []PackedState, []int) {
 	t.Helper()
 	v := testVerifier(t, ps, cfg, forceWide)
@@ -77,6 +105,18 @@ func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (
 	scr := e.NewScratch()
 	var buf []PackedState
 	res, err, visited, levels := refSearch(e.Initial(), v.cfg.MaxStates, func(s PackedState) ([]PackedState, int) {
+		var c cstate
+		again := s
+		if v.wide {
+			v.unpackWide(wstate(s), &c)
+			again = PackedState(v.packWide(&c))
+		} else {
+			v.unpack(s[0], &c)
+			again[0] = v.pack(&c)
+		}
+		if again != s {
+			t.Fatalf("state %x decodes to %+v, which packs to %x", s, c, again)
+		}
 		var viol int
 		buf, viol = e.SuccessorsInto(s, scr, buf[:0])
 		return buf, viol
@@ -124,11 +164,12 @@ func TestSequentialMatchesReferenceBFS(t *testing.T) {
 		{"fleet5/sym", fleet(5, 6, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet5/viol", fleet(5, 3, 1, 2, 10), Config{NondetTies: true}},
 		{"fleet5/viol/sym", fleet(5, 3, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
-		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 8), Config{NondetTies: true}},
-		{"fleet7/wide/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
-		{"fleet7/wide/sym/bounded", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
+		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
+		{"fleet7/sym/bounded", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
+		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 65), Config{NondetTies: true}},
+		{"mixed6/wide/sym/bounded", wideMixed6(), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
 	} {
-		for _, forceWide := range []bool{false, true} {
+		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
 			_, _, visited, _ := refBFS(t, c.ps, c.cfg, forceWide)
 			n := len(visited)
 			for _, max := range []int{0, 1, 2, seqChunk, seqChunk + 1, n / 2, n - 1, n} {
@@ -229,7 +270,8 @@ func TestSequentialChunkBoundaries(t *testing.T) {
 // TestSequentialPins pins the sequential engine's counts on the two slots
 // the pipeline benchmark also pins, inside tier 1: V5 = S1 + C6 violates at
 // depth 12 after 681,400 states with C1 (index 0) the first violator, and a
-// budget of N states ends the search with exactly N+1 on either encoding.
+// budget of N states ends the search with exactly N+1 on either encoding
+// (W7 at r = 65 is W7 with clocks too wide for one word).
 func TestSequentialPins(t *testing.T) {
 	v5, err := Slot(caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), Config{NondetTies: true, Workers: 1})
 	if err != nil {
@@ -244,7 +286,7 @@ func TestSequentialPins(t *testing.T) {
 		wide bool
 	}{
 		{"narrow", caseProfiles(t, "C1", "C5", "C4", "C3"), false},
-		{"wide", fleet(7, 5, 1, 2, 8), true},
+		{"wide", fleet(7, 5, 1, 2, 65), true},
 	} {
 		for _, n := range []int{1, 1000, 4097, 100000} {
 			v, err := New(c.ps, Config{NondetTies: true, Workers: 1, MaxStates: n})

@@ -18,7 +18,10 @@ import (
 
 // PackedState is the encoding-independent packed form of one composed
 // state: narrow (one-word) states occupy word 0 with words 1..3 zero, wide
-// states are the multi-word encoding verbatim. Neither encoding produces
+// states are the multi-word encoding verbatim. The bit layout inside the
+// words depends on the set — lane clocks are as wide as its largest r needs
+// — so a PackedState means something only to Expanders built from the same
+// profiles and config. Neither encoding produces
 // the all-zero value (an idle slot stores a nonzero occupant sentinel), so
 // the zero PackedState remains the empty-slot sentinel of the hash sets.
 type PackedState [wideWords]uint64
@@ -45,12 +48,14 @@ func NewExpander(profiles []*switching.Profile, cfg Config) (*Expander, error) {
 	return v.Expander(), nil
 }
 
-// Wide reports whether the composed state uses the multi-word encoding.
+// Wide reports whether the composed state uses the multi-word encoding:
+// whether n lanes of 2 + ⌈log₂ max r⌉ (+ 2 bounded) bits and the 8-bit
+// header exceed 64 bits — nine applications at r = 17, seven at r = 65.
 func (e *Expander) Wide() bool { return e.v.wide }
 
 // StateWords is the number of significant words per state: 1 on the narrow
-// fast path, the full word count on the wide path. It sizes the wire
-// encoding of AppendState/DecodeStates.
+// fast path, the full word count on the wide path (see Wide for which sets
+// take it). It sizes the wire encoding of AppendState/DecodeStates.
 func (e *Expander) StateWords() int {
 	if e.v.wide {
 		return wideWords

@@ -88,19 +88,20 @@ func TestExpanderViolationSurfaces(t *testing.T) {
 // including the stride-mismatch error.
 func TestExpanderBatchRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		ps   []*switching.Profile
-		wide bool
+		name  string
+		ps    []*switching.Profile
+		words int
 	}{
-		{"narrow", fleet(3, 5, 2, 4, 20), false},
-		{"wide", fleet(7, 6, 1, 2, 10), true},
+		{"narrow", fleet(3, 5, 2, 4, 20), 1},
+		{"narrow7", fleet(7, 6, 1, 2, 10), 1}, // 7·6+8 = 50 bits with the clock fitted to r = 10
+		{"wide", fleet(7, 6, 1, 2, 65), wideWords},
 	} {
 		e, err := NewExpander(tc.ps, Config{NondetTies: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if e.Wide() != tc.wide {
-			t.Fatalf("%s: wide=%v", tc.name, e.Wide())
+		if e.StateWords() != tc.words || e.Wide() != (tc.words > 1) {
+			t.Fatalf("%s: wide=%v with %d-word states", tc.name, e.Wide(), e.StateWords())
 		}
 		states, app := e.Successors(e.Initial(), nil)
 		if app >= 0 {
@@ -142,11 +143,14 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 		ps   []*switching.Profile
 	}{
 		{"narrow", fleet(3, 5, 2, 4, 20)},
-		{"wide", fleet(7, 6, 1, 2, 10)},
+		{"wide", fleet(7, 6, 1, 2, 65)},
 	} {
 		e, err := NewExpander(tc.ps, Config{NondetTies: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if e.Wide() != (tc.name == "wide") {
+			t.Fatalf("%s: wide=%v", tc.name, e.Wide())
 		}
 		sc, hsc := e.NewScratch(), e.NewScratch()
 		var plain []PackedState

@@ -60,7 +60,7 @@ func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config, forceWide bool
 	return want
 }
 
-// TestLanesMatchReferenceBFS: lanes ∈ {2, 3, 4, 8} × narrow / forced wide ×
+// TestLanesMatchReferenceBFS: lanes ∈ {2, 3, 4, 8} × narrow / forced or fitted wide ×
 // symmetry / bounded / deterministic ties against the reference search —
 // States, Transitions and Depth on schedulable slots; Depth, the size of
 // levels 0..Depth and the minimum-state violator on violating ones.
@@ -83,10 +83,11 @@ func TestLanesMatchReferenceBFS(t *testing.T) {
 		{"fleet5/sym", fleet(5, 6, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet5/viol", fleet(5, 3, 1, 2, 10), Config{NondetTies: true}},
 		{"fleet5/viol/sym", fleet(5, 3, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
-		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 8), Config{NondetTies: true}},
-		{"fleet7/wide/sym/bounded", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
+		{"fleet7/sym/bounded", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
+		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 65), Config{NondetTies: true}},
+		{"mixed6/wide/sym/bounded", wideMixed6(), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
 	} {
-		for _, forceWide := range []bool{false, true} {
+		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
 			want := lanesWant(t, c.ps, c.cfg, forceWide)
 			for _, lanes := range []int{2, 3, 4, 8} {
 				got, err := laneVerifier(t, c.ps, c.cfg, forceWide, lanes).Run()
@@ -110,9 +111,10 @@ func TestLanesBudget(t *testing.T) {
 		cfg  Config
 	}{
 		{"C1C5C6", caseProfiles(t, "C1", "C5", "C6"), Config{NondetTies: true}},
-		{"fleet7/wide/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
+		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
+		{"mixed6/wide/sym/bounded", wideMixed6(), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
 	} {
-		for _, forceWide := range []bool{false, true} {
+		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
 			want, _, _, _ := refBFS(t, c.ps, c.cfg, forceWide)
 			n := want.States
 			for _, lanes := range []int{2, 3, 8} {
@@ -225,7 +227,8 @@ func TestLanesSyntheticGraph(t *testing.T) {
 // TestLanesPins pins the parallel engine on the slots the pipeline benchmark
 // pins: V5 = S1 + C6 violates at depth 12 with C4 (index 2) the violator of
 // its smallest violating state — not the sequential engine's C1 — and the
-// wide fleet W7 at depth 2 with F3, for every lane count.
+// seven-instance fleet at depth 2 with F3, on one word (r = 8) and on the
+// multi-word encoding (r = 65), for every lane count.
 func TestLanesPins(t *testing.T) {
 	for _, c := range []struct {
 		name            string
@@ -234,6 +237,7 @@ func TestLanesPins(t *testing.T) {
 	}{
 		{"V5", caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), 12, 2},
 		{"W7", fleet(7, 2, 1, 2, 8), 2, 3},
+		{"W7/wide", fleet(7, 2, 1, 2, 65), 2, 3},
 	} {
 		for _, lanes := range []int{0, 2, 3} {
 			res, err := Slot(c.ps, Config{NondetTies: true, Workers: lanes})

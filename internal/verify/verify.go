@@ -13,10 +13,14 @@
 // of quiescent applications may have been disturbed during the preceding
 // interval (subject to the per-application minimum inter-arrival time r).
 //
-// Two packed encodings back the same semantics: application sets whose
-// composed state fits one machine word use the original single-uint64
-// encoding (the fast path — every paper result runs here), larger sets up
-// to maxApps applications use the multi-word wide encoding of widestate.go.
+// Two packed encodings back the same semantics. Every application owns a
+// lane of 2 phase bits, a clock fitted to the set's largest r (⌈log₂ r⌉
+// bits, see Verifier.valBits) and, in bounded mode, a 2-bit disturbance
+// counter; sets whose lanes plus the 8-bit occupant/dwell header fit one
+// machine word use the single-uint64 encoding (the fast path — every paper
+// result and every fleet of up to 8 applications at r ≤ 32 runs here),
+// larger sets up to maxApps applications the multi-word wide encoding of
+// widestate.go.
 // Sets of applications with identical profiles can additionally be checked
 // under a sound symmetry quotient (Config.SymmetryReduction), collapsing
 // the state space of homogeneous fleets by up to n! per class.
@@ -38,6 +42,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -46,15 +51,15 @@ import (
 	"tightcps/internal/switching"
 )
 
-// Limits of the packed encodings. maxApps is the wide-encoding cap; sets
-// whose composed state fits 64 bits (≤ 6 apps exact, ≤ 5 bounded) stay on
-// the one-word fast path.
+// Limits of the packed encodings. maxApps is the wide-encoding cap; a set
+// stays on the one-word fast path while n·appBits + 8 ≤ 64, where appBits =
+// phaseBits + ⌈log₂ max r⌉ (+ cntBits bounded) — e.g. 8 apps at r ≤ 32, 6 at
+// r ≤ 127.
 const (
 	maxApps   = 12  // wide-encoding application cap
 	maxClock  = 127 // r, T*w ≤ 127 samples
 	maxTdw    = 15  // Tdw+ ≤ 15 samples
 	phaseBits = 2
-	valBits   = 7
 	cntBits   = 2 // bounded-mode disturbance counters
 )
 
@@ -274,6 +279,12 @@ type Verifier struct {
 	cfg   Config
 	n     int
 
+	// valBits is the width of a lane's clock field: bits.Len(max r − 1) over
+	// the set's profiles. It is enough because no stored lane holds a val
+	// above r − 1: a Waiting clock reaching T*w is a miss and never stored, a
+	// Granted lane keeps its wait at grant (≤ T*w), a Cooldown clock returns
+	// to Steady (val 0) on reaching r, and New rejects r ≤ T*w.
+	valBits  uint
 	appBits  uint
 	occShift uint
 	ctShift  uint
@@ -291,7 +302,9 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 	if n == 0 || n > maxApps {
 		return nil, fmt.Errorf("%w: %d applications (max %d)", ErrEncoding, n, maxApps)
 	}
+	maxR := 1
 	for _, p := range profiles {
+		maxR = max(maxR, p.R)
 		if p.TwStar > maxClock {
 			return nil, fmt.Errorf("%w: %s has T*w=%d samples, clocks hold at most %d", ErrEncoding, p.Name, p.TwStar, maxClock)
 		}
@@ -299,7 +312,7 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 			return nil, fmt.Errorf("%w: %s has r=%d samples, clocks hold at most %d", ErrEncoding, p.Name, p.R, maxClock)
 		}
 		if p.MaxTdwPlus() > maxTdw {
-			return nil, fmt.Errorf("%w: Tdw+ %d exceeds %d", ErrEncoding, p.MaxTdwPlus(), maxTdw)
+			return nil, fmt.Errorf("%w: %s has Tdw+=%d samples, dwells hold at most %d", ErrEncoding, p.Name, p.MaxTdwPlus(), maxTdw)
 		}
 		if p.R <= p.TwStar {
 			return nil, fmt.Errorf("verify: %s has r=%d ≤ T*w=%d; the sporadic model requires r > T*w",
@@ -309,8 +322,8 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = 200_000_000
 	}
-	v := &Verifier{profs: profiles, cfg: cfg, n: n}
-	v.appBits = phaseBits + valBits
+	v := &Verifier{profs: profiles, cfg: cfg, n: n, valBits: uint(bits.Len(uint(maxR - 1)))}
+	v.appBits = phaseBits + v.valBits
 	if cfg.MaxDisturbances > 0 {
 		if cfg.MaxDisturbances >= 1<<cntBits {
 			return nil, fmt.Errorf("%w: disturbance bound %d exceeds %d", ErrEncoding, cfg.MaxDisturbances, 1<<cntBits-1)
@@ -406,7 +419,7 @@ func (v *Verifier) pack(c *cstate) uint64 {
 	for i := 0; i < v.n; i++ {
 		f := uint64(c.phase[i]) | uint64(c.val[i])<<phaseBits
 		if v.cfg.MaxDisturbances > 0 {
-			f |= uint64(c.cnt[i]) << (phaseBits + valBits)
+			f |= uint64(c.cnt[i]) << (phaseBits + v.valBits)
 		}
 		s |= f << (uint(i) * v.appBits)
 	}
@@ -423,9 +436,9 @@ func (v *Verifier) unpack(s uint64, c *cstate) {
 	for i := 0; i < v.n; i++ {
 		f := s >> (uint(i) * v.appBits)
 		c.phase[i] = uint8(f & (1<<phaseBits - 1))
-		c.val[i] = uint8(f >> phaseBits & (1<<valBits - 1))
+		c.val[i] = uint8(f >> phaseBits & (1<<v.valBits - 1))
 		if v.cfg.MaxDisturbances > 0 {
-			c.cnt[i] = uint8(f >> (phaseBits + valBits) & (1<<cntBits - 1))
+			c.cnt[i] = uint8(f >> (phaseBits + v.valBits) & (1<<cntBits - 1))
 		} else {
 			c.cnt[i] = 0
 		}
@@ -464,10 +477,11 @@ type expandScratch struct {
 	cand [maxApps]int8 // grant-candidate buffer (schedule)
 }
 
-// laneKey totally orders one application's lane content for the symmetry
-// canonicalisation.
+// laneKey totally orders one application's lane content — by (cnt, val,
+// phase), a byte each — for the symmetry canonicalisation. It orders decoded
+// lanes and is independent of the packed layout.
 func laneKey(c *cstate, i int) int {
-	return int(c.phase[i]) | int(c.val[i])<<2 | int(c.cnt[i])<<9
+	return int(c.cnt[i])<<16 | int(c.val[i])<<8 | int(c.phase[i])
 }
 
 // canon rewrites c into the canonical representative of its symmetry orbit:

@@ -292,6 +292,11 @@ func TestClockLimitErrorNamesField(t *testing.T) {
 	if _, err := New([]*switching.Profile{prof("AtLimit", 126, 2, 4, 127)}, Config{}); err != nil {
 		t.Errorf("T*w=126, r=127 fit the clocks: %v", err)
 	}
+	// The dwell limit names its application the same way.
+	_, err := New([]*switching.Profile{ok, prof("LongDwell", 5, 2, 16, 40)}, Config{})
+	if !errors.Is(err, ErrEncoding) || !strings.Contains(err.Error(), "LongDwell has Tdw+=16 ") || !strings.Contains(err.Error(), "at most 15") {
+		t.Errorf("LongDwell: error %q, want ErrEncoding naming the application, Tdw+=16 and the limit 15", err)
+	}
 }
 
 func TestMaxStatesAborts(t *testing.T) {

@@ -27,7 +27,7 @@ func (v *Verifier) packWide(c *cstate) wstate {
 	for i := 0; i < v.n; i++ {
 		f := uint64(c.phase[i]) | uint64(c.val[i])<<phaseBits
 		if v.cfg.MaxDisturbances > 0 {
-			f |= uint64(c.cnt[i]) << (phaseBits + valBits)
+			f |= uint64(c.cnt[i]) << (phaseBits + v.valBits)
 		}
 		s[i/v.lanes] |= f << (uint(i%v.lanes) * v.appBits)
 	}
@@ -43,9 +43,9 @@ func (v *Verifier) unpackWide(s wstate, c *cstate) {
 	for i := 0; i < v.n; i++ {
 		f := s[i/v.lanes] >> (uint(i%v.lanes) * v.appBits)
 		c.phase[i] = uint8(f & (1<<phaseBits - 1))
-		c.val[i] = uint8(f >> phaseBits & (1<<valBits - 1))
+		c.val[i] = uint8(f >> phaseBits & (1<<v.valBits - 1))
 		if v.cfg.MaxDisturbances > 0 {
-			c.cnt[i] = uint8(f >> (phaseBits + valBits) & (1<<cntBits - 1))
+			c.cnt[i] = uint8(f >> (phaseBits + v.valBits) & (1<<cntBits - 1))
 		} else {
 			c.cnt[i] = 0
 		}
