@@ -16,21 +16,17 @@
 //     header are 62 bits, so the row now measures the one-word engine (the
 //     name is kept for the trajectory);
 //   - VerifyS1Loopback2 / VerifyS1Loopback4: S1 distributed over two and
-//     four in-process loopback workers on the mesh topology (direct
-//     worker↔worker exchange, pipelined levels), each also measured with a
+//     four in-process loopback workers (direct worker↔worker exchange,
+//     pipelined levels), each also measured with a
 //     4-lane per-node expansion pool (the ...2x4/...4x4 rows — the
-//     workers_per_node dimension of the scaling study);
-//   - VerifyS1Loopback2Relay: the same two-worker run on the PR-4
-//     level-synchronous coordinator relay, which also reports the
-//     frontier-exchange wire volume of the compressed codec (the mesh's
-//     loopback links pass decoded states and ship no encoded bytes).
+//     workers_per_node dimension of the scaling study).
 //
 // The distributed_scaling section records states/second per node count and
-// the speedup against both the single-node search and the recorded PR-4
-// two-node relay baseline, so CI and later PRs can assert that adding
-// nodes buys throughput (the PR-5 acceptance gate: 2-node mesh ≥ 1.5× the
-// PR-4 loopback baseline). The pre-PR-4 VerifyS1 baseline stays for the
-// allocation trajectory (≥ 5× fewer B/op and allocs/op).
+// the speedup against the single-node search. Loopback links pass decoded
+// states and ship no encoded bytes, so no row here measures the frontier
+// codec's wire volume — benchmark/'s dverify.tcp2_* rows do, over TCP. The
+// pre-PR-4 VerifyS1 baseline stays for the allocation trajectory (≥ 5×
+// fewer B/op and allocs/op).
 //
 // Usage:
 //
@@ -74,29 +70,18 @@ type benchResult struct {
 	NumCPU       int     `json:"num_cpu,omitempty"`
 }
 
-// wireResult is the 2-node frontier-exchange volume of one S1 run.
-type wireResult struct {
-	RoutedStates   int     `json:"routed_states"`
-	FilteredStates int     `json:"filtered_states"`
-	RawBytes       int     `json:"raw_bytes"`
-	WireBytes      int     `json:"wire_bytes"`
-	SavedFraction  float64 `json:"saved_fraction"`
-}
-
 // scalingEntry is one cluster-shape measurement of the
 // distributed_scaling study: S1 throughput at a node count and per-node
-// worker-pool size, with speedups against the single-node search and the
-// recorded PR-4 two-node relay baseline. CoresTotal = nodes ×
-// workers_per_node distinguishes node-scaling from core-scaling in the
-// trajectory.
+// worker-pool size, with the speedup against the single-node search.
+// CoresTotal = nodes × workers_per_node distinguishes node-scaling from
+// core-scaling in the trajectory.
 type scalingEntry struct {
 	Nodes           int     `json:"nodes"`
-	Topology        string  `json:"topology"` // "local", "mesh" or "relay"
+	Topology        string  `json:"topology"` // "local" or "mesh"
 	WorkersPerNode  int     `json:"workers_per_node"`
 	CoresTotal      int     `json:"cores_total"`
 	StatesPerSec    float64 `json:"states_per_sec"`
 	SpeedupVsSingle float64 `json:"speedup_vs_single_node"`
-	SpeedupVsPR4    float64 `json:"speedup_vs_pr4_loopback2"`
 }
 
 // laneScalingEntry is one workers-per-node measurement of the lane-pool
@@ -122,19 +107,12 @@ type report struct {
 	Generated string `json:"generated"`
 	// Baseline is the pre-PR-4 measurement of VerifyS1 (the allocating
 	// expansion core), recorded once so later runs always compare against
-	// the same anchor. The pre-PR wire volume is RawBytes by construction
-	// (the fixed-width format shipped every routed state).
+	// the same anchor.
 	Baseline benchResult   `json:"baseline_verify_s1_pr3"`
 	Current  []benchResult `json:"current"`
-	// Wire is the two-node relay run's exchange volume — the codec path;
-	// mesh loopback links pass decoded states, so their shipped bytes
-	// equal the raw volume by construction.
-	Wire wireResult `json:"wire_2node_s1_relay"`
 	// Scaling is the distributed throughput study: states/second per node
-	// count, against BaselineLB2 — the PR-4 two-node loopback relay
-	// measurement, recorded once.
-	BaselineLB2 float64        `json:"baseline_loopback2_pr4_states_per_sec"`
-	Scaling     []scalingEntry `json:"distributed_scaling"`
+	// count.
+	Scaling []scalingEntry `json:"distributed_scaling"`
 	// LaneScaling is the workers-per-node study with contention counters —
 	// the PR-10 lock-free set / work-stealing trajectory.
 	LaneScaling []laneScalingEntry `json:"lane_scaling"`
@@ -152,11 +130,6 @@ var baselineS1 = benchResult{
 	BPerOp:       202052528,
 	AllocsPerOp:  4888249,
 }
-
-// baselineLoopback2PR4 is the PR-4 two-node loopback measurement (the
-// coordinator-relay exchange, 625ms for S1) — the anchor the mesh's
-// scaling numbers are gated against.
-const baselineLoopback2PR4 = 1440712 / 0.625211794
 
 // laneAllocCeiling is the absolute allocs/op bound for the multi-lane
 // loopback rows. Post-crew runs sit around a few hundred allocations per
@@ -278,13 +251,12 @@ func main() {
 	}))
 
 	single := rep.Current[0].StatesPerSec
-	rep.BaselineLB2 = baselineLoopback2PR4
 	rep.Scaling = append(rep.Scaling, scalingEntry{
 		Nodes: 1, Topology: "local", WorkersPerNode: 1, CoresTotal: 1, StatesPerSec: single,
-		SpeedupVsSingle: 1, SpeedupVsPR4: single / baselineLoopback2PR4,
+		SpeedupVsSingle: 1,
 	}, scalingEntry{
 		Nodes: 1, Topology: "local", WorkersPerNode: 2, CoresTotal: 2, StatesPerSec: lanes2.StatesPerSec,
-		SpeedupVsSingle: lanes2.StatesPerSec / single, SpeedupVsPR4: lanes2.StatesPerSec / baselineLoopback2PR4,
+		SpeedupVsSingle: lanes2.StatesPerSec / single,
 	})
 	// Local-lanes gate: where two lanes have two cores to run on, the
 	// parallel search must not lose to the sequential one (the shared-set
@@ -295,10 +267,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Distributed S1: the mesh topology at two and four loopback workers,
-	// each at per-node expansion pools of 1 and 4 lanes (the node-scaling ×
-	// core-scaling study), plus the two-worker relay for the wire-volume
-	// numbers of the compressed codec path.
+	// Distributed S1: two and four loopback workers, each at per-node
+	// expansion pools of 1 and 4 lanes (the node-scaling × core-scaling
+	// study).
 	var mesh2w1, mesh2w4, mesh4w1 benchResult
 	meshRun := func(name string, n, workers int) benchResult {
 		fmt.Fprintf(os.Stderr, "bench: %s (%d-node mesh, %d workers/node)...\n", name, n, workers)
@@ -331,7 +302,6 @@ func main() {
 			Nodes: n, Topology: "mesh", WorkersPerNode: workers, CoresTotal: n * workers,
 			StatesPerSec:    r.StatesPerSec,
 			SpeedupVsSingle: r.StatesPerSec / single,
-			SpeedupVsPR4:    r.StatesPerSec / baselineLoopback2PR4,
 		})
 		note := ""
 		if runtime.GOMAXPROCS(0) < n*workers {
@@ -351,30 +321,6 @@ func main() {
 	mesh2w4 = meshRun("VerifyS1Loopback2x4", 2, 4)
 	mesh4w1 = meshRun("VerifyS1Loopback4", 4, 1)
 	mesh4w4 := meshRun("VerifyS1Loopback4x4", 4, 4)
-
-	fmt.Fprintln(os.Stderr, "bench: VerifyS1Loopback2Relay (2-node relay)...")
-	ts := dverify.Loopback(2)
-	defer dverify.Close(ts)
-	runner := dverify.Runner(ts)
-	var wire verify.WireStats
-	relayRun := func() (verify.Result, error) {
-		res, err := verify.Slot(s1, verify.Config{
-			NondetTies: true, Workers: 1, Distributed: runner, DistTopology: verify.TopologyRelay})
-		wire = res.Wire
-		return res, err
-	}
-	if _, err := relayRun(); err != nil { // warm fleet, as for the mesh rows
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
-	relay := measure("VerifyS1Loopback2Relay", &states, relayRun)
-	rep.Current = append(rep.Current, relay)
-	rep.Scaling = append(rep.Scaling, scalingEntry{
-		Nodes: 2, Topology: "relay", WorkersPerNode: 1, CoresTotal: 2,
-		StatesPerSec:    relay.StatesPerSec,
-		SpeedupVsSingle: relay.StatesPerSec / single,
-		SpeedupVsPR4:    relay.StatesPerSec / baselineLoopback2PR4,
-	})
 
 	// Alloc-trend gate: per-op allocations of the loopback mesh must stay
 	// roughly flat in the node count (each node recycles its inbox batches
@@ -412,13 +358,6 @@ func main() {
 			runtime.GOMAXPROCS(0), mesh2w4.StatesPerSec, mesh2w1.StatesPerSec)
 		os.Exit(1)
 	}
-	rep.Wire = wireResult{
-		RoutedStates:   wire.RoutedStates,
-		FilteredStates: wire.FilteredStates,
-		RawBytes:       wire.RawBytes,
-		WireBytes:      wire.WireBytes,
-		SavedFraction:  1 - float64(wire.WireBytes)/float64(wire.RawBytes),
-	}
 	cur := rep.Current[0]
 	rep.BRatio = float64(rep.Baseline.BPerOp) / float64(cur.BPerOp)
 	rep.AllocsRat = float64(rep.Baseline.AllocsPerOp) / float64(cur.AllocsPerOp)
@@ -438,10 +377,9 @@ func main() {
 		fmt.Printf("  %-22s %8.0f states/s  %12d B/op  %9d allocs/op\n",
 			c.Name, c.StatesPerSec, c.BPerOp, c.AllocsPerOp)
 	}
-	fmt.Printf("  vs baseline: B/op ×%.1f, allocs/op ×%.0f; 2-node relay wire %.0f%% below raw\n",
-		rep.BRatio, rep.AllocsRat, 100*rep.Wire.SavedFraction)
+	fmt.Printf("  vs baseline: B/op ×%.1f, allocs/op ×%.0f\n", rep.BRatio, rep.AllocsRat)
 	for _, s := range rep.Scaling {
-		fmt.Printf("  scaling: %d-node %-5s ×%d workers (%2d cores) %8.0f states/s  ×%.2f vs single  ×%.2f vs PR-4 loopback2\n",
-			s.Nodes, s.Topology, s.WorkersPerNode, s.CoresTotal, s.StatesPerSec, s.SpeedupVsSingle, s.SpeedupVsPR4)
+		fmt.Printf("  scaling: %d-node %-5s ×%d workers (%2d cores) %8.0f states/s  ×%.2f vs single\n",
+			s.Nodes, s.Topology, s.WorkersPerNode, s.CoresTotal, s.StatesPerSec, s.SpeedupVsSingle)
 	}
 }

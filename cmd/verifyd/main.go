@@ -5,10 +5,9 @@
 // verification backend (internal/dverify). A coordinator — cmd/verifyslot
 // or cmd/experiments with -connect, or a front-door verifyd with -connect
 // — dials a set of worker verifyds, ships each a shard range of the
-// packed state space, and drives the search over them. In the default
-// mesh topology the daemons also dial each other at job setup (one data
-// link per ordered node pair), so frontier batches flow worker↔worker and
-// never transit the coordinator.
+// packed state space, and drives the search over them. The daemons also
+// dial each other at job setup (one data link per ordered node pair), so
+// frontier batches flow worker↔worker and never transit the coordinator.
 //
 // Admission plane (-http): the HTTP/JSON admission service front door
 // (internal/admit). POST /v1/admit submits a profile set + slot config

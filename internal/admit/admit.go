@@ -306,8 +306,8 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 	cfg.Workers = s.opts.Workers
 	if cfg.Workers < 2 {
 		// The parallel driver's minimum-violating-state rule makes the
-		// reported violator identical across worker counts, cluster sizes
-		// and topologies; the sequential driver's insertion-order
+		// reported violator identical across worker counts and cluster
+		// sizes; the sequential driver's insertion-order
 		// tie-break does not. A service answer must not depend on the
 		// box it ran on, so Workers ≥ 2 always.
 		cfg.Workers = 2

@@ -247,49 +247,31 @@ func TestSendFilterExactness(t *testing.T) {
 // TestProtocolVersionHandshake: both mismatch directions must fail loudly
 // before any frontier moves — a coordinator rejects a node echoing another
 // protocol version, and a node rejects a job carrying one. The stale peers
-// are a PR-3 binary (no Proto field: presents as 0 either way) and a
+// are a PR-3 binary (no Proto field: presents as 0 either way), a
 // version-6 one, which packs states with fixed 7-bit clocks and would decode
-// a fitted-layout frontier into different states without any error.
+// a fitted-layout frontier into different states without any error, and a
+// version-7 one, whose request kinds are numbered differently.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6} {
+	for _, stale := range []int{0, 6, 7} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
-		if _, _, err := newNode(&job, nil); err == nil || !strings.Contains(err.Error(), named) {
-			t.Fatalf("relay node accepted a %s job (err=%v)", named, err)
-		}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
-			t.Fatalf("mesh worker accepted a %s job (err=%v)", named, err)
+			t.Fatalf("worker accepted a %s job (err=%v)", named, err)
 		}
 
 		// A stale worker answers Init with its own version; the coordinator
-		// must stop there, on either topology.
-		for _, topo := range []verify.DistTopology{verify.TopologyRelay, verify.TopologyAuto} {
-			var kinds []Kind
-			worker := transportFunc(func(req *Request) (*Response, error) {
-				kinds = append(kinds, req.Kind)
-				return &Response{Proto: stale, ViolApp: -1, Fresh: 1, Next: 1}, nil
-			})
-			_, err := Verify(ps, verify.Config{NondetTies: true, DistTopology: topo}, []Transport{worker})
-			if err == nil || !strings.Contains(err.Error(), named) {
-				t.Fatalf("%q coordinator accepted a %s worker (err=%v)", topo, named, err)
-			}
-			if !slices.Equal(kinds, []Kind{KindInit}) {
-				t.Fatalf("%q coordinator sent %v to a %s worker, want Init only", topo, kinds, named)
-			}
+		// must stop there.
+		worker, kinds := cannedWorker(t, Response{Proto: stale, ViolApp: -1, Fresh: 1})
+		_, err := Verify(ps, verify.Config{NondetTies: true}, []Transport{worker})
+		if err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("coordinator accepted a %s worker (err=%v)", named, err)
+		}
+		if got := kinds(); !slices.Equal(got, []Kind{KindInit}) {
+			t.Fatalf("coordinator sent %v to a %s worker, want Init only", got, named)
 		}
 	}
-	job := Job{Proto: protoVersion, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
-	if _, _, err := newNode(&job, nil); err != nil {
-		t.Fatalf("node rejected the current protocol: %v", err)
-	}
 }
-
-// transportFunc adapts a function to the Transport interface.
-type transportFunc func(*Request) (*Response, error)
-
-func (f transportFunc) Call(req *Request) (*Response, error) { return f(req) }
-func (f transportFunc) Close() error                         { return nil }
 
 // TestFlateWriterReuse guards the codec's reused flate coder pair against
 // state leaking between batches.

@@ -4,20 +4,17 @@
 // shards — and every node expands its own frontier through the shared
 // expansion core, routing successor states to their owners.
 //
-// Two exchange topologies drive that partitioning (verify.Config.
-// DistTopology). The default mesh keeps the coordinator out of the data
-// path: workers hold one direct link per peer — in-process channels on a
-// loopback cluster, dial-out TCP connections negotiated at job setup for
-// verifyd fleets — and ship level-tagged successor batches straight to
-// their shard owners while the coordinator runs a thin control plane
-// (session setup, epoch accounting, violation short-circuit, result
-// aggregation). Levels are pipelined: a worker expands level L+1 states
-// as they arrive while peers still drain level L, with termination
-// detected from cluster-wide states-sent vs states-absorbed counts per
-// epoch (see mesh.go for the exactness invariants). The relay topology is
-// the level-synchronous fallback — every batch transits the coordinator
-// with a barrier per level — kept for wrapped transports and as the
-// comparison baseline.
+// One frontier exchange drives that partitioning: a worker mesh that
+// keeps the coordinator out of the data path. Workers hold one direct link
+// per peer — in-process channels on a loopback cluster, dial-out TCP
+// connections negotiated at job setup for verifyd fleets — and ship
+// level-tagged successor batches straight to their shard owners while the
+// coordinator runs a thin control plane (session setup, epoch accounting,
+// violation short-circuit, result aggregation). Levels are pipelined: a
+// worker expands level L+1 states as they arrive while peers still drain
+// level L, with termination detected from cluster-wide states-sent vs
+// states-absorbed counts per epoch (see mesh.go for the exactness
+// invariants).
 //
 // TCP links are bandwidth-engineered: every node suppresses states it
 // provably already routed to a destination (a fixed-size per-destination
@@ -25,15 +22,14 @@
 // encodes each batch with a versioned codec (sorted varint-delta, DEFLATE
 // when it helps, fixed-width fallback; see proto.go). Loopback mesh links
 // hand decoded batches over in memory and skip both. Wire-volume counters
-// — including per-link breakdowns on the mesh — flow back into
-// verify.Result.Wire.
+// — including per-link breakdowns — flow back into verify.Result.Wire.
 //
-// Both packed encodings flow through the same drivers, so narrow and wide
-// slots verify with bit-identical semantics to the local searches on
-// either topology: the verdict always matches, exhaustively-searched
-// (schedulable) runs report the same state/transition/depth counts, and a
-// violating run reports the same minimal violator as the local parallel
-// search (minimum violating packed state of the first violating level).
+// Both packed encodings flow through the same worker, so narrow and wide
+// slots verify with bit-identical semantics to the local searches: the
+// verdict always matches, exhaustively-searched (schedulable) runs report
+// the same state/transition/depth counts, and a violating run reports the
+// same minimal violator as the local parallel search (minimum violating
+// packed state of the first violating level).
 //
 // Coordinator communication goes through the Transport interface. Two
 // implementations exist: Loopback (in-process channel workers, for tests
@@ -51,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"tightcps/internal/obs"
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
@@ -80,11 +75,10 @@ type Transport interface {
 // verify.Slot's, except that Workers is the per-node expansion pool size
 // (0 lets each node use its own GOMAXPROCS, so an N-node cluster of
 // M-core hosts searches N×M-wide; 1 keeps nodes serial), MaxStates is a
-// per-node budget, and Trace is rejected. Config.DistTopology selects the
-// exchange: the default (TopologyAuto) runs the worker↔worker mesh with
-// pipelined levels whenever the transports support it — unwrapped
-// loopback or TCP clusters — and falls back to the level-synchronous
-// coordinator relay otherwise.
+// per-node budget, and Trace is rejected. The nodes exchange frontiers over
+// direct worker↔worker links, so the transports must be what Loopback or
+// Dial returned — one loopback group or one TCP cluster, unwrapped;
+// anything else is refused before a worker sees a request.
 func Verify(profiles []*switching.Profile, cfg verify.Config, nodes []Transport) (verify.Result, error) {
 	return verifyWithFaults(profiles, cfg, nodes, nil)
 }
@@ -106,6 +100,10 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 	cfg.Distributed = nil
 	if _, err := verify.New(profiles, cfg); err != nil {
 		return verify.Result{}, err
+	}
+	peers, ok := meshPeers(nodes)
+	if !ok {
+		return verify.Result{}, errors.New("dverify: these transports cannot form a worker mesh (an unwrapped loopback or TCP cluster is required)")
 	}
 
 	job := Job{
@@ -129,27 +127,11 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 		job.MaxStates = defaultMaxStates
 	}
 
-	// The run trace is coordinator-side: the drivers below fold per-level
-	// and per-node spans in; verify.Run finishes it (verdict, wire, slot).
+	// The run trace is coordinator-side: verifyMesh folds per-level and
+	// per-node spans in; verify.Run finishes it (verdict, wire, slot).
 	tr := cfg.RunTrace
-	switch cfg.DistTopology {
-	case verify.TopologyRelay:
-		tr.SetBackend("relay", len(nodes), cfg.Workers)
-		return verifyRelay(job, nodes, tr, plan)
-	case verify.TopologyAuto, verify.TopologyMesh:
-		peers, ok := meshPeers(nodes)
-		if !ok {
-			if cfg.DistTopology == verify.TopologyMesh {
-				return verify.Result{}, errors.New("dverify: these transports cannot form a worker mesh (an unwrapped loopback or TCP cluster is required); use the relay topology")
-			}
-			tr.SetBackend("relay", len(nodes), cfg.Workers)
-			return verifyRelay(job, nodes, tr, plan)
-		}
-		tr.SetBackend("mesh", len(nodes), cfg.Workers)
-		return verifyMesh(job, nodes, peers, tr, plan)
-	default:
-		return verify.Result{}, fmt.Errorf("dverify: unknown distributed topology %q", cfg.DistTopology)
-	}
+	tr.SetBackend("mesh", len(nodes), cfg.Workers)
+	return verifyMesh(job, nodes, peers, tr, plan)
 }
 
 // meshPeers reports whether the cluster's transports can carry direct
@@ -181,159 +163,6 @@ func meshPeers(nodes []Transport) (peers []string, ok bool) {
 		}
 	}
 	return addrs, true
-}
-
-// verifyRelay is the level-synchronous topology: every frontier batch
-// transits the coordinator (KindStep collects per-destination batches,
-// KindAbsorb redistributes them), with a barrier and violation
-// short-circuit at every level boundary. tr (nil-safe) gains one
-// LevelSpan per barrier.
-//
-// With job.FT set, a worker death (transport error or worker-side Err)
-// does not poison the run: the relay holds no pipelined state between
-// levels and every KindInit resets the survivors, so recovery is a full
-// restart of the search on the remaining nodes — simpler than the mesh's
-// checkpoint rollback, at the cost of re-exploring from the initial
-// state. The restart sequence is bounded by the cluster size (every
-// recovery loses at least one node) and the verdict is unchanged: the
-// survivors re-partition all 64 shards among themselves. ErrTooLarge is
-// never retried — fewer nodes means less aggregate budget, so a restart
-// could only trip it again later.
-func verifyRelay(job Job, nodes []Transport, tr *obs.Trace, plan *faultPlan) (verify.Result, error) {
-	if !job.FT {
-		return relayOnce(job, nodes, tr, plan, 0)
-	}
-	alive := append([]Transport(nil), nodes...)
-	era := 0
-	for {
-		var scratch *obs.Trace
-		if tr != nil {
-			// Levels fold into a scratch trace so an aborted attempt's
-			// partial spans never double-count in the run trace.
-			scratch = obs.NewTrace(tr.RunID)
-		}
-		j := job
-		j.NumNodes = len(alive)
-		res, err := relayOnce(j, alive, scratch, plan, era)
-		var ne *nodeError
-		if err != nil && !errors.Is(err, verify.ErrTooLarge) && errors.As(err, &ne) && len(alive) > 1 {
-			d := ne.node
-			alive = append(alive[:d:d], alive[d+1:]...)
-			era++
-			obsRecoveries.Inc()
-			obsShardsReassigned.Add(numShards) // full restart: every shard re-partitioned
-			tr.AddFailover(era, []int{d}, -1, numShards)
-			continue
-		}
-		if tr != nil && scratch != nil && (err == nil || errors.Is(err, verify.ErrTooLarge)) {
-			for _, ls := range scratch.Levels {
-				tr.AddLevel(ls.Level, ls.States, ls.Transitions)
-			}
-		}
-		return res, err
-	}
-}
-
-// relayOnce runs one relay attempt over the given nodes. plan (nil-safe)
-// fires its kills against the depth milestone; era is the number of
-// recoveries already behind us, for double-fault scripts.
-func relayOnce(job Job, nodes []Transport, tr *obs.Trace, plan *faultPlan, era int) (verify.Result, error) {
-	res := verify.Result{Schedulable: true, Bounded: job.MaxDisturbances > 0}
-	plan.fire(0, era)
-	resps, err := fanout(nodes, func(i int) *Request {
-		j := job
-		j.NodeID = i
-		return &Request{Kind: KindInit, Job: &j}
-	})
-	if err != nil {
-		return res, err
-	}
-	frontier := 0
-	for i, r := range resps {
-		if r.Proto != protoVersion {
-			// A stale verifyd would otherwise drop renamed gob fields
-			// silently and corrupt the search; refuse to start instead.
-			return res, fmt.Errorf("dverify: node %d speaks protocol %d, coordinator %d (restart verifyd with the current build)",
-				i, r.Proto, protoVersion)
-		}
-		res.States += r.Fresh
-		frontier += r.Next
-	}
-
-	stepReq := &Request{Kind: KindStep}
-	for depth := 0; frontier > 0; depth++ {
-		plan.fire(depth, era)
-		res.Depth = depth
-		levelStates := frontier
-		levelTrans := res.Transitions
-		stepResps, err := fanout(nodes, func(int) *Request { return stepReq })
-		if err != nil {
-			return res, err
-		}
-
-		// Violation short-circuit: the verdict is the minimum violating
-		// packed state across the partitions — the same tie-break the local
-		// parallel search applies, so Violator is deterministic and
-		// identical across cluster sizes. Like the local search, a recorded
-		// violation is preferred over ErrTooLarge when the budget trips in
-		// the same level; in that budget-edge case the tripped node stopped
-		// sweeping early, so Violator is sound but may not be the level
-		// minimum a larger budget would report.
-		viol := false
-		var violState verify.PackedState
-		tooLarge := false
-		for _, r := range stepResps {
-			res.Transitions += r.Transitions
-			res.States += r.Fresh
-			res.Wire.Add(verify.WireStats{
-				RoutedStates:   r.Routed,
-				FilteredStates: r.Filtered,
-				RawBytes:       r.RawBytes,
-				WireBytes:      r.WireBytes,
-			})
-			tooLarge = tooLarge || r.TooLarge
-			if r.Viol && (!viol || verify.LessState(r.ViolState, violState)) {
-				viol, violState = true, r.ViolState
-				res.Violator = r.ViolApp
-			}
-		}
-		if viol {
-			res.Schedulable = false
-			tr.AddLevel(depth, levelStates, res.Transitions-levelTrans)
-			return res, nil
-		}
-		if tooLarge {
-			return res, verify.ErrTooLarge
-		}
-
-		// Hash-routed exchange: collect every node's encoded batch for
-		// destination d in ascending source order and deliver them in one
-		// absorb (batches stay separate — each carries its own codec
-		// version byte and compression frame).
-		absorbResps, err := fanout(nodes, func(d int) *Request {
-			req := &Request{Kind: KindAbsorb}
-			for _, r := range stepResps {
-				if d < len(r.Batches) && len(r.Batches[d]) > 0 {
-					req.Batches = append(req.Batches, r.Batches[d])
-				}
-			}
-			return req
-		})
-		if err != nil {
-			return res, err
-		}
-		frontier = 0
-		for _, r := range absorbResps {
-			res.States += r.Fresh
-			frontier += r.Next
-			tooLarge = tooLarge || r.TooLarge
-		}
-		tr.AddLevel(depth, levelStates, res.Transitions-levelTrans)
-		if tooLarge {
-			return res, verify.ErrTooLarge
-		}
-	}
-	return res, nil
 }
 
 // Runner adapts a worker set to the verify.Config.Distributed hook. The
@@ -395,31 +224,4 @@ func Close(nodes []Transport) error {
 		}
 	}
 	return first
-}
-
-// fanout issues one request per node concurrently and collects the
-// responses, turning transport failures and worker-side Err responses into
-// a single error naming the node. It always waits for every call, so a
-// partial failure never leaks an in-flight request into the next round.
-func fanout(nodes []Transport, req func(i int) *Request) ([]*Response, error) {
-	resps := make([]*Response, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	wg.Add(len(nodes))
-	for i, tr := range nodes {
-		go func(i int, tr Transport) {
-			defer wg.Done()
-			resps[i], errs[i] = tr.Call(req(i))
-		}(i, tr)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, &nodeError{i, err}
-		}
-		if resps[i].Err != "" {
-			return nil, &nodeError{i, errors.New(resps[i].Err)}
-		}
-	}
-	return resps, nil
 }

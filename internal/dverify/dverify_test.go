@@ -1,10 +1,13 @@
 package dverify
 
 import (
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,7 +46,7 @@ func verifyOver(t *testing.T, nodes int, ps []*switching.Profile, cfg verify.Con
 }
 
 // equivalenceCases is the distributed-vs-local matrix shared by the
-// topology tests: schedulable and violating sets on both encodings, at
+// equivalence tests: schedulable and violating sets on both encodings, at
 // the n = 6/7/12 boundaries, with and without the symmetry quotient.
 // words is the state width the set must have (TestLoopbackMatchesLocal
 // checks it): lanes are fitted to the set's largest r, so a fixture is on
@@ -112,10 +115,8 @@ func checkMatchesLocal(t *testing.T, label string, dist, local verify.Result) {
 	}
 }
 
-// TestLoopbackMatchesLocal is the distributed-vs-local equivalence matrix
-// of the issue, run on both exchange topologies: 1/2/4 loopback nodes
-// must reproduce the local results bit-identically over the pipelined
-// mesh and over the level-synchronous relay.
+// TestLoopbackMatchesLocal is the distributed-vs-local equivalence matrix:
+// 1/2/4 loopback nodes must reproduce the local results bit-identically.
 func TestLoopbackMatchesLocal(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
@@ -127,16 +128,12 @@ func TestLoopbackMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
 		}
-		for _, topo := range []verify.DistTopology{verify.TopologyMesh, verify.TopologyRelay} {
-			cfg := cfg
-			cfg.DistTopology = topo
-			for _, nodes := range []int{1, 2, 4} {
-				dist, err := verifyOver(t, nodes, ps, cfg)
-				if err != nil {
-					t.Fatalf("%s: %s nodes=%d: %v", tc.name, topo, nodes, err)
-				}
-				checkMatchesLocal(t, fmt.Sprintf("%s: %s nodes=%d", tc.name, topo, nodes), dist, local)
+		for _, nodes := range []int{1, 2, 4} {
+			dist, err := verifyOver(t, nodes, ps, cfg)
+			if err != nil {
+				t.Fatalf("%s: nodes=%d: %v", tc.name, nodes, err)
 			}
+			checkMatchesLocal(t, fmt.Sprintf("%s: nodes=%d", tc.name, nodes), dist, local)
 		}
 	}
 }
@@ -241,35 +238,18 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 }
 
-// flakyTransport fails every Call after the first failAfter ones,
-// simulating a worker crash mid-protocol.
-type flakyTransport struct {
-	inner     Transport
-	calls     int
-	failAfter int
-}
-
-func (f *flakyTransport) Call(req *Request) (*Response, error) {
-	f.calls++
-	if f.calls > f.failAfter {
-		return nil, errors.New("simulated worker crash")
-	}
-	return f.inner.Call(req)
-}
-
-func (f *flakyTransport) Close() error { return f.inner.Close() }
-
-// TestWorkerFailureMidLevelErrorsCleanly injects a worker failure after
-// init (i.e. during the level exchange) and requires a clean error — not a
-// hang — naming the failed node.
+// TestWorkerFailureMidLevelErrorsCleanly kills a worker after init (i.e.
+// during the level exchange) of a run without fault tolerance and requires
+// a clean error — not a hang — naming the failed node.
 func TestWorkerFailureMidLevelErrorsCleanly(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
-	ts[1] = &flakyTransport{inner: ts[1], failAfter: 1} // init succeeds, first step fails
+	// The plan fires before the first poll round: init succeeded on both.
+	plan := &faultPlan{faults: []fault{{atLevel: 0, kill: ts[1].(*loopTransport).die}}}
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := Verify(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, ts)
+		_, err := verifyWithFaults(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, ts, plan)
 		done <- err
 	}()
 	select {
@@ -324,17 +304,51 @@ func TestWorkerDisconnectTCP(t *testing.T) {
 	}
 }
 
-// errTransport answers every call with a worker-side error response.
-type errTransport struct{ msg string }
-
-func (e *errTransport) Call(*Request) (*Response, error) { return &Response{Err: e.msg}, nil }
-func (e *errTransport) Close() error                     { return nil }
+// cannedWorker dials a hand-rolled TCP "worker" that answers every gob
+// Request of its one session with resp. kinds reports the request kinds it
+// has seen so far.
+func cannedWorker(t *testing.T, resp Response) (tr Transport, kinds func() []Kind) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var mu sync.Mutex
+	var seen []Kind
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+		for req := new(Request); dec.Decode(req) == nil; req = new(Request) {
+			mu.Lock()
+			seen = append(seen, req.Kind)
+			mu.Unlock()
+			if enc.Encode(&resp) != nil {
+				return
+			}
+		}
+	}()
+	ts, err := Dial([]string{l.Addr().String()}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { Close(ts) })
+	return ts[0], func() []Kind {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(seen)
+	}
+}
 
 // TestWorkerErrResponse propagates worker-side Err responses as
 // coordinator errors.
 func TestWorkerErrResponse(t *testing.T) {
-	ts := []Transport{&errTransport{msg: "boom"}}
-	if _, err := Verify(fleet(2, 6, 1, 2, 10), verify.Config{}, ts); err == nil || !strings.Contains(err.Error(), "boom") {
+	worker, _ := cannedWorker(t, Response{Err: "boom"})
+	if _, err := Verify(fleet(2, 6, 1, 2, 10), verify.Config{}, []Transport{worker}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the worker error surfaced, got %v", err)
 	}
 }

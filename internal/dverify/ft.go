@@ -3,10 +3,9 @@ package dverify
 // Fault tolerance: shard-ownership tables, checkpoint segments, and the
 // fault-injection harness.
 //
-// Ownership tables. Routing in a fault-tolerant run goes through an
-// explicit 64-entry table (shard → owning node) instead of the closed
-// formula owner() computes. A fresh run uses the contiguous default
-// (identical to owner()'s ranges, so non-FT runs are unchanged); on
+// Ownership tables. Every worker routes through a 64-entry table (shard →
+// owning node). A fresh run uses the contiguous default — node i owns
+// shards [i·64/n, (i+1)·64/n) — with or without fault tolerance; on
 // recovery the coordinator rewrites the table so survivors absorb a dead
 // node's shards, and every worker routes by the new table from the next
 // era on.
@@ -56,8 +55,8 @@ const numShards = 64
 // Package variable so tests can shrink it.
 var meshDeathTimeout = 30 * time.Second
 
-// defaultOwners builds the contiguous ownership table owner() implies:
-// node i owns shards [i·64/n, (i+1)·64/n).
+// defaultOwners builds the contiguous ownership table: node i owns shards
+// [i·64/n, (i+1)·64/n).
 func defaultOwners(n int) []uint8 {
 	t := make([]uint8, numShards)
 	for s := range t {

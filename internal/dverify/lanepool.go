@@ -24,10 +24,9 @@ import (
 // lane owns a partition and steals from the busiest peer when it drains.
 //
 // stop() parks nothing: it closes the wake channels and the goroutines
-// exit. Owners stop the crew at session teardown (mesh shutdown, relay
-// handler reset) and ensure() respawns it lazily on the next parallel
-// fan-out, so a standing worker pays one spawn set per session, not per
-// chunk.
+// exit. The worker stops the crew at session teardown (shutdown) and
+// ensure() respawns it lazily on the next parallel fan-out, so a standing
+// worker pays one spawn set per session, not per chunk.
 type laneCrew struct {
 	body    func(lane int, ln *meshLane) // set once by the owner
 	wake    []chan struct{}

@@ -15,7 +15,7 @@ import (
 	"tightcps/internal/verify"
 )
 
-// Mesh topology: the data plane of the distributed search without the
+// The worker mesh: the data plane of the distributed search without the
 // coordinator in it. Workers hold one direct link per peer (channels for
 // loopback clusters, dial-out TCP for verifyd fleets) and route successor
 // batches straight to their shard owners; the coordinator is a thin
@@ -470,7 +470,7 @@ func (w *meshWorker) seedOrRestore(job *Job, resp *Response) error {
 		if err := w.restore(job.Cut); err != nil {
 			return err
 		}
-		resp.Fresh, resp.Next = w.fresh, 0
+		resp.Fresh = w.fresh
 		return nil
 	}
 	if init := w.exp.Initial(); int(w.owners[w.exp.Hash(init)>>58]) == w.id {
@@ -478,7 +478,7 @@ func (w *meshWorker) seedOrRestore(job *Job, resp *Response) error {
 		w.visited.Add(init)
 		w.buckets[0] = append(w.buckets[0], init)
 		w.freshAt[0] = 1
-		w.fresh, resp.Fresh, resp.Next = 1, 1, 1
+		w.fresh, resp.Fresh = 1, 1
 	}
 	return nil
 }
@@ -490,11 +490,11 @@ func (w *meshWorker) seedOrRestore(job *Job, resp *Response) error {
 // re-verifying a slot — a daemon serving successive coordinators, or the
 // bench loop — re-Inits without restarting the steady state from zero.
 // The previous run's links are already down (Init goes through
-// handler.reset, and shutdown is idempotent); its session registration is
-// gone, so nothing can reach the inbox while it is swept. Leftover
-// frontier, deferral and send memory — a violating or over-budget run
-// stops with all three parked — feeds the free list, then the data plane
-// reconnects under the new session.
+// handler.reset, and shutdown is idempotent) and its session registration
+// is gone, but a peer's reader may still hold the inbox, so the new session
+// gets a new one. Leftover frontier, deferral and send memory — a violating
+// or over-budget run stops with all three parked — feeds the free list,
+// then the data plane reconnects under the new session.
 func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, error) {
 	w.shutdown()
 	w.job = job
@@ -524,19 +524,10 @@ func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, erro
 		}
 	}
 	w.outLevel = -1
-	w.inbox.mu.Lock()
-	q := w.inbox.q
-	w.inbox.q = w.inbox.q[:0]
-	w.inbox.mu.Unlock()
-	for _, b := range q {
-		if b.err == nil {
-			w.putBatch(b.states)
-		}
-	}
-	select {
-	case <-w.inbox.notify:
-	default:
-	}
+	// A new inbox, not the old one swept: a peer reader of the previous
+	// session may still hold it and push a late frame — or the EOF of a
+	// link its sender has already closed — after any sweep.
+	w.inbox = newMeshInbox()
 	for _, ln := range w.lanes {
 		if ln.defr != nil {
 			w.putBatch(ln.defr)
@@ -1407,7 +1398,6 @@ func (w *meshWorker) snapshot() *Response {
 		WireBytes:    w.wireBytes,
 		TooLarge:     w.tooLarge,
 		ViolApp:      -1,
-		Era:          w.era,
 		Ckpt:         w.ckptLevel,
 		LinkDown:     append(resp.LinkDown[:0], w.linkDown...),
 	}
@@ -1831,8 +1821,11 @@ func (p *meshPoller) send(i int, req *Request) {
 
 // round sends one request to every node (the request is shared and must
 // not be mutated until the round completes) and collects the responses
-// into resps, mirroring fanout's error contract. Non-fault-tolerant
-// rounds only — every node is alive and a failure poisons the run.
+// into resps; a transport failure or a worker-side Err response becomes one
+// error naming the node. It always waits for every call, so a partial
+// failure never leaks an in-flight request into the next round.
+// Non-fault-tolerant rounds only — every node is alive and a failure
+// poisons the run.
 func (p *meshPoller) round(resps []*Response, req *Request) error {
 	for i := range p.reqs {
 		p.send(i, req)
@@ -2179,7 +2172,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 	return nil
 }
 
-// verifyMesh drives the mesh topology: Init wires the worker↔worker
+// verifyMesh drives the distributed search: Init wires the worker↔worker
 // links, then the coordinator runs the poll/epoch control plane until the
 // tracker proves termination, and a Finish round collects final counters.
 // trace (nil-safe) gains the per-level frontier sizes (from the workers'
@@ -2194,7 +2187,6 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 // its kills fire against tracker milestones before poll rounds.
 func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, plan *faultPlan) (verify.Result, error) {
 	res := verify.Result{Schedulable: true, Bounded: job.MaxDisturbances > 0}
-	job.Mesh = true
 	job.Session = newSessionID()
 	job.Peers = peers
 	if job.FT {
@@ -2284,9 +2276,8 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 		tr.observe(resps)
 		tr.advance()
 		if tr.tooLarge && !tr.haveViol {
-			// Report the partial exploration like the relay path does —
-			// budget-busted admission checks still count their states and
-			// wire volume.
+			// Report the partial exploration: budget-busted admission checks
+			// still count their states and wire volume.
 			if final, ferr := finish(); ferr == nil {
 				tr.observe(final)
 			}
@@ -2298,7 +2289,7 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 			return res, verify.ErrTooLarge
 		}
 		if tr.terminated() || (tr.tooLarge && tr.haveViol) {
-			// As in the relay path, a recorded violation is preferred over
+			// Like the local search, a recorded violation is preferred over
 			// ErrTooLarge when the budget trips: the verdict is sound, but
 			// on the budget edge the violator may not be the level minimum
 			// a larger budget would report.

@@ -34,8 +34,7 @@ func loopGroupOf(t *testing.T, ts []Transport) *loopGroup {
 func TestMeshDelayedAbsorbInterleavings(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
-		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md,
-			Workers: 4, DistTopology: verify.TopologyMesh}
+		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md, Workers: 4}
 		local, err := verify.Slot(ps, cfg)
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
@@ -201,8 +200,22 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 		}
 		return nil
 	}
+	// A link of the poisoned session, held past its end like a TCP peer
+	// reader: its late EOF lands while the next session runs.
+	var stale func(meshBatch)
+	g.deliver = func(from, to int, b meshBatch, push func(meshBatch)) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if sends <= 3 {
+			stale = push
+		} else if stale != nil {
+			stale(meshBatch{from: from, err: errors.New("late EOF of the poisoned session")})
+			stale = nil
+		}
+		return false
+	}
 
-	cfg := verify.Config{NondetTies: true, DistTopology: verify.TopologyMesh}
+	cfg := verify.Config{NondetTies: true}
 	done := make(chan error, 1)
 	go func() {
 		_, err := Verify(fleet(3, 6, 1, 2, 10), cfg, ts)
@@ -217,8 +230,8 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 		t.Fatal("coordinator hung after a mesh link failure")
 	}
 
-	// The poisoned session must not wedge the workers: the same cluster
-	// verifies cleanly once the fault is lifted.
+	// The poisoned session must not wedge the workers or leak into the next
+	// one: the same cluster verifies cleanly once the fault is lifted.
 	g.failSend = nil
 	res, err := Verify(fleet(3, 6, 1, 2, 10), cfg, ts)
 	if err != nil || !res.Schedulable {
@@ -284,7 +297,7 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	time.AfterFunc(100*time.Millisecond, l1.kill)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Verify(fleet(4, 8, 2, 4, 40), verify.Config{NondetTies: true, DistTopology: verify.TopologyMesh}, ts)
+		_, err := Verify(fleet(4, 8, 2, 4, 40), verify.Config{NondetTies: true}, ts)
 		done <- err
 	}()
 	select {
@@ -297,22 +310,40 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	}
 }
 
-// TestMeshTopologyForcedOnWrappedTransports: transports the mesh cannot
-// see through (anything wrapped) fall back to the relay under
-// TopologyAuto and are refused under an explicit TopologyMesh.
-func TestMeshTopologyForcedOnWrappedTransports(t *testing.T) {
-	ts := Loopback(2)
-	defer Close(ts)
-	wrapped := []Transport{ts[0], &flakyTransport{inner: ts[1], failAfter: 1 << 30}}
+// transportFunc adapts a function to the Transport interface.
+type transportFunc func(*Request) (*Response, error)
 
-	ps := fleet(3, 6, 1, 2, 10)
-	if _, err := Verify(ps, verify.Config{NondetTies: true, DistTopology: verify.TopologyMesh}, wrapped); err == nil ||
-		!strings.Contains(err.Error(), "mesh") {
-		t.Fatalf("forced mesh over wrapped transports: want a mesh-capability error, got %v", err)
+func (f transportFunc) Call(req *Request) (*Response, error) { return f(req) }
+func (f transportFunc) Close() error                         { return nil }
+
+// TestMeshTopologyForcedOnWrappedTransports: a cluster whose workers cannot
+// link up directly — a transport the mesh cannot see through, loopback
+// workers of two groups, loopback next to TCP — is refused by name before
+// any worker receives a request. The loopback workers are closed up front,
+// so a request reaching one would surface as a transport error instead.
+func TestMeshTopologyForcedOnWrappedTransports(t *testing.T) {
+	a, b := Loopback(2), Loopback(1)
+	Close(a)
+	Close(b)
+	wrappedCalls := 0
+	wrapped := transportFunc(func(req *Request) (*Response, error) {
+		wrappedCalls++
+		return a[1].Call(req)
+	})
+	tcp, tcpKinds := cannedWorker(t, Response{Proto: protoVersion})
+
+	for name, nodes := range map[string][]Transport{
+		"wrapped":             {a[0], wrapped},
+		"two loopback groups": {a[0], b[0]},
+		"loopback + TCP":      {a[0], tcp},
+	} {
+		_, err := Verify(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, nodes)
+		if err == nil || !strings.Contains(err.Error(), "cannot form a worker mesh") {
+			t.Errorf("%s: want the mesh-capability error, got %v", name, err)
+		}
 	}
-	res, err := Verify(ps, verify.Config{NondetTies: true}, wrapped)
-	if err != nil || !res.Schedulable {
-		t.Fatalf("auto topology should fall back to the relay over wrapped transports: %v %+v", err, res)
+	if wrappedCalls != 0 || len(tcpKinds()) != 0 {
+		t.Errorf("workers saw requests before the refusal: %d through the wrapper, %v over TCP", wrappedCalls, tcpKinds())
 	}
 }
 

@@ -4,23 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync/atomic"
-	"time"
 
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
-
-// owner maps a state hash to the node owning it under the default
-// contiguous partitioning: the 64 hash shards (top six bits, the same
-// selector as the local sharded sets) are divided into contiguous ranges,
-// one per node. Every state has exactly one owner, and only the owner
-// stores it — the partitioning invariant behind the distributed visited
-// set. Fault-tolerant runs generalize this to an explicit ownership table
-// (Job.Owners, ft.go) whose default is exactly these ranges.
-func owner(h uint64, numNodes int) int {
-	return int(h>>58) * numNodes / numShards
-}
 
 // filterBits sizes each per-destination recent-state filter: 1<<filterBits
 // entries of one PackedState each (256 KiB per destination).
@@ -78,7 +65,6 @@ func jobsCompatible(prev, next *Job) bool {
 		prev.NumNodes != next.NumNodes || prev.NodeID != next.NodeID ||
 		prev.MaxDisturbances != next.MaxDisturbances || prev.Policy != next.Policy ||
 		prev.NondetTies != next.NondetTies || prev.SymmetryReduction != next.SymmetryReduction ||
-		prev.Mesh != next.Mesh ||
 		effectiveWorkers(prev.Workers) != effectiveWorkers(next.Workers) ||
 		len(prev.Profiles) != len(next.Profiles) {
 		return false
@@ -101,422 +87,12 @@ func profilesEqual(a, b *switching.Profile) bool {
 		slices.Equal(a.JBest, b.JBest) && slices.Equal(a.JAtMin, b.JAtMin)
 }
 
-// node is one worker's share of a running search: the visited-set
-// partition, the current and next frontiers, the per-destination routing
-// state (pending successors, recent-state filter, encoded batch) of the
-// hash-routed exchange, and the expansion scratch. With workers > 1 the
-// level step fans across a lane pool over a striped visited set, just
-// like the mesh workers; stored mirrors the partition's cardinality so
-// budget checks never take the striped set's locks.
-type node struct {
-	id, n     int
-	owners    [numShards]uint8 // shard → owning node (default contiguous)
-	job       *Job             // what the node was built for (reuse compatibility)
-	exp       *verify.Expander
-	budget    int
-	visited   *verify.StateSet
-	frontier  []verify.PackedState
-	next      []verify.PackedState
-	outStates [][]verify.PackedState // per-destination successors, pre-encode
-	outBytes  [][]byte               // per-destination encoded batches
-	filters   []sendFilter           // per-destination recent-state filters
-	codec     *frontierCodec
-	scratch   []verify.PackedState // decode buffer
-	hsucc     []verify.HashedState // successor buffer (serial expansion)
-	esc       *verify.ExpandScratch
-	lanes     []*meshLane // nil when workers == 1
-	stored    int
-	tooLarge  bool
-	// Lane-pool machinery (workers > 1): the persistent crew, the reusable
-	// fan-out task, the optional autotuner (Workers == 0), and the
-	// already-flushed contention baselines (the striped set and the steal
-	// counter survive reinit, so teardown flushes deltas).
-	crew          laneCrew
-	ptask         nodePTask
-	tuner         *verify.LaneTuner
-	tunRetries    int64
-	transitions   int64
-	contFlushed   verify.SetStats
-	stealsFlushed int64
-	// initResp backs reinit's Init reply; the previous one is long
-	// consumed by the time a follow-up job re-Inits the node.
-	initResp Response
-}
-
-// nodePTask carries one relay-node fan-out's shared atomics. Like the mesh
-// workers' meshPTask it lives on the node so repeated steps reuse the same
-// memory instead of escaping fresh atomics to the heap per level.
-type nodePTask struct {
-	minViol     atomic.Pointer[verify.PackedState]
-	storedTotal atomic.Int64
-	tooLarge    atomic.Bool
-}
-
-// newNode builds a node for the job, seeding the initial state on its
-// owner. The returned Response reports the seed (Fresh/Next) so the
-// coordinator can start its level loop with consistent counts. A previous
-// node whose job is compatible is reinitialized in place instead, reusing
-// its expander, visited partition and buffers.
-func newNode(job *Job, prev *node) (*node, *Response, error) {
-	if job.Proto != protoVersion {
-		return nil, nil, fmt.Errorf("dverify: coordinator speaks protocol %d, this worker speaks %d (rebuild the older side)",
-			job.Proto, protoVersion)
-	}
-	if job.NumNodes < 1 || job.NodeID < 0 || job.NodeID >= job.NumNodes {
-		return nil, nil, fmt.Errorf("dverify: node %d of %d is not a valid placement", job.NodeID, job.NumNodes)
-	}
-	if prev != nil && jobsCompatible(prev.job, job) {
-		return prev.reinit(job)
-	}
-	profs := make([]*switching.Profile, len(job.Profiles))
-	for i := range job.Profiles {
-		profs[i] = &job.Profiles[i]
-	}
-	exp, err := verify.NewExpander(profs, verify.Config{
-		MaxDisturbances:   job.MaxDisturbances,
-		Policy:            job.Policy,
-		NondetTies:        job.NondetTies,
-		SymmetryReduction: job.SymmetryReduction,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	budget := job.MaxStates
-	if budget <= 0 {
-		budget = defaultMaxStates
-	}
-	workers := effectiveWorkers(job.Workers)
-	nd := &node{
-		id:        job.NodeID,
-		n:         job.NumNodes,
-		owners:    ownerTable(job.Owners, job.NumNodes),
-		job:       job,
-		exp:       exp,
-		budget:    budget,
-		outStates: make([][]verify.PackedState, job.NumNodes),
-		outBytes:  make([][]byte, job.NumNodes),
-		filters:   make([]sendFilter, job.NumNodes),
-		codec:     newFrontierCodec(exp),
-		esc:       exp.NewScratch(),
-	}
-	if workers > 1 {
-		nd.visited = exp.NewShardedSet(1 << 12)
-		nd.lanes = make([]*meshLane, workers)
-		for i := range nd.lanes {
-			nd.lanes[i] = &meshLane{
-				esc:     exp.NewScratch(),
-				out:     make([][]verify.HashedState, job.NumNodes),
-				violApp: -1,
-			}
-		}
-		nd.crew.body = nd.laneStep
-		if job.Workers <= 0 {
-			nd.tuner = verify.NewLaneTuner(workers)
-		}
-	} else {
-		nd.visited = exp.NewSet(1 << 12)
-	}
-	for d := range nd.filters {
-		if d != nd.id {
-			nd.filters[d] = newSendFilter()
-		}
-	}
-	resp := &Response{Proto: protoVersion, ViolApp: -1}
-	if init := exp.Initial(); int(nd.owners[exp.Hash(init)>>58]) == nd.id {
-		nd.visited.Add(init)
-		nd.next = append(nd.next, init)
-		nd.stored = 1
-		resp.Fresh, resp.Next = 1, 1
-	}
-	return nd, resp, nil
-}
-
-// reinit rebuilds the node in place for a compatible follow-up job: the
-// expander, visited partition, lane pool, codec and routing buffers all
-// survive, so a standing worker re-Inits without repeating the dominant
-// per-run allocations (the visited tables above all). Only per-run search
-// state is cleared.
-func (nd *node) reinit(job *Job) (*node, *Response, error) {
-	nd.job = job
-	nd.owners = ownerTable(job.Owners, job.NumNodes)
-	nd.budget = job.MaxStates
-	if nd.budget <= 0 {
-		nd.budget = defaultMaxStates
-	}
-	nd.visited.Reset()
-	nd.frontier = nd.frontier[:0]
-	nd.next = nd.next[:0]
-	for d := range nd.outStates {
-		nd.outStates[d] = nd.outStates[d][:0]
-		nd.outBytes[d] = nd.outBytes[d][:0]
-		if nd.filters[d].slots != nil {
-			clear(nd.filters[d].slots)
-		}
-	}
-	for _, ln := range nd.lanes {
-		ln.reset()
-	}
-	if nd.lanes != nil && job.Workers <= 0 {
-		nd.tuner = verify.NewLaneTuner(len(nd.lanes))
-	} else {
-		nd.tuner = nil
-	}
-	nd.tunRetries = nd.visited.Stats().Retries
-	nd.stored, nd.tooLarge = 0, false
-	resp := &nd.initResp
-	*resp = Response{Proto: protoVersion, ViolApp: -1}
-	if init := nd.exp.Initial(); int(nd.owners[nd.exp.Hash(init)>>58]) == nd.id {
-		nd.visited.Add(init)
-		nd.next = append(nd.next, init)
-		nd.stored = 1
-		resp.Fresh, resp.Next = 1, 1
-	}
-	return nd, resp, nil
-}
-
-// step expands the node's frontier one level: self-owned successors are
-// deduplicated into the next frontier immediately, foreign ones pass the
-// destination's recent-state filter and are batch-encoded for the
-// coordinator to route. A deadline miss short-circuits like the local
-// parallel search — frontier states greater than the node's minimum
-// violating state are skipped, so the reported ViolState is the exact
-// minimum of this partition.
-func (nd *node) step() *Response {
-	nd.frontier, nd.next = nd.next, nd.frontier[:0]
-	for i := range nd.outStates {
-		nd.outStates[i] = nd.outStates[i][:0]
-	}
-	resp := &Response{ViolApp: -1}
-	if nd.lanes != nil && len(nd.frontier) >= meshParallelThreshold && !nd.tooLarge {
-		nd.stepParallel(resp)
-	} else {
-		nd.stepSerial(resp)
-	}
-	nd.transitions += int64(resp.Transitions)
-	for d := range nd.outStates {
-		nd.outBytes[d] = nd.codec.encode(nd.outStates[d], nd.outBytes[d][:0])
-		resp.Routed += len(nd.outStates[d])
-		resp.WireBytes += len(nd.outBytes[d])
-	}
-	resp.RawBytes = 8 * nd.exp.StateWords() * (resp.Routed + resp.Filtered)
-	resp.Batches = nd.outBytes
-	resp.Next = len(nd.next)
-	resp.TooLarge = nd.tooLarge
-	return resp
-}
-
-// stepSerial is the single-goroutine level step, hashing each successor
-// once during the packing sweep (routing, filter and visited probe all
-// reuse it).
-func (nd *node) stepSerial(resp *Response) {
-	for _, s := range nd.frontier {
-		if resp.Viol && verify.LessState(resp.ViolState, s) {
-			continue
-		}
-		succ, violApp := nd.exp.SuccessorsHashedInto(s, nd.esc, nd.hsucc[:0])
-		nd.hsucc = succ[:0]
-		if violApp >= 0 {
-			if !resp.Viol || verify.LessState(s, resp.ViolState) {
-				resp.Viol, resp.ViolState, resp.ViolApp = true, s, violApp
-			}
-			continue
-		}
-		resp.Transitions += len(succ)
-		for _, ns := range succ {
-			if dst := int(nd.owners[ns.H>>58]); dst != nd.id {
-				if nd.filters[dst].seen(ns.S, ns.H) {
-					resp.Filtered++
-				} else {
-					nd.outStates[dst] = append(nd.outStates[dst], ns.S)
-				}
-			} else if nd.visited.AddHashed(ns.S, ns.H) {
-				nd.stored++
-				if nd.stored > nd.budget {
-					nd.tooLarge = true
-					break
-				}
-				nd.next = append(nd.next, ns.S)
-				resp.Fresh++
-			}
-		}
-		if nd.tooLarge {
-			break
-		}
-	}
-}
-
-// stepParallel fans the frontier across the persistent lane crew: lanes
-// claim chunks from the work-stealing queue, expand through their own
-// scratch, commit self-owned successors straight into the striped visited
-// set and stage peer-owned ones per destination; the merge pushes the
-// stages through the recent-state filters single-threaded, so filter
-// state and the outgoing batches never see concurrent writers. The
-// minimum violator stays exact for the same reason as the mesh lanes: the
-// CAS bound only skips frontier states greater than a recorded violator.
-// Under autotuning each level is one throughput window; inactive lanes
-// never wake and are excluded from the merge.
-func (nd *node) stepParallel(resp *Response) {
-	active := len(nd.lanes)
-	if nd.tuner != nil {
-		if a := nd.tuner.Lanes(); a < active {
-			active = a
-		}
-	}
-	t := &nd.ptask
-	t.minViol.Store(nil)
-	t.storedTotal.Store(int64(nd.stored))
-	t.tooLarge.Store(false)
-	nd.crew.ensure(nd.lanes)
-	var start time.Time
-	if nd.tuner != nil {
-		start = time.Now()
-	}
-	nd.crew.fan(active, len(nd.frontier), meshLaneChunk)
-	if nd.tuner != nil {
-		r := nd.visited.Stats().Retries
-		nd.tuner.Observe(len(nd.frontier), time.Since(start), r-nd.tunRetries)
-		nd.tunRetries = r
-	}
-	nd.stored = int(t.storedTotal.Load())
-	if t.tooLarge.Load() {
-		nd.tooLarge = true
-	}
-	for _, ln := range nd.lanes[:active] {
-		resp.Transitions += ln.trans
-		if ln.haveViol && (!resp.Viol || verify.LessState(ln.violState, resp.ViolState)) {
-			resp.Viol, resp.ViolState, resp.ViolApp = true, ln.violState, ln.violApp
-		}
-		nd.next = append(nd.next, ln.next...)
-		resp.Fresh += len(ln.next)
-		ln.next = ln.next[:0]
-	}
-	for d := range nd.outStates {
-		if d == nd.id {
-			continue
-		}
-		for _, ln := range nd.lanes[:active] {
-			for _, ns := range ln.out[d] {
-				if nd.filters[d].seen(ns.S, ns.H) {
-					resp.Filtered++
-				} else {
-					nd.outStates[d] = append(nd.outStates[d], ns.S)
-				}
-			}
-			ln.out[d] = ln.out[d][:0]
-		}
-	}
-}
-
-// laneStep is the relay node's crew body: one lane's share of one level.
-func (nd *node) laneStep(lane int, ln *meshLane) {
-	t := &nd.ptask
-	budget := int64(nd.budget)
-	ln.trans, ln.haveViol = 0, false
-	ln.next = ln.next[:0]
-	for {
-		lo, hi, ok := nd.crew.wq.Next(lane)
-		if !ok || t.tooLarge.Load() {
-			return
-		}
-		for _, s := range nd.frontier[lo:hi] {
-			if mv := t.minViol.Load(); mv != nil && verify.LessState(*mv, s) {
-				continue
-			}
-			succ, violApp := nd.exp.SuccessorsHashedInto(s, ln.esc, ln.succ[:0])
-			ln.succ = succ[:0]
-			if violApp >= 0 {
-				if !ln.haveViol || verify.LessState(s, ln.violState) {
-					ln.haveViol, ln.violState, ln.violApp = true, s, violApp
-				}
-				for {
-					mv := t.minViol.Load()
-					if mv != nil && !verify.LessState(s, *mv) {
-						break
-					}
-					vs := s
-					if t.minViol.CompareAndSwap(mv, &vs) {
-						break
-					}
-				}
-				continue
-			}
-			ln.trans += len(succ)
-			for _, ns := range succ {
-				if dst := int(nd.owners[ns.H>>58]); dst != nd.id {
-					ln.out[dst] = append(ln.out[dst], ns)
-				} else if nd.visited.AddHashed(ns.S, ns.H) {
-					if t.storedTotal.Add(1) > budget {
-						t.tooLarge.Store(true)
-						return
-					}
-					ln.next = append(ln.next, ns.S)
-				}
-			}
-		}
-	}
-}
-
-// teardown stops the node's lane crew and folds its share of the
-// contention ledger into the engine telemetry. The handler calls it when
-// the session moves on; a later reuse of the node respawns the crew
-// lazily on its first parallel level.
-func (nd *node) teardown() {
-	nd.crew.stop()
-	if nd.lanes == nil {
-		return
-	}
-	s := nd.visited.Stats()
-	verify.FlushContention(verify.SetStats{
-		Probes:    s.Probes - nd.contFlushed.Probes,
-		Retries:   s.Retries - nd.contFlushed.Retries,
-		Overflows: s.Overflows,
-	}, nd.transitions, nd.crew.wq.Steals()-nd.stealsFlushed)
-	nd.contFlushed = s
-	nd.stealsFlushed = nd.crew.wq.Steals()
-	nd.transitions = 0
-}
-
-// absorb merges the routed successor batches owned by this node into its
-// visited partition; fresh states join the next-level frontier.
-func (nd *node) absorb(batches [][]byte) *Response {
-	resp := &Response{ViolApp: -1}
-	for _, b := range batches {
-		states, err := nd.codec.decode(b, nd.scratch[:0])
-		nd.scratch = states[:0]
-		if err != nil {
-			resp.Err = err.Error()
-			return resp
-		}
-		for _, s := range states {
-			if nd.tooLarge {
-				break
-			}
-			if nd.visited.Add(s) {
-				nd.stored++
-				if nd.stored > nd.budget {
-					nd.tooLarge = true
-					break
-				}
-				nd.next = append(nd.next, s)
-				resp.Fresh++
-			}
-		}
-		if nd.tooLarge {
-			break
-		}
-	}
-	resp.Next = len(nd.next)
-	resp.TooLarge = nd.tooLarge
-	return resp
-}
-
-// handler serves one coordinator session, holding the worker node (relay
-// or mesh) across the session's requests. Both transports — the loopback
-// goroutine and a verifyd TCP session — dispatch through it, so worker
-// behaviour is identical on either.
+// handler serves one coordinator session, holding the mesh worker across
+// the session's requests. Both transports — the loopback goroutine and a
+// verifyd TCP session — dispatch through it, so worker behaviour is
+// identical on either.
 type handler struct {
-	// env wires mesh workers into their cluster's data plane; nil on
-	// transports that cannot form a mesh (mesh Inits are then refused).
+	// env wires the worker into its cluster's data plane.
 	env meshEnv
 	// draining, when non-nil, lets a shutting-down daemon refuse new jobs
 	// while the active ones run to completion.
@@ -528,20 +104,15 @@ type handler struct {
 	// The slot is held across re-Inits and released when the session ends.
 	acquire func() bool
 
-	nd *node
 	mw *meshWorker
 }
 
-// reset tears down any live worker — a mesh worker's links and session
-// registration must never outlive its job (conn reuse ships a fresh Init).
+// reset tears down any live worker — its links and session registration
+// must never outlive its job (conn reuse ships a fresh Init).
 func (h *handler) reset() {
 	if h.mw != nil {
 		h.mw.shutdown()
 		h.mw = nil
-	}
-	if h.nd != nil {
-		h.nd.teardown()
-		h.nd = nil
 	}
 }
 
@@ -559,40 +130,19 @@ func (h *handler) handle(req *Request) *Response {
 		if h.acquire != nil && !h.acquire() {
 			return &Response{Err: "worker is busy with another coordinator session (one cluster per worker)"}
 		}
-		// Keep the torn-down workers around as reuse donors: a compatible
-		// follow-up job reinitializes one in place instead of rebuilding.
-		prevMW, prevND := h.mw, h.nd
+		// Keep the torn-down worker around as a reuse donor: a compatible
+		// follow-up job reinitializes it in place instead of rebuilding.
+		prev := h.mw
 		h.reset()
-		if req.Job.Mesh {
-			if h.env == nil {
-				return &Response{Err: "this transport cannot form a worker mesh"}
-			}
-			mw, resp, err := newMeshWorker(req.Job, h.env, prevMW)
-			if err != nil {
-				return &Response{Err: err.Error()}
-			}
-			h.mw = mw
-			return resp
-		}
-		nd, resp, err := newNode(req.Job, prevND)
+		mw, resp, err := newMeshWorker(req.Job, h.env, prev)
 		if err != nil {
 			return &Response{Err: err.Error()}
 		}
-		h.nd = nd
+		h.mw = mw
 		return resp
-	case KindStep:
-		if h.nd == nil {
-			return &Response{Err: "step before init"}
-		}
-		return h.nd.step()
-	case KindAbsorb:
-		if h.nd == nil {
-			return &Response{Err: "absorb before init"}
-		}
-		return h.nd.absorb(req.Batches)
 	case KindPoll:
 		if h.mw == nil {
-			return &Response{Err: "poll before a mesh init"}
+			return &Response{Err: "poll before init"}
 		}
 		return h.mw.poll(req.Ctl)
 	default:

@@ -14,9 +14,11 @@ import (
 )
 
 // Wire protocol of the distributed search: the coordinator drives every
-// worker node through a strict Init → (Step → Absorb)* request/response
-// session. All types are plain data so the TCP transport can gob-encode
-// them without registration; the loopback transport passes them by pointer.
+// worker node through a strict Init → Poll* request/response session (the
+// last Poll carries Finish), while the workers exchange frontiers among
+// themselves — PeerHello, then Frames, on one dialed link per peer. All
+// types are plain data so the TCP transport can gob-encode them without
+// registration; the loopback transport passes them by pointer.
 
 // protoVersion guards the gob envelope. The batch codec's version byte
 // covers only batch payloads; a field renamed on Request/Response would
@@ -24,8 +26,12 @@ import (
 // verifyd daemon), corrupting the search with no error. KindInit therefore
 // carries the coordinator's version in Job.Proto and the node echoes its
 // own in Response.Proto, so either side rejects a mismatch loudly before
-// any frontier is exchanged. Version 7 changes no field: it marks the
-// packed-state layout whose lane clocks are fitted to the job's largest r
+// any frontier is exchanged. Version 8 removes the coordinator relay: its
+// Step and Absorb request kinds, the Request/Response batch lists,
+// Response.Next, Response.Era and Job.Mesh are gone, which renumbers
+// KindPoll and KindPeerHello — a version-7 peer would misread every
+// request. Version 7 changed no field: it marks the packed-state layout
+// whose lane clocks are fitted to the job's largest r
 // (verify.Verifier.valBits), which a version-6 peer would decode into
 // different states. Version 6 is the PR-9 fault-tolerance
 // protocol (explicit shard-ownership tables, era-tagged mesh frames,
@@ -38,7 +44,7 @@ import (
 // pipelined levels, poll/epoch control plane); version 2 is the PR-4
 // relay protocol (per-source absorb batch lists, codec-framed); PR-3
 // binaries predate the field and present as version 0.
-const protoVersion = 7
+const protoVersion = 8
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -46,16 +52,10 @@ type Kind uint8
 const (
 	// KindInit ships the job to a node, resetting any previous one.
 	KindInit Kind = iota + 1
-	// KindStep (relay topology) expands the node's current frontier one BFS
-	// level, returning hash-routed successor batches for the other nodes.
-	KindStep
-	// KindAbsorb (relay topology) delivers the routed successors owned by
-	// this node; fresh ones enter its next-level frontier.
-	KindAbsorb
-	// KindPoll (mesh topology) is one control-plane epoch: the request
-	// carries the coordinator's latest milestone knowledge (Control), the
-	// worker expands and exchanges frontiers over its mesh links until it
-	// has news for the coordinator (or a short time budget runs out) and
+	// KindPoll is one control-plane epoch: the request carries the
+	// coordinator's latest milestone knowledge (Control), the worker
+	// expands and exchanges frontiers over its mesh links until it has
+	// news for the coordinator (or a short time budget runs out) and
 	// answers with a counter snapshot.
 	KindPoll
 	// KindPeerHello opens a worker↔worker mesh link: it is the first value
@@ -98,12 +98,9 @@ type Job struct {
 	// the node's own GOMAXPROCS; 1 keeps the single-goroutine path.
 	Workers int
 
-	// Mesh selects the direct worker↔worker exchange: the node opens (or
-	// accepts) one data link per peer at Init and the coordinator drives
-	// it with KindPoll instead of KindStep/KindAbsorb.
-	Mesh bool
-	// Session identifies this run's mesh rendezvous: peer links carry it
-	// so a daemon serving several coordinators never cross-wires links.
+	// Session identifies this run's mesh rendezvous — the node opens (or
+	// accepts) one data link per peer at Init: peer links carry it so a
+	// daemon serving several coordinators never cross-wires links.
 	Session uint64
 	// RunID is the telemetry correlation ID minted where the run entered
 	// the system (admission service or CLI). Purely observational: it
@@ -135,11 +132,6 @@ type Request struct {
 	Kind Kind
 	// Job accompanies KindInit.
 	Job *Job
-	// Batches accompanies KindAbsorb: the codec-encoded frontier batches
-	// routed to this node during the current level, in ascending
-	// source-node order, empty batches omitted. Each batch is decoded
-	// independently (compressed batches cannot be concatenated byte-wise).
-	Batches [][]byte
 	// Ctl accompanies KindPoll.
 	Ctl *Control
 	// Hello accompanies KindPeerHello.
@@ -218,50 +210,42 @@ type Response struct {
 	// has no such field and presents as 0).
 	Proto int
 
-	// Batches (KindStep) holds, per destination node, the codec-encoded
-	// successors this node generated but does not own. The node's own
-	// index is always empty — self-owned successors are absorbed locally
-	// during the step.
-	Batches [][]byte
-	// Transitions counts the successors generated this level (pre-dedup),
-	// mirroring the local searches.
+	// Snapshot fields (KindPoll responses). All counters are cumulative
+	// over the session, so the coordinator's latest round is always a
+	// complete picture.
+	//
+	// Transitions counts the successors generated (pre-dedup), mirroring
+	// the local searches.
 	Transitions int
-	// Routed and Filtered count this step's foreign successors: Routed
-	// were encoded into Batches, Filtered were suppressed by the
+	// Routed and Filtered count the node's foreign successors: Routed were
+	// shipped onto a mesh link, Filtered were suppressed by the
 	// per-destination recent-state filter (the owner has provably seen
 	// them). RawBytes is the fixed-width cost of all Routed+Filtered
-	// states — the wire volume of the PR-3 format — and WireBytes the
-	// bytes actually occupied by Batches, so the coordinator can report
-	// what the filter and the compressed codec saved.
+	// states and WireBytes the bytes the links actually carried, so the
+	// coordinator can report what the filter and the compressed codec
+	// saved.
 	Routed    int
 	Filtered  int
 	RawBytes  int
 	WireBytes int
-	// Fresh counts states newly added to this node's visited set by this
-	// call: self-owned successors for KindStep, routed ones for KindAbsorb,
-	// and the initial state for KindInit when this node owns it.
+	// Fresh counts the states committed to this node's visited partition
+	// (on a KindInit reply: the initial state when this node owns it, or
+	// the states a replacement worker restored).
 	Fresh int
-	// Next is the size of the node's next-level frontier after this call.
-	Next int
 	// TooLarge reports that the per-node visited budget was exhausted; the
-	// node stopped expanding or absorbing mid-call.
+	// node stopped expanding and absorbing.
 	TooLarge bool
 
-	// Viol flags a deadline miss found while expanding this level;
-	// ViolState is the minimum violating frontier state of this node's
-	// partition (the cross-node tie-break key) and ViolApp the application
-	// that missed. In mesh snapshots ViolLevel carries the BFS level of the
-	// node's minimum violation (level-first, then state — the first-
-	// violating-level tie-break).
+	// Viol flags a deadline miss; ViolLevel is the BFS level of the node's
+	// minimum violation (level-first, then state — the first-violating-
+	// level tie-break), ViolState the minimum violating state of this
+	// node's partition at that level (the cross-node tie-break key) and
+	// ViolApp the application that missed.
 	Viol      bool
 	ViolState verify.PackedState
 	ViolApp   int
 	ViolLevel int
 
-	// Mesh snapshot fields (KindPoll responses). All counters are
-	// cumulative over the session, so the coordinator's latest round is
-	// always a complete picture.
-	//
 	// SentByLevel and RecvByLevel count the states this node shipped to
 	// and drained from its mesh links, indexed by the BFS level of the
 	// states (self-owned successors never cross a link and are excluded
@@ -289,9 +273,6 @@ type Response struct {
 	// Links are this node's cumulative per-destination wire counters.
 	Links []verify.LinkWire
 
-	// Era echoes the worker's current recovery era so the coordinator can
-	// tell pre- and post-recovery snapshots apart.
-	Era int
 	// Ckpt is the highest level fully persisted to checkpoint segments
 	// (-1 when nothing is checkpointed or checkpointing is disabled).
 	Ckpt int
@@ -316,8 +297,8 @@ type Response struct {
 //     when it is the smallest of the three.
 //
 // Sorting a batch is sound: absorb order within a level affects neither the
-// visited partition nor the verdict (levels are barriers, and the minimum-
-// violator tie-break is order-independent).
+// visited partition nor the verdict (a batch carries one level's tag, and
+// the minimum-violator tie-break is order-independent).
 const (
 	codecRaw   byte = 0
 	codecDelta byte = 1

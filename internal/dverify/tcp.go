@@ -13,13 +13,13 @@ import (
 
 // TCP/gob transport. The coordinator dials one long-lived connection per
 // worker daemon (cmd/verifyd) and streams the Request/Response protocol
-// over it; in the mesh topology the daemons additionally dial each other
-// at Init (one directed connection per ordered node pair, negotiated from
-// Job.Peers) and stream level-tagged Frame batches over those links, so
-// frontier data never transits the coordinator. A worker disconnect
-// surfaces as a Call error — io.EOF or a connection reset — which aborts
-// the run cleanly rather than hanging an exchange; a broken worker↔worker
-// link surfaces through the victim's next poll snapshot, naming both ends.
+// over it; the daemons additionally dial each other at Init (one directed
+// connection per ordered node pair, negotiated from Job.Peers) and stream
+// level-tagged Frame batches over those links, so frontier data never
+// transits the coordinator. A worker disconnect surfaces as a Call error —
+// io.EOF or a connection reset — which aborts the run cleanly rather than
+// hanging an exchange; a broken worker↔worker link surfaces through the
+// victim's next poll snapshot, naming both ends.
 
 // Dial connects to the worker daemons at addrs (host:port each), returning
 // one transport per address in order. On any failure the already-opened

@@ -8,11 +8,10 @@ import (
 )
 
 // TestWorkerPoolMatrixMatchesLocal is the concurrent-absorb matrix of the
-// multi-core mesh work: 2- and 4-node clusters on both exchange
-// topologies, with per-node expansion pools of 1 and 4 lanes, must
-// reproduce the local search bit-identically — verdict, exhaustive
-// counts, depth and minimal violator — on both encodings, with and
-// without the symmetry quotient. Exhaustive counts and depth coincide
+// multi-core mesh work: 2- and 4-node clusters with per-node expansion
+// pools of 1 and 4 lanes must reproduce the local search bit-identically
+// — verdict, exhaustive counts, depth and minimal violator — on both
+// encodings, with and without the symmetry quotient. Exhaustive counts and depth coincide
 // with the sequential search; the violator follows the parallel
 // searches' minimum-violating-state tie-break (the sequential search
 // short-circuits at the first violator in expansion order instead), so
@@ -49,21 +48,19 @@ func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 			t.Fatalf("%s: local parallel (%d,%d,%d) disagrees with sequential (%d,%d,%d)", tc.name,
 				local.States, local.Transitions, local.Depth, seq.States, seq.Transitions, seq.Depth)
 		}
-		for _, topo := range []verify.DistTopology{verify.TopologyMesh, verify.TopologyRelay} {
-			for _, nodes := range []int{2, 4} {
-				// workers = 0 is the autotuned GOMAXPROCS pool: per-node lane
-				// counts may move between levels, the verdict must not.
-				for _, workers := range []int{0, 1, 4} {
-					cfg := verify.Config{
-						NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md,
-						Workers: workers, DistTopology: topo,
-					}
-					dist, err := verifyOver(t, nodes, ps, cfg)
-					if err != nil {
-						t.Fatalf("%s: %s nodes=%d workers=%d: %v", tc.name, topo, nodes, workers, err)
-					}
-					checkMatchesLocal(t, fmt.Sprintf("%s: %s nodes=%d workers=%d", tc.name, topo, nodes, workers), dist, local)
+		for _, nodes := range []int{2, 4} {
+			// workers = 0 is the autotuned GOMAXPROCS pool: per-node lane
+			// counts may move between levels, the verdict must not.
+			for _, workers := range []int{0, 1, 4} {
+				cfg := verify.Config{
+					NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md,
+					Workers: workers,
 				}
+				dist, err := verifyOver(t, nodes, ps, cfg)
+				if err != nil {
+					t.Fatalf("%s: nodes=%d workers=%d: %v", tc.name, nodes, workers, err)
+				}
+				checkMatchesLocal(t, fmt.Sprintf("%s: nodes=%d workers=%d", tc.name, nodes, workers), dist, local)
 			}
 		}
 	}

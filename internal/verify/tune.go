@@ -3,8 +3,8 @@ package verify
 import "time"
 
 // LaneTuner adapts the number of active expansion lanes of a distributed
-// node's pool between sampling windows (BFS levels in the relay nodes, poll
-// batches in the mesh workers). It exists for Workers = 0 ("auto") there:
+// node's pool between sampling windows (poll batches in the mesh workers).
+// It exists for Workers = 0 ("auto") there:
 // the pool is sized at GOMAXPROCS but the tuner decides how many lanes
 // actually wake each window, hill-climbing on observed throughput with a
 // contention override. The local search does not use it: its lanes share

@@ -126,14 +126,6 @@ type Config struct {
 	// reconstruction needs in-process parent pointers, so callers re-run a
 	// violating slot locally to obtain the schedule.
 	Distributed func(profiles []*switching.Profile, cfg Config) (Result, error)
-	// DistTopology selects the exchange topology of a distributed run; it
-	// rides the Config into the Distributed hook and is ignored by local
-	// searches. The verdict and all exhaustive counts are topology-
-	// independent (mapping.VerifyConfigKey excludes it), so the knob trades
-	// only performance: TopologyMesh routes frontiers over direct
-	// worker↔worker links with pipelined asynchronous levels, TopologyRelay
-	// is the level-synchronous coordinator relay.
-	DistTopology DistTopology
 	// RunID tags this run in logs, traces and distributed worker sessions.
 	// Minted at the admission boundary (or by the CLI) via obs.NewRunID and
 	// propagated through the Distributed hook onto every mesh worker; it
@@ -164,22 +156,6 @@ type Config struct {
 	// FaultTolerance). Ignored by local searches and cache keys.
 	CheckpointDir string
 }
-
-// DistTopology names a distributed frontier-exchange topology.
-type DistTopology string
-
-const (
-	// TopologyAuto picks the mesh whenever the cluster's transports
-	// support direct worker↔worker links, the relay otherwise.
-	TopologyAuto DistTopology = ""
-	// TopologyMesh demands direct worker↔worker frontier exchange with
-	// pipelined asynchronous levels (errors when the transports cannot
-	// form a mesh).
-	TopologyMesh DistTopology = "mesh"
-	// TopologyRelay forces the level-synchronous exchange through the
-	// coordinator.
-	TopologyRelay DistTopology = "relay"
-)
 
 // Result reports a verification outcome.
 type Result struct {
@@ -213,9 +189,8 @@ type WireStats struct {
 	FilteredStates int // states suppressed by sender-side recent filters
 	RawBytes       int // fixed-width cost of routed+filtered states
 	WireBytes      int // bytes actually shipped (batches incl. codec byte)
-	// Links breaks the totals down per directed worker↔worker link of a
-	// mesh-topology run, ordered by (From, To). Nil for relay runs, where
-	// every batch transits the coordinator and no direct links exist.
+	// Links breaks the totals down per directed worker↔worker link,
+	// ordered by (From, To).
 	Links []LinkWire
 }
 
