@@ -262,7 +262,7 @@ func TestProtocolVersionHandshake(t *testing.T) {
 
 		// A stale worker answers Init with its own version; the coordinator
 		// must stop there.
-		worker, kinds := cannedWorker(t, Response{Proto: stale, ViolApp: -1, Fresh: 1})
+		worker, kinds := cannedWorker(t, Response{Proto: stale})
 		_, err := Verify(ps, verify.Config{NondetTies: true}, []Transport{worker})
 		if err == nil || !strings.Contains(err.Error(), named) {
 			t.Fatalf("coordinator accepted a %s worker (err=%v)", named, err)

@@ -129,9 +129,8 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 
 	// The run trace is coordinator-side: verifyMesh folds per-level and
 	// per-node spans in; verify.Run finishes it (verdict, wire, slot).
-	tr := cfg.RunTrace
-	tr.SetBackend("mesh", len(nodes), cfg.Workers)
-	return verifyMesh(job, nodes, peers, tr, plan)
+	cfg.RunTrace.SetBackend("mesh", len(nodes), cfg.Workers)
+	return verifyMesh(job, nodes, peers, cfg.RunTrace, plan)
 }
 
 // meshPeers reports whether the cluster's transports can carry direct

@@ -2,9 +2,8 @@ package dverify
 
 // Fault-matrix tests for the fault-tolerant distributed search: kill a
 // worker at a deterministic level across {loopback, TCP} × {2, 4 nodes},
-// and assert the run still finishes with a verdict,
-// state count, depth and minimal violator bit-identical to the local
-// parallel search — plus the double-fault, crash-during-checkpoint,
+// and assert the run still finishes with a verdict, state count, depth and
+// minimal violator bit-identical to the local parallel search — plus the double-fault, crash-during-checkpoint,
 // spare-adoption, severed-link, death-timeout and degraded (no
 // checkpoint directory) recovery paths.
 
@@ -301,8 +300,9 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 }
 
 // TestFTTCPKill runs the kill matrix over real TCP daemons sharing one
-// checkpoint directory, on 2 and 4 nodes, with the victim's listener and every accepted connection severed mid-run — the
-// in-process stand-in for SIGKILLing a verifyd.
+// checkpoint directory, on 2 and 4 nodes, with the victim's listener and
+// every accepted connection severed mid-run — the in-process stand-in for
+// SIGKILLing a verifyd.
 func TestFTTCPKill(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
 	local, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 2})
