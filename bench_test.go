@@ -300,7 +300,7 @@ func BenchmarkOptimalPartition(b *testing.B) {
 // GOMAXPROCS-wide pools). On a single-core host the pair reports parity.
 
 // benchDimension runs the full six-application pipeline — concurrent
-// profiling, sharded-BFS-verified first-fit, memoized admission — at the
+// profiling, parallel-BFS-verified first-fit, memoized admission — at the
 // given worker count.
 func benchDimension(b *testing.B, workers int) {
 	apps := core.CaseStudyApps()
@@ -353,7 +353,7 @@ func BenchmarkVerifyS1(b *testing.B) {
 	benchVerifyS1(b, 1)
 }
 
-// BenchmarkVerifyFullWorkersMax runs the sharded parallel BFS at full
+// BenchmarkVerifyFullWorkersMax runs the owner-partitioned parallel BFS at full
 // width on the same state space.
 func BenchmarkVerifyFullWorkersMax(b *testing.B) { benchVerifyS1(b, runtime.GOMAXPROCS(0)) }
 

@@ -17,9 +17,7 @@
 //     name is kept for the trajectory);
 //   - VerifyS1Loopback2 / VerifyS1Loopback4: S1 distributed over two and
 //     four in-process loopback workers (direct worker↔worker exchange,
-//     pipelined levels), each also measured with a
-//     4-lane per-node expansion pool (the ...2x4/...4x4 rows — the
-//     workers_per_node dimension of the scaling study).
+//     pipelined levels, one search goroutine per node).
 //
 // The distributed_scaling section records states/second per node count and
 // the speedup against the single-node search. Loopback links pass decoded
@@ -70,36 +68,17 @@ type benchResult struct {
 	NumCPU       int     `json:"num_cpu,omitempty"`
 }
 
-// scalingEntry is one cluster-shape measurement of the
-// distributed_scaling study: S1 throughput at a node count and per-node
-// worker-pool size, with the speedup against the single-node search.
-// CoresTotal = nodes × workers_per_node distinguishes node-scaling from
-// core-scaling in the trajectory.
+// scalingEntry is one shape of the distributed_scaling study: S1
+// throughput on CoresTotal search goroutines — the lanes of a local row,
+// the nodes of a mesh row — with the speedup against the sequential search.
 type scalingEntry struct {
 	Nodes           int     `json:"nodes"`
 	Topology        string  `json:"topology"` // "local" or "mesh"
-	WorkersPerNode  int     `json:"workers_per_node"`
 	CoresTotal      int     `json:"cores_total"`
 	StatesPerSec    float64 `json:"states_per_sec"`
 	SpeedupVsSingle float64 `json:"speedup_vs_single_node"`
-}
-
-// laneScalingEntry is one workers-per-node measurement of the lane-pool
-// study, carrying the contention counters (visited-set CAS retries,
-// work-queue steals) accumulated by the run alongside throughput and
-// allocation. Gomaxprocs/NumCPU qualify every row: on the 1-CPU CI
-// containers the multi-lane rows measure coordination overhead, not
-// speedup — Note says so explicitly, so nobody quotes them as scaling.
-type laneScalingEntry struct {
-	Nodes          int     `json:"nodes"`
-	WorkersPerNode int     `json:"workers_per_node"`
-	Gomaxprocs     int     `json:"gomaxprocs"`
-	NumCPU         int     `json:"num_cpu"`
-	StatesPerSec   float64 `json:"states_per_sec"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	Steals         uint64  `json:"steals"`
-	CASRetries     uint64  `json:"cas_retries"`
-	Note           string  `json:"note,omitempty"`
+	Gomaxprocs      int     `json:"gomaxprocs"`
+	NumCPU          int     `json:"num_cpu"`
 }
 
 // report is the BENCH_verify.json schema.
@@ -112,12 +91,9 @@ type report struct {
 	Current  []benchResult `json:"current"`
 	// Scaling is the distributed throughput study: states/second per node
 	// count.
-	Scaling []scalingEntry `json:"distributed_scaling"`
-	// LaneScaling is the workers-per-node study with contention counters —
-	// the PR-10 lock-free set / work-stealing trajectory.
-	LaneScaling []laneScalingEntry `json:"lane_scaling"`
-	BRatio      float64            `json:"b_per_op_improvement"`
-	AllocsRat   float64            `json:"allocs_per_op_improvement"`
+	Scaling   []scalingEntry `json:"distributed_scaling"`
+	BRatio    float64        `json:"b_per_op_improvement"`
+	AllocsRat float64        `json:"allocs_per_op_improvement"`
 }
 
 // baselineS1 is the pre-PR-4 VerifyS1 measurement (PR-3 tree, same host
@@ -130,13 +106,6 @@ var baselineS1 = benchResult{
 	BPerOp:       202052528,
 	AllocsPerOp:  4888249,
 }
-
-// laneAllocCeiling is the absolute allocs/op bound for the multi-lane
-// loopback rows. Post-crew runs sit around a few hundred allocations per
-// op (link buffers and level bookkeeping); the ceiling leaves headroom
-// for noise while staying far below the ~12k/op of the spawn-per-chunk
-// leak it guards against.
-const laneAllocCeiling = 2000
 
 // fleetProfiles builds n identical synthetic profiles (distinct names) with
 // constant dwell windows — the fleet workload past the paper's scale,
@@ -251,13 +220,15 @@ func main() {
 	}))
 
 	single := rep.Current[0].StatesPerSec
-	rep.Scaling = append(rep.Scaling, scalingEntry{
-		Nodes: 1, Topology: "local", WorkersPerNode: 1, CoresTotal: 1, StatesPerSec: single,
-		SpeedupVsSingle: 1,
-	}, scalingEntry{
-		Nodes: 1, Topology: "local", WorkersPerNode: 2, CoresTotal: 2, StatesPerSec: lanes2.StatesPerSec,
-		SpeedupVsSingle: lanes2.StatesPerSec / single,
-	})
+	scaling := func(nodes int, topology string, cores int, r benchResult) {
+		rep.Scaling = append(rep.Scaling, scalingEntry{
+			Nodes: nodes, Topology: topology, CoresTotal: cores,
+			StatesPerSec: r.StatesPerSec, SpeedupVsSingle: r.StatesPerSec / single,
+			Gomaxprocs: r.Gomaxprocs, NumCPU: r.NumCPU,
+		})
+	}
+	scaling(1, "local", 1, rep.Current[0])
+	scaling(1, "local", 2, lanes2)
 	// Local-lanes gate: where two lanes have two cores to run on, the
 	// parallel search must not lose to the sequential one (the shared-set
 	// driver it replaced ran at 0.5×).
@@ -267,18 +238,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Distributed S1: two and four loopback workers, each at per-node
-	// expansion pools of 1 and 4 lanes (the node-scaling × core-scaling
-	// study).
-	var mesh2w1, mesh2w4, mesh4w1 benchResult
-	meshRun := func(name string, n, workers int) benchResult {
-		fmt.Fprintf(os.Stderr, "bench: %s (%d-node mesh, %d workers/node)...\n", name, n, workers)
-		c0 := verify.Contention()
+	// Distributed S1: two and four loopback workers.
+	meshRun := func(name string, n int) benchResult {
+		fmt.Fprintf(os.Stderr, "bench: %s (%d-node mesh)...\n", name, n)
 		ts := dverify.Loopback(n)
 		defer dverify.Close(ts)
 		runner := dverify.Runner(ts)
 		run := func() (verify.Result, error) {
-			return verify.Slot(s1, verify.Config{NondetTies: true, Workers: workers, Distributed: runner})
+			return verify.Slot(s1, verify.Config{NondetTies: true, Distributed: runner})
 		}
 		// One untimed run first: the standing cluster reuses its workers
 		// across Inits, so the quoted numbers (and the alloc-trend gate) are
@@ -288,74 +255,20 @@ func main() {
 			os.Exit(1)
 		}
 		r := measure(name, &states, run)
-		// Contention counters flush into the engine telemetry when a worker
-		// session tears down, which a follow-up Init does synchronously: one
-		// more untimed run closes the books on every measured session (its
-		// own contention stays unflushed and outside the delta).
-		if _, err := run(); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		c1 := verify.Contention()
 		rep.Current = append(rep.Current, r)
-		rep.Scaling = append(rep.Scaling, scalingEntry{
-			Nodes: n, Topology: "mesh", WorkersPerNode: workers, CoresTotal: n * workers,
-			StatesPerSec:    r.StatesPerSec,
-			SpeedupVsSingle: r.StatesPerSec / single,
-		})
-		note := ""
-		if runtime.GOMAXPROCS(0) < n*workers {
-			note = "host has fewer cores than lanes: row measures coordination overhead, not speedup"
-		}
-		rep.LaneScaling = append(rep.LaneScaling, laneScalingEntry{
-			Nodes: n, WorkersPerNode: workers,
-			Gomaxprocs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			StatesPerSec: r.StatesPerSec, AllocsPerOp: r.AllocsPerOp,
-			Steals:     c1.Steals - c0.Steals,
-			CASRetries: c1.CASRetries - c0.CASRetries,
-			Note:       note,
-		})
+		scaling(n, "mesh", n, r)
 		return r
 	}
-	mesh2w1 = meshRun("VerifyS1Loopback2", 2, 1)
-	mesh2w4 = meshRun("VerifyS1Loopback2x4", 2, 4)
-	mesh4w1 = meshRun("VerifyS1Loopback4", 4, 1)
-	mesh4w4 := meshRun("VerifyS1Loopback4x4", 4, 4)
+	mesh2 := meshRun("VerifyS1Loopback2", 2)
+	mesh4 := meshRun("VerifyS1Loopback4", 4)
 
 	// Alloc-trend gate: per-op allocations of the loopback mesh must stay
 	// roughly flat in the node count (each node recycles its inbox batches
 	// and frontier buckets; only per-link structures scale). Before the
 	// recycling fix the 4-node run allocated ~2× the 2-node run per op.
-	if ratio := float64(mesh4w1.AllocsPerOp) / float64(mesh2w1.AllocsPerOp); ratio > 1.5 {
+	if ratio := float64(mesh4.AllocsPerOp) / float64(mesh2.AllocsPerOp); ratio > 1.5 {
 		fmt.Fprintf(os.Stderr, "bench: FAIL: 4-node mesh allocs/op is %.2f× the 2-node run (%d vs %d), want ≤ 1.5× — per-node allocation is growing with cluster size\n",
-			ratio, mesh4w1.AllocsPerOp, mesh2w1.AllocsPerOp)
-		os.Exit(1)
-	}
-	// Lane-pool alloc gates: multi-lane runs must stay within 10× the
-	// one-lane figure (before the persistent crews the 2x4 run allocated
-	// ~150× — a goroutine spawn plus escaped atomics per chunk) and under an
-	// absolute per-op ceiling, so the leak cannot creep back gradually.
-	for _, g := range []struct {
-		multi, one benchResult
-	}{{mesh2w4, mesh2w1}, {mesh4w4, mesh4w1}} {
-		if g.multi.AllocsPerOp > 10*g.one.AllocsPerOp {
-			fmt.Fprintf(os.Stderr, "bench: FAIL: %s allocs/op is %.1f× the 1-lane run (%d vs %d), want ≤ 10× — the lane pool is allocating per chunk again\n",
-				g.multi.Name, float64(g.multi.AllocsPerOp)/float64(g.one.AllocsPerOp), g.multi.AllocsPerOp, g.one.AllocsPerOp)
-			os.Exit(1)
-		}
-		if g.multi.AllocsPerOp > laneAllocCeiling {
-			fmt.Fprintf(os.Stderr, "bench: FAIL: %s allocates %d/op, want ≤ %d (absolute ceiling)\n",
-				g.multi.Name, g.multi.AllocsPerOp, laneAllocCeiling)
-			os.Exit(1)
-		}
-	}
-	// Throughput gate, meaningful only where the lanes have cores to run
-	// on: with 4+ cores the 4-lane 2-node run must not be slower than the
-	// 1-lane one. On the 1-CPU CI hosts this is skipped (and the rows carry
-	// the overhead note instead).
-	if runtime.GOMAXPROCS(0) >= 4 && mesh2w4.StatesPerSec < mesh2w1.StatesPerSec {
-		fmt.Fprintf(os.Stderr, "bench: FAIL: on a %d-proc host the 4-lane 2-node mesh (%.0f states/s) is slower than 1-lane (%.0f states/s)\n",
-			runtime.GOMAXPROCS(0), mesh2w4.StatesPerSec, mesh2w1.StatesPerSec)
+			ratio, mesh4.AllocsPerOp, mesh2.AllocsPerOp)
 		os.Exit(1)
 	}
 	cur := rep.Current[0]
@@ -379,7 +292,7 @@ func main() {
 	}
 	fmt.Printf("  vs baseline: B/op ×%.1f, allocs/op ×%.0f\n", rep.BRatio, rep.AllocsRat)
 	for _, s := range rep.Scaling {
-		fmt.Printf("  scaling: %d-node %-5s ×%d workers (%2d cores) %8.0f states/s  ×%.2f vs single\n",
-			s.Nodes, s.Topology, s.WorkersPerNode, s.CoresTotal, s.StatesPerSec, s.SpeedupVsSingle)
+		fmt.Printf("  scaling: %d-node %-5s (%d search goroutines) %8.0f states/s  ×%.2f vs single\n",
+			s.Nodes, s.Topology, s.CoresTotal, s.StatesPerSec, s.SpeedupVsSingle)
 	}
 }

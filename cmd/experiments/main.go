@@ -25,7 +25,9 @@
 //	-nodes K / -connect a,b   run every slot verification on the distributed
 //	                          backend (K in-process loopback workers, or
 //	                          cmd/verifyd daemons over TCP); -maxstates then
-//	                          budgets states per node
+//	                          budgets states per node, and -workers (the
+//	                          lanes of a local search) is ignored — a mesh
+//	                          node is one goroutine
 //	-cachefile warm.bin       persist the -synthetic admission cache across
 //	                          invocations (config-salted, safe across runs)
 //	-granularity-sweep l,h,s  re-dimension the -synthetic workload at every
@@ -79,7 +81,7 @@ func main() {
 		cachefile  = flag.String("cachefile", "", "load/save the -synthetic admission cache at this path (warm starts across runs)")
 		granSweep  = flag.String("granularity-sweep", "", "with -synthetic: re-dimension at every Tw granularity lo,hi,step (e.g. 1,8,1)")
 	)
-	flag.IntVar(&workers, "workers", 0, "worker pool size for verification (0 = GOMAXPROCS, 1 = serial; must be ≥ 0)")
+	flag.IntVar(&workers, "workers", 0, "lanes of a local verification (0 = GOMAXPROCS, 1 = serial; must be ≥ 0); ignored with -nodes/-connect")
 	flag.Parse()
 	if workers < 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -workers must be ≥ 0 (0 = GOMAXPROCS, 1 = serial), got %d\n", workers)
@@ -178,8 +180,8 @@ var (
 var admissionCache = mapping.NewCache()
 
 // slotVerify is the admission verifier the experiments share: the exact
-// packed checker with nondeterministic ties, fanned out over -workers (or
-// over the -nodes/-connect cluster).
+// packed checker with nondeterministic ties, on -workers local lanes (or
+// on the -nodes/-connect cluster, one goroutine per node).
 func slotVerify(ps []*switching.Profile) (bool, error) {
 	res, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: workers,
 		Distributed: distRunner})
@@ -627,13 +629,17 @@ func runSynthetic(n int, seed int64, budget int, cachefile string) {
 	if stats.verifySecs > 0 {
 		rate = int(float64(stats.statesExplored) / stats.verifySecs)
 	}
-	effWorkers := workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0)
+	width := fmt.Sprintf("nodes=%d", distNodes) // -workers does not reach a mesh node
+	if distRunner == nil {
+		effWorkers := workers
+		if effWorkers <= 0 {
+			effWorkers = runtime.GOMAXPROCS(0)
+		}
+		width = fmt.Sprintf("workers=%d", effWorkers)
 	}
-	fmt.Printf("  admission checks %d (%d served by cache), states explored %d, rate=%d states/s [gomaxprocs=%d numcpu=%d workers=%d]\n",
+	fmt.Printf("  admission checks %d (%d served by cache), states explored %d, rate=%d states/s [gomaxprocs=%d numcpu=%d %s]\n",
 		ff.Verifications, ff.CacheHits, stats.statesExplored, rate,
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), effWorkers)
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), width)
 	fmt.Printf("  rejects: %d by counterexample replay, %d by state budget (conservative), %d over the encoding cap\n",
 		stats.replayRefuted, stats.budgetRejects, stats.encodingRejects)
 	if stats.wire.RawBytes > 0 {

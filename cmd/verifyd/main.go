@@ -13,8 +13,8 @@
 // (internal/admit). POST /v1/admit submits a profile set + slot config
 // and returns the verdict with its search statistics; GET /v1/jobs/{id}
 // polls an async submit; /healthz and /statsz expose liveness and
-// counters. The front door verifies over loopback lanes in this process
-// (-nodes), or over a worker fleet (-connect), with service-level
+// counters. The front door verifies over loopback mesh nodes in this
+// process (-nodes), or over a worker fleet (-connect), with service-level
 // coalescing of identical submits, a bounded request queue, and an
 // optional persistent verdict cache (-cachedir) checkpointed
 // incrementally by fingerprint-prefix shard.
@@ -25,12 +25,12 @@
 //	verifyd -http 127.0.0.1:9833 -listen "" [-nodes 4]      # front door only
 //	verifyd -http :9833 -connect host1:9471,host2:9471      # front door over a fleet
 //
-// -workers N sets the lanes of a search: of each worker node's pool on the
-// worker plane and behind -nodes/-connect (0 = GOMAXPROCS with the node's
-// contention-aware tuner picking the active count), of the owner-partitioned
-// local engine when the front door verifies in-process (0 = GOMAXPROCS
-// lanes, nothing to tune; the service always runs at least two, so that
-// every backend reports the same minimum-state violator).
+// -workers N sets the lanes of the owner-partitioned local engine when the
+// front door verifies in-process (0 = GOMAXPROCS lanes; the service always
+// runs at least two, so that every backend reports the same minimum-state
+// violator). It does not reach the worker plane or a -nodes/-connect
+// backend: a mesh node is one search goroutine, and a distributed run
+// scales by its node count.
 //
 // Resilience: -connect dials with a bounded exponential-backoff retry
 // (-connect-retries, -connect-backoff) so the fleet may boot in any
@@ -89,13 +89,13 @@ func mountDebug(mux *http.ServeMux) {
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9471", "worker-plane address (empty disables the worker plane)")
 	httpAddr := flag.String("http", "", "admission-plane HTTP address (empty disables the admission plane)")
-	nodes := flag.Int("nodes", 0, "admission plane: verify over N loopback lane workers in this process (0 = local engine)")
+	nodes := flag.Int("nodes", 0, "admission plane: verify over N loopback mesh nodes in this process (0 = local engine)")
 	connect := flag.String("connect", "", "admission plane: verify over this comma-separated worker fleet")
 	connectRetries := flag.Int("connect-retries", 5, "startup dial attempts per -connect worker address (1 = no retry)")
 	connectBackoff := flag.Duration("connect-backoff", 500*time.Millisecond, "base backoff between -connect dial attempts (doubled per attempt, capped at 10s)")
 	ft := flag.Bool("ft", false, "fault-tolerant distributed runs: survive worker deaths by shard reassignment and rollback (see -ftdir)")
 	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
-	workers := flag.Int("workers", 0, "lanes per local search or per node (0 = GOMAXPROCS, autotuned on distributed nodes; 1 = sequential)")
+	workers := flag.Int("workers", 0, "admission plane: lanes of an in-process local search (0 = GOMAXPROCS); ignored by -nodes/-connect backends and by the worker plane")
 	cachedir := flag.String("cachedir", "", "persist admission verdicts under this directory (sharded, incremental)")
 	checkpoint := flag.Duration("checkpoint", 30*time.Second, "verdict-cache checkpoint interval")
 	queue := flag.Int("queue", 64, "admission request queue depth")

@@ -17,13 +17,13 @@
 // can assert on both. Both flags record the run with an internal/obs
 // trace; level spans come from whichever driver ran (local or distributed).
 //
-// The verdict is computed with the sharded parallel BFS, or — with -nodes
-// or -connect — with the distributed backend of internal/dverify: -nodes K
-// runs K in-process loopback workers, -connect drives cmd/verifyd daemons
-// over TCP. The workers exchange frontiers over a mesh of direct
-// node↔node links with pipelined asynchronous levels. In distributed runs
-// -maxstates is a per-node budget, so a cluster of K workers admits slots
-// up to K times larger than one node.
+// The verdict is computed with the local owner-partitioned parallel BFS, or
+// — with -nodes or -connect — with the distributed backend of
+// internal/dverify: -nodes K runs K in-process loopback workers, -connect
+// drives cmd/verifyd daemons over TCP. The workers exchange frontiers over a
+// mesh of direct node↔node links with pipelined asynchronous levels. In
+// distributed runs -maxstates is a per-node budget, so a cluster of K
+// workers admits slots up to K times larger than one node.
 // When a violation is found, the counterexample schedule is reconstructed
 // with a second, local sequential traced run (tracing needs deterministic
 // in-process parent pointers).
@@ -35,16 +35,15 @@
 // -cpuprofile and -memprofile write pprof profiles of the verification —
 // the expansion core is the product's hot path, so regressions are
 // diagnosed here rather than by instrumenting the library. -mutexprofile
-// and -blockprofile capture where worker lanes wait instead of where they
-// burn — the profiles that motivated replacing the striped-mutex visited
-// sets of the distributed nodes' lane pools with lock-free CAS tables
-// (DESIGN.md §10).
+// and -blockprofile capture where goroutines wait instead of where they
+// burn (lane barriers locally, inbox and link waits on a loopback mesh).
 //
 // -workers N sets the lanes of a local search: 0 (the default) is
 // GOMAXPROCS owner-partitioned lanes, 1 the sequential search; counts and
 // verdict are the same for every N ≥ 2 (DESIGN.md §1). With -nodes or
-// -connect it sizes every node's lane pool instead, and 0 lets each node's
-// contention-aware tuner adapt its active lanes.
+// -connect it is ignored: a mesh node is one search goroutine, a
+// distributed run's parallelism is its node count, and the stats line
+// prints nodes=K in place of workers=N.
 package main
 
 import (
@@ -92,7 +91,7 @@ func run() int {
 	bounded := flag.Bool("bounded", false, "use the bounded-disturbance acceleration")
 	useTA := flag.Bool("ta", false, "check the faithful Fig. 5–7 timed-automata network instead of the packed verifier")
 	lazy := flag.Bool("lazy", false, "verify the lazy-preemption policy")
-	workers := flag.Int("workers", 0, "lanes of the search, per node when distributed (0 = GOMAXPROCS, autotuned on distributed nodes; 1 = sequential; must be ≥ 0)")
+	workers := flag.Int("workers", 0, "lanes of a local search (0 = GOMAXPROCS, 1 = sequential; must be ≥ 0); ignored with -nodes/-connect, where a node is one goroutine")
 	maxStates := flag.Int("maxstates", 0, "visited-state budget, per node when distributed (0 = 200M)")
 	nodes := flag.Int("nodes", 0, "distribute over K in-process loopback workers (0 = local verification)")
 	connect := flag.String("connect", "", "distribute over verifyd workers at these comma-separated addresses")
@@ -179,7 +178,7 @@ func run() int {
 		}()
 	}
 	// Contention profiles answer the question the CPU profile cannot: where
-	// lanes wait rather than where they burn. Sampling is enabled only when
+	// goroutines wait rather than where they burn. Sampling is enabled only when
 	// asked — both profilers tax the hot path.
 	if *mutexprofile != "" {
 		runtime.SetMutexProfileFraction(5)
@@ -288,14 +287,20 @@ func run() int {
 			res = traced
 		}
 	}
-	effWorkers := *workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0)
+	// What ran the search: the node count of a distributed run (a node is
+	// one goroutine, -workers does not reach it), the lanes of a local one.
+	width := fmt.Sprintf("nodes=%d", len(ts))
+	if ts == nil {
+		effWorkers := *workers
+		if effWorkers <= 0 {
+			effWorkers = runtime.GOMAXPROCS(0)
+		}
+		width = fmt.Sprintf("workers=%d", effWorkers)
 	}
 	fmt.Printf("slot %v: schedulable=%v\n", names, res.Schedulable)
-	fmt.Printf("  states=%d transitions=%d depth=%d bounded=%v rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d workers=%d]\n",
+	fmt.Printf("  states=%d transitions=%d depth=%d bounded=%v rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d %s]\n",
 		res.States, res.Transitions, res.Depth, res.Bounded, rate, time.Since(t0).Seconds(),
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), effWorkers)
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), width)
 	if wire.RawBytes > 0 {
 		fmt.Printf("  %s\n", wire.Report())
 	}

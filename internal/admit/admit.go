@@ -87,11 +87,12 @@ type Options struct {
 	// a distributed backend serializes its cluster sessions anyway, and
 	// the local engine already parallelizes inside one search).
 	Concurrency int
-	// Workers is the per-search (per-node, when distributed) expansion
-	// pool size passed to the engine. 0 uses GOMAXPROCS. Values below 2
-	// are raised to 2: the parallel driver's minimum-state violator rule
-	// is what keeps verdicts identical across backends, so the service
-	// never runs the sequential driver's insertion-order tie-break.
+	// Workers is the lane count of an in-process local search. 0 uses
+	// GOMAXPROCS. Values below 2 are raised to 2: the parallel driver's
+	// minimum-state violator rule is what keeps verdicts identical across
+	// backends, so the service never runs the sequential driver's
+	// insertion-order tie-break. A distributed backend ignores it (a mesh
+	// node is one search goroutine).
 	Workers int
 	// MaxStates clamps per-request state budgets (0 = engine default
 	// only). Requests asking for more are capped, not refused.

@@ -2,7 +2,7 @@ package admit
 
 // The e2e rig: boots the admission service over a real HTTP listener
 // (httptest) in front of each backend of the matrix — the in-process
-// engine, 1/2/4-node loopback lane clusters, and a 2-node TCP mesh — and
+// engine, 1/2/4-node loopback mesh clusters, and a 2-node TCP mesh — and
 // gives the tests raw-JSON submit plumbing so verdicts can be compared
 // byte-for-byte.
 

@@ -95,7 +95,7 @@ type AdmitRequest struct {
 }
 
 // Verdict is the deterministic outcome of one admission question —
-// identical across backends (local engine, loopback lanes, TCP mesh) and
+// identical across backends (local engine, loopback mesh, TCP mesh) and
 // across repeats, so it is safe to cache, share between coalesced
 // waiters, and compare byte-for-byte in tests. On schedulable sets the
 // search is exhaustive and the counts are part of the verdict; on

@@ -14,7 +14,7 @@ import (
 // TestDimensionDeterministicAcrossWorkers: the engine's fan-out must not
 // change the result — a fully serial run (Workers=1) and a wide run
 // (Workers=8) return identical allocations, profiles included. Run under
-// -race this also exercises the profiling pool, the sharded BFS and the
+// -race this also exercises the profiling pool, the parallel BFS lanes and the
 // admission cache for data races.
 func TestDimensionDeterministicAcrossWorkers(t *testing.T) {
 	apps := caseApps()

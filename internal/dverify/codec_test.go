@@ -249,11 +249,12 @@ func TestSendFilterExactness(t *testing.T) {
 // protocol version, and a node rejects a job carrying one. The stale peers
 // are a PR-3 binary (no Proto field: presents as 0 either way), a
 // version-6 one, which packs states with fixed 7-bit clocks and would decode
-// a fitted-layout frontier into different states without any error, and a
-// version-7 one, whose request kinds are numbered differently.
+// a fitted-layout frontier into different states without any error, a
+// version-7 one, whose request kinds are numbered differently, and a
+// version-8 one, whose Job still asks for a per-node lane pool.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7} {
+	for _, stale := range []int{0, 6, 7, 8} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {

@@ -72,10 +72,9 @@ type Transport interface {
 
 // Verify runs the distributed reachability analysis for the profiles over
 // the given worker nodes. The configuration is interpreted exactly like
-// verify.Slot's, except that Workers is the per-node expansion pool size
-// (0 lets each node use its own GOMAXPROCS, so an N-node cluster of
-// M-core hosts searches N×M-wide; 1 keeps nodes serial), MaxStates is a
-// per-node budget, and Trace is rejected. The nodes exchange frontiers over
+// verify.Slot's, except that Workers is ignored (a node is one search
+// goroutine; the run's parallelism is len(nodes)), MaxStates is a per-node
+// budget, and Trace is rejected. The nodes exchange frontiers over
 // direct worker↔worker links, so the transports must be what Loopback or
 // Dial returned — one loopback group or one TCP cluster, unwrapped;
 // anything else is refused before a worker sees a request.
@@ -115,7 +114,6 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 		NondetTies:        cfg.NondetTies,
 		SymmetryReduction: cfg.SymmetryReduction,
 		MaxStates:         cfg.MaxStates,
-		Workers:           cfg.Workers,
 		RunID:             cfg.RunID,
 		FT:                cfg.FaultTolerance,
 		CheckpointDir:     cfg.CheckpointDir,
@@ -129,7 +127,7 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 
 	// The run trace is coordinator-side: verifyMesh folds per-level and
 	// per-node spans in; verify.Run finishes it (verdict, wire, slot).
-	cfg.RunTrace.SetBackend("mesh", len(nodes), cfg.Workers)
+	cfg.RunTrace.SetBackend("mesh", len(nodes))
 	return verifyMesh(job, nodes, peers, cfg.RunTrace, plan)
 }
 

@@ -246,17 +246,6 @@ func (w *meshWorker) ftTransAdd(l int, h uint64, n int) {
 	w.ftTrans[l][h>>58] += int64(n)
 }
 
-// ftTransMerge folds one lane's per-shard chunk transitions into level l.
-func (w *meshWorker) ftTransMerge(l int, ftt *[numShards]int64) {
-	for len(w.ftTrans) <= l {
-		w.ftTrans = append(w.ftTrans, [numShards]int64{})
-	}
-	dst := &w.ftTrans[l]
-	for s, v := range ftt {
-		dst[s] += v
-	}
-}
-
 // maybeCheckpoint runs the worker's checkpoint sweep, called once per
 // poll: level ckptLevel+1 persists once its membership is final
 // (coordinator-published) and this worker has fully expanded it — the
@@ -411,12 +400,6 @@ func (w *meshWorker) recoverTo(rec *Recover) {
 	}
 	w.outLevel = -1
 	w.ftTrans = w.ftTrans[:0]
-	for _, ln := range w.lanes {
-		if ln.defr != nil {
-			w.putBatch(ln.defr)
-		}
-		ln.reset()
-	}
 	w.visited.Reset()
 	w.fresh, w.transitions, w.maxFresh = 0, 0, 0
 	w.tooLarge, w.err = false, nil

@@ -2,7 +2,6 @@ package dverify
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"tightcps/internal/switching"
@@ -42,19 +41,9 @@ func (f *sendFilter) seen(s verify.PackedState, h uint64) bool {
 	return false
 }
 
-// effectiveWorkers resolves the job's pool size the way the workers do: 0
-// means the node's own GOMAXPROCS. Reuse compatibility compares resolved
-// sizes, so a daemon whose GOMAXPROCS moved between runs rebuilds.
-func effectiveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // jobsCompatible reports whether a worker built for prev can be reused for
-// next: everything that shaped its expander, visited partition, lane pool
-// and cluster placement must be identical, leaving only per-run search
+// next: everything that shaped its expander, visited partition and
+// cluster placement must be identical, leaving only per-run search
 // state to reset. Session, Peers and MaxStates may differ — they never
 // shape worker memory (the budget is re-read at reinit). This is what
 // makes a standing cluster cheap to re-Init: the bench loop and a daemon
@@ -65,7 +54,6 @@ func jobsCompatible(prev, next *Job) bool {
 		prev.NumNodes != next.NumNodes || prev.NodeID != next.NodeID ||
 		prev.MaxDisturbances != next.MaxDisturbances || prev.Policy != next.Policy ||
 		prev.NondetTies != next.NondetTies || prev.SymmetryReduction != next.SymmetryReduction ||
-		effectiveWorkers(prev.Workers) != effectiveWorkers(next.Workers) ||
 		len(prev.Profiles) != len(next.Profiles) {
 		return false
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tightcps/internal/obs"
@@ -50,52 +49,18 @@ import (
 // leaves the sums unequal).
 
 // meshChunk is how many states a worker expands between inbox drains and
-// control checks (per lane when the pool is parallel); meshPollBudget
-// caps how long a busy worker holds a poll before answering with an
-// interim snapshot; meshIdleWait caps how long an idle worker waits for
-// data before answering an unchanged snapshot; meshBatchTarget is the
-// flush threshold of per-destination send buffers. meshParallelThreshold
-// is the smallest bucket remainder (or inbox batch) worth fanning across
-// the lane pool — below it the spawn barrier costs more than the lanes
-// save (the local search's serialLevelThreshold in internal/verify, for
-// the same reason); meshLaneChunk is the lanes' work-stealing claim size;
+// control checks; meshPollBudget caps how long a busy worker holds a poll
+// before answering with an interim snapshot; meshIdleWait caps how long an
+// idle worker waits for data before answering an unchanged snapshot;
+// meshBatchTarget is the flush threshold of per-destination send buffers;
 // meshFreeBatches caps the worker-local batch free list.
 const (
-	meshChunk             = 1024
-	meshPollBudget        = 25 * time.Millisecond
-	meshIdleWait          = 20 * time.Millisecond
-	meshBatchTarget       = 4096
-	meshParallelThreshold = 256
-	meshLaneChunk         = 64
-	meshFreeBatches       = 512
-	// meshTuneWindow is how many parallel-expanded states the autotuner
-	// accumulates before one throughput observation — chunks are too small
-	// (a millisecond or less) to be a signal on their own.
-	meshTuneWindow = 8192
+	meshChunk       = 1024
+	meshPollBudget  = 25 * time.Millisecond
+	meshIdleWait    = 20 * time.Millisecond
+	meshBatchTarget = 4096
+	meshFreeBatches = 512
 )
-
-// Crew task modes (meshWorker.ptask.mode / the crew body's dispatch).
-const (
-	laneTaskExpand = iota
-	laneTaskAbsorb
-)
-
-// meshPTask carries one parallel fan-out's parameters and shared atomics.
-// It lives on the worker so repeated fan-outs reuse the same memory — the
-// per-call atomics of the old spawn-per-chunk path escaped to the heap and
-// were the dominant share of the multi-lane allocation leak. The
-// orchestrator writes the fields before waking the crew (the wake send
-// publishes them); lanes treat everything but the atomics as read-only.
-type meshPTask struct {
-	mode       int
-	states     []verify.PackedState
-	commitOK   bool
-	dropSucc   bool
-	boundCopy  verify.PackedState // stable backing for the seeded skip bound
-	minViol    atomic.Pointer[verify.PackedState]
-	freshTotal atomic.Int64
-	tooLarge   atomic.Bool
-}
 
 // meshBatch is one level-tagged batch of decoded states crossing a mesh
 // link, or a link failure surfaced into the owner's inbox. era tags the
@@ -180,14 +145,10 @@ type meshEnv interface {
 	connect(job *Job, inbox *meshInbox, exp *verify.Expander) (links []meshLink, cleanup func(), err error)
 }
 
-// meshWorker is one node of the mesh search. Its control flow is
-// single-goroutine — the transport's serve loop calls Init/Poll, and all
-// routing, milestone and accounting state is touched only from those
-// calls (peer readers touch nothing but the inbox) — but inside a poll
-// the orchestrator fans expansion and absorption across a pool of lanes
-// (workers > 1): the lanes share only the striped visited set and a few
-// chunk-scoped atomics, everything else they touch is lane-private, and
-// the orchestrator merges their output back single-threaded.
+// meshWorker is one node of the mesh search, and one goroutine: the
+// transport's serve loop calls Init/Poll, and all search, routing, milestone
+// and accounting state is touched only from those calls (peer readers touch
+// nothing but the inbox). A distributed run's parallelism is its node count.
 type meshWorker struct {
 	id, n   int
 	job     *Job // what the worker was built for (reuse compatibility)
@@ -197,23 +158,6 @@ type meshWorker struct {
 	visited *verify.StateSet
 	esc     *verify.ExpandScratch
 	hsucc   []verify.HashedState
-	lanes   []*meshLane // nil when workers == 1 (serial expansion)
-
-	// Parallel fan-out machinery: the persistent lane crew, the reusable
-	// task, and — for auto-width jobs (Job.Workers == 0) — the contention-
-	// aware tuner deciding how many of the pooled lanes wake per fan-out,
-	// fed by windows of parallel-expansion throughput. contFlushed and
-	// stealsFlushed mark how much of the visited set's cumulative
-	// contention ledger has already been folded into the engine telemetry
-	// (the set and crew survive re-Inits, so shutdown flushes deltas).
-	crew          laneCrew
-	ptask         meshPTask
-	tuner         *verify.LaneTuner
-	tunStates     int
-	tunElapsed    time.Duration
-	tunRetries    int64
-	contFlushed   verify.SetStats
-	stealsFlushed int64
 
 	inbox   *meshInbox
 	spareQ  []meshBatch
@@ -221,13 +165,12 @@ type meshWorker struct {
 	filters []sendFilter
 	cleanup func()
 
-	// Worker-local batch recycling (orchestrator goroutine only): free is
-	// the slice free list fed by absorbed inbox batches and drained
-	// buckets, spareBuckets the big frontier buckets retired — the next
-	// big levels are built in them, the way the local drivers swap
-	// frontier and spare instead of allocating per level. It is a small
-	// stack, not a single slot: the commit rule keeps a window of levels
-	// live at once, and they retire in bursts.
+	// Worker-local batch recycling: free is the slice free list fed by
+	// absorbed inbox batches and drained buckets, spareBuckets the big
+	// frontier buckets retired — the next big levels are built in them, the
+	// way the local drivers swap frontier and spare instead of allocating
+	// per level. It is a small stack, not a single slot: the commit rule
+	// keeps a window of levels live at once, and they retire in bursts.
 	free         [][]verify.PackedState
 	spareBuckets [][]verify.PackedState
 	sparePending [][]verify.PackedState // retired deferral-list backbone
@@ -303,41 +246,6 @@ type meshWorker struct {
 	initResp Response
 }
 
-// meshLane is one expansion goroutine's private state: its own scratch
-// arena (SuccessorsHashedInto overwrites it per call, so lanes never
-// share one), per-destination staging buffers for peer-owned successors,
-// and the chunk's fresh commits and deferred states. Lanes never touch
-// the filters, send buffers, level buckets or epoch counters — the
-// orchestrator owns those and folds the lanes' staging in after the
-// chunk barrier.
-type meshLane struct {
-	esc  *verify.ExpandScratch
-	succ []verify.HashedState   // per-state expansion scratch
-	out  [][]verify.HashedState // peer-owned successors, staged per destination
-	next []verify.PackedState   // fresh self-owned commits of this chunk
-	defr []verify.PackedState   // self-owned successors awaiting the commit rule
-
-	trans     int
-	ftt       [numShards]int64 // per-shard transitions of this chunk (checkpointing only)
-	haveViol  bool
-	violState verify.PackedState
-	violApp   int
-}
-
-// reset clears a lane's per-run state for reuse by a follow-up job,
-// keeping its scratch arena and the staging buffers' capacity. The
-// orchestrator recycles defr itself before calling this (lanes have no
-// access to the free list).
-func (ln *meshLane) reset() {
-	ln.next = ln.next[:0]
-	ln.defr = nil
-	for d := range ln.out {
-		ln.out[d] = ln.out[d][:0]
-	}
-	ln.trans = 0
-	ln.haveViol, ln.violState, ln.violApp = false, verify.PackedState{}, -1
-}
-
 // meshDigest summarizes a snapshot for the long-poll "news" check: a
 // worker answers an outstanding poll as soon as its digest moves.
 type meshDigest struct {
@@ -352,7 +260,7 @@ type meshDigest struct {
 // newMeshWorker builds a node for a mesh job and wires its data links
 // through env, seeding the initial state on its owner. A previous worker
 // whose job is compatible is reinitialized in place instead, reusing its
-// expander, visited partition, lane pool and batch memory.
+// expander, visited partition and batch memory.
 func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Response, error) {
 	if job.Proto != protoVersion {
 		return nil, nil, fmt.Errorf("dverify: coordinator speaks protocol %d, this worker speaks %d (rebuild the older side)",
@@ -381,7 +289,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	if budget <= 0 {
 		budget = defaultMaxStates
 	}
-	workers := effectiveWorkers(job.Workers)
 	w := &meshWorker{
 		id:         job.NodeID,
 		n:          job.NumNodes,
@@ -389,6 +296,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		exp:        exp,
 		words:      exp.StateWords(),
 		budget:     budget,
+		visited:    exp.NewSet(1 << 16),
 		esc:        exp.NewScratch(),
 		inbox:      newMeshInbox(),
 		spareQ:     make([]meshBatch, 0, 32),
@@ -401,25 +309,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		ckptLevel:  -1,
 	}
 	w.applyFT(job)
-	if workers > 1 {
-		// The lane pool shares the visited partition, so it must be the
-		// striped set; the serial worker keeps the cheaper unsharded one.
-		w.visited = exp.NewShardedSet(1 << 16)
-		w.lanes = make([]*meshLane, workers)
-		for i := range w.lanes {
-			w.lanes[i] = &meshLane{
-				esc:     exp.NewScratch(),
-				out:     make([][]verify.HashedState, job.NumNodes),
-				violApp: -1,
-			}
-		}
-		w.crew.body = w.lanePass
-		if job.Workers <= 0 {
-			w.tuner = verify.NewLaneTuner(workers)
-		}
-	} else {
-		w.visited = exp.NewSet(1 << 16)
-	}
 	for d := range w.outBuf {
 		if d != w.id {
 			w.outBuf[d] = getBatch()
@@ -484,17 +373,17 @@ func (w *meshWorker) seedOrRestore(job *Job, resp *Response) error {
 }
 
 // reinit rebuilds the worker in place for a compatible follow-up job: the
-// expander and scratch arenas, the visited partition (cleared, not
-// reallocated — the dominant per-run allocation), the lane pool, the batch
-// free list and the level backbones all survive. A standing cluster
-// re-verifying a slot — a daemon serving successive coordinators, or the
-// bench loop — re-Inits without restarting the steady state from zero.
-// The previous run's links are already down (Init goes through
-// handler.reset, and shutdown is idempotent) and its session registration
-// is gone, but a peer's reader may still hold the inbox, so the new session
-// gets a new one. Leftover frontier, deferral and send memory — a violating
-// or over-budget run stops with all three parked — feeds the free list,
-// then the data plane reconnects under the new session.
+// expander and scratch arena, the visited partition (cleared, not
+// reallocated — the dominant per-run allocation), the batch free list and
+// the level backbones all survive. A standing cluster re-verifying a slot —
+// a daemon serving successive coordinators, or the bench loop — re-Inits
+// without restarting the steady state from zero. The previous run's links
+// are already down (Init goes through handler.reset, and shutdown is
+// idempotent) and its session registration is gone, but a peer's reader may
+// still hold the inbox, so the new session gets a new one. Leftover
+// frontier, deferral and send memory — a violating or over-budget run stops
+// with all three parked — feeds the free list, then the data plane
+// reconnects under the new session.
 func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, error) {
 	w.shutdown()
 	w.job = job
@@ -528,19 +417,6 @@ func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, erro
 	// session may still hold it and push a late frame — or the EOF of a
 	// link its sender has already closed — after any sweep.
 	w.inbox = newMeshInbox()
-	for _, ln := range w.lanes {
-		if ln.defr != nil {
-			w.putBatch(ln.defr)
-		}
-		ln.reset()
-	}
-	if w.lanes != nil && job.Workers <= 0 {
-		w.tuner = verify.NewLaneTuner(len(w.lanes))
-	} else {
-		w.tuner = nil
-	}
-	w.tunStates, w.tunElapsed = 0, 0
-	w.tunRetries = w.visited.Stats().Retries
 	w.visited.Reset()
 	w.fresh, w.transitions, w.maxFresh = 0, 0, 0
 	w.routed, w.filtered, w.wireBytes = 0, 0, 0
@@ -591,11 +467,10 @@ func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, erro
 }
 
 // getBatch draws a batch slice from the worker's free list, falling back
-// to the shared pool. Orchestrator goroutine only — the list is what
-// keeps a node's steady-state batch traffic allocation-free without
-// sync.Pool round-trips (whose misses grew per-op allocations with the
-// node count; inbox batches absorbed here refill the list the sends
-// drain).
+// to the shared pool — the list is what keeps a node's steady-state batch
+// traffic allocation-free without sync.Pool round-trips (whose misses grew
+// per-op allocations with the node count; inbox batches absorbed here
+// refill the list the sends drain).
 func (w *meshWorker) getBatch() []verify.PackedState {
 	if n := len(w.free); n > 0 {
 		b := w.free[n-1]
@@ -607,7 +482,7 @@ func (w *meshWorker) getBatch() []verify.PackedState {
 }
 
 // putBatch recycles a batch slice into the worker's free list (overflow
-// spills to the shared pool). Orchestrator goroutine only.
+// spills to the shared pool).
 func (w *meshWorker) putBatch(b []verify.PackedState) {
 	if cap(b) == 0 {
 		return
@@ -649,8 +524,7 @@ func (w *meshWorker) ensureLevel(l int) {
 // ownership of the slice: levels ≤ final+1 enter the visited set (fresh
 // states join their bucket) and the slice is recycled; later tags defer
 // the whole slice uncopied; levels beyond the violation bound are dropped
-// (they can never reach the verdict). Committable batches big enough to
-// beat the spawn barrier fan across the lane pool into the striped set.
+// (they can never reach the verdict).
 func (w *meshWorker) absorb(level int, states []verify.PackedState) {
 	if w.haveBound && level > w.boundLevel {
 		w.putBatch(states)
@@ -665,11 +539,6 @@ func (w *meshWorker) absorb(level int, states []verify.PackedState) {
 		return
 	}
 	w.visited.Reserve(len(states))
-	if w.lanes != nil && len(states) >= meshParallelThreshold && !w.tooLarge {
-		w.absorbParallel(level, states)
-		w.putBatch(states)
-		return
-	}
 	for _, s := range states {
 		w.commit1(level, s, w.exp.Hash(s))
 		if w.tooLarge {
@@ -677,82 +546,6 @@ func (w *meshWorker) absorb(level int, states []verify.PackedState) {
 		}
 	}
 	w.putBatch(states)
-}
-
-// absorbParallel is the contention-free absorb path: the crew's lanes claim
-// chunks of the batch from the work-stealing queue, hash each state once and
-// insert it into the lock-free striped visited set, staging fresh commits
-// lane-locally; the orchestrator folds the stages into the level bucket
-// afterwards, so the bucket and the per-level counters never see concurrent
-// writers.
-func (w *meshWorker) absorbParallel(level int, states []verify.PackedState) {
-	active := w.activeLanes()
-	t := &w.ptask
-	t.mode = laneTaskAbsorb
-	t.states = states
-	t.freshTotal.Store(int64(w.fresh))
-	t.tooLarge.Store(false)
-	w.crew.ensure(w.lanes)
-	w.crew.fan(active, len(states), meshLaneChunk)
-	t.states = nil
-	w.commitMerged(level, t.tooLarge.Load(), active)
-}
-
-// activeLanes is how many pooled lanes the next fan-out wakes: all of them
-// on fixed-width jobs, the tuner's current pick on auto-width ones.
-func (w *meshWorker) activeLanes() int {
-	if w.tuner == nil {
-		return len(w.lanes)
-	}
-	if a := w.tuner.Lanes(); a < len(w.lanes) {
-		return a
-	}
-	return len(w.lanes)
-}
-
-// tuneWindow accumulates parallel-expansion throughput for the autotuner
-// and hands it a sample once the window is big enough to be a signal.
-func (w *meshWorker) tuneWindow(states int, elapsed time.Duration) {
-	w.tunStates += states
-	w.tunElapsed += elapsed
-	if w.tunStates < meshTuneWindow {
-		return
-	}
-	r := w.visited.Stats().Retries
-	w.tuner.Observe(w.tunStates, w.tunElapsed, r-w.tunRetries)
-	w.tunRetries = r
-	w.tunStates, w.tunElapsed = 0, 0
-}
-
-// commitMerged folds the active lanes' fresh commits of one parallel pass
-// into the level bucket and the counters the serial commit1 maintains.
-func (w *meshWorker) commitMerged(level int, tooLarge bool, active int) {
-	if tooLarge {
-		w.tooLarge = true
-	}
-	total := 0
-	for _, ln := range w.lanes[:active] {
-		total += len(ln.next)
-	}
-	if total == 0 {
-		return
-	}
-	if len(w.buckets[level]) == 0 && cap(w.buckets[level]) == 0 {
-		w.buckets[level] = w.newBucket(level)
-	}
-	for _, ln := range w.lanes[:active] {
-		w.buckets[level] = append(w.buckets[level], ln.next...)
-		ln.next = ln.next[:0]
-	}
-	w.fresh += total
-	w.freshAt[level] += total
-	if level > w.maxFresh {
-		w.maxFresh = level
-	}
-	if w.haveBound && level > w.boundLevel {
-		// Committed beyond the verdict level: counted, never expanded.
-		w.cursors[level] = len(w.buckets[level])
-	}
 }
 
 // commit1 commits a single state under the same rule as absorb. h must be
@@ -776,8 +569,6 @@ func (w *meshWorker) commit1(level int, s verify.PackedState, h uint64) {
 		return
 	}
 	if w.visited.AddHashed(s, h) {
-		// fresh tracks the set cardinality exactly (every counted add bumps
-		// it), so the budget check never takes the striped set's 64 locks.
 		if w.fresh+1 > w.budget {
 			w.tooLarge = true
 			return
@@ -977,10 +768,9 @@ func (w *meshWorker) expandable() int {
 	return -1
 }
 
-// expandChunk expands up to n states (per lane when parallel) from the
-// lowest available bucket, routing foreign successors over the mesh and
-// committing self-owned ones locally. Returns false when no work was
-// available.
+// expandChunk expands up to n states from the lowest available bucket,
+// routing foreign successors over the mesh and committing self-owned ones
+// locally. Returns false when no work was available.
 func (w *meshWorker) expandChunk(n int) bool {
 	l := w.expandable()
 	if l < 0 {
@@ -1001,11 +791,7 @@ func (w *meshWorker) expandChunk(n int) bool {
 		}
 		w.visited.Reserve(est)
 	}
-	if w.lanes != nil && len(w.buckets[l])-w.cursors[l] >= meshParallelThreshold && !w.tooLarge {
-		w.expandParallel(l, n)
-	} else {
-		w.expandSerial(l, n)
-	}
+	w.expandSerial(l, n)
 	if w.cursors[l] == len(w.buckets[l]) && len(w.buckets[l]) > 0 && l <= w.final {
 		// The bucket is drained and — level final — can never refill. With
 		// checkpointing on, the bucket is the segment payload: keep it until
@@ -1056,217 +842,6 @@ func (w *meshWorker) expandSerial(l, n int) {
 			} else {
 				w.commit1(l+1, ns.S, ns.H)
 			}
-		}
-	}
-}
-
-// expandParallel fans a claim of up to n-states-per-active-lane across the
-// crew. Two facts are frozen for the whole chunk on the orchestrator
-// side — whether level l+1 is committable (commit rule) and whether it is
-// beyond the violation bound — because only the orchestrator ever moves
-// them. A violation found mid-chunk therefore cannot retract the chunk's
-// other successors, which is safe: counts are only compared on
-// schedulable runs, and the minimum violator of the first violating
-// level can never be suppressed by a larger one (the skip bound only
-// drops states *greater* than the recorded minimum).
-func (w *meshWorker) expandParallel(l, n int) {
-	active := w.activeLanes()
-	lo := w.cursors[l]
-	hi := min(lo+n*active, len(w.buckets[l]))
-	t := &w.ptask
-	t.mode = laneTaskExpand
-	t.states = w.buckets[l][lo:hi]
-	w.cursors[l] = hi
-	t.commitOK = l+1 <= w.final+1
-	t.dropSucc = w.haveBound && l+1 > w.boundLevel
-	if t.commitOK {
-		w.ensureLevel(l + 1)
-	}
-	t.minViol.Store(nil)
-	if w.haveBound && l == w.boundLevel {
-		t.boundCopy = w.boundState
-		t.minViol.Store(&t.boundCopy)
-	}
-	t.freshTotal.Store(int64(w.fresh))
-	t.tooLarge.Store(false)
-	for _, ln := range w.lanes[:active] {
-		if !t.commitOK && ln.defr == nil {
-			ln.defr = w.getBatch()
-		}
-	}
-	w.crew.ensure(w.lanes)
-	var start time.Time
-	if w.tuner != nil {
-		start = time.Now()
-	}
-	w.crew.fan(active, len(t.states), meshLaneChunk)
-	if w.tuner != nil {
-		w.tuneWindow(len(t.states), time.Since(start))
-	}
-	t.states = nil
-	w.mergeLanes(l, t.commitOK, t.tooLarge.Load(), active)
-}
-
-// lanePass is the crew body: one wake of one lane, dispatched on the
-// worker's current task.
-func (w *meshWorker) lanePass(lane int, ln *meshLane) {
-	if w.ptask.mode == laneTaskAbsorb {
-		w.laneAbsorb(lane, ln)
-		return
-	}
-	w.laneExpand(lane, ln)
-}
-
-// laneAbsorb is one lane's share of a parallel absorb: claim chunks from
-// the work queue, hash each state once, insert into the lock-free striped
-// set, stage fresh commits lane-locally.
-func (w *meshWorker) laneAbsorb(lane int, ln *meshLane) {
-	t := &w.ptask
-	budget := int64(w.budget)
-	ln.next = ln.next[:0]
-	for {
-		lo, hi, ok := w.crew.wq.Next(lane)
-		if !ok || t.tooLarge.Load() {
-			return
-		}
-		for _, s := range t.states[lo:hi] {
-			if w.visited.AddHashed(s, w.exp.Hash(s)) {
-				if t.freshTotal.Add(1) > budget {
-					t.tooLarge.Store(true)
-					return
-				}
-				ln.next = append(ln.next, s)
-			}
-		}
-	}
-}
-
-// laneExpand is one lane's share of a parallel expansion chunk: claim
-// ranges from the work-stealing queue, expand each state through the
-// lane's own scratch (hashing during packing), and stage everything
-// lane-locally — peer-owned successors per destination, self-owned ones
-// either straight into the striped visited set (committable levels) or
-// into the deferred batch. The only shared writes are the striped set,
-// the task atomics and the minimum-violator CAS.
-func (w *meshWorker) laneExpand(lane int, ln *meshLane) {
-	t := &w.ptask
-	ln.trans, ln.haveViol = 0, false
-	ln.next = ln.next[:0]
-	if w.ckptOn {
-		clear(ln.ftt[:])
-	}
-	budget := int64(w.budget)
-	for {
-		lo, hi, ok := w.crew.wq.Next(lane)
-		if !ok || t.tooLarge.Load() {
-			return
-		}
-		for _, s := range t.states[lo:hi] {
-			if mv := t.minViol.Load(); mv != nil && verify.LessState(*mv, s) {
-				continue // a smaller violator at this level already wins
-			}
-			succ, violApp := w.exp.SuccessorsHashedInto(s, ln.esc, ln.succ[:0])
-			ln.succ = succ[:0]
-			if violApp >= 0 {
-				if !ln.haveViol || verify.LessState(s, ln.violState) {
-					ln.haveViol, ln.violState, ln.violApp = true, s, violApp
-				}
-				for { // tighten the shared skip bound
-					mv := t.minViol.Load()
-					if mv != nil && !verify.LessState(s, *mv) {
-						break
-					}
-					ns := s
-					if t.minViol.CompareAndSwap(mv, &ns) {
-						break
-					}
-				}
-				continue
-			}
-			ln.trans += len(succ)
-			if w.ckptOn {
-				ln.ftt[w.exp.Hash(s)>>58] += int64(len(succ))
-			}
-			if t.dropSucc {
-				continue // successors beyond the verdict level
-			}
-			for _, ns := range succ {
-				if dst := int(w.owners[ns.H>>58]); dst != w.id {
-					ln.out[dst] = append(ln.out[dst], ns)
-				} else if !t.commitOK {
-					ln.defr = append(ln.defr, ns.S)
-				} else if w.visited.AddHashed(ns.S, ns.H) {
-					if t.freshTotal.Add(1) > budget {
-						t.tooLarge.Store(true)
-						return
-					}
-					ln.next = append(ln.next, ns.S)
-				}
-			}
-		}
-	}
-}
-
-// mergeLanes folds a parallel chunk's lane staging back into the
-// orchestrator's single-threaded state: transitions and the violation
-// minimum first (tightening the bound), then the fresh commits (or the
-// deferred batches, ownership transferred uncopied), and finally the
-// staged peer routes — pushed through each destination's recent-state
-// filter into the coalesced send buffer by this one goroutine, so the
-// per-level sent counts the epoch tracker sums stay exact.
-func (w *meshWorker) mergeLanes(l int, commitOK, tooLarge bool, active int) {
-	level := l + 1
-	w.ensureLevel(level)
-	for _, ln := range w.lanes[:active] {
-		w.transitions += ln.trans
-		if w.ckptOn && ln.trans > 0 {
-			w.ftTransMerge(l, &ln.ftt)
-		}
-		if ln.haveViol {
-			w.noteViol(l, ln.violState, ln.violApp)
-		}
-	}
-	if commitOK {
-		w.commitMerged(level, tooLarge, active)
-	} else {
-		for _, ln := range w.lanes[:active] {
-			if ln.defr == nil {
-				continue
-			}
-			if len(ln.defr) > 0 && !(w.haveBound && level > w.boundLevel) {
-				w.pending[level] = append(w.pending[level], ln.defr)
-			} else {
-				w.putBatch(ln.defr)
-			}
-			ln.defr = nil
-		}
-	}
-	if w.haveBound && level > w.boundLevel {
-		// The chunk's own violations doomed its successors: drop the
-		// staged routes, exactly as the serial path skips them.
-		for _, ln := range w.lanes[:active] {
-			for d := range ln.out {
-				ln.out[d] = ln.out[d][:0]
-			}
-		}
-		return
-	}
-	for d := range w.outBuf {
-		if d == w.id {
-			continue
-		}
-		for _, ln := range w.lanes[:active] {
-			for _, ns := range ln.out[d] {
-				if w.filters[d].slots != nil && w.filters[d].seen(ns.S, ns.H) {
-					w.filtered++
-					continue
-				}
-				w.outBuf[d] = append(w.outBuf[d], ns.S)
-				if len(w.outBuf[d]) >= meshBatchTarget {
-					w.flushDest(d)
-				}
-			}
-			ln.out[d] = ln.out[d][:0]
 		}
 	}
 }
@@ -1511,21 +1086,6 @@ func (w *meshWorker) shutdown() {
 	obsWireBytes.Add(uint64(w.wireBytes))
 	obsRoutedStates.Add(uint64(w.routed))
 	obsFilteredStates.Add(uint64(w.filtered))
-	w.crew.stop()
-	if w.lanes != nil {
-		// Contention deltas since the last flush: the sharded set and the
-		// steal counter survive session reinit, so fold only this session's
-		// share into the engine telemetry (Overflows reset with the set, so
-		// the raw value is already the session's).
-		s := w.visited.Stats()
-		verify.FlushContention(verify.SetStats{
-			Probes:    s.Probes - w.contFlushed.Probes,
-			Retries:   s.Retries - w.contFlushed.Retries,
-			Overflows: s.Overflows,
-		}, int64(w.transitions), w.crew.wq.Steals()-w.stealsFlushed)
-		w.contFlushed = s
-		w.stealsFlushed = w.crew.wq.Steals()
-	}
 	for _, l := range w.links {
 		if l != nil {
 			l.close()

@@ -26,7 +26,9 @@ import (
 // verifyd daemon), corrupting the search with no error. KindInit therefore
 // carries the coordinator's version in Job.Proto and the node echoes its
 // own in Response.Proto, so either side rejects a mismatch loudly before
-// any frontier is exchanged. Version 8 removes the coordinator relay: its
+// any frontier is exchanged. Version 9 removes Job.Workers (a mesh node is
+// one search goroutine): gob would drop a version-8 coordinator's pool size
+// silently. Version 8 removes the coordinator relay: its
 // Step and Absorb request kinds, the Request/Response batch lists,
 // Response.Next, Response.Era and Job.Mesh are gone, which renumbers
 // KindPoll and KindPeerHello — a version-7 peer would misread every
@@ -44,7 +46,7 @@ import (
 // pipelined levels, poll/epoch control plane); version 2 is the PR-4
 // relay protocol (per-source absorb batch lists, codec-framed); PR-3
 // binaries predate the field and present as version 0.
-const protoVersion = 8
+const protoVersion = 9
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -66,8 +68,8 @@ const (
 
 // Job describes one verification run from a single worker node's
 // perspective. The verification fields mirror the verdict-relevant subset
-// of verify.Config plus the per-node Workers pool size; Trace and
-// Distributed are coordinator-side concerns and never cross the wire.
+// of verify.Config; Workers, Trace and Distributed are coordinator-side
+// concerns and never cross the wire.
 type Job struct {
 	// Proto is the coordinator's protocol version (protoVersion); nodes
 	// reject jobs from a different one.
@@ -92,11 +94,6 @@ type Job struct {
 	// MaxStates is the per-node visited budget (per-node memory model):
 	// the aggregate capacity of a run is NumNodes × MaxStates.
 	MaxStates int
-	// Workers is the per-node expansion pool size: the node expands its
-	// frontier through this many goroutines over a striped visited set,
-	// so an N-node cluster of M-core hosts searches N×M-wide. 0 means
-	// the node's own GOMAXPROCS; 1 keeps the single-goroutine path.
-	Workers int
 
 	// Session identifies this run's mesh rendezvous — the node opens (or
 	// accepts) one data link per peer at Init: peer links carry it so a

@@ -7,17 +7,16 @@ import (
 	"tightcps/internal/verify"
 )
 
-// TestWorkerPoolMatrixMatchesLocal is the concurrent-absorb matrix of the
-// multi-core mesh work: 2- and 4-node clusters with per-node expansion
-// pools of 1 and 4 lanes must reproduce the local search bit-identically
-// — verdict, exhaustive counts, depth and minimal violator — on both
-// encodings, with and without the symmetry quotient. Exhaustive counts and depth coincide
-// with the sequential search; the violator follows the parallel
-// searches' minimum-violating-state tie-break (the sequential search
-// short-circuits at the first violator in expansion order instead), so
-// the ground truth is the local parallel search, as in the main matrix.
-// Run under -race this drives the striped visited set, the chunk atomics
-// and the lane merge from genuinely concurrent goroutines on every node.
+// TestWorkerPoolMatrixMatchesLocal pins that Workers on a distributed
+// config changes nothing: 2- and 4-node clusters asked for 0, 1 and 4 lanes
+// per node (a mesh node is one search goroutine whatever the value) must
+// reproduce the local search bit-identically — verdict, exhaustive counts,
+// depth and minimal violator — on both encodings, with and without the
+// symmetry quotient. Exhaustive counts and depth coincide with the
+// sequential search; the violator follows the parallel searches'
+// minimum-violating-state tie-break (the sequential search short-circuits
+// at the first violator in expansion order instead), so the ground truth is
+// the local parallel search, as in the main matrix.
 func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 	sel := map[string]bool{
 		"overload2":     true, // narrow, violating at level 1
@@ -49,8 +48,6 @@ func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 				local.States, local.Transitions, local.Depth, seq.States, seq.Transitions, seq.Depth)
 		}
 		for _, nodes := range []int{2, 4} {
-			// workers = 0 is the autotuned GOMAXPROCS pool: per-node lane
-			// counts may move between levels, the verdict must not.
 			for _, workers := range []int{0, 1, 4} {
 				cfg := verify.Config{
 					NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md,

@@ -101,7 +101,6 @@ type Trace struct {
 	Slot    []string `json:"slot,omitempty"`    // application names
 	Backend string   `json:"backend,omitempty"` // "mesh" for a distributed run, empty for a local one
 	Nodes   int      `json:"nodes,omitempty"`   // cluster size (0 = local)
-	Workers int      `json:"workers,omitempty"` // expansion pool per node
 
 	Schedulable bool   `json:"schedulable"`
 	Violator    string `json:"violator,omitempty"`
@@ -199,12 +198,12 @@ func (t *Trace) SetWire(routed, filtered, rawBytes, wireBytes int) {
 }
 
 // SetBackend names the execution backend and cluster shape.
-func (t *Trace) SetBackend(backend string, nodes, workers int) {
+func (t *Trace) SetBackend(backend string, nodes int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.Backend, t.Nodes, t.Workers = backend, nodes, workers
+	t.Backend, t.Nodes = backend, nodes
 	t.mu.Unlock()
 }
 

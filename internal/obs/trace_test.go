@@ -36,7 +36,7 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.AddNode(0, 1, 1, 0, 0)
 	tr.AddLink(0, 1, 2, 3)
 	tr.SetWire(1, 2, 3, 4)
-	tr.SetBackend("mesh", 2, 4)
+	tr.SetBackend("mesh", 2)
 	tr.SetEpochs(9)
 	tr.SetResult(true, 1, 1, 1)
 	tr.SetSlot([]string{"C1"}, "")
@@ -50,7 +50,7 @@ func TestTraceNilSafe(t *testing.T) {
 func TestTraceRoundTrip(t *testing.T) {
 	tr := NewTrace("deadbeef00000000")
 	tr.SetSlot([]string{"C1", "C5"}, "")
-	tr.SetBackend("mesh", 2, 1)
+	tr.SetBackend("mesh", 2)
 	tr.AddLevel(0, 1, 0)
 	tr.AddLevel(1, 3, 4)
 	tr.AddNode(0, 2, 1, 5, 6)

@@ -167,10 +167,10 @@ func (e *Expander) Successors(s PackedState, out []PackedState) ([]PackedState, 
 }
 
 // Hash mixes a state for shard selection and set probing. Narrow states use
-// the one-word splitmix finalizer (the same function behind the local
-// sharded set), wide states the chained word hash. Every driver of one run
-// must partition by the same hash, which this method guarantees: it depends
-// only on the profiles and config the Expander was built from.
+// the one-word splitmix finalizer (the same function behind u64Set), wide
+// states the chained word hash. Every driver of one run must partition by
+// the same hash, which this method guarantees: it depends only on the
+// profiles and config the Expander was built from.
 func (e *Expander) Hash(s PackedState) uint64 {
 	if e.v.wide {
 		return hashW(wstate(s))
@@ -228,43 +228,18 @@ func (e *Expander) NewSet(capacity int) *StateSet {
 	return &StateSet{narrow: newU64Set(capacity)}
 }
 
-// NewShardedSet returns a visited set striped 64-way by hash for drivers
-// that absorb states from several goroutines at once (the lane pools of the
-// distributed nodes; the local parallel search gives every lane a private
-// set instead). Add and AddHashed are lock-free
-// (CAS-claimed slots; see shardset.go for the exactness argument) and
-// contend only when two states race for the same slot. Len is exact and
-// Reserve/Reset rebuild tables in place, so both require quiescence —
-// drivers count fresh adds for budgets and call Reserve only between
-// levels, with no lanes in flight.
-func (e *Expander) NewShardedSet(capacity int) *StateSet {
-	if e.v.wide {
-		return &StateSet{shWide: newShardedWideSet(capacity)}
-	}
-	return &StateSet{shNarrow: newShardedU64Set(capacity)}
-}
-
 // StateSet is an open-addressing set of PackedStates backing one search
 // driver's visited partition. Exactly one of the underlying sets is
-// non-nil, matching the encoding of the Expander that created it and the
-// concurrency of the constructor (NewSet single-goroutine, NewShardedSet
-// striped).
+// non-nil, matching the encoding of the Expander that created it.
 type StateSet struct {
-	narrow   *u64Set
-	wide     *wideSet
-	shNarrow *shardedU64Set
-	shWide   *shardedWideSet
+	narrow *u64Set
+	wide   *wideSet
 }
 
 // Add inserts k and reports whether it was absent.
 func (s *StateSet) Add(k PackedState) bool {
-	switch {
-	case s.wide != nil:
+	if s.wide != nil {
 		return s.wide.add(wstate(k))
-	case s.shNarrow != nil:
-		return s.shNarrow.add(k[0])
-	case s.shWide != nil:
-		return s.shWide.add(wstate(k))
 	}
 	return s.narrow.add(k[0])
 }
@@ -272,77 +247,39 @@ func (s *StateSet) Add(k PackedState) bool {
 // AddHashed is Add with the state's Expander.Hash precomputed — drivers
 // that already hashed the state for shard routing skip the second mix.
 func (s *StateSet) AddHashed(k PackedState, h uint64) bool {
-	switch {
-	case s.wide != nil:
+	if s.wide != nil {
 		return s.wide.addHashed(wstate(k), h)
-	case s.shNarrow != nil:
-		return s.shNarrow.addHashed(k[0], h)
-	case s.shWide != nil:
-		return s.shWide.addHashed(wstate(k), h)
 	}
 	return s.narrow.addHashed(k[0], h)
 }
 
-// Len returns the number of stored states. On a sharded set it locks
-// every stripe — search drivers track their own fresh-add counters for
-// budget checks instead of calling this per insert.
+// Len returns the number of stored states.
 func (s *StateSet) Len() int {
-	switch {
-	case s.wide != nil:
+	if s.wide != nil {
 		return s.wide.len()
-	case s.shNarrow != nil:
-		return s.shNarrow.len()
-	case s.shWide != nil:
-		return s.shWide.len()
 	}
 	return s.narrow.len()
 }
 
-// Reserve grows the set — in a single rehash per stripe — until it can
-// absorb n more states without exceeding the load factor. Search drivers
-// call it with the expected fanout of the coming level so inserts never
-// rehash mid-level, exactly like the internal BFS drivers.
+// Reserve grows the set — in a single rehash — until it can absorb n more
+// states without exceeding the load factor. Search drivers call it with the
+// expected fanout of the coming level so inserts never rehash mid-level,
+// exactly like the internal BFS drivers.
 func (s *StateSet) Reserve(n int) {
-	switch {
-	case s.wide != nil:
+	if s.wide != nil {
 		s.wide.reserve(n)
-	case s.shNarrow != nil:
-		s.shNarrow.reserve(n)
-	case s.shWide != nil:
-		s.shWide.reserve(n)
-	default:
+	} else {
 		s.narrow.reserve(n)
 	}
 }
 
-// Reset empties the set in place, keeping the tables at their grown sizes.
+// Reset empties the set in place, keeping the table at its grown size.
 // A standing worker serving repeated runs clears its visited partition
 // instead of reallocating it — the dominant per-run allocation otherwise.
-// Not safe concurrently with Add; callers reset between runs, when the
-// lanes are quiescent.
 func (s *StateSet) Reset() {
-	switch {
-	case s.wide != nil:
+	if s.wide != nil {
 		s.wide.reset()
-	case s.shNarrow != nil:
-		s.shNarrow.reset()
-	case s.shWide != nil:
-		s.shWide.reset()
-	default:
+	} else {
 		s.narrow.reset()
 	}
-}
-
-// Stats returns the cumulative contention ledger of a sharded set (zero for
-// the single-goroutine sets, which never contend). Distributed drivers
-// sample deltas between levels for lane autotuning and fold the totals into
-// the engine telemetry at session teardown via FlushContention.
-func (s *StateSet) Stats() SetStats {
-	switch {
-	case s.shNarrow != nil:
-		return s.shNarrow.stats()
-	case s.shWide != nil:
-		return s.shWide.stats()
-	}
-	return SetStats{}
 }

@@ -31,31 +31,11 @@ var (
 		"Verification runs that stopped at Config.MaxStates (ErrTooLarge); their explored states and transitions are in the states/transitions totals.")
 	obsActive = obs.NewGauge("tightcps_verify_active_runs",
 		"Verification runs currently executing.")
-	obsSetCASRetries = obs.NewCounter("tightcps_verify_set_cas_retries_total",
-		"Lost CAS claims in the lock-free visited sets (lanes racing for the same slot).")
-	obsSetProbeSteps = obs.NewCounter("tightcps_verify_set_probe_steps_total",
-		"Open-addressing probe steps beyond the home slot in the lock-free visited sets.")
-	obsSetOverflows = obs.NewCounter("tightcps_verify_set_overflow_keys_total",
-		"Keys parked in a stripe's overflow map because a probe window saturated.")
-	obsSteals = obs.NewCounter("tightcps_verify_lane_steals_total",
-		"Frontier chunks claimed from a foreign lane's partition by the work-stealing queues.")
-	obsAutoLanes = obs.NewGauge("tightcps_verify_autotune_lanes",
-		"Active lane count last chosen by the contention-aware autotuner (workers=0 runs).")
-	obsProbeLen = obs.NewHistogram("tightcps_verify_set_probe_len",
-		"Mean probe steps per visited-set add, observed once per run.",
-		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 4, 8})
-	obsLaneOccupancy = obs.NewHistogram("tightcps_verify_lane_occupancy",
-		"Fraction of the lane pool the autotuner kept active, observed per adjustment.",
-		[]float64{0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1})
 )
 
-// ContentionStats is the cumulative contention ledger of the lock-free
-// visited sets and work-stealing queues, as folded into the obs counters at
-// run teardown. Only the lane pools of distributed nodes feed it: a local
-// search, sequential or parallel, shares no set and steals no work, so it
-// leaves every counter where it was. The bench harness snapshots it around a
-// measured run to report per-run deltas in BENCH_verify.json's lane_scaling
-// rows.
+// ContentionStats and Contention are a zero-returning shim: nothing feeds
+// them any more, and they go with the rows verify.cas_retries / verify.steals
+// in the next [benchmark] PR.
 type ContentionStats struct {
 	CASRetries uint64
 	ProbeSteps uint64
@@ -63,37 +43,8 @@ type ContentionStats struct {
 	Steals     uint64
 }
 
-// Contention returns the process-wide cumulative contention counters.
-func Contention() ContentionStats {
-	return ContentionStats{
-		CASRetries: obsSetCASRetries.Value(),
-		ProbeSteps: obsSetProbeSteps.Value(),
-		Overflows:  obsSetOverflows.Value(),
-		Steals:     obsSteals.Value(),
-	}
-}
-
-// FlushContention folds one worker session's visited-set ledger and steal
-// count into the obs counters. The distributed workers own standing visited
-// sets and work queues, so they pass ledger *deltas*, at session teardown —
-// never per state or per level.
-func FlushContention(set SetStats, adds int64, steals int64) {
-	if set.Probes > 0 {
-		obsSetProbeSteps.Add(uint64(set.Probes))
-	}
-	if set.Retries > 0 {
-		obsSetCASRetries.Add(uint64(set.Retries))
-	}
-	if set.Overflows > 0 {
-		obsSetOverflows.Add(uint64(set.Overflows))
-	}
-	if steals > 0 {
-		obsSteals.Add(uint64(steals))
-	}
-	if adds > 0 {
-		obsProbeLen.Observe(float64(set.Probes) / float64(adds))
-	}
-}
+// Contention returns zeros (see ContentionStats).
+func Contention() ContentionStats { return ContentionStats{} }
 
 // linkCounters are the labeled wire-volume handles of one directed mesh
 // link. They are cached in wireCounters below because the registry lookup

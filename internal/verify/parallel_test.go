@@ -2,16 +2,13 @@ package verify
 
 import (
 	"errors"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tightcps/internal/switching"
 )
 
 // TestParallelMatchesSequential: on every combination — schedulable and not,
-// exact and bounded — the sharded parallel BFS must return the sequential
+// exact and bounded — the owner-partitioned parallel BFS must return the sequential
 // verdict, and on schedulable sets (exhaustive search) the exact same
 // state/transition/depth counts.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -89,7 +86,7 @@ func TestParallelFullSlotS1(t *testing.T) {
 	}
 }
 
-// TestParallelMaxStatesAborts: the state cap also aborts the sharded search.
+// TestParallelMaxStatesAborts: the state cap also aborts the parallel search.
 func TestParallelMaxStatesAborts(t *testing.T) {
 	ps := caseProfiles(t, "C1", "C5", "C4", "C3")
 	res, err := Slot(ps, Config{NondetTies: true, MaxStates: 1000, Workers: 4})
@@ -101,61 +98,33 @@ func TestParallelMaxStatesAborts(t *testing.T) {
 	}
 }
 
-// TestShardedU64Set exercises the sharded set serially against a reference
-// map and concurrently for add-once semantics.
-func TestShardedU64Set(t *testing.T) {
-	s := newShardedU64Set(64)
-	rng := rand.New(rand.NewSource(11))
-	ref := map[uint64]bool{}
-	for i := 0; i < 20000; i++ {
-		k := rng.Uint64() | 1
-		if s.add(k) != !ref[k] {
-			t.Fatalf("add(%d) freshness mismatch", k)
+// TestAutoWorkersMatchesSequential: Workers = 0 (GOMAXPROCS lanes) must
+// reproduce the sequential search's verdict and exhaustive counts.
+func TestAutoWorkersMatchesSequential(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		apps []string
+		sym  bool
+	}{
+		{"S2", []string{"C6", "C2"}, false},
+		{"S1prefix", []string{"C1", "C5", "C4"}, false},
+		{"rejected", []string{"C1", "C5", "C4", "C6"}, false},
+	} {
+		ps := caseProfiles(t, tc.apps...)
+		seq, err := Slot(ps, Config{NondetTies: true, SymmetryReduction: tc.sym, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", tc.name, err)
 		}
-		ref[k] = true
-	}
-	for k := range ref {
-		if !s.contains(k) {
-			t.Fatalf("lost key %d", k)
+		auto, err := Slot(ps, Config{NondetTies: true, SymmetryReduction: tc.sym, Workers: 0})
+		if err != nil {
+			t.Fatalf("%s: auto: %v", tc.name, err)
+		}
+		if auto.Schedulable != seq.Schedulable {
+			t.Errorf("%s: auto schedulable=%v, sequential=%v", tc.name, auto.Schedulable, seq.Schedulable)
+		}
+		if seq.Schedulable && (auto.States != seq.States || auto.Transitions != seq.Transitions || auto.Depth != seq.Depth) {
+			t.Errorf("%s: auto counts (%d,%d,%d), sequential (%d,%d,%d)", tc.name,
+				auto.States, auto.Transitions, auto.Depth, seq.States, seq.Transitions, seq.Depth)
 		}
 	}
-	if s.len() != len(ref) {
-		t.Fatalf("len=%d, want %d", s.len(), len(ref))
-	}
-
-	// Concurrently: every key claimed exactly once across goroutines.
-	s = newShardedU64Set(64)
-	keys := make([]uint64, 50000)
-	for i := range keys {
-		keys[i] = rng.Uint64() | 1
-	}
-	var fresh atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, k := range keys {
-				if s.add(k) {
-					fresh.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	want := len(uniq(keys))
-	if int(fresh.Load()) != want {
-		t.Fatalf("fresh adds = %d, want %d", fresh.Load(), want)
-	}
-	if s.len() != want {
-		t.Fatalf("len = %d, want %d", s.len(), want)
-	}
-}
-
-func uniq(ks []uint64) map[uint64]bool {
-	m := map[uint64]bool{}
-	for _, k := range ks {
-		m[k] = true
-	}
-	return m
 }

@@ -102,8 +102,9 @@ type Config struct {
 	// minimum violating packed state of the first violating level, for any
 	// lane count; the sequential search the first it meets. Small levels
 	// run on the calling goroutine either way, so single-app checks do not
-	// regress. In a distributed run Workers sizes every node's lane pool
-	// instead, and 0 lets each node tune its active lanes (LaneTuner).
+	// regress. The distributed backend ignores Workers: a mesh node is one
+	// search goroutine, and a distributed run's parallelism is its node
+	// count.
 	Workers int
 	// SymmetryReduction canonicalises every state by sorting the lanes of
 	// applications with identical profiles (name excluded), exploring the
