@@ -1,21 +1,18 @@
 // Benchmarks regenerating every artefact of the paper's evaluation — one
 // benchmark per artefact (Table 1, Figs. 2–4 and 8–9, the Sec. 5
-// dimensioning and verification-time studies) plus ablations, the
-// concurrent-engine scaling suite (Dimension/Verify at Workers=1 vs
-// GOMAXPROCS, admission-cache hit rates), and the fleet verifications
-// past the paper's 6-application scale. The engine and the
-// state encodings are documented in DESIGN.md. Run:
+// dimensioning and verification-time studies) plus ablations (preemption
+// policy, Tw granularity, the symmetry quotient against the concrete
+// space). Engine throughput, scaling and cache rows live in benchmark/
+// (see its README). Run:
 //
 //	go test -bench=. -benchmem
 package tightcps_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"tightcps/internal/baseline"
-	"tightcps/internal/core"
 	"tightcps/internal/mapping"
 	"tightcps/internal/plants"
 	"tightcps/internal/sched"
@@ -293,103 +290,7 @@ func BenchmarkOptimalPartition(b *testing.B) {
 	}
 }
 
-// --- Concurrent-engine scaling suite -----------------------------------
-//
-// The serial/parallel pairs below quantify the engine's speedup: compare
-// the Workers1 variant against its WorkersMax sibling (identical results,
-// GOMAXPROCS-wide pools). On a single-core host the pair reports parity.
-
-// benchDimension runs the full six-application pipeline — concurrent
-// profiling, parallel-BFS-verified first-fit, memoized admission — at the
-// given worker count.
-func benchDimension(b *testing.B, workers int) {
-	apps := core.CaseStudyApps()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := &core.Dimensioner{Apps: apps, Opts: core.Options{Workers: workers}}
-		alloc, err := d.Dimension()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(alloc.Slots) != 2 {
-			b.Fatalf("slots = %d, want 2", len(alloc.Slots))
-		}
-	}
-}
-
-// BenchmarkDimensionWorkers1 is the sequential end-to-end baseline.
-func BenchmarkDimensionWorkers1(b *testing.B) { benchDimension(b, 1) }
-
-// BenchmarkDimensionWorkersMax is the same run at full width; the ratio to
-// Workers1 is the engine's wall-clock speedup.
-func BenchmarkDimensionWorkersMax(b *testing.B) { benchDimension(b, runtime.GOMAXPROCS(0)) }
-
-// benchVerifyS1 model-checks the paper's hardest slot at a worker count.
-func benchVerifyS1(b *testing.B, workers int) {
-	ps := caseProfiles(b, "C1", "C5", "C4", "C3")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Schedulable {
-			b.Fatal("S1 must verify")
-		}
-	}
-}
-
-// BenchmarkVerifyFullWorkers1 pins the exact S1 verification to the
-// sequential BFS.
-func BenchmarkVerifyFullWorkers1(b *testing.B) { benchVerifyS1(b, 1) }
-
-// BenchmarkVerifyS1 is the canonical hot-path number — the sequential S1
-// verification with allocation reporting. cmd/bench runs the identical
-// workload into BENCH_verify.json; the PR-4 zero-allocation expansion core
-// is gated on this benchmark's B/op and allocs/op staying ≥ 5× below the
-// recorded PR-3 baseline (202 MB, 4.89M allocs per verification).
-func BenchmarkVerifyS1(b *testing.B) {
-	b.ReportAllocs()
-	benchVerifyS1(b, 1)
-}
-
-// BenchmarkVerifyFullWorkersMax runs the owner-partitioned parallel BFS at full
-// width on the same state space.
-func BenchmarkVerifyFullWorkersMax(b *testing.B) { benchVerifyS1(b, runtime.GOMAXPROCS(0)) }
-
-// BenchmarkOptimalPartitionCached shares one admission cache between the
-// first-fit sweep and the 63-subset DP partitioner, then re-runs the
-// partitioner warm: duplicate subsets are never re-verified. The reported
-// hits/op metric counts admission checks served from the cache.
-func BenchmarkOptimalPartitionCached(b *testing.B) {
-	if testing.Short() {
-		b.Skip("verifies 63 subsets per iteration")
-	}
-	ps := caseProfiles(b, "C1", "C2", "C3", "C4", "C5", "C6")
-	hits := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache := mapping.NewCache()
-		if _, err := mapping.FirstFitCached(ps, nil, cache); err != nil {
-			b.Fatal(err)
-		}
-		cold, err := mapping.OptimalCached(ps, nil, cache)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warm, err := mapping.OptimalCached(ps, nil, cache)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if warm.CacheMisses != 0 {
-			b.Fatalf("warm partitioner missed %d subsets", warm.CacheMisses)
-		}
-		hits += cold.CacheHits + warm.CacheHits
-	}
-	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
-}
-
-// --- Fleets past the paper's scale ----------------------------------------
+// --- Symmetry-quotient ablation ---------------------------------------------
 
 // fleetProfiles builds n identical synthetic profiles (distinct names) with
 // constant dwell windows — the fleet workload past the paper's six apps.
@@ -408,43 +309,6 @@ func fleetProfiles(n, twStar, dm, dp, r int) []*switching.Profile {
 		}
 	}
 	return out
-}
-
-// BenchmarkVerifyWideFleet9 model-checks a nine-application fleet — past
-// the paper's scale — under the symmetry quotient (sequentially; the
-// parallel variant is the WorkersMax sibling). The name dates from the fixed
-// 7-bit clocks, under which nine apps needed the multi-word encoding; fitted
-// to r = 9 the state is 9·6+8 = 62 bits and runs on the one-word engine.
-func BenchmarkVerifyWideFleet9(b *testing.B) {
-	ps := fleetProfiles(9, 8, 1, 2, 9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := verify.Slot(ps, verify.Config{
-			NondetTies: true, SymmetryReduction: true, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Schedulable {
-			b.Fatal("9-app fleet must verify")
-		}
-	}
-}
-
-// BenchmarkVerifyWideFleet9WorkersMax is the same quotient search on
-// GOMAXPROCS owner-partitioned lanes.
-func BenchmarkVerifyWideFleet9WorkersMax(b *testing.B) {
-	ps := fleetProfiles(9, 8, 1, 2, 9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := verify.Slot(ps, verify.Config{
-			NondetTies: true, SymmetryReduction: true, Workers: runtime.GOMAXPROCS(0)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Schedulable {
-			b.Fatal("9-app fleet must verify")
-		}
-	}
 }
 
 // BenchmarkSymmetryQuotient measures what the quotient buys on a set small
@@ -468,27 +332,6 @@ func BenchmarkSymmetryFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 1}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFirstFitWarmCache measures dimensioning against a fully warmed
-// admission cache — the repeated-sweep regime where verification cost
-// vanishes entirely.
-func BenchmarkFirstFitWarmCache(b *testing.B) {
-	ps := caseProfiles(b, "C1", "C2", "C3", "C4", "C5", "C6")
-	cache := mapping.NewCache()
-	if _, err := mapping.FirstFitCached(ps, nil, cache); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := mapping.FirstFitCached(ps, nil, cache)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.CacheMisses != 0 {
-			b.Fatalf("warm first-fit missed %d times", res.CacheMisses)
 		}
 	}
 }

@@ -8,7 +8,6 @@
 //	           [-maxstates N] [-nodes K | -connect host:port,host:port]
 //	           [-json] [-tracefile out.json]
 //	           [-cpuprofile out.pprof] [-memprofile out.pprof]
-//	           [-mutexprofile out.pprof] [-blockprofile out.pprof]
 //
 // -json replaces the text report with the per-run trace as JSON (verdict,
 // states, rate, per-level frontier table, wire stats) — one parseable
@@ -24,19 +23,20 @@
 // mesh of direct node↔node links with pipelined asynchronous levels. In
 // distributed runs -maxstates is a per-node budget, so a cluster of K
 // workers admits slots up to K times larger than one node.
-// When a violation is found, the counterexample schedule is reconstructed
-// with a second, local sequential traced run (tracing needs deterministic
-// in-process parent pointers).
+// When a violation is found, the verdict, counts and violator printed are
+// those of that run; only the counterexample schedule comes from a second,
+// local sequential traced run (tracing needs deterministic in-process
+// parent pointers), which may end in a miss of a different application
+// than the minimum-state violator a parallel or distributed run reports —
+// the schedule is then labelled with the application it ends in.
 //
 // The stats line reports rate=N states/s of the verification proper
 // (excluding profiling and counterexample reconstruction), so throughput
-// regressions — local or distributed — show up without the bench harness.
+// regressions — local or distributed — show up on any run.
 //
 // -cpuprofile and -memprofile write pprof profiles of the verification —
 // the expansion core is the product's hot path, so regressions are
-// diagnosed here rather than by instrumenting the library. -mutexprofile
-// and -blockprofile capture where goroutines wait instead of where they
-// burn (lane barriers locally, inbox and link waits on a loopback mesh).
+// diagnosed here rather than by instrumenting the library.
 //
 // -workers N sets the lanes of a local search: 0 (the default) is
 // GOMAXPROCS owner-partitioned lanes, 1 the sequential search; counts and
@@ -72,20 +72,6 @@ func main() {
 	os.Exit(run())
 }
 
-// writeLookupProfile dumps one of the runtime's named profiles (mutex,
-// block) at exit, debug=0 so pprof reads it directly.
-func writeLookupProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "verifyslot: -%sprofile: %v\n", name, err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "verifyslot: -%sprofile: %v\n", name, err)
-	}
-}
-
 func run() int {
 	appsFlag := flag.String("apps", "C1,C5,C4,C3", "comma-separated applications")
 	bounded := flag.Bool("bounded", false, "use the bounded-disturbance acceleration")
@@ -105,8 +91,6 @@ func run() int {
 	traceFile := flag.String("tracefile", "", "write the per-run JSON trace report to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the verification to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the verification to this file")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile of the verification to this file")
-	blockprofile := flag.String("blockprofile", "", "write a blocking profile of the verification to this file")
 	flag.Parse()
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "verifyslot: -workers must be ≥ 0 (0 = GOMAXPROCS lanes, 1 = sequential), got %d\n", *workers)
@@ -131,8 +115,7 @@ func run() int {
 	}
 
 	if *server != "" {
-		if *useTA || *nodes > 0 || *connect != "" || *cpuprofile != "" || *memprofile != "" ||
-			*mutexprofile != "" || *blockprofile != "" {
+		if *useTA || *nodes > 0 || *connect != "" || *cpuprofile != "" || *memprofile != "" {
 			fmt.Fprintln(os.Stderr, "verifyslot: -server submits remotely; -ta/-nodes/-connect and the profiling flags are local-run flags")
 			return 2
 		}
@@ -175,23 +158,6 @@ func run() int {
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintln(os.Stderr, "verifyslot: -memprofile:", err)
 			}
-		}()
-	}
-	// Contention profiles answer the question the CPU profile cannot: where
-	// goroutines wait rather than where they burn. Sampling is enabled only when
-	// asked — both profilers tax the hot path.
-	if *mutexprofile != "" {
-		runtime.SetMutexProfileFraction(5)
-		defer func() {
-			defer runtime.SetMutexProfileFraction(0)
-			writeLookupProfile("mutex", *mutexprofile)
-		}()
-	}
-	if *blockprofile != "" {
-		runtime.SetBlockProfileRate(1000) // one sample per μs blocked
-		defer func() {
-			defer runtime.SetBlockProfileRate(0)
-			writeLookupProfile("block", *blockprofile)
 		}()
 	}
 
@@ -252,11 +218,10 @@ func run() int {
 		return 1
 	}
 	verifySecs := time.Since(tv).Seconds()
-	rate := 0 // of the verification proper; the traced re-run replaces res
+	rate := 0 // of the verification proper, not the traced re-run below
 	if verifySecs > 0 {
 		rate = int(float64(res.States) / verifySecs)
 	}
-	wire := res.Wire // the traced re-run below is local and would clear it
 	if rtr != nil && *traceFile != "" {
 		if err := rtr.WriteFile(*traceFile); err != nil {
 			fmt.Fprintln(os.Stderr, "verifyslot: -tracefile:", err)
@@ -274,17 +239,21 @@ func run() int {
 		os.Stdout.Write(b)
 		return 0
 	}
+	// scheduleEnds is the application the counterexample schedule ends in a
+	// miss of: the sequential traced re-run stops at the first miss it
+	// meets, which need not be the minimum-state violator res names.
+	scheduleEnds := res.Violator
 	if !res.Schedulable {
 		// Re-run locally, sequentially, with tracing for the disturbance
-		// schedule. Under a distributed run this may exceed the single-node
-		// budget; the verdict above stands either way.
+		// schedule only. Under a distributed run this may exceed the
+		// single-node budget; the verdict above stands either way.
 		tcfg := cfg
 		tcfg.Trace = true
 		tcfg.Distributed = nil
 		if traced, err := verify.Slot(profs, tcfg); err != nil {
 			fmt.Fprintf(os.Stderr, "verifyslot: counterexample reconstruction failed: %v\n", err)
 		} else {
-			res = traced
+			res.Counterexample, scheduleEnds = traced.Counterexample, traced.Violator
 		}
 	}
 	// What ran the search: the node count of a distributed run (a node is
@@ -301,13 +270,16 @@ func run() int {
 	fmt.Printf("  states=%d transitions=%d depth=%d bounded=%v rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d %s]\n",
 		res.States, res.Transitions, res.Depth, res.Bounded, rate, time.Since(t0).Seconds(),
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), width)
-	if wire.RawBytes > 0 {
-		fmt.Printf("  %s\n", wire.Report())
+	if res.Wire.RawBytes > 0 {
+		fmt.Printf("  %s\n", res.Wire.Report())
 	}
 	if !res.Schedulable {
 		fmt.Printf("  violator: %s\n", names[res.Violator])
 		if res.Counterexample != nil {
 			fmt.Println("  adversarial disturbance schedule (sample: applications):")
+			if scheduleEnds != res.Violator {
+				fmt.Printf("  (schedule from a sequential traced re-run; ends in a miss of %s)\n", names[scheduleEnds])
+			}
 			for k, apps := range res.Counterexample {
 				if len(apps) == 0 {
 					continue

@@ -47,12 +47,6 @@ func PlacePoles(s *lti.System, poles []complex128) (lti.Feedback, error) {
 	return lti.Feedback{K: k}, nil
 }
 
-// Deadbeat places all closed-loop poles at the origin, driving any initial
-// state to zero in at most n samples.
-func Deadbeat(s *lti.System) (lti.Feedback, error) {
-	return PlacePoles(s, make([]complex128, s.Order()))
-}
-
 // DLQR solves the infinite-horizon discrete LQR problem for cost
 // Σ xᵀQx + uᵀRu by iterating the Riccati difference equation to a fixed
 // point, and returns the optimal gain K (u = −K·x) and the solution P.

@@ -95,25 +95,6 @@ func TestPlacePolesUncontrollable(t *testing.T) {
 	}
 }
 
-func TestDeadbeat(t *testing.T) {
-	s := doubleIntegrator(0.1)
-	k, err := Deadbeat(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := mat.SpectralRadius(lti.ClosedLoop(s, k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r > 1e-7 {
-		t.Fatalf("deadbeat spectral radius %v", r)
-	}
-	tr := lti.SimulateFeedback(s, k, []float64{1, 1}, 5)
-	if math.Abs(tr.Y[2]) > 1e-9 || math.Abs(tr.Y[3]) > 1e-9 {
-		t.Fatalf("state not dead in n steps: %v", tr.Y)
-	}
-}
-
 func TestDLQRStabilizesAndIsOptimalish(t *testing.T) {
 	s := doubleIntegrator(0.1)
 	q := mat.Identity(2)
@@ -196,62 +177,5 @@ func TestDlyapShapeErrors(t *testing.T) {
 	}
 	if _, err := Dlyap(mat.Identity(2), mat.Identity(3)); err == nil {
 		t.Fatal("mismatched Q accepted")
-	}
-}
-
-func TestPlaceObserverErrorDynamics(t *testing.T) {
-	s := doubleIntegrator(0.1)
-	want := []complex128{0.1, 0.2}
-	l, err := PlaceObserver(s, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errDyn := mat.Sub(s.Phi, mat.Mul(l, s.C))
-	eig, err := mat.Eigenvalues(errDyn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(eig, func(i, j int) bool { return real(eig[i]) < real(eig[j]) })
-	for i := range want {
-		if cmplx.Abs(eig[i]-want[i]) > 1e-8 {
-			t.Fatalf("observer poles %v, want %v", eig, want)
-		}
-	}
-}
-
-func TestObserverConvergesAndFeedsController(t *testing.T) {
-	// Output-feedback loop: deadbeat controller on observer estimates; the
-	// estimate and the plant state must converge despite a wrong initial
-	// estimate.
-	s := doubleIntegrator(0.1)
-	l, err := PlaceObserver(s, []complex128{0.05, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := Deadbeat(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := NewObserver(s, l, []float64{0, 0}) // wrong: plant starts at (1, −1)
-	x := []float64{1, -1}
-	for step := 0; step < 60; step++ {
-		u := k.U(obs.Estimate())
-		y := s.Output(x)
-		obs.Update(u, y)
-		x = s.Step(x, u)
-	}
-	if math.Abs(x[0]) > 1e-6 || math.Abs(x[1]) > 1e-6 {
-		t.Fatalf("output feedback did not regulate: x=%v", x)
-	}
-	est := obs.Estimate()
-	if math.Abs(est[0]-x[0]) > 1e-6 || math.Abs(est[1]-x[1]) > 1e-6 {
-		t.Fatalf("estimate did not converge: %v vs %v", est, x)
-	}
-}
-
-func TestPlaceObserverUnobservable(t *testing.T) {
-	s := lti.MustSystem(mat.Diag([]float64{0.5, 0.6}), mat.ColVec([]float64{1, 1}), mat.RowVec([]float64{0, 0}), 0.1)
-	if _, err := PlaceObserver(s, []complex128{0.1, 0.2}); err == nil {
-		t.Fatal("unobservable plant accepted")
 	}
 }

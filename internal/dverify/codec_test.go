@@ -1,8 +1,6 @@
 package dverify
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -17,7 +15,7 @@ import (
 // codecFor builds a frontierCodec over a real expander with the given
 // state width: 1 word (narrow triple) or 4 words (seven apps at r = 65 —
 // 9-bit lanes; at r ≤ 64 a seven-app fleet fits one word).
-func codecFor(t *testing.T, words int) *frontierCodec {
+func codecFor(t testing.TB, words int) *frontierCodec {
 	t.Helper()
 	ps := fleet(3, 5, 2, 4, 20)
 	if words == 4 {
@@ -152,29 +150,9 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 	}
 }
 
-// TestFrontierCodecFlatePath forces the flate format with a highly
-// repetitive batch and checks both the format choice and the round trip.
-func TestFrontierCodecFlatePath(t *testing.T) {
-	c := codecFor(t, 1)
-	states := make([]verify.PackedState, 2048)
-	for i := range states {
-		states[i] = verify.PackedState{uint64(1 + i%17)}
-	}
-	want := sortedCopy(states)
-	enc := c.encode(states, nil)
-	if enc[0] != codecFlate {
-		t.Fatalf("repetitive batch used version %d, want flate", enc[0])
-	}
-	dec, err := c.decode(enc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(dec, want) {
-		t.Fatal("flate round trip mismatch")
-	}
-}
-
-// TestFrontierCodecErrors: corrupted batches fail loudly, never silently.
+// TestFrontierCodecErrors: corrupted batches fail loudly, never silently —
+// among them a batch opening with byte 2, the DEFLATE format a
+// protocol-version-9 peer could still send.
 func TestFrontierCodecErrors(t *testing.T) {
 	c := codecFor(t, 1)
 	if _, err := c.decode([]byte{codecRaw, 1, 2, 3}, nil); err == nil {
@@ -186,31 +164,45 @@ func TestFrontierCodecErrors(t *testing.T) {
 	if _, err := c.decode([]byte{99, 1}, nil); err == nil {
 		t.Fatal("unknown codec version decoded")
 	}
-	if _, err := c.decode([]byte{codecFlate, 0xff, 0xff}, nil); err == nil {
-		t.Fatal("corrupt flate stream decoded")
+	if _, err := c.decode([]byte{2, 0xff, 0xff}, nil); err == nil || !strings.Contains(err.Error(), "unknown frontier codec version 2") {
+		t.Fatalf("byte-2 batch: err = %v, want the unknown-version error", err)
 	}
 }
 
-// TestFrontierCodecAmplificationBound: a crafted decompression bomb — a
-// tiny DEFLATE stream inflating far past maxFlateAmplification — must be
-// rejected, not buffered (verifyd absorbs batches from the network).
-func TestFrontierCodecAmplificationBound(t *testing.T) {
-	var bomb bytes.Buffer
-	bomb.WriteByte(codecFlate)
-	zw, _ := flate.NewWriter(&bomb, flate.BestCompression)
-	zeros := make([]byte, 1<<16)
-	for written := 0; written < 32<<20; written += len(zeros) { // 32 MiB of zeros
-		zw.Write(zeros)
-	}
-	zw.Close()
-	compressed := bomb.Len() - 1
-	if int64(32<<20) <= int64(maxFlateAmplification)*int64(compressed+1024) {
-		t.Skipf("bomb only reached %dx amplification", (32<<20)/compressed)
-	}
-	c := codecFor(t, 1)
-	if _, err := c.decode(bomb.Bytes(), nil); err == nil {
-		t.Fatalf("%d-byte bomb inflating to 32 MiB decoded without error", compressed)
-	}
+// FuzzFrontierDecode feeds decode arbitrary bytes, as a mesh link might:
+// the outcome is a named error, or states that survive encode → decode as
+// the same multiset — never a panic, and never more states than the batch
+// has bytes to pay for (a state costs at least one byte per word in either
+// format, so no length the decoder has not read sizes an allocation). The
+// seed corpus in testdata/fuzz/FuzzFrontierDecode holds an empty batch, raw
+// and delta batches of both widths, a truncated varint, a raw batch off the
+// state stride and a byte-2 batch.
+func FuzzFrontierDecode(f *testing.F) {
+	narrow, wide := codecFor(f, 1), codecFor(f, 4)
+	f.Fuzz(func(t *testing.T, useWide bool, batch []byte) {
+		c := narrow
+		if useWide {
+			c = wide
+		}
+		dec, err := c.decode(batch, nil)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "dverify: ") && !strings.HasPrefix(err.Error(), "verify: ") {
+				t.Fatalf("unnamed error: %v", err)
+			}
+			return
+		}
+		if len(dec)*c.words > len(batch) {
+			t.Fatalf("%d states of %d words out of a %d-byte batch", len(dec), c.words, len(batch))
+		}
+		want := sortedCopy(dec)
+		again, err := c.decode(c.encode(dec, nil), nil)
+		if err != nil {
+			t.Fatalf("re-encoded batch refused: %v", err)
+		}
+		if !slices.Equal(again, want) {
+			t.Fatalf("re-encoded batch decodes to %d states, want the same %d", len(again), len(want))
+		}
+	})
 }
 
 // TestSendFilterExactness: a sendFilter hit must imply the exact state was
@@ -250,11 +242,12 @@ func TestSendFilterExactness(t *testing.T) {
 // are a PR-3 binary (no Proto field: presents as 0 either way), a
 // version-6 one, which packs states with fixed 7-bit clocks and would decode
 // a fitted-layout frontier into different states without any error, a
-// version-7 one, whose request kinds are numbered differently, and a
-// version-8 one, whose Job still asks for a per-node lane pool.
+// version-7 one, whose request kinds are numbered differently, a version-8
+// one, whose Job still asks for a per-node lane pool, and a version-9 one,
+// which may send DEFLATE batches.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8} {
+	for _, stale := range []int{0, 6, 7, 8, 9} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
@@ -270,40 +263,6 @@ func TestProtocolVersionHandshake(t *testing.T) {
 		}
 		if got := kinds(); !slices.Equal(got, []Kind{KindInit}) {
 			t.Fatalf("coordinator sent %v to a %s worker, want Init only", got, named)
-		}
-	}
-}
-
-// TestFlateWriterReuse guards the codec's reused flate coder pair against
-// state leaking between batches.
-func TestFlateWriterReuse(t *testing.T) {
-	c := codecFor(t, 1)
-	for round := 0; round < 3; round++ {
-		states := make([]verify.PackedState, 1024)
-		for i := range states {
-			states[i] = verify.PackedState{uint64(1 + (i+round)%13)}
-		}
-		want := sortedCopy(states)
-		dec, err := c.decode(c.encode(states, nil), nil)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if !slices.Equal(dec, want) {
-			t.Fatalf("round %d: mismatch", round)
-		}
-	}
-	// Sanity: the reused writer produces streams a fresh flate reader
-	// accepts (no dictionary carry-over).
-	states := make([]verify.PackedState, 1024)
-	for i := range states {
-		states[i] = verify.PackedState{uint64(1 + i%13)}
-	}
-	enc := c.encode(states, nil)
-	if enc[0] == codecFlate {
-		fr := flate.NewReader(bytes.NewReader(enc[1:]))
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(fr); err != nil {
-			t.Fatalf("fresh flate reader rejects reused writer's stream: %v", err)
 		}
 	}
 }

@@ -19,9 +19,9 @@
 // TCP links are bandwidth-engineered: every node suppresses states it
 // provably already routed to a destination (a fixed-size per-destination
 // recent-state filter — misses are safe, owners dedup on absorb) and
-// encodes each batch with a versioned codec (sorted varint-delta, DEFLATE
-// when it helps, fixed-width fallback; see proto.go). Loopback mesh links
-// hand decoded batches over in memory and skip both. Wire-volume counters
+// encodes each batch with a versioned codec (sorted varint-delta with a
+// fixed-width fallback; see proto.go). Loopback mesh links hand decoded
+// batches over in memory and skip both. Wire-volume counters
 // — including per-link breakdowns — flow back into verify.Result.Wire.
 //
 // Both packed encodings flow through the same worker, so narrow and wide
@@ -174,22 +174,18 @@ func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify
 	}
 }
 
-// Cluster materializes the -nodes/-connect CLI convention the verifying
-// commands share: nodes > 0 starts that many in-process loopback workers,
-// a non-empty connect dials the comma-separated verifyd addresses. Exactly
-// one may be set; with neither, Cluster returns a nil slice (local
-// verification). desc is a banner line describing the cluster. The caller
-// owns the transports (defer Close).
-func Cluster(nodes int, connect string) (ts []Transport, desc string, err error) {
-	return ClusterRetry(nodes, connect, 1, 0, nil)
-}
-
-// ClusterRetry is Cluster with a bounded startup retry on the -connect
-// dial: each worker address is attempted up to attempts times with
-// exponential backoff starting at backoff (see DialRetry), so a fleet can
-// come up in any order. logf, when non-nil, receives one line per failed
-// attempt. attempts ≤ 1 dials once; loopback clusters never retry (there
-// is nothing to wait for).
+// ClusterRetry materializes the -nodes/-connect CLI convention the
+// verifying commands share: nodes > 0 starts that many in-process loopback
+// workers, a non-empty connect dials the comma-separated verifyd addresses.
+// Exactly one may be set; with neither, ClusterRetry returns a nil slice
+// (local verification). desc is a banner line describing the cluster. The
+// caller owns the transports (defer Close).
+//
+// Each -connect address is attempted up to attempts times with exponential
+// backoff starting at backoff (see DialRetry), so a fleet can come up in
+// any order. logf, when non-nil, receives one line per failed attempt.
+// attempts ≤ 1 dials once; loopback clusters never retry (there is nothing
+// to wait for).
 func ClusterRetry(nodes int, connect string, attempts int, backoff time.Duration, logf func(format string, args ...any)) (ts []Transport, desc string, err error) {
 	switch {
 	case nodes < 0:

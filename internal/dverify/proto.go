@@ -2,10 +2,8 @@ package dverify
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 
 	"tightcps/internal/sched"
@@ -26,9 +24,11 @@ import (
 // verifyd daemon), corrupting the search with no error. KindInit therefore
 // carries the coordinator's version in Job.Proto and the node echoes its
 // own in Response.Proto, so either side rejects a mismatch loudly before
-// any frontier is exchanged. Version 9 removes Job.Workers (a mesh node is
-// one search goroutine): gob would drop a version-8 coordinator's pool size
-// silently. Version 8 removes the coordinator relay: its
+// any frontier is exchanged. Version 10 removes the DEFLATE batch codec
+// (codec byte 2), which a version-9 peer may still send. Version 9 removes
+// Job.Workers (a mesh node is one search goroutine): gob would drop a
+// version-8 coordinator's pool size silently. Version 8 removes the
+// coordinator relay: its
 // Step and Absorb request kinds, the Request/Response batch lists,
 // Response.Next, Response.Era and Job.Mesh are gone, which renumbers
 // KindPoll and KindPeerHello — a version-7 peer would misread every
@@ -46,7 +46,7 @@ import (
 // pipelined levels, poll/epoch control plane); version 2 is the PR-4
 // relay protocol (per-source absorb batch lists, codec-framed); PR-3
 // binaries predate the field and present as version 0.
-const protoVersion = 9
+const protoVersion = 10
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -290,8 +290,6 @@ type Response struct {
 //     each word's difference to the previous state's same word, zigzag
 //     varint coded. Sorting makes word 0 non-decreasing and packs the
 //     field-structured states into short deltas.
-//   - codecFlate: the codecDelta payload, DEFLATE-compressed. Chosen only
-//     when it is the smallest of the three.
 //
 // Sorting a batch is sound: absorb order within a level affects neither the
 // visited partition nor the verdict (a batch carries one level's tag, and
@@ -299,37 +297,19 @@ type Response struct {
 const (
 	codecRaw   byte = 0
 	codecDelta byte = 1
-	codecFlate byte = 2
 )
-
-// flateMinSize is the smallest delta payload worth running DEFLATE over;
-// below it the dictionary warm-up costs more bytes than it saves.
-const flateMinSize = 256
-
-// maxFlateAmplification bounds how far a compressed batch may inflate
-// relative to its wire size. verifyd accepts TCP connections, so absorb
-// must not inflate untrusted bytes unboundedly (a decompression bomb would
-// OOM the worker and take the cluster run with it). Legitimate batches —
-// sorted low-entropy varint deltas — measure well under 100× even on
-// degenerate all-duplicate levels; past the bound the node aborts loudly
-// (a conservative failure, never a wrong verdict).
-const maxFlateAmplification = 256
 
 // frontierCodec encodes and decodes frontier batches for one node. The
 // codecRaw format is exactly the expander's AppendState/DecodeStates
-// layout — one implementation, shared, so the two can never drift. Scratch
-// buffers (and the flate coder pair) are reused across levels, so
-// per-batch work allocates only when a batch outgrows every previous one.
-// Not safe for concurrent use — each node owns one.
+// layout — one implementation, shared, so the two can never drift. The
+// scratch buffer is reused across levels, so per-batch work allocates only
+// when a batch outgrows every previous one. Not safe for concurrent use —
+// each node owns one.
 type frontierCodec struct {
 	exp   *verify.Expander
 	words int // significant words per state (exp.StateWords)
 
-	buf  bytes.Buffer // varint payload scratch (encode)
-	zbuf bytes.Buffer // flate output scratch (encode)
-	zw   *flate.Writer
-	zr   io.ReadCloser // reused via flate.Resetter (decode)
-	br   bytes.Reader
+	buf bytes.Buffer // varint payload scratch (encode)
 }
 
 func newFrontierCodec(exp *verify.Expander) *frontierCodec {
@@ -371,20 +351,6 @@ func (c *frontierCodec) encode(states []verify.PackedState, dst []byte) []byte {
 		}
 		return dst
 	}
-	if len(payload) >= flateMinSize {
-		c.zbuf.Reset()
-		if c.zw == nil {
-			c.zw, _ = flate.NewWriter(&c.zbuf, flate.BestSpeed)
-		} else {
-			c.zw.Reset(&c.zbuf)
-		}
-		c.zw.Write(payload)
-		c.zw.Close()
-		if c.zbuf.Len() < len(payload) {
-			dst = append(dst, codecFlate)
-			return append(dst, c.zbuf.Bytes()...)
-		}
-	}
 	dst = append(dst, codecDelta)
 	return append(dst, payload...)
 }
@@ -399,23 +365,6 @@ func (c *frontierCodec) decode(batch []byte, out []verify.PackedState) ([]verify
 	switch version {
 	case codecRaw:
 		return c.exp.DecodeStates(payload, out)
-	case codecFlate:
-		c.br.Reset(payload)
-		if c.zr == nil {
-			c.zr = flate.NewReader(&c.br)
-		} else if err := c.zr.(flate.Resetter).Reset(&c.br, nil); err != nil {
-			return out, fmt.Errorf("dverify: resetting flate reader: %w", err)
-		}
-		c.buf.Reset()
-		limit := int64(maxFlateAmplification) * int64(len(payload)+1024)
-		n, err := c.buf.ReadFrom(io.LimitReader(c.zr, limit+1))
-		if err != nil {
-			return out, fmt.Errorf("dverify: inflating frontier batch: %w", err)
-		}
-		if n > limit {
-			return out, fmt.Errorf("dverify: frontier batch of %d compressed bytes inflates past the %d× amplification bound", len(payload), maxFlateAmplification)
-		}
-		return c.decodeDelta(c.buf.Bytes(), out)
 	case codecDelta:
 		return c.decodeDelta(payload, out)
 	default:

@@ -163,8 +163,8 @@ func (h *meshHost) await(session uint64, id int, timeout time.Duration) *hostNod
 }
 
 // tcpMeshLink is one directed worker↔worker link: batches are encoded
-// with the versioned frontier codec (sorted varint-delta, flate when it
-// pays) and shipped as gob Frames.
+// with the versioned frontier codec (sorted varint-delta, raw when that is
+// smaller) and shipped as gob Frames.
 type tcpMeshLink struct {
 	to    int
 	conn  net.Conn

@@ -73,11 +73,6 @@ func (s *System) Step(x []float64, u float64) []float64 {
 	return next
 }
 
-// IsStable reports whether the open-loop plant is Schur stable.
-func (s *System) IsStable() (bool, error) {
-	return mat.IsSchurStable(s.Phi)
-}
-
 // ControllabilityMatrix returns [Γ ΦΓ Φ²Γ … Φⁿ⁻¹Γ].
 func (s *System) ControllabilityMatrix() *mat.Matrix {
 	n := s.Order()
@@ -90,28 +85,10 @@ func (s *System) ControllabilityMatrix() *mat.Matrix {
 	return mat.HStack(cols...)
 }
 
-// ObservabilityMatrix returns [C; CΦ; …; CΦⁿ⁻¹].
-func (s *System) ObservabilityMatrix() *mat.Matrix {
-	n := s.Order()
-	rows := make([]*mat.Matrix, n)
-	row := s.C.Clone()
-	for i := 0; i < n; i++ {
-		rows[i] = row
-		row = mat.Mul(row, s.Phi)
-	}
-	return mat.VStack(rows...)
-}
-
 // IsControllable reports whether the controllability matrix has full
 // numerical rank (column-pivoted QR).
 func (s *System) IsControllable() bool {
 	return mat.Rank(s.ControllabilityMatrix()) == s.Order()
-}
-
-// IsObservable reports whether the observability matrix has full numerical
-// rank.
-func (s *System) IsObservable() bool {
-	return mat.Rank(s.ObservabilityMatrix()) == s.Order()
 }
 
 // Augmented returns the one-sample-delay augmented system of Eq. (4)–(5):

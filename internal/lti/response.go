@@ -1,36 +1,18 @@
 package lti
 
 import (
-	"fmt"
 	"math"
 
 	"tightcps/internal/mat"
 )
 
-// Trajectory is the result of a closed- or open-loop simulation.
+// Trajectory is the result of a closed-loop simulation.
 type Trajectory struct {
-	H  float64     // sampling period (seconds)
-	Y  []float64   // output sequence y[0..K]
-	U  []float64   // applied input sequence u[0..K]
-	X  [][]float64 // state sequence (optional, nil unless requested)
-	K  int         // number of simulated steps
-	X0 []float64   // initial state
-}
-
-// Times returns the time stamps t[k] = k·H for the trajectory samples.
-func (tr *Trajectory) Times() []float64 {
-	out := make([]float64, len(tr.Y))
-	for i := range out {
-		out[i] = float64(i) * tr.H
-	}
-	return out
-}
-
-// SettlingSamples returns the settling time in samples: the smallest k such
-// that |y[j]| ≤ tol for all j ≥ k. It returns (len(Y), false) when the
-// trajectory never settles within its horizon.
-func (tr *Trajectory) SettlingSamples(tol float64) (int, bool) {
-	return SettlingIndex(tr.Y, tol)
+	H  float64   // sampling period (seconds)
+	Y  []float64 // output sequence y[0..K]
+	U  []float64 // applied input sequence u[0..K]
+	K  int       // number of simulated steps
+	X0 []float64 // initial state
 }
 
 // SettlingIndex returns the smallest index k such that |y[j]| ≤ tol for all
@@ -51,21 +33,6 @@ func SettlingIndex(y []float64, tol float64) (int, bool) {
 		return k, false
 	}
 	return k, true
-}
-
-// InitialResponse simulates the autonomous closed-loop system
-// x[k+1] = Acl·x[k], y = C·x from x0 for steps samples and returns the
-// output sequence (length steps+1, including y[0]).
-func InitialResponse(acl, c *mat.Matrix, x0 []float64, steps int, h float64) *Trajectory {
-	y := make([]float64, steps+1)
-	x := append([]float64(nil), x0...)
-	for k := 0; k <= steps; k++ {
-		y[k] = c.MulVec(x)[0]
-		if k < steps {
-			x = acl.MulVec(x)
-		}
-	}
-	return &Trajectory{H: h, Y: y, K: steps, X0: append([]float64(nil), x0...)}
 }
 
 // Feedback is a state-feedback law u = −K·x (or −K·z for augmented states).
@@ -135,31 +102,4 @@ func SimulateDelayedFeedback(s *System, f Feedback, x0 []float64, uPrev0 float64
 		}
 	}
 	return &Trajectory{H: s.H, Y: y, U: u, K: steps, X0: append([]float64(nil), x0...)}
-}
-
-// StepResponse simulates the open-loop response to a unit input step from
-// the zero state for steps samples.
-func StepResponse(s *System, steps int) *Trajectory {
-	x := make([]float64, s.Order())
-	y := make([]float64, steps+1)
-	u := make([]float64, steps+1)
-	for k := 0; k <= steps; k++ {
-		y[k] = s.Output(x)
-		u[k] = 1
-		if k < steps {
-			x = s.Step(x, 1)
-		}
-	}
-	return &Trajectory{H: s.H, Y: y, U: u, K: steps, X0: make([]float64, s.Order())}
-}
-
-// DCGain returns the steady-state gain C·(I−Φ)⁻¹·Γ of a stable plant.
-func DCGain(s *System) (float64, error) {
-	n := s.Order()
-	m := mat.Sub(mat.Identity(n), s.Phi)
-	x, err := mat.SolveVec(m, s.Gamma.Col(0))
-	if err != nil {
-		return 0, fmt.Errorf("lti: DC gain undefined (pole at z=1): %w", err)
-	}
-	return s.C.MulVec(x)[0], nil
 }

@@ -73,8 +73,8 @@ func TestEigenvaluesSymmetricKnown(t *testing.T) {
 }
 
 func TestEigenvaluesCompanionRoots(t *testing.T) {
-	// z³ − 6z² + 11z − 6 = (z−1)(z−2)(z−3).
-	roots, err := PolyRoots([]float64{-6, 11, -6})
+	// Companion matrix of z³ − 6z² + 11z − 6 = (z−1)(z−2)(z−3).
+	roots, err := Eigenvalues(FromRows([][]float64{{0, 0, 6}, {1, 0, -11}, {0, 1, 6}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,19 +223,6 @@ func TestPolyEvalMatrixCayleyHamilton(t *testing.T) {
 			t.Fatalf("Cayley–Hamilton violated, residual %v", p.MaxAbs())
 		}
 	}
-}
-
-func TestPolyRootsQuadratic(t *testing.T) {
-	roots, err := PolyRoots([]float64{2, -3}) // z²−3z+2 = (z−1)(z−2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	complexSetsEqual(t, roots, []complex128{1, 2}, 1e-12)
-	roots, err = PolyRoots([]float64{1, 0}) // z²+1
-	if err != nil {
-		t.Fatal(err)
-	}
-	complexSetsEqual(t, roots, []complex128{complex(0, 1), complex(0, -1)}, 1e-12)
 }
 
 func TestExpmKnown(t *testing.T) {

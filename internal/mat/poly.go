@@ -43,44 +43,6 @@ func PolyEvalMatrix(c []float64, a *Matrix) *Matrix {
 	return p
 }
 
-// Companion returns the companion matrix of the monic polynomial with
-// low-order coefficients c (degree = len(c)). Its eigenvalues are the
-// polynomial's roots.
-func Companion(c []float64) *Matrix {
-	n := len(c)
-	m := New(n, n)
-	for i := 1; i < n; i++ {
-		m.data[i*n+i-1] = 1
-	}
-	for i := 0; i < n; i++ {
-		m.data[i*n+n-1] = -c[i]
-	}
-	return m
-}
-
-// PolyRoots returns the roots of the monic polynomial with low-order
-// coefficients c, via the companion-matrix eigenvalues.
-func PolyRoots(c []float64) ([]complex128, error) {
-	if len(c) == 0 {
-		return nil, nil
-	}
-	if len(c) == 1 {
-		return []complex128{complex(-c[0], 0)}, nil
-	}
-	if len(c) == 2 {
-		// Quadratic z² + c1 z + c0: solve directly for accuracy.
-		b, c0 := c[1], c[0]
-		disc := b*b - 4*c0
-		if disc >= 0 {
-			s := math.Sqrt(disc)
-			return []complex128{complex((-b - s) / 2, 0), complex((-b + s) / 2, 0)}, nil
-		}
-		s := math.Sqrt(-disc)
-		return []complex128{complex(-b/2, -s/2), complex(-b/2, s/2)}, nil
-	}
-	return Eigenvalues(Companion(c))
-}
-
 // Expm returns the matrix exponential of a via 6th-order Padé approximation
 // with scaling and squaring.
 func Expm(a *Matrix) (*Matrix, error) {

@@ -5,15 +5,13 @@
 //
 // The registry serves the hot paths of internal/verify and
 // internal/dverify, so its update operations — Counter.Add,
-// Gauge.Set/Add, Histogram.Observe, StripedCounter.AddLane — are
-// lock-free atomics and allocation-free: the S1 sequential search holds
-// an ~80 allocs/op gate with telemetry enabled, which no map lookup or
-// label rendering on the update path would survive. All allocation
+// Gauge.Set/Add, Histogram.Observe — are lock-free atomics and
+// allocation-free: the S1 sequential search holds an ~80 allocs/op gate
+// with telemetry enabled, which no map lookup or label rendering on the
+// update path would survive. All allocation
 // happens at registration: a metric handle is created (or found) once,
 // with its label set pre-rendered into the series line, and updates touch
-// only the handle's atomics. StripedCounter spreads one logical counter
-// over cache-line-padded stripes for lane pools that would otherwise
-// contend on a single word.
+// only the handle's atomics.
 //
 // Exposition is the Prometheus text format (HELP/TYPE lines, escaped
 // label values, cumulative histogram buckets) via Registry.WritePrometheus
@@ -66,7 +64,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels string // pre-rendered `key="val",...` (no braces), "" when unlabeled
 	ctr    *Counter
-	sctr   *StripedCounter
 	gauge  *Gauge
 	gfn    atomic.Pointer[func() float64]
 	hist   *Histogram
@@ -200,40 +197,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// stripeCount is the stripe fan-out of a StripedCounter: enough to spread
-// a per-node lane pool, small enough that summing stays trivial.
-const stripeCount = 16
-
-// paddedU64 occupies a full cache line so adjacent stripes never
-// false-share.
-type paddedU64 struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// StripedCounter is a Counter whose updates spread over cache-line-padded
-// stripes, for hot paths where several goroutines (mesh lanes, BFS
-// workers) bump one logical counter concurrently.
-type StripedCounter struct{ s [stripeCount]paddedU64 }
-
-// AddLane adds n on the stripe selected by lane (any int; reduced mod the
-// stripe count). Lock-free and allocation-free.
-func (c *StripedCounter) AddLane(lane int, n uint64) {
-	c.s[uint(lane)%stripeCount].v.Add(n)
-}
-
-// Add adds n on stripe 0 — for callers without a lane identity.
-func (c *StripedCounter) Add(n uint64) { c.s[0].v.Add(n) }
-
-// Value sums the stripes.
-func (c *StripedCounter) Value() uint64 {
-	var t uint64
-	for i := range c.s {
-		t += c.s[i].v.Load()
-	}
-	return t
-}
-
 // Gauge is a settable instantaneous value.
 type Gauge struct{ v atomic.Int64 }
 
@@ -323,22 +286,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	s := r.lookup(name, help, kindCounter, labels, func(_ *family, s *series) {
 		s.ctr = &Counter{}
 	})
-	if s.ctr == nil {
-		panic(fmt.Sprintf("obs: counter %q already registered striped", name))
-	}
 	return s.ctr
-}
-
-// Striped registers (or finds) a striped counter series; it exposes like a
-// plain counter.
-func (r *Registry) Striped(name, help string, labels ...string) *StripedCounter {
-	s := r.lookup(name, help, kindCounter, labels, func(_ *family, s *series) {
-		s.sctr = &StripedCounter{}
-	})
-	if s.sctr == nil {
-		panic(fmt.Sprintf("obs: counter %q already registered unstriped", name))
-	}
-	return s.sctr
 }
 
 // Gauge registers (or finds) a gauge series.
@@ -379,11 +327,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // NewCounter registers a counter on Default.
 func NewCounter(name, help string, labels ...string) *Counter {
 	return Default.Counter(name, help, labels...)
-}
-
-// NewStriped registers a striped counter on Default.
-func NewStriped(name, help string, labels ...string) *StripedCounter {
-	return Default.Striped(name, help, labels...)
 }
 
 // NewGauge registers a gauge on Default.
@@ -450,9 +393,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	case s.ctr != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, brace(""), s.ctr.Value())
 		return err
-	case s.sctr != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, brace(""), s.sctr.Value())
-		return err
 	case s.gfn.Load() != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, brace(""), formatFloat((*s.gfn.Load())()))
 		return err
@@ -503,8 +443,6 @@ func (r *Registry) Snapshot() map[string]any {
 			switch {
 			case s.ctr != nil:
 				out[key] = s.ctr.Value()
-			case s.sctr != nil:
-				out[key] = s.sctr.Value()
 			case s.gfn.Load() != nil:
 				out[key] = (*s.gfn.Load())()
 			case s.gauge != nil:

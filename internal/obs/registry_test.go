@@ -107,33 +107,28 @@ func TestRegistrationIdempotent(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates hammers one counter, one striped counter and one
-// histogram from many goroutines (run under -race in CI) and checks the
-// totals are exact — the hot-path updates must be atomic, not just fast.
+// TestConcurrentUpdates hammers one counter and one histogram from many
+// goroutines (run under -race in CI) and checks the totals are exact — the
+// hot-path updates must be atomic, not just fast.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("t_total", "c")
-	sc := r.Striped("t_striped_total", "s")
 	h := r.Histogram("t_seconds", "h", DefBuckets)
 	const workers, perWorker = 8, 10000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(lane int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				sc.AddLane(lane, 2)
 				h.Observe(0.001)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := sc.Value(); got != 2*workers*perWorker {
-		t.Errorf("striped = %d, want %d", got, 2*workers*perWorker)
 	}
 	if got := h.Count(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
@@ -152,13 +147,11 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 	r := NewRegistry()
 	c := r.Counter("t_total", "c")
-	sc := r.Striped("t_striped_total", "s")
 	g := r.Gauge("t_depth", "g")
 	h := r.Histogram("t_seconds", "h", DefBuckets)
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
-		sc.AddLane(5, 7)
 		g.Add(1)
 		g.Set(-4)
 		h.Observe(0.25)

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"os"
 	"sync"
@@ -276,20 +275,6 @@ func (t *Trace) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// ReadTraceFile loads a trace report written by WriteFile — cmd/bench
-// consumes these to fold a run's per-level profile into its report.
-func ReadTraceFile(path string) (*Trace, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{}
-	if err := json.Unmarshal(b, t); err != nil {
-		return nil, fmt.Errorf("obs: parsing trace %s: %w", path, err)
-	}
-	return t, nil
 }
 
 // Emit logs the trace summary as one structured record.

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -45,8 +47,8 @@ func TestTraceNilSafe(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip: WriteFile → ReadTraceFile preserves the spans, and
-// the run ID survives (the file is the cross-process join key).
+// TestTraceRoundTrip: a file written by WriteFile parses back with the
+// spans, and the run ID survives (the file is the cross-process join key).
 func TestTraceRoundTrip(t *testing.T) {
 	tr := NewTrace("deadbeef00000000")
 	tr.SetSlot([]string{"C1", "C5"}, "")
@@ -63,8 +65,12 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraceFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := &Trace{}
+	if err := json.Unmarshal(b, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.RunID != "deadbeef00000000" {

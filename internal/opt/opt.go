@@ -1,8 +1,7 @@
-// Package opt provides small derivative-free optimisation routines used by
-// the controller-design layer: Nelder–Mead simplex search, golden-section
-// line search, and exhaustive grid search. They are sized for the low-
-// dimensional (≤ ~15 parameters) problems arising in common-Lyapunov-
-// function search and design sweeps.
+// Package opt provides the derivative-free optimisation routine used by
+// the controller-design layer: Nelder–Mead simplex search, sized for the
+// low-dimensional (≤ ~15 parameters) problems arising in
+// common-Lyapunov-function search.
 package opt
 
 import (
@@ -130,81 +129,4 @@ func NelderMead(f func([]float64) float64, x0 []float64, o NelderMeadOptions) (R
 	}
 	order()
 	return Result{X: pts[0], F: fs[0], Iters: it}, nil
-}
-
-// GoldenSection minimises a unimodal f on [a, b] to within tol.
-func GoldenSection(f func(float64) float64, a, b, tol float64) (float64, float64, error) {
-	if b <= a || tol <= 0 {
-		return 0, 0, ErrBadArgs
-	}
-	phi := (math.Sqrt(5) - 1) / 2
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	x := (a + b) / 2
-	return x, f(x), nil
-}
-
-// GridSearch minimises f over the Cartesian product of the given axes and
-// returns the best point. Axes must be non-empty.
-func GridSearch(f func([]float64) float64, axes [][]float64) (Result, error) {
-	if len(axes) == 0 {
-		return Result{}, ErrBadArgs
-	}
-	for _, ax := range axes {
-		if len(ax) == 0 {
-			return Result{}, ErrBadArgs
-		}
-	}
-	idx := make([]int, len(axes))
-	x := make([]float64, len(axes))
-	best := Result{F: math.Inf(1)}
-	count := 0
-	for {
-		for i, ax := range axes {
-			x[i] = ax[idx[i]]
-		}
-		if v := f(x); v < best.F {
-			best.F = v
-			best.X = append([]float64(nil), x...)
-		}
-		count++
-		// Advance the multi-index.
-		i := 0
-		for ; i < len(axes); i++ {
-			idx[i]++
-			if idx[i] < len(axes[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i == len(axes) {
-			break
-		}
-	}
-	best.Iters = count
-	return best, nil
-}
-
-// Linspace returns n evenly spaced values over [a, b] inclusive.
-func Linspace(a, b float64, n int) []float64 {
-	if n <= 1 {
-		return []float64{a}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = a + (b-a)*float64(i)/float64(n-1)
-	}
-	return out
 }

@@ -42,52 +42,3 @@ func TestNelderMeadEmptyInput(t *testing.T) {
 		t.Fatal("empty x0 accepted")
 	}
 }
-
-func TestGoldenSection(t *testing.T) {
-	x, fx, err := GoldenSection(func(x float64) float64 { return (x - 2.5) * (x - 2.5) }, 0, 10, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-2.5) > 1e-6 || fx > 1e-10 {
-		t.Fatalf("golden section: x=%v f=%v", x, fx)
-	}
-	if _, _, err := GoldenSection(math.Sin, 2, 1, 1e-8); err == nil {
-		t.Fatal("inverted interval accepted")
-	}
-	if _, _, err := GoldenSection(math.Sin, 0, 1, 0); err == nil {
-		t.Fatal("zero tolerance accepted")
-	}
-}
-
-func TestGridSearch(t *testing.T) {
-	f := func(x []float64) float64 { return math.Abs(x[0]-3) + math.Abs(x[1]+1) }
-	res, err := GridSearch(f, [][]float64{Linspace(0, 5, 6), Linspace(-2, 2, 5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.X[0] != 3 || res.X[1] != -1 {
-		t.Fatalf("grid minimum at %v, want (3,−1)", res.X)
-	}
-	if res.Iters != 30 {
-		t.Fatalf("evaluated %d points, want 30", res.Iters)
-	}
-	if _, err := GridSearch(f, nil); err == nil {
-		t.Fatal("empty axes accepted")
-	}
-	if _, err := GridSearch(f, [][]float64{{1}, {}}); err == nil {
-		t.Fatal("empty axis accepted")
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	v := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(v[i]-want[i]) > 1e-15 {
-			t.Fatalf("Linspace = %v", v)
-		}
-	}
-	if got := Linspace(3, 9, 1); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Linspace n=1 = %v", got)
-	}
-}

@@ -12,7 +12,7 @@ import (
 // verification must stay at O(1) amortized allocations per visited state
 // (set growth and frontier doubling are the only remaining sources).
 // Regressions here are what -cpuprofile/-memprofile on cmd/verifyslot and
-// the cmd/bench trajectory exist to diagnose.
+// the verify.s1_allocs_per_op row of benchmark/ exist to diagnose.
 
 // collectLevels runs the first depth BFS levels through the expansion core
 // and returns all frontier states encountered, warming sc and the buffers.
