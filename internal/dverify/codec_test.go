@@ -1,9 +1,11 @@
 package dverify
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -256,7 +258,7 @@ func TestProtocolVersionHandshake(t *testing.T) {
 
 		// A stale worker answers Init with its own version; the coordinator
 		// must stop there.
-		worker, kinds := cannedWorker(t, Response{Proto: stale})
+		worker, kinds := cannedWorker(t, Response{Proto: stale}, 0)
 		_, err := Verify(ps, verify.Config{NondetTies: true}, []Transport{worker})
 		if err == nil || !strings.Contains(err.Error(), named) {
 			t.Fatalf("coordinator accepted a %s worker (err=%v)", named, err)
@@ -265,4 +267,122 @@ func TestProtocolVersionHandshake(t *testing.T) {
 			t.Fatalf("coordinator sent %v to a %s worker, want Init only", got, named)
 		}
 	}
+}
+
+// segmentBytes hand-builds a checkpoint segment file: the header claims
+// count states and trans transitions, the body is as given.
+func segmentBytes(count uint64, trans int64, body []byte) []byte {
+	b := append([]byte(nil), segMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, count)
+	b = binary.LittleEndian.AppendUint64(b, uint64(trans))
+	return append(b, body...)
+}
+
+// TestSegmentCorruptHeader: a checkpoint segment whose header disagrees with
+// its body — by a count chosen so count × stride wraps to the body's length,
+// by one state either way, by a partial trailing state — or whose header is
+// cut short or not a segment's is refused with an error naming the file. The
+// reader never panics, nor allocates by the claimed count; a worker ordered to
+// restore from such a file reports it as its "restoring checkpoint cut" error.
+func TestSegmentCorruptHeader(t *testing.T) {
+	dir := t.TempDir()
+	for _, words := range []int{1, 4} {
+		exp := codecFor(t, words).exp
+		stride := 8 * words
+		two := make([]byte, 2*stride)
+		two[0], two[stride] = 1, 2
+		wrap := uint64(1<<63) / uint64(stride) * 2 // 2⁶¹ or 2⁵⁹: × stride = 2⁶⁴ ≡ 0
+		for _, tc := range []struct {
+			name string
+			file []byte
+			want string // "" = a valid segment
+		}{
+			{"valid", segmentBytes(2, 7, two), ""},
+			{"valid empty", segmentBytes(0, 7, nil), ""},
+			{"count wraps to an empty body", segmentBytes(wrap, 0, nil), "header claims"},
+			{"count wraps to the body", segmentBytes(wrap+2, 0, two), "header claims"},
+			{"count above body", segmentBytes(3, 0, two), "header claims 3 states, body holds 2"},
+			{"count below body", segmentBytes(1, 0, two), "header claims 1 states, body holds 2"},
+			{"partial trailing state", segmentBytes(2, 0, append(two[:len(two):len(two)], 1, 2, 3)), "state stride"},
+			{"short header", segmentBytes(0, 0, nil)[:10], "bad header"},
+			{"bad magic", append([]byte("notasegm"), segmentBytes(0, 0, nil)[8:]...), "bad header"},
+		} {
+			path := segPath(dir, words, 0)
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			states, trans, err := readSegment(path, exp)
+			if tc.want == "" {
+				if err != nil || len(states) != len(tc.file[segHeader:])/stride || trans != 7 {
+					t.Errorf("%d-word %s: %d states, %d transitions, %v", words, tc.name, len(states), trans, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
+				t.Errorf("%d-word %s: want a named error with %q, got %v", words, tc.name, tc.want, err)
+			}
+		}
+	}
+
+	// The same file under a worker: recovery reports it, the worker stands.
+	ts := Loopback(1)
+	defer Close(ts)
+	job := &Job{Proto: protoVersion, NumNodes: 1, MaxStates: 100, FT: true, CheckpointDir: dir, Session: 1}
+	for _, p := range fleet(3, 5, 2, 4, 20) {
+		job.Profiles = append(job.Profiles, *p)
+	}
+	w, _, err := newMeshWorker(job, loopEnv{ts[0].(*loopTransport).group}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.shutdown()
+	for sh := 0; sh < numShards; sh++ {
+		if err := writeSegment(segPath(w.ckptDir, 0, sh), nil, 0, w.exp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := segPath(w.ckptDir, 0, 5)
+	if err := os.WriteFile(bad, segmentBytes(1<<61, 0, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w.recoverTo(&Recover{Era: 1, Owners: defaultOwners(1), Cut: 0})
+	if w.err == nil || !strings.Contains(w.err.Error(), "restoring checkpoint cut 0: dverify: checkpoint segment "+bad) {
+		t.Fatalf("worker error after restoring from a corrupt segment: %v", w.err)
+	}
+}
+
+// FuzzReadSegment: whatever bytes sit where a checkpoint segment should,
+// readSegment answers with a named error or with states and a transition
+// count that writeSegment puts back byte for byte — it never panics, and no
+// header field it has not checked against the file sizes an allocation. The
+// seed corpus in testdata/fuzz/FuzzReadSegment holds an empty file, a bare
+// header, valid narrow and wide segments, a count one above the body, a
+// count that wraps the size product, and trailing bytes.
+func FuzzReadSegment(f *testing.F) {
+	narrow, wide := codecFor(f, 1).exp, codecFor(f, 4).exp
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, useWide bool, file []byte) {
+		exp := narrow
+		if useWide {
+			exp = wide
+		}
+		in, out := segPath(dir, 0, 0), segPath(dir, 0, 1)
+		if err := os.WriteFile(in, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		states, trans, err := readSegment(in, exp)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+in+": ") {
+				t.Fatalf("unnamed error: %v", err)
+			}
+			return
+		}
+		if err := writeSegment(out, states, trans, exp); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := os.ReadFile(out); err != nil || !bytes.Equal(again, file) {
+			t.Fatalf("%d states, %d transitions written back as %d bytes, read from %d (%v)", len(states), trans, len(again), len(file), err)
+		}
+	})
 }

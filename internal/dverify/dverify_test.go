@@ -304,10 +304,11 @@ func TestWorkerDisconnectTCP(t *testing.T) {
 	}
 }
 
-// cannedWorker dials a hand-rolled TCP "worker" that answers every gob
-// Request of its one session with resp. kinds reports the request kinds it
-// has seen so far.
-func cannedWorker(t *testing.T, resp Response) (tr Transport, kinds func() []Kind) {
+// cannedWorker dials a hand-rolled TCP "worker" that answers the first
+// answers gob Requests of its one session with resp (every one when
+// answers ≤ 0) and reads the rest without replying — a wedged worker. kinds
+// reports the request kinds it has seen so far.
+func cannedWorker(t *testing.T, resp Response, answers int) (tr Transport, kinds func() []Kind) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -326,8 +327,9 @@ func cannedWorker(t *testing.T, resp Response) (tr Transport, kinds func() []Kin
 		for req := new(Request); dec.Decode(req) == nil; req = new(Request) {
 			mu.Lock()
 			seen = append(seen, req.Kind)
+			wedged := answers > 0 && len(seen) > answers
 			mu.Unlock()
-			if enc.Encode(&resp) != nil {
+			if !wedged && enc.Encode(&resp) != nil {
 				return
 			}
 		}
@@ -347,7 +349,7 @@ func cannedWorker(t *testing.T, resp Response) (tr Transport, kinds func() []Kin
 // TestWorkerErrResponse propagates worker-side Err responses as
 // coordinator errors.
 func TestWorkerErrResponse(t *testing.T) {
-	worker, _ := cannedWorker(t, Response{Err: "boom"})
+	worker, _ := cannedWorker(t, Response{Err: "boom"}, 0)
 	if _, err := Verify(fleet(2, 6, 1, 2, 10), verify.Config{}, []Transport{worker}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the worker error surfaced, got %v", err)
 	}

@@ -49,10 +49,11 @@ import (
 // formula and the ownership table all agree on.
 const numShards = 64
 
-// meshDeathTimeout bounds how long the coordinator waits for a KindPoll
-// answer before declaring the worker dead (fault-tolerant runs only; a
-// non-FT run waits forever, preserving the fail-fast error contract).
-// Package variable so tests can shrink it.
+// meshDeathTimeout bounds every coordinator round: a worker that has not
+// answered by then is dead to the run — recovered from under fault
+// tolerance, named in the run's error without it. Workers answer a poll
+// within meshPollBudget, so only a dead, stopped or partitioned node trips
+// it. Package variable so tests can shrink it.
 var meshDeathTimeout = 30 * time.Second
 
 // defaultOwners builds the contiguous ownership table: node i owns shards
@@ -97,9 +98,8 @@ func reassignOwners(owners []uint8, alive []bool) ([]uint8, int) {
 	return out, moved
 }
 
-// nodeError wraps a worker failure with the node index, preserving the
-// historical "dverify: node %d: ..." message while letting fault-tolerant
-// drivers recover the failing index with errors.As.
+// nodeError names the node a run without fault tolerance died of:
+// "dverify: node %d: <cause>".
 type nodeError struct {
 	node int
 	err  error
@@ -112,6 +112,8 @@ func (e *nodeError) Unwrap() error { return e.err }
 // transition count) followed by the level's states in verify.AppendState
 // encoding, ascending verify.LessState order.
 var segMagic = [8]byte{'t', 'c', 'p', 's', 's', 'e', 'g', '1'}
+
+const segHeader = 24 // magic, state count, transition count
 
 // ckptSessionDir is the per-run checkpoint directory.
 func ckptSessionDir(dir string, session uint64) string {
@@ -130,7 +132,7 @@ var ckptWriteHook func(node, level, shard int) error
 // writeSegment persists one (shard, level) segment atomically
 // (tmp+rename, like mapping.Cache shard files). states must already be
 // sorted; trans is the transition count attributed to this segment.
-func writeSegment(path string, states []verify.PackedState, trans int64, words int) error {
+func writeSegment(path string, states []verify.PackedState, trans int64, exp *verify.Expander) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -139,15 +141,11 @@ func writeSegment(path string, states []verify.PackedState, trans int64, words i
 		return err
 	}
 	tmp := f.Name()
-	var hdr [24]byte
-	copy(hdr[:8], segMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(states)))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(trans))
-	buf := hdr[:]
+	buf := append(make([]byte, 0, segHeader+8*exp.StateWords()*len(states)), segMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(states)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(trans))
 	for _, s := range states {
-		for w := 0; w < words; w++ {
-			buf = binary.LittleEndian.AppendUint64(buf, s[w])
-		}
+		buf = exp.AppendState(buf, s)
 	}
 	_, werr := f.Write(buf)
 	cerr := f.Close()
@@ -168,26 +166,27 @@ func writeSegment(path string, states []verify.PackedState, trans int64, words i
 // readSegment loads one segment, returning its states and transition
 // count. A missing or malformed file is an error: segments are written
 // for every owned shard (empty ones included), so absence means the
-// checkpoint this worker was told to restore from does not exist.
-func readSegment(path string, words int) ([]verify.PackedState, int64, error) {
+// checkpoint this worker was told to restore from does not exist. The
+// header's count is checked against what the body holds by division — a
+// product could wrap — before anything is allocated from it.
+func readSegment(path string, exp *verify.Expander) ([]verify.PackedState, int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(b) < 24 || [8]byte(b[:8]) != segMagic {
+	if len(b) < segHeader || [8]byte(b[:8]) != segMagic {
 		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: bad header", path)
 	}
-	n := int(binary.LittleEndian.Uint64(b[8:]))
+	n := binary.LittleEndian.Uint64(b[8:])
 	trans := int64(binary.LittleEndian.Uint64(b[16:]))
-	body := b[24:]
-	if len(body) != n*words*8 {
-		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: truncated (%d bytes for %d states)", path, len(body), n)
+	body := b[segHeader:]
+	held := len(body) / (8 * exp.StateWords())
+	if n != uint64(held) {
+		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: header claims %d states, body holds %d", path, n, held)
 	}
-	states := make([]verify.PackedState, n)
-	for i := range states {
-		for w := 0; w < words; w++ {
-			states[i][w] = binary.LittleEndian.Uint64(body[(i*words+w)*8:])
-		}
+	states, err := exp.DecodeStates(body, make([]verify.PackedState, 0, held))
+	if err != nil {
+		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: %v", path, err)
 	}
 	return states, trans, nil
 }
@@ -264,7 +263,7 @@ func (w *meshWorker) maybeCheckpoint() {
 			return
 		}
 		w.ensureLevel(l)
-		if w.cursors[l] != len(w.buckets[l]) {
+		if w.levels[l].cursor != len(w.levels[l].bucket) {
 			return
 		}
 		if err := w.writeLevel(l); err != nil {
@@ -272,7 +271,7 @@ func (w *meshWorker) maybeCheckpoint() {
 			return
 		}
 		w.ckptLevel = l
-		if len(w.buckets[l]) > 0 {
+		if len(w.levels[l].bucket) > 0 {
 			w.recycleBucket(l)
 		}
 	}
@@ -283,7 +282,7 @@ func (w *meshWorker) maybeCheckpoint() {
 // file as a hard error, so absence is always detectable).
 func (w *meshWorker) writeLevel(l int) error {
 	var byShard [numShards][]verify.PackedState
-	for _, s := range w.buckets[l] {
+	for _, s := range w.levels[l].bucket {
 		sh := w.exp.Hash(s) >> 58
 		byShard[sh] = append(byShard[sh], s)
 	}
@@ -305,7 +304,7 @@ func (w *meshWorker) writeLevel(l int) error {
 		if trans != nil {
 			tr = trans[sh]
 		}
-		if err := writeSegment(segPath(w.ckptDir, l, sh), byShard[sh], tr, w.words); err != nil {
+		if err := writeSegment(segPath(w.ckptDir, l, sh), byShard[sh], tr, w.exp); err != nil {
 			return err
 		}
 	}
@@ -318,18 +317,10 @@ func (w *meshWorker) writeLevel(l int) error {
 // level additionally becomes the re-expansion frontier (its transitions
 // are recounted by the re-expansion, so the segment's count is not
 // added). cut < 0 means no usable checkpoint: the run restarts from the
-// initial state.
+// initial state. The era must be fresh (resetEra).
 func (w *meshWorker) restore(cut int) error {
 	if cut < 0 {
-		w.ckptLevel = -1
-		w.final = 0
-		if init := w.exp.Initial(); int(w.owners[w.exp.Hash(init)>>58]) == w.id {
-			w.ensureLevel(0)
-			w.visited.Add(init)
-			w.buckets[0] = append(w.buckets[0], init)
-			w.freshAt[0] = 1
-			w.fresh = 1
-		}
+		w.seed()
 		return nil
 	}
 	w.ensureLevel(cut)
@@ -338,7 +329,7 @@ func (w *meshWorker) restore(cut int) error {
 			continue
 		}
 		for l := 0; l <= cut; l++ {
-			states, trans, err := readSegment(segPath(w.ckptDir, l, sh), w.words)
+			states, trans, err := readSegment(segPath(w.ckptDir, l, sh), w.exp)
 			if err != nil {
 				return err
 			}
@@ -346,17 +337,17 @@ func (w *meshWorker) restore(cut int) error {
 				w.visited.Add(s)
 			}
 			w.fresh += len(states)
-			w.freshAt[l] += len(states)
+			w.levels[l].fresh += len(states)
 			if len(states) > 0 && l > w.maxFresh {
 				w.maxFresh = l
 			}
 			if l < cut {
 				w.transitions += int(trans)
 			} else if len(states) > 0 {
-				if len(w.buckets[cut]) == 0 && cap(w.buckets[cut]) == 0 {
-					w.buckets[cut] = w.newBucket(cut)
+				if len(w.levels[cut].bucket) == 0 && cap(w.levels[cut].bucket) == 0 {
+					w.levels[cut].bucket = w.newBucket(cut)
 				}
-				w.buckets[cut] = append(w.buckets[cut], states...)
+				w.levels[cut].bucket = append(w.levels[cut].bucket, states...)
 			}
 		}
 	}
@@ -369,65 +360,16 @@ func (w *meshWorker) restore(cut int) error {
 }
 
 // recoverTo executes the coordinator's takeover order: the uniform global
-// rollback every worker (survivor or not) performs in lockstep. Volatile
-// search state is reset exactly as reinit does; what survives is the
-// session's wire history (routed/filtered/bytes — true traffic that
-// happened), the violation knowledge (a found violation is a property of
-// the state space, not of the dead worker) and the mesh links. Send
-// filters are cleared because their justification — "the receiver has
-// this state in its visited set" — is broken by the rollback.
+// rollback every worker (survivor or not) performs in lockstep — the same
+// resetEra that starts a run. The session survives it: wire history,
+// violation knowledge and the mesh links.
 func (w *meshWorker) recoverTo(rec *Recover) {
 	if rec.Era <= w.era {
 		return
 	}
-	for l := range w.buckets {
-		if cap(w.buckets[l]) > 0 {
-			w.recycleBucket(l)
-		}
-		w.cursors[l] = 0
-		for _, b := range w.pending[l] {
-			w.putBatch(b)
-		}
-		w.pending[l] = nil
-		w.freshAt[l], w.sentByLevel[l], w.recvByLevel[l] = 0, 0, 0
-	}
-	w.buckets, w.cursors, w.pending = w.buckets[:0], w.cursors[:0], w.pending[:0]
-	w.freshAt, w.sentByLevel, w.recvByLevel = w.freshAt[:0], w.sentByLevel[:0], w.recvByLevel[:0]
-	for d := range w.outBuf {
-		if w.outBuf[d] != nil {
-			w.outBuf[d] = w.outBuf[d][:0]
-		}
-	}
-	w.outLevel = -1
-	w.ftTrans = w.ftTrans[:0]
-	w.visited.Reset()
-	w.fresh, w.transitions, w.maxFresh = 0, 0, 0
-	w.tooLarge, w.err = false, nil
-	w.lastSnap, w.haveSnap = meshDigest{}, false
-
-	// Adopt the new era, table and death knowledge before touching the
-	// inbox, so concurrent arrivals sort against the new era. Recover.Dead
-	// is the complete current dead set — rebuilding (not accumulating)
-	// lets a replacement worker adopted into a dead slot receive traffic
-	// again — and the cumulative LinkDown report restarts empty: the
-	// coordinator already acted on everything reported before this order.
-	w.era = rec.Era
-	w.owners = ownerTable(rec.Owners, w.n)
-	if w.deadPeers == nil {
-		w.deadPeers = make([]bool, w.n)
-	}
-	clear(w.deadPeers)
-	for _, d := range rec.Dead {
-		if d >= 0 && d < w.n {
-			w.deadPeers[d] = true
-		}
-	}
-	w.linkDown = w.linkDown[:0]
-	for d := range w.filters {
-		if w.filters[d].slots != nil {
-			clear(w.filters[d].slots)
-		}
-	}
+	// The new era, table and death knowledge are in place before the inbox
+	// is touched, so concurrent arrivals sort against the new era.
+	w.resetEra(rec.Era, rec.Owners, rec.Dead)
 	// Drop undelivered old-era batches and release anything a recovered
 	// peer raced ahead with (now current-era, re-queued for the drain).
 	q := w.inbox.drain(w.spareQ)

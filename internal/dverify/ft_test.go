@@ -386,10 +386,10 @@ func TestFTPollerDeathTimeout(t *testing.T) {
 	resps := make([]*Response, 2)
 
 	req := func(int) *Request { return &Request{Kind: KindPoll, Ctl: &Control{}} }
-	if dead := p.roundFT(resps, req); len(dead) != 0 {
+	if dead := p.round(resps, nil, req); len(dead) != 0 {
 		t.Fatalf("healthy round declared deaths: %v", dead)
 	}
-	if dead := p.roundFT(resps, req); len(dead) != 1 || dead[0] != 1 {
+	if dead := p.round(resps, nil, req); len(dead) != 1 || dead[0] != 1 {
 		t.Fatalf("hung worker not declared dead: %v", dead)
 	}
 	p.evict(1)
@@ -398,7 +398,7 @@ func TestFTPollerDeathTimeout(t *testing.T) {
 	// misattributed to a later round.
 	close(release)
 	for i := 0; i < 3; i++ {
-		if dead := p.roundFT(resps, req); len(dead) != 0 {
+		if dead := p.round(resps, nil, req); len(dead) != 0 {
 			t.Fatalf("round %d after eviction declared deaths: %v", i, dead)
 		}
 		if resps[1] != nil {

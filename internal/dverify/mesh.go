@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -149,21 +150,34 @@ type meshEnv interface {
 // transport's serve loop calls Init/Poll, and all search, routing, milestone
 // and accounting state is touched only from those calls (peer readers touch
 // nothing but the inbox). A distributed run's parallelism is its node count.
+//
+// Its state is split by lifetime, and each part is replaced as a whole —
+// never cleared field by field — so a field added to a part is zero at the
+// start of that lifetime by construction: meshStanding survives across jobs
+// (memory only, no facts about any run), meshSession lives for one job,
+// meshEra for one stretch of search between rollbacks (a run without a
+// recovery has one era).
 type meshWorker struct {
-	id, n   int
-	job     *Job // what the worker was built for (reuse compatibility)
+	meshStanding
+	meshSession
+	meshEra
+}
+
+// meshStanding is what a compatible follow-up job inherits: the expander
+// and its scratch, the visited partition's table, and recycled memory. None
+// of it says anything about a run — resetEra empties what can hold state.
+type meshStanding struct {
 	exp     *verify.Expander
 	words   int
-	budget  int
 	visited *verify.StateSet
 	esc     *verify.ExpandScratch
 	hsucc   []verify.HashedState
-
-	inbox   *meshInbox
 	spareQ  []meshBatch
-	links   []meshLink
-	filters []sendFilter
-	cleanup func()
+	filters []sendFilter // tables; which are in use is decided per session
+	outBuf  [][]verify.PackedState
+	// Per-destination wire counters of the session, zeroed when one starts.
+	linkStates []int
+	linkBytes  []int
 
 	// Worker-local batch recycling: free is the slice free list fed by
 	// absorbed inbox batches and drained buckets, spareBuckets the big
@@ -175,30 +189,34 @@ type meshWorker struct {
 	spareBuckets [][]verify.PackedState
 	sparePending [][]verify.PackedState // retired deferral-list backbone
 
-	// Level-indexed search state. buckets[l][:cursors[l]] is expanded;
-	// pending holds batches deferred by the commit rule (tag > final+1) —
-	// whole slices, ownership transferred, so deferral never copies.
-	buckets  [][]verify.PackedState
-	cursors  []int
-	pending  [][][]verify.PackedState
-	freshAt  []int // fresh commits per level (set pre-sizing)
-	final    int   // highest level known final (coordinator-published)
-	outBuf   [][]verify.PackedState
-	outLevel int // tag of the buffered sends (expand level + 1)
+	waitT *time.Timer
+	// Snapshot responses are double-buffered: the coordinator reads round
+	// k's response while the worker builds round k+1 into the other
+	// buffer, so the per-poll counter copies reuse their backing arrays
+	// instead of allocating on every epoch. initResp backs the Init reply
+	// the same way: by the time a follow-up job re-Inits the worker, the
+	// previous reply is long consumed.
+	snapResp [2]Response
+	snapFlip int
+	initResp Response
+}
 
-	// Cumulative accounting, snapshotted into every poll response.
-	sentByLevel []int
-	recvByLevel []int
-	fresh       int
-	transitions int
-	maxFresh    int
-	routed      int
-	filtered    int
-	wireBytes   int
-	linkStates  []int
-	linkBytes   []int
-	tooLarge    bool
-	err         error
+// meshSession is one job on one cluster: placement, budget, the data plane
+// and what is true of the whole run whatever gets rolled back — the wire
+// history (traffic that happened) and the violation knowledge (a found
+// violation is a property of the state space, not of a dead worker).
+type meshSession struct {
+	id, n  int
+	job    *Job // what the worker was built for (reuse compatibility)
+	budget int
+
+	inbox   *meshInbox
+	links   []meshLink
+	cleanup func()
+
+	routed    int
+	filtered  int
+	wireBytes int
 
 	// Own minimum violation (reported) and the skip bound (own merged
 	// with the coordinator's broadcast; never reported back).
@@ -210,40 +228,58 @@ type meshWorker struct {
 	boundLevel int
 	boundState verify.PackedState
 
-	// Fault tolerance (ft.go). owners is the routing table (default
-	// contiguous, rewritten by Recover); era is the worker's recovery
-	// epoch; ckptLevel the highest level fully persisted as checkpoint
-	// segments (-1 = none); ftTrans attributes transitions per
-	// (level, shard) so segments carry exact counts; deadPeers suppresses
-	// sends to nodes known dead; linkDown is the cumulative dead-peer
-	// report for the coordinator; futureQ parks batches from peers already
-	// in a newer era until this worker's own recovery order arrives.
-	ft        bool
-	ckptOn    bool
-	ckptDir   string // per-session segment directory
-	owners    [numShards]uint8
+	// Fault tolerance (ft.go): ft reports link failures instead of
+	// poisoning the run, ckptOn persists finished levels under ckptDir, and
+	// futureQ parks batches from peers already in a newer era until this
+	// worker's own recovery order arrives.
+	ft      bool
+	ckptOn  bool
+	ckptDir string // per-session segment directory
+	futureQ []meshBatch
+
+	finished bool
+}
+
+// meshLevel is the per-level search record. bucket[:cursor] is expanded;
+// pending holds batches deferred by the commit rule (tag > final+1) — whole
+// slices, ownership transferred, so deferral never copies; fresh counts the
+// level's commits (set pre-sizing, trace), sent and recv the states shipped
+// to and drained from mesh links with this tag.
+type meshLevel struct {
+	bucket     []verify.PackedState
+	cursor     int
+	pending    [][]verify.PackedState
+	fresh      int
+	sent, recv int
+}
+
+// meshEra is everything a rollback erases: the search frontier and its
+// counters, the milestone knowledge, and the routing view. owners is the
+// routing table (default contiguous, rewritten by Recover); ckptLevel the
+// highest level fully persisted as checkpoint segments (-1 = none); ftTrans
+// attributes transitions per (level, shard) so segments carry exact counts;
+// deadPeers suppresses sends to nodes known dead; linkDown is the cumulative
+// dead-peer report for the coordinator.
+type meshEra struct {
+	levels   []meshLevel
+	final    int // highest level known final (coordinator-published)
+	outLevel int // tag of the buffered sends (expand level + 1; -1 = none)
+
+	fresh       int
+	transitions int
+	maxFresh    int
+	tooLarge    bool
+	err         error
+
 	era       int
+	owners    [numShards]uint8
 	ckptLevel int
 	ftTrans   [][numShards]int64
 	deadPeers []bool
 	linkDown  []int
-	futureQ   []meshBatch
 
-	finished bool
-	waitT    *time.Timer
 	lastSnap meshDigest
 	haveSnap bool
-
-	// Snapshot responses are double-buffered: the coordinator reads round
-	// k's response while the worker builds round k+1 into the other
-	// buffer, so the per-poll counter copies reuse their backing arrays
-	// instead of allocating on every epoch.
-	snapResp [2]Response
-	snapFlip int
-	// initResp backs reinit's Init reply the same way: by the time a
-	// follow-up job re-Inits the worker, the previous reply is long
-	// consumed.
-	initResp Response
 }
 
 // meshDigest summarizes a snapshot for the long-poll "news" check: a
@@ -258,189 +294,82 @@ type meshDigest struct {
 }
 
 // newMeshWorker builds a node for a mesh job and wires its data links
-// through env, seeding the initial state on its owner. A previous worker
-// whose job is compatible is reinitialized in place instead, reusing its
-// expander, visited partition and batch memory.
+// through env — the only build path. A previous worker whose job is
+// compatible donates its standing part (expander, visited table — the
+// dominant per-run allocation — and batch memory): a standing cluster
+// re-verifying a slot, a daemon serving successive coordinators or the
+// bench loop, does not restart its steady state from zero. The donor's
+// links are already down (Init goes through handler.reset) and its
+// registration is gone; what its run left parked — a violating or
+// over-budget run stops with frontier, deferrals and sends all in place —
+// is recycled by the same resets that start every worker.
 func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Response, error) {
 	if job.Proto != protoVersion {
 		return nil, nil, fmt.Errorf("dverify: coordinator speaks protocol %d, this worker speaks %d (rebuild the older side)",
 			job.Proto, protoVersion)
 	}
-	if job.NumNodes < 1 || job.NodeID < 0 || job.NodeID >= job.NumNodes {
-		return nil, nil, fmt.Errorf("dverify: node %d of %d is not a valid placement", job.NodeID, job.NumNodes)
+	n := job.NumNodes
+	if n < 1 || job.NodeID < 0 || job.NodeID >= n {
+		return nil, nil, fmt.Errorf("dverify: node %d of %d is not a valid placement", job.NodeID, n)
 	}
-	if prev != nil && jobsCompatible(prev.job, job) {
-		return prev.reinit(job, env)
-	}
-	profs := make([]*switching.Profile, len(job.Profiles))
-	for i := range job.Profiles {
-		profs[i] = &job.Profiles[i]
-	}
-	exp, err := verify.NewExpander(profs, verify.Config{
-		MaxDisturbances:   job.MaxDisturbances,
-		Policy:            job.Policy,
-		NondetTies:        job.NondetTies,
-		SymmetryReduction: job.SymmetryReduction,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	budget := job.MaxStates
-	if budget <= 0 {
-		budget = defaultMaxStates
-	}
-	w := &meshWorker{
-		id:         job.NodeID,
-		n:          job.NumNodes,
-		job:        job,
-		exp:        exp,
-		words:      exp.StateWords(),
-		budget:     budget,
-		visited:    exp.NewSet(1 << 16),
-		esc:        exp.NewScratch(),
-		inbox:      newMeshInbox(),
-		spareQ:     make([]meshBatch, 0, 32),
-		filters:    make([]sendFilter, job.NumNodes),
-		outBuf:     make([][]verify.PackedState, job.NumNodes),
-		linkStates: make([]int, job.NumNodes),
-		linkBytes:  make([]int, job.NumNodes),
-		outLevel:   -1,
-		violApp:    -1,
-		ckptLevel:  -1,
-	}
-	w.applyFT(job)
-	for d := range w.outBuf {
-		if d != w.id {
-			w.outBuf[d] = getBatch()
-		}
-	}
-	links, cleanup, err := env.connect(job, w.inbox, exp)
-	if err != nil {
-		return nil, nil, err
-	}
-	w.links, w.cleanup = links, cleanup
-	for d, l := range links {
-		if d != w.id && l != nil && l.wantFilter() {
-			w.filters[d] = newSendFilter()
-		}
-	}
-	resp := &Response{Proto: protoVersion, ViolApp: -1}
-	if err := w.seedOrRestore(job, resp); err != nil {
-		w.shutdown()
-		return nil, nil, err
-	}
-	return w, resp, nil
-}
-
-// applyFT fixes the job's fault-tolerance knobs into the worker: the
-// routing table, the era and the checkpoint location. Called from both
-// build paths before any state is seeded.
-func (w *meshWorker) applyFT(job *Job) {
-	w.ft = job.FT
-	w.owners = ownerTable(job.Owners, job.NumNodes)
-	w.era = job.Era
-	w.ckptOn = job.FT && job.CheckpointDir != ""
-	if w.ckptOn {
-		w.ckptDir = ckptSessionDir(job.CheckpointDir, job.Session)
+	w := prev
+	if w != nil && jobsCompatible(w.job, job) {
+		w.shutdown() // idempotent: handler.reset has already run it
 	} else {
-		w.ckptDir = ""
-	}
-	if job.FT && w.deadPeers == nil {
-		w.deadPeers = make([]bool, job.NumNodes)
-	}
-}
-
-// seedOrRestore starts the worker's search state: a fresh run (Era 0)
-// seeds the initial state on its owner; a replacement worker joining a
-// recovered run (Era > 0) restores its owned shards from checkpoint
-// segments instead.
-func (w *meshWorker) seedOrRestore(job *Job, resp *Response) error {
-	if job.FT && job.Era > 0 {
-		if err := w.restore(job.Cut); err != nil {
-			return err
+		profs := make([]*switching.Profile, len(job.Profiles))
+		for i := range job.Profiles {
+			profs[i] = &job.Profiles[i]
 		}
-		resp.Fresh = w.fresh
-		return nil
-	}
-	if init := w.exp.Initial(); int(w.owners[w.exp.Hash(init)>>58]) == w.id {
-		w.ensureLevel(0)
-		w.visited.Add(init)
-		w.buckets[0] = append(w.buckets[0], init)
-		w.freshAt[0] = 1
-		w.fresh, resp.Fresh = 1, 1
-	}
-	return nil
-}
+		exp, err := verify.NewExpander(profs, verify.Config{
+			MaxDisturbances:   job.MaxDisturbances,
+			Policy:            job.Policy,
+			NondetTies:        job.NondetTies,
+			SymmetryReduction: job.SymmetryReduction,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		w = &meshWorker{meshStanding: meshStanding{
+			exp:     exp,
+			words:   exp.StateWords(),
+			visited: exp.NewSet(1 << 16),
+			esc:     exp.NewScratch(),
+			spareQ:  make([]meshBatch, 0, 32),
+			filters: make([]sendFilter, n),
+			outBuf:  make([][]verify.PackedState, n),
 
-// reinit rebuilds the worker in place for a compatible follow-up job: the
-// expander and scratch arena, the visited partition (cleared, not
-// reallocated — the dominant per-run allocation), the batch free list and
-// the level backbones all survive. A standing cluster re-verifying a slot —
-// a daemon serving successive coordinators, or the bench loop — re-Inits
-// without restarting the steady state from zero. The previous run's links
-// are already down (Init goes through handler.reset, and shutdown is
-// idempotent) and its session registration is gone, but a peer's reader may
-// still hold the inbox, so the new session gets a new one. Leftover
-// frontier, deferral and send memory — a violating or over-budget run stops
-// with all three parked — feeds the free list, then the data plane
-// reconnects under the new session.
-func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, error) {
-	w.shutdown()
-	w.job = job
-	w.budget = job.MaxStates
+			linkStates: make([]int, n),
+			linkBytes:  make([]int, n),
+		}}
+	}
+
+	// The session. Parked future-era batches feed the free list; the inbox
+	// is new, not the old one swept: a peer reader of the previous session
+	// may still hold it and push a late frame — or the EOF of a link its
+	// sender has already closed — after any sweep.
+	for _, b := range w.futureQ {
+		w.putBatch(b.states)
+	}
+	clear(w.linkStates)
+	clear(w.linkBytes)
+	w.meshSession = meshSession{
+		id:      job.NodeID,
+		n:       n,
+		job:     job,
+		budget:  job.MaxStates,
+		inbox:   newMeshInbox(),
+		violApp: -1,
+		ft:      job.FT,
+		ckptOn:  job.FT && job.CheckpointDir != "",
+		futureQ: w.futureQ[:0],
+	}
 	if w.budget <= 0 {
 		w.budget = defaultMaxStates
 	}
-
-	for l := range w.buckets {
-		if cap(w.buckets[l]) > 0 {
-			w.recycleBucket(l)
-		}
-		w.cursors[l] = 0
-		for _, b := range w.pending[l] {
-			w.putBatch(b)
-		}
-		w.pending[l] = nil
-		w.freshAt[l], w.sentByLevel[l], w.recvByLevel[l] = 0, 0, 0
+	if w.ckptOn {
+		w.ckptDir = ckptSessionDir(job.CheckpointDir, job.Session)
 	}
-	w.buckets, w.cursors, w.pending = w.buckets[:0], w.cursors[:0], w.pending[:0]
-	w.freshAt, w.sentByLevel, w.recvByLevel = w.freshAt[:0], w.sentByLevel[:0], w.recvByLevel[:0]
-	for d := range w.outBuf {
-		if w.outBuf[d] != nil {
-			w.outBuf[d] = w.outBuf[d][:0]
-		} else if d != w.id {
-			w.outBuf[d] = w.getBatch()
-		}
-	}
-	w.outLevel = -1
-	// A new inbox, not the old one swept: a peer reader of the previous
-	// session may still hold it and push a late frame — or the EOF of a
-	// link its sender has already closed — after any sweep.
-	w.inbox = newMeshInbox()
-	w.visited.Reset()
-	w.fresh, w.transitions, w.maxFresh = 0, 0, 0
-	w.routed, w.filtered, w.wireBytes = 0, 0, 0
-	clear(w.linkStates)
-	clear(w.linkBytes)
-	w.tooLarge, w.err = false, nil
-	w.haveViol, w.violLevel, w.violState, w.violApp = false, 0, verify.PackedState{}, -1
-	w.haveBound, w.boundLevel, w.boundState = false, 0, verify.PackedState{}
-	w.final = 0
-	w.finished = false
-	w.lastSnap, w.haveSnap = meshDigest{}, false
-	w.ftTrans = w.ftTrans[:0]
-	w.ckptLevel = -1
-	if w.deadPeers != nil {
-		clear(w.deadPeers)
-	}
-	w.linkDown = w.linkDown[:0]
-	for _, b := range w.futureQ {
-		if b.err == nil {
-			w.putBatch(b.states)
-		}
-	}
-	w.futureQ = w.futureQ[:0]
-	w.applyFT(job)
+	w.resetEra(job.Era, job.Owners, nil)
 
 	links, cleanup, err := env.connect(job, w.inbox, w.exp)
 	if err != nil {
@@ -449,21 +378,83 @@ func (w *meshWorker) reinit(job *Job, env meshEnv) (*meshWorker, *Response, erro
 	w.links, w.cleanup = links, cleanup
 	for d, l := range links {
 		switch want := d != w.id && l != nil && l.wantFilter(); {
-		case want && w.filters[d].slots == nil:
-			w.filters[d] = newSendFilter()
-		case want:
-			clear(w.filters[d].slots)
-		default:
+		case !want:
 			w.filters[d] = sendFilter{}
+		case w.filters[d].slots == nil:
+			w.filters[d] = newSendFilter()
 		}
 	}
-	resp := &w.initResp
-	*resp = Response{Proto: protoVersion, ViolApp: -1}
-	if err := w.seedOrRestore(job, resp); err != nil {
-		w.shutdown()
-		return nil, nil, err
+	// A fresh run (Era 0) seeds the initial state on its owner; a
+	// replacement worker joining a recovered run restores its owned shards
+	// from checkpoint segments instead.
+	if job.FT && job.Era > 0 {
+		if err := w.restore(job.Cut); err != nil {
+			w.shutdown()
+			return nil, nil, err
+		}
+	} else {
+		w.seed()
 	}
-	return w, resp, nil
+	w.initResp = Response{Proto: protoVersion, ViolApp: -1, Fresh: w.fresh}
+	return w, &w.initResp, nil
+}
+
+// resetEra is the one place a worker's search state is emptied — at Init
+// and on every recovery order. It recycles the outgoing era's memory into
+// the standing free lists, empties what standing memory can hold state (the
+// visited table, the send buffers, and the send filters, whose
+// justification — "the receiver has this state in its visited set" — a
+// rollback breaks), then starts the new era from a fresh value: only what
+// is named below differs from zero. dead is the complete current dead set —
+// rebuilt, not accumulated, so a replacement adopted into a dead slot
+// receives traffic again — and the cumulative LinkDown report restarts
+// empty: the coordinator already acted on everything reported before.
+func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
+	for l := range w.levels {
+		if cap(w.levels[l].bucket) > 0 {
+			w.recycleBucket(l)
+		}
+		for _, b := range w.levels[l].pending {
+			w.putBatch(b)
+		}
+	}
+	for d := range w.outBuf {
+		if w.outBuf[d] != nil {
+			w.outBuf[d] = w.outBuf[d][:0]
+		} else if d != w.id {
+			w.outBuf[d] = w.getBatch()
+		}
+		clear(w.filters[d].slots)
+	}
+	w.visited.Reset()
+	if w.deadPeers == nil {
+		w.deadPeers = make([]bool, w.n)
+	}
+	clear(w.deadPeers)
+	for _, d := range dead {
+		if d >= 0 && d < w.n {
+			w.deadPeers[d] = true
+		}
+	}
+	w.meshEra = meshEra{
+		levels:    w.levels[:0],
+		outLevel:  -1,
+		era:       era,
+		owners:    ownerTable(owners, w.n),
+		ckptLevel: -1,
+		ftTrans:   w.ftTrans[:0],
+		deadPeers: w.deadPeers,
+		linkDown:  w.linkDown[:0],
+	}
+}
+
+// seed commits the initial state on its owner: the start of a run, and of
+// a recovery with no usable checkpoint.
+func (w *meshWorker) seed() {
+	init := w.exp.Initial()
+	if h := w.exp.Hash(init); int(w.owners[h>>58]) == w.id {
+		w.commit1(0, init, h)
+	}
 }
 
 // getBatch draws a batch slice from the worker's free list, falling back
@@ -494,29 +485,15 @@ func (w *meshWorker) putBatch(b []verify.PackedState) {
 	putBatch(b)
 }
 
-// ensureLevel grows the level-indexed slices to hold level l. The
-// initial capacity covers typical search depths in one allocation per
-// slice; deeper runs fall back to append's doubling.
+// ensureLevel grows the level records to hold level l. The initial
+// capacity covers typical search depths in one allocation; deeper runs fall
+// back to append's doubling. (Holders of a *meshLevel must not call it.)
 func (w *meshWorker) ensureLevel(l int) {
-	if w.buckets == nil {
-		n := l + 1
-		if n < 64 {
-			n = 64
-		}
-		w.buckets = make([][]verify.PackedState, 0, n)
-		w.cursors = make([]int, 0, n)
-		w.pending = make([][][]verify.PackedState, 0, n)
-		w.freshAt = make([]int, 0, n)
-		w.sentByLevel = make([]int, 0, n)
-		w.recvByLevel = make([]int, 0, n)
+	if w.levels == nil {
+		w.levels = make([]meshLevel, 0, max(l+1, 64))
 	}
-	for len(w.buckets) <= l {
-		w.buckets = append(w.buckets, nil)
-		w.cursors = append(w.cursors, 0)
-		w.pending = append(w.pending, nil)
-		w.freshAt = append(w.freshAt, 0)
-		w.sentByLevel = append(w.sentByLevel, 0)
-		w.recvByLevel = append(w.recvByLevel, 0)
+	for len(w.levels) <= l {
+		w.levels = append(w.levels, meshLevel{})
 	}
 }
 
@@ -532,10 +509,10 @@ func (w *meshWorker) absorb(level int, states []verify.PackedState) {
 	}
 	w.ensureLevel(level)
 	if level > w.final+1 {
-		if w.pending[level] == nil && w.sparePending != nil {
-			w.pending[level], w.sparePending = w.sparePending, nil
+		if w.levels[level].pending == nil && w.sparePending != nil {
+			w.levels[level].pending, w.sparePending = w.sparePending, nil
 		}
-		w.pending[level] = append(w.pending[level], states)
+		w.levels[level].pending = append(w.levels[level].pending, states)
 		return
 	}
 	w.visited.Reserve(len(states))
@@ -557,7 +534,7 @@ func (w *meshWorker) commit1(level int, s verify.PackedState, h uint64) {
 	}
 	w.ensureLevel(level)
 	if level > w.final+1 {
-		lst := w.pending[level]
+		lst := w.levels[level].pending
 		if lst == nil && w.sparePending != nil {
 			lst, w.sparePending = w.sparePending, nil
 		}
@@ -565,7 +542,7 @@ func (w *meshWorker) commit1(level int, s verify.PackedState, h uint64) {
 			lst = append(lst, w.getBatch())
 		}
 		lst[len(lst)-1] = append(lst[len(lst)-1], s)
-		w.pending[level] = lst
+		w.levels[level].pending = lst
 		return
 	}
 	if w.visited.AddHashed(s, h) {
@@ -573,12 +550,12 @@ func (w *meshWorker) commit1(level int, s verify.PackedState, h uint64) {
 			w.tooLarge = true
 			return
 		}
-		if len(w.buckets[level]) == 0 && cap(w.buckets[level]) == 0 {
-			w.buckets[level] = w.newBucket(level)
+		if len(w.levels[level].bucket) == 0 && cap(w.levels[level].bucket) == 0 {
+			w.levels[level].bucket = w.newBucket(level)
 		}
-		w.buckets[level] = append(w.buckets[level], s)
+		w.levels[level].bucket = append(w.levels[level].bucket, s)
 		w.fresh++
-		w.freshAt[level]++
+		w.levels[level].fresh++
 		if level > w.maxFresh {
 			w.maxFresh = level
 		}
@@ -591,8 +568,8 @@ func (w *meshWorker) commit1(level int, s verify.PackedState, h uint64) {
 // the frontier/spare swap of the local drivers. Best fit, so a small
 // level does not squat in a peak-sized buffer the next big level needs.
 func (w *meshWorker) newBucket(level int) []verify.PackedState {
-	if level > 0 && w.freshAt[level-1] > meshBatchTarget {
-		n := w.freshAt[level-1] + w.freshAt[level-1]/4
+	if level > 0 && w.levels[level-1].fresh > meshBatchTarget {
+		n := w.levels[level-1].fresh + w.levels[level-1].fresh/4
 		best := -1
 		for i, sb := range w.spareBuckets {
 			if cap(sb) >= n && (best < 0 || cap(sb) < cap(w.spareBuckets[best])) {
@@ -628,9 +605,9 @@ const meshSpareBuckets = 32
 // built in, so resident memory tracks the frontier, not the whole
 // visited set — and steady-state levels allocate nothing.
 func (w *meshWorker) recycleBucket(l int) {
-	b := w.buckets[l]
-	w.buckets[l] = w.buckets[l][:0:0]
-	w.cursors[l] = 0
+	b := w.levels[l].bucket
+	w.levels[l].bucket = w.levels[l].bucket[:0:0]
+	w.levels[l].cursor = 0
 	if cap(b) > meshBatchTarget {
 		if len(w.spareBuckets) < meshSpareBuckets {
 			w.spareBuckets = append(w.spareBuckets, b[:0])
@@ -657,9 +634,9 @@ func (w *meshWorker) setFinal(f int) {
 	for w.final < f {
 		w.final++
 		l := w.final + 1
-		if l < len(w.pending) && len(w.pending[l]) > 0 {
-			batches := w.pending[l]
-			w.pending[l] = nil
+		if l < len(w.levels) && len(w.levels[l].pending) > 0 {
+			batches := w.levels[l].pending
+			w.levels[l].pending = nil
 			for _, b := range batches {
 				w.absorb(l, b)
 			}
@@ -691,14 +668,14 @@ func (w *meshWorker) noteBound(level int, s verify.PackedState) {
 		return
 	}
 	w.haveBound, w.boundLevel, w.boundState = true, level, s
-	for l := level + 1; l < len(w.buckets); l++ {
-		if len(w.buckets[l]) > 0 {
-			w.cursors[l] = len(w.buckets[l])
+	for l := level + 1; l < len(w.levels); l++ {
+		if len(w.levels[l].bucket) > 0 {
+			w.levels[l].cursor = len(w.levels[l].bucket)
 		}
-		for _, b := range w.pending[l] {
+		for _, b := range w.levels[l].pending {
 			w.putBatch(b)
 		}
-		w.pending[l] = nil
+		w.levels[l].pending = nil
 	}
 }
 
@@ -731,7 +708,7 @@ func (w *meshWorker) drainInbox() {
 			continue
 		}
 		w.ensureLevel(b.level)
-		w.recvByLevel[b.level] += len(b.states)
+		w.levels[b.level].recv += len(b.states)
 		w.absorb(b.level, b.states)
 		b.states = nil
 	}
@@ -744,9 +721,6 @@ func (w *meshWorker) noteLinkDown(peer int) {
 	if peer < 0 || peer >= w.n {
 		return
 	}
-	if w.deadPeers == nil {
-		w.deadPeers = make([]bool, w.n)
-	}
 	if !w.deadPeers[peer] {
 		w.deadPeers[peer] = true
 		w.linkDown = append(w.linkDown, peer)
@@ -756,10 +730,10 @@ func (w *meshWorker) noteLinkDown(peer int) {
 // expandable returns the lowest level with unexpanded committed work,
 // skipping (and marking drained) levels beyond the violation bound.
 func (w *meshWorker) expandable() int {
-	for l := range w.buckets {
-		if w.cursors[l] < len(w.buckets[l]) {
+	for l := range w.levels {
+		if w.levels[l].cursor < len(w.levels[l].bucket) {
 			if w.haveBound && l > w.boundLevel {
-				w.cursors[l] = len(w.buckets[l])
+				w.levels[l].cursor = len(w.levels[l].bucket)
 				continue
 			}
 			return l
@@ -782,17 +756,17 @@ func (w *meshWorker) expandChunk(n int) bool {
 		// Pre-size the visited partition for the coming level from the
 		// fresh-state trajectory (the local drivers' levelReserve
 		// heuristic), so commits inside a level rarely rehash.
-		est := w.freshAt[l]
-		if l > 0 && w.freshAt[l-1] > 0 {
-			est = w.freshAt[l] * w.freshAt[l] / w.freshAt[l-1]
-			if max := 8 * w.freshAt[l]; est > max {
+		est := w.levels[l].fresh
+		if l > 0 && w.levels[l-1].fresh > 0 {
+			est = w.levels[l].fresh * w.levels[l].fresh / w.levels[l-1].fresh
+			if max := 8 * w.levels[l].fresh; est > max {
 				est = max
 			}
 		}
 		w.visited.Reserve(est)
 	}
 	w.expandSerial(l, n)
-	if w.cursors[l] == len(w.buckets[l]) && len(w.buckets[l]) > 0 && l <= w.final {
+	if w.levels[l].cursor == len(w.levels[l].bucket) && len(w.levels[l].bucket) > 0 && l <= w.final {
 		// The bucket is drained and — level final — can never refill. With
 		// checkpointing on, the bucket is the segment payload: keep it until
 		// the sweep has persisted the level (maybeCheckpoint recycles it).
@@ -807,12 +781,12 @@ func (w *meshWorker) expandChunk(n int) bool {
 // successor once during the packing sweep, then reuse the hash for shard
 // routing, the send filter and the visited probe.
 func (w *meshWorker) expandSerial(l, n int) {
-	for i := 0; i < n && w.cursors[l] < len(w.buckets[l]); i++ {
+	for i := 0; i < n && w.levels[l].cursor < len(w.levels[l].bucket); i++ {
 		if w.tooLarge {
 			return
 		}
-		s := w.buckets[l][w.cursors[l]]
-		w.cursors[l]++
+		s := w.levels[l].bucket[w.levels[l].cursor]
+		w.levels[l].cursor++
 		if w.haveBound && l == w.boundLevel && verify.LessState(w.boundState, s) {
 			continue
 		}
@@ -874,7 +848,7 @@ func (w *meshWorker) flushDest(d int) {
 			w.err = fmt.Errorf("mesh link to node %d: %v", d, err)
 		}
 	}
-	w.sentByLevel[level] += n
+	w.levels[level].sent += n
 	w.routed += n
 	w.linkStates[d] += n
 	w.wireBytes += bytes
@@ -898,7 +872,7 @@ func (w *meshWorker) flushOut() {
 func (w *meshWorker) drained() int {
 	d := -1
 	for l := 0; l <= w.final+1; l++ {
-		if l < len(w.buckets) && w.cursors[l] < len(w.buckets[l]) {
+		if l < len(w.levels) && w.levels[l].cursor < len(w.levels[l].bucket) {
 			if !(w.haveBound && l > w.boundLevel) {
 				break
 			}
@@ -918,8 +892,8 @@ func (w *meshWorker) idle() bool {
 			return false
 		}
 	}
-	for l, lst := range w.pending {
-		if len(lst) > 0 && !(w.haveBound && l > w.boundLevel) {
+	for l := range w.levels {
+		if len(w.levels[l].pending) > 0 && !(w.haveBound && l > w.boundLevel) {
 			return false
 		}
 	}
@@ -931,16 +905,13 @@ func (w *meshWorker) idle() bool {
 
 // digest captures the snapshot fields the long-poll news check compares.
 func (w *meshWorker) digest() meshDigest {
-	pendingN := 0
-	for _, lst := range w.pending {
-		for _, b := range lst {
+	pendingN, sent, recv := 0, 0, 0
+	for l := range w.levels {
+		for _, b := range w.levels[l].pending {
 			pendingN += len(b)
 		}
-	}
-	sent, recv := 0, 0
-	for l := range w.sentByLevel {
-		sent += w.sentByLevel[l]
-		recv += w.recvByLevel[l]
+		sent += w.levels[l].sent
+		recv += w.levels[l].recv
 	}
 	return meshDigest{
 		fresh: w.fresh, transitions: w.transitions, routed: w.routed, filtered: w.filtered,
@@ -958,9 +929,9 @@ func (w *meshWorker) snapshot() *Response {
 	w.snapFlip ^= 1
 	*resp = Response{
 		Proto:        protoVersion,
-		SentByLevel:  append(resp.SentByLevel[:0], w.sentByLevel...),
-		RecvByLevel:  append(resp.RecvByLevel[:0], w.recvByLevel...),
-		FreshByLevel: append(resp.FreshByLevel[:0], w.freshAt...),
+		SentByLevel:  resp.SentByLevel[:0],
+		RecvByLevel:  resp.RecvByLevel[:0],
+		FreshByLevel: resp.FreshByLevel[:0],
 		Links:        resp.Links[:0],
 		Drained:      w.drained(),
 		Idle:         w.idle(),
@@ -975,6 +946,12 @@ func (w *meshWorker) snapshot() *Response {
 		ViolApp:      -1,
 		Ckpt:         w.ckptLevel,
 		LinkDown:     append(resp.LinkDown[:0], w.linkDown...),
+	}
+	for l := range w.levels {
+		lv := &w.levels[l]
+		resp.SentByLevel = append(resp.SentByLevel, lv.sent)
+		resp.RecvByLevel = append(resp.RecvByLevel, lv.recv)
+		resp.FreshByLevel = append(resp.FreshByLevel, lv.fresh)
 	}
 	if w.err != nil {
 		resp.Err = w.err.Error()
@@ -1120,7 +1097,7 @@ type meshTracker struct {
 }
 
 func newMeshTracker(n int) *meshTracker {
-	return &meshTracker{n: n, final: 0, done: -1, drained: make([]int, n), idle: make([]bool, n), violApp: -1}
+	return &meshTracker{n: n, done: -1, drained: make([]int, n), idle: make([]bool, n), gone: make([]bool, n), violApp: -1}
 }
 
 // observe folds one full poll round into the tracker. Counters are
@@ -1192,7 +1169,7 @@ func (t *meshTracker) advance() {
 	for {
 		d := t.final
 		for i, w := range t.drained {
-			if t.gone != nil && t.gone[i] {
+			if t.gone[i] {
 				continue
 			}
 			if w < d {
@@ -1239,7 +1216,7 @@ func (t *meshTracker) terminated() bool {
 		return true
 	}
 	for i, ok := range t.idle {
-		if t.gone != nil && t.gone[i] {
+		if t.gone[i] {
 			continue
 		}
 		if !ok {
@@ -1316,20 +1293,21 @@ func newSessionID() uint64 {
 // the node count). Rounds stay concurrent — workers long-poll inside
 // Call, so a sequential round would serialize the cluster.
 //
-// Fault-tolerant runs add liveness bookkeeping: every dispatched call
-// carries a sequence number, collectFT bounds its wait with
-// meshDeathTimeout, and an answer to a call the poller has given up on —
-// or one issued against a transport since replaced by adopt — is
+// Every dispatched call carries a sequence number and every round bounds
+// its wait with meshDeathTimeout; an answer to a call the poller has given
+// up on — or one issued against a transport since replaced by adopt — is
 // discarded by sequence mismatch, so a slow reply from a declared-dead
 // worker can never be mistaken for a current one.
 type meshPoller struct {
 	reqs     []chan pollReq
 	done     chan pollResult
-	errs     []error
+	errs     []error // why each node last died: transport error, Response.Err or timeout
 	alive    []bool
 	inflight []bool
 	seqs     []uint64
 	seq      uint64
+	all      []int       // every node index, round's default address set
+	timer    *time.Timer // the rounds' one death timer, re-armed per round
 }
 
 type pollReq struct {
@@ -1353,9 +1331,12 @@ func newMeshPoller(nodes []Transport) *meshPoller {
 		alive:    make([]bool, n),
 		inflight: make([]bool, n),
 		seqs:     make([]uint64, n),
+		all:      make([]int, n),
+		timer:    time.NewTimer(meshDeathTimeout),
 	}
+	p.timer.Stop()
 	for i, tr := range nodes {
-		p.alive[i] = true
+		p.alive[i], p.all[i] = true, i
 		p.reqs[i] = p.spawn(i, tr)
 	}
 	return p
@@ -1372,115 +1353,49 @@ func (p *meshPoller) spawn(i int, tr Transport) chan pollReq {
 	return ch
 }
 
-func (p *meshPoller) send(i int, req *Request) {
-	p.seq++
-	p.seqs[i] = p.seq
-	p.inflight[i] = true
-	p.reqs[i] <- pollReq{req, p.seq}
-}
-
-// round sends one request to every node (the request is shared and must
-// not be mutated until the round completes) and collects the responses
-// into resps; a transport failure or a worker-side Err response becomes one
-// error naming the node. It always waits for every call, so a partial
-// failure never leaks an in-flight request into the next round.
-// Non-fault-tolerant rounds only — every node is alive and a failure
-// poisons the run.
-func (p *meshPoller) round(resps []*Response, req *Request) error {
-	for i := range p.reqs {
-		p.send(i, req)
+// round sends reqf(i) to every live node of idxs (nil = all; a request may
+// be shared and must not be mutated until the round completes), collects
+// the answers into resps and returns the nodes that died this round, each
+// with its cause in errs: a transport error, a worker-reported Err, or no
+// answer within meshDeathTimeout. Entries of resps outside idxs are left
+// untouched; those of dead or evicted nodes are nil. It waits for every
+// call or the timeout, so a partial failure never leaks an in-flight
+// request into the next round.
+func (p *meshPoller) round(resps []*Response, idxs []int, reqf func(i int) *Request) (dead []int) {
+	if idxs == nil {
+		idxs = p.all
 	}
-	return p.collect(resps)
-}
-
-// roundFn is round with a per-node request — Init carries each node's ID.
-func (p *meshPoller) roundFn(resps []*Response, req func(i int) *Request) error {
-	for i := range p.reqs {
-		p.send(i, req(i))
-	}
-	return p.collect(resps)
-}
-
-func (p *meshPoller) collect(resps []*Response) error {
 	n := 0
-	for _, f := range p.inflight {
-		if f {
-			n++
-		}
-	}
-	for n > 0 {
-		r := <-p.done
-		if !p.inflight[r.i] || r.seq != p.seqs[r.i] {
-			continue // answer to an abandoned call
-		}
-		p.inflight[r.i] = false
-		n--
-		resps[r.i], p.errs[r.i] = r.resp, r.err
-	}
-	for i, err := range p.errs {
-		if !p.alive[i] {
-			continue
-		}
-		if err != nil {
-			return &nodeError{i, err}
-		}
-		if resps[i].Err != "" {
-			return &nodeError{i, errors.New(resps[i].Err)}
-		}
-	}
-	return nil
-}
-
-// roundFT is the fault-tolerant round: requests go to live nodes only,
-// the collect is bounded by meshDeathTimeout, and instead of failing the
-// run it returns the indices of nodes that died this round: transport
-// error, worker-reported Err, or timeout.
-func (p *meshPoller) roundFT(resps []*Response, reqf func(i int) *Request) []int {
-	for i := range p.reqs {
-		resps[i] = nil
-		if p.alive[i] {
-			p.send(i, reqf(i))
-		}
-	}
-	return p.collectFT(resps)
-}
-
-// roundSubset is roundFT over an explicit index set — recovery phases
-// address replacement Inits and survivor Recover polls separately.
-// Entries of resps outside idxs are left untouched.
-func (p *meshPoller) roundSubset(resps []*Response, idxs []int, reqf func(i int) *Request) []int {
 	for _, i := range idxs {
 		resps[i] = nil
 		if p.alive[i] {
-			p.send(i, reqf(i))
-		}
-	}
-	return p.collectFT(resps)
-}
-
-func (p *meshPoller) collectFT(resps []*Response) (dead []int) {
-	n := 0
-	for _, f := range p.inflight {
-		if f {
+			p.seq++
+			p.seqs[i], p.inflight[i] = p.seq, true
+			p.reqs[i] <- pollReq{reqf(i), p.seq}
 			n++
 		}
 	}
-	timer := time.NewTimer(meshDeathTimeout)
-	defer timer.Stop()
+	p.timer.Reset(meshDeathTimeout)
+	defer p.timer.Stop()
 	for n > 0 {
 		select {
 		case r := <-p.done:
 			if !p.inflight[r.i] || r.seq != p.seqs[r.i] {
-				continue
+				continue // answer to an abandoned call
 			}
 			p.inflight[r.i] = false
 			n--
-			if r.err != nil || r.resp.Err != "" {
-				dead = append(dead, r.i)
+			switch {
+			case r.err != nil:
+				p.errs[r.i] = r.err
+			case r.resp.Err != "":
+				p.errs[r.i] = errors.New(r.resp.Err)
+			default:
+				resps[r.i] = r.resp
 				continue
 			}
-			resps[r.i] = r.resp
-		case <-timer.C:
+			dead = append(dead, r.i)
+		case <-p.timer.C:
 			// Unanswered workers are declared dead; their eventual answers
 			// are discarded by the sequence check. Workers answer every
 			// poll within meshPollBudget, so only a dead or wedged node
@@ -1488,6 +1403,7 @@ func (p *meshPoller) collectFT(resps []*Response) (dead []int) {
 			for i, f := range p.inflight {
 				if f {
 					p.inflight[i] = false
+					p.errs[i] = fmt.Errorf("no answer to a poll within %v", meshDeathTimeout)
 					dead = append(dead, i)
 				}
 			}
@@ -1519,9 +1435,10 @@ func (p *meshPoller) close() {
 	}
 }
 
-// meshFT is the coordinator's fault-tolerance state over one mesh run:
-// who last checkpointed and answered what, the current era and ownership
-// table, and the spare transports still available for adoption. deadWire
+// meshFT is the coordinator's death handling over one mesh run: who last
+// checkpointed and answered what, the current era and ownership table, and
+// the spare transports still available for adoption. Every run has one; a
+// run without Job.FT recovers from a death by naming it. deadWire
 // preserves evicted nodes' final wire totals — true traffic the rollback
 // cannot re-attribute (survivors keep only their own wire counters).
 type meshFT struct {
@@ -1553,7 +1470,6 @@ func newMeshFT(job Job, poller *meshPoller, tr *meshTracker, trace *obs.Trace, s
 	for i := range ft.lastCkpt {
 		ft.lastCkpt[i] = -1
 	}
-	tr.gone = make([]bool, n)
 	return ft
 }
 
@@ -1588,15 +1504,21 @@ func (ft *meshFT) foldLinkDown(resps []*Response) (dead []int) {
 	return dead
 }
 
-// recover is the takeover loop. Each iteration evicts the newly dead,
-// adopts spares into the freed slots when available, reassigns orphaned
-// shards to the survivors, rolls the cluster back to the deepest cut
-// every relevant checkpoint supports, and issues the mixed recovery
-// round — Recover-tagged polls to survivors, restore-Inits to adoptions.
-// Deaths during that round feed the next iteration: the double-fault
-// case is just a second lap.
+// recover is what a death leads to. Without fault tolerance that is the
+// error the run ends in, naming the lowest dead node and its cause (as a
+// poisoned run always did). With it, it is the takeover loop: each
+// iteration evicts the newly dead, adopts spares into the freed slots when
+// available, reassigns orphaned shards to the survivors, rolls the cluster
+// back to the deepest cut every relevant checkpoint supports, and issues
+// the mixed recovery round — Recover-tagged polls to survivors,
+// restore-Inits to adoptions. Deaths during that round feed the next
+// iteration: the double-fault case is just a second lap.
 func (ft *meshFT) recover(resps []*Response, dead []int) error {
 	p, t := ft.poller, ft.tr
+	if !ft.job.FT {
+		d := slices.Min(dead)
+		return &nodeError{d, p.errs[d]}
+	}
 	adoptedNow := make([]bool, len(p.alive))
 	for len(dead) > 0 {
 		cut := 1 << 30
@@ -1686,7 +1608,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 			}
 		}
 		if len(adoptIdx) > 0 {
-			next := p.roundSubset(resps, adoptIdx, func(i int) *Request {
+			next := p.round(resps, adoptIdx, func(i int) *Request {
 				j := ft.job
 				j.NodeID = i
 				j.Owners = owners
@@ -1713,7 +1635,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 		var recCtl Control
 		t.controlInto(&recCtl)
 		recCtl.Recover = &Recover{Era: ft.era, Owners: owners, Cut: cut, Dead: deadSet}
-		next := p.roundSubset(resps, survIdx, func(int) *Request {
+		next := p.round(resps, survIdx, func(int) *Request {
 			return &Request{Kind: KindPoll, Ctl: &recCtl}
 		})
 		for _, i := range survIdx {
@@ -1738,13 +1660,15 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 // trace (nil-safe) gains the per-level frontier sizes (from the workers'
 // FreshByLevel snapshots), one NodeSpan per worker and the epoch count.
 //
-// With job.FT set, the poll loop runs fault-tolerantly: deaths detected
-// by transport error, worker Err, timeout or peer LinkDown reports feed
-// meshFT.recover, and the run completes with the exact verdict as long
-// as at least one worker (or adopted spare) survives each takeover. The
-// Init round stays fail-fast — fault tolerance covers the run, not its
-// setup. plan (nil-safe) is the deterministic fault-injection harness;
-// its kills fire against tracker milestones before poll rounds.
+// Deaths — a transport error, a worker Err, no answer within
+// meshDeathTimeout, or a peer's LinkDown report — go to meshFT.recover: with
+// job.FT the run completes with the exact verdict as long as at least one
+// worker (or adopted spare) survives each takeover, without it the run ends
+// in an error naming the node and the cause. Either way a poll round
+// returns. The Init round is fail-fast in both modes — fault tolerance
+// covers the run, not its setup. plan (nil-safe) is the deterministic
+// fault-injection harness; its kills fire against tracker milestones
+// before poll rounds.
 func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, plan *faultPlan) (verify.Result, error) {
 	res := verify.Result{Schedulable: true, Bounded: job.MaxDisturbances > 0}
 	job.Session = newSessionID()
@@ -1762,12 +1686,13 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 	poller := newMeshPoller(nodes)
 	defer poller.close()
 	resps := make([]*Response, len(nodes))
-	if err := poller.roundFn(resps, func(i int) *Request {
+	if dead := poller.round(resps, nil, func(i int) *Request {
 		j := job
 		j.NodeID = i
 		return &Request{Kind: KindInit, Job: &j}
-	}); err != nil {
-		return res, err
+	}); len(dead) > 0 {
+		d := slices.Min(dead)
+		return res, &nodeError{d, poller.errs[d]}
 	}
 	for i, r := range resps {
 		if r.Proto != protoVersion {
@@ -1777,102 +1702,68 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 	}
 
 	tr := newMeshTracker(len(nodes))
-	var ft *meshFT
-	if job.FT {
-		var spares []Transport
-		if plan != nil {
-			spares = plan.spares
-		}
-		ft = newMeshFT(job, poller, tr, trace, spares)
+	var spares []Transport
+	if plan != nil {
+		spares = plan.spares
 	}
+	ft := newMeshFT(job, poller, tr, trace, spares)
 	var ctl Control
-	finish := func() ([]*Response, error) {
+	req := &Request{Kind: KindPoll, Ctl: &ctl}
+	poll := func(int) *Request { return req }
+	// finish ends the session. The verdict is already determined
+	// (quiescence, or a settled violation), so a death during the finish
+	// round cannot change it: the node's last snapshot stands in — a worker
+	// changes state only inside a poll, so it is the answer it would have
+	// given.
+	finish := func() []*Response {
 		tr.controlInto(&ctl)
 		ctl.Finish = true
-		freq := &Request{Kind: KindPoll, Ctl: &ctl}
-		if ft != nil {
-			// The verdict is already determined (quiescence, or a settled
-			// violation), so a death during the finish round cannot change
-			// it: substitute the node's last snapshot — identical, by
-			// quiescence, to the answer it would have given.
-			for _, d := range poller.roundFT(resps, func(int) *Request { return freq }) {
-				resps[d] = ft.lastSnap[d]
-			}
-			return resps, nil
+		for _, d := range poller.round(resps, nil, poll) {
+			resps[d] = ft.lastSnap[d]
 		}
-		if err := poller.round(resps, freq); err != nil {
-			return nil, err
-		}
-		return resps, nil
+		return resps
 	}
-	req := &Request{Kind: KindPoll, Ctl: &ctl}
 	epochs := 0
 	for {
-		if ft != nil {
-			plan.fire(tr.final, ft.recoveries)
-		} else {
-			plan.fire(tr.final, 0)
-		}
+		plan.fire(tr.final, ft.recoveries)
 		tr.controlInto(&ctl)
-		if ft != nil {
-			dead := poller.roundFT(resps, func(int) *Request { return req })
-			dead = append(dead, ft.foldLinkDown(resps)...)
-			epochs++
-			if len(dead) > 0 {
-				if err := ft.recover(resps, dead); err != nil {
-					return res, err
-				}
-				continue // tracker rebased; observe a fresh round first
-			}
-			ft.note(resps)
-		} else {
-			if err := poller.round(resps, req); err != nil {
-				// The run is poisoned; surviving workers tear down when their
-				// session ends (transport Close / next Init).
+		dead := poller.round(resps, nil, poll)
+		dead = append(dead, ft.foldLinkDown(resps)...)
+		epochs++
+		if len(dead) > 0 {
+			// Without fault tolerance the run is poisoned and ends here;
+			// surviving workers tear down when their session ends
+			// (transport Close / next Init).
+			if err := ft.recover(resps, dead); err != nil {
 				return res, err
 			}
-			epochs++
+			continue // tracker rebased; observe a fresh round first
 		}
+		ft.note(resps)
 		tr.observe(resps)
 		tr.advance()
+		if !tr.terminated() && !tr.tooLarge {
+			continue
+		}
+		tr.observe(finish())
+		res.States, res.Transitions = tr.fresh, tr.transitions
+		res.Depth, res.Wire = tr.maxFresh, tr.wire
+		res.Wire.Add(ft.deadWire)
 		if tr.tooLarge && !tr.haveViol {
 			// Report the partial exploration: budget-busted admission checks
 			// still count their states and wire volume.
-			if final, ferr := finish(); ferr == nil {
-				tr.observe(final)
-			}
-			res.States, res.Transitions = tr.fresh, tr.transitions
-			res.Depth, res.Wire = tr.maxFresh, tr.wire
-			if ft != nil {
-				res.Wire.Add(ft.deadWire)
-			}
 			return res, verify.ErrTooLarge
 		}
-		if tr.terminated() || (tr.tooLarge && tr.haveViol) {
-			// Like the local search, a recorded violation is preferred over
-			// ErrTooLarge when the budget trips: the verdict is sound, but
-			// on the budget edge the violator may not be the level minimum
-			// a larger budget would report.
-			final, err := finish()
-			if err != nil {
-				return res, err
-			}
-			tr.observe(final)
-			foldMeshTrace(trace, final, epochs+1)
-			res.States = tr.fresh
-			res.Transitions = tr.transitions
-			res.Wire = tr.wire
-			if ft != nil {
-				res.Wire.Add(ft.deadWire)
-			}
-			if tr.haveViol {
-				res.Schedulable = false
-				res.Violator = tr.violApp
-				res.Depth = tr.violLevel
-			} else {
-				res.Depth = tr.maxFresh
-			}
-			return res, nil
+		// Like the local search, a recorded violation is preferred over
+		// ErrTooLarge when the budget trips: the verdict is sound, but on
+		// the budget edge the violator may not be the level minimum a
+		// larger budget would report.
+		foldMeshTrace(trace, resps, epochs+1)
+		if tr.haveViol {
+			res.Schedulable = false
+			res.Violator = tr.violApp
+			res.Depth = tr.violLevel
 		}
+		return res, nil
 	}
 }

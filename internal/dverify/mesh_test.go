@@ -330,7 +330,7 @@ func TestMeshTopologyForcedOnWrappedTransports(t *testing.T) {
 		wrappedCalls++
 		return a[1].Call(req)
 	})
-	tcp, tcpKinds := cannedWorker(t, Response{Proto: protoVersion})
+	tcp, tcpKinds := cannedWorker(t, Response{Proto: protoVersion}, 0)
 
 	for name, nodes := range map[string][]Transport{
 		"wrapped":             {a[0], wrapped},

@@ -24,28 +24,11 @@ import (
 // verifyd daemon), corrupting the search with no error. KindInit therefore
 // carries the coordinator's version in Job.Proto and the node echoes its
 // own in Response.Proto, so either side rejects a mismatch loudly before
-// any frontier is exchanged. Version 10 removes the DEFLATE batch codec
-// (codec byte 2), which a version-9 peer may still send. Version 9 removes
-// Job.Workers (a mesh node is one search goroutine): gob would drop a
-// version-8 coordinator's pool size silently. Version 8 removes the
-// coordinator relay: its
-// Step and Absorb request kinds, the Request/Response batch lists,
-// Response.Next, Response.Era and Job.Mesh are gone, which renumbers
-// KindPoll and KindPeerHello — a version-7 peer would misread every
-// request. Version 7 changed no field: it marks the packed-state layout
-// whose lane clocks are fitted to the job's largest r
-// (verify.Verifier.valBits), which a version-6 peer would decode into
-// different states. Version 6 is the PR-9 fault-tolerance
-// protocol (explicit shard-ownership tables, era-tagged mesh frames,
-// checkpoint/recovery control: Job carries Owners/Era/Cut, KindPoll can
-// carry a Recover order, snapshots report checkpoint progress and dead
-// links); version 5 is the PR-8 protocol (telemetry: Job carries the run
-// ID, mesh snapshots carry per-level fresh-commit counts); version 4 is
-// the PR-6 protocol (per-node expansion worker pools: Job carries
-// Workers); version 3 is the PR-5 protocol (worker↔worker mesh links,
-// pipelined levels, poll/epoch control plane); version 2 is the PR-4
-// relay protocol (per-source absorb batch lists, codec-framed); PR-3
-// binaries predate the field and present as version 0.
+// any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
+// field, a codec byte or the packed-state layout changes or goes. Version
+// 10 has the raw and delta batch codecs, one search goroutine per node, no
+// coordinator relay, and lane clocks fitted to the job's largest r; what
+// each earlier version was is in CHANGES.md.
 const protoVersion = 10
 
 // Kind discriminates coordinator requests.
