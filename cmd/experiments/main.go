@@ -115,7 +115,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	ts, clusterDesc, err := dverify.ClusterRetry(*nodes, *connect, 1, 0, nil)
+	ts, clusterDesc, err := dverify.ClusterRetry(*nodes, *connect, 1, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)

@@ -33,8 +33,7 @@
 // scales by its node count.
 //
 // Resilience: -connect dials with a bounded exponential-backoff retry
-// (-connect-retries, -connect-backoff) so the fleet may boot in any
-// order. -ft makes the distributed runs fault-tolerant — worker deaths
+// (-connect-retries) so the fleet may boot in any order. -ft makes the distributed runs fault-tolerant — worker deaths
 // are survived by reassigning the dead node's hash shards and rolling
 // back to the last per-level checkpoint under -ftdir, with the verdict
 // and all exhaustive counts unchanged. -retries, -breaker and
@@ -91,8 +90,7 @@ func main() {
 	httpAddr := flag.String("http", "", "admission-plane HTTP address (empty disables the admission plane)")
 	nodes := flag.Int("nodes", 0, "admission plane: verify over N loopback mesh nodes in this process (0 = local engine)")
 	connect := flag.String("connect", "", "admission plane: verify over this comma-separated worker fleet")
-	connectRetries := flag.Int("connect-retries", 5, "startup dial attempts per -connect worker address (1 = no retry)")
-	connectBackoff := flag.Duration("connect-backoff", 500*time.Millisecond, "base backoff between -connect dial attempts (doubled per attempt, capped at 10s)")
+	connectRetries := flag.Int("connect-retries", 5, "startup dial attempts per -connect worker address (1 = no retry; waits 0.5s, doubled per attempt, capped at 10s)")
 	ft := flag.Bool("ft", false, "fault-tolerant distributed runs: survive worker deaths by shard reassignment and rollback (see -ftdir)")
 	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
 	workers := flag.Int("workers", 0, "admission plane: lanes of an in-process local search (0 = GOMAXPROCS); ignored by -nodes/-connect backends and by the worker plane")
@@ -102,10 +100,8 @@ func main() {
 	concurrency := flag.Int("concurrency", 1, "concurrent backend verifications")
 	maxstates := flag.Int("maxstates", 0, "clamp per-request state budgets (0 = engine default)")
 	timeout := flag.Duration("timeout", 0, "default per-request budget when the submit sets none (0 = none)")
-	retries := flag.Int("retries", 0, "retry transient backend failures this many times (0 = report the first failure)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff before the first backend retry (0 = 100ms; doubled per attempt, jittered, capped at 5s)")
-	breaker := flag.Int("breaker", 0, "open the backend circuit after this many consecutive failed verifications (0 = no breaker)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open circuit refuses the backend (0 = 30s)")
+	retries := flag.Int("retries", 0, "retry transient backend failures this many times, waiting 100ms doubled per attempt, jittered, capped at 5s (0 = report the first failure)")
+	breaker := flag.Int("breaker", 0, "open the backend circuit for 30s after this many consecutive failed verifications (0 = no breaker)")
 	localFallback := flag.Bool("localfallback", false, "serve verdicts from the in-process engine when the backend is unavailable instead of returning 502")
 	metricsAddr := flag.String("metrics", "", "HTTP admin address serving /metricsz (for worker-only daemons; the admission plane serves /metricsz itself)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof and /debug/vars on the HTTP surfaces")
@@ -194,13 +190,11 @@ func main() {
 			CacheDir:         *cachedir,
 			Checkpoint:       *checkpoint,
 			RetryAttempts:    *retries,
-			RetryBackoff:     *retryBackoff,
 			BreakerThreshold: *breaker,
-			BreakerCooldown:  *breakerCooldown,
 			LocalFallback:    *localFallback,
 			Logf:             logf,
 		}
-		ts, desc, err := dverify.ClusterRetry(*nodes, *connect, *connectRetries, *connectBackoff, logf)
+		ts, desc, err := dverify.ClusterRetry(*nodes, *connect, *connectRetries, logf)
 		if err != nil {
 			fail(err)
 		}

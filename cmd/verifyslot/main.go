@@ -81,8 +81,7 @@ func run() int {
 	maxStates := flag.Int("maxstates", 0, "visited-state budget, per node when distributed (0 = 200M)")
 	nodes := flag.Int("nodes", 0, "distribute over K in-process loopback workers (0 = local verification)")
 	connect := flag.String("connect", "", "distribute over verifyd workers at these comma-separated addresses")
-	connectRetries := flag.Int("connect-retries", 1, "startup dial attempts per -connect worker address (1 = no retry)")
-	connectBackoff := flag.Duration("connect-backoff", 500*time.Millisecond, "base backoff between -connect dial attempts (doubled per attempt, capped at 10s)")
+	connectRetries := flag.Int("connect-retries", 1, "startup dial attempts per -connect worker address (1 = no retry; waits 0.5s, doubled per attempt, capped at 10s)")
 	ft := flag.Bool("ft", false, "fault-tolerant distributed run: survive worker deaths by shard reassignment and rollback (see -ftdir)")
 	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
 	server := flag.String("server", "", "submit to an admission service at this base URL (e.g. http://host:9833) instead of verifying locally")
@@ -185,7 +184,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "verifyslot: "+format+"\n", args...)
 		}
 	}
-	ts, clusterDesc, err := dverify.ClusterRetry(*nodes, *connect, *connectRetries, *connectBackoff, dialLogf)
+	ts, clusterDesc, err := dverify.ClusterRetry(*nodes, *connect, *connectRetries, dialLogf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "verifyslot:", err)
 		return 2

@@ -72,8 +72,8 @@ func TestServiceVerdictEquivalence(t *testing.T) {
 				want := localVerdictJSON(t, ps, tc.spec, names)
 				if cfg, err := tc.spec.Config(ps); err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
-				} else if e, err := verify.NewExpander(ps, cfg); err != nil || e.Wide() != tc.wide {
-					t.Fatalf("%s: wide=%v, %v", tc.name, e != nil && e.Wide(), err)
+				} else if e, err := verify.NewExpander(ps, cfg); err != nil || (e.StateWords() > 1) != tc.wide {
+					t.Fatalf("%s: want wide=%v, %v", tc.name, tc.wide, err)
 				}
 
 				status, resp, gotVerdict := r.submit(t, req)

@@ -229,12 +229,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("admit: server returned %d: %s", e.Status, e.Msg)
 }
 
-// IsRetryable reports whether the error is a 503-class refusal (draining
-// instance, full queue) worth retrying elsewhere.
-func (e *StatusError) IsRetryable() bool {
-	return e.Status == http.StatusServiceUnavailable || e.Status == http.StatusGatewayTimeout
-}
-
 // AsStatusError unwraps err to a StatusError if one is in the chain.
 func AsStatusError(err error) (*StatusError, bool) {
 	var se *StatusError

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
@@ -61,10 +60,11 @@ const maxNodes = 64
 
 // Transport is one coordinator↔worker link carrying the request/response
 // protocol of proto.go. Calls are strictly sequential per transport (the
-// coordinator never has two outstanding requests to one node). A failed
-// Call poisons the run — the protocol state of the cluster is undefined —
-// but a new Verify over the same transports recovers, because KindInit
-// resets every node.
+// coordinator never has two outstanding requests to one node). A failed or
+// unanswered Call ends that node's part in the run — the run recovers under
+// fault tolerance and otherwise fails naming the node — but a new Verify
+// over the same transports starts clean, because KindInit resets every
+// node.
 type Transport interface {
 	Call(*Request) (*Response, error)
 	Close() error
@@ -182,11 +182,10 @@ func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify
 // caller owns the transports (defer Close).
 //
 // Each -connect address is attempted up to attempts times with exponential
-// backoff starting at backoff (see DialRetry), so a fleet can come up in
-// any order. logf, when non-nil, receives one line per failed attempt.
+// backoff (see DialRetry), so a fleet can come up in any order. logf, when non-nil, receives one line per failed attempt.
 // attempts ≤ 1 dials once; loopback clusters never retry (there is nothing
 // to wait for).
-func ClusterRetry(nodes int, connect string, attempts int, backoff time.Duration, logf func(format string, args ...any)) (ts []Transport, desc string, err error) {
+func ClusterRetry(nodes int, connect string, attempts int, logf func(format string, args ...any)) (ts []Transport, desc string, err error) {
 	switch {
 	case nodes < 0:
 		return nil, "", fmt.Errorf("-nodes must be ≥ 0, got %d", nodes)
@@ -197,7 +196,7 @@ func ClusterRetry(nodes int, connect string, attempts int, backoff time.Duration
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
 		}
-		ts, err := DialRetry(addrs, 0, attempts, backoff, logf)
+		ts, err := DialRetry(addrs, 0, attempts, logf)
 		if err != nil {
 			return nil, "", err
 		}

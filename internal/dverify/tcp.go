@@ -25,17 +25,20 @@ import (
 // one transport per address in order. On any failure the already-opened
 // connections are closed.
 func Dial(addrs []string, timeout time.Duration) ([]Transport, error) {
-	return DialRetry(addrs, timeout, 1, 0, nil)
+	return DialRetry(addrs, timeout, 1, nil)
 }
 
+// dialBackoff is DialRetry's first wait between attempts at one address.
+const dialBackoff = 500 * time.Millisecond
+
 // DialRetry is Dial with a bounded startup-retry schedule per address:
-// attempts tries each, sleeping backoff, 2·backoff, 4·backoff, … between
-// them (capped at 10s per wait). It rides out workers that are still
+// attempts tries each, sleeping dialBackoff, then twice that, four times, …
+// between them (capped at 10s per wait). It rides out workers that are still
 // booting — a fleet brought up by an orchestrator rarely wins the race
 // against its coordinator — without masking a dead address forever. logf
 // (nil-safe) receives one line per failed attempt with the remaining
 // schedule, so a stuck boot names the address it is waiting on.
-func DialRetry(addrs []string, timeout time.Duration, attempts int, backoff time.Duration, logf func(format string, args ...any)) ([]Transport, error) {
+func DialRetry(addrs []string, timeout time.Duration, attempts int, logf func(format string, args ...any)) ([]Transport, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
@@ -49,7 +52,7 @@ func DialRetry(addrs []string, timeout time.Duration, attempts int, backoff time
 	for _, addr := range addrs {
 		var conn net.Conn
 		var err error
-		wait := backoff
+		wait := dialBackoff
 		for try := 1; ; try++ {
 			conn, err = net.DialTimeout("tcp", addr, timeout)
 			if err == nil {

@@ -259,21 +259,6 @@ func (m *Matrix) NormInf() float64 {
 	return max
 }
 
-// Norm1 returns the maximum absolute column sum.
-func (m *Matrix) Norm1() float64 {
-	max := 0.0
-	for j := 0; j < m.cols; j++ {
-		s := 0.0
-		for i := 0; i < m.rows; i++ {
-			s += math.Abs(m.data[i*m.cols+j])
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // MaxAbs returns the largest |entry|.
 func (m *Matrix) MaxAbs() float64 {
 	max := 0.0

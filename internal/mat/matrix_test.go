@@ -177,7 +177,6 @@ func TestNorms(t *testing.T) {
 	a := FromRows([][]float64{{1, -2}, {-3, 4}})
 	almostEq(t, a.NormFro(), math.Sqrt(30), 1e-12, "fro")
 	almostEq(t, a.NormInf(), 7, 0, "inf")
-	almostEq(t, a.Norm1(), 6, 0, "one")
 	almostEq(t, a.MaxAbs(), 4, 0, "maxabs")
 }
 

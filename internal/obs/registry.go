@@ -21,7 +21,7 @@
 // Run traces (trace.go) are the second half of the plane: obs.Trace
 // records per-level spans, per-node and per-link breakdowns of one
 // verification run under a run ID minted at the admission boundary, and
-// serializes to structured JSON (log/slog or a -tracefile report).
+// serializes to structured JSON (a -tracefile report).
 package obs
 
 import (

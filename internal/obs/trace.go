@@ -9,15 +9,14 @@ package obs
 // record one LevelSpan per BFS level, the mesh coordinator folds each
 // node's per-level fresh-commit counts, per-node totals and per-link wire
 // counters in, and the finished trace serializes as structured JSON — a
-// log/slog record, or a -tracefile report whose per-level state counts
-// sum exactly to the run's visited-state total.
+// -tracefile report whose per-level state counts sum exactly to the run's
+// visited-state total.
 
 import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"log/slog"
 	"os"
 	"sync"
 	"time"
@@ -275,33 +274,4 @@ func (t *Trace) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// Emit logs the trace summary as one structured record.
-func (t *Trace) Emit(lg *slog.Logger, msg string) {
-	if t == nil || lg == nil {
-		return
-	}
-	t.mu.Lock()
-	attrs := []any{
-		"runId", t.RunID,
-		"schedulable", t.Schedulable,
-		"states", t.States,
-		"transitions", t.Transitions,
-		"depth", t.Depth,
-		"levels", len(t.Levels),
-		"elapsedSec", t.ElapsedSec,
-		"statesPerSec", int64(t.StatesPerSec),
-	}
-	if t.Backend != "" {
-		attrs = append(attrs, "backend", t.Backend, "nodes", t.Nodes)
-	}
-	if t.Wire != nil {
-		attrs = append(attrs, "wireBytes", t.Wire.WireBytes, "routedStates", t.Wire.RoutedStates)
-	}
-	if t.Violator != "" {
-		attrs = append(attrs, "violator", t.Violator)
-	}
-	t.mu.Unlock()
-	lg.Info(msg, attrs...)
 }

@@ -150,29 +150,33 @@ func TestSequentialSearchAllocAmortized(t *testing.T) {
 }
 
 // TestExpanderSuccessorsIntoAllocFree pins the exported seam the
-// distributed nodes drive: SuccessorsInto with an owned scratch and a
-// recycled buffer is allocation-free too.
+// distributed nodes drive on the wide encoding: SuccessorsHashedInto with an
+// owned scratch and a recycled buffer is allocation-free on four-word
+// states too.
 func TestExpanderSuccessorsIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
 	}
-	e, err := NewExpander(fleet(4, 6, 1, 2, 10), Config{NondetTies: true})
-	if err != nil {
-		t.Fatal(err)
+	e, err := NewExpander(fleet(7, 6, 1, 2, 65), Config{NondetTies: true})
+	if err != nil || e.StateWords() != wideWords {
+		t.Fatalf("wide fixture: %d-word states, %v", e.StateWords(), err)
 	}
 	sc := e.NewScratch()
-	out, app := e.SuccessorsInto(e.Initial(), sc, nil)
+	out, app := e.SuccessorsHashedInto(e.Initial(), sc, nil)
 	if app >= 0 {
 		t.Fatal("initial expansion violated")
 	}
-	states := append([]PackedState(nil), out...)
+	states := make([]PackedState, len(out))
+	for i := range out {
+		states[i] = out[i].S
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, s := range states {
-			out, _ = e.SuccessorsInto(s, sc, out[:0])
+			out, _ = e.SuccessorsHashedInto(s, sc, out[:0])
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("SuccessorsInto allocates %.1f times per sweep, want 0", allocs)
+		t.Fatalf("SuccessorsHashedInto allocates %.1f times per wide sweep, want 0", allocs)
 	}
 }
 

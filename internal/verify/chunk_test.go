@@ -104,6 +104,7 @@ func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (
 	e := v.Expander()
 	scr := e.NewScratch()
 	var buf []PackedState
+	var hbuf []HashedState
 	res, err, visited, levels := refSearch(e.Initial(), v.cfg.MaxStates, func(s PackedState) ([]PackedState, int) {
 		var c cstate
 		again := s
@@ -118,7 +119,7 @@ func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (
 			t.Fatalf("state %x decodes to %+v, which packs to %x", s, c, again)
 		}
 		var viol int
-		buf, viol = e.SuccessorsInto(s, scr, buf[:0])
+		buf, viol = succStates(e, s, scr, &hbuf, buf[:0])
 		return buf, viol
 	})
 	res.Bounded = cfg.MaxDisturbances > 0

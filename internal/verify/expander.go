@@ -11,7 +11,6 @@ package verify
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"tightcps/internal/switching"
 )
@@ -31,8 +30,7 @@ type PackedState [wideWords]uint64
 // concurrent use, except where a caller-owned buffer or scratch is passed
 // in.
 type Expander struct {
-	v    *Verifier
-	pool sync.Pool // spare *ExpandScratch for the concurrency-safe Successors
+	v *Verifier
 }
 
 // Expander returns the verifier's expansion core.
@@ -48,14 +46,11 @@ func NewExpander(profiles []*switching.Profile, cfg Config) (*Expander, error) {
 	return v.Expander(), nil
 }
 
-// Wide reports whether the composed state uses the multi-word encoding:
-// whether n lanes of 2 + ⌈log₂ max r⌉ (+ 2 bounded) bits and the 8-bit
-// header exceed 64 bits — nine applications at r = 17, seven at r = 65.
-func (e *Expander) Wide() bool { return e.v.wide }
-
 // StateWords is the number of significant words per state: 1 on the narrow
-// fast path, the full word count on the wide path (see Wide for which sets
-// take it). It sizes the wire encoding of AppendState/DecodeStates.
+// fast path, the full word count on the wide path — taken when n lanes of
+// 2 + ⌈log₂ max r⌉ (+ 2 bounded) bits and the 8-bit header exceed 64 bits:
+// nine applications at r = 17, seven at r = 65. It sizes the wire encoding
+// of AppendState/DecodeStates.
 func (e *Expander) StateWords() int {
 	if e.v.wide {
 		return wideWords
@@ -76,43 +71,14 @@ func (e *Expander) Initial() PackedState {
 // A scratch is not safe for concurrent use: give every driver goroutine its
 // own, exactly as the internal searches give one to every BFS worker. The
 // arena grows to the verifier's maximum fanout and is then recycled, so
-// steady-state expansion through SuccessorsInto performs no allocation.
+// steady-state expansion through SuccessorsHashedInto performs no
+// allocation.
 type ExpandScratch struct {
 	sc expandScratch
 }
 
-// NewScratch returns a fresh scratch for SuccessorsInto.
+// NewScratch returns a fresh scratch for SuccessorsHashedInto.
 func (e *Expander) NewScratch() *ExpandScratch { return &ExpandScratch{} }
-
-// SuccessorsInto appends s's successors to out and returns the extended
-// slice together with the index of the application whose deadline the
-// expansion violated, or −1 when every disturbance choice stays safe. On a
-// violation out is returned unchanged — no partial successors are appended
-// (only the scratch's internal arena holds the truncated expansion), so
-// callers accumulating successors from several states keep the earlier
-// ones. The scratch carries the expansion's buffers between calls; its
-// arena contents are overwritten on every call.
-func (e *Expander) SuccessorsInto(s PackedState, scr *ExpandScratch, out []PackedState) ([]PackedState, int) {
-	v, sc := e.v, &scr.sc
-	if v.wide {
-		v.unpackWide(wstate(s), &sc.base)
-	} else {
-		v.unpack(s[0], &sc.base)
-	}
-	if viol := v.expand(&sc.base, sc); viol >= 0 {
-		return out, viol
-	}
-	if v.wide {
-		for i := range sc.states {
-			out = append(out, PackedState(v.packWide(&sc.states[i])))
-		}
-	} else {
-		for i := range sc.states {
-			out = append(out, PackedState{v.pack(&sc.states[i])})
-		}
-	}
-	return out, -1
-}
 
 // HashedState pairs a packed state with its Expander.Hash. It is the unit
 // of the batched-hashing expansion path: SuccessorsHashedInto mixes each
@@ -124,11 +90,16 @@ type HashedState struct {
 	H uint64
 }
 
-// SuccessorsHashedInto is SuccessorsInto with the hash computed during the
-// packing sweep over the scratch arena, so callers that route or dedup by
-// hash never mix a state twice. The contract is otherwise identical: on a
-// violation out is returned unchanged, and the scratch's arena is
-// overwritten on every call.
+// SuccessorsHashedInto appends s's successors, each with its hash, to out
+// and returns the extended slice together with the index of the application
+// whose deadline the expansion violated, or −1 when every disturbance choice
+// stays safe. The hash is computed during the packing sweep over the scratch
+// arena, so callers that route or dedup by hash never mix a state twice. On
+// a violation out is returned unchanged — no partial successors are appended
+// (only the scratch's internal arena holds the truncated expansion), so
+// callers accumulating successors from several states keep the earlier
+// ones. The scratch carries the expansion's buffers between calls; its
+// arena contents are overwritten on every call.
 func (e *Expander) SuccessorsHashedInto(s PackedState, scr *ExpandScratch, out []HashedState) ([]HashedState, int) {
 	v, sc := e.v, &scr.sc
 	if v.wide {
@@ -151,19 +122,6 @@ func (e *Expander) SuccessorsHashedInto(s PackedState, scr *ExpandScratch, out [
 		}
 	}
 	return out, -1
-}
-
-// Successors is SuccessorsInto over a pooled scratch: safe for concurrent
-// use, at the cost of the pool round-trip. Hot drivers hold their own
-// scratch and call SuccessorsInto directly.
-func (e *Expander) Successors(s PackedState, out []PackedState) ([]PackedState, int) {
-	scr, _ := e.pool.Get().(*ExpandScratch)
-	if scr == nil {
-		scr = &ExpandScratch{}
-	}
-	out, app := e.SuccessorsInto(s, scr, out)
-	e.pool.Put(scr)
-	return out, app
 }
 
 // Hash mixes a state for shard selection and set probing. Narrow states use

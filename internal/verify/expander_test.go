@@ -7,8 +7,20 @@ import (
 	"tightcps/internal/switching"
 )
 
+// succStates is SuccessorsHashedInto without the hashes: the reference
+// searches of this package's tests expand through the one exported path.
+// hs is the caller's recycled hashed buffer.
+func succStates(e *Expander, s PackedState, scr *ExpandScratch, hs *[]HashedState, out []PackedState) ([]PackedState, int) {
+	var viol int
+	*hs, viol = e.SuccessorsHashedInto(s, scr, (*hs)[:0])
+	for _, h := range *hs {
+		out = append(out, h.S)
+	}
+	return out, viol
+}
+
 // TestExpanderMatchesInternalSuccessors pins the seam to the internal
-// search: the exported Successors must produce exactly the packed states
+// search: the exported expansion must produce exactly the packed states
 // the narrow path's successors() produces, embedded in word 0.
 func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
@@ -17,8 +29,8 @@ func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := v.Expander()
-	if e.Wide() || e.StateWords() != 1 {
-		t.Fatalf("narrow triple reported wide=%v words=%d", e.Wide(), e.StateWords())
+	if e.StateWords() != 1 {
+		t.Fatalf("narrow triple reported %d-word states", e.StateWords())
 	}
 	init := v.initial()
 	if e.Initial() != (PackedState{init}) {
@@ -29,9 +41,10 @@ func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 	if viol >= 0 {
 		t.Fatal("initial state violated")
 	}
-	got, app := e.Successors(PackedState{init}, nil)
+	var hs []HashedState
+	got, app := succStates(e, PackedState{init}, e.NewScratch(), &hs, nil)
 	if app != -1 {
-		t.Fatalf("Successors reported violator %d", app)
+		t.Fatalf("the seam reported violator %d", app)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d successors via the seam, %d internally", len(got), len(want))
@@ -66,16 +79,18 @@ func TestExpanderViolationSurfaces(t *testing.T) {
 	seen := e.NewSet(64)
 	frontier := []PackedState{e.Initial()}
 	seen.Add(frontier[0])
+	scr := e.NewScratch()
+	var succ []HashedState
 	for len(frontier) > 0 {
 		var next []PackedState
 		for _, s := range frontier {
-			succ, app := e.Successors(s, nil)
-			if app >= 0 {
+			var app int
+			if succ, app = e.SuccessorsHashedInto(s, scr, succ[:0]); app >= 0 {
 				return // violation surfaced, as expected for the overload pair
 			}
 			for _, ns := range succ {
-				if seen.Add(ns) {
-					next = append(next, ns)
+				if seen.AddHashed(ns.S, ns.H) {
+					next = append(next, ns.S)
 				}
 			}
 		}
@@ -100,10 +115,11 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if e.StateWords() != tc.words || e.Wide() != (tc.words > 1) {
-			t.Fatalf("%s: wide=%v with %d-word states", tc.name, e.Wide(), e.StateWords())
+		if e.StateWords() != tc.words {
+			t.Fatalf("%s: %d-word states, want %d", tc.name, e.StateWords(), tc.words)
 		}
-		states, app := e.Successors(e.Initial(), nil)
+		var hs []HashedState
+		states, app := succStates(e, e.Initial(), e.NewScratch(), &hs, nil)
 		if app >= 0 {
 			t.Fatalf("%s: initial expansion violated", tc.name)
 		}
@@ -133,10 +149,10 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 }
 
 // TestSuccessorsHashedIntoMatches pins the batched-hashing expansion
-// path: on both encodings it must produce exactly SuccessorsInto's
-// states in the same order, each paired with its Expander.Hash — the
-// "hashed exactly once" contract of the mesh workers' hot path — and
-// surface violations with out unchanged, like SuccessorsInto.
+// path: on both encodings it must produce exactly the internal
+// successors()/successorsWide() states in the same order, each paired with
+// its Expander.Hash — the "hashed exactly once" contract of the mesh
+// workers' hot path — and surface violations with out unchanged.
 func TestSuccessorsHashedIntoMatches(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,14 +161,16 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 		{"narrow", fleet(3, 5, 2, 4, 20)},
 		{"wide", fleet(7, 6, 1, 2, 65)},
 	} {
-		e, err := NewExpander(tc.ps, Config{NondetTies: true})
+		v, err := New(tc.ps, Config{NondetTies: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if e.Wide() != (tc.name == "wide") {
-			t.Fatalf("%s: wide=%v", tc.name, e.Wide())
+		e := v.Expander()
+		if v.wide != (tc.name == "wide") {
+			t.Fatalf("%s: wide=%v", tc.name, v.wide)
 		}
-		sc, hsc := e.NewScratch(), e.NewScratch()
+		var sc expandScratch
+		hsc := e.NewScratch()
 		var plain []PackedState
 		var hashed []HashedState
 		frontier := []PackedState{e.Initial()}
@@ -162,7 +180,20 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 			var next []PackedState
 			for _, s := range frontier {
 				var appP, appH int
-				plain, appP = e.SuccessorsInto(s, sc, plain[:0])
+				plain = plain[:0]
+				if v.wide {
+					var ws []wstate
+					ws, _, appP = v.successorsWide(wstate(s), &sc, nil, nil)
+					for _, w := range ws {
+						plain = append(plain, PackedState(w))
+					}
+				} else {
+					var us []uint64
+					us, _, appP = v.successors(s[0], &sc, nil, nil)
+					for _, u := range us {
+						plain = append(plain, PackedState{u})
+					}
+				}
 				hashed, appH = e.SuccessorsHashedInto(s, hsc, hashed[:0])
 				if appP != appH {
 					t.Fatalf("%s: violator %d via hashed path, %d plain", tc.name, appH, appP)

@@ -44,12 +44,12 @@ func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config, forceWide bool
 	level := visited[start : start+levels[want.Depth]]
 	e := testVerifier(t, ps, cfg, forceWide).Expander()
 	scr := e.NewScratch()
-	var buf []PackedState
+	var buf []HashedState
 	found := false
 	var least PackedState
 	for _, s := range level {
 		var app int
-		if buf, app = e.SuccessorsInto(s, scr, buf[:0]); app >= 0 && (!found || LessState(s, least)) {
+		if buf, app = e.SuccessorsHashedInto(s, scr, buf[:0]); app >= 0 && (!found || LessState(s, least)) {
 			found, least, want.Violator = true, s, app
 		}
 	}
