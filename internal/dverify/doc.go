@@ -13,8 +13,8 @@
 // violation short-circuit, result aggregation). Levels are pipelined: a
 // worker expands level L+1 states as they arrive while peers still drain
 // level L, with termination detected from cluster-wide states-sent vs
-// states-absorbed counts per epoch (see mesh.go for the exactness
-// invariants).
+// states-absorbed counts per epoch (the exactness invariants are at the
+// end of this comment).
 //
 // TCP links are bandwidth-engineered: every node suppresses states it
 // provably already routed to a destination (a fixed-size per-destination

@@ -41,11 +41,10 @@ func (f *sendFilter) seen(s verify.PackedState, h uint64) bool {
 	return false
 }
 
-// jobsCompatible reports whether a worker built for prev can be reused for
-// next: everything that shaped its expander, visited partition and
-// cluster placement must be identical, leaving only per-run search
-// state to reset. Session, Peers and MaxStates may differ — they never
-// shape worker memory (the budget is re-read at reinit). This is what
+// jobsCompatible reports whether a worker built for prev can donate its
+// standing part to next: everything that shaped its expander, visited
+// partition and cluster placement must be identical. Session, Peers and
+// MaxStates may differ — they never shape worker memory. This is what
 // makes a standing cluster cheap to re-Init: the bench loop and a daemon
 // re-verifying the same slot skip the expander rebuild and the visited
 // reallocation entirely.
@@ -119,7 +118,8 @@ func (h *handler) handle(req *Request) *Response {
 			return &Response{Err: "worker is busy with another coordinator session (one cluster per worker)"}
 		}
 		// Keep the torn-down worker around as a reuse donor: a compatible
-		// follow-up job reinitializes it in place instead of rebuilding.
+		// follow-up job takes over its expander, visited table and batch
+		// memory instead of rebuilding them.
 		prev := h.mw
 		h.reset()
 		mw, resp, err := newMeshWorker(req.Job, h.env, prev)

@@ -120,7 +120,7 @@ type Request struct {
 
 // Control is the coordinator's milestone knowledge, piggybacked on every
 // KindPoll so workers can release deferred commits and skip doomed work.
-// See mesh.go for the invariants behind Final and Done.
+// See the package comment for the invariants behind Final and Done.
 type Control struct {
 	// Final is the highest level whose bucket membership is final
 	// everywhere: all messages tagged ≤ Final have been absorbed, so
