@@ -33,10 +33,11 @@
 // scales by its node count.
 //
 // Resilience: -connect dials with a bounded exponential-backoff retry
-// (-connect-retries) so the fleet may boot in any order. -ft makes the distributed runs fault-tolerant — worker deaths
-// are survived by reassigning the dead node's hash shards and rolling
-// back to the last per-level checkpoint under -ftdir, with the verdict
-// and all exhaustive counts unchanged. -retries, -breaker and
+// (-connect-retries) so the fleet may boot in any order. -ft makes the
+// distributed runs fault-tolerant — worker deaths are survived by
+// reassigning the dead node's hash shards and rolling back to the last
+// per-level checkpoint under -ftdir, with the verdict and all exhaustive
+// counts unchanged. -retries, -breaker and
 // -localfallback govern the admission plane's backend retry policy,
 // circuit breaker, and local degraded mode (all off by default).
 //

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 
 	"tightcps/internal/obs"
 	"tightcps/internal/verify"
@@ -96,19 +95,17 @@ func (ft *meshFT) foldLinkDown(resps []*Response) (dead []int) {
 }
 
 // recover is what a death leads to. Without fault tolerance that is the
-// error the run ends in, naming the lowest dead node and its cause (as a
-// poisoned run always did). With it, it is the takeover loop: each
-// iteration evicts the newly dead, adopts spares into the freed slots when
-// available, reassigns orphaned shards to the survivors, rolls the cluster
-// back to the deepest cut every relevant checkpoint supports, and issues
-// the mixed recovery round — Recover-tagged polls to survivors,
-// restore-Inits to adoptions. Deaths during that round feed the next
-// iteration: the double-fault case is just a second lap.
+// error the run ends in, naming the lowest dead node and its cause. With
+// it, it is the takeover loop: each iteration evicts the newly dead, adopts
+// spares into the freed slots when available, reassigns orphaned shards to
+// the survivors, rolls the cluster back to the deepest cut every relevant
+// checkpoint supports, and issues the mixed recovery round — Recover-tagged
+// polls to survivors, restore-Inits to adoptions. Deaths during that round
+// feed the next iteration: the double-fault case is just a second lap.
 func (ft *meshFT) recover(resps []*Response, dead []int) error {
 	p, t := ft.poller, ft.tr
 	if !ft.job.FT {
-		d := slices.Min(dead)
-		return &nodeError{d, p.errs[d]}
+		return p.deathOf(dead)
 	}
 	adoptedNow := make([]bool, len(p.alive))
 	for len(dead) > 0 {
@@ -282,8 +279,7 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 		j.NodeID = i
 		return &Request{Kind: KindInit, Job: &j}
 	}); len(dead) > 0 {
-		d := slices.Min(dead)
-		return res, &nodeError{d, poller.errs[d]}
+		return res, poller.deathOf(dead)
 	}
 	for i, r := range resps {
 		if r.Proto != protoVersion {

@@ -3,6 +3,7 @@ package dverify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -130,6 +131,13 @@ func (p *meshPoller) round(resps []*Response, idxs []int, reqf func(i int) *Requ
 		}
 	}
 	return dead
+}
+
+// deathOf is the error a run ends in when the nodes of dead die and
+// nothing recovers them: it names the lowest and its cause.
+func (p *meshPoller) deathOf(dead []int) error {
+	d := slices.Min(dead)
+	return &nodeError{d, p.errs[d]}
 }
 
 // evict marks a node dead: it is skipped by every later round.

@@ -9,7 +9,6 @@ import (
 // is pure bookkeeping (no I/O), so the epoch/termination invariants are
 // unit-testable against adversarial snapshot interleavings.
 type meshTracker struct {
-	n           int
 	final       int // highest level with final membership everywhere
 	done        int // highest level fully expanded everywhere
 	sent, recv  []int
@@ -29,7 +28,7 @@ type meshTracker struct {
 }
 
 func newMeshTracker(n int) *meshTracker {
-	return &meshTracker{n: n, done: -1, drained: make([]int, n), idle: make([]bool, n), gone: make([]bool, n), violApp: -1}
+	return &meshTracker{done: -1, drained: make([]int, n), idle: make([]bool, n), gone: make([]bool, n), violApp: -1}
 }
 
 // observe folds one full poll round into the tracker. Counters are

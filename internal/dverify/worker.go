@@ -44,7 +44,6 @@ type meshWorker struct {
 // of it says anything about a run — resetEra empties what can hold state.
 type meshStanding struct {
 	exp     *verify.Expander
-	words   int
 	visited *verify.StateSet
 	esc     *verify.ExpandScratch
 	hsucc   []verify.HashedState
@@ -189,9 +188,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		return nil, nil, fmt.Errorf("dverify: node %d of %d is not a valid placement", job.NodeID, n)
 	}
 	w := prev
-	if w != nil && jobsCompatible(w.job, job) {
-		w.shutdown() // idempotent: handler.reset has already run it
-	} else {
+	if w == nil || !jobsCompatible(w.job, job) {
 		profs := make([]*switching.Profile, len(job.Profiles))
 		for i := range job.Profiles {
 			profs[i] = &job.Profiles[i]
@@ -207,7 +204,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		}
 		w = &meshWorker{meshStanding: meshStanding{
 			exp:     exp,
-			words:   exp.StateWords(),
 			visited: exp.NewSet(1 << 16),
 			esc:     exp.NewScratch(),
 			spareQ:  make([]meshBatch, 0, 32),
@@ -406,7 +402,7 @@ func (w *meshWorker) snapshot() *Response {
 		Transitions:  w.transitions,
 		Routed:       w.routed,
 		Filtered:     w.filtered,
-		RawBytes:     8 * w.words * (w.routed + w.filtered),
+		RawBytes:     8 * w.exp.StateWords() * (w.routed + w.filtered),
 		WireBytes:    w.wireBytes,
 		TooLarge:     w.tooLarge,
 		ViolApp:      -1,
