@@ -297,19 +297,6 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 	var ctl Control
 	req := &Request{Kind: KindPoll, Ctl: &ctl}
 	poll := func(int) *Request { return req }
-	// finish ends the session. The verdict is already determined
-	// (quiescence, or a settled violation), so a death during the finish
-	// round cannot change it: the node's last snapshot stands in — a worker
-	// changes state only inside a poll, so it is the answer it would have
-	// given.
-	finish := func() []*Response {
-		tr.controlInto(&ctl)
-		ctl.Finish = true
-		for _, d := range poller.round(resps, nil, poll) {
-			resps[d] = ft.lastSnap[d]
-		}
-		return resps
-	}
 	epochs := 0
 	for {
 		plan.fire(tr.final, ft.recoveries)
@@ -332,7 +319,17 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 		if !tr.terminated() && !tr.tooLarge {
 			continue
 		}
-		tr.observe(finish())
+		// The Finish round ends the session. The verdict is already
+		// determined (quiescence, or a settled violation), so a death during
+		// it cannot change it: the node's last snapshot stands in — a worker
+		// changes state only inside a poll, so it is the answer it would
+		// have given.
+		tr.controlInto(&ctl)
+		ctl.Finish = true
+		for _, d := range poller.round(resps, nil, poll) {
+			resps[d] = ft.lastSnap[d]
+		}
+		tr.observe(resps)
 		res.States, res.Transitions = tr.fresh, tr.transitions
 		res.Depth, res.Wire = tr.maxFresh, tr.wire
 		res.Wire.Add(ft.deadWire)

@@ -98,16 +98,6 @@ func reassignOwners(owners []uint8, alive []bool) ([]uint8, int) {
 	return out, moved
 }
 
-// nodeError names the node a run without fault tolerance died of:
-// "dverify: node %d: <cause>".
-type nodeError struct {
-	node int
-	err  error
-}
-
-func (e *nodeError) Error() string { return fmt.Sprintf("dverify: node %d: %v", e.node, e.err) }
-func (e *nodeError) Unwrap() error { return e.err }
-
 // Checkpoint segment file format: a fixed header (magic, state count,
 // transition count) followed by the level's states in verify.AppendState
 // encoding, ascending verify.LessState order.

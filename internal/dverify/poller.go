@@ -137,7 +137,7 @@ func (p *meshPoller) round(resps []*Response, idxs []int, reqf func(i int) *Requ
 // nothing recovers them: it names the lowest and its cause.
 func (p *meshPoller) deathOf(dead []int) error {
 	d := slices.Min(dead)
-	return &nodeError{d, p.errs[d]}
+	return fmt.Errorf("dverify: node %d: %w", d, p.errs[d])
 }
 
 // evict marks a node dead: it is skipped by every later round.

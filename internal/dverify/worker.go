@@ -500,12 +500,7 @@ func (w *meshWorker) waitData(deadline time.Time) bool {
 	}
 	select {
 	case <-w.inbox.notify:
-		if !w.waitT.Stop() {
-			select {
-			case <-w.waitT.C:
-			default:
-			}
-		}
+		w.waitT.Stop() // go ≥ 1.23 timers: nothing stale is left in C
 		return true
 	case <-w.waitT.C:
 		return false
