@@ -259,6 +259,10 @@ func TestServiceValidation(t *testing.T) {
 		{"negativeBudget", `{"apps":["C6","C2"],"config":{"maxStates":-5}}`, "negative"},
 		{"badDwellTables", `{"profiles":[{"r":5,"twStar":3,"tdwMinus":[1],"tdwPlus":[2]}]}`, "dwell"},
 		{"badInterArrival", `{"profiles":[{"r":0,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, "positive"},
+		// Tables of the right length that hold no window: refused by the
+		// engine (verify.ErrEncoding) before any verdict exists to cache.
+		{"invertedDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,5,1],"tdwPlus":[2,3,2]}]}`, "b has no dwell window at row 1: tdw−=5, tdw+=3"},
+		{"negativeDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,1,-3],"tdwPlus":[2,2,-1]}]}`, "b has no dwell window at row 2: tdw−=-3, tdw+=-1"},
 	}
 	for _, tc := range cases {
 		resp, raw := r.postRaw(t, tc.body)

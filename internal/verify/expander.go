@@ -11,6 +11,7 @@ package verify
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"tightcps/internal/switching"
 )
@@ -66,13 +67,13 @@ func (e *Expander) Initial() PackedState {
 	return PackedState{e.v.initial()}
 }
 
-// ExpandScratch owns the expansion core's reusable buffers — the decoded
-// base state and the successor arena — for one external search driver.
-// A scratch is not safe for concurrent use: give every driver goroutine its
-// own, exactly as the internal searches give one to every BFS worker. The
-// arena grows to the verifier's maximum fanout and is then recycled, so
-// steady-state expansion through SuccessorsHashedInto performs no
-// allocation.
+// ExpandScratch owns the expansion core's reusable buffer — the words of
+// one state's successors, before they are hashed — for one external search
+// driver. A scratch is not safe for concurrent use: give every driver
+// goroutine its own, exactly as the internal searches give one to every BFS
+// worker. The buffer grows to the verifier's maximum fanout and is then
+// recycled, so steady-state expansion through SuccessorsHashedInto performs
+// no allocation.
 type ExpandScratch struct {
 	sc expandScratch
 }
@@ -93,35 +94,32 @@ type HashedState struct {
 // SuccessorsHashedInto appends s's successors, each with its hash, to out
 // and returns the extended slice together with the index of the application
 // whose deadline the expansion violated, or −1 when every disturbance choice
-// stays safe. The hash is computed during the packing sweep over the scratch
-// arena, so callers that route or dedup by hash never mix a state twice. On
-// a violation out is returned unchanged — no partial successors are appended
-// (only the scratch's internal arena holds the truncated expansion), so
-// callers accumulating successors from several states keep the earlier
-// ones. The scratch carries the expansion's buffers between calls; its
-// arena contents are overwritten on every call.
+// stays safe. It runs the same kernel as the local drivers, in the same
+// successor order, and mixes each successor while its words are still hot,
+// so callers that route or dedup by hash never mix a state twice. On a
+// violation out is returned unchanged — no partial successors are appended —
+// so callers accumulating successors from several states keep the earlier
+// ones. The scratch carries the word buffer between calls; its contents are
+// overwritten on every call.
 func (e *Expander) SuccessorsHashedInto(s PackedState, scr *ExpandScratch, out []HashedState) ([]HashedState, int) {
 	v, sc := e.v, &scr.sc
+	var viol int
 	if v.wide {
-		v.unpackWide(wstate(s), &sc.base)
-	} else {
-		v.unpack(s[0], &sc.base)
-	}
-	if viol := v.expand(&sc.base, sc); viol >= 0 {
-		return out, viol
-	}
-	if v.wide {
-		for i := range sc.states {
-			ws := v.packWide(&sc.states[i])
+		sc.words, _, viol = v.expandWide(wstate(s), sc, sc.words[:0], nil)
+		for i := 0; i < len(sc.words); i += wideWords {
+			ws := wstate(sc.words[i : i+wideWords])
 			out = append(out, HashedState{S: PackedState(ws), H: hashW(ws)})
 		}
-	} else {
-		for i := range sc.states {
-			ns := v.pack(&sc.states[i])
-			out = append(out, HashedState{S: PackedState{ns}, H: hashU64(ns)})
-		}
+		return out, viol
 	}
-	return out, -1
+	sc.words, _, viol = v.successors(s[0], sc, sc.words[:0], nil)
+	n := len(out)
+	out = slices.Grow(out, len(sc.words))[:n+len(sc.words)]
+	for i, ns := range sc.words {
+		h := &out[n+i]
+		h.S, h.H = PackedState{ns}, hashU64(ns)
+	}
+	return out, viol
 }
 
 // Hash mixes a state for shard selection and set probing. Narrow states use

@@ -52,7 +52,6 @@ type lane[K comparable, S visitedSet[K]] struct {
 	violApp  int   // …and the application that misses its deadline there, or −1
 	fresh    []int32
 	succ     []K
-	masks    []uint32
 	sc       expandScratch
 	_        [128]byte // keeps the next lane's cursor off this scratch's cache line
 }
@@ -117,7 +116,7 @@ func runLanes[K comparable, S visitedSet[K]](v *Verifier, n int, newSet func(cap
 				continue // cannot lower the minimum
 			}
 			var app int
-			l.succ, l.masks, app = successors(s, &l.sc, l.succ[:0], l.masks[:0])
+			l.succ, _, app = successors(s, &l.sc, l.succ[:0], nil)
 			if app >= 0 {
 				l.viol, l.violApp = s, app
 				continue

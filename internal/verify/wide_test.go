@@ -115,19 +115,28 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a set inside every limit was refused: %v", err)
 		}
-		c := cstate{occ: int8(at(4*len(ps))%(len(ps)+1)) - 1}
-		for i, p := range ps {
-			c.phase[i] = [...]uint8{pSteady, pWaiting, pCooldown}[at(4*i+2)%3]
-			if int(c.occ) == i {
-				c.phase[i], c.cT = pGranted, uint8(at(4*len(ps)+1)%(maxTdw+1))
-			}
-			if c.phase[i] != pSteady {
-				c.val[i] = uint8(at(4*i+3) % p.R)
-			}
-			c.cnt[i] = uint8(at(4*i+2) / 3 % (v.cfg.MaxDisturbances + 1))
-		}
+		c := drawState(v, ps, at)
 		checkRoundTrip(t, v, &c)
 	})
+}
+
+// drawState reads one storable state of the set from at: per application the
+// bytes 4i+2 (phase and counter) and 4i+3 (clock, within [0, r)), then
+// occupant and dwell — counters within the bound, at most one occupant, whose
+// lane is the only Granted one.
+func drawState(v *Verifier, ps []*switching.Profile, at func(int) int) cstate {
+	c := cstate{occ: int8(at(4*len(ps))%(len(ps)+1)) - 1}
+	for i, p := range ps {
+		c.phase[i] = [...]uint8{pSteady, pWaiting, pCooldown}[at(4*i+2)%3]
+		if int(c.occ) == i {
+			c.phase[i], c.cT = pGranted, uint8(at(4*len(ps)+1)%(maxTdw+1))
+		}
+		if c.phase[i] != pSteady {
+			c.val[i] = uint8(at(4*i+3) % p.R)
+		}
+		c.cnt[i] = uint8(at(4*i+2) / 3 % (v.cfg.MaxDisturbances + 1))
+	}
+	return c
 }
 
 // TestWidePackUnpackRoundTrip exercises the multi-word lane layout at the

@@ -22,49 +22,8 @@ const (
 // keys Go maps (trace parents) and compares with == in the hash sets.
 type wstate [wideWords]uint64
 
-func (v *Verifier) packWide(c *cstate) wstate {
-	var s wstate
-	for i := 0; i < v.n; i++ {
-		f := uint64(c.phase[i]) | uint64(c.val[i])<<phaseBits
-		if v.cfg.MaxDisturbances > 0 {
-			f |= uint64(c.cnt[i]) << (phaseBits + v.valBits)
-		}
-		s[i/v.lanes] |= f << (uint(i%v.lanes) * v.appBits)
-	}
-	occ := uint64(wideIdle)
-	if c.occ >= 0 {
-		occ = uint64(c.occ)
-	}
-	s[wideAppWords] = occ | uint64(c.cT)<<8
-	return s
-}
-
-func (v *Verifier) unpackWide(s wstate, c *cstate) {
-	for i := 0; i < v.n; i++ {
-		f := s[i/v.lanes] >> (uint(i%v.lanes) * v.appBits)
-		c.phase[i] = uint8(f & (1<<phaseBits - 1))
-		c.val[i] = uint8(f >> phaseBits & (1<<v.valBits - 1))
-		if v.cfg.MaxDisturbances > 0 {
-			c.cnt[i] = uint8(f >> (phaseBits + v.valBits) & (1<<cntBits - 1))
-		} else {
-			c.cnt[i] = 0
-		}
-	}
-	h := s[wideAppWords]
-	if h&0xFF == wideIdle {
-		c.occ = -1
-	} else {
-		c.occ = int8(h & 0xFF)
-	}
-	c.cT = uint8(h >> 8 & 0xF)
-}
-
 // initialWide returns the all-Steady, slot-idle state in the wide encoding.
-func (v *Verifier) initialWide() wstate {
-	var c cstate
-	c.occ = -1
-	return v.packWide(&c)
-}
+func (v *Verifier) initialWide() wstate { return wstate{wideAppWords: wideIdle} }
 
 // hashW chains the splitmix64 finalizer across the words, so every bit of
 // every word diffuses into the shard selector and the probe index.
