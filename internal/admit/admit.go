@@ -52,6 +52,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -537,13 +538,13 @@ func (s *Service) worker() {
 func (s *Service) run(c *call) {
 	obsQueueWait.Observe(time.Since(c.enqueued).Seconds())
 	rec := &record{runID: c.runID}
+	var res verify.Result
 	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
 		rec.err = errors.New("request budget exhausted while queued")
 		rec.status = http.StatusServiceUnavailable
 	} else {
 		cache := s.cacheFor(c.cfgKey)
 		ran := false
-		var res verify.Result
 		ok, err := cache.Do(c.profiles, func(ps []*switching.Profile) (bool, error) {
 			ran = true
 			s.mu.Lock()
@@ -586,7 +587,19 @@ func (s *Service) run(c *call) {
 	s.mu.Unlock()
 	c.rec = rec
 	close(c.done)
+	if res.States >= collectAfterStates {
+		runtime.GC()
+	}
 }
+
+// collectAfterStates is the size of a search after which the worker runs a
+// garbage collection before it takes the next job. A local search of S1
+// (1.4 M states) leaves ≈ 40 MB of visited-set tables behind; the pacer, fed
+// a 25 MB live heap by the search's last cycle, would let the next job grow
+// the heap to twice that before collecting them. The verdict is published
+// first, so no waiter pays; on a service-sized live heap the collection is
+// ≈ 1 ms, and the next search starts on recycled pages.
+const collectAfterStates = 1 << 18
 
 // statusOf classifies a verification error: budget and encoding problems
 // are the request's fault; an open circuit is a 503 (with Retry-After —

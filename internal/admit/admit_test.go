@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -285,6 +286,31 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if st.Verifications != 0 {
 		t.Fatalf("invalid submissions reached the backend: %+v", st)
+	}
+}
+
+// TestServiceCollectsAfterLargeVerdict: the worker runs a garbage collection
+// after a search of collectAfterStates states or more — S1's tables are not
+// left for the next job's heap to grow on top of — and not after a small one,
+// whose verdict would cost less than the collection.
+func TestServiceCollectsAfterLargeVerdict(t *testing.T) {
+	forced := func(apps ...string) uint32 {
+		r := newRig(t, backendCase{name: "local"}, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		status, resp, _ := r.submit(t, &AdmitRequest{Apps: apps})
+		if status != http.StatusOK || !resp.Verdict.Schedulable {
+			t.Fatalf("%v: HTTP %d %+v", apps, status, resp)
+		}
+		r.svc.Drain() // the collection follows the verdict: wait for the worker
+		runtime.ReadMemStats(&after)
+		return after.NumForcedGC - before.NumForcedGC
+	}
+	if n := forced("C6", "C2"); n != 0 {
+		t.Errorf("S2 (10,201 states): %d forced collections, want none", n)
+	}
+	if n := forced("C1", "C5", "C4", "C3"); n != 1 {
+		t.Errorf("S1 (1,440,712 states): %d forced collections, want one", n)
 	}
 }
 

@@ -47,8 +47,8 @@ type kernel struct {
 
 	// Per lane word: phase bit 0 of every lane, the lanes with T*w = 0, and
 	// for the cooldown-expiry test r − 1 in every clock field, the clock
-	// fields, the fields without their top bit, and the bit below each field's
-	// top bit… see expandLanes.
+	// fields, the fields without their top bit and the top bits alone (the
+	// lanes' phase bit 1 when the clock has no bits at all, r = 1).
 	p0, zeroTw, rm1, val, valLow, valTop [wideAppWords]uint64
 	appAt                                [wideAppWords][64]uint8 // bit position → application
 
@@ -371,9 +371,8 @@ func nextCounts[W laneWords](sc *expandScratch, ngrp int, sub W) (W, bool) {
 	return sub, false
 }
 
-// put appends one successor — canonicalised under the symmetry quotient —
-// in its encoding's words: lanes and header in one word, or the lane words
-// followed by the header word.
+// put appends one successor in its encoding's words: lanes and header in one
+// word, or the lane words followed by the header word.
 func put[W laneWords](v *Verifier, out []uint64, cw W, occ int, cT uint64) []uint64 {
 	if len(cw) == 1 {
 		return append(out, cw[0]|uint64(occ)&0xF<<(v.occShift&63)|cT<<(v.ctShift&63))
@@ -390,12 +389,12 @@ func put[W laneWords](v *Verifier, out []uint64, cw W, occ int, cT uint64) []uin
 // clock, phase — and the occupant index follows its lane.
 func canonLanes[W laneWords](v *Verifier, cw W, occ int) (W, int) {
 	t := &v.kt
-	lane := uint64(1)<<v.appBits - 1
-	for _, g := range v.symGroups {
+	lane := uint64(1)<<(v.appBits&63) - 1
+	for gi, g := range v.symGroups {
 		var l [maxApps]uint64
 		sorted := true
 		for i, a := range g {
-			l[i] = cw[t.word[a]] >> t.shift[a] & lane
+			l[i] = cw[t.word[a]] >> (t.shift[a] & 63) & lane
 			sorted = sorted && (i == 0 || l[i-1] <= l[i])
 		}
 		if sorted {
@@ -411,8 +410,12 @@ func canonLanes[W laneWords](v *Verifier, cw W, occ int) (W, int) {
 				}
 			}
 		}
+		var lanes W
 		for i, a := range g {
-			cw[t.word[a]] = cw[t.word[a]]&^(lane<<t.shift[a]) | l[i]<<t.shift[a]
+			lanes[t.word[a]] |= l[i] << (t.shift[a] & 63)
+		}
+		for k := 0; k < len(cw); k++ {
+			cw[k] = cw[k]&^(t.class[gi][k]*lane) | lanes[k]
 		}
 	}
 	return cw, occ
