@@ -17,15 +17,14 @@ import (
 // traced sequential driver does — disturbance masks asked for — on the
 // encoding v runs.
 func (v *Verifier) kernelSuccessors(s PackedState, sc *expandScratch, out []PackedState) ([]PackedState, []uint32, int) {
-	masks := []uint32{}
 	if v.wide {
-		ws, masks, viol := v.successorsWide(wstate(s), sc, nil, masks)
+		ws, masks, viol := v.successorsWide(wstate(s), sc, nil, []uint32{})
 		for _, w := range ws {
 			out = append(out, PackedState(w))
 		}
 		return out, masks, viol
 	}
-	us, masks, viol := v.successors(s[0], sc, nil, masks)
+	us, masks, viol := v.successors(s[0], sc, nil, []uint32{})
 	for _, u := range us {
 		out = append(out, PackedState{u})
 	}
