@@ -56,7 +56,7 @@ func TestServiceMeshWorkerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l0.Close() })
-	go dverify.Serve(l0, nil)
+	go dverify.NewServer(l0, nil).Serve()
 
 	l1raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -64,7 +64,7 @@ func TestServiceMeshWorkerCrash(t *testing.T) {
 	}
 	l1 := &crashListener{Listener: l1raw}
 	t.Cleanup(l1.kill)
-	go dverify.Serve(l1, nil)
+	go dverify.NewServer(l1, nil).Serve()
 
 	ts, err := dverify.Dial([]string{l0.Addr().String(), l1.Addr().String()}, time.Second)
 	if err != nil {

@@ -99,7 +99,7 @@ func newRig(t testing.TB, bc backendCase, mod func(*Options)) *rig {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { l.Close() })
-				go dverify.Serve(l, nil)
+				go dverify.NewServer(l, nil).Serve()
 				addrs[i] = l.Addr().String()
 			}
 			var err error

@@ -10,7 +10,8 @@
 // is parameterised (blocking and deadline rules); the default rule set is
 // the most natural reading (blocking = full-rejection dwell JT, deadline =
 // T*w), and a calibrated deadline table reproducing the paper's reported
-// 4-slot partition is provided alongside. EXPERIMENTS.md reports both.
+// 4-slot partition is provided alongside. `go run ./cmd/experiments -all`
+// prints both.
 package baseline
 
 import (

@@ -58,3 +58,47 @@ func TestMeshAllocsFlatInNodeCount(t *testing.T) {
 			four, float64(four)/float64(two), two)
 	}
 }
+
+// TestMeshRetainedAllocPerState: what a standing 2-node loopback cluster
+// keeps between jobs is its visited tables (11.6 B per S1 state at this
+// size), two frontier buffers per node and the batch free lists — at most
+// 24 live bytes per visited state after a warm S1 verdict, and no more after
+// three further verdicts: memory that tracks the widest level, not the
+// number of runs.
+func TestMeshRetainedAllocPerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
+	}
+	s1, err := plants.ProfileList("C1", "C5", "C4", "C3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const states = 1440712
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := live()
+	ts := Loopback(2)
+	defer Close(ts)
+	retained := func(verdicts int) float64 {
+		for range verdicts {
+			res, err := Verify(s1, verify.Config{NondetTies: true}, ts)
+			if err != nil || !res.Schedulable || res.States != states {
+				t.Fatalf("2-node S1: %+v, %v", res, err)
+			}
+		}
+		return float64(int64(live()-base)) / states
+	}
+	warm := retained(2) // one to build the steady state, one warm
+	later := retained(3)
+	t.Logf("standing 2-node cluster retains %.1f B per visited state after a warm S1 verdict, %.1f B three verdicts later", warm, later)
+	if warm > 24 {
+		t.Fatalf("standing cluster retains %.1f B per visited state after a warm verdict, want ≤ 24", warm)
+	}
+	if later > warm+1 {
+		t.Fatalf("retention grew from %.1f to %.1f B per visited state over three verdicts", warm, later)
+	}
+}

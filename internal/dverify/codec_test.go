@@ -33,24 +33,28 @@ func codecFor(t testing.TB, words int) *frontierCodec {
 	return newFrontierCodec(exp)
 }
 
-// randStates builds a reproducible batch of n states with the given number
-// of significant words, shaped like packed verifier states (limited-entropy
-// words) so the delta coder sees realistic input. No state is all-zero.
-func randStates(rng *rand.Rand, n, words int) []verify.PackedState {
-	out := make([]verify.PackedState, n)
+// randStates builds a reproducible batch of n states — flat, words words
+// each — shaped like packed verifier states (limited-entropy words) so the
+// delta coder sees realistic input. No state is all-zero.
+func randStates(rng *rand.Rand, n, words int) []uint64 {
+	out := make([]uint64, n*words)
 	for i := range out {
-		for k := 0; k < words; k++ {
-			out[i][k] = rng.Uint64() & 0x0000_0fff_00ff_ffff
+		out[i] = rng.Uint64() & 0x0000_0fff_00ff_ffff
+		if i%words == 0 {
+			out[i] |= 1 // keep clear of the all-zero sentinel
 		}
-		out[i][0] |= 1 // keep clear of the all-zero sentinel
 	}
 	return out
 }
 
 // sortedCopy returns the batch in codec order (the encoder sorts in place,
-// so decoded output is compared against this).
-func sortedCopy(states []verify.PackedState) []verify.PackedState {
-	cp := append([]verify.PackedState(nil), states...)
+// so decoded output is compared against this), sorted state by state under
+// verify.LessState — not by the codec's own SortWords.
+func sortedCopy(states []uint64, words int) []uint64 {
+	var cp []verify.PackedState
+	for i := 0; i < len(states); i += words {
+		cp = append(cp, packed(states[i:i+words]))
+	}
 	slices.SortFunc(cp, func(a, b verify.PackedState) int {
 		if verify.LessState(a, b) {
 			return -1
@@ -60,7 +64,11 @@ func sortedCopy(states []verify.PackedState) []verify.PackedState {
 		}
 		return 0
 	})
-	return cp
+	out := make([]uint64, 0, len(states))
+	for _, s := range cp {
+		out = append(out, s[:words]...)
+	}
+	return out
 }
 
 // TestFrontierCodecRoundTrip drives encode→decode across batch sizes and
@@ -72,7 +80,7 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 		c := codecFor(t, words)
 		for _, n := range []int{0, 1, 2, 33, 4096} {
 			states := randStates(rng, n, words)
-			want := sortedCopy(states)
+			want := sortedCopy(states, words)
 			enc := c.encode(states, nil)
 			if n == 0 {
 				if len(enc) != 0 {
@@ -103,12 +111,12 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 // duplicate states (the sender filter is lossy by design) must round-trip.
 func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 	c := codecFor(t, 1)
-	states := []verify.PackedState{{42}, {7}, {42}, {7}, {42}}
+	states := []uint64{42, 7, 42, 7, 42}
 	dec, err := c.decode(c.encode(states, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []verify.PackedState{{7}, {7}, {42}, {42}, {42}}
+	want := []uint64{7, 7, 42, 42, 42}
 	if !slices.Equal(dec, want) {
 		t.Fatalf("duplicates lost: %v", dec)
 	}
@@ -121,14 +129,12 @@ func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 func TestFrontierCodecRawFallback(t *testing.T) {
 	c := codecFor(t, 4)
 	states := randStates(rand.New(rand.NewSource(3)), 9, 4)
-	want := sortedCopy(states)
+	want := sortedCopy(states, 4)
 
 	// Hand-encode the legacy format.
 	legacy := []byte{codecRaw}
-	for _, s := range want {
-		for k := 0; k < 4; k++ {
-			legacy = binary.LittleEndian.AppendUint64(legacy, s[k])
-		}
+	for _, w := range want {
+		legacy = binary.LittleEndian.AppendUint64(legacy, w)
 	}
 	dec, err := c.decode(legacy, nil)
 	if err != nil {
@@ -141,13 +147,13 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 	// A single state whose words sit mid-range (±2^62 deltas take 10-byte
 	// varints) costs more as varints than raw words, so the encoder itself
 	// must emit the raw fallback.
-	one := []verify.PackedState{{1 << 62, 1 << 62, 1 << 62, 1 << 62}}
+	one := []uint64{1 << 62, 1 << 62, 1 << 62, 1 << 62}
 	enc := c.encode(one, nil)
 	if enc[0] != codecRaw {
 		t.Fatalf("incompressible batch used version %d, want raw fallback", enc[0])
 	}
 	dec, err = c.decode(enc, nil)
-	if err != nil || len(dec) != 1 || dec[0] != one[0] {
+	if err != nil || !slices.Equal(dec, one) {
 		t.Fatalf("raw fallback round trip: %v %v", dec, err)
 	}
 }
@@ -193,16 +199,16 @@ func FuzzFrontierDecode(f *testing.F) {
 			}
 			return
 		}
-		if len(dec)*c.words > len(batch) {
-			t.Fatalf("%d states of %d words out of a %d-byte batch", len(dec), c.words, len(batch))
+		if len(dec) > len(batch) {
+			t.Fatalf("%d states of %d words out of a %d-byte batch", len(dec)/c.words, c.words, len(batch))
 		}
-		want := sortedCopy(dec)
+		want := sortedCopy(dec, c.words)
 		again, err := c.decode(c.encode(dec, nil), nil)
 		if err != nil {
 			t.Fatalf("re-encoded batch refused: %v", err)
 		}
 		if !slices.Equal(again, want) {
-			t.Fatalf("re-encoded batch decodes to %d states, want the same %d", len(again), len(want))
+			t.Fatalf("re-encoded batch decodes to %d words, want the same %d", len(again), len(want))
 		}
 	})
 }
@@ -211,8 +217,8 @@ func FuzzFrontierDecode(f *testing.F) {
 // inserted before — hash-colliding states may never suppress each other —
 // and re-insertion keeps a state resident (recency).
 func TestSendFilterExactness(t *testing.T) {
-	f := newSendFilter()
-	a := verify.PackedState{1}
+	f := newSendFilter(1)
+	a := []uint64{1}
 	h := uint64(0xdeadbeef) << 20 // arbitrary; same index for all probes below
 	if f.seen(a, h) {
 		t.Fatal("fresh state reported seen")
@@ -220,7 +226,7 @@ func TestSendFilterExactness(t *testing.T) {
 	if !f.seen(a, h) {
 		t.Fatal("repeat not recognised")
 	}
-	b := verify.PackedState{2}
+	b := []uint64{2}
 	if f.seen(b, h) {
 		t.Fatal("index-colliding distinct state reported seen")
 	}
@@ -228,7 +234,7 @@ func TestSendFilterExactness(t *testing.T) {
 	if !f.seen(a, h) || !f.seen(b, h) {
 		t.Fatal("2-way residency lost")
 	}
-	cst := verify.PackedState{3}
+	cst := []uint64{3}
 	if f.seen(cst, h) {
 		t.Fatal("third distinct state reported seen")
 	}
@@ -313,8 +319,8 @@ func TestSegmentCorruptHeader(t *testing.T) {
 			}
 			states, trans, err := readSegment(path, exp)
 			if tc.want == "" {
-				if err != nil || len(states) != len(tc.file[segHeader:])/stride || trans != 7 {
-					t.Errorf("%d-word %s: %d states, %d transitions, %v", words, tc.name, len(states), trans, err)
+				if err != nil || len(states)/words != len(tc.file[segHeader:])/stride || trans != 7 {
+					t.Errorf("%d-word %s: %d states, %d transitions, %v", words, tc.name, len(states)/words, trans, err)
 				}
 				continue
 			}
@@ -382,7 +388,7 @@ func FuzzReadSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		if again, err := os.ReadFile(out); err != nil || !bytes.Equal(again, file) {
-			t.Fatalf("%d states, %d transitions written back as %d bytes, read from %d (%v)", len(states), trans, len(again), len(file), err)
+			t.Fatalf("%d words of states, %d transitions written back as %d bytes, read from %d (%v)", len(states), trans, len(again), len(file), err)
 		}
 	})
 }

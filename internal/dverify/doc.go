@@ -20,9 +20,21 @@
 // provably already routed to a destination (a fixed-size per-destination
 // recent-state filter — misses are safe, owners dedup on absorb) and
 // encodes each batch with a versioned codec (sorted varint-delta with a
-// fixed-width fallback; see proto.go). Loopback mesh links hand decoded
+// fixed-width fallback; see proto.go). Loopback mesh links hand the word
 // batches over in memory and skip both. Wire-volume counters
 // — including per-link breakdowns — flow back into verify.Result.Wire.
+//
+// A worker holds states in the form the kernel emits and the wire ships:
+// flat []uint64, Expander.StateWords() words per state (8 bytes on the
+// one-word encoding, 32 on the wide one), in buckets, batches, send
+// buffers, send filters and checkpoint segments. It expands a chunk with
+// Expander.ExpandWords, appends every successor to its owner's buffer, its
+// own included, and hands each batch, a peer's or its own, to the one
+// absorb, which inserts it through StateSet.AddWords — the local drivers'
+// chunked insert. verify.PackedState appears only where one state crosses
+// the control plane: a violation, the skip bound. Between jobs a worker
+// keeps its visited table, two frontier buffers and a free list of 32 KB
+// batches: memory that follows the widest level, not the run.
 //
 // Both packed encodings flow through the same worker, so narrow and wide
 // slots verify with bit-identical semantics to the local searches: the
@@ -38,14 +50,6 @@
 // per-node budget in distributed runs — it models per-node memory — so a
 // cluster of k nodes verifies slots up to k times larger than one node
 // admits.
-//
-// The worker mesh: the data plane of the distributed search without the
-// coordinator in it. Workers hold one direct link per peer (channels for
-// loopback clusters, dial-out TCP for verifyd fleets) and route successor
-// batches straight to their shard owners; the coordinator is a thin
-// control plane that polls counter snapshots, publishes level milestones
-// and detects termination by epoch accounting (cluster-wide states sent
-// vs absorbed per level).
 //
 // Levels are pipelined, not barriered: a worker expands level L+1 states
 // as they arrive while peers are still draining level L. Exactness — the

@@ -199,7 +199,7 @@ func startWorker(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go Serve(l, nil)
+	go NewServer(l, nil).Serve()
 	return l.Addr().String()
 }
 

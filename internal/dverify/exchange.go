@@ -7,8 +7,9 @@ import (
 	"tightcps/internal/verify"
 )
 
-// meshBatch is one level-tagged batch of decoded states crossing a mesh
-// link, or a link failure surfaced into the owner's inbox. era tags the
+// meshBatch is one level-tagged batch of states crossing a mesh link — flat
+// words, Expander.StateWords() per state, the form the kernel emits and the
+// wire ships — or a link failure surfaced into the owner's inbox. era tags the
 // sender's recovery era (always 0 outside fault-tolerant runs): a
 // receiver in a newer era drops the batch — the rollback already erased
 // its accounting on both ends — and one in an older era parks it until
@@ -17,7 +18,7 @@ type meshBatch struct {
 	from   int
 	level  int
 	era    int
-	states []verify.PackedState
+	states []uint64
 	err    error
 }
 
@@ -55,18 +56,18 @@ func (ib *meshInbox) drain(spare []meshBatch) []meshBatch {
 	return out
 }
 
-// batchPool recycles state slices between senders, receivers and level
+// batchPool recycles word slices between senders, receivers and level
 // buckets, keeping the steady-state mesh allocation-light.
 var batchPool sync.Pool
 
-func getBatch() []verify.PackedState {
-	if b, _ := batchPool.Get().([]verify.PackedState); b != nil {
+func getBatch() []uint64 {
+	if b, _ := batchPool.Get().([]uint64); b != nil {
 		return b[:0]
 	}
-	return make([]verify.PackedState, 0, meshBatchTarget)
+	return make([]uint64, 0, meshBatchTarget)
 }
 
-func putBatch(b []verify.PackedState) {
+func putBatch(b []uint64) {
 	if cap(b) > 0 {
 		batchPool.Put(b[:0])
 	}
@@ -79,7 +80,7 @@ func putBatch(b []verify.PackedState) {
 // receiver-side dedup it saves when no real wire is crossed, so loopback
 // links decline it and TCP links (where every state costs bytes) take it.
 type meshLink interface {
-	send(era, level int, states []verify.PackedState) (int, error)
+	send(era, level int, states []uint64) (int, error)
 	wantFilter() bool
 	close() error
 }
@@ -95,7 +96,7 @@ type meshEnv interface {
 // traffic allocation-free without sync.Pool round-trips (whose misses grew
 // per-op allocations with the node count; inbox batches absorbed here
 // refill the list the sends drain).
-func (w *meshWorker) getBatch() []verify.PackedState {
+func (w *meshWorker) getBatch() []uint64 {
 	if n := len(w.free); n > 0 {
 		b := w.free[n-1]
 		w.free[n-1] = nil
@@ -107,7 +108,7 @@ func (w *meshWorker) getBatch() []verify.PackedState {
 
 // putBatch recycles a batch slice into the worker's free list (overflow
 // spills to the shared pool).
-func (w *meshWorker) putBatch(b []verify.PackedState) {
+func (w *meshWorker) putBatch(b []uint64) {
 	if cap(b) == 0 {
 		return
 	}
@@ -130,134 +131,99 @@ func (w *meshWorker) ensureLevel(l int) {
 	}
 }
 
-// absorb applies the commit rule to a level-tagged batch, taking
-// ownership of the slice: levels ≤ final+1 enter the visited set (fresh
-// states join their bucket) and the slice is recycled; later tags defer
-// the whole slice uncopied; levels beyond the violation bound are dropped
-// (they can never reach the verdict).
-func (w *meshWorker) absorb(level int, states []verify.PackedState) {
-	if w.haveBound && level > w.boundLevel {
+// absorb applies the commit rule to a level-tagged batch — a peer's, or a
+// chunk's own successors — taking ownership of the slice: levels ≤ final+1
+// enter the visited set through the set's chunked insert, the local
+// drivers' insert, and the fresh states join their bucket; later tags defer
+// the slice (a short one is folded into the level's last deferred batch, so
+// a chunk's worth of own successors does not hold a whole batch); levels
+// beyond the violation bound are dropped (they can never reach the verdict).
+// A batch that takes the partition past its budget stops the worker.
+func (w *meshWorker) absorb(level int, states []uint64) {
+	if w.tooLarge || (w.haveBound && level > w.boundLevel) {
 		w.putBatch(states)
 		return
 	}
 	w.ensureLevel(level)
+	lv := &w.levels[level]
 	if level > w.final+1 {
-		if w.levels[level].pending == nil && w.sparePending != nil {
-			w.levels[level].pending, w.sparePending = w.sparePending, nil
-		}
-		w.levels[level].pending = append(w.levels[level].pending, states)
-		return
-	}
-	w.visited.Reserve(len(states))
-	for _, s := range states {
-		w.commit1(level, s, w.exp.Hash(s))
-		if w.tooLarge {
+		if n := len(lv.pending); n > 0 && len(lv.pending[n-1])+len(states) <= cap(lv.pending[n-1]) {
+			lv.pending[n-1] = append(lv.pending[n-1], states...)
+			w.putBatch(states)
 			return
 		}
+		if lv.pending == nil && w.sparePending != nil {
+			lv.pending, w.sparePending = w.sparePending, nil
+		}
+		lv.pending = append(lv.pending, states)
+		return
+	}
+	w.freshIdx = w.visited.AddWords(states, w.freshIdx[:0])
+	if n := len(w.freshIdx); n > 0 {
+		if w.fresh+n > w.budget {
+			w.tooLarge = true
+			w.putBatch(states)
+			return
+		}
+		if cap(lv.bucket) == 0 {
+			lv.bucket = w.newBucket(level)
+		}
+		for _, i := range w.freshIdx {
+			lv.bucket = append(lv.bucket, states[int(i)*w.sw:int(i)*w.sw+w.sw]...)
+		}
+		w.fresh += n
+		lv.fresh += n
+		w.maxFresh = max(w.maxFresh, level)
 	}
 	w.putBatch(states)
 }
 
-// commit1 commits a single state under the same rule as absorb. h must be
-// the expander's hash of s (expansion already computed it for routing, so
-// the visited probe never mixes twice).
-func (w *meshWorker) commit1(level int, s verify.PackedState, h uint64) {
-	if w.tooLarge || (w.haveBound && level > w.boundLevel) {
-		return
-	}
-	w.ensureLevel(level)
-	if level > w.final+1 {
-		lst := w.levels[level].pending
-		if lst == nil && w.sparePending != nil {
-			lst, w.sparePending = w.sparePending, nil
-		}
-		if n := len(lst); n == 0 || len(lst[n-1]) == cap(lst[n-1]) {
-			lst = append(lst, w.getBatch())
-		}
-		lst[len(lst)-1] = append(lst[len(lst)-1], s)
-		w.levels[level].pending = lst
-		return
-	}
-	if w.visited.AddHashed(s, h) {
-		if w.fresh+1 > w.budget {
-			w.tooLarge = true
-			return
-		}
-		if len(w.levels[level].bucket) == 0 && cap(w.levels[level].bucket) == 0 {
-			w.levels[level].bucket = w.newBucket(level)
-		}
-		w.levels[level].bucket = append(w.levels[level].bucket, s)
-		w.fresh++
-		w.levels[level].fresh++
-		if level > w.maxFresh {
-			w.maxFresh = level
-		}
-	}
-}
-
-// newBucket sizes a level's frontier bucket from the previous level's
-// fresh count, so big levels fill without repeated growth copies. Big
-// levels reuse spare buckets retired by recycleBucket when one fits —
-// the frontier/spare swap of the local drivers. Best fit, so a small
-// level does not squat in a peak-sized buffer the next big level needs.
-func (w *meshWorker) newBucket(level int) []verify.PackedState {
-	if level > 0 && w.levels[level-1].fresh > meshBatchTarget {
-		n := w.levels[level-1].fresh + w.levels[level-1].fresh/4
-		best := -1
-		for i, sb := range w.spareBuckets {
-			if cap(sb) >= n && (best < 0 || cap(sb) < cap(w.spareBuckets[best])) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			b := w.spareBuckets[best]
-			last := len(w.spareBuckets) - 1
-			w.spareBuckets[best] = w.spareBuckets[last]
-			w.spareBuckets[last] = nil
-			w.spareBuckets = w.spareBuckets[:last]
-			return b
-		}
-		// Double the headroom: frontier sizes climb through the rising
-		// phase of the search, so a bucket sized to just this level would
-		// be too small to recycle into the next one — every big level of
-		// every run would then allocate its frontier anew. With the slack,
-		// a retired bucket absorbs the next level's growth and the
-		// frontier/spare swap holds through the climb.
-		return make([]verify.PackedState, 0, 2*n)
+// newBucket picks the buffer a level's frontier is built in: a batch for a
+// small level, for a big one — going by the level before it — the larger of
+// the two frontier buffers recycleBucket keeps, which is the local drivers'
+// frontier/next swap. A buffer too small for its level grows by append, so
+// the pair a standing worker holds settles at the widest level it has seen.
+func (w *meshWorker) newBucket(level int) []uint64 {
+	if sp := &w.spareBuckets; cap(sp[1]) > 0 && level > 0 && w.levels[level-1].fresh*w.sw > meshBatchTarget {
+		b := sp[1]
+		sp[0], sp[1] = nil, sp[0]
+		return b
 	}
 	return w.getBatch()
 }
 
-// meshSpareBuckets bounds the retired big-bucket stack: the pipelined
-// commit rule keeps a few levels in flight, so a retire burst of that
-// depth must fit or the next run's climb re-allocates what was dropped.
-const meshSpareBuckets = 32
+// retire recycles level l's bucket once nothing can read it again: drained,
+// its level final — so it can never refill — and, with checkpointing on,
+// where the bucket is the segment payload, persisted. Whichever comes last
+// calls it: the chunk that drains the bucket, setFinal or the sweep.
+func (w *meshWorker) retire(l int) {
+	lv := &w.levels[l]
+	if cap(lv.bucket) > 0 && lv.cursor == len(lv.bucket) && l <= w.final && (!w.ckptOn || l <= w.ckptLevel) {
+		w.recycleBucket(l)
+	}
+}
 
-// recycleBucket retires a drained, final-level bucket: batch-sized ones
-// feed the free list, bigger ones become the spare the next big level is
-// built in, so resident memory tracks the frontier, not the whole
-// visited set — and steady-state levels allocate nothing.
+// recycleBucket takes a bucket out of its level: batch-sized ones feed
+// the free list, a bigger one becomes a spare frontier buffer. The commit
+// rule has two big levels in flight — the one being expanded and the one it
+// fills — so two spares, the smaller (or the empty slot) first, are what a
+// worker needs between levels and all it retains between jobs. A third
+// (checkpointing holds levels back until the sweep) replaces the smaller
+// or is left to the collector.
 func (w *meshWorker) recycleBucket(l int) {
-	b := w.levels[l].bucket
-	w.levels[l].bucket = w.levels[l].bucket[:0:0]
-	w.levels[l].cursor = 0
-	if cap(b) > meshBatchTarget {
-		if len(w.spareBuckets) < meshSpareBuckets {
-			w.spareBuckets = append(w.spareBuckets, b[:0])
-			return
-		}
-		small := 0
-		for i := range w.spareBuckets {
-			if cap(w.spareBuckets[i]) < cap(w.spareBuckets[small]) {
-				small = i
-			}
-		}
-		if cap(b) > cap(w.spareBuckets[small]) {
-			w.spareBuckets[small] = b[:0]
-		}
+	b := w.levels[l].bucket[:0]
+	w.levels[l].bucket, w.levels[l].cursor = nil, 0
+	if cap(b) <= meshBatchTarget {
+		w.putBatch(b)
 		return
 	}
-	w.putBatch(b)
+	sp := &w.spareBuckets
+	if cap(b) > cap(sp[0]) {
+		sp[0] = b
+	}
+	if cap(sp[0]) > cap(sp[1]) {
+		sp[0], sp[1] = sp[1], sp[0]
+	}
 }
 
 // setFinal raises the node's final-level knowledge, releasing deferred
@@ -266,6 +232,9 @@ func (w *meshWorker) recycleBucket(l int) {
 func (w *meshWorker) setFinal(f int) {
 	for w.final < f {
 		w.final++
+		if w.final < len(w.levels) {
+			w.retire(w.final)
+		}
 		l := w.final + 1
 		if l < len(w.levels) && len(w.levels[l].pending) > 0 {
 			batches := w.levels[l].pending
@@ -341,7 +310,7 @@ func (w *meshWorker) drainInbox() {
 			continue
 		}
 		w.ensureLevel(b.level)
-		w.levels[b.level].recv += len(b.states)
+		w.levels[b.level].recv += len(b.states) / w.sw
 		w.absorb(b.level, b.states)
 		b.states = nil
 	}
@@ -399,62 +368,62 @@ func (w *meshWorker) expandChunk(n int) bool {
 		w.visited.Reserve(est)
 	}
 	w.expandSerial(l, n)
-	if w.levels[l].cursor == len(w.levels[l].bucket) && len(w.levels[l].bucket) > 0 && l <= w.final {
-		// The bucket is drained and — level final — can never refill. With
-		// checkpointing on, the bucket is the segment payload: keep it until
-		// the sweep has persisted the level (maybeCheckpoint recycles it).
-		if !w.ckptOn || l <= w.ckptLevel {
-			w.recycleBucket(l)
-		}
-	}
+	w.flushDest(w.id) // the chunk's own successors: one more batch to absorb
+	w.retire(l)
 	return true
 }
 
-// expandSerial is the single-goroutine expansion loop: hash each
-// successor once during the packing sweep, then reuse the hash for shard
-// routing, the send filter and the visited probe.
+// expandSerial is the single-goroutine expansion loop: every successor
+// arrives from the kernel as words with its hash, mixed once, and the hash
+// picks the owner and probes the send filter. A successor is appended to its
+// owner's buffer — this node's own included, which expandChunk hands to
+// absorb when the chunk is done.
 func (w *meshWorker) expandSerial(l, n int) {
-	for i := 0; i < n && w.levels[l].cursor < len(w.levels[l].bucket); i++ {
-		if w.tooLarge {
-			return
-		}
-		s := w.levels[l].bucket[w.levels[l].cursor]
-		w.levels[l].cursor++
-		if w.haveBound && l == w.boundLevel && verify.LessState(w.boundState, s) {
+	sw := w.sw
+	for i := 0; i < n && w.levels[l].cursor < len(w.levels[l].bucket) && !w.tooLarge; i++ {
+		lv := &w.levels[l]
+		s := lv.bucket[lv.cursor : lv.cursor+sw]
+		lv.cursor += sw
+		if w.haveBound && l == w.boundLevel && verify.LessState(w.boundState, packed(s)) {
 			continue
 		}
-		succ, violApp := w.exp.SuccessorsHashedInto(s, w.esc, w.hsucc[:0])
-		w.hsucc = succ[:0]
+		var violApp int
+		w.succ, w.hashes, violApp = w.exp.ExpandWords(s, w.esc, w.succ[:0], w.hashes[:0])
 		if violApp >= 0 {
-			w.noteViol(l, s, violApp)
+			w.noteViol(l, packed(s), violApp)
 			continue
 		}
-		w.transitions += len(succ)
+		w.transitions += len(w.hashes)
 		if w.ckptOn {
-			w.ftTransAdd(l, w.exp.Hash(s), len(succ))
+			w.ftTransAdd(l, w.exp.HashWords(s), len(w.hashes))
 		}
 		if w.haveBound && l+1 > w.boundLevel {
 			continue // successors beyond the verdict level
 		}
-		for _, ns := range succ {
-			if dst := int(w.owners[ns.H>>58]); dst != w.id {
-				if w.filters[dst].slots != nil && w.filters[dst].seen(ns.S, ns.H) {
-					w.filtered++
-				} else {
-					w.outBuf[dst] = append(w.outBuf[dst], ns.S)
-					if len(w.outBuf[dst]) >= meshBatchTarget {
-						w.flushDest(dst)
-					}
-				}
-			} else {
-				w.commit1(l+1, ns.S, ns.H)
+		for j, h := range w.hashes {
+			ns := w.succ[j*sw : j*sw+sw]
+			dst := int(w.owners[h>>58])
+			if w.filters[dst].slots != nil && w.filters[dst].seen(ns, h) {
+				w.filtered++
+				continue
+			}
+			w.outBuf[dst] = append(w.outBuf[dst], ns...)
+			if len(w.outBuf[dst]) >= meshBatchTarget {
+				w.flushDest(dst)
 			}
 		}
 	}
 }
 
+// packed lifts one state's words into the control plane's PackedState.
+func packed(s []uint64) (p verify.PackedState) {
+	copy(p[:], s)
+	return p
+}
+
 // flushDest ships one destination's buffered successors as a level-tagged
-// batch, updating the epoch and wire accounting. Under fault tolerance a
+// batch, updating the epoch and wire accounting; this node's own go straight
+// to absorb, across no link and into no counter. Under fault tolerance a
 // failed (or known-dead) destination drops the batch and marks the link
 // down instead of poisoning the run: the coordinator's recovery rolls
 // every counter back past the loss, so an uncounted drop can never skew
@@ -465,11 +434,15 @@ func (w *meshWorker) flushDest(d int) {
 		return
 	}
 	w.outBuf[d] = w.getBatch()
+	if d == w.id {
+		w.absorb(w.outLevel, states)
+		return
+	}
 	if w.ft && w.deadPeers[d] {
 		w.putBatch(states)
 		return
 	}
-	n, level := len(states), w.outLevel
+	n, level := len(states)/w.sw, w.outLevel
 	w.ensureLevel(level)
 	bytes, err := w.links[d].send(w.era, level, states)
 	if err != nil {
@@ -494,8 +467,6 @@ func (w *meshWorker) flushOut() {
 		return
 	}
 	for d := range w.outBuf {
-		if d != w.id {
-			w.flushDest(d)
-		}
+		w.flushDest(d)
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"tightcps/internal/verify"
@@ -99,8 +98,8 @@ func reassignOwners(owners []uint8, alive []bool) ([]uint8, int) {
 }
 
 // Checkpoint segment file format: a fixed header (magic, state count,
-// transition count) followed by the level's states in verify.AppendState
-// encoding, ascending verify.LessState order.
+// transition count) followed by the level's states in the expander's
+// AppendWords encoding, ascending verify.LessState order.
 var segMagic = [8]byte{'t', 'c', 'p', 's', 's', 'e', 'g', '1'}
 
 const segHeader = 24 // magic, state count, transition count
@@ -122,7 +121,7 @@ var ckptWriteHook func(node, level, shard int) error
 // writeSegment persists one (shard, level) segment atomically
 // (tmp+rename, like mapping.Cache shard files). states must already be
 // sorted; trans is the transition count attributed to this segment.
-func writeSegment(path string, states []verify.PackedState, trans int64, exp *verify.Expander) error {
+func writeSegment(path string, states []uint64, trans int64, exp *verify.Expander) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -131,12 +130,10 @@ func writeSegment(path string, states []verify.PackedState, trans int64, exp *ve
 		return err
 	}
 	tmp := f.Name()
-	buf := append(make([]byte, 0, segHeader+8*exp.StateWords()*len(states)), segMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(states)))
+	buf := append(make([]byte, 0, segHeader+8*len(states)), segMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(states)/exp.StateWords()))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(trans))
-	for _, s := range states {
-		buf = exp.AppendState(buf, s)
-	}
+	buf = exp.AppendWords(buf, states)
 	_, werr := f.Write(buf)
 	cerr := f.Close()
 	if werr == nil {
@@ -153,13 +150,13 @@ func writeSegment(path string, states []verify.PackedState, trans int64, exp *ve
 	return nil
 }
 
-// readSegment loads one segment, returning its states and transition
-// count. A missing or malformed file is an error: segments are written
+// readSegment loads one segment, returning its states (flat words) and
+// transition count. A missing or malformed file is an error: segments are written
 // for every owned shard (empty ones included), so absence means the
 // checkpoint this worker was told to restore from does not exist. The
 // header's count is checked against what the body holds by division — a
 // product could wrap — before anything is allocated from it.
-func readSegment(path string, exp *verify.Expander) ([]verify.PackedState, int64, error) {
+func readSegment(path string, exp *verify.Expander) ([]uint64, int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -174,17 +171,11 @@ func readSegment(path string, exp *verify.Expander) ([]verify.PackedState, int64
 	if n != uint64(held) {
 		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: header claims %d states, body holds %d", path, n, held)
 	}
-	states, err := exp.DecodeStates(body, make([]verify.PackedState, 0, held))
+	states, err := exp.DecodeWords(body, make([]uint64, 0, len(body)/8))
 	if err != nil {
 		return nil, 0, fmt.Errorf("dverify: checkpoint segment %s: %v", path, err)
 	}
 	return states, trans, nil
-}
-
-// sortStates orders a segment payload canonically so any owner writes
-// byte-identical files.
-func sortStates(states []verify.PackedState) {
-	sort.Slice(states, func(i, j int) bool { return verify.LessState(states[i], states[j]) })
 }
 
 // Fault-injection harness. A faultPlan arms deterministic faults the
@@ -261,9 +252,7 @@ func (w *meshWorker) maybeCheckpoint() {
 			return
 		}
 		w.ckptLevel = l
-		if len(w.levels[l].bucket) > 0 {
-			w.recycleBucket(l)
-		}
+		w.retire(l)
 	}
 }
 
@@ -271,10 +260,10 @@ func (w *meshWorker) maybeCheckpoint() {
 // per owned shard (empty segments included — restore treats a missing
 // file as a hard error, so absence is always detectable).
 func (w *meshWorker) writeLevel(l int) error {
-	var byShard [numShards][]verify.PackedState
-	for _, s := range w.levels[l].bucket {
-		sh := w.exp.Hash(s) >> 58
-		byShard[sh] = append(byShard[sh], s)
+	var byShard [numShards][]uint64
+	for b := w.levels[l].bucket; len(b) > 0; b = b[w.sw:] {
+		sh := w.exp.HashWords(b[:w.sw]) >> 58
+		byShard[sh] = append(byShard[sh], b[:w.sw]...)
 	}
 	var trans *[numShards]int64
 	if l < len(w.ftTrans) {
@@ -289,7 +278,7 @@ func (w *meshWorker) writeLevel(l int) error {
 				return err
 			}
 		}
-		sortStates(byShard[sh])
+		w.exp.SortWords(byShard[sh]) // canonical: any owner writes byte-identical files
 		var tr int64
 		if trans != nil {
 			tr = trans[sh]
@@ -323,18 +312,17 @@ func (w *meshWorker) restore(cut int) error {
 			if err != nil {
 				return err
 			}
-			for _, s := range states {
-				w.visited.Add(s)
-			}
-			w.fresh += len(states)
-			w.levels[l].fresh += len(states)
-			if len(states) > 0 && l > w.maxFresh {
+			w.freshIdx = w.visited.AddWords(states, w.freshIdx[:0])
+			n := len(states) / w.sw
+			w.fresh += n
+			w.levels[l].fresh += n
+			if n > 0 && l > w.maxFresh {
 				w.maxFresh = l
 			}
 			if l < cut {
 				w.transitions += int(trans)
-			} else if len(states) > 0 {
-				if len(w.levels[cut].bucket) == 0 && cap(w.levels[cut].bucket) == 0 {
+			} else if n > 0 {
+				if cap(w.levels[cut].bucket) == 0 {
 					w.levels[cut].bucket = w.newBucket(cut)
 				}
 				w.levels[cut].bucket = append(w.levels[cut].bucket, states...)

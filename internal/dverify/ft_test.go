@@ -328,7 +328,7 @@ func TestFTTCPKill(t *testing.T) {
 			l := &trackingListener{Listener: raw}
 			listeners[i] = l
 			addrs[i] = raw.Addr().String()
-			go Serve(l, nil)
+			go NewServer(l, nil).Serve()
 			t.Cleanup(func() { l.kill() })
 		}
 		ts, err := Dial(addrs, 5*time.Second)

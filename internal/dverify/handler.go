@@ -5,11 +5,11 @@ import (
 	"slices"
 
 	"tightcps/internal/switching"
-	"tightcps/internal/verify"
 )
 
 // filterBits sizes each per-destination recent-state filter: 1<<filterBits
-// entries of one PackedState each (256 KiB per destination).
+// entries of one state each — 64 KiB per destination on the one-word
+// encoding, 256 KiB on the wide one.
 const filterBits = 13
 
 // sendFilter is a fixed-size probing cache of the states most recently
@@ -21,23 +21,25 @@ const filterBits = 13
 // Misses are therefore safe in both directions — the soundness argument in
 // DESIGN.md §4.
 type sendFilter struct {
-	slots []verify.PackedState
+	slots []uint64 // entries of sw words each; an all-zero entry is empty
 }
 
-func newSendFilter() sendFilter {
-	return sendFilter{slots: make([]verify.PackedState, 1<<filterBits)}
+func newSendFilter(sw int) sendFilter {
+	return sendFilter{slots: make([]uint64, sw<<filterBits)}
 }
 
 // seen records s and reports whether it was already present. h must be the
 // expander's hash of s; the index bits are disjoint from the shard selector
 // (top six) so one destination's filter spreads over all its shards.
-func (f *sendFilter) seen(s verify.PackedState, h uint64) bool {
-	i := int(h>>24) & (len(f.slots) - 1) &^ 1
-	if f.slots[i] == s || f.slots[i+1] == s {
+func (f *sendFilter) seen(s []uint64, h uint64) bool {
+	sw := len(s)
+	i := (int(h>>24) & (1<<filterBits - 1) &^ 1) * sw
+	a, b := f.slots[i:i+sw], f.slots[i+sw:i+2*sw]
+	if slices.Equal(a, s) || slices.Equal(b, s) {
 		return true
 	}
-	f.slots[i+1] = f.slots[i]
-	f.slots[i] = s
+	copy(b, a)
+	copy(a, s)
 	return false
 }
 

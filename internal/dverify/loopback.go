@@ -116,10 +116,9 @@ func (s *loopSession) peer(to int) *meshInbox {
 type loopLink struct {
 	sess     *loopSession
 	from, to int
-	words    int
 }
 
-func (l *loopLink) send(era, level int, states []verify.PackedState) (int, error) {
+func (l *loopLink) send(era, level int, states []uint64) (int, error) {
 	if hook := l.sess.failSend; hook != nil {
 		if err := hook(l.from, l.to); err != nil {
 			return 0, err
@@ -130,7 +129,7 @@ func (l *loopLink) send(era, level int, states []verify.PackedState) (int, error
 		return 0, fmt.Errorf("peer node %d is not registered in this session", l.to)
 	}
 	b := meshBatch{from: l.from, level: level, era: era, states: states}
-	bytes := 8 * l.words * len(states)
+	bytes := 8 * len(states)
 	if hook := l.sess.deliver; hook != nil && hook(l.from, l.to, b, ib.push) {
 		return bytes, nil
 	}
@@ -158,7 +157,7 @@ func (e loopEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]me
 	ls := make([]loopLink, job.NumNodes)
 	for d := range links {
 		if d != job.NodeID {
-			ls[d] = loopLink{sess: sess, from: job.NodeID, to: d, words: exp.StateWords()}
+			ls[d] = loopLink{sess: sess, from: job.NodeID, to: d}
 			links[d] = &ls[d]
 		}
 	}

@@ -276,7 +276,7 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l0.Close() })
-	go Serve(l0, nil)
+	go NewServer(l0, nil).Serve()
 
 	l1raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -284,7 +284,7 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	}
 	l1 := &trackingListener{Listener: l1raw}
 	t.Cleanup(func() { l1.kill() })
-	go Serve(l1, nil)
+	go NewServer(l1, nil).Serve()
 
 	ts, err := Dial([]string{l0.Addr().String(), l1.Addr().String()}, time.Second)
 	if err != nil {
@@ -357,7 +357,7 @@ func TestServerSingleClusterAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go Serve(l, nil)
+	go NewServer(l, nil).Serve()
 	addr := l.Addr().String()
 
 	ps := fleet(2, 6, 1, 2, 10)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"tightcps/internal/sched"
 	"tightcps/internal/switching"
@@ -282,12 +281,12 @@ const (
 	codecDelta byte = 1
 )
 
-// frontierCodec encodes and decodes frontier batches for one node. The
-// codecRaw format is exactly the expander's AppendState/DecodeStates
-// layout — one implementation, shared, so the two can never drift. The
-// scratch buffer is reused across levels, so per-batch work allocates only
-// when a batch outgrows every previous one. Not safe for concurrent use —
-// each node owns one.
+// frontierCodec encodes and decodes frontier batches for one node: flat
+// words, words per state, in and out. The codecRaw format is exactly the
+// expander's AppendWords/DecodeWords layout — one implementation, shared,
+// so the two can never drift. The scratch buffer is reused across levels,
+// so per-batch work allocates only when a batch outgrows every previous
+// one. Not safe for concurrent use — each node owns one.
 type frontierCodec struct {
 	exp   *verify.Expander
 	words int // significant words per state (exp.StateWords)
@@ -301,38 +300,25 @@ func newFrontierCodec(exp *verify.Expander) *frontierCodec {
 
 // encode appends the batch encoding of states to dst. states is sorted in
 // place (part of the format). An empty batch encodes to zero bytes.
-func (c *frontierCodec) encode(states []verify.PackedState, dst []byte) []byte {
+func (c *frontierCodec) encode(states []uint64, dst []byte) []byte {
 	if len(states) == 0 {
 		return dst
 	}
-	slices.SortFunc(states, func(a, b verify.PackedState) int {
-		if verify.LessState(a, b) {
-			return -1
-		}
-		if verify.LessState(b, a) {
-			return 1
-		}
-		return 0
-	})
+	c.exp.SortWords(states)
 	c.buf.Reset()
 	var tmp [binary.MaxVarintLen64]byte
 	var prev verify.PackedState
-	for _, s := range states {
-		for k := 0; k < c.words; k++ {
-			d := int64(s[k] - prev[k]) // exact signed delta mod 2^64
+	for i := 0; i < len(states); i += c.words {
+		for k, w := range states[i : i+c.words] {
+			d := int64(w - prev[k]) // exact signed delta mod 2^64
 			c.buf.Write(tmp[:binary.PutUvarint(tmp[:], zigzag(d))])
+			prev[k] = w
 		}
-		prev = s
 	}
-	rawSize := 8 * c.words * len(states)
 	payload := c.buf.Bytes()
-	if len(payload) >= rawSize {
+	if len(payload) >= 8*len(states) {
 		// Tiny or adversarial batch: fall back to the fixed-width format.
-		dst = append(dst, codecRaw)
-		for _, s := range states {
-			dst = c.exp.AppendState(dst, s)
-		}
-		return dst
+		return c.exp.AppendWords(append(dst, codecRaw), states)
 	}
 	dst = append(dst, codecDelta)
 	return append(dst, payload...)
@@ -340,14 +326,14 @@ func (c *frontierCodec) encode(states []verify.PackedState, dst []byte) []byte {
 
 // decode appends the states of one encoded batch to out, dispatching on the
 // version byte. A zero-length batch holds no states.
-func (c *frontierCodec) decode(batch []byte, out []verify.PackedState) ([]verify.PackedState, error) {
+func (c *frontierCodec) decode(batch []byte, out []uint64) ([]uint64, error) {
 	if len(batch) == 0 {
 		return out, nil
 	}
 	version, payload := batch[0], batch[1:]
 	switch version {
 	case codecRaw:
-		return c.exp.DecodeStates(payload, out)
+		return c.exp.DecodeWords(payload, out)
 	case codecDelta:
 		return c.decodeDelta(payload, out)
 	default:
@@ -356,20 +342,18 @@ func (c *frontierCodec) decode(batch []byte, out []verify.PackedState) ([]verify
 }
 
 // decodeDelta reverses the sorted zigzag varint-delta payload.
-func (c *frontierCodec) decodeDelta(payload []byte, out []verify.PackedState) ([]verify.PackedState, error) {
+func (c *frontierCodec) decodeDelta(payload []byte, out []uint64) ([]uint64, error) {
 	var prev verify.PackedState
 	for len(payload) > 0 {
-		s := prev
 		for k := 0; k < c.words; k++ {
 			u, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return out, fmt.Errorf("dverify: truncated varint in frontier batch (word %d)", k)
+			if n <= 0 { // the state's first k words go back out
+				return out[:len(out)-k], fmt.Errorf("dverify: truncated varint in frontier batch (word %d)", k)
 			}
 			payload = payload[n:]
-			s[k] = prev[k] + uint64(unzigzag(u))
+			prev[k] += uint64(unzigzag(u))
+			out = append(out, prev[k])
 		}
-		out = append(out, s)
-		prev = s
 	}
 	return out, nil
 }

@@ -176,7 +176,7 @@ type tcpMeshLink struct {
 	buf   []byte
 }
 
-func (l *tcpMeshLink) send(era, level int, states []verify.PackedState) (int, error) {
+func (l *tcpMeshLink) send(era, level int, states []uint64) (int, error) {
 	l.buf = l.codec.encode(states, l.buf[:0])
 	putBatch(states)
 	if err := l.enc.Encode(Frame{Level: level, Era: era, Batch: l.buf}); err != nil {
@@ -426,11 +426,4 @@ func (s *Server) servePeer(conn net.Conn, dec *gob.Decoder, hello *PeerHello) {
 		}
 		n.inbox.push(meshBatch{from: hello.From, level: f.Level, era: f.Era, states: states})
 	}
-}
-
-// Serve runs a worker daemon on l until the listener fails: the
-// non-graceful form of NewServer(l, logf).Serve(), kept for callers that
-// manage shutdown by killing the process.
-func Serve(l net.Listener, logf func(format string, args ...any)) error {
-	return NewServer(l, logf).Serve()
 }

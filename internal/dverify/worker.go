@@ -12,8 +12,9 @@ import (
 // control checks; meshPollBudget caps how long a busy worker holds a poll
 // before answering with an interim snapshot; meshIdleWait caps how long an
 // idle worker waits for data before answering an unchanged snapshot;
-// meshBatchTarget is the flush threshold of per-destination send buffers;
-// meshFreeBatches caps the worker-local batch free list.
+// meshBatchTarget is the flush threshold of per-destination send buffers and
+// the capacity of a batch, in words (32 KB: 4,096 one-word states, 1,024
+// wide ones); meshFreeBatches caps the worker-local batch free list.
 const (
 	meshChunk       = 1024
 	meshPollBudget  = 25 * time.Millisecond
@@ -42,27 +43,30 @@ type meshWorker struct {
 // meshStanding is what a compatible follow-up job inherits: the expander
 // and its scratch, the visited partition's table, and recycled memory. None
 // of it says anything about a run — resetEra empties what can hold state.
+// States are flat words throughout, sw = exp.StateWords() per state.
 type meshStanding struct {
-	exp     *verify.Expander
-	visited *verify.StateSet
-	esc     *verify.ExpandScratch
-	hsucc   []verify.HashedState
-	spareQ  []meshBatch
-	filters []sendFilter // tables; which are in use is decided per session
-	outBuf  [][]verify.PackedState
+	exp      *verify.Expander
+	sw       int
+	visited  *verify.StateSet
+	esc      *verify.ExpandScratch
+	succ     []uint64 // one state's successors, their hashes beside them
+	hashes   []uint64
+	freshIdx []int32 // AddWords' answer for one batch
+	spareQ   []meshBatch
+	filters  []sendFilter // tables; which are in use is decided per session
+	outBuf   [][]uint64   // per-destination successors, this node's own included
 	// Per-destination wire counters of the session, zeroed when one starts.
 	linkStates []int
 	linkBytes  []int
 
 	// Worker-local batch recycling: free is the slice free list fed by
-	// absorbed inbox batches and drained buckets, spareBuckets the big
-	// frontier buckets retired — the next big levels are built in them, the
-	// way the local drivers swap frontier and spare instead of allocating
-	// per level. It is a small stack, not a single slot: the commit rule
-	// keeps a window of levels live at once, and they retire in bursts.
-	free         [][]verify.PackedState
-	spareBuckets [][]verify.PackedState
-	sparePending [][]verify.PackedState // retired deferral-list backbone
+	// absorbed batches and drained buckets, spareBuckets the two largest
+	// big frontier buffers retired — the next big levels are built in them,
+	// the way the local drivers swap frontier and next instead of allocating
+	// per level (recycleBucket).
+	free         [][]uint64
+	spareBuckets [2][]uint64
+	sparePending [][]uint64 // retired deferral-list backbone
 
 	waitT *time.Timer
 	// Snapshot responses are double-buffered: the coordinator reads round
@@ -115,15 +119,15 @@ type meshSession struct {
 	finished bool
 }
 
-// meshLevel is the per-level search record. bucket[:cursor] is expanded;
-// pending holds batches deferred by the commit rule (tag > final+1) — whole
-// slices, ownership transferred, so deferral never copies; fresh counts the
-// level's commits (set pre-sizing, trace), sent and recv the states shipped
-// to and drained from mesh links with this tag.
+// meshLevel is the per-level search record. bucket[:cursor] — words, like
+// the cursor — is expanded; pending holds batches deferred by the commit
+// rule (tag > final+1), ownership transferred; fresh counts the level's
+// commits (set pre-sizing, trace), sent and recv the states shipped to and
+// drained from mesh links with this tag.
 type meshLevel struct {
-	bucket     []verify.PackedState
+	bucket     []uint64
 	cursor     int
-	pending    [][]verify.PackedState
+	pending    [][]uint64
 	fresh      int
 	sent, recv int
 }
@@ -204,11 +208,12 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		}
 		w = &meshWorker{meshStanding: meshStanding{
 			exp:     exp,
+			sw:      exp.StateWords(),
 			visited: exp.NewSet(1 << 16),
 			esc:     exp.NewScratch(),
 			spareQ:  make([]meshBatch, 0, 32),
 			filters: make([]sendFilter, n),
-			outBuf:  make([][]verify.PackedState, n),
+			outBuf:  make([][]uint64, n),
 
 			linkStates: make([]int, n),
 			linkBytes:  make([]int, n),
@@ -253,7 +258,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		case !want:
 			w.filters[d] = sendFilter{}
 		case w.filters[d].slots == nil:
-			w.filters[d] = newSendFilter()
+			w.filters[d] = newSendFilter(w.sw)
 		}
 	}
 	// A fresh run (Era 0) seeds the initial state on its owner; a
@@ -291,11 +296,10 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 		}
 	}
 	for d := range w.outBuf {
-		if w.outBuf[d] != nil {
-			w.outBuf[d] = w.outBuf[d][:0]
-		} else if d != w.id {
+		if w.outBuf[d] == nil {
 			w.outBuf[d] = w.getBatch()
 		}
+		w.outBuf[d] = w.outBuf[d][:0]
 		clear(w.filters[d].slots)
 	}
 	w.visited.Reset()
@@ -325,7 +329,7 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 func (w *meshWorker) seed() {
 	init := w.exp.Initial()
 	if h := w.exp.Hash(init); int(w.owners[h>>58]) == w.id {
-		w.commit1(0, init, h)
+		w.absorb(0, append(w.getBatch(), init[:w.sw]...))
 	}
 }
 
@@ -349,8 +353,8 @@ func (w *meshWorker) idle() bool {
 	if w.expandable() >= 0 || len(w.futureQ) > 0 {
 		return false
 	}
-	for d, b := range w.outBuf {
-		if d != w.id && len(b) > 0 {
+	for _, b := range w.outBuf {
+		if len(b) > 0 {
 			return false
 		}
 	}
@@ -365,7 +369,8 @@ func (w *meshWorker) idle() bool {
 	return empty
 }
 
-// digest captures the snapshot fields the long-poll news check compares.
+// digest captures the snapshot fields the long-poll news check compares
+// (pendingN in words: it is only ever compared with itself).
 func (w *meshWorker) digest() meshDigest {
 	pendingN, sent, recv := 0, 0, 0
 	for l := range w.levels {
@@ -402,7 +407,7 @@ func (w *meshWorker) snapshot() *Response {
 		Transitions:  w.transitions,
 		Routed:       w.routed,
 		Filtered:     w.filtered,
-		RawBytes:     8 * w.exp.StateWords() * (w.routed + w.filtered),
+		RawBytes:     8 * w.sw * (w.routed + w.filtered),
 		WireBytes:    w.wireBytes,
 		TooLarge:     w.tooLarge,
 		ViolApp:      -1,

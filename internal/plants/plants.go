@@ -188,8 +188,8 @@ func ByName(name string) (App, error) {
 }
 
 // PaperTable1 maps application name → the results the paper reports in
-// Table 1 (for comparison in EXPERIMENTS.md; our reproduction recomputes
-// all of these from the plant data).
+// Table 1 (`go run ./cmd/experiments -all` prints them beside ours; our
+// reproduction recomputes all of these from the plant data).
 var PaperTable1 = map[string]PaperRow{
 	"C1": {
 		JT: 9, JE: 35, TwStar: 11,

@@ -4,14 +4,17 @@ package verify
 // backend of internal/dverify — need to expand states, hash them for
 // partitioning, order them for the minimum-violator tie-break, and move
 // frontiers across process boundaries, all without re-implementing the
-// per-sample semantics. Expander exposes exactly that surface over a single
-// encoding-independent state type, so the narrow one-word and wide
-// multi-word encodings flow through one driver loop.
+// per-sample semantics. Expander exposes exactly that surface in the form
+// the kernel emits — flat word slabs, StateWords() words per state — so the
+// narrow one-word and wide multi-word encodings flow through one driver
+// loop at their own width; PackedState carries a single state where one
+// crosses a control plane.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sort"
 
 	"tightcps/internal/switching"
 )
@@ -50,8 +53,8 @@ func NewExpander(profiles []*switching.Profile, cfg Config) (*Expander, error) {
 // StateWords is the number of significant words per state: 1 on the narrow
 // fast path, the full word count on the wide path — taken when n lanes of
 // 2 + ⌈log₂ max r⌉ (+ 2 bounded) bits and the 8-bit header exceed 64 bits:
-// nine applications at r = 17, seven at r = 65. It sizes the wire encoding
-// of AppendState/DecodeStates.
+// nine applications at r = 17, seven at r = 65. It is the stride of every
+// word slab this seam takes and returns, and of the wire encoding.
 func (e *Expander) StateWords() int {
 	if e.v.wide {
 		return wideWords
@@ -67,72 +70,96 @@ func (e *Expander) Initial() PackedState {
 	return PackedState{e.v.initial()}
 }
 
-// ExpandScratch owns the expansion core's reusable buffer — the words of
-// one state's successors, before they are hashed — for one external search
-// driver. A scratch is not safe for concurrent use: give every driver
-// goroutine its own, exactly as the internal searches give one to every BFS
-// worker. The buffer grows to the verifier's maximum fanout and is then
-// recycled, so steady-state expansion through SuccessorsHashedInto performs
-// no allocation.
+// ExpandScratch owns the expansion core's reusable buffers for one external
+// search driver: the kernel's group scratch and, for SuccessorsHashedInto,
+// the words of one state's successors. It is not safe for concurrent use:
+// give every driver goroutine its own, as the internal searches do. The
+// buffers grow to the verifier's maximum fanout and are then recycled, so
+// steady-state expansion performs no allocation.
 type ExpandScratch struct {
 	sc expandScratch
 }
 
-// NewScratch returns a fresh scratch for SuccessorsHashedInto.
+// NewScratch returns a fresh scratch for ExpandWords.
 func (e *Expander) NewScratch() *ExpandScratch { return &ExpandScratch{} }
 
-// HashedState pairs a packed state with its Expander.Hash. It is the unit
-// of the batched-hashing expansion path: SuccessorsHashedInto mixes each
-// successor while it is still hot from the packing sweep, and the driver
-// carries the hash from shard routing through the send filter to the
-// visited-set probe — one mix per expanded state on the whole hot path.
+// ExpandWords is the words-in/words-out expansion: s is one state in its
+// StateWords() words, and its successors are appended to out — the kernel's
+// own output, in the local drivers' successor order — with one Hash per
+// successor appended to hashes, mixed while the words are still hot, so a
+// driver that routes and filters by hash never mixes a state twice. The
+// third result is the application whose deadline the expansion violated, or
+// −1 when every disturbance choice stays safe; on a violation out and hashes
+// are returned unchanged, so a slab built over several states keeps them.
+func (e *Expander) ExpandWords(s []uint64, scr *ExpandScratch, out, hashes []uint64) ([]uint64, []uint64, int) {
+	n := len(out)
+	out, viol := e.expand(s, scr, out)
+	if !e.v.wide {
+		for _, ns := range out[n:] {
+			hashes = append(hashes, hashU64(ns))
+		}
+		return out, hashes, viol
+	}
+	for i := n; i < len(out); i += wideWords {
+		hashes = append(hashes, hashW(wstate(out[i:i+wideWords])))
+	}
+	return out, hashes, viol
+}
+
+// expand runs the kernel on one state's words and appends its successors'
+// words to out.
+func (e *Expander) expand(s []uint64, scr *ExpandScratch, out []uint64) ([]uint64, int) {
+	var viol int
+	if e.v.wide {
+		out, _, viol = e.v.expandWide(wstate(s), &scr.sc, out, nil)
+	} else {
+		out, _, viol = e.v.successors(s[0], &scr.sc, out, nil)
+	}
+	return out, viol
+}
+
+// HashedState pairs a packed state with its Expander.Hash: the unit of
+// SuccessorsHashedInto.
 type HashedState struct {
 	S PackedState
 	H uint64
 }
 
-// SuccessorsHashedInto appends s's successors, each with its hash, to out
-// and returns the extended slice together with the index of the application
-// whose deadline the expansion violated, or −1 when every disturbance choice
-// stays safe. It runs the same kernel as the local drivers, in the same
-// successor order, and mixes each successor while its words are still hot,
-// so callers that route or dedup by hash never mix a state twice. On a
-// violation out is returned unchanged — no partial successors are appended —
-// so callers accumulating successors from several states keep the earlier
-// ones. The scratch carries the word buffer between calls; its contents are
-// overwritten on every call.
+// SuccessorsHashedInto is ExpandWords for a driver that keeps its states as
+// PackedState values: it appends s's successors, each with its hash, to out,
+// and returns the violator like ExpandWords (out unchanged on a violation).
 func (e *Expander) SuccessorsHashedInto(s PackedState, scr *ExpandScratch, out []HashedState) ([]HashedState, int) {
-	v, sc := e.v, &scr.sc
+	sw, sc := e.StateWords(), &scr.sc
 	var viol int
-	if v.wide {
-		sc.words, _, viol = v.expandWide(wstate(s), sc, sc.words[:0], nil)
-		for i := 0; i < len(sc.words); i += wideWords {
-			ws := wstate(sc.words[i : i+wideWords])
-			out = append(out, HashedState{S: PackedState(ws), H: hashW(ws)})
-		}
-		return out, viol
-	}
-	sc.words, _, viol = v.successors(s[0], sc, sc.words[:0], nil)
+	sc.words, viol = e.expand(s[:sw], scr, sc.words[:0])
 	n := len(out)
-	out = slices.Grow(out, len(sc.words))[:n+len(sc.words)]
-	for i, ns := range sc.words {
-		h := &out[n+i]
-		h.S, h.H = PackedState{ns}, hashU64(ns)
+	out = slices.Grow(out, len(sc.words)/sw)[:n+len(sc.words)/sw]
+	for i := range out[n:] {
+		if hs := &out[n+i]; sw == 1 {
+			hs.S, hs.H = PackedState{sc.words[i]}, hashU64(sc.words[i])
+		} else {
+			ws := wstate(sc.words[i*wideWords : (i+1)*wideWords])
+			hs.S, hs.H = PackedState(ws), hashW(ws)
+		}
 	}
 	return out, viol
 }
 
-// Hash mixes a state for shard selection and set probing. Narrow states use
-// the one-word splitmix finalizer (the same function behind u64Set), wide
-// states the chained word hash. Every driver of one run must partition by
-// the same hash, which this method guarantees: it depends only on the
-// profiles and config the Expander was built from.
-func (e *Expander) Hash(s PackedState) uint64 {
+// HashWords mixes a state, given in its StateWords() words, for shard
+// selection and set probing. Narrow states use the one-word splitmix
+// finalizer (the same function behind u64Set), wide states the chained word
+// hash. Every driver of one run must partition by the same hash, which this
+// method guarantees: it depends only on the profiles and config the Expander
+// was built from.
+func (e *Expander) HashWords(s []uint64) uint64 {
 	if e.v.wide {
 		return hashW(wstate(s))
 	}
 	return hashU64(s[0])
 }
+
+// Hash is HashWords of a PackedState.
+func (e *Expander) Hash(s PackedState) uint64 { return e.HashWords(s[:e.StateWords()]) }
 
 // LessState orders states lexicographically (word 0 most significant, the
 // lessW order). For narrow states — words 1..3 zero — this coincides with
@@ -143,32 +170,50 @@ func LessState(a, b PackedState) bool {
 	return lessW(wstate(a), wstate(b))
 }
 
-// AppendState appends the wire encoding of s to dst: StateWords() words,
-// little-endian. Batches are built by repeated appends and decoded in one
-// call by DecodeStates.
-func (e *Expander) AppendState(dst []byte, s PackedState) []byte {
-	w := e.StateWords()
-	for k := 0; k < w; k++ {
-		dst = binary.LittleEndian.AppendUint64(dst, s[k])
+// SortWords sorts a slab of states, StateWords() words each, ascending in
+// LessState order: the canonical order of wire batches and checkpoint
+// segments.
+func (e *Expander) SortWords(slab []uint64) {
+	if sw := e.StateWords(); sw > 1 {
+		sort.Sort(wordSlab{slab, sw})
+		return
+	}
+	slices.Sort(slab)
+}
+
+// wordSlab sorts multi-word states in place.
+type wordSlab struct {
+	w  []uint64
+	sw int
+}
+
+func (s wordSlab) Len() int { return len(s.w) / s.sw }
+func (s wordSlab) Less(i, j int) bool {
+	return slices.Compare(s.w[i*s.sw:(i+1)*s.sw], s.w[j*s.sw:(j+1)*s.sw]) < 0
+}
+func (s wordSlab) Swap(i, j int) {
+	for k := 0; k < s.sw; k++ {
+		s.w[i*s.sw+k], s.w[j*s.sw+k] = s.w[j*s.sw+k], s.w[i*s.sw+k]
+	}
+}
+
+// AppendWords appends the wire encoding of a slab of states to dst: its
+// words verbatim, little-endian. DecodeWords reverses it.
+func (e *Expander) AppendWords(dst []byte, slab []uint64) []byte {
+	for _, w := range slab {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	return dst
 }
 
-// DecodeStates appends every state encoded in b (a batch built with
-// AppendState under the same profiles and config) to out.
-func (e *Expander) DecodeStates(b []byte, out []PackedState) ([]PackedState, error) {
-	w := e.StateWords()
-	stride := 8 * w
-	if len(b)%stride != 0 {
+// DecodeWords appends the words of every state encoded in b (a batch built
+// with AppendWords under the same profiles and config) to out.
+func (e *Expander) DecodeWords(b []byte, out []uint64) ([]uint64, error) {
+	if stride := 8 * e.StateWords(); len(b)%stride != 0 {
 		return out, fmt.Errorf("verify: frontier batch of %d bytes is not a multiple of the %d-byte state stride", len(b), stride)
 	}
-	for len(b) > 0 {
-		var s PackedState
-		for k := 0; k < w; k++ {
-			s[k] = binary.LittleEndian.Uint64(b[8*k:])
-		}
-		out = append(out, s)
-		b = b[stride:]
+	for ; len(b) > 0; b = b[8:] {
+		out = append(out, binary.LittleEndian.Uint64(b))
 	}
 	return out, nil
 }
@@ -184,24 +229,33 @@ func (e *Expander) NewSet(capacity int) *StateSet {
 	return &StateSet{narrow: newU64Set(capacity)}
 }
 
-// StateSet is an open-addressing set of PackedStates backing one search
+// StateSet is an open-addressing set of packed states backing one search
 // driver's visited partition. Exactly one of the underlying sets is
 // non-nil, matching the encoding of the Expander that created it.
 type StateSet struct {
 	narrow *u64Set
 	wide   *wideSet
+	keys   []wstate // AddWords scratch: a wide slab as the set's keys
 }
 
-// Add inserts k and reports whether it was absent.
-func (s *StateSet) Add(k PackedState) bool {
-	if s.wide != nil {
-		return s.wide.add(wstate(k))
+// AddWords inserts the states of a slab, in order, through the set's
+// addChunk — the probe-ahead insert of the local drivers — and appends to
+// fresh the index (in states) of every one that was absent: exactly the
+// indices a per-state AddHashed loop would report, duplicates inside the
+// slab included. The set makes room for the whole slab first.
+func (s *StateSet) AddWords(slab []uint64, fresh []int32) []int32 {
+	if s.wide == nil {
+		return s.narrow.addChunk(slab, fresh)
 	}
-	return s.narrow.add(k[0])
+	s.keys = s.keys[:0]
+	for i := 0; i < len(slab); i += wideWords {
+		s.keys = append(s.keys, wstate(slab[i:i+wideWords]))
+	}
+	return s.wide.addChunk(s.keys, fresh)
 }
 
-// AddHashed is Add with the state's Expander.Hash precomputed — drivers
-// that already hashed the state for shard routing skip the second mix.
+// AddHashed inserts one state, given with its Expander.Hash, and reports
+// whether it was absent.
 func (s *StateSet) AddHashed(k PackedState, h uint64) bool {
 	if s.wide != nil {
 		return s.wide.addHashed(wstate(k), h)

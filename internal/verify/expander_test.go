@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,6 +18,17 @@ func succStates(e *Expander, s PackedState, scr *ExpandScratch, hs *[]HashedStat
 		out = append(out, h.S)
 	}
 	return out, viol
+}
+
+// packedOf reads a word slab of sw words per state back as PackedStates.
+func packedOf(slab []uint64, sw int) []PackedState {
+	out := make([]PackedState, 0, len(slab)/sw)
+	for i := 0; i < len(slab); i += sw {
+		var s PackedState
+		copy(s[:], slab[i:i+sw])
+		out = append(out, s)
+	}
+	return out
 }
 
 // TestExpanderMatchesInternalSuccessors pins the seam to the internal
@@ -78,7 +90,7 @@ func TestExpanderViolationSurfaces(t *testing.T) {
 	// Walk until a violation: BFS over the seam only.
 	seen := e.NewSet(64)
 	frontier := []PackedState{e.Initial()}
-	seen.Add(frontier[0])
+	seen.AddHashed(frontier[0], e.Hash(frontier[0]))
 	scr := e.NewScratch()
 	var succ []HashedState
 	for len(frontier) > 0 {
@@ -125,15 +137,16 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 		}
 		var b []byte
 		for _, s := range states {
-			b = e.AppendState(b, s)
+			b = e.AppendWords(b, s[:e.StateWords()])
 		}
 		if len(b) != len(states)*8*e.StateWords() {
 			t.Fatalf("%s: batch is %d bytes for %d states of %d words", tc.name, len(b), len(states), e.StateWords())
 		}
-		back, err := e.DecodeStates(b, nil)
+		words, err := e.DecodeWords(b, nil)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
+		back := packedOf(words, e.StateWords())
 		if len(back) != len(states) {
 			t.Fatalf("%s: %d states decoded, want %d", tc.name, len(back), len(states))
 		}
@@ -142,7 +155,7 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 				t.Fatalf("%s: state %d round trip: %v vs %v", tc.name, i, back[i], states[i])
 			}
 		}
-		if _, err := e.DecodeStates(b[:len(b)-1], nil); err == nil {
+		if _, err := e.DecodeWords(b[:len(b)-1], nil); err == nil {
 			t.Fatalf("%s: truncated batch decoded without error", tc.name)
 		}
 	}
@@ -175,7 +188,7 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 		var hashed []HashedState
 		frontier := []PackedState{e.Initial()}
 		seen := e.NewSet(64)
-		seen.Add(frontier[0])
+		seen.AddHashed(frontier[0], e.Hash(frontier[0]))
 		for level := 0; level < 3 && len(frontier) > 0; level++ {
 			var next []PackedState
 			for _, s := range frontier {
@@ -216,7 +229,7 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 					}
 				}
 				for _, ns := range plain {
-					if seen.Add(ns) {
+					if seen.AddHashed(ns, e.Hash(ns)) {
 						next = append(next, ns)
 					}
 				}
@@ -242,5 +255,99 @@ func TestLessStateMatchesEncodings(t *testing.T) {
 	}
 	if lessW(wstate{3, 4, 5, 6}, wstate{3, 4, 5, 5}) != LessState(PackedState{3, 4, 5, 6}, PackedState{3, 4, 5, 5}) {
 		t.Fatal("LessState disagrees with lessW")
+	}
+}
+
+// TestWordSeamMatchesPackedSeam holds the words-in/words-out seam to the
+// PackedState one, level by level, to each fixture's verdict or its first
+// 50,000 states: ExpandWords yields exactly SuccessorsHashedInto's states,
+// hashes, order and violator (and leaves the slab alone on a violation), and
+// AddWords reports exactly the fresh indices an AddHashed loop over the same
+// slab reports — a level's whole successor slab at a time, so duplicates
+// inside a slab are the rule.
+func TestWordSeamMatchesPackedSeam(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ps   []*switching.Profile
+		cfg  Config
+		wide bool
+	}{
+		{"narrow", fleet(3, 5, 2, 4, 20), Config{NondetTies: true}, false},
+		{"narrow-violating", fleet(3, 1, 3, 5, 20), Config{NondetTies: true}, false},
+		{"wide", fleet(7, 6, 1, 2, 65), Config{NondetTies: true}, true},
+		{"symmetric", fleet(5, 6, 1, 2, 12), Config{NondetTies: true, SymmetryReduction: true}, false},
+		{"symmetric-bounded", fleet(5, 6, 1, 2, 12), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 2}, false},
+		{"wide-bounded", fleet(6, 6, 1, 2, 33), Config{NondetTies: true, MaxDisturbances: 2}, true},
+	} {
+		e, err := NewExpander(tc.ps, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sw := e.StateWords()
+		if (sw > 1) != tc.wide {
+			t.Fatalf("%s: %d-word states, want wide=%v", tc.name, sw, tc.wide)
+		}
+		init := e.Initial()
+		words, packed := e.NewSet(16), e.NewSet(16)
+		if got := words.AddWords(init[:sw], nil); len(got) != 1 || got[0] != 0 {
+			t.Fatalf("%s: the initial state is fresh at %v, want [0]", tc.name, got)
+		}
+		packed.AddHashed(init, e.Hash(init))
+		frontier := append([]uint64(nil), init[:sw]...)
+		scrW, scrP := e.NewScratch(), e.NewScratch()
+		var slab, hashes []uint64
+		var hs []HashedState
+		var fresh, want []int32
+		states, dups, violated := 1, 0, false
+		for depth := 0; len(frontier) > 0 && !violated && states < 50000; depth++ {
+			slab, hashes, hs = slab[:0], hashes[:0], hs[:0]
+			for i := 0; i < len(frontier); i += sw {
+				var s PackedState
+				copy(s[:], frontier[i:i+sw])
+				n, nh := len(slab), len(hs)
+				var appW, appP int
+				slab, hashes, appW = e.ExpandWords(frontier[i:i+sw], scrW, slab, hashes)
+				hs, appP = e.SuccessorsHashedInto(s, scrP, hs)
+				if appW != appP {
+					t.Fatalf("%s depth %d: violator %d by words, %d packed", tc.name, depth, appW, appP)
+				}
+				if appW >= 0 {
+					violated = true
+					if len(slab) != n || len(hashes) != nh || len(hs) != nh {
+						t.Fatalf("%s depth %d: a violation appended successors", tc.name, depth)
+					}
+				}
+			}
+			if len(slab) != sw*len(hs) || len(hashes) != len(hs) {
+				t.Fatalf("%s depth %d: %d words and %d hashes for %d successors of %d words", tc.name, depth, len(slab), len(hashes), len(hs), sw)
+			}
+			for i, ps := range packedOf(slab, sw) {
+				if ps != hs[i].S || hashes[i] != hs[i].H || hashes[i] != e.HashWords(slab[i*sw:(i+1)*sw]) {
+					t.Fatalf("%s depth %d: successor %d is %x/%#x by words, %x/%#x packed", tc.name, depth, i, ps, hashes[i], hs[i].S, hs[i].H)
+				}
+			}
+			fresh, want = words.AddWords(slab, fresh[:0]), want[:0]
+			for i, h := range hs {
+				if packed.AddHashed(h.S, h.H) {
+					want = append(want, int32(i))
+				}
+			}
+			if !slices.Equal(fresh, want) {
+				t.Fatalf("%s depth %d: slab insert reports %d fresh states, the AddHashed loop %d (or other indices)", tc.name, depth, len(fresh), len(want))
+			}
+			dups += len(hs) - len(fresh)
+			frontier = frontier[:0]
+			for _, i := range fresh {
+				frontier = append(frontier, slab[int(i)*sw:int(i)*sw+sw]...)
+			}
+			states += len(fresh)
+		}
+		if words.Len() != states || packed.Len() != states {
+			t.Fatalf("%s: sets hold %d and %d states, %d were fresh", tc.name, words.Len(), packed.Len(), states)
+		}
+		if violated != (tc.name == "narrow-violating") || dups == 0 {
+			t.Fatalf("%s: violated=%v after %d duplicate successors", tc.name, violated, dups)
+		}
+		t.Logf("%s: %d states of %d words, %d duplicates, violated=%v", tc.name, states, sw, dups, violated)
 	}
 }
