@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"tightcps/internal/baseline"
+	"tightcps/internal/control"
 	"tightcps/internal/mapping"
 	"tightcps/internal/plants"
 	"tightcps/internal/sched"
@@ -286,6 +287,67 @@ func BenchmarkOptimalPartition(b *testing.B) {
 		}
 		if len(res.Slots) != 2 {
 			b.Fatalf("optimal = %d slots", len(res.Slots))
+		}
+	}
+}
+
+// BenchmarkMappingWarm is what a repeated sweep pays once every verdict is
+// known: first-fit over an 85-profile fleet plus the DP partitioner over ten
+// of its profiles, on a warm admission cache. The five designs have the T*w
+// and r of the archetypes `experiments -synthetic 100 -seed 1` keeps, 17
+// instances each. A warm cache never reaches the verifier, so a utilisation
+// rule stands in for it while the cache fills.
+func BenchmarkMappingWarm(b *testing.B) {
+	var fleet []*switching.Profile
+	for _, d := range [][2]int{{12, 24}, {10, 22}, {12, 16}, {8, 18}, {22, 26}} {
+		fleet = append(fleet, fleetProfiles(17, d[0], 3, 4, d[1])...)
+	}
+	sample := fleet[12:22] // five instances each of the first two designs
+	utilisation := func(set []*switching.Profile) (bool, error) {
+		u := 0.0
+		for _, p := range set {
+			u += float64(p.MaxTdwPlus()) / float64(p.R)
+		}
+		return u <= 1, nil
+	}
+	cache := mapping.NewCache()
+	ff, err := mapping.FirstFitCached(fleet, utilisation, cache)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dp, err := mapping.OptimalCached(sample, utilisation, cache)
+	if err != nil {
+		b.Fatal(err)
+	}
+	checks := ff.Verifications + dp.Verifications
+	cold := func([]*switching.Profile) (bool, error) {
+		b.Fatal("the warm cache let a question through to the verifier")
+		return false, nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := mapping.FirstFitCached(fleet, cold, cache)
+		if err != nil || len(res.Slots) != len(ff.Slots) {
+			b.Fatalf("warm first-fit: %d slots (cold %d), err %v", len(res.Slots), len(ff.Slots), err)
+		}
+		if _, err := mapping.OptimalCached(sample, cold, cache); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*checks), "ns/check")
+	b.ReportMetric(float64(checks), "checks/op")
+}
+
+// BenchmarkCQLFCaseStudy is the Sec. 3 switching-stability certificate for
+// the six case-study controller pairs (core's CheckSwitchingStability).
+func BenchmarkCQLFCaseStudy(b *testing.B) {
+	apps := plants.CaseStudy()
+	for i := 0; i < b.N; i++ {
+		for _, a := range apps {
+			if res, err := control.SwitchingStable(a.Plant, a.KT, a.KE); err != nil || !res.Found {
+				b.Fatalf("%s: no CQLF (%v)", a.Name, err)
+			}
 		}
 	}
 }

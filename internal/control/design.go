@@ -62,7 +62,7 @@ func DLQR(s *lti.System, q *mat.Matrix, r float64) (lti.Feedback, *mat.Matrix, e
 	const maxIter = 100000
 	for iter := 0; iter < maxIter; iter++ {
 		// K = (R + ΓᵀPΓ)⁻¹ ΓᵀPΦ (scalar denominator in SISO).
-		gtp := mat.Mul(s.Gamma.T(), p)      // 1×n
+		gtp := mat.Mul(s.Gamma.T(), p) // 1×n
 		den := r + mat.Mul(gtp, s.Gamma).At(0, 0)
 		k := mat.Scale(1/den, mat.Mul(gtp, s.Phi)) // 1×n
 		// P' = Q + ΦᵀPΦ − ΦᵀPΓ·K

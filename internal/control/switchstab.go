@@ -82,7 +82,9 @@ func CheckCQLF(p *mat.Matrix, modes ...*mat.Matrix) (float64, bool) {
 // given Schur-stable mode matrices. It first tries closed-form candidates
 // (individual and chained discrete Lyapunov solutions, including the
 // Narendra–Balakrishnan construction that is exact for commuting modes) and
-// falls back to a Nelder–Mead search over Cholesky factors.
+// falls back to a Nelder–Mead search over Cholesky factors, which runs until
+// it holds a certified P (or, finding none, to exhaustion). Margin is
+// therefore a certified positive margin, not a maximised one.
 func CommonLyapunov(modes ...*mat.Matrix) (CQLFResult, error) {
 	if len(modes) == 0 {
 		return CQLFResult{}, errors.New("control: no modes given")
@@ -167,7 +169,9 @@ func CommonLyapunov(modes ...*mat.Matrix) (CQLFResult, error) {
 	}
 
 	// Fall back: Nelder–Mead over the lower-triangular Cholesky factor of P,
-	// maximising the decrease margin.
+	// descending on the negated decrease margin until a certified P: the
+	// first vertex CheckCQLF accepts is the answer, as it is for the
+	// closed-form candidates above.
 	dim := n * (n + 1) / 2
 	unpack := func(v []float64) *mat.Matrix {
 		l := mat.New(n, n)
@@ -208,7 +212,10 @@ func CommonLyapunov(modes ...*mat.Matrix) (CQLFResult, error) {
 			}
 		}
 	}
-	res, err := opt.NelderMead(objective, start, opt.NelderMeadOptions{MaxIters: 4000 * dim, TolF: 1e-14, Step: 0.3})
+	res, err := opt.NelderMead(objective, start, opt.NelderMeadOptions{
+		MaxIters: 4000 * dim, TolF: 1e-14, Step: 0.3,
+		Stop: func(_ []float64, negMargin float64) bool { return negMargin < 0 },
+	})
 	if err == nil && res.F < 0 {
 		p := unpack(res.X)
 		if m, ok := CheckCQLF(p, modes...); ok {

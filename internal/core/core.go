@@ -155,7 +155,8 @@ func (d *Dimensioner) Dimension() (*Allocation, error) {
 	return alloc, nil
 }
 
-// verifyFunc builds the admission verifier from the options, threading the
+// verifyFunc builds the admission verifier from the options — the
+// counterexample-replay prefilter, then the exact search — threading the
 // engine's worker budget into the BFS unless the caller pinned it.
 func (d *Dimensioner) verifyFunc() mapping.VerifyFunc {
 	if d.Opts.AdmitFunc != nil {
@@ -167,7 +168,14 @@ func (d *Dimensioner) verifyFunc() mapping.VerifyFunc {
 	if cfg.Workers == 0 {
 		cfg.Workers = d.Opts.Workers
 	}
+	// A replayed counterexample settles a "no" in microseconds. Not under a
+	// disturbance bound: that model under-approximates, and a replayed
+	// schedule may use more disturbance instances than it allows.
+	refute := cfg.MaxDisturbances == 0
 	return func(ps []*switching.Profile) (bool, error) {
+		if refute && verify.Refute(ps, cfg.Policy) {
+			return false, nil
+		}
 		res, err := verify.Slot(ps, cfg)
 		if err != nil {
 			return false, err

@@ -69,20 +69,46 @@ func profileFingerprint(p *switching.Profile) uint64 {
 	return h
 }
 
+// setKey is the commutative part of a profile-set fingerprint: what the set's
+// per-profile hashes add up to before the final scatter. Adding a profile is
+// O(1), so a caller that grows sets one profile at a time (first-fit's
+// slots, the DP partitioner's masks) keeps a running key per set instead of
+// re-hashing every dwell table for every question it asks.
+type setKey struct{ sum, xor, n uint64 }
+
+// with returns the key of the set plus one profile whose hash is h.
+func (k setKey) with(h uint64) setKey {
+	return setKey{k.sum + h, k.xor ^ bits.RotateLeft64(h, 17), k.n + 1}
+}
+
+// fingerprint scatters the accumulated key into the set's fingerprint.
+func (k setKey) fingerprint() uint64 {
+	return mix64(k.sum ^ bits.RotateLeft64(k.xor, 32) ^ k.n*0x9e3779b97f4a7c15)
+}
+
+// profileHashes returns profileFingerprint of every profile, in order.
+func profileHashes(profiles []*switching.Profile) []uint64 {
+	h := make([]uint64, len(profiles))
+	for i, p := range profiles {
+		h[i] = profileFingerprint(p)
+	}
+	return h
+}
+
 // Fingerprint returns a canonical fingerprint of a profile set: per-profile
 // hashes combined commutatively (sum and rotated xor), so every permutation
 // of the same profiles yields the same key while sets differing in any
 // profile's tables or timing parameters yield different keys (modulo 64-bit
 // collisions). Names do not participate: sets that differ only in which
-// fleet instances of a design they contain share one key.
+// fleet instances of a design they contain share one key. Persisted cache
+// files, SaveDir's shard prefixes and the admission service's record keys
+// all hold values of this function, so it must not change.
 func Fingerprint(profiles []*switching.Profile) uint64 {
-	var sum, xor uint64
+	var k setKey
 	for _, p := range profiles {
-		h := profileFingerprint(p)
-		sum += h
-		xor ^= bits.RotateLeft64(h, 17)
+		k = k.with(profileFingerprint(p))
 	}
-	return mix64(sum ^ bits.RotateLeft64(xor, 32) ^ uint64(len(profiles))*0x9e3779b97f4a7c15)
+	return k.fingerprint()
 }
 
 // VerifyConfigKey fingerprints the verdict-relevant fields of a
@@ -158,21 +184,29 @@ func NewCacheFor(cfgKey uint64) *Cache {
 	}
 }
 
-// key folds the config salt into the profile-set fingerprint.
-func (c *Cache) key(profiles []*switching.Profile) uint64 {
-	k := Fingerprint(profiles)
-	if c.cfgKey != 0 {
-		k = mix64(k ^ c.cfgKey)
-	}
-	return k
-}
+// errVerifierPanicked is what waiters coalesced onto a run receive when its
+// verifier panicked instead of returning.
+var errVerifierPanicked = errors.New("mapping: the admission verifier panicked; no verdict")
 
 // Do answers the admission question for the profile set, consulting the
 // cache before falling back to vf. Exactly one caller per key runs the
 // verifier at a time: concurrent misses wait for the in-flight run and
 // share its verdict (or its error), counted in Stats as coalesced.
 func (c *Cache) Do(profiles []*switching.Profile, vf VerifyFunc) (bool, error) {
-	key := c.key(profiles)
+	return c.do(Fingerprint(profiles), func() []*switching.Profile { return profiles }, vf)
+}
+
+// do is Do for a caller that already holds the set's fingerprint: a hit is
+// one lock and one map lookup, and the profile list is materialised only on
+// a miss, for the verifier. A nil cache memoizes nothing and runs vf.
+func (c *Cache) do(fingerprint uint64, materialise func() []*switching.Profile, vf VerifyFunc) (bool, error) {
+	if c == nil {
+		return vf(materialise())
+	}
+	key := fingerprint
+	if c.cfgKey != 0 {
+		key = mix64(key ^ c.cfgKey)
+	}
 	c.mu.Lock()
 	if ok, hit := c.verdicts[key]; hit {
 		c.hits++
@@ -185,33 +219,29 @@ func (c *Cache) Do(profiles []*switching.Profile, vf VerifyFunc) (bool, error) {
 		<-fl.done
 		return fl.verdict, fl.err
 	}
-	fl := &inflight{done: make(chan struct{})}
+	// The entry starts out failed and is overwritten when vf returns, so a
+	// verifier that panics still releases its key and its waiters on the
+	// way out: a caller that recovers can ask again.
+	fl := &inflight{done: make(chan struct{}), err: errVerifierPanicked}
 	c.running[key] = fl
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.running, key)
+		if fl.err == nil {
+			c.verdicts[key] = fl.verdict
+			c.dirty[shardOf(key)] = true
+			c.misses++
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
 
-	ok, err := vf(profiles)
-
-	c.mu.Lock()
-	delete(c.running, key)
-	if err == nil {
-		c.verdicts[key] = ok
-		c.dirty[shardOf(key)] = true
-		c.misses++
+	fl.verdict, fl.err = vf(materialise())
+	if fl.err != nil {
+		return false, fl.err
 	}
-	c.mu.Unlock()
-	fl.verdict, fl.err = ok, err
-	close(fl.done)
-	if err != nil {
-		return false, err
-	}
-	return ok, nil
-}
-
-// Wrap returns a VerifyFunc that memoizes vf through the cache.
-func (c *Cache) Wrap(vf VerifyFunc) VerifyFunc {
-	return func(profiles []*switching.Profile) (bool, error) {
-		return c.Do(profiles, vf)
-	}
+	return fl.verdict, nil
 }
 
 // Stats returns the cumulative hit, miss and coalesced-wait counts. A

@@ -88,36 +88,42 @@ func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) 
 		vf = DefaultVerify
 	}
 	res := &Result{}
-	var h0, m0 int
 	if cache != nil {
-		h0, m0, _ = cache.Stats()
-		vf = cache.Wrap(vf)
+		h0, m0, _ := cache.Stats()
 		defer func() {
 			h1, m1, _ := cache.Stats()
 			res.CacheHits, res.CacheMisses = h1-h0, m1-m0
 		}()
 	}
+	// Each profile is hashed once; a slot's key grows with the slot, so a
+	// question the cache can answer costs no pass over any dwell table.
+	h := profileHashes(profiles)
+	var slotKey []setKey
 	for _, i := range SortOrder(profiles) {
 		placed := false
 		for si := range res.Slots {
-			trial := make([]*switching.Profile, 0, len(res.Slots[si])+1)
-			for _, j := range res.Slots[si] {
-				trial = append(trial, profiles[j])
-			}
-			trial = append(trial, profiles[i])
+			trialKey := slotKey[si].with(h[i])
 			res.Verifications++
-			ok, err := vf(trial)
+			ok, err := cache.do(trialKey.fingerprint(), func() []*switching.Profile {
+				trial := make([]*switching.Profile, 0, len(res.Slots[si])+1)
+				for _, j := range res.Slots[si] {
+					trial = append(trial, profiles[j])
+				}
+				return append(trial, profiles[i])
+			}, vf)
 			if err != nil {
 				return nil, fmt.Errorf("mapping: verifying slot %d + %s: %w", si, profiles[i].Name, err)
 			}
 			if ok {
 				res.Slots[si] = append(res.Slots[si], i)
+				slotKey[si] = trialKey
 				placed = true
 				break
 			}
 		}
 		if !placed {
 			res.Slots = append(res.Slots, []int{i})
+			slotKey = append(slotKey, setKey{}.with(h[i]))
 		}
 	}
 	return res, nil
@@ -139,11 +145,6 @@ func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (
 	if vf == nil {
 		vf = DefaultVerify
 	}
-	var h0, m0 int
-	if cache != nil {
-		h0, m0, _ = cache.Stats()
-		vf = cache.Wrap(vf)
-	}
 	n := len(profiles)
 	if n == 0 {
 		return &Result{}, nil
@@ -153,6 +154,7 @@ func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (
 	}
 	res := &Result{}
 	if cache != nil {
+		h0, m0, _ := cache.Stats()
 		defer func() {
 			h1, m1, _ := cache.Stats()
 			res.CacheHits, res.CacheMisses = h1-h0, m1-m0
@@ -161,18 +163,25 @@ func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (
 	full := 1<<n - 1
 	feasible := make([]bool, full+1)
 	feasible[0] = true
+	// A subset's key is the key of the subset without its lowest member,
+	// plus that member: one addition per mask.
+	h := profileHashes(profiles)
+	key := make([]setKey, full+1)
 	for mask := 1; mask <= full; mask++ {
+		key[mask] = key[mask&(mask-1)].with(h[bits.TrailingZeros(uint(mask))])
 		// Monotonicity shortcut: a superset of an infeasible set is
 		// infeasible — but slot feasibility is not necessarily monotone
 		// under EDF (anomalies), so every subset is verified directly.
-		var sub []*switching.Profile
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sub = append(sub, profiles[i])
-			}
-		}
 		res.Verifications++
-		ok, err := vf(sub)
+		ok, err := cache.do(key[mask].fingerprint(), func() []*switching.Profile {
+			var sub []*switching.Profile
+			for i := 0; i < n; i++ {
+				if mask&(1<<i) != 0 {
+					sub = append(sub, profiles[i])
+				}
+			}
+			return sub
+		}, vf)
 		if err != nil {
 			return nil, err
 		}

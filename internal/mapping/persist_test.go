@@ -124,6 +124,59 @@ func TestCacheSingleflightError(t *testing.T) {
 	}
 }
 
+// TestCacheDoPanicDoesNotPoisonKey: a verifier that panics under a caller
+// that recovers (a test harness, an HTTP handler) must release its key — the
+// coalesced waiter gets an error instead of waiting on a channel nobody will
+// close, and the next call runs the verifier again and is cached.
+func TestCacheDoPanicDoesNotPoisonKey(t *testing.T) {
+	set := []*switching.Profile{mkProfile("A", 3, 2)}
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	c := NewCache()
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(set, func([]*switching.Profile) (bool, error) {
+			close(started)
+			<-gate
+			panic("verifier bug")
+		})
+	}()
+	<-started
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := c.Do(set, mustNotVerify(t))
+		waiterErr <- err
+	}()
+	waitForCoalesced(t, c, 1)
+	close(gate)
+	if r := <-recovered; r != "verifier bug" {
+		t.Fatalf("leader recovered %v, want the verifier's panic", r)
+	}
+	select {
+	case err := <-waiterErr:
+		if err == nil {
+			t.Fatal("coalesced waiter got a verdict from a run that panicked")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("coalesced waiter still blocked after the leader panicked")
+	}
+	if c.Len() != 0 {
+		t.Fatal("a panicked run left a verdict")
+	}
+
+	calls := 0
+	vf := func([]*switching.Profile) (bool, error) { calls++; return true, nil }
+	for i := 0; i < 2; i++ {
+		if ok, err := c.Do(set, vf); !ok || err != nil {
+			t.Fatalf("call %d after the panic: verdict=%v err=%v", i, ok, err)
+		}
+	}
+	if hits, misses, _ := c.Stats(); calls != 1 || hits != 1 || misses != 1 {
+		t.Fatalf("after the panic: verifier ran %d times, hits=%d misses=%d; want 1/1/1", calls, hits, misses)
+	}
+}
+
 // TestCacheSaveLoadRoundTrip: verdicts survive serialization, a warm
 // loaded cache answers without running the verifier, and mismatched config
 // salts are rejected.

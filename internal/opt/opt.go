@@ -25,6 +25,10 @@ type NelderMeadOptions struct {
 	MaxIters int     // maximum iterations (default 200·dim)
 	TolF     float64 // stop when simplex f-spread falls below TolF (default 1e-10)
 	Step     float64 // initial simplex step (default 0.5)
+	// Stop, when non-nil, ends the search as soon as it accepts the best
+	// vertex — for a caller that needs a point satisfying a condition, not
+	// the minimiser. It is asked once per iteration, where TolF is.
+	Stop func(x []float64, f float64) bool
 }
 
 // NelderMead minimises f starting from x0 using the Nelder–Mead simplex
@@ -97,7 +101,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, o NelderMeadOptions) (R
 	var it int
 	for it = 0; it < o.MaxIters; it++ {
 		order()
-		if math.Abs(fs[n]-fs[0]) < o.TolF {
+		if math.Abs(fs[n]-fs[0]) < o.TolF || (o.Stop != nil && o.Stop(pts[0], fs[0])) {
 			break
 		}
 		c := centroid()

@@ -23,10 +23,10 @@ type Phase uint8
 // automaton).
 const (
 	Steady   Phase = iota // no active disturbance; may be disturbed anytime
-	Waiting                // disturbed, waiting for the TT slot (ET_Wait)
-	Granted                // holding the TT slot (TT)
-	Cooldown               // left the slot, quiescent until r elapses (ET_SAFE)
-	Failed                 // missed its deadline: wait exceeded T*w (Error)
+	Waiting               // disturbed, waiting for the TT slot (ET_Wait)
+	Granted               // holding the TT slot (TT)
+	Cooldown              // left the slot, quiescent until r elapses (ET_SAFE)
+	Failed                // missed its deadline: wait exceeded T*w (Error)
 )
 
 func (p Phase) String() string {
@@ -65,8 +65,8 @@ type Options struct {
 
 // Event records one scheduler action at a given sample instant.
 type Event struct {
-	Time int    // sample instant
-	App  int    // application index
+	Time int // sample instant
+	App  int // application index
 	Kind EventKind
 	Tw   int // wait at grant time (Granted events)
 	CT   int // dwell at eviction (PreemptedEv/VacatedEv events)

@@ -52,8 +52,8 @@ func RandomScenario(cfg SporadicConfig, rs []int) Scenario {
 // MonteCarloResult summarises a randomized validation campaign.
 type MonteCarloResult struct {
 	Runs         int
-	Disturbances int // total injected
-	Misses       int // runs with a deadline miss
+	Disturbances int   // total injected
+	Misses       int   // runs with a deadline miss
 	WorstJ       []int // per app: worst settling time observed (samples)
 	WorstSlack   []int // per app: min (J* − J) observed; negative = violation
 	TTSamples    int   // total TT samples consumed across runs
