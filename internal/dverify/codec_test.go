@@ -177,11 +177,73 @@ func TestFrontierCodecErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesZeroState: no encoding produces the all-zero state — it
+// is the visited sets' empty-slot sentinel, and inserting it panics — so a
+// frontier batch in either format or a checkpoint segment that carries one is
+// refused by name, on both widths, before absorb sees it; a worker ordered to
+// restore such a segment reports it and stands.
+func TestDecodeRefusesZeroState(t *testing.T) {
+	dir := t.TempDir()
+	for _, words := range []int{1, 4} {
+		c := codecFor(t, words)
+		zero, one := make([]byte, 8*words), make([]byte, 8*words)
+		one[0] = 1
+		up, down := make([]byte, words), make([]byte, words) // word-0 deltas +1 and −1, zigzag coded
+		up[0], down[0] = 2, 1
+		for _, tc := range []struct {
+			name  string
+			batch []byte
+		}{
+			{"raw", append([]byte{codecRaw}, zero...)},
+			{"raw after a state", append(append([]byte{codecRaw}, one...), zero...)},
+			{"delta", append([]byte{codecDelta}, make([]byte, words)...)},
+			{"delta back to zero", append(append([]byte{codecDelta}, up...), down...)},
+		} {
+			if _, err := c.decode(tc.batch, nil); err == nil || !strings.Contains(err.Error(), "all-zero state") {
+				t.Errorf("%d-word %s batch %v: err = %v, want the all-zero-state error", words, tc.name, tc.batch, err)
+			}
+		}
+		path := segPath(dir, words, 0)
+		if err := os.WriteFile(path, segmentBytes(2, 0, append(one, zero...)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readSegment(path, c.exp); err == nil || !strings.Contains(err.Error(), "all-zero state") ||
+			!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
+			t.Errorf("%d-word segment holding the zero state: err = %v", words, err)
+		}
+	}
+
+	ts := Loopback(1)
+	defer Close(ts)
+	job := &Job{Proto: protoVersion, NumNodes: 1, MaxStates: 100, FT: true, CheckpointDir: dir, Session: 2}
+	for _, p := range fleet(3, 5, 2, 4, 20) {
+		job.Profiles = append(job.Profiles, *p)
+	}
+	w, _, err := newMeshWorker(job, loopEnv{ts[0].(*loopTransport).group}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.shutdown()
+	for sh := 0; sh < numShards; sh++ {
+		if err := writeSegment(segPath(w.ckptDir, 0, sh), nil, 0, w.exp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(segPath(w.ckptDir, 0, 5), segmentBytes(1, 0, make([]byte, 8)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w.recoverTo(&Recover{Era: 1, Owners: defaultOwners(1), Cut: 0})
+	if w.err == nil || !strings.Contains(w.err.Error(), "all-zero state") {
+		t.Fatalf("worker error after restoring a segment holding the zero state: %v", w.err)
+	}
+}
+
 // FuzzFrontierDecode feeds decode arbitrary bytes, as a mesh link might:
 // the outcome is a named error, or states that survive encode → decode as
-// the same multiset — never a panic, and never more states than the batch
-// has bytes to pay for (a state costs at least one byte per word in either
-// format, so no length the decoder has not read sizes an allocation). The
+// the same multiset — never a panic, never an all-zero state (the visited
+// sets' sentinel: absorb would panic on it), and never more states than the
+// batch has bytes to pay for (a state costs at least one byte per word in
+// either format, so no length the decoder has not read sizes an allocation). The
 // seed corpus in testdata/fuzz/FuzzFrontierDecode holds an empty batch, raw
 // and delta batches of both widths, a truncated varint, a raw batch off the
 // state stride and a byte-2 batch.
@@ -202,6 +264,9 @@ func FuzzFrontierDecode(f *testing.F) {
 		if len(dec) > len(batch) {
 			t.Fatalf("%d states of %d words out of a %d-byte batch", len(dec)/c.words, c.words, len(batch))
 		}
+		if i := zeroState(dec, c.words); i >= 0 {
+			t.Fatalf("state %d of the decoded batch is all zero", i)
+		}
 		want := sortedCopy(dec, c.words)
 		again, err := c.decode(c.encode(dec, nil), nil)
 		if err != nil {
@@ -211,6 +276,16 @@ func FuzzFrontierDecode(f *testing.F) {
 			t.Fatalf("re-encoded batch decodes to %d words, want the same %d", len(again), len(want))
 		}
 	})
+}
+
+// zeroState returns the index of the first all-zero state of a slab, or −1.
+func zeroState(states []uint64, words int) int {
+	for i := 0; i < len(states); i += words {
+		if packed(states[i:i+words]) == (verify.PackedState{}) {
+			return i / words
+		}
+	}
+	return -1
 }
 
 // TestSendFilterExactness: a sendFilter hit must imply the exact state was
@@ -360,8 +435,9 @@ func TestSegmentCorruptHeader(t *testing.T) {
 
 // FuzzReadSegment: whatever bytes sit where a checkpoint segment should,
 // readSegment answers with a named error or with states and a transition
-// count that writeSegment puts back byte for byte — it never panics, and no
-// header field it has not checked against the file sizes an allocation. The
+// count that writeSegment puts back byte for byte — it never panics, never
+// returns an all-zero state, and no header field it has not checked against
+// the file sizes an allocation. The
 // seed corpus in testdata/fuzz/FuzzReadSegment holds an empty file, a bare
 // header, valid narrow and wide segments, a count one above the body, a
 // count that wraps the size product, and trailing bytes.
@@ -383,6 +459,9 @@ func FuzzReadSegment(f *testing.F) {
 				t.Fatalf("unnamed error: %v", err)
 			}
 			return
+		}
+		if i := zeroState(states, exp.StateWords()); i >= 0 {
+			t.Fatalf("state %d of the segment is all zero", i)
 		}
 		if err := writeSegment(out, states, trans, exp); err != nil {
 			t.Fatal(err)

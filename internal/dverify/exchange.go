@@ -356,16 +356,13 @@ func (w *meshWorker) expandChunk(n int) bool {
 		w.flushOut()
 		w.outLevel = l + 1
 		// Pre-size the visited partition for the coming level from the
-		// fresh-state trajectory (the local drivers' levelReserve
-		// heuristic), so commits inside a level rarely rehash.
-		est := w.levels[l].fresh
-		if l > 0 && w.levels[l-1].fresh > 0 {
-			est = w.levels[l].fresh * w.levels[l].fresh / w.levels[l-1].fresh
-			if max := 8 * w.levels[l].fresh; est > max {
-				est = max
-			}
+		// fresh-state trajectory, as the local drivers do, so commits inside
+		// a level rarely rehash.
+		prev := 0
+		if l > 0 {
+			prev = w.levels[l-1].fresh
 		}
-		w.visited.Reserve(est)
+		w.visited.Reserve(verify.LevelReserve(w.levels[l].fresh, prev))
 	}
 	w.expandSerial(l, n)
 	w.flushDest(w.id) // the chunk's own successors: one more batch to absorb

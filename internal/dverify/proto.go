@@ -3,6 +3,7 @@ package dverify
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"tightcps/internal/sched"
@@ -341,7 +342,9 @@ func (c *frontierCodec) decode(batch []byte, out []uint64) ([]uint64, error) {
 	}
 }
 
-// decodeDelta reverses the sorted zigzag varint-delta payload.
+// decodeDelta reverses the sorted zigzag varint-delta payload. It refuses
+// the all-zero state, which no encoding produces: the visited sets reserve
+// it as their empty-slot sentinel.
 func (c *frontierCodec) decodeDelta(payload []byte, out []uint64) ([]uint64, error) {
 	var prev verify.PackedState
 	for len(payload) > 0 {
@@ -353,6 +356,9 @@ func (c *frontierCodec) decodeDelta(payload []byte, out []uint64) ([]uint64, err
 			payload = payload[n:]
 			prev[k] += uint64(unzigzag(u))
 			out = append(out, prev[k])
+		}
+		if prev == (verify.PackedState{}) {
+			return out[:len(out)-c.words], errors.New("dverify: frontier batch holds the all-zero state, which no encoding produces")
 		}
 	}
 	return out, nil

@@ -14,18 +14,22 @@ import (
 // Regressions here are what -cpuprofile/-memprofile on cmd/verifyslot and
 // the verify.s1_allocs_per_op row of benchmark/ exist to diagnose.
 
-// collectLevels runs the first depth BFS levels through the expansion core
-// and returns all frontier states encountered, warming sc and the buffers.
-func collectLevels(v *Verifier, sc *expandScratch, depth int) (states []uint64, succBuf []uint64, choiceBuf []uint32) {
-	visited := newU64Set(1 << 12)
-	frontier := []uint64{v.initial()}
+// expansionAllocs runs the first three BFS levels of v's state space through
+// the expansion core, warming a scratch and the buffers, and returns the
+// allocations of one more sweep over every state met and how many there are.
+func expansionAllocs[K stateKey](v *Verifier) (float64, int) {
+	var sc expandScratch
+	var states, succBuf []K
+	var choiceBuf []uint32
+	visited := newKeySet[K](1 << 12)
+	frontier := []K{initialState[K](v)}
 	visited.add(frontier[0])
-	for d := 0; d < depth; d++ {
-		var next []uint64
+	for d := 0; d < 3; d++ {
+		var next []K
 		for _, s := range frontier {
 			states = append(states, s)
 			var viol int
-			succBuf, choiceBuf, viol = v.successors(s, sc, succBuf[:0], choiceBuf[:0])
+			succBuf, choiceBuf, viol = successors(v, s, &sc, succBuf[:0], choiceBuf[:0])
 			if viol >= 0 {
 				continue
 			}
@@ -37,7 +41,12 @@ func collectLevels(v *Verifier, sc *expandScratch, depth int) (states []uint64, 
 		}
 		frontier = next
 	}
-	return states, succBuf, choiceBuf
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, s := range states {
+			succBuf, choiceBuf, _ = successors(v, s, &sc, succBuf[:0], choiceBuf[:0])
+		}
+	})
+	return allocs, len(states)
 }
 
 // TestExpansionCoreAllocFree gates the steady state of the core: expanding
@@ -66,40 +75,15 @@ func TestExpansionCoreAllocFree(t *testing.T) {
 			if v.wide != (tc.name == "wide") {
 				t.Fatalf("wide=%v", v.wide)
 			}
-			var sc expandScratch
-			if !v.wide {
-				states, succBuf, choiceBuf := collectLevels(v, &sc, 3)
-				allocs := testing.AllocsPerRun(10, func() {
-					for _, s := range states {
-						succBuf, choiceBuf, _ = v.successors(s, &sc, succBuf[:0], choiceBuf[:0])
-					}
-				})
-				if allocs != 0 {
-					t.Fatalf("narrow expansion of %d states allocates %.1f times per sweep, want 0", len(states), allocs)
-				}
-				return
+			var allocs float64
+			var states int
+			if v.wide {
+				allocs, states = expansionAllocs[[wideWords]uint64](v)
+			} else {
+				allocs, states = expansionAllocs[[1]uint64](v)
 			}
-			// Wide path: warm on the initial state's closure, then re-expand.
-			var states []wstate
-			var succBuf []wstate
-			var choiceBuf []uint32
-			frontier := []wstate{v.initialWide()}
-			for d := 0; d < 3; d++ {
-				var next []wstate
-				for _, s := range frontier {
-					states = append(states, s)
-					succBuf, choiceBuf, _ = v.successorsWide(s, &sc, succBuf[:0], choiceBuf[:0])
-					next = append(next, succBuf...)
-				}
-				frontier = next
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				for _, s := range states {
-					succBuf, choiceBuf, _ = v.successorsWide(s, &sc, succBuf[:0], choiceBuf[:0])
-				}
-			})
 			if allocs != 0 {
-				t.Fatalf("wide expansion of %d states allocates %.1f times per sweep, want 0", len(states), allocs)
+				t.Fatalf("expansion of %d states allocates %.1f times per sweep, want 0", states, allocs)
 			}
 		})
 	}

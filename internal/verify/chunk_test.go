@@ -109,7 +109,7 @@ func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (
 		var c cstate
 		again := s
 		if v.wide {
-			v.unpackWide(wstate(s), &c)
+			v.unpackWide([wideWords]uint64(s), &c)
 			again = PackedState(v.packWide(&c))
 		} else {
 			v.unpack(s[0], &c)
@@ -222,15 +222,15 @@ func TestSequentialChunkBoundaries(t *testing.T) {
 	run := func(violator uint64, max int) (Result, error) {
 		v.cfg.MaxStates = max
 		succ := graph(violator)
-		return runSequential(v, newU64Set(16), 1, func(s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
-			ns, viol := succ(s)
+		return runSequential(v, [1]uint64{1}, func(_ *Verifier, s [1]uint64, _ *expandScratch, out [][1]uint64, masks []uint32) ([][1]uint64, []uint32, int) {
+			ns, viol := succ(s[0])
 			if viol >= 0 {
 				return out, masks, viol
 			}
-			for range ns {
-				masks = append(masks, 0)
+			for _, n := range ns {
+				out, masks = append(out, [1]uint64{n}), append(masks, 0)
 			}
-			return append(out, ns...), masks, -1
+			return out, masks, -1
 		})
 	}
 	const unlimited = 1 << 30
@@ -308,18 +308,11 @@ func TestSequentialPins(t *testing.T) {
 	}
 }
 
-// chunkSet is the surface the set-layer tests drive on both sets.
-type chunkSet[K comparable] interface {
-	visitedSet[K]
-	contains(K) bool
-	len() int
-}
-
 // checkAddChunk inserts chunks into set and, key by key, into a map: the
 // fresh indices addChunk reports must be the ones the map sees as new, in
 // the same order — duplicates inside a chunk are fresh once, at their first
 // position.
-func checkAddChunk[K comparable, S chunkSet[K]](t *testing.T, set S, chunks [][]K) {
+func checkAddChunk[K stateKey](t *testing.T, set *keySet[K], chunks [][]K) {
 	t.Helper()
 	seen := map[K]bool{}
 	var fresh []int32
@@ -351,76 +344,59 @@ func checkAddChunk[K comparable, S chunkSet[K]](t *testing.T, set S, chunks [][]
 	}
 }
 
-// TestAddChunkRandomizedOracle drives addChunk on both sets against a map:
+// TestAddChunkRandomizedOracle drives addChunk at both widths against a map:
 // random chunks with duplicates inside a chunk and keys already present,
 // chunks of every size around seqChunk, a chunk that carries a 16-slot
 // table across its load-factor threshold several times over, and chunks
 // whose keys all hash to the last slots of the table, so their probe
 // sequences wrap around its end.
 func TestAddChunkRandomizedOracle(t *testing.T) {
+	t.Run("narrow", func(t *testing.T) { addChunkOracle(t, narrowKey) })
+	t.Run("wide", func(t *testing.T) { addChunkOracle(t, wideKey) })
+}
+
+func addChunkOracle[K stateKey](t *testing.T, key func(uint64) K) {
 	rng := rand.New(rand.NewSource(7))
-	wideKey := func(v uint64) wstate { return wstate{v, v * 0x9e3779b97f4a7c15, ^v, 1} }
 
 	// Random chunks drawn from a pool small enough to repeat keys.
-	pool := make([]uint64, 3000)
+	pool := make([]K, 3000)
 	for i := range pool {
-		pool[i] = rng.Uint64() | 1
+		pool[i] = key(rng.Uint64() | 1)
 	}
-	var narrow [][]uint64
-	var wide [][]wstate
+	var chunks [][]K
 	for _, size := range []int{0, 1, 2, seqChunk - 1, seqChunk, seqChunk + 1, 5 * seqChunk, 1, 700, 64, 2000} {
-		nc := make([]uint64, size)
-		wc := make([]wstate, size)
-		for i := range nc {
-			k := pool[rng.Intn(len(pool))]
+		c := make([]K, size)
+		for i := range c {
+			c[i] = pool[rng.Intn(len(pool))]
 			if i > 0 && rng.Intn(4) == 0 {
-				k = nc[rng.Intn(i)] // duplicate inside the chunk
+				c[i] = c[rng.Intn(i)] // duplicate inside the chunk
 			}
-			nc[i], wc[i] = k, wideKey(k)
 		}
-		narrow, wide = append(narrow, nc), append(wide, wc)
+		chunks = append(chunks, c)
 	}
-	t.Run("narrow/random", func(t *testing.T) { checkAddChunk(t, newU64Set(16), narrow) })
-	t.Run("wide/random", func(t *testing.T) { checkAddChunk(t, newWideSet(16), wide) })
+	t.Run("random", func(t *testing.T) { checkAddChunk(t, newKeySet[K](16), chunks) })
 
 	// One chunk of 1000 distinct keys into a 16-slot table: the reserve in
 	// front of the probe pass must carry it over the threshold (the touch
 	// pass indexes with the new mask, the insert pass must not rehash).
-	t.Run("narrow/threshold", func(t *testing.T) { checkAddChunk(t, newU64Set(16), [][]uint64{pool[:1000], pool[:1200]}) })
-	t.Run("wide/threshold", func(t *testing.T) {
-		ws := make([]wstate, 1200)
-		for i := range ws {
-			ws[i] = wideKey(pool[i])
-		}
-		checkAddChunk(t, newWideSet(16), [][]wstate{ws[:1000], ws})
-	})
+	t.Run("threshold", func(t *testing.T) { checkAddChunk(t, newKeySet[K](16), [][]K{pool[:1000], pool[:1200]}) })
 
 	// Probe wrap-around: in a table of 1<<10 slots that will not grow, find
 	// keys whose home is one of the last three slots; forty of them form a
 	// run that wraps to slot 0.
 	const size = 1 << 10
-	var tailN []uint64
-	var tailW []wstate
-	for k := uint64(1); len(tailN) < 40 || len(tailW) < 40; k++ {
-		if hashU64(k)&(size-1) >= size-3 && len(tailN) < 40 {
-			tailN = append(tailN, k)
-		}
-		if w := wideKey(k); hashW(w)&(size-1) >= size-3 && len(tailW) < 40 {
-			tailW = append(tailW, w)
+	var tail []K
+	for x := uint64(1); len(tail) < 40; x++ {
+		if k := key(x); hashKey(k)&(size-1) >= size-3 {
+			tail = append(tail, k)
 		}
 	}
-	t.Run("narrow/wrap", func(t *testing.T) {
-		s := newU64Set(size)
-		checkAddChunk(t, s, [][]uint64{tailN[:25], tailN})
-		if len(s.slots) != size || s.slots[0] == 0 || s.slots[size-1] == 0 {
-			t.Fatalf("probe run did not wrap: table %d, slot0=%#x last=%#x", len(s.slots), s.slots[0], s.slots[size-1])
-		}
-	})
-	t.Run("wide/wrap", func(t *testing.T) {
-		s := newWideSet(size)
-		checkAddChunk(t, s, [][]wstate{tailW[:25], tailW})
-		if len(s.slots) != size || s.slots[0] == (wstate{}) || s.slots[size-1] == (wstate{}) {
-			t.Fatalf("probe run did not wrap: table %d slots", len(s.slots))
+	t.Run("wrap", func(t *testing.T) {
+		s := newKeySet[K](size)
+		checkAddChunk(t, s, [][]K{tail[:25], tail})
+		var zero K
+		if len(s.slots) != size || s.slots[0] == zero || s.slots[size-1] == zero {
+			t.Fatalf("probe run did not wrap: table %d, slot0=%x last=%x", len(s.slots), s.slots[0], s.slots[size-1])
 		}
 	})
 }
@@ -434,44 +410,40 @@ func TestAddChunkAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
 	}
+	t.Run("narrow", func(t *testing.T) { addChunkAllocs(t, narrowKey) })
+	t.Run("wide", func(t *testing.T) { addChunkAllocs(t, wideKey) })
+}
+
+func addChunkAllocs[K stateKey](t *testing.T, key func(uint64) K) {
 	const chunks = 64
-	keys := make([]uint64, chunks*seqChunk)
-	wkeys := make([]wstate, len(keys))
+	keys := make([]K, chunks*seqChunk)
 	for i := range keys {
-		keys[i] = hashU64(uint64(i + 1))
-		wkeys[i] = wstate{keys[i], 1}
+		keys[i] = key(mix(uint64(i + 1)))
 	}
 	fresh := make([]int32, 0, seqChunk)
-	ns, ws := newU64Set(16), newWideSet(16)
-	ns.reserve(len(keys))
-	ws.reserve(len(keys))
-	ns.addChunk(keys[:seqChunk], fresh) // grows the hash scratch
-	ws.addChunk(wkeys[:seqChunk], fresh)
-	for name, insert := range map[string]func(lo int){
-		"narrow": func(lo int) { fresh = ns.addChunk(keys[lo:lo+seqChunk], fresh[:0]) },
-		"wide":   func(lo int) { fresh = ws.addChunk(wkeys[lo:lo+seqChunk], fresh[:0]) },
-	} {
-		lo := 0
-		allocs := testing.AllocsPerRun(2*chunks-1, func() { // second half re-inserts: all duplicates
-			insert(lo % len(keys))
-			lo += seqChunk
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: addChunk allocates %.2f times per chunk in steady state, want 0", name, allocs)
-		}
+	s := newKeySet[K](16)
+	s.reserve(len(keys))
+	s.addChunk(keys[:seqChunk], fresh) // grows the hash scratch
+	lo := 0
+	allocs := testing.AllocsPerRun(2*chunks-1, func() { // second half re-inserts: all duplicates
+		fresh = s.addChunk(keys[lo%len(keys):lo%len(keys)+seqChunk], fresh[:0])
+		lo += seqChunk
+	})
+	if allocs != 0 {
+		t.Fatalf("addChunk allocates %.2f times per chunk in steady state, want 0", allocs)
 	}
 }
 
-// s1States returns the 1,440,712 states of slot S1 in the sequential
-// engine's discovery order — the key stream the visited set sees.
-func s1States(b *testing.B) []uint64 {
+// s1Keys returns the 1,440,712 states of slot S1 in the sequential engine's
+// discovery order — the key stream the visited set sees — as keys.
+func s1Keys[K stateKey](b *testing.B, key func(uint64) K) []K {
 	res, err, visited, _ := refBFS(b, caseProfiles(b, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, false)
 	if err != nil || res.States != 1440712 {
 		b.Fatalf("S1 reference search: %+v, %v", res, err)
 	}
-	keys := make([]uint64, len(visited))
+	keys := make([]K, len(visited))
 	for i, s := range visited {
-		keys[i] = s[0]
+		keys[i] = key(s[0])
 	}
 	return keys
 }
@@ -480,12 +452,12 @@ func s1States(b *testing.B) []uint64 {
 // reserved for them) and one hit pass (every state inserted again), per key
 // or in seqChunk-sized chunks. ns/op is per pass pair; the miss_ns/key and
 // hit_ns/key columns are the layer numbers.
-func benchSetInsert[K comparable, S chunkSet[K]](b *testing.B, keys []K, newSet func() S, chunked bool) {
+func benchSetInsert[K stateKey](b *testing.B, keys []K, chunked bool) {
 	var missNs, hitNs int64
 	fresh := make([]int32, 0, seqChunk)
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
-		set := newSet()
+		set := newKeySet[K](16)
 		set.reserve(len(keys))
 		b.StartTimer()
 		for pass, ns := range []*int64{&missNs, &hitNs} {
@@ -518,20 +490,14 @@ func benchSetInsert[K comparable, S chunkSet[K]](b *testing.B, keys []K, newSet 
 // perkey is the insert loop the sequential driver used to run, chunked the
 // probe-ahead insert it runs now.
 func BenchmarkSetInsertNarrow(b *testing.B) {
-	keys := s1States(b)
-	newSet := func() *u64Set { return newU64Set(16) }
-	b.Run("perkey", func(b *testing.B) { benchSetInsert(b, keys, newSet, false) })
-	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, newSet, true) })
+	keys := s1Keys(b, narrowKey)
+	b.Run("perkey", func(b *testing.B) { benchSetInsert(b, keys, false) })
+	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, true) })
 }
 
 // BenchmarkSetInsertWide is the same stream widened to 32-byte keys.
 func BenchmarkSetInsertWide(b *testing.B) {
-	narrow := s1States(b)
-	keys := make([]wstate, len(narrow))
-	for i, k := range narrow {
-		keys[i] = wstate{k, 0, 0, wideIdle}
-	}
-	newSet := func() *wideSet { return newWideSet(16) }
-	b.Run("perkey", func(b *testing.B) { benchSetInsert(b, keys, newSet, false) })
-	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, newSet, true) })
+	keys := s1Keys(b, func(x uint64) [wideWords]uint64 { return [wideWords]uint64{x, 0, 0, wideIdle} })
+	b.Run("perkey", func(b *testing.B) { benchSetInsert(b, keys, false) })
+	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, true) })
 }

@@ -4,11 +4,11 @@ package verify
 // backend of internal/dverify — need to expand states, hash them for
 // partitioning, order them for the minimum-violator tie-break, and move
 // frontiers across process boundaries, all without re-implementing the
-// per-sample semantics. Expander exposes exactly that surface in the form
-// the kernel emits — flat word slabs, StateWords() words per state — so the
-// narrow one-word and wide multi-word encodings flow through one driver
-// loop at their own width; PackedState carries a single state where one
-// crosses a control plane.
+// per-sample semantics. Expander exposes exactly that surface as flat word
+// slabs, StateWords() words per state — the kernel's keys laid end to end,
+// converted at the seam's edge — so the narrow one-word and wide multi-word
+// encodings flow through one driver loop at their own width; PackedState
+// carries a single state where one crosses a control plane.
 
 import (
 	"encoding/binary"
@@ -65,57 +65,55 @@ func (e *Expander) StateWords() int {
 // Initial returns the all-Steady, slot-idle state.
 func (e *Expander) Initial() PackedState {
 	if e.v.wide {
-		return PackedState(e.v.initialWide())
+		return PackedState(initialState[[wideWords]uint64](e.v))
 	}
-	return PackedState{e.v.initial()}
+	return PackedState{initialState[[1]uint64](e.v)[0]}
 }
 
 // ExpandScratch owns the expansion core's reusable buffers for one external
-// search driver: the kernel's group scratch and, for SuccessorsHashedInto,
-// the words of one state's successors. It is not safe for concurrent use:
-// give every driver goroutine its own, as the internal searches do. The
-// buffers grow to the verifier's maximum fanout and are then recycled, so
-// steady-state expansion performs no allocation.
+// search driver: the kernel's group scratch, the successors of one state as
+// the encoding's keys, which the seam converts at its edge, and for
+// SuccessorsHashedInto their words and hashes. It is not safe for
+// concurrent use: give every driver goroutine its own, as the internal
+// searches do. The buffers grow to the verifier's maximum fanout and are
+// then recycled, so steady-state expansion performs no allocation.
 type ExpandScratch struct {
-	sc expandScratch
+	sc            expandScratch
+	narrow        [][1]uint64
+	wide          [][wideWords]uint64
+	words, hashes []uint64
 }
 
 // NewScratch returns a fresh scratch for ExpandWords.
 func (e *Expander) NewScratch() *ExpandScratch { return &ExpandScratch{} }
 
 // ExpandWords is the words-in/words-out expansion: s is one state in its
-// StateWords() words, and its successors are appended to out — the kernel's
-// own output, in the local drivers' successor order — with one Hash per
-// successor appended to hashes, mixed while the words are still hot, so a
-// driver that routes and filters by hash never mixes a state twice. The
-// third result is the application whose deadline the expansion violated, or
-// −1 when every disturbance choice stays safe; on a violation out and hashes
-// are returned unchanged, so a slab built over several states keeps them.
+// StateWords() words, and its successors' words are appended to out, in the
+// local drivers' successor order, with one Hash per successor appended to
+// hashes, mixed while the words are still hot, so a driver that routes and
+// filters by hash never mixes a state twice. The third result is the
+// application whose deadline the expansion violated, or −1 when every
+// disturbance choice stays safe; on a violation out and hashes are returned
+// unchanged, so a slab built over several states keeps them.
 func (e *Expander) ExpandWords(s []uint64, scr *ExpandScratch, out, hashes []uint64) ([]uint64, []uint64, int) {
-	n := len(out)
-	out, viol := e.expand(s, scr, out)
-	if !e.v.wide {
-		for _, ns := range out[n:] {
-			hashes = append(hashes, hashU64(ns))
-		}
-		return out, hashes, viol
+	if e.v.wide {
+		return expandWords(e.v, s, &scr.sc, &scr.wide, out, hashes)
 	}
-	for i := n; i < len(out); i += wideWords {
-		hashes = append(hashes, hashW(wstate(out[i:i+wideWords])))
-	}
-	return out, hashes, viol
+	return expandWords(e.v, s, &scr.sc, &scr.narrow, out, hashes)
 }
 
-// expand runs the kernel on one state's words and appends its successors'
-// words to out.
-func (e *Expander) expand(s []uint64, scr *ExpandScratch, out []uint64) ([]uint64, int) {
+// expandWords runs the kernel on one state's words into succ, then appends
+// every successor's words and hash to out and hashes.
+func expandWords[K stateKey](v *Verifier, s []uint64, sc *expandScratch, succ *[]K, out, hashes []uint64) ([]uint64, []uint64, int) {
 	var viol int
-	if e.v.wide {
-		out, _, viol = e.v.expandWide(wstate(s), &scr.sc, out, nil)
-	} else {
-		out, _, viol = e.v.successors(s[0], &scr.sc, out, nil)
+	*succ, _, viol = successors(v, K(s), sc, (*succ)[:0], nil)
+	for _, k := range *succ {
+		for i := 0; i < len(k); i++ {
+			out = append(out, k[i])
+		}
+		hashes = append(hashes, hashKey(k))
 	}
-	return out, viol
+	return out, hashes, viol
 }
 
 // HashedState pairs a packed state with its Expander.Hash: the unit of
@@ -129,45 +127,39 @@ type HashedState struct {
 // PackedState values: it appends s's successors, each with its hash, to out,
 // and returns the violator like ExpandWords (out unchanged on a violation).
 func (e *Expander) SuccessorsHashedInto(s PackedState, scr *ExpandScratch, out []HashedState) ([]HashedState, int) {
-	sw, sc := e.StateWords(), &scr.sc
+	sw := e.StateWords()
 	var viol int
-	sc.words, viol = e.expand(s[:sw], scr, sc.words[:0])
-	n := len(out)
-	out = slices.Grow(out, len(sc.words)/sw)[:n+len(sc.words)/sw]
-	for i := range out[n:] {
-		if hs := &out[n+i]; sw == 1 {
-			hs.S, hs.H = PackedState{sc.words[i]}, hashU64(sc.words[i])
-		} else {
-			ws := wstate(sc.words[i*wideWords : (i+1)*wideWords])
-			hs.S, hs.H = PackedState(ws), hashW(ws)
-		}
+	scr.words, scr.hashes, viol = e.ExpandWords(s[:sw], scr, scr.words[:0], scr.hashes[:0])
+	for i, h := range scr.hashes {
+		hs := HashedState{H: h}
+		copy(hs.S[:], scr.words[i*sw:(i+1)*sw])
+		out = append(out, hs)
 	}
 	return out, viol
 }
 
 // HashWords mixes a state, given in its StateWords() words, for shard
-// selection and set probing. Narrow states use the one-word splitmix
-// finalizer (the same function behind u64Set), wide states the chained word
-// hash. Every driver of one run must partition by the same hash, which this
-// method guarantees: it depends only on the profiles and config the Expander
-// was built from.
+// selection and set probing — hashKey, the hash behind the visited sets and
+// the local drivers' partitions. Every driver of one run must partition by
+// the same hash, which this method guarantees: it depends only on the
+// profiles and config the Expander was built from.
 func (e *Expander) HashWords(s []uint64) uint64 {
 	if e.v.wide {
-		return hashW(wstate(s))
+		return hashKey([wideWords]uint64(s))
 	}
-	return hashU64(s[0])
+	return hashKey([1]uint64(s))
 }
 
 // Hash is HashWords of a PackedState.
 func (e *Expander) Hash(s PackedState) uint64 { return e.HashWords(s[:e.StateWords()]) }
 
-// LessState orders states lexicographically (word 0 most significant, the
-// lessW order). For narrow states — words 1..3 zero — this coincides with
+// LessState orders states lexicographically, word 0 most significant: the
+// lessKey order. For narrow states — words 1..3 zero — this coincides with
 // the raw uint64 order of the one-word encoding, so the minimum-violator
 // tie-break of a distributed run matches the local parallel search on
 // either encoding.
 func LessState(a, b PackedState) bool {
-	return lessW(wstate(a), wstate(b))
+	return lessKey([wideWords]uint64(a), [wideWords]uint64(b))
 }
 
 // SortWords sorts a slab of states, StateWords() words each, ascending in
@@ -207,89 +199,92 @@ func (e *Expander) AppendWords(dst []byte, slab []uint64) []byte {
 }
 
 // DecodeWords appends the words of every state encoded in b (a batch built
-// with AppendWords under the same profiles and config) to out.
+// with AppendWords under the same profiles and config) to out. It refuses
+// the all-zero state, which no encoding produces: the visited sets reserve
+// it as their empty-slot sentinel, and bytes from a peer or a disk must not
+// reach them with it.
 func (e *Expander) DecodeWords(b []byte, out []uint64) ([]uint64, error) {
-	if stride := 8 * e.StateWords(); len(b)%stride != 0 {
-		return out, fmt.Errorf("verify: frontier batch of %d bytes is not a multiple of the %d-byte state stride", len(b), stride)
+	sw := e.StateWords()
+	if len(b)%(8*sw) != 0 {
+		return out, fmt.Errorf("verify: frontier batch of %d bytes is not a multiple of the %d-byte state stride", len(b), 8*sw)
 	}
-	for ; len(b) > 0; b = b[8:] {
-		out = append(out, binary.LittleEndian.Uint64(b))
+	n := len(out)
+	for i := 0; len(b) > 0; i++ {
+		var or uint64
+		for k := 0; k < sw; k++ {
+			w := binary.LittleEndian.Uint64(b[8*k:])
+			or |= w
+			out = append(out, w)
+		}
+		if or == 0 {
+			return out[:n], fmt.Errorf("verify: state %d of the batch is the all-zero state, which no encoding produces", i)
+		}
+		b = b[8*sw:]
 	}
 	return out, nil
 }
 
-// NewSet returns an empty visited set sized for the expander's encoding:
-// narrow states are stored as bare words (8 bytes each), wide states as
-// full multi-word keys. Not safe for concurrent use — each search driver
-// owns its partition.
+// NewSet returns an empty visited set for the expander's encoding: narrow
+// states are stored as one word (8 bytes each), wide states as full
+// multi-word keys. Not safe for concurrent use — each search driver owns
+// its partition.
 func (e *Expander) NewSet(capacity int) *StateSet {
 	if e.v.wide {
-		return &StateSet{wide: newWideSet(capacity)}
+		return &StateSet{newKeySet[[wideWords]uint64](capacity)}
 	}
-	return &StateSet{narrow: newU64Set(capacity)}
+	return &StateSet{newKeySet[[1]uint64](capacity)}
 }
 
 // StateSet is an open-addressing set of packed states backing one search
-// driver's visited partition. Exactly one of the underlying sets is
-// non-nil, matching the encoding of the Expander that created it.
+// driver's visited partition: the local drivers' keySet, of the encoding of
+// the Expander that created it.
 type StateSet struct {
-	narrow *u64Set
-	wide   *wideSet
-	keys   []wstate // AddWords scratch: a wide slab as the set's keys
+	set wordSet
 }
+
+// wordSet is a keySet seen through the word seam.
+type wordSet interface {
+	addWords(slab []uint64, fresh []int32) []int32
+	addPacked(k PackedState, h uint64) bool
+	len() int
+	reserve(n int)
+	reset()
+}
+
+// addWords is addChunk over a slab of words, len(K) per key.
+func (s *keySet[K]) addWords(slab []uint64, fresh []int32) []int32 {
+	var k K
+	s.keys = s.keys[:0]
+	for i := 0; i < len(slab); i += len(k) {
+		s.keys = append(s.keys, K(slab[i:i+len(k)]))
+	}
+	return s.addChunk(s.keys, fresh)
+}
+
+// addPacked is addHashed of a PackedState's significant words.
+func (s *keySet[K]) addPacked(k PackedState, h uint64) bool { return s.addHashed(K(k[:]), h) }
 
 // AddWords inserts the states of a slab, in order, through the set's
 // addChunk — the probe-ahead insert of the local drivers — and appends to
 // fresh the index (in states) of every one that was absent: exactly the
 // indices a per-state AddHashed loop would report, duplicates inside the
 // slab included. The set makes room for the whole slab first.
-func (s *StateSet) AddWords(slab []uint64, fresh []int32) []int32 {
-	if s.wide == nil {
-		return s.narrow.addChunk(slab, fresh)
-	}
-	s.keys = s.keys[:0]
-	for i := 0; i < len(slab); i += wideWords {
-		s.keys = append(s.keys, wstate(slab[i:i+wideWords]))
-	}
-	return s.wide.addChunk(s.keys, fresh)
-}
+func (s *StateSet) AddWords(slab []uint64, fresh []int32) []int32 { return s.set.addWords(slab, fresh) }
 
 // AddHashed inserts one state, given with its Expander.Hash, and reports
 // whether it was absent.
-func (s *StateSet) AddHashed(k PackedState, h uint64) bool {
-	if s.wide != nil {
-		return s.wide.addHashed(wstate(k), h)
-	}
-	return s.narrow.addHashed(k[0], h)
-}
+func (s *StateSet) AddHashed(k PackedState, h uint64) bool { return s.set.addPacked(k, h) }
 
 // Len returns the number of stored states.
-func (s *StateSet) Len() int {
-	if s.wide != nil {
-		return s.wide.len()
-	}
-	return s.narrow.len()
-}
+func (s *StateSet) Len() int { return s.set.len() }
 
 // Reserve grows the set — in a single rehash — until it can absorb n more
 // states without exceeding the load factor. Search drivers call it with the
 // expected fanout of the coming level so inserts never rehash mid-level,
 // exactly like the internal BFS drivers.
-func (s *StateSet) Reserve(n int) {
-	if s.wide != nil {
-		s.wide.reserve(n)
-	} else {
-		s.narrow.reserve(n)
-	}
-}
+func (s *StateSet) Reserve(n int) { s.set.reserve(n) }
 
 // Reset empties the set in place, keeping the table at its grown size.
 // A standing worker serving repeated runs clears its visited partition
 // instead of reallocating it — the dominant per-run allocation otherwise.
-func (s *StateSet) Reset() {
-	if s.wide != nil {
-		s.wide.reset()
-	} else {
-		s.narrow.reset()
-	}
-}
+func (s *StateSet) Reset() { s.set.reset() }

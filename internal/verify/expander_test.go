@@ -44,32 +44,31 @@ func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 	if e.StateWords() != 1 {
 		t.Fatalf("narrow triple reported %d-word states", e.StateWords())
 	}
-	init := v.initial()
-	if e.Initial() != (PackedState{init}) {
-		t.Fatalf("Initial() = %v, want word0 %d", e.Initial(), init)
+	init := initialState[[1]uint64](v)
+	if e.Initial() != (PackedState{init[0]}) {
+		t.Fatalf("Initial() = %v, want word0 %d", e.Initial(), init[0])
 	}
 	var sc expandScratch
-	want, _, viol := v.successors(init, &sc, nil, nil)
+	keys, _, viol := successors(v, init, &sc, nil, nil)
 	if viol >= 0 {
 		t.Fatal("initial state violated")
 	}
 	var hs []HashedState
-	got, app := succStates(e, PackedState{init}, e.NewScratch(), &hs, nil)
+	got, app := succStates(e, PackedState{init[0]}, e.NewScratch(), &hs, nil)
 	if app != -1 {
 		t.Fatalf("the seam reported violator %d", app)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d successors via the seam, %d internally", len(got), len(want))
+	if len(got) != len(keys) {
+		t.Fatalf("%d successors via the seam, %d internally", len(got), len(keys))
 	}
-	gw := make([]uint64, len(got))
+	gw, ww := make([]uint64, len(got)), make([]uint64, len(keys))
 	for i, s := range got {
 		if s[1]|s[2]|s[3] != 0 {
 			t.Fatalf("narrow successor %v has nonzero high words", s)
 		}
-		gw[i] = s[0]
+		gw[i], ww[i] = s[0], keys[i][0]
 	}
 	sort.Slice(gw, func(a, b int) bool { return gw[a] < gw[b] })
-	ww := append([]uint64(nil), want...)
 	sort.Slice(ww, func(a, b int) bool { return ww[a] < ww[b] })
 	for i := range ww {
 		if gw[i] != ww[i] {
@@ -163,7 +162,7 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 
 // TestSuccessorsHashedIntoMatches pins the batched-hashing expansion
 // path: on both encodings it must produce exactly the internal
-// successors()/successorsWide() states in the same order, each paired with
+// successors() states in the same order, each paired with
 // its Expander.Hash — the "hashed exactly once" contract of the mesh
 // workers' hot path — and surface violations with out unchanged.
 func TestSuccessorsHashedIntoMatches(t *testing.T) {
@@ -193,20 +192,7 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 			var next []PackedState
 			for _, s := range frontier {
 				var appP, appH int
-				plain = plain[:0]
-				if v.wide {
-					var ws []wstate
-					ws, _, appP = v.successorsWide(wstate(s), &sc, nil, nil)
-					for _, w := range ws {
-						plain = append(plain, PackedState(w))
-					}
-				} else {
-					var us []uint64
-					us, _, appP = v.successors(s[0], &sc, nil, nil)
-					for _, u := range us {
-						plain = append(plain, PackedState{u})
-					}
-				}
+				plain, _, appP = v.kernelSuccessors(s, &sc, plain[:0])
 				hashed, appH = e.SuccessorsHashedInto(s, hsc, hashed[:0])
 				if appP != appH {
 					t.Fatalf("%s: violator %d via hashed path, %d plain", tc.name, appH, appP)
@@ -240,7 +226,7 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 }
 
 // TestLessStateMatchesEncodings: the exported order must coincide with the
-// raw uint64 order on narrow embeddings and lessW on wide states.
+// raw uint64 order on narrow embeddings and lessKey on wide states.
 func TestLessStateMatchesEncodings(t *testing.T) {
 	if !LessState(PackedState{1}, PackedState{2}) || LessState(PackedState{2}, PackedState{1}) {
 		t.Fatal("narrow embedding order broken")
@@ -253,8 +239,8 @@ func TestLessStateMatchesEncodings(t *testing.T) {
 	if LessState(a, a) {
 		t.Fatal("irreflexivity broken")
 	}
-	if lessW(wstate{3, 4, 5, 6}, wstate{3, 4, 5, 5}) != LessState(PackedState{3, 4, 5, 6}, PackedState{3, 4, 5, 5}) {
-		t.Fatal("LessState disagrees with lessW")
+	if lessKey([wideWords]uint64{3, 4, 5, 6}, [wideWords]uint64{3, 4, 5, 5}) != LessState(PackedState{3, 4, 5, 6}, PackedState{3, 4, 5, 5}) {
+		t.Fatal("LessState disagrees with lessKey")
 	}
 }
 

@@ -23,12 +23,42 @@ import (
 	"tightcps/internal/sched"
 )
 
+// The multi-word ("wide") encoding packs sets whose composed state exceeds
+// 64 bits: applications occupy straddle-free lanes of appBits bits each,
+// ⌊64/appBits⌋ lanes per word, filling words 0..wideAppWords−1; the final
+// header word carries the occupant index (low byte, wideIdle = slot idle)
+// and the occupant dwell cT (next 4 bits). DESIGN.md §2 has both layouts.
+const (
+	wideWords    = 4             // words per wide state (32 bytes)
+	wideAppWords = wideWords - 1 // words carrying application lanes
+	wideIdle     = 0xFF          // header occupant byte when the slot is idle
+)
+
+// stateKey is a packed state as one comparable value: the one word of the
+// narrow encoding or the wideWords words of the wide one. The drivers, the
+// visited set and the kernel's output are instantiated once per encoding,
+// and len(k) is a constant of each instantiation.
+type stateKey interface {
+	[1]uint64 | [wideWords]uint64
+}
+
 // laneWords is the lane part of a packed state: the one word of the narrow
 // encoding (header stripped) or the wideAppWords lane words of the wide one.
 // expandLanes is instantiated once per encoding; the occupant and its dwell
 // travel beside the lanes.
 type laneWords interface {
 	[1]uint64 | [wideAppWords]uint64
+}
+
+// initialState returns the all-Steady, slot-idle state: zero lanes under the
+// idle occupant, 0xF in the one word or wideIdle in the wide header.
+func initialState[K stateKey](v *Verifier) (k K) {
+	if len(k) == 1 {
+		k[0] = 0xF << v.occShift
+	} else {
+		k[len(k)-1] = wideIdle
+	}
+	return k
 }
 
 // dwell is one row of an application's switching profile: the window
@@ -146,8 +176,8 @@ func appOf[W laneWords](t *kernel, m W) int {
 
 // expandLanes applies the per-sample semantics to one packed state — lane
 // words w, occupant occ (−1 idle) with dwell cT — and appends every
-// successor to out in its encoding's words: one for [1]uint64 lanes, the
-// lane words and the header for wide ones. masks, when non-nil, receives the
+// successor to out as its encoding's key: [1]uint64 for [1]uint64 lanes,
+// the lane words and the header for wide ones. masks, when non-nil, receives the
 // disturbed-application bitmask of every successor. The third result is the
 // application whose deadline some choice violates, or −1; on a violation
 // out and masks are returned as they came.
@@ -164,7 +194,7 @@ func appOf[W laneWords](t *kernel, m W) int {
 //	schedule  waiters carry an urgency key (T*w − wait)<<8 | tie-break; the
 //	          minimum key is the grant candidate (all lanes at it under
 //	          nondeterministic ties), key < 256 is a waiter at its deadline.
-func expandLanes[W laneWords](v *Verifier, sc *expandScratch, w W, occ int, cT uint64, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+func expandLanes[W laneWords, K stateKey](v *Verifier, sc *expandScratch, w W, occ int, cT uint64, out []K, masks []uint32) ([]K, []uint32, int) {
 	t := &v.kt
 	n0, m0 := len(out), len(masks)
 
@@ -371,16 +401,19 @@ func nextCounts[W laneWords](sc *expandScratch, ngrp int, sub W) (W, bool) {
 	return sub, false
 }
 
-// put appends one successor in its encoding's words: lanes and header in one
+// put appends one successor as its encoding's key: lanes and header in one
 // word, or the lane words followed by the header word.
-func put[W laneWords](v *Verifier, out []uint64, cw W, occ int, cT uint64) []uint64 {
+func put[W laneWords, K stateKey](v *Verifier, out []K, cw W, occ int, cT uint64) []K {
+	var s K
 	if len(cw) == 1 {
-		return append(out, cw[0]|uint64(occ)&0xF<<(v.occShift&63)|cT<<(v.ctShift&63))
+		s[0] = cw[0] | uint64(occ)&0xF<<(v.occShift&63) | cT<<(v.ctShift&63)
+		return append(out, s)
 	}
 	for k := 0; k < len(cw); k++ {
-		out = append(out, cw[k])
+		s[k] = cw[k]
 	}
-	return append(out, uint64(occ)&wideIdle|cT<<8)
+	s[len(s)-1] = uint64(occ)&wideIdle | cT<<8
+	return append(out, s)
 }
 
 // canonLanes rewrites a state into the canonical representative of its
@@ -421,46 +454,36 @@ func canonLanes[W laneWords](v *Verifier, cw W, occ int) (W, int) {
 	return cw, occ
 }
 
-// successors expands one narrow-packed state, appending the resulting packed
-// states to out. choices, when non-nil, records parallel to out the
-// disturbance subset (bitmask) that produced each successor. The returned
-// violator index is −1 when every disturbance choice stays safe; on a
-// violation out and choices carry no new entries.
-func (v *Verifier) successors(s uint64, sc *expandScratch, out []uint64, choices []uint32) ([]uint64, []uint32, int) {
-	occ := int(s >> v.occShift & 0xF)
-	if occ == 0xF {
-		occ = -1
+// successors expands one packed state, appending its successors to out.
+// choices, when non-nil, records parallel to out the disturbance subset
+// (bitmask) that produced each successor. The returned violator index is −1
+// when every disturbance choice stays safe; on a violation out and choices
+// carry no new entries.
+func successors[K stateKey](v *Verifier, s K, sc *expandScratch, out []K, choices []uint32) ([]K, []uint32, int) {
+	if len(s) == 1 {
+		occ := int(s[0] >> v.occShift & 0xF)
+		if occ == 0xF {
+			occ = -1
+		}
+		return expandLanes(v, sc, [1]uint64{s[0] & (1<<v.occShift - 1)}, occ, s[0]>>v.ctShift&0xF, out, choices)
 	}
-	return expandLanes(v, sc, [1]uint64{s & (1<<v.occShift - 1)}, occ, s>>v.ctShift&0xF, out, choices)
-}
-
-// successorsWide is successors over the multi-word encoding; the kernel's
-// words pass through sc.
-func (v *Verifier) successorsWide(s wstate, sc *expandScratch, out []wstate, choices []uint32) ([]wstate, []uint32, int) {
-	var viol int
-	sc.words, choices, viol = v.expandWide(s, sc, sc.words[:0], choices)
-	for i := 0; i < len(sc.words); i += wideWords {
-		out = append(out, wstate(sc.words[i:i+wideWords]))
+	var w [wideAppWords]uint64
+	for k := range w {
+		w[k] = s[k]
 	}
-	return out, choices, viol
-}
-
-// expandWide runs the kernel on one wide state, appending wideWords words
-// per successor to out.
-func (v *Verifier) expandWide(s wstate, sc *expandScratch, out []uint64, choices []uint32) ([]uint64, []uint32, int) {
-	occ := int(s[wideAppWords] & 0xFF)
+	h := s[len(s)-1]
+	occ := int(h & 0xFF)
 	if occ == wideIdle {
 		occ = -1
 	}
-	return expandLanes(v, sc, [wideAppWords]uint64(s[:wideAppWords]), occ, s[wideAppWords]>>8&0xF, out, choices)
+	return expandLanes(v, sc, w, occ, h>>8&0xF, out, choices)
 }
 
 // expandScratch is what a search goroutine keeps between expansions: the
-// word buffer the kernel fills for a consumer that wants its successors in
-// another shape (wide keys, hashed states). Each search goroutine owns one;
-// once the buffer has grown to the verifier's maximum fanout the hot path
+// symmetry quotient's groups of the state being expanded. Each search
+// goroutine owns one; the kernel appends straight to the caller's buffer,
+// so once that has grown to the verifier's maximum fanout the hot path
 // performs no allocation (TestExpansionCoreAllocFree gates this).
 type expandScratch struct {
-	words []uint64
-	grp   [maxApps][wideAppWords]uint64 // the symmetry quotient's groups of one state
+	grp [maxApps][wideAppWords]uint64
 }

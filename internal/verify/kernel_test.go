@@ -18,15 +18,19 @@ import (
 // encoding v runs.
 func (v *Verifier) kernelSuccessors(s PackedState, sc *expandScratch, out []PackedState) ([]PackedState, []uint32, int) {
 	if v.wide {
-		ws, masks, viol := v.successorsWide(wstate(s), sc, nil, []uint32{})
-		for _, w := range ws {
-			out = append(out, PackedState(w))
-		}
-		return out, masks, viol
+		return keySuccessors[[wideWords]uint64](v, s, sc, out)
 	}
-	us, masks, viol := v.successors(s[0], sc, nil, []uint32{})
-	for _, u := range us {
-		out = append(out, PackedState{u})
+	return keySuccessors[[1]uint64](v, s, sc, out)
+}
+
+func keySuccessors[K stateKey](v *Verifier, s PackedState, sc *expandScratch, out []PackedState) ([]PackedState, []uint32, int) {
+	ks, masks, viol := successors(v, K(s[:]), sc, nil, []uint32{})
+	for _, k := range ks {
+		var p PackedState
+		for i := 0; i < len(k); i++ {
+			p[i] = k[i]
+		}
+		out = append(out, p)
 	}
 	return out, masks, viol
 }
@@ -181,10 +185,7 @@ func sweepKernel(t testing.TB, name string, v *Verifier, limit int) int {
 	const width = 256 // states kept per level
 	var rsc refScratch
 	var ksc expandScratch
-	init := PackedState{v.initial()}
-	if v.wide {
-		init = PackedState(v.initialWide())
-	}
+	init := v.Expander().Initial()
 	seen := map[PackedState]bool{init: true}
 	frontier := []PackedState{init}
 	n := 0

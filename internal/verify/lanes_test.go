@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"testing"
@@ -149,11 +148,11 @@ func TestLanesBudget(t *testing.T) {
 func TestLanesSyntheticGraph(t *testing.T) {
 	widths := []int{1, 3, serialLevelThreshold - 1, serialLevelThreshold, serialLevelThreshold + 1, 40, 2000, 3 * stageCap / 2, 700, 1}
 	// succ appends s's successors to out; lanes call it concurrently.
-	succ := func(violators map[uint64]int, s uint64, out []uint64) ([]uint64, int) {
+	succ := func(violators map[[1]uint64]int, s [1]uint64, out [][1]uint64) ([][1]uint64, int) {
 		if app, ok := violators[s]; ok {
 			return out, app
 		}
-		l, i := int(s>>32), int(uint32(s))-1
+		l, i := int(s[0]>>32), int(uint32(s[0]))-1
 		if l+1 == len(widths) {
 			return out, -1
 		}
@@ -162,21 +161,21 @@ func TestLanesSyntheticGraph(t *testing.T) {
 		w, wl := widths[l+1], widths[l]
 		first := len(out)
 		for j := i*w/wl - 1; j <= (i+1)*w/wl+1; j++ {
-			out = append(out, uint64(l+1)<<32|uint64((j+w)%w+1))
+			out = append(out, [1]uint64{uint64(l+1)<<32 | uint64((j+w)%w+1)})
 		}
 		return append(out, out[first]), -1
 	}
 	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{}, false)
 	const unlimited = 1 << 30
-	run := func(lanes int, hash func(uint64) uint64, violators map[uint64]int, max int) (Result, error) {
+	run := func(lanes int, hash func([1]uint64) uint64, violators map[[1]uint64]int, max int) (Result, error) {
 		v.cfg.MaxStates = max
-		return runLanes(v, lanes, newU64Set, 64, 1, func(s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+		return runLanes(v, lanes, [1]uint64{1}, func(_ *Verifier, s [1]uint64, _ *expandScratch, out [][1]uint64, masks []uint32) ([][1]uint64, []uint32, int) {
 			out, app := succ(violators, s, out)
 			return out, masks, app
-		}, hash, cmp.Less[uint64])
+		}, hash)
 	}
-	var buf []uint64
-	want, werr, visited, levels := refSearch(1, unlimited, func(s uint64) ([]uint64, int) {
+	var buf [][1]uint64
+	want, werr, visited, levels := refSearch([1]uint64{1}, unlimited, func(s [1]uint64) ([][1]uint64, int) {
 		var app int
 		buf, app = succ(nil, s, buf[:0])
 		return buf, app
@@ -186,13 +185,13 @@ func TestLanesSyntheticGraph(t *testing.T) {
 			t.Fatalf("level %d of the synthetic graph has %d states, want %d", l, levels[l], w)
 		}
 	}
-	state := func(l, i int) uint64 { return uint64(l)<<32 | uint64(i+1) }
-	owners := map[string]func(uint64) uint64{
-		"hashU64":       hashU64,
-		"allOnFirst":    func(uint64) uint64 { return 0 },
-		"allOnLast":     func(uint64) uint64 { return ^uint64(0) },
-		"twoPartitions": func(k uint64) uint64 { return k << 63 },
-		"byLevel":       func(k uint64) uint64 { return k >> 32 << 61 },
+	state := func(l, i int) [1]uint64 { return [1]uint64{uint64(l)<<32 | uint64(i+1)} }
+	owners := map[string]func([1]uint64) uint64{
+		"hashKey":       hashKey[[1]uint64],
+		"allOnFirst":    func([1]uint64) uint64 { return 0 },
+		"allOnLast":     func([1]uint64) uint64 { return ^uint64(0) },
+		"twoPartitions": func(k [1]uint64) uint64 { return k[0] << 63 },
+		"byLevel":       func(k [1]uint64) uint64 { return k[0] >> 32 << 61 },
 	}
 	for name, hash := range owners {
 		for _, lanes := range []int{1, 2, 3, 8, 20} {
@@ -201,7 +200,7 @@ func TestLanesSyntheticGraph(t *testing.T) {
 
 			// Three violating states in level 6 and one in level 7: the
 			// verdict is level 6's smallest, whichever lanes own them.
-			viol := map[uint64]int{state(6, 1500): 4, state(6, 77): 2, state(6, 1999): 1, state(7, 0): 3}
+			viol := map[[1]uint64]int{state(6, 1500): 4, state(6, 77): 2, state(6, 1999): 1, state(7, 0): 3}
 			got, gerr = run(lanes, hash, viol, unlimited)
 			if gerr != nil || got.Schedulable || got.Depth != 6 || got.Violator != 2 || got.States != 1+3+511+512+513+40+2000 {
 				t.Fatalf("%s lanes=%d: %+v, %v; want violator 2 at depth 6 after the 3580 states of levels 0..6", name, lanes, got, gerr)
@@ -209,7 +208,7 @@ func TestLanesSyntheticGraph(t *testing.T) {
 
 			// A violator late in the widest level, which takes several
 			// rounds: the rounds before have inserted their successors.
-			got, gerr = run(lanes, hash, map[uint64]int{state(7, widths[7]-1): 5}, unlimited)
+			got, gerr = run(lanes, hash, map[[1]uint64]int{state(7, widths[7]-1): 5}, unlimited)
 			if gerr != nil || got.Schedulable || got.Depth != 7 || got.Violator != 5 || got.States != 3580+widths[7] {
 				t.Fatalf("%s lanes=%d: %+v, %v; want violator 5 at depth 7", name, lanes, got, gerr)
 			}

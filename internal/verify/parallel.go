@@ -41,15 +41,15 @@ func ownerOf(h uint64, partitions int) int { return int((h >> 32) * uint64(parti
 // lane is one owner of the partitioned search: the states whose hash maps
 // to one of its partitions live in its private sets and are expanded from its
 // private frontier. Other lanes read only out, and only across a barrier.
-type lane[K comparable, S visitedSet[K]] struct {
-	visited  []S   // visited[j] holds partition i·parts+j, for lane i
-	frontier []K   // owned states of this level; [pos:] not yet expanded
-	pos      int   // expansion cursor into frontier
-	next     []K   // owned states first seen this level: the next frontier
-	out      [][]K // out[p]: successors staged for partition p in this round
-	trans    int   // successors generated in this round
-	viol     K     // smallest violating state of the level known to the lane…
-	violApp  int   // …and the application that misses its deadline there, or −1
+type lane[K stateKey] struct {
+	visited  []*keySet[K] // visited[j] holds partition i·parts+j, for lane i
+	frontier []K          // owned states of this level; [pos:] not yet expanded
+	pos      int          // expansion cursor into frontier
+	next     []K          // owned states first seen this level: the next frontier
+	out      [][]K        // out[p]: successors staged for partition p in this round
+	trans    int          // successors generated in this round
+	viol     K            // smallest violating state of the level known to the lane…
+	violApp  int          // …and the application that misses its deadline there, or −1
 	fresh    []int32
 	succ     []K
 	sc       expandScratch
@@ -69,21 +69,21 @@ type lane[K comparable, S visitedSet[K]] struct {
 // The levels are those of the sequential search and each state is fresh
 // once, so on schedulable sets States, Transitions and Depth equal the
 // sequential counts for any lane count. On a violation the level is swept
-// far enough to find its minimum violating packed state (less) — a property
+// far enough to find its minimum violating packed state (lessKey) — a property
 // of the level alone, so Schedulable, Depth and Violator do not depend on the
 // lane count either (Violator may differ from the sequential engine's
 // first-in-expansion-order pick); States is then the size of levels 0..Depth.
-func runLanes[K comparable, S visitedSet[K]](v *Verifier, n int, newSet func(capacity int) S, capacity int, init K,
-	successors func(K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
-	hash func(K) uint64, less func(a, b K) bool) (Result, error) {
+func runLanes[K stateKey](v *Verifier, n int, init K,
+	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
+	hash func(K) uint64) (Result, error) {
 	n = min(n, maxLanes)
 	parts := max(1, minParts/n)
 	np := n * parts
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	lanes := make([]lane[K, S], n)
+	lanes := make([]lane[K], n)
 	for i := range lanes {
 		for range parts {
-			lanes[i].visited = append(lanes[i].visited, newSet(capacity/np))
+			lanes[i].visited = append(lanes[i].visited, newKeySet[K](setCap[K]()/np))
 		}
 		lanes[i].out = make([][]K, np, np+outPad)
 	}
@@ -112,11 +112,11 @@ func runLanes[K comparable, S visitedSet[K]](v *Verifier, n int, newSet func(cap
 		l.viol, l.violApp = minViol, minApp
 		for staged := 0; l.pos < len(l.frontier) && (staged < stageCap || l.violApp >= 0); l.pos++ {
 			s := l.frontier[l.pos]
-			if l.violApp >= 0 && less(l.viol, s) {
+			if l.violApp >= 0 && lessKey(l.viol, s) {
 				continue // cannot lower the minimum
 			}
 			var app int
-			l.succ, _, app = successors(s, &l.sc, l.succ[:0], nil)
+			l.succ, _, app = successors(v, s, &l.sc, l.succ[:0], nil)
 			if app >= 0 {
 				l.viol, l.violApp = s, app
 				continue
@@ -185,7 +185,7 @@ func runLanes[K comparable, S visitedSet[K]](v *Verifier, n int, newSet func(cap
 		res.Depth, res.States = depth, int(states.Load())
 		obsLevels.Inc()
 		levelTrans := res.Transitions
-		reserve = levelReserve(width, prevWidth) / np
+		reserve = LevelReserve(width, prevWidth) / np
 		parallel := width >= serialLevelThreshold
 		for more := true; more; {
 			each(expand, parallel)
@@ -195,7 +195,7 @@ func runLanes[K comparable, S visitedSet[K]](v *Verifier, n int, newSet func(cap
 				res.Transitions += l.trans
 				l.trans = 0
 				more = more || l.pos < len(l.frontier)
-				if l.violApp >= 0 && (minApp < 0 || less(l.viol, minViol)) {
+				if l.violApp >= 0 && (minApp < 0 || lessKey(l.viol, minViol)) {
 					minViol, minApp = l.viol, l.violApp
 				}
 			}

@@ -58,8 +58,8 @@ func (v *Verifier) unpack(s uint64, c *cstate) {
 	c.cT = uint8(s >> v.ctShift & 0xF)
 }
 
-func (v *Verifier) packWide(c *cstate) wstate {
-	var s wstate
+func (v *Verifier) packWide(c *cstate) [wideWords]uint64 {
+	var s [wideWords]uint64
 	for i := 0; i < v.n; i++ {
 		f := uint64(c.phase[i]) | uint64(c.val[i])<<phaseBits
 		if v.cfg.MaxDisturbances > 0 {
@@ -75,7 +75,7 @@ func (v *Verifier) packWide(c *cstate) wstate {
 	return s
 }
 
-func (v *Verifier) unpackWide(s wstate, c *cstate) {
+func (v *Verifier) unpackWide(s [wideWords]uint64, c *cstate) {
 	for i := 0; i < v.n; i++ {
 		f := s[i/v.lanes] >> (uint(i%v.lanes) * v.appBits)
 		c.phase[i] = uint8(f & (1<<phaseBits - 1))
@@ -462,7 +462,7 @@ func (v *Verifier) missCheck(c *cstate) int {
 // call); on a violation out is returned as it came.
 func (v *Verifier) refSuccessors(s PackedState, sc *refScratch, out []PackedState) ([]PackedState, []uint32, int) {
 	if v.wide {
-		v.unpackWide(wstate(s), &sc.base)
+		v.unpackWide([wideWords]uint64(s), &sc.base)
 	} else {
 		v.unpack(s[0], &sc.base)
 	}

@@ -19,8 +19,9 @@
 // counter; sets whose lanes plus the 8-bit occupant/dwell header fit one
 // machine word use the single-uint64 encoding (the fast path — every paper
 // result and every fleet of up to 8 applications at r ≤ 32 runs here),
-// larger sets up to maxApps applications the multi-word wide encoding of
-// widestate.go.
+// larger sets up to maxApps applications the multi-word wide encoding
+// (kernel.go). Every driver, the visited set and the kernel's output are
+// generic over the one packed-state type family, stateKey.
 // Sets of applications with identical profiles can additionally be checked
 // under a sound symmetry quotient (Config.SymmetryReduction), collapsing
 // the state space of homogeneous fleets by up to n! per class.
@@ -42,7 +43,6 @@
 package verify
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -389,10 +389,6 @@ func sameProfile(a, b *switching.Profile) bool {
 	return true
 }
 
-// initial returns the all-Steady, slot-idle state: zero lanes under the
-// idle occupant 0xF.
-func (v *Verifier) initial() uint64 { return 0xF << v.occShift }
-
 // Run performs the BFS reachability analysis on Config.Workers
 // owner-partitioned lanes (sequentially when Workers is 1 or a trace is
 // requested). Application sets that do not fit the one-word encoding run on
@@ -415,40 +411,43 @@ func (v *Verifier) dispatch() (Result, error) {
 		return v.cfg.Distributed(v.profs, cfg)
 	}
 	if v.wide {
-		return search(v, newWideSet, wideSetCap, v.initialWide(), v.successorsWide, hashW, lessW)
+		return search[[wideWords]uint64](v)
 	}
-	return search(v, newU64Set, u64SetCap, v.initial(), v.successors, hashU64, cmp.Less[uint64])
+	return search[[1]uint64](v)
 }
 
 // search runs the local driver Config asks for over one packed encoding:
 // the sequential one for Workers = 1 or a Trace, otherwise Workers lanes
 // (GOMAXPROCS for 0).
-func search[K comparable, S visitedSet[K]](v *Verifier, newSet func(capacity int) S, capacity int, init K,
-	successors func(K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
-	hash func(K) uint64, less func(a, b K) bool) (Result, error) {
+func search[K stateKey](v *Verifier) (Result, error) {
 	workers := v.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 || v.cfg.Trace {
-		return runSequential(v, newSet(capacity), init, successors)
+		return runSequential(v, initialState[K](v), successors[K])
 	}
-	return runLanes(v, workers, newSet, capacity, init, successors, hash, less)
+	return runLanes(v, workers, initialState[K](v), successors[K], hashKey[K])
 }
 
-// Initial capacity of a search's visited set, per encoding; the parallel
-// search splits it across its partitions.
-const (
-	u64SetCap  = 1 << 16
-	wideSetCap = 1 << 12
-)
+// setCap is the initial capacity of a search's visited set — 512 KB of
+// narrow keys, 128 KB of wide ones; the parallel search splits it across
+// its partitions.
+func setCap[K stateKey]() int {
+	var k K
+	if len(k) == 1 {
+		return 1 << 16
+	}
+	return 1 << 12
+}
 
-// levelReserve estimates how many fresh states the coming level will
+// LevelReserve estimates how many fresh states the coming level will
 // discover from the previous level's fanout — the previous level turned
 // prevFrontier frontier states into frontier fresh ones, so the coming one
-// is sized at the same ratio — letting the visited sets grow to the level's
-// size in one rehash instead of doubling mid-level.
-func levelReserve(frontier, prevFrontier int) int {
+// is sized at the same ratio — letting a visited set grow to the level's
+// size in one rehash instead of doubling mid-level. Every search driver
+// sizes its sets with it, the distributed backend's workers included.
+func LevelReserve(frontier, prevFrontier int) int {
 	if prevFrontier <= 0 {
 		return frontier
 	}
@@ -461,17 +460,9 @@ func levelReserve(frontier, prevFrontier int) int {
 
 // seqChunk is how many frontier states the sequential driver expands before
 // it inserts their successors: enough that one chunk's visited-set misses
-// overlap (see u64Set.addChunk), few enough that the successor buffer and
+// overlap (see keySet.addChunk), few enough that the successor buffer and
 // the slots it touched are still in cache when they are resolved.
 const seqChunk = 128
-
-// visitedSet is what the sequential driver needs from a single-owner
-// visited set; u64Set and wideSet are its two instances.
-type visitedSet[K comparable] interface {
-	add(K) bool
-	reserve(n int)
-	addChunk(keys []K, fresh []int32) []int32
-}
 
 // runSequential is the single-goroutine BFS over either packed encoding:
 // frontier states are expanded in insertion order and the search stops at
@@ -484,9 +475,10 @@ type visitedSet[K comparable] interface {
 // of the states before it have been committed. The frontier slices, the
 // chunk buffers and the expansion scratch are recycled, so the steady-state
 // loop allocates only when the visited set grows.
-func runSequential[K comparable, S visitedSet[K]](v *Verifier, visited S, init K,
-	successors func(K, *expandScratch, []K, []uint32) ([]K, []uint32, int)) (Result, error) {
+func runSequential[K stateKey](v *Verifier, init K,
+	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)) (Result, error) {
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
+	visited := newKeySet[K](setCap[K]())
 	visited.add(init)
 	frontier := []K{init}
 	var next []K // recycled: swapped with frontier at every level
@@ -506,14 +498,14 @@ func runSequential[K comparable, S visitedSet[K]](v *Verifier, visited S, init K
 		res.Depth = depth
 		obsLevels.Inc()
 		levelTrans := res.Transitions
-		visited.reserve(levelReserve(len(frontier), prevFrontier))
+		visited.reserve(LevelReserve(len(frontier), prevFrontier))
 		next = next[:0]
 		for lo := 0; lo < len(frontier); lo += seqChunk {
 			chunk := frontier[lo:min(lo+seqChunk, len(frontier))]
 			succ, masks = succ[:0], masks[:0]
 			viol := -1
 			for i, s := range chunk {
-				succ, masks, viol = successors(s, &sc, succ, masks)
+				succ, masks, viol = successors(v, s, &sc, succ, masks)
 				if viol >= 0 {
 					chunk = chunk[:i+1] // ends at the violator
 					break

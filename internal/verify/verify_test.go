@@ -335,61 +335,3 @@ func TestBoundFor(t *testing.T) {
 		t.Fatalf("BoundFor = %d, want 2", b)
 	}
 }
-
-func TestU64Set(t *testing.T) {
-	s := newU64Set(4)
-	keys := []uint64{1, 2, 3, 0xFFFFFFFFFFFFFFFF, 42, 1 << 40}
-	for _, k := range keys {
-		if !s.add(k) {
-			t.Fatalf("fresh add(%d) returned false", k)
-		}
-	}
-	for _, k := range keys {
-		if s.add(k) {
-			t.Fatalf("duplicate add(%d) returned true", k)
-		}
-		if !s.contains(k) {
-			t.Fatalf("contains(%d) false", k)
-		}
-	}
-	if s.contains(99) {
-		t.Fatal("contains(99) true")
-	}
-	if s.len() != len(keys) {
-		t.Fatalf("len=%d", s.len())
-	}
-	// Growth path: insert enough to trigger multiple rehashes.
-	rng := rand.New(rand.NewSource(7))
-	ref := map[uint64]bool{}
-	for i := 0; i < 5000; i++ {
-		k := rng.Uint64() | 1
-		fresh := !ref[k]
-		ref[k] = true
-		if s.add(k) != fresh && !contains(keys, k) {
-			t.Fatalf("add(%d) fresh mismatch", k)
-		}
-	}
-	for k := range ref {
-		if !s.contains(k) {
-			t.Fatalf("lost key %d after growth", k)
-		}
-	}
-}
-
-func contains(ks []uint64, k uint64) bool {
-	for _, v := range ks {
-		if v == k {
-			return true
-		}
-	}
-	return false
-}
-
-func TestU64SetZeroKeyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	newU64Set(4).add(0)
-}
