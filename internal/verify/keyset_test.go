@@ -26,15 +26,16 @@ func wideKey(x uint64) [wideWords]uint64 {
 	return [wideWords]uint64{x, x * 0x9e3779b97f4a7c15, ^x, 1}
 }
 
-// TestKeySet holds the visited set to its contract at both widths, on the
-// same keys: fresh and duplicate adds, membership and length, growth through
-// several rehashes from a four-slot request against a map, and a panic on
-// the reserved zero key.
-func TestKeySet(t *testing.T) {
-	t.Run("narrow", func(t *testing.T) { checkKeySet(t, narrowKey) })
-	t.Run("wide", func(t *testing.T) { checkKeySet(t, wideKey) })
-}
+// The four tests below keep the names of the u64Set and wideSet tests they
+// replace; each runs the one generic check at its width, on the same keys.
+func TestU64Set(t *testing.T)               { checkKeySet(t, narrowKey) }
+func TestWideSetGrowth(t *testing.T)        { checkKeySet(t, wideKey) }
+func TestU64SetZeroKeyPanics(t *testing.T)  { checkZeroKeyPanics[[1]uint64](t) }
+func TestWideSetZeroKeyPanics(t *testing.T) { checkZeroKeyPanics[[wideWords]uint64](t) }
 
+// checkKeySet holds the visited set to its contract: fresh and duplicate
+// adds, membership and length, and growth through several rehashes from a
+// four-slot request against a map.
 func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 	s := newKeySet[K](4)
 	ref := map[K]bool{}
@@ -74,13 +75,17 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 	if s.len() != len(ref) || len(s.slots) < 4*len(ref)/3 {
 		t.Fatalf("len=%d in %d slots, want %d at load ≤ 3/4", s.len(), len(s.slots), len(ref))
 	}
+}
+
+// checkZeroKeyPanics checks that adding the reserved zero key panics.
+func checkZeroKeyPanics[K stateKey](t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("adding the zero key did not panic")
 		}
 	}()
 	var zero K
-	s.add(zero)
+	newKeySet[K](4).add(zero)
 }
 
 // TestStateKeyHashPinned pins hashKey and lessKey on fixed keys of both
