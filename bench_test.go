@@ -97,7 +97,7 @@ func BenchmarkMappingProposed(b *testing.B) {
 	ps := caseProfiles(b, "C1", "C2", "C3", "C4", "C5", "C6")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := mapping.FirstFit(ps, nil)
+		res, err := mapping.FirstFitCached(ps, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func BenchmarkOptimalPartition(b *testing.B) {
 	ps := caseProfiles(b, "C1", "C2", "C3", "C4", "C5", "C6")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := mapping.Optimal(ps, nil)
+		res, err := mapping.OptimalCached(ps, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

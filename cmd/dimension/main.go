@@ -4,20 +4,21 @@
 //
 // Usage:
 //
-//	dimension [-apps C1,C2,...] [-stability] [-lazy] [-workers N] [-cachefile warm.bin]
+//	dimension [-apps C1,C2,...] [-stability] [-lazy] [-workers N] [-cachedir warm]
 //	          [-server http://host:9833]
 //
-// -cachefile persists the admission cache across invocations: verdicts are
-// loaded before the run (a missing file is a cold start) and saved back
-// after, so repeated dimensioning — CI sweeps in particular — skips every
-// slot-sharing verification it has already settled. The file is salted
-// with the verification config, so a cache produced under a different
-// policy never answers for this run.
+// -cachedir persists the admission cache across invocations: verdicts are
+// loaded before the run (a missing directory is a cold start) and the
+// shards they changed are saved back after, so repeated dimensioning — CI
+// sweeps in particular — skips every slot-sharing verification it has
+// already settled. The layout is verifyd -cachedir's, one subdirectory per
+// verification config, so a cache produced under a different policy never
+// answers for this run.
 //
 // -server routes every slot-sharing admission question to a running
 // admission service (verifyd -http) instead of verifying in-process: the
 // first-fit search still runs here, but verdicts come from the service's
-// fleet-wide coalescing and persistent cache. -cachefile is redundant
+// fleet-wide coalescing and persistent cache. -cachedir is redundant
 // there (the service owns persistence) and refused.
 package main
 
@@ -41,7 +42,7 @@ func main() {
 	stability := flag.Bool("stability", false, "certify switching stability (CQLF) for every pair")
 	lazy := flag.Bool("lazy", false, "verify under the lazy-preemption policy (paper future work)")
 	workers := flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS, 1 = serial; must be ≥ 0)")
-	cachefile := flag.String("cachefile", "", "load/save the admission cache at this path (warm starts across runs)")
+	cachedir := flag.String("cachedir", "", "load/save the admission cache under this directory (warm starts across runs)")
 	server := flag.String("server", "", "route admission questions to the admission service at this base URL")
 	flag.Parse()
 	if *workers < 0 {
@@ -63,8 +64,8 @@ func main() {
 		opts.Policy = sched.PreemptLazy
 	}
 	if *server != "" {
-		if *cachefile != "" {
-			fmt.Fprintln(os.Stderr, "dimension: -server and -cachefile are exclusive (the service owns verdict persistence)")
+		if *cachedir != "" {
+			fmt.Fprintln(os.Stderr, "dimension: -server and -cachedir are exclusive (the service owns verdict persistence)")
 			os.Exit(2)
 		}
 		// The service decides ties/policy semantics from the spec; mirror
@@ -74,28 +75,27 @@ func main() {
 		opts.AdmitFunc = cli.VerifyFunc(spec)
 		fmt.Printf("admission via %s\n", *server)
 	}
-	if *cachefile != "" {
+	if *cachedir != "" {
 		// Mirror the engine's admission config (core.Dimensioner.verifyFunc)
 		// so the cache salt matches what the verdicts were computed under.
 		vcfg := opts.Verify
 		vcfg.NondetTies = true
 		vcfg.Policy = opts.Policy
 		cache := mapping.NewCacheFor(mapping.VerifyConfigKey(vcfg))
-		loaded, err := cache.LoadFile(*cachefile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dimension: loading admission cache:", err)
-			os.Exit(1)
+		if _, err := cache.LoadDir(*cachedir); err != nil {
+			// The healthy shards still load; the bad ones are re-earned.
+			fmt.Fprintln(os.Stderr, "dimension: skipping unreadable admission cache shards:", err)
 		}
-		if loaded {
-			fmt.Printf("admission cache: warm start with %d verdicts from %s\n", cache.Len(), *cachefile)
+		if n := cache.Len(); n > 0 {
+			fmt.Printf("admission cache: warm start with %d verdicts from %s\n", n, *cachedir)
 		}
 		opts.Cache = cache
 		defer func() {
-			if err := cache.SaveFile(*cachefile); err != nil {
+			if _, err := cache.SaveDir(*cachedir); err != nil {
 				fmt.Fprintln(os.Stderr, "dimension: saving admission cache:", err)
 				return
 			}
-			fmt.Printf("admission cache: %d verdicts saved to %s\n", cache.Len(), *cachefile)
+			fmt.Printf("admission cache: %d verdicts saved to %s\n", cache.Len(), *cachedir)
 		}()
 	}
 	d := &core.Dimensioner{Apps: apps, Opts: opts}

@@ -28,8 +28,9 @@
 //	                          budgets states per node, and -workers (the
 //	                          lanes of a local search) is ignored — a mesh
 //	                          node is one goroutine
-//	-cachefile warm.bin       persist the -synthetic admission cache across
-//	                          invocations (config-salted, safe across runs)
+//	-cachedir warm            persist the -synthetic admission cache across
+//	                          invocations (verifyd -cachedir's layout: one
+//	                          subdirectory per config salt, safe across runs)
 //	-granularity-sweep l,h,s  re-dimension the -synthetic workload at every
 //	                          Tw granularity in [l,h] step s, charting slots
 //	                          needed against dwell-table words (replaces the
@@ -78,7 +79,7 @@ func main() {
 		maxStates  = flag.Int("maxstates", 30_000_000, "per-admission state budget for -synthetic (per node when distributed); busted checks are rejected conservatively")
 		nodes      = flag.Int("nodes", 0, "distribute slot verification over K in-process loopback workers (0 = local)")
 		connect    = flag.String("connect", "", "distribute slot verification over verifyd workers at these comma-separated addresses")
-		cachefile  = flag.String("cachefile", "", "load/save the -synthetic admission cache at this path (warm starts across runs)")
+		cachedir   = flag.String("cachedir", "", "load/save the -synthetic admission cache under this directory (warm starts across runs)")
 		granSweep  = flag.String("granularity-sweep", "", "with -synthetic: re-dimension at every Tw granularity lo,hi,step (e.g. 1,8,1)")
 	)
 	flag.IntVar(&workers, "workers", 0, "lanes of a local verification (0 = GOMAXPROCS, 1 = serial; must be ≥ 0); ignored with -nodes/-connect")
@@ -95,11 +96,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -granularity-sweep requires -synthetic N")
 		os.Exit(2)
 	}
-	if *granSweep != "" && *cachefile != "" {
-		// Each granularity verifies differently-coarsened profiles under its
-		// own salt, so one cache file cannot warm the sweep; reject rather
+	if *granSweep != "" && *cachedir != "" {
+		// The granularity sweep keeps no persistent cache; reject rather
 		// than silently ignore the flag.
-		fmt.Fprintln(os.Stderr, "experiments: -cachefile applies to the plain -synthetic sweep, not -granularity-sweep")
+		fmt.Fprintln(os.Stderr, "experiments: -cachedir applies to the plain -synthetic sweep, not -granularity-sweep")
 		os.Exit(2)
 	}
 	if *all {
@@ -134,7 +134,7 @@ func main() {
 			}
 			runGranularitySweep(*synthetic, *seed, *maxStates, lo, hi, step)
 		} else {
-			runSynthetic(*synthetic, *seed, *maxStates, *cachefile)
+			runSynthetic(*synthetic, *seed, *maxStates, *cachedir)
 		}
 	}
 	if *fig2 {
@@ -581,9 +581,9 @@ func syntheticCacheKey(budget int) uint64 {
 // sample. Admission checks are prefiltered by counterexample replay
 // (verify.Refute) and bounded by the -maxstates budget; a busted budget
 // rejects conservatively (never unsoundly) and is reported. With
-// -cachefile, admission verdicts persist across invocations and the run
+// -cachedir, admission verdicts persist across invocations and the run
 // reports its cache hit rate.
-func runSynthetic(n int, seed int64, budget int, cachefile string) {
+func runSynthetic(n int, seed int64, budget int, cachedir string) {
 	t0 := time.Now()
 	w := plants.Synthetic(plants.SyntheticOptions{N: n, Seed: seed})
 	fmt.Printf("== Synthetic dimensioning sweep: %d applications, %d archetypes, seed %d ==\n",
@@ -597,14 +597,13 @@ func runSynthetic(n int, seed int64, budget int, cachefile string) {
 	// The budget makes verdicts configuration-dependent, so the sweep keeps
 	// its own config-salted cache instead of sharing admissionCache.
 	cache := mapping.NewCacheFor(syntheticCacheKey(budget))
-	if cachefile != "" {
-		loaded, err := cache.LoadFile(cachefile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: loading admission cache:", err)
-			os.Exit(1)
+	if cachedir != "" {
+		if _, err := cache.LoadDir(cachedir); err != nil {
+			// The healthy shards still load; the bad ones are re-earned.
+			fmt.Fprintln(os.Stderr, "experiments: skipping unreadable admission cache shards:", err)
 		}
-		if loaded {
-			fmt.Printf("  admission cache: warm start with %d verdicts from %s\n", cache.Len(), cachefile)
+		if n := cache.Len(); n > 0 {
+			fmt.Printf("  admission cache: warm start with %d verdicts from %s\n", n, cachedir)
 		}
 	}
 
@@ -666,17 +665,17 @@ func runSynthetic(n int, seed int64, budget int, cachefile string) {
 		fmt.Printf("  DP sample (%d apps of the 2 tightest archetypes): first-fit %d slots, optimal %d slots [%d subset checks, %d cached] in %.1fs\n",
 			len(sample), len(ffS.Slots), len(dp.Slots), dp.Verifications, dp.CacheHits, time.Since(t2).Seconds())
 	}
-	hits, misses, _ := cache.Stats()
+	hits, misses := cache.Stats()
 	if lookups := hits + misses; lookups > 0 {
 		fmt.Printf("  admission cache: %d hits / %d lookups (%.0f%% hit rate)\n",
 			hits, lookups, 100*float64(hits)/float64(lookups))
 	}
-	if cachefile != "" {
-		if err := cache.SaveFile(cachefile); err != nil {
+	if cachedir != "" {
+		if _, err := cache.SaveDir(cachedir); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: saving admission cache:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("  admission cache: %d verdicts saved to %s\n", cache.Len(), cachefile)
+		fmt.Printf("  admission cache: %d verdicts saved to %s\n", cache.Len(), cachedir)
 	}
 	fmt.Printf("  total sweep time %.1fs\n\n", time.Since(t0).Seconds())
 }

@@ -1,6 +1,6 @@
 // Package admit is the admission service front door: a long-running
 // HTTP/JSON control plane over the dimensioning engine, the config-salted
-// persistent admission cache (internal/mapping) and an optionally attached
+// persistent verdict store (mapping.Cache) and an optionally attached
 // distributed verification cluster (internal/dverify).
 //
 // The paper's dimensioning loop is an admission decision — "does this
@@ -17,9 +17,8 @@
 //     fingerprint-equal (any permutation of the same profiles, under the
 //     same verdict-relevant config) collapse into ONE backend
 //     verification: the first becomes the leader, the rest park as
-//     waiters and share the leader's full verdict. This lifts the
-//     in-process singleflight of mapping.Cache to the service boundary,
-//     where a fleet of clients asking the same hot question costs one
+//     waiters and share the leader's verdict, each answered in its own
+//     order. A fleet of clients asking the same hot question costs one
 //     search no matter the fan-in.
 //
 //   - Bounded queue with per-request budgets. Leaders pass through a
@@ -28,31 +27,28 @@
 //     request carries an optional wall-clock budget (timeoutMs) and a
 //     state budget (config.maxStates, clamped by the server): a waiter
 //     whose budget expires gets 504 while the leader keeps running and
-//     populates the cache for the retry.
+//     populates the store for the retry.
 //
 //   - Drain. Drain (wired to SIGTERM by cmd/verifyd) refuses new submits
 //     with 503 + Retry-After while in-flight verdicts run to completion,
-//     then checkpoints the persistent cache — so a fleet of admission
-//     daemons rolls without dropping or corrupting a verdict. A second
-//     signal forces exit (DrainOnSignal).
+//     then checkpoints the store — so a fleet of admission daemons rolls
+//     without dropping or corrupting a verdict.
 //
-// Verdicts are cached at two levels: an in-memory full-verdict map
-// (states/depth/violator included) serving repeat submits instantly, and
-// the persistent mapping.Cache sharded by fingerprint prefix
-// (Cache.SaveDir) holding the admission bit across restarts. A warm-start
-// hit answers schedulable/not from disk without search counts; the
-// response marks it "warm" so clients can re-verify if they need the
-// statistics. Verification errors are never cached — a failed backend run
-// poisons nothing.
+// Verdicts live in one store, a mapping.Cache per config salt: the full
+// record of every search this process ran (states/depth/violator
+// included), and the bit-only records a warm start loaded from the shard
+// files (Cache.SaveDir) under CacheDir. A bit-only record answers
+// schedulable/not without search counts; the response marks it "warm" so
+// clients can re-verify if they need the statistics. Verification errors
+// are never stored — a failed backend run poisons nothing.
 package admit
 
 import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,8 +98,9 @@ type Options struct {
 	// not set one (0 = wait for the verdict).
 	DefaultTimeout time.Duration
 	// CacheDir, when non-empty, persists admission bits across restarts:
-	// one shard directory per verification config under this root,
-	// written incrementally by Checkpoint/Drain.
+	// one shard directory per verification config under this root
+	// (mapping.Cache.SaveDir's layout), written incrementally by
+	// Checkpoint/Drain.
 	CacheDir string
 	// Checkpoint is the periodic checkpoint interval for a hot service
 	// (default 30s when CacheDir is set).
@@ -139,34 +136,24 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// record is one completed admission question: the full verdict, or the
-// error that ended it. Error records are never stored in the result map.
-type record struct {
-	verdict Verdict
-	runID   string // telemetry run ID of the verification that produced it
-	warm    bool   // admission bit from the persistent cache, no search counts
-	err     error
-	status  int // HTTP status classifying err
-}
-
 // call is one in-flight admission question. The leader owns the slot in
-// Service.inflight; waiters block on done and share rec.
+// Service.inflight; waiters block on done and read its outcome: the stored
+// record, or the error that ended the run.
 type call struct {
-	key      uint64
-	cfgKey   uint64
+	*resolved
 	runID    string // minted at enqueue — the admission boundary
-	profiles []*switching.Profile
-	names    []string
-	cfg      verify.Config
 	enqueued time.Time
-	deadline time.Time // leader's budget; zero = none
 	done     chan struct{}
-	rec      *record
+	rec      mapping.Record
+	err      error
+	status   int // HTTP status classifying err
 }
 
-// job is one asynchronous submit, holding the (possibly shared) call.
+// job is one asynchronous submit: its own question, and the (possibly
+// shared) call that answers it.
 type job struct {
 	id string
+	rq *resolved
 	c  *call
 }
 
@@ -177,10 +164,9 @@ type Service struct {
 	start time.Time
 
 	mu       sync.Mutex
-	caches   map[uint64]*mapping.Cache // persistent bit caches, per config salt
-	results  map[uint64]*record        // full verdicts, per service key
+	caches   map[uint64]*mapping.Cache // the verdict store, per config salt
 	lat      map[uint64]*obs.Histogram // admission latency, per config salt
-	inflight map[uint64]*call
+	inflight map[question]*call
 	jobs     map[string]*job
 	jobOrder []string
 	jobSeq   int
@@ -227,9 +213,8 @@ func New(opts Options) *Service {
 		opts:     opts,
 		start:    time.Now(),
 		caches:   map[uint64]*mapping.Cache{},
-		results:  map[uint64]*record{},
 		lat:      map[uint64]*obs.Histogram{},
-		inflight: map[uint64]*call{},
+		inflight: map[question]*call{},
 		jobs:     map[string]*job{},
 		queue:    make(chan *call, opts.QueueDepth),
 		drained:  make(chan struct{}),
@@ -258,19 +243,23 @@ func New(opts Options) *Service {
 	return s
 }
 
+// question identifies an admission question: the config salt and the
+// order-independent profile-set fingerprint.
+type question struct{ cfgKey, fp uint64 }
+
 // resolved is a parsed, validated admission question.
 type resolved struct {
+	question
 	profiles []*switching.Profile
 	names    []string
 	cfg      verify.Config
-	cfgKey   uint64
-	key      uint64
+	store    *mapping.Cache // the verdict store of cfgKey
 	deadline time.Time
 }
 
 // resolve parses and validates a request into the canonical question:
-// profiles, effective config, and the service key every coalescing and
-// caching decision hangs on. Errors report the HTTP status to return.
+// profiles, effective config, and the question every coalescing and
+// storing decision hangs on. Errors report the HTTP status to return.
 func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 	var profiles []*switching.Profile
 	var names []string
@@ -319,11 +308,10 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 	}
 
 	// The config salt covers every verdict-relevant knob plus the cluster
-	// size (per-node budgets scale aggregate capacity); the service key
-	// folds in the order-independent profile-set fingerprint. Symmetry
-	// reduction is salted in too — mapping.VerifyConfigKey excludes it
-	// because it never flips the admission bit, but the service serves
-	// full verdicts whose state/depth counts the quotient does change.
+	// size (per-node budgets scale aggregate capacity). Symmetry reduction
+	// is salted in too — mapping.VerifyConfigKey excludes it because it
+	// never flips the admission bit, but the service serves full verdicts
+	// whose state/depth counts the quotient does change.
 	var extra []uint64
 	if s.opts.Backend != nil && s.opts.BackendNodes > 0 {
 		extra = append(extra, uint64(s.opts.BackendNodes))
@@ -332,9 +320,11 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 		extra = append(extra, 0xa11ce5)
 	}
 	cfgKey := mapping.VerifyConfigKey(cfg, extra...)
-	key := mapping.VerifyConfigKey(cfg, append(extra, mapping.Fingerprint(profiles))...)
-
-	rq := &resolved{profiles: profiles, names: names, cfg: cfg, cfgKey: cfgKey, key: key}
+	rq := &resolved{
+		question: question{cfgKey, mapping.Fingerprint(profiles)},
+		profiles: profiles, names: names, cfg: cfg,
+		store: s.cacheFor(cfgKey),
+	}
 	if req.TimeoutMs > 0 {
 		rq.deadline = time.Now().Add(time.Duration(req.TimeoutMs) * time.Millisecond)
 	} else if s.opts.DefaultTimeout > 0 {
@@ -354,15 +344,10 @@ func (s *Service) Admit(req *AdmitRequest) (*AdmitResponse, int) {
 		return &AdmitResponse{Error: err.Error()}, status
 	}
 	c, state, status := s.lookup(rq)
-	switch state {
-	case lookupCached:
-		s.observeLatency(rq.cfgKey, t0)
-		v := c.rec.verdict
-		return &AdmitResponse{Verdict: &v, Cached: true, Warm: c.rec.warm, RunID: c.rec.runID, ElapsedMs: msSince(t0)}, http.StatusOK
-	case lookupRefused:
+	if state == lookupRefused {
 		return &AdmitResponse{Error: refusalText(status, s.Draining())}, status
 	}
-	resp, status := s.wait(c, rq.deadline, state == lookupCoalesced, t0)
+	resp, status := s.wait(c, rq, state, t0)
 	s.observeLatency(rq.cfgKey, t0)
 	return resp, status
 }
@@ -376,21 +361,34 @@ const (
 	lookupRefused
 )
 
-// lookup resolves the question against the result map, the in-flight
-// table and the queue, under one lock acquisition: a cached record, an
-// existing call to coalesce onto, a freshly enqueued leader call, or a
-// refusal (draining / queue full). For cached results the returned call
-// carries only rec.
+// stored is the done channel of a call answered from the store.
+var stored = func() chan struct{} {
+	done := make(chan struct{})
+	close(done)
+	return done
+}()
+
+// lookup resolves the question against the store, the in-flight table and
+// the queue under one lock acquisition: a stored record (a bit-only one
+// included, answered without a queue slot), an existing call to coalesce
+// onto, a freshly enqueued leader call, or a refusal (draining / queue
+// full). run stores a verdict and retires its call under one acquisition
+// too, so a submit always finds one or the other. For a stored record the
+// returned call carries only rec and is already done.
 func (s *Service) lookup(rq *resolved) (*call, lookupState, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Submitted++
 	obsSubmissions.Inc()
-	if rec, ok := s.results[rq.key]; ok {
-		s.stats.CacheHits++
-		return &call{rec: rec}, lookupCached, http.StatusOK
+	if rec, ok := rq.store.Get(rq.fp); ok {
+		if rec.RunID == "" {
+			s.stats.WarmHits++
+		} else {
+			s.stats.CacheHits++
+		}
+		return &call{rec: rec, done: stored}, lookupCached, http.StatusOK
 	}
-	if c, ok := s.inflight[rq.key]; ok {
+	if c, ok := s.inflight[rq.question]; ok {
 		s.stats.Coalesced++
 		return c, lookupCoalesced, http.StatusOK
 	}
@@ -398,20 +396,14 @@ func (s *Service) lookup(rq *resolved) (*call, lookupState, int) {
 		s.stats.Refused++
 		return nil, lookupRefused, http.StatusServiceUnavailable
 	}
-	c := &call{
-		key: rq.key, cfgKey: rq.cfgKey,
-		runID:    obs.NewRunID(),
-		profiles: rq.profiles, names: rq.names, cfg: rq.cfg,
-		enqueued: time.Now(),
-		deadline: rq.deadline, done: make(chan struct{}),
-	}
+	c := &call{resolved: rq, runID: obs.NewRunID(), enqueued: time.Now(), done: make(chan struct{})}
 	select {
 	case s.queue <- c:
 	default:
 		s.stats.Refused++
 		return nil, lookupRefused, http.StatusServiceUnavailable
 	}
-	s.inflight[rq.key] = c
+	s.inflight[rq.question] = c
 	return c, lookupLeader, http.StatusOK
 }
 
@@ -423,12 +415,13 @@ func refusalText(status int, draining bool) string {
 }
 
 // wait parks on the call until the verdict lands or the caller's budget
-// expires. A timed-out waiter does not cancel the leader — the search
-// completes and populates the cache, so the retry is free.
-func (s *Service) wait(c *call, deadline time.Time, coalesced bool, t0 time.Time) (*AdmitResponse, int) {
+// expires, then answers rq. A timed-out waiter does not cancel the leader —
+// the search completes and populates the store, so the retry is free.
+func (s *Service) wait(c *call, rq *resolved, state lookupState, t0 time.Time) (*AdmitResponse, int) {
 	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
+	// A stored answer is ready: no expired budget may race it in the select.
+	if state != lookupCached && !rq.deadline.IsZero() {
+		t := time.NewTimer(time.Until(rq.deadline))
 		defer t.Stop()
 		timeout = t.C
 	}
@@ -441,12 +434,52 @@ func (s *Service) wait(c *call, deadline time.Time, coalesced bool, t0 time.Time
 			ElapsedMs: msSince(t0),
 		}, http.StatusGatewayTimeout
 	}
-	rec := c.rec
-	if rec.err != nil {
-		return &AdmitResponse{Error: rec.err.Error(), RunID: rec.runID, ElapsedMs: msSince(t0)}, rec.status
+	resp, status := rq.answer(c)
+	resp.Cached = state == lookupCached
+	resp.Coalesced = state == lookupCoalesced
+	resp.ElapsedMs = msSince(t0)
+	return resp, status
+}
+
+// answer shapes a finished call's outcome as the response to rq.
+func (rq *resolved) answer(c *call) (*AdmitResponse, int) {
+	if c.err != nil {
+		return &AdmitResponse{Error: c.err.Error(), RunID: c.runID}, c.status
 	}
-	v := rec.verdict
-	return &AdmitResponse{Verdict: &v, Coalesced: coalesced, Warm: rec.warm, RunID: rec.runID, ElapsedMs: msSince(t0)}, http.StatusOK
+	v := rq.verdict(c.rec)
+	return &AdmitResponse{Verdict: &v, Warm: c.rec.RunID == "", RunID: c.rec.RunID}, http.StatusOK
+}
+
+// verdict shapes a stored record as rq's verdict. A bit-only record has no
+// counts and no violator. A search's violator is reported where rq holds
+// that profile: at its stored position when rq has an equal profile there —
+// the leader always does, so its verdict is the engine's — else at rq's
+// first equal profile, under rq's name for it.
+func (rq *resolved) verdict(rec mapping.Record) Verdict {
+	bounded := rq.cfg.MaxDisturbances > 0
+	if rec.RunID == "" {
+		return Verdict{Schedulable: rec.Schedulable, Violator: -1, Bounded: bounded}
+	}
+	at := rec.Violator
+	if !rec.Schedulable && at >= 0 && (at >= len(rq.profiles) || mapping.ProfileKey(rq.profiles[at]) != rec.ViolatorKey) {
+		at = slices.IndexFunc(rq.profiles, func(p *switching.Profile) bool { return mapping.ProfileKey(p) == rec.ViolatorKey })
+	}
+	return VerdictOf(verify.Result{
+		Schedulable: rec.Schedulable, States: rec.States, Transitions: rec.Transitions,
+		Depth: rec.Depth, Violator: at, Bounded: bounded,
+	}, rq.names)
+}
+
+// recordOf is the stored form of a search's result over ps.
+func recordOf(res verify.Result, ps []*switching.Profile, runID string) mapping.Record {
+	rec := mapping.Record{
+		Schedulable: res.Schedulable, States: res.States, Transitions: res.Transitions,
+		Depth: res.Depth, RunID: runID, Violator: res.Violator,
+	}
+	if !res.Schedulable && res.Violator >= 0 && res.Violator < len(ps) {
+		rec.ViolatorKey = mapping.ProfileKey(ps[res.Violator])
+	}
+	return rec
 }
 
 // submitAsync registers the question as a pollable job. Async submits
@@ -461,16 +494,9 @@ func (s *Service) submitAsync(req *AdmitRequest) (*AdmitResponse, int) {
 	if state == lookupRefused {
 		return &AdmitResponse{Error: refusalText(status, s.Draining())}, status
 	}
-	if state == lookupCached {
-		// Completed on arrival: fabricate a done call so the job is
-		// immediately pollable.
-		done := make(chan struct{})
-		close(done)
-		c = &call{rec: c.rec, done: done}
-	}
 	s.mu.Lock()
 	s.jobSeq++
-	j := &job{id: fmt.Sprintf("j%d", s.jobSeq), c: c}
+	j := &job{id: fmt.Sprintf("j%d", s.jobSeq), rq: rq, c: c}
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
 	s.pruneJobsLocked()
@@ -513,12 +539,12 @@ func (s *Service) jobStatus(id string) (*AdmitResponse, int) {
 	}
 	select {
 	case <-j.c.done:
-		rec := j.c.rec
-		if rec.err != nil {
-			return &AdmitResponse{Job: id, Status: "error", Error: rec.err.Error(), RunID: rec.runID}, rec.status
+		resp, status := j.rq.answer(j.c)
+		resp.Job, resp.Status = id, "done"
+		if j.c.err != nil {
+			resp.Status = "error"
 		}
-		v := rec.verdict
-		return &AdmitResponse{Job: id, Status: "done", Verdict: &v, Warm: rec.warm, RunID: rec.runID}, http.StatusOK
+		return resp, status
 	default:
 		return &AdmitResponse{Job: id, Status: "pending"}, http.StatusOK
 	}
@@ -532,60 +558,38 @@ func (s *Service) worker() {
 	}
 }
 
-// run executes one leader call: through the persistent cache's
-// singleflight into the backend, then publishes the record and wakes the
-// waiters. Errors are published but never cached.
+// run executes one leader call on the backend, then stores the verdict,
+// retires the call and wakes the waiters. Errors are published but never
+// stored.
 func (s *Service) run(c *call) {
 	obsQueueWait.Observe(time.Since(c.enqueued).Seconds())
-	rec := &record{runID: c.runID}
 	var res verify.Result
 	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		rec.err = errors.New("request budget exhausted while queued")
-		rec.status = http.StatusServiceUnavailable
+		c.err, c.status = errors.New("request budget exhausted while queued"), http.StatusServiceUnavailable
 	} else {
-		cache := s.cacheFor(c.cfgKey)
-		ran := false
-		ok, err := cache.Do(c.profiles, func(ps []*switching.Profile) (bool, error) {
-			ran = true
-			s.mu.Lock()
-			s.stats.Verifications++
-			s.mu.Unlock()
-			cfg := c.cfg
-			cfg.RunID = c.runID
-			t := time.Now()
-			var verr error
-			res, verr = s.verify(ps, cfg)
-			obsBackendRun.Observe(time.Since(t).Seconds())
-			return res.Schedulable, verr
-		})
-		switch {
-		case err != nil:
-			rec.err = err
-			rec.status = s.statusOf(err)
-		case ran:
-			rec.verdict = VerdictOf(res, c.names)
-		default:
-			// Persistent warm-start hit: the admission bit without search
-			// counts. The response marks it so a client needing the
-			// statistics can ask for a fresh search (distinct MaxStates ⇒
-			// distinct key) or accept the bit.
-			rec.verdict = Verdict{Schedulable: ok, Violator: -1, Bounded: c.cfg.MaxDisturbances > 0}
-			rec.warm = true
-			s.mu.Lock()
-			s.stats.WarmHits++
-			s.mu.Unlock()
+		s.mu.Lock()
+		s.stats.Verifications++
+		s.mu.Unlock()
+		cfg := c.cfg
+		cfg.RunID = c.runID
+		t := time.Now()
+		var err error
+		res, err = s.verify(c.profiles, cfg)
+		obsBackendRun.Observe(time.Since(t).Seconds())
+		if err != nil {
+			c.err, c.status = err, s.statusOf(err)
 		}
 	}
 
 	s.mu.Lock()
-	delete(s.inflight, c.key)
-	if rec.err == nil {
-		s.results[c.key] = rec
+	delete(s.inflight, c.question)
+	if c.err == nil {
+		c.rec = recordOf(res, c.profiles, c.runID)
+		c.store.Put(c.fp, c.rec)
 	} else {
 		s.stats.Errors++
 	}
 	s.mu.Unlock()
-	c.rec = rec
 	close(c.done)
 	if res.States >= collectAfterStates {
 		runtime.GC()
@@ -627,21 +631,21 @@ func (s *Service) countError() {
 	s.mu.Unlock()
 }
 
-// cacheFor returns (creating and warm-loading on first use) the
-// persistent bit cache for one config salt.
+// cacheFor returns (creating and warm-loading on first use) the verdict
+// store of one config salt. The shards load outside the lock; of two
+// first submits racing on one salt, the first to finish loading wins.
 func (s *Service) cacheFor(cfgKey uint64) *mapping.Cache {
 	s.mu.Lock()
-	if c, ok := s.caches[cfgKey]; ok {
-		s.mu.Unlock()
+	c, ok := s.caches[cfgKey]
+	s.mu.Unlock()
+	if ok {
 		return c
 	}
-	c := mapping.NewCacheFor(cfgKey)
-	s.caches[cfgKey] = c
-	s.mu.Unlock()
+	c = mapping.NewCacheFor(cfgKey)
 	if s.opts.CacheDir != "" {
 		// A bad shard is skipped, not fatal: the healthy shards still
 		// warm-start, and the damage is logged for the operator.
-		n, err := c.LoadDir(s.cacheSubdir(cfgKey))
+		n, err := c.LoadDir(s.opts.CacheDir)
 		if err != nil {
 			s.opts.Logf("admit: unreadable cache shards for cfg %016x skipped: %v", cfgKey, err)
 		}
@@ -649,11 +653,13 @@ func (s *Service) cacheFor(cfgKey uint64) *mapping.Cache {
 			s.opts.Logf("admit: warm start: %d verdicts from %d shards (cfg %016x)", c.Len(), n, cfgKey)
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, ok := s.caches[cfgKey]; ok {
+		return prev
+	}
+	s.caches[cfgKey] = c
 	return c
-}
-
-func (s *Service) cacheSubdir(cfgKey uint64) string {
-	return filepath.Join(s.opts.CacheDir, fmt.Sprintf("cfg-%016x", cfgKey))
 }
 
 // Checkpoint incrementally persists every config's dirty cache shards,
@@ -663,18 +669,15 @@ func (s *Service) Checkpoint() (int, error) {
 		return 0, nil
 	}
 	s.mu.Lock()
-	keys := make([]uint64, 0, len(s.caches))
-	for k := range s.caches {
-		keys = append(keys, k)
+	caches := make([]*mapping.Cache, 0, len(s.caches))
+	for _, c := range s.caches {
+		caches = append(caches, c)
 	}
 	s.mu.Unlock()
 	total := 0
 	var first error
-	for _, k := range keys {
-		s.mu.Lock()
-		c := s.caches[k]
-		s.mu.Unlock()
-		n, err := c.SaveDir(s.cacheSubdir(k))
+	for _, c := range caches {
+		n, err := c.SaveDir(s.opts.CacheDir)
 		total += n
 		if err != nil && first == nil {
 			first = err
@@ -701,7 +704,7 @@ func (s *Service) checkpointLoop() {
 }
 
 // Drain refuses new submits (503 + Retry-After), lets in-flight verdicts
-// run to completion, checkpoints the persistent cache, and returns.
+// run to completion, checkpoints the verdict store, and returns.
 // Idempotent; concurrent callers all block until the drain completes.
 func (s *Service) Drain() {
 	s.drainOnce.Do(func() {
@@ -741,20 +744,6 @@ func (s *Service) Drained() bool {
 	}
 }
 
-// DrainOnSignal implements the fleet drain discipline on a signal stream
-// (bpm-style: first signal drains, second forces): the first delivery
-// starts Drain in the background, a second calls force — the caller's
-// immediate-exit path. Runs in its own goroutine; returns immediately.
-func (s *Service) DrainOnSignal(sigs <-chan os.Signal, force func()) {
-	go func() {
-		<-sigs
-		s.opts.Logf("admit: draining on signal (signal again to force exit)")
-		go s.Drain()
-		<-sigs
-		force()
-	}()
-}
-
 // Stats are the /statsz counters.
 type Stats struct {
 	UptimeSec     float64 `json:"uptimeSec"`
@@ -763,8 +752,8 @@ type Stats struct {
 	Submitted     int     `json:"submitted"`
 	Verifications int     `json:"verifications"`
 	Coalesced     int     `json:"coalesced"`
-	CacheHits     int     `json:"cacheHits"`
-	WarmHits      int     `json:"warmHits"`
+	CacheHits     int     `json:"cacheHits"` // answered from a stored search
+	WarmHits      int     `json:"warmHits"`  // answered from a bit-only record
 	Refused       int     `json:"refused"`
 	Errors        int     `json:"errors"`
 	// Backend resilience counters (zero unless the retry policy, breaker
@@ -775,8 +764,7 @@ type Stats struct {
 	QueueDepth     int  `json:"queueDepth"`
 	Inflight       int  `json:"inflight"`
 	Jobs           int  `json:"jobs"`
-	Verdicts       int  `json:"verdicts"`           // full in-memory verdicts
-	PersistentLen  int  `json:"persistentVerdicts"` // admission bits across configs
+	PersistentLen  int  `json:"persistentVerdicts"` // stored verdicts across configs
 	Draining       bool `json:"draining"`
 	// Latency summaries; the full bucketed histograms live in /metricsz.
 	QueueWait  *TimingStats           `json:"queueWait,omitempty"`
@@ -798,7 +786,6 @@ func (s *Service) ServiceStats() Stats {
 	st.QueueDepth = len(s.queue)
 	st.Inflight = len(s.inflight)
 	st.Jobs = len(s.jobs)
-	st.Verdicts = len(s.results)
 	for _, c := range s.caches {
 		st.PersistentLen += c.Len()
 	}

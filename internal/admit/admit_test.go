@@ -9,12 +9,16 @@ package admit
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"tightcps/internal/mapping"
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
@@ -102,8 +106,10 @@ func TestServiceVerdictEquivalence(t *testing.T) {
 }
 
 // TestServiceOrderIndependence: permutations of one profile set are one
-// admission question — the second order must hit the cache and answer
-// with the identical verdict bytes.
+// admission question — the second order must hit the cache and, the set
+// being schedulable, answer with the identical verdict bytes (a violating
+// set's violator is reported in each requester's order:
+// TestServicePermutedViolator).
 func TestServiceOrderIndependence(t *testing.T) {
 	r := newRig(t, backendCase{name: "local"}, nil)
 	ps := []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
@@ -118,6 +124,105 @@ func TestServiceOrderIndependence(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatalf("permuted resubmit verdict diverges:\n got %s\nwant %s", second, first)
+	}
+}
+
+// TestServicePermutedViolator: a violating set's verdict names its violator
+// in the requester's own order and under the requester's own name — for a
+// permuted waiter coalesced onto the leader, a permuted repeat answered
+// from the store, and an inline copy under other names. Each response's
+// violator index points at the application it names, and that application
+// is the leader's violator by content.
+func TestServicePermutedViolator(t *testing.T) {
+	var runs atomic.Int32
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // a failure before the release must not hold the leader
+	r := newRig(t, backendCase{name: "gated"}, func(o *Options) {
+		o.Backend = func(ps []*switching.Profile, cfg verify.Config) (verify.Result, error) {
+			runs.Add(1)
+			<-gate
+			return verify.Slot(ps, cfg)
+		}
+	})
+	v5 := caseProfiles(t, "C1", "C5", "C4", "C3", "C6")
+	c4 := mapping.ProfileKey(v5[2]) // the parallel engines' minimal violator of V5
+
+	check := func(label string, ps []*switching.Profile, names []string, resp *AdmitResponse, wantAt int) {
+		t.Helper()
+		v := resp.Verdict
+		switch {
+		case v == nil || v.Schedulable:
+			t.Fatalf("%s: verdict %+v (%s), want a violation", label, v, resp.Error)
+		case v.Violator != wantAt || v.ViolatorName != names[wantAt]:
+			t.Fatalf("%s: violator %d %q, want %d %q", label, v.Violator, v.ViolatorName, wantAt, names[wantAt])
+		case mapping.ProfileKey(ps[v.Violator]) != c4:
+			t.Fatalf("%s: violator %q is not the leader's by content", label, v.ViolatorName)
+		}
+	}
+	byName := func(apps ...string) ([]*switching.Profile, []string, *AdmitRequest) {
+		return caseProfiles(t, apps...), apps, &AdmitRequest{Apps: apps}
+	}
+
+	type outcome struct {
+		status int
+		resp   *AdmitResponse
+	}
+	submit := func(req *AdmitRequest) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			status, resp, _ := r.submit(t, req)
+			out <- outcome{status, resp}
+		}()
+		return out
+	}
+	waitStats := func(what string, ok func(Stats) bool) {
+		deadline := time.Now().Add(30 * time.Second)
+		for !ok(r.svc.ServiceStats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, r.svc.ServiceStats())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	leaderPs, leaderNames, leaderReq := byName("C1", "C5", "C4", "C3", "C6")
+	leader := submit(leaderReq)
+	waitStats("the leader never reached the backend", func(st Stats) bool { return runs.Load() == 1 })
+	waiterPs, waiterNames, waiterReq := byName("C3", "C6", "C1", "C4", "C5")
+	waiter := submit(waiterReq)
+	waitStats("the permuted submit never coalesced", func(st Stats) bool { return st.Coalesced == 1 })
+	release()
+
+	got := <-leader
+	if got.status != http.StatusOK {
+		t.Fatalf("leader: HTTP %d (%s)", got.status, got.resp.Error)
+	}
+	check("leader", leaderPs, leaderNames, got.resp, 2)
+	if got = <-waiter; got.status != http.StatusOK || !got.resp.Coalesced {
+		t.Fatalf("permuted waiter: HTTP %d coalesced=%v", got.status, got.resp.Coalesced)
+	}
+	check("coalesced permuted waiter", waiterPs, waiterNames, got.resp, 3)
+
+	ps, names, req := byName("C4", "C1", "C5", "C3", "C6")
+	status, resp, _ := r.submit(t, req)
+	if status != http.StatusOK || !resp.Cached {
+		t.Fatalf("permuted repeat: HTTP %d cached=%v", status, resp.Cached)
+	}
+	check("stored permuted repeat", ps, names, resp, 0)
+
+	ps = []*switching.Profile{v5[1], v5[2], v5[3], v5[4], v5[0]} // C5 C4 C3 C6 C1
+	renamed := inlineReq(ps, verify.Spec{})
+	for i := range renamed.Profiles {
+		renamed.Profiles[i].Name = fmt.Sprintf("X%d", i)
+	}
+	status, resp, _ = r.submit(t, renamed)
+	if status != http.StatusOK || !resp.Cached {
+		t.Fatalf("renamed inline copy: HTTP %d cached=%v", status, resp.Cached)
+	}
+	check("renamed inline copy", ps, []string{"X0", "X1", "X2", "X3", "X4"}, resp, 1)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("the backend ran %d times for one question", n)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestServiceCoalescing(t *testing.T) {
 	})
 
 	// One profile set, submitted under n different orders: every rotation
-	// is the same fingerprint, so the same service key.
+	// is the same fingerprint, so the same question.
 	ps := []*switching.Profile{
 		prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25),
 		prof("C", 9, 3, 5, 30), prof("D", 5, 2, 4, 20),
@@ -113,22 +113,29 @@ func TestServiceCoalescing(t *testing.T) {
 	}
 }
 
-// TestServiceQueueBound: with the queue full, distinct submits are
-// refused with 503 + Retry-After instead of queuing unboundedly; the
-// in-flight work still completes.
-func TestServiceQueueBound(t *testing.T) {
+// gatedQueue boots a service with one worker and a queue of one over a
+// backend that blocks until released, then fills both: one distinct leader
+// in the backend, a second in the queue. release opens the backend and
+// returns both submits' statuses; a test that fails first is released on
+// cleanup, so its held requests do not outlive it.
+func gatedQueue(t *testing.T, mod func(*Options)) (r *rig, release func() [2]int) {
+	t.Helper()
 	gate := make(chan struct{})
 	started := make(chan struct{}, 2)
-	backend := func(ps []*switching.Profile, cfg verify.Config) (verify.Result, error) {
-		started <- struct{}{}
-		<-gate
-		return verify.Slot(ps, cfg)
-	}
-	r := newRig(t, backendCase{name: "gated"}, func(o *Options) {
-		o.Backend = backend
+	r = newRig(t, backendCase{name: "gated"}, func(o *Options) {
+		o.Backend = func(ps []*switching.Profile, cfg verify.Config) (verify.Result, error) {
+			started <- struct{}{}
+			<-gate
+			return verify.Slot(ps, cfg)
+		}
 		o.QueueDepth = 1
 		o.Concurrency = 1
+		if mod != nil {
+			mod(o)
+		}
 	})
+	open := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open)
 
 	// Fill the worker: submit one leader and wait until the backend holds
 	// it, so the queue slot is provably free for the second.
@@ -151,6 +158,17 @@ func TestServiceQueueBound(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return r, func() [2]int {
+		open()
+		return [2]int{<-results, <-results}
+	}
+}
+
+// TestServiceQueueBound: with the queue full, distinct submits are
+// refused with 503 + Retry-After instead of queuing unboundedly; the
+// in-flight work still completes.
+func TestServiceQueueBound(t *testing.T) {
+	r, release := gatedQueue(t, nil)
 
 	// A third distinct submit finds the queue full.
 	resp, _ := r.postRaw(t, mustBody(t, inlineReq(fleet(5, 8, 2, 4, 40), verify.Spec{})))
@@ -161,11 +179,33 @@ func TestServiceQueueBound(t *testing.T) {
 		t.Fatal("503 without Retry-After")
 	}
 
-	close(gate)
-	for i := 0; i < 2; i++ {
-		if status := <-results; status != http.StatusOK {
-			t.Fatalf("queued submit %d: HTTP %d", i, status)
-		}
+	if statuses := release(); statuses != [2]int{http.StatusOK, http.StatusOK} {
+		t.Fatalf("held submits: HTTP %v", statuses)
+	}
+}
+
+// TestServiceWarmAnswerSkipsQueue: a bit-only record loaded at a warm start
+// is answered at lookup, so it is served while the queue is full.
+func TestServiceWarmAnswerSkipsQueue(t *testing.T) {
+	dir := t.TempDir()
+	req := inlineReq(fleet(3, 6, 1, 2, 10), verify.Spec{})
+	cold := newRig(t, backendCase{name: "local"}, func(o *Options) { o.CacheDir = dir })
+	if status, resp, _ := cold.submit(t, req); status != http.StatusOK {
+		t.Fatalf("cold submit: HTTP %d (%s)", status, resp.Error)
+	}
+	cold.svc.Drain()
+
+	r, release := gatedQueue(t, func(o *Options) { o.CacheDir = dir })
+	status, resp, _ := r.submit(t, req)
+	if status != http.StatusOK || !resp.Warm || resp.Verdict == nil || !resp.Verdict.Schedulable {
+		t.Fatalf("warm submit with a full queue: HTTP %d %+v", status, resp)
+	}
+	if st := r.svc.ServiceStats(); st.WarmHits != 1 || st.Refused != 0 {
+		t.Fatalf("stats after the warm submit: %+v", st)
+	}
+
+	if statuses := release(); statuses != [2]int{http.StatusOK, http.StatusOK} {
+		t.Fatalf("held submits: HTTP %v", statuses)
 	}
 }
 

@@ -123,8 +123,8 @@ func TestServiceMeshWorkerCrash(t *testing.T) {
 	}
 
 	// No poison: the same question over a healthy backend runs fresh and
-	// yields the real verdict — neither the full-verdict map nor the
-	// persistent bit cache may have recorded the failure.
+	// yields the real verdict — the verdict store may not have recorded
+	// the failure.
 	useLocal.Store(true)
 	want := localVerdictJSON(t, ps, verify.Spec{}, namesOf(ps))
 	status, resp, verdict := r.submit(t, req)

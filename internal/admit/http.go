@@ -138,9 +138,9 @@ func VerdictOf(res verify.Result, names []string) Verdict {
 // AdmitResponse is the body of every admission-path response.
 type AdmitResponse struct {
 	Verdict *Verdict `json:"verdict,omitempty"`
-	// Cached: served from the in-memory full-verdict map. Coalesced: this
-	// caller shared another submit's in-flight verification. Warm: the
-	// admission bit came from the persistent cache — no search counts.
+	// Cached: served from the verdict store. Coalesced: this caller shared
+	// another submit's in-flight verification. Warm: the store held only
+	// the admission bit, loaded from disk — no search counts.
 	Cached    bool    `json:"cached,omitempty"`
 	Coalesced bool    `json:"coalesced,omitempty"`
 	Warm      bool    `json:"warm,omitempty"`

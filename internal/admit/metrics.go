@@ -3,9 +3,9 @@ package admit
 // Service telemetry. The histograms close the ROADMAP item "per-config
 // latency histograms in /statsz": end-to-end admission latency is labeled
 // by the config salt — bounded cardinality, one series per distinct
-// verification config — never by the full service key, which grows with
-// every distinct profile set. All observations are per request or per
-// backend run; nothing here sits on the engine's hot path.
+// verification config — never by the profile-set fingerprint, which
+// grows with every distinct profile set. All observations are per request
+// or per backend run; nothing here sits on the engine's hot path.
 
 import (
 	"fmt"

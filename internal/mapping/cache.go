@@ -2,20 +2,20 @@ package mapping
 
 // Admission memoization: slot-sharing verification is by far the most
 // expensive step of dimensioning, and both the first-fit heuristic and the
-// exact DP partitioner — let alone repeated experiment sweeps — keep asking
-// the verifier about profile sets they have asked about before. The cache
-// keys each admission question by a canonical, order-independent fingerprint
-// of the profile set, salted with a fingerprint of the verification
-// configuration, so any permutation of the same profiles (and any
-// recomputation of identical profiles) reuses the stored verdict while runs
-// that verify differently never cross-contaminate.
+// exact DP partitioner — let alone repeated experiment sweeps and the
+// admission service's repeat submits — keep asking the verifier about
+// profile sets they have asked about before. The cache keys each admission
+// question by a canonical, order-independent fingerprint of the profile
+// set, salted with a fingerprint of the verification configuration, so any
+// permutation of the same profiles (and any recomputation of identical
+// profiles) reuses the stored verdict while runs that verify differently
+// never cross-contaminate.
 //
-// Concurrent misses on one key coalesce: the first caller runs the verifier,
-// the rest wait for its verdict (singleflight), so the expensive admission
-// question runs once no matter how many engine workers ask it at the same
-// time. Caches also serialize — Save/Load move the verdict map through a
-// versioned, length-prefixed binary format so repeated CLI invocations and
-// CI sweeps start warm.
+// The cache is the one verdict store: the mappers keep the bit in it, the
+// admission service keeps the full verdict of its searches (Record). Save
+// and Load move the bits through a versioned, length-prefixed binary
+// format, and SaveDir/LoadDir shard them under one directory layout, so
+// repeated CLI invocations, CI sweeps and restarted services start warm.
 
 import (
 	"encoding/binary"
@@ -41,15 +41,16 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// profileFingerprint hashes the admission-relevant content of one profile:
-// timing parameters and the full T*w/Tdw tables. The name is deliberately
+// ProfileKey hashes the admission-relevant content of one profile: timing
+// parameters and the full T*w/Tdw tables. The name is deliberately
 // excluded — admission verdicts depend only on profile content, so fleet
 // instances of one design (identical tables, distinct names) share cache
 // entries. A fleet's k-th admission check then hits the verdict computed
 // for the first k instances regardless of which instances fill the slot,
 // which collapses the dimensioning of large synthetic workloads from
 // O(instances × slots) verifications to one per distinct slot shape.
-func profileFingerprint(p *switching.Profile) uint64 {
+// Fingerprint combines these keys, so they must not change.
+func ProfileKey(p *switching.Profile) uint64 {
 	h := uint64(1469598103934665603) // FNV-64 offset basis
 	word := func(v int) {
 		h = mix64(h ^ uint64(int64(v))*0x9e3779b97f4a7c15)
@@ -86,11 +87,11 @@ func (k setKey) fingerprint() uint64 {
 	return mix64(k.sum ^ bits.RotateLeft64(k.xor, 32) ^ k.n*0x9e3779b97f4a7c15)
 }
 
-// profileHashes returns profileFingerprint of every profile, in order.
+// profileHashes returns ProfileKey of every profile, in order.
 func profileHashes(profiles []*switching.Profile) []uint64 {
 	h := make([]uint64, len(profiles))
 	for i, p := range profiles {
-		h[i] = profileFingerprint(p)
+		h[i] = ProfileKey(p)
 	}
 	return h
 }
@@ -101,12 +102,12 @@ func profileHashes(profiles []*switching.Profile) []uint64 {
 // profile's tables or timing parameters yield different keys (modulo 64-bit
 // collisions). Names do not participate: sets that differ only in which
 // fleet instances of a design they contain share one key. Persisted cache
-// files, SaveDir's shard prefixes and the admission service's record keys
-// all hold values of this function, so it must not change.
+// files and SaveDir's shard prefixes hold values of this function, so it
+// must not change.
 func Fingerprint(profiles []*switching.Profile) uint64 {
 	var k setKey
 	for _, p := range profiles {
-		k = k.with(profileFingerprint(p))
+		k = k.with(ProfileKey(p))
 	}
 	return k.fingerprint()
 }
@@ -138,19 +139,29 @@ func VerifyConfigKey(cfg verify.Config, extra ...uint64) uint64 {
 	return h
 }
 
-// inflight is one running admission question; waiters block on done and
-// read the leader's outcome.
-type inflight struct {
-	done    chan struct{}
-	verdict bool
-	err     error
+// Record is one stored admission verdict. The mappers, and Load, store the
+// bit alone; a verdict the admission service's search produced also carries
+// that search's statistics, its run ID and its violator. RunID is empty on
+// a bit-only record, and only the bit is persisted.
+type Record struct {
+	Schedulable bool
+	// States, Transitions and Depth are the search's counts.
+	States, Transitions, Depth int
+	// RunID is the telemetry run ID of the search.
+	RunID string
+	// On a search's record, Violator is the minimal violator's position in
+	// the set as the search was handed it (-1 when schedulable), and
+	// ViolatorKey its ProfileKey: a permutation of the set holds the same
+	// profile somewhere else.
+	Violator    int
+	ViolatorKey uint64
 }
 
-// Cache memoizes admission verdicts across FirstFit attempts, the DP
-// partitioner's subset enumeration, and repeated dimensioning runs. It is
-// safe for concurrent use; concurrent misses on one key run the verifier
-// once. Verification errors are not cached (waiters coalesced onto a
-// failing run do receive its error).
+// Cache memoizes admission verdicts across FirstFitCached attempts, the DP
+// partitioner's subset enumeration, repeated dimensioning runs and the
+// admission service's submits. It is safe for concurrent use. Callers ask
+// with Get and, on a miss, verify and Put; verification errors are never
+// stored. A nil *Cache stores nothing and answers every Get with a miss.
 //
 // Keys cover the profile set and the config salt the cache was built with
 // (NewCacheFor); the zero salt of NewCache means "unspecified config" and
@@ -158,15 +169,14 @@ type inflight struct {
 type Cache struct {
 	mu       sync.Mutex
 	cfgKey   uint64
-	verdicts map[uint64]bool
-	running  map[uint64]*inflight
+	verdicts map[uint64]Record
 
 	// dirty marks the fingerprint-prefix shards whose verdicts changed
 	// since the last SaveDir, so a hot service checkpoints incrementally:
 	// only the shard files behind new verdicts are rewritten.
 	dirty [SaveShards]bool
 
-	hits, misses, coalesced int
+	hits, misses int
 }
 
 // NewCache returns an empty admission cache with no config salt.
@@ -177,80 +187,82 @@ func NewCache() *Cache { return NewCacheFor(0) }
 // a cache file produced under one verification config never answers for
 // another.
 func NewCacheFor(cfgKey uint64) *Cache {
-	return &Cache{
-		cfgKey:   cfgKey,
-		verdicts: map[uint64]bool{},
-		running:  map[uint64]*inflight{},
+	return &Cache{cfgKey: cfgKey, verdicts: map[uint64]Record{}}
+}
+
+// key salts a set fingerprint with the cache's config.
+func (c *Cache) key(fingerprint uint64) uint64 {
+	if c.cfgKey == 0 {
+		return fingerprint
 	}
+	return mix64(fingerprint ^ c.cfgKey)
 }
 
-// errVerifierPanicked is what waiters coalesced onto a run receive when its
-// verifier panicked instead of returning.
-var errVerifierPanicked = errors.New("mapping: the admission verifier panicked; no verdict")
-
-// Do answers the admission question for the profile set, consulting the
-// cache before falling back to vf. Exactly one caller per key runs the
-// verifier at a time: concurrent misses wait for the in-flight run and
-// share its verdict (or its error), counted in Stats as coalesced.
-func (c *Cache) Do(profiles []*switching.Profile, vf VerifyFunc) (bool, error) {
-	return c.do(Fingerprint(profiles), func() []*switching.Profile { return profiles }, vf)
-}
-
-// do is Do for a caller that already holds the set's fingerprint: a hit is
-// one lock and one map lookup, and the profile list is materialised only on
-// a miss, for the verifier. A nil cache memoizes nothing and runs vf.
-func (c *Cache) do(fingerprint uint64, materialise func() []*switching.Profile, vf VerifyFunc) (bool, error) {
+// Get returns the record stored for the profile set whose Fingerprint is
+// fingerprint, counting the lookup as a hit or a miss.
+func (c *Cache) Get(fingerprint uint64) (Record, bool) {
 	if c == nil {
-		return vf(materialise())
+		return Record{}, false
 	}
-	key := fingerprint
-	if c.cfgKey != 0 {
-		key = mix64(key ^ c.cfgKey)
-	}
+	key := c.key(fingerprint)
 	c.mu.Lock()
-	if ok, hit := c.verdicts[key]; hit {
+	rec, ok := c.verdicts[key]
+	if ok {
 		c.hits++
-		c.mu.Unlock()
-		return ok, nil
+	} else {
+		c.misses++
 	}
-	if fl, running := c.running[key]; running {
-		c.coalesced++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.verdict, fl.err
-	}
-	// The entry starts out failed and is overwritten when vf returns, so a
-	// verifier that panics still releases its key and its waiters on the
-	// way out: a caller that recovers can ask again.
-	fl := &inflight{done: make(chan struct{}), err: errVerifierPanicked}
-	c.running[key] = fl
 	c.mu.Unlock()
-	defer func() {
+	return rec, ok
+}
+
+// Put stores rec for the profile set whose Fingerprint is fingerprint,
+// replacing any record there.
+func (c *Cache) Put(fingerprint uint64, rec Record) {
+	if c == nil {
+		return
+	}
+	key := c.key(fingerprint)
+	c.mu.Lock()
+	c.verdicts[key] = rec
+	c.dirty[shardOf(key)] = true
+	c.mu.Unlock()
+}
+
+// do answers one question of a mapper: Get, else vf, whose verdict is then
+// Put. The lookup is Get's written out, so a hit — the warm mappers' whole
+// cost per check — is one lock and one map lookup with no call and no
+// record copied out (through Get, BenchmarkMappingWarm read 55 against
+// 40 ns per check on a 2-vCPU x86-64 host). The profile list is
+// materialised only on a miss, for the verifier.
+func (c *Cache) do(fingerprint uint64, materialise func() []*switching.Profile, vf VerifyFunc) (bool, error) {
+	if c != nil {
+		key := c.key(fingerprint)
 		c.mu.Lock()
-		delete(c.running, key)
-		if fl.err == nil {
-			c.verdicts[key] = fl.verdict
-			c.dirty[shardOf(key)] = true
+		rec, ok := c.verdicts[key]
+		if ok {
+			c.hits++
+		} else {
 			c.misses++
 		}
 		c.mu.Unlock()
-		close(fl.done)
-	}()
-
-	fl.verdict, fl.err = vf(materialise())
-	if fl.err != nil {
-		return false, fl.err
+		if ok {
+			return rec.Schedulable, nil
+		}
 	}
-	return fl.verdict, nil
+	ok, err := vf(materialise())
+	if err != nil {
+		return false, err
+	}
+	c.Put(fingerprint, Record{Schedulable: ok})
+	return ok, nil
 }
 
-// Stats returns the cumulative hit, miss and coalesced-wait counts. A
-// coalesced wait is a miss that piggybacked on an in-flight verification
-// instead of running its own.
-func (c *Cache) Stats() (hits, misses, coalesced int) {
+// Stats returns the cumulative hit and miss counts of the cache's lookups.
+func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.coalesced
+	return c.hits, c.misses
 }
 
 // Len returns the number of cached verdicts.
@@ -273,8 +285,8 @@ var cacheMagic = [8]byte{'T', 'C', 'P', 'S', 'A', 'D', 'M', 1}
 // unsound to reuse, so none are loaded.
 var ErrCacheConfig = errors.New("mapping: cache file was produced under a different verification config")
 
-// Save writes every cached verdict to w in the versioned binary format.
-// In-flight verifications and hit/miss statistics are not persisted.
+// Save writes every cached verdict's bit to w in the versioned binary
+// format. Search statistics and hit/miss counts are not persisted.
 func (c *Cache) Save(w io.Writer) error { return c.save(w, -1) }
 
 // save writes the verdicts of one fingerprint-prefix shard (or all of
@@ -283,12 +295,12 @@ func (c *Cache) save(w io.Writer, shard int) error {
 	c.mu.Lock()
 	cfgKey := c.cfgKey
 	entries := make([]uint64, 0, 2*len(c.verdicts))
-	for k, ok := range c.verdicts {
+	for k, rec := range c.verdicts {
 		if shard >= 0 && shardOf(k) != shard {
 			continue
 		}
 		v := uint64(0)
-		if ok {
+		if rec.Schedulable {
 			v = 1
 		}
 		entries = append(entries, k, v)
@@ -307,15 +319,12 @@ func (c *Cache) save(w io.Writer, shard int) error {
 	return err
 }
 
-// Load merges the verdicts serialized in r into the cache. The file's
-// config salt must match the cache's (ErrCacheConfig otherwise); existing
-// entries win over file entries with the same key, so loading after a few
-// fresh verifications never regresses them. Loaded entries count as dirty
-// — a following SaveDir carries them into the shard layout — so a legacy
-// single-file cache converts by Load + SaveDir.
-func (c *Cache) Load(r io.Reader) error { return c.load(r, true) }
-
-func (c *Cache) load(r io.Reader, markDirty bool) error {
+// Load merges the verdicts serialized in r into the cache as bit-only
+// records. The file's config salt must match the cache's (ErrCacheConfig
+// otherwise); existing entries win over file entries with the same key, so
+// loading after a few fresh verifications never regresses them. Loaded
+// entries are clean: they are already on disk.
+func (c *Cache) Load(r io.Reader) error {
 	var header [24]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return fmt.Errorf("mapping: reading cache header: %w", err)
@@ -348,10 +357,7 @@ func (c *Cache) load(r io.Reader, markDirty bool) error {
 			rec := chunk[9*i:]
 			key := binary.LittleEndian.Uint64(rec)
 			if _, exists := c.verdicts[key]; !exists {
-				c.verdicts[key] = rec[8] != 0
-				if markDirty {
-					c.dirty[shardOf(key)] = true
-				}
+				c.verdicts[key] = Record{Schedulable: rec[8] != 0}
 			}
 		}
 		read += n
@@ -364,7 +370,10 @@ func (c *Cache) load(r io.Reader, markDirty bool) error {
 // partitions the verdict map into SaveShards files by fingerprint prefix
 // (the top bits of the salted key) and rewrites only the shards dirtied
 // since the previous checkpoint. Each shard file is a complete,
-// independently-loadable cache file in the versioned format above.
+// independently-loadable cache file in the versioned format above. Caches
+// of different configs share one root, one subdirectory per salt:
+//
+//	root/cfg-<salt as 16 hex digits>/admit-<shard as 2 hex digits>.shard
 
 // SaveShards is the fingerprint-prefix fan-out of SaveDir: keys land in
 // shard key>>60, so one shard holds ~1/16 of the verdicts and a checkpoint
@@ -374,17 +383,22 @@ const SaveShards = 16
 
 func shardOf(key uint64) int { return int(key >> 60) }
 
+// dir is the cache's own directory under root.
+func (c *Cache) dir(root string) string {
+	return filepath.Join(root, fmt.Sprintf("cfg-%016x", c.cfgKey))
+}
+
 // shardPath names shard files so LoadDir can enumerate them without
 // globbing: admit-00.shard .. admit-0f.shard.
 func shardPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("admit-%02x.shard", shard))
 }
 
-// SaveDir checkpoints the cache into dir (created if missing), rewriting
+// SaveDir checkpoints the cache under root (created if missing), rewriting
 // only the shards with verdicts added since the last SaveDir. Each shard
 // file is written atomically via a sibling temp file. It returns how many
 // shard files were rewritten — 0 means the checkpoint was free.
-func (c *Cache) SaveDir(dir string) (written int, err error) {
+func (c *Cache) SaveDir(root string) (written int, err error) {
 	c.mu.Lock()
 	var todo []int
 	for s, d := range c.dirty {
@@ -397,6 +411,7 @@ func (c *Cache) SaveDir(dir string) (written int, err error) {
 	if len(todo) == 0 {
 		return 0, nil
 	}
+	dir := c.dir(root)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		c.remarkDirty(todo)
 		return 0, err
@@ -440,17 +455,17 @@ func (c *Cache) saveShardFile(dir string, shard int) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadDir merges every shard file present in dir into the cache,
-// returning how many files were read. A missing directory (or one with no
-// shard files) is the cold-start case and reports 0 without error. A
-// corrupt or config-mismatched shard does not abort the load: the healthy
-// shards still warm-start the service — losing one shard's verdicts only
-// costs re-verification, never correctness — and the joined error names
-// every bad shard so the operator sees the damage. Entries loaded from
-// dir are clean — they are already on disk in this layout — so a
-// following SaveDir does not rewrite them (a corrupt shard file is
-// likewise left in place until its entries are re-earned and re-saved).
-func (c *Cache) LoadDir(dir string) (loaded int, err error) {
+// LoadDir merges every shard file of the cache's config under root into
+// the cache, returning how many files were read. A missing directory (or
+// one with no shard files) is the cold-start case and reports 0 without
+// error. A corrupt or config-mismatched shard does not abort the load: the
+// healthy shards still warm-start the service — losing one shard's
+// verdicts only costs re-verification, never correctness — and the joined
+// error names every bad shard so the operator sees the damage. A corrupt
+// shard file is left in place until its entries are re-earned and
+// re-saved.
+func (c *Cache) LoadDir(root string) (loaded int, err error) {
+	dir := c.dir(root)
 	var bad []error
 	for s := 0; s < SaveShards; s++ {
 		f, ferr := os.Open(shardPath(dir, s))
@@ -461,7 +476,7 @@ func (c *Cache) LoadDir(dir string) (loaded int, err error) {
 			bad = append(bad, ferr)
 			continue
 		}
-		ferr = c.load(f, false)
+		ferr = c.Load(f)
 		f.Close()
 		if ferr != nil {
 			bad = append(bad, fmt.Errorf("mapping: cache shard %02x: %w", s, ferr))
@@ -470,41 +485,4 @@ func (c *Cache) LoadDir(dir string) (loaded int, err error) {
 		loaded++
 	}
 	return loaded, errors.Join(bad...)
-}
-
-// SaveFile writes the cache to path (atomically via a sibling temp file).
-func (c *Cache) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := c.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadFile merges the cache file at path. A missing file is not an error —
-// it is the cold-start case — and reports false; any other failure
-// (corruption, config mismatch) is returned.
-func (c *Cache) LoadFile(path string) (loaded bool, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	if err := c.Load(f); err != nil {
-		return false, err
-	}
-	return true, nil
 }

@@ -54,6 +54,12 @@ func TestFingerprintOrderIndependent(t *testing.T) {
 	}
 }
 
+// ask is the mappers' question through the cache for a whole set: a hit, or
+// a verifier run whose verdict is stored.
+func ask(c *Cache, set []*switching.Profile, vf VerifyFunc) (bool, error) {
+	return c.do(Fingerprint(set), func() []*switching.Profile { return set }, vf)
+}
+
 // TestCacheHitMissAccounting: the underlying verifier runs once per distinct
 // set; permutations are hits.
 func TestCacheHitMissAccounting(t *testing.T) {
@@ -62,19 +68,19 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	vf := func([]*switching.Profile) (bool, error) { calls++; return true, nil }
 	c := NewCache()
 	for i := 0; i < 3; i++ {
-		if ok, err := c.Do([]*switching.Profile{a, b}, vf); !ok || err != nil {
-			t.Fatalf("Do: %v %v", ok, err)
+		if ok, err := ask(c, []*switching.Profile{a, b}, vf); !ok || err != nil {
+			t.Fatalf("ask: %v %v", ok, err)
 		}
 	}
-	if ok, err := c.Do([]*switching.Profile{b, a}, vf); !ok || err != nil {
-		t.Fatalf("permuted Do: %v %v", ok, err)
+	if ok, err := ask(c, []*switching.Profile{b, a}, vf); !ok || err != nil {
+		t.Fatalf("permuted ask: %v %v", ok, err)
 	}
 	if calls != 1 {
 		t.Fatalf("verifier ran %d times, want 1", calls)
 	}
-	hits, misses, coalesced := c.Stats()
-	if hits != 3 || misses != 1 || coalesced != 0 || c.Len() != 1 {
-		t.Fatalf("hits=%d misses=%d coalesced=%d len=%d, want 3/1/0/1", hits, misses, coalesced, c.Len())
+	hits, misses := c.Stats()
+	if hits != 3 || misses != 1 || c.Len() != 1 {
+		t.Fatalf("hits=%d misses=%d len=%d, want 3/1/1", hits, misses, c.Len())
 	}
 }
 
@@ -90,10 +96,10 @@ func TestCacheErrorNotCached(t *testing.T) {
 		return true, nil
 	}
 	c := NewCache()
-	if _, err := c.Do([]*switching.Profile{a}, vf); err == nil {
+	if _, err := ask(c, []*switching.Profile{a}, vf); err == nil {
 		t.Fatal("error swallowed")
 	}
-	ok, err := c.Do([]*switching.Profile{a}, vf)
+	ok, err := ask(c, []*switching.Profile{a}, vf)
 	if !ok || err != nil {
 		t.Fatalf("retry after error: %v %v", ok, err)
 	}
@@ -107,7 +113,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // answers every admission check without a single verifier run.
 func TestCachedFirstFitIdentical(t *testing.T) {
 	ps := caseStudyProfiles(t)
-	plain, err := FirstFit(ps, nil)
+	plain, err := FirstFitCached(ps, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

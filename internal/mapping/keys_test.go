@@ -2,8 +2,8 @@ package mapping
 
 // The key contract of the cached mappers: FirstFitCached and OptimalCached
 // build their cache keys incrementally, and those keys must be the ones
-// Fingerprint gives — in memory, against plain Do calls, and against cache
-// files written before the accumulator existed.
+// Fingerprint gives — in memory, against whole-set questions, and against
+// cache files written before the accumulator existed.
 
 import (
 	"fmt"
@@ -52,7 +52,7 @@ func mustNotVerify(t *testing.T) VerifyFunc {
 // TestIncrementalKeysMatchFingerprint: over seeded random fleets, every
 // verdict the cached mappers store sits under Fingerprint of the set the
 // verifier was handed, salted as NewCacheFor salts it, and a cache filled by
-// a mapper answers plain Do calls on those sets without a miss.
+// a mapper answers whole-set questions on those sets without a miss.
 func TestIncrementalKeysMatchFingerprint(t *testing.T) {
 	mappers := map[string]func([]*switching.Profile, VerifyFunc, *Cache) (*Result, error){
 		"first-fit": FirstFitCached,
@@ -69,7 +69,7 @@ func TestIncrementalKeysMatchFingerprint(t *testing.T) {
 			salt = VerifyConfigKey(verify.Config{NondetTies: true, MaxStates: trial})
 		}
 		for name, mapper := range mappers {
-			want := map[uint64]bool{}
+			want := map[uint64]Record{}
 			var asked [][]*switching.Profile
 			admit := capacityVerifier(capacity)
 			vf := func(set []*switching.Profile) (bool, error) {
@@ -79,7 +79,7 @@ func TestIncrementalKeysMatchFingerprint(t *testing.T) {
 					key = mix64(key ^ salt)
 				}
 				ok, err := admit(set)
-				want[key] = ok
+				want[key] = Record{Schedulable: ok}
 				return ok, err
 			}
 			cache := NewCacheFor(salt)
@@ -95,12 +95,12 @@ func TestIncrementalKeysMatchFingerprint(t *testing.T) {
 				t.Fatalf("trial %d %s: %d misses for %d verifier runs", trial, name, res.CacheMisses, len(asked))
 			}
 			for _, set := range asked {
-				if _, err := cache.Do(set, mustNotVerify(t)); err != nil {
+				if _, err := ask(cache, set, mustNotVerify(t)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, misses, _ := cache.Stats(); misses != len(asked) {
-				t.Fatalf("trial %d %s: plain Do on the mapper's sets missed %d times", trial, name, misses-len(asked))
+			if _, misses := cache.Stats(); misses != len(asked) {
+				t.Fatalf("trial %d %s: a whole-set question on the mapper's sets missed %d times", trial, name, misses-len(asked))
 			}
 		}
 	}

@@ -36,8 +36,8 @@ type Result struct {
 	Slots [][]int
 	// Verifications counts admission checks performed (cache hits included).
 	Verifications int
-	// CacheHits and CacheMisses count admission checks served from / added
-	// to the memoization cache. Both stay zero when no cache is used.
+	// CacheHits and CacheMisses count admission checks the memoization
+	// cache answered / did not answer. Both stay zero when no cache is used.
 	CacheHits   int
 	CacheMisses int
 }
@@ -73,14 +73,9 @@ func SortOrder(profiles []*switching.Profile) []int {
 	return idx
 }
 
-// FirstFit runs the paper's first-fit heuristic with the given admission
-// verifier (DefaultVerify when nil).
-func FirstFit(profiles []*switching.Profile, vf VerifyFunc) (*Result, error) {
-	return FirstFitCached(profiles, vf, nil)
-}
-
-// FirstFitCached is FirstFit with admission verdicts memoized through cache
-// (nil behaves like FirstFit). Result.CacheHits/CacheMisses report the
+// FirstFitCached runs the paper's first-fit heuristic with the given
+// admission verifier (DefaultVerify when nil), its verdicts memoized through
+// cache (nil memoizes nothing). Result.CacheHits/CacheMisses report the
 // cache traffic of this run alone, so a cache shared across runs still
 // yields per-run accounting.
 func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (*Result, error) {
@@ -89,9 +84,9 @@ func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) 
 	}
 	res := &Result{}
 	if cache != nil {
-		h0, m0, _ := cache.Stats()
+		h0, m0 := cache.Stats()
 		defer func() {
-			h1, m1, _ := cache.Stats()
+			h1, m1 := cache.Stats()
 			res.CacheHits, res.CacheMisses = h1-h0, m1-m0
 		}()
 	}
@@ -129,17 +124,12 @@ func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) 
 	return res, nil
 }
 
-// Optimal computes the exact minimum number of slots by verifying every
-// subset of applications (2ⁿ admission checks) and covering the set with
-// the fewest feasible subsets (set-partition DP). Practical for n ≤ 10ish;
-// the case study has n = 6.
-func Optimal(profiles []*switching.Profile, vf VerifyFunc) (*Result, error) {
-	return OptimalCached(profiles, vf, nil)
-}
-
-// OptimalCached is Optimal with admission verdicts memoized through cache
-// (nil behaves like Optimal). A cache pre-populated by an earlier FirstFit
-// run — or by a previous sweep over the same profiles — eliminates every
+// OptimalCached computes the exact minimum number of slots by verifying
+// every subset of applications (2ⁿ admission checks) and covering the set
+// with the fewest feasible subsets (set-partition DP). Practical for
+// n ≤ 10ish; the case study has n = 6. Verdicts are memoized through cache
+// (nil memoizes nothing): a cache pre-populated by an earlier first-fit run
+// — or by a previous sweep over the same profiles — eliminates every
 // duplicate subset verification from the 2ⁿ enumeration.
 func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (*Result, error) {
 	if vf == nil {
@@ -154,9 +144,9 @@ func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (
 	}
 	res := &Result{}
 	if cache != nil {
-		h0, m0, _ := cache.Stats()
+		h0, m0 := cache.Stats()
 		defer func() {
-			h1, m1, _ := cache.Stats()
+			h1, m1 := cache.Stats()
 			res.CacheHits, res.CacheMisses = h1-h0, m1-m0
 		}()
 	}

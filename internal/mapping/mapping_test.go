@@ -36,7 +36,7 @@ func TestSortOrderMatchesPaper(t *testing.T) {
 // two TT slots, partitioned {C1,C5,C4,C3} and {C6,C2}.
 func TestFirstFitReproducesPaperPartition(t *testing.T) {
 	ps := caseStudyProfiles(t)
-	res, err := FirstFit(ps, nil)
+	res, err := FirstFitCached(ps, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestOptimalMatchesFirstFitOnCaseStudy(t *testing.T) {
 		t.Skip("verifies all 63 subsets")
 	}
 	ps := caseStudyProfiles(t)
-	res, err := Optimal(ps, nil)
+	res, err := OptimalCached(ps, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFirstFitPacksGreedily(t *testing.T) {
 		}
 		return false
 	})
-	res, err := FirstFit(ps, vf)
+	res, err := FirstFitCached(ps, vf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +151,11 @@ func TestOptimalBeatsFirstFitWhenGreedyTraps(t *testing.T) {
 		// keys cover the combos used here.
 		return feasible[key]
 	})
-	ff, err := FirstFit(ps, vf)
+	ff, err := FirstFitCached(ps, vf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Optimal(ps, vf)
+	opt, err := OptimalCached(ps, vf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,13 @@ func TestOptimalBeatsFirstFitWhenGreedyTraps(t *testing.T) {
 func TestOptimalInfeasibleSingleton(t *testing.T) {
 	ps := []*switching.Profile{mkProfile("A", 1, 1)}
 	vf := stubVerify(func([]string) bool { return false })
-	if _, err := Optimal(ps, vf); err == nil {
+	if _, err := OptimalCached(ps, vf, nil); err == nil {
 		t.Fatal("infeasible singleton accepted")
 	}
 }
 
 func TestOptimalEmpty(t *testing.T) {
-	res, err := Optimal(nil, nil)
+	res, err := OptimalCached(nil, nil, nil)
 	if err != nil || len(res.Slots) != 0 {
 		t.Fatalf("empty optimal: %v, %v", res, err)
 	}
@@ -191,7 +191,7 @@ func TestFirstFitVerifierErrorPropagates(t *testing.T) {
 	vf := func([]*switching.Profile) (bool, error) {
 		return false, errTest
 	}
-	if _, err := FirstFit(ps, vf); err == nil {
+	if _, err := FirstFitCached(ps, vf, nil); err == nil {
 		t.Fatal("verifier error swallowed")
 	}
 }

@@ -1,15 +1,17 @@
 package mapping
 
 // Sharded cache persistence: the admission service checkpoints its
-// verdict map incrementally, so the shard layout must partition by
-// fingerprint prefix, round-trip losslessly, refuse mismatched config
-// salts, and — the point — rewrite only dirty shards.
+// verdict map incrementally, so the shard layout (root/cfg-<salt>/
+// admit-XX.shard) must partition by fingerprint prefix, round-trip
+// losslessly, refuse mismatched config salts, and — the point — rewrite
+// only dirty shards.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -31,7 +33,7 @@ func fill(t *testing.T, c *Cache, lo, hi int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
 		verdict := i%3 == 0
-		ok, err := c.Do(shardProfiles(i), func([]*switching.Profile) (bool, error) { return verdict, nil })
+		ok, err := ask(c, shardProfiles(i), func([]*switching.Profile) (bool, error) { return verdict, nil })
 		if err != nil || ok != verdict {
 			t.Fatalf("fill %d: got (%v, %v)", i, ok, err)
 		}
@@ -50,6 +52,11 @@ func TestCacheShardRoundTrip(t *testing.T) {
 	if written == 0 {
 		t.Fatal("no shard files written for 200 verdicts")
 	}
+	// The layout verifyd -cachedir has always written: a root written by an
+	// older build warm-starts this one.
+	if matches, _ := filepath.Glob(filepath.Join(dir, "cfg-000000000000feed", "admit-*.shard")); len(matches) != written {
+		t.Fatalf("%d shard files under cfg-000000000000feed/, wrote %d", len(matches), written)
+	}
 
 	warm := NewCacheFor(0xfeed)
 	loaded, err := warm.LoadDir(dir)
@@ -65,13 +72,17 @@ func TestCacheShardRoundTrip(t *testing.T) {
 	// Every question must now hit — the fallback must never run.
 	for i := 0; i < 200; i++ {
 		want := i%3 == 0
-		ok, err := warm.Do(shardProfiles(i), func([]*switching.Profile) (bool, error) {
+		ok, err := ask(warm, shardProfiles(i), func([]*switching.Profile) (bool, error) {
 			t.Fatalf("question %d missed a warm cache", i)
 			return false, nil
 		})
 		if err != nil || ok != want {
 			t.Fatalf("warm verdict %d: got (%v, %v), want %v", i, ok, err, want)
 		}
+	}
+	// Loaded verdicts are already on disk: nothing to rewrite.
+	if n, err := warm.SaveDir(dir); err != nil || n != 0 {
+		t.Fatalf("shard-loaded verdicts were dirty: wrote %d shards (err %v), want 0", n, err)
 	}
 }
 
@@ -114,7 +125,7 @@ func TestCacheShardPrefixPartition(t *testing.T) {
 	}
 	seen := 0
 	for s := 0; s < SaveShards; s++ {
-		raw, err := os.ReadFile(shardPath(dir, s))
+		raw, err := os.ReadFile(shardPath(c.dir(dir), s))
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
@@ -135,8 +146,9 @@ func TestCacheShardPrefixPartition(t *testing.T) {
 	}
 }
 
-// TestCacheShardConfigMismatch: a shard directory written under one
-// verification config must not answer for another.
+// TestCacheShardConfigMismatch: caches of two verification configs share a
+// root, each in its own cfg-<salt> directory, and a shard whose salt does
+// not match its directory's name (a copied or renamed directory) is refused.
 func TestCacheShardConfigMismatch(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCacheFor(0xfeed)
@@ -145,8 +157,17 @@ func TestCacheShardConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := NewCacheFor(0xbeef)
+	if n, err := other.LoadDir(dir); n != 0 || err != nil {
+		t.Fatalf("another config's directory: got (%d, %v), want a cold start", n, err)
+	}
+	if err := os.Rename(c.dir(dir), other.dir(dir)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := other.LoadDir(dir); !errors.Is(err, ErrCacheConfig) {
 		t.Fatalf("mismatched salt load: got %v, want ErrCacheConfig", err)
+	}
+	if other.Len() != 0 {
+		t.Fatal("mismatched load still imported verdicts")
 	}
 }
 
@@ -156,42 +177,6 @@ func TestCacheShardColdStart(t *testing.T) {
 	c := NewCacheFor(1)
 	if n, err := c.LoadDir(t.TempDir() + "/nonexistent"); err != nil || n != 0 {
 		t.Fatalf("cold start: got (%d, %v), want (0, nil)", n, err)
-	}
-}
-
-// TestCacheLegacyFileConvertsToShards: verdicts merged from a legacy
-// monolithic file count as dirty, so Load + SaveDir migrates the layout;
-// verdicts loaded from a shard dir are clean and are not rewritten.
-func TestCacheLegacyFileConvertsToShards(t *testing.T) {
-	legacy := t.TempDir() + "/cache.bin"
-	c := NewCacheFor(0xfeed)
-	fill(t, c, 0, 100)
-	if err := c.SaveFile(legacy); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	conv := NewCacheFor(0xfeed)
-	if _, err := conv.LoadFile(legacy); err != nil {
-		t.Fatal(err)
-	}
-	n, err := conv.SaveDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("legacy-loaded verdicts were not dirty; migration wrote nothing")
-	}
-
-	warm := NewCacheFor(0xfeed)
-	if _, err := warm.LoadDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Len() != c.Len() {
-		t.Fatalf("migration lost verdicts: %d, want %d", warm.Len(), c.Len())
-	}
-	if n, err := warm.SaveDir(dir); err != nil || n != 0 {
-		t.Fatalf("shard-loaded verdicts were dirty: wrote %d shards (err %v), want 0", n, err)
 	}
 }
 
@@ -210,8 +195,9 @@ func TestCacheShardCorruptSkipped(t *testing.T) {
 	// Scribble over the first shard file present.
 	corrupted := -1
 	for s := 0; s < SaveShards; s++ {
-		if _, err := os.Stat(shardPath(dir, s)); err == nil {
-			if err := os.WriteFile(shardPath(dir, s), []byte("not a cache shard"), 0o644); err != nil {
+		path := shardPath(c.dir(dir), s)
+		if _, err := os.Stat(path); err == nil {
+			if err := os.WriteFile(path, []byte("not a cache shard"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			corrupted = s
@@ -242,7 +228,7 @@ func TestCacheShardCorruptSkipped(t *testing.T) {
 	reverified := 0
 	for i := 0; i < 200; i++ {
 		want := i%3 == 0
-		ok, err := warm.Do(shardProfiles(i), func([]*switching.Profile) (bool, error) {
+		ok, err := ask(warm, shardProfiles(i), func([]*switching.Profile) (bool, error) {
 			reverified++
 			return want, nil
 		})
