@@ -335,7 +335,8 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 
 // Admit answers one admission question synchronously, returning the
 // response and its HTTP status. Identical concurrent questions coalesce
-// onto one backend verification.
+// onto one backend verification. The verification may keep req's dwell
+// tables past the answer: do not modify them after submitting.
 func (s *Service) Admit(req *AdmitRequest) (*AdmitResponse, int) {
 	t0 := time.Now()
 	rq, status, err := s.resolve(req)

@@ -348,49 +348,67 @@ func TestServiceWarmStart(t *testing.T) {
 	}
 }
 
+// validationCases are TestServiceValidation's bodies and the answers they
+// get: malformed and invalid submissions are 400s with a reason, and the
+// decoder's edges — a case-folded key, trailing bytes, an unknown nested
+// key — are accepted exactly as encoding/json accepts them.
+var validationCases = []struct {
+	name   string
+	body   string
+	status int
+	want   string // in the 400's error, lower-cased
+}{
+	{"malformedJSON", `{`, 400, "malformed"},
+	{"empty", `{}`, 400, "no profiles"},
+	{"bothAppsAndProfiles", `{"apps":["C1"],"profiles":[{"r":5,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, 400, "both"},
+	{"unknownApp", `{"apps":["C9"]}`, 400, "c9"},
+	{"badPolicy", `{"apps":["C6","C2"],"config":{"policy":"chaotic"}}`, 400, "policy"},
+	{"negativeBudget", `{"apps":["C6","C2"],"config":{"maxStates":-5}}`, 400, "negative"},
+	{"badDwellTables", `{"profiles":[{"r":5,"twStar":3,"tdwMinus":[1],"tdwPlus":[2]}]}`, 400, "dwell"},
+	{"badInterArrival", `{"profiles":[{"r":0,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, 400, "positive"},
+	// Tables of the right length that hold no window: refused by the
+	// engine (verify.ErrEncoding) before any verdict exists to cache.
+	{"invertedDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,5,1],"tdwPlus":[2,3,2]}]}`, 400, "b has no dwell window at row 1: tdw−=5, tdw+=3"},
+	{"negativeDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,1,-3],"tdwPlus":[2,2,-1]}]}`, 400, "b has no dwell window at row 2: tdw−=-3, tdw+=-1"},
+	// The decoder's edges, each as encoding/json decides it.
+	{"caseFoldedKey", `{"APPS":["C6","C2"]}`, 200, ""},
+	{"trailingBytes", `{"apps":["C6","C2"]} {"apps":["C9"]} ]`, 200, ""},
+	{"nullBody", `null`, 400, "no profiles"},
+	{"arrayBody", `[]`, 400, "malformed"},
+	{"fractionalInt", `{"profiles":[{"r":5.0,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, 400, "malformed"},
+	{"exponentInt", `{"profiles":[{"r":1e2,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, 400, "malformed"},
+	{"unknownNestedKey", `{"apps":["C6","C2"],"extra":{"nested":[1,{"deeper":null}],"s":"x"}}`, 200, ""},
+}
+
 // TestServiceValidation: malformed submissions are 400s with a reason,
-// and never reach the backend.
+// and never reach the backend; the accepted edge rows all ask S2, which
+// runs once.
 func TestServiceValidation(t *testing.T) {
 	r := newRig(t, backendCase{name: "local"}, nil)
-	cases := []struct {
-		name string
-		body string
-		want string
-	}{
-		{"malformedJSON", `{`, "malformed"},
-		{"empty", `{}`, "no profiles"},
-		{"bothAppsAndProfiles", `{"apps":["C1"],"profiles":[{"r":5,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, "both"},
-		{"unknownApp", `{"apps":["C9"]}`, "c9"},
-		{"badPolicy", `{"apps":["C6","C2"],"config":{"policy":"chaotic"}}`, "policy"},
-		{"negativeBudget", `{"apps":["C6","C2"],"config":{"maxStates":-5}}`, "negative"},
-		{"badDwellTables", `{"profiles":[{"r":5,"twStar":3,"tdwMinus":[1],"tdwPlus":[2]}]}`, "dwell"},
-		{"badInterArrival", `{"profiles":[{"r":0,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, "positive"},
-		// Tables of the right length that hold no window: refused by the
-		// engine (verify.ErrEncoding) before any verdict exists to cache.
-		{"invertedDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,5,1],"tdwPlus":[2,3,2]}]}`, "b has no dwell window at row 1: tdw−=5, tdw+=3"},
-		{"negativeDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,1,-3],"tdwPlus":[2,2,-1]}]}`, "b has no dwell window at row 2: tdw−=-3, tdw+=-1"},
-	}
-	for _, tc := range cases {
+	for _, tc := range validationCases {
 		resp, raw := r.postRaw(t, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400 (%s)", tc.name, resp.StatusCode, raw)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: HTTP %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, raw)
 			continue
 		}
 		var ar AdmitResponse
 		if err := json.Unmarshal(raw, &ar); err != nil {
-			t.Errorf("%s: undecodable 400 body %q", tc.name, raw)
+			t.Errorf("%s: undecodable %d body %q", tc.name, tc.status, raw)
 			continue
 		}
 		if !strings.Contains(strings.ToLower(ar.Error), tc.want) {
 			t.Errorf("%s: error %q does not name %q", tc.name, ar.Error, tc.want)
+		}
+		if tc.want == "malformed" && !strings.HasPrefix(ar.Error, "malformed request: ") {
+			t.Errorf("%s: error %q lacks the malformed-request prefix", tc.name, ar.Error)
 		}
 	}
 	st, err := r.cli.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Verifications != 0 {
-		t.Fatalf("invalid submissions reached the backend: %+v", st)
+	if st.Verifications != 1 {
+		t.Fatalf("%d verifications, want S2's one: invalid submissions reached the backend? %+v", st.Verifications, st)
 	}
 }
 

@@ -42,7 +42,9 @@ type ProfileJSON struct {
 }
 
 // profile validates and converts the wire form. The dwell tables must
-// cover Tw = 0..TwStar on the declared granularity grid.
+// cover Tw = 0..TwStar on the declared granularity grid. The profile shares
+// the request's tables: the service owns a decoded request's slices, and a
+// caller of Service.Admit must not modify them after submitting.
 func (pj ProfileJSON) profile(i int) (*switching.Profile, error) {
 	name := pj.Name
 	if name == "" {
@@ -64,9 +66,7 @@ func (pj ProfileJSON) profile(i int) (*switching.Profile, error) {
 	}
 	return &switching.Profile{
 		Name: name, JStar: pj.JStar, R: pj.R, TwStar: pj.TwStar,
-		TdwMinus:    append([]int(nil), pj.TdwMinus...),
-		TdwPlus:     append([]int(nil), pj.TdwPlus...),
-		Granularity: g,
+		TdwMinus: pj.TdwMinus, TdwPlus: pj.TdwPlus, Granularity: g,
 	}, nil
 }
 
@@ -171,8 +171,7 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
-	body := io.LimitReader(r.Body, maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeRequest(r.Body, &req); err != nil {
 		s.countError()
 		writeJSON(w, http.StatusBadRequest, &AdmitResponse{Error: "malformed request: " + err.Error()})
 		return

@@ -33,16 +33,34 @@ func codecFor(t testing.TB, words int) *frontierCodec {
 	return newFrontierCodec(exp)
 }
 
-// randStates builds a reproducible batch of n states — flat, words words
-// each — shaped like packed verifier states (limited-entropy words) so the
-// delta coder sees realistic input. No state is all-zero.
-func randStates(rng *rand.Rand, n, words int) []uint64 {
-	out := make([]uint64, n*words)
-	for i := range out {
-		out[i] = rng.Uint64() & 0x0000_0fff_00ff_ffff
-		if i%words == 0 {
-			out[i] |= 1 // keep clear of the all-zero sentinel
+// randStates returns n distinct states reachable in exp's set, flat, in a
+// reproducible random order: packed verifier states as the delta coder sees
+// them, each one CheckWords accepts.
+func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uint64 {
+	t.Helper()
+	sw, init := exp.StateWords(), exp.Initial()
+	all := append([]uint64(nil), init[:sw]...)
+	seen := map[verify.PackedState]bool{init: true}
+	scr := exp.NewScratch()
+	for lo := 0; len(all) < n*sw && lo < len(all); {
+		hi := len(all)
+		for i := lo; i < hi; i += sw {
+			succ, _, _ := exp.ExpandWords(all[i:i+sw], scr, nil, nil)
+			for j := 0; j < len(succ); j += sw {
+				if p := packed(succ[j : j+sw]); !seen[p] {
+					seen[p] = true
+					all = append(all, succ[j:j+sw]...)
+				}
+			}
 		}
+		lo = hi
+	}
+	if len(all) < n*sw {
+		t.Fatalf("the fixture reaches %d states, fewer than %d", len(all)/sw, n)
+	}
+	out := make([]uint64, 0, n*sw)
+	for _, i := range rng.Perm(len(all) / sw)[:n] {
+		out = append(out, all[i*sw:(i+1)*sw]...)
 	}
 	return out
 }
@@ -79,7 +97,7 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 	for _, words := range []int{1, 4} {
 		c := codecFor(t, words)
 		for _, n := range []int{0, 1, 2, 33, 4096} {
-			states := randStates(rng, n, words)
+			states := randStates(t, rng, c.exp, n)
 			want := sortedCopy(states, words)
 			enc := c.encode(states, nil)
 			if n == 0 {
@@ -111,12 +129,14 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 // duplicate states (the sender filter is lossy by design) must round-trip.
 func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 	c := codecFor(t, 1)
-	states := []uint64{42, 7, 42, 7, 42}
+	two := randStates(t, rand.New(rand.NewSource(5)), c.exp, 2)
+	lo, hi := min(two[0], two[1]), max(two[0], two[1])
+	states := []uint64{hi, lo, hi, lo, hi}
 	dec, err := c.decode(c.encode(states, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []uint64{7, 7, 42, 42, 42}
+	want := []uint64{lo, lo, hi, hi, hi}
 	if !slices.Equal(dec, want) {
 		t.Fatalf("duplicates lost: %v", dec)
 	}
@@ -128,7 +148,7 @@ func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 // delta coder cannot shrink falls back to it automatically.
 func TestFrontierCodecRawFallback(t *testing.T) {
 	c := codecFor(t, 4)
-	states := randStates(rand.New(rand.NewSource(3)), 9, 4)
+	states := randStates(t, rand.New(rand.NewSource(3)), c.exp, 9)
 	want := sortedCopy(states, 4)
 
 	// Hand-encode the legacy format.
@@ -144,10 +164,16 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 		t.Fatal("legacy batch decoded wrong")
 	}
 
-	// A single state whose words sit mid-range (±2^62 deltas take 10-byte
-	// varints) costs more as varints than raw words, so the encoder itself
-	// must emit the raw fallback.
-	one := []uint64{1 << 62, 1 << 62, 1 << 62, 1 << 62}
+	// A single state with its top bit set (a 10-byte varint) costs more as
+	// varints than as a raw word, so the encoder itself must emit the raw
+	// fallback: seven applications at r = 64 fill the one word, and an
+	// occupant nine samples into a dwell of up to 12 sets its top bit.
+	exp, err := verify.NewExpander(fleet(7, 6, 10, 12, 64), verify.Config{NondetTies: true})
+	if err != nil || exp.StateWords() != 1 {
+		t.Fatalf("full-word fixture: %v", err)
+	}
+	c = newFrontierCodec(exp)
+	one := []uint64{9<<60 | 3<<2 | 2} // occupant 0, Granted after a wait of 3, dwell 9
 	enc := c.encode(one, nil)
 	if enc[0] != codecRaw {
 		t.Fatalf("incompressible batch used version %d, want raw fallback", enc[0])
@@ -238,15 +264,79 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 	}
 }
 
+// outOfLayout are, per state width, the nonzero states no search of
+// codecFor's sets produces, each of which the kernel would panic on or the
+// visited sets would store: an occupant index past the n applications, a bit
+// outside the lanes and the header, and an occupant whose lane records a wait
+// beyond its T*w. The narrow set has 3 applications with 7-bit lanes and
+// T*w = 5, its occupant nibble at bit 21; the wide one 7 applications at
+// T*w = 6, all in word 0, its occupant in the header word's low byte.
+var outOfLayout = map[int][]struct {
+	name, want string
+	state      []uint64
+}{
+	1: {
+		{"occupant index", "none of the 3 applications", []uint64{5 << 21}},
+		{"bit outside the layout", "outside its lanes and header", []uint64{0xF<<21 | 1<<40}},
+		{"occupant past T*w", "beyond its T*w of 5", []uint64{6<<2 | 2}},
+	},
+	4: {
+		{"occupant index", "none of the 7 applications", []uint64{0, 0, 0, 7}},
+		{"bit outside the layout", "outside its lanes and header", []uint64{0, 1, 0, 0xFF}},
+		{"occupant past T*w", "beyond its T*w of 6", []uint64{7<<2 | 2, 0, 0, 0}},
+	},
+}
+
+// deltaBatch hand-encodes one state in the delta format (from the zero
+// predecessor), as a peer could send it whether or not it is valid.
+func deltaBatch(state []uint64) []byte {
+	b := []byte{codecDelta}
+	for _, w := range state {
+		b = binary.AppendUvarint(b, zigzag(int64(w)))
+	}
+	return b
+}
+
+// TestDecodeRefusesOutOfLayoutState: a batch in either format or a
+// checkpoint segment holding a nonzero state outside the set's layout is
+// refused by name, on both widths, before the kernel or absorb sees it.
+func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
+	dir := t.TempDir()
+	for words, cases := range outOfLayout {
+		c := codecFor(t, words)
+		if init := c.exp.Initial(); words == 1 && init[0] != 0xF<<21 || words == 4 && init[3] != 0xFF {
+			t.Fatalf("%d-word fixture moved: initial state %v", words, init)
+		}
+		for _, tc := range cases {
+			raw := c.exp.AppendWords(nil, tc.state)
+			for format, batch := range map[string][]byte{"raw": append([]byte{codecRaw}, raw...), "delta": deltaBatch(tc.state)} {
+				if _, err := c.decode(batch, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%d-word %s batch with %s: err = %v, want %q", words, format, tc.name, err, tc.want)
+				}
+			}
+			path := segPath(dir, words, 0)
+			if err := os.WriteFile(path, segmentBytes(1, 0, raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := readSegment(path, c.exp); err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
+				t.Errorf("%d-word segment with %s: err = %v, want %q", words, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
 // FuzzFrontierDecode feeds decode arbitrary bytes, as a mesh link might:
 // the outcome is a named error, or states that survive encode → decode as
-// the same multiset — never a panic, never an all-zero state (the visited
-// sets' sentinel: absorb would panic on it), and never more states than the
+// the same multiset — never a panic, never a state CheckWords refuses (the
+// all-zero state is the visited sets' sentinel: absorb would panic on it; an
+// out-of-layout occupant panics the kernel), and never more states than the
 // batch has bytes to pay for (a state costs at least one byte per word in
 // either format, so no length the decoder has not read sizes an allocation). The
 // seed corpus in testdata/fuzz/FuzzFrontierDecode holds an empty batch, raw
 // and delta batches of both widths, a truncated varint, a raw batch off the
-// state stride and a byte-2 batch.
+// state stride, a byte-2 batch and, on both widths, a raw batch holding each
+// state of outOfLayout.
 func FuzzFrontierDecode(f *testing.F) {
 	narrow, wide := codecFor(f, 1), codecFor(f, 4)
 	f.Fuzz(func(t *testing.T, useWide bool, batch []byte) {
@@ -264,8 +354,8 @@ func FuzzFrontierDecode(f *testing.F) {
 		if len(dec) > len(batch) {
 			t.Fatalf("%d states of %d words out of a %d-byte batch", len(dec)/c.words, c.words, len(batch))
 		}
-		if i := zeroState(dec, c.words); i >= 0 {
-			t.Fatalf("state %d of the decoded batch is all zero", i)
+		if i := badState(c.exp, dec); i >= 0 {
+			t.Fatalf("state %d of the decoded batch fails CheckWords", i)
 		}
 		want := sortedCopy(dec, c.words)
 		again, err := c.decode(c.encode(dec, nil), nil)
@@ -278,11 +368,13 @@ func FuzzFrontierDecode(f *testing.F) {
 	})
 }
 
-// zeroState returns the index of the first all-zero state of a slab, or −1.
-func zeroState(states []uint64, words int) int {
-	for i := 0; i < len(states); i += words {
-		if packed(states[i:i+words]) == (verify.PackedState{}) {
-			return i / words
+// badState returns the index of the first state of a slab CheckWords
+// refuses, or −1.
+func badState(exp *verify.Expander, states []uint64) int {
+	sw := exp.StateWords()
+	for i := 0; i < len(states); i += sw {
+		if exp.CheckWords(states[i:i+sw]) != nil {
+			return i / sw
 		}
 	}
 	return -1
@@ -436,11 +528,12 @@ func TestSegmentCorruptHeader(t *testing.T) {
 // FuzzReadSegment: whatever bytes sit where a checkpoint segment should,
 // readSegment answers with a named error or with states and a transition
 // count that writeSegment puts back byte for byte — it never panics, never
-// returns an all-zero state, and no header field it has not checked against
-// the file sizes an allocation. The
-// seed corpus in testdata/fuzz/FuzzReadSegment holds an empty file, a bare
-// header, valid narrow and wide segments, a count one above the body, a
-// count that wraps the size product, and trailing bytes.
+// returns a state CheckWords refuses, and no header field it has not checked
+// against the file sizes an allocation. The seed corpus in
+// testdata/fuzz/FuzzReadSegment holds an empty file, a bare header, valid
+// narrow and wide segments, a count one above the body, a count that wraps
+// the size product, trailing bytes and, on both widths, a segment holding
+// each state of outOfLayout.
 func FuzzReadSegment(f *testing.F) {
 	narrow, wide := codecFor(f, 1).exp, codecFor(f, 4).exp
 	dir := f.TempDir()
@@ -460,8 +553,8 @@ func FuzzReadSegment(f *testing.F) {
 			}
 			return
 		}
-		if i := zeroState(states, exp.StateWords()); i >= 0 {
-			t.Fatalf("state %d of the segment is all zero", i)
+		if i := badState(exp, states); i >= 0 {
+			t.Fatalf("state %d of the segment fails CheckWords", i)
 		}
 		if err := writeSegment(out, states, trans, exp); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package dverify
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"tightcps/internal/sched"
@@ -342,24 +341,26 @@ func (c *frontierCodec) decode(batch []byte, out []uint64) ([]uint64, error) {
 	}
 }
 
-// decodeDelta reverses the sorted zigzag varint-delta payload. It refuses
-// the all-zero state, which no encoding produces: the visited sets reserve
-// it as their empty-slot sentinel.
+// decodeDelta reverses the sorted zigzag varint-delta payload. The states
+// must pass Expander.CheckWords, as in a raw batch: the all-zero state (the
+// visited sets' sentinel) and states outside the set's layout are refused.
+// On an error out comes back as it was passed.
 func (c *frontierCodec) decodeDelta(payload []byte, out []uint64) ([]uint64, error) {
+	start := len(out)
 	var prev verify.PackedState
 	for len(payload) > 0 {
 		for k := 0; k < c.words; k++ {
 			u, n := binary.Uvarint(payload)
-			if n <= 0 { // the state's first k words go back out
-				return out[:len(out)-k], fmt.Errorf("dverify: truncated varint in frontier batch (word %d)", k)
+			if n <= 0 {
+				return out[:start], fmt.Errorf("dverify: truncated varint in frontier batch (word %d)", k)
 			}
 			payload = payload[n:]
 			prev[k] += uint64(unzigzag(u))
 			out = append(out, prev[k])
 		}
-		if prev == (verify.PackedState{}) {
-			return out[:len(out)-c.words], errors.New("dverify: frontier batch holds the all-zero state, which no encoding produces")
-		}
+	}
+	if err := c.exp.CheckWords(out[start:]); err != nil {
+		return out[:start], fmt.Errorf("dverify: %w", err)
 	}
 	return out, nil
 }

@@ -73,19 +73,8 @@ func (m *Middleware) ReleaseTT(frameID int) error {
 	return nil
 }
 
-// Holder returns the frame holding the pooled slot, or −1.
-func (m *Middleware) Holder(slot int) int {
-	if f, ok := m.owner[slot]; ok {
-		return f
-	}
-	return -1
-}
-
 // HoldsTT reports whether the frame currently owns a pooled static slot.
 func (m *Middleware) HoldsTT(frameID int) bool {
 	_, ok := m.slotOf[frameID]
 	return ok
 }
-
-// FreeSlots returns how many pooled slots are currently unassigned.
-func (m *Middleware) FreeSlots() int { return len(m.pool) - len(m.owner) }

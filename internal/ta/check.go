@@ -2,7 +2,6 @@ package ta
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 )
 
@@ -139,44 +138,6 @@ func rebuild(parents map[string]parentInfo, byKey map[string]*State, last string
 		out[i] = rev[len(rev)-1-i]
 	}
 	return out
-}
-
-// FormatTrace renders a witness trace using the network's names.
-func (n *Network) FormatTrace(tr []TraceEntry) string {
-	var b strings.Builder
-	for i, e := range tr {
-		if e.Step.Delay {
-			fmt.Fprintf(&b, "%3d: delay 1\n", i)
-			continue
-		}
-		who := "?"
-		if e.Step.AutoA >= 0 {
-			who = n.Automata[e.Step.AutoA].Name
-			if e.Step.AutoB >= 0 {
-				who += "×" + n.Automata[e.Step.AutoB].Name
-			}
-		}
-		fmt.Fprintf(&b, "%3d: %-30s %s\n", i, who, e.Step.Label)
-	}
-	return b.String()
-}
-
-// LocationIs returns a property that holds when the named automaton
-// occupies the named location.
-func (n *Network) LocationIs(autoName, locName string) (Property, error) {
-	for ai, a := range n.Automata {
-		if a.Name != autoName {
-			continue
-		}
-		for li, l := range a.Locations {
-			if l.Name == locName {
-				ai, li := ai, li
-				return func(s *State) bool { return s.Locs[ai] == li }, nil
-			}
-		}
-		return nil, fmt.Errorf("ta: automaton %s has no location %s", autoName, locName)
-	}
-	return nil, fmt.Errorf("ta: no automaton named %s", autoName)
 }
 
 // AnyLocation returns a property that holds when any automaton whose name

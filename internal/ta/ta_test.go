@@ -28,11 +28,7 @@ func counterNet(threshold, clockMax int) *Network {
 
 func TestDelayReachesGuard(t *testing.T) {
 	n := counterNet(3, 10)
-	p, err := n.LocationIs("A", "Done")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := n.Reachable(p, CheckOptions{Trace: true})
+	res, err := n.Reachable(n.AnyLocation("A", "Done"), CheckOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +43,14 @@ func TestDelayReachesGuard(t *testing.T) {
 		}
 	}
 	if delays != 3 {
-		t.Fatalf("witness has %d delays, want 3:\n%s", delays, n.FormatTrace(res.Witness))
+		t.Fatalf("witness has %d delays, want 3: %+v", delays, res.Witness)
 	}
 }
 
 func TestClockSaturationBlocksLargeConstants(t *testing.T) {
 	// Guard at 5 with ceiling 3: clock saturates at 4 and never equals 5.
 	n := counterNet(5, 3)
-	p, _ := n.LocationIs("A", "Done")
+	p := n.AnyLocation("A", "Done")
 	res, err := n.Reachable(p, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +81,7 @@ func TestInvariantBlocksDelay(t *testing.T) {
 		}},
 	}
 	n := &Network{Automata: []*Automaton{a}, ClockNames: []string{"c"}, ClockMax: []int{5}}
-	p, _ := n.LocationIs("A", "Out")
+	p := n.AnyLocation("A", "Out")
 	res, err := n.Reachable(p, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +139,7 @@ func TestEmitterAloneCannotMove(t *testing.T) {
 		Edges:     []Edge{{From: 0, To: 1, Chan: 0, Dir: Emit, Label: "a"}},
 	}
 	n := &Network{Automata: []*Automaton{em}, ChanNames: []string{"a"}}
-	p, _ := n.LocationIs("E", "T")
+	p := n.AnyLocation("E", "T")
 	res, err := n.Reachable(p, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +211,7 @@ func TestUrgentBlocksDelayOnly(t *testing.T) {
 	if res.Reachable {
 		t.Fatal("delay occurred in an urgent location")
 	}
-	p, _ := n.LocationIs("A", "T")
+	p := n.AnyLocation("A", "T")
 	res, err = n.Reachable(p, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +254,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 
 func TestMaxStatesLimit(t *testing.T) {
 	n := counterNet(5, 100)
-	p, _ := n.LocationIs("A", "Done")
+	p := n.AnyLocation("A", "Done")
 	_, err := n.Reachable(p, CheckOptions{MaxStates: 2})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("want ErrStateLimit, got %v", err)
@@ -272,7 +268,7 @@ func TestInitVars(t *testing.T) {
 		Edges:     []Edge{{From: 0, To: 1, Guard: func(s *State) bool { return s.Vars[0] == 7 }}},
 	}
 	n := &Network{Automata: []*Automaton{a}, VarNames: []string{"v"}, InitVars: []int{7}}
-	p, _ := n.LocationIs("A", "T")
+	p := n.AnyLocation("A", "T")
 	res, err := n.Reachable(p, CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -282,12 +278,17 @@ func TestInitVars(t *testing.T) {
 	}
 }
 
-func TestLocationIsUnknownNames(t *testing.T) {
+// TestAnyLocationUnknownNames: a property naming no automaton, or no
+// location of one, holds in no state.
+func TestAnyLocationUnknownNames(t *testing.T) {
 	n := counterNet(1, 2)
-	if _, err := n.LocationIs("Nope", "Done"); err == nil {
-		t.Fatal("unknown automaton accepted")
-	}
-	if _, err := n.LocationIs("A", "Nope"); err == nil {
-		t.Fatal("unknown location accepted")
+	for _, p := range []Property{n.AnyLocation("Nope", "Done"), n.AnyLocation("A", "Nope")} {
+		res, err := n.Reachable(p, CheckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reachable {
+			t.Fatal("a property over unknown names held")
+		}
 	}
 }

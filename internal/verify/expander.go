@@ -199,29 +199,87 @@ func (e *Expander) AppendWords(dst []byte, slab []uint64) []byte {
 }
 
 // DecodeWords appends the words of every state encoded in b (a batch built
-// with AppendWords under the same profiles and config) to out. It refuses
-// the all-zero state, which no encoding produces: the visited sets reserve
-// it as their empty-slot sentinel, and bytes from a peer or a disk must not
-// reach them with it.
+// with AppendWords under the same profiles and config) to out. The states
+// must pass CheckWords: bytes from a peer or a disk reach the visited sets
+// and the kernel only as states a search could have produced.
 func (e *Expander) DecodeWords(b []byte, out []uint64) ([]uint64, error) {
 	sw := e.StateWords()
 	if len(b)%(8*sw) != 0 {
 		return out, fmt.Errorf("verify: frontier batch of %d bytes is not a multiple of the %d-byte state stride", len(b), 8*sw)
 	}
 	n := len(out)
-	for i := 0; len(b) > 0; i++ {
-		var or uint64
-		for k := 0; k < sw; k++ {
-			w := binary.LittleEndian.Uint64(b[8*k:])
-			or |= w
-			out = append(out, w)
-		}
-		if or == 0 {
-			return out[:n], fmt.Errorf("verify: state %d of the batch is the all-zero state, which no encoding produces", i)
-		}
-		b = b[8*sw:]
+	for ; len(b) > 0; b = b[8:] {
+		out = append(out, binary.LittleEndian.Uint64(b))
+	}
+	if err := e.CheckWords(out[n:]); err != nil {
+		return out[:n], err
 	}
 	return out, nil
+}
+
+// CheckWords refuses a slab of states, StateWords() words each, holding one
+// that no search under this expander's profiles and config produces: the
+// all-zero state (the visited sets' empty-slot sentinel), a bit set outside
+// the n lanes and the occupant/dwell header, an occupant index that is
+// neither an application nor the idle sentinel, and an occupant whose lane
+// records a wait beyond its T*w (no dwell window exists for it: the kernel
+// would panic). The test is word-mask compares and one table read per
+// state; the error names the first state refused and why.
+func (e *Expander) CheckWords(slab []uint64) error {
+	v, t := e.v, &e.v.kt
+	if !v.wide {
+		for i, w := range slab {
+			if w == 0 || w&^t.layout[0] != 0 || v.badOccupant(slab[i:i+1], int(w>>v.occShift&0xF), 0xF) {
+				return e.refuse(slab[i:i+1], i)
+			}
+		}
+		return nil
+	}
+	for i := 0; i+wideWords <= len(slab); i += wideWords {
+		s := (*[wideWords]uint64)(slab[i:])
+		if s[0]|s[1]|s[2]|s[3] == 0 ||
+			s[0]&^t.layout[0]|s[1]&^t.layout[1]|s[2]&^t.layout[2]|s[3]&^t.layout[3] != 0 ||
+			v.badOccupant(s[:], int(s[3]&wideIdle), wideIdle) {
+			return e.refuse(s[:], i/wideWords)
+		}
+	}
+	return nil
+}
+
+// badOccupant reports whether the occupant field value occ of the state s
+// (idle being the slot-idle sentinel) names no application, or one whose
+// lane records a wait beyond its T*w.
+func (v *Verifier) badOccupant(s []uint64, occ, idle int) bool {
+	t := &v.kt
+	if occ == idle {
+		return false
+	}
+	if occ >= v.n {
+		return true
+	}
+	return s[t.word[occ]]>>(t.shift[occ]+phaseBits)&t.valMask > uint64(t.tw[occ])
+}
+
+// refuse is CheckWords' error for state i, s, saying what it refuses in it.
+func (e *Expander) refuse(s []uint64, i int) error {
+	v, t := e.v, &e.v.kt
+	for k, w := range s {
+		if x := w &^ t.layout[k]; x != 0 {
+			return fmt.Errorf("verify: state %d of the batch sets bits %#x of word %d, outside its lanes and header", i, x, k)
+		}
+	}
+	occ := int(s[0] >> v.occShift & 0xF)
+	if v.wide {
+		occ = int(s[wideWords-1] & wideIdle)
+	}
+	switch {
+	case slices.Max(s) == 0:
+		return fmt.Errorf("verify: state %d of the batch is the all-zero state, which no encoding produces", i)
+	case occ >= v.n:
+		return fmt.Errorf("verify: state %d of the batch names occupant index %d, none of the %d applications", i, occ, v.n)
+	}
+	return fmt.Errorf("verify: state %d of the batch has occupant %s granted after a wait of %d, beyond its T*w of %d",
+		i, v.profs[occ].Name, s[t.word[occ]]>>(t.shift[occ]+phaseBits)&t.valMask, t.tw[occ])
 }
 
 // NewSet returns an empty visited set for the expander's encoding: narrow

@@ -89,6 +89,10 @@ type kernel struct {
 	rows               []dwell // rows[row[a]+w]: the window of a grant to a after waiting w ≤ T*w
 
 	class [][wideAppWords]uint64 // phase-bit-0 mask of every symmetry class
+
+	// layout holds, per word of a state, the bits its lanes and header may
+	// set: what Expander.CheckWords holds a state from a peer or a disk to.
+	layout [wideWords]uint64
 }
 
 // buildKernel validates the dwell tables and fills the kernel table.
@@ -137,6 +141,7 @@ func (v *Verifier) buildKernel() error {
 			t.urg[a] |= int32(tie<<4 | a)
 		}
 		t.p0[k] |= 1 << sh
+		t.layout[k] |= (1<<v.appBits - 1) << sh
 		if p.TwStar == 0 {
 			t.zeroTw[k] |= 1 << sh
 		}
@@ -152,6 +157,11 @@ func (v *Verifier) buildKernel() error {
 	}
 	for k := range t.val {
 		t.valLow[k] = t.val[k] &^ t.valTop[k]
+	}
+	if v.wide {
+		t.layout[wideWords-1] = 0xFFF // occupant byte and dwell
+	} else {
+		t.layout[0] |= 0xFF << v.occShift
 	}
 	for _, g := range v.symGroups {
 		var m [wideAppWords]uint64

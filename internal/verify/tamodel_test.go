@@ -92,7 +92,7 @@ func TestTAWitnessEndsInError(t *testing.T) {
 	}
 	last := res.Witness[len(res.Witness)-1]
 	if last.Step.Label != "miss" {
-		t.Fatalf("witness final step %q, want miss\n%s", last.Step.Label, net.FormatTrace(res.Witness))
+		t.Fatalf("witness final step %q, want miss (%d steps)", last.Step.Label, len(res.Witness))
 	}
 }
 
