@@ -23,13 +23,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
 	"tightcps/internal/admit"
+	"tightcps/internal/cli"
 	"tightcps/internal/core"
 	"tightcps/internal/mapping"
 	"tightcps/internal/plants"
@@ -37,25 +37,31 @@ import (
 	"tightcps/internal/verify"
 )
 
-func main() {
-	appsFlag := flag.String("apps", "C1,C2,C3,C4,C5,C6", "comma-separated case-study applications")
-	stability := flag.Bool("stability", false, "certify switching stability (CQLF) for every pair")
-	lazy := flag.Bool("lazy", false, "verify under the lazy-preemption policy (paper future work)")
-	workers := flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS, 1 = serial; must be ≥ 0)")
-	cachedir := flag.String("cachedir", "", "load/save the admission cache under this directory (warm starts across runs)")
-	server := flag.String("server", "", "route admission questions to the admission service at this base URL")
-	flag.Parse()
+func main() { cli.Main("dimension", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("dimension", stderr)
+	appsFlag := fs.String("apps", "C1,C2,C3,C4,C5,C6", "comma-separated case-study applications")
+	stability := fs.Bool("stability", false, "certify switching stability (CQLF) for every pair")
+	lazy := fs.Bool("lazy", false, "verify under the lazy-preemption policy (paper future work)")
+	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS, 1 = serial; must be ≥ 0)")
+	cachedir := fs.String("cachedir", "", "load/save the admission cache under this directory (warm starts across runs)")
+	server := fs.String("server", "", "route admission questions to the admission service at this base URL")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "dimension: -workers must be ≥ 0 (0 = GOMAXPROCS, 1 = serial), got %d\n", *workers)
-		os.Exit(2)
+		return cli.Usagef("-workers must be ≥ 0 (0 = GOMAXPROCS, 1 = serial), got %d", *workers)
+	}
+	if *server != "" && *cachedir != "" {
+		return cli.Usagef("-cachedir is incompatible with -server (the service owns verdict persistence)")
 	}
 
 	var apps []core.App
 	for _, name := range strings.Split(*appsFlag, ",") {
 		a, err := plants.ByName(strings.TrimSpace(name))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		apps = append(apps, core.FromPlants(a))
 	}
@@ -64,54 +70,48 @@ func main() {
 		opts.Policy = sched.PreemptLazy
 	}
 	if *server != "" {
-		if *cachedir != "" {
-			fmt.Fprintln(os.Stderr, "dimension: -server and -cachedir are exclusive (the service owns verdict persistence)")
-			os.Exit(2)
-		}
 		// The service decides ties/policy semantics from the spec; mirror
 		// what the in-process engine would verify under.
 		spec := verify.SpecOf(verify.Config{NondetTies: true, Policy: opts.Policy})
-		cli := &admit.Client{BaseURL: *server}
-		opts.AdmitFunc = cli.VerifyFunc(spec)
-		fmt.Printf("admission via %s\n", *server)
+		client := &admit.Client{BaseURL: *server}
+		opts.AdmitFunc = client.VerifyFunc(spec)
+		fmt.Fprintf(stdout, "admission via %s\n", *server)
 	}
 	if *cachedir != "" {
 		// Mirror the engine's admission config (core.Dimensioner.verifyFunc)
 		// so the cache salt matches what the verdicts were computed under.
 		vcfg := opts.Verify
-		vcfg.NondetTies = true
-		vcfg.Policy = opts.Policy
+		vcfg.NondetTies, vcfg.Policy = true, opts.Policy
 		cache := mapping.NewCacheFor(mapping.VerifyConfigKey(vcfg))
 		if _, err := cache.LoadDir(*cachedir); err != nil {
 			// The healthy shards still load; the bad ones are re-earned.
-			fmt.Fprintln(os.Stderr, "dimension: skipping unreadable admission cache shards:", err)
+			fmt.Fprintln(stderr, "dimension: skipping unreadable admission cache shards:", err)
 		}
 		if n := cache.Len(); n > 0 {
-			fmt.Printf("admission cache: warm start with %d verdicts from %s\n", n, *cachedir)
+			fmt.Fprintf(stdout, "admission cache: warm start with %d verdicts from %s\n", n, *cachedir)
 		}
 		opts.Cache = cache
-		defer func() {
-			if _, err := cache.SaveDir(*cachedir); err != nil {
-				fmt.Fprintln(os.Stderr, "dimension: saving admission cache:", err)
-				return
-			}
-			fmt.Printf("admission cache: %d verdicts saved to %s\n", cache.Len(), *cachedir)
-		}()
 	}
 	d := &core.Dimensioner{Apps: apps, Opts: opts}
 	t0 := time.Now()
 	alloc, err := d.Dimension()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dimensioning failed:", err)
-		os.Exit(1)
+		return fmt.Errorf("dimensioning failed: %w", err)
 	}
-	fmt.Printf("dimensioned %d applications onto %d TT slot(s) in %.2fs (%d verifications, %d cache hits)\n",
+	fmt.Fprintf(stdout, "dimensioned %d applications onto %d TT slot(s) in %.2fs (%d verifications, %d cache hits)\n",
 		len(apps), len(alloc.Slots), time.Since(t0).Seconds(), alloc.Verifications, alloc.CacheHits)
 	for si, names := range alloc.SlotNames() {
-		fmt.Printf("  slot S%d: %s\n", si+1, strings.Join(names, ", "))
+		fmt.Fprintf(stdout, "  slot S%d: %s\n", si+1, strings.Join(names, ", "))
 	}
 	for i, p := range alloc.Profiles {
-		fmt.Printf("  %s: JT=%d JE=%d T*w=%d maxTdw−=%d maxTdw+=%d\n",
+		fmt.Fprintf(stdout, "  %s: JT=%d JE=%d T*w=%d maxTdw−=%d maxTdw+=%d\n",
 			apps[i].Name, p.JT, p.JE, p.TwStar, p.MaxTdwMinus(), p.MaxTdwPlus())
 	}
+	if opts.Cache != nil {
+		if _, err := opts.Cache.SaveDir(*cachedir); err != nil {
+			return fmt.Errorf("saving admission cache: %w", err)
+		}
+		fmt.Fprintf(stdout, "admission cache: %d verdicts saved to %s\n", opts.Cache.Len(), *cachedir)
+	}
+	return nil
 }

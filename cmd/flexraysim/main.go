@@ -5,29 +5,33 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"tightcps/internal/cli"
 	"tightcps/internal/flexray"
 )
 
-func main() {
-	cycles := flag.Int("cycles", 6, "communication cycles to simulate")
-	flag.Parse()
+func main() { cli.Main("flexraysim", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("flexraysim", stderr)
+	cycles := fs.Int("cycles", 6, "communication cycles to simulate")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	cfg := flexray.Config{
 		StaticSlots: 4, SlotLen: 1.0,
 		MiniSlots: 30, MiniSlotLen: 0.1,
 		NITLen: 0.5, MaxFrameMinis: 10,
 	}
-	fmt.Printf("FlexRay cycle: %d static slots × %.1f ms + %d mini-slots × %.1f ms + NIT %.1f ms = %.1f ms\n",
+	fmt.Fprintf(stdout, "FlexRay cycle: %d static slots × %.1f ms + %d mini-slots × %.1f ms + NIT %.1f ms = %.1f ms\n",
 		cfg.StaticSlots, cfg.SlotLen, cfg.MiniSlots, cfg.MiniSlotLen, cfg.NITLen, cfg.CycleLen())
 
 	bus, err := flexray.NewBus(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	frames := []flexray.Frame{
 		{ID: 1, Name: "steer", Minis: 4},
@@ -36,43 +40,37 @@ func main() {
 	}
 	for _, f := range frames {
 		if err := bus.AddFrame(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		wcrt, err := flexray.WCRTCycles(cfg, f, frames)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("  frame %d (%s): dynamic-segment WCRT = %d cycle(s)\n", f.ID, f.Name, wcrt)
+		fmt.Fprintf(stdout, "  frame %d (%s): dynamic-segment WCRT = %d cycle(s)\n", f.ID, f.Name, wcrt)
 	}
 
 	mw, err := flexray.NewMiddleware(bus, []int{0, 1})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("\ncycle-by-cycle log (frame 1 acquires a TT slot in cycle 2, releases in cycle 4):")
+	fmt.Fprintln(stdout, "\ncycle-by-cycle log (frame 1 acquires a TT slot in cycle 2, releases in cycle 4):")
 	for c := 0; c < *cycles; c++ {
 		if c == 2 {
 			slot, err := mw.AcquireTT(1)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Printf("  [middleware] frame 1 → static slot %d\n", slot)
+			fmt.Fprintf(stdout, "  [middleware] frame 1 → static slot %d\n", slot)
 		}
 		if c == 4 {
 			if err := mw.ReleaseTT(1); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Println("  [middleware] frame 1 → dynamic segment")
+			fmt.Fprintln(stdout, "  [middleware] frame 1 → dynamic segment")
 		}
 		for _, f := range frames {
 			if err := bus.Queue(f.ID); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 		}
 		for _, tx := range bus.RunCycle() {
@@ -80,7 +78,8 @@ func main() {
 			if tx.Static {
 				seg = "TT "
 			}
-			fmt.Printf("  cycle %d: frame %d [%s] %.1f–%.1f ms\n", tx.Cycle, tx.FrameID, seg, tx.Start, tx.End)
+			fmt.Fprintf(stdout, "  cycle %d: frame %d [%s] %.1f–%.1f ms\n", tx.Cycle, tx.FrameID, seg, tx.Start, tx.End)
 		}
 	}
+	return nil
 }

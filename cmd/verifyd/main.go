@@ -25,15 +25,14 @@
 //	verifyd -http 127.0.0.1:9833 -listen "" [-nodes 4]      # front door only
 //	verifyd -http :9833 -connect host1:9471,host2:9471      # front door over a fleet
 //
-// -workers N sets the lanes of the owner-partitioned local engine when the
-// front door verifies in-process (0 = GOMAXPROCS lanes; the service always
-// runs at least two, so that every backend reports the same minimum-state
-// violator). It does not reach the worker plane or a -nodes/-connect
-// backend: a mesh node is one search goroutine, and a distributed run
-// scales by its node count.
+// The backend flags (internal/cli: -workers, -nodes, -connect, -ft,
+// -ftdir) configure the admission plane and need -http; a worker inherits
+// its search from the coordinator's job. The service runs at least two
+// local lanes, so that every backend reports the same minimum-state
+// violator.
 //
-// Resilience: -connect dials with a bounded exponential-backoff retry
-// (-connect-retries) so the fleet may boot in any order. -ft makes the
+// Resilience: -connect dials each worker up to 5 times, waiting 0.5, 1, 2
+// and 4 s between attempts, so the fleet may boot in any order. -ft makes the
 // distributed runs fault-tolerant — worker deaths are survived by
 // reassigning the dead node's hash shards and rolling back to the last
 // per-level checkpoint under -ftdir, with the verdict and all exhaustive
@@ -55,24 +54,23 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"expvar"
-	"flag"
-	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	nhpprof "net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"tightcps/internal/admit"
+	"tightcps/internal/cli"
 	"tightcps/internal/dverify"
 	"tightcps/internal/obs"
-	"tightcps/internal/switching"
-	"tightcps/internal/verify"
 )
 
 // mountDebug adds the pprof handlers and the expvar bridge to an admin mux.
@@ -87,79 +85,74 @@ func mountDebug(mux *http.ServeMux) {
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:9471", "worker-plane address (empty disables the worker plane)")
-	httpAddr := flag.String("http", "", "admission-plane HTTP address (empty disables the admission plane)")
-	nodes := flag.Int("nodes", 0, "admission plane: verify over N loopback mesh nodes in this process (0 = local engine)")
-	connect := flag.String("connect", "", "admission plane: verify over this comma-separated worker fleet")
-	connectRetries := flag.Int("connect-retries", 5, "startup dial attempts per -connect worker address (1 = no retry; waits 0.5s, doubled per attempt, capped at 10s)")
-	ft := flag.Bool("ft", false, "fault-tolerant distributed runs: survive worker deaths by shard reassignment and rollback (see -ftdir)")
-	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
-	workers := flag.Int("workers", 0, "admission plane: lanes of an in-process local search (0 = GOMAXPROCS); ignored by -nodes/-connect backends and by the worker plane")
-	cachedir := flag.String("cachedir", "", "persist admission verdicts under this directory (sharded, incremental)")
-	checkpoint := flag.Duration("checkpoint", 30*time.Second, "verdict-cache checkpoint interval")
-	queue := flag.Int("queue", 64, "admission request queue depth")
-	concurrency := flag.Int("concurrency", 1, "concurrent backend verifications")
-	maxstates := flag.Int("maxstates", 0, "clamp per-request state budgets (0 = engine default)")
-	timeout := flag.Duration("timeout", 0, "default per-request budget when the submit sets none (0 = none)")
-	retries := flag.Int("retries", 0, "retry transient backend failures this many times, waiting 100ms doubled per attempt, jittered, capped at 5s (0 = report the first failure)")
-	breaker := flag.Int("breaker", 0, "open the backend circuit for 30s after this many consecutive failed verifications (0 = no breaker)")
-	localFallback := flag.Bool("localfallback", false, "serve verdicts from the in-process engine when the backend is unavailable instead of returning 502")
-	metricsAddr := flag.String("metrics", "", "HTTP admin address serving /metricsz (for worker-only daemons; the admission plane serves /metricsz itself)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof and /debug/vars on the HTTP surfaces")
-	quiet := flag.Bool("quiet", false, "suppress per-session logging")
-	flag.Parse()
+	cli.Main("verifyd", func(args []string, stdout, stderr io.Writer) error {
+		sigs := make(chan os.Signal, 2)
+		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+		return run(args, stdout, stderr, sigs)
+	})
+}
 
-	logger := log.New(os.Stderr, "verifyd: ", log.LstdFlags)
-	logf := logger.Printf
-	if *quiet {
-		logf = func(string, ...any) {}
+// run serves until every plane it started has drained: the first value on
+// sigs drains both planes, the second forces run to return. A plane that
+// fails ends the run with its error.
+func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
+	fs := cli.NewFlagSet("verifyd", stderr)
+	listen := fs.String("listen", "127.0.0.1:9471", "worker-plane address (empty disables the worker plane)")
+	httpAddr := fs.String("http", "", "admission-plane HTTP address (empty disables the admission plane)")
+	cachedir := fs.String("cachedir", "", "persist admission verdicts under this directory (sharded, incremental)")
+	checkpoint := fs.Duration("checkpoint", 30*time.Second, "verdict-cache checkpoint interval")
+	queue := fs.Int("queue", 64, "admission request queue depth")
+	concurrency := fs.Int("concurrency", 1, "concurrent backend verifications")
+	maxstates := fs.Int("maxstates", 0, "clamp per-request state budgets (0 = engine default)")
+	timeout := fs.Duration("timeout", 0, "default per-request budget when the submit sets none (0 = none)")
+	retries := fs.Int("retries", 0, "retry transient backend failures this many times, waiting 100ms doubled per attempt, jittered, capped at 5s (0 = report the first failure)")
+	breaker := fs.Int("breaker", 0, "open the backend circuit for 30s after this many consecutive failed verifications (0 = no breaker)")
+	localFallback := fs.Bool("localfallback", false, "serve verdicts from the in-process engine when the backend is unavailable instead of returning 502")
+	metricsAddr := fs.String("metrics", "", "HTTP admin address serving /metricsz (for worker-only daemons; the admission plane serves /metricsz itself)")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof and /debug/vars on the HTTP surfaces")
+	quiet := fs.Bool("quiet", false, "suppress per-session and per-request logging")
+	backend := cli.BackendFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *listen == "" && *httpAddr == "" {
-		fmt.Fprintln(os.Stderr, "verifyd: nothing to serve (both -listen and -http empty)")
-		os.Exit(2)
+		return cli.Usagef("nothing to serve (both -listen and -http empty)")
 	}
-	if *ft && *nodes == 0 && *connect == "" {
-		// Workers inherit fault tolerance from the coordinator's job setup;
-		// -ft only means something on the side driving a cluster.
-		fmt.Fprintln(os.Stderr, "verifyd: -ft drives a cluster; it needs -nodes or -connect")
-		os.Exit(2)
+	if *httpAddr == "" { // a worker inherits its search from the coordinator's job
+		if err := cli.Unset(fs, "configures the admission plane's backend; it needs -http",
+			"workers", "nodes", "connect", "ft", "ftdir"); err != nil {
+			return err
+		}
 	}
 
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-
-	var wg sync.WaitGroup
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "verifyd:", err)
-		os.Exit(1)
+	// logf carries the daemon's own lifecycle (listening, draining); chatf
+	// the per-session and per-request lines -quiet silences.
+	logf := log.New(stderr, "verifyd: ", log.LstdFlags).Printf
+	chatf := logf
+	if *quiet {
+		chatf = nil
 	}
+
+	errc := make(chan error, 2) // one per plane
+	planes := 0
 
 	// Worker plane.
 	var workerSrv *dverify.Server
 	if *listen != "" {
 		l, err := net.Listen("tcp", *listen)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		var slogf func(string, ...any)
-		if !*quiet {
-			slogf = logf
-		}
-		workerSrv = dverify.NewServer(l, slogf)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := workerSrv.Serve(); err != nil {
-				fail(err)
-			}
-		}()
+		defer l.Close() // for the error returns below; Shutdown closes it on a drain
+		workerSrv = dverify.NewServer(l, chatf)
+		planes++
+		go func() { errc <- workerSrv.Serve() }()
 		logf("worker listening on %s", l.Addr())
 	}
 
 	// Admin plane: a plain HTTP listener for /metricsz (and pprof) — the
 	// worker plane is raw TCP, so a worker-only daemon has no other HTTP
-	// surface to scrape. Dies with the process; it serves no state worth
-	// draining.
+	// surface to scrape. It serves no state worth draining.
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("GET /metricsz", obs.Default.Handler())
@@ -168,10 +161,11 @@ func main() {
 		}
 		l, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			fail(err)
+			return err
 		}
+		defer l.Close()
 		go func() {
-			if err := http.Serve(l, mux); err != nil {
+			if err := http.Serve(l, mux); err != nil && !errors.Is(err, net.ErrClosed) {
 				logf("admin listener: %v", err)
 			}
 		}()
@@ -182,8 +176,13 @@ func main() {
 	var svc *admit.Service
 	var httpSrv *http.Server
 	if *httpAddr != "" {
+		cl, err := backend.Open(chatf)
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
 		opts := admit.Options{
-			Workers:          *workers,
+			Workers:          cl.Config.Workers,
 			QueueDepth:       *queue,
 			Concurrency:      *concurrency,
 			MaxStates:        *maxstates,
@@ -193,34 +192,19 @@ func main() {
 			RetryAttempts:    *retries,
 			BreakerThreshold: *breaker,
 			LocalFallback:    *localFallback,
-			Logf:             logf,
+			Logf:             chatf,
 		}
-		ts, desc, err := dverify.ClusterRetry(*nodes, *connect, *connectRetries, logf)
-		if err != nil {
-			fail(err)
+		if cl.Nodes > 0 {
+			opts.Backend, opts.BackendNodes, opts.BackendDesc = cl.Config.Distributed, cl.Nodes, cl.Banner
 		}
-		if ts != nil {
-			defer dverify.Close(ts)
-			opts.Backend = dverify.Runner(ts)
-			opts.BackendNodes = len(ts)
-			opts.BackendDesc = desc
-			if *ft {
-				// Fault tolerance is a deployment property of this cluster,
-				// not a per-request knob: stamp it onto every backend run.
-				run, dir := opts.Backend, *ftdir
-				opts.Backend = func(ps []*switching.Profile, cfg verify.Config) (verify.Result, error) {
-					cfg.FaultTolerance = true
-					cfg.CheckpointDir = dir
-					return run(ps, cfg)
-				}
-				opts.BackendDesc += " (fault-tolerant)"
-			}
+		if cl.Config.FaultTolerance {
+			opts.BackendDesc += " (fault-tolerant)"
 		}
-		svc = admit.New(opts)
 		l, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
-			fail(err)
+			return err
 		}
+		svc = admit.New(opts)
 		handler := svc.Handler()
 		if *pprofOn {
 			mux := http.NewServeMux()
@@ -229,43 +213,48 @@ func main() {
 			handler = mux
 		}
 		httpSrv = &http.Server{Handler: handler}
-		wg.Add(1)
+		planes++
 		go func() {
-			defer wg.Done()
-			if err := httpSrv.Serve(l); err != nil && err != http.ErrServerClosed {
-				fail(err)
+			if err := httpSrv.Serve(l); !errors.Is(err, http.ErrServerClosed) {
+				errc <- err
+				return
 			}
+			errc <- nil
 		}()
-		backend := opts.BackendDesc
-		if backend == "" {
-			backend = "local engine"
-		}
-		logf("admission service on http://%s (backend: %s)", l.Addr(), backend)
+		logf("admission service on http://%s (backend: %s)", l.Addr(), cmp.Or(opts.BackendDesc, "local engine"))
 	}
 
 	// Combined drain: the first signal drains both planes — the admission
 	// service finishes in-flight verdicts and checkpoints while the
 	// worker server finishes active sessions — the second forces exit.
-	go func() {
-		<-sigs
-		logf("draining: refusing new work, finishing in-flight (signal again to force exit)")
-		if svc != nil {
-			go func() {
-				svc.Drain()
-				// The HTTP listener stays up through the drain so
-				// in-flight responses and 503s flow; close it once the
-				// last verdict is out.
-				httpSrv.Close()
-			}()
+	draining := false
+	for planes > 0 {
+		select {
+		case err := <-errc:
+			if err != nil {
+				return err
+			}
+			planes--
+		case <-sigs:
+			if draining {
+				return errors.New("forced exit")
+			}
+			draining = true
+			logf("draining: refusing new work, finishing in-flight (signal again to force exit)")
+			if svc != nil {
+				go func() {
+					svc.Drain()
+					// The HTTP listener stays up through the drain so
+					// in-flight responses and 503s flow; close it once the
+					// last verdict is out.
+					httpSrv.Close()
+				}()
+			}
+			if workerSrv != nil {
+				workerSrv.Shutdown()
+			}
 		}
-		if workerSrv != nil {
-			go workerSrv.Shutdown()
-		}
-		<-sigs
-		logf("forced exit")
-		os.Exit(1)
-	}()
-
-	wg.Wait()
+	}
 	logf("drained; bye")
+	return nil
 }

@@ -4,10 +4,9 @@
 //
 // Usage:
 //
-//	verifyslot -apps C1,C5,C4,C3 [-bounded] [-ta] [-lazy] [-workers N]
+//	verifyslot -apps C1,C5,C4,C3 [-bounded] [-lazy] [-workers N]
 //	           [-maxstates N] [-nodes K | -connect host:port,host:port]
 //	           [-json] [-tracefile out.json]
-//	           [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // -json replaces the text report with the per-run trace as JSON (verdict,
 // states, rate, per-level frontier table, wire stats) — one parseable
@@ -34,29 +33,20 @@
 // (excluding profiling and counterexample reconstruction), so throughput
 // regressions — local or distributed — show up on any run.
 //
-// -cpuprofile and -memprofile write pprof profiles of the verification —
-// the expansion core is the product's hot path, so regressions are
-// diagnosed here rather than by instrumenting the library.
-//
-// -workers N sets the lanes of a local search: 0 (the default) is
-// GOMAXPROCS owner-partitioned lanes, 1 the sequential search; counts and
-// verdict are the same for every N ≥ 2 (DESIGN.md §1). With -nodes or
-// -connect it is ignored: a mesh node is one search goroutine, a
-// distributed run's parallelism is its node count, and the stats line
-// prints nodes=K in place of workers=N.
+// The backend flags (-workers, -nodes, -connect, -ft, -ftdir) are
+// internal/cli's group; -ta and -server refuse, by name, every flag their
+// mode cannot honour (DESIGN.md, "Commands").
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"tightcps/internal/admit"
-	"tightcps/internal/dverify"
+	"tightcps/internal/cli"
 	"tightcps/internal/obs"
 	"tightcps/internal/plants"
 	"tightcps/internal/sched"
@@ -64,61 +54,42 @@ import (
 	"tightcps/internal/verify"
 )
 
-// main parses flags and delegates to run so deferred cleanups — profile
-// writers, cluster teardown — fire on error exits too (os.Exit skips
-// defers, which would truncate a CPU profile exactly when diagnosing a
-// failing run).
-func main() {
-	os.Exit(run())
-}
+func main() { cli.Main("verifyslot", run) }
 
-func run() int {
-	appsFlag := flag.String("apps", "C1,C5,C4,C3", "comma-separated applications")
-	bounded := flag.Bool("bounded", false, "use the bounded-disturbance acceleration")
-	useTA := flag.Bool("ta", false, "check the faithful Fig. 5–7 timed-automata network instead of the packed verifier")
-	lazy := flag.Bool("lazy", false, "verify the lazy-preemption policy")
-	workers := flag.Int("workers", 0, "lanes of a local search (0 = GOMAXPROCS, 1 = sequential; must be ≥ 0); ignored with -nodes/-connect, where a node is one goroutine")
-	maxStates := flag.Int("maxstates", 0, "visited-state budget, per node when distributed (0 = 200M)")
-	nodes := flag.Int("nodes", 0, "distribute over K in-process loopback workers (0 = local verification)")
-	connect := flag.String("connect", "", "distribute over verifyd workers at these comma-separated addresses")
-	connectRetries := flag.Int("connect-retries", 1, "startup dial attempts per -connect worker address (1 = no retry; waits 0.5s, doubled per attempt, capped at 10s)")
-	ft := flag.Bool("ft", false, "fault-tolerant distributed run: survive worker deaths by shard reassignment and rollback (see -ftdir)")
-	ftdir := flag.String("ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
-	server := flag.String("server", "", "submit to an admission service at this base URL (e.g. http://host:9833) instead of verifying locally")
-	serverRetries := flag.Int("server-retries", 0, "retry -server submits refused with 503 (drain, full queue) this many times, honoring Retry-After")
-	jsonOut := flag.Bool("json", false, "emit the run report as JSON (the per-run trace: verdict, per-level table, wire stats) instead of text")
-	traceFile := flag.String("tracefile", "", "write the per-run JSON trace report to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the verification to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the verification to this file")
-	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "verifyslot: -workers must be ≥ 0 (0 = GOMAXPROCS lanes, 1 = sequential), got %d\n", *workers)
-		return 2
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("verifyslot", stderr)
+	appsFlag := fs.String("apps", "C1,C5,C4,C3", "comma-separated applications")
+	bounded := fs.Bool("bounded", false, "use the bounded-disturbance acceleration")
+	useTA := fs.Bool("ta", false, "check the faithful Fig. 5–7 timed-automata network (eager policy, exact, unbudgeted) instead of the packed verifier")
+	lazy := fs.Bool("lazy", false, "verify the lazy-preemption policy")
+	maxStates := fs.Int("maxstates", 0, "visited-state budget, per node when distributed (0 = 200M)")
+	server := fs.String("server", "", "submit to an admission service at this base URL (e.g. http://host:9833) instead of verifying locally")
+	serverRetries := fs.Int("server-retries", 0, "retry -server submits refused with 503 (drain, full queue) this many times, honoring Retry-After")
+	jsonOut := fs.Bool("json", false, "emit the run report as JSON (the per-run trace: verdict, per-level table, wire stats) instead of text")
+	traceFile := fs.String("tracefile", "", "write the per-run JSON trace report to this file")
+	backend := cli.BackendFlags(fs)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	if *useTA && (*nodes > 0 || *connect != "" || *maxStates != 0) {
-		// The TA network checker is local-only and unbudgeted; ignoring the
-		// flags silently would fake a distributed (or bounded) run.
-		fmt.Fprintln(os.Stderr, "verifyslot: -ta is incompatible with -nodes/-connect/-maxstates (the TA checker runs locally)")
-		return 2
+	if *useTA {
+		if err := cli.Unset(fs, "is incompatible with -ta (the TA network is one local search of the eager policy, exact, unbudgeted and untraced)",
+			"nodes", "connect", "ft", "ftdir", "workers", "maxstates", "lazy", "bounded", "server", "json", "tracefile"); err != nil {
+			return err
+		}
 	}
-	if (*jsonOut || *traceFile != "") && (*useTA || *server != "") {
-		// Traces are recorded by the packed engine's drivers; the TA checker
-		// and the remote service don't run them in this process.
-		fmt.Fprintln(os.Stderr, "verifyslot: -json/-tracefile report an engine run in this process; incompatible with -ta and -server")
-		return 2
+	if *server != "" {
+		if err := cli.Unset(fs, "is incompatible with -server (the admission service runs the search; this process only asks)",
+			"nodes", "connect", "ft", "ftdir", "workers", "json", "tracefile"); err != nil {
+			return err
+		}
 	}
 
 	names := strings.Split(*appsFlag, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-
 	if *server != "" {
-		if *useTA || *nodes > 0 || *connect != "" || *cpuprofile != "" || *memprofile != "" {
-			fmt.Fprintln(os.Stderr, "verifyslot: -server submits remotely; -ta/-nodes/-connect and the profiling flags are local-run flags")
-			return 2
-		}
-		return runServer(*server, *serverRetries, names, verify.Spec{
+		return runServer(stdout, *server, *serverRetries, names, verify.Spec{
 			Bounded:   *bounded,
 			MaxStates: *maxStates,
 		}, *lazy)
@@ -126,95 +97,45 @@ func run() int {
 
 	profs, err := plants.ProfileList(names...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verifyslot: -cpuprofile:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "verifyslot: -cpuprofile:", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "verifyslot: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retention
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "verifyslot: -memprofile:", err)
-			}
-		}()
-	}
-
 	t0 := time.Now()
 	if *useTA {
 		res, ok, err := verify.CheckNetwork(profs, ta.CheckOptions{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return err
 		}
-		fmt.Printf("TA network: schedulable=%v states=%d depth=%d (%.2fs)\n",
+		fmt.Fprintf(stdout, "TA network: schedulable=%v states=%d depth=%d (%.2fs)\n",
 			ok, res.States, res.Depth, time.Since(t0).Seconds())
-		return 0
+		return nil
 	}
-	cfg := verify.Config{NondetTies: true, Workers: *workers, MaxStates: *maxStates}
+	cl, err := backend.Open(func(format string, args ...any) {
+		fmt.Fprintf(stderr, "verifyslot: "+format+"\n", args...)
+	})
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	if cl.Banner != "" && !*jsonOut {
+		fmt.Fprintln(stdout, cl.Banner)
+	}
+	cfg := cl.Config
+	cfg.NondetTies, cfg.MaxStates = true, *maxStates
 	if *bounded {
 		cfg.MaxDisturbances = verify.BoundFor(profs)
 	}
 	if *lazy {
 		cfg.Policy = sched.PreemptLazy
 	}
-	var dialLogf func(format string, args ...any)
-	if !*jsonOut {
-		dialLogf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "verifyslot: "+format+"\n", args...)
-		}
-	}
-	ts, clusterDesc, err := dverify.ClusterRetry(*nodes, *connect, *connectRetries, dialLogf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "verifyslot:", err)
-		return 2
-	}
-	if *ft && ts == nil {
-		fmt.Fprintln(os.Stderr, "verifyslot: -ft is a distributed-run flag; it needs -nodes or -connect")
-		return 2
-	}
-	if ts != nil {
-		defer dverify.Close(ts)
-		cfg.Distributed = dverify.Runner(ts)
-		cfg.FaultTolerance = *ft
-		if *ft {
-			cfg.CheckpointDir = *ftdir
-		}
-		if !*jsonOut {
-			fmt.Println(clusterDesc)
-		}
-	}
 	var rtr *obs.Trace
 	if *jsonOut || *traceFile != "" {
 		rtr = obs.NewTrace("")
-		cfg.RunID = rtr.RunID
-		cfg.RunTrace = rtr
+		cfg.RunID, cfg.RunTrace = rtr.RunID, rtr
 	}
 	tv := time.Now()
 	res, err := verify.Slot(profs, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	verifySecs := time.Since(tv).Seconds()
 	rate := 0 // of the verification proper, not the traced re-run below
@@ -223,8 +144,7 @@ func run() int {
 	}
 	if rtr != nil && *traceFile != "" {
 		if err := rtr.WriteFile(*traceFile); err != nil {
-			fmt.Fprintln(os.Stderr, "verifyslot: -tracefile:", err)
-			return 1
+			return fmt.Errorf("-tracefile: %w", err)
 		}
 	}
 	if *jsonOut {
@@ -232,11 +152,10 @@ func run() int {
 		// (and its counterexample reconstruction) is the human surface.
 		b, err := rtr.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "verifyslot:", err)
-			return 1
+			return err
 		}
-		os.Stdout.Write(b)
-		return 0
+		_, err = stdout.Write(b)
+		return err
 	}
 	// scheduleEnds is the application the counterexample schedule ends in a
 	// miss of: the sequential traced re-run stops at the first miss it
@@ -250,34 +169,24 @@ func run() int {
 		tcfg.Trace = true
 		tcfg.Distributed = nil
 		if traced, err := verify.Slot(profs, tcfg); err != nil {
-			fmt.Fprintf(os.Stderr, "verifyslot: counterexample reconstruction failed: %v\n", err)
+			fmt.Fprintf(stderr, "verifyslot: counterexample reconstruction failed: %v\n", err)
 		} else {
 			res.Counterexample, scheduleEnds = traced.Counterexample, traced.Violator
 		}
 	}
-	// What ran the search: the node count of a distributed run (a node is
-	// one goroutine, -workers does not reach it), the lanes of a local one.
-	width := fmt.Sprintf("nodes=%d", len(ts))
-	if ts == nil {
-		effWorkers := *workers
-		if effWorkers <= 0 {
-			effWorkers = runtime.GOMAXPROCS(0)
-		}
-		width = fmt.Sprintf("workers=%d", effWorkers)
-	}
-	fmt.Printf("slot %v: schedulable=%v\n", names, res.Schedulable)
-	fmt.Printf("  states=%d transitions=%d depth=%d bounded=%v rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d %s]\n",
+	fmt.Fprintf(stdout, "slot %v: schedulable=%v\n", names, res.Schedulable)
+	fmt.Fprintf(stdout, "  states=%d transitions=%d depth=%d bounded=%v rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d %s]\n",
 		res.States, res.Transitions, res.Depth, res.Bounded, rate, time.Since(t0).Seconds(),
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), width)
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), cl.Width)
 	if res.Wire.RawBytes > 0 {
-		fmt.Printf("  %s\n", res.Wire.Report())
+		fmt.Fprintf(stdout, "  %s\n", res.Wire.Report())
 	}
 	if !res.Schedulable {
-		fmt.Printf("  violator: %s\n", names[res.Violator])
+		fmt.Fprintf(stdout, "  violator: %s\n", names[res.Violator])
 		if res.Counterexample != nil {
-			fmt.Println("  adversarial disturbance schedule (sample: applications):")
+			fmt.Fprintln(stdout, "  adversarial disturbance schedule (sample: applications):")
 			if scheduleEnds != res.Violator {
-				fmt.Printf("  (schedule from a sequential traced re-run; ends in a miss of %s)\n", names[scheduleEnds])
+				fmt.Fprintf(stdout, "  (schedule from a sequential traced re-run; ends in a miss of %s)\n", names[scheduleEnds])
 			}
 			for k, apps := range res.Counterexample {
 				if len(apps) == 0 {
@@ -287,29 +196,28 @@ func run() int {
 				for _, a := range apps {
 					ns = append(ns, names[a])
 				}
-				fmt.Printf("    %3d: %s\n", k, strings.Join(ns, ", "))
+				fmt.Fprintf(stdout, "    %3d: %s\n", k, strings.Join(ns, ", "))
 			}
 		}
 	}
-	return 0
+	return nil
 }
 
 // runServer is the -server client mode: the admission question goes to a
 // running admission service (verifyd -http) — where fleet-wide coalescing
 // and the persistent verdict cache live — and the verdict is printed in
 // the same shape as a local run so scripts and CI greps work unchanged.
-func runServer(base string, retries int, names []string, spec verify.Spec, lazy bool) int {
+func runServer(stdout io.Writer, base string, retries int, names []string, spec verify.Spec, lazy bool) error {
 	if lazy {
 		spec.Policy = "lazy"
 	}
-	cli := &admit.Client{BaseURL: base, Retry503: retries}
-	resp, err := cli.Admit(&admit.AdmitRequest{Apps: names, Config: spec})
+	client := &admit.Client{BaseURL: base, Retry503: retries}
+	resp, err := client.Admit(&admit.AdmitRequest{Apps: names, Config: spec})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "verifyslot:", err)
-		return 1
+		return err
 	}
 	v := resp.Verdict
-	fmt.Printf("slot %v: schedulable=%v\n", names, v.Schedulable)
+	fmt.Fprintf(stdout, "slot %v: schedulable=%v\n", names, v.Schedulable)
 	served := "verified"
 	switch {
 	case resp.Warm:
@@ -319,10 +227,10 @@ func runServer(base string, retries int, names []string, spec verify.Spec, lazy 
 	case resp.Coalesced:
 		served = "coalesced onto a concurrent submit"
 	}
-	fmt.Printf("  states=%d transitions=%d depth=%d bounded=%v (%s, %.1fms via %s)\n",
+	fmt.Fprintf(stdout, "  states=%d transitions=%d depth=%d bounded=%v (%s, %.1fms via %s)\n",
 		v.States, v.Transitions, v.Depth, v.Bounded, served, resp.ElapsedMs, base)
 	if !v.Schedulable && v.ViolatorName != "" {
-		fmt.Printf("  violator: %s\n", v.ViolatorName)
+		fmt.Fprintf(stdout, "  violator: %s\n", v.ViolatorName)
 	}
-	return 0
+	return nil
 }

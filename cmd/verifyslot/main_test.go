@@ -3,51 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"tightcps/internal/cli"
 )
 
-// bin is the verifyslot binary TestMain builds once for every test here.
-var bin string
-
-// TestMain delegates to buildAndRun so the deferred clean-up fires before
-// os.Exit.
-func TestMain(m *testing.M) {
-	os.Exit(buildAndRun(m))
-}
-
-func buildAndRun(m *testing.M) int {
-	dir, err := os.MkdirTemp("", "verifyslot-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer os.RemoveAll(dir)
-	bin = filepath.Join(dir, "verifyslot")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "building verifyslot: %v\n%s", err, out)
-		return 1
-	}
-	return m.Run()
-}
-
-// verifyslot runs the binary and returns its exit code and both streams.
-func verifyslot(t *testing.T, args ...string) (code int, stdout, stderr string) {
-	t.Helper()
+// verifyslot runs the command in process and returns its exit code and
+// both streams.
+func verifyslot(args ...string) (code int, stdout, stderr string) {
 	var o, e bytes.Buffer
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout, cmd.Stderr = &o, &e
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
-		t.Fatalf("verifyslot %v: %v", args, err)
-	}
-	return cmd.ProcessState.ExitCode(), o.String(), e.String()
+	code = cli.Exit("verifyslot", run(args, &o, &e), &e)
+	return code, o.String(), e.String()
 }
 
 // TestFlagConflicts: every combination the command refuses exits 2 with a
@@ -57,31 +24,52 @@ func TestFlagConflicts(t *testing.T) {
 		args string
 		want string // substring of stderr
 	}{
-		{"-ta -nodes 2", "-ta is incompatible with -nodes/-connect/-maxstates"},
-		{"-ta -maxstates 5", "-ta is incompatible with -nodes/-connect/-maxstates"},
-		{"-json -server http://127.0.0.1:1", "incompatible with -ta and -server"},
-		{"-server http://127.0.0.1:1 -nodes 2", "-server submits remotely"},
+		{"-ta -nodes 2", "-nodes is incompatible with -ta"},
+		{"-ta -maxstates 5", "-maxstates is incompatible with -ta"},
+		// The TA network models the eager policy, exactly and unbounded.
+		{"-ta -lazy", "-lazy is incompatible with -ta"},
+		{"-ta -bounded", "-bounded is incompatible with -ta"},
+		{"-ta -workers 2", "-workers is incompatible with -ta"},
+		{"-ta -json", "-json is incompatible with -ta"},
+		{"-json -server http://127.0.0.1:1", "-json is incompatible with -server"},
+		{"-server http://127.0.0.1:1 -nodes 2", "-nodes is incompatible with -server"},
+		{"-server http://127.0.0.1:1 -ft", "-ft is incompatible with -server"},
+		{"-server http://127.0.0.1:1 -ftdir d", "-ftdir is incompatible with -server"},
+		{"-server http://127.0.0.1:1 -workers 2", "-workers is incompatible with -server"},
 		{"-ft", "-ft is a distributed-run flag; it needs -nodes or -connect"},
+		{"-nodes 2 -ftdir d", "-ftdir holds the checkpoints of -ft runs; it needs -ft"},
 		{"-nodes 2 -connect 127.0.0.1:1", "-nodes and -connect are mutually exclusive"},
 		{"-nodes -1", "-nodes must be ≥ 0"},
 		{"-workers -1", "-workers must be ≥ 0"},
-		// The two contention-profile flags are gone; their names are split
-		// so a grep for them finds no Go file.
+		// Deleted flags; their names are split so a grep for them finds no
+		// Go file.
 		{"-mutex" + "profile m.pprof", "flag provided but not defined: -mutex" + "profile"},
 		{"-block" + "profile b.pprof", "flag provided but not defined: -block" + "profile"},
+		{"-cpu" + "profile c.pprof", "flag provided but not defined: -cpu" + "profile"},
+		{"-mem" + "profile m.pprof", "flag provided but not defined: -mem" + "profile"},
+		{"-connect" + "-retries 3", "flag provided but not defined: -connect" + "-retries"},
 	} {
-		code, _, stderr := verifyslot(t, strings.Fields(tc.args)...)
-		if code != 2 || !strings.Contains(stderr, tc.want) {
-			t.Errorf("verifyslot %s: exit %d, stderr %q; want exit 2 naming %q", tc.args, code, stderr, tc.want)
+		code, stdout, stderr := verifyslot(strings.Fields(tc.args)...)
+		if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("verifyslot %s: exit %d, stdout %q, stderr %q; want exit 2 naming %q", tc.args, code, stdout, stderr, tc.want)
 		}
+	}
+	if code, _, stderr := verifyslot("-h"); code != 0 || !strings.Contains(stderr, "-apps") {
+		t.Errorf("verifyslot -h: exit %d, stderr %q; want exit 0 and the usage text", code, stderr)
+	}
+	if code, _, stderr := verifyslot("-apps", "C9"); code != 1 || strings.Count(stderr, "verifyslot: ") != 1 {
+		t.Errorf("verifyslot -apps C9: exit %d, stderr %q; want exit 1 and the error once", code, stderr)
 	}
 }
 
-// TestSchedulableSlot: the paper's slot S2 verifies with its known count.
+// TestSchedulableSlot: the paper's slot S2 verifies with its known count,
+// locally and on a two-node loopback mesh.
 func TestSchedulableSlot(t *testing.T) {
-	code, stdout, stderr := verifyslot(t, "-apps", "C6,C2")
-	if code != 0 || !strings.Contains(stdout, "schedulable=true") || !strings.Contains(stdout, "states=10201 ") {
-		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	for _, args := range [][]string{{"-apps", "C6,C2"}, {"-apps", "C6,C2", "-nodes", "2"}} {
+		code, stdout, stderr := verifyslot(args...)
+		if code != 0 || !strings.Contains(stdout, "schedulable=true") || !strings.Contains(stdout, "states=10201 ") {
+			t.Fatalf("%v: exit %d\nstdout: %s\nstderr: %s", args, code, stdout, stderr)
+		}
 	}
 }
 
@@ -92,7 +80,7 @@ func TestSchedulableSlot(t *testing.T) {
 // miss. The sequential run is its own re-run, so -workers 1 prints no label.
 func TestViolationReportsTheTimedRun(t *testing.T) {
 	const v5 = "C1,C5,C4,C3,C6"
-	code, seq, stderr := verifyslot(t, "-apps", v5, "-workers", "1")
+	code, seq, stderr := verifyslot("-apps", v5, "-workers", "1")
 	if code != 0 {
 		t.Fatalf("-workers 1: exit %d: %s", code, stderr)
 	}
@@ -105,7 +93,7 @@ func TestViolationReportsTheTimedRun(t *testing.T) {
 		t.Errorf("-workers 1 labels its own schedule as a re-run:\n%s", seq)
 	}
 
-	code, par, stderr := verifyslot(t, "-apps", v5, "-workers", "2")
+	code, par, stderr := verifyslot("-apps", v5, "-workers", "2")
 	if code != 0 {
 		t.Fatalf("-workers 2: exit %d: %s", code, stderr)
 	}
@@ -116,7 +104,7 @@ func TestViolationReportsTheTimedRun(t *testing.T) {
 		}
 	}
 
-	code, js, stderr := verifyslot(t, "-apps", v5, "-workers", "2", "-json")
+	code, js, stderr := verifyslot("-apps", v5, "-workers", "2", "-json")
 	if code != 0 {
 		t.Fatalf("-workers 2 -json: exit %d: %s", code, stderr)
 	}

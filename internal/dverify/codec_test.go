@@ -265,12 +265,14 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 }
 
 // outOfLayout are, per state width, the nonzero states no search of
-// codecFor's sets produces, each of which the kernel would panic on or the
-// visited sets would store: an occupant index past the n applications, a bit
-// outside the lanes and the header, and an occupant whose lane records a wait
-// beyond its T*w. The narrow set has 3 applications with 7-bit lanes and
-// T*w = 5, its occupant nibble at bit 21; the wide one 7 applications at
-// T*w = 6, all in word 0, its occupant in the header word's low byte.
+// codecFor's sets produces, each of which the kernel would panic on, carry
+// a clock out of, or the visited sets would store: an occupant index past
+// the n applications, a bit outside the lanes and the header, an occupant
+// whose lane records a wait beyond its T*w, a Cooldown clock past r − 1 and
+// a Waiting clock at T*w. The narrow set has 3 applications with 7-bit
+// lanes (phase, then a 5-bit clock), T*w = 5 and r = 20, its occupant
+// nibble at bit 21; the wide one 7 applications with 9-bit lanes, T*w = 6
+// and r = 65, all in word 0, its occupant in the header word's low byte.
 var outOfLayout = map[int][]struct {
 	name, want string
 	state      []uint64
@@ -279,11 +281,15 @@ var outOfLayout = map[int][]struct {
 		{"occupant index", "none of the 3 applications", []uint64{5 << 21}},
 		{"bit outside the layout", "outside its lanes and header", []uint64{0xF<<21 | 1<<40}},
 		{"occupant past T*w", "beyond its T*w of 5", []uint64{6<<2 | 2}},
+		{"cooldown clock past r − 1", "F1 in cooldown at clock 20, past its r − 1 of 19", []uint64{0xF<<21 | (20<<2|3)<<7}},
+		{"waiting clock at T*w", "F0 waiting at clock 5, not below its T*w of 5", []uint64{0xF<<21 | 5<<2 | 1}},
 	},
 	4: {
 		{"occupant index", "none of the 7 applications", []uint64{0, 0, 0, 7}},
 		{"bit outside the layout", "outside its lanes and header", []uint64{0, 1, 0, 0xFF}},
 		{"occupant past T*w", "beyond its T*w of 6", []uint64{7<<2 | 2, 0, 0, 0}},
+		{"cooldown clock past r − 1", "F2 in cooldown at clock 127, past its r − 1 of 64", []uint64{(127<<2 | 3) << 18, 0, 0, 0xFF}},
+		{"waiting clock at T*w", "F6 waiting at clock 6, not below its T*w of 6", []uint64{(6<<2 | 1) << 54, 0, 0, 0xFF}},
 	},
 }
 

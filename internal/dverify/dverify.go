@@ -3,7 +3,6 @@ package dverify
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"tightcps/internal/switching"
@@ -132,39 +131,6 @@ func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify
 		defer mu.Unlock()
 		return Verify(profiles, cfg, nodes)
 	}
-}
-
-// ClusterRetry materializes the -nodes/-connect CLI convention the
-// verifying commands share: nodes > 0 starts that many in-process loopback
-// workers, a non-empty connect dials the comma-separated verifyd addresses.
-// Exactly one may be set; with neither, ClusterRetry returns a nil slice
-// (local verification). desc is a banner line describing the cluster. The
-// caller owns the transports (defer Close).
-//
-// Each -connect address is attempted up to attempts times with exponential
-// backoff (see DialRetry), so a fleet can come up in any order. logf, when non-nil, receives one line per failed attempt.
-// attempts ≤ 1 dials once; loopback clusters never retry (there is nothing
-// to wait for).
-func ClusterRetry(nodes int, connect string, attempts int, logf func(format string, args ...any)) (ts []Transport, desc string, err error) {
-	switch {
-	case nodes < 0:
-		return nil, "", fmt.Errorf("-nodes must be ≥ 0, got %d", nodes)
-	case nodes > 0 && connect != "":
-		return nil, "", errors.New("-nodes and -connect are mutually exclusive (one cluster per run)")
-	case connect != "":
-		addrs := strings.Split(connect, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-		}
-		ts, err := DialRetry(addrs, 0, attempts, logf)
-		if err != nil {
-			return nil, "", err
-		}
-		return ts, fmt.Sprintf("distributed verification: %d TCP workers (%s)", len(ts), strings.Join(addrs, ", ")), nil
-	case nodes > 0:
-		return Loopback(nodes), fmt.Sprintf("distributed verification: %d loopback workers", nodes), nil
-	}
-	return nil, "", nil
 }
 
 // Close closes every transport, returning the first error.

@@ -1,20 +1,18 @@
-// Motivational example (Sec. 3.1, Figs. 2–4): the DC motor position-control
-// system with one fast TT controller and two candidate ET controllers, one
-// switching-stable and one not — showing why the CQLF condition matters and
-// how the dwell-time tables arise.
-package main
+package switching_test
 
 import (
 	"fmt"
-	"log"
 
 	"tightcps/internal/control"
 	"tightcps/internal/plants"
 	"tightcps/internal/switching"
-	"tightcps/internal/textplot"
 )
 
-func main() {
+// The motivational example of Sec. 3.1 (Figs. 2–4): the DC motor
+// position-control system with one fast TT controller and two candidate
+// ET controllers, one switching-stable and one not — why the CQLF
+// condition matters, and how the dwell-time tables arise.
+func Example_motivational() {
 	sys := plants.Motivational()
 	stable := switching.Plant{Name: "stable", Sys: sys, KT: plants.MotivationalKT,
 		KE: plants.MotivationalKEStable, X0: plants.MotivationalX0, JStar: 18, R: 25}
@@ -44,22 +42,29 @@ func main() {
 	}
 
 	// Switching stability: the difference between the two pairs.
-	resS, errS := control.SwitchingStable(sys, plants.MotivationalKT, plants.MotivationalKEStable)
-	resU, errU := control.SwitchingStable(sys, plants.MotivationalKT, plants.MotivationalKEUnstable)
-	fmt.Printf("\nCQLF search: KT+KsE found=%v (margin %.2g), KT+KuE found=%v (err: %v)\n",
-		resS.Found, resS.Margin, resU.Found, errU)
-	if errS != nil {
-		log.Fatal(errS)
-	}
+	_, errS := control.SwitchingStable(sys, plants.MotivationalKT, plants.MotivationalKEStable)
+	_, errU := control.SwitchingStable(sys, plants.MotivationalKT, plants.MotivationalKEUnstable)
+	fmt.Printf("CQLF search: KT+KsE: %v; KT+KuE: %v\n", errS, errU)
 
 	// Fig. 4: the dwell-time tables for J* = 0.36 s.
 	prof, err := switching.Compute(stable, switching.Config{})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
-	fmt.Printf("\nFig. 4 — T*w = %d; dwell tables (per Tw):\n", prof.TwStar)
-	fmt.Printf("  Tdw− = %s\n  Tdw+ = %s\n",
-		textplot.IntsCSV(prof.TdwMinus), textplot.IntsCSV(prof.TdwPlus))
+	fmt.Printf("Fig. 4 — T*w = %d; dwell tables (per Tw):\n", prof.TwStar)
+	fmt.Printf("  Tdw− = %v\n  Tdw+ = %v\n", prof.TdwMinus, prof.TdwPlus)
 	fmt.Printf("  distinct values: Tdw− %v, Tdw+ %v (few values ⇒ RLE-friendly)\n",
 		switching.DistinctValues(prof.TdwMinus), switching.DistinctValues(prof.TdwPlus))
+	// Output:
+	// Fig. 2 — settling times (threshold |y| ≤ 0.02):
+	//   KT only (dedicated slot)   J = 0.18 s
+	//   KsE only                   J = 0.70 s
+	//   KuE only                   J = 0.70 s
+	//   4·KsE + 4·KT + n·KsE       J = 0.28 s
+	//   4·KuE + 4·KT + n·KuE       J = 0.58 s
+	// CQLF search: KT+KsE: <nil>; KT+KuE: control: no common quadratic Lyapunov function found
+	// Fig. 4 — T*w = 11; dwell tables (per Tw):
+	//   Tdw− = [3 4 3 3 3 3 3 3 3 4 4 5]
+	//   Tdw+ = [6 6 5 5 5 6 5 5 4 4 5 5]
+	//   distinct values: Tdw− [3 4 5], Tdw+ [4 5 6] (few values ⇒ RLE-friendly)
 }

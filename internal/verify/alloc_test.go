@@ -11,8 +11,9 @@ import (
 // expanding a state must not allocate at all, and a whole sequential
 // verification must stay at O(1) amortized allocations per visited state
 // (set growth and frontier doubling are the only remaining sources).
-// Regressions here are what -cpuprofile/-memprofile on cmd/verifyslot and
-// the verify.s1_allocs_per_op row of benchmark/ exist to diagnose.
+// Regressions here are what `go test -bench VerifyFull -cpuprofile` at the
+// repository root and the verify.s1_allocs_per_op row of benchmark/ exist
+// to diagnose.
 
 // expansionAllocs runs the first three BFS levels of v's state space through
 // the expansion core, warming a scratch and the buffers, and returns the

@@ -58,7 +58,8 @@ func refSearch[K comparable](init K, maxStates int, successors func(K) ([]K, int
 }
 
 // testVerifier builds a sequential Verifier, optionally forced onto the
-// wide encoding (the TestNarrowWideAgree device).
+// wide encoding (the TestNarrowWideAgree device). A forced verifier's
+// kernel table is rebuilt, so CheckWords holds it to the wide header.
 func testVerifier(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) *Verifier {
 	t.Helper()
 	cfg.Workers = 1
@@ -66,7 +67,12 @@ func testVerifier(t testing.TB, ps []*switching.Profile, cfg Config, forceWide b
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.wide = v.wide || forceWide
+	if forceWide && !v.wide {
+		v.wide, v.kt = true, kernel{}
+		if err := v.buildKernel(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return v
 }
 
@@ -96,13 +102,15 @@ func encodings(t testing.TB, name string, ps []*switching.Profile, cfg Config) [
 }
 
 // refBFS is refSearch over a slot's exported expansion seam. Every state it
-// expands must decode and pack again to the same bits: the fitted layout
-// loses nothing a reachable state holds.
+// expands must decode and pack again to the same bits — the fitted layout
+// loses nothing a reachable state holds — and every state it stores must
+// pass CheckWords: a peer's or a disk's copy of it is accepted.
 func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (Result, error, []PackedState, []int) {
 	t.Helper()
 	v := testVerifier(t, ps, cfg, forceWide)
 	e := v.Expander()
 	scr := e.NewScratch()
+	sw := e.StateWords()
 	var buf []PackedState
 	var hbuf []HashedState
 	res, err, visited, levels := refSearch(e.Initial(), v.cfg.MaxStates, func(s PackedState) ([]PackedState, int) {
@@ -120,6 +128,14 @@ func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (
 		}
 		var viol int
 		buf, viol = succStates(e, s, scr, &hbuf, buf[:0])
+		if err := e.CheckWords(s[:sw]); err != nil {
+			t.Fatalf("reachable state %x: %v", s, err)
+		}
+		for _, ns := range buf {
+			if err := e.CheckWords(ns[:sw]); err != nil {
+				t.Fatalf("reachable state %x: %v", ns, err)
+			}
+		}
 		return buf, viol
 	})
 	res.Bounded = cfg.MaxDisturbances > 0

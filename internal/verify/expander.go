@@ -221,15 +221,18 @@ func (e *Expander) DecodeWords(b []byte, out []uint64) ([]uint64, error) {
 // that no search under this expander's profiles and config produces: the
 // all-zero state (the visited sets' empty-slot sentinel), a bit set outside
 // the n lanes and the occupant/dwell header, an occupant index that is
-// neither an application nor the idle sentinel, and an occupant whose lane
+// neither an application nor the idle sentinel, an occupant whose lane
 // records a wait beyond its T*w (no dwell window exists for it: the kernel
-// would panic). The test is word-mask compares and one table read per
-// state; the error names the first state refused and why.
+// would panic), and a lane clock past its phase's bound — a Cooldown clock
+// above r − 1 or a Waiting clock at or above T*w, on which the kernel's
+// clock add would carry into the next lane or the occupant field. The test
+// is word-mask compares and one table read per state; the error names the
+// first state refused and why.
 func (e *Expander) CheckWords(slab []uint64) error {
 	v, t := e.v, &e.v.kt
 	if !v.wide {
 		for i, w := range slab {
-			if w == 0 || w&^t.layout[0] != 0 || v.badOccupant(slab[i:i+1], int(w>>v.occShift&0xF), 0xF) {
+			if w == 0 || w&^t.layout[0] != 0 || t.badClocks(0, w) || v.badOccupant(slab[i:i+1], int(w>>v.occShift&0xF), 0xF) {
 				return e.refuse(slab[i:i+1], i)
 			}
 		}
@@ -239,11 +242,36 @@ func (e *Expander) CheckWords(slab []uint64) error {
 		s := (*[wideWords]uint64)(slab[i:])
 		if s[0]|s[1]|s[2]|s[3] == 0 ||
 			s[0]&^t.layout[0]|s[1]&^t.layout[1]|s[2]&^t.layout[2]|s[3]&^t.layout[3] != 0 ||
+			t.badClocks(0, s[0]) || t.badClocks(1, s[1]) || t.badClocks(2, s[2]) ||
 			v.badOccupant(s[:], int(s[3]&wideIdle), wideIdle) {
 			return e.refuse(s[:], i/wideWords)
 		}
 	}
 	return nil
+}
+
+// badClocks reports whether lane word k of a state, x, holds a Cooldown
+// clock above r − 1 or a Waiting clock at or above T*w. Like the kernel's
+// expiry test it compares every clock field of the word at once: the
+// compares leave their answer at each field's top bit, which a shift
+// brings down to the lane's phase bit 0.
+func (t *kernel) badClocks(k int, x uint64) bool {
+	b0, b1 := x&t.p0[k], x>>1&t.p0[k]
+	sh := (t.cntShift - 1) & 63
+	return b0&b1&(t.clockAbove(k, x, t.rm1[k])>>sh) != 0 ||
+		b0&^b1&^(t.clockAbove(k, t.twv[k], x)>>sh) != 0
+}
+
+// clockAbove returns, at the top bit of every clock field of lane word k,
+// whether a's clock exceeds b's. The low bits are compared by a
+// subtraction that cannot borrow across fields — each field of b's low
+// bits is lifted by its top bit first — and the top bits decide where
+// they differ. With no clock bits (every r = 1) it returns zero.
+func (t *kernel) clockAbove(k int, a, b uint64) uint64 {
+	top, low := t.valTop[k]&t.val[k], t.valLow[k]
+	a, b = a&t.val[k], b&t.val[k]
+	lowAtLeast := (b&low | top) - a&low // top bit set: b's low bits ≥ a's
+	return (a&^b | ^(a^b)&^lowAtLeast) & top
 }
 
 // badOccupant reports whether the occupant field value occ of the state s
@@ -268,18 +296,35 @@ func (e *Expander) refuse(s []uint64, i int) error {
 			return fmt.Errorf("verify: state %d of the batch sets bits %#x of word %d, outside its lanes and header", i, x, k)
 		}
 	}
-	occ := int(s[0] >> v.occShift & 0xF)
+	if slices.Max(s) == 0 {
+		return fmt.Errorf("verify: state %d of the batch is the all-zero state, which no encoding produces", i)
+	}
+	occ, idle := int(s[0]>>v.occShift&0xF), 0xF
 	if v.wide {
-		occ = int(s[wideWords-1] & wideIdle)
+		occ, idle = int(s[wideWords-1]&wideIdle), wideIdle
 	}
 	switch {
-	case slices.Max(s) == 0:
-		return fmt.Errorf("verify: state %d of the batch is the all-zero state, which no encoding produces", i)
-	case occ >= v.n:
+	case occ != idle && occ >= v.n:
 		return fmt.Errorf("verify: state %d of the batch names occupant index %d, none of the %d applications", i, occ, v.n)
+	case v.badOccupant(s, occ, idle):
+		return fmt.Errorf("verify: state %d of the batch has occupant %s granted after a wait of %d, beyond its T*w of %d",
+			i, v.profs[occ].Name, s[t.word[occ]]>>(t.shift[occ]+phaseBits)&t.valMask, t.tw[occ])
 	}
-	return fmt.Errorf("verify: state %d of the batch has occupant %s granted after a wait of %d, beyond its T*w of %d",
-		i, v.profs[occ].Name, s[t.word[occ]]>>(t.shift[occ]+phaseBits)&t.valMask, t.tw[occ])
+	for a, p := range v.profs {
+		lane := s[t.word[a]] >> t.shift[a]
+		clk := lane >> phaseBits & t.valMask
+		switch uint8(lane & (1<<phaseBits - 1)) {
+		case pCooldown:
+			if clk >= uint64(t.r[a]) {
+				return fmt.Errorf("verify: state %d of the batch has %s in cooldown at clock %d, past its r − 1 of %d", i, p.Name, clk, t.r[a]-1)
+			}
+		case pWaiting:
+			if clk >= uint64(t.tw[a]) {
+				return fmt.Errorf("verify: state %d of the batch has %s waiting at clock %d, not below its T*w of %d", i, p.Name, clk, t.tw[a])
+			}
+		}
+	}
+	return fmt.Errorf("verify: state %d of the batch is outside the set's layout", i)
 }
 
 // NewSet returns an empty visited set for the expander's encoding: narrow

@@ -91,8 +91,10 @@ type kernel struct {
 	class [][wideAppWords]uint64 // phase-bit-0 mask of every symmetry class
 
 	// layout holds, per word of a state, the bits its lanes and header may
-	// set: what Expander.CheckWords holds a state from a peer or a disk to.
+	// set, and twv, per lane word, T*w in every clock field: what
+	// Expander.CheckWords holds a state from a peer or a disk to.
 	layout [wideWords]uint64
+	twv    [wideAppWords]uint64
 }
 
 // buildKernel validates the dwell tables and fills the kernel table.
@@ -146,6 +148,7 @@ func (v *Verifier) buildKernel() error {
 			t.zeroTw[k] |= 1 << sh
 		}
 		t.rm1[k] |= uint64(p.R-1) << (sh + phaseBits)
+		t.twv[k] |= uint64(p.TwStar) << (sh + phaseBits)
 		t.val[k] |= t.valMask << (sh + phaseBits)
 		t.valTop[k] |= 1 << (sh + t.cntShift - 1)
 		t.appAt[k][sh] = uint8(a)
