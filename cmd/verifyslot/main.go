@@ -19,7 +19,7 @@
 // — with -nodes or -connect — with the distributed backend of
 // internal/dverify: -nodes K runs K in-process loopback workers, -connect
 // drives cmd/verifyd daemons over TCP. The workers exchange frontiers over a
-// mesh of direct node↔node links with pipelined asynchronous levels. In
+// mesh of direct node↔node links, one barrier per BFS level. In
 // distributed runs -maxstates is a per-node budget, so a cluster of K
 // workers admits slots up to K times larger than one node.
 // When a violation is found, the verdict, counts and violator printed are

@@ -295,6 +295,9 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 		cfg.MaxStates = s.opts.MaxStates
 	}
 	cfg.Workers = s.opts.Workers
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if cfg.Workers < 2 {
 		// The parallel driver's minimum-violating-state rule makes the
 		// reported violator identical across worker counts and cluster

@@ -452,3 +452,32 @@ func TestServiceStateBudgetRefusal(t *testing.T) {
 		t.Fatalf("busted budget error does not say why: %q", resp.Error)
 	}
 }
+
+// TestServiceWorkersDefault: Options.Workers 0 searches on GOMAXPROCS lanes
+// and a value below 2 on two, and the lane count never reaches the verdict
+// bytes — the lanes' minimum-violator rule does not depend on it.
+func TestServiceWorkersDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	overload := []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
+	reqs := []*AdmitRequest{{Apps: []string{"C6", "C2"}}, inlineReq(overload, verify.Spec{})}
+	wants := [][]byte{
+		localVerdictJSON(t, caseProfiles(t, "C6", "C2"), verify.Spec{}, []string{"C6", "C2"}),
+		localVerdictJSON(t, overload, verify.Spec{}, namesOf(overload)),
+	}
+	for _, tc := range []struct{ opt, lanes int }{{0, 4}, {1, 2}} {
+		r := newRig(t, backendCase{name: "local"}, func(o *Options) { o.Workers = tc.opt })
+		for i, req := range reqs {
+			rq, _, err := r.svc.resolve(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rq.cfg.Workers != tc.lanes {
+				t.Errorf("Workers %d under GOMAXPROCS 4: %d lanes, want %d", tc.opt, rq.cfg.Workers, tc.lanes)
+			}
+			status, resp, got := r.submit(t, req)
+			if status != http.StatusOK || !bytes.Equal(got, wants[i]) {
+				t.Errorf("Workers %d, request %d: HTTP %d (%s), verdict %s, want %s", tc.opt, i, status, resp.Error, got, wants[i])
+			}
+		}
+	}
+}

@@ -34,10 +34,9 @@ func newSessionID() uint64 {
 type meshFT struct {
 	job        Job // Init template for adopting replacement workers
 	poller     *meshPoller
-	tr         *meshTracker
 	trace      *obs.Trace
 	lastCkpt   []int
-	lastSnap   []*Response
+	lastResp   []*Response
 	era        int
 	owners     []uint8
 	spares     []Transport
@@ -45,15 +44,14 @@ type meshFT struct {
 	recoveries int
 }
 
-func newMeshFT(job Job, poller *meshPoller, tr *meshTracker, trace *obs.Trace, spares []Transport) *meshFT {
+func newMeshFT(job Job, poller *meshPoller, trace *obs.Trace, spares []Transport) *meshFT {
 	n := job.NumNodes
 	ft := &meshFT{
 		job:      job,
 		poller:   poller,
-		tr:       tr,
 		trace:    trace,
 		lastCkpt: make([]int, n),
-		lastSnap: make([]*Response, n),
+		lastResp: make([]*Response, n),
 		owners:   job.Owners,
 		spares:   spares,
 	}
@@ -71,7 +69,7 @@ func (ft *meshFT) note(resps []*Response) {
 	for i, r := range resps {
 		if r != nil {
 			ft.lastCkpt[i] = r.Ckpt
-			ft.lastSnap[i] = r
+			ft.lastResp[i] = r
 		}
 	}
 }
@@ -99,15 +97,19 @@ func (ft *meshFT) foldLinkDown(resps []*Response) (dead []int) {
 // it, it is the takeover loop: each iteration evicts the newly dead, adopts
 // spares into the freed slots when available, reassigns orphaned shards to
 // the survivors, rolls the cluster back to the deepest cut every relevant
-// checkpoint supports, and issues the mixed recovery round — Recover-tagged
-// polls to survivors, restore-Inits to adoptions. Deaths during that round
-// feed the next iteration: the double-fault case is just a second lap.
-func (ft *meshFT) recover(resps []*Response, dead []int) error {
-	p, t := ft.poller, ft.tr
+// checkpoint supports, and issues the recovery in two phases — restore-Inits
+// to adoptions, then Recover-tagged polls to survivors. Deaths during
+// either feed the next iteration: the double-fault case is just a second
+// lap. It returns the level the run resumes at, the last lap's cut (0 when
+// there was none). dead names live nodes: a round reports only nodes it
+// polled.
+func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
+	p := ft.poller
 	if !ft.job.FT {
-		return p.deathOf(dead)
+		return 0, p.deathOf(dead)
 	}
 	adoptedNow := make([]bool, len(p.alive))
+	resume := 0
 	for len(dead) > 0 {
 		cut := 1 << 30
 		any := false
@@ -117,9 +119,8 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 			}
 			any = true
 			p.evict(d)
-			t.gone[d] = true
 			adoptedNow[d] = false
-			if s := ft.lastSnap[d]; s != nil {
+			if s := ft.lastResp[d]; s != nil {
 				ft.deadWire.Add(verify.WireStats{
 					RoutedStates:   s.Routed,
 					FilteredStates: s.Filtered,
@@ -128,7 +129,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 				})
 				// Folded once; a replacement adopted into this slot must
 				// not inherit (and re-fold) its predecessor's snapshot.
-				ft.lastSnap[d] = nil
+				ft.lastResp[d] = nil
 			}
 			// The cut can be no deeper than what the dead node persisted:
 			// its shards restore from its segments.
@@ -137,7 +138,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 			}
 		}
 		if !any {
-			return nil
+			break
 		}
 		// Adopt spares into freed slots in index order: a replacement
 		// inherits the dead node's ID and shard set, so slots we can
@@ -149,7 +150,6 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 			if !p.alive[d] {
 				p.adopt(d, ft.spares[0])
 				ft.spares = ft.spares[1:]
-				t.gone[d] = false
 				adoptedNow[d] = true
 			}
 		}
@@ -160,7 +160,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 			}
 		}
 		if live == 0 {
-			return errors.New("dverify: every worker dead and no spares left; run unrecoverable")
+			return 0, errors.New("dverify: every worker dead and no spares left; run unrecoverable")
 		}
 		// Survivors can restore only what they persisted themselves.
 		for i, ok := range p.alive {
@@ -171,20 +171,17 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 		owners, moved := reassignOwners(ft.owners, p.alive)
 		ft.owners = owners
 		ft.era++
-		t.rebase(cut)
 		var deadSet []int
 		for i, ok := range p.alive {
 			if !ok {
 				deadSet = append(deadSet, i)
 			}
 		}
-		// Adoption Inits go first and must complete before any survivor
-		// receives its Recover order: a survivor's post-rollback expansion
-		// can route states to the replacement immediately, so the
-		// replacement's inbox has to be registered before the first
-		// survivor rolls back. A replacement dying (or reporting a stale
-		// protocol) during its Init feeds the next lap before the
-		// survivors ever saw this era.
+		// Adoption Inits go first and complete before any survivor receives
+		// its Recover order, so every worker of the new era is registered
+		// before the first one rolls back into it. A replacement dying (or
+		// reporting a stale protocol) during its Init feeds the next lap
+		// before the survivors ever saw this era.
 		var adoptIdx, survIdx []int
 		for i, ok := range p.alive {
 			switch {
@@ -211,7 +208,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 						continue
 					}
 					ft.lastCkpt[i] = cut
-					ft.lastSnap[i] = r
+					ft.lastResp[i] = r
 					adoptedNow[i] = false
 				}
 			}
@@ -220,16 +217,14 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 				continue
 			}
 		}
-		var recCtl Control
-		t.controlInto(&recCtl)
-		recCtl.Recover = &Recover{Era: ft.era, Owners: owners, Cut: cut, Dead: deadSet}
+		recCtl := Control{Recover: &Recover{Era: ft.era, Owners: owners, Cut: cut, Dead: deadSet}}
 		next := p.round(resps, survIdx, func(int) *Request {
 			return &Request{Kind: KindPoll, Ctl: &recCtl}
 		})
 		for _, i := range survIdx {
 			if r := resps[i]; r != nil && p.alive[i] {
 				ft.lastCkpt[i] = cut
-				ft.lastSnap[i] = r
+				ft.lastResp[i] = r
 			}
 		}
 		next = append(next, ft.foldLinkDown(resps)...)
@@ -237,16 +232,20 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 		obsRecoveries.Inc()
 		obsShardsReassigned.Add(uint64(moved))
 		ft.trace.AddFailover(ft.era, deadSet, cut, moved)
+		resume = max(cut, 0)
 		dead = next
 	}
-	return nil
+	return resume, nil
 }
 
 // verifyMesh drives the distributed search: Init wires the worker↔worker
-// links, then the coordinator runs the poll/epoch control plane until the
-// tracker proves termination, and a Finish round collects final counters.
-// trace (nil-safe) gains the per-level frontier sizes (from the workers'
-// FreshByLevel snapshots), one NodeSpan per worker and the epoch count.
+// links, then the coordinator runs one round per BFS level — every worker
+// polled at the level with the states it is owed for it, and polled again
+// while its answer is interim — until a round finds a violation, trips a
+// budget or leaves the next level empty, and a Finish round collects final
+// counters. trace (nil-safe) gains the per-level frontier sizes (from the
+// workers' FreshByLevel snapshots), one NodeSpan per worker and the round
+// count.
 //
 // Deaths — a transport error, a worker Err, no answer within
 // meshDeathTimeout, or a peer's LinkDown report — go to meshFT.recover: with
@@ -255,8 +254,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) error {
 // in an error naming the node and the cause. Either way a poll round
 // returns. The Init round is fail-fast in both modes — fault tolerance
 // covers the run, not its setup. plan (nil-safe) is the deterministic
-// fault-injection harness; its kills fire against tracker milestones
-// before poll rounds.
+// fault-injection harness; its kills fire before the rounds of given levels.
 func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, plan *faultPlan) (verify.Result, error) {
 	res := verify.Result{Schedulable: true, Bounded: job.MaxDisturbances > 0}
 	job.Session = newSessionID()
@@ -273,12 +271,19 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 	}
 	poller := newMeshPoller(nodes)
 	defer poller.close()
-	resps := make([]*Response, len(nodes))
-	if dead := poller.round(resps, nil, func(i int) *Request {
-		j := job
-		j.NodeID = i
-		return &Request{Kind: KindInit, Job: &j}
-	}); len(dead) > 0 {
+	// One Job, Control and Request per node: the Init round sends the
+	// requests as Inits, every later round as polls. Workers read a Control
+	// inside the call and never retain it.
+	n := len(nodes)
+	jobs, ctls, reqs := make([]Job, n), make([]Control, n), make([]Request, n)
+	for i := range reqs {
+		jobs[i] = job
+		jobs[i].NodeID = i
+		reqs[i] = Request{Kind: KindInit, Job: &jobs[i]}
+	}
+	poll := func(i int) *Request { return &reqs[i] }
+	resps := make([]*Response, n)
+	if dead := poller.round(resps, nil, poll); len(dead) > 0 {
 		return res, poller.deathOf(dead)
 	}
 	for i, r := range resps {
@@ -288,66 +293,86 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 		}
 	}
 
-	tr := newMeshTracker(len(nodes))
 	var spares []Transport
 	if plan != nil {
 		spares = plan.spares
 	}
-	ft := newMeshFT(job, poller, tr, trace, spares)
-	var ctl Control
-	req := &Request{Kind: KindPoll, Ctl: &ctl}
-	poll := func(int) *Request { return req }
-	epochs := 0
-	for {
-		plan.fire(tr.final, ft.recoveries)
-		tr.controlInto(&ctl)
-		dead := poller.round(resps, nil, poll)
-		dead = append(dead, ft.foldLinkDown(resps)...)
-		epochs++
-		if len(dead) > 0 {
-			// Without fault tolerance the run is poisoned and ends here;
-			// surviving workers tear down when their session ends
-			// (transport Close / next Init).
-			if err := ft.recover(resps, dead); err != nil {
-				return res, err
-			}
-			continue // tracker rebased; observe a fresh round first
-		}
-		ft.note(resps)
-		tr.observe(resps)
-		tr.advance()
-		if !tr.terminated() && !tr.tooLarge {
-			continue
-		}
-		// The Finish round ends the session. The verdict is already
-		// determined (quiescence, or a settled violation), so a death during
-		// it cannot change it: the node's last snapshot stands in — a worker
-		// changes state only inside a poll, so it is the answer it would
-		// have given.
-		tr.controlInto(&ctl)
-		ctl.Finish = true
-		for _, d := range poller.round(resps, nil, poll) {
-			resps[d] = ft.lastSnap[d]
-		}
-		tr.observe(resps)
-		res.States, res.Transitions = tr.fresh, tr.transitions
-		res.Depth, res.Wire = tr.maxFresh, tr.wire
-		res.Wire.Add(ft.deadWire)
-		if tr.tooLarge && !tr.haveViol {
-			// Report the partial exploration: budget-busted admission checks
-			// still count their states and wire volume.
-			return res, verify.ErrTooLarge
-		}
-		// Like the local search, a recorded violation is preferred over
-		// ErrTooLarge when the budget trips: the verdict is sound, but on
-		// the budget edge the violator may not be the level minimum a
-		// larger budget would report.
-		foldMeshTrace(trace, resps, epochs+1)
-		if tr.haveViol {
-			res.Schedulable = false
-			res.Violator = tr.violApp
-			res.Depth = tr.violLevel
-		}
-		return res, nil
+	ft := newMeshFT(job, poller, trace, spares)
+	for i := range reqs {
+		reqs[i] = Request{Kind: KindPoll, Ctl: &ctls[i]}
 	}
+	expect := make([]int, n)
+	pending := make([]int, 0, n)
+	// Each node reports one wire counter per peer: the fold's link list is
+	// sized once per run.
+	tr := meshTracker{wire: verify.WireStats{Links: make([]verify.LinkWire, 0, n*(n-1))}}
+	rounds, level := 0, 0
+levels:
+	for {
+		plan.fire(level, ft.recoveries)
+		for i := range ctls {
+			ctls[i] = Control{Level: level, Expect: expect[i]}
+		}
+		pending = append(pending[:0], poller.all...)
+		for len(pending) > 0 {
+			dead := poller.round(resps, pending, poll)
+			dead = append(dead, ft.foldLinkDown(resps)...)
+			rounds++
+			if len(dead) > 0 {
+				// Without fault tolerance the run is poisoned and ends here;
+				// surviving workers tear down when their session ends
+				// (transport Close / next Init).
+				resume, err := ft.recover(resps, dead)
+				if err != nil {
+					return res, err
+				}
+				level = resume
+				clear(expect)
+				continue levels
+			}
+			ft.note(resps)
+			// Poll again the workers whose answer was interim (no SentTo).
+			left := pending[:0]
+			for _, i := range pending {
+				if r := resps[i]; r != nil && len(r.SentTo) == 0 {
+					left = append(left, i)
+				}
+			}
+			pending = left
+		}
+		tr.observe(resps)
+		if tr.haveViol || tr.tooLarge || !nextRound(resps, expect) {
+			break
+		}
+		level++
+	}
+	// The Finish round ends the session. The verdict is already determined,
+	// so a death during it cannot change it: the node's last snapshot stands
+	// in — a worker changes state only inside a poll, so it is the answer it
+	// would have given.
+	finish := Request{Kind: KindPoll, Ctl: &Control{Finish: true}}
+	for _, d := range poller.round(resps, nil, func(int) *Request { return &finish }) {
+		resps[d] = ft.lastResp[d]
+	}
+	tr.observe(resps)
+	res.States, res.Transitions = tr.fresh, tr.transitions
+	res.Depth, res.Wire = tr.maxFresh, tr.wire
+	res.Wire.Add(ft.deadWire)
+	if tr.tooLarge && !tr.haveViol {
+		// Report the partial exploration: budget-busted admission checks
+		// still count their states and wire volume.
+		return res, verify.ErrTooLarge
+	}
+	// Like the local search, a recorded violation is preferred over
+	// ErrTooLarge when the budget trips: the verdict is sound, but on the
+	// budget edge the violator may not be the level minimum a larger budget
+	// would report.
+	if tr.haveViol {
+		res.Schedulable = false
+		res.Violator = tr.violApp
+		res.Depth = level
+		res.States = statesThrough(resps, level)
+	}
+	foldMeshTrace(trace, resps, rounds+1, res.Depth)
+	return res, nil
 }

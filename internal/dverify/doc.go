@@ -9,12 +9,9 @@
 // per peer — in-process channels on a loopback cluster, dial-out TCP
 // connections negotiated at job setup for verifyd fleets — and ship
 // level-tagged successor batches straight to their shard owners while the
-// coordinator runs a thin control plane (session setup, epoch accounting,
-// violation short-circuit, result aggregation). Levels are pipelined: a
-// worker expands level L+1 states as they arrive while peers still drain
-// level L, with termination detected from cluster-wide states-sent vs
-// states-absorbed counts per epoch (the exactness invariants are at the
-// end of this comment).
+// coordinator runs a thin control plane (session setup, one round per BFS
+// level, result aggregation; the round protocol and why it is exact are at
+// the end of this comment).
 //
 // TCP links are bandwidth-engineered: every node suppresses states it
 // provably already routed to a destination (a fixed-size per-destination
@@ -32,9 +29,9 @@
 // own included, and hands each batch, a peer's or its own, to the one
 // absorb, which inserts it through StateSet.AddWords — the local drivers'
 // chunked insert. verify.PackedState appears only where one state crosses
-// the control plane: a violation, the skip bound. Between jobs a worker
-// keeps its visited table, two frontier buffers and a free list of 32 KB
-// batches: memory that follows the widest level, not the run.
+// the control plane: a violation. Between jobs a worker keeps its visited
+// table, two frontier buffers and a free list of 32 KB batches: memory that
+// follows the widest level, not the run.
 //
 // Both packed encodings flow through the same worker, so narrow and wide
 // slots verify with bit-identical semantics to the local searches: the
@@ -51,29 +48,26 @@
 // cluster of k nodes verifies slots up to k times larger than one node
 // admits.
 //
-// Levels are pipelined, not barriered: a worker expands level L+1 states
-// as they arrive while peers are still draining level L. Exactness — the
-// same verdict, exhaustive counts, depth and minimal violator as the
-// local searches — is preserved by one commit rule: a state tagged with
-// level t may enter the visited set only once every level ≤ t−1 is
-// *final* (all states committed and all tagged-≤(t−1) messages absorbed).
-// Under that rule a freshly committed state's tag always equals its true
-// BFS level (a shorter path would mean the state was already committed
-// when its earlier level was finalized), so per-level counts, Depth and
-// the first-violating-level minimum-violator tie-break are bit-identical
-// to the level-synchronous searches. Arrivals ahead of the rule are
-// deferred, bounding the pipeline to one level of lookahead — the price
-// of exactness, and exactly the overlap a barrier forbids.
+// One barrier per level, as in the local lanes (verify.runLanes). The
+// coordinator polls every worker with a level L and Expect, the number of
+// L-tagged states the peers shipped to it in the previous round. The worker
+// absorbs until it has all of them, blocking on its inbox, then expands its
+// L bucket, routing successors to their owners and committing its own L+1
+// successors as it goes, and answers with what it shipped to each peer
+// (SentTo), its own L+1 commits (Next) and the minimum violator of its part
+// of L. The coordinator folds the answers into the next round's Expects;
+// nothing shipped and nothing committed ends the search. A worker whose
+// poll budget runs out first answers an interim snapshot and is polled
+// again at the same level, so a slow level never looks like a dead node.
 //
-// The coordinator advances two milestones from each epoch's snapshots:
-//
-//	final(L): done(L−1) ∧ Σ sent[L] == Σ recv[L]   (membership final)
-//	done(L):  final(L) ∧ every worker drained ≤ L  (fully expanded)
-//
-// Both are evaluated over cumulative, monotone counters from one poll
-// round, so a lagging message can only delay a milestone, never fake
-// one. Termination: a violation is final once done reaches its level; a
-// schedulable run ends when every worker is idle and the sent/recv sums
-// match at every level (Mattern-style quiescence — any in-flight state
-// leaves the sums unequal).
+// One ordering rule keeps that exact, and it is local: a peer's batch
+// commits in the round of its level. An L+1 batch that arrives in round L —
+// its sender finished L first, or it overtook the last L states on another
+// link, which may still bring the same state at its true depth — waits in
+// one list until round L+1 begins. Under that rule a commit's tag is its
+// BFS level, so per-level counts, Depth and the violator are those of the
+// level-synchronous local searches: a worker that finds a violator in L
+// stops routing and sweeps the rest of L for a smaller one, and the
+// coordinator ends the run on the verify.LessState minimum across workers —
+// no worker expands L+1 before L's round ends.
 package dverify

@@ -42,8 +42,8 @@ func Verify(profiles []*switching.Profile, cfg verify.Config, nodes []Transport)
 }
 
 // verifyWithFaults is Verify with a deterministic fault-injection plan
-// attached (nil for production runs): the plan's kills fire at exact
-// tracker milestones and its spares are adopted as replacement workers
+// attached (nil for production runs): the plan's kills fire before the
+// rounds of given levels and its spares are adopted as replacement workers
 // during recovery. The fault-matrix tests drive every recovery path
 // through this entry.
 func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []Transport, plan *faultPlan) (verify.Result, error) {

@@ -10,10 +10,10 @@ import (
 // meshBatch is one level-tagged batch of states crossing a mesh link — flat
 // words, Expander.StateWords() per state, the form the kernel emits and the
 // wire ships — or a link failure surfaced into the owner's inbox. era tags the
-// sender's recovery era (always 0 outside fault-tolerant runs): a
-// receiver in a newer era drops the batch — the rollback already erased
-// its accounting on both ends — and one in an older era parks it until
-// its own recovery order arrives.
+// sender's recovery era (always 0 outside fault-tolerant runs): a receiver
+// in another era drops the batch. No worker expands in a new era before
+// every survivor has rolled back into it, so that batch is always an old
+// one, its accounting erased on both ends.
 type meshBatch struct {
 	from   int
 	level  int
@@ -24,7 +24,7 @@ type meshBatch struct {
 
 // meshInbox is a worker's unbounded, mutex-guarded receive queue. Senders
 // never block (so two workers flooding each other cannot deadlock) and
-// nudge the notify channel so an idle owner wakes.
+// nudge the notify channel so an owner waiting for its level's states wakes.
 type meshInbox struct {
 	mu     sync.Mutex
 	q      []meshBatch
@@ -86,9 +86,11 @@ type meshLink interface {
 }
 
 // meshEnv wires a worker into its cluster's data plane: the loopback
-// group registry or the TCP host (register own inbox, dial peers).
+// group registry or the TCP host. connect registers the worker's inbox and
+// opens its links; leave releases the registration of a connected worker.
 type meshEnv interface {
-	connect(job *Job, inbox *meshInbox, exp *verify.Expander) (links []meshLink, cleanup func(), err error)
+	connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, error)
+	leave(job *Job, inbox *meshInbox)
 }
 
 // getBatch draws a batch slice from the worker's free list, falling back
@@ -131,33 +133,19 @@ func (w *meshWorker) ensureLevel(l int) {
 	}
 }
 
-// absorb applies the commit rule to a level-tagged batch — a peer's, or a
-// chunk's own successors — taking ownership of the slice: levels ≤ final+1
-// enter the visited set through the set's chunked insert, the local
-// drivers' insert, and the fresh states join their bucket; later tags defer
-// the slice (a short one is folded into the level's last deferred batch, so
-// a chunk's worth of own successors does not hold a whole batch); levels
-// beyond the violation bound are dropped (they can never reach the verdict).
-// A batch that takes the partition past its budget stops the worker.
+// absorb commits a level-tagged batch — a peer's, or a chunk's own
+// successors — taking ownership of the slice: the states enter the visited
+// set through the set's chunked insert, the local drivers' insert, and the
+// fresh ones join their level's bucket. drainInbox decides when a peer's
+// batch may come here. A batch that takes the partition past its budget
+// stops the worker.
 func (w *meshWorker) absorb(level int, states []uint64) {
-	if w.tooLarge || (w.haveBound && level > w.boundLevel) {
+	if w.tooLarge {
 		w.putBatch(states)
 		return
 	}
 	w.ensureLevel(level)
 	lv := &w.levels[level]
-	if level > w.final+1 {
-		if n := len(lv.pending); n > 0 && len(lv.pending[n-1])+len(states) <= cap(lv.pending[n-1]) {
-			lv.pending[n-1] = append(lv.pending[n-1], states...)
-			w.putBatch(states)
-			return
-		}
-		if lv.pending == nil && w.sparePending != nil {
-			lv.pending, w.sparePending = w.sparePending, nil
-		}
-		lv.pending = append(lv.pending, states)
-		return
-	}
 	w.freshIdx = w.visited.AddWords(states, w.freshIdx[:0])
 	if n := len(w.freshIdx); n > 0 {
 		if w.fresh+n > w.budget {
@@ -192,24 +180,30 @@ func (w *meshWorker) newBucket(level int) []uint64 {
 	return w.getBatch()
 }
 
-// retire recycles level l's bucket once nothing can read it again: drained,
-// its level final — so it can never refill — and, with checkpointing on,
-// where the bucket is the segment payload, persisted. Whichever comes last
-// calls it: the chunk that drains the bucket, setFinal or the sweep.
-func (w *meshWorker) retire(l int) {
-	lv := &w.levels[l]
-	if cap(lv.bucket) > 0 && lv.cursor == len(lv.bucket) && l <= w.final && (!w.ckptOn || l <= w.ckptLevel) {
+// retire closes the worker's level once it is expanded: the level's
+// membership and its transitions are both final, so with checkpointing on
+// its segments are written now, and its bucket — which nothing reads again
+// — is recycled.
+func (w *meshWorker) retire() {
+	l := w.level
+	if w.ckptOn && w.ckptLevel < l {
+		if err := w.writeLevel(l); err != nil {
+			w.err = fmt.Errorf("checkpoint level %d: %v", l, err)
+			return
+		}
+		w.ckptLevel = l
+	}
+	if cap(w.levels[l].bucket) > 0 {
 		w.recycleBucket(l)
 	}
 }
 
 // recycleBucket takes a bucket out of its level: batch-sized ones feed
-// the free list, a bigger one becomes a spare frontier buffer. The commit
-// rule has two big levels in flight — the one being expanded and the one it
-// fills — so two spares, the smaller (or the empty slot) first, are what a
-// worker needs between levels and all it retains between jobs. A third
-// (checkpointing holds levels back until the sweep) replaces the smaller
-// or is left to the collector.
+// the free list, a bigger one becomes a spare frontier buffer. A round has
+// two big levels in flight — the one being expanded and the one it fills —
+// so two spares, the smaller (or the empty slot) first, are what a worker
+// needs between levels and all it retains between jobs. A third replaces
+// the smaller or is left to the collector.
 func (w *meshWorker) recycleBucket(l int) {
 	b := w.levels[l].bucket[:0]
 	w.levels[l].bucket, w.levels[l].cursor = nil, 0
@@ -226,92 +220,51 @@ func (w *meshWorker) recycleBucket(l int) {
 	}
 }
 
-// setFinal raises the node's final-level knowledge, releasing deferred
-// commits level by ascending level (the order the commit-rule proof
-// relies on: pending level L+1 flushes only once level L is final).
-func (w *meshWorker) setFinal(f int) {
-	for w.final < f {
-		w.final++
-		if w.final < len(w.levels) {
-			w.retire(w.final)
-		}
-		l := w.final + 1
-		if l < len(w.levels) && len(w.levels[l].pending) > 0 {
-			batches := w.levels[l].pending
-			w.levels[l].pending = nil
-			for _, b := range batches {
-				w.absorb(l, b)
-			}
-			// A flushed level never refills, but the next level defers the
-			// same way: keep the larger list backbone as the shared spare.
-			if cap(batches) > cap(w.sparePending) {
-				for i := range batches {
-					batches[i] = nil
-				}
-				w.sparePending = batches[:0]
-			}
-		}
-	}
-}
-
 // noteViol records a violation found while expanding one of this node's
-// bucket states, keeping the (level, state) minimum.
-func (w *meshWorker) noteViol(level int, s verify.PackedState, app int) {
-	if !w.haveViol || level < w.violLevel || (level == w.violLevel && verify.LessState(s, w.violState)) {
-		w.haveViol, w.violLevel, w.violState, w.violApp = true, level, s, app
-	}
-	w.noteBound(level, s)
-}
-
-// noteBound tightens the skip bound (own findings merged with the
-// coordinator's broadcast) and drops work that can no longer matter.
-func (w *meshWorker) noteBound(level int, s verify.PackedState) {
-	if w.haveBound && (w.boundLevel < level || (w.boundLevel == level && verify.LessState(w.boundState, s))) {
-		return
-	}
-	w.haveBound, w.boundLevel, w.boundState = true, level, s
-	for l := level + 1; l < len(w.levels); l++ {
-		if len(w.levels[l].bucket) > 0 {
-			w.levels[l].cursor = len(w.levels[l].bucket)
-		}
-		for _, b := range w.levels[l].pending {
-			w.putBatch(b)
-		}
-		w.levels[l].pending = nil
+// states of the level, keeping the minimum state.
+func (w *meshWorker) noteViol(s verify.PackedState, app int) {
+	if !w.haveViol || verify.LessState(s, w.violState) {
+		w.haveViol, w.violState, w.violApp = true, s, app
 	}
 }
 
-// drainInbox absorbs everything queued on the node's mesh links. A link
-// failure poisons a non-FT run; under fault tolerance it marks the peer
-// dead and is reported to the coordinator via the snapshot's LinkDown.
-// Era-tagged batches from a past era are dropped (the rollback erased
-// their accounting on both ends); batches from a future era are parked
-// until this worker's own recovery order arrives, so nothing a recovered
-// peer sent ahead of our rollback is ever lost.
+// drainInbox absorbs everything queued on the node's mesh links under the
+// one ordering rule: a peer's batch commits in the round of its level. A
+// batch tagged level+1 waits in ahead until the worker moves on to that
+// level. Until the worker holds the expect states of its own level, the same
+// state may still arrive tagged level, its true depth. After that the wait
+// is not needed for exactness, but it still pays: every worker then absorbs
+// all of its peers' level at the start of its round, so the barrier does not
+// wait on the one that finished first and was left the others' tail
+// (committing at once read about 10 % slower on S1 over two loopback
+// nodes). A link failure poisons
+// a non-FT run; under fault tolerance it marks the peer dead and is reported
+// to the coordinator via the snapshot's LinkDown. A batch of another era is
+// dropped: a rollback since has erased its accounting on both ends.
 func (w *meshWorker) drainInbox() {
 	batches := w.inbox.drain(w.spareQ)
 	for i := range batches {
 		b := &batches[i]
-		if b.err != nil {
+		switch {
+		case b.err != nil:
 			if w.ft {
 				w.noteLinkDown(b.from)
 			} else if w.err == nil {
 				w.err = b.err
 			}
-			continue
-		}
-		if b.era != w.era {
-			if b.era > w.era {
-				w.futureQ = append(w.futureQ, *b)
-			} else {
-				w.putBatch(b.states)
+		case b.era != w.era:
+			w.putBatch(b.states)
+		case b.level == w.level:
+			w.got += len(b.states) / w.sw
+			w.absorb(b.level, b.states)
+		case b.level == w.level+1:
+			w.ahead = append(w.ahead, b.states)
+		default:
+			w.putBatch(b.states)
+			if w.err == nil {
+				w.err = fmt.Errorf("mesh batch from node %d tagged level %d at level %d", b.from, b.level, w.level)
 			}
-			b.states = nil
-			continue
 		}
-		w.ensureLevel(b.level)
-		w.levels[b.level].recv += len(b.states) / w.sw
-		w.absorb(b.level, b.states)
 		b.states = nil
 	}
 	w.spareQ = batches[:0]
@@ -329,44 +282,27 @@ func (w *meshWorker) noteLinkDown(peer int) {
 	}
 }
 
-// expandable returns the lowest level with unexpanded committed work,
-// skipping (and marking drained) levels beyond the violation bound.
-func (w *meshWorker) expandable() int {
-	for l := range w.levels {
-		if w.levels[l].cursor < len(w.levels[l].bucket) {
-			if w.haveBound && l > w.boundLevel {
-				w.levels[l].cursor = len(w.levels[l].bucket)
-				continue
-			}
-			return l
-		}
-	}
-	return -1
-}
-
-// expandChunk expands up to n states from the lowest available bucket,
-// routing foreign successors over the mesh and committing self-owned ones
-// locally. Returns false when no work was available.
+// expandChunk expands up to n states of the level's bucket, routing foreign
+// successors over the mesh and committing this node's own. Returns false
+// once the bucket is exhausted.
 func (w *meshWorker) expandChunk(n int) bool {
-	l := w.expandable()
-	if l < 0 {
+	w.ensureLevel(w.level)
+	lv := &w.levels[w.level]
+	if lv.cursor == len(lv.bucket) {
 		return false
 	}
-	if w.outLevel != l+1 {
-		w.flushOut()
-		w.outLevel = l + 1
+	if lv.cursor == 0 {
 		// Pre-size the visited partition for the coming level from the
 		// fresh-state trajectory, as the local drivers do, so commits inside
 		// a level rarely rehash.
 		prev := 0
-		if l > 0 {
-			prev = w.levels[l-1].fresh
+		if w.level > 0 {
+			prev = w.levels[w.level-1].fresh
 		}
-		w.visited.Reserve(verify.LevelReserve(w.levels[l].fresh, prev))
+		w.visited.Reserve(verify.LevelReserve(lv.fresh, prev))
 	}
-	w.expandSerial(l, n)
+	w.expandSerial(n)
 	w.flushDest(w.id) // the chunk's own successors: one more batch to absorb
-	w.retire(l)
 	return true
 }
 
@@ -374,28 +310,30 @@ func (w *meshWorker) expandChunk(n int) bool {
 // arrives from the kernel as words with its hash, mixed once, and the hash
 // picks the owner and probes the send filter. A successor is appended to its
 // owner's buffer — this node's own included, which expandChunk hands to
-// absorb when the chunk is done.
-func (w *meshWorker) expandSerial(l, n int) {
-	sw := w.sw
+// absorb when the chunk is done. Once the level holds a violation it decides
+// the verdict, as in the local lanes: nothing more is routed, and the rest
+// of the bucket is swept for a smaller violator.
+func (w *meshWorker) expandSerial(n int) {
+	sw, l := w.sw, w.level
 	for i := 0; i < n && w.levels[l].cursor < len(w.levels[l].bucket) && !w.tooLarge; i++ {
 		lv := &w.levels[l]
 		s := lv.bucket[lv.cursor : lv.cursor+sw]
 		lv.cursor += sw
-		if w.haveBound && l == w.boundLevel && verify.LessState(w.boundState, packed(s)) {
-			continue
+		if w.haveViol && verify.LessState(w.violState, packed(s)) {
+			continue // cannot lower the minimum
 		}
 		var violApp int
 		w.succ, w.hashes, violApp = w.exp.ExpandWords(s, w.esc, w.succ[:0], w.hashes[:0])
 		if violApp >= 0 {
-			w.noteViol(l, packed(s), violApp)
+			w.noteViol(packed(s), violApp)
 			continue
 		}
 		w.transitions += len(w.hashes)
 		if w.ckptOn {
 			w.ftTransAdd(l, w.exp.HashWords(s), len(w.hashes))
 		}
-		if w.haveBound && l+1 > w.boundLevel {
-			continue // successors beyond the verdict level
+		if w.haveViol {
+			continue
 		}
 		for j, h := range w.hashes {
 			ns := w.succ[j*sw : j*sw+sw]
@@ -418,29 +356,29 @@ func packed(s []uint64) (p verify.PackedState) {
 	return p
 }
 
-// flushDest ships one destination's buffered successors as a level-tagged
-// batch, updating the epoch and wire accounting; this node's own go straight
-// to absorb, across no link and into no counter. Under fault tolerance a
-// failed (or known-dead) destination drops the batch and marks the link
-// down instead of poisoning the run: the coordinator's recovery rolls
-// every counter back past the loss, so an uncounted drop can never skew
-// the sent/recv sums that drive termination.
+// flushDest ships one destination's buffered successors as a batch tagged
+// level+1, counting it in the round's SentTo and the wire totals; this
+// node's own go straight to absorb, across no link and into no counter.
+// Under fault tolerance a failed (or known-dead) destination drops the
+// batch uncounted and marks the link down instead of poisoning the run: the
+// coordinator's recovery rolls every worker back past the loss, so no peer
+// is left expecting it.
 func (w *meshWorker) flushDest(d int) {
 	states := w.outBuf[d]
 	if len(states) == 0 {
 		return
 	}
 	w.outBuf[d] = w.getBatch()
+	level := w.level + 1
 	if d == w.id {
-		w.absorb(w.outLevel, states)
+		w.absorb(level, states)
 		return
 	}
 	if w.ft && w.deadPeers[d] {
 		w.putBatch(states)
 		return
 	}
-	n, level := len(states)/w.sw, w.outLevel
-	w.ensureLevel(level)
+	n := len(states) / w.sw
 	bytes, err := w.links[d].send(w.era, level, states)
 	if err != nil {
 		if w.ft {
@@ -451,7 +389,7 @@ func (w *meshWorker) flushDest(d int) {
 			w.err = fmt.Errorf("mesh link to node %d: %v", d, err)
 		}
 	}
-	w.levels[level].sent += n
+	w.sentTo[d] += n
 	w.routed += n
 	w.linkStates[d] += n
 	w.wireBytes += bytes
@@ -460,9 +398,6 @@ func (w *meshWorker) flushDest(d int) {
 
 // flushOut ships every buffered destination batch.
 func (w *meshWorker) flushOut() {
-	if w.outLevel < 0 {
-		return
-	}
 	for d := range w.outBuf {
 		w.flushDest(d)
 	}

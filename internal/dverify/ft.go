@@ -18,7 +18,9 @@ package dverify
 // identical payloads (states are committed in deterministic per-level
 // buckets and sorted before writing) — so takeover needs no writer
 // identity, and a crash mid-write leaves either a stale tmp file (ignored)
-// or a complete renamed segment (valid). Files live under
+// or a complete renamed segment (valid). A worker writes a level's segments
+// at the end of its round, when the level's membership and transitions are
+// both final (retire). Files live under
 // <CheckpointDir>/<session-hex>/seg-<level>-<shard>, written with the
 // same tmp+rename discipline as mapping.Cache's shard files.
 //
@@ -30,9 +32,10 @@ package dverify
 // ≤ cut, re-materialize the cut level as an expandable frontier, and
 // resume. Exactness follows from the segments being exact level sets: the
 // restored visited set is precisely the BFS closure through the cut, and
-// re-expansion from the cut regenerates everything past it. Counter sums
-// stay exact because every per-level sent/recv counter is zeroed in the
-// same reset and post-recovery traffic never routes to dead nodes.
+// re-expansion from the cut regenerates everything past it. The resumed
+// round at the cut expects nothing: every round count is zeroed in the same
+// reset, no worker expands before all have rolled back, and post-recovery
+// traffic never routes to dead nodes.
 
 import (
 	"encoding/binary"
@@ -179,9 +182,9 @@ func readSegment(path string, exp *verify.Expander) ([]uint64, int64, error) {
 }
 
 // Fault-injection harness. A faultPlan arms deterministic faults the
-// coordinator fires at exact points in the run: when the tracker's final
-// level first reaches atLevel (and the required number of recoveries has
-// already happened, for double-fault scripts), kill() severs a worker.
+// coordinator fires at exact points in the run: before it first polls a
+// level ≥ atLevel (once the required number of recoveries has already
+// happened, for double-fault scripts), kill() severs a worker.
 // Spares are extra transports adopted as replacement workers during
 // recovery, in order.
 type faultPlan struct {
@@ -190,8 +193,8 @@ type faultPlan struct {
 }
 
 type fault struct {
-	// atLevel fires the fault when the coordinator's final-level knowledge
-	// first reaches this level.
+	// atLevel fires the fault before the first round of a level ≥ this
+	// one.
 	atLevel int
 	// afterRecoveries defers the fault until this many recoveries have
 	// completed (0 = fire on the first opportunity) — the double-fault
@@ -204,13 +207,13 @@ type fault struct {
 }
 
 // fire triggers every armed fault whose conditions are met.
-func (p *faultPlan) fire(finalLevel, recoveries int) {
+func (p *faultPlan) fire(level, recoveries int) {
 	if p == nil {
 		return
 	}
 	for i := range p.faults {
 		f := &p.faults[i]
-		if !f.fired && finalLevel >= f.atLevel && recoveries >= f.afterRecoveries {
+		if !f.fired && level >= f.atLevel && recoveries >= f.afterRecoveries {
 			f.fired = true
 			f.kill()
 		}
@@ -224,36 +227,6 @@ func (w *meshWorker) ftTransAdd(l int, h uint64, n int) {
 		w.ftTrans = append(w.ftTrans, [numShards]int64{})
 	}
 	w.ftTrans[l][h>>58] += int64(n)
-}
-
-// maybeCheckpoint runs the worker's checkpoint sweep, called once per
-// poll: level ckptLevel+1 persists once its membership is final
-// (coordinator-published) and this worker has fully expanded it — the
-// level's bucket then IS the exact owned state set of that depth, and
-// ftTrans its exact expansion transitions. A write failure fails the
-// worker (the coordinator treats it as a death); segments are
-// deterministic global objects, so whatever a crashed sweep left behind
-// is either a complete, correct segment or an ignored tmp file.
-func (w *meshWorker) maybeCheckpoint() {
-	if !w.ckptOn || w.err != nil || w.finished {
-		return
-	}
-	for {
-		l := w.ckptLevel + 1
-		if l > w.final {
-			return
-		}
-		w.ensureLevel(l)
-		if w.levels[l].cursor != len(w.levels[l].bucket) {
-			return
-		}
-		if err := w.writeLevel(l); err != nil {
-			w.err = fmt.Errorf("checkpoint level %d: %v", l, err)
-			return
-		}
-		w.ckptLevel = l
-		w.retire(l)
-	}
 }
 
 // writeLevel splits level l's bucket by hash shard and writes one segment
@@ -333,51 +306,20 @@ func (w *meshWorker) restore(cut int) error {
 		w.tooLarge = true
 	}
 	w.ckptLevel = cut
-	w.final = cut
+	w.level = cut
 	return nil
 }
 
 // recoverTo executes the coordinator's takeover order: the uniform global
 // rollback every worker (survivor or not) performs in lockstep — the same
-// resetEra that starts a run. The session survives it: wire history,
-// violation knowledge and the mesh links.
+// resetEra that starts a run — and the restore from the cut. The session
+// survives it: wire history and the mesh links. Batches of the old era
+// still queued are dropped by their tag when the next round drains them.
 func (w *meshWorker) recoverTo(rec *Recover) {
 	if rec.Era <= w.era {
 		return
 	}
-	// The new era, table and death knowledge are in place before the inbox
-	// is touched, so concurrent arrivals sort against the new era.
 	w.resetEra(rec.Era, rec.Owners, rec.Dead)
-	// Drop undelivered old-era batches and release anything a recovered
-	// peer raced ahead with (now current-era, re-queued for the drain).
-	q := w.inbox.drain(w.spareQ)
-	for i := range q {
-		b := &q[i]
-		if b.err != nil {
-			w.noteLinkDown(b.from)
-			continue
-		}
-		if b.era >= w.era {
-			w.futureQ = append(w.futureQ, *b)
-		} else {
-			w.putBatch(b.states)
-		}
-		b.states = nil
-	}
-	w.spareQ = q[:0]
-	keep := w.futureQ[:0]
-	for _, b := range w.futureQ {
-		switch {
-		case b.era == w.era:
-			w.inbox.push(b)
-		case b.era > w.era:
-			keep = append(keep, b)
-		default:
-			w.putBatch(b.states)
-		}
-	}
-	w.futureQ = keep
-
 	if err := w.restore(rec.Cut); err != nil {
 		w.err = fmt.Errorf("restoring checkpoint cut %d: %v", rec.Cut, err)
 	}

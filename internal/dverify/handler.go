@@ -131,8 +131,11 @@ func (h *handler) handle(req *Request) *Response {
 		h.mw = mw
 		return resp
 	case KindPoll:
-		if h.mw == nil {
+		switch {
+		case h.mw == nil:
 			return &Response{Err: "poll before init"}
+		case req.Ctl == nil:
+			return &Response{Err: "poll without control"}
 		}
 		return h.mw.poll(req.Ctl)
 	default:

@@ -51,7 +51,6 @@ type loopGroup struct {
 // loopSession is one run's worth of registered worker inboxes.
 type loopSession struct {
 	g        *loopGroup
-	id       uint64
 	inboxes  []*meshInbox
 	refs     int
 	failSend func(from, to int) error
@@ -66,7 +65,6 @@ func (g *loopGroup) join(job *Job, inbox *meshInbox) (*loopSession, error) {
 	if s == nil {
 		s = &loopSession{
 			g:        g,
-			id:       job.Session,
 			inboxes:  make([]*meshInbox, job.NumNodes),
 			failSend: g.failSend,
 			deliver:  g.deliver,
@@ -87,20 +85,6 @@ func (g *loopGroup) join(job *Job, inbox *meshInbox) (*loopSession, error) {
 	s.inboxes[job.NodeID] = inbox
 	s.refs++
 	return s, nil
-}
-
-// leave drops a node's registration, deleting the session with the last.
-// The inbox identity check keeps a dead worker's late teardown from
-// unregistering the replacement that displaced it.
-func (s *loopSession) leave(id int, inbox *meshInbox) {
-	s.g.mu.Lock()
-	defer s.g.mu.Unlock()
-	if s.inboxes[id] == inbox {
-		s.inboxes[id] = nil
-	}
-	if s.refs--; s.refs == 0 {
-		delete(s.g.sessions, s.id)
-	}
 }
 
 // peer resolves a destination inbox.
@@ -146,10 +130,10 @@ func (l *loopLink) close() error { return nil }
 // loopEnv wires a loopback worker into its group's session registry.
 type loopEnv struct{ g *loopGroup }
 
-func (e loopEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, func(), error) {
+func (e loopEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, error) {
 	sess, err := e.g.join(job, inbox)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// One backing array for all n−1 links: per-link allocations would give
 	// every re-Init an n² term across the cluster.
@@ -161,8 +145,26 @@ func (e loopEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]me
 			links[d] = &ls[d]
 		}
 	}
-	id := job.NodeID
-	return links, func() { sess.leave(id, inbox) }, nil
+	return links, nil
+}
+
+// leave drops a node's registration, deleting the session with the last.
+// The inbox identity check keeps a dead worker's late teardown from
+// unregistering the replacement that displaced it.
+func (e loopEnv) leave(job *Job, inbox *meshInbox) {
+	g := e.g
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s := g.sessions[job.Session]
+	if s == nil {
+		return
+	}
+	if s.inboxes[job.NodeID] == inbox {
+		s.inboxes[job.NodeID] = nil
+	}
+	if s.refs--; s.refs == 0 {
+		delete(g.sessions, job.Session)
+	}
 }
 
 // loopTransport is one coordinator↔goroutine link. Call and Close must not

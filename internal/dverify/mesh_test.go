@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"tightcps/internal/obs"
+	"tightcps/internal/plants"
 	"tightcps/internal/verify"
 )
 
@@ -61,125 +63,48 @@ func TestMeshDelayedAbsorbInterleavings(t *testing.T) {
 	}
 }
 
-// snap builds a synthetic poll response for the tracker tests.
-type snap struct {
-	sent, recv []int
-	drained    int
-	idle       bool
-	maxFresh   int
-	viol       bool
-	violLevel  int
-	violState  verify.PackedState
-	violApp    int
-}
-
-func round(snaps ...snap) []*Response {
-	out := make([]*Response, len(snaps))
-	for i, s := range snaps {
-		out[i] = &Response{
-			SentByLevel: s.sent, RecvByLevel: s.recv,
-			Drained: s.drained, Idle: s.idle, MaxFresh: s.maxFresh,
-			Viol: s.viol, ViolLevel: s.violLevel, ViolState: s.violState, ViolApp: s.violApp,
+// TestMeshRoundsPerLevel: a mesh run takes one coordinator round per BFS
+// level, at most one more that absorbs only duplicates, and the Finish
+// round — a count the state space sets, not timing, so five runs of one
+// cluster shape agree on it. The fixtures' levels are small enough that no
+// poll budget runs out, even under the race detector.
+func TestMeshRoundsPerLevel(t *testing.T) {
+	tcp, err := Dial([]string{startWorker(t), startWorker(t)}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := []struct {
+		name string
+		ts   []Transport
+	}{{"loopback2", Loopback(2)}, {"loopback4", Loopback(4)}, {"tcp2", tcp}}
+	defer func() {
+		for _, cl := range clusters {
+			Close(cl.ts)
 		}
-	}
-	return out
-}
-
-// TestMeshTrackerDelayedAbsorbEpochs pins the termination-detection
-// invariants against adversarial in-flight interleavings: states sent in
-// one epoch but absorbed epochs later must pin the final/done milestones
-// and block termination until the counts reconcile.
-func TestMeshTrackerDelayedAbsorbEpochs(t *testing.T) {
-	tr := newMeshTracker(2)
-
-	// Epoch 1: worker 0 shipped 10 level-1 states, worker 1 absorbed only
-	// 7 of them so far (3 in flight), and neither is done with level 1.
-	tr.observe(round(
-		snap{sent: []int{0, 10}, recv: []int{0, 0}, drained: 0, maxFresh: 1},
-		snap{sent: []int{0, 0}, recv: []int{0, 7}, drained: 0, idle: true, maxFresh: 1},
-	))
-	tr.advance()
-	if tr.done != 0 || tr.final != 0 {
-		t.Fatalf("after epoch 1: done=%d final=%d, want 0/0 (3 states in flight)", tr.done, tr.final)
-	}
-	if tr.terminated() {
-		t.Fatal("terminated with states in flight")
-	}
-
-	// Epoch 2: worker 1 still has not absorbed everything; an idle report
-	// with stale counters must not unblock the milestones.
-	tr.observe(round(
-		snap{sent: []int{0, 10}, recv: []int{0, 0}, drained: 0, idle: true, maxFresh: 1},
-		snap{sent: []int{0, 0}, recv: []int{0, 9}, drained: 0, idle: true, maxFresh: 1},
-	))
-	tr.advance()
-	if tr.final != 0 {
-		t.Fatalf("after epoch 2: final=%d, want 0 (1 state still in flight)", tr.final)
-	}
-	if tr.terminated() {
-		t.Fatal("terminated with a state in flight and sums unequal")
-	}
-
-	// Epoch 3: the last absorb lands and both workers drain level 1; the
-	// milestones may now sweep forward and the run terminates.
-	tr.observe(round(
-		snap{sent: []int{0, 10}, recv: []int{0, 0}, drained: 1, idle: true, maxFresh: 1},
-		snap{sent: []int{0, 0}, recv: []int{0, 10}, drained: 1, idle: true, maxFresh: 1},
-	))
-	tr.advance()
-	if tr.done < 1 {
-		t.Fatalf("after epoch 3: done=%d, want ≥ 1", tr.done)
-	}
-	if !tr.terminated() {
-		t.Fatal("not terminated at quiescence with matching sums")
-	}
-}
-
-// TestMeshTrackerViolationWaitsForLevel pins the minimal-violator
-// invariant: a violation at level L is not final until done reaches L —
-// a lagging worker could still find a smaller violator at L (or any
-// violator at a lower level) — and the minimum is (level, state)-ordered.
-func TestMeshTrackerViolationWaitsForLevel(t *testing.T) {
-	tr := newMeshTracker(2)
-	tr.observe(round(
-		snap{sent: []int{0, 4}, recv: []int{0, 0}, drained: 1, idle: true, maxFresh: 2,
-			viol: true, violLevel: 2, violState: verify.PackedState{9}, violApp: 3},
-		snap{sent: []int{0, 0}, recv: []int{0, 2}, drained: 0, maxFresh: 1},
-	))
-	tr.advance()
-	if tr.terminated() {
-		t.Fatal("violation at level 2 finalized before level 2 was done everywhere")
-	}
-
-	// The lagging worker catches up and reports a smaller violator at the
-	// same level; once done covers the level, that one must win.
-	tr.observe(round(
-		snap{sent: []int{0, 4}, recv: []int{0, 0}, drained: 2, idle: true, maxFresh: 2,
-			viol: true, violLevel: 2, violState: verify.PackedState{9}, violApp: 3},
-		snap{sent: []int{0, 0}, recv: []int{0, 4}, drained: 2, idle: true, maxFresh: 2,
-			viol: true, violLevel: 2, violState: verify.PackedState{5}, violApp: 1},
-	))
-	tr.advance()
-	if !tr.terminated() {
-		t.Fatal("violation not finalized once its level is done")
-	}
-	if tr.violApp != 1 || tr.violState != (verify.PackedState{5}) {
-		t.Fatalf("violator app=%d state=%v, want the (level, state) minimum app=1 state={5}", tr.violApp, tr.violState)
-	}
-
-	// A violation at a lower level always supersedes, regardless of state
-	// order.
-	tr2 := newMeshTracker(1)
-	tr2.observe(round(
-		snap{sent: []int{0}, recv: []int{0}, drained: 1, idle: true, maxFresh: 2,
-			viol: true, violLevel: 2, violState: verify.PackedState{1}, violApp: 0},
-	))
-	tr2.observe(round(
-		snap{sent: []int{0}, recv: []int{0}, drained: 1, idle: true, maxFresh: 2,
-			viol: true, violLevel: 1, violState: verify.PackedState{7}, violApp: 2},
-	))
-	if tr2.violLevel != 1 || tr2.violApp != 2 {
-		t.Fatalf("violLevel=%d app=%d, want the lower level 1 app=2", tr2.violLevel, tr2.violApp)
+	}()
+	for _, apps := range [][]string{{"C6", "C2"}, {"C1", "C5", "C4"}} {
+		ps, err := plants.ProfileList(apps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cl := range clusters {
+			label := fmt.Sprintf("%v on %s", apps, cl.name)
+			rounds := 0
+			for run := 0; run < 5; run++ {
+				tr := obs.NewTrace("")
+				res, err := Verify(ps, verify.Config{NondetTies: true, RunTrace: tr}, cl.ts)
+				if err != nil || !res.Schedulable {
+					t.Fatalf("%s: %+v, %v", label, res, err)
+				}
+				if tr.Epochs > res.Depth+3 {
+					t.Errorf("%s run %d: %d rounds for depth %d, want at most %d", label, run, tr.Epochs, res.Depth, res.Depth+3)
+				}
+				if run > 0 && tr.Epochs != rounds {
+					t.Errorf("%s run %d: %d rounds, run 0 took %d", label, run, tr.Epochs, rounds)
+				}
+				rounds = tr.Epochs
+			}
+		}
 	}
 }
 
@@ -380,18 +305,11 @@ func TestServerSingleClusterAdmission(t *testing.T) {
 		t.Fatalf("second concurrent session: want a busy refusal, got %v", err)
 	}
 
-	// Ending the first session frees the slot (release is asynchronous
-	// with the connection close, so poll briefly).
+	// Ending the first session frees the slot. The release follows the
+	// connection close asynchronously, and the next Init waits for it.
 	Close(ts1)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err = Verify(ps, cfg, ts2); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot never freed after the first session closed: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := Verify(ps, cfg, ts2); err != nil {
+		t.Fatalf("slot not handed on after the first session closed: %v", err)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // meshPoller keeps one long-lived call goroutine per node so the poll
 // loop's rounds reuse the same machinery instead of spawning goroutines
-// and result slices every epoch (those per-round allocations grew with
-// the node count). Rounds stay concurrent — workers long-poll inside
-// Call, so a sequential round would serialize the cluster.
+// and result slices every round (those per-round allocations grew with
+// the node count). Rounds stay concurrent — workers expand their level
+// inside Call, so a sequential round would serialize the cluster.
 //
 // Every dispatched call carries a sequence number and every round bounds
 // its wait with meshDeathTimeout; an answer to a call the poller has given

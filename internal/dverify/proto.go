@@ -25,10 +25,11 @@ import (
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
 // field, a codec byte or the packed-state layout changes or goes. Version
-// 10 has the raw and delta batch codecs, one search goroutine per node, no
-// coordinator relay, and lane clocks fitted to the job's largest r; what
-// each earlier version was is in CHANGES.md.
-const protoVersion = 10
+// 11 polls one BFS level per round (Control.Level/Expect, Response.SentTo/
+// Next) over version 10's raw and delta batch codecs, one search goroutine
+// per node, no coordinator relay, and lane clocks fitted to the job's
+// largest r; what each earlier version was is in CHANGES.md.
+const protoVersion = 11
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -36,11 +37,11 @@ type Kind uint8
 const (
 	// KindInit ships the job to a node, resetting any previous one.
 	KindInit Kind = iota + 1
-	// KindPoll is one control-plane epoch: the request carries the
-	// coordinator's latest milestone knowledge (Control), the worker
-	// expands and exchanges frontiers over its mesh links until it has
-	// news for the coordinator (or a short time budget runs out) and
-	// answers with a counter snapshot.
+	// KindPoll is one round of one BFS level: the request names the level
+	// and the states the worker is owed for it (Control); the worker
+	// absorbs them, expands its bucket of the level, exchanging successors
+	// over its mesh links, and answers with a counter snapshot — an interim
+	// one when a short time budget runs out first.
 	KindPoll
 	// KindPeerHello opens a worker↔worker mesh link: it is the first value
 	// on a dialed peer connection (never sent on a coordinator session),
@@ -117,29 +118,22 @@ type Request struct {
 	Hello *PeerHello
 }
 
-// Control is the coordinator's milestone knowledge, piggybacked on every
-// KindPoll so workers can release deferred commits and skip doomed work.
-// See the package comment for the invariants behind Final and Done.
+// Control is the coordinator's order for one KindPoll; the package comment
+// has the round protocol it drives.
 type Control struct {
-	// Final is the highest level whose bucket membership is final
-	// everywhere: all messages tagged ≤ Final have been absorbed, so
-	// arrivals tagged ≤ Final+1 may commit immediately.
-	Final int
-	// Done is the highest level fully expanded everywhere (informational;
-	// workers gate commits on Final alone).
-	Done int
-	// HaveViol/ViolLevel/ViolState broadcast the minimum violation found
-	// so far, letting workers skip states that cannot improve on it.
-	HaveViol  bool
-	ViolLevel int
-	ViolState verify.PackedState
+	// Level is the BFS level the worker expands this round, and Expect the
+	// number of Level-tagged states its peers shipped it in the previous
+	// round (their SentTo entries for it): the worker expands once it has
+	// absorbed all of them.
+	Level  int
+	Expect int
 	// Finish ends the session's search: the worker tears down its mesh
 	// links and answers with its final counter snapshot.
 	Finish bool
 	// Recover, when non-nil, orders the worker into a new era: roll back
-	// to the recovery cut, adopt the new ownership table, restore owned
-	// shards from checkpoint segments, and resume. Delivered on the first
-	// KindPoll after the coordinator declares a worker dead.
+	// to the recovery cut, adopt the new ownership table and restore owned
+	// shards from checkpoint segments, answering without expanding. The
+	// run resumes with a round at Level = the cut (0 for no cut), Expect 0.
 	Recover *Recover
 }
 
@@ -172,7 +166,7 @@ type PeerHello struct {
 // Frame is one level-tagged frontier batch on a TCP mesh link, following
 // the PeerHello on the same gob stream. Batch is frontierCodec-encoded.
 // Era tags the sender's recovery era (0 before any recovery); receivers
-// in a newer era drop the frame.
+// in another era drop the frame.
 type Frame struct {
 	Level int
 	Era   int
@@ -215,32 +209,21 @@ type Response struct {
 	// node stopped expanding and absorbing.
 	TooLarge bool
 
-	// Viol flags a deadline miss; ViolLevel is the BFS level of the node's
-	// minimum violation (level-first, then state — the first-violating-
-	// level tie-break), ViolState the minimum violating state of this
-	// node's partition at that level (the cross-node tie-break key) and
-	// ViolApp the application that missed.
+	// Viol flags a deadline miss in the polled level: ViolState is the
+	// minimum violating state of this node's part of the level (the
+	// cross-node tie-break key) and ViolApp the application that missed.
 	Viol      bool
 	ViolState verify.PackedState
 	ViolApp   int
-	ViolLevel int
 
-	// SentByLevel and RecvByLevel count the states this node shipped to
-	// and drained from its mesh links, indexed by the BFS level of the
-	// states (self-owned successors never cross a link and are excluded
-	// on both sides). The coordinator's epoch accounting declares a level
-	// final when the cluster-wide sums match — the classic sent-vs-
-	// absorbed termination criterion.
-	SentByLevel []int
-	RecvByLevel []int
-	// Drained is the highest level L such that this node has expanded (or
-	// deliberately skipped, under a violation bound) every state committed
-	// to buckets 0..L. Capped at the node's final-level knowledge + 1.
-	Drained int
-	// Idle reports that the node has no expandable work, no deferred
-	// arrivals and no buffered sends — quiescent under its current
-	// milestone knowledge.
-	Idle bool
+	// SentTo and Next answer a finished round of level L: SentTo[d] counts
+	// the L+1-tagged states this node shipped to node d in the round (its
+	// own entry stays 0: self-owned successors cross no link), Next the
+	// L+1 states it has committed. SentTo is empty on an interim answer —
+	// the level unfinished when the poll budget ran out — and on Init,
+	// Recover and Finish replies.
+	SentTo []int
+	Next   int
 	// MaxFresh is the deepest level at which this node committed a fresh
 	// state (the node's contribution to Result.Depth).
 	MaxFresh int

@@ -103,7 +103,21 @@ func (t *tcpTransport) Close() error { return t.conn.Close() }
 // arrive before the Init does — peers race their dials).
 type meshHost struct {
 	mu    sync.Mutex
-	nodes map[uint64]map[int]*hostNode
+	slots map[hostKey]*hostSlot
+}
+
+type hostKey struct {
+	session uint64
+	id      int
+}
+
+// hostSlot is one (session, node) rendezvous: node is set, and ready
+// closed, when the node registers; waiters counts the inbound links parked
+// in await before that.
+type hostSlot struct {
+	node    *hostNode
+	ready   chan struct{}
+	waiters int
 }
 
 // hostNode is what an inbound peer link needs from a registered worker:
@@ -114,55 +128,67 @@ type hostNode struct {
 }
 
 func newMeshHost() *meshHost {
-	return &meshHost{nodes: map[uint64]map[int]*hostNode{}}
+	return &meshHost{slots: map[hostKey]*hostSlot{}}
+}
+
+// slot returns k's rendezvous, creating it on first use. Call under mu.
+func (h *meshHost) slot(k hostKey) *hostSlot {
+	s := h.slots[k]
+	if s == nil {
+		s = &hostSlot{ready: make(chan struct{})}
+		h.slots[k] = s
+	}
+	return s
 }
 
 func (h *meshHost) register(session uint64, id int, n *hostNode) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m := h.nodes[session]
-	if m == nil {
-		m = map[int]*hostNode{}
-		h.nodes[session] = m
-	}
-	if m[id] != nil {
+	s := h.slot(hostKey{session, id})
+	if s.node != nil {
 		return fmt.Errorf("dverify: node %d already registered in session %#x", id, session)
 	}
-	m[id] = n
+	s.node = n
+	close(s.ready)
 	return nil
 }
 
 func (h *meshHost) unregister(session uint64, id int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if m := h.nodes[session]; m != nil {
-		delete(m, id)
-		if len(m) == 0 {
-			delete(h.nodes, session)
-		}
-	}
+	delete(h.slots, hostKey{session, id})
 }
 
 func (h *meshHost) lookup(session uint64, id int) *hostNode {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.nodes[session][id]
+	if s := h.slots[hostKey{session, id}]; s != nil {
+		return s.node
+	}
+	return nil
 }
 
-// await polls for a registration: inbound peer connections park here until
-// the matching Init lands (or the deadline passes — a peer dialing a
-// session this daemon never joins must not leak a goroutine).
+// await parks an inbound peer link until the matching Init registers its
+// node, or the timeout passes — a peer dialing a session this daemon never
+// joins must not leak a goroutine, nor the slot it waited on.
 func (h *meshHost) await(session uint64, id int, timeout time.Duration) *hostNode {
-	deadline := time.Now().Add(timeout)
-	for {
-		if n := h.lookup(session, id); n != nil {
-			return n
-		}
-		if time.Now().After(deadline) {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
+	k := hostKey{session, id}
+	h.mu.Lock()
+	s := h.slot(k)
+	s.waiters++
+	h.mu.Unlock()
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-s.ready:
+	case <-t.C:
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if s.waiters--; s.node == nil && s.waiters == 0 && h.slots[k] == s {
+		delete(h.slots, k)
+	}
+	return s.node
 }
 
 // tcpMeshLink is one directed worker↔worker link: batches are encoded
@@ -198,15 +224,14 @@ type tcpEnv struct {
 	host *meshHost
 }
 
-func (e tcpEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, func(), error) {
+func (e tcpEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, error) {
 	if len(job.Peers) != job.NumNodes {
-		return nil, nil, fmt.Errorf("dverify: mesh init names %d peers for %d nodes", len(job.Peers), job.NumNodes)
+		return nil, fmt.Errorf("dverify: mesh init names %d peers for %d nodes", len(job.Peers), job.NumNodes)
 	}
 	if err := e.host.register(job.Session, job.NodeID, &hostNode{inbox: inbox, exp: exp}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	session, id := job.Session, job.NodeID
-	cleanup := func() { e.host.unregister(session, id) }
 	links := make([]meshLink, job.NumNodes)
 	for d := range links {
 		if d == id {
@@ -232,11 +257,13 @@ func (e tcpEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]mes
 				l.close()
 			}
 		}
-		cleanup()
-		return nil, nil, fmt.Errorf("dverify: node %d dialing mesh peer %d (%s): %v", id, d, job.Peers[d], err)
+		e.leave(job, inbox)
+		return nil, fmt.Errorf("dverify: node %d dialing mesh peer %d (%s): %v", id, d, job.Peers[d], err)
 	}
-	return links, cleanup, nil
+	return links, nil
 }
+
+func (e tcpEnv) leave(job *Job, _ *meshInbox) { e.host.unregister(job.Session, job.NodeID) }
 
 // Server runs a worker daemon: it accepts coordinator sessions and
 // inbound worker↔worker mesh links on one listener, distinguishing them
@@ -250,10 +277,12 @@ type Server struct {
 	l    net.Listener
 	logf func(format string, args ...any)
 	host *meshHost
+	// slot is the worker slot: one token, taken by the coordinator session
+	// whose job the worker runs and put back when that session ends.
+	slot chan struct{}
 
 	mu       sync.Mutex
 	draining bool
-	busy     bool
 	sessions sync.WaitGroup
 }
 
@@ -263,7 +292,9 @@ func NewServer(l net.Listener, logf func(format string, args ...any)) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{l: l, logf: logf, host: newMeshHost()}
+	s := &Server{l: l, logf: logf, host: newMeshHost(), slot: make(chan struct{}, 1)}
+	s.slot <- struct{}{}
+	return s
 }
 
 // Serve accepts sessions until the listener fails. After Shutdown it
@@ -340,29 +371,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			return true
 		}
 		// Wait briefly before refusing: back-to-back CLI invocations race
-		// the previous session's EOF processing by microseconds (the old
-		// serial accept loop made them queue), while a genuinely
+		// the previous session's EOF processing by microseconds, and take
+		// the token the moment it is put back, while a genuinely
 		// concurrent second cluster still gets a clean refusal.
-		deadline := time.Now().Add(3 * time.Second)
-		for {
-			s.mu.Lock()
-			if !s.busy {
-				s.busy, held = true, true
-				s.mu.Unlock()
-				return true
-			}
-			s.mu.Unlock()
-			if time.Now().After(deadline) {
-				return false
-			}
-			time.Sleep(5 * time.Millisecond)
+		t := time.NewTimer(3 * time.Second)
+		defer t.Stop()
+		select {
+		case <-s.slot:
+			held = true
+		case <-t.C:
 		}
+		return held
 	}
 	defer func() {
 		if held {
-			s.mu.Lock()
-			s.busy = false
-			s.mu.Unlock()
+			s.slot <- struct{}{}
 		}
 	}()
 	h := handler{env: tcpEnv{host: s.host}, draining: s.isDraining, acquire: acquire}

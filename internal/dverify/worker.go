@@ -9,23 +9,21 @@ import (
 )
 
 // meshChunk is how many states a worker expands between inbox drains and
-// control checks; meshPollBudget caps how long a busy worker holds a poll
-// before answering with an interim snapshot; meshIdleWait caps how long an
-// idle worker waits for data before answering an unchanged snapshot;
-// meshBatchTarget is the flush threshold of per-destination send buffers and
-// the capacity of a batch, in words (32 KB: 4,096 one-word states, 1,024
-// wide ones); meshFreeBatches caps the worker-local batch free list.
+// control checks; meshPollBudget caps how long a worker holds a poll before
+// answering with an interim snapshot; meshBatchTarget is the flush threshold
+// of per-destination send buffers and the capacity of a batch, in words
+// (32 KB: 4,096 one-word states, 1,024 wide ones); meshFreeBatches caps the
+// worker-local batch free list.
 const (
 	meshChunk       = 1024
 	meshPollBudget  = 25 * time.Millisecond
-	meshIdleWait    = 20 * time.Millisecond
 	meshBatchTarget = 4096
 	meshFreeBatches = 512
 )
 
 // meshWorker is one node of the mesh search, and one goroutine: the
-// transport's serve loop calls Init/Poll, and all search, routing, milestone
-// and accounting state is touched only from those calls (peer readers touch
+// transport's serve loop calls Init/Poll, and all search, routing and
+// accounting state is touched only from those calls (peer readers touch
 // nothing but the inbox). A distributed run's parallelism is its node count.
 //
 // Its state is split by lifetime, and each part is replaced as a whole —
@@ -66,13 +64,12 @@ type meshStanding struct {
 	// per level (recycleBucket).
 	free         [][]uint64
 	spareBuckets [2][]uint64
-	sparePending [][]uint64 // retired deferral-list backbone
 
 	waitT *time.Timer
 	// Snapshot responses are double-buffered: the coordinator reads round
 	// k's response while the worker builds round k+1 into the other
 	// buffer, so the per-poll counter copies reuse their backing arrays
-	// instead of allocating on every epoch. initResp backs the Init reply
+	// instead of allocating on every round. initResp backs the Init reply
 	// the same way: by the time a follow-up job re-Inits the worker, the
 	// previous reply is long consumed.
 	snapResp [2]Response
@@ -82,67 +79,56 @@ type meshStanding struct {
 
 // meshSession is one job on one cluster: placement, budget, the data plane
 // and what is true of the whole run whatever gets rolled back — the wire
-// history (traffic that happened) and the violation knowledge (a found
-// violation is a property of the state space, not of a dead worker).
+// history (traffic that happened).
 type meshSession struct {
 	id, n  int
 	job    *Job // what the worker was built for (reuse compatibility)
 	budget int
 
-	inbox   *meshInbox
-	links   []meshLink
-	cleanup func()
+	inbox *meshInbox
+	links []meshLink
+	env   meshEnv // set once connected: shutdown leaves through it
 
 	routed    int
 	filtered  int
 	wireBytes int
 
-	// Own minimum violation (reported) and the skip bound (own merged
-	// with the coordinator's broadcast; never reported back).
-	haveViol   bool
-	violLevel  int
-	violState  verify.PackedState
-	violApp    int
-	haveBound  bool
-	boundLevel int
-	boundState verify.PackedState
-
 	// Fault tolerance (ft.go): ft reports link failures instead of
-	// poisoning the run, ckptOn persists finished levels under ckptDir, and
-	// futureQ parks batches from peers already in a newer era until this
-	// worker's own recovery order arrives.
+	// poisoning the run, and ckptOn persists finished levels under ckptDir.
 	ft      bool
 	ckptOn  bool
 	ckptDir string // per-session segment directory
-	futureQ []meshBatch
 
 	finished bool
 }
 
-// meshLevel is the per-level search record. bucket[:cursor] — words, like
-// the cursor — is expanded; pending holds batches deferred by the commit
-// rule (tag > final+1), ownership transferred; fresh counts the level's
-// commits (set pre-sizing, trace), sent and recv the states shipped to and
-// drained from mesh links with this tag.
+// meshLevel is the per-level search record: bucket[:cursor] — words, like
+// the cursor — is expanded, and fresh counts the level's commits (set
+// pre-sizing, trace).
 type meshLevel struct {
-	bucket     []uint64
-	cursor     int
-	pending    [][]uint64
-	fresh      int
-	sent, recv int
+	bucket []uint64
+	cursor int
+	fresh  int
 }
 
 // meshEra is everything a rollback erases: the search frontier and its
-// counters, the milestone knowledge, and the routing view. owners is the
-// routing table (default contiguous, rewritten by Recover); ckptLevel the
-// highest level fully persisted as checkpoint segments (-1 = none); ftTrans
-// attributes transitions per (level, shard) so segments carry exact counts;
-// deadPeers suppresses sends to nodes known dead; linkDown is the cumulative
-// dead-peer report for the coordinator.
+// counters, the round in progress, the level's violation and the routing
+// view. level is the level the coordinator last polled; got counts the
+// level-tagged states received from peers, against the round's Expect;
+// ahead holds the level+1-tagged batches until the round of their level
+// (drainInbox); sentTo counts the level+1 states shipped to each
+// destination this round. owners is the routing table
+// (default contiguous, rewritten by Recover); ckptLevel the highest level
+// fully persisted as checkpoint segments (-1 = none); ftTrans attributes
+// transitions per (level, shard) so segments carry exact counts; deadPeers
+// suppresses sends to nodes known dead; linkDown is the cumulative dead-peer
+// report for the coordinator.
 type meshEra struct {
-	levels   []meshLevel
-	final    int // highest level known final (coordinator-published)
-	outLevel int // tag of the buffered sends (expand level + 1; -1 = none)
+	levels []meshLevel
+	level  int
+	got    int
+	ahead  [][]uint64
+	sentTo []int
 
 	fresh       int
 	transitions int
@@ -150,26 +136,18 @@ type meshEra struct {
 	tooLarge    bool
 	err         error
 
+	// The minimum violating state of the level, and the application that
+	// misses there.
+	haveViol  bool
+	violState verify.PackedState
+	violApp   int
+
 	era       int
 	owners    [numShards]uint8
 	ckptLevel int
 	ftTrans   [][numShards]int64
 	deadPeers []bool
 	linkDown  []int
-
-	lastSnap meshDigest
-	haveSnap bool
-}
-
-// meshDigest summarizes a snapshot for the long-poll "news" check: a
-// worker answers an outstanding poll as soon as its digest moves.
-type meshDigest struct {
-	fresh, transitions, routed, filtered int
-	sent, recv, pendingN                 int
-	drained, maxFresh                    int
-	idle, tooLarge, haveErr, haveViol    bool
-	violLevel                            int
-	violState                            verify.PackedState
 }
 
 // newMeshWorker builds a node for a mesh job and wires its data links
@@ -180,8 +158,8 @@ type meshDigest struct {
 // bench loop, does not restart its steady state from zero. The donor's
 // links are already down (Init goes through handler.reset) and its
 // registration is gone; what its run left parked — a violating or
-// over-budget run stops with frontier, deferrals and sends all in place —
-// is recycled by the same resets that start every worker.
+// over-budget run stops with frontier and sends in place — is recycled by
+// the same resets that start every worker.
 func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Response, error) {
 	if job.Proto != protoVersion {
 		return nil, nil, fmt.Errorf("dverify: coordinator speaks protocol %d, this worker speaks %d (rebuild the older side)",
@@ -220,25 +198,19 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		}}
 	}
 
-	// The session. Parked future-era batches feed the free list; the inbox
-	// is new, not the old one swept: a peer reader of the previous session
-	// may still hold it and push a late frame — or the EOF of a link its
-	// sender has already closed — after any sweep.
-	for _, b := range w.futureQ {
-		w.putBatch(b.states)
-	}
+	// The session. The inbox is new, not the old one swept: a peer reader
+	// of the previous session may still hold it and push a late frame — or
+	// the EOF of a link its sender has already closed — after any sweep.
 	clear(w.linkStates)
 	clear(w.linkBytes)
 	w.meshSession = meshSession{
-		id:      job.NodeID,
-		n:       n,
-		job:     job,
-		budget:  job.MaxStates,
-		inbox:   newMeshInbox(),
-		violApp: -1,
-		ft:      job.FT,
-		ckptOn:  job.FT && job.CheckpointDir != "",
-		futureQ: w.futureQ[:0],
+		id:     job.NodeID,
+		n:      n,
+		job:    job,
+		budget: job.MaxStates,
+		inbox:  newMeshInbox(),
+		ft:     job.FT,
+		ckptOn: job.FT && job.CheckpointDir != "",
 	}
 	if w.budget <= 0 {
 		w.budget = defaultMaxStates
@@ -248,11 +220,11 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	}
 	w.resetEra(job.Era, job.Owners, nil)
 
-	links, cleanup, err := env.connect(job, w.inbox, w.exp)
+	links, err := env.connect(job, w.inbox, w.exp)
 	if err != nil {
 		return nil, nil, err
 	}
-	w.links, w.cleanup = links, cleanup
+	w.links, w.env = links, env
 	for d, l := range links {
 		switch want := d != w.id && l != nil && l.wantFilter(); {
 		case !want:
@@ -291,9 +263,10 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 		if cap(w.levels[l].bucket) > 0 {
 			w.recycleBucket(l)
 		}
-		for _, b := range w.levels[l].pending {
-			w.putBatch(b)
-		}
+	}
+	for i, b := range w.ahead {
+		w.putBatch(b)
+		w.ahead[i] = nil
 	}
 	for d := range w.outBuf {
 		if w.outBuf[d] == nil {
@@ -304,9 +277,10 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 	}
 	w.visited.Reset()
 	if w.deadPeers == nil {
-		w.deadPeers = make([]bool, w.n)
+		w.deadPeers, w.sentTo = make([]bool, w.n), make([]int, w.n)
 	}
 	clear(w.deadPeers)
+	clear(w.sentTo)
 	for _, d := range dead {
 		if d >= 0 && d < w.n {
 			w.deadPeers[d] = true
@@ -314,7 +288,8 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 	}
 	w.meshEra = meshEra{
 		levels:    w.levels[:0],
-		outLevel:  -1,
+		ahead:     w.ahead[:0],
+		sentTo:    w.sentTo,
 		era:       era,
 		owners:    ownerTable(owners, w.n),
 		ckptLevel: -1,
@@ -333,75 +308,17 @@ func (w *meshWorker) seed() {
 	}
 }
 
-// drained computes the highest level L with every bucket ≤ L expanded,
-// capped at final+1 (deeper buckets may still be refilled by peers).
-func (w *meshWorker) drained() int {
-	d := -1
-	for l := 0; l <= w.final+1; l++ {
-		if l < len(w.levels) && w.levels[l].cursor < len(w.levels[l].bucket) {
-			if !(w.haveBound && l > w.boundLevel) {
-				break
-			}
-		}
-		d = l
-	}
-	return d
-}
-
-// idle reports quiescence under the node's current milestone knowledge.
-func (w *meshWorker) idle() bool {
-	if w.expandable() >= 0 || len(w.futureQ) > 0 {
-		return false
-	}
-	for _, b := range w.outBuf {
-		if len(b) > 0 {
-			return false
-		}
-	}
-	for l := range w.levels {
-		if len(w.levels[l].pending) > 0 && !(w.haveBound && l > w.boundLevel) {
-			return false
-		}
-	}
-	w.inbox.mu.Lock()
-	empty := len(w.inbox.q) == 0
-	w.inbox.mu.Unlock()
-	return empty
-}
-
-// digest captures the snapshot fields the long-poll news check compares
-// (pendingN in words: it is only ever compared with itself).
-func (w *meshWorker) digest() meshDigest {
-	pendingN, sent, recv := 0, 0, 0
-	for l := range w.levels {
-		for _, b := range w.levels[l].pending {
-			pendingN += len(b)
-		}
-		sent += w.levels[l].sent
-		recv += w.levels[l].recv
-	}
-	return meshDigest{
-		fresh: w.fresh, transitions: w.transitions, routed: w.routed, filtered: w.filtered,
-		sent: sent, recv: recv, pendingN: pendingN,
-		drained: w.drained(), maxFresh: w.maxFresh,
-		idle: w.idle(), tooLarge: w.tooLarge, haveErr: w.err != nil, haveViol: w.haveViol,
-		violLevel: w.violLevel, violState: w.violState,
-	}
-}
-
 // snapshot builds a poll response from the cumulative counters, reusing
-// the flip buffer's slices (see snapResp).
-func (w *meshWorker) snapshot() *Response {
+// the flip buffer's slices (see snapResp). done marks the answer to a
+// finished round: it carries the round's SentTo and Next.
+func (w *meshWorker) snapshot(done bool) *Response {
 	resp := &w.snapResp[w.snapFlip]
 	w.snapFlip ^= 1
 	*resp = Response{
 		Proto:        protoVersion,
-		SentByLevel:  resp.SentByLevel[:0],
-		RecvByLevel:  resp.RecvByLevel[:0],
+		SentTo:       resp.SentTo[:0],
 		FreshByLevel: resp.FreshByLevel[:0],
 		Links:        resp.Links[:0],
-		Drained:      w.drained(),
-		Idle:         w.idle(),
 		MaxFresh:     w.maxFresh,
 		Fresh:        w.fresh,
 		Transitions:  w.transitions,
@@ -415,17 +332,20 @@ func (w *meshWorker) snapshot() *Response {
 		LinkDown:     append(resp.LinkDown[:0], w.linkDown...),
 	}
 	for l := range w.levels {
-		lv := &w.levels[l]
-		resp.SentByLevel = append(resp.SentByLevel, lv.sent)
-		resp.RecvByLevel = append(resp.RecvByLevel, lv.recv)
-		resp.FreshByLevel = append(resp.FreshByLevel, lv.fresh)
+		resp.FreshByLevel = append(resp.FreshByLevel, w.levels[l].fresh)
+	}
+	if done {
+		resp.SentTo = append(resp.SentTo, w.sentTo...)
+		if next := w.level + 1; next < len(w.levels) {
+			resp.Next = w.levels[next].fresh
+		}
 	}
 	if w.err != nil {
 		resp.Err = w.err.Error()
 	}
 	if w.haveViol {
 		resp.Viol = true
-		resp.ViolLevel, resp.ViolState, resp.ViolApp = w.violLevel, w.violState, w.violApp
+		resp.ViolState, resp.ViolApp = w.violState, w.violApp
 	}
 	for d := range w.linkStates {
 		if d != w.id && (w.linkStates[d] > 0 || w.linkBytes[d] > 0) {
@@ -434,58 +354,70 @@ func (w *meshWorker) snapshot() *Response {
 			})
 		}
 	}
-	w.lastSnap, w.haveSnap = w.digest(), true
 	return resp
 }
 
-// poll is one control-plane epoch on the worker side: absorb the
-// coordinator's milestone knowledge, then expand and exchange until there
-// is news (or the poll budget runs out), and answer with a snapshot.
+// poll is one round on the worker side. A Recover order rolls the worker
+// back to the cut and answers without expanding. Otherwise the worker
+// absorbs until it holds the ctl.Expect states of level ctl.Level its peers
+// shipped it, expands its bucket of that level, committing its own
+// successors as it goes, and answers with a snapshot of the finished round
+// — or, when meshPollBudget runs out first, with an interim one, and the
+// coordinator polls it again at the same level.
 func (w *meshWorker) poll(ctl *Control) *Response {
-	if ctl != nil {
-		if ctl.Recover != nil && w.ft && ctl.Recover.Era > w.era {
+	if ctl.Recover != nil {
+		if w.ft {
 			w.recoverTo(ctl.Recover)
 		}
-		if ctl.Finish {
-			w.shutdown()
-			w.removeCkpt()
-			return w.snapshot()
-		}
-		w.setFinal(ctl.Final)
-		if ctl.HaveViol {
-			w.noteBound(ctl.ViolLevel, ctl.ViolState)
-		}
+		return w.snapshot(false)
+	}
+	if ctl.Finish {
+		w.shutdown()
+		w.removeCkpt()
+		return w.snapshot(false)
 	}
 	if w.finished {
-		return w.snapshot()
+		return w.snapshot(false)
+	}
+	switch ctl.Level {
+	case w.level:
+	case w.level + 1:
+		w.level, w.got = w.level+1, 0
+		clear(w.sentTo)
+		for i, b := range w.ahead {
+			w.got += len(b) / w.sw
+			w.absorb(w.level, b)
+			w.ahead[i] = nil
+		}
+		w.ahead = w.ahead[:0]
+	default:
+		w.err = fmt.Errorf("polled for level %d at level %d", ctl.Level, w.level)
 	}
 	deadline := time.Now().Add(meshPollBudget)
-	for {
+	done := false
+	for w.err == nil && !w.tooLarge {
 		w.drainInbox()
-		if w.err != nil || w.tooLarge {
-			break
-		}
-		if w.haveViol && (!w.haveSnap || !w.lastSnap.haveViol ||
-			w.violLevel != w.lastSnap.violLevel || w.violState != w.lastSnap.violState) {
-			break // a new minimum violation is always news
-		}
-		if !w.expandChunk(meshChunk) {
-			w.flushOut()
-			if !w.haveSnap || w.digest() != w.lastSnap {
-				break
-			}
+		if w.got < ctl.Expect {
 			if !w.waitData(deadline) {
 				break
 			}
 			continue
 		}
+		if !w.expandChunk(meshChunk) {
+			done = true
+			break
+		}
 		if time.Now().After(deadline) {
-			w.flushOut()
 			break
 		}
 	}
-	w.maybeCheckpoint()
-	return w.snapshot()
+	w.flushOut()
+	if done {
+		w.retire()
+	}
+	// A worker over its budget stops here: its round is as finished as it
+	// will get, and the coordinator ends the run with it.
+	return w.snapshot(done || w.tooLarge)
 }
 
 // waitData blocks until a mesh batch arrives or the poll deadline passes,
@@ -494,9 +426,6 @@ func (w *meshWorker) waitData(deadline time.Time) bool {
 	d := time.Until(deadline)
 	if d <= 0 {
 		return false
-	}
-	if d > meshIdleWait {
-		d = meshIdleWait
 	}
 	if w.waitT == nil {
 		w.waitT = time.NewTimer(d)
@@ -530,7 +459,7 @@ func (w *meshWorker) shutdown() {
 			l.close()
 		}
 	}
-	if w.cleanup != nil {
-		w.cleanup()
+	if w.env != nil {
+		w.env.leave(w.job, w.inbox)
 	}
 }
