@@ -21,6 +21,20 @@
 //     another automaton, emitter update first;
 //   - clocks saturate at a per-clock ceiling (max-constant abstraction),
 //     keeping the reachable state space finite.
+//
+// Reachable is a breadth-first search over a pointer-free state store: each
+// visited state is a key of 16 bits per field (locations, then variables,
+// then clocks, four fields to a uint64 word) appended to a slab of
+// fixed-size blocks, which is also the BFS queue, and found again through an
+// open-addressing index of hash-tagged slab indices. Successors are built in
+// reused scratch states, so a check allocates per visited state only for a
+// witness. The field contract follows from the key: every location, variable
+// and clock of a reached state must lie in [0, 65535]; a state outside it
+// ends the check with ErrValueRange instead of wrapping onto another state.
+//
+// The package depends on no other package of this module: it is the
+// independent oracle the packed verifier in internal/verify is checked
+// against.
 package ta
 
 import (
@@ -45,16 +59,6 @@ type State struct {
 	Locs   []int
 	Vars   []int
 	Clocks []int
-}
-
-// clone deep-copies a state.
-func (s *State) clone() *State {
-	n := &State{
-		Locs:   append([]int(nil), s.Locs...),
-		Vars:   append([]int(nil), s.Vars...),
-		Clocks: append([]int(nil), s.Clocks...),
-	}
-	return n
 }
 
 // Guard is an edge guard; nil means "always enabled".
@@ -145,18 +149,18 @@ func (n *Network) Validate() error {
 
 // Initial returns the initial configuration.
 func (n *Network) Initial() *State {
-	s := &State{
-		Locs:   make([]int, len(n.Automata)),
-		Vars:   make([]int, len(n.VarNames)),
-		Clocks: make([]int, len(n.ClockNames)),
-	}
+	s, _ := n.initial()
+	return s
+}
+
+// initial is Initial as a flatState.
+func (n *Network) initial() (*State, []int) {
+	s, flat := n.flatState()
 	for i, a := range n.Automata {
 		s.Locs[i] = a.Init
 	}
-	if n.InitVars != nil {
-		copy(s.Vars, n.InitVars)
-	}
-	return s
+	copy(s.Vars, n.InitVars)
+	return s, flat
 }
 
 // invariantsHold reports whether every occupied location's invariant holds.
@@ -199,17 +203,41 @@ type Step struct {
 	Elapsed int    // cumulative delay steps before this action
 }
 
-// Successors appends all successor states of s to out, with matching Step
-// descriptors appended to steps. The committed-location priority rule and
-// delay blocking are applied.
-func (n *Network) Successors(s *State, out []*State, steps []Step) ([]*State, []Step) {
-	committed := n.anyCommitted(s)
+// scratch holds the successor states of one expansion, reused from state to
+// state (flatState shapes, flats[k] backing pool[k]), and their Step
+// descriptors when trace is set.
+type scratch struct {
+	trace bool
+	pool  []*State
+	flats [][]int
+	steps []Step
+}
 
-	fire := func(ns *State) *State { // apply invariant admissibility
-		if n.invariantsHold(ns) {
-			return ns
+// take returns pool slot k holding a copy of the flat state.
+func (sc *scratch) take(n *Network, flat []int, k int) *State {
+	if k == len(sc.pool) {
+		s, f := n.flatState()
+		sc.pool, sc.flats = append(sc.pool, s), append(sc.flats, f)
+	}
+	copy(sc.flats[k], flat)
+	return sc.pool[k]
+}
+
+// successors writes the successor states of s, a flatState backed by flat,
+// to sc.pool[:k] and returns k; under sc.trace, sc.steps[:k] describes them.
+// The committed-location priority rule and delay blocking are applied.
+func (n *Network) successors(s *State, flat []int, sc *scratch) int {
+	committed := n.anyCommitted(s)
+	k := 0
+	sc.steps = sc.steps[:0]
+	// keep admits pool slot k when the state it holds is admissible.
+	keep := func(step Step) {
+		if n.invariantsHold(sc.pool[k]) {
+			k++
+			if sc.trace {
+				sc.steps = append(sc.steps, step)
+			}
 		}
-		return nil
 	}
 
 	// Internal edges.
@@ -225,15 +253,12 @@ func (n *Network) Successors(s *State, out []*State, steps []Step) ([]*State, []
 			if e.Guard != nil && !e.Guard(s) {
 				continue
 			}
-			ns := s.clone()
+			ns := sc.take(n, flat, k)
 			ns.Locs[ai] = e.To
 			if e.Update != nil {
 				e.Update(ns)
 			}
-			if ns = fire(ns); ns != nil {
-				out = append(out, ns)
-				steps = append(steps, Step{AutoA: ai, AutoB: -1, Label: e.Label})
-			}
+			keep(Step{AutoA: ai, AutoB: -1, Label: e.Label})
 		}
 	}
 
@@ -264,7 +289,7 @@ func (n *Network) Successors(s *State, out []*State, steps []Step) ([]*State, []
 					if f.Guard != nil && !f.Guard(s) {
 						continue
 					}
-					ns := s.clone()
+					ns := sc.take(n, flat, k)
 					ns.Locs[ai] = e.To
 					ns.Locs[bi] = f.To
 					if e.Update != nil {
@@ -273,11 +298,11 @@ func (n *Network) Successors(s *State, out []*State, steps []Step) ([]*State, []
 					if f.Update != nil {
 						f.Update(ns)
 					}
-					if ns = fire(ns); ns != nil {
-						out = append(out, ns)
-						steps = append(steps, Step{AutoA: ai, AutoB: bi,
-							Label: e.Label + "!/" + f.Label + "?"})
+					step := Step{AutoA: ai, AutoB: bi}
+					if sc.trace {
+						step.Label = e.Label + "!/" + f.Label + "?"
 					}
+					keep(step)
 				}
 			}
 		}
@@ -285,16 +310,13 @@ func (n *Network) Successors(s *State, out []*State, steps []Step) ([]*State, []
 
 	// Delay step (one time unit) with clock saturation.
 	if !n.anyUrgentOrCommitted(s) {
-		ns := s.clone()
+		ns := sc.take(n, flat, k)
 		for c := range ns.Clocks {
 			if ns.Clocks[c] <= n.ClockMax[c] {
 				ns.Clocks[c]++
 			}
 		}
-		if n.invariantsHold(ns) {
-			out = append(out, ns)
-			steps = append(steps, Step{Delay: true, AutoA: -1, AutoB: -1, Label: "delay"})
-		}
+		keep(Step{Delay: true, AutoA: -1, AutoB: -1, Label: "delay"})
 	}
-	return out, steps
+	return k
 }

@@ -292,3 +292,37 @@ func TestAnyLocationUnknownNames(t *testing.T) {
 		}
 	}
 }
+
+// TestValueRangeRefused: the visited set stores 16 bits per field, so a
+// state holding a field outside [0, 65535] ends the check with
+// ErrValueRange rather than a key that wraps onto another state (65,536
+// onto 0, −1 onto 65,535), which would report v == 65537 unreachable.
+func TestValueRangeRefused(t *testing.T) {
+	counter := &Automaton{
+		Name:      "A",
+		Locations: []Location{{Name: "S"}},
+		Edges: []Edge{{From: 0, To: 0, Label: "inc",
+			Guard:  func(s *State) bool { return s.Vars[0] < 70_000 },
+			Update: func(s *State) { s.Vars[0]++ }}},
+	}
+	negative := &Automaton{
+		Name:      "A",
+		Locations: []Location{{Name: "S"}, {Name: "T"}},
+		Edges: []Edge{{From: 0, To: 1, Label: "dec",
+			Update: func(s *State) { s.Vars[0] = -1 }}},
+	}
+	for _, tc := range []struct {
+		name string
+		a    *Automaton
+		p    Property
+	}{
+		{"past 65535", counter, func(s *State) bool { return s.Vars[0] == 65_537 }},
+		{"negative", negative, func(s *State) bool { return s.Vars[0] == -2 }},
+	} {
+		n := &Network{Automata: []*Automaton{tc.a}, VarNames: []string{"v"}}
+		res, err := n.Reachable(tc.p, CheckOptions{})
+		if !errors.Is(err, ErrValueRange) {
+			t.Fatalf("%s: want ErrValueRange, got %v (%+v)", tc.name, err, res)
+		}
+	}
+}

@@ -16,7 +16,11 @@ import (
 //
 // The network is checked with the generic discrete-time engine in
 // internal/ta; the packed verifier in this package implements the same
-// semantics ~100× faster. Cross-validation tests keep the two in agreement.
+// per-sample semantics on far fewer states. On S2 (C6, C2) the network has
+// 247,981 states and CheckNetwork takes ≈ 0.15 s, where Slot visits 10,201
+// states in 2–5 ms (2-vCPU guest, go1.24.0). Cross-validation tests keep
+// the two in agreement, apart from the two differences tamodel_test.go pins
+// (T*w = 0, and the order of equal deadlines).
 func BuildNetwork(profiles []*switching.Profile) (*ta.Network, error) {
 	n := len(profiles)
 	if n == 0 {
