@@ -14,10 +14,10 @@ import (
 	"tightcps/internal/verify"
 )
 
-// codecFor builds a frontierCodec over a real expander with the given
-// state width: 1 word (narrow triple) or 4 words (seven apps at r = 65 —
-// 9-bit lanes; at r ≤ 64 a seven-app fleet fits one word).
-func codecFor(t testing.TB, words int) *frontierCodec {
+// expanderFor builds a real expander with the given state width: 1 word
+// (narrow triple) or 4 words (seven apps at r = 65 — 9-bit lanes; at r ≤ 64
+// a seven-app fleet fits one word).
+func expanderFor(t testing.TB, words int) *verify.Expander {
 	t.Helper()
 	ps := fleet(3, 5, 2, 4, 20)
 	if words == 4 {
@@ -30,12 +30,11 @@ func codecFor(t testing.TB, words int) *frontierCodec {
 	if exp.StateWords() != words {
 		t.Fatalf("fixture yields %d-word states, want %d", exp.StateWords(), words)
 	}
-	return newFrontierCodec(exp)
+	return exp
 }
 
 // randStates returns n distinct states reachable in exp's set, flat, in a
-// reproducible random order: packed verifier states as the delta coder sees
-// them, each one CheckWords accepts.
+// reproducible random order, each one CheckWords accepts.
 func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uint64 {
 	t.Helper()
 	sw, init := exp.StateWords(), exp.Initial()
@@ -65,167 +64,138 @@ func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uin
 	return out
 }
 
-// sortedCopy returns the batch in codec order (the encoder sorts in place,
-// so decoded output is compared against this), sorted state by state under
-// verify.LessState — not by the codec's own SortWords.
-func sortedCopy(states []uint64, words int) []uint64 {
-	var cp []verify.PackedState
-	for i := 0; i < len(states); i += words {
-		cp = append(cp, packed(states[i:i+words]))
-	}
-	slices.SortFunc(cp, func(a, b verify.PackedState) int {
-		if verify.LessState(a, b) {
-			return -1
-		}
-		if verify.LessState(b, a) {
-			return 1
-		}
-		return 0
-	})
-	out := make([]uint64, 0, len(states))
-	for _, s := range cp {
-		out = append(out, s[:words]...)
-	}
-	return out
-}
-
 // TestFrontierCodecRoundTrip drives encode→decode across batch sizes and
-// both state widths, checking the decoded states are exactly the sorted
-// batch and that large batches actually land on a compressed format.
+// both state widths: a batch is the version byte, then the states' words
+// little-endian in the order given — byte for byte the body of a checkpoint
+// segment holding them — and decodes to exactly those states. A zero-length
+// batch holds none.
 func TestFrontierCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	dir := t.TempDir()
 	for _, words := range []int{1, 4} {
-		c := codecFor(t, words)
-		for _, n := range []int{0, 1, 2, 33, 4096} {
-			states := randStates(t, rng, c.exp, n)
-			want := sortedCopy(states, words)
-			enc := c.encode(states, nil)
-			if n == 0 {
-				if len(enc) != 0 {
-					t.Fatalf("words=%d: empty batch encoded to %d bytes", words, len(enc))
-				}
-				continue
+		exp := expanderFor(t, words)
+		if dec, err := decodeBatch(exp, nil, nil); err != nil || len(dec) != 0 {
+			t.Fatalf("words=%d: empty batch decoded to %v, %v", words, dec, err)
+		}
+		for _, n := range []int{1, 2, 33, 4096} {
+			states := randStates(t, rng, exp, n)
+			enc := encodeBatch(exp, nil, states)
+			want := []byte{codecRaw}
+			for _, w := range states {
+				want = binary.LittleEndian.AppendUint64(want, w)
 			}
-			if n >= 4096 {
-				if enc[0] == codecRaw {
-					t.Fatalf("words=%d n=%d: large batch fell back to the raw format", words, n)
-				}
-				if raw := 8 * words * n; len(enc) >= raw {
-					t.Fatalf("words=%d n=%d: %d encoded bytes not below the %d-byte raw size", words, n, len(enc), raw)
-				}
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("words=%d n=%d: batch is not the version byte and the raw words", words, n)
 			}
-			dec, err := c.decode(enc, nil)
+			path := segPath(dir, words, n)
+			if err := writeSegment(path, states, 0, exp); err != nil {
+				t.Fatal(err)
+			}
+			if seg, err := os.ReadFile(path); err != nil || !bytes.Equal(seg[segHeader:], enc[1:]) {
+				t.Fatalf("words=%d n=%d: batch body differs from the segment body (%v)", words, n, err)
+			}
+			dec, err := decodeBatch(exp, enc, nil)
 			if err != nil {
 				t.Fatalf("words=%d n=%d: decode: %v", words, n, err)
 			}
-			if !slices.Equal(dec, want) {
-				t.Fatalf("words=%d n=%d: round trip mismatch (%d states back, want %d)", words, n, len(dec), len(want))
+			if !slices.Equal(dec, states) {
+				t.Fatalf("words=%d n=%d: round trip mismatch (%d words back, want %d)", words, n, len(dec), len(states))
 			}
 		}
 	}
 }
 
-// TestFrontierCodecDuplicatesSurvive: the codec is not a deduplicator —
-// duplicate states (the sender filter is lossy by design) must round-trip.
+// TestFrontierCodecDuplicatesSurvive: the format is not a deduplicator —
+// duplicate states (owners dedup on absorb) must round-trip, in order.
 func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
-	c := codecFor(t, 1)
-	two := randStates(t, rand.New(rand.NewSource(5)), c.exp, 2)
-	lo, hi := min(two[0], two[1]), max(two[0], two[1])
-	states := []uint64{hi, lo, hi, lo, hi}
-	dec, err := c.decode(c.encode(states, nil), nil)
+	exp := expanderFor(t, 1)
+	two := randStates(t, rand.New(rand.NewSource(5)), exp, 2)
+	states := []uint64{two[1], two[0], two[1], two[0], two[1]}
+	dec, err := decodeBatch(exp, encodeBatch(exp, nil, states), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []uint64{lo, lo, hi, hi, hi}
-	if !slices.Equal(dec, want) {
+	if !slices.Equal(dec, states) {
 		t.Fatalf("duplicates lost: %v", dec)
 	}
 }
 
-// TestFrontierCodecRawFallback pins the version-byte dispatch: a batch
-// hand-built in the legacy fixed-width format (version byte codecRaw)
-// decodes identically to the modern formats, and a one-state batch the
-// delta coder cannot shrink falls back to it automatically.
+// TestFrontierCodecRawFallback pins the fixed-width format every batch now
+// uses: a batch hand-built as version byte codecRaw then little-endian words
+// decodes to exactly those states, in order, and a one-state batch whose
+// word has its top bit set goes out in that format and round-trips.
 func TestFrontierCodecRawFallback(t *testing.T) {
-	c := codecFor(t, 4)
-	states := randStates(t, rand.New(rand.NewSource(3)), c.exp, 9)
-	want := sortedCopy(states, 4)
+	exp := expanderFor(t, 4)
+	states := randStates(t, rand.New(rand.NewSource(3)), exp, 9)
 
-	// Hand-encode the legacy format.
+	// Hand-encode the fixed-width format.
 	legacy := []byte{codecRaw}
-	for _, w := range want {
+	for _, w := range states {
 		legacy = binary.LittleEndian.AppendUint64(legacy, w)
 	}
-	dec, err := c.decode(legacy, nil)
+	dec, err := decodeBatch(exp, legacy, nil)
 	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
+		t.Fatalf("hand-built batch decode: %v", err)
 	}
-	if !slices.Equal(dec, want) {
-		t.Fatal("legacy batch decoded wrong")
+	if !slices.Equal(dec, states) {
+		t.Fatal("hand-built batch decoded wrong")
 	}
 
-	// A single state with its top bit set (a 10-byte varint) costs more as
-	// varints than as a raw word, so the encoder itself must emit the raw
-	// fallback: seven applications at r = 64 fill the one word, and an
-	// occupant nine samples into a dwell of up to 12 sets its top bit.
-	exp, err := verify.NewExpander(fleet(7, 6, 10, 12, 64), verify.Config{NondetTies: true})
+	// Seven applications at r = 64 fill the one word, and an occupant nine
+	// samples into a dwell of up to 12 sets its top bit.
+	exp, err = verify.NewExpander(fleet(7, 6, 10, 12, 64), verify.Config{NondetTies: true})
 	if err != nil || exp.StateWords() != 1 {
 		t.Fatalf("full-word fixture: %v", err)
 	}
-	c = newFrontierCodec(exp)
 	one := []uint64{9<<60 | 3<<2 | 2} // occupant 0, Granted after a wait of 3, dwell 9
-	enc := c.encode(one, nil)
-	if enc[0] != codecRaw {
-		t.Fatalf("incompressible batch used version %d, want raw fallback", enc[0])
+	enc := encodeBatch(exp, nil, one)
+	if enc[0] != codecRaw || len(enc) != 9 {
+		t.Fatalf("top-bit batch used version %d in %d bytes, want the 9-byte raw format", enc[0], len(enc))
 	}
-	dec, err = c.decode(enc, nil)
+	dec, err = decodeBatch(exp, enc, nil)
 	if err != nil || !slices.Equal(dec, one) {
-		t.Fatalf("raw fallback round trip: %v %v", dec, err)
+		t.Fatalf("raw round trip: %v %v", dec, err)
 	}
 }
 
 // TestFrontierCodecErrors: corrupted batches fail loudly, never silently —
-// among them a batch opening with byte 2, the DEFLATE format a
-// protocol-version-9 peer could still send.
+// among them batches opening with byte 1 or 2, the sorted varint-delta and
+// DEFLATE formats a protocol-11 or protocol-9 peer could still send.
 func TestFrontierCodecErrors(t *testing.T) {
-	c := codecFor(t, 1)
-	if _, err := c.decode([]byte{codecRaw, 1, 2, 3}, nil); err == nil {
+	exp := expanderFor(t, 1)
+	if _, err := decodeBatch(exp, []byte{codecRaw, 1, 2, 3}, nil); err == nil {
 		t.Fatal("short raw batch decoded")
 	}
-	if _, err := c.decode([]byte{codecDelta, 0x80}, nil); err == nil {
-		t.Fatal("truncated varint decoded")
-	}
-	if _, err := c.decode([]byte{99, 1}, nil); err == nil {
+	if _, err := decodeBatch(exp, []byte{99, 1}, nil); err == nil {
 		t.Fatal("unknown codec version decoded")
 	}
-	if _, err := c.decode([]byte{2, 0xff, 0xff}, nil); err == nil || !strings.Contains(err.Error(), "unknown frontier codec version 2") {
-		t.Fatalf("byte-2 batch: err = %v, want the unknown-version error", err)
+	for _, old := range []byte{1, 2} {
+		want := fmt.Sprintf("unknown frontier codec version %d", old)
+		if _, err := decodeBatch(exp, []byte{old, 0xff, 0xff}, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("byte-%d batch: err = %v, want the unknown-version error", old, err)
+		}
 	}
 }
 
 // TestDecodeRefusesZeroState: no encoding produces the all-zero state — it
 // is the visited sets' empty-slot sentinel, and inserting it panics — so a
-// frontier batch in either format or a checkpoint segment that carries one is
-// refused by name, on both widths, before absorb sees it; a worker ordered to
-// restore such a segment reports it and stands.
+// frontier batch or a checkpoint segment that carries one is refused by
+// name, on both widths, before absorb sees it; a worker ordered to restore
+// such a segment reports it and stands.
 func TestDecodeRefusesZeroState(t *testing.T) {
 	dir := t.TempDir()
 	for _, words := range []int{1, 4} {
-		c := codecFor(t, words)
+		exp := expanderFor(t, words)
 		zero, one := make([]byte, 8*words), make([]byte, 8*words)
 		one[0] = 1
-		up, down := make([]byte, words), make([]byte, words) // word-0 deltas +1 and −1, zigzag coded
-		up[0], down[0] = 2, 1
 		for _, tc := range []struct {
 			name  string
 			batch []byte
 		}{
 			{"raw", append([]byte{codecRaw}, zero...)},
 			{"raw after a state", append(append([]byte{codecRaw}, one...), zero...)},
-			{"delta", append([]byte{codecDelta}, make([]byte, words)...)},
-			{"delta back to zero", append(append([]byte{codecDelta}, up...), down...)},
 		} {
-			if _, err := c.decode(tc.batch, nil); err == nil || !strings.Contains(err.Error(), "all-zero state") {
+			if _, err := decodeBatch(exp, tc.batch, nil); err == nil || !strings.Contains(err.Error(), "all-zero state") {
 				t.Errorf("%d-word %s batch %v: err = %v, want the all-zero-state error", words, tc.name, tc.batch, err)
 			}
 		}
@@ -233,7 +203,7 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 		if err := os.WriteFile(path, segmentBytes(2, 0, append(one, zero...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := readSegment(path, c.exp); err == nil || !strings.Contains(err.Error(), "all-zero state") ||
+		if _, _, err := readSegment(path, exp); err == nil || !strings.Contains(err.Error(), "all-zero state") ||
 			!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
 			t.Errorf("%d-word segment holding the zero state: err = %v", words, err)
 		}
@@ -265,12 +235,12 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 }
 
 // outOfLayout are, per state width, the nonzero states no search of
-// codecFor's sets produces, each of which the kernel would panic on, carry
-// a clock out of, or the visited sets would store: an occupant index past
-// the n applications, a bit outside the lanes and the header, an occupant
-// whose lane records a wait beyond its T*w, a Cooldown clock past r − 1 and
-// a Waiting clock at T*w. The narrow set has 3 applications with 7-bit
-// lanes (phase, then a 5-bit clock), T*w = 5 and r = 20, its occupant
+// expanderFor's sets produces, each of which the kernel would panic on,
+// carry a clock out of, or the visited sets would store: an occupant index
+// past the n applications, a bit outside the lanes and the header, an
+// occupant whose lane records a wait beyond its T*w, a Cooldown clock past
+// r − 1 and a Waiting clock at T*w. The narrow set has 3 applications with
+// 7-bit lanes (phase, then a 5-bit clock), T*w = 5 and r = 20, its occupant
 // nibble at bit 21; the wide one 7 applications with 9-bit lanes, T*w = 6
 // and r = 65, all in word 0, its occupant in the header word's low byte.
 var outOfLayout = map[int][]struct {
@@ -293,38 +263,26 @@ var outOfLayout = map[int][]struct {
 	},
 }
 
-// deltaBatch hand-encodes one state in the delta format (from the zero
-// predecessor), as a peer could send it whether or not it is valid.
-func deltaBatch(state []uint64) []byte {
-	b := []byte{codecDelta}
-	for _, w := range state {
-		b = binary.AppendUvarint(b, zigzag(int64(w)))
-	}
-	return b
-}
-
-// TestDecodeRefusesOutOfLayoutState: a batch in either format or a
-// checkpoint segment holding a nonzero state outside the set's layout is
-// refused by name, on both widths, before the kernel or absorb sees it.
+// TestDecodeRefusesOutOfLayoutState: a batch or a checkpoint segment holding
+// a nonzero state outside the set's layout is refused by name, on both
+// widths, before the kernel or absorb sees it.
 func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
 	dir := t.TempDir()
 	for words, cases := range outOfLayout {
-		c := codecFor(t, words)
-		if init := c.exp.Initial(); words == 1 && init[0] != 0xF<<21 || words == 4 && init[3] != 0xFF {
+		exp := expanderFor(t, words)
+		if init := exp.Initial(); words == 1 && init[0] != 0xF<<21 || words == 4 && init[3] != 0xFF {
 			t.Fatalf("%d-word fixture moved: initial state %v", words, init)
 		}
 		for _, tc := range cases {
-			raw := c.exp.AppendWords(nil, tc.state)
-			for format, batch := range map[string][]byte{"raw": append([]byte{codecRaw}, raw...), "delta": deltaBatch(tc.state)} {
-				if _, err := c.decode(batch, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("%d-word %s batch with %s: err = %v, want %q", words, format, tc.name, err, tc.want)
-				}
+			raw := exp.AppendWords(nil, tc.state)
+			if _, err := decodeBatch(exp, append([]byte{codecRaw}, raw...), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%d-word batch with %s: err = %v, want %q", words, tc.name, err, tc.want)
 			}
 			path := segPath(dir, words, 0)
 			if err := os.WriteFile(path, segmentBytes(1, 0, raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := readSegment(path, c.exp); err == nil || !strings.Contains(err.Error(), tc.want) ||
+			if _, _, err := readSegment(path, exp); err == nil || !strings.Contains(err.Error(), tc.want) ||
 				!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
 				t.Errorf("%d-word segment with %s: err = %v, want %q", words, tc.name, err, tc.want)
 			}
@@ -332,44 +290,40 @@ func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
 	}
 }
 
-// FuzzFrontierDecode feeds decode arbitrary bytes, as a mesh link might:
-// the outcome is a named error, or states that survive encode → decode as
-// the same multiset — never a panic, never a state CheckWords refuses (the
+// FuzzFrontierDecode feeds decodeBatch arbitrary bytes, as a mesh link
+// might: the outcome is a named error, or states that encodeBatch puts back
+// byte for byte — never a panic and never a state CheckWords refuses (the
 // all-zero state is the visited sets' sentinel: absorb would panic on it; an
-// out-of-layout occupant panics the kernel), and never more states than the
-// batch has bytes to pay for (a state costs at least one byte per word in
-// either format, so no length the decoder has not read sizes an allocation). The
-// seed corpus in testdata/fuzz/FuzzFrontierDecode holds an empty batch, raw
-// and delta batches of both widths, a truncated varint, a raw batch off the
-// state stride, a byte-2 batch and, on both widths, a raw batch holding each
-// state of outOfLayout.
+// out-of-layout occupant panics the kernel). The seed corpus in
+// testdata/fuzz/FuzzFrontierDecode holds an empty batch, raw batches of
+// both widths, a raw batch off the state stride, byte-1 batches (protocol
+// 11's delta format, a truncated varint among them) and a byte-2 one, and,
+// on both widths, a raw batch holding each state of outOfLayout.
 func FuzzFrontierDecode(f *testing.F) {
-	narrow, wide := codecFor(f, 1), codecFor(f, 4)
+	narrow, wide := expanderFor(f, 1), expanderFor(f, 4)
 	f.Fuzz(func(t *testing.T, useWide bool, batch []byte) {
-		c := narrow
+		exp := narrow
 		if useWide {
-			c = wide
+			exp = wide
 		}
-		dec, err := c.decode(batch, nil)
+		dec, err := decodeBatch(exp, batch, nil)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "dverify: ") && !strings.HasPrefix(err.Error(), "verify: ") {
 				t.Fatalf("unnamed error: %v", err)
 			}
 			return
 		}
-		if len(dec) > len(batch) {
-			t.Fatalf("%d states of %d words out of a %d-byte batch", len(dec)/c.words, c.words, len(batch))
-		}
-		if i := badState(c.exp, dec); i >= 0 {
+		if i := badState(exp, dec); i >= 0 {
 			t.Fatalf("state %d of the decoded batch fails CheckWords", i)
 		}
-		want := sortedCopy(dec, c.words)
-		again, err := c.decode(c.encode(dec, nil), nil)
-		if err != nil {
-			t.Fatalf("re-encoded batch refused: %v", err)
+		if len(batch) == 0 {
+			if len(dec) != 0 {
+				t.Fatalf("an empty batch decoded to %d words", len(dec))
+			}
+			return
 		}
-		if !slices.Equal(again, want) {
-			t.Fatalf("re-encoded batch decodes to %d words, want the same %d", len(again), len(want))
+		if again := encodeBatch(exp, nil, dec); !bytes.Equal(again, batch) {
+			t.Fatalf("%d words re-encode to %d bytes, decoded from %d", len(dec), len(again), len(batch))
 		}
 	})
 }
@@ -386,37 +340,6 @@ func badState(exp *verify.Expander, states []uint64) int {
 	return -1
 }
 
-// TestSendFilterExactness: a sendFilter hit must imply the exact state was
-// inserted before — hash-colliding states may never suppress each other —
-// and re-insertion keeps a state resident (recency).
-func TestSendFilterExactness(t *testing.T) {
-	f := newSendFilter(1)
-	a := []uint64{1}
-	h := uint64(0xdeadbeef) << 20 // arbitrary; same index for all probes below
-	if f.seen(a, h) {
-		t.Fatal("fresh state reported seen")
-	}
-	if !f.seen(a, h) {
-		t.Fatal("repeat not recognised")
-	}
-	b := []uint64{2}
-	if f.seen(b, h) {
-		t.Fatal("index-colliding distinct state reported seen")
-	}
-	// Both now resident in the 2-way set.
-	if !f.seen(a, h) || !f.seen(b, h) {
-		t.Fatal("2-way residency lost")
-	}
-	cst := []uint64{3}
-	if f.seen(cst, h) {
-		t.Fatal("third distinct state reported seen")
-	}
-	// cst evicted a's older slot; a miss on a re-send is safe by design.
-	if !f.seen(b, h) || !f.seen(cst, h) {
-		t.Fatal("recency order broken")
-	}
-}
-
 // TestProtocolVersionHandshake: both mismatch directions must fail loudly
 // before any frontier moves — a coordinator rejects a node echoing another
 // protocol version, and a node rejects a job carrying one. The stale peers
@@ -424,11 +347,12 @@ func TestSendFilterExactness(t *testing.T) {
 // version-6 one, which packs states with fixed 7-bit clocks and would decode
 // a fitted-layout frontier into different states without any error, a
 // version-7 one, whose request kinds are numbered differently, a version-8
-// one, whose Job still asks for a per-node lane pool, and a version-9 one,
-// which may send DEFLATE batches.
+// one, whose Job still asks for a per-node lane pool, a version-9 one,
+// which may send DEFLATE batches, and a version-11 one, which sends sorted
+// varint-delta batches.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
@@ -466,7 +390,7 @@ func segmentBytes(count uint64, trans int64, body []byte) []byte {
 func TestSegmentCorruptHeader(t *testing.T) {
 	dir := t.TempDir()
 	for _, words := range []int{1, 4} {
-		exp := codecFor(t, words).exp
+		exp := expanderFor(t, words)
 		stride := 8 * words
 		two := make([]byte, 2*stride)
 		two[0], two[stride] = 1, 2
@@ -541,7 +465,7 @@ func TestSegmentCorruptHeader(t *testing.T) {
 // the size product, trailing bytes and, on both widths, a segment holding
 // each state of outOfLayout.
 func FuzzReadSegment(f *testing.F) {
-	narrow, wide := codecFor(f, 1).exp, codecFor(f, 4).exp
+	narrow, wide := expanderFor(f, 1), expanderFor(f, 4)
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, useWide bool, file []byte) {
 		exp := narrow

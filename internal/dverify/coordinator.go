@@ -122,10 +122,9 @@ func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
 			adoptedNow[d] = false
 			if s := ft.lastResp[d]; s != nil {
 				ft.deadWire.Add(verify.WireStats{
-					RoutedStates:   s.Routed,
-					FilteredStates: s.Filtered,
-					RawBytes:       s.RawBytes,
-					WireBytes:      s.WireBytes,
+					RoutedStates: s.Routed,
+					RawBytes:     s.RawBytes,
+					WireBytes:    s.WireBytes,
 				})
 				// Folded once; a replacement adopted into this slot must
 				// not inherit (and re-fold) its predecessor's snapshot.

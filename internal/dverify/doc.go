@@ -13,18 +13,17 @@
 // level, result aggregation; the round protocol and why it is exact are at
 // the end of this comment).
 //
-// TCP links are bandwidth-engineered: every node suppresses states it
-// provably already routed to a destination (a fixed-size per-destination
-// recent-state filter — misses are safe, owners dedup on absorb) and
-// encodes each batch with a versioned codec (sorted varint-delta with a
-// fixed-width fallback; see proto.go). Loopback mesh links hand the word
-// batches over in memory and skip both. Wire-volume counters
-// — including per-link breakdowns — flow back into verify.Result.Wire.
+// Every routed state crosses its link; owners dedup on absorb. A TCP link
+// ships a batch as a version byte and the states' raw words — the byte
+// layout of a checkpoint segment, so the wire and the disk share one format
+// and one decoder (see proto.go). Loopback mesh links hand the word batches
+// over in memory. Wire-volume counters — including per-link breakdowns —
+// flow back into verify.Result.Wire.
 //
 // A worker holds states in the form the kernel emits and the wire ships:
 // flat []uint64, Expander.StateWords() words per state (8 bytes on the
 // one-word encoding, 32 on the wide one), in buckets, batches, send
-// buffers, send filters and checkpoint segments. It expands a chunk with
+// buffers and checkpoint segments. It expands a chunk with
 // Expander.ExpandWords, appends every successor to its owner's buffer, its
 // own included, and hands each batch, a peer's or its own, to the one
 // absorb, which inserts it through StateSet.AddWords — the local drivers'

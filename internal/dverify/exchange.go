@@ -75,13 +75,9 @@ func putBatch(b []uint64) {
 
 // meshLink is one directed data link to a peer. send takes ownership of
 // states and returns the bytes shipped (raw width on loopback, encoded
-// batch size on TCP). wantFilter reports whether the sender-side
-// recent-state filter pays on this link: probing costs more than the
-// receiver-side dedup it saves when no real wire is crossed, so loopback
-// links decline it and TCP links (where every state costs bytes) take it.
+// batch size on TCP).
 type meshLink interface {
 	send(era, level int, states []uint64) (int, error)
-	wantFilter() bool
 	close() error
 }
 
@@ -308,11 +304,11 @@ func (w *meshWorker) expandChunk(n int) bool {
 
 // expandSerial is the single-goroutine expansion loop: every successor
 // arrives from the kernel as words with its hash, mixed once, and the hash
-// picks the owner and probes the send filter. A successor is appended to its
-// owner's buffer — this node's own included, which expandChunk hands to
-// absorb when the chunk is done. Once the level holds a violation it decides
-// the verdict, as in the local lanes: nothing more is routed, and the rest
-// of the bucket is swept for a smaller violator.
+// picks the owner. A successor is appended to its owner's buffer — this
+// node's own included, which expandChunk hands to absorb when the chunk is
+// done. Once the level holds a violation it decides the verdict, as in the
+// local lanes: nothing more is routed, and the rest of the bucket is swept
+// for a smaller violator.
 func (w *meshWorker) expandSerial(n int) {
 	sw, l := w.sw, w.level
 	for i := 0; i < n && w.levels[l].cursor < len(w.levels[l].bucket) && !w.tooLarge; i++ {
@@ -336,13 +332,8 @@ func (w *meshWorker) expandSerial(n int) {
 			continue
 		}
 		for j, h := range w.hashes {
-			ns := w.succ[j*sw : j*sw+sw]
 			dst := int(w.owners[h>>58])
-			if w.filters[dst].slots != nil && w.filters[dst].seen(ns, h) {
-				w.filtered++
-				continue
-			}
-			w.outBuf[dst] = append(w.outBuf[dst], ns...)
+			w.outBuf[dst] = append(w.outBuf[dst], w.succ[j*sw:j*sw+sw]...)
 			if len(w.outBuf[dst]) >= meshBatchTarget {
 				w.flushDest(dst)
 			}

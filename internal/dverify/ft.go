@@ -27,9 +27,9 @@ package dverify
 // Recovery = global rollback. The coordinator computes the cut — the
 // minimum fully-checkpointed level over current owners — and every
 // surviving worker performs the same uniform reset: drop all volatile
-// search state (buckets, counters, in-flight batches, send filters),
-// restore all shards it owns under the new table from segments at levels
-// ≤ cut, re-materialize the cut level as an expandable frontier, and
+// search state (buckets, counters, in-flight batches), restore all shards
+// it owns under the new table from segments at levels ≤ cut,
+// re-materialize the cut level as an expandable frontier, and
 // resume. Exactness follows from the segments being exact level sets: the
 // restored visited set is precisely the BFS closure through the cut, and
 // re-expansion from the cut regenerates everything past it. The resumed

@@ -7,42 +7,6 @@ import (
 	"tightcps/internal/switching"
 )
 
-// filterBits sizes each per-destination recent-state filter: 1<<filterBits
-// entries of one state each — 64 KiB per destination on the one-word
-// encoding, 256 KiB on the wide one.
-const filterBits = 13
-
-// sendFilter is a fixed-size probing cache of the states most recently
-// routed to one destination: a 2-way set at each hash index, insertion
-// displacing the older way. A hit proves the exact state was routed before
-// (entries store the full state, and equality — not the hash — decides), so
-// suppressing it can never lose a state the owner has not seen; an evicted
-// entry merely costs a redundant re-send, which the owner dedups on absorb.
-// Misses are therefore safe in both directions — the soundness argument in
-// DESIGN.md §4.
-type sendFilter struct {
-	slots []uint64 // entries of sw words each; an all-zero entry is empty
-}
-
-func newSendFilter(sw int) sendFilter {
-	return sendFilter{slots: make([]uint64, sw<<filterBits)}
-}
-
-// seen records s and reports whether it was already present. h must be the
-// expander's hash of s; the index bits are disjoint from the shard selector
-// (top six) so one destination's filter spreads over all its shards.
-func (f *sendFilter) seen(s []uint64, h uint64) bool {
-	sw := len(s)
-	i := (int(h>>24) & (1<<filterBits - 1) &^ 1) * sw
-	a, b := f.slots[i:i+sw], f.slots[i+sw:i+2*sw]
-	if slices.Equal(a, s) || slices.Equal(b, s) {
-		return true
-	}
-	copy(b, a)
-	copy(a, s)
-	return false
-}
-
 // jobsCompatible reports whether a worker built for prev can donate its
 // standing part to next: everything that shaped its expander, visited
 // partition and cluster placement must be identical. Session, Peers and

@@ -12,9 +12,9 @@ import (
 // its own goroutine over unbuffered channels. It is the test and
 // single-machine form of the cluster: protocol, partitioning and the mesh
 // exchange are exactly those of the TCP transport, with channel handoff in
-// place of gob framing — mesh links push decoded state batches straight
-// into the peer's inbox, so loopback clusters pay no codec cost. Close the
-// transports (dverify.Close) to stop the worker goroutines.
+// place of gob framing — mesh links push state batches straight into the
+// peer's inbox, with no encoding. Close the transports (dverify.Close) to
+// stop the worker goroutines.
 func Loopback(n int) []Transport {
 	g := &loopGroup{sessions: map[uint64]*loopSession{}}
 	ts := make([]Transport, n)
@@ -95,8 +95,7 @@ func (s *loopSession) peer(to int) *meshInbox {
 }
 
 // loopLink is one directed in-process mesh link: a push into the peer's
-// inbox, no serialization. Reported bytes are the raw fixed-width volume
-// (nothing is encoded, so nothing is saved beyond the sender filter).
+// inbox, no serialization. Reported bytes are the raw fixed-width volume.
 type loopLink struct {
 	sess     *loopSession
 	from, to int
@@ -120,10 +119,6 @@ func (l *loopLink) send(era, level int, states []uint64) (int, error) {
 	ib.push(b)
 	return bytes, nil
 }
-
-// wantFilter declines the sender filter: an in-process push ships no
-// bytes, so suppressing duplicates costs more than the owner's dedup.
-func (l *loopLink) wantFilter() bool { return false }
 
 func (l *loopLink) close() error { return nil }
 

@@ -13,11 +13,9 @@ var (
 	obsFresh = obs.NewCounter("tightcps_dverify_fresh_states_total",
 		"States committed into this worker's visited partitions across completed sessions.")
 	obsWireBytes = obs.NewCounter("tightcps_dverify_wire_bytes_total",
-		"Encoded frontier bytes this worker shipped onto its mesh links across completed sessions.")
+		"Frontier bytes this worker shipped onto its mesh links across completed sessions.")
 	obsRoutedStates = obs.NewCounter("tightcps_dverify_routed_states_total",
 		"Foreign successors this worker routed onto its mesh links across completed sessions.")
-	obsFilteredStates = obs.NewCounter("tightcps_dverify_filtered_states_total",
-		"Foreign successors suppressed by the send filters across completed sessions.")
 	// Coordinator-side fault-tolerance counters: a coordinator embedded in
 	// an admission service (or CLI) exposes recoveries through the same
 	// registry its /metricsz serves.

@@ -1,8 +1,6 @@
 package dverify
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"tightcps/internal/sched"
@@ -17,19 +15,20 @@ import (
 // types are plain data so the TCP transport can gob-encode them without
 // registration; the loopback transport passes them by pointer.
 
-// protoVersion guards the gob envelope. The batch codec's version byte
+// protoVersion guards the gob envelope. The batch format's version byte
 // covers only batch payloads; a field renamed on Request/Response would
 // otherwise be dropped silently by gob in a mixed-version cluster (a stale
 // verifyd daemon), corrupting the search with no error. KindInit therefore
 // carries the coordinator's version in Job.Proto and the node echoes its
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
-// field, a codec byte or the packed-state layout changes or goes. Version
-// 11 polls one BFS level per round (Control.Level/Expect, Response.SentTo/
-// Next) over version 10's raw and delta batch codecs, one search goroutine
-// per node, no coordinator relay, and lane clocks fitted to the job's
-// largest r; what each earlier version was is in CHANGES.md.
-const protoVersion = 11
+// field, a batch format or the packed-state layout changes or goes. Version
+// 12 ships every routed state as raw words (codecRaw only: no sender
+// filter, no delta batches) and polls one BFS level per round
+// (Control.Level/Expect, Response.SentTo/Next), one search goroutine per
+// node, no coordinator relay, and lane clocks fitted to the job's largest
+// r; what each earlier version was is in CHANGES.md.
+const protoVersion = 12
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -164,7 +163,7 @@ type PeerHello struct {
 }
 
 // Frame is one level-tagged frontier batch on a TCP mesh link, following
-// the PeerHello on the same gob stream. Batch is frontierCodec-encoded.
+// the PeerHello on the same gob stream. Batch is encodeBatch's encoding.
 // Era tags the sender's recovery era (0 before any recovery); receivers
 // in another era drop the frame.
 type Frame struct {
@@ -190,15 +189,10 @@ type Response struct {
 	// Transitions counts the successors generated (pre-dedup), mirroring
 	// the local searches.
 	Transitions int
-	// Routed and Filtered count the node's foreign successors: Routed were
-	// shipped onto a mesh link, Filtered were suppressed by the
-	// per-destination recent-state filter (the owner has provably seen
-	// them). RawBytes is the fixed-width cost of all Routed+Filtered
-	// states and WireBytes the bytes the links actually carried, so the
-	// coordinator can report what the filter and the compressed codec
-	// saved.
+	// Routed counts the foreign successors the node shipped onto its mesh
+	// links, RawBytes their fixed-width size and WireBytes the bytes the
+	// links carried (on TCP, RawBytes plus one version byte per batch).
 	Routed    int
-	Filtered  int
 	RawBytes  int
 	WireBytes int
 	// Fresh counts the states committed to this node's visited partition
@@ -244,109 +238,32 @@ type Response struct {
 	LinkDown []int
 }
 
-// Frontier batch codec. Every batch opens with a version byte naming the
-// format of the rest; decoders dispatch on it, so formats can coexist on
-// one wire and the fixed-width PR-3 layout stays decodable forever.
-//
-//   - codecRaw: the states' words verbatim, little-endian, StateWords()
-//     words per state — the legacy format, also the encoder's fallback when
-//     delta coding would not shrink a (tiny) batch.
-//   - codecDelta: states sorted by verify.LessState, then for every state
-//     each word's difference to the previous state's same word, zigzag
-//     varint coded. Sorting makes word 0 non-decreasing and packs the
-//     field-structured states into short deltas.
-//
-// Sorting a batch is sound: absorb order within a level affects neither the
-// visited partition nor the verdict (a batch carries one level's tag, and
-// the minimum-violator tie-break is order-independent).
-const (
-	codecRaw   byte = 0
-	codecDelta byte = 1
-)
+// Frontier batch format: a version byte naming the format of the rest,
+// then the states. There is one format, codecRaw: the states' words
+// verbatim, little-endian, StateWords() words per state — the expander's
+// AppendWords layout, which is also the body of a checkpoint segment, so the
+// wire and the disk share one state format and one decoder (DecodeWords).
+// The byte stays so that another format can return behind a measured row;
+// any other value is refused by name, among them 1 (protocol 11's sorted
+// varint-delta batches) and 2 (protocol 9's DEFLATE ones).
+const codecRaw byte = 0
 
-// frontierCodec encodes and decodes frontier batches for one node: flat
-// words, words per state, in and out. The codecRaw format is exactly the
-// expander's AppendWords/DecodeWords layout — one implementation, shared,
-// so the two can never drift. The scratch buffer is reused across levels,
-// so per-batch work allocates only when a batch outgrows every previous
-// one. Not safe for concurrent use — each node owns one.
-type frontierCodec struct {
-	exp   *verify.Expander
-	words int // significant words per state (exp.StateWords)
-
-	buf bytes.Buffer // varint payload scratch (encode)
+// encodeBatch appends the batch encoding of states to dst.
+func encodeBatch(exp *verify.Expander, dst []byte, states []uint64) []byte {
+	return exp.AppendWords(append(dst, codecRaw), states)
 }
 
-func newFrontierCodec(exp *verify.Expander) *frontierCodec {
-	return &frontierCodec{exp: exp, words: exp.StateWords()}
-}
-
-// encode appends the batch encoding of states to dst. states is sorted in
-// place (part of the format). An empty batch encodes to zero bytes.
-func (c *frontierCodec) encode(states []uint64, dst []byte) []byte {
-	if len(states) == 0 {
-		return dst
-	}
-	c.exp.SortWords(states)
-	c.buf.Reset()
-	var tmp [binary.MaxVarintLen64]byte
-	var prev verify.PackedState
-	for i := 0; i < len(states); i += c.words {
-		for k, w := range states[i : i+c.words] {
-			d := int64(w - prev[k]) // exact signed delta mod 2^64
-			c.buf.Write(tmp[:binary.PutUvarint(tmp[:], zigzag(d))])
-			prev[k] = w
-		}
-	}
-	payload := c.buf.Bytes()
-	if len(payload) >= 8*len(states) {
-		// Tiny or adversarial batch: fall back to the fixed-width format.
-		return c.exp.AppendWords(append(dst, codecRaw), states)
-	}
-	dst = append(dst, codecDelta)
-	return append(dst, payload...)
-}
-
-// decode appends the states of one encoded batch to out, dispatching on the
-// version byte. A zero-length batch holds no states.
-func (c *frontierCodec) decode(batch []byte, out []uint64) ([]uint64, error) {
+// decodeBatch appends the states of one encoded batch to out. A zero-length
+// batch holds no states. As in a checkpoint segment, DecodeWords refuses a
+// body off the state stride and any state Expander.CheckWords refuses: the
+// all-zero state (the visited sets' sentinel) and states outside the set's
+// layout.
+func decodeBatch(exp *verify.Expander, batch []byte, out []uint64) ([]uint64, error) {
 	if len(batch) == 0 {
 		return out, nil
 	}
-	version, payload := batch[0], batch[1:]
-	switch version {
-	case codecRaw:
-		return c.exp.DecodeWords(payload, out)
-	case codecDelta:
-		return c.decodeDelta(payload, out)
-	default:
-		return out, fmt.Errorf("dverify: unknown frontier codec version %d", version)
+	if batch[0] != codecRaw {
+		return out, fmt.Errorf("dverify: unknown frontier codec version %d", batch[0])
 	}
+	return exp.DecodeWords(batch[1:], out)
 }
-
-// decodeDelta reverses the sorted zigzag varint-delta payload. The states
-// must pass Expander.CheckWords, as in a raw batch: the all-zero state (the
-// visited sets' sentinel) and states outside the set's layout are refused.
-// On an error out comes back as it was passed.
-func (c *frontierCodec) decodeDelta(payload []byte, out []uint64) ([]uint64, error) {
-	start := len(out)
-	var prev verify.PackedState
-	for len(payload) > 0 {
-		for k := 0; k < c.words; k++ {
-			u, n := binary.Uvarint(payload)
-			if n <= 0 {
-				return out[:start], fmt.Errorf("dverify: truncated varint in frontier batch (word %d)", k)
-			}
-			payload = payload[n:]
-			prev[k] += uint64(unzigzag(u))
-			out = append(out, prev[k])
-		}
-	}
-	if err := c.exp.CheckWords(out[start:]); err != nil {
-		return out[:start], fmt.Errorf("dverify: %w", err)
-	}
-	return out, nil
-}
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

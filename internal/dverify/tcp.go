@@ -192,28 +192,23 @@ func (h *meshHost) await(session uint64, id int, timeout time.Duration) *hostNod
 }
 
 // tcpMeshLink is one directed worker↔worker link: batches are encoded
-// with the versioned frontier codec (sorted varint-delta, raw when that is
-// smaller) and shipped as gob Frames.
+// as raw words (encodeBatch) and shipped as gob Frames.
 type tcpMeshLink struct {
-	to    int
-	conn  net.Conn
-	enc   *gob.Encoder
-	codec *frontierCodec
-	buf   []byte
+	to   int
+	conn net.Conn
+	enc  *gob.Encoder
+	exp  *verify.Expander
+	buf  []byte
 }
 
 func (l *tcpMeshLink) send(era, level int, states []uint64) (int, error) {
-	l.buf = l.codec.encode(states, l.buf[:0])
+	l.buf = encodeBatch(l.exp, l.buf[:0], states)
 	putBatch(states)
 	if err := l.enc.Encode(Frame{Level: level, Era: era, Batch: l.buf}); err != nil {
 		return 0, err
 	}
 	return len(l.buf), nil
 }
-
-// wantFilter takes the sender filter: every duplicate suppressed is bytes
-// not shipped.
-func (l *tcpMeshLink) wantFilter() bool { return true }
 
 func (l *tcpMeshLink) close() error { return l.conn.Close() }
 
@@ -247,7 +242,7 @@ func (e tcpEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]mes
 				Proto: protoVersion, Session: session, From: id, To: d,
 			}})
 			if err == nil {
-				links[d] = &tcpMeshLink{to: d, conn: conn, enc: enc, codec: newFrontierCodec(exp)}
+				links[d] = &tcpMeshLink{to: d, conn: conn, enc: enc, exp: exp}
 				continue
 			}
 			conn.Close()
@@ -430,7 +425,6 @@ func (s *Server) servePeer(conn net.Conn, dec *gob.Decoder, hello *PeerHello) {
 		s.logf("peer conn %s: session %#x node %d never registered", conn.RemoteAddr(), hello.Session, hello.To)
 		return
 	}
-	codec := newFrontierCodec(n.exp)
 	for {
 		var f Frame
 		if err := dec.Decode(&f); err != nil {
@@ -442,7 +436,7 @@ func (s *Server) servePeer(conn net.Conn, dec *gob.Decoder, hello *PeerHello) {
 			}
 			return
 		}
-		states, err := codec.decode(f.Batch, getBatch())
+		states, err := decodeBatch(n.exp, f.Batch, getBatch())
 		if err != nil {
 			n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link from node %d: %v", hello.From, err)})
 			return

@@ -39,11 +39,10 @@ func (t *meshTracker) observe(resps []*Response) {
 			t.haveViol, t.violState, t.violApp = true, r.ViolState, r.ViolApp
 		}
 		t.wire.Add(verify.WireStats{
-			RoutedStates:   r.Routed,
-			FilteredStates: r.Filtered,
-			RawBytes:       r.RawBytes,
-			WireBytes:      r.WireBytes,
-			Links:          r.Links,
+			RoutedStates: r.Routed,
+			RawBytes:     r.RawBytes,
+			WireBytes:    r.WireBytes,
+			Links:        r.Links,
 		})
 	}
 }

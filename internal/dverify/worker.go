@@ -51,8 +51,7 @@ type meshStanding struct {
 	hashes   []uint64
 	freshIdx []int32 // AddWords' answer for one batch
 	spareQ   []meshBatch
-	filters  []sendFilter // tables; which are in use is decided per session
-	outBuf   [][]uint64   // per-destination successors, this node's own included
+	outBuf   [][]uint64 // per-destination successors, this node's own included
 	// Per-destination wire counters of the session, zeroed when one starts.
 	linkStates []int
 	linkBytes  []int
@@ -90,7 +89,6 @@ type meshSession struct {
 	env   meshEnv // set once connected: shutdown leaves through it
 
 	routed    int
-	filtered  int
 	wireBytes int
 
 	// Fault tolerance (ft.go): ft reports link failures instead of
@@ -190,7 +188,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 			visited: exp.NewSet(1 << 16),
 			esc:     exp.NewScratch(),
 			spareQ:  make([]meshBatch, 0, 32),
-			filters: make([]sendFilter, n),
 			outBuf:  make([][]uint64, n),
 
 			linkStates: make([]int, n),
@@ -225,14 +222,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		return nil, nil, err
 	}
 	w.links, w.env = links, env
-	for d, l := range links {
-		switch want := d != w.id && l != nil && l.wantFilter(); {
-		case !want:
-			w.filters[d] = sendFilter{}
-		case w.filters[d].slots == nil:
-			w.filters[d] = newSendFilter(w.sw)
-		}
-	}
 	// A fresh run (Era 0) seeds the initial state on its owner; a
 	// replacement worker joining a recovered run restores its owned shards
 	// from checkpoint segments instead.
@@ -251,10 +240,8 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 // resetEra is the one place a worker's search state is emptied — at Init
 // and on every recovery order. It recycles the outgoing era's memory into
 // the standing free lists, empties what standing memory can hold state (the
-// visited table, the send buffers, and the send filters, whose
-// justification — "the receiver has this state in its visited set" — a
-// rollback breaks), then starts the new era from a fresh value: only what
-// is named below differs from zero. dead is the complete current dead set —
+// visited table and the send buffers), then starts the new era from a fresh
+// value: only what is named below differs from zero. dead is the complete current dead set —
 // rebuilt, not accumulated, so a replacement adopted into a dead slot
 // receives traffic again — and the cumulative LinkDown report restarts
 // empty: the coordinator already acted on everything reported before.
@@ -273,7 +260,6 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 			w.outBuf[d] = w.getBatch()
 		}
 		w.outBuf[d] = w.outBuf[d][:0]
-		clear(w.filters[d].slots)
 	}
 	w.visited.Reset()
 	if w.deadPeers == nil {
@@ -323,8 +309,7 @@ func (w *meshWorker) snapshot(done bool) *Response {
 		Fresh:        w.fresh,
 		Transitions:  w.transitions,
 		Routed:       w.routed,
-		Filtered:     w.filtered,
-		RawBytes:     8 * w.sw * (w.routed + w.filtered),
+		RawBytes:     8 * w.sw * w.routed,
 		WireBytes:    w.wireBytes,
 		TooLarge:     w.tooLarge,
 		ViolApp:      -1,
@@ -453,7 +438,6 @@ func (w *meshWorker) shutdown() {
 	obsFresh.Add(uint64(w.fresh))
 	obsWireBytes.Add(uint64(w.wireBytes))
 	obsRoutedStates.Add(uint64(w.routed))
-	obsFilteredStates.Add(uint64(w.filtered))
 	for _, l := range w.links {
 		if l != nil {
 			l.close()

@@ -82,10 +82,9 @@ type FailoverSpan struct {
 
 // WireSpan summarizes a distributed run's frontier-exchange volume.
 type WireSpan struct {
-	RoutedStates   int `json:"routedStates"`
-	FilteredStates int `json:"filteredStates"`
-	RawBytes       int `json:"rawBytes"`
-	WireBytes      int `json:"wireBytes"`
+	RoutedStates int `json:"routedStates"`
+	RawBytes     int `json:"rawBytes"`
+	WireBytes    int `json:"wireBytes"`
 }
 
 // Trace is the per-run record. Create with NewTrace, hand it to the
@@ -186,12 +185,12 @@ func (t *Trace) AddFailover(era int, dead []int, cut, shards int) {
 }
 
 // SetWire records the run's aggregate exchange volume.
-func (t *Trace) SetWire(routed, filtered, rawBytes, wireBytes int) {
-	if t == nil || rawBytes == 0 && routed == 0 && filtered == 0 {
+func (t *Trace) SetWire(routed, rawBytes, wireBytes int) {
+	if t == nil || rawBytes == 0 && routed == 0 {
 		return
 	}
 	t.mu.Lock()
-	t.Wire = &WireSpan{RoutedStates: routed, FilteredStates: filtered, RawBytes: rawBytes, WireBytes: wireBytes}
+	t.Wire = &WireSpan{RoutedStates: routed, RawBytes: rawBytes, WireBytes: wireBytes}
 	t.mu.Unlock()
 }
 

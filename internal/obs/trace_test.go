@@ -37,7 +37,7 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.AddLevel(0, 1, 1)
 	tr.AddNode(0, 1, 1, 0, 0)
 	tr.AddLink(0, 1, 2, 3)
-	tr.SetWire(1, 2, 3, 4)
+	tr.SetWire(1, 2, 3)
 	tr.SetBackend("mesh", 2)
 	tr.SetEpochs(9)
 	tr.SetResult(true, 1, 1, 1)
@@ -57,7 +57,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	tr.AddLevel(1, 3, 4)
 	tr.AddNode(0, 2, 1, 5, 6)
 	tr.AddLink(0, 1, 10, 80)
-	tr.SetWire(10, 2, 80, 40)
+	tr.SetWire(10, 80, 40)
 	tr.SetEpochs(3)
 	tr.SetResult(true, 4, 4, 1)
 

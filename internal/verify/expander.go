@@ -91,7 +91,7 @@ func (e *Expander) NewScratch() *ExpandScratch { return &ExpandScratch{} }
 // StateWords() words, and its successors' words are appended to out, in the
 // local drivers' successor order, with one Hash per successor appended to
 // hashes, mixed while the words are still hot, so a driver that routes and
-// filters by hash never mixes a state twice. The third result is the
+// inserts by hash never mixes a state twice. The third result is the
 // application whose deadline the expansion violated, or −1 when every
 // disturbance choice stays safe; on a violation out and hashes are returned
 // unchanged, so a slab built over several states keeps them.
@@ -163,8 +163,7 @@ func LessState(a, b PackedState) bool {
 }
 
 // SortWords sorts a slab of states, StateWords() words each, ascending in
-// LessState order: the canonical order of wire batches and checkpoint
-// segments.
+// LessState order: the canonical order of checkpoint segments.
 func (e *Expander) SortWords(slab []uint64) {
 	if sw := e.StateWords(); sw > 1 {
 		sort.Sort(wordSlab{slab, sw})
@@ -189,8 +188,9 @@ func (s wordSlab) Swap(i, j int) {
 	}
 }
 
-// AppendWords appends the wire encoding of a slab of states to dst: its
-// words verbatim, little-endian. DecodeWords reverses it.
+// AppendWords appends the byte encoding of a slab of states to dst — the
+// one format of mesh batches and checkpoint segments: its words verbatim,
+// little-endian. DecodeWords reverses it.
 func (e *Expander) AppendWords(dst []byte, slab []uint64) []byte {
 	for _, w := range slab {
 		dst = binary.LittleEndian.AppendUint64(dst, w)

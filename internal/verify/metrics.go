@@ -116,7 +116,7 @@ func (v *Verifier) recordRun(res Result, err error) {
 	if tr == nil {
 		return
 	}
-	tr.SetWire(res.Wire.RoutedStates, res.Wire.FilteredStates, res.Wire.RawBytes, res.Wire.WireBytes)
+	tr.SetWire(res.Wire.RoutedStates, res.Wire.RawBytes, res.Wire.WireBytes)
 	for _, l := range res.Wire.Links {
 		tr.AddLink(l.From, l.To, l.States, l.Bytes)
 	}
