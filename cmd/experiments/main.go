@@ -150,8 +150,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // experiments is one invocation: where its report goes, the backend every
-// slot verification runs on (-workers local lanes, or the -nodes/-connect
-// cluster, one goroutine per node), and the admission cache the paper's
+// slot verification runs on (-workers lanes, locally or on every node of
+// the -nodes/-connect cluster), and the admission cache the paper's
 // experiments share (-mapping's first-fit and optimal sweeps).
 type experiments struct {
 	out, stderr io.Writer

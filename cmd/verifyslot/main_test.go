@@ -97,7 +97,7 @@ func TestViolationReportsTheTimedRun(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-workers 2: exit %d: %s", code, stderr)
 	}
-	for _, want := range []string{"schedulable=false", "states=478335 transitions=484592 depth=12", "violator: C4\n",
+	for _, want := range []string{"schedulable=false", "states=478335 transitions=495318 depth=12", "violator: C4\n",
 		"(schedule from a sequential traced re-run; ends in a miss of C1)"} {
 		if !strings.Contains(par, want) {
 			t.Errorf("-workers 2 output lacks %q:\n%s", want, par)
@@ -118,7 +118,7 @@ func TestViolationReportsTheTimedRun(t *testing.T) {
 	if err := json.Unmarshal([]byte(js), &report); err != nil {
 		t.Fatalf("-json output: %v\n%s", err, js)
 	}
-	if report.Schedulable || report.Violator != "C4" || report.States != 478335 || report.Transitions != 484592 || report.Depth != 12 {
-		t.Errorf("-workers 2 -json = %+v, want the text run's C4 / 478335 / 484592 / 12", report)
+	if report.Schedulable || report.Violator != "C4" || report.States != 478335 || report.Transitions != 495318 || report.Depth != 12 {
+		t.Errorf("-workers 2 -json = %+v, want the text run's C4 / 478335 / 495318 / 12", report)
 	}
 }

@@ -44,6 +44,7 @@
 package admit
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
@@ -84,12 +85,12 @@ type Options struct {
 	// a distributed backend serializes its cluster sessions anyway, and
 	// the local engine already parallelizes inside one search).
 	Concurrency int
-	// Workers is the lane count of an in-process local search. 0 uses
-	// GOMAXPROCS. Values below 2 are raised to 2: the parallel driver's
-	// minimum-state violator rule is what keeps verdicts identical across
-	// backends, so the service never runs the sequential driver's
-	// insertion-order tie-break. A distributed backend ignores it (a mesh
-	// node is one search goroutine).
+	// Workers is the lane count of a search. On the in-process engine 0
+	// uses GOMAXPROCS and values below 2 are raised to 2: the parallel
+	// driver's minimum-state violator rule is what keeps verdicts identical
+	// across backends, so the service never runs the sequential driver's
+	// insertion-order tie-break. An attached cluster gets it as given —
+	// every node runs lanes, 0 worked out on each node.
 	Workers int
 	// MaxStates clamps per-request state budgets (0 = engine default
 	// only). Requests asking for more are capped, not refused.
@@ -295,16 +296,13 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 		cfg.MaxStates = s.opts.MaxStates
 	}
 	cfg.Workers = s.opts.Workers
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers < 2 {
+	if s.opts.Backend == nil {
 		// The parallel driver's minimum-violating-state rule makes the
 		// reported violator identical across worker counts and cluster
 		// sizes; the sequential driver's insertion-order
 		// tie-break does not. A service answer must not depend on the
-		// box it ran on, so Workers ≥ 2 always.
-		cfg.Workers = 2
+		// box it ran on, so a local search has Workers ≥ 2 always.
+		cfg.Workers = max(2, cmp.Or(cfg.Workers, runtime.GOMAXPROCS(0)))
 	}
 	if _, err := verify.New(profiles, cfg); err != nil {
 		return nil, http.StatusBadRequest, err

@@ -455,7 +455,9 @@ func TestServiceStateBudgetRefusal(t *testing.T) {
 
 // TestServiceWorkersDefault: Options.Workers 0 searches on GOMAXPROCS lanes
 // and a value below 2 on two, and the lane count never reaches the verdict
-// bytes — the lanes' minimum-violator rule does not depend on it.
+// bytes — the lanes' minimum-violator rule does not depend on it. That
+// raise is the local engine's: an attached cluster gets Workers as given,
+// its nodes run lanes whatever the value.
 func TestServiceWorkersDefault(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	overload := []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
@@ -477,6 +479,22 @@ func TestServiceWorkersDefault(t *testing.T) {
 			status, resp, got := r.submit(t, req)
 			if status != http.StatusOK || !bytes.Equal(got, wants[i]) {
 				t.Errorf("Workers %d, request %d: HTTP %d (%s), verdict %s, want %s", tc.opt, i, status, resp.Error, got, wants[i])
+			}
+		}
+	}
+	for _, opt := range []int{0, 1} {
+		r := newRig(t, backendCase{name: "loopback2", nodes: 2}, func(o *Options) { o.Workers = opt })
+		for i, req := range reqs {
+			rq, _, err := r.svc.resolve(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rq.cfg.Workers != opt {
+				t.Errorf("Workers %d on a cluster: %d lanes per node, want %d", opt, rq.cfg.Workers, opt)
+			}
+			status, resp, got := r.submit(t, req)
+			if status != http.StatusOK || !bytes.Equal(got, wants[i]) {
+				t.Errorf("Workers %d on a cluster, request %d: HTTP %d (%s), verdict %s, want %s", opt, i, status, resp.Error, got, wants[i])
 			}
 		}
 	}

@@ -89,8 +89,8 @@ func Unset(fs *flag.FlagSet, why string, names ...string) error {
 	return nil
 }
 
-// Backend is the backend flag group: the lanes of a local search, or the
-// cluster of a distributed one and its fault tolerance.
+// Backend is the backend flag group: the lanes of a search and, for a
+// distributed one, the cluster and its fault tolerance.
 type Backend struct {
 	workers, nodes int
 	connect        string
@@ -101,7 +101,7 @@ type Backend struct {
 // BackendFlags registers the group's flags on fs.
 func BackendFlags(fs *flag.FlagSet) *Backend {
 	b := &Backend{}
-	fs.IntVar(&b.workers, "workers", 0, "lanes of a local search (0 = GOMAXPROCS, 1 = sequential); a distributed run ignores it, a mesh node is one goroutine")
+	fs.IntVar(&b.workers, "workers", 0, "lanes of a search, on every node of a -nodes/-connect cluster too (0 = GOMAXPROCS, shared by the nodes of one process; 1 = sequential locally, one lane per node)")
 	fs.IntVar(&b.nodes, "nodes", 0, "verify over K in-process loopback mesh nodes (0 = local search)")
 	fs.StringVar(&b.connect, "connect", "", "verify over the verifyd workers at these comma-separated addresses (each dialed up to 5 times, waiting 0.5, 1, 2 and 4 s)")
 	fs.BoolVar(&b.ft, "ft", false, "fault-tolerant distributed runs: survive worker deaths by shard reassignment and rollback (needs -nodes or -connect)")

@@ -33,6 +33,12 @@ func expanderFor(t testing.TB, words int) *verify.Expander {
 	return exp
 }
 
+// packed lifts one state's words into a PackedState.
+func packed(s []uint64) (p verify.PackedState) {
+	copy(p[:], s)
+	return p
+}
+
 // randStates returns n distinct states reachable in exp's set, flat, in a
 // reproducible random order, each one CheckWords accepts.
 func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uint64 {
@@ -44,11 +50,11 @@ func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uin
 	for lo := 0; len(all) < n*sw && lo < len(all); {
 		hi := len(all)
 		for i := lo; i < hi; i += sw {
-			succ, _, _ := exp.ExpandWords(all[i:i+sw], scr, nil, nil)
-			for j := 0; j < len(succ); j += sw {
-				if p := packed(succ[j : j+sw]); !seen[p] {
-					seen[p] = true
-					all = append(all, succ[j:j+sw]...)
+			succ, _ := exp.SuccessorsHashedInto(packed(all[i:i+sw]), scr, nil)
+			for _, p := range succ {
+				if !seen[p.S] {
+					seen[p.S] = true
+					all = append(all, p.S[:sw]...)
 				}
 			}
 		}
@@ -348,11 +354,12 @@ func badState(exp *verify.Expander, states []uint64) int {
 // a fitted-layout frontier into different states without any error, a
 // version-7 one, whose request kinds are numbered differently, a version-8
 // one, whose Job still asks for a per-node lane pool, a version-9 one,
-// which may send DEFLATE batches, and a version-11 one, which sends sorted
-// varint-delta batches.
+// which may send DEFLATE batches, a version-11 one, which sends sorted
+// varint-delta batches, and a version-12 one, whose Job carries no lane
+// count (its nodes would each run one lane whatever Workers said).
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {

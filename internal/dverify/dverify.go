@@ -31,12 +31,13 @@ type Transport interface {
 
 // Verify runs the distributed reachability analysis for the profiles over
 // the given worker nodes. The configuration is interpreted exactly like
-// verify.Slot's, except that Workers is ignored (a node is one search
-// goroutine; the run's parallelism is len(nodes)), MaxStates is a per-node
-// budget, and Trace is rejected. The nodes exchange frontiers over
-// direct worker↔worker links, so the transports must be what Loopback or
-// Dial returned — one loopback group or one TCP cluster, unwrapped;
-// anything else is refused before a worker sees a request.
+// verify.Slot's, except that Workers is the lane count of every node (0:
+// the GOMAXPROCS of the node's process, shared by the nodes it hosts; 1:
+// one lane), MaxStates is a per-node budget, and Trace is rejected. The
+// nodes exchange frontiers over direct worker↔worker links, so the
+// transports must be what Loopback or Dial returned — one loopback group
+// or one TCP cluster, unwrapped; anything else is refused before a worker
+// sees a request.
 func Verify(profiles []*switching.Profile, cfg verify.Config, nodes []Transport) (verify.Result, error) {
 	return verifyWithFaults(profiles, cfg, nodes, nil)
 }
@@ -73,6 +74,7 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 		NondetTies:        cfg.NondetTies,
 		SymmetryReduction: cfg.SymmetryReduction,
 		MaxStates:         cfg.MaxStates,
+		Workers:           cfg.Workers,
 		RunID:             cfg.RunID,
 		FT:                cfg.FaultTolerance,
 		CheckpointDir:     cfg.CheckpointDir,

@@ -117,113 +117,6 @@ func (w *meshWorker) putBatch(b []uint64) {
 	putBatch(b)
 }
 
-// ensureLevel grows the level records to hold level l. The initial
-// capacity covers typical search depths in one allocation; deeper runs fall
-// back to append's doubling. (Holders of a *meshLevel must not call it.)
-func (w *meshWorker) ensureLevel(l int) {
-	if w.levels == nil {
-		w.levels = make([]meshLevel, 0, max(l+1, 64))
-	}
-	for len(w.levels) <= l {
-		w.levels = append(w.levels, meshLevel{})
-	}
-}
-
-// absorb commits a level-tagged batch — a peer's, or a chunk's own
-// successors — taking ownership of the slice: the states enter the visited
-// set through the set's chunked insert, the local drivers' insert, and the
-// fresh ones join their level's bucket. drainInbox decides when a peer's
-// batch may come here. A batch that takes the partition past its budget
-// stops the worker.
-func (w *meshWorker) absorb(level int, states []uint64) {
-	if w.tooLarge {
-		w.putBatch(states)
-		return
-	}
-	w.ensureLevel(level)
-	lv := &w.levels[level]
-	w.freshIdx = w.visited.AddWords(states, w.freshIdx[:0])
-	if n := len(w.freshIdx); n > 0 {
-		if w.fresh+n > w.budget {
-			w.tooLarge = true
-			w.putBatch(states)
-			return
-		}
-		if cap(lv.bucket) == 0 {
-			lv.bucket = w.newBucket(level)
-		}
-		for _, i := range w.freshIdx {
-			lv.bucket = append(lv.bucket, states[int(i)*w.sw:int(i)*w.sw+w.sw]...)
-		}
-		w.fresh += n
-		lv.fresh += n
-		w.maxFresh = max(w.maxFresh, level)
-	}
-	w.putBatch(states)
-}
-
-// newBucket picks the buffer a level's frontier is built in: a batch for a
-// small level, for a big one — going by the level before it — the larger of
-// the two frontier buffers recycleBucket keeps, which is the local drivers'
-// frontier/next swap. A buffer too small for its level grows by append, so
-// the pair a standing worker holds settles at the widest level it has seen.
-func (w *meshWorker) newBucket(level int) []uint64 {
-	if sp := &w.spareBuckets; cap(sp[1]) > 0 && level > 0 && w.levels[level-1].fresh*w.sw > meshBatchTarget {
-		b := sp[1]
-		sp[0], sp[1] = nil, sp[0]
-		return b
-	}
-	return w.getBatch()
-}
-
-// retire closes the worker's level once it is expanded: the level's
-// membership and its transitions are both final, so with checkpointing on
-// its segments are written now, and its bucket — which nothing reads again
-// — is recycled.
-func (w *meshWorker) retire() {
-	l := w.level
-	if w.ckptOn && w.ckptLevel < l {
-		if err := w.writeLevel(l); err != nil {
-			w.err = fmt.Errorf("checkpoint level %d: %v", l, err)
-			return
-		}
-		w.ckptLevel = l
-	}
-	if cap(w.levels[l].bucket) > 0 {
-		w.recycleBucket(l)
-	}
-}
-
-// recycleBucket takes a bucket out of its level: batch-sized ones feed
-// the free list, a bigger one becomes a spare frontier buffer. A round has
-// two big levels in flight — the one being expanded and the one it fills —
-// so two spares, the smaller (or the empty slot) first, are what a worker
-// needs between levels and all it retains between jobs. A third replaces
-// the smaller or is left to the collector.
-func (w *meshWorker) recycleBucket(l int) {
-	b := w.levels[l].bucket[:0]
-	w.levels[l].bucket, w.levels[l].cursor = nil, 0
-	if cap(b) <= meshBatchTarget {
-		w.putBatch(b)
-		return
-	}
-	sp := &w.spareBuckets
-	if cap(b) > cap(sp[0]) {
-		sp[0] = b
-	}
-	if cap(sp[0]) > cap(sp[1]) {
-		sp[0], sp[1] = sp[1], sp[0]
-	}
-}
-
-// noteViol records a violation found while expanding one of this node's
-// states of the level, keeping the minimum state.
-func (w *meshWorker) noteViol(s verify.PackedState, app int) {
-	if !w.haveViol || verify.LessState(s, w.violState) {
-		w.haveViol, w.violState, w.violApp = true, s, app
-	}
-}
-
 // drainInbox absorbs everything queued on the node's mesh links under the
 // one ordering rule: a peer's batch commits in the round of its level. A
 // batch tagged level+1 waits in ahead until the worker moves on to that
@@ -252,7 +145,7 @@ func (w *meshWorker) drainInbox() {
 			w.putBatch(b.states)
 		case b.level == w.level:
 			w.got += len(b.states) / w.sw
-			w.absorb(b.level, b.states)
+			w.in = append(w.in, b.states)
 		case b.level == w.level+1:
 			w.ahead = append(w.ahead, b.states)
 		default:
@@ -264,6 +157,17 @@ func (w *meshWorker) drainInbox() {
 		b.states = nil
 	}
 	w.spareQ = batches[:0]
+	// The level's batches are absorbed together: the lanes route every
+	// state to the lane that owns it and insert it there, and the fresh
+	// ones join the level.
+	if len(w.in) > 0 {
+		w.lanes.Absorb(w.in)
+		for i, b := range w.in {
+			w.putBatch(b)
+			w.in[i] = nil
+		}
+		w.in = w.in[:0]
+	}
 }
 
 // noteLinkDown records a dead peer: no further sends are attempted and
@@ -278,103 +182,23 @@ func (w *meshWorker) noteLinkDown(peer int) {
 	}
 }
 
-// expandChunk expands up to n states of the level's bucket, routing foreign
-// successors over the mesh and committing this node's own. Returns false
-// once the bucket is exhausted.
-func (w *meshWorker) expandChunk(n int) bool {
-	w.ensureLevel(w.level)
-	lv := &w.levels[w.level]
-	if lv.cursor == len(lv.bucket) {
-		return false
-	}
-	if lv.cursor == 0 {
-		// Pre-size the visited partition for the coming level from the
-		// fresh-state trajectory, as the local drivers do, so commits inside
-		// a level rarely rehash.
-		prev := 0
-		if w.level > 0 {
-			prev = w.levels[w.level-1].fresh
-		}
-		w.visited.Reserve(verify.LevelReserve(lv.fresh, prev))
-	}
-	w.expandSerial(n)
-	w.flushDest(w.id) // the chunk's own successors: one more batch to absorb
-	return true
-}
-
-// expandSerial is the single-goroutine expansion loop: every successor
-// arrives from the kernel as words with its hash, mixed once, and the hash
-// picks the owner. A successor is appended to its owner's buffer — this
-// node's own included, which expandChunk hands to absorb when the chunk is
-// done. Once the level holds a violation it decides the verdict, as in the
-// local lanes: nothing more is routed, and the rest of the bucket is swept
-// for a smaller violator.
-func (w *meshWorker) expandSerial(n int) {
-	sw, l := w.sw, w.level
-	for i := 0; i < n && w.levels[l].cursor < len(w.levels[l].bucket) && !w.tooLarge; i++ {
-		lv := &w.levels[l]
-		s := lv.bucket[lv.cursor : lv.cursor+sw]
-		lv.cursor += sw
-		if w.haveViol && verify.LessState(w.violState, packed(s)) {
-			continue // cannot lower the minimum
-		}
-		var violApp int
-		w.succ, w.hashes, violApp = w.exp.ExpandWords(s, w.esc, w.succ[:0], w.hashes[:0])
-		if violApp >= 0 {
-			w.noteViol(packed(s), violApp)
-			continue
-		}
-		w.transitions += len(w.hashes)
-		if w.ckptOn {
-			w.ftTransAdd(l, w.exp.HashWords(s), len(w.hashes))
-		}
-		if w.haveViol {
-			continue
-		}
-		for j, h := range w.hashes {
-			dst := int(w.owners[h>>58])
-			w.outBuf[dst] = append(w.outBuf[dst], w.succ[j*sw:j*sw+sw]...)
-			if len(w.outBuf[dst]) >= meshBatchTarget {
-				w.flushDest(dst)
-			}
-		}
-	}
-}
-
-// packed lifts one state's words into the control plane's PackedState.
-func packed(s []uint64) (p verify.PackedState) {
-	copy(p[:], s)
-	return p
-}
-
-// flushDest ships one destination's buffered successors as a batch tagged
-// level+1, counting it in the round's SentTo and the wire totals; this
-// node's own go straight to absorb, across no link and into no counter.
-// Under fault tolerance a failed (or known-dead) destination drops the
-// batch uncounted and marks the link down instead of poisoning the run: the
-// coordinator's recovery rolls every worker back past the loss, so no peer
-// is left expecting it.
-func (w *meshWorker) flushDest(d int) {
-	states := w.outBuf[d]
-	if len(states) == 0 {
-		return
-	}
-	w.outBuf[d] = w.getBatch()
-	level := w.level + 1
-	if d == w.id {
-		w.absorb(level, states)
-		return
-	}
+// ship sends one destination's successors, handed over by the lanes after
+// a round, as a batch tagged level+1, counting it in the round's SentTo and
+// the wire totals, and returns the lanes an empty buffer for the next
+// round. Under fault tolerance a failed (or known-dead) destination drops
+// the batch uncounted and marks the link down instead of poisoning the
+// run: the coordinator's recovery rolls every worker back past the loss,
+// so no peer is left expecting it.
+func (w *meshWorker) ship(d int, states []uint64) []uint64 {
 	if w.ft && w.deadPeers[d] {
-		w.putBatch(states)
-		return
+		return states[:0]
 	}
 	n := len(states) / w.sw
-	bytes, err := w.links[d].send(w.era, level, states)
+	bytes, err := w.links[d].send(w.era, w.level+1, states)
 	if err != nil {
 		if w.ft {
 			w.noteLinkDown(d)
-			return
+			return w.getBatch()
 		}
 		if w.err == nil {
 			w.err = fmt.Errorf("mesh link to node %d: %v", d, err)
@@ -385,11 +209,5 @@ func (w *meshWorker) flushDest(d int) {
 	w.linkStates[d] += n
 	w.wireBytes += bytes
 	w.linkBytes[d] += bytes
-}
-
-// flushOut ships every buffered destination batch.
-func (w *meshWorker) flushOut() {
-	for d := range w.outBuf {
-		w.flushDest(d)
-	}
+	return w.getBatch()
 }

@@ -15,12 +15,12 @@ package dverify
 // depth is exactly l, plus the count of transitions generated expanding
 // those states. Which worker writes a segment is irrelevant — any two
 // workers owning shard s when level l finalizes would write byte-wise
-// identical payloads (states are committed in deterministic per-level
-// buckets and sorted before writing) — so takeover needs no writer
+// identical payloads (a level's states are the same set on any owner and are
+// sorted before writing) — so takeover needs no writer
 // identity, and a crash mid-write leaves either a stale tmp file (ignored)
 // or a complete renamed segment (valid). A worker writes a level's segments
 // at the end of its round, when the level's membership and transitions are
-// both final (retire). Files live under
+// both final (poll). Files live under
 // <CheckpointDir>/<session-hex>/seg-<level>-<shard>, written with the
 // same tmp+rename discipline as mapping.Cache's shard files.
 //
@@ -220,27 +220,16 @@ func (p *faultPlan) fire(level, recoveries int) {
 	}
 }
 
-// ftTransAdd attributes n transitions to (level l, the shard of parent
-// hash h) for checkpoint segments. Only maintained with checkpointing on.
-func (w *meshWorker) ftTransAdd(l int, h uint64, n int) {
-	for len(w.ftTrans) <= l {
-		w.ftTrans = append(w.ftTrans, [numShards]int64{})
-	}
-	w.ftTrans[l][h>>58] += int64(n)
-}
-
-// writeLevel splits level l's bucket by hash shard and writes one segment
-// per owned shard (empty segments included — restore treats a missing
-// file as a hard error, so absence is always detectable).
+// writeLevel splits level l — the lanes' level, expanded — by hash shard
+// and writes one segment per owned shard with the transitions its states
+// generated (empty segments included — restore treats a missing file as a
+// hard error, so absence is always detectable).
 func (w *meshWorker) writeLevel(l int) error {
 	var byShard [numShards][]uint64
-	for b := w.levels[l].bucket; len(b) > 0; b = b[w.sw:] {
+	level, trans := w.lanes.AppendLevel(nil)
+	for b := level; len(b) > 0; b = b[w.sw:] {
 		sh := w.exp.HashWords(b[:w.sw]) >> 58
 		byShard[sh] = append(byShard[sh], b[:w.sw]...)
-	}
-	var trans *[numShards]int64
-	if l < len(w.ftTrans) {
-		trans = &w.ftTrans[l]
 	}
 	for sh := 0; sh < numShards; sh++ {
 		if int(w.owners[sh]) != w.id {
@@ -252,11 +241,7 @@ func (w *meshWorker) writeLevel(l int) error {
 			}
 		}
 		w.exp.SortWords(byShard[sh]) // canonical: any owner writes byte-identical files
-		var tr int64
-		if trans != nil {
-			tr = trans[sh]
-		}
-		if err := writeSegment(segPath(w.ckptDir, l, sh), byShard[sh], tr, w.exp); err != nil {
+		if err := writeSegment(segPath(w.ckptDir, l, sh), byShard[sh], trans[sh], w.exp); err != nil {
 			return err
 		}
 	}
@@ -266,44 +251,36 @@ func (w *meshWorker) writeLevel(l int) error {
 // restore rebuilds the worker's search state from checkpoint segments:
 // every shard it owns under the current table, levels 0..cut. Levels
 // below the cut land in the visited set with their counters; the cut
-// level additionally becomes the re-expansion frontier (its transitions
-// are recounted by the re-expansion, so the segment's count is not
-// added). cut < 0 means no usable checkpoint: the run restarts from the
-// initial state. The era must be fresh (resetEra).
+// level additionally becomes the level to expand (its transitions are
+// recounted by the re-expansion, so the segment's count is not added).
+// cut < 0 means no usable checkpoint: the run restarts from the initial
+// state. The era must be fresh (resetEra).
 func (w *meshWorker) restore(cut int) error {
 	if cut < 0 {
 		w.seed()
 		return nil
 	}
-	w.ensureLevel(cut)
-	for sh := 0; sh < numShards; sh++ {
-		if int(w.owners[sh]) != w.id {
-			continue
+	for l := 0; l <= cut; l++ {
+		if l > 0 {
+			w.lanes.Advance() // a level below the cut stays in the visited set only
 		}
-		for l := 0; l <= cut; l++ {
+		var slabs [][]uint64
+		n := 0
+		for sh := 0; sh < numShards; sh++ {
+			if int(w.owners[sh]) != w.id {
+				continue
+			}
 			states, trans, err := readSegment(segPath(w.ckptDir, l, sh), w.exp)
 			if err != nil {
 				return err
 			}
-			w.freshIdx = w.visited.AddWords(states, w.freshIdx[:0])
-			n := len(states) / w.sw
-			w.fresh += n
-			w.levels[l].fresh += n
-			if n > 0 && l > w.maxFresh {
-				w.maxFresh = l
-			}
+			slabs, n = append(slabs, states), n+len(states)/w.sw
 			if l < cut {
-				w.transitions += int(trans)
-			} else if n > 0 {
-				if cap(w.levels[cut].bucket) == 0 {
-					w.levels[cut].bucket = w.newBucket(cut)
-				}
-				w.levels[cut].bucket = append(w.levels[cut].bucket, states...)
+				w.restored += int(trans)
 			}
 		}
-	}
-	if w.fresh > w.budget {
-		w.tooLarge = true
+		w.lanes.Absorb(slabs)
+		w.levelFresh = append(w.levelFresh, n)
 	}
 	w.ckptLevel = cut
 	w.level = cut

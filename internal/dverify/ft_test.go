@@ -52,8 +52,15 @@ func ftConfig(t *testing.T, trace *obs.Trace) verify.Config {
 }
 
 // runFT runs one fault-injected verification over a fresh loopback
-// cluster and asserts the exact-equivalence acceptance criterion.
+// cluster of two-lane nodes and asserts the exact-equivalence acceptance
+// criterion.
 func runFT(t *testing.T, label string, ps []*switching.Profile, nodes int, mkPlan func(ts []Transport) *faultPlan) *obs.Trace {
+	t.Helper()
+	return runFTLanes(t, label, ps, nodes, 2, mkPlan)
+}
+
+// runFTLanes is runFT on nodes of the given lane count.
+func runFTLanes(t *testing.T, label string, ps []*switching.Profile, nodes, lanes int, mkPlan func(ts []Transport) *faultPlan) *obs.Trace {
 	t.Helper()
 	local, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 2})
 	if err != nil {
@@ -61,6 +68,7 @@ func runFT(t *testing.T, label string, ps []*switching.Profile, nodes int, mkPla
 	}
 	trace := obs.NewTrace("")
 	cfg := ftConfig(t, trace)
+	cfg.Workers = lanes
 	ts := Loopback(nodes)
 	defer Close(ts)
 	plan := mkPlan(ts)
@@ -80,20 +88,22 @@ func runFT(t *testing.T, label string, ps []*switching.Profile, nodes int, mkPla
 }
 
 // TestFTKillOneWorker is the core acceptance matrix on loopback
-// clusters: for 2- and 4-node clusters, first and last victim, on a deep
-// schedulable space and a near-root violation, killing the victim at a
-// deterministic level must leave the verdict, counts, depth and minimal
-// violator bit-identical to the local search.
+// clusters: for 2- and 4-node clusters of one- and two-lane nodes, first
+// and last victim, on a deep schedulable space and a near-root violation,
+// killing the victim at a deterministic level must leave the verdict,
+// counts, depth and minimal violator bit-identical to the local search.
 func TestFTKillOneWorker(t *testing.T) {
 	recBefore := obsRecoveries.Value()
 	for _, tc := range ftCases {
 		for _, nodes := range []int{2, 4} {
-			for _, victim := range []int{0, nodes - 1} {
-				label := fmt.Sprintf("%s: nodes=%d victim=%d", tc.name, nodes, victim)
-				runFT(t, label, tc.ps(), nodes, func(ts []Transport) *faultPlan {
-					lt := ts[victim].(*loopTransport)
-					return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: lt.die}}}
-				})
+			for _, lanes := range []int{1, 2} {
+				for _, victim := range []int{0, nodes - 1} {
+					label := fmt.Sprintf("%s: nodes=%d lanes=%d victim=%d", tc.name, nodes, lanes, victim)
+					runFTLanes(t, label, tc.ps(), nodes, lanes, func(ts []Transport) *faultPlan {
+						lt := ts[victim].(*loopTransport)
+						return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: lt.die}}}
+					})
+				}
 			}
 		}
 	}

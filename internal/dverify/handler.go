@@ -8,15 +8,15 @@ import (
 )
 
 // jobsCompatible reports whether a worker built for prev can donate its
-// standing part to next: everything that shaped its expander, visited
-// partition and cluster placement must be identical. Session, Peers and
+// standing part to next: everything that shaped its expander, lanes,
+// visited partition and cluster placement must be identical. Session, Peers and
 // MaxStates may differ — they never shape worker memory. This is what
 // makes a standing cluster cheap to re-Init: the bench loop and a daemon
 // re-verifying the same slot skip the expander rebuild and the visited
 // reallocation entirely.
 func jobsCompatible(prev, next *Job) bool {
 	if prev == nil || next == nil ||
-		prev.NumNodes != next.NumNodes || prev.NodeID != next.NodeID ||
+		prev.NumNodes != next.NumNodes || prev.NodeID != next.NodeID || prev.Workers != next.Workers ||
 		prev.MaxDisturbances != next.MaxDisturbances || prev.Policy != next.Policy ||
 		prev.NondetTies != next.NondetTies || prev.SymmetryReduction != next.SymmetryReduction ||
 		len(prev.Profiles) != len(next.Profiles) {

@@ -23,12 +23,12 @@ import (
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
 // field, a batch format or the packed-state layout changes or goes. Version
-// 12 ships every routed state as raw words (codecRaw only: no sender
-// filter, no delta batches) and polls one BFS level per round
-// (Control.Level/Expect, Response.SentTo/Next), one search goroutine per
-// node, no coordinator relay, and lane clocks fitted to the job's largest
-// r; what each earlier version was is in CHANGES.md.
-const protoVersion = 12
+// 13 adds the node's lane count (Job.Workers) to version 12: every routed
+// state shipped as raw words (codecRaw only: no sender filter, no delta
+// batches), one BFS level polled per round (Control.Level/Expect,
+// Response.SentTo/Next), no coordinator relay, and lane clocks fitted to
+// the job's largest r; what each earlier version was is in CHANGES.md.
+const protoVersion = 13
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -49,9 +49,8 @@ const (
 )
 
 // Job describes one verification run from a single worker node's
-// perspective. The verification fields mirror the verdict-relevant subset
-// of verify.Config; Workers, Trace and Distributed are coordinator-side
-// concerns and never cross the wire.
+// perspective. The verification fields mirror verify.Config; Trace and
+// Distributed are coordinator-side concerns and never cross the wire.
 type Job struct {
 	// Proto is the coordinator's protocol version (protoVersion); nodes
 	// reject jobs from a different one.
@@ -76,6 +75,10 @@ type Job struct {
 	// MaxStates is the per-node visited budget (per-node memory model):
 	// the aggregate capacity of a run is NumNodes × MaxStates.
 	MaxStates int
+	// Workers is the node's lane count, verify.Config.Workers; 0 is worked
+	// out where the node runs (GOMAXPROCS, shared by the nodes of one
+	// process). It changes no verdict, exhaustive count or violator.
+	Workers int
 
 	// Session identifies this run's mesh rendezvous — the node opens (or
 	// accepts) one data link per peer at Init: peer links carry it so a

@@ -2,29 +2,29 @@ package dverify
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
 
-// meshChunk is how many states a worker expands between inbox drains and
-// control checks; meshPollBudget caps how long a worker holds a poll before
-// answering with an interim snapshot; meshBatchTarget is the flush threshold
-// of per-destination send buffers and the capacity of a batch, in words
-// (32 KB: 4,096 one-word states, 1,024 wide ones); meshFreeBatches caps the
-// worker-local batch free list.
+// meshPollBudget caps how long a worker holds a poll before answering with
+// an interim snapshot; meshBatchTarget is the capacity of a fresh batch, in
+// words (32 KB: 4,096 one-word states, 1,024 wide ones); meshFreeBatches
+// caps the worker-local batch free list.
 const (
-	meshChunk       = 1024
 	meshPollBudget  = 25 * time.Millisecond
 	meshBatchTarget = 4096
 	meshFreeBatches = 512
 )
 
-// meshWorker is one node of the mesh search, and one goroutine: the
-// transport's serve loop calls Init/Poll, and all search, routing and
-// accounting state is touched only from those calls (peer readers touch
-// nothing but the inbox). A distributed run's parallelism is its node count.
+// meshWorker is one node of the mesh search: P lanes (verify.Lanes, the
+// round the local parallel search runs) driven from the transport's serve
+// loop, which calls Init/Poll. The lanes run their phases on goroutines of
+// their own, but all routing, link and accounting state is touched only
+// from those calls: the lanes hand their foreign successors back to the
+// calling goroutine (ship), and peer readers touch nothing but the inbox.
 //
 // Its state is split by lifetime, and each part is replaced as a whole —
 // never cleared field by field — so a field added to a part is zero at the
@@ -38,31 +38,24 @@ type meshWorker struct {
 	meshEra
 }
 
-// meshStanding is what a compatible follow-up job inherits: the expander
-// and its scratch, the visited partition's table, and recycled memory. None
-// of it says anything about a run — resetEra empties what can hold state.
-// States are flat words throughout, sw = exp.StateWords() per state.
+// meshStanding is what a compatible follow-up job inherits: the expander,
+// the lanes with their visited tables and frontiers, and recycled memory.
+// None of it says anything about a run — resetEra empties what can hold
+// state. States are flat words throughout, sw = exp.StateWords() per state.
 type meshStanding struct {
-	exp      *verify.Expander
-	sw       int
-	visited  *verify.StateSet
-	esc      *verify.ExpandScratch
-	succ     []uint64 // one state's successors, their hashes beside them
-	hashes   []uint64
-	freshIdx []int32 // AddWords' answer for one batch
-	spareQ   []meshBatch
-	outBuf   [][]uint64 // per-destination successors, this node's own included
+	exp    *verify.Expander
+	sw     int
+	lanes  verify.Lanes
+	shipFn func(int, []uint64) []uint64 // w.ship, bound once
+	spareQ []meshBatch
+	in     [][]uint64 // one drain's batches of the level, for Absorb
 	// Per-destination wire counters of the session, zeroed when one starts.
 	linkStates []int
 	linkBytes  []int
 
-	// Worker-local batch recycling: free is the slice free list fed by
-	// absorbed batches and drained buckets, spareBuckets the two largest
-	// big frontier buffers retired — the next big levels are built in them,
-	// the way the local drivers swap frontier and next instead of allocating
-	// per level (recycleBucket).
-	free         [][]uint64
-	spareBuckets [2][]uint64
+	// Worker-local batch recycling: the slice free list fed by absorbed
+	// batches and drained by the lanes' shipments.
+	free [][]uint64
 
 	waitT *time.Timer
 	// Snapshot responses are double-buffered: the coordinator reads round
@@ -100,60 +93,41 @@ type meshSession struct {
 	finished bool
 }
 
-// meshLevel is the per-level search record: bucket[:cursor] — words, like
-// the cursor — is expanded, and fresh counts the level's commits (set
-// pre-sizing, trace).
-type meshLevel struct {
-	bucket []uint64
-	cursor int
-	fresh  int
-}
-
-// meshEra is everything a rollback erases: the search frontier and its
-// counters, the round in progress, the level's violation and the routing
-// view. level is the level the coordinator last polled; got counts the
-// level-tagged states received from peers, against the round's Expect;
-// ahead holds the level+1-tagged batches until the round of their level
-// (drainInbox); sentTo counts the level+1 states shipped to each
-// destination this round. owners is the routing table
-// (default contiguous, rewritten by Recover); ckptLevel the highest level
-// fully persisted as checkpoint segments (-1 = none); ftTrans attributes
-// transitions per (level, shard) so segments carry exact counts; deadPeers
-// suppresses sends to nodes known dead; linkDown is the cumulative dead-peer
-// report for the coordinator.
+// meshEra is everything a rollback erases besides the lanes' search state:
+// the round in progress and the routing view. level is the level the
+// coordinator last polled; got counts the level-tagged states received
+// from peers, against the round's Expect; ahead holds the level+1-tagged
+// batches until the round of their level (drainInbox); sentTo counts the
+// level+1 states shipped to each destination this round. levelFresh counts
+// the states committed per level (the snapshots' FreshByLevel), restored
+// the transitions of the levels a recovery restored below its cut. owners
+// is the routing table (default contiguous, rewritten by Recover);
+// ckptLevel the highest level fully persisted as checkpoint segments (-1 =
+// none); deadPeers suppresses sends to nodes known dead; linkDown is the
+// cumulative dead-peer report for the coordinator.
 type meshEra struct {
-	levels []meshLevel
 	level  int
 	got    int
 	ahead  [][]uint64
 	sentTo []int
 
-	fresh       int
-	transitions int
-	maxFresh    int
-	tooLarge    bool
-	err         error
-
-	// The minimum violating state of the level, and the application that
-	// misses there.
-	haveViol  bool
-	violState verify.PackedState
-	violApp   int
+	levelFresh []int
+	restored   int
+	err        error
 
 	era       int
 	owners    [numShards]uint8
 	ckptLevel int
-	ftTrans   [][numShards]int64
 	deadPeers []bool
 	linkDown  []int
 }
 
 // newMeshWorker builds a node for a mesh job and wires its data links
 // through env — the only build path. A previous worker whose job is
-// compatible donates its standing part (expander, visited table — the
-// dominant per-run allocation — and batch memory): a standing cluster
-// re-verifying a slot, a daemon serving successive coordinators or the
-// bench loop, does not restart its steady state from zero. The donor's
+// compatible donates its standing part (expander, lanes with their visited
+// tables — the dominant per-run allocation — and batch memory): a standing
+// cluster re-verifying a slot, a daemon serving successive coordinators or
+// the bench loop, does not restart its steady state from zero. The donor's
 // links are already down (Init goes through handler.reset) and its
 // registration is gone; what its run left parked — a violating or
 // over-budget run stops with frontier and sends in place — is recycled by
@@ -182,13 +156,21 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		if err != nil {
 			return nil, nil, err
 		}
+		// Workers 0 is worked out here, where the node runs: GOMAXPROCS,
+		// shared by the nodes of one process — all of a loopback cluster's;
+		// a verifyd daemon hosts one node at a time.
+		lanes := job.Workers
+		if lanes <= 0 {
+			lanes = runtime.GOMAXPROCS(0)
+			if _, ok := env.(loopEnv); ok {
+				lanes = max(1, lanes/n)
+			}
+		}
 		w = &meshWorker{meshStanding: meshStanding{
-			exp:     exp,
-			sw:      exp.StateWords(),
-			visited: exp.NewSet(1 << 16),
-			esc:     exp.NewScratch(),
-			spareQ:  make([]meshBatch, 0, 32),
-			outBuf:  make([][]uint64, n),
+			exp:    exp,
+			sw:     exp.StateWords(),
+			lanes:  exp.NewLanes(lanes),
+			spareQ: make([]meshBatch, 0, 32),
 
 			linkStates: make([]int, n),
 			linkBytes:  make([]int, n),
@@ -222,6 +204,9 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		return nil, nil, err
 	}
 	w.links, w.env = links, env
+	if w.shipFn == nil {
+		w.shipFn = w.ship
+	}
 	// A fresh run (Era 0) seeds the initial state on its owner; a
 	// replacement worker joining a recovered run restores its owned shards
 	// from checkpoint segments instead.
@@ -233,35 +218,24 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	} else {
 		w.seed()
 	}
-	w.initResp = Response{Proto: protoVersion, ViolApp: -1, Fresh: w.fresh}
+	w.initResp = Response{Proto: protoVersion, ViolApp: -1, Fresh: w.lanes.Stats().States}
 	return w, &w.initResp, nil
 }
 
 // resetEra is the one place a worker's search state is emptied — at Init
-// and on every recovery order. It recycles the outgoing era's memory into
-// the standing free lists, empties what standing memory can hold state (the
-// visited table and the send buffers), then starts the new era from a fresh
-// value: only what is named below differs from zero. dead is the complete current dead set —
-// rebuilt, not accumulated, so a replacement adopted into a dead slot
-// receives traffic again — and the cumulative LinkDown report restarts
-// empty: the coordinator already acted on everything reported before.
+// and on every recovery order. It recycles the outgoing era's waiting
+// batches into the free list, empties the lanes (visited tables, frontiers)
+// under the new ownership table, then starts the new era from a fresh
+// value: only what is named below differs from zero. dead is the complete
+// current dead set — rebuilt, not accumulated, so a replacement adopted
+// into a dead slot receives traffic again — and the cumulative LinkDown
+// report restarts empty: the coordinator already acted on everything
+// reported before.
 func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
-	for l := range w.levels {
-		if cap(w.levels[l].bucket) > 0 {
-			w.recycleBucket(l)
-		}
-	}
 	for i, b := range w.ahead {
 		w.putBatch(b)
 		w.ahead[i] = nil
 	}
-	for d := range w.outBuf {
-		if w.outBuf[d] == nil {
-			w.outBuf[d] = w.getBatch()
-		}
-		w.outBuf[d] = w.outBuf[d][:0]
-	}
-	w.visited.Reset()
 	if w.deadPeers == nil {
 		w.deadPeers, w.sentTo = make([]bool, w.n), make([]int, w.n)
 	}
@@ -273,16 +247,16 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 		}
 	}
 	w.meshEra = meshEra{
-		levels:    w.levels[:0],
-		ahead:     w.ahead[:0],
-		sentTo:    w.sentTo,
-		era:       era,
-		owners:    ownerTable(owners, w.n),
-		ckptLevel: -1,
-		ftTrans:   w.ftTrans[:0],
-		deadPeers: w.deadPeers,
-		linkDown:  w.linkDown[:0],
+		ahead:      w.ahead[:0],
+		sentTo:     w.sentTo,
+		levelFresh: w.levelFresh[:0],
+		era:        era,
+		owners:     ownerTable(owners, w.n),
+		ckptLevel:  -1,
+		deadPeers:  w.deadPeers,
+		linkDown:   w.linkDown[:0],
 	}
+	w.lanes.Reset(&w.owners, w.id, w.budget, w.ckptOn)
 }
 
 // seed commits the initial state on its owner: the start of a run, and of
@@ -290,7 +264,7 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 func (w *meshWorker) seed() {
 	init := w.exp.Initial()
 	if h := w.exp.Hash(init); int(w.owners[h>>58]) == w.id {
-		w.absorb(0, append(w.getBatch(), init[:w.sw]...))
+		w.lanes.Absorb([][]uint64{init[:w.sw]})
 	}
 }
 
@@ -298,39 +272,43 @@ func (w *meshWorker) seed() {
 // the flip buffer's slices (see snapResp). done marks the answer to a
 // finished round: it carries the round's SentTo and Next.
 func (w *meshWorker) snapshot(done bool) *Response {
+	st := w.lanes.Stats()
+	for len(w.levelFresh) < w.level+2 {
+		w.levelFresh = append(w.levelFresh, 0)
+	}
+	w.levelFresh[w.level], w.levelFresh[w.level+1] = st.Level, st.Next
 	resp := &w.snapResp[w.snapFlip]
 	w.snapFlip ^= 1
 	*resp = Response{
 		Proto:        protoVersion,
 		SentTo:       resp.SentTo[:0],
-		FreshByLevel: resp.FreshByLevel[:0],
+		FreshByLevel: append(resp.FreshByLevel[:0], w.levelFresh...),
 		Links:        resp.Links[:0],
-		MaxFresh:     w.maxFresh,
-		Fresh:        w.fresh,
-		Transitions:  w.transitions,
+		Fresh:        st.States,
+		Transitions:  w.restored + st.Transitions,
 		Routed:       w.routed,
 		RawBytes:     8 * w.sw * w.routed,
 		WireBytes:    w.wireBytes,
-		TooLarge:     w.tooLarge,
+		TooLarge:     st.TooLarge,
 		ViolApp:      -1,
 		Ckpt:         w.ckptLevel,
 		LinkDown:     append(resp.LinkDown[:0], w.linkDown...),
 	}
-	for l := range w.levels {
-		resp.FreshByLevel = append(resp.FreshByLevel, w.levels[l].fresh)
+	for l, n := range w.levelFresh {
+		if n > 0 {
+			resp.MaxFresh = l
+		}
 	}
 	if done {
 		resp.SentTo = append(resp.SentTo, w.sentTo...)
-		if next := w.level + 1; next < len(w.levels) {
-			resp.Next = w.levels[next].fresh
-		}
+		resp.Next = st.Next
 	}
 	if w.err != nil {
 		resp.Err = w.err.Error()
 	}
-	if w.haveViol {
+	if st.ViolApp >= 0 {
 		resp.Viol = true
-		resp.ViolState, resp.ViolApp = w.violState, w.violApp
+		resp.ViolState, resp.ViolApp = st.Viol, st.ViolApp
 	}
 	for d := range w.linkStates {
 		if d != w.id && (w.linkStates[d] > 0 || w.linkBytes[d] > 0) {
@@ -345,10 +323,11 @@ func (w *meshWorker) snapshot(done bool) *Response {
 // poll is one round on the worker side. A Recover order rolls the worker
 // back to the cut and answers without expanding. Otherwise the worker
 // absorbs until it holds the ctl.Expect states of level ctl.Level its peers
-// shipped it, expands its bucket of that level, committing its own
-// successors as it goes, and answers with a snapshot of the finished round
-// — or, when meshPollBudget runs out first, with an interim one, and the
-// coordinator polls it again at the same level.
+// shipped it, runs the lanes' level rounds over its part of the level,
+// committing its own successors as they go and shipping the others', and
+// answers with a snapshot of the finished round — or, when meshPollBudget
+// runs out first, with an interim one, and the coordinator polls it again
+// at the same level.
 func (w *meshWorker) poll(ctl *Control) *Response {
 	if ctl.Recover != nil {
 		if w.ft {
@@ -369,18 +348,19 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 	case w.level + 1:
 		w.level, w.got = w.level+1, 0
 		clear(w.sentTo)
+		w.lanes.Advance()
 		for i, b := range w.ahead {
 			w.got += len(b) / w.sw
-			w.absorb(w.level, b)
-			w.ahead[i] = nil
+			w.in, w.ahead[i] = append(w.in, b), nil
 		}
 		w.ahead = w.ahead[:0]
+		w.drainInbox()
 	default:
 		w.err = fmt.Errorf("polled for level %d at level %d", ctl.Level, w.level)
 	}
 	deadline := time.Now().Add(meshPollBudget)
 	done := false
-	for w.err == nil && !w.tooLarge {
+	for w.err == nil && !w.lanes.Stats().TooLarge {
 		w.drainInbox()
 		if w.got < ctl.Expect {
 			if !w.waitData(deadline) {
@@ -388,7 +368,7 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 			}
 			continue
 		}
-		if !w.expandChunk(meshChunk) {
+		if !w.lanes.LevelRound(w.shipFn) {
 			done = true
 			break
 		}
@@ -396,13 +376,19 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 			break
 		}
 	}
-	w.flushOut()
-	if done {
-		w.retire()
-	}
 	// A worker over its budget stops here: its round is as finished as it
-	// will get, and the coordinator ends the run with it.
-	return w.snapshot(done || w.tooLarge)
+	// will get, and the coordinator ends the run with it. A level expanded
+	// is final, members and transitions: with checkpointing on, its segments
+	// are written now.
+	tooLarge := w.lanes.Stats().TooLarge
+	if done && !tooLarge && w.ckptOn && w.ckptLevel < w.level {
+		if err := w.writeLevel(w.level); err != nil {
+			w.err = fmt.Errorf("checkpoint level %d: %v", w.level, err)
+		} else {
+			w.ckptLevel = w.level
+		}
+	}
+	return w.snapshot(done || tooLarge)
 }
 
 // waitData blocks until a mesh batch arrives or the poll deadline passes,
@@ -435,7 +421,7 @@ func (w *meshWorker) shutdown() {
 	}
 	w.finished = true
 	obsSessions.Inc()
-	obsFresh.Add(uint64(w.fresh))
+	obsFresh.Add(uint64(w.lanes.Stats().States))
 	obsWireBytes.Add(uint64(w.wireBytes))
 	obsRoutedStates.Add(uint64(w.routed))
 	for _, l := range w.links {

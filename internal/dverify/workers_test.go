@@ -4,61 +4,124 @@ import (
 	"fmt"
 	"testing"
 
+	"tightcps/internal/plants"
+	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
 
-// TestWorkerPoolMatrixMatchesLocal pins that Workers on a distributed
-// config changes nothing: 2- and 4-node clusters asked for 0, 1 and 4 lanes
-// per node (a mesh node is one search goroutine whatever the value) must
-// reproduce the local search bit-identically — verdict, exhaustive counts,
-// depth and minimal violator — on both encodings, with and without the
-// symmetry quotient. Exhaustive counts and depth coincide with the
-// sequential search; the violator follows the parallel searches'
-// minimum-violating-state tie-break (the sequential search short-circuits
-// at the first violator in expansion order instead), so the ground truth is
-// the local parallel search, as in the main matrix.
+// TestWorkerPoolMatrixMatchesLocal pins that lanes per node change nothing:
+// clusters of 1, 2 and 4 nodes running 1, 2 and 3 lanes each (Workers
+// reaches every node) must reproduce the local search bit-identically —
+// verdict, exhaustive counts, depth and minimal violator — on both
+// encodings, with and without the symmetry quotient, on hand-made fixtures
+// and on slots drawn from the synthetic fleet generator. Exhaustive counts
+// and depth coincide with the sequential search; the violator follows the
+// lanes' minimum-violating-state tie-break (the sequential search
+// short-circuits at the first violator in expansion order instead), so the
+// ground truth is the local parallel search, as in the main matrix.
 func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
+	type slot struct {
+		name    string
+		ps      []*switching.Profile
+		sym     bool
+		md      int
+		wide    bool
+		verdict string // "" or the generated slot's pinned verdict
+	}
+	var slots []slot
 	sel := map[string]bool{
 		"overload2":     true, // narrow, violating at level 1
-		"narrow6":       true, // narrow, schedulable, six apps at r = 20
+		"narrow6":       true, // narrow, six apps at r = 20
 		"het7sym":       true, // seven apps on one word, schedulable, symmetry quotient
 		"wideMixed6sym": true, // wide, schedulable, symmetry quotient
 		"wideBounded6":  true, // wide via bounded-disturbance lanes at r = 33
 		"overload12":    true, // wide, violating, deepest fan-out
 	}
 	for _, tc := range equivalenceCases {
-		if !sel[tc.name] {
-			continue
+		if sel[tc.name] {
+			slots = append(slots, slot{name: tc.name, ps: tc.ps(), sym: tc.sym, md: tc.md, wide: tc.words > 1})
 		}
-		ps := tc.ps()
-		local, err := verify.Slot(ps, verify.Config{
-			NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md, Workers: 4,
-		})
-		if err != nil {
-			t.Fatalf("%s: local: %v", tc.name, err)
+	}
+	// Generated slots of the synthetic fleet's four designs (r 24, 22, 16
+	// and 18): two to five applications are one word at any r ≤ 127, so
+	// the wide one is seven bounded instances.
+	arch := syntheticDesigns(t)
+	for _, g := range []struct {
+		pick    []int
+		sym     bool
+		md      int
+		wide    bool
+		verdict string
+	}{
+		{[]int{0, 1}, false, 0, false, "schedulable"},
+		{[]int{1, 2, 3}, false, 0, false, "schedulable"},
+		{[]int{0, 0, 2, 3}, true, 0, false, "schedulable"},
+		{[]int{2, 2, 3, 3, 3}, true, 0, false, "violating"},
+		{[]int{2, 2, 2, 3, 3, 3, 3}, true, 1, true, "violating"},
+	} {
+		var ps []*switching.Profile
+		for i, a := range g.pick {
+			ps = append(ps, arch[a].Clone(fmt.Sprintf("%s#%d", arch[a].Name, i)))
 		}
-		seq, err := verify.Slot(ps, verify.Config{
-			NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md, Workers: 1,
-		})
+		slots = append(slots, slot{fmt.Sprintf("synthetic%v", g.pick), ps, g.sym, g.md, g.wide, g.verdict})
+	}
+	for _, s := range slots {
+		base := verify.Config{NondetTies: true, SymmetryReduction: s.sym, MaxDisturbances: s.md}
+		if exp, err := verify.NewExpander(s.ps, base); err != nil || (exp.StateWords() > 1) != s.wide {
+			t.Fatalf("%s: want wide=%v (%v)", s.name, s.wide, err)
+		}
+		cfg := base
+		cfg.Workers = 4
+		local, err := verify.Slot(s.ps, cfg)
+		if verdict := map[bool]string{true: "schedulable", false: "violating"}[local.Schedulable]; err != nil || s.verdict != "" && verdict != s.verdict {
+			t.Fatalf("%s: local: %s, %v; want %s", s.name, verdict, err, s.verdict)
+		}
+		cfg.Workers = 1
+		seq, err := verify.Slot(s.ps, cfg)
 		if err != nil {
-			t.Fatalf("%s: local sequential: %v", tc.name, err)
+			t.Fatalf("%s: local sequential: %v", s.name, err)
 		}
 		if local.Schedulable && (seq.States != local.States || seq.Transitions != local.Transitions || seq.Depth != local.Depth) {
-			t.Fatalf("%s: local parallel (%d,%d,%d) disagrees with sequential (%d,%d,%d)", tc.name,
+			t.Fatalf("%s: local parallel (%d,%d,%d) disagrees with sequential (%d,%d,%d)", s.name,
 				local.States, local.Transitions, local.Depth, seq.States, seq.Transitions, seq.Depth)
 		}
-		for _, nodes := range []int{2, 4} {
-			for _, workers := range []int{0, 1, 4} {
-				cfg := verify.Config{
-					NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md,
-					Workers: workers,
-				}
-				dist, err := verifyOver(t, nodes, ps, cfg)
+		for _, nodes := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 2, 3} {
+				cfg.Workers = workers
+				dist, err := verifyOver(t, nodes, s.ps, cfg)
 				if err != nil {
-					t.Fatalf("%s: nodes=%d workers=%d: %v", tc.name, nodes, workers, err)
+					t.Fatalf("%s: nodes=%d workers=%d: %v", s.name, nodes, workers, err)
 				}
-				checkMatchesLocal(t, fmt.Sprintf("%s: nodes=%d workers=%d", tc.name, nodes, workers), dist, local)
+				checkMatchesLocal(t, fmt.Sprintf("%s: nodes=%d workers=%d", s.name, nodes, workers), dist, local)
 			}
 		}
 	}
+}
+
+// syntheticDesigns computes the profiles of the synthetic fleet generator's
+// designs for a 24-application fleet (seed 1): the generated inputs of the
+// engine matrices.
+func syntheticDesigns(t testing.TB) []*switching.Profile {
+	t.Helper()
+	w := plants.Synthetic(plants.SyntheticOptions{N: 24, Seed: 1})
+	var arch []*switching.Profile
+	done := map[int]bool{}
+	for i, d := range w.ArchetypeOf {
+		if done[d] {
+			continue
+		}
+		done[d] = true
+		p, err := switching.Compute(plants.SwitchingPlant(w.Apps[i]), switching.Config{Horizon: 800, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.R <= p.TwStar {
+			p.ClampTwStar(p.R - 1)
+		}
+		arch = append(arch, p)
+	}
+	if len(arch) != 4 {
+		t.Fatalf("the synthetic fleet has %d designs, want 4", len(arch))
+	}
+	return arch
 }

@@ -71,50 +71,19 @@ func (e *Expander) Initial() PackedState {
 }
 
 // ExpandScratch owns the expansion core's reusable buffers for one external
-// search driver: the kernel's group scratch, the successors of one state as
-// the encoding's keys, which the seam converts at its edge, and for
-// SuccessorsHashedInto their words and hashes. It is not safe for
-// concurrent use: give every driver goroutine its own, as the internal
+// driver: the kernel's group scratch and the successors of one state as
+// the encoding's keys, which the seam converts at its edge. It is not safe
+// for concurrent use: give every driver goroutine its own, as the internal
 // searches do. The buffers grow to the verifier's maximum fanout and are
 // then recycled, so steady-state expansion performs no allocation.
 type ExpandScratch struct {
-	sc            expandScratch
-	narrow        [][1]uint64
-	wide          [][wideWords]uint64
-	words, hashes []uint64
+	sc     expandScratch
+	narrow [][1]uint64
+	wide   [][wideWords]uint64
 }
 
-// NewScratch returns a fresh scratch for ExpandWords.
+// NewScratch returns a fresh scratch for SuccessorsHashedInto.
 func (e *Expander) NewScratch() *ExpandScratch { return &ExpandScratch{} }
-
-// ExpandWords is the words-in/words-out expansion: s is one state in its
-// StateWords() words, and its successors' words are appended to out, in the
-// local drivers' successor order, with one Hash per successor appended to
-// hashes, mixed while the words are still hot, so a driver that routes and
-// inserts by hash never mixes a state twice. The third result is the
-// application whose deadline the expansion violated, or −1 when every
-// disturbance choice stays safe; on a violation out and hashes are returned
-// unchanged, so a slab built over several states keeps them.
-func (e *Expander) ExpandWords(s []uint64, scr *ExpandScratch, out, hashes []uint64) ([]uint64, []uint64, int) {
-	if e.v.wide {
-		return expandWords(e.v, s, &scr.sc, &scr.wide, out, hashes)
-	}
-	return expandWords(e.v, s, &scr.sc, &scr.narrow, out, hashes)
-}
-
-// expandWords runs the kernel on one state's words into succ, then appends
-// every successor's words and hash to out and hashes.
-func expandWords[K stateKey](v *Verifier, s []uint64, sc *expandScratch, succ *[]K, out, hashes []uint64) ([]uint64, []uint64, int) {
-	var viol int
-	*succ, _, viol = successors(v, K(s), sc, (*succ)[:0], nil)
-	for _, k := range *succ {
-		for i := 0; i < len(k); i++ {
-			out = append(out, k[i])
-		}
-		hashes = append(hashes, hashKey(k))
-	}
-	return out, hashes, viol
-}
 
 // HashedState pairs a packed state with its Expander.Hash: the unit of
 // SuccessorsHashedInto.
@@ -123,16 +92,25 @@ type HashedState struct {
 	H uint64
 }
 
-// SuccessorsHashedInto is ExpandWords for a driver that keeps its states as
-// PackedState values: it appends s's successors, each with its hash, to out,
-// and returns the violator like ExpandWords (out unchanged on a violation).
+// SuccessorsHashedInto expands s: it appends its successors, each with its
+// hash, to out, in the local drivers' successor order, and returns the
+// application whose deadline the expansion violated, or −1 when every
+// disturbance choice stays safe (out unchanged on a violation).
 func (e *Expander) SuccessorsHashedInto(s PackedState, scr *ExpandScratch, out []HashedState) ([]HashedState, int) {
-	sw := e.StateWords()
+	if e.v.wide {
+		return successorsHashed(e.v, [wideWords]uint64(s), &scr.sc, &scr.wide, out)
+	}
+	return successorsHashed(e.v, [1]uint64{s[0]}, &scr.sc, &scr.narrow, out)
+}
+
+func successorsHashed[K stateKey](v *Verifier, s K, sc *expandScratch, succ *[]K, out []HashedState) ([]HashedState, int) {
 	var viol int
-	scr.words, scr.hashes, viol = e.ExpandWords(s[:sw], scr, scr.words[:0], scr.hashes[:0])
-	for i, h := range scr.hashes {
-		hs := HashedState{H: h}
-		copy(hs.S[:], scr.words[i*sw:(i+1)*sw])
+	*succ, _, viol = successors(v, s, sc, (*succ)[:0], nil)
+	for _, k := range *succ {
+		hs := HashedState{H: hashKey(k)}
+		for i := 0; i < len(k); i++ {
+			hs.S[i] = k[i]
+		}
 		out = append(out, hs)
 	}
 	return out, viol
@@ -345,34 +323,15 @@ type StateSet struct {
 	set wordSet
 }
 
-// wordSet is a keySet seen through the word seam.
+// wordSet is a keySet seen through the PackedState seam.
 type wordSet interface {
-	addWords(slab []uint64, fresh []int32) []int32
 	addPacked(k PackedState, h uint64) bool
 	len() int
 	reserve(n int)
-	reset()
-}
-
-// addWords is addChunk over a slab of words, len(K) per key.
-func (s *keySet[K]) addWords(slab []uint64, fresh []int32) []int32 {
-	var k K
-	s.keys = s.keys[:0]
-	for i := 0; i < len(slab); i += len(k) {
-		s.keys = append(s.keys, K(slab[i:i+len(k)]))
-	}
-	return s.addChunk(s.keys, fresh)
 }
 
 // addPacked is addHashed of a PackedState's significant words.
 func (s *keySet[K]) addPacked(k PackedState, h uint64) bool { return s.addHashed(K(k[:]), h) }
-
-// AddWords inserts the states of a slab, in order, through the set's
-// addChunk — the probe-ahead insert of the local drivers — and appends to
-// fresh the index (in states) of every one that was absent: exactly the
-// indices a per-state AddHashed loop would report, duplicates inside the
-// slab included. The set makes room for the whole slab first.
-func (s *StateSet) AddWords(slab []uint64, fresh []int32) []int32 { return s.set.addWords(slab, fresh) }
 
 // AddHashed inserts one state, given with its Expander.Hash, and reports
 // whether it was absent.
@@ -386,8 +345,3 @@ func (s *StateSet) Len() int { return s.set.len() }
 // expected fanout of the coming level so inserts never rehash mid-level,
 // exactly like the internal BFS drivers.
 func (s *StateSet) Reserve(n int) { s.set.reserve(n) }
-
-// Reset empties the set in place, keeping the table at its grown size.
-// A standing worker serving repeated runs clears its visited partition
-// instead of reallocating it — the dominant per-run allocation otherwise.
-func (s *StateSet) Reset() { s.set.reset() }

@@ -244,13 +244,14 @@ func TestLessStateMatchesEncodings(t *testing.T) {
 	}
 }
 
-// TestWordSeamMatchesPackedSeam holds the words-in/words-out seam to the
-// PackedState one, level by level, to each fixture's verdict or its first
-// 50,000 states: ExpandWords yields exactly SuccessorsHashedInto's states,
-// hashes, order and violator (and leaves the slab alone on a violation), and
-// AddWords reports exactly the fresh indices an AddHashed loop over the same
-// slab reports — a level's whole successor slab at a time, so duplicates
-// inside a slab are the rule.
+// TestWordSeamMatchesPackedSeam holds the words-in/words-out seam of the
+// lanes to the PackedState one, level by level, to each fixture's verdict or
+// its first 50,000 states: a one-lane node's Absorb keeps exactly the
+// states that an AddHashed loop over the same slab of
+// SuccessorsHashedInto's successors reports fresh — a level's whole
+// successor slab at a time, so duplicates inside a slab are the rule — and
+// every hash is HashWords of the state's words. A violation appends no
+// successor.
 func TestWordSeamMatchesPackedSeam(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -274,62 +275,53 @@ func TestWordSeamMatchesPackedSeam(t *testing.T) {
 			t.Fatalf("%s: %d-word states, want wide=%v", tc.name, sw, tc.wide)
 		}
 		init := e.Initial()
-		words, packed := e.NewSet(16), e.NewSet(16)
-		if got := words.AddWords(init[:sw], nil); len(got) != 1 || got[0] != 0 {
-			t.Fatalf("%s: the initial state is fresh at %v, want [0]", tc.name, got)
+		lanes, packed := e.NewLanes(1), e.NewSet(16)
+		lanes.Absorb([][]uint64{init[:sw]})
+		if got, _ := lanes.AppendLevel(nil); !slices.Equal(got, init[:sw]) {
+			t.Fatalf("%s: the initial level is %x, want the initial state", tc.name, got)
 		}
 		packed.AddHashed(init, e.Hash(init))
 		frontier := append([]uint64(nil), init[:sw]...)
-		scrW, scrP := e.NewScratch(), e.NewScratch()
-		var slab, hashes []uint64
+		scr := e.NewScratch()
+		var slab, want []uint64
 		var hs []HashedState
-		var fresh, want []int32
 		states, dups, violated := 1, 0, false
 		for depth := 0; len(frontier) > 0 && !violated && states < 50000; depth++ {
-			slab, hashes, hs = slab[:0], hashes[:0], hs[:0]
+			slab, hs = slab[:0], hs[:0]
 			for i := 0; i < len(frontier); i += sw {
-				var s PackedState
-				copy(s[:], frontier[i:i+sw])
-				n, nh := len(slab), len(hs)
-				var appW, appP int
-				slab, hashes, appW = e.ExpandWords(frontier[i:i+sw], scrW, slab, hashes)
-				hs, appP = e.SuccessorsHashedInto(s, scrP, hs)
-				if appW != appP {
-					t.Fatalf("%s depth %d: violator %d by words, %d packed", tc.name, depth, appW, appP)
-				}
-				if appW >= 0 {
+				n := len(hs)
+				var app int
+				if hs, app = e.SuccessorsHashedInto(packedOf(frontier[i:i+sw], sw)[0], scr, hs); app >= 0 {
 					violated = true
-					if len(slab) != n || len(hashes) != nh || len(hs) != nh {
+					if len(hs) != n {
 						t.Fatalf("%s depth %d: a violation appended successors", tc.name, depth)
 					}
 				}
 			}
-			if len(slab) != sw*len(hs) || len(hashes) != len(hs) {
-				t.Fatalf("%s depth %d: %d words and %d hashes for %d successors of %d words", tc.name, depth, len(slab), len(hashes), len(hs), sw)
-			}
-			for i, ps := range packedOf(slab, sw) {
-				if ps != hs[i].S || hashes[i] != hs[i].H || hashes[i] != e.HashWords(slab[i*sw:(i+1)*sw]) {
-					t.Fatalf("%s depth %d: successor %d is %x/%#x by words, %x/%#x packed", tc.name, depth, i, ps, hashes[i], hs[i].S, hs[i].H)
+			for i, h := range hs {
+				if h.H != e.HashWords(h.S[:sw]) {
+					t.Fatalf("%s depth %d: successor %d hashes to %#x, its words to %#x", tc.name, depth, i, h.H, e.HashWords(h.S[:sw]))
 				}
+				slab = append(slab, h.S[:sw]...)
 			}
-			fresh, want = words.AddWords(slab, fresh[:0]), want[:0]
+			lanes.Advance()
+			lanes.Absorb([][]uint64{slab})
+			frontier, _ = lanes.AppendLevel(frontier[:0])
+			want = want[:0]
 			for i, h := range hs {
 				if packed.AddHashed(h.S, h.H) {
-					want = append(want, int32(i))
+					want = append(want, slab[i*sw:(i+1)*sw]...)
 				}
 			}
-			if !slices.Equal(fresh, want) {
-				t.Fatalf("%s depth %d: slab insert reports %d fresh states, the AddHashed loop %d (or other indices)", tc.name, depth, len(fresh), len(want))
+			e.SortWords(want)
+			if e.SortWords(frontier); !slices.Equal(frontier, want) {
+				t.Fatalf("%s depth %d: slab absorb keeps %d fresh states, the AddHashed loop %d (or others)", tc.name, depth, len(frontier)/sw, len(want)/sw)
 			}
-			dups += len(hs) - len(fresh)
-			frontier = frontier[:0]
-			for _, i := range fresh {
-				frontier = append(frontier, slab[int(i)*sw:int(i)*sw+sw]...)
-			}
-			states += len(fresh)
+			dups += len(hs) - len(frontier)/sw
+			states += len(frontier) / sw
 		}
-		if words.Len() != states || packed.Len() != states {
-			t.Fatalf("%s: sets hold %d and %d states, %d were fresh", tc.name, words.Len(), packed.Len(), states)
+		if got := lanes.Stats().States; got != states || packed.Len() != states {
+			t.Fatalf("%s: the lanes hold %d states and the set %d, %d were fresh", tc.name, got, packed.Len(), states)
 		}
 		if violated != (tc.name == "narrow-violating") || dups == 0 {
 			t.Fatalf("%s: violated=%v after %d duplicate successors", tc.name, violated, dups)

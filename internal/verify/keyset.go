@@ -11,7 +11,6 @@ type keySet[K stateKey] struct {
 	mask  uint64
 
 	hashes []uint64 // addChunk scratch: one hash per key of the chunk
-	keys   []K      // addWords scratch: a word slab as keys
 	sink   uint64   // keeps addChunk's touch loads alive
 }
 
@@ -132,7 +131,7 @@ func (s *keySet[K]) addChunk(keys []K, fresh []int32) []int32 {
 func (s *keySet[K]) len() int { return s.n }
 
 // reset empties the set in place, keeping the table at its grown size: a
-// standing worker serving repeated runs clears instead of reallocating.
+// standing mesh worker serving repeated runs clears instead of reallocating.
 func (s *keySet[K]) reset() {
 	clear(s.slots)
 	s.n = 0

@@ -1,29 +1,25 @@
 package verify
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Tuning of the owner-partitioned parallel BFS (DESIGN.md §1 has the numbers).
+// Tuning of the level round (DESIGN.md §1 has the numbers).
 const (
 	// serialLevelThreshold: levels with fewer frontier states than this run
 	// both phases on the calling goroutine — waking lanes for tiny levels
 	// (the first few samples, or single-app checks) costs more than it saves.
 	serialLevelThreshold = 512
-	// insertChunk is the piece size in which a lane feeds addChunk: enough
-	// keys that their cache misses overlap, few enough to stay cached.
+	// insertChunk is the piece size in which a lane inserts keys staged for
+	// it: enough that their cache misses overlap, few enough to stay cached.
 	insertChunk = 256
-	// stageCap bounds the successors a lane stages before the level pauses
-	// for an insert phase: staging memory is lanes × stageCap keys however
-	// wide the level is, and the keys are still cached when they are inserted.
+	// stageCap bounds the successors a lane generates in one round: staging
+	// memory is lanes × stageCap keys however wide the level is, the keys
+	// are still cached when they are inserted, and a mesh node gets back to
+	// its poll between rounds.
 	stageCap = 1 << 15
-	// minParts is the least number of partitions the hash space is cut into;
-	// with fewer lanes every lane owns several, each in a set of its own, so
-	// that one table growth moves 1/16 of the visited set and not half of it.
+	// minParts is the least number of tables a node's visited set is cut
+	// into: one table growth moves 1/16 of it, not all of it.
 	minParts = 16
-	// maxLanes caps the lane count: every lane stages into one buffer per
-	// partition, and there are at least as many partitions as lanes.
+	// maxLanes caps the lane count of a node.
 	maxLanes = 256
 	// outPad is spare capacity, in slice headers, behind every lane's out.
 	// The allocator puts the lanes' header arrays side by side and each lane
@@ -32,188 +28,435 @@ const (
 	outPad = 6
 )
 
-// ownerOf maps a state's hash to the partition that owns the state, from the
-// hash's top 32 bits: the visited sets index their tables with the low bits,
-// so ownership and table slot never correlate, and the multiply-shift splits
-// the hash space evenly for any partition count, not only powers of two.
-func ownerOf(h uint64, partitions int) int { return int((h >> 32) * uint64(partitions) >> 32) }
+// NumShards is the number of hash shards, the unit of ownership between
+// nodes: a state's shard is the top six bits of its hash (Expander.HashWords),
+// and an ownership table maps every shard to the node that stores and
+// expands its states. A local search is one node owning all of them.
+const NumShards = 64
 
-// lane is one owner of the partitioned search: the states whose hash maps
-// to one of its partitions live in its private sets and are expanded from its
-// private frontier. Other lanes read only out, and only across a barrier.
+// part cuts a node's share of the hash space into n partitions by the 32
+// hash bits below the shard bits — a multiply-shift, even for any n, and
+// disjoint from the low bits the tables index with, so partition and table
+// slot never correlate. With P lanes of parts tables each, partition p =
+// part(h, P·parts) is lane p/parts's table p%parts.
+func part(h uint64, n int) int { return int((h << 6 >> 32) * uint64(n) >> 32) }
+
+// lane is one goroutine's share of a node: the states of its partition
+// live in its private tables and are expanded from its private frontier.
+// Other lanes read only out, and only across a barrier.
 type lane[K stateKey] struct {
-	visited  []*keySet[K] // visited[j] holds partition i·parts+j, for lane i
-	frontier []K          // owned states of this level; [pos:] not yet expanded
-	pos      int          // expansion cursor into frontier
-	next     []K          // owned states first seen this level: the next frontier
-	out      [][]K        // out[p]: successors staged for partition p in this round
-	trans    int          // successors generated in this round
-	viol     K            // smallest violating state of the level known to the lane…
-	violApp  int          // …and the application that misses its deadline there, or −1
-	fresh    []int32
-	succ     []K
+	tables   []keySet[K] // tables[t] holds the lane's partition t
+	frontier []K         // owned states of the level; [pos:] not yet expanded
+	pos      int
+	prev     int        // the size of the lane's previous level
+	next     []K        // owned states first seen this level: the next frontier
+	out      [][]K      // out[j]: successors staged for lane j in this round
+	foreign  [][]uint64 // foreign[d]: successors owned by node d, as words
+	trans    int        // successors generated in this round
+	fresh    int        // states first seen in this phase
+	viol     K          // smallest violating state of the level known to the lane…
+	violApp  int        // …and the application that misses its deadline there, or −1
+	shardTr  [NumShards]int64
+	succ     []K // one round piece's successors, or inbound states as keys
+	freshIdx []int32
 	sc       expandScratch
 	_        [128]byte // keeps the next lane's cursor off this scratch's cache line
 }
 
-// runLanes is the parallel search over either packed encoding: a
-// level-synchronous BFS over n owner-partitioned lanes. Every state has one
-// owner (ownerOf its hash), is inserted into exactly one private set and is
-// expanded by exactly one lane — no shared set, no CAS, no merge. A level is
-// a sequence of rounds of two phases, each ending in a barrier: in expand
-// every lane expands its frontier from its cursor until it has staged
-// stageCap successors, each in the buffer of its partition; in insert every
-// lane drains the buffers of its partitions through addChunk (the sequential
-// driver's probe-ahead insert), and the fresh keys are its next frontier.
-//
-// The levels are those of the sequential search and each state is fresh
-// once, so on schedulable sets States, Transitions and Depth equal the
-// sequential counts for any lane count. On a violation the level is swept
-// far enough to find its minimum violating packed state (lessKey) — a property
-// of the level alone, so Schedulable, Depth and Violator do not depend on the
-// lane count either (Violator may differ from the sequential engine's
-// first-in-expansion-order pick); States is then the size of levels 0..Depth.
+// node is the P lanes of one search node and the level round that drives
+// them: the whole local parallel search, or one mesh worker of
+// internal/dverify (through the Lanes seam). Every state has one owner —
+// the node its shard maps to, the lane its partition falls to — is inserted
+// into exactly one table and expanded by exactly one lane: no shared set,
+// no CAS, no merge.
+type node[K stateKey] struct {
+	v          *Verifier
+	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)
+	hash       func(K) uint64 // routes states: shard and lane
+	lanes      []lane[K]
+	parts      int
+
+	owners     [NumShards]uint8
+	self       int
+	countShard bool // attribute transitions to the shard of the expanded state
+
+	// Written between phases only, by the caller; the lanes count their
+	// fresh states apart and only read these, so nothing they write in a
+	// phase shares a cache line with what the others read.
+	states    int  // fresh states across all lanes
+	tooLarge  bool // states exceeded maxStates
+	maxStates int
+	trans     int        // transitions of finished rounds
+	minViol   K          // the level's smallest violating state so far…
+	minApp    int        // …and its violator, or −1
+	in        [][]uint64 // Absorb's slabs: fresh keys join the level, not the next
+}
+
+// newNode builds a node of p lanes (clamped to 1..maxLanes) owning every
+// shard, with parts tables per lane so that the node has ≥ minParts.
+func newNode[K stateKey](v *Verifier, p int,
+	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
+	hash func(K) uint64) *node[K] {
+	p = min(max(p, 1), maxLanes)
+	parts := 1
+	for p*parts < minParts {
+		parts <<= 1
+	}
+	e := &node[K]{v: v, successors: successors, hash: hash, lanes: make([]lane[K], p), parts: parts,
+		maxStates: v.cfg.MaxStates, minApp: -1}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		for range parts {
+			l.tables = append(l.tables, *newKeySet[K](setCap[K]() / (p * parts)))
+		}
+		l.out = make([][]K, p*parts, p*parts+outPad)
+		l.violApp = -1
+	}
+	return e
+}
+
+// runLanes is the parallel search over either packed encoding: one node of
+// n lanes, owning every shard, runs the level round until a level is empty.
+// The levels are the sequential search's and each state is fresh once, so
+// on schedulable sets States, Transitions and Depth equal the sequential
+// counts for any lane count. On a violation the level is swept for its
+// minimum violating packed state (lessKey), a property of the level alone;
+// States is then the size of levels 0..Depth.
 func runLanes[K stateKey](v *Verifier, n int, init K,
 	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
 	hash func(K) uint64) (Result, error) {
-	n = min(n, maxLanes)
-	parts := max(1, minParts/n)
-	np := n * parts
+	e := newNode(v, n, successors, hash)
+	e.Absorb([][]uint64{appendKey(nil, init)})
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
-	lanes := make([]lane[K], n)
-	for i := range lanes {
-		for range parts {
-			lanes[i].visited = append(lanes[i].visited, newKeySet[K](setCap[K]()/np))
+	for depth := 0; ; depth++ {
+		if depth > 0 {
+			e.Advance()
 		}
-		lanes[i].out = make([][]K, np, np+outPad)
-	}
-	p := ownerOf(hash(init), np)
-	lanes[p/parts].visited[p%parts].add(init)
-	lanes[p/parts].next = []K{init}
-
-	var (
-		states   atomic.Int64 // fresh states across all lanes
-		tooLarge atomic.Bool  // states exceeded the budget
-		// Written between phases only, by the caller:
-		reserve int  // room every set makes before the level's first insert
-		minViol K    // the level's smallest violating state so far…
-		minApp  = -1 // …and its violator, or −1
-	)
-	states.Store(1)
-	maxStates := int64(v.cfg.MaxStates)
-
-	expand := func(i int) {
-		l := &lanes[i]
-		for p := range l.out {
-			l.out[p] = l.out[p][:0]
+		width := e.Stats().Level
+		if width == 0 {
+			return res, nil
 		}
-		// Once a violation is known the level decides the verdict and nothing
-		// more is inserted: sweep the rest for a smaller violator, unstaged.
-		l.viol, l.violApp = minViol, minApp
-		for staged := 0; l.pos < len(l.frontier) && (staged < stageCap || l.violApp >= 0); l.pos++ {
-			s := l.frontier[l.pos]
-			if l.violApp >= 0 && lessKey(l.viol, s) {
-				continue // cannot lower the minimum
-			}
-			var app int
-			l.succ, _, app = successors(v, s, &l.sc, l.succ[:0], nil)
-			if app >= 0 {
-				l.viol, l.violApp = s, app
-				continue
-			}
-			l.trans += len(l.succ)
-			if l.violApp >= 0 {
-				continue
-			}
-			for _, ns := range l.succ {
-				p := ownerOf(hash(ns), np)
-				l.out[p] = append(l.out[p], ns)
-			}
-			staged += len(l.succ)
+		res.Depth, res.States = depth, e.states
+		obsLevels.Inc()
+		levelTrans := e.trans
+		for e.LevelRound(nil) {
+		}
+		res.Transitions = e.trans
+		if e.tooLarge {
+			res.States = e.states
+			return res, ErrTooLarge
+		}
+		v.cfg.RunTrace.AddLevel(depth, width, e.trans-levelTrans)
+		if e.minApp >= 0 {
+			res.Schedulable, res.Violator = false, e.minApp
+			return res, nil
 		}
 	}
-	insert := func(i int) {
-		l := &lanes[i]
-		for j, set := range l.visited {
-			set.reserve(reserve)
-			for src := range lanes {
-				keys := lanes[src].out[i*parts+j]
-				for lo := 0; lo < len(keys) && !tooLarge.Load(); lo += insertChunk {
-					piece := keys[lo:min(lo+insertChunk, len(keys))]
-					l.fresh = set.addChunk(piece, l.fresh[:0])
-					for _, k := range l.fresh {
-						l.next = append(l.next, piece[k])
-					}
-					if states.Add(int64(len(l.fresh))) > maxStates {
-						tooLarge.Store(true)
-					}
-				}
+}
+
+// appendKey appends a key's words to dst.
+func appendKey[K stateKey](dst []uint64, k K) []uint64 {
+	for i := 0; i < len(k); i++ {
+		dst = append(dst, k[i])
+	}
+	return dst
+}
+
+// Lanes is one node's share of a level-synchronous search on P lanes — the
+// round the local parallel search runs, for an external driver (the mesh
+// worker of internal/dverify). States cross it as word slabs, StateWords()
+// words per state. A level goes: Absorb the peers' states of it, then
+// LevelRound until it reports the level expanded, then Advance. Not safe
+// for concurrent use; the node runs its lanes itself. It is an interface
+// because its one implementation is generic over the state width.
+type Lanes interface {
+	// Reset empties the node for a new search in which it owns the shards
+	// owners maps to self, with a budget of maxStates fresh states;
+	// countShards turns on AppendLevel's transitions.
+	Reset(owners *[NumShards]uint8, self, maxStates int, countShards bool)
+	// Absorb inserts slabs of this node's states; the fresh ones join the
+	// level being expanded.
+	Absorb(slabs [][]uint64)
+	// LevelRound runs one round of the level: every lane expands up to
+	// stageCap successors and stages them by owner, then inserts what was
+	// staged for it; the other nodes' go to ship — on the calling
+	// goroutine, which returns an empty buffer for the next round. It reports whether the
+	// level has states left; once a violation is known nothing more is
+	// routed and the rest of the level is swept for a smaller violator.
+	LevelRound(ship func(node int, states []uint64) []uint64) bool
+	// Advance makes the states found in the level's rounds the next level.
+	Advance()
+	// Stats reports the search so far.
+	Stats() LaneStats
+	// AppendLevel appends the words of the level's states to dst and
+	// returns the transitions its expansion took, by the shard of the state
+	// expanded (zero unless Reset asked for them).
+	AppendLevel(dst []uint64) ([]uint64, [NumShards]int64)
+}
+
+// LaneStats is a node's search so far.
+type LaneStats struct {
+	States, Transitions int         // fresh states and transitions since Reset
+	Level, Next         int         // states of the level and of the next found so far
+	TooLarge            bool        // States exceeded the budget
+	ViolApp             int         // the level's violator, or −1…
+	Viol                PackedState // …and its minimum violating state
+}
+
+// NewLanes returns a node of p lanes over the expander's encoding, owning
+// every shard until Reset says otherwise.
+func (e *Expander) NewLanes(p int) Lanes {
+	if e.v.wide {
+		return newNode(e.v, p, successors[[wideWords]uint64], hashKey[[wideWords]uint64])
+	}
+	return newNode(e.v, p, successors[[1]uint64], hashKey[[1]uint64])
+}
+
+func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int, countShards bool) {
+	e.owners, e.self, e.countShard = *owners, self, countShards
+	nodes := 0
+	for _, o := range owners {
+		nodes = max(nodes, int(o)+1)
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		for t := range l.tables {
+			l.tables[t].reset()
+		}
+		l.frontier, l.next, l.pos, l.prev, l.violApp = l.frontier[:0], l.next[:0], 0, 0, -1
+		l.shardTr = [NumShards]int64{}
+		if len(l.foreign) < nodes {
+			l.foreign = make([][]uint64, nodes, nodes+outPad) // padded like out
+		}
+	}
+	e.states, e.tooLarge, e.maxStates, e.trans, e.minApp = 0, false, maxStates, 0, -1
+}
+
+func (e *node[K]) Absorb(slabs [][]uint64) {
+	e.in = slabs
+	n := 0
+	for _, s := range slabs {
+		n += len(s)
+	}
+	parallel := n >= serialLevelThreshold
+	e.each(phaseAbsorb, parallel)
+	e.each(phaseInsert, parallel)
+	e.in = nil
+}
+
+func (e *node[K]) LevelRound(ship func(node int, states []uint64) []uint64) bool {
+	parallel := e.Stats().Level >= serialLevelThreshold
+	e.each(phaseExpand, parallel)
+	more := false
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		e.trans += l.trans
+		l.trans = 0
+		more = more || l.pos < len(l.frontier)
+		if l.violApp >= 0 && (e.minApp < 0 || lessKey(l.viol, e.minViol)) {
+			e.minViol, e.minApp = l.viol, l.violApp
+		}
+		for d, f := range l.foreign {
+			if len(f) > 0 {
+				l.foreign[d] = ship(d, f)
 			}
 		}
 	}
+	if e.minApp < 0 {
+		e.each(phaseInsert, parallel)
+	}
+	return more && !e.tooLarge
+}
 
-	// each runs one phase on every lane and returns when all are done: every
-	// lane on a goroutine of its own (lane 0 too: all lanes then run at one
-	// stack depth, whoever calls) or, for a small level, all on the caller.
-	each := func(phase func(int), parallel bool) {
+func (e *node[K]) Advance() {
+	e.minApp = -1
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		l.frontier, l.next, l.pos, l.prev, l.violApp = l.next, l.frontier[:0], 0, len(l.frontier), -1
+		l.shardTr = [NumShards]int64{}
+	}
+}
+
+func (e *node[K]) Stats() LaneStats {
+	s := LaneStats{States: e.states, Transitions: e.trans, TooLarge: e.tooLarge, ViolApp: e.minApp}
+	for i := range e.lanes {
+		s.Level += len(e.lanes[i].frontier)
+		s.Next += len(e.lanes[i].next)
+	}
+	for i := 0; e.minApp >= 0 && i < len(e.minViol); i++ {
+		s.Viol[i] = e.minViol[i]
+	}
+	return s
+}
+
+func (e *node[K]) AppendLevel(dst []uint64) ([]uint64, [NumShards]int64) {
+	var t [NumShards]int64
+	for i := range e.lanes {
+		for _, k := range e.lanes[i].frontier {
+			dst = appendKey(dst, k)
+		}
+		for s, n := range e.lanes[i].shardTr {
+			t[s] += n
+		}
+	}
+	return dst, t
+}
+
+// each runs one phase on every lane and returns when all are done: every
+// lane on a goroutine of its own (lane 0 too: all lanes then run at one
+// stack depth, whoever calls) or, for a small level or one lane, all on the
+// caller. Then it folds the lanes' fresh counts into the budget. (A phase
+// is named, not passed as a method value: that would allocate per call.)
+func (e *node[K]) each(phase int, parallel bool) {
+	if !parallel || len(e.lanes) == 1 {
+		for i := range e.lanes {
+			e.run(phase, i)
+		}
+	} else {
 		var wg sync.WaitGroup
-		for i := range lanes {
-			if !parallel {
-				phase(i)
-				continue
-			}
+		for i := range e.lanes {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				phase(i)
+				e.run(phase, i)
 			}()
 		}
 		wg.Wait()
 	}
+	for i := range e.lanes {
+		e.states += e.lanes[i].fresh
+		e.lanes[i].fresh = 0
+	}
+	e.tooLarge = e.states > e.maxStates
+}
 
-	prevWidth := 1
-	for depth := 0; ; depth++ {
-		width := 0
-		for i := range lanes {
-			l := &lanes[i]
-			l.frontier, l.next, l.pos = l.next, l.frontier[:0], 0
-			width += len(l.frontier)
-		}
-		if width == 0 {
-			return res, nil
-		}
-		res.Depth, res.States = depth, int(states.Load())
-		obsLevels.Inc()
-		levelTrans := res.Transitions
-		reserve = LevelReserve(width, prevWidth) / np
-		parallel := width >= serialLevelThreshold
-		for more := true; more; {
-			each(expand, parallel)
-			more = false
-			for i := range lanes {
-				l := &lanes[i]
-				res.Transitions += l.trans
-				l.trans = 0
-				more = more || l.pos < len(l.frontier)
-				if l.violApp >= 0 && (minApp < 0 || lessKey(l.viol, minViol)) {
-					minViol, minApp = l.viol, l.violApp
-				}
+// The phases of a round, and run, which runs one on lane i.
+const (
+	phaseExpand = iota
+	phaseAbsorb
+	phaseInsert
+)
+
+func (e *node[K]) run(phase, i int) {
+	switch phase {
+	case phaseExpand:
+		e.expand(i)
+	case phaseAbsorb:
+		e.absorb(i)
+	default:
+		e.insertStaged(i)
+	}
+}
+
+// full reports whether lane l's inserts of the phase have taken the node
+// past its budget.
+func (e *node[K]) full(l *lane[K]) bool { return e.states+l.fresh > e.maxStates }
+
+// target is where lane l puts the phase's fresh keys.
+func (e *node[K]) target(l *lane[K]) *[]K {
+	if e.in != nil {
+		return &l.frontier
+	}
+	return &l.next
+}
+
+// expand is lane i's part of a round: expand its frontier from the cursor,
+// a chunk at a time, and route each chunk's successors, until it has
+// generated stageCap of them or its frontier is done. Once a violation is
+// known the level decides the verdict and nothing more is routed: the lane
+// sweeps the rest for a smaller violator.
+func (e *node[K]) expand(i int) {
+	l := &e.lanes[i]
+	for t := 0; l.pos == 0 && t < len(l.tables); t++ {
+		l.tables[t].reserve(LevelReserve(len(l.frontier), l.prev) / len(l.tables))
+	}
+	for j := range l.out {
+		l.out[j] = l.out[j][:0]
+	}
+	v, successors, succ, trans := e.v, e.successors, l.succ, 0
+	viol, violApp := e.minViol, e.minApp
+	for gen := 0; l.pos < len(l.frontier) && (gen < stageCap || violApp >= 0) && !e.full(l); {
+		chunk := l.frontier[l.pos:min(l.pos+seqChunk, len(l.frontier))]
+		l.pos += len(chunk)
+		succ = succ[:0]
+		for _, s := range chunk {
+			if violApp >= 0 && lessKey(viol, s) {
+				continue // cannot lower the minimum
 			}
-			if minApp >= 0 {
+			n := len(succ)
+			var app int
+			succ, _, app = successors(v, s, &l.sc, succ, nil)
+			if app >= 0 {
+				viol, violApp = s, app
 				continue
 			}
-			each(insert, parallel)
-			reserve = 0
-			if tooLarge.Load() {
-				res.States = int(states.Load())
-				return res, ErrTooLarge
+			trans += len(succ) - n
+			if e.countShard {
+				l.shardTr[e.hash(s)>>58] += int64(len(succ) - n)
+			}
+			if violApp >= 0 {
+				succ = succ[:n]
 			}
 		}
-		v.cfg.RunTrace.AddLevel(depth, width, res.Transitions-levelTrans)
-		if minApp >= 0 {
-			res.Schedulable, res.Violator = false, minApp
-			return res, nil
-		}
-		prevWidth = width
+		gen += len(succ)
+		e.route(l, succ)
 	}
+	l.succ, l.trans, l.viol, l.violApp = succ, trans, viol, violApp
+}
+
+// absorb is lane i's part of Absorb: it routes every P-th slab.
+func (e *node[K]) absorb(i int) {
+	l := &e.lanes[i]
+	for j := range l.out {
+		l.out[j] = l.out[j][:0]
+	}
+	var k K
+	for j := i; j < len(e.in); j += len(e.lanes) {
+		for w := e.in[j]; len(w) > 0; {
+			l.succ = l.succ[:0]
+			for ; len(w) > 0 && len(l.succ) < insertChunk; w = w[len(k):] {
+				l.succ = append(l.succ, K(w))
+			}
+			e.route(l, l.succ)
+		}
+	}
+}
+
+// route sends keys to their owners: another node's to its foreign buffer
+// as words, every other one to the staging buffer of its partition.
+func (e *node[K]) route(l *lane[K], keys []K) {
+	np := len(e.lanes) * e.parts
+	for _, k := range keys {
+		h := e.hash(k)
+		if d := int(e.owners[h>>58]); d != e.self {
+			l.foreign[d] = appendKey(l.foreign[d], k)
+			continue
+		}
+		p := part(h, np)
+		l.out[p] = append(l.out[p], k)
+	}
+}
+
+// insertStaged is lane i's insert phase: the keys every lane, itself
+// included, staged for its partitions, in pieces of insertChunk.
+func (e *node[K]) insertStaged(i int) {
+	l := &e.lanes[i]
+	for j := range e.lanes {
+		for t := range e.parts {
+			keys := e.lanes[j].out[i*e.parts+t]
+			for lo := 0; lo < len(keys) && !e.full(l); lo += insertChunk {
+				e.insert(l, t, keys[lo:min(lo+insertChunk, len(keys))], e.target(l))
+			}
+		}
+	}
+}
+
+// insert adds keys to lane l's table t through the sets' probe-ahead
+// addChunk and appends the fresh ones to *to.
+func (e *node[K]) insert(l *lane[K], t int, keys []K, to *[]K) {
+	l.freshIdx = l.tables[t].addChunk(keys, l.freshIdx[:0])
+	for _, x := range l.freshIdx {
+		*to = append(*to, keys[x])
+	}
+	l.fresh += len(l.freshIdx)
 }

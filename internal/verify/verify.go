@@ -96,18 +96,13 @@ type Config struct {
 	Trace bool
 	// Workers is the number of lanes of the search: 0 means GOMAXPROCS, 1
 	// forces the sequential search. The parallel search partitions the
-	// states among the lanes by hash — every lane owns a private visited
-	// set and frontier — and synchronises at level boundaries; it visits
-	// exactly the sequential search's state space, so the verdict — and, for
-	// schedulable sets, States/Transitions/Depth — is identical to the
-	// sequential path and to every other lane count. On a violation the
-	// parallel search reports the application missing its deadline in the
-	// minimum violating packed state of the first violating level, for any
-	// lane count; the sequential search the first it meets. Small levels
-	// run on the calling goroutine either way, so single-app checks do not
-	// regress. The distributed backend ignores Workers: a mesh node is one
-	// search goroutine, and a distributed run's parallelism is its node
-	// count.
+	// states among the lanes by hash and synchronises at level boundaries;
+	// it visits exactly the sequential search's state space, so the verdict
+	// — and, for schedulable sets, States/Transitions/Depth — is identical
+	// for every lane count. On a violation it reports the application
+	// missing its deadline in the minimum violating packed state of the
+	// first violating level; the sequential search the first it meets. A
+	// distributed run gives every node Workers lanes (1 included).
 	Workers int
 	// SymmetryReduction canonicalises every state by sorting the lanes of
 	// applications with identical profiles (name excluded), exploring the
