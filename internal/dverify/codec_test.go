@@ -217,7 +217,7 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 
 	ts := Loopback(1)
 	defer Close(ts)
-	job := &Job{Proto: protoVersion, NumNodes: 1, MaxStates: 100, FT: true, CheckpointDir: dir, Session: 2}
+	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), MaxStates: 100, CheckpointDir: dir, Session: 2}
 	for _, p := range fleet(3, 5, 2, 4, 20) {
 		job.Profiles = append(job.Profiles, *p)
 	}
@@ -226,7 +226,7 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.shutdown()
-	for sh := 0; sh < numShards; sh++ {
+	for sh := 0; sh < verify.NumShards; sh++ {
 		if err := writeSegment(segPath(w.ckptDir, 0, sh), nil, 0, w.exp); err != nil {
 			t.Fatal(err)
 		}
@@ -355,11 +355,13 @@ func badState(exp *verify.Expander, states []uint64) int {
 // version-7 one, whose request kinds are numbered differently, a version-8
 // one, whose Job still asks for a per-node lane pool, a version-9 one,
 // which may send DEFLATE batches, a version-11 one, which sends sorted
-// varint-delta batches, and a version-12 one, whose Job carries no lane
-// count (its nodes would each run one lane whatever Workers said).
+// varint-delta batches, a version-12 one, whose Job carries no lane count
+// (its nodes would each run one lane whatever Workers said), and a
+// version-13 one, whose Job carries FT, Era and Cut and whose link reports
+// carry no cause.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
@@ -376,6 +378,37 @@ func TestProtocolVersionHandshake(t *testing.T) {
 		if got := kinds(); !slices.Equal(got, []Kind{KindInit}) {
 			t.Fatalf("coordinator sent %v to a %s worker, want Init only", got, named)
 		}
+	}
+}
+
+// TestOwnershipTableRefused: a job always carries its ownership table, so a
+// worker refuses one that is missing, short or names a node outside the
+// cluster — at Init, and in a Recover order, which leaves the worker in its
+// era with the error — rather than routing a state to no node.
+func TestOwnershipTableRefused(t *testing.T) {
+	bad := map[string][]uint8{
+		"missing": nil,
+		"short":   defaultOwners(2)[:63],
+		"node 2":  append(defaultOwners(2)[:63:63], 2),
+	}
+	ps := fleet(2, 5, 2, 4, 20)
+	for name, owners := range bad {
+		job := &Job{Proto: protoVersion, NumNodes: 2, Owners: owners, Profiles: []switching.Profile{*ps[0], *ps[1]}}
+		if _, _, err := newMeshWorker(job, nil, nil); err == nil || !strings.Contains(err.Error(), "ownership table") {
+			t.Errorf("%s table at Init: err = %v", name, err)
+		}
+	}
+	ts := Loopback(1)
+	defer Close(ts)
+	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), Profiles: []switching.Profile{*ps[0], *ps[1]}}
+	w, _, err := newMeshWorker(job, loopEnv{ts[0].(*loopTransport).group}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.shutdown()
+	w.recoverTo(&Recover{Era: 1, Owners: bad["short"], Cut: -1})
+	if w.err == nil || !strings.Contains(w.err.Error(), "ownership table") || w.era != 0 {
+		t.Fatalf("short table in a Recover order: era %d, err %v", w.era, w.err)
 	}
 }
 
@@ -438,7 +471,7 @@ func TestSegmentCorruptHeader(t *testing.T) {
 	// The same file under a worker: recovery reports it, the worker stands.
 	ts := Loopback(1)
 	defer Close(ts)
-	job := &Job{Proto: protoVersion, NumNodes: 1, MaxStates: 100, FT: true, CheckpointDir: dir, Session: 1}
+	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), MaxStates: 100, CheckpointDir: dir, Session: 1}
 	for _, p := range fleet(3, 5, 2, 4, 20) {
 		job.Profiles = append(job.Profiles, *p)
 	}
@@ -447,7 +480,7 @@ func TestSegmentCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.shutdown()
-	for sh := 0; sh < numShards; sh++ {
+	for sh := 0; sh < verify.NumShards; sh++ {
 		if err := writeSegment(segPath(w.ckptDir, 0, sh), nil, 0, w.exp); err != nil {
 			t.Fatal(err)
 		}

@@ -6,18 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
 	"tightcps/internal/obs"
 	"tightcps/internal/verify"
 )
 
 // newSessionID draws a random mesh-rendezvous token; daemons serving
-// several coordinators key their link registries by it.
+// several coordinators key their link registries by it. crypto/rand.Read
+// never returns an error (go1.24).
 func newSessionID() uint64 {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return 1
-	}
+	rand.Read(b[:])
 	id := binary.LittleEndian.Uint64(b[:])
 	if id == 0 {
 		id = 1
@@ -26,34 +26,32 @@ func newSessionID() uint64 {
 }
 
 // meshFT is the coordinator's death handling over one mesh run: who last
-// checkpointed and answered what, the current era and ownership table, and
-// the spare transports still available for adoption. Every run has one; a
-// run without Job.FT recovers from a death by naming it. deadWire
-// preserves evicted nodes' final wire totals — true traffic the rollback
-// cannot re-attribute (survivors keep only their own wire counters).
+// checkpointed and answered what, and the current era and ownership table.
+// Every run has one; on is verify.Config.FaultTolerance, and a run without
+// it recovers from a death by naming it. deadWire preserves evicted nodes'
+// final wire totals — true traffic the rollback cannot re-attribute
+// (survivors keep only their own wire counters).
 type meshFT struct {
-	job        Job // Init template for adopting replacement workers
+	on         bool
 	poller     *meshPoller
 	trace      *obs.Trace
 	lastCkpt   []int
 	lastResp   []*Response
 	era        int
 	owners     []uint8
-	spares     []Transport
 	deadWire   verify.WireStats
 	recoveries int
 }
 
-func newMeshFT(job Job, poller *meshPoller, trace *obs.Trace, spares []Transport) *meshFT {
-	n := job.NumNodes
+func newMeshFT(on bool, owners []uint8, poller *meshPoller, trace *obs.Trace) *meshFT {
+	n := len(poller.alive)
 	ft := &meshFT{
-		job:      job,
+		on:       on,
 		poller:   poller,
 		trace:    trace,
 		lastCkpt: make([]int, n),
 		lastResp: make([]*Response, n),
-		owners:   job.Owners,
-		spares:   spares,
+		owners:   owners,
 	}
 	for i := range ft.lastCkpt {
 		ft.lastCkpt[i] = -1
@@ -74,165 +72,90 @@ func (ft *meshFT) note(resps []*Response) {
 	}
 }
 
-// foldLinkDown turns worker-reported dead links into coordinator death
-// verdicts: a severed link is indistinguishable from (and treated as)
-// the death of its far end, so the run converges on a surviving
-// component instead of hanging on a partition.
-func (ft *meshFT) foldLinkDown(resps []*Response) (dead []int) {
+// foldLinkDown turns worker-reported dead links into deaths, appended to
+// the round's dead: a severed link is indistinguishable from (and treated
+// as) the death of its far end, so the run converges on a surviving
+// component instead of hanging on a partition. The report's cause becomes
+// the far end's, unless it died of its own in the round.
+func (ft *meshFT) foldLinkDown(resps []*Response, dead []int) []int {
+	p := ft.poller
 	for i, r := range resps {
-		if r == nil || !ft.poller.alive[i] {
+		if r == nil || !p.alive[i] {
 			continue
 		}
-		for _, j := range r.LinkDown {
-			if j >= 0 && j < len(ft.poller.alive) && ft.poller.alive[j] {
-				dead = append(dead, j)
+		for _, l := range r.LinkDown {
+			if l.Peer >= 0 && l.Peer < len(p.alive) && p.alive[l.Peer] && !slices.Contains(dead, l.Peer) {
+				p.errs[l.Peer] = errors.New(l.Cause)
+				dead = append(dead, l.Peer)
 			}
 		}
 	}
 	return dead
 }
 
-// recover is what a death leads to. Without fault tolerance that is the
-// error the run ends in, naming the lowest dead node and its cause. With
-// it, it is the takeover loop: each iteration evicts the newly dead, adopts
-// spares into the freed slots when available, reassigns orphaned shards to
-// the survivors, rolls the cluster back to the deepest cut every relevant
-// checkpoint supports, and issues the recovery in two phases — restore-Inits
-// to adoptions, then Recover-tagged polls to survivors. Deaths during
-// either feed the next iteration: the double-fault case is just a second
-// lap. It returns the level the run resumes at, the last lap's cut (0 when
-// there was none). dead names live nodes: a round reports only nodes it
-// polled.
+// recover is what a death leads to, and the only place that decides it.
+// Without fault tolerance that is the error the run ends in, naming the
+// lowest dead node and its cause. With it, it is the takeover loop: each
+// lap evicts the newly dead, reassigns their shards to the survivors, and
+// sends every survivor one Recover order to roll back to the deepest cut
+// every relevant checkpoint supports. Deaths during that round feed the
+// next lap: the double-fault case is just a second lap. It returns the
+// level the run resumes at, the last lap's cut (0 when there was none).
+// dead names live nodes, each once: a round reports only nodes it polled,
+// and foldLinkDown adds only live nodes not named yet.
 func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
 	p := ft.poller
-	if !ft.job.FT {
+	if !ft.on {
 		return 0, p.deathOf(dead)
 	}
-	adoptedNow := make([]bool, len(p.alive))
 	resume := 0
 	for len(dead) > 0 {
 		cut := 1 << 30
-		any := false
 		for _, d := range dead {
-			if !p.alive[d] {
-				continue // duplicate report
-			}
-			any = true
 			p.evict(d)
-			adoptedNow[d] = false
 			if s := ft.lastResp[d]; s != nil {
 				ft.deadWire.Add(verify.WireStats{
 					RoutedStates: s.Routed,
 					RawBytes:     s.RawBytes,
 					WireBytes:    s.WireBytes,
 				})
-				// Folded once; a replacement adopted into this slot must
-				// not inherit (and re-fold) its predecessor's snapshot.
-				ft.lastResp[d] = nil
 			}
 			// The cut can be no deeper than what the dead node persisted:
 			// its shards restore from its segments.
-			if ft.lastCkpt[d] < cut {
-				cut = ft.lastCkpt[d]
-			}
+			cut = min(cut, ft.lastCkpt[d])
 		}
-		if !any {
-			break
-		}
-		// Adopt spares into freed slots in index order: a replacement
-		// inherits the dead node's ID and shard set, so slots we can
-		// refill need no reassignment.
-		for _, d := range dead {
-			if len(ft.spares) == 0 {
-				break
-			}
-			if !p.alive[d] {
-				p.adopt(d, ft.spares[0])
-				ft.spares = ft.spares[1:]
-				adoptedNow[d] = true
-			}
-		}
-		live := 0
-		for _, ok := range p.alive {
-			if ok {
-				live++
-			}
-		}
-		if live == 0 {
-			return 0, errors.New("dverify: every worker dead and no spares left; run unrecoverable")
-		}
-		// Survivors can restore only what they persisted themselves.
+		var survivors, deadSet []int
 		for i, ok := range p.alive {
-			if ok && !adoptedNow[i] && ft.lastCkpt[i] < cut {
-				cut = ft.lastCkpt[i]
+			if ok {
+				survivors = append(survivors, i)
+				// Survivors can restore only what they persisted themselves.
+				cut = min(cut, ft.lastCkpt[i])
+			} else {
+				deadSet = append(deadSet, i)
 			}
+		}
+		if len(survivors) == 0 {
+			return 0, errors.New("dverify: every worker dead; run unrecoverable")
 		}
 		owners, moved := reassignOwners(ft.owners, p.alive)
 		ft.owners = owners
 		ft.era++
-		var deadSet []int
-		for i, ok := range p.alive {
-			if !ok {
-				deadSet = append(deadSet, i)
-			}
-		}
-		// Adoption Inits go first and complete before any survivor receives
-		// its Recover order, so every worker of the new era is registered
-		// before the first one rolls back into it. A replacement dying (or
-		// reporting a stale protocol) during its Init feeds the next lap
-		// before the survivors ever saw this era.
-		var adoptIdx, survIdx []int
-		for i, ok := range p.alive {
-			switch {
-			case !ok:
-			case adoptedNow[i]:
-				adoptIdx = append(adoptIdx, i)
-			default:
-				survIdx = append(survIdx, i)
-			}
-		}
-		if len(adoptIdx) > 0 {
-			next := p.round(resps, adoptIdx, func(i int) *Request {
-				j := ft.job
-				j.NodeID = i
-				j.Owners = owners
-				j.Era = ft.era
-				j.Cut = cut
-				return &Request{Kind: KindInit, Job: &j}
-			})
-			for _, i := range adoptIdx {
-				if r := resps[i]; r != nil && p.alive[i] {
-					if r.Proto != protoVersion {
-						next = append(next, i) // stale replacement build: treat as dead
-						continue
-					}
-					ft.lastCkpt[i] = cut
-					ft.lastResp[i] = r
-					adoptedNow[i] = false
-				}
-			}
-			if len(next) > 0 {
-				dead = next
-				continue
-			}
-		}
 		recCtl := Control{Recover: &Recover{Era: ft.era, Owners: owners, Cut: cut, Dead: deadSet}}
-		next := p.round(resps, survIdx, func(int) *Request {
+		next := p.round(resps, survivors, func(int) *Request {
 			return &Request{Kind: KindPoll, Ctl: &recCtl}
 		})
-		for _, i := range survIdx {
-			if r := resps[i]; r != nil && p.alive[i] {
+		for _, i := range survivors {
+			if r := resps[i]; r != nil {
 				ft.lastCkpt[i] = cut
 				ft.lastResp[i] = r
 			}
 		}
-		next = append(next, ft.foldLinkDown(resps)...)
 		ft.recoveries++
 		obsRecoveries.Inc()
 		obsShardsReassigned.Add(uint64(moved))
 		ft.trace.AddFailover(ft.era, deadSet, cut, moved)
 		resume = max(cut, 0)
-		dead = next
+		dead = ft.foldLinkDown(resps, next)
 	}
 	return resume, nil
 }
@@ -248,25 +171,22 @@ func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
 //
 // Deaths — a transport error, a worker Err, no answer within
 // meshDeathTimeout, or a peer's LinkDown report — go to meshFT.recover: with
-// job.FT the run completes with the exact verdict as long as at least one
-// worker (or adopted spare) survives each takeover, without it the run ends
-// in an error naming the node and the cause. Either way a poll round
+// faultTolerance (verify.Config.FaultTolerance) the run completes with the exact verdict
+// as long as at least one worker survives each takeover, without it the run
+// ends in an error naming the node and the cause. Either way a poll round
 // returns. The Init round is fail-fast in both modes — fault tolerance
 // covers the run, not its setup. plan (nil-safe) is the deterministic
 // fault-injection harness; its kills fire before the rounds of given levels.
-func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, plan *faultPlan) (verify.Result, error) {
+func verifyMesh(job Job, faultTolerance bool, nodes []Transport, peers []string, trace *obs.Trace, plan *faultPlan) (verify.Result, error) {
 	res := verify.Result{Schedulable: true, Bounded: job.MaxDisturbances > 0}
 	job.Session = newSessionID()
 	job.Peers = peers
-	if job.FT {
-		job.Owners = defaultOwners(job.NumNodes)
-		if job.CheckpointDir != "" {
-			// Coordinator-side sweep of the session's segments: covers runs
-			// where no worker reached a clean Finish (shared-filesystem
-			// clusters; on remote workers this is a no-op locally and the
-			// daemons clean up on their next session).
-			defer os.RemoveAll(ckptSessionDir(job.CheckpointDir, job.Session))
-		}
+	if job.CheckpointDir != "" {
+		// Coordinator-side sweep of the session's segments: covers runs
+		// where no worker reached a clean Finish (shared-filesystem
+		// clusters; on remote workers this is a no-op locally and the
+		// daemons clean up on their next session).
+		defer os.RemoveAll(ckptSessionDir(job.CheckpointDir, job.Session))
 	}
 	poller := newMeshPoller(nodes)
 	defer poller.close()
@@ -292,11 +212,7 @@ func verifyMesh(job Job, nodes []Transport, peers []string, trace *obs.Trace, pl
 		}
 	}
 
-	var spares []Transport
-	if plan != nil {
-		spares = plan.spares
-	}
-	ft := newMeshFT(job, poller, trace, spares)
+	ft := newMeshFT(faultTolerance, job.Owners, poller, trace)
 	for i := range reqs {
 		reqs[i] = Request{Kind: KindPoll, Ctl: &ctls[i]}
 	}
@@ -315,7 +231,7 @@ levels:
 		pending = append(pending[:0], poller.all...)
 		for len(pending) > 0 {
 			dead := poller.round(resps, pending, poll)
-			dead = append(dead, ft.foldLinkDown(resps)...)
+			dead = ft.foldLinkDown(resps, dead)
 			rounds++
 			if len(dead) > 0 {
 				// Without fault tolerance the run is poisoned and ends here;

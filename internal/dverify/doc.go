@@ -1,9 +1,10 @@
 // Package dverify distributes the slot-sharing verification of
 // internal/verify across worker nodes: the packed state space is
-// partitioned by hash — each node owns a contiguous range of the 64 hash
-// shards — and every node runs the local parallel search's level round
-// (verify.Lanes) over its own states, on lanes of its own, shipping the
-// successors other nodes own straight to them.
+// partitioned by hash — each node owns the hash shards its ownership table
+// names, a contiguous range of the 64 until a recovery hands a dead node's
+// to the survivors — and every node runs the local parallel search's level
+// round (verify.Lanes) over its own states, on lanes of its own, shipping
+// the successors other nodes own straight to them.
 //
 // One frontier exchange drives that partitioning: a worker mesh that
 // keeps the coordinator out of the data path. Workers hold one direct link
@@ -56,4 +57,12 @@
 // stops routing and sweeps the rest of L for a smaller one, and the
 // coordinator ends the run on the verify.LessState minimum across workers —
 // no worker expands L+1 before L's round ends.
+//
+// Deaths are decided in one place. A worker behaves the same with and
+// without fault tolerance: it reports a dead mesh link with its cause in
+// its next answer (Response.LinkDown), never as its own error, and obeys
+// every Recover order. The coordinator's meshFT.recover decides what a
+// death means: with verify.Config.FaultTolerance the survivors take over
+// the dead node's shards and roll back to a checkpoint cut (ft.go);
+// without it the run ends in an error naming the dead node and the cause.
 package dverify

@@ -44,8 +44,7 @@ func Verify(profiles []*switching.Profile, cfg verify.Config, nodes []Transport)
 
 // verifyWithFaults is Verify with a deterministic fault-injection plan
 // attached (nil for production runs): the plan's kills fire before the
-// rounds of given levels and its spares are adopted as replacement workers
-// during recovery. The fault-matrix tests drive every recovery path
+// rounds of given levels. The fault-matrix tests drive every recovery path
 // through this entry.
 func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []Transport, plan *faultPlan) (verify.Result, error) {
 	if len(nodes) < 1 || len(nodes) > maxNodes {
@@ -69,6 +68,7 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 		Proto:             protoVersion,
 		Profiles:          make([]switching.Profile, len(profiles)),
 		NumNodes:          len(nodes),
+		Owners:            defaultOwners(len(nodes)),
 		MaxDisturbances:   cfg.MaxDisturbances,
 		Policy:            cfg.Policy,
 		NondetTies:        cfg.NondetTies,
@@ -76,8 +76,9 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 		MaxStates:         cfg.MaxStates,
 		Workers:           cfg.Workers,
 		RunID:             cfg.RunID,
-		FT:                cfg.FaultTolerance,
-		CheckpointDir:     cfg.CheckpointDir,
+	}
+	if cfg.FaultTolerance {
+		job.CheckpointDir = cfg.CheckpointDir
 	}
 	for i, p := range profiles {
 		job.Profiles[i] = *p
@@ -89,7 +90,7 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 	// The run trace is coordinator-side: verifyMesh folds per-level and
 	// per-node spans in; verify.Run finishes it (verdict, wire, slot).
 	cfg.RunTrace.SetBackend("mesh", len(nodes))
-	return verifyMesh(job, nodes, peers, cfg.RunTrace, plan)
+	return verifyMesh(job, cfg.FaultTolerance, nodes, peers, cfg.RunTrace, plan)
 }
 
 // meshPeers reports whether the cluster's transports can carry direct

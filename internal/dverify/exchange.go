@@ -86,7 +86,7 @@ type meshLink interface {
 // opens its links; leave releases the registration of a connected worker.
 type meshEnv interface {
 	connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, error)
-	leave(job *Job, inbox *meshInbox)
+	leave(job *Job)
 }
 
 // getBatch draws a batch slice from the worker's free list, falling back
@@ -126,21 +126,16 @@ func (w *meshWorker) putBatch(b []uint64) {
 // all of its peers' level at the start of its round, so the barrier does not
 // wait on the one that finished first and was left the others' tail
 // (committing at once read about 10 % slower on S1 over two loopback
-// nodes). A link failure poisons
-// a non-FT run; under fault tolerance it marks the peer dead and is reported
-// to the coordinator via the snapshot's LinkDown. A batch of another era is
-// dropped: a rollback since has erased its accounting on both ends.
+// nodes). A link failure marks the peer dead (noteLinkDown). A batch of
+// another era is dropped: a rollback since has erased its accounting on
+// both ends.
 func (w *meshWorker) drainInbox() {
 	batches := w.inbox.drain(w.spareQ)
 	for i := range batches {
 		b := &batches[i]
 		switch {
 		case b.err != nil:
-			if w.ft {
-				w.noteLinkDown(b.from)
-			} else if w.err == nil {
-				w.err = b.err
-			}
+			w.noteLinkDown(b.from, b.err)
 		case b.era != w.era:
 			w.putBatch(b.states)
 		case b.level == w.level:
@@ -170,39 +165,34 @@ func (w *meshWorker) drainInbox() {
 	}
 }
 
-// noteLinkDown records a dead peer: no further sends are attempted and
-// the coordinator learns via the next snapshot's LinkDown report.
-func (w *meshWorker) noteLinkDown(peer int) {
+// noteLinkDown records a dead peer and why: no further sends are attempted
+// and the coordinator learns via the next snapshot's LinkDown report. The
+// worker itself carries on; the coordinator decides what the death means.
+func (w *meshWorker) noteLinkDown(peer int, cause error) {
 	if peer < 0 || peer >= w.n {
 		return
 	}
 	if !w.deadPeers[peer] {
 		w.deadPeers[peer] = true
-		w.linkDown = append(w.linkDown, peer)
+		w.linkDown = append(w.linkDown, DeadLink{Peer: peer, Cause: cause.Error()})
 	}
 }
 
 // ship sends one destination's successors, handed over by the lanes after
 // a round, as a batch tagged level+1, counting it in the round's SentTo and
 // the wire totals, and returns the lanes an empty buffer for the next
-// round. Under fault tolerance a failed (or known-dead) destination drops
-// the batch uncounted and marks the link down instead of poisoning the
-// run: the coordinator's recovery rolls every worker back past the loss,
-// so no peer is left expecting it.
+// round. A failed (or known-dead) destination drops the batch uncounted
+// and marks the link down: the coordinator either ends the run or rolls
+// every survivor back past the loss, so no peer is left expecting it.
 func (w *meshWorker) ship(d int, states []uint64) []uint64 {
-	if w.ft && w.deadPeers[d] {
+	if w.deadPeers[d] {
 		return states[:0]
 	}
 	n := len(states) / w.sw
 	bytes, err := w.links[d].send(w.era, w.level+1, states)
 	if err != nil {
-		if w.ft {
-			w.noteLinkDown(d)
-			return w.getBatch()
-		}
-		if w.err == nil {
-			w.err = fmt.Errorf("mesh link to node %d: %v", d, err)
-		}
+		w.noteLinkDown(d, fmt.Errorf("mesh link from node %d: %v", w.id, err))
+		return w.getBatch()
 	}
 	w.sentTo[d] += n
 	w.routed += n

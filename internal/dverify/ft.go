@@ -1,14 +1,14 @@
 package dverify
 
-// Fault tolerance: shard-ownership tables, checkpoint segments, and the
-// fault-injection harness.
+// Fault tolerance: shard-ownership tables, checkpoint segments, the
+// worker's side of a recovery, and the fault-injection harness. The
+// coordinator's side — what a death leads to — is meshFT.recover.
 //
 // Ownership tables. Every worker routes through a 64-entry table (shard →
-// owning node). A fresh run uses the contiguous default — node i owns
-// shards [i·64/n, (i+1)·64/n) — with or without fault tolerance; on
-// recovery the coordinator rewrites the table so survivors absorb a dead
-// node's shards, and every worker routes by the new table from the next
-// era on.
+// owning node) that its Job carries: a run starts from the contiguous
+// default — node i owns shards [i·64/n, (i+1)·64/n) — and each recovery
+// replaces it with a table in which the survivors own a dead node's
+// shards; every worker routes by the new table from the next era on.
 //
 // Checkpoint segments. A segment is the deterministic global object
 // "(shard s, level l)": every state whose hash shard is s and whose BFS
@@ -25,31 +25,28 @@ package dverify
 // same tmp+rename discipline as mapping.Cache's shard files.
 //
 // Recovery = global rollback. The coordinator computes the cut — the
-// minimum fully-checkpointed level over current owners — and every
-// surviving worker performs the same uniform reset: drop all volatile
-// search state (buckets, counters, in-flight batches), restore all shards
-// it owns under the new table from segments at levels ≤ cut,
-// re-materialize the cut level as an expandable frontier, and
-// resume. Exactness follows from the segments being exact level sets: the
-// restored visited set is precisely the BFS closure through the cut, and
-// re-expansion from the cut regenerates everything past it. The resumed
-// round at the cut expects nothing: every round count is zeroed in the same
-// reset, no worker expands before all have rolled back, and post-recovery
-// traffic never routes to dead nodes.
+// minimum fully-checkpointed level over the dead and the survivors — and
+// sends every survivor one Recover order with it. Each performs the same
+// uniform reset: drop all volatile search state (buckets, counters,
+// in-flight batches), restore all shards it owns under the new table from
+// segments at levels ≤ cut, re-materialize the cut level as an expandable
+// frontier, and resume. Exactness follows from the segments being exact
+// level sets: the restored visited set is precisely the BFS closure
+// through the cut, and re-expansion from the cut regenerates everything
+// past it. The resumed round at the cut expects nothing: every round count
+// is zeroed in the same reset, no worker expands before all have rolled
+// back, and post-recovery traffic never routes to dead nodes.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"tightcps/internal/verify"
 )
-
-// numShards is the fixed hash-shard count the visited set, the routing
-// formula and the ownership table all agree on.
-const numShards = 64
 
 // meshDeathTimeout bounds every coordinator round: a worker that has not
 // answered by then is dead to the run — recovered from under fault
@@ -61,21 +58,20 @@ var meshDeathTimeout = 30 * time.Second
 // defaultOwners builds the contiguous ownership table: node i owns shards
 // [i·64/n, (i+1)·64/n).
 func defaultOwners(n int) []uint8 {
-	t := make([]uint8, numShards)
+	t := make([]uint8, verify.NumShards)
 	for s := range t {
-		t[s] = uint8(s * n / numShards)
+		t[s] = uint8(s * n / verify.NumShards)
 	}
 	return t
 }
 
-// ownerTable fixes an ownership table into the worker's 64-entry lookup
-// array, falling back to the contiguous default when owners is nil.
-func ownerTable(owners []uint8, n int) (t [numShards]uint8) {
-	if owners == nil {
-		owners = defaultOwners(n)
+// checkOwners refuses an ownership table — a Job's or a Recover order's —
+// that does not name one of the n nodes for every shard.
+func checkOwners(owners []uint8, n int) error {
+	if len(owners) != verify.NumShards || int(slices.Max(owners)) >= n {
+		return fmt.Errorf("dverify: an ownership table of %d entries does not map %d shards onto %d nodes", len(owners), verify.NumShards, n)
 	}
-	copy(t[:], owners)
-	return t
+	return nil
 }
 
 // reassignOwners maps every shard owned by a dead node onto the alive
@@ -185,11 +181,8 @@ func readSegment(path string, exp *verify.Expander) ([]uint64, int64, error) {
 // coordinator fires at exact points in the run: before it first polls a
 // level ≥ atLevel (once the required number of recoveries has already
 // happened, for double-fault scripts), kill() severs a worker.
-// Spares are extra transports adopted as replacement workers during
-// recovery, in order.
 type faultPlan struct {
 	faults []fault
-	spares []Transport
 }
 
 type fault struct {
@@ -225,13 +218,13 @@ func (p *faultPlan) fire(level, recoveries int) {
 // generated (empty segments included — restore treats a missing file as a
 // hard error, so absence is always detectable).
 func (w *meshWorker) writeLevel(l int) error {
-	var byShard [numShards][]uint64
+	var byShard [verify.NumShards][]uint64
 	level, trans := w.lanes.AppendLevel(nil)
 	for b := level; len(b) > 0; b = b[w.sw:] {
-		sh := w.exp.HashWords(b[:w.sw]) >> 58
+		sh := verify.ShardOf(w.exp.HashWords(b[:w.sw]))
 		byShard[sh] = append(byShard[sh], b[:w.sw]...)
 	}
-	for sh := 0; sh < numShards; sh++ {
+	for sh := 0; sh < verify.NumShards; sh++ {
 		if int(w.owners[sh]) != w.id {
 			continue
 		}
@@ -266,7 +259,7 @@ func (w *meshWorker) restore(cut int) error {
 		}
 		var slabs [][]uint64
 		n := 0
-		for sh := 0; sh < numShards; sh++ {
+		for sh := 0; sh < verify.NumShards; sh++ {
 			if int(w.owners[sh]) != w.id {
 				continue
 			}
@@ -288,12 +281,16 @@ func (w *meshWorker) restore(cut int) error {
 }
 
 // recoverTo executes the coordinator's takeover order: the uniform global
-// rollback every worker (survivor or not) performs in lockstep — the same
-// resetEra that starts a run — and the restore from the cut. The session
-// survives it: wire history and the mesh links. Batches of the old era
-// still queued are dropped by their tag when the next round drains them.
+// rollback every survivor performs in lockstep — the same resetEra that
+// starts a run — and the restore from the cut. The session survives it:
+// wire history and the mesh links. Batches of the old era still queued are
+// dropped by their tag when the next round drains them.
 func (w *meshWorker) recoverTo(rec *Recover) {
 	if rec.Era <= w.era {
+		return
+	}
+	if err := checkOwners(rec.Owners, w.n); err != nil {
+		w.err = err
 		return
 	}
 	w.resetEra(rec.Era, rec.Owners, rec.Dead)

@@ -3,15 +3,17 @@ package dverify
 // Fault-matrix tests for the fault-tolerant distributed search: kill a
 // worker at a deterministic level across {loopback, TCP} × {2, 4 nodes},
 // and assert the run still finishes with a verdict, state count, depth and
-// minimal violator bit-identical to the local parallel search — plus the double-fault, crash-during-checkpoint,
-// spare-adoption, severed-link, death-timeout and degraded (no
-// checkpoint directory) recovery paths.
+// minimal violator bit-identical to the local parallel search, its failover
+// handing exactly the victim's shards to the survivors — plus the
+// double-fault, crash-during-checkpoint, severed-link, death-timeout and
+// degraded (no checkpoint directory) recovery paths.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,7 +93,9 @@ func runFTLanes(t *testing.T, label string, ps []*switching.Profile, nodes, lane
 // clusters: for 2- and 4-node clusters of one- and two-lane nodes, first
 // and last victim, on a deep schedulable space and a near-root violation,
 // killing the victim at a deterministic level must leave the verdict,
-// counts, depth and minimal violator bit-identical to the local search.
+// counts, depth and minimal violator bit-identical to the local search,
+// through one failover: era 1, the victim dead, and the victim's
+// contiguous share of the shards (64/nodes) reassigned to the survivors.
 func TestFTKillOneWorker(t *testing.T) {
 	recBefore := obsRecoveries.Value()
 	for _, tc := range ftCases {
@@ -99,10 +103,16 @@ func TestFTKillOneWorker(t *testing.T) {
 			for _, lanes := range []int{1, 2} {
 				for _, victim := range []int{0, nodes - 1} {
 					label := fmt.Sprintf("%s: nodes=%d lanes=%d victim=%d", tc.name, nodes, lanes, victim)
-					runFTLanes(t, label, tc.ps(), nodes, lanes, func(ts []Transport) *faultPlan {
+					trace := runFTLanes(t, label, tc.ps(), nodes, lanes, func(ts []Transport) *faultPlan {
 						lt := ts[victim].(*loopTransport)
 						return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: lt.die}}}
 					})
+					want := obs.FailoverSpan{Era: 1, Dead: []int{victim}, Shards: verify.NumShards / nodes}
+					if len(trace.Failovers) != 1 {
+						t.Errorf("%s: %d failovers, want 1", label, len(trace.Failovers))
+					} else if f := trace.Failovers[0]; f.Era != want.Era || !slices.Equal(f.Dead, want.Dead) || f.Shards != want.Shards {
+						t.Errorf("%s: failover %+v, want era %d, dead %v, %d shards", label, f, want.Era, want.Dead, want.Shards)
+					}
 				}
 			}
 		}
@@ -124,45 +134,6 @@ func TestFTKillEveryVictim(t *testing.T) {
 			return &faultPlan{faults: []fault{{atLevel: 3, kill: lt.die}}}
 		})
 	}
-}
-
-// TestFTSpareAdoption: a replacement worker waiting in the wings is
-// adopted into the dead node's slot, so the recovered cluster is whole
-// again — the failover records an empty residual dead set and zero
-// reassigned shards (the spare inherits the victim's exact shard range).
-func TestFTSpareAdoption(t *testing.T) {
-	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	trace := runFT(t, "spare adoption", ps, 4, func(ts []Transport) *faultPlan {
-		lt := ts[2].(*loopTransport)
-		return &faultPlan{
-			faults: []fault{{atLevel: 2, kill: lt.die}},
-			spares: []Transport{newSpareOf(ts)},
-		}
-	})
-	if len(trace.Failovers) == 0 {
-		t.Fatal("no failover recorded")
-	}
-	f := trace.Failovers[0]
-	if len(f.Dead) != 0 {
-		t.Errorf("adopted takeover should leave no residual dead set, got %v", f.Dead)
-	}
-	if f.Shards != 0 {
-		t.Errorf("adopted takeover reassigns no shards, got %d", f.Shards)
-	}
-}
-
-// newSpareOf mints an extra loopback transport in the same group as an
-// existing cluster, so a replacement worker can join its session mesh.
-func newSpareOf(ts []Transport) Transport {
-	g := ts[0].(*loopTransport).group
-	lt := &loopTransport{
-		group: g,
-		req:   make(chan *Request),
-		resp:  make(chan *Response, 1),
-		kill:  make(chan struct{}),
-	}
-	go lt.serve()
-	return lt
 }
 
 // TestFTDoubleFault: a second worker dies while the takeover from the

@@ -75,13 +75,9 @@ func (g *loopGroup) join(job *Job, inbox *meshInbox) (*loopSession, error) {
 		return nil, fmt.Errorf("dverify: session %#x sized for %d nodes, node %d expects %d",
 			job.Session, len(s.inboxes), job.NodeID, job.NumNodes)
 	}
-	if s.inboxes[job.NodeID] != nil && job.Era == 0 {
+	if s.inboxes[job.NodeID] != nil {
 		return nil, fmt.Errorf("dverify: node %d already registered in session %#x", job.NodeID, job.Session)
 	}
-	// Era > 0 is a takeover Init: a replacement worker adopts a dead
-	// node's slot. The dead worker's registration (if its teardown has not
-	// run yet) is displaced — leave is identity-checked, so the late
-	// teardown cannot unregister the replacement.
 	s.inboxes[job.NodeID] = inbox
 	s.refs++
 	return s, nil
@@ -144,9 +140,7 @@ func (e loopEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]me
 }
 
 // leave drops a node's registration, deleting the session with the last.
-// The inbox identity check keeps a dead worker's late teardown from
-// unregistering the replacement that displaced it.
-func (e loopEnv) leave(job *Job, inbox *meshInbox) {
+func (e loopEnv) leave(job *Job) {
 	g := e.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -154,9 +148,7 @@ func (e loopEnv) leave(job *Job, inbox *meshInbox) {
 	if s == nil {
 		return
 	}
-	if s.inboxes[job.NodeID] == inbox {
-		s.inboxes[job.NodeID] = nil
-	}
+	s.inboxes[job.NodeID] = nil
 	if s.refs--; s.refs == 0 {
 		delete(g.sessions, job.Session)
 	}

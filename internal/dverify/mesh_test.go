@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -109,8 +110,9 @@ func TestMeshRoundsPerLevel(t *testing.T) {
 }
 
 // TestMeshLinkFaultInjection breaks one worker↔worker link mid-run: the
-// coordinator must surface a clean error naming the victim and the peer —
-// not hang an epoch — and the cluster must stay reusable afterwards.
+// coordinator must surface a clean error — not hang an epoch — that names
+// the far end of the broken link as the dead node, the reporting end, and
+// the injected cause, and the cluster must stay reusable afterwards.
 func TestMeshLinkFaultInjection(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
@@ -148,8 +150,12 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "node") || !strings.Contains(err.Error(), "mesh link") {
-			t.Fatalf("want a clean error naming the broken mesh link, got %v", err)
+		if err == nil {
+			t.Fatal("a broken mesh link went unreported")
+		}
+		m := regexp.MustCompile(`^dverify: node (\d): mesh link from node (\d): injected link failure$`).FindStringSubmatch(err.Error())
+		if m == nil || m[1] == m[2] {
+			t.Fatalf("want an error naming the far end, the reporter and the cause, got %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("coordinator hung after a mesh link failure")

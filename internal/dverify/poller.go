@@ -15,9 +15,8 @@ import (
 //
 // Every dispatched call carries a sequence number and every round bounds
 // its wait with meshDeathTimeout; an answer to a call the poller has given
-// up on — or one issued against a transport since replaced by adopt — is
-// discarded by sequence mismatch, so a slow reply from a declared-dead
-// worker can never be mistaken for a current one.
+// up on is discarded by sequence mismatch, so a slow reply from a
+// declared-dead worker can never be mistaken for a current one.
 type meshPoller struct {
 	reqs     []chan pollReq
 	done     chan pollResult
@@ -57,20 +56,16 @@ func newMeshPoller(nodes []Transport) *meshPoller {
 	p.timer.Stop()
 	for i, tr := range nodes {
 		p.alive[i], p.all[i] = true, i
-		p.reqs[i] = p.spawn(i, tr)
+		ch := make(chan pollReq)
+		p.reqs[i] = ch
+		go func() {
+			for pr := range ch {
+				resp, err := tr.Call(pr.req)
+				p.done <- pollResult{i: i, seq: pr.seq, resp: resp, err: err}
+			}
+		}()
 	}
 	return p
-}
-
-func (p *meshPoller) spawn(i int, tr Transport) chan pollReq {
-	ch := make(chan pollReq)
-	go func() {
-		for pr := range ch {
-			resp, err := tr.Call(pr.req)
-			p.done <- pollResult{i: i, seq: pr.seq, resp: resp, err: err}
-		}
-	}()
-	return ch
 }
 
 // round sends reqf(i) to every live node of idxs (nil = all; a request may
@@ -143,17 +138,6 @@ func (p *meshPoller) deathOf(dead []int) error {
 // evict marks a node dead: it is skipped by every later round.
 func (p *meshPoller) evict(i int) {
 	p.alive[i] = false
-}
-
-// adopt replaces node i's transport with a late-joining spare: the old
-// call channel is closed (its goroutine exits after any in-flight call,
-// whose answer the sequence check discards) and a fresh goroutine
-// serves the replacement under the same node index.
-func (p *meshPoller) adopt(i int, tr Transport) {
-	close(p.reqs[i])
-	p.reqs[i] = p.spawn(i, tr)
-	p.alive[i] = true
-	p.inflight[i] = false
 }
 
 func (p *meshPoller) close() {

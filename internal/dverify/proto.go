@@ -23,12 +23,10 @@ import (
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
 // field, a batch format or the packed-state layout changes or goes. Version
-// 13 adds the node's lane count (Job.Workers) to version 12: every routed
-// state shipped as raw words (codecRaw only: no sender filter, no delta
-// batches), one BFS level polled per round (Control.Level/Expect,
-// Response.SentTo/Next), no coordinator relay, and lane clocks fitted to
-// the job's largest r; what each earlier version was is in CHANGES.md.
-const protoVersion = 13
+// 14 drops Job.FT, Job.Era and Job.Cut from version 13 and carries a dead
+// link's cause (Response.LinkDown); version 13 added the node's lane count
+// (Job.Workers); what each earlier version was is in CHANGES.md.
+const protoVersion = 14
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -58,14 +56,13 @@ type Job struct {
 	// Profiles is the application set under verification, by value so the
 	// gob stream is self-contained.
 	Profiles []switching.Profile
-	// NumNodes and NodeID place this node in the cluster. Shard ownership
-	// follows Owners when present; otherwise the node owns the default
-	// contiguous range [NodeID·64/NumNodes, (NodeID+1)·64/NumNodes).
+	// NumNodes and NodeID place this node in the cluster.
 	NumNodes int
 	NodeID   int
-	// Owners, when non-nil, is the explicit shard-ownership table: entry s
-	// names the node owning hash shard s (len 64). The coordinator rewrites
-	// it on recovery so survivors take over a dead node's shards.
+	// Owners is the shard-ownership table: entry s names the node owning
+	// hash shard s (len verify.NumShards). A run starts from the contiguous
+	// default, node i owning [i·64/NumNodes, (i+1)·64/NumNodes); a Recover
+	// order replaces it.
 	Owners []uint8
 
 	MaxDisturbances   int
@@ -93,20 +90,11 @@ type Job struct {
 	// are channels). Node i dials Peers[j] for every j ≠ i.
 	Peers []string
 
-	// FT enables fault tolerance: the worker checkpoints completed levels
-	// (when CheckpointDir is set), tags mesh batches with its era, and
-	// reports link failures instead of poisoning the run.
-	FT bool
 	// CheckpointDir is where the worker persists per-(shard,level)
-	// checkpoint segments; empty disables checkpointing (recovery then
-	// degrades to a full restart on the survivors).
+	// checkpoint segments, set only on fault-tolerant runs; empty disables
+	// checkpointing (recovery then degrades to a full restart on the
+	// survivors).
 	CheckpointDir string
-	// Era and Cut accompany a recovery KindInit to a late-joining
-	// replacement worker: Era > 0 means "join the run in progress" — the
-	// worker restores its owned shards from checkpoint segments up to
-	// level Cut instead of seeding the initial state.
-	Era int
-	Cut int
 }
 
 // Request is one coordinator→node message.
@@ -153,8 +141,8 @@ type Recover struct {
 	Owners []uint8
 	// Cut is the highest checkpointed level consistent across the cluster.
 	Cut int
-	// Dead lists the node IDs declared dead this recovery (informational;
-	// workers use Owners for routing).
+	// Dead is the complete dead set after this recovery; workers ship
+	// nothing to these nodes (routing follows Owners).
 	Dead []int
 }
 
@@ -199,8 +187,7 @@ type Response struct {
 	RawBytes  int
 	WireBytes int
 	// Fresh counts the states committed to this node's visited partition
-	// (on a KindInit reply: the initial state when this node owns it, or
-	// the states a replacement worker restored).
+	// (on a KindInit reply: the initial state when this node owns it).
 	Fresh int
 	// TooLarge reports that the per-node visited budget was exhausted; the
 	// node stopped expanding and absorbing.
@@ -235,10 +222,18 @@ type Response struct {
 	// Ckpt is the highest level fully persisted to checkpoint segments
 	// (-1 when nothing is checkpointed or checkpointing is disabled).
 	Ckpt int
-	// LinkDown lists peer node IDs this worker can no longer reach (send
-	// or receive failures on the mesh link). Cumulative; under FT a dead
-	// link is reported here instead of poisoning the run via Err.
-	LinkDown []int
+	// LinkDown lists the peers this worker can no longer reach (send or
+	// receive failures on the mesh link), cumulative within an era. A dead
+	// link is always reported here, never through Err: what it leads to is
+	// the coordinator's decision.
+	LinkDown []DeadLink
+}
+
+// DeadLink is one worker's report of a failed mesh link: the peer at its
+// far end and what failed.
+type DeadLink struct {
+	Peer  int
+	Cause string
 }
 
 // Frontier batch format: a version byte naming the format of the rest,

@@ -17,9 +17,10 @@ import (
 // connection per ordered node pair, negotiated from Job.Peers) and stream
 // level-tagged Frame batches over those links, so frontier data never
 // transits the coordinator. A worker disconnect surfaces as a Call error —
-// io.EOF or a connection reset — which aborts the run cleanly rather than
-// hanging an exchange; a broken worker↔worker link surfaces through the
-// victim's next poll snapshot, naming both ends.
+// io.EOF or a connection reset — which ends that node's part in the run
+// rather than hanging an exchange; a broken worker↔worker link surfaces
+// through the surviving end's next poll snapshot as the far end's death,
+// naming both ends.
 
 // Dial connects to the worker daemons at addrs (host:port each), returning
 // one transport per address in order. On any failure the already-opened
@@ -252,13 +253,13 @@ func (e tcpEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]mes
 				l.close()
 			}
 		}
-		e.leave(job, inbox)
+		e.leave(job)
 		return nil, fmt.Errorf("dverify: node %d dialing mesh peer %d (%s): %v", id, d, job.Peers[d], err)
 	}
 	return links, nil
 }
 
-func (e tcpEnv) leave(job *Job, _ *meshInbox) { e.host.unregister(job.Session, job.NodeID) }
+func (e tcpEnv) leave(job *Job) { e.host.unregister(job.Session, job.NodeID) }
 
 // Server runs a worker daemon: it accepts coordinator sessions and
 // inbound worker↔worker mesh links on one listener, distinguishing them
@@ -428,17 +429,18 @@ func (s *Server) servePeer(conn net.Conn, dec *gob.Decoder, hello *PeerHello) {
 	for {
 		var f Frame
 		if err := dec.Decode(&f); err != nil {
-			// A link failing while its node is still registered poisons the
-			// run loudly through the node's next snapshot; after the session
-			// ends, the sender closing the link is the expected teardown.
+			// A link failing while its node is still registered is reported
+			// as the sender's death in the node's next snapshot; after the
+			// session ends, the sender closing the link is the expected
+			// teardown.
 			if s.host.lookup(hello.Session, hello.To) == n {
-				n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link from node %d: %v", hello.From, err)})
+				n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link to node %d: %v", hello.To, err)})
 			}
 			return
 		}
 		states, err := decodeBatch(n.exp, f.Batch, getBatch())
 		if err != nil {
-			n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link from node %d: %v", hello.From, err)})
+			n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link to node %d: %v", hello.To, err)})
 			return
 		}
 		n.inbox.push(meshBatch{from: hello.From, level: f.Level, era: f.Era, states: states})

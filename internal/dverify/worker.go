@@ -71,7 +71,11 @@ type meshStanding struct {
 
 // meshSession is one job on one cluster: placement, budget, the data plane
 // and what is true of the whole run whatever gets rolled back — the wire
-// history (traffic that happened).
+// history (traffic that happened). ckptOn persists finished levels under
+// ckptDir (ft.go); the coordinator sets Job.CheckpointDir only on a
+// fault-tolerant run. Nothing else in a worker depends on fault tolerance:
+// a dead link is always reported (noteLinkDown) and a Recover order always
+// obeyed — what a death leads to is the coordinator's decision.
 type meshSession struct {
 	id, n  int
 	job    *Job // what the worker was built for (reuse compatibility)
@@ -84,9 +88,6 @@ type meshSession struct {
 	routed    int
 	wireBytes int
 
-	// Fault tolerance (ft.go): ft reports link failures instead of
-	// poisoning the run, and ckptOn persists finished levels under ckptDir.
-	ft      bool
 	ckptOn  bool
 	ckptDir string // per-session segment directory
 
@@ -101,7 +102,7 @@ type meshSession struct {
 // level+1 states shipped to each destination this round. levelFresh counts
 // the states committed per level (the snapshots' FreshByLevel), restored
 // the transitions of the levels a recovery restored below its cut. owners
-// is the routing table (default contiguous, rewritten by Recover);
+// is the routing table (the Job's, then each Recover order's);
 // ckptLevel the highest level fully persisted as checkpoint segments (-1 =
 // none); deadPeers suppresses sends to nodes known dead; linkDown is the
 // cumulative dead-peer report for the coordinator.
@@ -116,10 +117,10 @@ type meshEra struct {
 	err        error
 
 	era       int
-	owners    [numShards]uint8
+	owners    [verify.NumShards]uint8
 	ckptLevel int
 	deadPeers []bool
-	linkDown  []int
+	linkDown  []DeadLink
 }
 
 // newMeshWorker builds a node for a mesh job and wires its data links
@@ -140,6 +141,9 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	n := job.NumNodes
 	if n < 1 || job.NodeID < 0 || job.NodeID >= n {
 		return nil, nil, fmt.Errorf("dverify: node %d of %d is not a valid placement", job.NodeID, n)
+	}
+	if err := checkOwners(job.Owners, n); err != nil {
+		return nil, nil, err
 	}
 	w := prev
 	if w == nil || !jobsCompatible(w.job, job) {
@@ -188,8 +192,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		job:    job,
 		budget: job.MaxStates,
 		inbox:  newMeshInbox(),
-		ft:     job.FT,
-		ckptOn: job.FT && job.CheckpointDir != "",
+		ckptOn: job.CheckpointDir != "",
 	}
 	if w.budget <= 0 {
 		w.budget = defaultMaxStates
@@ -197,7 +200,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	if w.ckptOn {
 		w.ckptDir = ckptSessionDir(job.CheckpointDir, job.Session)
 	}
-	w.resetEra(job.Era, job.Owners, nil)
+	w.resetEra(0, job.Owners, nil)
 
 	links, err := env.connect(job, w.inbox, w.exp)
 	if err != nil {
@@ -207,17 +210,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	if w.shipFn == nil {
 		w.shipFn = w.ship
 	}
-	// A fresh run (Era 0) seeds the initial state on its owner; a
-	// replacement worker joining a recovered run restores its owned shards
-	// from checkpoint segments instead.
-	if job.FT && job.Era > 0 {
-		if err := w.restore(job.Cut); err != nil {
-			w.shutdown()
-			return nil, nil, err
-		}
-	} else {
-		w.seed()
-	}
+	w.seed()
 	w.initResp = Response{Proto: protoVersion, ViolApp: -1, Fresh: w.lanes.Stats().States}
 	return w, &w.initResp, nil
 }
@@ -227,10 +220,8 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 // batches into the free list, empties the lanes (visited tables, frontiers)
 // under the new ownership table, then starts the new era from a fresh
 // value: only what is named below differs from zero. dead is the complete
-// current dead set — rebuilt, not accumulated, so a replacement adopted
-// into a dead slot receives traffic again — and the cumulative LinkDown
-// report restarts empty: the coordinator already acted on everything
-// reported before.
+// current dead set, and the cumulative LinkDown report restarts empty: the
+// coordinator already acted on everything reported before.
 func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 	for i, b := range w.ahead {
 		w.putBatch(b)
@@ -251,7 +242,7 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 		sentTo:     w.sentTo,
 		levelFresh: w.levelFresh[:0],
 		era:        era,
-		owners:     ownerTable(owners, w.n),
+		owners:     [verify.NumShards]uint8(owners),
 		ckptLevel:  -1,
 		deadPeers:  w.deadPeers,
 		linkDown:   w.linkDown[:0],
@@ -263,7 +254,7 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 // a recovery with no usable checkpoint.
 func (w *meshWorker) seed() {
 	init := w.exp.Initial()
-	if h := w.exp.Hash(init); int(w.owners[h>>58]) == w.id {
+	if int(w.owners[verify.ShardOf(w.exp.Hash(init))]) == w.id {
 		w.lanes.Absorb([][]uint64{init[:w.sw]})
 	}
 }
@@ -330,9 +321,7 @@ func (w *meshWorker) snapshot(done bool) *Response {
 // at the same level.
 func (w *meshWorker) poll(ctl *Control) *Response {
 	if ctl.Recover != nil {
-		if w.ft {
-			w.recoverTo(ctl.Recover)
-		}
+		w.recoverTo(ctl.Recover)
 		return w.snapshot(false)
 	}
 	if ctl.Finish {
@@ -430,6 +419,6 @@ func (w *meshWorker) shutdown() {
 		}
 	}
 	if w.env != nil {
-		w.env.leave(w.job, w.inbox)
+		w.env.leave(w.job)
 	}
 }

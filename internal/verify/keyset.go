@@ -37,11 +37,12 @@ func mix(x uint64) uint64 {
 // hashKey mixes a state for partitioning and probing: mix of the one word
 // (the chain from zero), or mix chained from a seed across the words of a
 // wide key, so every bit of every word diffuses into the owner and the probe
-// index. Ownership (ownerOf, the mesh's owners[h>>58]) and checkpoint shards
-// are functions of it; TestStateKeyHashPinned holds its values. Its shape
-// is deliberate (DESIGN.md §4, "Probe-ahead inserts"): one loop for both
-// widths keeps it under the inliner's budget, so the sets' hot loops inline
-// it, and testing at the bottom leaves no loop in the narrow instantiation.
+// index. A state's shard (ShardOf: its owner node and checkpoint segment)
+// and its partition within a node are functions of it;
+// TestStateKeyHashPinned holds its values. Its shape is deliberate
+// (DESIGN.md §4, "Probe-ahead inserts"): one loop for both widths keeps it
+// under the inliner's budget, so the sets' hot loops inline it, and testing
+// at the bottom leaves no loop in the narrow instantiation.
 func hashKey[K stateKey](k K) uint64 {
 	var h uint64
 	if len(k) > 1 {

@@ -90,10 +90,11 @@ func checkZeroKeyPanics[K stateKey](t *testing.T) {
 
 // TestStateKeyHashPinned pins hashKey and lessKey on fixed keys of both
 // widths to the values of the functions they replaced (hashU64, hashW,
-// raw uint64 order, lessW), computed at the parent commit: ownerOf, the
-// mesh's owners[h>>58], the checkpoint shards and the segment order are
-// functions of them, so a change here moves states between partitions,
-// nodes and files — a protoVersion bump, not a refactor.
+// raw uint64 order, lessW), computed at the parent commit: a state's shard
+// (ShardOf: its owner node and checkpoint segment), its partition within a
+// node and the segment order are functions of them, so a change here moves
+// states between partitions, nodes and files — a protoVersion bump, not a
+// refactor.
 func TestStateKeyHashPinned(t *testing.T) {
 	for _, c := range []struct {
 		k    uint64

@@ -29,10 +29,15 @@ const (
 )
 
 // NumShards is the number of hash shards, the unit of ownership between
-// nodes: a state's shard is the top six bits of its hash (Expander.HashWords),
-// and an ownership table maps every shard to the node that stores and
-// expands its states. A local search is one node owning all of them.
+// nodes: a state's shard is ShardOf its hash (Expander.HashWords), and an
+// ownership table maps every shard to the node that stores and expands its
+// states. A local search is one node owning all of them.
 const NumShards = 64
+
+// ShardOf is the hash shard of a state whose hash is h: its top six bits.
+// Routing, the checkpoint segments and their transition counts all shard
+// by it.
+func ShardOf(h uint64) int { return int(h >> 58) }
 
 // part cuts a node's share of the hash space into n partitions by the 32
 // hash bits below the shard bits — a multiply-shift, even for any n, and
@@ -392,7 +397,7 @@ func (e *node[K]) expand(i int) {
 			}
 			trans += len(succ) - n
 			if e.countShard {
-				l.shardTr[e.hash(s)>>58] += int64(len(succ) - n)
+				l.shardTr[ShardOf(e.hash(s))] += int64(len(succ) - n)
 			}
 			if violApp >= 0 {
 				succ = succ[:n]
@@ -428,7 +433,7 @@ func (e *node[K]) route(l *lane[K], keys []K) {
 	np := len(e.lanes) * e.parts
 	for _, k := range keys {
 		h := e.hash(k)
-		if d := int(e.owners[h>>58]); d != e.self {
+		if d := int(e.owners[ShardOf(h)]); d != e.self {
 			l.foreign[d] = appendKey(l.foreign[d], k)
 			continue
 		}

@@ -140,9 +140,10 @@ type Config struct {
 	RunTrace *obs.Trace
 	// FaultTolerance, meaningful only for distributed runs, keeps the run
 	// alive through worker deaths: the coordinator detects dead workers by
-	// transport failure or poll timeout, reassigns their hash shards to
-	// survivors (or late-joining replacements) and rolls the cluster back
-	// to the last checkpointed level. The verdict and all exhaustive
+	// transport failure, poll timeout or a peer's dead-link report,
+	// reassigns their hash shards to the survivors and rolls the cluster
+	// back to the last checkpointed level. Without it a death ends the run
+	// in an error naming the dead node and the cause. The verdict and all exhaustive
 	// counts are unchanged by recovery — mapping.VerifyConfigKey excludes
 	// this knob, so cached verdicts stay valid. Without CheckpointDir,
 	// recovery degrades to a full restart of the search on the survivors.
