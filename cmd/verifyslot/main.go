@@ -15,19 +15,17 @@
 // can assert on both. Both flags record the run with an internal/obs
 // trace; level spans come from whichever driver ran (local or distributed).
 //
-// The verdict is computed with the local owner-partitioned parallel BFS, or
+// The verdict is computed with the local search -workers asks for (the
+// sequential BFS for 1, owner-partitioned parallel lanes otherwise), or
 // — with -nodes or -connect — with the distributed backend of
 // internal/dverify: -nodes K runs K in-process loopback workers, -connect
 // drives cmd/verifyd daemons over TCP. The workers exchange frontiers over a
 // mesh of direct node↔node links, one barrier per BFS level. In
 // distributed runs -maxstates is a per-node budget, so a cluster of K
 // workers admits slots up to K times larger than one node.
-// When a violation is found, the verdict, counts and violator printed are
-// those of that run; only the counterexample schedule comes from a second,
-// local sequential traced run (tracing needs deterministic in-process
-// parent pointers), which may end in a miss of a different application
-// than the minimum-state violator a parallel or distributed run reports —
-// the schedule is then labelled with the application it ends in.
+// When a violation is found, verify.Counterexample rebuilds the schedule
+// from that run's verdict (its depth and violator) with a local BFS, so the
+// schedule ends in a miss of the violator printed, on every backend.
 //
 // The stats line reports rate=N states/s of the verification proper
 // (excluding profiling and counterexample reconstruction), so throughput
@@ -138,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	verifySecs := time.Since(tv).Seconds()
-	rate := 0 // of the verification proper, not the traced re-run below
+	rate := 0 // of the verification proper, not the schedule rebuilt below
 	if verifySecs > 0 {
 		rate = int(float64(res.States) / verifySecs)
 	}
@@ -157,21 +155,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		_, err = stdout.Write(b)
 		return err
 	}
-	// scheduleEnds is the application the counterexample schedule ends in a
-	// miss of: the sequential traced re-run stops at the first miss it
-	// meets, which need not be the minimum-state violator res names.
-	scheduleEnds := res.Violator
+	var schedule [][]int
 	if !res.Schedulable {
-		// Re-run locally, sequentially, with tracing for the disturbance
-		// schedule only. Under a distributed run this may exceed the
-		// single-node budget; the verdict above stands either way.
-		tcfg := cfg
-		tcfg.Trace = true
-		tcfg.Distributed = nil
-		if traced, err := verify.Slot(profs, tcfg); err != nil {
+		// Local even for a distributed verdict, so it may exceed a
+		// single node's budget; the verdict below stands either way.
+		if schedule, err = verify.Counterexample(profs, cfg, res); err != nil {
 			fmt.Fprintf(stderr, "verifyslot: counterexample reconstruction failed: %v\n", err)
-		} else {
-			res.Counterexample, scheduleEnds = traced.Counterexample, traced.Violator
 		}
 	}
 	fmt.Fprintf(stdout, "slot %v: schedulable=%v\n", names, res.Schedulable)
@@ -183,12 +172,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if !res.Schedulable {
 		fmt.Fprintf(stdout, "  violator: %s\n", names[res.Violator])
-		if res.Counterexample != nil {
+		if schedule != nil {
 			fmt.Fprintln(stdout, "  adversarial disturbance schedule (sample: applications):")
-			if scheduleEnds != res.Violator {
-				fmt.Fprintf(stdout, "  (schedule from a sequential traced re-run; ends in a miss of %s)\n", names[scheduleEnds])
-			}
-			for k, apps := range res.Counterexample {
+			for k, apps := range schedule {
 				if len(apps) == 0 {
 					continue
 				}

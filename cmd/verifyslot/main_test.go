@@ -75,32 +75,29 @@ func TestSchedulableSlot(t *testing.T) {
 
 // TestViolationReportsTheTimedRun: on the violating slot V5 = S1 + C6 the
 // verdict line and the violator are those of the run -workers asked for —
-// the same numbers -json reports — and only the schedule comes from the
-// sequential traced re-run, labelled when it ends in another application's
-// miss. The sequential run is its own re-run, so -workers 1 prints no label.
+// the same numbers -json reports — and the schedule is rebuilt from that
+// verdict: sequentially it ends in C1's miss, on two lanes in C4's, one
+// step per level above the miss, with no second verification to label.
 func TestViolationReportsTheTimedRun(t *testing.T) {
 	const v5 = "C1,C5,C4,C3,C6"
-	code, seq, stderr := verifyslot("-apps", v5, "-workers", "1")
-	if code != 0 {
-		t.Fatalf("-workers 1: exit %d: %s", code, stderr)
-	}
-	for _, want := range []string{"schedulable=false", "states=681400 transitions=684136 depth=12", "violator: C1\n", "adversarial disturbance schedule"} {
-		if !strings.Contains(seq, want) {
-			t.Errorf("-workers 1 output lacks %q:\n%s", want, seq)
+	for _, tc := range []struct {
+		workers string
+		want    []string
+	}{
+		{"1", []string{"states=681400 transitions=684136 depth=12", "violator: C1\n"}},
+		{"2", []string{"states=478335 transitions=495318 depth=12", "violator: C4\n"}},
+	} {
+		code, out, stderr := verifyslot("-apps", v5, "-workers", tc.workers)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d: %s", tc.workers, code, stderr)
 		}
-	}
-	if strings.Contains(seq, "traced re-run") {
-		t.Errorf("-workers 1 labels its own schedule as a re-run:\n%s", seq)
-	}
-
-	code, par, stderr := verifyslot("-apps", v5, "-workers", "2")
-	if code != 0 {
-		t.Fatalf("-workers 2: exit %d: %s", code, stderr)
-	}
-	for _, want := range []string{"schedulable=false", "states=478335 transitions=495318 depth=12", "violator: C4\n",
-		"(schedule from a sequential traced re-run; ends in a miss of C1)"} {
-		if !strings.Contains(par, want) {
-			t.Errorf("-workers 2 output lacks %q:\n%s", want, par)
+		for _, want := range append(tc.want, "schedulable=false", "adversarial disturbance schedule") {
+			if !strings.Contains(out, want) {
+				t.Errorf("-workers %s output lacks %q:\n%s", tc.workers, want, out)
+			}
+		}
+		if strings.Contains(out, "re-run") || stderr != "" {
+			t.Errorf("-workers %s: a re-run label or an error:\n%s%s", tc.workers, out, stderr)
 		}
 	}
 

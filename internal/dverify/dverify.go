@@ -33,11 +33,11 @@ type Transport interface {
 // the given worker nodes. The configuration is interpreted exactly like
 // verify.Slot's, except that Workers is the lane count of every node (0:
 // the GOMAXPROCS of the node's process, shared by the nodes it hosts; 1:
-// one lane), MaxStates is a per-node budget, and Trace is rejected. The
-// nodes exchange frontiers over direct worker↔worker links, so the
-// transports must be what Loopback or Dial returned — one loopback group
-// or one TCP cluster, unwrapped; anything else is refused before a worker
-// sees a request.
+// one lane) and MaxStates is a per-node budget; verify.Counterexample
+// rebuilds the schedule of a violation locally. The nodes exchange
+// frontiers over direct worker↔worker links, so the transports must be
+// what Loopback or Dial returned — one loopback group or one TCP cluster,
+// unwrapped; anything else is refused before a worker sees a request.
 func Verify(profiles []*switching.Profile, cfg verify.Config, nodes []Transport) (verify.Result, error) {
 	return verifyWithFaults(profiles, cfg, nodes, nil)
 }
@@ -50,11 +50,8 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 	if len(nodes) < 1 || len(nodes) > maxNodes {
 		return verify.Result{}, fmt.Errorf("dverify: %d nodes (want 1..%d)", len(nodes), maxNodes)
 	}
-	if cfg.Trace {
-		return verify.Result{}, errors.New("dverify: tracing is local-only; re-run the slot without Distributed for a counterexample")
-	}
-	// Validate profiles and config (encoding limits, symmetry/trace
-	// conflicts) before shipping the job anywhere.
+	// Validate profiles and config (encoding limits, dwell tables) before
+	// shipping the job anywhere.
 	cfg.Distributed = nil
 	if _, err := verify.New(profiles, cfg); err != nil {
 		return verify.Result{}, err

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tightcps/internal/plants"
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
@@ -355,12 +356,33 @@ func TestWorkerErrResponse(t *testing.T) {
 	}
 }
 
-// TestConfigValidation rejects tracing and bad cluster sizes up front.
+// TestMeshCounterexample: a mesh verdict carries no schedule, and
+// verify.Counterexample rebuilds one from it locally. On V5 = S1 + C6 over
+// two nodes of two lanes each the mesh names C4 at depth 12, and the
+// schedule has one step per level above that miss.
+func TestMeshCounterexample(t *testing.T) {
+	ps, err := plants.ProfileList("C1", "C5", "C4", "C3", "C6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := verify.Config{NondetTies: true, Workers: 2}
+	res, err := Verify(ps, cfg, Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Schedulable || res.States != 478_335 || res.Depth != 12 || ps[res.Violator].Name != "C4" {
+		t.Fatalf("V5 on Loopback(2): schedulable=%v states=%d depth=%d violator %d, want C4 at depth 12 after 478335",
+			res.Schedulable, res.States, res.Depth, res.Violator)
+	}
+	schedule, err := verify.Counterexample(ps, cfg, res)
+	if err != nil || len(schedule) != res.Depth {
+		t.Fatalf("Counterexample: %d steps (%v), want %d", len(schedule), err, res.Depth)
+	}
+}
+
+// TestConfigValidation rejects bad cluster sizes and sets up front.
 func TestConfigValidation(t *testing.T) {
 	ps := fleet(2, 6, 1, 2, 10)
-	if _, err := Verify(ps, verify.Config{Trace: true}, Loopback(1)); err == nil {
-		t.Error("Trace accepted")
-	}
 	if _, err := Verify(ps, verify.Config{}, nil); err == nil {
 		t.Error("empty cluster accepted")
 	}

@@ -47,8 +47,8 @@ const (
 )
 
 // Job describes one verification run from a single worker node's
-// perspective. The verification fields mirror verify.Config; Trace and
-// Distributed are coordinator-side concerns and never cross the wire.
+// perspective. The verification fields mirror verify.Config; Distributed is
+// a coordinator-side concern and never crosses the wire.
 type Job struct {
 	// Proto is the coordinator's protocol version (protoVersion); nodes
 	// reject jobs from a different one.

@@ -117,7 +117,7 @@ func Fingerprint(profiles []*switching.Profile) uint64 {
 // state budget (sweeps reject conservatively on a busted budget, making
 // their cached verdicts budget-dependent) — plus any extra salts the caller
 // folds in (e.g. the cluster size of a distributed run, whose per-node
-// budget scales aggregate capacity). Workers, Trace, SymmetryReduction and
+// budget scales aggregate capacity). Workers, SymmetryReduction and
 // Distributed do not change verdicts and are excluded, so warm caches carry
 // across those knobs.
 func VerifyConfigKey(cfg verify.Config, extra ...uint64) uint64 {

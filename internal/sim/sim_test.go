@@ -160,21 +160,26 @@ func TestOverloadScenarioMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vres, err := verify.Slot(profs, verify.Config{Trace: true})
+	cfg := verify.Config{Workers: 1}
+	vres, err := verify.Slot(profs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vres.Schedulable {
 		t.Fatal("expected unschedulable set")
 	}
+	schedule, err := verify.Counterexample(profs, cfg, vres)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dists []Disturbance
-	for k, apps := range vres.Counterexample {
+	for k, apps := range schedule {
 		for _, a := range apps {
 			dists = append(dists, Disturbance{Sample: k, App: a})
 		}
 	}
 	// The final adversarial step: disturb everything still quiet.
-	last := len(vres.Counterexample)
+	last := len(schedule)
 	seen := map[int]int{} // app → last disturbance sample
 	for _, d := range dists {
 		seen[d.App] = d.Sample

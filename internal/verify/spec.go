@@ -2,7 +2,7 @@ package verify
 
 // Spec is the wire-serializable form of Config: the knobs a remote caller
 // of the admission service may set, under stable JSON names. Only the
-// verdict-relevant fields exist here — Workers, Trace and Distributed are
+// verdict-relevant fields exist here — Workers and Distributed are
 // serving-side decisions (they never change a verdict, see
 // mapping.VerifyConfigKey), so a client cannot pin them.
 
@@ -42,7 +42,7 @@ type Spec struct {
 
 // Config resolves the spec against a concrete profile set (the
 // bounded-mode disturbance bound depends on the profiles). The returned
-// Config carries no Workers/Trace/Distributed — callers layer those on.
+// Config carries no Workers/Distributed — callers layer those on.
 func (s Spec) Config(profiles []*switching.Profile) (Config, error) {
 	cfg := Config{
 		NondetTies:        !s.DetTies,

@@ -216,13 +216,14 @@ func TestTATieOrderMiss(t *testing.T) {
 	if !taOK || res.States != 397_407 {
 		t.Fatalf("TA schedulable=%v after %d states, want true after 397407", taOK, res.States)
 	}
-	nondet, err := Slot(ps, Config{NondetTies: true, Trace: true})
+	nondet, err := Slot(ps, Config{NondetTies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nondet.Schedulable || nondet.Violator != 0 || fmt.Sprint(nondet.Counterexample) != "[[0 2] [1] []]" {
-		t.Fatalf("NondetTies: schedulable=%v violator %d schedule %v, want a miss of G0 after [[0 2] [1] []]",
-			nondet.Schedulable, nondet.Violator, nondet.Counterexample)
+	schedule, err := Counterexample(ps, Config{NondetTies: true}, nondet)
+	if err != nil || nondet.Violator != 0 || fmt.Sprint(schedule) != "[[0 2] [1] []]" {
+		t.Fatalf("NondetTies: schedulable=%v violator %d schedule %v (%v), want a miss of G0 after [[0 2] [1] []]",
+			nondet.Schedulable, nondet.Violator, schedule, err)
 	}
 	if det, err := Slot(ps, Config{}); err != nil || !det.Schedulable {
 		t.Fatalf("deterministic ties: schedulable=%v (%v), want true", det.Schedulable, err)

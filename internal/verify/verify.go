@@ -90,10 +90,6 @@ type Config struct {
 	// MaxStates aborts the search beyond this many visited states
 	// (0 = 200 million).
 	MaxStates int
-	// Trace records parent pointers so a counterexample trace can be
-	// reconstructed. Costs ~2× memory. Tracing forces the sequential
-	// search path regardless of Workers.
-	Trace bool
 	// Workers is the number of lanes of the search: 0 means GOMAXPROCS, 1
 	// forces the sequential search. The parallel search partitions the
 	// states among the lanes by hash and synchronises at level boundaries;
@@ -114,16 +110,15 @@ type Config struct {
 	// subsets to counts, shrinking the branching factor the same way.
 	// With the reduction on, Result.Violator and state counts refer to
 	// the quotient (the violator index identifies the app's equivalence
-	// class). Incompatible with Trace.
+	// class); Counterexample refuses it.
 	SymmetryReduction bool
 	// Distributed, when non-nil, hands the whole reachability run to an
 	// external backend (internal/dverify.Runner): Run ships the profiles
 	// and this Config — with Distributed cleared — to the hook instead of
 	// searching in-process. In distributed runs MaxStates is a per-node
 	// visited budget (it models per-node memory), so the aggregate capacity
-	// grows with the cluster size. Incompatible with Trace: counterexample
-	// reconstruction needs in-process parent pointers, so callers re-run a
-	// violating slot locally to obtain the schedule.
+	// grows with the cluster size. Counterexample rebuilds the schedule of
+	// a distributed verdict locally.
 	Distributed func(profiles []*switching.Profile, cfg Config) (Result, error)
 	// RunID tags this run in logs, traces and distributed worker sessions.
 	// Minted at the admission boundary (or by the CLI) via obs.NewRunID and
@@ -134,9 +129,7 @@ type Config struct {
 	// from the search drivers, per-node/per-link breakdowns from a
 	// distributed backend, and the verdict totals on completion. Recording
 	// is level-granular — the expansion hot path is untouched — so the
-	// zero-allocation gates hold with a trace attached. Distinct from
-	// Trace, which records parent pointers for counterexample
-	// reconstruction.
+	// zero-allocation gates hold with a trace attached.
 	RunTrace *obs.Trace
 	// FaultTolerance, meaningful only for distributed runs, keeps the run
 	// alive through worker deaths: the coordinator detects dead workers by
@@ -164,12 +157,8 @@ type Result struct {
 	Transitions int // transitions taken
 	Depth       int // BFS depth reached (samples)
 	// Violator is the application that missed its deadline (valid when
-	// !Schedulable).
+	// !Schedulable); Counterexample rebuilds a schedule leading to the miss.
 	Violator int
-	// Counterexample is the disturbance schedule leading to the violation:
-	// step k lists the applications disturbed at sample k. Nil unless
-	// Config.Trace was set and a violation was found.
-	Counterexample [][]int
 	// Bounded records whether the accelerated (bounded-disturbance) model
 	// was used.
 	Bounded bool
@@ -314,13 +303,7 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 			ErrEncoding, n, v.lanes*wideAppWords)
 	}
 	if cfg.SymmetryReduction {
-		if cfg.Trace {
-			return nil, errors.New("verify: SymmetryReduction is incompatible with Trace (lane identities are quotiented away)")
-		}
 		v.buildSymmetry()
-	}
-	if cfg.Distributed != nil && cfg.Trace {
-		return nil, errors.New("verify: Distributed is incompatible with Trace (re-run the slot locally for a counterexample)")
 	}
 	if err := v.buildKernel(); err != nil {
 		return nil, err
@@ -383,8 +366,7 @@ func sameProfile(a, b *switching.Profile) bool {
 }
 
 // Run performs the BFS reachability analysis on Config.Workers
-// owner-partitioned lanes (sequentially when Workers is 1 or a trace is
-// requested). Application sets that do not fit the one-word encoding run on
+// owner-partitioned lanes (sequentially when Workers is 1). Application sets that do not fit the one-word encoding run on
 // the multi-word wide path with identical semantics. Every completed run —
 // local or distributed — is folded into the engine metrics and, when
 // Config.RunTrace is set, finalizes the run trace here.
@@ -410,14 +392,14 @@ func (v *Verifier) dispatch() (Result, error) {
 }
 
 // search runs the local driver Config asks for over one packed encoding:
-// the sequential one for Workers = 1 or a Trace, otherwise Workers lanes
-// (GOMAXPROCS for 0).
+// the sequential one for Workers = 1, otherwise Workers lanes (GOMAXPROCS
+// for 0).
 func search[K stateKey](v *Verifier) (Result, error) {
 	workers := v.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || v.cfg.Trace {
+	if workers == 1 {
 		return runSequential(v, initialState[K](v), successors[K])
 	}
 	return runLanes(v, workers, initialState[K](v), successors[K], hashKey[K])
@@ -475,11 +457,6 @@ func runSequential[K stateKey](v *Verifier, init K,
 	visited.add(init)
 	frontier := []K{init}
 	var next []K // recycled: swapped with frontier at every level
-	var parents map[K]parentEdge[K]
-	var masks []uint32 // disturbance mask per successor: non-nil asks the kernel for them
-	if v.cfg.Trace {
-		parents, masks = map[K]parentEdge[K]{}, []uint32{}
-	}
 	res.States = 1
 
 	var sc expandScratch
@@ -495,13 +472,12 @@ func runSequential[K stateKey](v *Verifier, init K,
 		next = next[:0]
 		for lo := 0; lo < len(frontier); lo += seqChunk {
 			chunk := frontier[lo:min(lo+seqChunk, len(frontier))]
-			succ, masks = succ[:0], masks[:0]
+			succ = succ[:0]
 			viol := -1
 			for i, s := range chunk {
-				succ, masks, viol = successors(v, s, &sc, succ, masks)
+				succ, _, viol = successors(v, s, &sc, succ, nil)
 				if viol >= 0 {
-					chunk = chunk[:i+1] // ends at the violator
-					break
+					break // the violator's successors are not inserted
 				}
 				ends[i] = len(succ)
 			}
@@ -516,18 +492,12 @@ func runSequential[K stateKey](v *Verifier, init K,
 					res.Transitions += ends[p]
 					return res, ErrTooLarge
 				}
-				if parents != nil {
-					parents[succ[i]] = parentEdge[K]{prev: chunk[p], disturbed: masks[i]}
-				}
 				next = append(next, succ[i])
 			}
 			res.Transitions += len(succ)
 			if viol >= 0 {
 				res.Schedulable = false
 				res.Violator = viol
-				if parents != nil {
-					res.Counterexample = v.traceFromMasks(maskPath(parents, chunk[len(chunk)-1], init))
-				}
 				v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
 				return res, nil
 			}
@@ -539,46 +509,88 @@ func runSequential[K stateKey](v *Verifier, init K,
 	return res, nil
 }
 
-// parentEdge is a trace-mode parent pointer: the state a visited state was
-// first reached from and the disturbance subset that led there.
-type parentEdge[K comparable] struct {
-	prev      K
-	disturbed uint32
-}
-
-// maskPath walks parent pointers from the state whose expansion violated
-// the deadline back to the initial state, returning the disturbance masks
-// in reverse order. The final adversarial step that triggers the miss
-// during expansion of `last` is not in the parent map; the violation occurs
-// one sample after the schedule ends.
-func maskPath[K comparable](parents map[K]parentEdge[K], last, init K) []uint32 {
-	var rev []uint32
-	for s := last; s != init; {
-		e, ok := parents[s]
-		if !ok {
-			break
-		}
-		rev = append(rev, e.disturbed)
-		s = e.prev
+// Counterexample rebuilds the disturbance schedule behind res, a violation
+// Slot(profiles, cfg) reported on any engine: step k lists the applications
+// disturbed at sample k, and the next expansion misses res.Violator's
+// deadline. A local BFS down to res.Depth, the level every engine stops at,
+// ends at the first state there, in the sequential search's order, that
+// misses that deadline: for a Workers: 1 result the one the search stopped
+// at. It honours cfg.MaxStates and ignores Workers and Distributed.
+func Counterexample(profiles []*switching.Profile, cfg Config, res Result) ([][]int, error) {
+	if res.Schedulable || res.Violator < 0 || res.Violator >= len(profiles) {
+		return nil, errors.New("verify: the result names no violator to explain")
 	}
-	return rev
+	if cfg.SymmetryReduction {
+		return nil, errors.New("verify: SymmetryReduction is incompatible with Counterexample (lane identities are quotiented away)")
+	}
+	v, err := New(profiles, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return v.counterexample(res)
 }
 
-// traceFromMasks converts a reversed list of disturbance bitmasks into the
-// forward schedule (step k → apps disturbed at sample k).
-func (v *Verifier) traceFromMasks(rev []uint32) [][]int {
-	out := make([][]int, len(rev))
-	for i := range rev {
-		m := rev[len(rev)-1-i]
-		var apps []int
-		for a := 0; a < v.n; a++ {
-			if m&(1<<uint(a)) != 0 {
-				apps = append(apps, a)
+// counterexample is Counterexample on the verifier's encoding.
+func (v *Verifier) counterexample(res Result) ([][]int, error) {
+	if v.wide {
+		return rebuildPath[[wideWords]uint64](v, res)
+	}
+	return rebuildPath[[1]uint64](v, res)
+}
+
+// visit is a state of rebuildPath's search, the index in the level above of
+// the state it was first reached from, and the disturbance mask of that edge.
+type visit[K stateKey] struct {
+	s      K
+	parent int32
+	mask   uint32
+}
+
+// rebuildPath is Counterexample over one packed encoding. It expands and
+// inserts one state at a time, which orders states like runSequential's
+// chunks, and keeps every level for the walk back from the miss.
+func rebuildPath[K stateKey](v *Verifier, res Result) ([][]int, error) {
+	init := initialState[K](v)
+	visited := newKeySet[K](setCap[K]())
+	visited.add(init)
+	levels := [][]visit[K]{{{s: init, parent: -1}}}
+	states := 1
+	var sc expandScratch
+	var succ []K
+	masks := []uint32{} // non-nil: the kernel records a mask per successor
+	for depth := 0; depth <= res.Depth; depth++ {
+		var next []visit[K]
+		for p, st := range levels[depth] {
+			var viol int
+			succ, masks, viol = successors(v, st.s, &sc, succ[:0], masks[:0])
+			if viol == res.Violator && depth == res.Depth {
+				out := make([][]int, depth)
+				for k := depth; k > 0; k-- {
+					st = levels[k][p]
+					for a := 0; a < v.n; a++ {
+						if st.mask&(1<<a) != 0 {
+							out[k-1] = append(out[k-1], a)
+						}
+					}
+					p = int(st.parent)
+				}
+				return out, nil
+			}
+			if viol >= 0 || depth == res.Depth {
+				continue
+			}
+			for i, s := range succ {
+				if visited.add(s) {
+					if states++; states > v.cfg.MaxStates {
+						return nil, ErrTooLarge
+					}
+					next = append(next, visit[K]{s: s, parent: int32(p), mask: masks[i]})
+				}
 			}
 		}
-		out[i] = apps
+		levels = append(levels, next)
 	}
-	return out
+	return nil, fmt.Errorf("verify: no state at depth %d misses %s's deadline", res.Depth, v.profs[res.Violator].Name)
 }
 
 // Slot verifies whether the applications described by the given profiles

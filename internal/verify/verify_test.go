@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,15 +48,17 @@ func TestObviousOverloadUnschedulable(t *testing.T) {
 	// Two apps, each needing the slot immediately (T*w=0): simultaneous
 	// disturbances cannot both be served.
 	ps := []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
-	res, err := Slot(ps, Config{NondetTies: true, Trace: true})
+	cfg := Config{NondetTies: true}
+	res, err := Slot(ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Schedulable {
-		t.Fatalf("overload reported schedulable")
+	if res.Schedulable || res.Depth != 0 {
+		t.Fatalf("overload: schedulable=%v depth %d, want a miss in the initial state's expansion", res.Schedulable, res.Depth)
 	}
-	if res.Counterexample == nil {
-		t.Fatalf("no counterexample recorded with Trace on")
+	// No disturbance precedes the miss: the schedule is empty, not absent.
+	if schedule, err := Counterexample(ps, cfg, res); err != nil || schedule == nil || len(schedule) != 0 {
+		t.Fatalf("Counterexample = %v, %v; want an empty non-nil schedule", schedule, err)
 	}
 }
 
@@ -142,51 +145,91 @@ func TestBoundedAgreesWithExact(t *testing.T) {
 	}
 }
 
-// TestCounterexampleReplaysInArbiter: a violation trace found by the
-// verifier, replayed through the runtime arbiter with deterministic ties,
-// must reproduce a deadline miss — the two implementations share semantics.
+// TestCounterexampleReplaysInArbiter: the schedule Counterexample rebuilds
+// from a violation found by any engine — the sequential search or two and
+// three lanes, on the fitted encoding and forced onto the wide one — has one
+// step per level above the miss, and replayed through the runtime arbiter
+// with deterministic ties it reproduces the violator's miss: the two
+// implementations share semantics. The inputs are hand-made pairs, a
+// case-study set, seven applications wide by their own r and the first
+// generated slots that violate under deterministic ties.
 func TestCounterexampleReplaysInArbiter(t *testing.T) {
-	cases := [][]*switching.Profile{
-		{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)},
-		{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)},
-		caseProfiles(t, "C1", "C5", "C4", "C6"),
+	type input struct {
+		name string
+		ps   []*switching.Profile
 	}
-	for ci, ps := range cases {
-		res, err := Slot(ps, Config{Trace: true}) // deterministic ties, like the arbiter
-		if err != nil {
-			t.Fatal(err)
+	cases := []input{
+		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}},
+		{"pair", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}},
+		{"C1C5C4C6", caseProfiles(t, "C1", "C5", "C4", "C6")},
+		{"wide7", fleet(7, 2, 1, 2, 65)},
+	}
+	generated := 0
+	for i, ps := range syntheticSlots(t, 32) {
+		if generated == 3 {
+			break
 		}
-		if res.Schedulable {
-			t.Fatalf("case %d: expected violation", ci)
+		// Slots past the budget are left out to keep the matrix quick.
+		if res, err := Slot(ps, Config{Workers: 1, MaxStates: 150_000}); err == nil && !res.Schedulable {
+			cases = append(cases, input{fmt.Sprintf("synthetic%d", i), ps})
+			generated++
 		}
-		arb := sched.NewArbiter(ps, sched.Options{})
-		for _, dist := range res.Counterexample {
-			if err := arb.Tick(dist); err != nil {
-				t.Fatalf("case %d: replay error: %v", ci, err)
+	}
+	if generated < 3 {
+		t.Fatalf("only %d generated slots violate under deterministic ties", generated)
+	}
+	for _, c := range cases {
+		for _, forceWide := range []bool{false, true} {
+			v := testVerifier(t, c.ps, Config{}, forceWide) // deterministic ties, like the arbiter
+			if forceWide && testVerifier(t, c.ps, Config{}, false).wide {
+				continue
+			}
+			for _, workers := range []int{1, 2, 3} {
+				name := fmt.Sprintf("%s/wide=%v/workers=%d", c.name, v.wide, workers)
+				v.cfg.Workers = workers
+				res, err := v.Run()
+				if err != nil || res.Schedulable {
+					t.Fatalf("%s: schedulable=%v, %v; want a violation", name, res.Schedulable, err)
+				}
+				schedule, err := v.counterexample(res)
+				if err != nil || len(schedule) != res.Depth {
+					t.Fatalf("%s: %d-step schedule (%v) for a miss at depth %d", name, len(schedule), err, res.Depth)
+				}
+				if !replayMisses(t, c.ps, schedule, res.Violator) {
+					t.Errorf("%s: %s's miss did not reproduce in the arbiter", name, c.ps[res.Violator].Name)
+				}
 			}
 		}
-		// One more adversarial sample (the violating expansion step): all
-		// eligible apps get disturbed.
-		var dist []int
-		for i := range ps {
-			if arb.Phase(i) == sched.Steady {
-				dist = append(dist, i)
-			}
-		}
+	}
+}
+
+// replayMisses replays a schedule through the runtime arbiter, then one more
+// adversarial sample (the violating expansion step) disturbing every
+// eligible application, then waits out the occupant for at most the
+// violator's T*w: it reports whether the violator missed its deadline.
+func replayMisses(t *testing.T, ps []*switching.Profile, schedule [][]int, violator int) bool {
+	t.Helper()
+	arb := sched.NewArbiter(ps, sched.Options{})
+	for _, dist := range schedule {
 		if err := arb.Tick(dist); err != nil {
-			t.Fatalf("case %d: final replay tick: %v", ci, err)
-		}
-		// The miss may need a few more empty ticks to surface (waiting out
-		// the occupant), bounded by the violator's T*w.
-		for k := 0; k <= ps[res.Violator].TwStar+1 && !arb.Missed(); k++ {
-			if err := arb.Tick(nil); err != nil {
-				t.Fatalf("case %d: drain tick: %v", ci, err)
-			}
-		}
-		if !arb.Missed() {
-			t.Errorf("case %d: verifier violation did not reproduce in the arbiter", ci)
+			t.Fatalf("replay error: %v", err)
 		}
 	}
+	var dist []int
+	for i := range ps {
+		if arb.Phase(i) == sched.Steady {
+			dist = append(dist, i)
+		}
+	}
+	if err := arb.Tick(dist); err != nil {
+		t.Fatalf("final replay tick: %v", err)
+	}
+	for k := 0; k <= ps[violator].TwStar+1 && arb.Phase(violator) != sched.Failed; k++ {
+		if err := arb.Tick(nil); err != nil {
+			t.Fatalf("drain tick: %v", err)
+		}
+	}
+	return arb.Phase(violator) == sched.Failed
 }
 
 // TestRandomSchedulesNeverMissOnVerifiedSets: fuzz the runtime arbiter with
@@ -264,9 +307,20 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(many, Config{}); err == nil {
 		t.Fatal("13 apps accepted")
 	}
-	// Symmetry reduction cannot produce counterexample traces.
-	if _, err := New([]*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{SymmetryReduction: true, Trace: true}); err == nil {
-		t.Fatal("SymmetryReduction+Trace accepted")
+	// The symmetry quotient forgets which application is in which lane,
+	// so it has no counterexample.
+	if _, err := Counterexample([]*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)},
+		Config{SymmetryReduction: true}, Result{}); err == nil || !strings.Contains(err.Error(), "SymmetryReduction") {
+		t.Fatalf("Counterexample under SymmetryReduction: %v, want a refusal naming it", err)
+	}
+	// The rebuild is a search of its own and keeps to the state budget.
+	pair := []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}
+	res, err := Slot(pair, Config{Workers: 1})
+	if err != nil || res.Schedulable {
+		t.Fatalf("pair: schedulable=%v, %v; want a violation", res.Schedulable, err)
+	}
+	if _, err := Counterexample(pair, Config{MaxStates: 5}, res); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Counterexample over a 5-state budget: %v, want ErrTooLarge", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tightcps/internal/sched"
 	"tightcps/internal/switching"
 )
 
@@ -345,49 +344,5 @@ func TestSymmetryReductionSound(t *testing.T) {
 		if quot.States > full.States {
 			t.Errorf("%s: quotient states %d exceed full %d", tc.name, quot.States, full.States)
 		}
-	}
-}
-
-// TestWideTraceReplaysInArbiter: a counterexample found on the wide path
-// must replay to a deadline miss in the runtime arbiter, exactly like the
-// narrow path's traces.
-func TestWideTraceReplaysInArbiter(t *testing.T) {
-	ps := fleet(7, 2, 1, 2, 65)
-	v, err := New(ps, Config{Trace: true}) // deterministic ties, like the arbiter
-	if err != nil || !v.wide {
-		t.Fatalf("seven apps at r = 65 must be wide: %v", err)
-	}
-	res, err := v.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedulable {
-		t.Fatal("expected a violation")
-	}
-	if res.Counterexample == nil {
-		t.Fatal("no counterexample recorded with Trace on")
-	}
-	arb := sched.NewArbiter(ps, sched.Options{})
-	for _, dist := range res.Counterexample {
-		if err := arb.Tick(dist); err != nil {
-			t.Fatalf("replay error: %v", err)
-		}
-	}
-	var dist []int
-	for i := range ps {
-		if arb.Phase(i) == sched.Steady {
-			dist = append(dist, i)
-		}
-	}
-	if err := arb.Tick(dist); err != nil {
-		t.Fatalf("final replay tick: %v", err)
-	}
-	for k := 0; k <= ps[res.Violator].TwStar+1 && !arb.Missed(); k++ {
-		if err := arb.Tick(nil); err != nil {
-			t.Fatalf("drain tick: %v", err)
-		}
-	}
-	if !arb.Missed() {
-		t.Error("wide-path violation did not reproduce in the arbiter")
 	}
 }
