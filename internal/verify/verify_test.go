@@ -151,8 +151,9 @@ func TestBoundedAgreesWithExact(t *testing.T) {
 // step per level above the miss, and replayed through the runtime arbiter
 // with deterministic ties it reproduces the violator's miss: the two
 // implementations share semantics. The inputs are hand-made pairs, a
-// case-study set, seven applications wide by their own r and the first
-// generated slots that violate under deterministic ties.
+// case-study set and the first generated slots that violate under
+// deterministic ties; TestWideTraceReplaysInArbiter covers a set wide by its
+// own r.
 func TestCounterexampleReplaysInArbiter(t *testing.T) {
 	type input struct {
 		name string
@@ -162,7 +163,6 @@ func TestCounterexampleReplaysInArbiter(t *testing.T) {
 		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}},
 		{"pair", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}},
 		{"C1C5C4C6", caseProfiles(t, "C1", "C5", "C4", "C6")},
-		{"wide7", fleet(7, 2, 1, 2, 65)},
 	}
 	generated := 0
 	for i, ps := range syntheticSlots(t, 32) {

@@ -346,3 +346,31 @@ func TestSymmetryReductionSound(t *testing.T) {
 		}
 	}
 }
+
+// TestWideTraceReplaysInArbiter: a counterexample rebuilt for a violation
+// found on the wide path, by the sequential search or by two and three lanes,
+// must replay to the violator's deadline miss in the runtime arbiter, exactly
+// like the narrow path's schedules.
+func TestWideTraceReplaysInArbiter(t *testing.T) {
+	ps := fleet(7, 2, 1, 2, 65)
+	for _, workers := range []int{1, 2, 3} {
+		v, err := New(ps, Config{Workers: workers}) // deterministic ties, like the arbiter
+		if err != nil || !v.wide {
+			t.Fatalf("seven apps at r = 65 must be wide: %v", err)
+		}
+		res, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Schedulable {
+			t.Fatalf("workers=%d: expected a violation", workers)
+		}
+		schedule, err := Counterexample(ps, Config{Workers: workers}, res)
+		if err != nil || len(schedule) != res.Depth {
+			t.Fatalf("workers=%d: %d-step schedule (%v) for a miss at depth %d", workers, len(schedule), err, res.Depth)
+		}
+		if !replayMisses(t, ps, schedule, res.Violator) {
+			t.Errorf("workers=%d: wide-path violation of %s did not reproduce in the arbiter", workers, ps[res.Violator].Name)
+		}
+	}
+}
