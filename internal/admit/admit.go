@@ -599,9 +599,11 @@ func (s *Service) run(c *call) {
 }
 
 // collectAfterStates is the size of a search after which the worker runs a
-// garbage collection before it takes the next job. A local search of S1
-// (1.4 M states) leaves ≈ 40 MB of visited-set tables behind; the pacer, fed
-// a 25 MB live heap by the search's last cycle, would let the next job grow
+// garbage collection before it takes the next job. Visited tables of 2 MiB
+// and up are unmapped when their search ends, but the service searches on
+// lanes, whose partitions stay under that line on the heap: S1 (1.4 M
+// states) on two lanes leaves ≈ 40 MB of them behind, and the pacer, fed a
+// 25 MB live heap by the search's last cycle, would let the next job grow
 // the heap to twice that before collecting them. The verdict is published
 // first, so no waiter pays; on a service-sized live heap the collection is
 // ≈ 1 ms, and the next search starts on recycled pages.

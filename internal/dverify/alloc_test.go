@@ -3,7 +3,9 @@ package dverify
 import (
 	"runtime"
 	"testing"
+	"time"
 
+	"tightcps/internal/obs"
 	"tightcps/internal/plants"
 	"tightcps/internal/verify"
 )
@@ -64,7 +66,8 @@ func TestMeshAllocsFlatInNodeCount(t *testing.T) {
 // size), two frontier buffers per node and the batch free lists — at most
 // 24 live bytes per visited state after a warm S1 verdict, and no more after
 // three further verdicts: memory that tracks the widest level, not the
-// number of runs.
+// number of runs. Live bytes are the heap's plus the tables mapped off it
+// (tableBytes), so a table past the 2 MiB line still counts.
 func TestMeshRetainedAllocPerState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
@@ -78,7 +81,7 @@ func TestMeshRetainedAllocPerState(t *testing.T) {
 		var m runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+		return m.HeapAlloc + uint64(tableBytes())
 	}
 	base := live()
 	ts := Loopback(2)
@@ -100,5 +103,35 @@ func TestMeshRetainedAllocPerState(t *testing.T) {
 	}
 	if later > warm+1 {
 		t.Fatalf("retention grew from %.1f to %.1f B per visited state over three verdicts", warm, later)
+	}
+}
+
+// tableBytes reads tightcps_verify_table_bytes: the visited-set tables
+// mapped off the Go heap, which HeapAlloc does not see.
+func tableBytes() int64 {
+	return obs.Default.Snapshot()["tightcps_verify_table_bytes"].(int64)
+}
+
+// TestLoopbackCloseReleasesTables: a standing Loopback(2) keeps its lanes'
+// tables between jobs and hands every mapped one back once Close has ended
+// its workers, so the table-bytes gauge returns to its value before the
+// cluster. Close does not wait for the worker goroutines, so the test waits
+// for the gauge.
+func TestLoopbackCloseReleasesTables(t *testing.T) {
+	s1, err := plants.ProfileList("C1", "C5", "C4", "C3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := tableBytes()
+	ts := Loopback(2)
+	res, err := Verify(s1, verify.Config{NondetTies: true}, ts)
+	if err != nil || !res.Schedulable || res.States != 1440712 {
+		t.Fatalf("2-node S1: %+v, %v", res, err)
+	}
+	Close(ts)
+	for deadline := time.Now().Add(10 * time.Second); tableBytes() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d table bytes still mapped 10 s after Close", tableBytes()-base)
+		}
 	}
 }

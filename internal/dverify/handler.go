@@ -69,6 +69,15 @@ func (h *handler) reset() {
 	}
 }
 
+// close ends the session: any live worker is torn down and its lanes hand
+// their mapped visited tables back, since no later job can reuse them.
+func (h *handler) close() {
+	if mw := h.mw; mw != nil {
+		h.reset()
+		mw.lanes.Release()
+	}
+}
+
 // handle answers one request. Errors travel in Response.Err rather than
 // tearing the session down: the coordinator turns them into Go errors.
 func (h *handler) handle(req *Request) *Response {
@@ -89,6 +98,9 @@ func (h *handler) handle(req *Request) *Response {
 		prev := h.mw
 		h.reset()
 		mw, resp, err := newMeshWorker(req.Job, h.env, prev)
+		if prev != nil && prev != mw {
+			prev.lanes.Release() // a donor nothing took: its tables go now
+		}
 		if err != nil {
 			return &Response{Err: err.Error()}
 		}

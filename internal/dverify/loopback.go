@@ -172,11 +172,11 @@ type loopTransport struct {
 
 // serve is the worker goroutine: one handler per transport lifetime,
 // serving requests until Close shuts the request channel or a fault
-// kills the worker. Any live mesh worker is torn down on exit so its
-// session registration never leaks.
+// kills the worker. Any live mesh worker is torn down on exit so neither
+// its session registration nor its mapped visited tables leak.
 func (lt *loopTransport) serve() {
 	h := handler{env: loopEnv{lt.group}}
-	defer h.reset()
+	defer h.close()
 	for {
 		select {
 		case req, ok := <-lt.req:

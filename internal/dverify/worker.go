@@ -204,6 +204,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 
 	links, err := env.connect(job, w.inbox, w.exp)
 	if err != nil {
+		w.lanes.Release() // nothing keeps this worker
 		return nil, nil, err
 	}
 	w.links, w.env = links, env

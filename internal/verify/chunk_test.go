@@ -496,6 +496,8 @@ func benchSetInsert[K stateKey](b *testing.B, keys []K, chunked bool) {
 				b.Fatalf("pass %d: %d fresh keys, want %d", pass, count, want)
 			}
 		}
+		b.StopTimer()
+		set.release()
 	}
 	per := float64(b.N) * float64(len(keys))
 	b.ReportMetric(float64(missNs)/per, "miss_ns/key")

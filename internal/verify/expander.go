@@ -13,6 +13,7 @@ package verify
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -308,17 +309,25 @@ func (e *Expander) refuse(s []uint64, i int) error {
 // NewSet returns an empty visited set for the expander's encoding: narrow
 // states are stored as one word (8 bytes each), wide states as full
 // multi-word keys. Not safe for concurrent use — each search driver owns
-// its partition.
+// its partition. A table mapped off the heap, having no search to end it,
+// is released when the set is collected.
 func (e *Expander) NewSet(capacity int) *StateSet {
+	var set wordSet
 	if e.v.wide {
-		return &StateSet{newKeySet[[wideWords]uint64](capacity)}
+		set = newKeySet[[wideWords]uint64](capacity)
+	} else {
+		set = newKeySet[[1]uint64](capacity)
 	}
-	return &StateSet{newKeySet[[1]uint64](capacity)}
+	s := &StateSet{set}
+	runtime.AddCleanup(s, wordSet.release, set)
+	return s
 }
 
 // StateSet is an open-addressing set of packed states backing one search
 // driver's visited partition: the local drivers' keySet, of the encoding of
-// the Expander that created it.
+// the Expander that created it. Every method keeps the StateSet alive until
+// it returns: the cleanup NewSet registers must not unmap the table under a
+// call that is the set's last use.
 type StateSet struct {
 	set wordSet
 }
@@ -328,6 +337,7 @@ type wordSet interface {
 	addPacked(k PackedState, h uint64) bool
 	len() int
 	reserve(n int)
+	release()
 }
 
 // addPacked is addHashed of a PackedState's significant words.
@@ -335,13 +345,24 @@ func (s *keySet[K]) addPacked(k PackedState, h uint64) bool { return s.addHashed
 
 // AddHashed inserts one state, given with its Expander.Hash, and reports
 // whether it was absent.
-func (s *StateSet) AddHashed(k PackedState, h uint64) bool { return s.set.addPacked(k, h) }
+func (s *StateSet) AddHashed(k PackedState, h uint64) bool {
+	fresh := s.set.addPacked(k, h)
+	runtime.KeepAlive(s)
+	return fresh
+}
 
 // Len returns the number of stored states.
-func (s *StateSet) Len() int { return s.set.len() }
+func (s *StateSet) Len() int {
+	n := s.set.len()
+	runtime.KeepAlive(s)
+	return n
+}
 
 // Reserve grows the set — in a single rehash — until it can absorb n more
 // states without exceeding the load factor. Search drivers call it with the
 // expected fanout of the coming level so inserts never rehash mid-level,
 // exactly like the internal BFS drivers.
-func (s *StateSet) Reserve(n int) { s.set.reserve(n) }
+func (s *StateSet) Reserve(n int) {
+	s.set.reserve(n)
+	runtime.KeepAlive(s)
+}

@@ -276,6 +276,8 @@ func TestWordSeamMatchesPackedSeam(t *testing.T) {
 		}
 		init := e.Initial()
 		lanes, packed := e.NewLanes(1), e.NewSet(16)
+		defer lanes.Release()
+		defer func() { packed.set.release() }() // now, not at a collection during a later test
 		lanes.Absorb([][]uint64{init[:sw]})
 		if got, _ := lanes.AppendLevel(nil); !slices.Equal(got, init[:sw]) {
 			t.Fatalf("%s: the initial level is %x, want the initial state", tc.name, got)

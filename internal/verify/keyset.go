@@ -5,8 +5,13 @@ package verify
 // empty-slot sentinel; no encoding produces it (an idle slot stores a
 // nonzero occupant sentinel, an occupied one puts phase Granted in the
 // occupant's lane), so no remapping is needed.
+//
+// A table of mapTableBytes or more is mapped off the Go heap (newTable), so
+// the set owns its memory: growTo unmaps the table it replaces, and whoever
+// ends a search releases the set.
 type keySet[K stateKey] struct {
 	slots []K
+	mem   []byte // the mapping behind slots; nil for a heap table
 	n     int
 	mask  uint64
 
@@ -21,7 +26,23 @@ func newKeySet[K stateKey](capacity int) *keySet[K] {
 	for size < capacity {
 		size <<= 1
 	}
-	return &keySet[K]{slots: make([]K, size), mask: uint64(size - 1)}
+	s := &keySet[K]{mask: uint64(size - 1)}
+	s.slots, s.mem = newTable[K](size)
+	return s
+}
+
+// mapTableBytes is the size from which a table is mapped off the heap: a
+// huge page, 256 Ki narrow slots or 64 Ki wide ones. Below it, mapping and
+// unmapping cost more in fresh-page faults than the heap's reuse does: a
+// search's first tables, and every lane partition of a case-study slot,
+// stay on the heap (DESIGN.md §4, "Table memory").
+const mapTableBytes = 2 << 20
+
+// release hands a mapped table back to the kernel. The set is empty and
+// unusable after it; a heap table is left to the collector.
+func (s *keySet[K]) release() {
+	freeTable(s.slots, s.mem)
+	s.slots, s.mem, s.n = nil, nil, 0
 }
 
 // mix is the splitmix64 finalizer.
@@ -154,9 +175,11 @@ func (s *keySet[K]) reserve(n int) {
 	s.growTo(size)
 }
 
+// growTo moves the keys into a table of size slots and frees the old table
+// as soon as the rehash is done.
 func (s *keySet[K]) growTo(size int) {
-	old := s.slots
-	s.slots = make([]K, size)
+	old, oldMem := s.slots, s.mem
+	s.slots, s.mem = newTable[K](size)
 	s.mask = uint64(size - 1)
 	var zero K
 	for _, v := range old {
@@ -169,4 +192,5 @@ func (s *keySet[K]) growTo(size int) {
 		}
 		s.slots[i] = v
 	}
+	freeTable(old, oldMem)
 }

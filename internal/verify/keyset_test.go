@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -33,12 +35,45 @@ func TestWideSetGrowth(t *testing.T)        { checkKeySet(t, wideKey) }
 func TestU64SetZeroKeyPanics(t *testing.T)  { checkZeroKeyPanics[[1]uint64](t) }
 func TestWideSetZeroKeyPanics(t *testing.T) { checkZeroKeyPanics[[wideWords]uint64](t) }
 
-// checkKeySet holds the visited set to its contract: fresh and duplicate
-// adds, membership and length, and growth through several rehashes from a
-// four-slot request against a map.
+// checkKeySet holds the visited set to its contract against a map: fresh
+// and duplicate adds, membership and length, growth from a four-slot
+// request through several rehashes and past the 2 MiB line where tables
+// leave the heap (mapped to mapped included), then reset, refill with the
+// same keys, regrowth and release. At every step the table-bytes gauge
+// must count exactly the table's bytes when it is mapped, and nothing when
+// it is not.
 func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
+	base := obsTableBytes.Value()
 	s := newKeySet[K](4)
 	ref := map[K]bool{}
+	accounted := func(step string) {
+		t.Helper()
+		var k K
+		bytes := int64(8 * len(k) * len(s.slots))
+		var want int64
+		if runtime.GOOS == "linux" && bytes >= mapTableBytes {
+			want = bytes
+		}
+		if got := obsTableBytes.Value() - base; got != want || (s.mem != nil) != (want > 0) {
+			t.Fatalf("%s: %d of a %d-byte table mapped (mapping held: %v), want %d", step, got, bytes, s.mem != nil, want)
+		}
+	}
+	members := func(step string) {
+		t.Helper()
+		n := 0
+		for k, in := range ref {
+			if s.contains(k) != in {
+				t.Fatalf("%s: contains(%x) = %v, want %v", step, k, !in, in)
+			}
+			if in {
+				n++
+			}
+		}
+		if s.len() != n {
+			t.Fatalf("%s: len=%d, want %d", step, s.len(), n)
+		}
+		accounted(step)
+	}
 	for _, x := range []uint64{1, 2, 3, 0xFFFFFFFFFFFFFFFF, 42, 1 << 40} {
 		if !s.add(key(x)) {
 			t.Fatalf("fresh add(%#x) returned false", x)
@@ -49,31 +84,64 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 		if s.add(k) {
 			t.Fatalf("duplicate add(%x) returned true", k)
 		}
-		if !s.contains(k) {
-			t.Fatalf("contains(%x) false", k)
-		}
 	}
 	if s.contains(key(99)) {
 		t.Fatal("contains(99) true")
 	}
-	if s.len() != len(ref) {
-		t.Fatalf("len=%d, want %d", s.len(), len(ref))
-	}
+	members("small")
+	// grow adds fresh random keys until the set holds n, checking each add
+	// and the table's accounting whenever the count is a power of two.
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		k := key(rng.Uint64() | 1)
-		if s.add(k) == ref[k] {
-			t.Fatalf("add(%x) freshness mismatch", k)
+	var keys []K // every key grow added, in order
+	grow := func(step string, n int) {
+		t.Helper()
+		for s.len() < n {
+			k := key(rng.Uint64() | 1)
+			if s.add(k) == ref[k] {
+				t.Fatalf("%s: add(%x) freshness mismatch", step, k)
+			}
+			if !ref[k] {
+				keys = append(keys, k)
+			}
+			ref[k] = true
+			if s.len()&(s.len()-1) == 0 {
+				accounted(fmt.Sprintf("%s to %d keys", step, s.len()))
+			}
+		}
+		members(step)
+		if len(s.slots) < 4*n/3 {
+			t.Fatalf("%s: %d keys in %d slots, want load ≤ 3/4", step, n, len(s.slots))
+		}
+	}
+	// 200,000 keys take a table of either width to 2¹⁹ slots — mapped from
+	// 2¹⁸ slots on when narrow, from 2¹⁶ when wide — and 400,000 to 2²⁰.
+	grow("growth", 200_000)
+	size := len(s.slots)
+	s.reset()
+	for k := range ref {
+		ref[k] = false
+	}
+	members("after reset")
+	if s.len() != 0 || len(s.slots) != size {
+		t.Fatalf("reset left %d keys in %d slots, want 0 in %d", s.len(), len(s.slots), size)
+	}
+	for _, k := range keys {
+		if !s.add(k) || s.add(k) {
+			t.Fatalf("refill: add(%x) is not fresh once, then a duplicate", k)
 		}
 		ref[k] = true
 	}
-	for k := range ref {
-		if !s.contains(k) {
-			t.Fatalf("lost key %x after growth", k)
-		}
+	members("after refill")
+	if len(s.slots) != size {
+		t.Fatalf("refill with the same keys moved the table from %d to %d slots", size, len(s.slots))
 	}
-	if s.len() != len(ref) || len(s.slots) < 4*len(ref)/3 {
-		t.Fatalf("len=%d in %d slots, want %d at load ≤ 3/4", s.len(), len(s.slots), len(ref))
+	grow("regrowth", 400_000)
+	if len(s.slots) != 2*size {
+		t.Fatalf("regrowth: %d slots, want %d", len(s.slots), 2*size)
+	}
+	s.release()
+	if got := obsTableBytes.Value() - base; got != 0 || s.slots != nil || s.len() != 0 {
+		t.Fatalf("release left %d bytes mapped and %d slots", got, len(s.slots))
 	}
 }
 

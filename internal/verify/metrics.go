@@ -31,6 +31,8 @@ var (
 		"Verification runs that stopped at Config.MaxStates (ErrTooLarge); their explored states and transitions are in the states/transitions totals.")
 	obsActive = obs.NewGauge("tightcps_verify_active_runs",
 		"Verification runs currently executing.")
+	obsTableBytes = obs.NewGauge("tightcps_verify_table_bytes",
+		"Bytes of visited-set tables mapped off the Go heap (tables of 2 MiB and up); back to its value before a search once the search ends.")
 )
 
 // ContentionStats and Contention are a zero-returning shim: nothing feeds

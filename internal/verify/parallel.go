@@ -131,6 +131,7 @@ func runLanes[K stateKey](v *Verifier, n int, init K,
 	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
 	hash func(K) uint64) (Result, error) {
 	e := newNode(v, n, successors, hash)
+	defer e.Release()
 	e.Absorb([][]uint64{appendKey(nil, init)})
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
 	for depth := 0; ; depth++ {
@@ -197,6 +198,10 @@ type Lanes interface {
 	// returns the transitions its expansion took, by the shard of the state
 	// expanded (zero unless Reset asked for them).
 	AppendLevel(dst []uint64) ([]uint64, [NumShards]int64)
+	// Release hands the node's visited tables mapped off the heap back to
+	// the kernel at once: its owner is done with it, and it must not be
+	// used after. A second Release does nothing.
+	Release()
 }
 
 // LaneStats is a node's search so far.
@@ -305,6 +310,14 @@ func (e *node[K]) AppendLevel(dst []uint64) ([]uint64, [NumShards]int64) {
 		}
 	}
 	return dst, t
+}
+
+func (e *node[K]) Release() {
+	for i := range e.lanes {
+		for t := range e.lanes[i].tables {
+			e.lanes[i].tables[t].release()
+		}
+	}
 }
 
 // each runs one phase on every lane and returns when all are done: every

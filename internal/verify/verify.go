@@ -454,6 +454,7 @@ func runSequential[K stateKey](v *Verifier, init K,
 	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)) (Result, error) {
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
 	visited := newKeySet[K](setCap[K]())
+	defer visited.release()
 	visited.add(init)
 	frontier := []K{init}
 	var next []K // recycled: swapped with frontier at every level
@@ -552,6 +553,7 @@ type visit[K stateKey] struct {
 func rebuildPath[K stateKey](v *Verifier, res Result) ([][]int, error) {
 	init := initialState[K](v)
 	visited := newKeySet[K](setCap[K]())
+	defer visited.release()
 	visited.add(init)
 	levels := [][]visit[K]{{{s: init, parent: -1}}}
 	states := 1

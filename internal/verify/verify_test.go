@@ -361,6 +361,58 @@ func TestMaxStatesAborts(t *testing.T) {
 	}
 }
 
+// TestSearchesReleaseMappedTables: a search hands its visited tables back
+// when it ends, on every exit — the sequential driver and two lanes, on the
+// fitted and the forced-wide encoding, at a verdict, at a violation and at
+// MaxStates, and Counterexample's rebuild at its miss and at MaxStates — so
+// the table-bytes gauge is back at its starting value after each. Every
+// sequential table here grows past the 2 MiB line; so do the wide lane
+// partitions (S1: ≈ 90 k states in each of 16).
+func TestSearchesReleaseMappedTables(t *testing.T) {
+	base := obsTableBytes.Value()
+	released := func(name string) {
+		t.Helper()
+		if got := obsTableBytes.Value() - base; got != 0 {
+			t.Fatalf("%s: %d table bytes still mapped after the search", name, got)
+		}
+	}
+	s1 := caseProfiles(t, "C1", "C5", "C4", "C3")
+	v5 := caseProfiles(t, "C1", "C5", "C4", "C3", "C6")
+	for _, forceWide := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("wide=%v/workers=%d", forceWide, workers)
+			v := testVerifier(t, s1, Config{NondetTies: true}, forceWide)
+			v.cfg.Workers = workers
+			if res, err := v.Run(); err != nil || !res.Schedulable || res.States != 1440712 {
+				t.Fatalf("%s: S1 %+v, %v", name, res, err)
+			}
+			released(name + "/S1")
+			v.cfg.MaxStates = 1_000_000
+			if _, err := v.Run(); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("%s: S1 at MaxStates: %v, want ErrTooLarge", name, err)
+			}
+			released(name + "/S1 at MaxStates")
+
+			v = testVerifier(t, v5, Config{NondetTies: true}, forceWide)
+			v.cfg.Workers = workers
+			res, err := v.Run()
+			if err != nil || res.Schedulable {
+				t.Fatalf("%s: V5 %+v, %v", name, res, err)
+			}
+			released(name + "/V5")
+			if _, err := v.counterexample(res); err != nil {
+				t.Fatalf("%s: V5 counterexample: %v", name, err)
+			}
+			released(name + "/V5 counterexample")
+			v.cfg.MaxStates = 300_000
+			if _, err := v.counterexample(res); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("%s: V5 counterexample at MaxStates: %v, want ErrTooLarge", name, err)
+			}
+			released(name + "/V5 counterexample at MaxStates")
+		}
+	}
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	ps := caseProfiles(t, "C1", "C5", "C4", "C3")
 	v, err := New(ps, Config{MaxDisturbances: 2})
