@@ -209,6 +209,24 @@ func BenchmarkVerifyFull(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifySequential is the same verification on the sequential
+// engine (Workers: 1), the one behind a cold verdict of the pipeline
+// benchmark's casestudy and slot-verify workloads: the profile to take
+// when changing the visited set or the sequential driver.
+func BenchmarkVerifySequential(b *testing.B) {
+	ps := caseProfiles(b, "C1", "C5", "C4", "C3")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Schedulable || res.States != 1440712 || res.Transitions != 1822844 || res.Depth != 50 {
+			b.Fatalf("S1: %+v, want schedulable, 1440712 states, 1822844 transitions, depth 50", res)
+		}
+	}
+}
+
 // BenchmarkVerifyBounded is the same verification under the paper's
 // bounded-disturbance acceleration (20× speedup in UPPAAL; in our discrete
 // encoding the per-application counters enlarge the state space instead —

@@ -1,5 +1,7 @@
 package verify
 
+import "sync/atomic"
+
 // keySet is the visited set of every search driver: an open-addressing hash
 // set of packed states, one body for both encodings. The all-zero key is the
 // empty-slot sentinel; no encoding produces it (an idle slot stores a
@@ -8,27 +10,51 @@ package verify
 //
 // A table of mapTableBytes or more is mapped off the Go heap (newTable), so
 // the set owns its memory: growTo unmaps the table it replaces, and whoever
-// ends a search releases the set.
+// ends a search releases the set. Growth doubles a table while it stays on
+// the heap, and quadruples it from the mapped sizes on, up to the table of
+// the search's state budget (grow).
 type keySet[K stateKey] struct {
 	slots []K
 	mem   []byte // the mapping behind slots; nil for a heap table
 	n     int
 	mask  uint64
+	// maxKeys is the most keys the search stores: its MaxStates + 1.
+	maxKeys int
 
 	hashes []uint64 // addChunk scratch: one hash per key of the chunk
 	sink   uint64   // keeps addChunk's touch loads alive
 }
 
+// noBudget is the keys of a set no search budget bounds: far past any table
+// the process can hold, and small enough that 4× it does not overflow.
+const noBudget = 1 << 48
+
 // newKeySet creates a set with the given initial capacity (rounded up to a
-// power of two).
+// power of two) and no state budget.
 func newKeySet[K stateKey](capacity int) *keySet[K] {
 	size := 16
 	for size < capacity {
 		size <<= 1
 	}
-	s := &keySet[K]{mask: uint64(size - 1)}
+	s := &keySet[K]{mask: uint64(size - 1), maxKeys: noBudget}
 	s.slots, s.mem = newTable[K](size)
 	return s
+}
+
+// budget tells the set the search's MaxStates: it stores at most
+// maxStates + 1 keys (the one that trips the budget ends the search), so no
+// growth goes past the smallest table that holds that many at ¾ load. It
+// only stops growth; a table already larger keeps its size.
+func (s *keySet[K]) budget(maxStates int) { s.maxKeys = min(maxStates, noBudget) + 1 }
+
+// tableFor is the smallest table, a power of two of at least 16 slots, that
+// holds keys keys at ¾ load.
+func tableFor(keys int) int {
+	size := 16
+	for 4*keys > 3*size {
+		size <<= 1
+	}
+	return size
 }
 
 // mapTableBytes is the size from which a table is mapped off the heap: a
@@ -37,6 +63,10 @@ func newKeySet[K stateKey](capacity int) *keySet[K] {
 // search's first tables, and every lane partition of a case-study slot,
 // stay on the heap (DESIGN.md §4, "Table memory").
 const mapTableBytes = 2 << 20
+
+// tablesMapped counts the tables newTable has mapped off the heap. Only
+// tests read it: one that means to cross the 2 MiB line checks it did.
+var tablesMapped atomic.Int64
 
 // release hands a mapped table back to the kernel. The set is empty and
 // unusable after it; a heap table is left to the collector.
@@ -99,20 +129,29 @@ func (s *keySet[K]) addHashed(k K, h uint64) bool {
 		panic("keySet: zero key is reserved")
 	}
 	if 4*(s.n+1) > 3*len(s.slots) {
-		s.growTo(2 * len(s.slots))
+		s.grow(s.n + 1)
 	}
-	i := h & s.mask
-	for {
-		v := s.slots[i]
-		if v == zero {
-			s.slots[i] = k
-			s.n++
+	if !probe(s.slots, s.mask, k, h) {
+		return false
+	}
+	s.n++
+	return true
+}
+
+// probe is the set's one probe loop: it stores k, whose hash is h, in the
+// first empty slot of its run in slots (mask + 1 of them, with at least one
+// empty) unless the run holds k already, and reports whether it stored it.
+// It is small enough to inline into the loops that call it per key.
+func probe[K stateKey](slots []K, mask uint64, k K, h uint64) bool {
+	var zero K
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch slots[i] {
+		case zero:
+			slots[i] = k
 			return true
-		}
-		if v == k {
+		case k:
 			return false
 		}
-		i = (i + 1) & s.mask
 	}
 }
 
@@ -124,28 +163,38 @@ func (s *keySet[K]) addHashed(k K, h uint64) bool {
 // independent and the core has the chunk's cache misses in flight together
 // instead of one per insert (a wide slot is 32 bytes in a power-of-two table
 // of at least 512, which the allocator aligns to a cache line or better, so
-// the first word's line is the slot's). The second is the per-key addHashed,
-// in order, on slots that are by then on their way into the cache. The
-// reserve up front means the table cannot move between the passes.
+// the first word's line is the slot's). The second resolves the keys in
+// order, running probe inline on slots that are by then on their way into
+// the cache. The growth up front makes room for every key, so the table
+// cannot move between the passes and the second needs no per-key load
+// check.
 func (s *keySet[K]) addChunk(keys []K, fresh []int32) []int32 {
-	s.reserve(len(keys))
+	if need := s.n + len(keys); 4*need > 3*len(s.slots) {
+		s.grow(need)
+	}
 	if cap(s.hashes) < len(keys) {
 		s.hashes = make([]uint64, 2*len(keys))
 	}
 	hashes := s.hashes[:len(keys)]
 	slots, mask := s.slots, s.mask
 	var sink uint64
+	var zero K
 	for i, k := range keys {
+		if k == zero {
+			panic("keySet: zero key is reserved")
+		}
 		h := hashKey(k)
 		hashes[i] = h
 		sink += slots[h&mask][0]
 	}
 	s.sink = sink
+	n := len(fresh)
 	for i, k := range keys {
-		if s.addHashed(k, hashes[i]) {
+		if probe(slots, mask, k, hashes[i]) {
 			fresh = append(fresh, int32(i))
 		}
 	}
+	s.n += len(fresh) - n
 	return fresh
 }
 
@@ -159,20 +208,41 @@ func (s *keySet[K]) reset() {
 	s.n = 0
 }
 
-// reserve grows the table — in a single rehash — until it can absorb n more
-// keys without exceeding the load factor. The BFS drivers call it with the
-// expected fanout of the coming level, so inserts inside a level never
-// rehash.
+// reserve makes room, in a single rehash (grow), for an estimated n more
+// keys, but not for keys past the search's budget, which it never stores.
+// The BFS drivers call it with the expected fanout of the coming level, so
+// inserts inside a level never rehash.
 func (s *keySet[K]) reserve(n int) {
-	need := s.n + n
-	if 4*need <= 3*len(s.slots) {
-		return
+	if need := min(s.n+n, s.maxKeys); 4*need > 3*len(s.slots) {
+		s.grow(need)
 	}
-	size := len(s.slots)
+}
+
+// grow rehashes the table, once, for need keys. The size is the doubling
+// policy's — the smallest power of two of at least twice the table that
+// holds them at ¾ load — but a growth that reaches the mapped sizes goes to
+// at least 4× the table, one rehash where doubling takes two: fewer keys
+// moved and fresh pages faulted, for a table at most twice the doubling
+// policy's. No growth goes past the budget's table (tableFor(maxKeys)),
+// unless need keys do not fit in it at all: the chunk that takes a search
+// past its budget still lands, at more than ¾ load.
+func (s *keySet[K]) grow(need int) {
+	old := len(s.slots)
+	size := 2 * old
 	for 4*need > 3*size {
 		size <<= 1
 	}
-	s.growTo(size)
+	var k K
+	if 8*len(k)*size >= mapTableBytes {
+		size = max(size, 4*old)
+	}
+	size = min(size, tableFor(s.maxKeys))
+	for size <= need {
+		size <<= 1
+	}
+	if size > old {
+		s.growTo(size)
+	}
 }
 
 // growTo moves the keys into a table of size slots and frees the old table
@@ -183,14 +253,9 @@ func (s *keySet[K]) growTo(size int) {
 	s.mask = uint64(size - 1)
 	var zero K
 	for _, v := range old {
-		if v == zero {
-			continue
+		if v != zero {
+			probe(s.slots, s.mask, v, hashKey(v))
 		}
-		i := hashKey(v) & s.mask
-		for s.slots[i] != zero {
-			i = (i + 1) & s.mask
-		}
-		s.slots[i] = v
 	}
 	freeTable(old, oldMem)
 }

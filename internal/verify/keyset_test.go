@@ -39,9 +39,11 @@ func TestWideSetZeroKeyPanics(t *testing.T) { checkZeroKeyPanics[[wideWords]uint
 // and duplicate adds, membership and length, growth from a four-slot
 // request through several rehashes and past the 2 MiB line where tables
 // leave the heap (mapped to mapped included), then reset, refill with the
-// same keys, regrowth and release. At every step the table-bytes gauge
-// must count exactly the table's bytes when it is mapped, and nothing when
-// it is not.
+// same keys, regrowth and release. Every growth must follow the rule —
+// double under 2 MiB, quadruple from a doubling that reaches it — with the
+// load at most ¾ after every add. At every step the table-bytes gauge must
+// count exactly the table's bytes when it is mapped, and nothing when it is
+// not.
 func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 	base := obsTableBytes.Value()
 	s := newKeySet[K](4)
@@ -89,14 +91,16 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 		t.Fatal("contains(99) true")
 	}
 	members("small")
-	// grow adds fresh random keys until the set holds n, checking each add
-	// and the table's accounting whenever the count is a power of two.
+	// grow adds fresh random keys until the set holds n, checking each add,
+	// each growth and the table's accounting whenever the count is a power
+	// of two.
 	rng := rand.New(rand.NewSource(7))
 	var keys []K // every key grow added, in order
 	grow := func(step string, n int) {
 		t.Helper()
 		for s.len() < n {
 			k := key(rng.Uint64() | 1)
+			size := len(s.slots)
 			if s.add(k) == ref[k] {
 				t.Fatalf("%s: add(%x) freshness mismatch", step, k)
 			}
@@ -104,17 +108,23 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 				keys = append(keys, k)
 			}
 			ref[k] = true
+			if len(s.slots) != size {
+				if want := rampOf[K](size); len(s.slots) != want {
+					t.Fatalf("%s: a %d-slot table grew to %d slots, want %d", step, size, len(s.slots), want)
+				}
+			}
+			if 4*s.len() > 3*len(s.slots) {
+				t.Fatalf("%s: %d keys in %d slots, want load ≤ 3/4", step, s.len(), len(s.slots))
+			}
 			if s.len()&(s.len()-1) == 0 {
 				accounted(fmt.Sprintf("%s to %d keys", step, s.len()))
 			}
 		}
 		members(step)
-		if len(s.slots) < 4*n/3 {
-			t.Fatalf("%s: %d keys in %d slots, want load ≤ 3/4", step, n, len(s.slots))
-		}
 	}
-	// 200,000 keys take a table of either width to 2¹⁹ slots — mapped from
-	// 2¹⁸ slots on when narrow, from 2¹⁶ when wide — and 400,000 to 2²⁰.
+	// 200,000 keys take a narrow table by doubling to 2¹⁷ slots (1 MiB),
+	// then in one step to 2¹⁹, mapped; a wide one to 2¹⁵ (1 MiB), then
+	// 2¹⁷ and 2¹⁹. 400,000 keys take either to 2²¹.
 	grow("growth", 200_000)
 	size := len(s.slots)
 	s.reset()
@@ -136,12 +146,87 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 		t.Fatalf("refill with the same keys moved the table from %d to %d slots", size, len(s.slots))
 	}
 	grow("regrowth", 400_000)
-	if len(s.slots) != 2*size {
-		t.Fatalf("regrowth: %d slots, want %d", len(s.slots), 2*size)
+	if len(s.slots) != 4*size {
+		t.Fatalf("regrowth: %d slots, want %d", len(s.slots), 4*size)
 	}
 	s.release()
 	if got := obsTableBytes.Value() - base; got != 0 || s.slots != nil || s.len() != 0 {
 		t.Fatalf("release left %d bytes mapped and %d slots", got, len(s.slots))
+	}
+}
+
+// rampOf is the size a table of size slots grows to by one add: twice the
+// size while that stays under mapTableBytes, four times from there on.
+func rampOf[K stateKey](size int) int {
+	var k K
+	if 8*len(k)*2*size < mapTableBytes {
+		return 2 * size
+	}
+	return 4 * size
+}
+
+func TestKeySetBudget(t *testing.T) {
+	t.Run("narrow", func(t *testing.T) { checkKeySetBudget(t, narrowKey) })
+	t.Run("wide", func(t *testing.T) { checkKeySetBudget(t, wideKey) })
+}
+
+// checkKeySetBudget holds growth to the state budget: a set told its
+// search's MaxStates never grows past the smallest table that holds
+// MaxStates + 1 keys at ¾ load — not by the ramp as chunks fill it, not for
+// level estimates far past the budget — while it stays at most ¾ loaded up
+// to the budget, and a chunk that crosses the budget still lands. A budget
+// smaller than the table never shrinks it.
+func checkKeySetBudget[K stateKey](t *testing.T, key func(uint64) K) {
+	for _, c := range []struct {
+		maxStates int
+		estimate  bool
+	}{{40_000, false}, {100_000, false}, {100_000, true}, {393_215, false}, {700_000, false}, {700_000, true}} {
+		maxStates := c.maxStates
+		s := newKeySet[K](16)
+		s.budget(maxStates)
+		limit := tableFor(maxStates + 1)
+		x := uint64(1)
+		for s.len() <= maxStates {
+			if c.estimate {
+				s.reserve(max(s.len(), 1024)) // past the budget from half of it on
+			}
+			chunk := make([]K, min(1024, maxStates+1-s.len()))
+			for i := range chunk {
+				chunk[i] = key(mix(x))
+				x++
+			}
+			if fresh := s.addChunk(chunk, nil); len(fresh) != len(chunk) {
+				t.Fatalf("budget %d: %d of %d keys fresh", maxStates, len(fresh), len(chunk))
+			}
+			if len(s.slots) > limit || 4*s.len() > 3*len(s.slots) {
+				t.Fatalf("budget %d: %d keys in %d slots, want at most %d slots at load ≤ 3/4",
+					maxStates, s.len(), len(s.slots), limit)
+			}
+		}
+		if len(s.slots) != limit {
+			t.Fatalf("budget %d: %d slots at the budget, want its table of %d", maxStates, len(s.slots), limit)
+		}
+		// A chunk past the budget, as large as the table's free slots plus
+		// one, must still find room: the one growth past the budget.
+		over := make([]K, len(s.slots)-s.len()+1)
+		for i := range over {
+			over[i] = key(mix(x))
+			x++
+		}
+		if fresh := s.addChunk(over, nil); len(fresh) != len(over) || s.len() >= len(s.slots) {
+			t.Fatalf("budget %d: a chunk past it left %d keys in %d slots", maxStates, s.len(), len(s.slots))
+		}
+		s.release()
+	}
+	// Past ¾ load of a table larger than its budget's, adds fill it and
+	// leave it its size.
+	s := newKeySet[K](1 << 12)
+	s.budget(100)
+	for x := uint64(1); x <= 3500; x++ {
+		s.add(key(x))
+	}
+	if len(s.slots) != 1<<12 || s.len() != 3500 {
+		t.Fatalf("a budget under the table's size: %d keys in %d slots, want 3500 in %d", s.len(), len(s.slots), 1<<12)
 	}
 }
 

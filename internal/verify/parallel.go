@@ -112,7 +112,9 @@ func newNode[K stateKey](v *Verifier, p int,
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		for range parts {
-			l.tables = append(l.tables, *newKeySet[K](setCap[K]() / (p * parts)))
+			t := newKeySet[K](setCap[K]() / (p * parts))
+			t.budget(v.cfg.MaxStates)
+			l.tables = append(l.tables, *t)
 		}
 		l.out = make([][]K, p*parts, p*parts+outPad)
 		l.violApp = -1
@@ -232,6 +234,7 @@ func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int, countShar
 		l := &e.lanes[i]
 		for t := range l.tables {
 			l.tables[t].reset()
+			l.tables[t].budget(maxStates)
 		}
 		l.frontier, l.next, l.pos, l.prev, l.violApp = l.frontier[:0], l.next[:0], 0, 0, -1
 		l.shardTr = [NumShards]int64{}

@@ -36,6 +36,7 @@ func newTable[K stateKey](size int) ([]K, []byte) {
 	// backs the table with small pages, which is still correct.
 	_ = syscall.Madvise(table, syscall.MADV_HUGEPAGE)
 	obsTableBytes.Add(int64(n))
+	tablesMapped.Add(1)
 	return unsafe.Slice((*K)(unsafe.Pointer(&table[0])), size), mem
 }
 

@@ -455,6 +455,7 @@ func runSequential[K stateKey](v *Verifier, init K,
 	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
 	visited := newKeySet[K](setCap[K]())
 	defer visited.release()
+	visited.budget(v.cfg.MaxStates)
 	visited.add(init)
 	frontier := []K{init}
 	var next []K // recycled: swapped with frontier at every level
@@ -549,11 +550,14 @@ type visit[K stateKey] struct {
 
 // rebuildPath is Counterexample over one packed encoding. It expands and
 // inserts one state at a time, which orders states like runSequential's
-// chunks, and keeps every level for the walk back from the miss.
+// chunks, and keeps every level for the walk back from the miss. It inserts
+// levels 0..res.Depth at most, which res.States counts on every engine, so
+// its set is sized once, before the search, and never rehashes.
 func rebuildPath[K stateKey](v *Verifier, res Result) ([][]int, error) {
 	init := initialState[K](v)
-	visited := newKeySet[K](setCap[K]())
+	visited := newKeySet[K](tableFor(min(res.States, v.cfg.MaxStates+1)))
 	defer visited.release()
+	visited.budget(v.cfg.MaxStates)
 	visited.add(init)
 	levels := [][]visit[K]{{{s: init, parent: -1}}}
 	states := 1

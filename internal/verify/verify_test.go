@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -363,53 +364,80 @@ func TestMaxStatesAborts(t *testing.T) {
 
 // TestSearchesReleaseMappedTables: a search hands its visited tables back
 // when it ends, on every exit — the sequential driver and two lanes, on the
-// fitted and the forced-wide encoding, at a verdict, at a violation and at
-// MaxStates, and Counterexample's rebuild at its miss and at MaxStates — so
+// fitted and the forced-wide encoding, at a verdict, at MaxStates, at a
+// violation, and Counterexample's rebuild at its miss and at MaxStates — so
 // the table-bytes gauge is back at its starting value after each. Every
-// sequential table here grows past the 2 MiB line; so do the wide lane
-// partitions (S1: ≈ 90 k states in each of 16).
+// cell first proves that it mapped a table, so the release it checks is of
+// memory off the heap: each runs the smallest input that crosses the 2 MiB
+// line there. Case-study slots do, but for the fitted lanes' verdict and
+// violation: their sixteen partitions stay on the heap on every case-study
+// slot that ends sooner than the six-app set's 6.5 M states, so they run a
+// five-app fleet of 1,558,106 states and W7, the benchmark's seven-app
+// fleet, instead.
 func TestSearchesReleaseMappedTables(t *testing.T) {
-	base := obsTableBytes.Value()
-	released := func(name string) {
-		t.Helper()
-		if got := obsTableBytes.Value() - base; got != 0 {
-			t.Fatalf("%s: %d table bytes still mapped after the search", name, got)
-		}
+	if runtime.GOOS != "linux" {
+		t.Skip("tables are mapped off the heap only on Linux")
 	}
-	s1 := caseProfiles(t, "C1", "C5", "C4", "C3")
-	v5 := caseProfiles(t, "C1", "C5", "C4", "C3", "C6")
-	for _, forceWide := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			name := fmt.Sprintf("wide=%v/workers=%d", forceWide, workers)
-			v := testVerifier(t, s1, Config{NondetTies: true}, forceWide)
-			v.cfg.Workers = workers
-			if res, err := v.Run(); err != nil || !res.Schedulable || res.States != 1440712 {
-				t.Fatalf("%s: S1 %+v, %v", name, res, err)
+	base := obsTableBytes.Value()
+	for _, c := range []struct {
+		wide             bool
+		workers          int
+		ok, viol, over   []*switching.Profile
+		overMax, violMax int // budgets that over's search and viol's rebuild exceed
+	}{
+		{false, 1, caseProfiles(t, "C1", "C2", "C4"), caseProfiles(t, "C2", "C3", "C4", "C5", "C6"),
+			caseProfiles(t, "C1", "C2", "C4"), 100_000, 100_000},
+		{false, 2, fleet(5, 5, 1, 2, 16), fleet(7, 5, 1, 2, 8),
+			caseProfiles(t, "C1", "C2", "C3", "C4", "C5", "C6"), 1_700_000, 100_000},
+		{true, 1, caseProfiles(t, "C1", "C4", "C5"), caseProfiles(t, "C1", "C3", "C4", "C6"),
+			caseProfiles(t, "C1", "C4", "C5"), 25_000, 25_000},
+		{true, 2, caseProfiles(t, "C2", "C3", "C6"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
+			caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), 400_000, 25_000},
+	} {
+		name := fmt.Sprintf("wide=%v/workers=%d", c.wide, c.workers)
+		// exit runs one search, which must end in want (nil: a verdict)
+		// having mapped a table, and give every mapped byte back.
+		exit := func(step string, want error, search func() error) {
+			t.Helper()
+			mapped := tablesMapped.Load()
+			if err := search(); !errors.Is(err, want) {
+				t.Fatalf("%s/%s: %v, want %v", name, step, err, want)
 			}
-			released(name + "/S1")
-			v.cfg.MaxStates = 1_000_000
-			if _, err := v.Run(); !errors.Is(err, ErrTooLarge) {
-				t.Fatalf("%s: S1 at MaxStates: %v, want ErrTooLarge", name, err)
+			if tablesMapped.Load() == mapped {
+				t.Fatalf("%s/%s: mapped no table, so it cannot show one released", name, step)
 			}
-			released(name + "/S1 at MaxStates")
-
-			v = testVerifier(t, v5, Config{NondetTies: true}, forceWide)
-			v.cfg.Workers = workers
-			res, err := v.Run()
-			if err != nil || res.Schedulable {
-				t.Fatalf("%s: V5 %+v, %v", name, res, err)
+			if got := obsTableBytes.Value() - base; got != 0 {
+				t.Fatalf("%s/%s: %d table bytes still mapped after the search", name, step, got)
 			}
-			released(name + "/V5")
-			if _, err := v.counterexample(res); err != nil {
-				t.Fatalf("%s: V5 counterexample: %v", name, err)
-			}
-			released(name + "/V5 counterexample")
-			v.cfg.MaxStates = 300_000
-			if _, err := v.counterexample(res); !errors.Is(err, ErrTooLarge) {
-				t.Fatalf("%s: V5 counterexample at MaxStates: %v, want ErrTooLarge", name, err)
-			}
-			released(name + "/V5 counterexample at MaxStates")
 		}
+		v := testVerifier(t, c.ok, Config{NondetTies: true}, c.wide)
+		v.cfg.Workers = c.workers
+		exit("verdict", nil, func() error {
+			res, err := v.Run()
+			if err == nil && !res.Schedulable {
+				t.Fatalf("%s: ok slot %+v", name, res)
+			}
+			return err
+		})
+
+		v = testVerifier(t, c.viol, Config{NondetTies: true}, c.wide)
+		v.cfg.Workers = c.workers
+		var res Result
+		exit("violation", nil, func() error {
+			var err error
+			res, err = v.Run()
+			if err == nil && res.Schedulable {
+				t.Fatalf("%s: violating slot %+v", name, res)
+			}
+			return err
+		})
+		exit("counterexample", nil, func() error { _, err := v.counterexample(res); return err })
+		v.cfg.MaxStates = c.violMax
+		exit("counterexample at MaxStates", ErrTooLarge, func() error { _, err := v.counterexample(res); return err })
+
+		v = testVerifier(t, c.over, Config{NondetTies: true, MaxStates: c.overMax}, c.wide)
+		v.cfg.Workers = c.workers
+		exit("at MaxStates", ErrTooLarge, func() error { _, err := v.Run(); return err })
 	}
 }
 
