@@ -70,19 +70,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		opts.Policy = sched.PreemptLazy
 	}
 	if *server != "" {
-		// The service decides ties/policy semantics from the spec; mirror
-		// what the in-process engine would verify under.
-		spec := verify.SpecOf(verify.Config{NondetTies: true, Policy: opts.Policy})
+		// The service verifies under the in-process admission's spec.
 		client := &admit.Client{BaseURL: *server}
-		opts.AdmitFunc = client.VerifyFunc(spec)
+		opts.AdmitFunc = client.VerifyFunc(verify.SpecOf(opts.Admission().Config()))
 		fmt.Fprintf(stdout, "admission via %s\n", *server)
 	}
 	if *cachedir != "" {
-		// Mirror the engine's admission config (core.Dimensioner.verifyFunc)
-		// so the cache salt matches what the verdicts were computed under.
-		vcfg := opts.Verify
-		vcfg.NondetTies, vcfg.Policy = true, opts.Policy
-		cache := mapping.NewCacheFor(mapping.VerifyConfigKey(vcfg))
+		cache := mapping.NewCacheFor(opts.Admission().Salt())
 		if _, err := cache.LoadDir(*cachedir); err != nil {
 			// The healthy shards still load; the bad ones are re-earned.
 			fmt.Fprintln(stderr, "dimension: skipping unreadable admission cache shards:", err)

@@ -54,7 +54,6 @@ import (
 	"tightcps/internal/mapping"
 	"tightcps/internal/obs"
 	"tightcps/internal/plants"
-	"tightcps/internal/sched"
 	"tightcps/internal/sim"
 	"tightcps/internal/switching"
 	"tightcps/internal/textplot"
@@ -120,12 +119,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if cl.Banner != "" && !*jsonOut {
 		fmt.Fprintln(stdout, cl.Banner)
 	}
-	x := &experiments{out: stdout, stderr: stderr, cl: cl, cache: mapping.NewCache()}
+	x := &experiments{out: stdout, stderr: stderr, cl: cl}
 	if *synthetic > 0 {
+		// The sweeps admit on the symmetry quotient under the state budget.
+		cfg := cl.Config
+		cfg.SymmetryReduction, cfg.MaxStates = true, *maxStates
+		adm := mapping.NewAdmission(cfg, cl.Nodes)
 		if *granSweep != "" {
-			err = x.granularitySweep(*synthetic, *seed, *maxStates, lo, hi, step)
+			err = x.granularitySweep(*synthetic, *seed, adm, lo, hi, step)
 		} else {
-			err = x.synthetic(*synthetic, *seed, *maxStates, *cachedir)
+			err = x.synthetic(*synthetic, *seed, adm, *cachedir)
 		}
 		if err != nil {
 			return err
@@ -149,26 +152,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// experiments is one invocation: where its report goes, the backend every
-// slot verification runs on (-workers lanes, locally or on every node of
-// the -nodes/-connect cluster), and the admission cache the paper's
-// experiments share (-mapping's first-fit and optimal sweeps).
+// experiments is one invocation: where its report goes, and the backend
+// every slot verification runs on (-workers lanes, locally or on every
+// node of the -nodes/-connect cluster).
 type experiments struct {
 	out, stderr io.Writer
 	cl          *cli.Cluster
-	cache       *mapping.Cache
-}
-
-// slotVerify is the admission verifier the paper's experiments share: the
-// exact packed checker with nondeterministic ties, on the backend.
-func (x *experiments) slotVerify(ps []*switching.Profile) (bool, error) {
-	cfg := x.cl.Config
-	cfg.NondetTies = true
-	res, err := verify.Slot(ps, cfg)
-	if err != nil {
-		return false, err
-	}
-	return res.Schedulable, nil
 }
 
 // parseSweepRange parses -granularity-sweep's lo,hi,step triple; "" is no
@@ -317,15 +306,17 @@ func (x *experiments) mapping() error {
 	if err != nil {
 		return err
 	}
+	// The partitioner's subsets include every slot first-fit asked about.
+	adm, cache := mapping.NewAdmission(x.cl.Config, x.cl.Nodes), mapping.NewCache()
 	t0 := time.Now()
-	ff, err := mapping.FirstFitCached(ps, x.slotVerify, x.cache)
+	ff, err := mapping.FirstFitCached(ps, adm.Verify, cache)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(x.out, "  proposed (first-fit + exact model checking): %d slots %v  [%d checks, %d cached, %.2fs]\n",
 		len(ff.Slots), ff.SlotNames(ps), ff.Verifications, ff.CacheHits, time.Since(t0).Seconds())
 	t0 = time.Now()
-	opt, err := mapping.OptimalCached(ps, x.slotVerify, x.cache)
+	opt, err := mapping.OptimalCached(ps, adm.Verify, cache)
 	if err != nil {
 		return err
 	}
@@ -451,73 +442,15 @@ func instanceProfiles(w *plants.SyntheticWorkload, archProfs []*switching.Profil
 	return ps, archOfPs, dropped
 }
 
-// admissionStats counts what the synthetic admission verifier did.
-type admissionStats struct {
-	statesExplored  int
-	budgetRejects   int
-	replayRefuted   int
-	encodingRejects int
-	verifySecs      float64          // wall time inside the exact checker
-	wire            verify.WireStats // distributed runs only
-}
-
-// syntheticAdmission builds the sweep's admission verifier: counterexample
-// replay prefilter, then the exact checker on the symmetry quotient with
-// the per-check state budget, on the backend. Budget and encoding busts
-// reject conservatively (never unsoundly) and are counted.
-func (x *experiments) syntheticAdmission(budget int) (mapping.VerifyFunc, *admissionStats) {
-	stats := &admissionStats{}
-	cfg := x.cl.Config
-	cfg.NondetTies, cfg.SymmetryReduction, cfg.MaxStates = true, true, budget
-	vf := func(set []*switching.Profile) (bool, error) {
-		if verify.Refute(set, sched.PreemptEager) {
-			stats.replayRefuted++
-			return false, nil
-		}
-		t0 := time.Now()
-		res, err := verify.Slot(set, cfg)
-		stats.verifySecs += time.Since(t0).Seconds()
-		stats.statesExplored += res.States
-		stats.wire.Add(res.Wire)
-		if errors.Is(err, verify.ErrTooLarge) {
-			stats.budgetRejects++
-			return false, nil
-		}
-		if errors.Is(err, verify.ErrEncoding) {
-			// Candidate exceeds the packed encoding (today: 12 apps);
-			// reject conservatively rather than aborting the sweep.
-			stats.encodingRejects++
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		return res.Schedulable, nil
-	}
-	return vf, stats
-}
-
-// syntheticCacheKey salts the sweep's admission cache: the budget makes
-// verdicts configuration-dependent (busted checks reject conservatively),
-// and a distributed run scales the aggregate budget with the cluster size,
-// so both participate in the key.
-func (x *experiments) syntheticCacheKey(budget int) uint64 {
-	return mapping.VerifyConfigKey(verify.Config{
-		NondetTies: true, SymmetryReduction: true, MaxStates: budget,
-	}, uint64(x.cl.Nodes))
-}
-
 // synthetic dimensions a seeded synthetic workload end-to-end: archetype
 // profiling (one switching analysis per design, cloned across fleet
 // instances), first-fit mapping with exact verification under the symmetry
 // quotient (one-word or multi-word states, whichever the candidate's size
 // and largest r need), and a DP-partitioner comparison on a tractable
-// sample. Admission checks are prefiltered by counterexample replay
-// (verify.Refute) and bounded by the -maxstates budget; a busted budget
-// rejects conservatively (never unsoundly) and is reported. With
-// -cachedir, admission verdicts persist across invocations and the run
-// reports its cache hit rate.
-func (x *experiments) synthetic(n int, seed int64, budget int, cachedir string) error {
+// sample. The admission's rejects — replayed counterexamples, busts of the
+// -maxstates budget — are reported. With -cachedir, admission verdicts
+// persist across invocations and the run reports its cache hit rate.
+func (x *experiments) synthetic(n int, seed int64, adm *mapping.Admission, cachedir string) error {
 	t0 := time.Now()
 	w := plants.Synthetic(plants.SyntheticOptions{N: n, Seed: seed})
 	fmt.Fprintf(x.out, "== Synthetic dimensioning sweep: %d applications, %d archetypes, seed %d ==\n",
@@ -527,10 +460,7 @@ func (x *experiments) synthetic(n int, seed int64, budget int, cachedir string) 
 	ps, archOfPs, dropped := instanceProfiles(w, archProfs)
 	fmt.Fprintf(x.out, "  profiled %d applications (%d dropped) in %.1fs\n", len(ps), dropped, time.Since(t0).Seconds())
 
-	vf, stats := x.syntheticAdmission(budget)
-	// The budget makes verdicts configuration-dependent, so the sweep keeps
-	// its own config-salted cache instead of sharing x.cache.
-	cache := mapping.NewCacheFor(x.syntheticCacheKey(budget))
+	cache := mapping.NewCacheFor(adm.Salt())
 	if cachedir != "" {
 		if _, err := cache.LoadDir(cachedir); err != nil {
 			// The healthy shards still load; the bad ones are re-earned.
@@ -542,7 +472,7 @@ func (x *experiments) synthetic(n int, seed int64, budget int, cachedir string) 
 	}
 
 	t1 := time.Now()
-	ff, err := mapping.FirstFitCached(ps, vf, cache)
+	ff, err := mapping.FirstFitCached(ps, adm.Verify, cache)
 	if err != nil {
 		return err
 	}
@@ -555,17 +485,18 @@ func (x *experiments) synthetic(n int, seed int64, budget int, cachedir string) 
 	}
 	fmt.Fprintf(x.out, "  first-fit: %d slots for %d applications (largest slot %d apps, %d slots with ≥8 apps) in %.1fs\n",
 		len(ff.Slots), len(ps), maxSlot, deep, time.Since(t1).Seconds())
+	st := adm.Stats()
 	rate := 0
-	if stats.verifySecs > 0 {
-		rate = int(float64(stats.statesExplored) / stats.verifySecs)
+	if st.SearchTime > 0 {
+		rate = int(float64(st.States) / st.SearchTime.Seconds())
 	}
 	fmt.Fprintf(x.out, "  admission checks %d (%d served by cache), states explored %d, rate=%d states/s [gomaxprocs=%d numcpu=%d %s]\n",
-		ff.Verifications, ff.CacheHits, stats.statesExplored, rate,
+		ff.Verifications, ff.CacheHits, st.States, rate,
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), x.cl.Width)
 	fmt.Fprintf(x.out, "  rejects: %d by counterexample replay, %d by state budget (conservative), %d over the encoding cap\n",
-		stats.replayRefuted, stats.budgetRejects, stats.encodingRejects)
-	if stats.wire.RawBytes > 0 {
-		fmt.Fprintf(x.out, "  %s\n", stats.wire.Report())
+		st.Refuted, st.BudgetRejects, st.EncodingRejects)
+	if st.Wire.RawBytes > 0 {
+		fmt.Fprintf(x.out, "  %s\n", st.Wire.Report())
 	}
 	for si, names := range ff.SlotNames(ps) {
 		if len(names) >= 8 {
@@ -579,8 +510,8 @@ func (x *experiments) synthetic(n int, seed int64, budget int, cachedir string) 
 	sample := dpSample(ps, archOfPs, archProfs)
 	if len(sample) >= 4 {
 		t2 := time.Now()
-		ffS, err1 := mapping.FirstFitCached(sample, vf, cache)
-		dp, err2 := mapping.OptimalCached(sample, vf, cache)
+		ffS, err1 := mapping.FirstFitCached(sample, adm.Verify, cache)
+		dp, err2 := mapping.OptimalCached(sample, adm.Verify, cache)
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("DP sample: %w", errors.Join(err1, err2))
 		}
@@ -607,7 +538,7 @@ func (x *experiments) synthetic(n int, seed int64, budget int, cachedir string) 
 // trade-off at scale: coarser wait-time grids shrink the dwell tables
 // (fewer Tw rows to store on the ECU) but make every profile more
 // conservative, which costs TT slots.
-func (x *experiments) granularitySweep(n int, seed int64, budget, lo, hi, step int) error {
+func (x *experiments) granularitySweep(n int, seed int64, adm *mapping.Admission, lo, hi, step int) error {
 	t0 := time.Now()
 	w := plants.Synthetic(plants.SyntheticOptions{N: n, Seed: seed})
 	fmt.Fprintf(x.out, "== Tw-granularity coarsening sweep: %d applications, seed %d, granularity %d..%d step %d ==\n",
@@ -626,12 +557,10 @@ func (x *experiments) granularitySweep(n int, seed int64, budget, lo, hi, step i
 			fmt.Fprintf(x.out, "  granularity %d: every archetype dropped\n", g)
 			continue
 		}
-		vf, _ := x.syntheticAdmission(budget)
 		// The cache lives for this one first-fit call and is never
 		// persisted, so no config salt is needed — each granularity's
 		// profiles fingerprint differently anyway.
-		cache := mapping.NewCache()
-		ff, err := mapping.FirstFitCached(ps, vf, cache)
+		ff, err := mapping.FirstFitCached(ps, adm.Verify, mapping.NewCache())
 		if err != nil {
 			return err
 		}

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
+	"tightcps/internal/admit"
 	"tightcps/internal/cli"
-	"tightcps/internal/mapping"
+	"tightcps/internal/dverify"
+	"tightcps/internal/plants"
+	"tightcps/internal/switching"
+	"tightcps/internal/verify"
 )
 
 // experimentsCmd runs the command in process and returns its exit code
@@ -102,7 +108,7 @@ func TestVerifyTimeOnCluster(t *testing.T) {
 	}
 	defer cl.Close()
 	var out bytes.Buffer
-	x := &experiments{out: &out, cl: cl, cache: mapping.NewCache()}
+	x := &experiments{out: &out, cl: cl}
 	if err := x.verifyTime([][]string{{"C6", "C2"}}, true); err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +124,51 @@ func TestVerifyTimeOnCluster(t *testing.T) {
 	want := []struct{ Exact, Bounded trace }{{trace{"mesh", 2, 10201}, trace{"mesh", 2, 41209}}}
 	if len(reports) != 1 || reports[0] != want[0] {
 		t.Errorf("traces %+v, want %+v", reports, want)
+	}
+}
+
+// TestBudgetedSweepStoreIsNotTheServiceStore: a budgeted sweep stores the
+// conservative rejects of its busted checks. An admission service on a
+// cluster of the same size, with the same budget and cache directory, must
+// not serve one of them as a verdict: every pair of archetypes it answers,
+// it answers as the exact search does.
+func TestBudgetedSweepStoreIsNotTheServiceStore(t *testing.T) {
+	dir := t.TempDir()
+	if code, _, stderr := experimentsCmd("-synthetic", "30", "-seed", "1", "-nodes", "2", "-maxstates", "200", "-cachedir", dir); code != 0 {
+		t.Fatalf("sweep: exit %d: %s", code, stderr)
+	}
+	ts := dverify.Loopback(2)
+	defer dverify.Close(ts)
+	svc := admit.New(admit.Options{Backend: dverify.Runner(ts), BackendNodes: 2, MaxStates: 200, CacheDir: dir})
+	defer svc.Drain()
+
+	x := &experiments{out: io.Discard}
+	var arch []*switching.Profile
+	for _, p := range x.archetypeProfiles(plants.Synthetic(plants.SyntheticOptions{N: 30, Seed: 1}), 1, false) {
+		if p != nil {
+			arch = append(arch, p)
+		}
+	}
+	answered := 0
+	for i := range arch {
+		for _, b := range arch[i:] {
+			set := []*switching.Profile{arch[i], b}
+			resp, status := svc.Admit(&admit.AdmitRequest{Profiles: []admit.ProfileJSON{admit.ProfileJSONOf(set[0]), admit.ProfileJSONOf(set[1])}})
+			if status != http.StatusOK {
+				continue // over the service's budget: no verdict, which is sound
+			}
+			answered++
+			exact, err := verify.Slot(set, verify.Config{NondetTies: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Verdict.Schedulable != exact.Schedulable {
+				t.Errorf("%s + %s: service says schedulable=%v (warm=%v), the exact search %v in %d states",
+					set[0].Name, set[1].Name, resp.Verdict.Schedulable, resp.Warm, exact.Schedulable, exact.States)
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("the service answered no pair within its budget")
 	}
 }

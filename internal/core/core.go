@@ -51,7 +51,9 @@ type Options struct {
 	Workers int
 	// Cache memoizes slot-admission verdicts. Nil uses a fresh per-call
 	// cache (which still deduplicates within the run); supplying one reuses
-	// verdicts across Dimension calls. Do not share a cache between Options
+	// verdicts across Dimension calls. Dimension refuses a cache salted for
+	// another admission than Admission's (mapping.ErrCacheConfig); the
+	// unsalted NewCache is accepted, so do not share one between Options
 	// that verify differently (Policy or Verify knobs).
 	Cache *mapping.Cache
 	// AdmitFunc, when non-nil, replaces the in-process slot-sharing
@@ -60,36 +62,23 @@ type Options struct {
 	// service's client mode plugs into (admit.Client.VerifyFunc), so a
 	// dimensioning run shares the service's fleet-wide coalescing and
 	// persistent cache. The caller must configure it to verify under the
-	// semantics Options would otherwise use (NondetTies, Policy, Verify
-	// knobs) — the engine cannot inspect a remote service's config.
+	// semantics Options would otherwise use (Admission().Config()) — the
+	// engine cannot inspect a remote service's config.
 	AdmitFunc mapping.VerifyFunc
 }
 
-// Allocation is the dimensioning result.
+// Allocation is the dimensioning result: the first-fit mapping's Result
+// (slots as indices into Apps/Profiles, admission checks and this run's
+// cache traffic) over the applications' profiles.
 type Allocation struct {
 	Profiles []*switching.Profile
-	Slots    [][]int // per TT slot: indices into Apps/Profiles
-	// Verifications counts slot-sharing admission checks (cache hits
-	// included).
-	Verifications int
-	// CacheHits and CacheMisses report the admission-cache traffic of this
-	// run.
-	CacheHits   int
-	CacheMisses int
+	mapping.Result
 	// Stability holds the CQLF results when the stability check ran.
 	Stability []control.CQLFResult
 }
 
 // SlotNames renders the allocation with application names.
-func (a *Allocation) SlotNames() [][]string {
-	out := make([][]string, len(a.Slots))
-	for si, slot := range a.Slots {
-		for _, i := range slot {
-			out[si] = append(out[si], a.Profiles[i].Name)
-		}
-	}
-	return out
-}
+func (a *Allocation) SlotNames() [][]string { return a.Result.SlotNames(a.Profiles) }
 
 // ErrNotSwitchingStable is returned when CheckSwitchingStability is set and
 // no CQLF is found for some application.
@@ -134,54 +123,40 @@ func (d *Dimensioner) Dimension() (*Allocation, error) {
 	if len(d.Apps) == 0 {
 		return nil, errors.New("core: no applications")
 	}
+	adm := d.Opts.Admission()
+	if err := adm.CheckCache(d.Opts.Cache); err != nil {
+		return nil, err
+	}
 	alloc := &Allocation{}
 	var err error
 	alloc.Profiles, alloc.Stability, err = d.profileStage(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	cache := d.Opts.Cache
+	vf, cache := d.Opts.AdmitFunc, d.Opts.Cache
+	if vf == nil {
+		vf = adm.Verify
+	}
 	if cache == nil {
 		cache = mapping.NewCache()
 	}
-	res, err := mapping.FirstFitCached(alloc.Profiles, d.verifyFunc(), cache)
+	res, err := mapping.FirstFitCached(alloc.Profiles, vf, cache)
 	if err != nil {
 		return nil, err
 	}
-	alloc.Slots = res.Slots
-	alloc.Verifications = res.Verifications
-	alloc.CacheHits = res.CacheHits
-	alloc.CacheMisses = res.CacheMisses
+	alloc.Result = *res
 	return alloc, nil
 }
 
-// verifyFunc builds the admission verifier from the options — the
-// counterexample-replay prefilter, then the exact search — threading the
-// engine's worker budget into the BFS unless the caller pinned it.
-func (d *Dimensioner) verifyFunc() mapping.VerifyFunc {
-	if d.Opts.AdmitFunc != nil {
-		return d.Opts.AdmitFunc
-	}
-	cfg := d.Opts.Verify
-	cfg.NondetTies = true
-	cfg.Policy = d.Opts.Policy
+// Admission returns the slot admission the options verify with: Verify
+// under Policy, its search sized by Workers unless Verify.Workers pins it.
+func (o Options) Admission() *mapping.Admission {
+	cfg := o.Verify
+	cfg.Policy = o.Policy
 	if cfg.Workers == 0 {
-		cfg.Workers = d.Opts.Workers
+		cfg.Workers = o.Workers
 	}
-	// A replayed counterexample settles a "no" in microseconds. Not under a
-	// disturbance bound: that model under-approximates, and a replayed
-	// schedule may use more disturbance instances than it allows.
-	refute := cfg.MaxDisturbances == 0
-	return func(ps []*switching.Profile) (bool, error) {
-		if refute && verify.Refute(ps, cfg.Policy) {
-			return false, nil
-		}
-		res, err := verify.Slot(ps, cfg)
-		if err != nil {
-			return false, err
-		}
-		return res.Schedulable, nil
-	}
+	return mapping.NewAdmission(cfg, 0)
 }
 
 // VerifySlotSharing checks whether the given applications can share one TT
@@ -195,12 +170,6 @@ func VerifySlotSharing(apps []App, opts Options) (verify.Result, []*switching.Pr
 		}
 		ps = append(ps, p)
 	}
-	cfg := opts.Verify
-	cfg.NondetTies = true
-	cfg.Policy = opts.Policy
-	if cfg.Workers == 0 {
-		cfg.Workers = opts.Workers
-	}
-	res, err := verify.Slot(ps, cfg)
+	res, err := verify.Slot(ps, opts.Admission().Config())
 	return res, ps, err
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tightcps/internal/mapping"
+	"tightcps/internal/sched"
 )
 
 // TestDimensionDeterministicAcrossWorkers: the engine's fan-out must not
@@ -61,6 +62,25 @@ func TestDimensionSharedCacheReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Slots, second.Slots) {
 		t.Fatalf("warm slots %v, cold %v", second.Slots, first.Slots)
+	}
+}
+
+// TestDimensionRefusesAForeignCache: a cache salted for another admission
+// is refused before any work; one salted for this admission is used.
+func TestDimensionRefusesAForeignCache(t *testing.T) {
+	eager := Options{}.Admission().Salt()
+	lazy := &Dimensioner{Apps: caseApps(), Opts: Options{Policy: sched.PreemptLazy, Cache: mapping.NewCacheFor(eager)}}
+	if _, err := lazy.Dimension(); !errors.Is(err, mapping.ErrCacheConfig) {
+		t.Fatalf("lazy run on the eager store: %v, want ErrCacheConfig", err)
+	}
+	cache := mapping.NewCacheFor(eager)
+	d := &Dimensioner{Apps: caseApps()[:2], Opts: Options{Cache: cache}}
+	alloc, err := d.Dimension()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != alloc.CacheMisses || alloc.CacheMisses == 0 {
+		t.Fatalf("the salted cache holds %d verdicts after %d misses", cache.Len(), alloc.CacheMisses)
 	}
 }
 

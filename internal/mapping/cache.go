@@ -114,12 +114,13 @@ func Fingerprint(profiles []*switching.Profile) uint64 {
 
 // VerifyConfigKey fingerprints the verdict-relevant fields of a
 // verification config — policy, disturbance bound, tie exploration and the
-// state budget (sweeps reject conservatively on a busted budget, making
-// their cached verdicts budget-dependent) — plus any extra salts the caller
-// folds in (e.g. the cluster size of a distributed run, whose per-node
-// budget scales aggregate capacity). Workers, SymmetryReduction and
-// Distributed do not change verdicts and are excluded, so warm caches carry
-// across those knobs.
+// state budget — plus any extra salts the caller folds in (e.g. the
+// cluster size of a distributed run, whose per-node budget scales
+// aggregate capacity). Workers, SymmetryReduction and Distributed do not
+// change an exact verdict and are excluded, so warm caches carry across
+// those knobs. A conservative reject of a busted budget is not a verdict:
+// Admission.Salt folds a marker into the key of a store that can hold
+// them.
 func VerifyConfigKey(cfg verify.Config, extra ...uint64) uint64 {
 	h := uint64(0x5107ad3415510c4e) // arbitrary nonzero seed
 	word := func(v uint64) {
@@ -282,7 +283,8 @@ var cacheMagic = [8]byte{'T', 'C', 'P', 'S', 'A', 'D', 'M', 1}
 
 // ErrCacheConfig is returned by Load when the file was produced under a
 // different verification config (mismatched salt): its verdicts would be
-// unsound to reuse, so none are loaded.
+// unsound to reuse, so none are loaded. Admission.CheckCache returns it for
+// a cache salted for another admission.
 var ErrCacheConfig = errors.New("mapping: cache file was produced under a different verification config")
 
 // Save writes every cached verdict's bit to w in the versioned binary

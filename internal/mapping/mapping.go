@@ -17,18 +17,8 @@ import (
 )
 
 // VerifyFunc decides whether a set of applications can share one slot.
-// The default uses the packed exact verifier.
+// The default is the zero config's Admission.
 type VerifyFunc func(profiles []*switching.Profile) (bool, error)
-
-// DefaultVerify verifies via the exact packed model checker with
-// nondeterministic tie exploration (sound).
-func DefaultVerify(profiles []*switching.Profile) (bool, error) {
-	res, err := verify.Slot(profiles, verify.Config{NondetTies: true})
-	if err != nil {
-		return false, err
-	}
-	return res.Schedulable, nil
-}
 
 // Result is a slot dimensioning outcome.
 type Result struct {
@@ -53,6 +43,20 @@ func (r *Result) SlotNames(profiles []*switching.Profile) [][]string {
 	return out
 }
 
+// traffic snapshots c's lookup counts; the func it returns stores the
+// lookups since then in r, so a cache shared across runs still yields
+// per-run accounting. A nil cache has none.
+func (r *Result) traffic(c *Cache) func() {
+	if c == nil {
+		return func() {}
+	}
+	h0, m0 := c.Stats()
+	return func() {
+		h1, m1 := c.Stats()
+		r.CacheHits, r.CacheMisses = h1-h0, m1-m0
+	}
+}
+
 // SortOrder returns the paper's mapping order: ascending T*w, ties broken
 // by smaller max Tdw− (T−*dw), then by name for determinism.
 func SortOrder(profiles []*switching.Profile) []int {
@@ -74,22 +78,15 @@ func SortOrder(profiles []*switching.Profile) []int {
 }
 
 // FirstFitCached runs the paper's first-fit heuristic with the given
-// admission verifier (DefaultVerify when nil), its verdicts memoized through
-// cache (nil memoizes nothing). Result.CacheHits/CacheMisses report the
-// cache traffic of this run alone, so a cache shared across runs still
-// yields per-run accounting.
+// admission verifier (the zero config's Admission when nil), its verdicts
+// memoized through cache (nil memoizes nothing). Result.CacheHits/
+// CacheMisses report the cache traffic of this run alone.
 func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (*Result, error) {
 	if vf == nil {
-		vf = DefaultVerify
+		vf = NewAdmission(verify.Config{}, 0).Verify
 	}
 	res := &Result{}
-	if cache != nil {
-		h0, m0 := cache.Stats()
-		defer func() {
-			h1, m1 := cache.Stats()
-			res.CacheHits, res.CacheMisses = h1-h0, m1-m0
-		}()
-	}
+	defer res.traffic(cache)()
 	// Each profile is hashed once; a slot's key grows with the slot, so a
 	// question the cache can answer costs no pass over any dwell table.
 	h := profileHashes(profiles)
@@ -130,10 +127,11 @@ func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) 
 // n ≤ 10ish; the case study has n = 6. Verdicts are memoized through cache
 // (nil memoizes nothing): a cache pre-populated by an earlier first-fit run
 // — or by a previous sweep over the same profiles — eliminates every
-// duplicate subset verification from the 2ⁿ enumeration.
+// duplicate subset verification from the 2ⁿ enumeration. A nil vf is the
+// zero config's Admission.
 func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (*Result, error) {
 	if vf == nil {
-		vf = DefaultVerify
+		vf = NewAdmission(verify.Config{}, 0).Verify
 	}
 	n := len(profiles)
 	if n == 0 {
@@ -143,13 +141,7 @@ func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (
 		return nil, fmt.Errorf("mapping: optimal partitioning limited to 16 apps, got %d", n)
 	}
 	res := &Result{}
-	if cache != nil {
-		h0, m0 := cache.Stats()
-		defer func() {
-			h1, m1 := cache.Stats()
-			res.CacheHits, res.CacheMisses = h1-h0, m1-m0
-		}()
-	}
+	defer res.traffic(cache)()
 	full := 1<<n - 1
 	feasible := make([]bool, full+1)
 	feasible[0] = true
