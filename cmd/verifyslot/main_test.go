@@ -85,7 +85,7 @@ func TestViolationReportsTheTimedRun(t *testing.T) {
 		want    []string
 	}{
 		{"1", []string{"states=681400 transitions=684136 depth=12", "violator: C1\n"}},
-		{"2", []string{"states=478335 transitions=495318 depth=12", "violator: C4\n"}},
+		{"2", []string{"states=478335 transitions=493561 depth=12", "violator: C4\n"}},
 	} {
 		code, out, stderr := verifyslot("-apps", v5, "-workers", tc.workers)
 		if code != 0 {
@@ -115,7 +115,7 @@ func TestViolationReportsTheTimedRun(t *testing.T) {
 	if err := json.Unmarshal([]byte(js), &report); err != nil {
 		t.Fatalf("-json output: %v\n%s", err, js)
 	}
-	if report.Schedulable || report.Violator != "C4" || report.States != 478335 || report.Transitions != 495318 || report.Depth != 12 {
-		t.Errorf("-workers 2 -json = %+v, want the text run's C4 / 478335 / 495318 / 12", report)
+	if report.Schedulable || report.Violator != "C4" || report.States != 478335 || report.Transitions != 493561 || report.Depth != 12 {
+		t.Errorf("-workers 2 -json = %+v, want the text run's C4 / 478335 / 493561 / 12", report)
 	}
 }

@@ -593,21 +593,7 @@ func (s *Service) run(c *call) {
 	}
 	s.mu.Unlock()
 	close(c.done)
-	if res.States >= collectAfterStates {
-		runtime.GC()
-	}
 }
-
-// collectAfterStates is the size of a search after which the worker runs a
-// garbage collection before it takes the next job. Visited tables of 2 MiB
-// and up are unmapped when their search ends, but the service searches on
-// lanes, whose partitions stay under that line on the heap: S1 (1.4 M
-// states) on two lanes leaves ≈ 40 MB of them behind, and the pacer, fed a
-// 25 MB live heap by the search's last cycle, would let the next job grow
-// the heap to twice that before collecting them. The verdict is published
-// first, so no waiter pays; on a service-sized live heap the collection is
-// ≈ 1 ms, and the next search starts on recycled pages.
-const collectAfterStates = 1 << 18
 
 // statusOf classifies a verification error: budget and encoding problems
 // are the request's fault; an open circuit is a 503 (with Retry-After —

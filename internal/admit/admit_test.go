@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"tightcps/internal/mapping"
+	"tightcps/internal/obs"
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
@@ -412,12 +413,21 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
-// TestServiceCollectsAfterLargeVerdict: the worker runs a garbage collection
-// after a search of collectAfterStates states or more — S1's tables are not
-// left for the next job's heap to grow on top of — and not after a small one,
-// whose verdict would cost less than the collection.
-func TestServiceCollectsAfterLargeVerdict(t *testing.T) {
-	forced := func(apps ...string) uint32 {
+// TestServiceLeavesNoTablesAfterLargeVerdict: a local S1 admission (1.4 M
+// states on lanes) unmaps its lane tables as its search ends, so once the
+// service drains the table-bytes gauge is back at zero, its value before
+// the request, and the worker forced no collection to get there — nor
+// after S2. An earlier test's cluster may still be unmapping its tables
+// (closing one does not wait for its workers), so the test first waits for
+// the gauge to reach zero.
+func TestServiceLeavesNoTablesAfterLargeVerdict(t *testing.T) {
+	tableBytes := func() int64 { return obs.Default.Snapshot()["tightcps_verify_table_bytes"].(int64) }
+	for deadline := time.Now().Add(10 * time.Second); tableBytes() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d table bytes still mapped after 10 s, before any request", tableBytes())
+		}
+	}
+	for _, apps := range [][]string{{"C6", "C2"}, {"C1", "C5", "C4", "C3"}} {
 		r := newRig(t, backendCase{name: "local"}, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -425,15 +435,14 @@ func TestServiceCollectsAfterLargeVerdict(t *testing.T) {
 		if status != http.StatusOK || !resp.Verdict.Schedulable {
 			t.Fatalf("%v: HTTP %d %+v", apps, status, resp)
 		}
-		r.svc.Drain() // the collection follows the verdict: wait for the worker
+		r.svc.Drain() // the worker is done with the search
 		runtime.ReadMemStats(&after)
-		return after.NumForcedGC - before.NumForcedGC
-	}
-	if n := forced("C6", "C2"); n != 0 {
-		t.Errorf("S2 (10,201 states): %d forced collections, want none", n)
-	}
-	if n := forced("C1", "C5", "C4", "C3"); n != 1 {
-		t.Errorf("S1 (1,440,712 states): %d forced collections, want one", n)
+		if n := after.NumForcedGC - before.NumForcedGC; n != 0 {
+			t.Errorf("%v: %d forced collections, want none", apps, n)
+		}
+		if got := tableBytes(); got != 0 {
+			t.Errorf("%v: %d table bytes still mapped once drained", apps, got)
+		}
 	}
 }
 

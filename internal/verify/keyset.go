@@ -11,8 +11,8 @@ import "sync/atomic"
 // A table of mapTableBytes or more is mapped off the Go heap (newTable), so
 // the set owns its memory: growTo unmaps the table it replaces, and whoever
 // ends a search releases the set. Growth doubles a table while it stays on
-// the heap, and quadruples it from the mapped sizes on, up to the table of
-// the search's state budget (grow).
+// the heap, and quadruples it from the mapped sizes on unless the set is a
+// lane's (doubling), up to the table of the search's state budget (grow).
 type keySet[K stateKey] struct {
 	slots []K
 	mem   []byte // the mapping behind slots; nil for a heap table
@@ -20,6 +20,10 @@ type keySet[K stateKey] struct {
 	mask  uint64
 	// maxKeys is the most keys the search stores: its MaxStates + 1.
 	maxKeys int
+	// doubling keeps growth to the doubling policy past the 2 MiB line too:
+	// a lane's table, one of P that grow in the same level (DESIGN.md §4,
+	// "Table memory").
+	doubling bool
 
 	hashes []uint64 // addChunk scratch: one hash per key of the chunk
 	sink   uint64   // keeps addChunk's touch loads alive
@@ -60,8 +64,7 @@ func tableFor(keys int) int {
 // mapTableBytes is the size from which a table is mapped off the heap: a
 // huge page, 256 Ki narrow slots or 64 Ki wide ones. Below it, mapping and
 // unmapping cost more in fresh-page faults than the heap's reuse does: a
-// search's first tables, and every lane partition of a case-study slot,
-// stay on the heap (DESIGN.md §4, "Table memory").
+// search's first tables stay on the heap (DESIGN.md §4, "Table memory").
 const mapTableBytes = 2 << 20
 
 // tablesMapped counts the tables newTable has mapped off the heap. Only
@@ -223,9 +226,11 @@ func (s *keySet[K]) reserve(n int) {
 // holds them at ¾ load — but a growth that reaches the mapped sizes goes to
 // at least 4× the table, one rehash where doubling takes two: fewer keys
 // moved and fresh pages faulted, for a table at most twice the doubling
-// policy's. No growth goes past the budget's table (tableFor(maxKeys)),
-// unless need keys do not fit in it at all: the chunk that takes a search
-// past its budget still lands, at more than ¾ load.
+// policy's. A lane's table (doubling) keeps to the doubling policy: its
+// node's P tables would each overshoot in the same level. No growth goes
+// past the budget's table (tableFor(maxKeys)), unless need keys do not fit
+// in it at all: the chunk that takes a search past its budget still lands,
+// at more than ¾ load.
 func (s *keySet[K]) grow(need int) {
 	old := len(s.slots)
 	size := 2 * old
@@ -233,7 +238,7 @@ func (s *keySet[K]) grow(need int) {
 		size <<= 1
 	}
 	var k K
-	if 8*len(k)*size >= mapTableBytes {
+	if !s.doubling && 8*len(k)*size >= mapTableBytes {
 		size = max(size, 4*old)
 	}
 	size = min(size, tableFor(s.maxKeys))

@@ -30,8 +30,8 @@ func wideKey(x uint64) [wideWords]uint64 {
 
 // The four tests below keep the names of the u64Set and wideSet tests they
 // replace; each runs the one generic check at its width, on the same keys.
-func TestU64Set(t *testing.T)               { checkKeySet(t, narrowKey) }
-func TestWideSetGrowth(t *testing.T)        { checkKeySet(t, wideKey) }
+func TestU64Set(t *testing.T)               { checkKeySet(t, narrowKey, false) }
+func TestWideSetGrowth(t *testing.T)        { checkKeySet(t, wideKey, false) }
 func TestU64SetZeroKeyPanics(t *testing.T)  { checkZeroKeyPanics[[1]uint64](t) }
 func TestWideSetZeroKeyPanics(t *testing.T) { checkZeroKeyPanics[[wideWords]uint64](t) }
 
@@ -40,13 +40,14 @@ func TestWideSetZeroKeyPanics(t *testing.T) { checkZeroKeyPanics[[wideWords]uint
 // request through several rehashes and past the 2 MiB line where tables
 // leave the heap (mapped to mapped included), then reset, refill with the
 // same keys, regrowth and release. Every growth must follow the rule —
-// double under 2 MiB, quadruple from a doubling that reaches it — with the
-// load at most ¾ after every add. At every step the table-bytes gauge must
-// count exactly the table's bytes when it is mapped, and nothing when it is
-// not.
-func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
+// double under 2 MiB, quadruple from a doubling that reaches it, or double
+// throughout for a lane's set (doubling) — with the load at most ¾ after
+// every add. At every step the table-bytes gauge must count exactly the
+// table's bytes when it is mapped, and nothing when it is not.
+func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
 	base := obsTableBytes.Value()
 	s := newKeySet[K](4)
+	s.doubling = doubling
 	ref := map[K]bool{}
 	accounted := func(step string) {
 		t.Helper()
@@ -109,7 +110,7 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 			}
 			ref[k] = true
 			if len(s.slots) != size {
-				if want := rampOf[K](size); len(s.slots) != want {
+				if want := rampOf[K](size, doubling); len(s.slots) != want {
 					t.Fatalf("%s: a %d-slot table grew to %d slots, want %d", step, size, len(s.slots), want)
 				}
 			}
@@ -124,7 +125,7 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 	}
 	// 200,000 keys take a narrow table by doubling to 2¹⁷ slots (1 MiB),
 	// then in one step to 2¹⁹, mapped; a wide one to 2¹⁵ (1 MiB), then
-	// 2¹⁷ and 2¹⁹. 400,000 keys take either to 2²¹.
+	// 2¹⁷ and 2¹⁹. 400,000 keys take either to 2²¹, or, doubling, to 2²⁰.
 	grow("growth", 200_000)
 	size := len(s.slots)
 	s.reset()
@@ -146,8 +147,8 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 		t.Fatalf("refill with the same keys moved the table from %d to %d slots", size, len(s.slots))
 	}
 	grow("regrowth", 400_000)
-	if len(s.slots) != 4*size {
-		t.Fatalf("regrowth: %d slots, want %d", len(s.slots), 4*size)
+	if want := rampOf[K](size, doubling); len(s.slots) != want {
+		t.Fatalf("regrowth: %d slots, want %d", len(s.slots), want)
 	}
 	s.release()
 	if got := obsTableBytes.Value() - base; got != 0 || s.slots != nil || s.len() != 0 {
@@ -156,13 +157,46 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K) {
 }
 
 // rampOf is the size a table of size slots grows to by one add: twice the
-// size while that stays under mapTableBytes, four times from there on.
-func rampOf[K stateKey](size int) int {
+// size while that stays under mapTableBytes, four times from there on — or
+// twice throughout, doubling.
+func rampOf[K stateKey](size int, doubling bool) int {
 	var k K
-	if 8*len(k)*2*size < mapTableBytes {
+	if doubling || 8*len(k)*2*size < mapTableBytes {
 		return 2 * size
 	}
 	return 4 * size
+}
+
+// TestKeySetLaneGrowth holds a lane's table to the doubling policy at both
+// widths, past the 2 MiB line too, and then the lanes of a search: S1 on two
+// lanes crosses the line, and no lane table ends larger than the doubling
+// policy's table for its keys — the 4× step would end each at twice that.
+func TestKeySetLaneGrowth(t *testing.T) {
+	t.Run("narrow", func(t *testing.T) { checkKeySet(t, narrowKey, true) })
+	t.Run("wide", func(t *testing.T) { checkKeySet(t, wideKey, true) })
+	t.Run("S1/workers=2", func(t *testing.T) {
+		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, false, 2)
+		e := newNode(v, 2, successors[[1]uint64], hashKey[[1]uint64])
+		defer e.Release()
+		e.Absorb([][]uint64{appendKey(nil, initialState[[1]uint64](v))})
+		for e.Stats().Level > 0 {
+			for e.LevelRound(nil) {
+			}
+			e.Advance()
+		}
+		if st := e.Stats(); st.States != 1440712 {
+			t.Fatalf("S1 on two lanes: %d states, want 1440712", st.States)
+		}
+		for i := range e.lanes {
+			s := &e.lanes[i].table
+			if want := tableFor(s.len()); len(s.slots) > want {
+				t.Errorf("lane %d: %d keys in %d slots, want the doubling policy's %d", i, s.len(), len(s.slots), want)
+			}
+			if runtime.GOOS == "linux" && s.mem == nil {
+				t.Errorf("lane %d: a %d-slot table left on the heap, want it mapped", i, len(s.slots))
+			}
+		}
+	})
 }
 
 func TestKeySetBudget(t *testing.T) {

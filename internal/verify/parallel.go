@@ -16,9 +16,6 @@ const (
 	// are still cached when they are inserted, and a mesh node gets back to
 	// its poll between rounds.
 	stageCap = 1 << 15
-	// minParts is the least number of tables a node's visited set is cut
-	// into: one table growth moves 1/16 of it, not all of it.
-	minParts = 16
 	// maxLanes caps the lane count of a node.
 	maxLanes = 256
 	// outPad is spare capacity, in slice headers, behind every lane's out.
@@ -42,16 +39,15 @@ func ShardOf(h uint64) int { return int(h >> 58) }
 // part cuts a node's share of the hash space into n partitions by the 32
 // hash bits below the shard bits — a multiply-shift, even for any n, and
 // disjoint from the low bits the tables index with, so partition and table
-// slot never correlate. With P lanes of parts tables each, partition p =
-// part(h, P·parts) is lane p/parts's table p%parts.
+// slot never correlate. With P lanes, partition p = part(h, P) is lane p's.
 func part(h uint64, n int) int { return int((h << 6 >> 32) * uint64(n) >> 32) }
 
 // lane is one goroutine's share of a node: the states of its partition
-// live in its private tables and are expanded from its private frontier.
+// live in its private table and are expanded from its private frontier.
 // Other lanes read only out, and only across a barrier.
 type lane[K stateKey] struct {
-	tables   []keySet[K] // tables[t] holds the lane's partition t
-	frontier []K         // owned states of the level; [pos:] not yet expanded
+	table    keySet[K] // the lane's partition
+	frontier []K       // owned states of the level; [pos:] not yet expanded
 	pos      int
 	prev     int        // the size of the lane's previous level
 	next     []K        // owned states first seen this level: the next frontier
@@ -72,14 +68,13 @@ type lane[K stateKey] struct {
 // them: the whole local parallel search, or one mesh worker of
 // internal/dverify (through the Lanes seam). Every state has one owner —
 // the node its shard maps to, the lane its partition falls to — is inserted
-// into exactly one table and expanded by exactly one lane: no shared set,
-// no CAS, no merge.
+// into that lane's table and expanded by that lane: no shared set, no CAS,
+// no merge.
 type node[K stateKey] struct {
 	v          *Verifier
 	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)
 	hash       func(K) uint64 // routes states: shard and lane
 	lanes      []lane[K]
-	parts      int
 
 	owners     [NumShards]uint8
 	self       int
@@ -98,25 +93,19 @@ type node[K stateKey] struct {
 }
 
 // newNode builds a node of p lanes (clamped to 1..maxLanes) owning every
-// shard, with parts tables per lane so that the node has ≥ minParts.
+// shard, each lane with one table that grows by doubling alone.
 func newNode[K stateKey](v *Verifier, p int,
 	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
 	hash func(K) uint64) *node[K] {
 	p = min(max(p, 1), maxLanes)
-	parts := 1
-	for p*parts < minParts {
-		parts <<= 1
-	}
-	e := &node[K]{v: v, successors: successors, hash: hash, lanes: make([]lane[K], p), parts: parts,
+	e := &node[K]{v: v, successors: successors, hash: hash, lanes: make([]lane[K], p),
 		maxStates: v.cfg.MaxStates, minApp: -1}
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		for range parts {
-			t := newKeySet[K](setCap[K]() / (p * parts))
-			t.budget(v.cfg.MaxStates)
-			l.tables = append(l.tables, *t)
-		}
-		l.out = make([][]K, p*parts, p*parts+outPad)
+		l.table = *newKeySet[K](setCap[K]() / p)
+		l.table.budget(v.cfg.MaxStates)
+		l.table.doubling = true
+		l.out = make([][]K, p, p+outPad)
 		l.violApp = -1
 	}
 	return e
@@ -232,10 +221,8 @@ func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int, countShar
 	}
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		for t := range l.tables {
-			l.tables[t].reset()
-			l.tables[t].budget(maxStates)
-		}
+		l.table.reset()
+		l.table.budget(maxStates)
 		l.frontier, l.next, l.pos, l.prev, l.violApp = l.frontier[:0], l.next[:0], 0, 0, -1
 		l.shardTr = [NumShards]int64{}
 		if len(l.foreign) < nodes {
@@ -317,9 +304,7 @@ func (e *node[K]) AppendLevel(dst []uint64) ([]uint64, [NumShards]int64) {
 
 func (e *node[K]) Release() {
 	for i := range e.lanes {
-		for t := range e.lanes[i].tables {
-			e.lanes[i].tables[t].release()
-		}
+		e.lanes[i].table.release()
 	}
 }
 
@@ -388,8 +373,8 @@ func (e *node[K]) target(l *lane[K]) *[]K {
 // sweeps the rest for a smaller violator.
 func (e *node[K]) expand(i int) {
 	l := &e.lanes[i]
-	for t := 0; l.pos == 0 && t < len(l.tables); t++ {
-		l.tables[t].reserve(LevelReserve(len(l.frontier), l.prev) / len(l.tables))
+	if l.pos == 0 {
+		l.table.reserve(LevelReserve(len(l.frontier), l.prev))
 	}
 	for j := range l.out {
 		l.out[j] = l.out[j][:0]
@@ -444,38 +429,35 @@ func (e *node[K]) absorb(i int) {
 }
 
 // route sends keys to their owners: another node's to its foreign buffer
-// as words, every other one to the staging buffer of its partition.
+// as words, every other one to the staging buffer of its lane.
 func (e *node[K]) route(l *lane[K], keys []K) {
-	np := len(e.lanes) * e.parts
 	for _, k := range keys {
 		h := e.hash(k)
 		if d := int(e.owners[ShardOf(h)]); d != e.self {
 			l.foreign[d] = appendKey(l.foreign[d], k)
 			continue
 		}
-		p := part(h, np)
+		p := part(h, len(e.lanes))
 		l.out[p] = append(l.out[p], k)
 	}
 }
 
 // insertStaged is lane i's insert phase: the keys every lane, itself
-// included, staged for its partitions, in pieces of insertChunk.
+// included, staged for it, in pieces of insertChunk.
 func (e *node[K]) insertStaged(i int) {
 	l := &e.lanes[i]
 	for j := range e.lanes {
-		for t := range e.parts {
-			keys := e.lanes[j].out[i*e.parts+t]
-			for lo := 0; lo < len(keys) && !e.full(l); lo += insertChunk {
-				e.insert(l, t, keys[lo:min(lo+insertChunk, len(keys))], e.target(l))
-			}
+		keys := e.lanes[j].out[i]
+		for lo := 0; lo < len(keys) && !e.full(l); lo += insertChunk {
+			e.insert(l, keys[lo:min(lo+insertChunk, len(keys))], e.target(l))
 		}
 	}
 }
 
-// insert adds keys to lane l's table t through the sets' probe-ahead
-// addChunk and appends the fresh ones to *to.
-func (e *node[K]) insert(l *lane[K], t int, keys []K, to *[]K) {
-	l.freshIdx = l.tables[t].addChunk(keys, l.freshIdx[:0])
+// insert adds keys to lane l's table through the sets' probe-ahead addChunk
+// and appends the fresh ones to *to.
+func (e *node[K]) insert(l *lane[K], keys []K, to *[]K) {
+	l.freshIdx = l.table.addChunk(keys, l.freshIdx[:0])
 	for _, x := range l.freshIdx {
 		*to = append(*to, keys[x])
 	}

@@ -368,12 +368,8 @@ func TestMaxStatesAborts(t *testing.T) {
 // violation, and Counterexample's rebuild at its miss and at MaxStates — so
 // the table-bytes gauge is back at its starting value after each. Every
 // cell first proves that it mapped a table, so the release it checks is of
-// memory off the heap: each runs the smallest input that crosses the 2 MiB
-// line there. Case-study slots do, but for the fitted lanes' verdict and
-// violation: their sixteen partitions stay on the heap on every case-study
-// slot that ends sooner than the six-app set's 6.5 M states, so they run a
-// five-app fleet of 1,558,106 states and W7, the benchmark's seven-app
-// fleet, instead.
+// memory off the heap: each runs the smallest case-study slot that crosses
+// the 2 MiB line there.
 func TestSearchesReleaseMappedTables(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("tables are mapped off the heap only on Linux")
@@ -387,8 +383,8 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 	}{
 		{false, 1, caseProfiles(t, "C1", "C2", "C4"), caseProfiles(t, "C2", "C3", "C4", "C5", "C6"),
 			caseProfiles(t, "C1", "C2", "C4"), 100_000, 100_000},
-		{false, 2, fleet(5, 5, 1, 2, 16), fleet(7, 5, 1, 2, 8),
-			caseProfiles(t, "C1", "C2", "C3", "C4", "C5", "C6"), 1_700_000, 100_000},
+		{false, 2, caseProfiles(t, "C2", "C3", "C4"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
+			caseProfiles(t, "C1", "C2", "C3", "C4", "C5", "C6"), 400_000, 100_000},
 		{true, 1, caseProfiles(t, "C1", "C4", "C5"), caseProfiles(t, "C1", "C3", "C4", "C6"),
 			caseProfiles(t, "C1", "C4", "C5"), 25_000, 25_000},
 		{true, 2, caseProfiles(t, "C2", "C3", "C6"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
