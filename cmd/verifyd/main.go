@@ -197,9 +197,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		if cl.Nodes > 0 {
 			opts.Backend, opts.BackendNodes, opts.BackendDesc = cl.Config.Distributed, cl.Nodes, cl.Banner
 		}
-		if cl.Config.FaultTolerance {
-			opts.BackendDesc += " (fault-tolerant)"
-		}
 		l, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			return err

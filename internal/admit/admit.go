@@ -108,22 +108,20 @@ type Options struct {
 	Checkpoint time.Duration
 	// RetryAttempts is the number of times a failed backend verification
 	// is retried before the failure is reported (0 = no retries, the
-	// default). Only transient cluster faults are retried — budget
-	// (ErrTooLarge) and encoding errors are deterministic properties of
-	// the request and never retry; see retryable.
+	// default). The first retry waits retryBackoff (100ms), and each
+	// later one doubles it (with jitter, capped at 5s). Only transient
+	// cluster faults are retried — budget (ErrTooLarge) and encoding
+	// errors are deterministic properties of the request and never retry;
+	// see retryable.
 	RetryAttempts int
-	// RetryBackoff is the base delay before the first retry; successive
-	// retries double it (with jitter, capped at 5s). 0 = 100ms.
-	RetryBackoff time.Duration
 	// BreakerThreshold opens the backend circuit after this many
 	// consecutive failed verifications (retries exhausted); while open,
 	// submits skip the cluster entirely — served locally when
-	// LocalFallback is set, refused with 503 + Retry-After otherwise.
-	// 0 (the default) disables the breaker.
+	// LocalFallback is set, refused with 503 + Retry-After otherwise. The
+	// circuit stays open for breakerCooldown (30s); the first submit
+	// after it probes the cluster again. 0 (the default) disables the
+	// breaker.
 	BreakerThreshold int
-	// BreakerCooldown is how long the circuit stays open (0 = 30s). The
-	// first submit after the cooldown probes the cluster again.
-	BreakerCooldown time.Duration
 	// LocalFallback serves verdicts from the in-process engine when the
 	// cluster is unavailable (retries exhausted, or breaker open) instead
 	// of returning 502. Off by default: the local engine's MaxStates is a

@@ -240,17 +240,16 @@ func AsStatusError(err error) (*StatusError, bool) {
 type Client struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:9833".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
 	// Retry503 re-submits up to this many times when the service refuses
 	// with 503 (draining instance, full queue, open breaker), honoring
-	// the server's Retry-After header. 0 (the default) returns the 503
-	// to the caller unchanged.
+	// the server's Retry-After header up to maxRetryWait. 0 (the default)
+	// returns the 503 to the caller unchanged.
 	Retry503 int
-	// MaxRetryWait caps one Retry-After wait — a server advertising a
-	// long drain must not pin the client (0 = 5s cap).
-	MaxRetryWait time.Duration
 }
+
+// maxRetryWait caps one Retry-After wait: a server advertising a long
+// drain must not pin the client. Tests shrink it.
+var maxRetryWait = 5 * time.Second
 
 // Admit submits one question and returns the service's response. Non-2xx
 // responses return a *StatusError carrying the service's message; 503
@@ -274,11 +273,7 @@ func (c *Client) Admit(req *AdmitRequest) (*AdmitResponse, error) {
 // post runs one submit attempt, returning the capped Retry-After wait
 // alongside any 503-class refusal.
 func (c *Client) post(body []byte) (*AdmitResponse, time.Duration, error) {
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	httpResp, err := hc.Post(c.BaseURL+"/v1/admit", "application/json", bytes.NewReader(body))
+	httpResp, err := http.Post(c.BaseURL+"/v1/admit", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, fmt.Errorf("admit: submitting to %s: %w", c.BaseURL, err)
 	}
@@ -292,26 +287,19 @@ func (c *Client) post(body []byte) (*AdmitResponse, time.Duration, error) {
 		if msg == "" {
 			msg = "status " + strconv.Itoa(httpResp.StatusCode)
 		}
-		return &resp, c.retryWait(httpResp.Header.Get("Retry-After")), &StatusError{Status: httpResp.StatusCode, Msg: msg}
+		return &resp, retryWait(httpResp.Header.Get("Retry-After")), &StatusError{Status: httpResp.StatusCode, Msg: msg}
 	}
 	return &resp, 0, nil
 }
 
 // retryWait converts a Retry-After header (delta-seconds form) into a
 // capped wait; absent or unparseable headers wait 1s.
-func (c *Client) retryWait(header string) time.Duration {
+func retryWait(header string) time.Duration {
 	wait := time.Second
 	if sec, err := strconv.Atoi(header); err == nil && sec >= 0 {
 		wait = time.Duration(sec) * time.Second
 	}
-	cap := c.MaxRetryWait
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	if wait > cap {
-		wait = cap
-	}
-	return wait
+	return min(wait, maxRetryWait)
 }
 
 // Verify asks the service for one verdict over inline profiles, the
@@ -345,11 +333,7 @@ func (c *Client) VerifyFunc(spec verify.Spec) func(profiles []*switching.Profile
 
 // Stats fetches /statsz.
 func (c *Client) Stats() (*Stats, error) {
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Get(c.BaseURL + "/statsz")
+	resp, err := http.Get(c.BaseURL + "/statsz")
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package admit
 
 // Backend resilience. The admission service fronts a distributed
 // cluster whose workers can die mid-run; with fault tolerance on the
-// cluster side (verify.Config.FaultTolerance) most deaths recover
+// cluster side (dverify.FaultTolerantRunner) most deaths recover
 // transparently, and this layer covers what remains: transient whole-run
 // failures retry with exponential backoff and jitter, a run of
 // consecutive failures opens a circuit breaker so a dead cluster stops
@@ -28,8 +28,15 @@ import (
 // fallback is configured; classified 503 so clients back off.
 var errBreakerOpen = errors.New("admit: verification backend circuit open (cluster failing); retry after the cooldown")
 
-// retryCap bounds one backoff wait regardless of attempt count.
-const retryCap = 5 * time.Second
+const (
+	// retryCap bounds one backoff wait regardless of attempt count.
+	retryCap = 5 * time.Second
+	// breakerCooldown is how long an open circuit stays open.
+	breakerCooldown = 30 * time.Second
+)
+
+// retryBackoff is the wait before the first retry. Tests shrink it.
+var retryBackoff = 100 * time.Millisecond
 
 // retryable reports whether a backend error class is safe and useful to
 // retry. Verification is idempotent — every attempt starts with a fresh
@@ -42,14 +49,11 @@ func retryable(err error) bool {
 	return err != nil && !errors.Is(err, verify.ErrTooLarge) && !errors.Is(err, verify.ErrEncoding)
 }
 
-// retryDelay is the wait before retry attempt n (1-based): the base
+// retryDelay is the wait before retry attempt n (1-based): retryBackoff
 // doubles per attempt, capped, with half-width jitter so a fleet of
 // waiters does not re-converge on the cluster in lockstep.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base
+func retryDelay(attempt int) time.Duration {
+	d := retryBackoff
 	for i := 1; i < attempt && d < retryCap; i++ {
 		d *= 2
 	}
@@ -89,7 +93,7 @@ func (s *Service) verifyBackend(ps []*switching.Profile, cfg verify.Config) (ver
 	cfg.Distributed = s.opts.Backend
 	res, err := verify.Slot(ps, cfg)
 	for attempt := 1; attempt <= s.opts.RetryAttempts && retryable(err); attempt++ {
-		d := retryDelay(s.opts.RetryBackoff, attempt)
+		d := retryDelay(attempt)
 		s.opts.Logf("admit: backend run %s failed (retry %d/%d in %v): %v",
 			cfg.RunID, attempt, s.opts.RetryAttempts, d, err)
 		obsBackendRetries.Inc()
@@ -141,15 +145,11 @@ func (s *Service) breakerNote(err error) {
 	}
 	s.breakerFails++
 	if s.breakerFails >= s.opts.BreakerThreshold {
-		cd := s.opts.BreakerCooldown
-		if cd <= 0 {
-			cd = 30 * time.Second
-		}
-		s.breakerUntil = time.Now().Add(cd)
+		s.breakerUntil = time.Now().Add(breakerCooldown)
 		s.breakerFails = 0
 		s.stats.BreakerTrips++
 		obsBreakerTrips.Inc()
 		s.opts.Logf("admit: circuit breaker open for %v after %d consecutive backend failures",
-			cd, s.opts.BreakerThreshold)
+			breakerCooldown, s.opts.BreakerThreshold)
 	}
 }

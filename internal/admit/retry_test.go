@@ -33,13 +33,21 @@ func flakyBackend(n int, calls *atomic.Int64) VerifyBackend {
 	}
 }
 
+// shrink sets *p to v until the test ends. Call it before newRig: the
+// rig drains its service first, so no worker reads *p as it is restored.
+func shrink(t *testing.T, p *time.Duration, v time.Duration) {
+	saved := *p
+	*p = v
+	t.Cleanup(func() { *p = saved })
+}
+
 func TestBackendRetryRecovers(t *testing.T) {
 	var calls atomic.Int64
+	shrink(t, &retryBackoff, time.Millisecond)
 	r := newRig(t, backendCase{name: "flaky"}, func(o *Options) {
 		o.Backend = flakyBackend(2, &calls)
 		o.BackendDesc = "flaky (2 injected faults)"
 		o.RetryAttempts = 3
-		o.RetryBackoff = time.Millisecond
 	})
 	ps := fleet(2, 5, 2, 4, 20)
 	want := localVerdictJSON(t, ps, verify.Spec{}, namesOf(ps))
@@ -61,6 +69,7 @@ func TestBackendRetryRecovers(t *testing.T) {
 
 func TestBackendNeverRetriesDeterministicErrors(t *testing.T) {
 	var calls atomic.Int64
+	shrink(t, &retryBackoff, time.Millisecond)
 	r := newRig(t, backendCase{name: "overbudget"}, func(o *Options) {
 		o.Backend = func(ps []*switching.Profile, cfg verify.Config) (verify.Result, error) {
 			calls.Add(1)
@@ -68,7 +77,6 @@ func TestBackendNeverRetriesDeterministicErrors(t *testing.T) {
 		}
 		o.BackendDesc = "budget-tripping"
 		o.RetryAttempts = 3
-		o.RetryBackoff = time.Millisecond
 	})
 	status, resp, _ := r.submit(t, inlineReq(fleet(2, 5, 2, 4, 20), verify.Spec{}))
 	if status != http.StatusUnprocessableEntity {
@@ -88,7 +96,6 @@ func TestBreakerTripsToLocalFallback(t *testing.T) {
 		}
 		o.BackendDesc = "permanently dead"
 		o.BreakerThreshold = 2
-		o.BreakerCooldown = time.Minute
 		o.LocalFallback = true
 	})
 	// Three distinct questions: the first two hit the dead cluster (and
@@ -121,7 +128,6 @@ func TestBreakerWithoutFallbackRefuses(t *testing.T) {
 		}
 		o.BackendDesc = "permanently dead"
 		o.BreakerThreshold = 1
-		o.BreakerCooldown = time.Minute
 	})
 	status, resp, _ := r.submit(t, inlineReq(fleet(2, 5, 2, 4, 20), verify.Spec{}))
 	if status != http.StatusBadGateway {
@@ -160,7 +166,8 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	cli := &Client{BaseURL: srv.URL, Retry503: 3, MaxRetryWait: 10 * time.Millisecond}
+	shrink(t, &maxRetryWait, 10*time.Millisecond)
+	cli := &Client{BaseURL: srv.URL, Retry503: 3}
 	t0 := time.Now()
 	resp, err := cli.Admit(&AdmitRequest{Apps: []string{"x"}})
 	if err != nil {

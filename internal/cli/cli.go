@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"tightcps/internal/dverify"
-	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
 
@@ -110,9 +109,9 @@ func BackendFlags(fs *flag.FlagSet) *Backend {
 }
 
 // Cluster is an opened backend. Config is what every verification of the
-// run starts from: Workers, and on a cluster Distributed, FaultTolerance
-// and CheckpointDir. Nodes, 0 for the local engine, salts the cache keys of
-// budgeted verdicts (MaxStates is per node).
+// run starts from: Workers, and on a cluster Distributed, the hook that
+// carries -ft and -ftdir. Nodes, 0 for the local engine, salts the cache
+// keys of budgeted verdicts (MaxStates is per node).
 type Cluster struct {
 	Config verify.Config
 	Nodes  int
@@ -160,17 +159,10 @@ func (b *Backend) Open(logf func(format string, args ...any)) (*Cluster, error) 
 	}
 	c.Nodes = len(c.ts)
 	c.Width = fmt.Sprintf("nodes=%d", c.Nodes)
-	run := dverify.Runner(c.ts)
-	c.Config.Distributed = run
+	c.Config.Distributed = dverify.Runner(c.ts)
 	if b.ft {
-		c.Config.FaultTolerance, c.Config.CheckpointDir = true, b.ftdir
-		// Fault tolerance is a property of the cluster, not of one run: the
-		// hook stamps it on every config it is handed, so a caller that
-		// builds its own per run (the admission service) gets it too.
-		c.Config.Distributed = func(ps []*switching.Profile, cfg verify.Config) (verify.Result, error) {
-			cfg.FaultTolerance, cfg.CheckpointDir = true, b.ftdir
-			return run(ps, cfg)
-		}
+		c.Config.Distributed = dverify.FaultTolerantRunner(c.ts, b.ftdir)
+		c.Banner += " (fault-tolerant)"
 	}
 	return c, nil
 }

@@ -34,27 +34,25 @@ type App struct {
 	R     int          // minimum disturbance inter-arrival, samples
 }
 
-// Options tunes the dimensioning flow.
+// Options tunes the dimensioning flow. Profiles are computed with the
+// zero switching.Config.
 type Options struct {
-	Switching switching.Config       // offline analysis knobs
-	Verify    verify.Config          // model-checking knobs
-	Policy    sched.PreemptionPolicy // runtime policy to verify
+	Policy sched.PreemptionPolicy // runtime policy to verify
 	// CheckSwitchingStability requires a common quadratic Lyapunov function
 	// for every application's (KT, KE) pair before profiling, as Sec. 3
 	// recommends. Applications failing the check abort the run.
 	CheckSwitchingStability bool
 	// Workers is the engine's concurrency budget. During profiling it
 	// bounds the per-application fan-out; during mapping it sizes the
-	// verifier's BFS-frontier pool, unless Verify.Workers pins that. 0
-	// uses GOMAXPROCS; 1 forces a fully serial run. The allocation is
-	// identical for every worker count.
+	// verifier's lanes. 0 uses GOMAXPROCS; 1 forces a fully serial run.
+	// The allocation is identical for every worker count.
 	Workers int
 	// Cache memoizes slot-admission verdicts. Nil uses a fresh per-call
 	// cache (which still deduplicates within the run); supplying one reuses
 	// verdicts across Dimension calls. Dimension refuses a cache salted for
 	// another admission than Admission's (mapping.ErrCacheConfig); the
 	// unsalted NewCache is accepted, so do not share one between Options
-	// that verify differently (Policy or Verify knobs).
+	// that verify under different Policy.
 	Cache *mapping.Cache
 	// AdmitFunc, when non-nil, replaces the in-process slot-sharing
 	// verification: the dimensioning loop sends every admission question
@@ -148,15 +146,10 @@ func (d *Dimensioner) Dimension() (*Allocation, error) {
 	return alloc, nil
 }
 
-// Admission returns the slot admission the options verify with: Verify
-// under Policy, its search sized by Workers unless Verify.Workers pins it.
+// Admission returns the slot admission the options verify with: the
+// default search under Policy, on Workers lanes.
 func (o Options) Admission() *mapping.Admission {
-	cfg := o.Verify
-	cfg.Policy = o.Policy
-	if cfg.Workers == 0 {
-		cfg.Workers = o.Workers
-	}
-	return mapping.NewAdmission(cfg, 0)
+	return mapping.NewAdmission(verify.Config{Policy: o.Policy, Workers: o.Workers}, 0)
 }
 
 // VerifySlotSharing checks whether the given applications can share one TT
@@ -164,7 +157,7 @@ func (o Options) Admission() *mapping.Admission {
 func VerifySlotSharing(apps []App, opts Options) (verify.Result, []*switching.Profile, error) {
 	var ps []*switching.Profile
 	for _, a := range apps {
-		p, err := Profile(a, opts.Switching)
+		p, err := Profile(a, switching.Config{})
 		if err != nil {
 			return verify.Result{}, nil, err
 		}

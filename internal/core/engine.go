@@ -89,7 +89,7 @@ func (d *Dimensioner) profileStage(ctx context.Context) ([]*switching.Profile, [
 			}
 			stability[i] = res
 		}
-		p, err := switching.Compute(plantOf(a), d.Opts.Switching)
+		p, err := switching.Compute(plantOf(a), switching.Config{})
 		if err != nil {
 			return fmt.Errorf("core: profiling %s: %w", a.Name, err)
 		}

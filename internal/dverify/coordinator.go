@@ -27,7 +27,7 @@ func newSessionID() uint64 {
 
 // meshFT is the coordinator's death handling over one mesh run: who last
 // checkpointed and answered what, and the current era and ownership table.
-// Every run has one; on is verify.Config.FaultTolerance, and a run without
+// Every run has one; on is set by FaultTolerantRunner, and a run without
 // it recovers from a death by naming it. deadWire preserves evicted nodes'
 // final wire totals — true traffic the rollback cannot re-attribute
 // (survivors keep only their own wire counters).
@@ -171,7 +171,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
 //
 // Deaths — a transport error, a worker Err, no answer within
 // meshDeathTimeout, or a peer's LinkDown report — go to meshFT.recover: with
-// faultTolerance (verify.Config.FaultTolerance) the run completes with the exact verdict
+// faultTolerance (FaultTolerantRunner) the run completes with the exact verdict
 // as long as at least one worker survives each takeover, without it the run
 // ends in an error naming the node and the cause. Either way a poll round
 // returns. The Init round is fail-fast in both modes — fault tolerance

@@ -62,7 +62,7 @@
 // without fault tolerance: it reports a dead mesh link with its cause in
 // its next answer (Response.LinkDown), never as its own error, and obeys
 // every Recover order. The coordinator's meshFT.recover decides what a
-// death means: with verify.Config.FaultTolerance the survivors take over
+// death means: on a FaultTolerantRunner run the survivors take over
 // the dead node's shards and roll back to a checkpoint cut (ft.go);
 // without it the run ends in an error naming the dead node and the cause.
 package dverify

@@ -37,16 +37,23 @@ type Transport interface {
 // rebuilds the schedule of a violation locally. The nodes exchange
 // frontiers over direct worker↔worker links, so the transports must be
 // what Loopback or Dial returned — one loopback group or one TCP cluster,
-// unwrapped; anything else is refused before a worker sees a request.
+// unwrapped; anything else is refused before a worker sees a request. A
+// worker death ends the run in an error naming the node and the cause;
+// FaultTolerantRunner's runs survive it.
 func Verify(profiles []*switching.Profile, cfg verify.Config, nodes []Transport) (verify.Result, error) {
-	return verifyWithFaults(profiles, cfg, nodes, nil)
+	return verifyWithFaults(profiles, cfg, nodes, nil, nil)
 }
 
-// verifyWithFaults is Verify with a deterministic fault-injection plan
-// attached (nil for production runs): the plan's kills fire before the
-// rounds of given levels. The fault-matrix tests drive every recovery path
-// through this entry.
-func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []Transport, plan *faultPlan) (verify.Result, error) {
+// tolerance is what a fault-tolerant run needs beyond its Config: the
+// directory its workers checkpoint under ("" = none, recovery restarts the
+// search on the survivors).
+type tolerance struct{ checkpointDir string }
+
+// verifyWithFaults is Verify with fault tolerance (nil: a death ends the
+// run) and a deterministic fault-injection plan (nil for production runs)
+// attached: the plan's kills fire before the rounds of given levels. The
+// fault-matrix tests drive every recovery path through this entry.
+func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []Transport, ft *tolerance, plan *faultPlan) (verify.Result, error) {
 	if len(nodes) < 1 || len(nodes) > maxNodes {
 		return verify.Result{}, fmt.Errorf("dverify: %d nodes (want 1..%d)", len(nodes), maxNodes)
 	}
@@ -74,8 +81,8 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 		Workers:           cfg.Workers,
 		RunID:             cfg.RunID,
 	}
-	if cfg.FaultTolerance {
-		job.CheckpointDir = cfg.CheckpointDir
+	if ft != nil {
+		job.CheckpointDir = ft.checkpointDir
 	}
 	for i, p := range profiles {
 		job.Profiles[i] = *p
@@ -87,7 +94,7 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 	// The run trace is coordinator-side: verifyMesh folds per-level and
 	// per-node spans in; verify.Run finishes it (verdict, wire, slot).
 	cfg.RunTrace.SetBackend("mesh", len(nodes))
-	return verifyMesh(job, cfg.FaultTolerance, nodes, peers, cfg.RunTrace, plan)
+	return verifyMesh(job, ft != nil, nodes, peers, cfg.RunTrace, plan)
 }
 
 // meshPeers reports whether the cluster's transports can carry direct
@@ -125,11 +132,34 @@ func meshPeers(nodes []Transport) (peers []string, ok bool) {
 // returned function serialises concurrent calls — the transports carry one
 // protocol session at a time.
 func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify.Result, error) {
+	return runner(nodes, nil, nil)
+}
+
+// FaultTolerantRunner is Runner for runs that survive worker deaths. The
+// coordinator detects a dead worker by transport failure, poll timeout or
+// a peer's dead-link report, reassigns its hash shards to the survivors
+// and rolls the cluster back to the last checkpointed level. The verdict
+// and every exhaustive count are unchanged by recovery, so cached verdicts
+// stay valid. Fault tolerance belongs to the cluster: every run through
+// the hook has it, whatever Config its caller built.
+//
+// checkpointDir is where the workers persist per-level visited-set
+// segments, in a per-session subdirectory removed on completion. Every
+// worker must see the same path — same host or shared filesystem — for
+// takeover to restore a dead worker's shards. Empty disables
+// checkpointing, and recovery then restarts the search on the survivors.
+func FaultTolerantRunner(nodes []Transport, checkpointDir string) func([]*switching.Profile, verify.Config) (verify.Result, error) {
+	return runner(nodes, &tolerance{checkpointDir}, nil)
+}
+
+// runner is the hook of Runner and FaultTolerantRunner, with a
+// fault-injection plan for tests.
+func runner(nodes []Transport, ft *tolerance, plan *faultPlan) func([]*switching.Profile, verify.Config) (verify.Result, error) {
 	var mu sync.Mutex
 	return func(profiles []*switching.Profile, cfg verify.Config) (verify.Result, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		return Verify(profiles, cfg, nodes)
+		return verifyWithFaults(profiles, cfg, nodes, ft, plan)
 	}
 }
 

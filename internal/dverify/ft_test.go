@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"tightcps/internal/obs"
+	"tightcps/internal/plants"
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
@@ -41,17 +42,13 @@ var ftCases = []struct {
 	}, 0},
 }
 
-// ftConfig is the shared fault-tolerant run configuration.
-func ftConfig(t *testing.T, trace *obs.Trace) verify.Config {
-	t.Helper()
-	return verify.Config{
-		NondetTies:     true,
-		Workers:        2,
-		FaultTolerance: true,
-		CheckpointDir:  t.TempDir(),
-		RunTrace:       trace,
-	}
+// ftConfig is the shared configuration of the fault-tolerant runs.
+func ftConfig(trace *obs.Trace) verify.Config {
+	return verify.Config{NondetTies: true, Workers: 2, RunTrace: trace}
 }
+
+// checkpointed is fault tolerance with a checkpoint directory of the test's.
+func checkpointed(t *testing.T) *tolerance { return &tolerance{t.TempDir()} }
 
 // runFT runs one fault-injected verification over a fresh loopback
 // cluster of two-lane nodes and asserts the exact-equivalence acceptance
@@ -69,12 +66,12 @@ func runFTLanes(t *testing.T, label string, ps []*switching.Profile, nodes, lane
 		t.Fatalf("%s: local: %v", label, err)
 	}
 	trace := obs.NewTrace("")
-	cfg := ftConfig(t, trace)
+	cfg := ftConfig(trace)
 	cfg.Workers = lanes
 	ts := Loopback(nodes)
 	defer Close(ts)
 	plan := mkPlan(ts)
-	dist, err := verifyWithFaults(ps, cfg, ts[:nodes], plan)
+	dist, err := verifyWithFaults(ps, cfg, ts[:nodes], checkpointed(t), plan)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -193,14 +190,11 @@ func TestFTDegradedNoCheckpointDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := obs.NewTrace("")
-	cfg := verify.Config{
-		NondetTies: true, Workers: 2, FaultTolerance: true, RunTrace: trace,
-	}
 	ts := Loopback(2)
 	defer Close(ts)
 	lt := ts[1].(*loopTransport)
 	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: lt.die}}}
-	dist, err := verifyWithFaults(ps, cfg, ts, plan)
+	dist, err := verifyWithFaults(ps, ftConfig(trace), ts, &tolerance{}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +204,37 @@ func TestFTDegradedNoCheckpointDir(t *testing.T) {
 	}
 	if got := trace.Failovers[0].Cut; got != -1 {
 		t.Errorf("without checkpoints the cut must be -1 (full restart), got %d", got)
+	}
+}
+
+// TestFTHookSurvivesPerRunConfig: fault tolerance belongs to the hook
+// FaultTolerantRunner builds, not to the Config it is handed. Like the
+// admission service's verifyBackend, the run builds a fresh Config, hangs
+// the hook on it and calls verify.Slot; a node killed mid-S1 must still be
+// recovered from, with S1's exact counts.
+func TestFTHookSurvivesPerRunConfig(t *testing.T) {
+	s1, err := plants.ProfileList("C1", "C5", "C4", "C3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := Loopback(3)
+	defer Close(ts)
+	plan := &faultPlan{faults: []fault{{atLevel: 25, kill: ts[1].(*loopTransport).die}}}
+	trace := obs.NewTrace("")
+	cfg := verify.Config{NondetTies: true, Workers: 2, RunTrace: trace}
+	cfg.Distributed = runner(ts, checkpointed(t), plan)
+	res, err := verify.Slot(s1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Schedulable || res.States != 1440712 || res.Transitions != 1822844 || res.Depth != 50 {
+		t.Errorf("S1 through a recovery: %+v, want schedulable, 1440712 states, 1822844 transitions, depth 50", res)
+	}
+	if !plan.faults[0].fired || len(trace.Failovers) != 1 {
+		t.Fatalf("kill fired %v, %d failovers; want a kill and one failover", plan.faults[0].fired, len(trace.Failovers))
+	}
+	if cut := trace.Failovers[0].Cut; cut < 0 {
+		t.Errorf("recovery restarted the search (cut %d): the hook lost the checkpoint directory", cut)
 	}
 }
 
@@ -224,7 +249,7 @@ func TestFTSeverLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := obs.NewTrace("")
-	cfg := ftConfig(t, trace)
+	cfg := ftConfig(trace)
 	ts := Loopback(2)
 	defer Close(ts)
 	var severed atomic.Bool
@@ -235,7 +260,7 @@ func TestFTSeverLink(t *testing.T) {
 		return nil
 	}
 	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: func() { severed.Store(true) }}}}
-	dist, err := verifyWithFaults(ps, cfg, ts, plan)
+	dist, err := verifyWithFaults(ps, cfg, ts, checkpointed(t), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +281,7 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 	}
 	for _, nodes := range []int{2, 4} {
 		trace := obs.NewTrace("")
-		cfg := ftConfig(t, trace)
+		cfg := ftConfig(trace)
 		ts := Loopback(nodes)
 		g := loopGroupOf(t, ts)
 		var mu sync.Mutex
@@ -268,7 +293,7 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 			time.AfterFunc(d, func() { push(b) })
 			return true
 		}
-		dist, err := Verify(ps, cfg, ts)
+		dist, err := FaultTolerantRunner(ts, t.TempDir())(ps, cfg)
 		Close(ts)
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
@@ -317,14 +342,14 @@ func TestFTTCPKill(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := obs.NewTrace("")
-		cfg := ftConfig(t, trace)
+		cfg := ftConfig(trace)
 		victim := listeners[m.victim]
 		plan := &faultPlan{faults: []fault{{atLevel: 2, kill: victim.kill}}}
 		done := make(chan struct{})
 		var dist verify.Result
 		var verr error
 		go func() {
-			dist, verr = verifyWithFaults(ps, cfg, ts, plan)
+			dist, verr = verifyWithFaults(ps, cfg, ts, checkpointed(t), plan)
 			close(done)
 		}()
 		select {

@@ -27,22 +27,21 @@ func TestStandingClusterSequence(t *testing.T) {
 	s := []*switching.Profile{prof("A", 3, 1, 2, 12), prof("B", 3, 1, 2, 12)}
 	v := []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
 	base := verify.Config{NondetTies: true}
+	overBudget := base
+	overBudget.MaxStates = 40
 	steps := []struct {
 		name string
 		ps   []*switching.Profile
-		cfg  func() verify.Config
+		cfg  verify.Config
+		ft   bool // run through FaultTolerantRunner, checkpointing
 	}{
-		{"S", s, func() verify.Config { return base }},
-		{"V", v, func() verify.Config { return base }},
-		{"S over budget", s, func() verify.Config { c := base; c.MaxStates = 40; return c }},
-		{"S after a bust", s, func() verify.Config { return base }},
-		{"wide V", fleet(7, 2, 1, 2, 65), func() verify.Config { return base }},
-		{"S fault-tolerant", s, func() verify.Config {
-			c := base
-			c.FaultTolerance, c.CheckpointDir = true, t.TempDir()
-			return c
-		}},
-		{"S after FT", s, func() verify.Config { return base }},
+		{"S", s, base, false},
+		{"V", v, base, false},
+		{"S over budget", s, overBudget, false},
+		{"S after a bust", s, base, false},
+		{"wide V", fleet(7, 2, 1, 2, 65), base, false},
+		{"S fault-tolerant", s, base, true},
+		{"S after FT", s, base, false},
 	}
 	clusters := []struct {
 		name string
@@ -61,9 +60,7 @@ func TestStandingClusterSequence(t *testing.T) {
 	// checkpointing, which the TestFT* matrix pins to the same answer).
 	want, wantErr := make([]verify.Result, len(steps)), make([]error, len(steps))
 	for i, st := range steps {
-		cfg := st.cfg()
-		cfg.FaultTolerance, cfg.CheckpointDir = false, ""
-		want[i], wantErr[i] = verifyOver(t, 2, st.ps, cfg)
+		want[i], wantErr[i] = verifyOver(t, 2, st.ps, st.cfg)
 	}
 	if !want[0].Schedulable || want[1].Schedulable || !errors.Is(wantErr[2], verify.ErrTooLarge) {
 		t.Fatalf("fixture: S %+v, V %+v, over budget %v", want[0], want[1], wantErr[2])
@@ -72,7 +69,11 @@ func TestStandingClusterSequence(t *testing.T) {
 		ts := cl.mk()
 		for i, st := range steps {
 			label := cl.name + ": " + st.name
-			got, err := Verify(st.ps, st.cfg(), ts)
+			run := Runner(ts)
+			if st.ft {
+				run = FaultTolerantRunner(ts, t.TempDir())
+			}
+			got, err := run(st.ps, st.cfg)
 			if wantErr[i] != nil || err != nil {
 				if !errors.Is(wantErr[i], verify.ErrTooLarge) || !errors.Is(err, verify.ErrTooLarge) {
 					t.Fatalf("%s: standing cluster %v, fresh cluster %v", label, err, wantErr[i])

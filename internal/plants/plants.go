@@ -11,14 +11,15 @@ import (
 
 	"tightcps/internal/lti"
 	"tightcps/internal/mat"
+	"tightcps/internal/switching"
 )
 
 // H is the common sampling period (seconds) used by every application.
 const H = 0.02
 
 // SettleTol is the settling threshold: |y[k]| ≤ SettleTol for all k ≥ J
-// (2 % of the unit disturbance).
-const SettleTol = 0.02
+// (2 % of the unit disturbance), the one the switching analysis uses.
+const SettleTol = switching.SettleTol
 
 // App bundles one control application: plant, the two controllers, its
 // performance requirement and disturbance model.

@@ -2,10 +2,11 @@ package plants
 
 // Synthetic workload generation: seeded random control applications that
 // scale the evaluation past the paper's six-application case study. Each
-// archetype is a randomly drawn first-order LTI plant (open-loop stable or
-// unstable) with a pole-placed fast TT controller and a pole-placed
-// delay-tolerant ET controller, a settling requirement between the two
-// loops' capabilities, and a heterogeneous disturbance inter-arrival bound.
+// archetype is a randomly drawn first-order LTI plant (open-loop stable,
+// unless SyntheticOptions.UnstableFrac asks for unstable ones) with a
+// pole-placed fast TT controller and a pole-placed delay-tolerant ET
+// controller, a settling requirement between the two loops' capabilities,
+// and a heterogeneous disturbance inter-arrival bound.
 // An archetype is instantiated many times under distinct names — the fleet
 // pattern (hundreds of vehicles running the same control design) that makes
 // large slots both realistic and, through the verifier's symmetry
@@ -30,7 +31,10 @@ type SyntheticOptions struct {
 	// ~16 instances per design.
 	Archetypes int
 	// UnstableFrac is the fraction of archetypes drawn with an open-loop
-	// unstable plant (pole > 1). Negative means the default 0.25.
+	// unstable plant (pole > 1). Negative means 0.25. The zero value, which
+	// every command passes (experiments -synthetic, -granularity-sweep
+	// and the fleet-sweep benchmark), draws none, so their fleets are all
+	// stable.
 	UnstableFrac float64
 	// Seed drives the generator's randomness.
 	Seed int64

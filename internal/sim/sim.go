@@ -59,13 +59,14 @@ type Runner struct {
 	tol      float64
 }
 
-// New creates a Runner. Profiles must correspond index-wise to plants.
+// New creates a Runner. Profiles must correspond index-wise to plants;
+// settling is judged at tol, and tol ≤ 0 uses switching.SettleTol.
 func New(plantList []switching.Plant, profiles []*switching.Profile, tol float64) (*Runner, error) {
 	if len(plantList) != len(profiles) {
 		return nil, fmt.Errorf("sim: %d plants vs %d profiles", len(plantList), len(profiles))
 	}
 	if tol <= 0 {
-		tol = 0.02
+		tol = switching.SettleTol
 	}
 	return &Runner{plants: plantList, profiles: profiles, tol: tol}, nil
 }

@@ -8,7 +8,10 @@ package switching
 var Coarsen = coarsen
 
 // WithDefaults is Config.withDefaults.
-func (c Config) WithDefaults(jStar int) Config { return c.withDefaults(jStar) }
+func (c Config) WithDefaults() Config { return c.withDefaults() }
+
+// MaxDwell is maxDwell: the longest dwell Compute examines at J*.
+var MaxDwell = maxDwell
 
 // TailCertificate returns the ME-tail certificate of p at tolerance tol: P
 // row-major over z = [x; u_prev] and the level of the certified ellipsoid.

@@ -119,11 +119,10 @@ func (c *certificate) holds(s *Simulator) bool {
 type sweeper struct {
 	sim     *Simulator
 	cert    *certificate // nil: tails run to the horizon
-	tol     float64
 	horizon int
 
 	tw, dwell int // pattern simulated so far; the simulator is at sample at()
-	last      int // last sample < at() with |y| > tol, −1 if none
+	last      int // last sample < at() with |y| > SettleTol, −1 if none
 
 	wait     Checkpoint // simulator at the end of the wait prefix (dwell 0)
 	waitLast int        // last at that point
@@ -135,8 +134,7 @@ type sweeper struct {
 func newSweeper(p Plant, cfg Config) *sweeper {
 	w := &sweeper{
 		sim:      NewSimulator(p),
-		cert:     newCertificate(p, cfg.Tol),
-		tol:      cfg.Tol,
+		cert:     newCertificate(p, SettleTol),
 		horizon:  cfg.Horizon,
 		last:     -1,
 		waitLast: -1,
@@ -156,7 +154,7 @@ func (w *sweeper) step(m Mode) {
 	if k == w.horizon {
 		return
 	}
-	if math.Abs(w.sim.Output()) > w.tol {
+	if math.Abs(w.sim.Output()) > SettleTol {
 		w.last = k
 	}
 	if m == MT {
@@ -201,7 +199,7 @@ func (w *sweeper) settle() (int, bool) {
 	w.sim.Save(&w.tail)
 	last := w.last
 	for k := w.at(); ; k++ {
-		if math.Abs(w.sim.Output()) > w.tol {
+		if math.Abs(w.sim.Output()) > SettleTol {
 			last = k
 		} else if w.cert != nil && w.cert.holds(w.sim) {
 			break

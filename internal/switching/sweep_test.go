@@ -24,14 +24,15 @@ func oracleSettle(pl Plant, tw, d int, cfg Config) (int, bool) {
 	for i := tw; i < tw+d; i++ {
 		seq[i] = MT
 	}
-	return lti.SettlingIndex(SimulateSequence(pl, seq, cfg.Horizon), cfg.Tol)
+	return lti.SettlingIndex(SimulateSequence(pl, seq, cfg.Horizon), SettleTol)
 }
 
 var errOracleMTNeverSettles = errors.New("never settles in MT")
 
 // oracleProfile builds the Table 1 row of pl by brute force over the oracle.
 func oracleProfile(pl Plant, cfg Config) (*Profile, error) {
-	cfg = cfg.WithDefaults(pl.JStar)
+	cfg = cfg.WithDefaults()
+	maxDwell := MaxDwell(pl.JStar)
 	prof := &Profile{Name: pl.Name, JStar: pl.JStar, R: pl.R, Granularity: cfg.TwGranularity}
 	jt, ok := oracleSettle(pl, 0, cfg.Horizon, cfg)
 	if !ok {
@@ -49,9 +50,9 @@ func oracleProfile(pl Plant, cfg Config) (*Profile, error) {
 		return prof, ErrRequirementTrivial
 	}
 	for tw := 0; ; tw++ {
-		js := make([]int, cfg.MaxDwell+1)
+		js := make([]int, maxDwell+1)
 		minDwell := -1
-		for d := 1; d <= cfg.MaxDwell; d++ {
+		for d := 1; d <= maxDwell; d++ {
 			j, ok := oracleSettle(pl, tw, d, cfg)
 			if !ok {
 				j = math.MaxInt32
@@ -65,7 +66,7 @@ func oracleProfile(pl Plant, cfg Config) (*Profile, error) {
 			break
 		}
 		plus := 1
-		for d := 2; d <= cfg.MaxDwell; d++ {
+		for d := 2; d <= maxDwell; d++ {
 			if js[d] < js[plus] {
 				plus = d
 			}
@@ -165,16 +166,16 @@ func TestSweepMatchesFullHorizonOracle(t *testing.T) {
 			if gotErr != nil || c.cfg.TwGranularity > 1 {
 				return
 			}
-			cfg := c.cfg.WithDefaults(c.pl.JStar)
-			twMax := got.TwStar + 1
-			surf := Surface(c.pl, twMax, cfg.MaxDwell, c.cfg)
+			cfg := c.cfg.WithDefaults()
+			twMax, maxDwell := got.TwStar+1, MaxDwell(c.pl.JStar)
+			surf := Surface(c.pl, twMax, maxDwell, c.cfg)
 			for tw := 0; tw <= twMax; tw++ {
-				for d := 0; d <= cfg.MaxDwell; d++ {
+				for d := 0; d <= maxDwell; d++ {
 					wj, wok := oracleSettle(c.pl, tw, d, cfg)
 					if j, ok := SettleAfterSwitch(c.pl, tw, d, c.cfg); j != wj || ok != wok {
 						t.Fatalf("SettleAfterSwitch(Tw=%d, Tdw=%d) = %d,%v; oracle %d,%v", tw, d, j, ok, wj, wok)
 					}
-					pt := surf[tw*(cfg.MaxDwell+1)+d]
+					pt := surf[tw*(maxDwell+1)+d]
 					if !wok {
 						wj = math.MaxInt32
 					}

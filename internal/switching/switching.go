@@ -36,17 +36,20 @@ import (
 	"tightcps/internal/lti"
 )
 
+// SettleTol is the settling threshold on |y|: an output has settled at J
+// when |y[k]| ≤ SettleTol for every k ≥ J.
+const SettleTol = 0.02
+
+// maxDwell caps the dwell times examined at max(40, 4·J*): the useful
+// dwell never exceeds the time to settle fully inside MT.
+func maxDwell(jStar int) int { return max(40, 4*jStar) }
+
 // Config parameterises the offline profile computation.
 type Config struct {
-	// Tol is the settling threshold on |y| (default 0.02).
-	Tol float64
 	// Horizon is the simulation length in samples used to decide settling
 	// (default 4000). Trajectories that have not settled within Horizon are
 	// treated as never settling.
 	Horizon int
-	// MaxDwell caps the dwell times examined (default 4·J*; the useful
-	// dwell never exceeds the time to settle fully inside MT).
-	MaxDwell int
 	// TwGranularity coarsens the wait-time grid: tables are computed only
 	// for Tw that are multiples of this value, and lookups round the actual
 	// wait *up* to the next grid point (conservative). Default 1 (exact).
@@ -58,18 +61,9 @@ type Config struct {
 	Workers int
 }
 
-func (c Config) withDefaults(jStar int) Config {
-	if c.Tol <= 0 {
-		c.Tol = 0.02
-	}
+func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = 4000
-	}
-	if c.MaxDwell <= 0 {
-		c.MaxDwell = 4 * jStar
-		if c.MaxDwell < 40 {
-			c.MaxDwell = 40
-		}
 	}
 	if c.TwGranularity <= 0 {
 		c.TwGranularity = 1
@@ -264,7 +258,7 @@ func SimulateSequence(p Plant, seq []Mode, horizon int) []float64 {
 // strategy "wait Tw samples in ME, dwell in MT, then ME forever", and
 // whether it settles within the horizon.
 func SettleAfterSwitch(p Plant, tw, dwell int, cfg Config) (int, bool) {
-	w := newSweeper(p, cfg.withDefaults(p.JStar))
+	w := newSweeper(p, cfg.withDefaults())
 	w.waitTo(tw)
 	w.dwellTo(dwell)
 	return w.settle()
@@ -274,7 +268,7 @@ func SettleAfterSwitch(p Plant, tw, dwell int, cfg Config) (int, bool) {
 // exhaustive simulation over all (Tw, Tdw) combinations allowed by the
 // strategy, exactly as Sec. 3 prescribes.
 func Compute(p Plant, cfg Config) (*Profile, error) {
-	cfg = cfg.withDefaults(p.JStar)
+	cfg = cfg.withDefaults()
 	if p.JStar <= 0 {
 		return nil, fmt.Errorf("switching: J* must be positive, got %d", p.JStar)
 	}
@@ -309,7 +303,7 @@ func Compute(p Plant, cfg Config) (*Profile, error) {
 	// bounds the loop: a wait past the horizon is the ET-only run.
 	for tw := 0; ; tw++ {
 		w.waitTo(tw)
-		minDwell, plusDwell, jAtMin, jBest, attainable := w.dwellRow(cfg.MaxDwell, p.JStar)
+		minDwell, plusDwell, jAtMin, jBest, attainable := w.dwellRow(maxDwell(p.JStar), p.JStar)
 		if !attainable {
 			break
 		}
@@ -458,7 +452,7 @@ func (p *Profile) Validate(pl Plant, cfg Config) error {
 	if len(p.TdwMinus) != want || len(p.TdwPlus) != want {
 		return fmt.Errorf("switching: table length %d/%d, want %d", len(p.TdwMinus), len(p.TdwPlus), want)
 	}
-	w := newSweeper(pl, cfg.withDefaults(p.JStar))
+	w := newSweeper(pl, cfg.withDefaults())
 	for i := range p.TdwMinus {
 		if p.TdwMinus[i] > p.TdwPlus[i] {
 			return fmt.Errorf("switching: Tdw−[%d]=%d > Tdw+[%d]=%d", i, p.TdwMinus[i], i, p.TdwPlus[i])

@@ -297,7 +297,7 @@ func TestSimulatorModesMatchLTIHelpers(t *testing.T) {
 // runner and the wait/dwell runner agree.
 func TestSimulateSequenceMatchesSettleAfterSwitch(t *testing.T) {
 	pl := plantOf(plants.C5())
-	const horizon, tol = 4000, 0.02 // the Config{} defaults
+	const horizon, tol = 4000, SettleTol // the Config{} horizon
 	tw, dwell := 3, 4
 	seq := make([]Mode, tw+dwell)
 	for i := tw; i < tw+dwell; i++ {

@@ -78,7 +78,7 @@ type SurfacePoint struct {
 // Tw ∈ [0, twMax], Tdw ∈ [0, dwMax] — the data behind Fig. 3. Points that
 // do not settle within the horizon carry J = MaxInt32 and JSec = +Inf.
 func Surface(p Plant, twMax, dwMax int, cfg Config) []SurfacePoint {
-	w := newSweeper(p, cfg.withDefaults(p.JStar))
+	w := newSweeper(p, cfg.withDefaults())
 	out := make([]SurfacePoint, 0, (twMax+1)*(dwMax+1))
 	for tw := 0; tw <= twMax; tw++ {
 		w.waitTo(tw)

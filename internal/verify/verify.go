@@ -131,23 +131,6 @@ type Config struct {
 	// is level-granular — the expansion hot path is untouched — so the
 	// zero-allocation gates hold with a trace attached.
 	RunTrace *obs.Trace
-	// FaultTolerance, meaningful only for distributed runs, keeps the run
-	// alive through worker deaths: the coordinator detects dead workers by
-	// transport failure, poll timeout or a peer's dead-link report,
-	// reassigns their hash shards to the survivors and rolls the cluster
-	// back to the last checkpointed level. Without it a death ends the run
-	// in an error naming the dead node and the cause. The verdict and all exhaustive
-	// counts are unchanged by recovery — mapping.VerifyConfigKey excludes
-	// this knob, so cached verdicts stay valid. Without CheckpointDir,
-	// recovery degrades to a full restart of the search on the survivors.
-	FaultTolerance bool
-	// CheckpointDir is where fault-tolerant distributed runs persist
-	// per-level visited-set segments (a per-session subdirectory is
-	// created and removed on completion). Every worker must see the same
-	// path — same host or shared filesystem — for takeover to restore a
-	// dead worker's shards. Empty disables checkpointing (see
-	// FaultTolerance). Ignored by local searches and cache keys.
-	CheckpointDir string
 }
 
 // Result reports a verification outcome.
