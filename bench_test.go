@@ -192,7 +192,7 @@ func BenchmarkFig9CoSim(b *testing.B) {
 }
 
 // BenchmarkVerifyFull is the paper's hardest verification — the full
-// four-application slot S1 — with the exact (unbounded) model. The paper's
+// four-application slot S1. The paper's
 // UPPAAL run took 5 hours; the packed discrete checker needs well under a
 // second.
 func BenchmarkVerifyFull(b *testing.B) {
@@ -223,25 +223,6 @@ func BenchmarkVerifySequential(b *testing.B) {
 		}
 		if !res.Schedulable || res.States != 1440712 || res.Transitions != 1822844 || res.Depth != 50 {
 			b.Fatalf("S1: %+v, want schedulable, 1440712 states, 1822844 transitions, depth 50", res)
-		}
-	}
-}
-
-// BenchmarkVerifyBounded is the same verification under the paper's
-// bounded-disturbance acceleration (20× speedup in UPPAAL; in our discrete
-// encoding the per-application counters enlarge the state space instead —
-// a negative result worth keeping measured).
-func BenchmarkVerifyBounded(b *testing.B) {
-	ps := caseProfiles(b, "C1", "C5", "C4", "C3")
-	bound := verify.BoundFor(ps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := verify.Slot(ps, verify.Config{NondetTies: true, MaxDisturbances: bound})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Schedulable {
-			b.Fatal("S1 must verify")
 		}
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	verifyslot -apps C1,C5,C4,C3 [-bounded] [-lazy] [-workers N]
+//	verifyslot -apps C1,C5,C4,C3 [-lazy] [-workers N]
 //	           [-maxstates N] [-nodes K | -connect host:port,host:port]
 //	           [-json] [-tracefile out.json]
 //
@@ -57,7 +57,6 @@ func main() { cli.Main("verifyslot", run) }
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := cli.NewFlagSet("verifyslot", stderr)
 	appsFlag := fs.String("apps", "C1,C5,C4,C3", "comma-separated applications")
-	bounded := fs.Bool("bounded", false, "use the bounded-disturbance acceleration")
 	useTA := fs.Bool("ta", false, "check the faithful Fig. 5–7 timed-automata network (eager policy, exact, unbudgeted) instead of the packed verifier")
 	lazy := fs.Bool("lazy", false, "verify the lazy-preemption policy")
 	maxStates := fs.Int("maxstates", 0, "visited-state budget, per node when distributed (0 = 200M)")
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *useTA {
 		if err := cli.Unset(fs, "is incompatible with -ta (the TA network is one local search of the eager policy, exact, unbudgeted and untraced)",
-			"nodes", "connect", "ft", "ftdir", "workers", "maxstates", "lazy", "bounded", "server", "json", "tracefile"); err != nil {
+			"nodes", "connect", "ft", "ftdir", "workers", "maxstates", "lazy", "server", "json", "tracefile"); err != nil {
 			return err
 		}
 	}
@@ -87,10 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		names[i] = strings.TrimSpace(names[i])
 	}
 	if *server != "" {
-		return runServer(stdout, *server, *serverRetries, names, verify.Spec{
-			Bounded:   *bounded,
-			MaxStates: *maxStates,
-		}, *lazy)
+		return runServer(stdout, *server, *serverRetries, names, verify.Spec{MaxStates: *maxStates}, *lazy)
 	}
 
 	profs, err := plants.ProfileList(names...)
@@ -119,9 +115,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cfg := cl.Config
 	cfg.NondetTies, cfg.MaxStates = true, *maxStates
-	if *bounded {
-		cfg.MaxDisturbances = verify.BoundFor(profs)
-	}
 	if *lazy {
 		cfg.Policy = sched.PreemptLazy
 	}
@@ -164,8 +157,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	fmt.Fprintf(stdout, "slot %v: schedulable=%v\n", names, res.Schedulable)
-	fmt.Fprintf(stdout, "  states=%d transitions=%d depth=%d bounded=%v rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d %s]\n",
-		res.States, res.Transitions, res.Depth, res.Bounded, rate, time.Since(t0).Seconds(),
+	fmt.Fprintf(stdout, "  states=%d transitions=%d depth=%d rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d %s]\n",
+		res.States, res.Transitions, res.Depth, rate, time.Since(t0).Seconds(),
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), cl.Width)
 	if res.Wire.RawBytes > 0 {
 		fmt.Fprintf(stdout, "  %s\n", res.Wire.Report())
@@ -213,8 +206,8 @@ func runServer(stdout io.Writer, base string, retries int, names []string, spec 
 	case resp.Coalesced:
 		served = "coalesced onto a concurrent submit"
 	}
-	fmt.Fprintf(stdout, "  states=%d transitions=%d depth=%d bounded=%v (%s, %.1fms via %s)\n",
-		v.States, v.Transitions, v.Depth, v.Bounded, served, resp.ElapsedMs, base)
+	fmt.Fprintf(stdout, "  states=%d transitions=%d depth=%d (%s, %.1fms via %s)\n",
+		v.States, v.Transitions, v.Depth, served, resp.ElapsedMs, base)
 	if !v.Schedulable && v.ViolatorName != "" {
 		fmt.Fprintf(stdout, "  violator: %s\n", v.ViolatorName)
 	}

@@ -26,9 +26,8 @@ func TestFlagConflicts(t *testing.T) {
 	}{
 		{"-ta -nodes 2", "-nodes is incompatible with -ta"},
 		{"-ta -maxstates 5", "-maxstates is incompatible with -ta"},
-		// The TA network models the eager policy, exactly and unbounded.
+		// The TA network models the eager policy.
 		{"-ta -lazy", "-lazy is incompatible with -ta"},
-		{"-ta -bounded", "-bounded is incompatible with -ta"},
 		{"-ta -workers 2", "-workers is incompatible with -ta"},
 		{"-ta -json", "-json is incompatible with -ta"},
 		{"-json -server http://127.0.0.1:1", "-json is incompatible with -server"},

@@ -286,7 +286,7 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 		return nil, http.StatusBadRequest, errors.New("request names no profiles (send \"profiles\" or \"apps\")")
 	}
 
-	cfg, err := req.Config.Config(profiles)
+	cfg, err := req.Config.Config()
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -456,9 +456,8 @@ func (rq *resolved) answer(c *call) (*AdmitResponse, int) {
 // the leader always does, so its verdict is the engine's — else at rq's
 // first equal profile, under rq's name for it.
 func (rq *resolved) verdict(rec mapping.Record) Verdict {
-	bounded := rq.cfg.MaxDisturbances > 0
 	if rec.RunID == "" {
-		return Verdict{Schedulable: rec.Schedulable, Violator: -1, Bounded: bounded}
+		return Verdict{Schedulable: rec.Schedulable, Violator: -1}
 	}
 	at := rec.Violator
 	if !rec.Schedulable && at >= 0 && (at >= len(rq.profiles) || mapping.ProfileKey(rq.profiles[at]) != rec.ViolatorKey) {
@@ -466,7 +465,7 @@ func (rq *resolved) verdict(rec mapping.Record) Verdict {
 	}
 	return VerdictOf(verify.Result{
 		Schedulable: rec.Schedulable, States: rec.States, Transitions: rec.Transitions,
-		Depth: rec.Depth, Violator: at, Bounded: bounded,
+		Depth: rec.Depth, Violator: at,
 	}, rq.names)
 }
 

@@ -28,8 +28,8 @@ import (
 // S1 (1 440 712 states) is the paper's hardest verification; overloadWide
 // exercises the wide encoding's violation path; the sym cases run the
 // quotient on both encodings. The wide cases are wide by their own n and r
-// (lanes are fitted to the set's largest r): 7 apps at r = 65, 6 bounded
-// with an r = 33 application among them.
+// (lanes are fitted to the set's largest r): 7 apps at r = 65, with and
+// without the quotient, and 8 apps at r = 33.
 var equivalenceCases = []struct {
 	name string
 	apps []string // named case-study slot, or
@@ -47,10 +47,9 @@ var equivalenceCases = []struct {
 		spec: verify.Spec{Symmetry: true}},
 	{name: "fleet7Sym", ps: func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) },
 		spec: verify.Spec{Symmetry: true}},
-	{name: "wideSym", ps: func() []*switching.Profile { return append(fleet(5, 6, 1, 2, 8), prof("X", 4, 2, 3, 33)) },
-		spec: verify.Spec{Symmetry: true, MaxDisturbances: 1}, wide: true},
-	{name: "wideBounded", ps: func() []*switching.Profile { return fleet(6, 5, 2, 4, 33) },
-		spec: verify.Spec{Bounded: true}, wide: true},
+	{name: "wideSym", ps: func() []*switching.Profile { return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65)) },
+		spec: verify.Spec{Symmetry: true}, wide: true},
+	{name: "wide8", ps: func() []*switching.Profile { return fleet(8, 2, 2, 4, 33) }, wide: true},
 }
 
 // TestServiceVerdictEquivalence is the tentpole assertion: one service
@@ -76,7 +75,7 @@ func TestServiceVerdictEquivalence(t *testing.T) {
 					req = inlineReq(ps, tc.spec)
 				}
 				want := localVerdictJSON(t, ps, tc.spec, names)
-				if cfg, err := tc.spec.Config(ps); err != nil {
+				if cfg, err := tc.spec.Config(); err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				} else if e, err := verify.NewExpander(ps, cfg); err != nil || (e.StateWords() > 1) != tc.wide {
 					t.Fatalf("%s: want wide=%v, %v", tc.name, tc.wide, err)
@@ -125,6 +124,47 @@ func TestServiceOrderIndependence(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatalf("permuted resubmit verdict diverges:\n got %s\nwant %s", second, first)
+	}
+}
+
+// TestServiceIgnoresBoundedConfig: the bounded-disturbance model is gone,
+// so a config that still asks for it ("bounded", "maxDisturbances") has
+// those keys skipped like any unknown key and gets the exact verdict: the
+// same verdict bytes and the same store key as the body without them, and
+// the second of the two submits is a cache hit.
+func TestServiceIgnoresBoundedConfig(t *testing.T) {
+	r := newRig(t, backendCase{name: "local"}, nil)
+	withBound := `{"apps":["C6","C2"],"config":{"bounded":true,"maxDisturbances":2,"symmetry":false}}`
+	without := `{"apps":["C6","C2"],"config":{"symmetry":false}}`
+	var questions [2]question
+	for i, body := range []string{withBound, without} {
+		var req AdmitRequest
+		if err := decodeRequest(strings.NewReader(body), &req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		rq, _, err := r.svc.resolve(&req)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		questions[i] = rq.question
+	}
+	if questions[0] != questions[1] {
+		t.Fatalf("store keys differ: %+v with the bound, %+v without", questions[0], questions[1])
+	}
+	want := localVerdictJSON(t, caseProfiles(t, "C6", "C2"), verify.Spec{}, []string{"C6", "C2"})
+	status, resp, first := r.submitRaw(t, withBound)
+	if status != http.StatusOK || resp.Cached {
+		t.Fatalf("first submit: HTTP %d cached=%v (%s)", status, resp.Cached, resp.Error)
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatalf("verdict with the bound keys:\n got %s\nwant %s", first, want)
+	}
+	status, resp, second := r.submitRaw(t, without)
+	if status != http.StatusOK || !resp.Cached {
+		t.Fatalf("submit without the bound keys: HTTP %d cached=%v, want a cache hit", status, resp.Cached)
+	}
+	if !bytes.Equal(second, first) {
+		t.Fatalf("verdict without the bound keys:\n got %s\nwant %s", second, first)
 	}
 }
 

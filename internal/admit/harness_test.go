@@ -148,7 +148,13 @@ func (r *rig) submit(t testing.TB, req *AdmitRequest) (int, *AdmitResponse, []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, raw := r.postRaw(t, string(body))
+	return r.submitRaw(t, string(body))
+}
+
+// submitRaw is submit for a raw JSON body.
+func (r *rig) submitRaw(t testing.TB, body string) (int, *AdmitResponse, []byte) {
+	t.Helper()
+	resp, raw := r.postRaw(t, body)
 	var decoded struct {
 		AdmitResponse
 		RawVerdict json.RawMessage `json:"verdict"` // shadows the struct field to capture exact bytes
@@ -179,7 +185,7 @@ func inlineReq(ps []*switching.Profile, spec verify.Spec) *AdmitRequest {
 // verdict as the service would. This is the byte-equality oracle.
 func localVerdictJSON(t testing.TB, ps []*switching.Profile, spec verify.Spec, names []string) []byte {
 	t.Helper()
-	cfg, err := spec.Config(ps)
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}

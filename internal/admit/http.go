@@ -112,7 +112,6 @@ type Verdict struct {
 	// schedulable or unknown), ViolatorName its reported name.
 	Violator     int    `json:"violator"`
 	ViolatorName string `json:"violatorName,omitempty"`
-	Bounded      bool   `json:"bounded,omitempty"`
 }
 
 // VerdictOf shapes an engine result for the wire.
@@ -123,7 +122,6 @@ func VerdictOf(res verify.Result, names []string) Verdict {
 		Transitions: res.Transitions,
 		Depth:       res.Depth,
 		Violator:    -1,
-		Bounded:     res.Bounded,
 	}
 	if !res.Schedulable {
 		v.States, v.Transitions = 0, 0

@@ -49,7 +49,7 @@ var errUnexpectedEnd = errors.New("unexpected end of JSON input")
 var (
 	requestFields = []string{"apps", "profiles", "config", "async", "timeoutMs"}
 	profileFields = []string{"name", "jStar", "r", "twStar", "tdwMinus", "tdwPlus", "granularity"}
-	specFields    = []string{"bounded", "maxDisturbances", "policy", "detTies", "maxStates", "symmetry"}
+	specFields    = []string{"policy", "detTies", "maxStates", "symmetry"}
 )
 
 // wireDecoder holds one decode's cursor and the scratch reused across
@@ -199,16 +199,12 @@ func (d *wireDecoder) spec(s *verify.Spec) error {
 		}
 		switch fieldOf(d.str, specFields) {
 		case 0:
-			err = d.bool(&s.Bounded)
-		case 1:
-			err = d.int(&s.MaxDisturbances)
-		case 2:
 			err = d.string(&s.Policy)
-		case 3:
+		case 1:
 			err = d.bool(&s.DetTies)
-		case 4:
+		case 2:
 			err = d.int(&s.MaxStates)
-		case 5:
+		case 3:
 			err = d.bool(&s.Symmetry)
 		default:
 			err = d.skip()

@@ -178,7 +178,7 @@ func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
 // covers the run, not its setup. plan (nil-safe) is the deterministic
 // fault-injection harness; its kills fire before the rounds of given levels.
 func verifyMesh(job Job, faultTolerance bool, nodes []Transport, peers []string, trace *obs.Trace, plan *faultPlan) (verify.Result, error) {
-	res := verify.Result{Schedulable: true, Bounded: job.MaxDisturbances > 0}
+	res := verify.Result{Schedulable: true}
 	job.Session = newSessionID()
 	job.Peers = peers
 	if job.CheckpointDir != "" {

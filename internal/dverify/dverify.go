@@ -73,7 +73,6 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 		Profiles:          make([]switching.Profile, len(profiles)),
 		NumNodes:          len(nodes),
 		Owners:            defaultOwners(len(nodes)),
-		MaxDisturbances:   cfg.MaxDisturbances,
 		Policy:            cfg.Policy,
 		NondetTies:        cfg.NondetTies,
 		SymmetryReduction: cfg.SymmetryReduction,

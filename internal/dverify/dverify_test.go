@@ -56,36 +56,36 @@ var equivalenceCases = []struct {
 	name  string
 	ps    func() []*switching.Profile
 	sym   bool
-	md    int // MaxDisturbances (0 = exact)
 	words int
 }{
-	{"single", func() []*switching.Profile { return []*switching.Profile{prof("A", 5, 2, 4, 20)} }, false, 0, 1},
+	{"single", func() []*switching.Profile { return []*switching.Profile{prof("A", 5, 2, 4, 20)} }, false, 1},
 	{"overload2", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
-	}, false, 0, 1},
+	}, false, 1},
 	{"loosePair", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	}, false, 0, 1},
+	}, false, 1},
 	{"asymTriple", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
-	}, false, 0, 1},
-	{"narrow6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) }, false, 0, 1},
+	}, false, 1},
+	{"narrow6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) }, false, 1},
 	// Fleets past the paper's scale. The unquotiented schedulable 7-app
 	// spaces run to millions of states, so the exhaustive-count checks ride
 	// the symmetry quotient (canonicalisation happens inside the shared
 	// expansion core, identically on every node). With r ≤ 12 they fit one
 	// word.
-	{"het7sym", func() []*switching.Profile { return append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)) }, true, 0, 1},
-	{"fleet7sym", func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) }, true, 0, 1},
-	{"fleet9sym", func() []*switching.Profile { return fleet(9, 8, 1, 2, 9) }, true, 0, 1},
-	{"overload7", func() []*switching.Profile { return fleet(7, 2, 1, 2, 5) }, false, 0, 1},
-	// Wide-encoding cases: one rare application (r = 33) widens every lane
-	// of a bounded six-app set to 10 bits, schedulable under the quotient
-	// and violating without it; seven apps at r = 65; twelve at r = 6.
-	{"wideMixed6sym", func() []*switching.Profile { return append(fleet(5, 6, 1, 2, 8), prof("X", 4, 2, 3, 33)) }, true, 1, 4},
-	{"wideBounded6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 33) }, false, 2, 4},
-	{"overload7wide", func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, false, 0, 4},
-	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 6) }, false, 0, 4},
+	{"het7sym", func() []*switching.Profile { return append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)) }, true, 1},
+	{"fleet7sym", func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) }, true, 1},
+	{"fleet9sym", func() []*switching.Profile { return fleet(9, 8, 1, 2, 9) }, true, 1},
+	{"overload7", func() []*switching.Profile { return fleet(7, 2, 1, 2, 5) }, false, 1},
+	// Wide-encoding cases, each wide by its own n and r: one rare
+	// application (r = 65) widens every lane of a seven-app set to 9 bits,
+	// schedulable under the quotient; eight apps at r = 33, violating
+	// without it; seven apps at r = 65; twelve at r = 6.
+	{"wideMixed7sym", func() []*switching.Profile { return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65)) }, true, 4},
+	{"wide8r33", func() []*switching.Profile { return fleet(8, 2, 2, 4, 33) }, false, 4},
+	{"overload7wide", func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, false, 4},
+	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 6) }, false, 4},
 }
 
 // checkMatchesLocal asserts one distributed result against the local
@@ -111,9 +111,6 @@ func checkMatchesLocal(t *testing.T, label string, dist, local verify.Result) {
 			t.Errorf("%s: violation depth=%d, local=%d", label, dist.Depth, local.Depth)
 		}
 	}
-	if dist.Bounded != local.Bounded {
-		t.Errorf("%s: bounded=%v, local=%v", label, dist.Bounded, local.Bounded)
-	}
 }
 
 // TestLoopbackMatchesLocal is the distributed-vs-local equivalence matrix:
@@ -121,7 +118,7 @@ func checkMatchesLocal(t *testing.T, label string, dist, local verify.Result) {
 func TestLoopbackMatchesLocal(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
-		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md, Workers: 4}
+		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, Workers: 4}
 		if exp, err := verify.NewExpander(ps, cfg); err != nil || exp.StateWords() != tc.words {
 			t.Fatalf("%s: fixture yields %d-word states, want %d (%v)", tc.name, exp.StateWords(), tc.words, err)
 		}
@@ -136,24 +133,6 @@ func TestLoopbackMatchesLocal(t *testing.T) {
 			}
 			checkMatchesLocal(t, fmt.Sprintf("%s: nodes=%d", tc.name, nodes), dist, local)
 		}
-	}
-}
-
-// TestBoundedModeMatches covers the accelerated (bounded-disturbance)
-// model through the distributed path.
-func TestBoundedModeMatches(t *testing.T) {
-	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	cfg := verify.Config{NondetTies: true, MaxDisturbances: verify.BoundFor(ps), Workers: 2}
-	local, err := verify.Slot(ps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := verifyOver(t, 3, ps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dist.Bounded || dist.Schedulable != local.Schedulable || dist.States != local.States {
-		t.Fatalf("bounded distributed %+v, local %+v", dist, local)
 	}
 }
 

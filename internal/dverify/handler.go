@@ -17,7 +17,7 @@ import (
 func jobsCompatible(prev, next *Job) bool {
 	if prev == nil || next == nil ||
 		prev.NumNodes != next.NumNodes || prev.NodeID != next.NodeID || prev.Workers != next.Workers ||
-		prev.MaxDisturbances != next.MaxDisturbances || prev.Policy != next.Policy ||
+		prev.Policy != next.Policy ||
 		prev.NondetTies != next.NondetTies || prev.SymmetryReduction != next.SymmetryReduction ||
 		len(prev.Profiles) != len(next.Profiles) {
 		return false

@@ -37,7 +37,7 @@ func loopGroupOf(t *testing.T, ts []Transport) *loopGroup {
 func TestMeshDelayedAbsorbInterleavings(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
-		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md, Workers: 4}
+		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, Workers: 4}
 		local, err := verify.Slot(ps, cfg)
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)

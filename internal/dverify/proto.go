@@ -23,10 +23,10 @@ import (
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
 // field, a batch format or the packed-state layout changes or goes. Version
-// 14 drops Job.FT, Job.Era and Job.Cut from version 13 and carries a dead
-// link's cause (Response.LinkDown); version 13 added the node's lane count
-// (Job.Workers); what each earlier version was is in CHANGES.md.
-const protoVersion = 14
+// 15 drops the per-application disturbance bound with the bounded model;
+// version 14 dropped Job.FT, Job.Era and Job.Cut and carries a dead link's
+// cause (Response.LinkDown); what each earlier version was is in CHANGES.md.
+const protoVersion = 15
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -65,7 +65,6 @@ type Job struct {
 	// order replaces it.
 	Owners []uint8
 
-	MaxDisturbances   int
 	Policy            sched.PreemptionPolicy
 	NondetTies        bool
 	SymmetryReduction bool

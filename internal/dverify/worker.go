@@ -152,7 +152,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 			profs[i] = &job.Profiles[i]
 		}
 		exp, err := verify.NewExpander(profs, verify.Config{
-			MaxDisturbances:   job.MaxDisturbances,
 			Policy:            job.Policy,
 			NondetTies:        job.NondetTies,
 			SymmetryReduction: job.SymmetryReduction,

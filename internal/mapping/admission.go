@@ -54,10 +54,8 @@ func (a *Admission) Config() verify.Config { return a.cfg }
 // sets, is a counted conservative "no". Without a budget, ErrTooLarge is
 // returned, and so is any other error.
 func (a *Admission) Verify(set []*switching.Profile) (bool, error) {
-	// A replayed counterexample settles a "no" in microseconds. Not under a
-	// disturbance bound: that model under-approximates, and a replayed
-	// schedule may use more disturbance instances than it allows.
-	if a.cfg.MaxDisturbances == 0 && verify.Refute(set, a.cfg.Policy) {
+	// A replayed counterexample settles a "no" in microseconds.
+	if verify.Refute(set, a.cfg.Policy) {
 		a.stats.Refuted++
 		return false, nil
 	}

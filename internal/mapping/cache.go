@@ -113,20 +113,19 @@ func Fingerprint(profiles []*switching.Profile) uint64 {
 }
 
 // VerifyConfigKey fingerprints the verdict-relevant fields of a
-// verification config — policy, disturbance bound, tie exploration and the
-// state budget — plus any extra salts the caller folds in (e.g. the
-// cluster size of a distributed run, whose per-node budget scales
-// aggregate capacity). Workers, SymmetryReduction and Distributed do not
-// change an exact verdict and are excluded, so warm caches carry across
-// those knobs. A conservative reject of a busted budget is not a verdict:
-// Admission.Salt folds a marker into the key of a store that can hold
-// them.
+// verification config — policy, tie exploration and the state budget —
+// plus any extra salts the caller folds in (e.g. the cluster size of a
+// distributed run, whose per-node budget scales aggregate capacity).
+// Workers, SymmetryReduction and Distributed do not change an exact verdict
+// and are excluded, so warm caches carry across those knobs. A
+// conservative reject of a busted budget is not a verdict: Admission.Salt
+// folds a marker into the key of a store that can hold them.
 func VerifyConfigKey(cfg verify.Config, extra ...uint64) uint64 {
 	h := uint64(0x5107ad3415510c4e) // arbitrary nonzero seed
 	word := func(v uint64) {
 		h = mix64(h ^ v*0x9e3779b97f4a7c15)
 	}
-	word(uint64(cfg.MaxDisturbances))
+	word(0) // where the removed disturbance bound was: persisted keys stay put
 	word(uint64(cfg.Policy))
 	if cfg.NondetTies {
 		word(1)

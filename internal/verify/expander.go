@@ -53,7 +53,7 @@ func NewExpander(profiles []*switching.Profile, cfg Config) (*Expander, error) {
 
 // StateWords is the number of significant words per state: 1 on the narrow
 // fast path, the full word count on the wide path — taken when n lanes of
-// 2 + ⌈log₂ max r⌉ (+ 2 bounded) bits and the 8-bit header exceed 64 bits:
+// 2 + ⌈log₂ max r⌉ bits and the 8-bit header exceed 64 bits:
 // nine applications at r = 17, seven at r = 65. It is the stride of every
 // word slab this seam takes and returns, and of the wire encoding.
 func (e *Expander) StateWords() int {
@@ -236,7 +236,7 @@ func (e *Expander) CheckWords(slab []uint64) error {
 // brings down to the lane's phase bit 0.
 func (t *kernel) badClocks(k int, x uint64) bool {
 	b0, b1 := x&t.p0[k], x>>1&t.p0[k]
-	sh := (t.cntShift - 1) & 63
+	sh := (t.laneBits - 1) & 63
 	return b0&b1&(t.clockAbove(k, x, t.rm1[k])>>sh) != 0 ||
 		b0&^b1&^(t.clockAbove(k, t.twv[k], x)>>sh) != 0
 }

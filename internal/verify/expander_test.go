@@ -263,8 +263,6 @@ func TestWordSeamMatchesPackedSeam(t *testing.T) {
 		{"narrow-violating", fleet(3, 1, 3, 5, 20), Config{NondetTies: true}, false},
 		{"wide", fleet(7, 6, 1, 2, 65), Config{NondetTies: true}, true},
 		{"symmetric", fleet(5, 6, 1, 2, 12), Config{NondetTies: true, SymmetryReduction: true}, false},
-		{"symmetric-bounded", fleet(5, 6, 1, 2, 12), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 2}, false},
-		{"wide-bounded", fleet(6, 6, 1, 2, 33), Config{NondetTies: true, MaxDisturbances: 2}, true},
 	} {
 		e, err := NewExpander(tc.ps, tc.cfg)
 		if err != nil {

@@ -3,17 +3,16 @@ package verify
 // The expansion kernel: the packed state is the working form. One state is
 // expanded on its lane words — phase classes, clock advance and cooldown
 // expiry are word-parallel (SWAR), everything that concerns a few lanes
-// (waiters, the occupant, bounded counters) is a bit-scan — and every
-// successor is assembled as words, never decoded. The semantics, the order
-// of the successors and the violator are those of the reference expansion
-// (reference_test.go), which TestKernelMatchesReference and
-// FuzzKernelVsReference hold the kernel to, state by state.
+// (waiters, the occupant) is a bit-scan — and every successor is assembled
+// as words, never decoded. The semantics, the order of the successors and
+// the violator are those of the reference expansion (reference_test.go),
+// which TestKernelMatchesReference and FuzzKernelVsReference hold the
+// kernel to, state by state.
 //
 // No add carries out of a lane: a stored Waiting clock is below T*w < r, a
 // stored Cooldown clock at most r − 1 and its expiry is taken before the
-// increment, r − 1 fits the clock field by construction (Verifier.valBits),
-// and a bounded counter is incremented only below its bound ≤ 3. DESIGN.md
-// §2 has the identities.
+// increment, and r − 1 fits the clock field by construction
+// (Verifier.valBits). DESIGN.md §2 has the identities.
 
 import (
 	"fmt"
@@ -71,8 +70,7 @@ type dwell struct{ min, max uint8 }
 // table serves both.
 type kernel struct {
 	valMask     uint64 // 1<<valBits − 1
-	cntShift    uint   // width of a lane's phase and clock: offset of its counter
-	maxDist     uint64 // Config.MaxDisturbances
+	laneBits    uint   // width of a lane: its phase and clock
 	eager, lazy bool   // Config.Policy
 
 	// Per lane word: phase bit 0 of every lane, the lanes with T*w = 0, and
@@ -101,8 +99,7 @@ type kernel struct {
 func (v *Verifier) buildKernel() error {
 	t := &v.kt
 	t.valMask = 1<<v.valBits - 1
-	t.cntShift = phaseBits + v.valBits
-	t.maxDist = uint64(v.cfg.MaxDisturbances)
+	t.laneBits = v.appBits
 	t.eager, t.lazy = v.cfg.Policy == sched.PreemptEager, v.cfg.Policy == sched.PreemptLazy
 	nrows := 0
 	for _, p := range v.profs {
@@ -150,7 +147,7 @@ func (v *Verifier) buildKernel() error {
 		t.rm1[k] |= uint64(p.R-1) << (sh + phaseBits)
 		t.twv[k] |= uint64(p.TwStar) << (sh + phaseBits)
 		t.val[k] |= t.valMask << (sh + phaseBits)
-		t.valTop[k] |= 1 << (sh + t.cntShift - 1)
+		t.valTop[k] |= 1 << (sh + t.laneBits - 1)
 		t.appAt[k][sh] = uint8(a)
 		t.row[a] = uint16(len(t.rows))
 		for w := 0; w <= p.TwStar; w++ {
@@ -203,7 +200,7 @@ func appOf[W laneWords](t *kernel, m W) int {
 //	choices   sub = (sub − elig) & elig walks the subsets of the eligible
 //	          lanes in the order of a counting mask; under the symmetry
 //	          quotient an odometer of per-group counts takes each group's
-//	          lowest lanes. A choice is w | sub (+ sub << cntShift bounded).
+//	          lowest lanes. A choice is w | sub.
 //	schedule  waiters carry an urgency key (T*w − wait)<<8 | tie-break; the
 //	          minimum key is the grant candidate (all lanes at it under
 //	          nondeterministic ties), key < 256 is a waiter at its deadline.
@@ -234,18 +231,10 @@ func expandLanes[W laneWords, K stateKey](v *Verifier, sc *expandScratch, w W, o
 			}
 		}
 		z := (x ^ t.rm1[k]) & t.val[k]
-		exp := ^((z&t.valLow[k] + t.valLow[k]) | z) & t.valTop[k] >> ((t.cntShift - 1) & 63) & cool
-		x &^= exp<<(t.cntShift&63) - exp
+		exp := ^((z&t.valLow[k] + t.valLow[k]) | z) & t.valTop[k] >> ((t.laneBits - 1) & 63) & cool
+		x &^= exp<<(t.laneBits&63) - exp
 		x += (wt | cool&^exp) << phaseBits
-		st := p0&^(b0|b1) | exp
-		if t.maxDist > 0 {
-			for m := st; m != 0; m &= m - 1 {
-				if x>>(uint(bits.TrailingZeros64(m))+t.cntShift)&(1<<cntBits-1) >= t.maxDist {
-					st &^= m & -m
-				}
-			}
-		}
-		w[k], wait[k], elig[k] = x, wt, st
+		w[k], wait[k], elig[k] = x, wt, p0&^(b0|b1)|exp
 	}
 
 	// The occupant: whether it must or may leave, and the lane it leaves.
@@ -265,7 +254,7 @@ func expandLanes[W laneWords, K stateKey](v *Verifier, sc *expandScratch, w W, o
 		if clk := tw + cT; clk < uint64(t.r[occ]) {
 			olane = (uint64(pCooldown) | clk<<phaseBits) << (sh & 63)
 		}
-		omask = (1<<(t.cntShift&63) - 1) << (sh & 63)
+		omask = (1<<(t.laneBits&63) - 1) << (sh & 63)
 	}
 	if minKey0 < 0 {
 		return out, masks, appOf(t, urg0) // no grant can save a waiter past T*w
@@ -273,7 +262,7 @@ func expandLanes[W laneWords, K stateKey](v *Verifier, sc *expandScratch, w W, o
 
 	ngrp := 0
 	if t.class != nil {
-		ngrp = groupEligible(v, sc, w, elig)
+		ngrp = groupEligible(v, sc, elig)
 	}
 
 	var sub W
@@ -285,9 +274,6 @@ func expandLanes[W laneWords, K stateKey](v *Verifier, sc *expandScratch, w W, o
 		for k := 0; k < len(w); k++ {
 			s := sub[k]
 			cw[k] |= s
-			if t.maxDist > 0 {
-				cw[k] += s << t.cntShift
-			}
 			urg[k] |= s & t.zeroTw[k]
 			for ; s != 0; s &= s - 1 {
 				a := t.appAt[k][bits.TrailingZeros64(s)&63]
@@ -365,10 +351,10 @@ func expandLanes[W laneWords, K stateKey](v *Verifier, sc *expandScratch, w W, o
 }
 
 // groupEligible partitions a state's eligible lanes for the symmetry
-// quotient into sc.grp and returns the number of groups: interchangeable
-// applications — same class, same counter — form one group, any other
-// application its own, and the groups are ordered by their lowest member.
-func groupEligible[W laneWords](v *Verifier, sc *expandScratch, w, rest W) int {
+// quotient into sc.grp and returns the number of groups: the eligible
+// applications of one class form one group, any other application its own,
+// and the groups are ordered by their lowest member.
+func groupEligible[W laneWords](v *Verifier, sc *expandScratch, rest W) int {
 	t := &v.kt
 	for ngrp := 0; ; ngrp++ {
 		a := appOf(t, rest)
@@ -376,20 +362,14 @@ func groupEligible[W laneWords](v *Verifier, sc *expandScratch, w, rest W) int {
 			return ngrp
 		}
 		var g W
-		sh := uint(t.shift[a])
 		if cls := v.symOf[a]; cls < 0 {
-			g[t.word[a]] = 1 << sh
+			g[t.word[a]] = 1 << t.shift[a]
 		} else {
-			cnt := w[t.word[a]] >> (sh + t.cntShift) & (1<<cntBits - 1)
-			for k := 0; k < len(w); k++ {
-				for m := rest[k] & t.class[cls][k]; m != 0; m &= m - 1 {
-					if t.maxDist == 0 || w[k]>>(uint(bits.TrailingZeros64(m))+t.cntShift)&(1<<cntBits-1) == cnt {
-						g[k] |= m & -m
-					}
-				}
+			for k := 0; k < len(rest); k++ {
+				g[k] = rest[k] & t.class[cls][k]
 			}
 		}
-		for k := 0; k < len(w); k++ {
+		for k := 0; k < len(rest); k++ {
 			rest[k] &^= g[k]
 			sc.grp[ngrp][k] = g[k]
 		}
@@ -431,8 +411,8 @@ func put[W laneWords, K stateKey](v *Verifier, out []K, cw W, occ int, cT uint64
 
 // canonLanes rewrites a state into the canonical representative of its
 // symmetry orbit: within every group of identical-profile applications the
-// lanes are sorted by content — a lane read as an integer orders by counter,
-// clock, phase — and the occupant index follows its lane.
+// lanes are sorted by content — a lane read as an integer orders by clock,
+// then phase — and the occupant index follows its lane.
 func canonLanes[W laneWords](v *Verifier, cw W, occ int) (W, int) {
 	t := &v.kt
 	lane := uint64(1)<<(v.appBits&63) - 1

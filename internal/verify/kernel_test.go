@@ -60,16 +60,13 @@ func sameExpansion(t testing.TB, v *Verifier, s PackedState, rsc *refScratch, ks
 	return want
 }
 
-// kernelModes is the mode matrix of the kernel: {exact, bounded} × {eager,
-// lazy} × {nondeterministic, deterministic ties} × {symmetry off, on}.
-func kernelModes(ps []*switching.Profile) []Config {
+// kernelModes is the mode matrix of the kernel: {eager, lazy} ×
+// {nondeterministic, deterministic ties} × {symmetry off, on}.
+func kernelModes() []Config {
 	var out []Config
-	for m := 0; m < 16; m++ {
-		cfg := Config{NondetTies: m&4 == 0, SymmetryReduction: m&8 != 0}
+	for m := 0; m < 8; m++ {
+		cfg := Config{NondetTies: m&2 == 0, SymmetryReduction: m&4 != 0}
 		if m&1 != 0 {
-			cfg.MaxDisturbances = min(BoundFor(ps), 1<<cntBits-1)
-		}
-		if m&2 != 0 {
 			cfg.Policy = sched.PreemptLazy
 		}
 		out = append(out, cfg)
@@ -78,7 +75,7 @@ func kernelModes(ps []*switching.Profile) []Config {
 }
 
 func modeName(cfg Config) string {
-	return fmt.Sprintf("bound=%d/policy=%d/nondet=%v/sym=%v", cfg.MaxDisturbances, cfg.Policy, cfg.NondetTies, cfg.SymmetryReduction)
+	return fmt.Sprintf("policy=%d/nondet=%v/sym=%v", cfg.Policy, cfg.NondetTies, cfg.SymmetryReduction)
 }
 
 // syntheticSlots draws small slots from the synthetic fleet generator: the
@@ -146,8 +143,8 @@ func TestKernelMatchesReference(t *testing.T) {
 		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, 1000},
 		{"wide/7r65", fleet(7, 2, 1, 2, 65), 1500},                                      // one lane word and the header
 		{"wide/9r65", append(fleet(8, 9, 1, 2, 65), prof("X", 4, 2, 3, 12)), 1500},      // two lane words
-		{"wide/12r100", append(fleet(9, 12, 1, 2, 100), fleet(3, 7, 2, 3, 60)...), 800}, // three lane words, bounded: 5 lanes a word
-		{"wide/mixed6", wideMixed6(), 1500},
+		{"wide/12r100", append(fleet(9, 12, 1, 2, 100), fleet(3, 7, 2, 3, 60)...), 800}, // two lane words, the cap of 12 at 9-bit lanes
+		{"wide/mixed7", wideMixed7(), 1500},
 	}
 	if testing.Short() {
 		slots = slots[:5]
@@ -158,13 +155,13 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 	states, wideRuns := 0, 0
 	for _, sl := range slots {
-		for _, cfg := range kernelModes(sl.ps) {
+		for _, cfg := range kernelModes() {
 			for _, forceWide := range []bool{false, true} {
 				v := testVerifier(t, sl.ps, cfg, forceWide)
 				if forceWide && testVerifier(t, sl.ps, cfg, false).wide {
 					continue // wide by its own n and r: already run
 				}
-				if strings.HasPrefix(sl.name, "wide/") && cfg.MaxDisturbances == 0 != (sl.name == "wide/mixed6") && !v.wide {
+				if strings.HasPrefix(sl.name, "wide/") && !v.wide {
 					t.Fatalf("%s %s: expected a wide set", sl.name, modeName(cfg))
 				}
 				if v.wide {
@@ -253,7 +250,7 @@ func TestNewRejectsMalformedDwell(t *testing.T) {
 		{"zero granularity", bad(func(p *switching.Profile) { p.Granularity = 0 }), "Bad has granularity 0"},
 		{"negative T*w", bad(func(p *switching.Profile) { p.TwStar = -1 }), "Bad has T*w=-1"},
 	} {
-		for _, cfg := range []Config{{NondetTies: true}, {SymmetryReduction: true, MaxDisturbances: 2}} {
+		for _, cfg := range []Config{{NondetTies: true}, {SymmetryReduction: true}} {
 			_, err := New([]*switching.Profile{ok, tc.p}, cfg)
 			if !errors.Is(err, ErrEncoding) || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: error %q, want ErrEncoding holding %q", tc.name, err, tc.want)
@@ -310,7 +307,8 @@ func TestNewCostBounded(t *testing.T) {
 
 // fuzzSet reads a small valid application set and a mode from the fuzz
 // input. n selects 1 to 8 applications (eight 7-bit lanes fill the word).
-// mode: bits 0–1 the disturbance bound, bit 2 lazy preemption, bit 3
+// mode: bits 0–1 unused (they held the removed disturbance bound, so the
+// committed seeds keep their meaning), bit 2 lazy preemption, bit 3
 // deterministic ties, bit 4 the symmetry quotient, bits 5–6 the number of
 // designs k (0: every application its own; else application i is an
 // instance of design i mod k, so symmetry classes occur). data holds four
@@ -339,7 +337,7 @@ func fuzzSet(n, mode uint8, at func(int) int) ([]*switching.Profile, Config) {
 			ps[i].TdwPlus[w] = ps[i].TdwMinus[w] + b>>4%(maxTdw+1-ps[i].TdwMinus[w])
 		}
 	}
-	cfg := Config{MaxDisturbances: int(mode & 3), NondetTies: mode&8 == 0, SymmetryReduction: mode&16 != 0}
+	cfg := Config{NondetTies: mode&8 == 0, SymmetryReduction: mode&16 != 0}
 	if mode&4 != 0 {
 		cfg.Policy = sched.PreemptLazy
 	}
@@ -356,8 +354,8 @@ func fuzzSet(n, mode uint8, at func(int) int) ([]*switching.Profile, Config) {
 // seed corpus in testdata/fuzz/FuzzKernelVsReference holds the boundaries:
 // r a power of two with Cooldown clocks at r − 1, T*w = r − 1 with waiters
 // at and past the deadline, the dwell at 15, eight 7-bit lanes filling the
-// word, bounded counters at the cap, all lanes Steady (2ⁿ choices), and a
-// two-class fleet whose occupant sits in a class the canonical form reorders.
+// word, all lanes Steady (2ⁿ choices), and a two-class fleet whose occupant
+// sits in a class the canonical form reorders or whose occupant is evicted.
 func FuzzKernelVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n, mode uint8, data []byte) {
 		at := func(i int) int {
@@ -376,7 +374,7 @@ func FuzzKernelVsReference(f *testing.F) {
 				break
 			}
 			v.wide = v.wide || forceWide
-			c := drawState(v, ps, at)
+			c := drawState(ps, at)
 			s := PackedState{v.pack(&c)}
 			if v.wide {
 				s = PackedState(v.packWide(&c))

@@ -60,7 +60,7 @@ func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config, forceWide bool
 }
 
 // TestLanesMatchReferenceBFS: lanes ∈ {2, 3, 4, 8} × narrow / forced or fitted wide ×
-// symmetry / bounded / deterministic ties against the reference search —
+// symmetry / deterministic ties against the reference search —
 // States, Transitions and Depth on schedulable slots; Depth, the size of
 // levels 0..Depth and the minimum-state violator on violating ones.
 func TestLanesMatchReferenceBFS(t *testing.T) {
@@ -72,19 +72,16 @@ func TestLanesMatchReferenceBFS(t *testing.T) {
 	}{
 		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{NondetTies: true}},
 		{"asymTriple", asym, Config{NondetTies: true}},
-		{"asymTriple/bounded", asym, Config{NondetTies: true, MaxDisturbances: 2}},
 		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, Config{NondetTies: true}},
 		{"S2/det", caseProfiles(t, "C6", "C2"), Config{}},
 		{"C1C5C6", caseProfiles(t, "C1", "C5", "C6"), Config{NondetTies: true}},
 		{"viol3", caseProfiles(t, "C6", "C2", "C1"), Config{NondetTies: true}},
-		{"viol3/bounded", caseProfiles(t, "C6", "C2", "C1"), Config{NondetTies: true, MaxDisturbances: 3}},
 		{"viol4", caseProfiles(t, "C1", "C5", "C4", "C6"), Config{NondetTies: true}},
 		{"fleet5/sym", fleet(5, 6, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet5/viol", fleet(5, 3, 1, 2, 10), Config{NondetTies: true}},
 		{"fleet5/viol/sym", fleet(5, 3, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
-		{"fleet7/sym/bounded", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
 		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 65), Config{NondetTies: true}},
-		{"mixed6/wide/sym/bounded", wideMixed6(), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
+		{"mixed7/wide/sym", wideMixed7(), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
 		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
 			want := lanesWant(t, c.ps, c.cfg, forceWide)
@@ -111,7 +108,7 @@ func TestLanesBudget(t *testing.T) {
 	}{
 		{"C1C5C6", caseProfiles(t, "C1", "C5", "C6"), Config{NondetTies: true}},
 		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
-		{"mixed6/wide/sym/bounded", wideMixed6(), Config{NondetTies: true, SymmetryReduction: true, MaxDisturbances: 1}},
+		{"mixed7/wide/sym", wideMixed7(), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
 		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
 			want, _, _, _ := refBFS(t, c.ps, c.cfg, forceWide)

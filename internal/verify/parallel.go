@@ -124,7 +124,7 @@ func runLanes[K stateKey](v *Verifier, n int, init K,
 	e := newNode(v, n, successors, hash)
 	defer e.Release()
 	e.Absorb([][]uint64{appendKey(nil, init)})
-	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
+	res := Result{Schedulable: true}
 	for depth := 0; ; depth++ {
 		if depth > 0 {
 			e.Advance()

@@ -7,31 +7,25 @@ import (
 	"tightcps/internal/switching"
 )
 
-// TestParallelMatchesSequential: on every combination — schedulable and not,
-// exact and bounded — the owner-partitioned parallel BFS must return the sequential
+// TestParallelMatchesSequential: on every combination — schedulable and
+// not — the owner-partitioned parallel BFS must return the sequential
 // verdict, and on schedulable sets (exhaustive search) the exact same
 // state/transition/depth counts.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
-		name    string
-		ps      []*switching.Profile
-		bounded bool
+		name string
+		ps   []*switching.Profile
 	}{
-		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}, false},
-		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, false},
-		{"loosePair", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}, false},
-		{"tight", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}, false},
-		{"S2", caseProfiles(t, "C6", "C2"), false},
-		{"S1prefix", caseProfiles(t, "C1", "C5", "C4"), false},
-		{"rejected", caseProfiles(t, "C1", "C5", "C4", "C6"), false},
-		{"S2bounded", caseProfiles(t, "C6", "C2"), true},
+		{"single", []*switching.Profile{prof("A", 5, 2, 4, 20)}},
+		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}},
+		{"loosePair", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}},
+		{"tight", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}},
+		{"S2", caseProfiles(t, "C6", "C2")},
+		{"S1prefix", caseProfiles(t, "C1", "C5", "C4")},
+		{"rejected", caseProfiles(t, "C1", "C5", "C4", "C6")},
 	}
 	for _, tc := range cases {
-		cfg := Config{NondetTies: true}
-		if tc.bounded {
-			cfg.MaxDisturbances = BoundFor(tc.ps)
-		}
-		cfg.Workers = 1
+		cfg := Config{NondetTies: true, Workers: 1}
 		seq, err := Slot(tc.ps, cfg)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", tc.name, err)

@@ -15,7 +15,6 @@ import (
 type cstate struct {
 	phase [maxApps]uint8
 	val   [maxApps]uint8 // Waiting: wt; Cooldown: clock; Granted: tw at grant
-	cnt   [maxApps]uint8 // bounded mode: disturbances used
 	occ   int8           // occupant index, −1 idle
 	cT    uint8          // occupant dwell
 }
@@ -24,9 +23,6 @@ func (v *Verifier) pack(c *cstate) uint64 {
 	var s uint64
 	for i := 0; i < v.n; i++ {
 		f := uint64(c.phase[i]) | uint64(c.val[i])<<phaseBits
-		if v.cfg.MaxDisturbances > 0 {
-			f |= uint64(c.cnt[i]) << (phaseBits + v.valBits)
-		}
 		s |= f << (uint(i) * v.appBits)
 	}
 	occ := uint64(0xF)
@@ -43,11 +39,6 @@ func (v *Verifier) unpack(s uint64, c *cstate) {
 		f := s >> (uint(i) * v.appBits)
 		c.phase[i] = uint8(f & (1<<phaseBits - 1))
 		c.val[i] = uint8(f >> phaseBits & (1<<v.valBits - 1))
-		if v.cfg.MaxDisturbances > 0 {
-			c.cnt[i] = uint8(f >> (phaseBits + v.valBits) & (1<<cntBits - 1))
-		} else {
-			c.cnt[i] = 0
-		}
 	}
 	occ := s >> v.occShift & 0xF
 	if occ == 0xF {
@@ -62,9 +53,6 @@ func (v *Verifier) packWide(c *cstate) [wideWords]uint64 {
 	var s [wideWords]uint64
 	for i := 0; i < v.n; i++ {
 		f := uint64(c.phase[i]) | uint64(c.val[i])<<phaseBits
-		if v.cfg.MaxDisturbances > 0 {
-			f |= uint64(c.cnt[i]) << (phaseBits + v.valBits)
-		}
 		s[i/v.lanes] |= f << (uint(i%v.lanes) * v.appBits)
 	}
 	occ := uint64(wideIdle)
@@ -80,11 +68,6 @@ func (v *Verifier) unpackWide(s [wideWords]uint64, c *cstate) {
 		f := s[i/v.lanes] >> (uint(i%v.lanes) * v.appBits)
 		c.phase[i] = uint8(f & (1<<phaseBits - 1))
 		c.val[i] = uint8(f >> phaseBits & (1<<v.valBits - 1))
-		if v.cfg.MaxDisturbances > 0 {
-			c.cnt[i] = uint8(f >> (phaseBits + v.valBits) & (1<<cntBits - 1))
-		} else {
-			c.cnt[i] = 0
-		}
 	}
 	h := s[wideAppWords]
 	if h&0xFF == wideIdle {
@@ -113,11 +96,11 @@ type refScratch struct {
 	cand [maxApps]int8 // grant-candidate buffer (schedule)
 }
 
-// laneKey totally orders one application's lane content — by (cnt, val,
-// phase), a byte each — for the symmetry canonicalisation. It orders decoded
-// lanes and is independent of the packed layout.
+// laneKey totally orders one application's lane content — by (val, phase),
+// a byte each — for the symmetry canonicalisation. It orders decoded lanes
+// and is independent of the packed layout.
 func laneKey(c *cstate, i int) int {
-	return int(c.cnt[i])<<16 | int(c.val[i])<<8 | int(c.phase[i])
+	return int(c.val[i])<<8 | int(c.phase[i])
 }
 
 // canon rewrites c into the canonical representative of its symmetry orbit:
@@ -131,7 +114,6 @@ func (v *Verifier) canon(c *cstate) {
 				a, b := g[j], g[j-1]
 				c.phase[a], c.phase[b] = c.phase[b], c.phase[a]
 				c.val[a], c.val[b] = c.val[b], c.val[a]
-				c.cnt[a], c.cnt[b] = c.cnt[b], c.cnt[a]
 				if int(c.occ) == a {
 					c.occ = int8(b)
 				} else if int(c.occ) == b {
@@ -180,9 +162,6 @@ func (v *Verifier) expand(base *cstate, sc *refScratch) int {
 		if base.phase[i] != pSteady {
 			continue
 		}
-		if v.cfg.MaxDisturbances > 0 && int(base.cnt[i]) >= v.cfg.MaxDisturbances {
-			continue
-		}
 		sc.elig[nelig] = int8(i)
 		nelig++
 	}
@@ -199,9 +178,6 @@ func (v *Verifier) expand(base *cstate, sc *refScratch) int {
 				app := int(sc.elig[b])
 				c.phase[app] = pWaiting
 				c.val[app] = 0
-				if v.cfg.MaxDisturbances > 0 {
-					c.cnt[app]++
-				}
 				m |= 1 << uint(app)
 			}
 		}
@@ -214,8 +190,8 @@ func (v *Verifier) expand(base *cstate, sc *refScratch) int {
 
 // expandGrouped is the symmetry-aware disturbance enumeration: eligible
 // applications are partitioned into interchangeable groups (same symmetry
-// class, same disturbance count — identical lane content, since Steady
-// lanes carry val 0), and only the number disturbed per group is chosen.
+// class — identical lane content, since Steady lanes carry val 0), and only
+// the number disturbed per group is chosen.
 // The branching factor drops from 2^e subsets to Π(|group|+1) count
 // vectors; every successor is canonicalised in the arena before the next
 // choice runs. All scratch lives in fixed-size stack arrays and sc — this
@@ -226,14 +202,13 @@ func (v *Verifier) expandGrouped(base *cstate, elig []int8, sc *refScratch) int 
 	var members [maxApps]int8
 	var groupEnd [maxApps]int8
 	var groupCls [maxApps]int16 // symmetry class of each group, −1 singleton
-	var groupCnt [maxApps]uint8 // disturbance count shared by the group
 	ngroups := 0
 	pos := int8(0)
 	for _, a := range elig {
 		gi := -1
 		if cls := v.symOf[a]; cls >= 0 {
 			for g := 0; g < ngroups; g++ {
-				if groupCls[g] == int16(cls) && groupCnt[g] == base.cnt[a] {
+				if groupCls[g] == int16(cls) {
 					gi = g
 					break
 				}
@@ -247,7 +222,6 @@ func (v *Verifier) expandGrouped(base *cstate, elig []int8, sc *refScratch) int 
 			groupCls[gi] = -1
 		}
 		if gi == ngroups {
-			groupCnt[gi] = base.cnt[a]
 			ngroups++
 			// New groups open at the end; existing groups grow by shifting
 			// the (few) later members right.
@@ -277,9 +251,6 @@ func (v *Verifier) expandGrouped(base *cstate, elig []int8, sc *refScratch) int 
 				app := int(members[k])
 				c.phase[app] = pWaiting
 				c.val[app] = 0
-				if v.cfg.MaxDisturbances > 0 {
-					c.cnt[app]++
-				}
 				m |= 1 << uint(app)
 			}
 			start = groupEnd[g]

@@ -10,21 +10,12 @@ import (
 	"fmt"
 
 	"tightcps/internal/sched"
-	"tightcps/internal/switching"
 )
 
 // Spec selects a verification configuration over the wire. The zero value
-// is the admission service's default: exact disturbances, the paper's
-// eager policy, sound nondeterministic tie exploration, the default state
-// budget.
+// is the admission service's default: the paper's eager policy, sound
+// nondeterministic tie exploration, the default state budget.
 type Spec struct {
-	// Bounded switches on the paper's bounded-disturbance acceleration,
-	// with the sound per-set bound of BoundFor (unless MaxDisturbances
-	// pins a tighter one).
-	Bounded bool `json:"bounded,omitempty"`
-	// MaxDisturbances pins the per-application disturbance bound directly
-	// (implies Bounded). 0 defers to Bounded/BoundFor.
-	MaxDisturbances int `json:"maxDisturbances,omitempty"`
 	// Policy names the preemption policy: "" or "eager" (the paper's
 	// strategy), or "lazy".
 	Policy string `json:"policy,omitempty"`
@@ -40,10 +31,9 @@ type Spec struct {
 	Symmetry bool `json:"symmetry,omitempty"`
 }
 
-// Config resolves the spec against a concrete profile set (the
-// bounded-mode disturbance bound depends on the profiles). The returned
-// Config carries no Workers/Distributed — callers layer those on.
-func (s Spec) Config(profiles []*switching.Profile) (Config, error) {
+// Config resolves the spec into a Config. The returned Config carries no
+// Workers/Distributed — callers layer those on.
+func (s Spec) Config() (Config, error) {
 	cfg := Config{
 		NondetTies:        !s.DetTies,
 		MaxStates:         s.MaxStates,
@@ -60,28 +50,16 @@ func (s Spec) Config(profiles []*switching.Profile) (Config, error) {
 	if s.MaxStates < 0 {
 		return Config{}, fmt.Errorf("verify: negative state budget %d", s.MaxStates)
 	}
-	if s.MaxDisturbances < 0 {
-		return Config{}, fmt.Errorf("verify: negative disturbance bound %d", s.MaxDisturbances)
-	}
-	switch {
-	case s.MaxDisturbances > 0:
-		cfg.MaxDisturbances = s.MaxDisturbances
-	case s.Bounded:
-		cfg.MaxDisturbances = BoundFor(profiles)
-	}
 	return cfg, nil
 }
 
 // SpecOf captures the verdict-relevant fields of a Config as a Spec, the
-// inverse of Spec.Config for configs built by the CLIs. A nonzero
-// MaxDisturbances is carried explicitly (the receiving side must not
-// recompute BoundFor over a possibly different profile set).
+// inverse of Spec.Config for configs built by the CLIs.
 func SpecOf(cfg Config) Spec {
 	s := Spec{
-		MaxDisturbances: cfg.MaxDisturbances,
-		DetTies:         !cfg.NondetTies,
-		MaxStates:       cfg.MaxStates,
-		Symmetry:        cfg.SymmetryReduction,
+		DetTies:   !cfg.NondetTies,
+		MaxStates: cfg.MaxStates,
+		Symmetry:  cfg.SymmetryReduction,
 	}
 	if cfg.Policy == sched.PreemptLazy {
 		s.Policy = "lazy"

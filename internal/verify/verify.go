@@ -14,26 +14,22 @@
 // interval (subject to the per-application minimum inter-arrival time r).
 //
 // Two packed encodings back the same semantics. Every application owns a
-// lane of 2 phase bits, a clock fitted to the set's largest r (⌈log₂ r⌉
-// bits, see Verifier.valBits) and, in bounded mode, a 2-bit disturbance
-// counter; sets whose lanes plus the 8-bit occupant/dwell header fit one
-// machine word use the single-uint64 encoding (the fast path — every paper
-// result and every fleet of up to 8 applications at r ≤ 32 runs here),
-// larger sets up to maxApps applications the multi-word wide encoding
-// (kernel.go). Every driver, the visited set and the kernel's output are
-// generic over the one packed-state type family, stateKey.
+// lane of 2 phase bits and a clock fitted to the set's largest r (⌈log₂ r⌉
+// bits, see Verifier.valBits); sets whose lanes plus the 8-bit
+// occupant/dwell header fit one machine word use the single-uint64
+// encoding (the fast path — every paper result and every fleet of up to 8
+// applications at r ≤ 32 runs here), larger sets up to maxApps
+// applications the multi-word wide encoding (kernel.go). Every driver, the
+// visited set and the kernel's output are generic over the one
+// packed-state type family, stateKey.
 // Sets of applications with identical profiles can additionally be checked
 // under a sound symmetry quotient (Config.SymmetryReduction), collapsing
 // the state space of homogeneous fleets by up to n! per class.
 //
-// Two disturbance modes are provided:
-//
-//   - exact (default): unbounded disturbance instances — full reachability;
-//   - bounded: each application is limited to a given number of disturbance
-//     instances, the paper's acceleration that cut one verification from
-//     5 h to 15 min. It under-approximates reachability and is sound under
-//     the paper's critical-instant argument (a worst-case wait occurs
-//     within a window that bounds how many times each interferer can fire).
+// Disturbance instances are unbounded: the search is full reachability.
+// The paper's bounded-disturbance acceleration (Sec. 5) is not adopted: in
+// this counter-free encoding it only adds a counter to every lane and never
+// stored fewer states (DESIGN.md §4).
 //
 // The packed state is also the working form: kernel.go expands a state on
 // its words, bit-parallel, and never decodes it.
@@ -56,14 +52,12 @@ import (
 
 // Limits of the packed encodings. maxApps is the wide-encoding cap; a set
 // stays on the one-word fast path while n·appBits + 8 ≤ 64, where appBits =
-// phaseBits + ⌈log₂ max r⌉ (+ cntBits bounded) — e.g. 8 apps at r ≤ 32, 6 at
-// r ≤ 127.
+// phaseBits + ⌈log₂ max r⌉ — e.g. 8 apps at r ≤ 32, 6 at r ≤ 127.
 const (
 	maxApps   = 12  // wide-encoding application cap
 	maxClock  = 127 // r, T*w ≤ 127 samples
 	maxTdw    = 15  // Tdw+ ≤ 15 samples
 	phaseBits = 2
-	cntBits   = 2 // bounded-mode disturbance counters
 )
 
 // Phases in the packed encoding: the two low bits of a lane. The occupant
@@ -77,9 +71,6 @@ const (
 
 // Config tunes a verification run.
 type Config struct {
-	// MaxDisturbances bounds the number of disturbance instances per
-	// application (the paper's acceleration). 0 means unbounded (exact).
-	MaxDisturbances int
 	// Policy selects the preemption policy to verify (default the paper's
 	// eager policy).
 	Policy sched.PreemptionPolicy
@@ -142,9 +133,6 @@ type Result struct {
 	// Violator is the application that missed its deadline (valid when
 	// !Schedulable); Counterexample rebuilds a schedule leading to the miss.
 	Violator int
-	// Bounded records whether the accelerated (bounded-disturbance) model
-	// was used.
-	Bounded bool
 	// Wire aggregates the frontier-exchange volume of a distributed run
 	// (zero for local searches): the backend behind Config.Distributed
 	// fills it in so CLIs can report what crossed the mesh links.
@@ -270,12 +258,6 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 	}
 	v := &Verifier{profs: profiles, cfg: cfg, n: n, valBits: uint(bits.Len(uint(maxR - 1)))}
 	v.appBits = phaseBits + v.valBits
-	if cfg.MaxDisturbances > 0 {
-		if cfg.MaxDisturbances >= 1<<cntBits {
-			return nil, fmt.Errorf("%w: disturbance bound %d exceeds %d", ErrEncoding, cfg.MaxDisturbances, 1<<cntBits-1)
-		}
-		v.appBits += cntBits
-	}
 	total := uint(n)*v.appBits + 4 /*occupant*/ + 4 /*cT*/
 	v.occShift = uint(n) * v.appBits
 	v.ctShift = v.occShift + 4
@@ -435,7 +417,7 @@ const seqChunk = 128
 // loop allocates only when the visited set grows.
 func runSequential[K stateKey](v *Verifier, init K,
 	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)) (Result, error) {
-	res := Result{Schedulable: true, Bounded: v.cfg.MaxDisturbances > 0}
+	res := Result{Schedulable: true}
 	visited := newKeySet[K](setCap[K]())
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
@@ -590,27 +572,4 @@ func Slot(profiles []*switching.Profile, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return v.Run()
-}
-
-// BoundFor computes a sound per-application disturbance bound for the
-// accelerated model, following the paper's argument: the worst-case wait of
-// any application unfolds within a busy window no longer than
-// W = max_i (T*w_i + maxTdw+_i) samples, during which application j can
-// fire at most ⌈W / r_j⌉ + 1 times. The returned bound is the maximum over
-// j of that count (the encoding uses one shared bound).
-func BoundFor(profiles []*switching.Profile) int {
-	w := 0
-	for _, p := range profiles {
-		if l := p.TwStar + p.MaxTdwPlus(); l > w {
-			w = l
-		}
-	}
-	bound := 1
-	for _, p := range profiles {
-		b := (w+p.R-1)/p.R + 1
-		if b > bound {
-			bound = b
-		}
-	}
-	return bound
 }

@@ -118,34 +118,6 @@ func TestPaperRejections(t *testing.T) {
 	}
 }
 
-// TestBoundedAgreesWithExact: on every paper combination, the accelerated
-// (bounded-disturbance) model returns the same verdict as the exact model.
-func TestBoundedAgreesWithExact(t *testing.T) {
-	combos := [][]string{
-		{"C1", "C5"},
-		{"C1", "C5", "C4"},
-		{"C1", "C5", "C4", "C6"},
-		{"C6", "C2"},
-	}
-	for _, names := range combos {
-		ps := caseProfiles(t, names...)
-		exact, err := Slot(ps, Config{NondetTies: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bounded, err := Slot(ps, Config{NondetTies: true, MaxDisturbances: BoundFor(ps)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact.Schedulable != bounded.Schedulable {
-			t.Errorf("%v: exact=%v bounded=%v", names, exact.Schedulable, bounded.Schedulable)
-		}
-		if !bounded.Bounded || exact.Bounded {
-			t.Errorf("%v: Bounded flags wrong", names)
-		}
-	}
-}
-
 // TestCounterexampleReplaysInArbiter: the schedule Counterexample rebuilds
 // from a violation found by any engine — the sequential search or two and
 // three lanes, on the fitted encoding and forced onto the wide one — has one
@@ -296,10 +268,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New([]*switching.Profile{prof("A", 5, 2, 4, 200)}, Config{}); err == nil {
 		t.Fatal("r > 127 accepted")
 	}
-	// Too many disturbance-counter bits.
-	if _, err := New([]*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{MaxDisturbances: 9}); err == nil {
-		t.Fatal("bound 9 accepted (needs >2 bits)")
-	}
 	// Thirteen apps exceed even the wide packing.
 	var many []*switching.Profile
 	for i := 0; i < 13; i++ {
@@ -439,14 +407,13 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	ps := caseProfiles(t, "C1", "C5", "C4", "C3")
-	v, err := New(ps, Config{MaxDisturbances: 2})
+	v, err := New(ps, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	states := []cstate{
 		{occ: -1},
-		{phase: [maxApps]uint8{pWaiting, pSteady, pCooldown, pGranted}, val: [maxApps]uint8{3, 0, 17, 5},
-			cnt: [maxApps]uint8{1, 0, 2, 1}, occ: 3, cT: 2},
+		{phase: [maxApps]uint8{pWaiting, pSteady, pCooldown, pGranted}, val: [maxApps]uint8{3, 0, 17, 5}, occ: 3, cT: 2},
 		{phase: [maxApps]uint8{pCooldown, pCooldown, pCooldown, pCooldown}, val: [maxApps]uint8{24, 24, 39, 49}, occ: -1},
 	}
 	for i, c := range states {
@@ -455,13 +422,5 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		if d != c {
 			t.Fatalf("state %d round trip: %+v vs %+v", i, d, c)
 		}
-	}
-}
-
-func TestBoundFor(t *testing.T) {
-	ps := []*switching.Profile{prof("A", 10, 2, 4, 20)}
-	// Window = 10+4 = 14; ⌈14/20⌉+1 = 2.
-	if b := BoundFor(ps); b != 2 {
-		t.Fatalf("BoundFor = %d, want 2", b)
 	}
 }

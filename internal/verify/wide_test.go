@@ -39,38 +39,36 @@ func checkRoundTrip(t testing.TB, v *Verifier, c *cstate) {
 }
 
 // TestEncodingBoundary walks the fitted layout across the one-word limit:
-// a set is wide exactly when n·(2 + ⌈log₂ max r⌉ (+2 bounded)) + 8 > 64, the
-// clock field is bits.Len(r − 1) wide on both sides of every power of two,
-// every count up to maxApps constructs without ErrEncoding and the first
-// count beyond it still fails cleanly. On every row the fullest state the
-// set can store — all lanes cooling down at r − 1, counters at the bound —
-// round-trips through both encodings.
+// a set is wide exactly when n·(2 + ⌈log₂ max r⌉) + 8 > 64, the clock field
+// is bits.Len(r − 1) wide on both sides of every power of two, every count
+// up to maxApps constructs without ErrEncoding and the first count beyond it
+// still fails cleanly. On every row the fullest state the set can store —
+// all lanes cooling down at r − 1 — round-trips through both encodings.
 func TestEncodingBoundary(t *testing.T) {
 	type row struct {
-		n, r, bound int
-		valBits     uint
-		wide        bool
+		n, r    int
+		valBits uint
+		wide    bool
 	}
 	rows := []row{
-		{7, 20, 0, 5, false},  // 7·7+8 = 57
-		{8, 32, 0, 5, false},  // 8·7+8 = 64, exactly one word
-		{8, 33, 0, 6, true},   // 8·8+8 = 72
-		{7, 64, 0, 6, false},  // 7·8+8 = 64
-		{7, 65, 0, 7, true},   // 7·9+8 = 71
-		{9, 17, 0, 5, true},   // 9·7+8 = 71
-		{6, 127, 0, 7, false}, // 6·9+8 = 62: six apps fit at any r
-		{6, 20, 2, 5, false},  // bounded: 6·(2+5+2)+8 = 62
-		{6, 33, 2, 6, true},   // bounded: 6·10+8 = 68
-		{12, 4, 0, 2, false},  // 12·4+8 = 56: a full-cap fleet on one word
-		{12, 20, 0, 5, true},
-		{1, 1, 0, 0, false}, // r = 1: a lane is its two phase bits
+		{7, 20, 5, false},  // 7·7+8 = 57
+		{8, 32, 5, false},  // 8·7+8 = 64, exactly one word
+		{8, 33, 6, true},   // 8·8+8 = 72
+		{7, 64, 6, false},  // 7·8+8 = 64
+		{7, 65, 7, true},   // 7·9+8 = 71
+		{9, 17, 5, true},   // 9·7+8 = 71
+		{6, 127, 7, false}, // 6·9+8 = 62: six apps fit at any r
+		{12, 4, 2, false},  // 12·4+8 = 56: a full-cap fleet on one word
+		{12, 20, 5, true},
+		{12, 127, 7, true}, // 12·9+8 = 116: the widest lanes at the cap, two lane words
+		{1, 1, 0, false},   // r = 1: a lane is its two phase bits
 	}
 	for k := uint(1); k < 7; k++ { // r = 2ᵏ and 2ᵏ+1
-		rows = append(rows, row{4, 1 << k, 0, k, false}, row{4, 1<<k + 1, 0, k + 1, false})
+		rows = append(rows, row{4, 1 << k, k, false}, row{4, 1<<k + 1, k + 1, false})
 	}
 	for _, tc := range rows {
-		name := fmt.Sprintf("n=%d r=%d bound=%d", tc.n, tc.r, tc.bound)
-		v, err := New(fleet(tc.n, min(5, tc.r-1), 2, 4, tc.r), Config{NondetTies: true, MaxDisturbances: tc.bound})
+		name := fmt.Sprintf("n=%d r=%d", tc.n, tc.r)
+		v, err := New(fleet(tc.n, min(5, tc.r-1), 2, 4, tc.r), Config{NondetTies: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -79,7 +77,7 @@ func TestEncodingBoundary(t *testing.T) {
 		}
 		full := cstate{occ: -1}
 		for i := 0; i < tc.n; i++ {
-			full.phase[i], full.val[i], full.cnt[i] = pCooldown, uint8(tc.r-1), uint8(tc.bound)
+			full.phase[i], full.val[i] = pCooldown, uint8(tc.r-1)
 		}
 		checkRoundTrip(t, v, &full)
 	}
@@ -89,16 +87,18 @@ func TestEncodingBoundary(t *testing.T) {
 }
 
 // FuzzPackRoundTrip draws an application set — 1 to maxApps applications,
-// each with its own r and T*w, exact or bounded — and one storable state of
-// it (lane clocks within [0, r), counters within the bound, at most one
-// occupant) and holds both packed encodings to checkRoundTrip. data is read
-// four bytes per application (r, T*w, phase and counter, clock), then
-// occupant and dwell; missing bytes read as zero. The seed corpus in
-// testdata/fuzz/FuzzPackRoundTrip holds the rows of TestEncodingBoundary —
-// fleets either side of 64 bits, r = 2ᵏ and 2ᵏ+1 mixed in one set — as n−1,
-// the bound and (r−1, T*w, phase, clock) per application.
+// each with its own r and T*w — and one storable state of it (lane clocks
+// within [0, r), at most one occupant) and holds both packed encodings to
+// checkRoundTrip. data is read four bytes per application (r, T*w, phase,
+// clock), then occupant and dwell; missing bytes read as zero. The seed
+// corpus in testdata/fuzz/FuzzPackRoundTrip holds the rows of
+// TestEncodingBoundary — fleets either side of 64 bits, the full twelve
+// applications at r = 127, r = 2ᵏ and 2ᵏ+1 mixed in one set — as n−1, a
+// byte the target ignores, and (r−1, T*w, phase, clock) per application.
+// The ignored byte is where the removed disturbance bound was read, so the
+// committed seeds keep their meaning.
 func FuzzPackRoundTrip(f *testing.F) {
-	f.Fuzz(func(t *testing.T, n, bound uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, n, _ uint8, data []byte) {
 		at := func(i int) int {
 			if i < len(data) {
 				return int(data[i])
@@ -110,20 +110,19 @@ func FuzzPackRoundTrip(f *testing.F) {
 			r := 1 + at(4*i)%maxClock
 			ps[i] = prof(fmt.Sprintf("F%d", i), at(4*i+1)%r, 1, 2, r)
 		}
-		v, err := New(ps, Config{MaxDisturbances: int(bound) % (1 << cntBits)})
+		v, err := New(ps, Config{})
 		if err != nil {
 			t.Fatalf("a set inside every limit was refused: %v", err)
 		}
-		c := drawState(v, ps, at)
+		c := drawState(ps, at)
 		checkRoundTrip(t, v, &c)
 	})
 }
 
 // drawState reads one storable state of the set from at: per application the
-// bytes 4i+2 (phase and counter) and 4i+3 (clock, within [0, r)), then
-// occupant and dwell — counters within the bound, at most one occupant, whose
-// lane is the only Granted one.
-func drawState(v *Verifier, ps []*switching.Profile, at func(int) int) cstate {
+// bytes 4i+2 (phase) and 4i+3 (clock, within [0, r)), then occupant and
+// dwell — at most one occupant, whose lane is the only Granted one.
+func drawState(ps []*switching.Profile, at func(int) int) cstate {
 	c := cstate{occ: int8(at(4*len(ps))%(len(ps)+1)) - 1}
 	for i, p := range ps {
 		c.phase[i] = [...]uint8{pSteady, pWaiting, pCooldown}[at(4*i+2)%3]
@@ -133,23 +132,21 @@ func drawState(v *Verifier, ps []*switching.Profile, at func(int) int) cstate {
 		if c.phase[i] != pSteady {
 			c.val[i] = uint8(at(4*i+3) % p.R)
 		}
-		c.cnt[i] = uint8(at(4*i+2) / 3 % (v.cfg.MaxDisturbances + 1))
 	}
 	return c
 }
 
 // TestWidePackUnpackRoundTrip exercises the multi-word lane layout at the
-// full 12-app width, bounded mode (r = 20: 9-bit lanes, 7 per word).
+// full 12-app width with the widest lanes (r = 100: 9-bit lanes, 7 per word).
 func TestWidePackUnpackRoundTrip(t *testing.T) {
-	v, err := New(fleet(12, 5, 2, 4, 20), Config{MaxDisturbances: 2})
+	v, err := New(fleet(12, 5, 2, 4, 100), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	states := []cstate{
 		{occ: -1},
 		{phase: [maxApps]uint8{pWaiting, pSteady, pCooldown, pGranted, pWaiting, pCooldown, pSteady, pWaiting, pCooldown, pWaiting, pSteady, pCooldown},
-			val: [maxApps]uint8{3, 0, 17, 5, 1, 9, 0, 4, 12, 2, 0, 19},
-			cnt: [maxApps]uint8{1, 0, 2, 1, 0, 2, 1, 0, 1, 2, 0, 1}, occ: 3, cT: 2},
+			val: [maxApps]uint8{3, 0, 17, 5, 1, 9, 0, 4, 12, 2, 0, 99}, occ: 3, cT: 2},
 		{phase: [maxApps]uint8{pCooldown, pCooldown, pCooldown, pCooldown, pCooldown, pCooldown, pCooldown, pCooldown, pCooldown, pCooldown, pCooldown, pCooldown},
 			val: [maxApps]uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, occ: -1},
 	}
@@ -268,19 +265,18 @@ func TestWideParallelMatchesSequential(t *testing.T) {
 		name string
 		ps   []*switching.Profile
 		sym  bool
-		md   int // MaxDisturbances
 		wide bool
 	}{
-		{"overload7", fleet(7, 2, 1, 2, 5), false, 0, false},
-		{"overload7/r65", fleet(7, 2, 1, 2, 65), false, 0, true}, // 7·9+8 = 71
-		{"overload12", fleet(12, 1, 1, 2, 6), false, 0, true},    // 12·5+8 = 68
-		{"fleet7", fleet(7, 6, 1, 2, 10), true, 0, false},
-		{"fleet9", fleet(9, 8, 1, 2, 9), true, 0, false},
-		{"mixed7", append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)), true, 0, false},
-		{"mixed6/bounded", wideMixed6(), true, 1, true}, // 6·10+8 = 68
+		{"overload7", fleet(7, 2, 1, 2, 5), false, false},
+		{"overload7/r65", fleet(7, 2, 1, 2, 65), false, true}, // 7·9+8 = 71
+		{"overload12", fleet(12, 1, 1, 2, 6), false, true},    // 12·5+8 = 68
+		{"fleet7", fleet(7, 6, 1, 2, 10), true, false},
+		{"fleet9", fleet(9, 8, 1, 2, 9), true, false},
+		{"mixed7", append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)), true, false},
+		{"mixed7/r65", wideMixed7(), true, true}, // 7·9+8 = 71
 	}
 	for _, tc := range cases {
-		cfg := Config{NondetTies: true, SymmetryReduction: tc.sym, MaxDisturbances: tc.md, Workers: 1}
+		cfg := Config{NondetTies: true, SymmetryReduction: tc.sym, Workers: 1}
 		if v, err := New(tc.ps, cfg); err != nil || v.wide != tc.wide {
 			t.Fatalf("%s: wide=%v, %v", tc.name, v != nil && v.wide, err)
 		}

@@ -1,16 +1,22 @@
 package tightcps_test
 
 // The knob rule (ROADMAP.md): an option field stays only if a command or
-// a benchmark op reaches it. This test scans the tree with go/parser and
-// fails on every exported field of an option struct under internal/ that
-// no code outside its package sets.
+// a benchmark op reaches it. TestOptionFieldsAreSet scans the tree with
+// go/parser and fails on every exported field of an option struct under
+// internal/ that no code outside its package sets. Deleted mechanisms stay
+// deleted: TestDeletedMechanismsStayDeleted fails on any line of Go that
+// brings one back.
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
+	"regexp/syntax"
 	"slices"
 	"strconv"
 	"strings"
@@ -205,4 +211,147 @@ func parseTree(t *testing.T) []knobFile {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// deletedMechanisms lists what the tree once had and may not grow back
+// without a measurement that shows it winning. A row with a pattern fails
+// on every line of a .go file under path that the pattern (RE2) matches —
+// _test.go files only when tests is set; a row without one fails while
+// path exists. This file, which spells every pattern out, is not scanned.
+var deletedMechanisms = []struct {
+	pattern string
+	path    string
+	tests   bool
+	reason  string
+}{
+	{``, "cmd/bench", false, "a second harness over the inputs of benchmark/ (DESIGN.md §4)"},
+	{``, "BENCH_verify.json", false, "a second harness over the inputs of benchmark/ (DESIGN.md §4)"},
+	{``, "examples", false, "the examples are testable examples in the packages they demonstrate"},
+	{`func ClusterRetry`, ".", true, "the backend flags are one group in internal/cli: no per-command cluster helper"},
+	{`"(connect-retries|cpuprofile|memprofile)"`, ".", false, "the dial schedule is a constant; go test -bench and verifyd -pprof profile, not verifyslot flags"},
+	{``, "internal/dverify/mesh.go", false, "the mesh is five files with one worker lifecycle and one poll round (DESIGN.md §5)"},
+	{``, "internal/verify/u64set.go", false, "the visited set is one keySet over the stateKey family (DESIGN.md §4)"},
+	{``, "internal/verify/wideset.go", false, "the visited set is one keySet over the stateKey family (DESIGN.md §4)"},
+	{`type (u64Set|wideSet) |func \(v \*Verifier\) (successorsWide|expandWide)\(|func (hashW|lessW)\(`, ".", false, "no wide copy of the set, the expansion, the hash or the order (DESIGN.md §2)"},
+	{`codecFlate`, ".", true, "the DEFLATE frontier codec lost on every TCP row (DESIGN.md §4)"},
+	{`func \(w \*meshWorker\) reinit|roundFT|collectFT|SuccessorsInto`, ".", false, "no second worker reset, second poll loop or hash-less expansion call (DESIGN.md §5)"},
+	{`type cstate |func \(v \*Verifier\) (expand|expandGrouped|schedule|unpack|unpackWide)\(`, ".", false, "the decoded expansion core is the kernel's test oracle, not a second engine (DESIGN.md §2)"},
+	{`\[\]verify\.PackedState|verify\.HashedState|\.AddHashed\(`, "internal/dverify", false, "the mesh worker moves flat words through the sets' chunked insert (DESIGN.md §3 item 5, §5)"},
+	{`func \(c \*Cache\) Wrap`, ".", true, "mapping.Cache is the one verdict store, Get and Put its way in (DESIGN.md §1, \"Admission cache\")"},
+	{`results +map\[uint64\]\*record|errVerifierPanicked|func \(s \*Service\) DrainOnSignal|func (FirstFit|Optimal)\(|func \(c \*Cache\) (Do|SaveFile|LoadFile)\(|cacheSubdir`, ".", false, "no second verdict map or shard layout; the single-file cache, the uncached mappers and DrainOnSignal stay gone (DESIGN.md §7)"},
+	{`type inflight struct`, "internal/mapping", false, "no singleflight beside mapping.Cache's Get and Put"},
+	{`Decode\(&req\)|Unmarshal\([^)]*&req\)`, "internal/admit", false, "an admission request is decoded by decodeRequest alone (DESIGN.md §7, \"Request decoding\")"},
+	{`func \(m \*Middleware\) (Holder|FreeSlots)\(|func \(n \*Network\) (FormatTrace|LocationIs)\(`, ".", true, "they had no caller but their own tests"},
+	{`meshIdleWait|meshDigest|futureQ|sparePending|SentByLevel|RecvByLevel`, ".", false, "one barrier per BFS level: no pipelined commit rule, milestone tracker, per-level sums or idle wait (DESIGN.md §5)"},
+	{`func \(w \*meshWorker\) (setFinal|noteBound|drained|idle)\(`, ".", false, "one barrier per BFS level: no deferral lists (DESIGN.md §5)"},
+	{`map\[string\]bool|func encode\(|func \(n \*Network\) Successors\(`, "internal/ta", false, "the timed-automata checker keeps one slab-keyed store and one entry point, Reachable"},
+	{`sendFilter|wantFilter|filterBits|codecDelta|zigzag|frontierCodec|Filtered +int`, "internal/dverify", false, "a TCP link ships raw words: the send filter and the varint-delta codec lost on every measured host (DESIGN.md §4)"},
+	{`adoptedNow|newSpareOf|func \(p \*meshPoller\) adopt|spares +\[\]Transport|\.spares\b|\bw\.ft\b`, "internal/dverify", false, "a worker death is decided in meshFT.recover alone: no worker FT flag, no spare adoption (DESIGN.md §9)"},
+	{`Trace +bool|Counterexample +\[\]\[\]int`, "internal/verify", false, "verify.Counterexample rebuilds a schedule from any verdict: no trace search mode or Result field (DESIGN.md §1)"},
+	{`scheduleEnds|traced re-run`, ".", false, "no labelled traced re-run in verifyslot"},
+	{`\b(DefaultVerify|syntheticAdmission|syntheticCacheKey|admissionStats|slotVerify)\b`, ".", true, "a slot set becomes an admission bit in mapping.Admission alone (DESIGN.md §1, \"Admission cache\")"},
+	{`\b(minParts|collectAfterStates|TestServiceCollectsAfterLargeVerdict)\b`, ".", true, "a lane keeps one table, mapped off the heap past 2 MiB: no 16-way partitions, no forced collection (DESIGN.md §1, \"Memory shape\")"},
+	{`FaultTolerance +bool|CheckpointDir +string`, "internal/verify", false, "fault tolerance is built into the cluster's hook by dverify.FaultTolerantRunner, not carried on verify.Config"},
+	{`HTTPClient|RetryBackoff +time|BreakerCooldown +time`, "internal/admit", false, "the service's retry and breaker timings are constants"},
+	{`Switching +switching\.Config|Verify +verify\.Config`, "internal/core", true, "core.Options carries no nested verify or switching config"},
+	{`\b(MaxDisturbances|BoundFor)\b`, ".", true, "the bounded-disturbance model never stored fewer states than the exact one (DESIGN.md §4)"},
+	{`\b(cntBits|cntShift|maxDist)\b`, ".", true, "a lane is its phase and clock: the bounded model's counter is gone (DESIGN.md §2)"},
+	{`"bounded"|json:"bounded|"maxDisturbances"`, ".", false, "no flag, config key or verdict field selects the bounded model; a request's bounded keys are skipped like any unknown key"},
+}
+
+// TestDeletedMechanismsStayDeleted holds the tree to deletedMechanisms.
+func TestDeletedMechanismsStayDeleted(t *testing.T) {
+	type goFile struct {
+		path string // slash-separated, relative to the repo root
+		test bool
+		src  string
+	}
+	var files []goFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || path == "knob_test.go" {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		files = append(files, goFile{filepath.ToSlash(path), strings.HasSuffix(path, "_test.go"), string(src)})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range deletedMechanisms {
+		if row.pattern == "" {
+			if _, err := os.Stat(row.path); err == nil {
+				t.Errorf("%s exists: %s", row.path, row.reason)
+			} else if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatal(err)
+			}
+			continue
+		}
+		re := regexp.MustCompile(row.pattern)
+		ast, err := syntax.Parse(row.pattern, syntax.Perl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lits := anyOf(ast) // a file holding none of them holds no match
+		for _, f := range files {
+			if f.test && !row.tests || row.path != "." && f.path != row.path && !strings.HasPrefix(f.path, row.path+"/") ||
+				lits != nil && !slices.ContainsFunc(lits, func(l string) bool { return strings.Contains(f.src, l) }) {
+				continue
+			}
+			for i, line := range strings.Split(f.src, "\n") {
+				if re.MatchString(line) {
+					t.Errorf("%s:%d matches %q (%s):\n\t%s", f.path, i+1, row.pattern, row.reason, line)
+				}
+			}
+		}
+	}
+}
+
+// anyOf returns strings of which every match of re holds at least one, or
+// nil when it cannot name them.
+func anyOf(re *syntax.Regexp) []string {
+	switch re.Op {
+	case syntax.OpLiteral:
+		if re.Flags&syntax.FoldCase == 0 {
+			return []string{string(re.Rune)}
+		}
+	case syntax.OpCapture, syntax.OpPlus:
+		return anyOf(re.Sub[0])
+	case syntax.OpConcat: // any part's strings do; take the longest shortest one
+		var best []string
+		for _, sub := range re.Sub {
+			if lits := anyOf(sub); lits != nil && (best == nil || minLen(lits) > minLen(best)) {
+				best = lits
+			}
+		}
+		return best
+	case syntax.OpAlternate:
+		var all []string
+		for _, sub := range re.Sub {
+			lits := anyOf(sub)
+			if lits == nil {
+				return nil
+			}
+			all = append(all, lits...)
+		}
+		return all
+	}
+	return nil
+}
+
+func minLen(ss []string) int {
+	n := len(ss[0])
+	for _, s := range ss[1:] {
+		n = min(n, len(s))
+	}
+	return n
 }
