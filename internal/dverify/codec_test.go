@@ -15,12 +15,12 @@ import (
 )
 
 // expanderFor builds a real expander with the given state width: 1 word
-// (narrow triple) or 4 words (seven apps at r = 65 — 9-bit lanes; at r ≤ 64
+// (narrow triple) or 3 words (seven apps at r = 65 — 9-bit lanes; at r ≤ 64
 // a seven-app fleet fits one word).
 func expanderFor(t testing.TB, words int) *verify.Expander {
 	t.Helper()
 	ps := fleet(3, 5, 2, 4, 20)
-	if words == 4 {
+	if words == 3 {
 		ps = fleet(7, 6, 1, 2, 65)
 	}
 	exp, err := verify.NewExpander(ps, verify.Config{NondetTies: true})
@@ -78,7 +78,7 @@ func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uin
 func TestFrontierCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
-	for _, words := range []int{1, 4} {
+	for _, words := range []int{1, 3} {
 		exp := expanderFor(t, words)
 		if dec, err := decodeBatch(exp, nil, nil); err != nil || len(dec) != 0 {
 			t.Fatalf("words=%d: empty batch decoded to %v, %v", words, dec, err)
@@ -131,7 +131,7 @@ func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 // decodes to exactly those states, in order, and a one-state batch whose
 // word has its top bit set goes out in that format and round-trips.
 func TestFrontierCodecRawFallback(t *testing.T) {
-	exp := expanderFor(t, 4)
+	exp := expanderFor(t, 3)
 	states := randStates(t, rand.New(rand.NewSource(3)), exp, 9)
 
 	// Hand-encode the fixed-width format.
@@ -190,7 +190,7 @@ func TestFrontierCodecErrors(t *testing.T) {
 // such a segment reports it and stands.
 func TestDecodeRefusesZeroState(t *testing.T) {
 	dir := t.TempDir()
-	for _, words := range []int{1, 4} {
+	for _, words := range []int{1, 3} {
 		exp := expanderFor(t, words)
 		zero, one := make([]byte, 8*words), make([]byte, 8*words)
 		one[0] = 1
@@ -260,12 +260,12 @@ var outOfLayout = map[int][]struct {
 		{"cooldown clock past r − 1", "F1 in cooldown at clock 20, past its r − 1 of 19", []uint64{0xF<<21 | (20<<2|3)<<7}},
 		{"waiting clock at T*w", "F0 waiting at clock 5, not below its T*w of 5", []uint64{0xF<<21 | 5<<2 | 1}},
 	},
-	4: {
-		{"occupant index", "none of the 7 applications", []uint64{0, 0, 0, 7}},
-		{"bit outside the layout", "outside its lanes and header", []uint64{0, 1, 0, 0xFF}},
-		{"occupant past T*w", "beyond its T*w of 6", []uint64{7<<2 | 2, 0, 0, 0}},
-		{"cooldown clock past r − 1", "F2 in cooldown at clock 127, past its r − 1 of 64", []uint64{(127<<2 | 3) << 18, 0, 0, 0xFF}},
-		{"waiting clock at T*w", "F6 waiting at clock 6, not below its T*w of 6", []uint64{(6<<2 | 1) << 54, 0, 0, 0xFF}},
+	3: {
+		{"occupant index", "none of the 7 applications", []uint64{0, 0, 7}},
+		{"bit outside the layout", "outside its lanes and header", []uint64{0, 1, 0xFF}},
+		{"occupant past T*w", "beyond its T*w of 6", []uint64{7<<2 | 2, 0, 0}},
+		{"cooldown clock past r − 1", "F2 in cooldown at clock 127, past its r − 1 of 64", []uint64{(127<<2 | 3) << 18, 0, 0xFF}},
+		{"waiting clock at T*w", "F6 waiting at clock 6, not below its T*w of 6", []uint64{(6<<2 | 1) << 54, 0, 0xFF}},
 	},
 }
 
@@ -276,7 +276,7 @@ func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
 	dir := t.TempDir()
 	for words, cases := range outOfLayout {
 		exp := expanderFor(t, words)
-		if init := exp.Initial(); words == 1 && init[0] != 0xF<<21 || words == 4 && init[3] != 0xFF {
+		if init := exp.Initial(); words == 1 && init[0] != 0xF<<21 || words == 3 && init[2] != 0xFF {
 			t.Fatalf("%d-word fixture moved: initial state %v", words, init)
 		}
 		for _, tc := range cases {
@@ -306,7 +306,7 @@ func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
 // 11's delta format, a truncated varint among them) and a byte-2 one, and,
 // on both widths, a raw batch holding each state of outOfLayout.
 func FuzzFrontierDecode(f *testing.F) {
-	narrow, wide := expanderFor(f, 1), expanderFor(f, 4)
+	narrow, wide := expanderFor(f, 1), expanderFor(f, 3)
 	f.Fuzz(func(t *testing.T, useWide bool, batch []byte) {
 		exp := narrow
 		if useWide {
@@ -358,10 +358,11 @@ func badState(exp *verify.Expander, states []uint64) int {
 // varint-delta batches, a version-12 one, whose Job carries no lane count
 // (its nodes would each run one lane whatever Workers said), and a
 // version-13 one, whose Job carries FT, Era and Cut and whose link reports
-// carry no cause.
+// carry no cause, and a version-15 one, which ships a wide state as four
+// words.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
@@ -429,12 +430,12 @@ func segmentBytes(count uint64, trans int64, body []byte) []byte {
 // restore from such a file reports it as its "restoring checkpoint cut" error.
 func TestSegmentCorruptHeader(t *testing.T) {
 	dir := t.TempDir()
-	for _, words := range []int{1, 4} {
+	for _, words := range []int{1, 3} {
 		exp := expanderFor(t, words)
 		stride := 8 * words
 		two := make([]byte, 2*stride)
 		two[0], two[stride] = 1, 2
-		wrap := uint64(1<<63) / uint64(stride) * 2 // 2⁶¹ or 2⁵⁹: × stride = 2⁶⁴ ≡ 0
+		wrap := uint64(1 << 61) // × stride (8 or 24) = 2⁶⁴ or 3 · 2⁶⁴ ≡ 0
 		for _, tc := range []struct {
 			name string
 			file []byte
@@ -505,7 +506,7 @@ func TestSegmentCorruptHeader(t *testing.T) {
 // the size product, trailing bytes and, on both widths, a segment holding
 // each state of outOfLayout.
 func FuzzReadSegment(f *testing.F) {
-	narrow, wide := expanderFor(f, 1), expanderFor(f, 4)
+	narrow, wide := expanderFor(f, 1), expanderFor(f, 3)
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, useWide bool, file []byte) {
 		exp := narrow

@@ -82,10 +82,10 @@ var equivalenceCases = []struct {
 	// application (r = 65) widens every lane of a seven-app set to 9 bits,
 	// schedulable under the quotient; eight apps at r = 33, violating
 	// without it; seven apps at r = 65; twelve at r = 6.
-	{"wideMixed7sym", func() []*switching.Profile { return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65)) }, true, 4},
-	{"wide8r33", func() []*switching.Profile { return fleet(8, 2, 2, 4, 33) }, false, 4},
-	{"overload7wide", func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, false, 4},
-	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 6) }, false, 4},
+	{"wideMixed7sym", func() []*switching.Profile { return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65)) }, true, 3},
+	{"wide8r33", func() []*switching.Profile { return fleet(8, 2, 2, 4, 33) }, false, 3},
+	{"overload7wide", func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, false, 3},
+	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 6) }, false, 3},
 }
 
 // checkMatchesLocal asserts one distributed result against the local

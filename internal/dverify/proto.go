@@ -23,10 +23,10 @@ import (
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
 // field, a batch format or the packed-state layout changes or goes. Version
-// 15 drops the per-application disturbance bound with the bounded model;
-// version 14 dropped Job.FT, Job.Era and Job.Cut and carries a dead link's
-// cause (Response.LinkDown); what each earlier version was is in CHANGES.md.
-const protoVersion = 15
+// 16 ships a wide state as 3 words, not 4 (the always-zero third lane word
+// is gone); version 15 dropped the per-application disturbance bound with
+// the bounded model; what each earlier version was is in CHANGES.md.
+const protoVersion = 16
 
 // Kind discriminates coordinator requests.
 type Kind uint8

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime"
 	"testing"
 
 	"tightcps/internal/obs"
@@ -10,7 +11,8 @@ import (
 // search goroutine's scratch has grown to the verifier's maximum fanout,
 // expanding a state must not allocate at all, and a whole sequential
 // verification must stay at O(1) amortized allocations per visited state
-// (set growth and frontier doubling are the only remaining sources).
+// (set growth and the level store's blocks are the only remaining
+// sources), its bytes within what its two largest adjacent levels hold.
 // Regressions here are what `go test -bench VerifyFull -cpuprofile` at the
 // repository root and the verify.s1_allocs_per_op row of benchmark/ exist
 // to diagnose.
@@ -135,7 +137,7 @@ func TestSequentialSearchAllocAmortized(t *testing.T) {
 
 // TestExpanderSuccessorsIntoAllocFree pins the exported seam the
 // distributed nodes drive on the wide encoding: SuccessorsHashedInto with an
-// owned scratch and a recycled buffer is allocation-free on four-word
+// owned scratch and a recycled buffer is allocation-free on three-word
 // states too.
 func TestExpanderSuccessorsIntoAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -198,8 +200,8 @@ func TestExpanderSuccessorsHashedIntoAllocFree(t *testing.T) {
 // TestSequentialSearchAllocAmortized gates the sequential one, on the
 // paper's largest slot (S1, 1,440,712 states over 51 levels) with two lanes:
 // a run allocates per lane (sets, staging, scratch — each growing by
-// doubling), per phase of a round (one goroutine per lane) and per table
-// growth, never per state. The bound is a few dozen allocations per level
+// doubling), per level-store block, per phase of a round (one goroutine per
+// lane) and per table growth, never per state. The bound is a few dozen allocations per level
 // and lane; one per thousand states would already be 1,440.
 func TestParallelSearchAllocAmortized(t *testing.T) {
 	if raceEnabled {
@@ -225,4 +227,89 @@ func TestParallelSearchAllocAmortized(t *testing.T) {
 		t.Fatalf("parallel S1 search (%d states, %d levels, %d lanes) allocates %.0f times, budget %.0f", res.States, levels, lanes, allocs, budget)
 	}
 	t.Logf("%.0f allocations for %d states over %d levels", allocs, res.States, levels)
+}
+
+// TestLevelStoreAllocBytes gates the bytes a search allocates on the Go
+// heap (TotalAlloc) against the memory its levels need: 8 B per key of its
+// largest two adjacent levels — the frontier being expanded and the next
+// level being filled — with a quarter for the level store's partial blocks,
+// plus 2 MiB per visited table for its first growth steps, which stay on
+// the heap below the 2 MiB line (every larger table is mapped off it). A
+// level that grows by append, doubling and copying as it goes, allocates
+// several times the level it ends at and fails the gate; the level store's
+// blocks of a finished level serve the next one, so a search allocates
+// each block once. The sequential cell is V5's violating search (681,400
+// states). The lanes cell runs S1 on a node of two lanes, as runLanes and
+// every mesh node do, and also allows the lanes' staging buffers, which are
+// not levels and grow by append, five times the capacity they end with:
+// append grows a large slice by 1.25×, so its steps sum to under 5× the
+// last.
+func TestLevelStoreAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
+	}
+	// gate fails the search if it allocated more than the levels of widths
+	// (the last one partial for a search that stops at a violation) need
+	// with the given slack.
+	gate := func(t *testing.T, allocated uint64, widths []int, slack int) {
+		t.Helper()
+		pair := 0
+		for i := 1; i < len(widths); i++ {
+			pair = max(pair, widths[i-1]+widths[i])
+		}
+		bound := uint64(1.25*8*float64(pair)) + uint64(slack)
+		t.Logf("%d bytes allocated; largest two adjacent levels %d keys; bound %d", allocated, pair, bound)
+		if allocated > bound {
+			t.Fatalf("search allocates %d bytes, over 1.25 × 8 B × %d keys (the largest two adjacent levels) + %d = %d",
+				allocated, pair, slack, bound)
+		}
+	}
+	var before, after runtime.MemStats
+	t.Run("V5/sequential", func(t *testing.T) {
+		ps := caseProfiles(t, "C1", "C5", "C4", "C3", "C6")
+		tr := obs.NewTrace("")
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Slot(ps, Config{NondetTies: true, Workers: 1, RunTrace: tr})
+		runtime.ReadMemStats(&after)
+		if err != nil || res.States != 681400 {
+			t.Fatalf("V5: %d states (%v), want 681400", res.States, err)
+		}
+		// The trace has every expanded level's width; the search stopped at
+		// the violation with the rest of its states in the next level.
+		var widths []int
+		rest := res.States
+		for _, l := range tr.Levels {
+			widths = append(widths, l.States)
+			rest -= l.States
+		}
+		gate(t, after.TotalAlloc-before.TotalAlloc, append(widths, rest), 2<<20)
+	})
+	t.Run("S1/lanes=2", func(t *testing.T) {
+		const lanes = 2
+		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, false, lanes)
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		e := newNode(v, lanes, successors[[1]uint64], hashKey[[1]uint64])
+		defer e.Release()
+		e.Absorb([][]uint64{appendKey(nil, initialState[[1]uint64](v))})
+		var widths []int
+		for e.Stats().Level > 0 {
+			widths = append(widths, e.Stats().Level)
+			for e.LevelRound(nil) {
+			}
+			e.Advance()
+		}
+		runtime.ReadMemStats(&after)
+		if st := e.Stats(); st.States != 1440712 {
+			t.Fatalf("S1 on two lanes: %d states, want 1440712", st.States)
+		}
+		staged := 0
+		for i := range e.lanes {
+			for _, o := range e.lanes[i].out {
+				staged += 8 * cap(o)
+			}
+		}
+		gate(t, after.TotalAlloc-before.TotalAlloc, widths, lanes*2<<20+5*staged)
+	})
 }

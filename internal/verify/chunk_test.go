@@ -508,9 +508,9 @@ func BenchmarkSetInsertNarrow(b *testing.B) {
 	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, true) })
 }
 
-// BenchmarkSetInsertWide is the same stream widened to 32-byte keys.
+// BenchmarkSetInsertWide is the same stream widened to 24-byte keys.
 func BenchmarkSetInsertWide(b *testing.B) {
-	keys := s1Keys(b, func(x uint64) [wideWords]uint64 { return [wideWords]uint64{x, 0, 0, wideIdle} })
+	keys := s1Keys(b, func(x uint64) [wideWords]uint64 { return [wideWords]uint64{x, 0, wideIdle} })
 	b.Run("perkey", func(b *testing.B) { benchSetInsert(b, keys, false) })
 	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, true) })
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // PackedState is the encoding-independent packed form of one composed
-// state: narrow (one-word) states occupy word 0 with words 1..3 zero, wide
+// state: narrow (one-word) states occupy word 0 with words 1..2 zero, wide
 // states are the multi-word encoding verbatim. The bit layout inside the
 // words depends on the set — lane clocks are as wide as its largest r needs
 // — so a PackedState means something only to Expanders built from the same
@@ -219,10 +219,10 @@ func (e *Expander) CheckWords(slab []uint64) error {
 	}
 	for i := 0; i+wideWords <= len(slab); i += wideWords {
 		s := (*[wideWords]uint64)(slab[i:])
-		if s[0]|s[1]|s[2]|s[3] == 0 ||
-			s[0]&^t.layout[0]|s[1]&^t.layout[1]|s[2]&^t.layout[2]|s[3]&^t.layout[3] != 0 ||
-			t.badClocks(0, s[0]) || t.badClocks(1, s[1]) || t.badClocks(2, s[2]) ||
-			v.badOccupant(s[:], int(s[3]&wideIdle), wideIdle) {
+		if s[0]|s[1]|s[2] == 0 ||
+			s[0]&^t.layout[0]|s[1]&^t.layout[1]|s[2]&^t.layout[2] != 0 ||
+			t.badClocks(0, s[0]) || t.badClocks(1, s[1]) ||
+			v.badOccupant(s[:], int(s[2]&wideIdle), wideIdle) {
 			return e.refuse(s[:], i/wideWords)
 		}
 	}

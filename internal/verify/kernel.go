@@ -26,9 +26,12 @@ import (
 // 64 bits: applications occupy straddle-free lanes of appBits bits each,
 // ⌊64/appBits⌋ lanes per word, filling words 0..wideAppWords−1; the final
 // header word carries the occupant index (low byte, wideIdle = slot idle)
-// and the occupant dwell cT (next 4 bits). DESIGN.md §2 has both layouts.
+// and the occupant dwell cT (next 4 bits). A lane is at most 9 bits (2
+// phase bits and a clock of ⌈log₂ 127⌉), so a word holds at least 7 lanes
+// and two lane words hold the maxApps applications. DESIGN.md §2 has both
+// layouts.
 const (
-	wideWords    = 4             // words per wide state (32 bytes)
+	wideWords    = 3             // words per wide state (24 bytes)
 	wideAppWords = wideWords - 1 // words carrying application lanes
 	wideIdle     = 0xFF          // header occupant byte when the slot is idle
 )

@@ -62,7 +62,8 @@ func tableFor(keys int) int {
 }
 
 // mapTableBytes is the size from which a table is mapped off the heap: a
-// huge page, 256 Ki narrow slots or 64 Ki wide ones. Below it, mapping and
+// huge page, 256 Ki narrow slots; the first mapped wide table has 128 Ki
+// slots (3 MiB), its heap predecessor 1.5 MiB. Below it, mapping and
 // unmapping cost more in fresh-page faults than the heap's reuse does: a
 // search's first tables stay on the heap (DESIGN.md §4, "Table memory").
 const mapTableBytes = 2 << 20
@@ -164,9 +165,9 @@ func probe[K stateKey](slots []K, mask uint64, k K, h uint64) bool {
 // passes over the chunk. The first hashes every key and reads its home
 // slot's first word without looking at the value, so the loads are
 // independent and the core has the chunk's cache misses in flight together
-// instead of one per insert (a wide slot is 32 bytes in a power-of-two table
-// of at least 512, which the allocator aligns to a cache line or better, so
-// the first word's line is the slot's). The second resolves the keys in
+// instead of one per insert (a 24-byte wide slot crosses a cache line at
+// two of every eight offsets; touching its last word too measured no
+// faster). The second resolves the keys in
 // order, running probe inline on slots that are by then on their way into
 // the cache. The growth up front makes room for every key, so the table
 // cannot move between the passes and the second needs no per-key load

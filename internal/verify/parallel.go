@@ -47,16 +47,17 @@ func part(h uint64, n int) int { return int((h << 6 >> 32) * uint64(n) >> 32) }
 // Other lanes read only out, and only across a barrier.
 type lane[K stateKey] struct {
 	table    keySet[K] // the lane's partition
-	frontier []K       // owned states of the level; [pos:] not yet expanded
+	frontier level[K]  // owned states of the level; [pos:] not yet expanded
 	pos      int
-	prev     int        // the size of the lane's previous level
-	next     []K        // owned states first seen this level: the next frontier
-	out      [][]K      // out[j]: successors staged for lane j in this round
-	foreign  [][]uint64 // foreign[d]: successors owned by node d, as words
-	trans    int        // successors generated in this round
-	fresh    int        // states first seen in this phase
-	viol     K          // smallest violating state of the level known to the lane…
-	violApp  int        // …and the application that misses its deadline there, or −1
+	prev     int          // the size of the lane's previous level
+	next     level[K]     // owned states first seen this level: the next frontier
+	pool     blockPool[K] // the blocks of the lane's finished levels
+	out      [][]K        // out[j]: successors staged for lane j in this round
+	foreign  [][]uint64   // foreign[d]: successors owned by node d, as words
+	trans    int          // successors generated in this round
+	fresh    int          // states first seen in this phase
+	viol     K            // smallest violating state of the level known to the lane…
+	violApp  int          // …and the application that misses its deadline there, or −1
 	shardTr  [NumShards]int64
 	succ     []K // one round piece's successors, or inbound states as keys
 	freshIdx []int32
@@ -223,7 +224,9 @@ func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int, countShar
 		l := &e.lanes[i]
 		l.table.reset()
 		l.table.budget(maxStates)
-		l.frontier, l.next, l.pos, l.prev, l.violApp = l.frontier[:0], l.next[:0], 0, 0, -1
+		l.frontier.release(&l.pool)
+		l.next.release(&l.pool)
+		l.pos, l.prev, l.violApp = 0, 0, -1
 		l.shardTr = [NumShards]int64{}
 		if len(l.foreign) < nodes {
 			l.foreign = make([][]uint64, nodes, nodes+outPad) // padded like out
@@ -252,7 +255,7 @@ func (e *node[K]) LevelRound(ship func(node int, states []uint64) []uint64) bool
 		l := &e.lanes[i]
 		e.trans += l.trans
 		l.trans = 0
-		more = more || l.pos < len(l.frontier)
+		more = more || l.pos < l.frontier.len()
 		if l.violApp >= 0 && (e.minApp < 0 || lessKey(l.viol, e.minViol)) {
 			e.minViol, e.minApp = l.viol, l.violApp
 		}
@@ -272,7 +275,9 @@ func (e *node[K]) Advance() {
 	e.minApp = -1
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		l.frontier, l.next, l.pos, l.prev, l.violApp = l.next, l.frontier[:0], 0, len(l.frontier), -1
+		l.prev = l.frontier.len()
+		l.frontier.release(&l.pool)
+		l.frontier, l.next, l.pos, l.violApp = l.next, l.frontier, 0, -1
 		l.shardTr = [NumShards]int64{}
 	}
 }
@@ -280,8 +285,8 @@ func (e *node[K]) Advance() {
 func (e *node[K]) Stats() LaneStats {
 	s := LaneStats{States: e.states, Transitions: e.trans, TooLarge: e.tooLarge, ViolApp: e.minApp}
 	for i := range e.lanes {
-		s.Level += len(e.lanes[i].frontier)
-		s.Next += len(e.lanes[i].next)
+		s.Level += e.lanes[i].frontier.len()
+		s.Next += e.lanes[i].next.len()
 	}
 	for i := 0; e.minApp >= 0 && i < len(e.minViol); i++ {
 		s.Viol[i] = e.minViol[i]
@@ -292,10 +297,13 @@ func (e *node[K]) Stats() LaneStats {
 func (e *node[K]) AppendLevel(dst []uint64) ([]uint64, [NumShards]int64) {
 	var t [NumShards]int64
 	for i := range e.lanes {
-		for _, k := range e.lanes[i].frontier {
-			dst = appendKey(dst, k)
+		l := &e.lanes[i]
+		for lo := 0; lo < l.frontier.len(); lo += levelBlock {
+			for _, k := range l.frontier.span(lo, levelBlock) {
+				dst = appendKey(dst, k)
+			}
 		}
-		for s, n := range e.lanes[i].shardTr {
+		for s, n := range l.shardTr {
 			t[s] += n
 		}
 	}
@@ -359,7 +367,7 @@ func (e *node[K]) run(phase, i int) {
 func (e *node[K]) full(l *lane[K]) bool { return e.states+l.fresh > e.maxStates }
 
 // target is where lane l puts the phase's fresh keys.
-func (e *node[K]) target(l *lane[K]) *[]K {
+func (e *node[K]) target(l *lane[K]) *level[K] {
 	if e.in != nil {
 		return &l.frontier
 	}
@@ -374,15 +382,15 @@ func (e *node[K]) target(l *lane[K]) *[]K {
 func (e *node[K]) expand(i int) {
 	l := &e.lanes[i]
 	if l.pos == 0 {
-		l.table.reserve(LevelReserve(len(l.frontier), l.prev))
+		l.table.reserve(LevelReserve(l.frontier.len(), l.prev))
 	}
 	for j := range l.out {
 		l.out[j] = l.out[j][:0]
 	}
 	v, successors, succ, trans := e.v, e.successors, l.succ, 0
 	viol, violApp := e.minViol, e.minApp
-	for gen := 0; l.pos < len(l.frontier) && (gen < stageCap || violApp >= 0) && !e.full(l); {
-		chunk := l.frontier[l.pos:min(l.pos+seqChunk, len(l.frontier))]
+	for gen := 0; l.pos < l.frontier.len() && (gen < stageCap || violApp >= 0) && !e.full(l); {
+		chunk := l.frontier.span(l.pos, seqChunk)
 		l.pos += len(chunk)
 		succ = succ[:0]
 		for _, s := range chunk {
@@ -455,11 +463,9 @@ func (e *node[K]) insertStaged(i int) {
 }
 
 // insert adds keys to lane l's table through the sets' probe-ahead addChunk
-// and appends the fresh ones to *to.
-func (e *node[K]) insert(l *lane[K], keys []K, to *[]K) {
+// and appends the fresh ones to the level to.
+func (e *node[K]) insert(l *lane[K], keys []K, to *level[K]) {
 	l.freshIdx = l.table.addChunk(keys, l.freshIdx[:0])
-	for _, x := range l.freshIdx {
-		*to = append(*to, keys[x])
-	}
+	to.gather(keys, l.freshIdx, &l.pool)
 	l.fresh += len(l.freshIdx)
 }

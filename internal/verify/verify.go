@@ -371,8 +371,8 @@ func search[K stateKey](v *Verifier) (Result, error) {
 }
 
 // setCap is the initial capacity of a search's visited set — 512 KB of
-// narrow keys, 128 KB of wide ones; the parallel search splits it across
-// its partitions.
+// narrow keys, 96 KB of wide ones; the parallel search splits it across
+// its lanes.
 func setCap[K stateKey]() int {
 	var k K
 	if len(k) == 1 {
@@ -412,9 +412,12 @@ const seqChunk = 128
 // states exactly like expanding and inserting one state at a time: addChunk
 // reports the same fresh successors in the same order, and a violation (or
 // the state budget) found mid-chunk takes effect only after the successors
-// of the states before it have been committed. The frontier slices, the
-// chunk buffers and the expansion scratch are recycled, so the steady-state
-// loop allocates only when the visited set grows.
+// of the states before it have been committed. The two levels live in one
+// level store: each block of the frontier, once expanded, serves the next
+// level, so no level grows by doubling and the two together hold little
+// more than the larger of them. The chunk buffers and the expansion scratch
+// are recycled, so the steady-state loop allocates only when the visited
+// set or the store's block count grows.
 func runSequential[K stateKey](v *Verifier, init K,
 	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)) (Result, error) {
 	res := Result{Schedulable: true}
@@ -422,8 +425,9 @@ func runSequential[K stateKey](v *Verifier, init K,
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
 	visited.add(init)
-	frontier := []K{init}
-	var next []K // recycled: swapped with frontier at every level
+	var pool blockPool[K]
+	var frontier, next level[K]
+	frontier.push(init, &pool)
 	res.States = 1
 
 	var sc expandScratch
@@ -431,14 +435,16 @@ func runSequential[K stateKey](v *Verifier, init K,
 	var fresh []int32      // indices into succ of the first-seen ones
 	var ends [seqChunk]int // ends[i] = len(succ) once chunk[i] is expanded
 	prevFrontier := 1
-	for depth := 0; len(frontier) > 0; depth++ {
+	for depth := 0; frontier.len() > 0; depth++ {
 		res.Depth = depth
 		obsLevels.Inc()
-		levelTrans := res.Transitions
-		visited.reserve(LevelReserve(len(frontier), prevFrontier))
-		next = next[:0]
-		for lo := 0; lo < len(frontier); lo += seqChunk {
-			chunk := frontier[lo:min(lo+seqChunk, len(frontier))]
+		levelTrans, width := res.Transitions, frontier.len()
+		visited.reserve(LevelReserve(width, prevFrontier))
+		for lo := 0; lo < width; lo += seqChunk {
+			if lo%levelBlock == 0 && lo > 0 {
+				frontier.drop(lo/levelBlock-1, &pool) // expanded: next may refill it
+			}
+			chunk := frontier.span(lo, seqChunk)
 			succ = succ[:0]
 			viol := -1
 			for i, s := range chunk {
@@ -449,28 +455,32 @@ func runSequential[K stateKey](v *Verifier, init K,
 				ends[i] = len(succ)
 			}
 			fresh = visited.addChunk(succ, fresh[:0])
-			p := 0 // chunk index of the state that produced succ[i]
-			for _, i := range fresh {
-				for ends[p] <= int(i) {
+			if over := res.States + len(fresh) - v.cfg.MaxStates; over > 0 {
+				// The budget trips on the fresh key that makes States
+				// MaxStates + 1: count the transitions up to and including
+				// the expansion that produced it.
+				i := int(fresh[len(fresh)-over])
+				p := 0 // chunk index of the state that produced succ[i]
+				for ends[p] <= i {
 					p++
 				}
-				res.States++
-				if res.States > v.cfg.MaxStates {
-					res.Transitions += ends[p]
-					return res, ErrTooLarge
-				}
-				next = append(next, succ[i])
+				res.States = v.cfg.MaxStates + 1
+				res.Transitions += ends[p]
+				return res, ErrTooLarge
 			}
+			res.States += len(fresh)
+			next.gather(succ, fresh, &pool)
 			res.Transitions += len(succ)
 			if viol >= 0 {
 				res.Schedulable = false
 				res.Violator = viol
-				v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
+				v.cfg.RunTrace.AddLevel(depth, width, res.Transitions-levelTrans)
 				return res, nil
 			}
 		}
-		v.cfg.RunTrace.AddLevel(depth, len(frontier), res.Transitions-levelTrans)
-		prevFrontier = len(frontier)
+		v.cfg.RunTrace.AddLevel(depth, width, res.Transitions-levelTrans)
+		prevFrontier = width
+		frontier.release(&pool)
 		frontier, next = next, frontier
 	}
 	return res, nil
@@ -515,29 +525,33 @@ type visit[K stateKey] struct {
 
 // rebuildPath is Counterexample over one packed encoding. It expands and
 // inserts one state at a time, which orders states like runSequential's
-// chunks, and keeps every level for the walk back from the miss. It inserts
-// levels 0..res.Depth at most, which res.States counts on every engine, so
-// its set is sized once, before the search, and never rehashes.
+// chunks, and keeps every level, in the level store, for the walk back from
+// the miss. It inserts levels 0..res.Depth at most, which res.States counts
+// on every engine, so its set is sized once, before the search, and never
+// rehashes.
 func rebuildPath[K stateKey](v *Verifier, res Result) ([][]int, error) {
 	init := initialState[K](v)
 	visited := newKeySet[K](tableFor(min(res.States, v.cfg.MaxStates+1)))
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
 	visited.add(init)
-	levels := [][]visit[K]{{{s: init, parent: -1}}}
+	var pool blockPool[visit[K]]
+	levels := make([]level[visit[K]], 1, 64)
+	levels[0].push(visit[K]{s: init, parent: -1}, &pool)
 	states := 1
 	var sc expandScratch
 	var succ []K
 	masks := []uint32{} // non-nil: the kernel records a mask per successor
 	for depth := 0; depth <= res.Depth; depth++ {
-		var next []visit[K]
-		for p, st := range levels[depth] {
+		levels = append(levels, level[visit[K]]{})
+		for p := 0; p < levels[depth].len(); p++ {
+			st := levels[depth].at(p)
 			var viol int
 			succ, masks, viol = successors(v, st.s, &sc, succ[:0], masks[:0])
 			if viol == res.Violator && depth == res.Depth {
 				out := make([][]int, depth)
 				for k := depth; k > 0; k-- {
-					st = levels[k][p]
+					st = levels[k].at(p)
 					for a := 0; a < v.n; a++ {
 						if st.mask&(1<<a) != 0 {
 							out[k-1] = append(out[k-1], a)
@@ -555,11 +569,10 @@ func rebuildPath[K stateKey](v *Verifier, res Result) ([][]int, error) {
 					if states++; states > v.cfg.MaxStates {
 						return nil, ErrTooLarge
 					}
-					next = append(next, visit[K]{s: s, parent: int32(p), mask: masks[i]})
+					levels[depth+1].push(visit[K]{s: s, parent: int32(p), mask: masks[i]}, &pool)
 				}
 			}
 		}
-		levels = append(levels, next)
 	}
 	return nil, fmt.Errorf("verify: no state at depth %d misses %s's deadline", res.Depth, v.profs[res.Violator].Name)
 }

@@ -353,10 +353,10 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 			caseProfiles(t, "C1", "C2", "C4"), 100_000, 100_000},
 		{false, 2, caseProfiles(t, "C2", "C3", "C4"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
 			caseProfiles(t, "C1", "C2", "C3", "C4", "C5", "C6"), 400_000, 100_000},
-		{true, 1, caseProfiles(t, "C1", "C4", "C5"), caseProfiles(t, "C1", "C3", "C4", "C6"),
-			caseProfiles(t, "C1", "C4", "C5"), 25_000, 25_000},
+		{true, 1, caseProfiles(t, "C1", "C3", "C4"), caseProfiles(t, "C1", "C2", "C3", "C4"),
+			caseProfiles(t, "C1", "C3", "C4"), 50_000, 50_000},
 		{true, 2, caseProfiles(t, "C2", "C3", "C6"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
-			caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), 400_000, 25_000},
+			caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), 400_000, 50_000},
 	} {
 		name := fmt.Sprintf("wide=%v/workers=%d", c.wide, c.workers)
 		// exit runs one search, which must end in want (nil: a verdict)
