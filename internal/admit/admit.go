@@ -720,17 +720,6 @@ func (s *Service) Draining() bool {
 	return s.draining
 }
 
-// Drained reports whether every in-flight verdict has completed and the
-// final checkpoint is on disk.
-func (s *Service) Drained() bool {
-	select {
-	case <-s.drained:
-		return true
-	default:
-		return false
-	}
-}
-
 // Stats are the /statsz counters.
 type Stats struct {
 	UptimeSec     float64 `json:"uptimeSec"`

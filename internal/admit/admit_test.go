@@ -365,8 +365,10 @@ func TestServiceWarmStart(t *testing.T) {
 		t.Fatalf("cold submit: HTTP %d %+v", status, resp.Verdict)
 	}
 	r1.svc.Drain()
-	if !r1.svc.Drained() {
-		t.Fatal("Drain returned but Drained() is false")
+	select {
+	case <-r1.svc.drained:
+	default:
+		t.Fatal("Drain returned but the service is not drained")
 	}
 
 	r2 := newRig(t, backendCase{name: "local"}, func(o *Options) { o.CacheDir = dir })

@@ -98,12 +98,10 @@ func TestServiceDrainOnSIGTERM(t *testing.T) {
 		t.Fatalf("drained verdict diverges:\n got %s\nwant %s", gotVerdict, want)
 	}
 
-	deadline = time.Now().Add(10 * time.Second)
-	for !r.svc.Drained() {
-		if time.Now().After(deadline) {
-			t.Fatal("drain never completed after the in-flight verdict")
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-r.svc.drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain never completed after the in-flight verdict")
 	}
 }
 

@@ -140,17 +140,11 @@ func (an Analysis) Schedulable(apps []AppTiming) bool {
 	return true
 }
 
-// FirstFit maps applications to slots with the first-fit heuristic,
-// processing them in deadline-monotonic order. It returns the slot
-// partitions as index lists into apps.
-func (an Analysis) FirstFit(apps []AppTiming) [][]int {
-	return an.FirstFitOrdered(apps, priorityOrder(apps))
-}
-
-// FirstFitOrdered runs first-fit processing applications in the given
-// order (the paper compares both methods under its T*w-sorted order, so
-// the placement order is decoupled from the DM priorities the
-// schedulability test uses internally).
+// FirstFitOrdered maps applications to slots with the first-fit
+// heuristic, processing them in the given order, and returns the slot
+// partitions as index lists into apps (the paper compares both methods
+// under its T*w-sorted order, so the placement order is decoupled from the
+// DM priorities the schedulability test uses internally).
 func (an Analysis) FirstFitOrdered(apps []AppTiming, order []int) [][]int {
 	var slots [][]int
 	for _, i := range order {

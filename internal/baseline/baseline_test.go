@@ -152,10 +152,10 @@ func TestPaperCalibratedTimingsMissingR(t *testing.T) {
 }
 
 func TestFirstFitDMOrderDiffersFromPaperOrder(t *testing.T) {
-	// Sanity: the DM-ordered first-fit is also available and uses no more
-	// slots than one per application.
+	// Sanity: first-fit in deadline-monotonic order uses no more slots than
+	// one per application.
 	apps := calTimings(t)
-	slots := Analysis{}.FirstFit(apps)
+	slots := Analysis{}.FirstFitOrdered(apps, priorityOrder(apps))
 	if len(slots) == 0 || len(slots) > len(apps) {
 		t.Fatalf("slots = %v", slots)
 	}

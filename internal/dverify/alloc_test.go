@@ -34,7 +34,7 @@ func TestMeshAllocsFlatInNodeCount(t *testing.T) {
 		ts := Loopback(n)
 		defer Close(ts)
 		run := func() {
-			res, err := Verify(s1, verify.Config{NondetTies: true}, ts)
+			res, err := Runner(ts)(s1, verify.Config{NondetTies: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestMeshRetainedAllocPerState(t *testing.T) {
 	defer Close(ts)
 	retained := func(verdicts int) float64 {
 		for range verdicts {
-			res, err := Verify(s1, verify.Config{NondetTies: true}, ts)
+			res, err := Runner(ts)(s1, verify.Config{NondetTies: true})
 			if err != nil || !res.Schedulable || res.States != states {
 				t.Fatalf("2-node S1: %+v, %v", res, err)
 			}
@@ -137,7 +137,7 @@ func TestLoopbackCloseReleasesTables(t *testing.T) {
 	}
 	unmapped("before the cluster")
 	ts := Loopback(2)
-	res, err := Verify(s1, verify.Config{NondetTies: true}, ts)
+	res, err := Runner(ts)(s1, verify.Config{NondetTies: true})
 	if err != nil || !res.Schedulable || res.States != 1440712 {
 		t.Fatalf("2-node S1: %+v, %v", res, err)
 	}

@@ -372,7 +372,7 @@ func TestProtocolVersionHandshake(t *testing.T) {
 		// A stale worker answers Init with its own version; the coordinator
 		// must stop there.
 		worker, kinds := cannedWorker(t, Response{Proto: stale}, 0)
-		_, err := Verify(ps, verify.Config{NondetTies: true}, []Transport{worker})
+		_, err := Runner([]Transport{worker})(ps, verify.Config{NondetTies: true})
 		if err == nil || !strings.Contains(err.Error(), named) {
 			t.Fatalf("coordinator accepted a %s worker (err=%v)", named, err)
 		}

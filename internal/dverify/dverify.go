@@ -21,7 +21,7 @@ const maxNodes = 64
 // protocol of proto.go. Calls are strictly sequential per transport (the
 // coordinator never has two outstanding requests to one node). A failed or
 // unanswered Call ends that node's part in the run — the run recovers under
-// fault tolerance and otherwise fails naming the node — but a new Verify
+// fault tolerance and otherwise fails naming the node — but a new run
 // over the same transports starts clean, because KindInit resets every
 // node.
 type Transport interface {
@@ -29,30 +29,17 @@ type Transport interface {
 	Close() error
 }
 
-// Verify runs the distributed reachability analysis for the profiles over
-// the given worker nodes. The configuration is interpreted exactly like
-// verify.Slot's, except that Workers is the lane count of every node (0:
-// the GOMAXPROCS of the node's process, shared by the nodes it hosts; 1:
-// one lane) and MaxStates is a per-node budget; verify.Counterexample
-// rebuilds the schedule of a violation locally. The nodes exchange
-// frontiers over direct worker↔worker links, so the transports must be
-// what Loopback or Dial returned — one loopback group or one TCP cluster,
-// unwrapped; anything else is refused before a worker sees a request. A
-// worker death ends the run in an error naming the node and the cause;
-// FaultTolerantRunner's runs survive it.
-func Verify(profiles []*switching.Profile, cfg verify.Config, nodes []Transport) (verify.Result, error) {
-	return verifyWithFaults(profiles, cfg, nodes, nil, nil)
-}
-
 // tolerance is what a fault-tolerant run needs beyond its Config: the
 // directory its workers checkpoint under ("" = none, recovery restarts the
 // search on the survivors).
 type tolerance struct{ checkpointDir string }
 
-// verifyWithFaults is Verify with fault tolerance (nil: a death ends the
-// run) and a deterministic fault-injection plan (nil for production runs)
-// attached: the plan's kills fire before the rounds of given levels. The
-// fault-matrix tests drive every recovery path through this entry.
+// verifyWithFaults runs the distributed reachability analysis for the
+// profiles over the given worker nodes, with fault tolerance (nil: a death
+// ends the run) and a deterministic fault-injection plan (nil for
+// production runs) attached: the plan's kills fire before the rounds of
+// given levels. The fault-matrix tests drive every recovery path through
+// this entry.
 func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []Transport, ft *tolerance, plan *faultPlan) (verify.Result, error) {
 	if len(nodes) < 1 || len(nodes) > maxNodes {
 		return verify.Result{}, fmt.Errorf("dverify: %d nodes (want 1..%d)", len(nodes), maxNodes)
@@ -127,9 +114,19 @@ func meshPeers(nodes []Transport) (peers []string, ok bool) {
 	return addrs, true
 }
 
-// Runner adapts a worker set to the verify.Config.Distributed hook. The
-// returned function serialises concurrent calls — the transports carry one
-// protocol session at a time.
+// Runner adapts a worker set to the verify.Config.Distributed hook: the
+// returned function runs the distributed reachability analysis over the
+// nodes. The configuration is interpreted exactly like verify.Slot's,
+// except that Workers is the lane count of every node (0: the GOMAXPROCS
+// of the node's process, shared by the nodes it hosts; 1: one lane) and
+// MaxStates is a per-node budget; verify.Counterexample rebuilds the
+// schedule of a violation locally. The nodes exchange frontiers over
+// direct worker↔worker links, so the transports must be what Loopback or
+// Dial returned — one loopback group or one TCP cluster, unwrapped;
+// anything else is refused before a worker sees a request. A worker death
+// ends the run in an error naming the node and the cause;
+// FaultTolerantRunner's runs survive it. The function serialises
+// concurrent calls — the transports carry one protocol session at a time.
 func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify.Result, error) {
 	return runner(nodes, nil, nil)
 }

@@ -43,7 +43,7 @@ func verifyOver(t *testing.T, nodes int, ps []*switching.Profile, cfg verify.Con
 	t.Helper()
 	ts := Loopback(nodes)
 	defer Close(ts)
-	return Verify(ps, cfg, ts)
+	return Runner(ts)(ps, cfg)
 }
 
 // equivalenceCases is the distributed-vs-local matrix shared by the
@@ -205,7 +205,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
 		}
-		dist, err := Verify(tc.ps, cfg, ts)
+		dist, err := Runner(ts)(tc.ps, cfg)
 		if err != nil {
 			t.Fatalf("%s: tcp: %v", tc.name, err)
 		}
@@ -225,7 +225,7 @@ func TestWorkerFailureMidLevelErrorsCleanly(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
 	// The plan fires before the first poll round: init succeeded on both.
-	plan := &faultPlan{faults: []fault{{atLevel: 0, kill: ts[1].(*loopTransport).die}}}
+	plan := &faultPlan{faults: []fault{{atLevel: 0, kill: func() { close(ts[1].(*loopTransport).kill) }}}}
 
 	done := make(chan error, 1)
 	go func() {
@@ -271,7 +271,7 @@ func TestWorkerDisconnectTCP(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := Verify(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, ts)
+		_, err := Runner(ts)(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true})
 		done <- err
 	}()
 	select {
@@ -330,7 +330,7 @@ func cannedWorker(t *testing.T, resp Response, answers int) (tr Transport, kinds
 // coordinator errors.
 func TestWorkerErrResponse(t *testing.T) {
 	worker, _ := cannedWorker(t, Response{Err: "boom"}, 0)
-	if _, err := Verify(fleet(2, 6, 1, 2, 10), verify.Config{}, []Transport{worker}); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := Runner([]Transport{worker})(fleet(2, 6, 1, 2, 10), verify.Config{}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want the worker error surfaced, got %v", err)
 	}
 }
@@ -345,7 +345,7 @@ func TestMeshCounterexample(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := verify.Config{NondetTies: true, Workers: 2}
-	res, err := Verify(ps, cfg, Loopback(2))
+	res, err := Runner(Loopback(2))(ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,10 +362,10 @@ func TestMeshCounterexample(t *testing.T) {
 // TestConfigValidation rejects bad cluster sizes and sets up front.
 func TestConfigValidation(t *testing.T) {
 	ps := fleet(2, 6, 1, 2, 10)
-	if _, err := Verify(ps, verify.Config{}, nil); err == nil {
+	if _, err := Runner(nil)(ps, verify.Config{}); err == nil {
 		t.Error("empty cluster accepted")
 	}
-	if _, err := Verify(append(fleet(12, 1, 1, 2, 6), prof("X", 1, 1, 2, 6)), verify.Config{}, Loopback(1)); !errors.Is(err, verify.ErrEncoding) {
+	if _, err := Runner(Loopback(1))(append(fleet(12, 1, 1, 2, 6), prof("X", 1, 1, 2, 6)), verify.Config{}); !errors.Is(err, verify.ErrEncoding) {
 		t.Errorf("13-app set: want ErrEncoding, got %v", err)
 	}
 }

@@ -102,7 +102,7 @@ func TestFTKillOneWorker(t *testing.T) {
 					label := fmt.Sprintf("%s: nodes=%d lanes=%d victim=%d", tc.name, nodes, lanes, victim)
 					trace := runFTLanes(t, label, tc.ps(), nodes, lanes, func(ts []Transport) *faultPlan {
 						lt := ts[victim].(*loopTransport)
-						return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: lt.die}}}
+						return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: func() { close(lt.kill) }}}}
 					})
 					want := obs.FailoverSpan{Era: 1, Dead: []int{victim}, Shards: verify.NumShards / nodes}
 					if len(trace.Failovers) != 1 {
@@ -128,7 +128,7 @@ func TestFTKillEveryVictim(t *testing.T) {
 		label := fmt.Sprintf("narrow6: nodes=4 victim=%d", victim)
 		runFT(t, label, ps, 4, func(ts []Transport) *faultPlan {
 			lt := ts[victim].(*loopTransport)
-			return &faultPlan{faults: []fault{{atLevel: 3, kill: lt.die}}}
+			return &faultPlan{faults: []fault{{atLevel: 3, kill: func() { close(lt.kill) }}}}
 		})
 	}
 }
@@ -142,15 +142,15 @@ func TestFTDoubleFault(t *testing.T) {
 	t.Run("simultaneous", func(t *testing.T) {
 		runFT(t, "double fault (same round)", ps, 4, func(ts []Transport) *faultPlan {
 			l1, l2 := ts[1].(*loopTransport), ts[2].(*loopTransport)
-			return &faultPlan{faults: []fault{{atLevel: 2, kill: func() { l1.die(); l2.die() }}}}
+			return &faultPlan{faults: []fault{{atLevel: 2, kill: func() { close(l1.kill); close(l2.kill) }}}}
 		})
 	})
 	t.Run("sequential", func(t *testing.T) {
 		trace := runFT(t, "double fault (mid-takeover)", ps, 4, func(ts []Transport) *faultPlan {
 			l1, l2 := ts[1].(*loopTransport), ts[2].(*loopTransport)
 			return &faultPlan{faults: []fault{
-				{atLevel: 2, kill: l1.die},
-				{atLevel: 0, afterRecoveries: 1, kill: l2.die},
+				{atLevel: 2, kill: func() { close(l1.kill) }},
+				{atLevel: 0, afterRecoveries: 1, kill: func() { close(l2.kill) }},
 			}}
 		})
 		if len(trace.Failovers) < 2 {
@@ -193,7 +193,7 @@ func TestFTDegradedNoCheckpointDir(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
 	lt := ts[1].(*loopTransport)
-	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: lt.die}}}
+	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: func() { close(lt.kill) }}}}
 	dist, err := verifyWithFaults(ps, ftConfig(trace), ts, &tolerance{}, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestFTHookSurvivesPerRunConfig(t *testing.T) {
 	}
 	ts := Loopback(3)
 	defer Close(ts)
-	plan := &faultPlan{faults: []fault{{atLevel: 25, kill: ts[1].(*loopTransport).die}}}
+	plan := &faultPlan{faults: []fault{{atLevel: 25, kill: func() { close(ts[1].(*loopTransport).kill) }}}}
 	trace := obs.NewTrace("")
 	cfg := verify.Config{NondetTies: true, Workers: 2, RunTrace: trace}
 	cfg.Distributed = runner(ts, checkpointed(t), plan)

@@ -100,7 +100,7 @@ func TestWedgedWorkerNamedError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	worker, kinds := cannedWorker(t, Response{Proto: protoVersion}, 1)
 	start := time.Now()
-	_, err := Verify(fleet(2, 6, 1, 2, 10), verify.Config{}, []Transport{worker})
+	_, err := Runner([]Transport{worker})(fleet(2, 6, 1, 2, 10), verify.Config{})
 	if err == nil || !strings.Contains(err.Error(), "node 0") || !strings.Contains(err.Error(), "no answer to a poll within 100ms") {
 		t.Fatalf("want an error naming node 0 and the timeout, got %v", err)
 	}

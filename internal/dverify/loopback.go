@@ -162,12 +162,11 @@ func (e loopEnv) leave(job *Job) {
 // still runs, standing in for the OS reclaiming a dead process's
 // sockets; its checkpoint segments stay on disk either way).
 type loopTransport struct {
-	group    *loopGroup
-	req      chan *Request
-	resp     chan *Response // buffered: an abandoned call must not wedge serve
-	kill     chan struct{}
-	killOnce sync.Once
-	closed   bool
+	group  *loopGroup
+	req    chan *Request
+	resp   chan *Response // buffered: an abandoned call must not wedge serve
+	kill   chan struct{}
+	closed bool
 }
 
 // serve is the worker goroutine: one handler per transport lifetime,
@@ -205,12 +204,6 @@ func (lt *loopTransport) Call(req *Request) (*Response, error) {
 	case <-lt.kill:
 		return nil, errors.New("loopback worker was killed")
 	}
-}
-
-// die kills the worker goroutine (idempotent); used by the
-// fault-injection harness.
-func (lt *loopTransport) die() {
-	lt.killOnce.Do(func() { close(lt.kill) })
 }
 
 func (lt *loopTransport) Close() error {

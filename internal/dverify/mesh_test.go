@@ -54,7 +54,7 @@ func TestMeshDelayedAbsorbInterleavings(t *testing.T) {
 				time.AfterFunc(d, func() { push(b) })
 				return true
 			}
-			dist, err := Verify(ps, cfg, ts)
+			dist, err := Runner(ts)(ps, cfg)
 			Close(ts)
 			if err != nil {
 				t.Fatalf("%s: delayed nodes=%d: %v", tc.name, nodes, err)
@@ -93,7 +93,7 @@ func TestMeshRoundsPerLevel(t *testing.T) {
 			rounds := 0
 			for run := 0; run < 5; run++ {
 				tr := obs.NewTrace("")
-				res, err := Verify(ps, verify.Config{NondetTies: true, RunTrace: tr}, cl.ts)
+				res, err := Runner(cl.ts)(ps, verify.Config{NondetTies: true, RunTrace: tr})
 				if err != nil || !res.Schedulable {
 					t.Fatalf("%s: %+v, %v", label, res, err)
 				}
@@ -145,7 +145,7 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 	cfg := verify.Config{NondetTies: true}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Verify(fleet(3, 6, 1, 2, 10), cfg, ts)
+		_, err := Runner(ts)(fleet(3, 6, 1, 2, 10), cfg)
 		done <- err
 	}()
 	select {
@@ -164,7 +164,7 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 	// The poisoned session must not wedge the workers or leak into the next
 	// one: the same cluster verifies cleanly once the fault is lifted.
 	g.failSend = nil
-	res, err := Verify(fleet(3, 6, 1, 2, 10), cfg, ts)
+	res, err := Runner(ts)(fleet(3, 6, 1, 2, 10), cfg)
 	if err != nil || !res.Schedulable {
 		t.Fatalf("cluster not reusable after a link fault: %v %+v", err, res)
 	}
@@ -228,7 +228,7 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	time.AfterFunc(100*time.Millisecond, l1.kill)
 	done := make(chan error, 1)
 	go func() {
-		_, err := Verify(fleet(4, 8, 2, 4, 40), verify.Config{NondetTies: true}, ts)
+		_, err := Runner(ts)(fleet(4, 8, 2, 4, 40), verify.Config{NondetTies: true})
 		done <- err
 	}()
 	select {
@@ -268,7 +268,7 @@ func TestMeshTopologyForcedOnWrappedTransports(t *testing.T) {
 		"two loopback groups": {a[0], b[0]},
 		"loopback + TCP":      {a[0], tcp},
 	} {
-		_, err := Verify(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, nodes)
+		_, err := Runner(nodes)(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true})
 		if err == nil || !strings.Contains(err.Error(), "cannot form a worker mesh") {
 			t.Errorf("%s: want the mesh-capability error, got %v", name, err)
 		}
@@ -297,7 +297,7 @@ func TestServerSingleClusterAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(ps, cfg, ts1); err != nil {
+	if _, err := Runner(ts1)(ps, cfg); err != nil {
 		t.Fatalf("first session: %v", err)
 	}
 
@@ -307,14 +307,14 @@ func TestServerSingleClusterAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer Close(ts2)
-	if _, err := Verify(ps, cfg, ts2); err == nil || !strings.Contains(err.Error(), "busy") {
+	if _, err := Runner(ts2)(ps, cfg); err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("second concurrent session: want a busy refusal, got %v", err)
 	}
 
 	// Ending the first session frees the slot. The release follows the
 	// connection close asynchronously, and the next Init waits for it.
 	Close(ts1)
-	if _, err := Verify(ps, cfg, ts2); err != nil {
+	if _, err := Runner(ts2)(ps, cfg); err != nil {
 		t.Fatalf("slot not handed on after the first session closed: %v", err)
 	}
 }
@@ -347,7 +347,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.AfterFunc(30*time.Millisecond, srv.Shutdown)
-	res, err := Verify(ps, verify.Config{NondetTies: true}, ts)
+	res, err := Runner(ts)(ps, verify.Config{NondetTies: true})
 	if err != nil {
 		t.Fatalf("job interrupted by graceful drain: %v", err)
 	}
@@ -359,7 +359,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 
 	// New jobs on the live session are refused while draining...
-	if _, err := Verify(fleet(2, 6, 1, 2, 10), verify.Config{NondetTies: true}, ts); err == nil ||
+	if _, err := Runner(ts)(fleet(2, 6, 1, 2, 10), verify.Config{NondetTies: true}); err == nil ||
 		!strings.Contains(err.Error(), "draining") {
 		t.Fatalf("new job during drain: want a draining refusal, got %v", err)
 	}

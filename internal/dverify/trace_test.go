@@ -26,7 +26,7 @@ func TestDistributedTraceLevels(t *testing.T) {
 			defer Close(ts)
 			tr := obs.NewTrace("")
 			cfg := verify.Config{NondetTies: true, RunID: tr.RunID, RunTrace: tr}
-			res, err := Verify(ps, cfg, ts)
+			res, err := Runner(ts)(ps, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -85,12 +85,6 @@ func (s *System) ControllabilityMatrix() *mat.Matrix {
 	return mat.HStack(cols...)
 }
 
-// IsControllable reports whether the controllability matrix has full
-// numerical rank (column-pivoted QR).
-func (s *System) IsControllable() bool {
-	return mat.Rank(s.ControllabilityMatrix()) == s.Order()
-}
-
 // Augmented returns the one-sample-delay augmented system of Eq. (4)–(5):
 // state z[k] = [x[k]; u[k−1]], input is the *commanded* u[k] which reaches
 // the plant one sample later:

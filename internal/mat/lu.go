@@ -4,9 +4,8 @@ import "math"
 
 // LU holds an LU factorisation with partial pivoting: P·A = L·U.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign float64
+	lu  *Matrix
+	piv []int
 }
 
 // Factor computes the LU factorisation of a square matrix with partial
@@ -21,7 +20,6 @@ func Factor(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p := k
@@ -39,7 +37,6 @@ func Factor(a *Matrix) (*LU, error) {
 				lu.data[k*n+j], lu.data[p*n+j] = lu.data[p*n+j], lu.data[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -50,17 +47,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
-}
-
-// Det returns the determinant from the factorisation.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := f.sign
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A·x = b for one right-hand side.
@@ -125,15 +112,6 @@ func SolveVec(a *Matrix, b []float64) ([]float64, error) {
 // Inverse returns A⁻¹.
 func Inverse(a *Matrix) (*Matrix, error) {
 	return Solve(a, Identity(a.rows))
-}
-
-// Det returns the determinant of a square matrix (0 when singular).
-func Det(a *Matrix) float64 {
-	f, err := Factor(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }
 
 // Cholesky computes the lower-triangular L with A = L·Lᵀ for a symmetric

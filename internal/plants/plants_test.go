@@ -48,11 +48,16 @@ func TestAllClosedLoopsStable(t *testing.T) {
 }
 
 // TestAllPlantsControllable: each case-study plant is controllable (needed
-// for the pole-placement designs the paper cites).
+// for the pole-placement designs the paper cites): its single-input
+// controllability matrix is square and has the inverse PlacePoles uses.
 func TestAllPlantsControllable(t *testing.T) {
-	for _, a := range CaseStudy() {
-		if !a.Plant.IsControllable() {
-			t.Errorf("%s: plant not controllable", a.Name)
+	plants := CaseStudy()
+	if len(plants) != 6 {
+		t.Fatalf("%d case-study plants, want 6", len(plants))
+	}
+	for _, a := range plants {
+		if _, err := mat.Inverse(a.Plant.ControllabilityMatrix()); err != nil {
+			t.Errorf("%s: plant not controllable: %v", a.Name, err)
 		}
 	}
 }

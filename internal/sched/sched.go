@@ -134,9 +134,6 @@ func NewArbiter(profiles []*switching.Profile, opts Options) *Arbiter {
 // Now returns the current sample instant (number of Tick calls so far).
 func (a *Arbiter) Now() int { return a.now }
 
-// Occupant returns the current slot holder index, or −1 when idle.
-func (a *Arbiter) Occupant() int { return a.occupant }
-
 // Phase returns application i's phase.
 func (a *Arbiter) Phase(i int) Phase { return a.apps[i].phase }
 

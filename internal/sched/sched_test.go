@@ -31,18 +31,18 @@ func TestSingleAppImmediateGrantAndVacate(t *testing.T) {
 	p := prof("A", 5, 2, 4, 30)
 	a := NewArbiter([]*switching.Profile{p}, Options{})
 	mustTick(t, a, 0) // disturbance observed at instant 0
-	if a.Occupant() != 0 {
-		t.Fatalf("not granted immediately: occupant=%d", a.Occupant())
+	if a.occupant != 0 {
+		t.Fatalf("not granted immediately: occupant=%d", a.occupant)
 	}
 	// Holds for Tdw+ = 4 samples (no competitor), then vacates.
 	for k := 1; k <= 3; k++ {
 		mustTick(t, a)
-		if a.Occupant() != 0 {
+		if a.occupant != 0 {
 			t.Fatalf("evicted early at sample %d", k)
 		}
 	}
 	mustTick(t, a) // cT reaches 4 = Tdw+
-	if a.Occupant() != -1 {
+	if a.occupant != -1 {
 		t.Fatalf("not vacated at Tdw+")
 	}
 	if a.Phase(0) != Cooldown {
@@ -96,16 +96,16 @@ func TestEDFOrderAndPreemption(t *testing.T) {
 	p1 := prof("B", 10, 2, 5, 40)
 	a := NewArbiter([]*switching.Profile{p0, p1}, Options{Policy: PreemptEager})
 	mustTick(t, a, 0, 1)
-	if a.Occupant() != 0 {
-		t.Fatalf("EDF violated: occupant=%d", a.Occupant())
+	if a.occupant != 0 {
+		t.Fatalf("EDF violated: occupant=%d", a.occupant)
 	}
 	mustTick(t, a) // cT=1 < Tdw−: non-preemptable
-	if a.Occupant() != 0 {
+	if a.occupant != 0 {
 		t.Fatalf("preempted inside non-preemptable window")
 	}
 	mustTick(t, a) // cT=2 = Tdw−: eager policy preempts, B granted
-	if a.Occupant() != 1 {
-		t.Fatalf("waiter not granted after Tdw−: occupant=%d", a.Occupant())
+	if a.occupant != 1 {
+		t.Fatalf("waiter not granted after Tdw−: occupant=%d", a.occupant)
 	}
 	if a.Phase(0) != Cooldown {
 		t.Fatalf("preempted app phase = %v", a.Phase(0))
@@ -156,7 +156,7 @@ func TestLazyPreemptionDelaysEviction(t *testing.T) {
 	mustTick(t, lazy, 1) // B waits, wt=0
 	// Eager would evict at cT=2; lazy keeps A until B's slack hits 0
 	// (wt = T*w = 5).
-	for lazy.Occupant() == 0 {
+	for lazy.occupant == 0 {
 		mustTick(t, lazy)
 	}
 	evictAt := 0
@@ -171,7 +171,7 @@ func TestLazyPreemptionDelaysEviction(t *testing.T) {
 	if lazy.Missed() {
 		t.Fatalf("lazy policy missed B's deadline")
 	}
-	if lazy.Occupant() != 1 {
+	if lazy.occupant != 1 {
 		t.Fatalf("B not granted after lazy eviction")
 	}
 }
@@ -185,8 +185,8 @@ func TestVacateThenImmediateGrant(t *testing.T) {
 	mustTick(t, a, 1)
 	mustTick(t, a)
 	mustTick(t, a) // cT=3 = Tdw+ → vacate; grant B same tick
-	if a.Occupant() != 1 {
-		t.Fatalf("slot not handed over in the vacate tick: occupant=%d", a.Occupant())
+	if a.occupant != 1 {
+		t.Fatalf("slot not handed over in the vacate tick: occupant=%d", a.occupant)
 	}
 }
 
@@ -196,8 +196,8 @@ func TestTieBreakByMaxTdwMinus(t *testing.T) {
 	p1 := prof("B", 6, 3, 7, 60)
 	a := NewArbiter([]*switching.Profile{p0, p1}, Options{})
 	mustTick(t, a, 0, 1)
-	if a.Occupant() != 1 {
-		t.Fatalf("tie-break wrong: occupant=%d, want 1 (smaller max Tdw−)", a.Occupant())
+	if a.occupant != 1 {
+		t.Fatalf("tie-break wrong: occupant=%d, want 1 (smaller max Tdw−)", a.occupant)
 	}
 }
 

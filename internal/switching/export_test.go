@@ -26,3 +26,6 @@ func TailCertificate(p Plant, tol float64) (pm []float64, level float64, ok bool
 
 // SetAugmented places the simulator at the augmented state z = [x; u_prev].
 func (s *Simulator) SetAugmented(z []float64) { copy(s.z, z) }
+
+// State returns a copy of the current plant state.
+func (s *Simulator) State() []float64 { return append([]float64(nil), s.z[:s.n]...) }

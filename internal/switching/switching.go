@@ -175,9 +175,6 @@ func dot(a, b []float64) float64 {
 // Output returns the current plant output y.
 func (s *Simulator) Output() float64 { return dot(s.c, s.z) }
 
-// State returns a copy of the current plant state.
-func (s *Simulator) State() []float64 { return append([]float64(nil), s.z[:s.n]...) }
-
 // advance applies input u for one sample, x ← Φ·x + Γ·u, and leaves held
 // as the input in flight.
 func (s *Simulator) advance(u, held float64) {

@@ -263,10 +263,6 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 	v.ctShift = v.occShift + 4
 	v.wide = total > 64
 	v.lanes = int(64 / v.appBits)
-	if n > v.lanes*wideAppWords {
-		return nil, fmt.Errorf("%w: %d applications exceed the %d lanes of the wide encoding",
-			ErrEncoding, n, v.lanes*wideAppWords)
-	}
 	if cfg.SymmetryReduction {
 		v.buildSymmetry()
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"tightcps/internal/switching"
@@ -42,9 +43,13 @@ func checkRoundTrip(t testing.TB, v *Verifier, c *cstate) {
 // a set is wide exactly when n·(2 + ⌈log₂ max r⌉) + 8 > 64, the clock field
 // is bits.Len(r − 1) wide on both sides of every power of two, every count
 // up to maxApps constructs without ErrEncoding and the first count beyond it
-// still fails cleanly. On every row the fullest state the set can store —
+// still fails cleanly. The wide lane words hold maxApps lanes of the widest
+// kind, which New does not check again. On every row the fullest state the set can store —
 // all lanes cooling down at r − 1 — round-trips through both encodings.
 func TestEncodingBoundary(t *testing.T) {
+	if lanes := 64 / (phaseBits + bits.Len(maxClock-1)); lanes*wideAppWords < maxApps {
+		t.Fatalf("%d lane words of %d lanes hold fewer than maxApps = %d applications", wideAppWords, lanes, maxApps)
+	}
 	type row struct {
 		n, r    int
 		valBits uint

@@ -1,11 +1,15 @@
 package tightcps_test
 
-// The knob rule (ROADMAP.md): an option field stays only if a command or
-// a benchmark op reaches it. TestOptionFieldsAreSet scans the tree with
-// go/parser and fails on every exported field of an option struct under
-// internal/ that no code outside its package sets. Deleted mechanisms stay
-// deleted: TestDeletedMechanismsStayDeleted fails on any line of Go that
-// brings one back.
+// The knob rule (ROADMAP.md): an option field or a function stays only if
+// a command or a benchmark op reaches it. TestOptionFieldsAreSet scans the
+// tree with go/parser and fails on every exported field of an option
+// struct under internal/ that no code outside its package sets;
+// TestFunctionsAreReached fails on every non-test function no command,
+// benchmark op or README example reaches. Deleted mechanisms stay deleted:
+// TestDeletedMechanismsStayDeleted fails on any line of Go that brings one
+// back. TestPlacementRules keeps a few calls and imports in the files they
+// belong to, and TestEveryCommandIsTested keeps a test beside every
+// command.
 
 import (
 	"errors"
@@ -36,9 +40,12 @@ var knobStructs = map[string]bool{"verify.Spec": true, "admit.Client": true}
 
 // knobFile is one parsed Go file of the tree.
 type knobFile struct {
-	dir  string // slash-separated, relative to the repo root
-	test bool
-	ast  *ast.File
+	path    string // slash-separated, relative to the repo root
+	dir     string // path's directory
+	test    bool
+	ast     *ast.File
+	fset    *token.FileSet
+	imports map[string]string // local name → import path
 }
 
 // TestOptionFieldsAreSet fails on an exported field of an exported
@@ -95,16 +102,6 @@ func TestOptionFieldsAreSet(t *testing.T) {
 		if f.test && !strings.HasPrefix(f.dir, "benchmark") {
 			continue
 		}
-		imports := map[string]string{} // local name → package name
-		for _, im := range f.ast.Imports {
-			path, _ := strconv.Unquote(im.Path.Value)
-			name := path[strings.LastIndex(path, "/")+1:]
-			local := name
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = name
-		}
 		byName := func(e ast.Expr) {
 			for {
 				sel, ok := e.(*ast.SelectorExpr)
@@ -126,7 +123,8 @@ func TestOptionFieldsAreSet(t *testing.T) {
 				if !ok {
 					break
 				}
-				name := imports[x.Name] + "." + sel.Sel.Name
+				path := f.imports[x.Name]
+				name := path[strings.LastIndex(path, "/")+1:] + "." + sel.Sel.Name
 				for _, el := range n.Elts {
 					kv, ok := el.(*ast.KeyValueExpr)
 					if !ok { // positional: every field is set
@@ -180,6 +178,172 @@ func TestOptionFieldsAreSet(t *testing.T) {
 	}
 }
 
+// reachExempt holds the non-test functions kept though no root reaches
+// them, keyed as TestFunctionsAreReached names them; what they call is kept
+// with them.
+var reachExempt = map[string]string{
+	"lti.SimulateFeedback":        "the plain closed loop, kept beside the delayed one as the reference a reader checks a controller against",
+	"lti.SimulateDelayedFeedback": "the closed loop with the paper's one-period delay, kept as the reference of the co-simulations",
+	"sim.Runner.MonteCarlo":       "ROADMAP item 17 builds on the Monte-Carlo scenarios",
+	"mat.Diag":                    "a fixture of the lti, control and mat tests",
+}
+
+// reachRoots are the methods the standard library calls through its
+// interfaces (fmt.Stringer, error, http.Handler, sort.Interface, io).
+var reachRoots = []string{"String", "Error", "ServeHTTP", "Len", "Less", "Swap", "Read", "Write", "Close", "Unwrap"}
+
+// readmeExample matches a README line naming a testable example.
+var readmeExample = regexp.MustCompile("`(internal/\\w+)` `(Example\\w*)`")
+
+// TestFunctionsAreReached fails on a non-test function that no command, no
+// benchmark op and no README example reaches. The roots are every main
+// under cmd/ and benchmark/, every init, every package-level var
+// initializer, the methods named in reachRoots and the examples the README
+// lists; a reached function reaches every function and method its body
+// names. A plain function is keyed by its package directory and name, a
+// method by its name alone, and every declaration sharing a key is reached
+// together (the build-tagged tablemem files). Going by name, the test
+// misses some dead methods, but never fails a live function.
+func TestFunctionsAreReached(t *testing.T) {
+	files := parseTree(t)
+
+	type decl struct {
+		body  *ast.BlockStmt
+		file  *knobFile
+		label string // pkg.Name or pkg.Recv.Name; a command's pkg is its directory
+	}
+	decls := map[string][]decl{} // key → declarations sharing it
+	var queue []string
+	reached := map[string]bool{}
+	mark := func(key string) {
+		if !reached[key] {
+			reached[key] = true
+			queue = append(queue, key)
+		}
+	}
+	// walk marks what n names: a plain function of f's package by its
+	// identifier, one of another package of the module by its selector, and
+	// every method of any other selector's name.
+	walk := func(f *knobFile, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				mark(f.dir + "." + n.Name)
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := strings.CutPrefix(f.imports[x.Name], "tightcps/"); ok {
+						mark(dir + "." + n.Sel.Name)
+						return false
+					}
+				}
+				mark("." + n.Sel.Name)
+			}
+			return true
+		})
+	}
+	for i := range files {
+		f := &files[i]
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				pkg := f.ast.Name.Name
+				if pkg == "main" {
+					pkg = f.dir
+				}
+				key, label := f.dir+"."+d.Name.Name, pkg+"."+d.Name.Name
+				if d.Recv != nil {
+					key, label = "."+d.Name.Name, pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name
+				}
+				decls[key] = append(decls[key], decl{d.Body, f, label})
+				if d.Recv == nil && (d.Name.Name == "init" ||
+					d.Name.Name == "main" && (strings.HasPrefix(f.dir, "cmd/") || f.dir == "benchmark")) {
+					mark(key)
+				}
+			case *ast.GenDecl:
+				if d.Tok == token.VAR && !f.test {
+					walk(f, d)
+				}
+			}
+		}
+	}
+	for _, name := range reachRoots {
+		mark("." + name)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range readmeExample.FindAllStringSubmatch(string(readme), -1) {
+		if len(decls[m[1]+"."+m[2]]) == 0 {
+			t.Errorf("README names example %s.%s, which does not exist", m[1], m[2])
+		}
+		mark(m[1] + "." + m[2])
+	}
+	drain := func() {
+		for len(queue) > 0 {
+			key := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			for _, d := range decls[key] {
+				if d.body != nil {
+					walk(d.file, d.body)
+				}
+			}
+		}
+	}
+	drain()
+
+	// An exempt function must be unreached, and what it calls is kept
+	// with it.
+	keyOf := map[string]string{} // label → key, of non-test functions
+	for key, ds := range decls {
+		for _, d := range ds {
+			if !d.file.test {
+				keyOf[d.label] = key
+			}
+		}
+	}
+	for name := range reachExempt {
+		if key, ok := keyOf[name]; !ok {
+			t.Errorf("exemption %s names no non-test function", name)
+		} else if reached[key] {
+			t.Errorf("exemption %s names a reached function", name)
+		} else {
+			mark(key)
+		}
+	}
+	drain()
+
+	var unreached []string
+	for label, key := range keyOf {
+		if !reached[key] {
+			unreached = append(unreached, label)
+		}
+	}
+	slices.Sort(unreached)
+	if len(unreached) > 0 {
+		t.Errorf("functions no command, benchmark op or README example reaches (delete them, or move them into the tests that use them):\n\t%s",
+			strings.Join(unreached, "\n\t"))
+	}
+}
+
+// recvName returns the type name of a method receiver.
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr: // generic receiver
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
+
 // parseTree parses every Go file under the repo root, skipping hidden
 // directories.
 func parseTree(t *testing.T) []knobFile {
@@ -203,14 +367,104 @@ func parseTree(t *testing.T) []knobFile {
 		if err != nil {
 			return err
 		}
-		files = append(files, knobFile{dir: filepath.ToSlash(filepath.Dir(path)),
-			test: strings.HasSuffix(path, "_test.go"), ast: f})
+		imports := map[string]string{}
+		for _, im := range f.Imports {
+			path, _ := strconv.Unquote(im.Path.Value)
+			local := path[strings.LastIndex(path, "/")+1:]
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = path
+		}
+		files = append(files, knobFile{path: filepath.ToSlash(path), dir: filepath.ToSlash(filepath.Dir(path)),
+			test: strings.HasSuffix(path, "_test.go"), ast: f, fset: fset, imports: imports})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// placementRules confine a use — a selector of an imported package, as
+// "import/path.Name", or an import, as its path — to the non-test files
+// under the listed paths.
+var placementRules = []struct {
+	use     string
+	allowed []string
+	reason  string
+}{
+	{"tightcps/internal/verify.Refute", []string{"internal/verify", "internal/mapping", "benchmark"},
+		"the replay prefilter settles a \"no\" before a search, and mapping.Admission decides when it runs (DESIGN.md §2, \"Counterexample replay prefilter\"); benchmark/ rebuilds the sweep from public calls"},
+	{"syscall.Mmap", []string{"internal/verify/tablemem_linux.go"}, tableMemory},
+	{"syscall.Munmap", []string{"internal/verify/tablemem_linux.go"}, tableMemory},
+	{"syscall.Madvise", []string{"internal/verify/tablemem_linux.go"}, tableMemory},
+	{"unsafe", []string{"internal/verify/tablemem_linux.go"}, tableMemory},
+}
+
+const tableMemory = "manual memory stays in one file: visited-set tables of 2 MiB and up are mapped off the Go heap by internal/verify/tablemem_linux.go alone (DESIGN.md §4, \"Table memory\")"
+
+// TestPlacementRules holds the non-test files to placementRules.
+func TestPlacementRules(t *testing.T) {
+	files := parseTree(t)
+	for _, row := range placementRules {
+		for _, p := range row.allowed {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s is allowed in %s: %v", row.use, p, err)
+			}
+		}
+	}
+	check := func(f *knobFile, pos token.Pos, use string) {
+		for _, row := range placementRules {
+			if row.use == use && !slices.ContainsFunc(row.allowed, func(p string) bool {
+				return f.path == p || strings.HasPrefix(f.path, p+"/")
+			}) {
+				t.Errorf("%s:%d uses %s (%s)", f.path, f.fset.Position(pos).Line, use, row.reason)
+			}
+		}
+	}
+	for i := range files {
+		f := &files[i]
+		if f.test {
+			continue
+		}
+		for _, im := range f.ast.Imports {
+			path, _ := strconv.Unquote(im.Path.Value)
+			check(f, im.Pos(), path)
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+					check(f, sel.Pos(), f.imports[x.Name]+"."+sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestEveryCommandIsTested fails on a command under cmd/ whose directory
+// holds no Test function: every command is a run function its tests call
+// in process, flag refusals and exit codes included (internal/cli).
+func TestEveryCommandIsTested(t *testing.T) {
+	tested := map[string]bool{}
+	for _, f := range parseTree(t) {
+		if !strings.HasPrefix(f.dir, "cmd/") {
+			continue
+		}
+		tested[f.dir] = tested[f.dir] || f.test && slices.ContainsFunc(f.ast.Decls, func(d ast.Decl) bool {
+			fn, ok := d.(*ast.FuncDecl)
+			return ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test")
+		})
+	}
+	if len(tested) == 0 {
+		t.Fatal("no command under cmd/")
+	}
+	for dir, ok := range tested {
+		if !ok {
+			t.Errorf("%s has no Test function", dir)
+		}
+	}
 }
 
 // deletedMechanisms lists what the tree once had and may not grow back
@@ -241,7 +495,6 @@ var deletedMechanisms = []struct {
 	{`results +map\[uint64\]\*record|errVerifierPanicked|func \(s \*Service\) DrainOnSignal|func (FirstFit|Optimal)\(|func \(c \*Cache\) (Do|SaveFile|LoadFile)\(|cacheSubdir`, ".", false, "no second verdict map or shard layout; the single-file cache, the uncached mappers and DrainOnSignal stay gone (DESIGN.md §7)"},
 	{`type inflight struct`, "internal/mapping", false, "no singleflight beside mapping.Cache's Get and Put"},
 	{`Decode\(&req\)|Unmarshal\([^)]*&req\)`, "internal/admit", false, "an admission request is decoded by decodeRequest alone (DESIGN.md §7, \"Request decoding\")"},
-	{`func \(m \*Middleware\) (Holder|FreeSlots)\(|func \(n \*Network\) (FormatTrace|LocationIs)\(`, ".", true, "they had no caller but their own tests"},
 	{`meshIdleWait|meshDigest|futureQ|sparePending|SentByLevel|RecvByLevel`, ".", false, "one barrier per BFS level: no pipelined commit rule, milestone tracker, per-level sums or idle wait (DESIGN.md §5)"},
 	{`func \(w \*meshWorker\) (setFinal|noteBound|drained|idle)\(`, ".", false, "one barrier per BFS level: no deferral lists (DESIGN.md §5)"},
 	{`map\[string\]bool|func encode\(|func \(n \*Network\) Successors\(`, "internal/ta", false, "the timed-automata checker keeps one slab-keyed store and one entry point, Reachable"},
