@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		apps = append(apps, core.FromPlants(a))
+		apps = append(apps, a)
 	}
 	opts := core.Options{CheckSwitchingStability: *stability, Workers: *workers}
 	if *lazy {

@@ -24,7 +24,7 @@
 //
 //	-nodes K / -connect a,b   run every slot verification on K loopback
 //	                          nodes or cmd/verifyd daemons (internal/cli's
-//	                          backend group, with -workers, -ft, -ftdir);
+//	                          backend group, with -workers and -ft);
 //	                          -maxstates then budgets states per node
 //	-cachedir warm            persist the -synthetic admission cache across
 //	                          invocations (verifyd -cachedir's layout: one

@@ -39,7 +39,7 @@ func TestFlagConflicts(t *testing.T) {
 		{"-synthetic 5 -granularity-sweep 3,1,1", "wants 1 ≤ lo ≤ hi"},
 		{"-table1 -json", "-json applies to -verifytime alone"},
 		{"-table1 -ft", "-ft is a distributed-run flag; it needs -nodes or -connect"},
-		{"-table1 -nodes 2 -ftdir d", "-ftdir holds the checkpoints of -ft runs; it needs -ft"},
+		{"-table1 -nodes 2 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
 		{"-table1 -nodes 2 -connect 127.0.0.1:1", "-nodes and -connect are mutually exclusive"},
 		{"-table1 -workers -1", "-workers must be ≥ 0"},
 		{"-table2", "flag provided but not defined: -table2"},

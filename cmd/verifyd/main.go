@@ -25,8 +25,8 @@
 //	verifyd -http 127.0.0.1:9833 -listen "" [-nodes 4]      # front door only
 //	verifyd -http :9833 -connect host1:9471,host2:9471      # front door over a fleet
 //
-// The backend flags (internal/cli: -workers, -nodes, -connect, -ft,
-// -ftdir) configure the admission plane and need -http; a worker inherits
+// The backend flags (internal/cli: -workers, -nodes, -connect, -ft)
+// configure the admission plane and need -http; a worker inherits
 // its search from the coordinator's job. The service runs at least two
 // local lanes, so that every backend reports the same minimum-state
 // violator.
@@ -34,9 +34,9 @@
 // Resilience: -connect dials each worker up to 5 times, waiting 0.5, 1, 2
 // and 4 s between attempts, so the fleet may boot in any order. -ft makes the
 // distributed runs fault-tolerant — worker deaths are survived by
-// reassigning the dead node's hash shards and rolling back to the last
-// per-level checkpoint under -ftdir, with the verdict and all exhaustive
-// counts unchanged. -retries, -breaker and
+// reassigning the dead node's hash shards to the survivors and restarting
+// the search on them, with the verdict and all exhaustive counts
+// unchanged. -retries, -breaker and
 // -localfallback govern the admission plane's backend retry policy,
 // circuit breaker, and local degraded mode (all off by default).
 //
@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 	if *httpAddr == "" { // a worker inherits its search from the coordinator's job
 		if err := cli.Unset(fs, "configures the admission plane's backend; it needs -http",
-			"workers", "nodes", "connect", "ft", "ftdir"); err != nil {
+			"workers", "nodes", "connect", "ft"); err != nil {
 			return err
 		}
 	}

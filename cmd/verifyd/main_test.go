@@ -23,7 +23,7 @@ func TestFlagConflicts(t *testing.T) {
 		{[]string{"-listen", "", "-http", ""}, "nothing to serve"},
 		{[]string{"-listen", "127.0.0.1:0", "-nodes", "2"}, "-nodes configures the admission plane's backend; it needs -http"},
 		{append(front, "-ft"), "-ft is a distributed-run flag; it needs -nodes or -connect"},
-		{append(front, "-nodes", "2", "-ftdir", "d"), "-ftdir holds the checkpoints of -ft runs; it needs -ft"},
+		{append(front, "-nodes", "2", "-ft", "-ft"+"dir", "d"), "flag provided but not defined: -ft" + "dir"},
 		{append(front, "-nodes", "2", "-connect", "127.0.0.1:1"), "-nodes and -connect are mutually exclusive"},
 		{append(front, "-workers", "-1"), "-workers must be ≥ 0"},
 		{[]string{"-connect" + "-retries", "3"}, "flag provided but not defined: -connect" + "-retries"},

@@ -31,7 +31,7 @@
 // (excluding profiling and counterexample reconstruction), so throughput
 // regressions — local or distributed — show up on any run.
 //
-// The backend flags (-workers, -nodes, -connect, -ft, -ftdir) are
+// The backend flags (-workers, -nodes, -connect, -ft) are
 // internal/cli's group; -ta and -server refuse, by name, every flag their
 // mode cannot honour (DESIGN.md, "Commands").
 package main
@@ -70,13 +70,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *useTA {
 		if err := cli.Unset(fs, "is incompatible with -ta (the TA network is one local search of the eager policy, exact, unbudgeted and untraced)",
-			"nodes", "connect", "ft", "ftdir", "workers", "maxstates", "lazy", "server", "json", "tracefile"); err != nil {
+			"nodes", "connect", "ft", "workers", "maxstates", "lazy", "server", "json", "tracefile"); err != nil {
 			return err
 		}
 	}
 	if *server != "" {
 		if err := cli.Unset(fs, "is incompatible with -server (the admission service runs the search; this process only asks)",
-			"nodes", "connect", "ft", "ftdir", "workers", "json", "tracefile"); err != nil {
+			"nodes", "connect", "ft", "workers", "json", "tracefile"); err != nil {
 			return err
 		}
 	}

@@ -33,10 +33,8 @@ func TestFlagConflicts(t *testing.T) {
 		{"-json -server http://127.0.0.1:1", "-json is incompatible with -server"},
 		{"-server http://127.0.0.1:1 -nodes 2", "-nodes is incompatible with -server"},
 		{"-server http://127.0.0.1:1 -ft", "-ft is incompatible with -server"},
-		{"-server http://127.0.0.1:1 -ftdir d", "-ftdir is incompatible with -server"},
 		{"-server http://127.0.0.1:1 -workers 2", "-workers is incompatible with -server"},
 		{"-ft", "-ft is a distributed-run flag; it needs -nodes or -connect"},
-		{"-nodes 2 -ftdir d", "-ftdir holds the checkpoints of -ft runs; it needs -ft"},
 		{"-nodes 2 -connect 127.0.0.1:1", "-nodes and -connect are mutually exclusive"},
 		{"-nodes -1", "-nodes must be ≥ 0"},
 		{"-workers -1", "-workers must be ≥ 0"},
@@ -47,6 +45,8 @@ func TestFlagConflicts(t *testing.T) {
 		{"-cpu" + "profile c.pprof", "flag provided but not defined: -cpu" + "profile"},
 		{"-mem" + "profile m.pprof", "flag provided but not defined: -mem" + "profile"},
 		{"-connect" + "-retries 3", "flag provided but not defined: -connect" + "-retries"},
+		{"-nodes 2 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
+		{"-server http://127.0.0.1:1 -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
 	} {
 		code, stdout, stderr := verifyslot(strings.Fields(tc.args)...)
 		if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" {

@@ -1,5 +1,5 @@
 // Package cli is what the commands under cmd/ share: the backend flag
-// group, which resolves -workers, -nodes, -connect, -ft and -ftdir to one
+// group, which resolves -workers, -nodes, -connect and -ft to one
 // verify.Config, and the exit rule (Exit). A command is a run(args,
 // stdout, stderr) error over its own FlagSet; its main is cli.Main(name,
 // run), and its tests call run in process.
@@ -94,7 +94,6 @@ type Backend struct {
 	workers, nodes int
 	connect        string
 	ft             bool
-	ftdir          string
 }
 
 // BackendFlags registers the group's flags on fs.
@@ -103,14 +102,13 @@ func BackendFlags(fs *flag.FlagSet) *Backend {
 	fs.IntVar(&b.workers, "workers", 0, "lanes of a search, on every node of a -nodes/-connect cluster too (0 = GOMAXPROCS, shared by the nodes of one process; 1 = sequential locally, one lane per node)")
 	fs.IntVar(&b.nodes, "nodes", 0, "verify over K in-process loopback mesh nodes (0 = local search)")
 	fs.StringVar(&b.connect, "connect", "", "verify over the verifyd workers at these comma-separated addresses (each dialed up to 5 times, waiting 0.5, 1, 2 and 4 s)")
-	fs.BoolVar(&b.ft, "ft", false, "fault-tolerant distributed runs: survive worker deaths by shard reassignment and rollback (needs -nodes or -connect)")
-	fs.StringVar(&b.ftdir, "ftdir", "", "checkpoint directory for -ft runs, visible to every worker (empty = recovery restarts the search)")
+	fs.BoolVar(&b.ft, "ft", false, "fault-tolerant distributed runs: survive worker deaths by handing the dead node's shards to the survivors and restarting the search on them (needs -nodes or -connect)")
 	return b
 }
 
 // Cluster is an opened backend. Config is what every verification of the
 // run starts from: Workers, and on a cluster Distributed, the hook that
-// carries -ft and -ftdir. Nodes, 0 for the local engine, salts the cache
+// carries -ft. Nodes, 0 for the local engine, salts the cache
 // keys of budgeted verdicts (MaxStates is per node).
 type Cluster struct {
 	Config verify.Config
@@ -134,8 +132,6 @@ func (b *Backend) Open(logf func(format string, args ...any)) (*Cluster, error) 
 		return nil, Usagef("-nodes and -connect are mutually exclusive (one cluster per run)")
 	case b.ft && b.nodes == 0 && b.connect == "":
 		return nil, Usagef("-ft is a distributed-run flag; it needs -nodes or -connect")
-	case b.ftdir != "" && !b.ft:
-		return nil, Usagef("-ftdir holds the checkpoints of -ft runs; it needs -ft")
 	}
 	c := &Cluster{Config: verify.Config{Workers: b.workers}}
 	switch {
@@ -161,7 +157,7 @@ func (b *Backend) Open(logf func(format string, args ...any)) (*Cluster, error) 
 	c.Width = fmt.Sprintf("nodes=%d", c.Nodes)
 	c.Config.Distributed = dverify.Runner(c.ts)
 	if b.ft {
-		c.Config.Distributed = dverify.FaultTolerantRunner(c.ts, b.ftdir)
+		c.Config.Distributed = dverify.FaultTolerantRunner(c.ts)
 		c.Banner += " (fault-tolerant)"
 	}
 	return c, nil

@@ -15,7 +15,6 @@ import (
 	"errors"
 
 	"tightcps/internal/control"
-	"tightcps/internal/lti"
 	"tightcps/internal/mapping"
 	"tightcps/internal/plants"
 	"tightcps/internal/sched"
@@ -23,16 +22,11 @@ import (
 	"tightcps/internal/verify"
 )
 
-// App describes one distributed control application.
-type App struct {
-	Name  string
-	Plant *lti.System
-	KT    lti.Feedback // fast controller (TT communication, order n)
-	KE    lti.Feedback // delay-tolerant controller (ET communication, order n+1)
-	X0    []float64    // post-disturbance state
-	JStar int          // settling requirement, samples
-	R     int          // minimum disturbance inter-arrival, samples
-}
+// App describes one distributed control application: plant, the fast (TT)
+// and delay-tolerant (ET) controllers, post-disturbance state, settling
+// requirement and minimum disturbance inter-arrival. It is the case-study
+// library's type, so plants.CaseStudy's applications dimension as they are.
+type App = plants.App
 
 // Options tunes the dimensioning flow. Profiles are computed with the
 // zero switching.Config.
@@ -90,29 +84,12 @@ type Dimensioner struct {
 
 // Profile computes the switching profile of a single application.
 func Profile(a App, cfg switching.Config) (*switching.Profile, error) {
-	return switching.Compute(plantOf(a), cfg)
-}
-
-// FromPlants adapts a case-study application to the engine's input type.
-func FromPlants(a plants.App) App {
-	return App{Name: a.Name, Plant: a.Plant, KT: a.KT, KE: a.KE,
-		X0: a.X0, JStar: a.JStar, R: a.R}
+	return switching.Compute(plants.SwitchingPlant(a), cfg)
 }
 
 // CaseStudyApps returns the paper's six case-study applications ready for
 // dimensioning.
-func CaseStudyApps() []App {
-	var out []App
-	for _, a := range plants.CaseStudy() {
-		out = append(out, FromPlants(a))
-	}
-	return out
-}
-
-func plantOf(a App) switching.Plant {
-	return switching.Plant{Name: a.Name, Sys: a.Plant, KT: a.KT, KE: a.KE,
-		X0: a.X0, JStar: a.JStar, R: a.R}
-}
+func CaseStudyApps() []App { return plants.CaseStudy() }
 
 // Dimension executes the engine's two stages: (optional) switching-stability
 // certification plus profile computation fanned out per application, then

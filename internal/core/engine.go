@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"tightcps/internal/control"
+	"tightcps/internal/plants"
 	"tightcps/internal/switching"
 )
 
@@ -89,7 +90,7 @@ func (d *Dimensioner) profileStage(ctx context.Context) ([]*switching.Profile, [
 			}
 			stability[i] = res
 		}
-		p, err := switching.Compute(plantOf(a), switching.Config{})
+		p, err := switching.Compute(plants.SwitchingPlant(a), switching.Config{})
 		if err != nil {
 			return fmt.Errorf("core: profiling %s: %w", a.Name, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -72,12 +71,10 @@ func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uin
 
 // TestFrontierCodecRoundTrip drives encode→decode across batch sizes and
 // both state widths: a batch is the version byte, then the states' words
-// little-endian in the order given — byte for byte the body of a checkpoint
-// segment holding them — and decodes to exactly those states. A zero-length
-// batch holds none.
+// little-endian in the order given — and decodes to exactly those states.
+// A zero-length batch holds none.
 func TestFrontierCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	dir := t.TempDir()
 	for _, words := range []int{1, 3} {
 		exp := expanderFor(t, words)
 		if dec, err := decodeBatch(exp, nil, nil); err != nil || len(dec) != 0 {
@@ -92,13 +89,6 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 			}
 			if !bytes.Equal(enc, want) {
 				t.Fatalf("words=%d n=%d: batch is not the version byte and the raw words", words, n)
-			}
-			path := segPath(dir, words, n)
-			if err := writeSegment(path, states, 0, exp); err != nil {
-				t.Fatal(err)
-			}
-			if seg, err := os.ReadFile(path); err != nil || !bytes.Equal(seg[segHeader:], enc[1:]) {
-				t.Fatalf("words=%d n=%d: batch body differs from the segment body (%v)", words, n, err)
 			}
 			dec, err := decodeBatch(exp, enc, nil)
 			if err != nil {
@@ -185,11 +175,9 @@ func TestFrontierCodecErrors(t *testing.T) {
 
 // TestDecodeRefusesZeroState: no encoding produces the all-zero state — it
 // is the visited sets' empty-slot sentinel, and inserting it panics — so a
-// frontier batch or a checkpoint segment that carries one is refused by
-// name, on both widths, before absorb sees it; a worker ordered to restore
-// such a segment reports it and stands.
+// frontier batch that carries one is refused by name, on both widths,
+// before absorb sees it.
 func TestDecodeRefusesZeroState(t *testing.T) {
-	dir := t.TempDir()
 	for _, words := range []int{1, 3} {
 		exp := expanderFor(t, words)
 		zero, one := make([]byte, 8*words), make([]byte, 8*words)
@@ -205,38 +193,6 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 				t.Errorf("%d-word %s batch %v: err = %v, want the all-zero-state error", words, tc.name, tc.batch, err)
 			}
 		}
-		path := segPath(dir, words, 0)
-		if err := os.WriteFile(path, segmentBytes(2, 0, append(one, zero...)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := readSegment(path, exp); err == nil || !strings.Contains(err.Error(), "all-zero state") ||
-			!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
-			t.Errorf("%d-word segment holding the zero state: err = %v", words, err)
-		}
-	}
-
-	ts := Loopback(1)
-	defer Close(ts)
-	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), MaxStates: 100, CheckpointDir: dir, Session: 2}
-	for _, p := range fleet(3, 5, 2, 4, 20) {
-		job.Profiles = append(job.Profiles, *p)
-	}
-	w, _, err := newMeshWorker(job, loopEnv{ts[0].(*loopTransport).group}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.shutdown()
-	for sh := 0; sh < verify.NumShards; sh++ {
-		if err := writeSegment(segPath(w.ckptDir, 0, sh), nil, 0, w.exp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(segPath(w.ckptDir, 0, 5), segmentBytes(1, 0, make([]byte, 8)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w.recoverTo(&Recover{Era: 1, Owners: defaultOwners(1), Cut: 0})
-	if w.err == nil || !strings.Contains(w.err.Error(), "all-zero state") {
-		t.Fatalf("worker error after restoring a segment holding the zero state: %v", w.err)
 	}
 }
 
@@ -269,11 +225,10 @@ var outOfLayout = map[int][]struct {
 	},
 }
 
-// TestDecodeRefusesOutOfLayoutState: a batch or a checkpoint segment holding
-// a nonzero state outside the set's layout is refused by name, on both
-// widths, before the kernel or absorb sees it.
+// TestDecodeRefusesOutOfLayoutState: a batch holding a nonzero state
+// outside the set's layout is refused by name, on both widths, before the
+// kernel or absorb sees it.
 func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
-	dir := t.TempDir()
 	for words, cases := range outOfLayout {
 		exp := expanderFor(t, words)
 		if init := exp.Initial(); words == 1 && init[0] != 0xF<<21 || words == 3 && init[2] != 0xFF {
@@ -283,14 +238,6 @@ func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
 			raw := exp.AppendWords(nil, tc.state)
 			if _, err := decodeBatch(exp, append([]byte{codecRaw}, raw...), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%d-word batch with %s: err = %v, want %q", words, tc.name, err, tc.want)
-			}
-			path := segPath(dir, words, 0)
-			if err := os.WriteFile(path, segmentBytes(1, 0, raw), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := readSegment(path, exp); err == nil || !strings.Contains(err.Error(), tc.want) ||
-				!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
-				t.Errorf("%d-word segment with %s: err = %v, want %q", words, tc.name, err, tc.want)
 			}
 		}
 	}
@@ -358,11 +305,12 @@ func badState(exp *verify.Expander, states []uint64) int {
 // varint-delta batches, a version-12 one, whose Job carries no lane count
 // (its nodes would each run one lane whatever Workers said), and a
 // version-13 one, whose Job carries FT, Era and Cut and whose link reports
-// carry no cause, and a version-15 one, which ships a wide state as four
-// words.
+// carry no cause, a version-15 one, which ships a wide state as four
+// words, and a version-16 one, whose Recover order names a checkpoint cut
+// to roll back to.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
@@ -407,131 +355,8 @@ func TestOwnershipTableRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.shutdown()
-	w.recoverTo(&Recover{Era: 1, Owners: bad["short"], Cut: -1})
+	w.recoverTo(&Recover{Era: 1, Owners: bad["short"]})
 	if w.err == nil || !strings.Contains(w.err.Error(), "ownership table") || w.era != 0 {
 		t.Fatalf("short table in a Recover order: era %d, err %v", w.era, w.err)
 	}
-}
-
-// segmentBytes hand-builds a checkpoint segment file: the header claims
-// count states and trans transitions, the body is as given.
-func segmentBytes(count uint64, trans int64, body []byte) []byte {
-	b := append([]byte(nil), segMagic[:]...)
-	b = binary.LittleEndian.AppendUint64(b, count)
-	b = binary.LittleEndian.AppendUint64(b, uint64(trans))
-	return append(b, body...)
-}
-
-// TestSegmentCorruptHeader: a checkpoint segment whose header disagrees with
-// its body — by a count chosen so count × stride wraps to the body's length,
-// by one state either way, by a partial trailing state — or whose header is
-// cut short or not a segment's is refused with an error naming the file. The
-// reader never panics, nor allocates by the claimed count; a worker ordered to
-// restore from such a file reports it as its "restoring checkpoint cut" error.
-func TestSegmentCorruptHeader(t *testing.T) {
-	dir := t.TempDir()
-	for _, words := range []int{1, 3} {
-		exp := expanderFor(t, words)
-		stride := 8 * words
-		two := make([]byte, 2*stride)
-		two[0], two[stride] = 1, 2
-		wrap := uint64(1 << 61) // × stride (8 or 24) = 2⁶⁴ or 3 · 2⁶⁴ ≡ 0
-		for _, tc := range []struct {
-			name string
-			file []byte
-			want string // "" = a valid segment
-		}{
-			{"valid", segmentBytes(2, 7, two), ""},
-			{"valid empty", segmentBytes(0, 7, nil), ""},
-			{"count wraps to an empty body", segmentBytes(wrap, 0, nil), "header claims"},
-			{"count wraps to the body", segmentBytes(wrap+2, 0, two), "header claims"},
-			{"count above body", segmentBytes(3, 0, two), "header claims 3 states, body holds 2"},
-			{"count below body", segmentBytes(1, 0, two), "header claims 1 states, body holds 2"},
-			{"partial trailing state", segmentBytes(2, 0, append(two[:len(two):len(two)], 1, 2, 3)), "state stride"},
-			{"short header", segmentBytes(0, 0, nil)[:10], "bad header"},
-			{"bad magic", append([]byte("notasegm"), segmentBytes(0, 0, nil)[8:]...), "bad header"},
-		} {
-			path := segPath(dir, words, 0)
-			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			states, trans, err := readSegment(path, exp)
-			if tc.want == "" {
-				if err != nil || len(states)/words != len(tc.file[segHeader:])/stride || trans != 7 {
-					t.Errorf("%d-word %s: %d states, %d transitions, %v", words, tc.name, len(states)/words, trans, err)
-				}
-				continue
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) ||
-				!strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+path+": ") {
-				t.Errorf("%d-word %s: want a named error with %q, got %v", words, tc.name, tc.want, err)
-			}
-		}
-	}
-
-	// The same file under a worker: recovery reports it, the worker stands.
-	ts := Loopback(1)
-	defer Close(ts)
-	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), MaxStates: 100, CheckpointDir: dir, Session: 1}
-	for _, p := range fleet(3, 5, 2, 4, 20) {
-		job.Profiles = append(job.Profiles, *p)
-	}
-	w, _, err := newMeshWorker(job, loopEnv{ts[0].(*loopTransport).group}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.shutdown()
-	for sh := 0; sh < verify.NumShards; sh++ {
-		if err := writeSegment(segPath(w.ckptDir, 0, sh), nil, 0, w.exp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bad := segPath(w.ckptDir, 0, 5)
-	if err := os.WriteFile(bad, segmentBytes(1<<61, 0, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w.recoverTo(&Recover{Era: 1, Owners: defaultOwners(1), Cut: 0})
-	if w.err == nil || !strings.Contains(w.err.Error(), "restoring checkpoint cut 0: dverify: checkpoint segment "+bad) {
-		t.Fatalf("worker error after restoring from a corrupt segment: %v", w.err)
-	}
-}
-
-// FuzzReadSegment: whatever bytes sit where a checkpoint segment should,
-// readSegment answers with a named error or with states and a transition
-// count that writeSegment puts back byte for byte — it never panics, never
-// returns a state CheckWords refuses, and no header field it has not checked
-// against the file sizes an allocation. The seed corpus in
-// testdata/fuzz/FuzzReadSegment holds an empty file, a bare header, valid
-// narrow and wide segments, a count one above the body, a count that wraps
-// the size product, trailing bytes and, on both widths, a segment holding
-// each state of outOfLayout.
-func FuzzReadSegment(f *testing.F) {
-	narrow, wide := expanderFor(f, 1), expanderFor(f, 3)
-	dir := f.TempDir()
-	f.Fuzz(func(t *testing.T, useWide bool, file []byte) {
-		exp := narrow
-		if useWide {
-			exp = wide
-		}
-		in, out := segPath(dir, 0, 0), segPath(dir, 0, 1)
-		if err := os.WriteFile(in, file, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		states, trans, err := readSegment(in, exp)
-		if err != nil {
-			if !strings.HasPrefix(err.Error(), "dverify: checkpoint segment "+in+": ") {
-				t.Fatalf("unnamed error: %v", err)
-			}
-			return
-		}
-		if i := badState(exp, states); i >= 0 {
-			t.Fatalf("state %d of the segment fails CheckWords", i)
-		}
-		if err := writeSegment(out, states, trans, exp); err != nil {
-			t.Fatal(err)
-		}
-		if again, err := os.ReadFile(out); err != nil || !bytes.Equal(again, file) {
-			t.Fatalf("%d words of states, %d transitions written back as %d bytes, read from %d (%v)", len(states), trans, len(again), len(file), err)
-		}
-	})
 }

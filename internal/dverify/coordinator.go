@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 
 	"tightcps/internal/obs"
@@ -26,16 +25,15 @@ func newSessionID() uint64 {
 }
 
 // meshFT is the coordinator's death handling over one mesh run: who last
-// checkpointed and answered what, and the current era and ownership table.
-// Every run has one; on is set by FaultTolerantRunner, and a run without
-// it recovers from a death by naming it. deadWire preserves evicted nodes'
-// final wire totals — true traffic the rollback cannot re-attribute
-// (survivors keep only their own wire counters).
+// answered what, and the current era and ownership table. Every run has
+// one; on is set by FaultTolerantRunner, and a run without it recovers
+// from a death by naming it. deadWire preserves evicted nodes' final wire
+// totals — true traffic the restart cannot re-attribute (survivors keep
+// only their own wire counters).
 type meshFT struct {
 	on         bool
 	poller     *meshPoller
 	trace      *obs.Trace
-	lastCkpt   []int
 	lastResp   []*Response
 	era        int
 	owners     []uint8
@@ -44,29 +42,22 @@ type meshFT struct {
 }
 
 func newMeshFT(on bool, owners []uint8, poller *meshPoller, trace *obs.Trace) *meshFT {
-	n := len(poller.alive)
-	ft := &meshFT{
+	return &meshFT{
 		on:       on,
 		poller:   poller,
 		trace:    trace,
-		lastCkpt: make([]int, n),
-		lastResp: make([]*Response, n),
+		lastResp: make([]*Response, len(poller.alive)),
 		owners:   owners,
 	}
-	for i := range ft.lastCkpt {
-		ft.lastCkpt[i] = -1
-	}
-	return ft
 }
 
-// note records a healthy round's checkpoint watermarks and snapshots.
-// The snapshot pointers stay valid after a node dies: workers
-// double-buffer their responses, and a dead node is never polled again,
-// so the buffer a retained snapshot lives in is not rewritten.
+// note records a healthy round's snapshots. The snapshot pointers stay
+// valid after a node dies: workers double-buffer their responses, and a
+// dead node is never polled again, so the buffer a retained snapshot lives
+// in is not rewritten.
 func (ft *meshFT) note(resps []*Response) {
 	for i, r := range resps {
 		if r != nil {
-			ft.lastCkpt[i] = r.Ckpt
 			ft.lastResp[i] = r
 		}
 	}
@@ -97,20 +88,17 @@ func (ft *meshFT) foldLinkDown(resps []*Response, dead []int) []int {
 // Without fault tolerance that is the error the run ends in, naming the
 // lowest dead node and its cause. With it, it is the takeover loop: each
 // lap evicts the newly dead, reassigns their shards to the survivors, and
-// sends every survivor one Recover order to roll back to the deepest cut
-// every relevant checkpoint supports. Deaths during that round feed the
-// next lap: the double-fault case is just a second lap. It returns the
-// level the run resumes at, the last lap's cut (0 when there was none).
+// sends every survivor one Recover order to restart the search from the
+// initial state. Deaths during that round feed the next lap: the
+// double-fault case is just a second lap. The run then resumes at level 0.
 // dead names live nodes, each once: a round reports only nodes it polled,
 // and foldLinkDown adds only live nodes not named yet.
-func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
+func (ft *meshFT) recover(resps []*Response, dead []int) error {
 	p := ft.poller
 	if !ft.on {
-		return 0, p.deathOf(dead)
+		return p.deathOf(dead)
 	}
-	resume := 0
 	for len(dead) > 0 {
-		cut := 1 << 30
 		for _, d := range dead {
 			p.evict(d)
 			if s := ft.lastResp[d]; s != nil {
@@ -120,44 +108,37 @@ func (ft *meshFT) recover(resps []*Response, dead []int) (int, error) {
 					WireBytes:    s.WireBytes,
 				})
 			}
-			// The cut can be no deeper than what the dead node persisted:
-			// its shards restore from its segments.
-			cut = min(cut, ft.lastCkpt[d])
 		}
 		var survivors, deadSet []int
 		for i, ok := range p.alive {
 			if ok {
 				survivors = append(survivors, i)
-				// Survivors can restore only what they persisted themselves.
-				cut = min(cut, ft.lastCkpt[i])
 			} else {
 				deadSet = append(deadSet, i)
 			}
 		}
 		if len(survivors) == 0 {
-			return 0, errors.New("dverify: every worker dead; run unrecoverable")
+			return errors.New("dverify: every worker dead; run unrecoverable")
 		}
 		owners, moved := reassignOwners(ft.owners, p.alive)
 		ft.owners = owners
 		ft.era++
-		recCtl := Control{Recover: &Recover{Era: ft.era, Owners: owners, Cut: cut, Dead: deadSet}}
+		recCtl := Control{Recover: &Recover{Era: ft.era, Owners: owners, Dead: deadSet}}
 		next := p.round(resps, survivors, func(int) *Request {
 			return &Request{Kind: KindPoll, Ctl: &recCtl}
 		})
 		for _, i := range survivors {
 			if r := resps[i]; r != nil {
-				ft.lastCkpt[i] = cut
 				ft.lastResp[i] = r
 			}
 		}
 		ft.recoveries++
 		obsRecoveries.Inc()
 		obsShardsReassigned.Add(uint64(moved))
-		ft.trace.AddFailover(ft.era, deadSet, cut, moved)
-		resume = max(cut, 0)
+		ft.trace.AddFailover(ft.era, deadSet, moved)
 		dead = ft.foldLinkDown(resps, next)
 	}
-	return resume, nil
+	return nil
 }
 
 // verifyMesh drives the distributed search: Init wires the worker↔worker
@@ -181,13 +162,6 @@ func verifyMesh(job Job, faultTolerance bool, nodes []Transport, peers []string,
 	res := verify.Result{Schedulable: true}
 	job.Session = newSessionID()
 	job.Peers = peers
-	if job.CheckpointDir != "" {
-		// Coordinator-side sweep of the session's segments: covers runs
-		// where no worker reached a clean Finish (shared-filesystem
-		// clusters; on remote workers this is a no-op locally and the
-		// daemons clean up on their next session).
-		defer os.RemoveAll(ckptSessionDir(job.CheckpointDir, job.Session))
-	}
 	poller := newMeshPoller(nodes)
 	defer poller.close()
 	// One Job, Control and Request per node: the Init round sends the
@@ -237,11 +211,10 @@ levels:
 				// Without fault tolerance the run is poisoned and ends here;
 				// surviving workers tear down when their session ends
 				// (transport Close / next Init).
-				resume, err := ft.recover(resps, dead)
-				if err != nil {
+				if err := ft.recover(resps, dead); err != nil {
 					return res, err
 				}
-				level = resume
+				level = 0
 				clear(expect)
 				continue levels
 			}

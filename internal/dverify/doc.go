@@ -15,14 +15,13 @@
 // level, result aggregation; the round protocol and why it is exact are at
 // the end of this comment). Every routed state crosses its link and owners
 // dedup on absorb. A TCP link ships a batch as a version byte and the
-// states' raw words — the byte layout of a checkpoint segment, so the wire
-// and the disk share one format and one decoder (see proto.go); loopback
-// links hand the word batches over in memory. Wire-volume counters,
-// per-link breakdowns included, flow back into verify.Result.Wire.
+// states' raw words (see proto.go); loopback links hand the word batches
+// over in memory. Wire-volume counters, per-link breakdowns included, flow
+// back into verify.Result.Wire.
 //
 // States cross the package as flat []uint64, Expander.StateWords() words
-// each — in batches and checkpoint segments — and verify.PackedState only
-// where one state crosses the control plane: a violation. Both packed
+// each, and verify.PackedState only where one state crosses the control
+// plane: a violation. Both packed
 // encodings flow through the same worker, so verdicts, the exhaustive
 // counts of schedulable runs and the violator of a violating one (the
 // minimum violating packed state of the first violating level) are the
@@ -63,6 +62,6 @@
 // its next answer (Response.LinkDown), never as its own error, and obeys
 // every Recover order. The coordinator's meshFT.recover decides what a
 // death means: on a FaultTolerantRunner run the survivors take over
-// the dead node's shards and roll back to a checkpoint cut (ft.go);
-// without it the run ends in an error naming the dead node and the cause.
+// the dead node's shards and restart the search from the initial state
+// (ft.go); without it the run ends in an error naming the dead node and the cause.
 package dverify

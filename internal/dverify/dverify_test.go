@@ -229,7 +229,7 @@ func TestWorkerFailureMidLevelErrorsCleanly(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := verifyWithFaults(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, ts, nil, plan)
+		_, err := verifyWithFaults(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, ts, false, plan)
 		done <- err
 	}()
 	select {

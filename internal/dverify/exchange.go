@@ -12,7 +12,7 @@ import (
 // wire ships — or a link failure surfaced into the owner's inbox. era tags the
 // sender's recovery era (always 0 outside fault-tolerant runs): a receiver
 // in another era drops the batch. No worker expands in a new era before
-// every survivor has rolled back into it, so that batch is always an old
+// every survivor has reset into it, so that batch is always an old
 // one, its accounting erased on both ends.
 type meshBatch struct {
 	from   int
@@ -127,7 +127,7 @@ func (w *meshWorker) putBatch(b []uint64) {
 // wait on the one that finished first and was left the others' tail
 // (committing at once read about 10 % slower on S1 over two loopback
 // nodes). A link failure marks the peer dead (noteLinkDown). A batch of
-// another era is dropped: a rollback since has erased its accounting on
+// another era is dropped: a recovery since has erased its accounting on
 // both ends.
 func (w *meshWorker) drainInbox() {
 	batches := w.inbox.drain(w.spareQ)
@@ -182,8 +182,8 @@ func (w *meshWorker) noteLinkDown(peer int, cause error) {
 // a round, as a batch tagged level+1, counting it in the round's SentTo and
 // the wire totals, and returns the lanes an empty buffer for the next
 // round. A failed (or known-dead) destination drops the batch uncounted
-// and marks the link down: the coordinator either ends the run or rolls
-// every survivor back past the loss, so no peer is left expecting it.
+// and marks the link down: the coordinator either ends the run or restarts
+// it on the survivors, so no peer is left expecting it.
 func (w *meshWorker) ship(d int, states []uint64) []uint64 {
 	if w.deadPeers[d] {
 		return states[:0]

@@ -5,14 +5,15 @@ package dverify
 // and assert the run still finishes with a verdict, state count, depth and
 // minimal violator bit-identical to the local parallel search, its failover
 // handing exactly the victim's shards to the survivors — plus the
-// double-fault, crash-during-checkpoint, severed-link, death-timeout and
-// degraded (no checkpoint directory) recovery paths.
+// double-fault, severed-link and death-timeout paths. Every recovery
+// restarts the search on the survivors.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,7 @@ import (
 
 // ftCase is one profile set of the fault matrix: loosePair explores a
 // deep schedulable space (recovery mid-search, exhaustive counts must
-// survive the rollback), overload2 violates near the root (recovery
+// survive the restart), overload2 violates near the root (recovery
 // races the violation short-circuit).
 var ftCases = []struct {
 	name    string
@@ -46,9 +47,6 @@ var ftCases = []struct {
 func ftConfig(trace *obs.Trace) verify.Config {
 	return verify.Config{NondetTies: true, Workers: 2, RunTrace: trace}
 }
-
-// checkpointed is fault tolerance with a checkpoint directory of the test's.
-func checkpointed(t *testing.T) *tolerance { return &tolerance{t.TempDir()} }
 
 // runFT runs one fault-injected verification over a fresh loopback
 // cluster of two-lane nodes and asserts the exact-equivalence acceptance
@@ -71,7 +69,7 @@ func runFTLanes(t *testing.T, label string, ps []*switching.Profile, nodes, lane
 	ts := Loopback(nodes)
 	defer Close(ts)
 	plan := mkPlan(ts)
-	dist, err := verifyWithFaults(ps, cfg, ts[:nodes], checkpointed(t), plan)
+	dist, err := verifyWithFaults(ps, cfg, ts[:nodes], true, plan)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -159,31 +157,12 @@ func TestFTDoubleFault(t *testing.T) {
 	})
 }
 
-// TestFTCrashDuringCheckpoint: a worker whose checkpoint sweep fails
-// mid-level (disk death) reports the error, is declared dead, and the
-// survivors restore from its last *completed* level — the tmp+rename
-// segment discipline means the partial sweep left nothing misleading.
-func TestFTCrashDuringCheckpoint(t *testing.T) {
-	ckptWriteHook = func(node, level, shard int) error {
-		if node == 1 && level >= 2 {
-			return errors.New("injected: disk gone mid-sweep")
-		}
-		return nil
-	}
-	defer func() { ckptWriteHook = nil }()
-	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	trace := runFT(t, "crash during checkpoint", ps, 4, func(ts []Transport) *faultPlan {
-		return &faultPlan{} // the hook is the fault; no transport kill
-	})
-	if len(trace.Failovers) == 0 {
-		t.Fatal("checkpoint write failure did not surface as a failover")
-	}
-}
-
-// TestFTDegradedNoCheckpointDir: fault tolerance without a checkpoint
-// directory still finishes exactly — recovery degrades to a full
-// restart of the search on the survivors (cut −1).
+// TestFTDegradedNoCheckpointDir: a recovery restarts the search on the
+// survivors and finishes exactly, and writes no file on the way: the run's
+// temporary directory is left empty.
 func TestFTDegradedNoCheckpointDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
 	local, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 2})
 	if err != nil {
@@ -194,16 +173,16 @@ func TestFTDegradedNoCheckpointDir(t *testing.T) {
 	defer Close(ts)
 	lt := ts[1].(*loopTransport)
 	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: func() { close(lt.kill) }}}}
-	dist, err := verifyWithFaults(ps, ftConfig(trace), ts, &tolerance{}, plan)
+	dist, err := verifyWithFaults(ps, ftConfig(trace), ts, true, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMatchesLocal(t, "degraded (no checkpoint dir)", dist, local)
+	checkMatchesLocal(t, "restart on the survivors", dist, local)
 	if len(trace.Failovers) == 0 {
 		t.Fatal("no failover recorded")
 	}
-	if got := trace.Failovers[0].Cut; got != -1 {
-		t.Errorf("without checkpoints the cut must be -1 (full restart), got %d", got)
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("a recovered run left %d entries in its temporary directory (%v)", len(left), err)
 	}
 }
 
@@ -222,7 +201,7 @@ func TestFTHookSurvivesPerRunConfig(t *testing.T) {
 	plan := &faultPlan{faults: []fault{{atLevel: 25, kill: func() { close(ts[1].(*loopTransport).kill) }}}}
 	trace := obs.NewTrace("")
 	cfg := verify.Config{NondetTies: true, Workers: 2, RunTrace: trace}
-	cfg.Distributed = runner(ts, checkpointed(t), plan)
+	cfg.Distributed = runner(ts, true, plan)
 	res, err := verify.Slot(s1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -232,9 +211,6 @@ func TestFTHookSurvivesPerRunConfig(t *testing.T) {
 	}
 	if !plan.faults[0].fired || len(trace.Failovers) != 1 {
 		t.Fatalf("kill fired %v, %d failovers; want a kill and one failover", plan.faults[0].fired, len(trace.Failovers))
-	}
-	if cut := trace.Failovers[0].Cut; cut < 0 {
-		t.Errorf("recovery restarted the search (cut %d): the hook lost the checkpoint directory", cut)
 	}
 }
 
@@ -260,7 +236,7 @@ func TestFTSeverLink(t *testing.T) {
 		return nil
 	}
 	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: func() { severed.Store(true) }}}}
-	dist, err := verifyWithFaults(ps, cfg, ts, checkpointed(t), plan)
+	dist, err := verifyWithFaults(ps, cfg, ts, true, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +269,7 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 			time.AfterFunc(d, func() { push(b) })
 			return true
 		}
-		dist, err := FaultTolerantRunner(ts, t.TempDir())(ps, cfg)
+		dist, err := FaultTolerantRunner(ts)(ps, cfg)
 		Close(ts)
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
@@ -305,8 +281,8 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 	}
 }
 
-// TestFTTCPKill runs the kill matrix over real TCP daemons sharing one
-// checkpoint directory, on 2 and 4 nodes, with the victim's listener and
+// TestFTTCPKill runs the kill matrix over real TCP daemons, on 2 and 4
+// nodes, with the victim's listener and
 // every accepted connection severed mid-run — the in-process stand-in for
 // SIGKILLing a verifyd.
 func TestFTTCPKill(t *testing.T) {
@@ -349,7 +325,7 @@ func TestFTTCPKill(t *testing.T) {
 		var dist verify.Result
 		var verr error
 		go func() {
-			dist, verr = verifyWithFaults(ps, cfg, ts, checkpointed(t), plan)
+			dist, verr = verifyWithFaults(ps, cfg, ts, true, plan)
 			close(done)
 		}()
 		select {

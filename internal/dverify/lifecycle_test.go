@@ -18,12 +18,11 @@ import (
 // TestStandingClusterSequence serves, back to back on the same transports,
 // a schedulable slot, a violating one, an over-budget run, the first slot
 // again, a slot of the other encoding (an incompatible job: full rebuild), a
-// fault-tolerant checkpointing run and the first slot once more — every way
+// fault-tolerant run and the first slot once more — every way
 // a run can stop followed by a re-Init of the worker it left behind. Each
 // result must equal what a fresh cluster answers.
 func TestStandingClusterSequence(t *testing.T) {
-	// S is shallow (depth 12, 172 states): a checkpointing run pays one idle
-	// tick per level, not per state.
+	// S is shallow (depth 12, 172 states).
 	s := []*switching.Profile{prof("A", 3, 1, 2, 12), prof("B", 3, 1, 2, 12)}
 	v := []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
 	base := verify.Config{NondetTies: true}
@@ -33,7 +32,7 @@ func TestStandingClusterSequence(t *testing.T) {
 		name string
 		ps   []*switching.Profile
 		cfg  verify.Config
-		ft   bool // run through FaultTolerantRunner, checkpointing
+		ft   bool // run through FaultTolerantRunner
 	}{
 		{"S", s, base, false},
 		{"V", v, base, false},
@@ -56,8 +55,8 @@ func TestStandingClusterSequence(t *testing.T) {
 			return ts
 		}},
 	}
-	// The reference: each step on a cluster of its own (without the
-	// checkpointing, which the TestFT* matrix pins to the same answer).
+	// The reference: each step on a cluster of its own (without fault
+	// tolerance, which the TestFT* matrix pins to the same answer).
 	want, wantErr := make([]verify.Result, len(steps)), make([]error, len(steps))
 	for i, st := range steps {
 		want[i], wantErr[i] = verifyOver(t, 2, st.ps, st.cfg)
@@ -71,7 +70,7 @@ func TestStandingClusterSequence(t *testing.T) {
 			label := cl.name + ": " + st.name
 			run := Runner(ts)
 			if st.ft {
-				run = FaultTolerantRunner(ts, t.TempDir())
+				run = FaultTolerantRunner(ts)
 			}
 			got, err := run(st.ps, st.cfg)
 			if wantErr[i] != nil || err != nil {

@@ -160,7 +160,7 @@ func (e loopEnv) leave(job *Job) {
 // fail immediately and stops the serve loop after its in-flight request —
 // the in-process analogue of SIGKILLing a verifyd (the worker's teardown
 // still runs, standing in for the OS reclaiming a dead process's
-// sockets; its checkpoint segments stay on disk either way).
+// sockets).
 type loopTransport struct {
 	group  *loopGroup
 	req    chan *Request

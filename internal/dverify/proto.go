@@ -23,10 +23,10 @@ import (
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
 // field, a batch format or the packed-state layout changes or goes. Version
-// 16 ships a wide state as 3 words, not 4 (the always-zero third lane word
-// is gone); version 15 dropped the per-application disturbance bound with
-// the bounded model; what each earlier version was is in CHANGES.md.
-const protoVersion = 16
+// 17 drops the checkpoint fields of Job, Recover and Response: a recovery
+// restarts the search; version 16 ships a wide
+// state as 3 words, not 4; what each earlier version was is in CHANGES.md.
+const protoVersion = 17
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -88,12 +88,6 @@ type Job struct {
 	// indexed by node ID (nil for in-process loopback meshes, where links
 	// are channels). Node i dials Peers[j] for every j ≠ i.
 	Peers []string
-
-	// CheckpointDir is where the worker persists per-(shard,level)
-	// checkpoint segments, set only on fault-tolerant runs; empty disables
-	// checkpointing (recovery then degrades to a full restart on the
-	// survivors).
-	CheckpointDir string
 }
 
 // Request is one coordinator→node message.
@@ -119,27 +113,22 @@ type Control struct {
 	// Finish ends the session's search: the worker tears down its mesh
 	// links and answers with its final counter snapshot.
 	Finish bool
-	// Recover, when non-nil, orders the worker into a new era: roll back
-	// to the recovery cut, adopt the new ownership table and restore owned
-	// shards from checkpoint segments, answering without expanding. The
-	// run resumes with a round at Level = the cut (0 for no cut), Expect 0.
+	// Recover, when non-nil, orders the worker into a new era: drop its
+	// search state, adopt the new ownership table and seed the initial
+	// state if it owns it, answering without expanding. The run resumes
+	// with a round at Level 0, Expect 0.
 	Recover *Recover
 }
 
 // Recover is the coordinator's takeover order after worker deaths. Every
-// surviving worker performs the same global rollback: reset volatile
-// search state, restore all shards it owns under Owners from checkpoint
-// segments at levels ≤ Cut, and re-expand from level Cut. Cut < 0 means
-// no usable checkpoint exists and the run restarts from the initial
-// state.
+// surviving worker performs the same reset — the one that starts a run —
+// under Owners, and the search restarts from the initial state.
 type Recover struct {
 	// Era is the new epoch of the run; batches tagged with older eras are
 	// dropped on receipt.
 	Era int
 	// Owners is the new shard-ownership table (len 64).
 	Owners []uint8
-	// Cut is the highest checkpointed level consistent across the cluster.
-	Cut int
 	// Dead is the complete dead set after this recovery; workers ship
 	// nothing to these nodes (routing follows Owners).
 	Dead []int
@@ -218,9 +207,6 @@ type Response struct {
 	// Links are this node's cumulative per-destination wire counters.
 	Links []verify.LinkWire
 
-	// Ckpt is the highest level fully persisted to checkpoint segments
-	// (-1 when nothing is checkpointed or checkpointing is disabled).
-	Ckpt int
 	// LinkDown lists the peers this worker can no longer reach (send or
 	// receive failures on the mesh link), cumulative within an era. A dead
 	// link is always reported here, never through Err: what it leads to is
@@ -238,9 +224,7 @@ type DeadLink struct {
 // Frontier batch format: a version byte naming the format of the rest,
 // then the states. There is one format, codecRaw: the states' words
 // verbatim, little-endian, StateWords() words per state — the expander's
-// AppendWords layout, which is also the body of a checkpoint segment, so the
-// wire and the disk share one state format and one decoder (DecodeWords).
-// The byte stays so that another format can return behind a measured row;
+// AppendWords layout, decoded by DecodeWords. The byte stays so that another format can return behind a measured row;
 // any other value is refused by name, among them 1 (protocol 11's sorted
 // varint-delta batches) and 2 (protocol 9's DEFLATE ones).
 const codecRaw byte = 0
@@ -251,10 +235,9 @@ func encodeBatch(exp *verify.Expander, dst []byte, states []uint64) []byte {
 }
 
 // decodeBatch appends the states of one encoded batch to out. A zero-length
-// batch holds no states. As in a checkpoint segment, DecodeWords refuses a
-// body off the state stride and any state Expander.CheckWords refuses: the
-// all-zero state (the visited sets' sentinel) and states outside the set's
-// layout.
+// batch holds no states. DecodeWords refuses a body off the state stride
+// and any state Expander.CheckWords refuses: the all-zero state (the
+// visited sets' sentinel) and states outside the set's layout.
 func decodeBatch(exp *verify.Expander, batch []byte, out []uint64) ([]uint64, error) {
 	if len(batch) == 0 {
 		return out, nil

@@ -22,7 +22,7 @@ type meshTracker struct {
 // observe folds one round's answers into the tracker. Counters are
 // cumulative, so the round replaces (never accumulates) totals. Nil
 // responses (evicted nodes on a fault-tolerant run) are skipped — their
-// shards' counters live in the survivors after the rollback. A violation
+// shards' counters live in the survivors after the restart. A violation
 // is of the round's level; the minimum across the nodes under
 // verify.LessState is the verdict's violator, as in the local lanes.
 func (t *meshTracker) observe(resps []*Response) {

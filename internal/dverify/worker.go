@@ -30,7 +30,7 @@ const (
 // never cleared field by field — so a field added to a part is zero at the
 // start of that lifetime by construction: meshStanding survives across jobs
 // (memory only, no facts about any run), meshSession lives for one job,
-// meshEra for one stretch of search between rollbacks (a run without a
+// meshEra for one stretch of search between recoveries (a run without a
 // recovery has one era).
 type meshWorker struct {
 	meshStanding
@@ -70,12 +70,11 @@ type meshStanding struct {
 }
 
 // meshSession is one job on one cluster: placement, budget, the data plane
-// and what is true of the whole run whatever gets rolled back — the wire
-// history (traffic that happened). ckptOn persists finished levels under
-// ckptDir (ft.go); the coordinator sets Job.CheckpointDir only on a
-// fault-tolerant run. Nothing else in a worker depends on fault tolerance:
-// a dead link is always reported (noteLinkDown) and a Recover order always
-// obeyed — what a death leads to is the coordinator's decision.
+// and what is true of the whole run whatever a recovery resets — the wire
+// history (traffic that happened). Nothing in a worker depends on fault
+// tolerance: a dead link is always reported (noteLinkDown) and a Recover
+// order always obeyed — what a death leads to is the coordinator's
+// decision.
 type meshSession struct {
 	id, n  int
 	job    *Job // what the worker was built for (reuse compatibility)
@@ -88,24 +87,19 @@ type meshSession struct {
 	routed    int
 	wireBytes int
 
-	ckptOn  bool
-	ckptDir string // per-session segment directory
-
 	finished bool
 }
 
-// meshEra is everything a rollback erases besides the lanes' search state:
-// the round in progress and the routing view. level is the level the
-// coordinator last polled; got counts the level-tagged states received
+// meshEra is everything a recovery erases besides the lanes' search
+// state: the round in progress and the routing view. level is the level
+// the coordinator last polled; got counts the level-tagged states received
 // from peers, against the round's Expect; ahead holds the level+1-tagged
 // batches until the round of their level (drainInbox); sentTo counts the
 // level+1 states shipped to each destination this round. levelFresh counts
-// the states committed per level (the snapshots' FreshByLevel), restored
-// the transitions of the levels a recovery restored below its cut. owners
-// is the routing table (the Job's, then each Recover order's);
-// ckptLevel the highest level fully persisted as checkpoint segments (-1 =
-// none); deadPeers suppresses sends to nodes known dead; linkDown is the
-// cumulative dead-peer report for the coordinator.
+// the states committed per level (the snapshots' FreshByLevel). owners is
+// the routing table (the Job's, then each Recover order's); deadPeers
+// suppresses sends to nodes known dead; linkDown is the cumulative
+// dead-peer report for the coordinator.
 type meshEra struct {
 	level  int
 	got    int
@@ -113,12 +107,10 @@ type meshEra struct {
 	sentTo []int
 
 	levelFresh []int
-	restored   int
 	err        error
 
 	era       int
 	owners    [verify.NumShards]uint8
-	ckptLevel int
 	deadPeers []bool
 	linkDown  []DeadLink
 }
@@ -191,13 +183,9 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		job:    job,
 		budget: job.MaxStates,
 		inbox:  newMeshInbox(),
-		ckptOn: job.CheckpointDir != "",
 	}
 	if w.budget <= 0 {
 		w.budget = defaultMaxStates
-	}
-	if w.ckptOn {
-		w.ckptDir = ckptSessionDir(job.CheckpointDir, job.Session)
 	}
 	w.resetEra(0, job.Owners, nil)
 
@@ -243,15 +231,14 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 		levelFresh: w.levelFresh[:0],
 		era:        era,
 		owners:     [verify.NumShards]uint8(owners),
-		ckptLevel:  -1,
 		deadPeers:  w.deadPeers,
 		linkDown:   w.linkDown[:0],
 	}
-	w.lanes.Reset(&w.owners, w.id, w.budget, w.ckptOn)
+	w.lanes.Reset(&w.owners, w.id, w.budget)
 }
 
 // seed commits the initial state on its owner: the start of a run, and of
-// a recovery with no usable checkpoint.
+// every recovery.
 func (w *meshWorker) seed() {
 	init := w.exp.Initial()
 	if int(w.owners[verify.ShardOf(w.exp.Hash(init))]) == w.id {
@@ -276,13 +263,12 @@ func (w *meshWorker) snapshot(done bool) *Response {
 		FreshByLevel: append(resp.FreshByLevel[:0], w.levelFresh...),
 		Links:        resp.Links[:0],
 		Fresh:        st.States,
-		Transitions:  w.restored + st.Transitions,
+		Transitions:  st.Transitions,
 		Routed:       w.routed,
 		RawBytes:     8 * w.sw * w.routed,
 		WireBytes:    w.wireBytes,
 		TooLarge:     st.TooLarge,
 		ViolApp:      -1,
-		Ckpt:         w.ckptLevel,
 		LinkDown:     append(resp.LinkDown[:0], w.linkDown...),
 	}
 	for l, n := range w.levelFresh {
@@ -311,8 +297,8 @@ func (w *meshWorker) snapshot(done bool) *Response {
 	return resp
 }
 
-// poll is one round on the worker side. A Recover order rolls the worker
-// back to the cut and answers without expanding. Otherwise the worker
+// poll is one round on the worker side. A Recover order resets the worker
+// to the initial state and answers without expanding. Otherwise the worker
 // absorbs until it holds the ctl.Expect states of level ctl.Level its peers
 // shipped it, runs the lanes' level rounds over its part of the level,
 // committing its own successors as they go and shipping the others', and
@@ -326,7 +312,6 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 	}
 	if ctl.Finish {
 		w.shutdown()
-		w.removeCkpt()
 		return w.snapshot(false)
 	}
 	if w.finished {
@@ -366,18 +351,8 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 		}
 	}
 	// A worker over its budget stops here: its round is as finished as it
-	// will get, and the coordinator ends the run with it. A level expanded
-	// is final, members and transitions: with checkpointing on, its segments
-	// are written now.
-	tooLarge := w.lanes.Stats().TooLarge
-	if done && !tooLarge && w.ckptOn && w.ckptLevel < w.level {
-		if err := w.writeLevel(w.level); err != nil {
-			w.err = fmt.Errorf("checkpoint level %d: %v", w.level, err)
-		} else {
-			w.ckptLevel = w.level
-		}
-	}
-	return w.snapshot(done || tooLarge)
+	// will get, and the coordinator ends the run with it.
+	return w.snapshot(done || w.lanes.Stats().TooLarge)
 }
 
 // waitData blocks until a mesh batch arrives or the poll deadline passes,

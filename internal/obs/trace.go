@@ -69,14 +69,12 @@ type LinkSpan struct {
 	Bytes  int `json:"bytes"`
 }
 
-// FailoverSpan records one recovery of a fault-tolerant distributed run:
-// which nodes the coordinator declared dead, the checkpoint level the
-// cluster rolled back to (-1 = full restart), and how many hash shards
-// moved to new owners.
+// FailoverSpan records one recovery of a fault-tolerant distributed run —
+// a restart of the search on the survivors: which nodes the coordinator
+// declared dead, and how many hash shards moved to new owners.
 type FailoverSpan struct {
 	Era    int   `json:"era"`  // post-recovery routing era
 	Dead   []int `json:"dead"` // complete dead set after this recovery
-	Cut    int   `json:"cut"`
 	Shards int   `json:"shardsReassigned"`
 }
 
@@ -173,13 +171,13 @@ func (t *Trace) AddLink(from, to, states, bytes int) {
 }
 
 // AddFailover records one recovery of a fault-tolerant distributed run.
-func (t *Trace) AddFailover(era int, dead []int, cut, shards int) {
+func (t *Trace) AddFailover(era int, dead []int, shards int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.Failovers = append(t.Failovers, FailoverSpan{
-		Era: era, Dead: append([]int(nil), dead...), Cut: cut, Shards: shards,
+		Era: era, Dead: append([]int(nil), dead...), Shards: shards,
 	})
 	t.mu.Unlock()
 }

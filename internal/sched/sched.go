@@ -131,9 +131,6 @@ func NewArbiter(profiles []*switching.Profile, opts Options) *Arbiter {
 	return a
 }
 
-// Now returns the current sample instant (number of Tick calls so far).
-func (a *Arbiter) Now() int { return a.now }
-
 // Phase returns application i's phase.
 func (a *Arbiter) Phase(i int) Phase { return a.apps[i].phase }
 

@@ -63,7 +63,7 @@ func TestCooldownThenSteadyAfterR(t *testing.T) {
 	}
 	// Disturbance clock started at observation (instant 0); the app becomes
 	// Steady when the instant with clock = r = 10 is processed.
-	for k := a.Now(); k < 10; k++ {
+	for k := a.now; k < 10; k++ {
 		if a.Phase(0) == Steady {
 			t.Fatalf("steady before r at instant %d", k)
 		}

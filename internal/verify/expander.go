@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 
 	"tightcps/internal/switching"
 )
@@ -141,34 +140,8 @@ func LessState(a, b PackedState) bool {
 	return lessKey([wideWords]uint64(a), [wideWords]uint64(b))
 }
 
-// SortWords sorts a slab of states, StateWords() words each, ascending in
-// LessState order: the canonical order of checkpoint segments.
-func (e *Expander) SortWords(slab []uint64) {
-	if sw := e.StateWords(); sw > 1 {
-		sort.Sort(wordSlab{slab, sw})
-		return
-	}
-	slices.Sort(slab)
-}
-
-// wordSlab sorts multi-word states in place.
-type wordSlab struct {
-	w  []uint64
-	sw int
-}
-
-func (s wordSlab) Len() int { return len(s.w) / s.sw }
-func (s wordSlab) Less(i, j int) bool {
-	return slices.Compare(s.w[i*s.sw:(i+1)*s.sw], s.w[j*s.sw:(j+1)*s.sw]) < 0
-}
-func (s wordSlab) Swap(i, j int) {
-	for k := 0; k < s.sw; k++ {
-		s.w[i*s.sw+k], s.w[j*s.sw+k] = s.w[j*s.sw+k], s.w[i*s.sw+k]
-	}
-}
-
 // AppendWords appends the byte encoding of a slab of states to dst — the
-// one format of mesh batches and checkpoint segments: its words verbatim,
+// format of mesh batches: its words verbatim,
 // little-endian. DecodeWords reverses it.
 func (e *Expander) AppendWords(dst []byte, slab []uint64) []byte {
 	for _, w := range slab {

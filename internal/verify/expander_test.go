@@ -31,6 +31,47 @@ func packedOf(slab []uint64, sw int) []PackedState {
 	return out
 }
 
+// laneLevel returns the states of the level a node's lanes hold, sw words
+// each, sorted with LessState.
+func laneLevel(ls Lanes, sw int) []PackedState {
+	var words []uint64
+	switch e := ls.(type) {
+	case *node[[1]uint64]:
+		words = appendLevel(e, nil)
+	case *node[[wideWords]uint64]:
+		words = appendLevel(e, nil)
+	}
+	states := packedOf(words, sw)
+	sortStates(states)
+	return states
+}
+
+// appendLevel appends the words of every lane's frontier to dst.
+func appendLevel[K stateKey](e *node[K], dst []uint64) []uint64 {
+	for i := range e.lanes {
+		f := &e.lanes[i].frontier
+		for lo := 0; lo < f.len(); lo += levelBlock {
+			for _, k := range f.span(lo, levelBlock) {
+				dst = appendKey(dst, k)
+			}
+		}
+	}
+	return dst
+}
+
+// sortStates sorts states ascending in LessState order.
+func sortStates(states []PackedState) {
+	slices.SortFunc(states, func(a, b PackedState) int {
+		switch {
+		case LessState(a, b):
+			return -1
+		case LessState(b, a):
+			return 1
+		}
+		return 0
+	})
+}
+
 // TestExpanderMatchesInternalSuccessors pins the seam to the internal
 // search: the exported expansion must produce exactly the packed states
 // the narrow path's successors() produces, embedded in word 0.
@@ -277,21 +318,22 @@ func TestWordSeamMatchesPackedSeam(t *testing.T) {
 		defer lanes.Release()
 		defer func() { packed.set.release() }() // now, not at a collection during a later test
 		lanes.Absorb([][]uint64{init[:sw]})
-		if got, _ := lanes.AppendLevel(nil); !slices.Equal(got, init[:sw]) {
-			t.Fatalf("%s: the initial level is %x, want the initial state", tc.name, got)
+		frontier := laneLevel(lanes, sw)
+		if !slices.Equal(frontier, []PackedState{init}) {
+			t.Fatalf("%s: the initial level is %x, want the initial state", tc.name, frontier)
 		}
 		packed.AddHashed(init, e.Hash(init))
-		frontier := append([]uint64(nil), init[:sw]...)
 		scr := e.NewScratch()
-		var slab, want []uint64
+		var slab []uint64
+		var want []PackedState
 		var hs []HashedState
 		states, dups, violated := 1, 0, false
 		for depth := 0; len(frontier) > 0 && !violated && states < 50000; depth++ {
 			slab, hs = slab[:0], hs[:0]
-			for i := 0; i < len(frontier); i += sw {
+			for _, s := range frontier {
 				n := len(hs)
 				var app int
-				if hs, app = e.SuccessorsHashedInto(packedOf(frontier[i:i+sw], sw)[0], scr, hs); app >= 0 {
+				if hs, app = e.SuccessorsHashedInto(s, scr, hs); app >= 0 {
 					violated = true
 					if len(hs) != n {
 						t.Fatalf("%s depth %d: a violation appended successors", tc.name, depth)
@@ -306,19 +348,18 @@ func TestWordSeamMatchesPackedSeam(t *testing.T) {
 			}
 			lanes.Advance()
 			lanes.Absorb([][]uint64{slab})
-			frontier, _ = lanes.AppendLevel(frontier[:0])
+			frontier = laneLevel(lanes, sw)
 			want = want[:0]
-			for i, h := range hs {
+			for _, h := range hs {
 				if packed.AddHashed(h.S, h.H) {
-					want = append(want, slab[i*sw:(i+1)*sw]...)
+					want = append(want, h.S)
 				}
 			}
-			e.SortWords(want)
-			if e.SortWords(frontier); !slices.Equal(frontier, want) {
-				t.Fatalf("%s depth %d: slab absorb keeps %d fresh states, the AddHashed loop %d (or others)", tc.name, depth, len(frontier)/sw, len(want)/sw)
+			if sortStates(want); !slices.Equal(frontier, want) {
+				t.Fatalf("%s depth %d: slab absorb keeps %d fresh states, the AddHashed loop %d (or others)", tc.name, depth, len(frontier), len(want))
 			}
-			dups += len(hs) - len(frontier)/sw
-			states += len(frontier) / sw
+			dups += len(hs) - len(frontier)
+			states += len(frontier)
 		}
 		if got := lanes.Stats().States; got != states || packed.Len() != states {
 			t.Fatalf("%s: the lanes hold %d states and the set %d, %d were fresh", tc.name, got, packed.Len(), states)

@@ -92,8 +92,7 @@ func mix(x uint64) uint64 {
 // hashKey mixes a state for partitioning and probing: mix of the one word
 // (the chain from zero), or mix chained from a seed across the words of a
 // wide key, so every bit of every word diffuses into the owner and the probe
-// index. A state's shard (ShardOf: its owner node and checkpoint segment)
-// and its partition within a node are functions of it;
+// index. A state's shard (ShardOf: its owner node) and its partition within a node are functions of it;
 // TestStateKeyHashPinned holds its values. Its shape is deliberate
 // (DESIGN.md §4, "Probe-ahead inserts"): one loop for both widths keeps it
 // under the inliner's budget, so the sets' hot loops inline it, and testing

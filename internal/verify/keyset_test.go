@@ -285,10 +285,10 @@ func checkZeroKeyPanics[K stateKey](t *testing.T) {
 // widths: the narrow rows to the values of the functions they replaced
 // (hashU64, raw uint64 order), the wide rows to the seeded splitmix64 chain
 // over three words, recomputed outside Go when the wide key lost its
-// always-zero fourth word. A state's shard (ShardOf: its owner node and
-// checkpoint segment), its partition within a node and the segment order
-// are functions of them, so a change here moves states between partitions,
-// nodes and files — a protoVersion bump, not a refactor.
+// always-zero fourth word. A state's shard (ShardOf: its owner node), its
+// partition within a node and the minimum-violator order are functions of
+// them, so a change here moves states between partitions and nodes — a
+// protoVersion bump, not a refactor.
 func TestStateKeyHashPinned(t *testing.T) {
 	for _, c := range []struct {
 		k    uint64

@@ -32,8 +32,7 @@ const (
 const NumShards = 64
 
 // ShardOf is the hash shard of a state whose hash is h: its top six bits.
-// Routing, the checkpoint segments and their transition counts all shard
-// by it.
+// Routing between nodes shards by it.
 func ShardOf(h uint64) int { return int(h >> 58) }
 
 // part cuts a node's share of the hash space into n partitions by the 32
@@ -58,8 +57,7 @@ type lane[K stateKey] struct {
 	fresh    int          // states first seen in this phase
 	viol     K            // smallest violating state of the level known to the lane…
 	violApp  int          // …and the application that misses its deadline there, or −1
-	shardTr  [NumShards]int64
-	succ     []K // one round piece's successors, or inbound states as keys
+	succ     []K          // one round piece's successors, or inbound states as keys
 	freshIdx []int32
 	sc       expandScratch
 	_        [128]byte // keeps the next lane's cursor off this scratch's cache line
@@ -77,9 +75,8 @@ type node[K stateKey] struct {
 	hash       func(K) uint64 // routes states: shard and lane
 	lanes      []lane[K]
 
-	owners     [NumShards]uint8
-	self       int
-	countShard bool // attribute transitions to the shard of the expanded state
+	owners [NumShards]uint8
+	self   int
 
 	// Written between phases only, by the caller; the lanes count their
 	// fresh states apart and only read these, so nothing they write in a
@@ -169,9 +166,8 @@ func appendKey[K stateKey](dst []uint64, k K) []uint64 {
 // because its one implementation is generic over the state width.
 type Lanes interface {
 	// Reset empties the node for a new search in which it owns the shards
-	// owners maps to self, with a budget of maxStates fresh states;
-	// countShards turns on AppendLevel's transitions.
-	Reset(owners *[NumShards]uint8, self, maxStates int, countShards bool)
+	// owners maps to self, with a budget of maxStates fresh states.
+	Reset(owners *[NumShards]uint8, self, maxStates int)
 	// Absorb inserts slabs of this node's states; the fresh ones join the
 	// level being expanded.
 	Absorb(slabs [][]uint64)
@@ -186,10 +182,6 @@ type Lanes interface {
 	Advance()
 	// Stats reports the search so far.
 	Stats() LaneStats
-	// AppendLevel appends the words of the level's states to dst and
-	// returns the transitions its expansion took, by the shard of the state
-	// expanded (zero unless Reset asked for them).
-	AppendLevel(dst []uint64) ([]uint64, [NumShards]int64)
 	// Release hands the node's visited tables mapped off the heap back to
 	// the kernel at once: its owner is done with it, and it must not be
 	// used after. A second Release does nothing.
@@ -214,8 +206,8 @@ func (e *Expander) NewLanes(p int) Lanes {
 	return newNode(e.v, p, successors[[1]uint64], hashKey[[1]uint64])
 }
 
-func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int, countShards bool) {
-	e.owners, e.self, e.countShard = *owners, self, countShards
+func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int) {
+	e.owners, e.self = *owners, self
 	nodes := 0
 	for _, o := range owners {
 		nodes = max(nodes, int(o)+1)
@@ -227,7 +219,6 @@ func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int, countShar
 		l.frontier.release(&l.pool)
 		l.next.release(&l.pool)
 		l.pos, l.prev, l.violApp = 0, 0, -1
-		l.shardTr = [NumShards]int64{}
 		if len(l.foreign) < nodes {
 			l.foreign = make([][]uint64, nodes, nodes+outPad) // padded like out
 		}
@@ -278,7 +269,6 @@ func (e *node[K]) Advance() {
 		l.prev = l.frontier.len()
 		l.frontier.release(&l.pool)
 		l.frontier, l.next, l.pos, l.violApp = l.next, l.frontier, 0, -1
-		l.shardTr = [NumShards]int64{}
 	}
 }
 
@@ -292,22 +282,6 @@ func (e *node[K]) Stats() LaneStats {
 		s.Viol[i] = e.minViol[i]
 	}
 	return s
-}
-
-func (e *node[K]) AppendLevel(dst []uint64) ([]uint64, [NumShards]int64) {
-	var t [NumShards]int64
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		for lo := 0; lo < l.frontier.len(); lo += levelBlock {
-			for _, k := range l.frontier.span(lo, levelBlock) {
-				dst = appendKey(dst, k)
-			}
-		}
-		for s, n := range l.shardTr {
-			t[s] += n
-		}
-	}
-	return dst, t
 }
 
 func (e *node[K]) Release() {
@@ -405,9 +379,6 @@ func (e *node[K]) expand(i int) {
 				continue
 			}
 			trans += len(succ) - n
-			if e.countShard {
-				l.shardTr[ShardOf(e.hash(s))] += int64(len(succ) - n)
-			}
 			if violApp >= 0 {
 				succ = succ[:n]
 			}

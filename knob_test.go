@@ -222,8 +222,9 @@ func TestFunctionsAreReached(t *testing.T) {
 		}
 	}
 	// walk marks what n names: a plain function of f's package by its
-	// identifier, one of another package of the module by its selector, and
-	// every method of any other selector's name.
+	// identifier, one of another package by its selector — keyed by its
+	// directory in the module, by its import path outside it — and every
+	// method of any other selector's name.
 	walk := func(f *knobFile, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -231,8 +232,8 @@ func TestFunctionsAreReached(t *testing.T) {
 				mark(f.dir + "." + n.Name)
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := strings.CutPrefix(f.imports[x.Name], "tightcps/"); ok {
-						mark(dir + "." + n.Sel.Name)
+					if path, ok := f.imports[x.Name]; ok {
+						mark(strings.TrimPrefix(path, "tightcps/") + "." + n.Sel.Name)
 						return false
 					}
 				}
@@ -504,12 +505,13 @@ var deletedMechanisms = []struct {
 	{`scheduleEnds|traced re-run`, ".", false, "no labelled traced re-run in verifyslot"},
 	{`\b(DefaultVerify|syntheticAdmission|syntheticCacheKey|admissionStats|slotVerify)\b`, ".", true, "a slot set becomes an admission bit in mapping.Admission alone (DESIGN.md §1, \"Admission cache\")"},
 	{`\b(minParts|collectAfterStates|TestServiceCollectsAfterLargeVerdict)\b`, ".", true, "a lane keeps one table, mapped off the heap past 2 MiB: no 16-way partitions, no forced collection (DESIGN.md §1, \"Memory shape\")"},
-	{`FaultTolerance +bool|CheckpointDir +string`, "internal/verify", false, "fault tolerance is built into the cluster's hook by dverify.FaultTolerantRunner, not carried on verify.Config"},
+	{`FaultTolerance +bool`, "internal/verify", false, "fault tolerance is built into the cluster's hook by dverify.FaultTolerantRunner, not carried on verify.Config"},
 	{`HTTPClient|RetryBackoff +time|BreakerCooldown +time`, "internal/admit", false, "the service's retry and breaker timings are constants"},
 	{`Switching +switching\.Config|Verify +verify\.Config`, "internal/core", true, "core.Options carries no nested verify or switching config"},
 	{`\b(MaxDisturbances|BoundFor)\b`, ".", true, "the bounded-disturbance model never stored fewer states than the exact one (DESIGN.md §4)"},
 	{`\b(cntBits|cntShift|maxDist)\b`, ".", true, "a lane is its phase and clock: the bounded model's counter is gone (DESIGN.md §2)"},
 	{`"bounded"|json:"bounded|"maxDisturbances"`, ".", false, "no flag, config key or verdict field selects the bounded model; a request's bounded keys are skipped like any unknown key"},
+	{`writeSegment|readSegment|segMagic|CheckpointDir|ckptWriteHook|AppendLevel|SortWords|"ftdir"`, ".", false, "a worker death restarts the search on the survivors: rolling back to per-level checkpoint segments lost every measured pair to it (DESIGN.md §9, \"Recovery restarts the search\")"},
 }
 
 // TestDeletedMechanismsStayDeleted holds the tree to deletedMechanisms.
