@@ -16,9 +16,9 @@
 // with exact verification under the symmetry quotient, a DP partitioner
 // comparison on a tractable sample, and per-run statistics (slots needed,
 // states explored, cache traffic). Slots grow past the paper's 6-app scale;
-// the packed state is fitted to each candidate's largest r, so a fleet at
-// r ≤ 32 runs on the one-word encoding up to 8 instances and on the
-// multi-word one from 9.
+// the packed state is fitted to each candidate's largest r, so one word
+// holds a fleet of up to 8 instances at r ≤ 32; a larger candidate is an
+// "over the encoding cap" reject.
 //
 // Scale-out and warm-start knobs:
 //
@@ -445,10 +445,9 @@ func instanceProfiles(w *plants.SyntheticWorkload, archProfs []*switching.Profil
 // synthetic dimensions a seeded synthetic workload end-to-end: archetype
 // profiling (one switching analysis per design, cloned across fleet
 // instances), first-fit mapping with exact verification under the symmetry
-// quotient (one-word or multi-word states, whichever the candidate's size
-// and largest r need), and a DP-partitioner comparison on a tractable
-// sample. The admission's rejects — replayed counterexamples, busts of the
-// -maxstates budget — are reported. With -cachedir, admission verdicts
+// quotient, and a DP-partitioner comparison on a tractable sample. The
+// admission's rejects — replayed counterexamples, busts of the -maxstates
+// budget, sets over the encoding cap — are reported. With -cachedir, admission verdicts
 // persist across invocations and the run reports its cache hit rate.
 func (x *experiments) synthetic(n int, seed int64, adm *mapping.Admission, cachedir string) error {
 	t0 := time.Now()

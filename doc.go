@@ -9,5 +9,5 @@
 // artefact; the implementation lives under internal/ (start at
 // internal/core, the library facade) and the executables under cmd/.
 // README.md maps the packages; DESIGN.md documents the concurrent engine
-// and the wide-state verifier encoding.
+// and the one-word packed state of the verifier.
 package tightcps

@@ -2,8 +2,8 @@ package admit
 
 // End-to-end equivalence: every HTTP verdict must be byte-identical to
 // the in-process engine's, across the whole backend matrix — the paper's
-// S1/S2 slots, violating synthetics, narrow and wide encodings, with and
-// without the symmetry quotient. Plus the service semantics riding the
+// S1/S2 slots, violating synthetics, up to states that fill the word,
+// with and without the symmetry quotient. Plus the service semantics riding the
 // same rig: cache hits, warm starts, async jobs, stats, validation.
 
 import (
@@ -24,32 +24,24 @@ import (
 	"tightcps/internal/verify"
 )
 
-// equivalenceCases: schedulable and violating sets on both encodings.
-// S1 (1 440 712 states) is the paper's hardest verification; overloadWide
-// exercises the wide encoding's violation path; the sym cases run the
-// quotient on both encodings. The wide cases are wide by their own n and r
-// (lanes are fitted to the set's largest r): 7 apps at r = 65, with and
-// without the quotient, and 8 apps at r = 33.
+// equivalenceCases: schedulable and violating sets. S1 (1 440 712 states)
+// is the paper's hardest verification; the sym cases run the quotient.
+// Sets past the one-word state are validationCases rows.
 var equivalenceCases = []struct {
 	name string
 	apps []string // named case-study slot, or
 	ps   func() []*switching.Profile
 	spec verify.Spec
-	wide bool
 }{
 	{name: "S2", apps: []string{"C6", "C2"}},
 	{name: "S1", apps: []string{"C1", "C5", "C4", "C3"}},
 	{name: "overloadNarrow", ps: func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
 	}},
-	{name: "overloadWide", ps: func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, wide: true},
 	{name: "narrowSym", ps: func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) },
 		spec: verify.Spec{Symmetry: true}},
 	{name: "fleet7Sym", ps: func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) },
 		spec: verify.Spec{Symmetry: true}},
-	{name: "wideSym", ps: func() []*switching.Profile { return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65)) },
-		spec: verify.Spec{Symmetry: true}, wide: true},
-	{name: "wide8", ps: func() []*switching.Profile { return fleet(8, 2, 2, 4, 33) }, wide: true},
 }
 
 // TestServiceVerdictEquivalence is the tentpole assertion: one service
@@ -75,11 +67,6 @@ func TestServiceVerdictEquivalence(t *testing.T) {
 					req = inlineReq(ps, tc.spec)
 				}
 				want := localVerdictJSON(t, ps, tc.spec, names)
-				if cfg, err := tc.spec.Config(); err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				} else if e, err := verify.NewExpander(ps, cfg); err != nil || (e.StateWords() > 1) != tc.wide {
-					t.Fatalf("%s: want wide=%v, %v", tc.name, tc.wide, err)
-				}
 
 				status, resp, gotVerdict := r.submit(t, req)
 				if status != http.StatusOK {
@@ -413,6 +400,12 @@ var validationCases = []struct {
 	// engine (verify.ErrEncoding) before any verdict exists to cache.
 	{"invertedDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,5,1],"tdwPlus":[2,3,2]}]}`, 400, "b has no dwell window at row 1: tdw−=5, tdw+=3"},
 	{"negativeDwellWindow", `{"profiles":[{"r":10,"twStar":2,"tdwMinus":[1,1,1],"tdwPlus":[2,2,2]},{"name":"B","r":10,"twStar":2,"tdwMinus":[1,1,-3],"tdwPlus":[2,2,-1]}]}`, 400, "b has no dwell window at row 2: tdw−=-3, tdw+=-1"},
+	// Sets whose lanes and header pass 64 bits: refused by the engine
+	// (verify.ErrEncoding), naming the limit — 7 apps at r = 65, with and
+	// without the quotient, and 8 at r = 33.
+	{"overloadWide", bodyOf(fleet(7, 2, 1, 2, 65), verify.Spec{}), 400, "one-word limit of 64"},
+	{"wideSym", bodyOf(append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65)), verify.Spec{Symmetry: true}), 400, "one-word limit of 64"},
+	{"wide8", bodyOf(fleet(8, 2, 2, 4, 33), verify.Spec{}), 400, "one-word limit of 64"},
 	// The decoder's edges, each as encoding/json decides it.
 	{"caseFoldedKey", `{"APPS":["C6","C2"]}`, 200, ""},
 	{"trailingBytes", `{"apps":["C6","C2"]} {"apps":["C9"]} ]`, 200, ""},
@@ -421,6 +414,15 @@ var validationCases = []struct {
 	{"fractionalInt", `{"profiles":[{"r":5.0,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, 400, "malformed"},
 	{"exponentInt", `{"profiles":[{"r":1e2,"twStar":0,"tdwMinus":[1],"tdwPlus":[2]}]}`, 400, "malformed"},
 	{"unknownNestedKey", `{"apps":["C6","C2"],"extra":{"nested":[1,{"deeper":null}],"s":"x"}}`, 200, ""},
+}
+
+// bodyOf is the inline request body for ps under spec.
+func bodyOf(ps []*switching.Profile, spec verify.Spec) string {
+	b, err := json.Marshal(inlineReq(ps, spec))
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
 }
 
 // TestServiceValidation: malformed submissions are 400s with a reason,

@@ -13,90 +13,75 @@ import (
 	"tightcps/internal/verify"
 )
 
-// expanderFor builds a real expander with the given state width: 1 word
-// (narrow triple) or 3 words (seven apps at r = 65 — 9-bit lanes; at r ≤ 64
-// a seven-app fleet fits one word).
-func expanderFor(t testing.TB, words int) *verify.Expander {
+// expanderFor builds a real expander: three applications with 7-bit lanes
+// (phase, then a 5-bit clock), T*w = 5 and r = 20, the occupant nibble at
+// bit 21.
+func expanderFor(t testing.TB) *verify.Expander {
 	t.Helper()
-	ps := fleet(3, 5, 2, 4, 20)
-	if words == 3 {
-		ps = fleet(7, 6, 1, 2, 65)
-	}
-	exp, err := verify.NewExpander(ps, verify.Config{NondetTies: true})
+	exp, err := verify.NewExpander(fleet(3, 5, 2, 4, 20), verify.Config{NondetTies: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if exp.StateWords() != words {
-		t.Fatalf("fixture yields %d-word states, want %d", exp.StateWords(), words)
 	}
 	return exp
 }
 
-// packed lifts one state's words into a PackedState.
-func packed(s []uint64) (p verify.PackedState) {
-	copy(p[:], s)
-	return p
-}
-
-// randStates returns n distinct states reachable in exp's set, flat, in a
+// randStates returns n distinct states reachable in exp's set, in a
 // reproducible random order, each one CheckWords accepts.
 func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uint64 {
 	t.Helper()
-	sw, init := exp.StateWords(), exp.Initial()
-	all := append([]uint64(nil), init[:sw]...)
+	init := exp.Initial()
+	all := []uint64{uint64(init)}
 	seen := map[verify.PackedState]bool{init: true}
 	scr := exp.NewScratch()
-	for lo := 0; len(all) < n*sw && lo < len(all); {
+	for lo := 0; len(all) < n && lo < len(all); {
 		hi := len(all)
-		for i := lo; i < hi; i += sw {
-			succ, _ := exp.SuccessorsHashedInto(packed(all[i:i+sw]), scr, nil)
+		for _, s := range all[lo:hi] {
+			succ, _ := exp.SuccessorsHashedInto(verify.PackedState(s), scr, nil)
 			for _, p := range succ {
 				if !seen[p.S] {
 					seen[p.S] = true
-					all = append(all, p.S[:sw]...)
+					all = append(all, uint64(p.S))
 				}
 			}
 		}
 		lo = hi
 	}
-	if len(all) < n*sw {
-		t.Fatalf("the fixture reaches %d states, fewer than %d", len(all)/sw, n)
+	if len(all) < n {
+		t.Fatalf("the fixture reaches %d states, fewer than %d", len(all), n)
 	}
-	out := make([]uint64, 0, n*sw)
-	for _, i := range rng.Perm(len(all) / sw)[:n] {
-		out = append(out, all[i*sw:(i+1)*sw]...)
+	out := make([]uint64, 0, n)
+	for _, i := range rng.Perm(len(all))[:n] {
+		out = append(out, all[i])
 	}
 	return out
 }
 
-// TestFrontierCodecRoundTrip drives encode→decode across batch sizes and
-// both state widths: a batch is the version byte, then the states' words
-// little-endian in the order given — and decodes to exactly those states.
-// A zero-length batch holds none.
+// TestFrontierCodecRoundTrip drives encode→decode across batch sizes: a
+// batch is the version byte, then the states' words little-endian in the
+// order given — and decodes to exactly those states. A zero-length batch
+// holds none.
 func TestFrontierCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, words := range []int{1, 3} {
-		exp := expanderFor(t, words)
-		if dec, err := decodeBatch(exp, nil, nil); err != nil || len(dec) != 0 {
-			t.Fatalf("words=%d: empty batch decoded to %v, %v", words, dec, err)
+	exp := expanderFor(t)
+	if dec, err := decodeBatch(exp, nil, nil); err != nil || len(dec) != 0 {
+		t.Fatalf("empty batch decoded to %v, %v", dec, err)
+	}
+	for _, n := range []int{1, 2, 33, 4096} {
+		states := randStates(t, rng, exp, n)
+		enc := encodeBatch(exp, nil, states)
+		want := []byte{codecRaw}
+		for _, w := range states {
+			want = binary.LittleEndian.AppendUint64(want, w)
 		}
-		for _, n := range []int{1, 2, 33, 4096} {
-			states := randStates(t, rng, exp, n)
-			enc := encodeBatch(exp, nil, states)
-			want := []byte{codecRaw}
-			for _, w := range states {
-				want = binary.LittleEndian.AppendUint64(want, w)
-			}
-			if !bytes.Equal(enc, want) {
-				t.Fatalf("words=%d n=%d: batch is not the version byte and the raw words", words, n)
-			}
-			dec, err := decodeBatch(exp, enc, nil)
-			if err != nil {
-				t.Fatalf("words=%d n=%d: decode: %v", words, n, err)
-			}
-			if !slices.Equal(dec, states) {
-				t.Fatalf("words=%d n=%d: round trip mismatch (%d words back, want %d)", words, n, len(dec), len(states))
-			}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("n=%d: batch is not the version byte and the raw words", n)
+		}
+		dec, err := decodeBatch(exp, enc, nil)
+		if err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if !slices.Equal(dec, states) {
+			t.Fatalf("n=%d: round trip mismatch (%d words back, want %d)", n, len(dec), len(states))
 		}
 	}
 }
@@ -104,7 +89,7 @@ func TestFrontierCodecRoundTrip(t *testing.T) {
 // TestFrontierCodecDuplicatesSurvive: the format is not a deduplicator —
 // duplicate states (owners dedup on absorb) must round-trip, in order.
 func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
-	exp := expanderFor(t, 1)
+	exp := expanderFor(t)
 	two := randStates(t, rand.New(rand.NewSource(5)), exp, 2)
 	states := []uint64{two[1], two[0], two[1], two[0], two[1]}
 	dec, err := decodeBatch(exp, encodeBatch(exp, nil, states), nil)
@@ -121,7 +106,7 @@ func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 // decodes to exactly those states, in order, and a one-state batch whose
 // word has its top bit set goes out in that format and round-trips.
 func TestFrontierCodecRawFallback(t *testing.T) {
-	exp := expanderFor(t, 3)
+	exp := expanderFor(t)
 	states := randStates(t, rand.New(rand.NewSource(3)), exp, 9)
 
 	// Hand-encode the fixed-width format.
@@ -140,7 +125,7 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 	// Seven applications at r = 64 fill the one word, and an occupant nine
 	// samples into a dwell of up to 12 sets its top bit.
 	exp, err = verify.NewExpander(fleet(7, 6, 10, 12, 64), verify.Config{NondetTies: true})
-	if err != nil || exp.StateWords() != 1 {
+	if err != nil {
 		t.Fatalf("full-word fixture: %v", err)
 	}
 	one := []uint64{9<<60 | 3<<2 | 2} // occupant 0, Granted after a wait of 3, dwell 9
@@ -158,7 +143,7 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 // among them batches opening with byte 1 or 2, the sorted varint-delta and
 // DEFLATE formats a protocol-11 or protocol-9 peer could still send.
 func TestFrontierCodecErrors(t *testing.T) {
-	exp := expanderFor(t, 1)
+	exp := expanderFor(t)
 	if _, err := decodeBatch(exp, []byte{codecRaw, 1, 2, 3}, nil); err == nil {
 		t.Fatal("short raw batch decoded")
 	}
@@ -175,70 +160,54 @@ func TestFrontierCodecErrors(t *testing.T) {
 
 // TestDecodeRefusesZeroState: no encoding produces the all-zero state — it
 // is the visited sets' empty-slot sentinel, and inserting it panics — so a
-// frontier batch that carries one is refused by name, on both widths,
-// before absorb sees it.
+// frontier batch that carries one is refused by name before absorb sees
+// it.
 func TestDecodeRefusesZeroState(t *testing.T) {
-	for _, words := range []int{1, 3} {
-		exp := expanderFor(t, words)
-		zero, one := make([]byte, 8*words), make([]byte, 8*words)
-		one[0] = 1
-		for _, tc := range []struct {
-			name  string
-			batch []byte
-		}{
-			{"raw", append([]byte{codecRaw}, zero...)},
-			{"raw after a state", append(append([]byte{codecRaw}, one...), zero...)},
-		} {
-			if _, err := decodeBatch(exp, tc.batch, nil); err == nil || !strings.Contains(err.Error(), "all-zero state") {
-				t.Errorf("%d-word %s batch %v: err = %v, want the all-zero-state error", words, tc.name, tc.batch, err)
-			}
+	exp := expanderFor(t)
+	zero, one := make([]byte, 8), make([]byte, 8)
+	one[0] = 1
+	for _, tc := range []struct {
+		name  string
+		batch []byte
+	}{
+		{"raw", append([]byte{codecRaw}, zero...)},
+		{"raw after a state", append(append([]byte{codecRaw}, one...), zero...)},
+	} {
+		if _, err := decodeBatch(exp, tc.batch, nil); err == nil || !strings.Contains(err.Error(), "all-zero state") {
+			t.Errorf("%s batch %v: err = %v, want the all-zero-state error", tc.name, tc.batch, err)
 		}
 	}
 }
 
-// outOfLayout are, per state width, the nonzero states no search of
-// expanderFor's sets produces, each of which the kernel would panic on,
-// carry a clock out of, or the visited sets would store: an occupant index
-// past the n applications, a bit outside the lanes and the header, an
-// occupant whose lane records a wait beyond its T*w, a Cooldown clock past
-// r − 1 and a Waiting clock at T*w. The narrow set has 3 applications with
-// 7-bit lanes (phase, then a 5-bit clock), T*w = 5 and r = 20, its occupant
-// nibble at bit 21; the wide one 7 applications with 9-bit lanes, T*w = 6
-// and r = 65, all in word 0, its occupant in the header word's low byte.
-var outOfLayout = map[int][]struct {
+// outOfLayout are the nonzero states no search of expanderFor's set
+// produces, each of which the kernel would panic on, carry a clock out of,
+// or the visited sets would store: an occupant index past the n
+// applications, a bit outside the lanes and the header, an occupant whose
+// lane records a wait beyond its T*w, a Cooldown clock past r − 1 and a
+// Waiting clock at T*w.
+var outOfLayout = []struct {
 	name, want string
-	state      []uint64
+	state      uint64
 }{
-	1: {
-		{"occupant index", "none of the 3 applications", []uint64{5 << 21}},
-		{"bit outside the layout", "outside its lanes and header", []uint64{0xF<<21 | 1<<40}},
-		{"occupant past T*w", "beyond its T*w of 5", []uint64{6<<2 | 2}},
-		{"cooldown clock past r − 1", "F1 in cooldown at clock 20, past its r − 1 of 19", []uint64{0xF<<21 | (20<<2|3)<<7}},
-		{"waiting clock at T*w", "F0 waiting at clock 5, not below its T*w of 5", []uint64{0xF<<21 | 5<<2 | 1}},
-	},
-	3: {
-		{"occupant index", "none of the 7 applications", []uint64{0, 0, 7}},
-		{"bit outside the layout", "outside its lanes and header", []uint64{0, 1, 0xFF}},
-		{"occupant past T*w", "beyond its T*w of 6", []uint64{7<<2 | 2, 0, 0}},
-		{"cooldown clock past r − 1", "F2 in cooldown at clock 127, past its r − 1 of 64", []uint64{(127<<2 | 3) << 18, 0, 0xFF}},
-		{"waiting clock at T*w", "F6 waiting at clock 6, not below its T*w of 6", []uint64{(6<<2 | 1) << 54, 0, 0xFF}},
-	},
+	{"occupant index", "none of the 3 applications", 5 << 21},
+	{"bit outside the layout", "outside its lanes and header", 0xF<<21 | 1<<40},
+	{"occupant past T*w", "beyond its T*w of 5", 6<<2 | 2},
+	{"cooldown clock past r − 1", "F1 in cooldown at clock 20, past its r − 1 of 19", 0xF<<21 | (20<<2|3)<<7},
+	{"waiting clock at T*w", "F0 waiting at clock 5, not below its T*w of 5", 0xF<<21 | 5<<2 | 1},
 }
 
 // TestDecodeRefusesOutOfLayoutState: a batch holding a nonzero state
-// outside the set's layout is refused by name, on both widths, before the
-// kernel or absorb sees it.
+// outside the set's layout is refused by name before the kernel or absorb
+// sees it.
 func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
-	for words, cases := range outOfLayout {
-		exp := expanderFor(t, words)
-		if init := exp.Initial(); words == 1 && init[0] != 0xF<<21 || words == 3 && init[2] != 0xFF {
-			t.Fatalf("%d-word fixture moved: initial state %v", words, init)
-		}
-		for _, tc := range cases {
-			raw := exp.AppendWords(nil, tc.state)
-			if _, err := decodeBatch(exp, append([]byte{codecRaw}, raw...), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%d-word batch with %s: err = %v, want %q", words, tc.name, err, tc.want)
-			}
+	exp := expanderFor(t)
+	if init := exp.Initial(); init != 0xF<<21 {
+		t.Fatalf("fixture moved: initial state %#x", init)
+	}
+	for _, tc := range outOfLayout {
+		raw := exp.AppendWords(nil, []uint64{tc.state})
+		if _, err := decodeBatch(exp, append([]byte{codecRaw}, raw...), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("batch with %s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -248,17 +217,13 @@ func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
 // byte for byte — never a panic and never a state CheckWords refuses (the
 // all-zero state is the visited sets' sentinel: absorb would panic on it; an
 // out-of-layout occupant panics the kernel). The seed corpus in
-// testdata/fuzz/FuzzFrontierDecode holds an empty batch, raw batches of
-// both widths, a raw batch off the state stride, byte-1 batches (protocol
-// 11's delta format, a truncated varint among them) and a byte-2 one, and,
-// on both widths, a raw batch holding each state of outOfLayout.
+// testdata/fuzz/FuzzFrontierDecode holds an empty batch, a raw batch, a
+// raw batch off the state stride, byte-1 batches (protocol 11's delta
+// format, a truncated varint among them) and a byte-2 one, and a raw batch
+// holding each state of outOfLayout.
 func FuzzFrontierDecode(f *testing.F) {
-	narrow, wide := expanderFor(f, 1), expanderFor(f, 3)
-	f.Fuzz(func(t *testing.T, useWide bool, batch []byte) {
-		exp := narrow
-		if useWide {
-			exp = wide
-		}
+	exp := expanderFor(f)
+	f.Fuzz(func(t *testing.T, batch []byte) {
 		dec, err := decodeBatch(exp, batch, nil)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "dverify: ") && !strings.HasPrefix(err.Error(), "verify: ") {
@@ -284,10 +249,9 @@ func FuzzFrontierDecode(f *testing.F) {
 // badState returns the index of the first state of a slab CheckWords
 // refuses, or −1.
 func badState(exp *verify.Expander, states []uint64) int {
-	sw := exp.StateWords()
-	for i := 0; i < len(states); i += sw {
-		if exp.CheckWords(states[i:i+sw]) != nil {
-			return i / sw
+	for i := range states {
+		if exp.CheckWords(states[i:i+1]) != nil {
+			return i
 		}
 	}
 	return -1
@@ -306,11 +270,12 @@ func badState(exp *verify.Expander, states []uint64) int {
 // (its nodes would each run one lane whatever Workers said), and a
 // version-13 one, whose Job carries FT, Era and Cut and whose link reports
 // carry no cause, a version-15 one, which ships a wide state as four
-// words, and a version-16 one, whose Recover order names a checkpoint cut
-// to roll back to.
+// words, a version-16 one, whose Recover order names a checkpoint cut to
+// roll back to, and a version-17 one, which ships a wide state as three
+// words and whose ViolState is three words.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {

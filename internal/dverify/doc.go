@@ -19,11 +19,9 @@
 // over in memory. Wire-volume counters, per-link breakdowns included, flow
 // back into verify.Result.Wire.
 //
-// States cross the package as flat []uint64, Expander.StateWords() words
-// each, and verify.PackedState only where one state crosses the control
-// plane: a violation. Both packed
-// encodings flow through the same worker, so verdicts, the exhaustive
-// counts of schedulable runs and the violator of a violating one (the
+// States cross the package as flat []uint64, one word each, and
+// verify.PackedState only where one state crosses the control plane: a
+// violation. Verdicts, the exhaustive counts of schedulable runs and the violator of a violating one (the
 // minimum violating packed state of the first violating level) are the
 // local parallel search's.
 //
@@ -54,7 +52,7 @@
 // BFS level, so per-level counts, Depth and the violator are those of the
 // level-synchronous local searches: a worker that finds a violator in L
 // stops routing and sweeps the rest of L for a smaller one, and the
-// coordinator ends the run on the verify.LessState minimum across workers —
+// coordinator ends the run on the minimum violating state across workers —
 // no worker expands L+1 before L's round ends.
 //
 // Deaths are decided in one place. A worker behaves the same with and

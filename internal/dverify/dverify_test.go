@@ -47,45 +47,39 @@ func verifyOver(t *testing.T, nodes int, ps []*switching.Profile, cfg verify.Con
 }
 
 // equivalenceCases is the distributed-vs-local matrix shared by the
-// equivalence tests: schedulable and violating sets on both encodings, at
-// the n = 6/7/12 boundaries, with and without the symmetry quotient.
-// words is the state width the set must have (TestLoopbackMatchesLocal
-// checks it): lanes are fitted to the set's largest r, so a fixture is on
-// the 4-word wire only by its own n and r.
+// equivalence tests: schedulable and violating sets, at the n = 6/7/8/12
+// boundaries and up to states that fill the word, with and without the
+// symmetry quotient.
 var equivalenceCases = []struct {
-	name  string
-	ps    func() []*switching.Profile
-	sym   bool
-	words int
+	name string
+	ps   func() []*switching.Profile
+	sym  bool
 }{
-	{"single", func() []*switching.Profile { return []*switching.Profile{prof("A", 5, 2, 4, 20)} }, false, 1},
+	{"single", func() []*switching.Profile { return []*switching.Profile{prof("A", 5, 2, 4, 20)} }, false},
 	{"overload2", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}
-	}, false, 1},
+	}, false},
 	{"loosePair", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
-	}, false, 1},
+	}, false},
 	{"asymTriple", func() []*switching.Profile {
 		return []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
-	}, false, 1},
-	{"narrow6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) }, false, 1},
+	}, false},
+	{"narrow6", func() []*switching.Profile { return fleet(6, 5, 2, 4, 20) }, false},
 	// Fleets past the paper's scale. The unquotiented schedulable 7-app
 	// spaces run to millions of states, so the exhaustive-count checks ride
 	// the symmetry quotient (canonicalisation happens inside the shared
-	// expansion core, identically on every node). With r ≤ 12 they fit one
-	// word.
-	{"het7sym", func() []*switching.Profile { return append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)) }, true, 1},
-	{"fleet7sym", func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) }, true, 1},
-	{"fleet9sym", func() []*switching.Profile { return fleet(9, 8, 1, 2, 9) }, true, 1},
-	{"overload7", func() []*switching.Profile { return fleet(7, 2, 1, 2, 5) }, false, 1},
-	// Wide-encoding cases, each wide by its own n and r: one rare
-	// application (r = 65) widens every lane of a seven-app set to 9 bits,
-	// schedulable under the quotient; eight apps at r = 33, violating
-	// without it; seven apps at r = 65; twelve at r = 6.
-	{"wideMixed7sym", func() []*switching.Profile { return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65)) }, true, 3},
-	{"wide8r33", func() []*switching.Profile { return fleet(8, 2, 2, 4, 33) }, false, 3},
-	{"overload7wide", func() []*switching.Profile { return fleet(7, 2, 1, 2, 65) }, false, 3},
-	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 6) }, false, 3},
+	// expansion core, identically on every node).
+	{"het7sym", func() []*switching.Profile { return append(fleet(6, 7, 1, 2, 8), prof("X", 4, 2, 3, 12)) }, true},
+	{"fleet7sym", func() []*switching.Profile { return fleet(7, 6, 1, 2, 10) }, true},
+	{"fleet9sym", func() []*switching.Profile { return fleet(9, 8, 1, 2, 9) }, true},
+	{"overload7", func() []*switching.Profile { return fleet(7, 2, 1, 2, 5) }, false},
+	// Sets at the edge of the one-word state: eight 7-bit lanes at r = 32
+	// and seven 8-bit ones at r = 64 fill the 64 bits, violating; twelve
+	// apps, the application cap, at r = 4.
+	{"full8r32", func() []*switching.Profile { return fleet(8, 2, 2, 4, 32) }, false},
+	{"overload7r64", func() []*switching.Profile { return fleet(7, 2, 1, 2, 64) }, false},
+	{"overload12", func() []*switching.Profile { return fleet(12, 1, 1, 2, 4) }, false},
 }
 
 // checkMatchesLocal asserts one distributed result against the local
@@ -119,9 +113,6 @@ func TestLoopbackMatchesLocal(t *testing.T) {
 	for _, tc := range equivalenceCases {
 		ps := tc.ps()
 		cfg := verify.Config{NondetTies: true, SymmetryReduction: tc.sym, Workers: 4}
-		if exp, err := verify.NewExpander(ps, cfg); err != nil || exp.StateWords() != tc.words {
-			t.Fatalf("%s: fixture yields %d-word states, want %d (%v)", tc.name, exp.StateWords(), tc.words, err)
-		}
 		local, err := verify.Slot(ps, cfg)
 		if err != nil {
 			t.Fatalf("%s: local: %v", tc.name, err)
@@ -199,7 +190,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		ps   []*switching.Profile
 	}{
 		{"schedulable", []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}},
-		{"violating", fleet(7, 2, 1, 2, 65)}, // 4-word states over TCP
+		{"violating", fleet(7, 2, 1, 2, 64)}, // states that fill the word over TCP
 	} {
 		local, err := verify.Slot(tc.ps, cfg)
 		if err != nil {

@@ -8,8 +8,7 @@ import (
 )
 
 // meshBatch is one level-tagged batch of states crossing a mesh link — flat
-// words, Expander.StateWords() per state, the form the kernel emits and the
-// wire ships — or a link failure surfaced into the owner's inbox. era tags the
+// words, one per state, the form the kernel emits and the wire ships — or a link failure surfaced into the owner's inbox. era tags the
 // sender's recovery era (always 0 outside fault-tolerant runs): a receiver
 // in another era drops the batch. No worker expands in a new era before
 // every survivor has reset into it, so that batch is always an old
@@ -139,7 +138,7 @@ func (w *meshWorker) drainInbox() {
 		case b.era != w.era:
 			w.putBatch(b.states)
 		case b.level == w.level:
-			w.got += len(b.states) / w.sw
+			w.got += len(b.states)
 			w.in = append(w.in, b.states)
 		case b.level == w.level+1:
 			w.ahead = append(w.ahead, b.states)
@@ -188,7 +187,7 @@ func (w *meshWorker) ship(d int, states []uint64) []uint64 {
 	if w.deadPeers[d] {
 		return states[:0]
 	}
-	n := len(states) / w.sw
+	n := len(states)
 	bytes, err := w.links[d].send(w.era, w.level+1, states)
 	if err != nil {
 		w.noteLinkDown(d, fmt.Errorf("mesh link from node %d: %v", w.id, err))

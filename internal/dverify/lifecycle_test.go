@@ -38,7 +38,7 @@ func TestStandingClusterSequence(t *testing.T) {
 		{"V", v, base, false},
 		{"S over budget", s, overBudget, false},
 		{"S after a bust", s, base, false},
-		{"wide V", fleet(7, 2, 1, 2, 65), base, false},
+		{"full-word V", fleet(7, 2, 1, 2, 64), base, false},
 		{"S fault-tolerant", s, base, true},
 		{"S after FT", s, base, false},
 	}

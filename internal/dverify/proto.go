@@ -23,10 +23,11 @@ import (
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
 // field, a batch format or the packed-state layout changes or goes. Version
-// 17 drops the checkpoint fields of Job, Recover and Response: a recovery
-// restarts the search; version 16 ships a wide
-// state as 3 words, not 4; what each earlier version was is in CHANGES.md.
-const protoVersion = 17
+// 18 ships every state as one word — the multi-word layout is gone and
+// Response.ViolState is a uint64; version 17 drops the checkpoint fields of
+// Job, Recover and Response; what each earlier version was is in
+// CHANGES.md.
+const protoVersion = 18
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -223,8 +224,9 @@ type DeadLink struct {
 
 // Frontier batch format: a version byte naming the format of the rest,
 // then the states. There is one format, codecRaw: the states' words
-// verbatim, little-endian, StateWords() words per state — the expander's
-// AppendWords layout, decoded by DecodeWords. The byte stays so that another format can return behind a measured row;
+// verbatim, little-endian, one word per state — the expander's AppendWords
+// layout, decoded by DecodeWords. The byte stays so that another format
+// can return behind a measured row;
 // any other value is refused by name, among them 1 (protocol 11's sorted
 // varint-delta batches) and 2 (protocol 9's DEFLATE ones).
 const codecRaw byte = 0

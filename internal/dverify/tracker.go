@@ -23,8 +23,8 @@ type meshTracker struct {
 // cumulative, so the round replaces (never accumulates) totals. Nil
 // responses (evicted nodes on a fault-tolerant run) are skipped — their
 // shards' counters live in the survivors after the restart. A violation
-// is of the round's level; the minimum across the nodes under
-// verify.LessState is the verdict's violator, as in the local lanes.
+// is of the round's level; the minimum violating state across the nodes is
+// the verdict's violator, as in the local lanes.
 func (t *meshTracker) observe(resps []*Response) {
 	*t = meshTracker{violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}}
 	for _, r := range resps {
@@ -35,7 +35,7 @@ func (t *meshTracker) observe(resps []*Response) {
 		t.transitions += r.Transitions
 		t.maxFresh = max(t.maxFresh, r.MaxFresh)
 		t.tooLarge = t.tooLarge || r.TooLarge
-		if r.Viol && (!t.haveViol || verify.LessState(r.ViolState, t.violState)) {
+		if r.Viol && (!t.haveViol || r.ViolState < t.violState) {
 			t.haveViol, t.violState, t.violApp = true, r.ViolState, r.ViolApp
 		}
 		t.wire.Add(verify.WireStats{

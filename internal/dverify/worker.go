@@ -11,7 +11,7 @@ import (
 
 // meshPollBudget caps how long a worker holds a poll before answering with
 // an interim snapshot; meshBatchTarget is the capacity of a fresh batch, in
-// words (32 KB: 4,096 one-word states, 1,024 wide ones); meshFreeBatches
+// states (32 KB); meshFreeBatches
 // caps the worker-local batch free list.
 const (
 	meshPollBudget  = 25 * time.Millisecond
@@ -41,11 +41,10 @@ type meshWorker struct {
 // meshStanding is what a compatible follow-up job inherits: the expander,
 // the lanes with their visited tables and frontiers, and recycled memory.
 // None of it says anything about a run — resetEra empties what can hold
-// state. States are flat words throughout, sw = exp.StateWords() per state.
+// state. States are flat words throughout, one per state.
 type meshStanding struct {
 	exp    *verify.Expander
-	sw     int
-	lanes  verify.Lanes
+	lanes  *verify.Lanes
 	shipFn func(int, []uint64) []uint64 // w.ship, bound once
 	spareQ []meshBatch
 	in     [][]uint64 // one drain's batches of the level, for Absorb
@@ -163,7 +162,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		}
 		w = &meshWorker{meshStanding: meshStanding{
 			exp:    exp,
-			sw:     exp.StateWords(),
 			lanes:  exp.NewLanes(lanes),
 			spareQ: make([]meshBatch, 0, 32),
 
@@ -242,7 +240,7 @@ func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 func (w *meshWorker) seed() {
 	init := w.exp.Initial()
 	if int(w.owners[verify.ShardOf(w.exp.Hash(init))]) == w.id {
-		w.lanes.Absorb([][]uint64{init[:w.sw]})
+		w.lanes.Absorb([][]uint64{{uint64(init)}})
 	}
 }
 
@@ -265,7 +263,7 @@ func (w *meshWorker) snapshot(done bool) *Response {
 		Fresh:        st.States,
 		Transitions:  st.Transitions,
 		Routed:       w.routed,
-		RawBytes:     8 * w.sw * w.routed,
+		RawBytes:     8 * w.routed,
 		WireBytes:    w.wireBytes,
 		TooLarge:     st.TooLarge,
 		ViolApp:      -1,
@@ -324,7 +322,7 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 		clear(w.sentTo)
 		w.lanes.Advance()
 		for i, b := range w.ahead {
-			w.got += len(b) / w.sw
+			w.got += len(b)
 			w.in, w.ahead[i] = append(w.in, b), nil
 		}
 		w.ahead = w.ahead[:0]

@@ -12,8 +12,8 @@ import (
 // TestWorkerPoolMatrixMatchesLocal pins that lanes per node change nothing:
 // clusters of 1, 2 and 4 nodes running 1, 2 and 3 lanes each (Workers
 // reaches every node) must reproduce the local search bit-identically —
-// verdict, exhaustive counts, depth and minimal violator — on both
-// encodings, with and without the symmetry quotient, on hand-made fixtures
+// verdict, exhaustive counts, depth and minimal violator — up to states
+// that fill the word, with and without the symmetry quotient, on hand-made fixtures
 // and on slots drawn from the synthetic fleet generator. Exhaustive counts
 // and depth coincide with the sequential search; the violator follows the
 // lanes' minimum-violating-state tie-break (the sequential search
@@ -24,27 +24,23 @@ func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 		name    string
 		ps      []*switching.Profile
 		sym     bool
-		wide    bool
 		verdict string // "" or the generated slot's pinned verdict
 	}
 	var slots []slot
 	sel := map[string]bool{
-		"overload2":     true, // narrow, violating at level 1
-		"narrow6":       true, // narrow, six apps at r = 20
-		"het7sym":       true, // seven apps on one word, schedulable, symmetry quotient
-		"wideMixed7sym": true, // wide, schedulable, symmetry quotient
-		"wide8r33":      true, // wide by eight apps at r = 33, violating
-		"overload12":    true, // wide, violating, deepest fan-out
+		"overload2":  true, // narrow, violating at level 1
+		"narrow6":    true, // narrow, six apps at r = 20
+		"het7sym":    true, // seven apps, schedulable, symmetry quotient
+		"full8r32":   true, // eight apps filling the word, violating
+		"overload12": true, // the application cap, violating, deepest fan-out
 	}
 	for _, tc := range equivalenceCases {
 		if sel[tc.name] {
-			slots = append(slots, slot{name: tc.name, ps: tc.ps(), sym: tc.sym, wide: tc.words > 1})
+			slots = append(slots, slot{name: tc.name, ps: tc.ps(), sym: tc.sym})
 		}
 	}
 	// Generated slots of the synthetic fleet's four designs (r 24, 22, 16
-	// and 18). Their 7-bit lanes put a slot on the wide encoding only from
-	// nine applications, whose spaces run to millions of states, so the
-	// generated slots are one word and the wide rows are the hand-made ones.
+	// and 18).
 	arch := syntheticDesigns(t)
 	for _, g := range []struct {
 		pick    []int
@@ -60,13 +56,10 @@ func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 		for i, a := range g.pick {
 			ps = append(ps, arch[a].Clone(fmt.Sprintf("%s#%d", arch[a].Name, i)))
 		}
-		slots = append(slots, slot{fmt.Sprintf("synthetic%v", g.pick), ps, g.sym, false, g.verdict})
+		slots = append(slots, slot{fmt.Sprintf("synthetic%v", g.pick), ps, g.sym, g.verdict})
 	}
 	for _, s := range slots {
 		base := verify.Config{NondetTies: true, SymmetryReduction: s.sym}
-		if exp, err := verify.NewExpander(s.ps, base); err != nil || (exp.StateWords() > 1) != s.wide {
-			t.Fatalf("%s: want wide=%v (%v)", s.name, s.wide, err)
-		}
 		cfg := base
 		cfg.Workers = 4
 		local, err := verify.Slot(s.ps, cfg)

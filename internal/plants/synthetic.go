@@ -118,10 +118,11 @@ func Synthetic(opt SyntheticOptions) *SyntheticWorkload {
 // stretch the gap to ~22 samples over a fast-decaying plant, whose short
 // dwell floor (Tdw− = 3, set by the held-input handover transient of the
 // delayed ET controller) lets eight-plus instances rotate through one slot
-// — the deep-slot workload the wide verifier exists for. r is drawn above
-// J*; the computed T*w occasionally overtakes it (a plant can settle below
-// tolerance during the wait itself), which the sweep repairs conservatively
-// with Profile.ClampTwStar.
+// — the deep-slot workload: at the slack archetype's r = 26 a lane is 7
+// bits, so eight instances fill the verifier's one-word state. r is drawn
+// above J*; the computed T*w occasionally overtakes it (a plant can settle
+// below tolerance during the wait itself), which the sweep repairs
+// conservatively with Profile.ClampTwStar.
 func drawDesign(rng *rand.Rand, unstable, slack bool) SyntheticDesign {
 	des := SyntheticDesign{Unstable: unstable, Slack: slack}
 	if slack {

@@ -20,15 +20,15 @@ import (
 // expansionAllocs runs the first three BFS levels of v's state space through
 // the expansion core, warming a scratch and the buffers, and returns the
 // allocations of one more sweep over every state met and how many there are.
-func expansionAllocs[K stateKey](v *Verifier) (float64, int) {
+func expansionAllocs(v *Verifier) (float64, int) {
 	var sc expandScratch
-	var states, succBuf []K
+	var states, succBuf []uint64
 	var choiceBuf []uint32
-	visited := newKeySet[K](1 << 12)
-	frontier := []K{initialState[K](v)}
+	visited := newKeySet(1 << 12)
+	frontier := []uint64{initialState(v)}
 	visited.add(frontier[0])
 	for d := 0; d < 3; d++ {
-		var next []K
+		var next []uint64
 		for _, s := range frontier {
 			states = append(states, s)
 			var viol int
@@ -54,8 +54,7 @@ func expansionAllocs[K stateKey](v *Verifier) (float64, int) {
 
 // TestExpansionCoreAllocFree gates the steady state of the core: expanding
 // any warmed-up batch of states through a scratch performs zero
-// allocations, on the narrow encoding, the wide encoding, and the symmetry
-// quotient.
+// allocations, plain and under the symmetry quotient.
 func TestExpansionCoreAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
@@ -66,7 +65,6 @@ func TestExpansionCoreAllocFree(t *testing.T) {
 		cfg  Config
 	}{
 		{"narrow", 4, 10, Config{NondetTies: true}},
-		{"wide", 7, 65, Config{NondetTies: true}},
 		{"symmetry", 5, 10, Config{NondetTies: true, SymmetryReduction: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,16 +72,7 @@ func TestExpansionCoreAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v.wide != (tc.name == "wide") {
-				t.Fatalf("wide=%v", v.wide)
-			}
-			var allocs float64
-			var states int
-			if v.wide {
-				allocs, states = expansionAllocs[[wideWords]uint64](v)
-			} else {
-				allocs, states = expansionAllocs[[1]uint64](v)
-			}
+			allocs, states := expansionAllocs(v)
 			if allocs != 0 {
 				t.Fatalf("expansion of %d states allocates %.1f times per sweep, want 0", states, allocs)
 			}
@@ -135,17 +124,17 @@ func TestSequentialSearchAllocAmortized(t *testing.T) {
 	}
 }
 
-// TestExpanderSuccessorsIntoAllocFree pins the exported seam the
-// distributed nodes drive on the wide encoding: SuccessorsHashedInto with an
-// owned scratch and a recycled buffer is allocation-free on three-word
-// states too.
+// TestExpanderSuccessorsIntoAllocFree pins the exported seam on the
+// fullest state the encoding holds: SuccessorsHashedInto with an owned
+// scratch and a recycled buffer is allocation-free with eight 7-bit lanes
+// and the header filling all 64 bits.
 func TestExpanderSuccessorsIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
 	}
-	e, err := NewExpander(fleet(7, 6, 1, 2, 65), Config{NondetTies: true})
-	if err != nil || e.StateWords() != wideWords {
-		t.Fatalf("wide fixture: %d-word states, %v", e.StateWords(), err)
+	e, err := NewExpander(fleet(8, 6, 1, 2, 32), Config{NondetTies: true})
+	if err != nil || e.v.occShift+8 != 64 {
+		t.Fatalf("full-word fixture: %v", err)
 	}
 	sc := e.NewScratch()
 	out, app := e.SuccessorsHashedInto(e.Initial(), sc, nil)
@@ -162,7 +151,7 @@ func TestExpanderSuccessorsIntoAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("SuccessorsHashedInto allocates %.1f times per wide sweep, want 0", allocs)
+		t.Fatalf("SuccessorsHashedInto allocates %.1f times per full-word sweep, want 0", allocs)
 	}
 }
 
@@ -287,12 +276,12 @@ func TestLevelStoreAllocBytes(t *testing.T) {
 	})
 	t.Run("S1/lanes=2", func(t *testing.T) {
 		const lanes = 2
-		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, false, lanes)
+		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, lanes)
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		e := newNode(v, lanes, successors[[1]uint64], hashKey[[1]uint64])
+		e := newLanes(v, lanes, successors, hashKey)
 		defer e.Release()
-		e.Absorb([][]uint64{appendKey(nil, initialState[[1]uint64](v))})
+		e.Absorb([][]uint64{{initialState(v)}})
 		var widths []int
 		for e.Stats().Level > 0 {
 			widths = append(widths, e.Stats().Level)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"tightcps/internal/switching"
@@ -57,82 +56,41 @@ func refSearch[K comparable](init K, maxStates int, successors func(K) ([]K, int
 	return res, nil, visited, levels
 }
 
-// testVerifier builds a sequential Verifier, optionally forced onto the
-// wide encoding (the TestNarrowWideAgree device). A forced verifier's
-// kernel table is rebuilt, so CheckWords holds it to the wide header.
-func testVerifier(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) *Verifier {
+// testVerifier builds a sequential Verifier.
+func testVerifier(t testing.TB, ps []*switching.Profile, cfg Config) *Verifier {
 	t.Helper()
 	cfg.Workers = 1
 	v, err := New(ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forceWide && !v.wide {
-		v.wide, v.kt = true, kernel{}
-		if err := v.buildKernel(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return v
-}
-
-// wideMixed7 is the smallest schedulable set of these suites that is wide by
-// its own n and r: six tight instances and one rare application whose r = 65
-// makes every lane 2+7 bits, 7·9+8 = 71 in all. The quotient folds the six
-// instances into one class and keeps it at 115,363 states.
-func wideMixed7() []*switching.Profile {
-	return append(fleet(6, 6, 1, 2, 7), prof("X", 7, 1, 3, 65))
-}
-
-// encodings returns the forceWide settings to run a fixture under: the
-// fitted encoding and, when that is the one-word one, the forced multi-word
-// one. It holds the fixture to its name — a row called ".../wide/..." must
-// be wide by its own r, so the multi-word path keeps coverage that needs no
-// forcing.
-func encodings(t testing.TB, name string, ps []*switching.Profile, cfg Config) []bool {
-	t.Helper()
-	wide := testVerifier(t, ps, cfg, false).wide
-	if wide != strings.Contains(name, "/wide") {
-		t.Fatalf("%s: wide=%v", name, wide)
-	}
-	if wide {
-		return []bool{false}
-	}
-	return []bool{false, true}
 }
 
 // refBFS is refSearch over a slot's exported expansion seam. Every state it
 // expands must decode and pack again to the same bits — the fitted layout
 // loses nothing a reachable state holds — and every state it stores must
 // pass CheckWords: a peer's or a disk's copy of it is accepted.
-func refBFS(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool) (Result, error, []PackedState, []int) {
+func refBFS(t testing.TB, ps []*switching.Profile, cfg Config) (Result, error, []PackedState, []int) {
 	t.Helper()
-	v := testVerifier(t, ps, cfg, forceWide)
+	v := testVerifier(t, ps, cfg)
 	e := v.Expander()
 	scr := e.NewScratch()
-	sw := e.StateWords()
 	var buf []PackedState
 	var hbuf []HashedState
 	res, err, visited, levels := refSearch(e.Initial(), v.cfg.MaxStates, func(s PackedState) ([]PackedState, int) {
 		var c cstate
-		again := s
-		if v.wide {
-			v.unpackWide([wideWords]uint64(s), &c)
-			again = PackedState(v.packWide(&c))
-		} else {
-			v.unpack(s[0], &c)
-			again[0] = v.pack(&c)
-		}
-		if again != s {
+		v.unpack(uint64(s), &c)
+		if again := PackedState(v.pack(&c)); again != s {
 			t.Fatalf("state %x decodes to %+v, which packs to %x", s, c, again)
 		}
 		var viol int
 		buf, viol = succStates(e, s, scr, &hbuf, buf[:0])
-		if err := e.CheckWords(s[:sw]); err != nil {
+		if err := e.CheckWords([]uint64{uint64(s)}); err != nil {
 			t.Fatalf("reachable state %x: %v", s, err)
 		}
 		for _, ns := range buf {
-			if err := e.CheckWords(ns[:sw]); err != nil {
+			if err := e.CheckWords([]uint64{uint64(ns)}); err != nil {
 				t.Fatalf("reachable state %x: %v", ns, err)
 			}
 		}
@@ -155,7 +113,7 @@ func sameVerdict(t *testing.T, name string, got Result, gerr error, want Result,
 
 // TestSequentialMatchesReferenceBFS: States, Transitions, Depth, Violator
 // and the error are those of the per-successor search — for schedulable,
-// violating and budget-busting slots, both encodings, symmetry on and off.
+// violating and budget-busting slots, symmetry on and off.
 // Budgets are placed so that the bust lands in the first chunk of a level,
 // one state past a chunk's worth, mid-search and on the very last state.
 func TestSequentialMatchesReferenceBFS(t *testing.T) {
@@ -178,22 +136,18 @@ func TestSequentialMatchesReferenceBFS(t *testing.T) {
 		{"fleet5/viol", fleet(5, 3, 1, 2, 10), Config{NondetTies: true}},
 		{"fleet5/viol/sym", fleet(5, 3, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
-		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 65), Config{NondetTies: true}},
-		{"mixed7/wide/sym", wideMixed7(), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
-		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
-			_, _, visited, _ := refBFS(t, c.ps, c.cfg, forceWide)
-			n := len(visited)
-			for _, max := range []int{0, 1, 2, seqChunk, seqChunk + 1, n / 2, n - 1, n} {
-				cfg := c.cfg
-				cfg.MaxStates = max
-				want, werr, _, _ := refBFS(t, c.ps, cfg, forceWide)
-				got, gerr := testVerifier(t, c.ps, cfg, forceWide).Run()
-				name := fmt.Sprintf("%s wide=%v MaxStates=%d", c.name, forceWide, max)
-				sameVerdict(t, name, got, gerr, want, werr)
-				if werr != nil && got.States != max+1 {
-					t.Fatalf("%s: budget bust at %d states, want %d", name, got.States, max+1)
-				}
+		_, _, visited, _ := refBFS(t, c.ps, c.cfg)
+		n := len(visited)
+		for _, max := range []int{0, 1, 2, seqChunk, seqChunk + 1, n / 2, n - 1, n} {
+			cfg := c.cfg
+			cfg.MaxStates = max
+			want, werr, _, _ := refBFS(t, c.ps, cfg)
+			got, gerr := testVerifier(t, c.ps, cfg).Run()
+			name := fmt.Sprintf("%s MaxStates=%d", c.name, max)
+			sameVerdict(t, name, got, gerr, want, werr)
+			if werr != nil && got.States != max+1 {
+				t.Fatalf("%s: budget bust at %d states, want %d", name, got.States, max+1)
 			}
 		}
 	}
@@ -229,17 +183,17 @@ func TestSequentialChunkBoundaries(t *testing.T) {
 			return buf, -1
 		}
 	}
-	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{}, false)
+	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{})
 	run := func(violator uint64, max int) (Result, error) {
 		v.cfg.MaxStates = max
 		succ := graph(violator)
-		return runSequential(v, [1]uint64{1}, func(_ *Verifier, s [1]uint64, _ *expandScratch, out [][1]uint64, masks []uint32) ([][1]uint64, []uint32, int) {
-			ns, viol := succ(s[0])
+		return runSequential(v, 1, func(_ *Verifier, s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+			ns, viol := succ(s)
 			if viol >= 0 {
 				return out, masks, viol
 			}
 			for _, n := range ns {
-				out, masks = append(out, [1]uint64{n}), append(masks, 0)
+				out, masks = append(out, n), append(masks, 0)
 			}
 			return out, masks, -1
 		})
@@ -282,8 +236,7 @@ func TestSequentialChunkBoundaries(t *testing.T) {
 // TestSequentialPins pins the sequential engine's counts on the two slots
 // the pipeline benchmark also pins, inside tier 1: V5 = S1 + C6 violates at
 // depth 12 after 681,400 states with C1 (index 0) the first violator, and a
-// budget of N states ends the search with exactly N+1 on either encoding
-// (W7 at r = 65 is W7 with clocks too wide for one word).
+// budget of N states ends the search with exactly N+1.
 func TestSequentialPins(t *testing.T) {
 	v5, err := Slot(caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), Config{NondetTies: true, Workers: 1})
 	if err != nil {
@@ -292,29 +245,14 @@ func TestSequentialPins(t *testing.T) {
 	if v5.Schedulable || v5.States != 681400 || v5.Depth != 12 || v5.Violator != 0 {
 		t.Fatalf("V5: %+v, want unschedulable, 681400 states, depth 12, violator 0", v5)
 	}
-	for _, c := range []struct {
-		name string
-		ps   []*switching.Profile
-		wide bool
-	}{
-		{"narrow", caseProfiles(t, "C1", "C5", "C4", "C3"), false},
-		{"wide", fleet(7, 5, 1, 2, 65), true},
-	} {
-		for _, n := range []int{1, 1000, 4097, 100000} {
-			v, err := New(c.ps, Config{NondetTies: true, Workers: 1, MaxStates: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.wide != c.wide {
-				t.Fatalf("%s: wide=%v", c.name, v.wide)
-			}
-			res, err := v.Run()
-			if !errors.Is(err, ErrTooLarge) {
-				t.Fatalf("%s MaxStates=%d: err %v, want ErrTooLarge", c.name, n, err)
-			}
-			if res.States != n+1 {
-				t.Fatalf("%s MaxStates=%d: stopped at %d states, want %d", c.name, n, res.States, n+1)
-			}
+	s1 := caseProfiles(t, "C1", "C5", "C4", "C3")
+	for _, n := range []int{1, 1000, 4097, 100000} {
+		res, err := Slot(s1, Config{NondetTies: true, Workers: 1, MaxStates: n})
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("S1 MaxStates=%d: err %v, want ErrTooLarge", n, err)
+		}
+		if res.States != n+1 {
+			t.Fatalf("S1 MaxStates=%d: stopped at %d states, want %d", n, res.States, n+1)
 		}
 	}
 }
@@ -323,9 +261,9 @@ func TestSequentialPins(t *testing.T) {
 // fresh indices addChunk reports must be the ones the map sees as new, in
 // the same order — duplicates inside a chunk are fresh once, at their first
 // position.
-func checkAddChunk[K stateKey](t *testing.T, set *keySet[K], chunks [][]K) {
+func checkAddChunk(t *testing.T, set *keySet, chunks [][]uint64) {
 	t.Helper()
-	seen := map[K]bool{}
+	seen := map[uint64]bool{}
 	var fresh []int32
 	for ci, chunk := range chunks {
 		var want []int32
@@ -355,28 +293,27 @@ func checkAddChunk[K stateKey](t *testing.T, set *keySet[K], chunks [][]K) {
 	}
 }
 
-// TestAddChunkRandomizedOracle drives addChunk at both widths against a map:
+// TestAddChunkRandomizedOracle drives addChunk against a map:
 // random chunks with duplicates inside a chunk and keys already present,
 // chunks of every size around seqChunk, a chunk that carries a 16-slot
 // table across its load-factor threshold several times over, and chunks
 // whose keys all hash to the last slots of the table, so their probe
 // sequences wrap around its end.
 func TestAddChunkRandomizedOracle(t *testing.T) {
-	t.Run("narrow", func(t *testing.T) { addChunkOracle(t, narrowKey) })
-	t.Run("wide", func(t *testing.T) { addChunkOracle(t, wideKey) })
+	t.Run("narrow", addChunkOracle)
 }
 
-func addChunkOracle[K stateKey](t *testing.T, key func(uint64) K) {
+func addChunkOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 
 	// Random chunks drawn from a pool small enough to repeat keys.
-	pool := make([]K, 3000)
+	pool := make([]uint64, 3000)
 	for i := range pool {
-		pool[i] = key(rng.Uint64() | 1)
+		pool[i] = rng.Uint64() | 1
 	}
-	var chunks [][]K
+	var chunks [][]uint64
 	for _, size := range []int{0, 1, 2, seqChunk - 1, seqChunk, seqChunk + 1, 5 * seqChunk, 1, 700, 64, 2000} {
-		c := make([]K, size)
+		c := make([]uint64, size)
 		for i := range c {
 			c[i] = pool[rng.Intn(len(pool))]
 			if i > 0 && rng.Intn(4) == 0 {
@@ -385,28 +322,27 @@ func addChunkOracle[K stateKey](t *testing.T, key func(uint64) K) {
 		}
 		chunks = append(chunks, c)
 	}
-	t.Run("random", func(t *testing.T) { checkAddChunk(t, newKeySet[K](16), chunks) })
+	t.Run("random", func(t *testing.T) { checkAddChunk(t, newKeySet(16), chunks) })
 
 	// One chunk of 1000 distinct keys into a 16-slot table: the reserve in
 	// front of the probe pass must carry it over the threshold (the touch
 	// pass indexes with the new mask, the insert pass must not rehash).
-	t.Run("threshold", func(t *testing.T) { checkAddChunk(t, newKeySet[K](16), [][]K{pool[:1000], pool[:1200]}) })
+	t.Run("threshold", func(t *testing.T) { checkAddChunk(t, newKeySet(16), [][]uint64{pool[:1000], pool[:1200]}) })
 
 	// Probe wrap-around: in a table of 1<<10 slots that will not grow, find
 	// keys whose home is one of the last three slots; forty of them form a
 	// run that wraps to slot 0.
 	const size = 1 << 10
-	var tail []K
+	var tail []uint64
 	for x := uint64(1); len(tail) < 40; x++ {
-		if k := key(x); hashKey(k)&(size-1) >= size-3 {
-			tail = append(tail, k)
+		if hashKey(x)&(size-1) >= size-3 {
+			tail = append(tail, x)
 		}
 	}
 	t.Run("wrap", func(t *testing.T) {
-		s := newKeySet[K](size)
-		checkAddChunk(t, s, [][]K{tail[:25], tail})
-		var zero K
-		if len(s.slots) != size || s.slots[0] == zero || s.slots[size-1] == zero {
+		s := newKeySet(size)
+		checkAddChunk(t, s, [][]uint64{tail[:25], tail})
+		if len(s.slots) != size || s.slots[0] == 0 || s.slots[size-1] == 0 {
 			t.Fatalf("probe run did not wrap: table %d, slot0=%x last=%x", len(s.slots), s.slots[0], s.slots[size-1])
 		}
 	})
@@ -414,25 +350,24 @@ func addChunkOracle[K stateKey](t *testing.T, key func(uint64) K) {
 
 // TestAddChunkAllocFree is the steady-state gate of the chunk insert: once
 // the set has been reserved for the keys and its hash scratch has grown to
-// the chunk size, a chunk costs no allocation — fresh or duplicate, narrow
-// or wide. (TestSequentialSearchAllocAmortized counts the driver's chunk
+// the chunk size, a chunk costs no allocation — fresh or duplicate.
+// (TestSequentialSearchAllocAmortized counts the driver's chunk
 // buffers in a whole run.)
 func TestAddChunkAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
 	}
-	t.Run("narrow", func(t *testing.T) { addChunkAllocs(t, narrowKey) })
-	t.Run("wide", func(t *testing.T) { addChunkAllocs(t, wideKey) })
+	t.Run("narrow", addChunkAllocs)
 }
 
-func addChunkAllocs[K stateKey](t *testing.T, key func(uint64) K) {
+func addChunkAllocs(t *testing.T) {
 	const chunks = 64
-	keys := make([]K, chunks*seqChunk)
+	keys := make([]uint64, chunks*seqChunk)
 	for i := range keys {
-		keys[i] = key(mix(uint64(i + 1)))
+		keys[i] = mix(uint64(i + 1))
 	}
 	fresh := make([]int32, 0, seqChunk)
-	s := newKeySet[K](16)
+	s := newKeySet(16)
 	s.reserve(len(keys))
 	s.addChunk(keys[:seqChunk], fresh) // grows the hash scratch
 	lo := 0
@@ -446,15 +381,15 @@ func addChunkAllocs[K stateKey](t *testing.T, key func(uint64) K) {
 }
 
 // s1Keys returns the 1,440,712 states of slot S1 in the sequential engine's
-// discovery order — the key stream the visited set sees — as keys.
-func s1Keys[K stateKey](b *testing.B, key func(uint64) K) []K {
-	res, err, visited, _ := refBFS(b, caseProfiles(b, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, false)
+// discovery order — the key stream the visited set sees.
+func s1Keys(b *testing.B) []uint64 {
+	res, err, visited, _ := refBFS(b, caseProfiles(b, "C1", "C5", "C4", "C3"), Config{NondetTies: true})
 	if err != nil || res.States != 1440712 {
 		b.Fatalf("S1 reference search: %+v, %v", res, err)
 	}
-	keys := make([]K, len(visited))
+	keys := make([]uint64, len(visited))
 	for i, s := range visited {
-		keys[i] = key(s[0])
+		keys[i] = uint64(s)
 	}
 	return keys
 }
@@ -463,12 +398,12 @@ func s1Keys[K stateKey](b *testing.B, key func(uint64) K) []K {
 // reserved for them) and one hit pass (every state inserted again), per key
 // or in seqChunk-sized chunks. ns/op is per pass pair; the miss_ns/key and
 // hit_ns/key columns are the layer numbers.
-func benchSetInsert[K stateKey](b *testing.B, keys []K, chunked bool) {
+func benchSetInsert(b *testing.B, keys []uint64, chunked bool) {
 	var missNs, hitNs int64
 	fresh := make([]int32, 0, seqChunk)
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
-		set := newKeySet[K](16)
+		set := newKeySet(16)
 		set.reserve(len(keys))
 		b.StartTimer()
 		for pass, ns := range []*int64{&missNs, &hitNs} {
@@ -503,14 +438,7 @@ func benchSetInsert[K stateKey](b *testing.B, keys []K, chunked bool) {
 // perkey is the insert loop the sequential driver used to run, chunked the
 // probe-ahead insert it runs now.
 func BenchmarkSetInsertNarrow(b *testing.B) {
-	keys := s1Keys(b, narrowKey)
-	b.Run("perkey", func(b *testing.B) { benchSetInsert(b, keys, false) })
-	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, true) })
-}
-
-// BenchmarkSetInsertWide is the same stream widened to 24-byte keys.
-func BenchmarkSetInsertWide(b *testing.B) {
-	keys := s1Keys(b, func(x uint64) [wideWords]uint64 { return [wideWords]uint64{x, 0, wideIdle} })
+	keys := s1Keys(b)
 	b.Run("perkey", func(b *testing.B) { benchSetInsert(b, keys, false) })
 	b.Run("chunked", func(b *testing.B) { benchSetInsert(b, keys, true) })
 }

@@ -20,61 +20,24 @@ func succStates(e *Expander, s PackedState, scr *ExpandScratch, hs *[]HashedStat
 	return out, viol
 }
 
-// packedOf reads a word slab of sw words per state back as PackedStates.
-func packedOf(slab []uint64, sw int) []PackedState {
-	out := make([]PackedState, 0, len(slab)/sw)
-	for i := 0; i < len(slab); i += sw {
-		var s PackedState
-		copy(s[:], slab[i:i+sw])
-		out = append(out, s)
-	}
-	return out
-}
-
-// laneLevel returns the states of the level a node's lanes hold, sw words
-// each, sorted with LessState.
-func laneLevel(ls Lanes, sw int) []PackedState {
-	var words []uint64
-	switch e := ls.(type) {
-	case *node[[1]uint64]:
-		words = appendLevel(e, nil)
-	case *node[[wideWords]uint64]:
-		words = appendLevel(e, nil)
-	}
-	states := packedOf(words, sw)
-	sortStates(states)
-	return states
-}
-
-// appendLevel appends the words of every lane's frontier to dst.
-func appendLevel[K stateKey](e *node[K], dst []uint64) []uint64 {
+// laneLevel returns the states of the level a node's lanes hold, sorted.
+func laneLevel(e *Lanes) []PackedState {
+	var states []PackedState
 	for i := range e.lanes {
 		f := &e.lanes[i].frontier
 		for lo := 0; lo < f.len(); lo += levelBlock {
 			for _, k := range f.span(lo, levelBlock) {
-				dst = appendKey(dst, k)
+				states = append(states, PackedState(k))
 			}
 		}
 	}
-	return dst
-}
-
-// sortStates sorts states ascending in LessState order.
-func sortStates(states []PackedState) {
-	slices.SortFunc(states, func(a, b PackedState) int {
-		switch {
-		case LessState(a, b):
-			return -1
-		case LessState(b, a):
-			return 1
-		}
-		return 0
-	})
+	slices.Sort(states)
+	return states
 }
 
 // TestExpanderMatchesInternalSuccessors pins the seam to the internal
 // search: the exported expansion must produce exactly the packed states
-// the narrow path's successors() produces, embedded in word 0.
+// the internal successors() produces.
 func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
 	v, err := New(ps, Config{NondetTies: true})
@@ -82,12 +45,9 @@ func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := v.Expander()
-	if e.StateWords() != 1 {
-		t.Fatalf("narrow triple reported %d-word states", e.StateWords())
-	}
-	init := initialState[[1]uint64](v)
-	if e.Initial() != (PackedState{init[0]}) {
-		t.Fatalf("Initial() = %v, want word0 %d", e.Initial(), init[0])
+	init := initialState(v)
+	if e.Initial() != PackedState(init) {
+		t.Fatalf("Initial() = %v, want %d", e.Initial(), init)
 	}
 	var sc expandScratch
 	keys, _, viol := successors(v, init, &sc, nil, nil)
@@ -95,7 +55,7 @@ func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 		t.Fatal("initial state violated")
 	}
 	var hs []HashedState
-	got, app := succStates(e, PackedState{init[0]}, e.NewScratch(), &hs, nil)
+	got, app := succStates(e, PackedState(init), e.NewScratch(), &hs, nil)
 	if app != -1 {
 		t.Fatalf("the seam reported violator %d", app)
 	}
@@ -104,10 +64,7 @@ func TestExpanderMatchesInternalSuccessors(t *testing.T) {
 	}
 	gw, ww := make([]uint64, len(got)), make([]uint64, len(keys))
 	for i, s := range got {
-		if s[1]|s[2] != 0 {
-			t.Fatalf("narrow successor %v has nonzero high words", s)
-		}
-		gw[i], ww[i] = s[0], keys[i][0]
+		gw[i], ww[i] = uint64(s), keys[i]
 	}
 	sort.Slice(gw, func(a, b int) bool { return gw[a] < gw[b] })
 	sort.Slice(ww, func(a, b int) bool { return ww[a] < ww[b] })
@@ -151,24 +108,20 @@ func TestExpanderViolationSurfaces(t *testing.T) {
 	t.Fatal("overloaded pair never violated through the seam")
 }
 
-// TestExpanderBatchRoundTrip covers the wire codec on both encodings,
-// including the stride-mismatch error.
+// TestExpanderBatchRoundTrip covers the wire codec, including the
+// stride-mismatch error, up to a set whose states fill the word.
 func TestExpanderBatchRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		ps    []*switching.Profile
-		words int
+		name string
+		ps   []*switching.Profile
 	}{
-		{"narrow", fleet(3, 5, 2, 4, 20), 1},
-		{"narrow7", fleet(7, 6, 1, 2, 10), 1}, // 7·6+8 = 50 bits with the clock fitted to r = 10
-		{"wide", fleet(7, 6, 1, 2, 65), wideWords},
+		{"narrow", fleet(3, 5, 2, 4, 20)},
+		{"narrow7", fleet(7, 6, 1, 2, 10)},  // 7·6+8 = 50 bits with the clock fitted to r = 10
+		{"fullWord", fleet(8, 6, 1, 2, 32)}, // 8·7+8 = 64
 	} {
 		e, err := NewExpander(tc.ps, Config{NondetTies: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if e.StateWords() != tc.words {
-			t.Fatalf("%s: %d-word states, want %d", tc.name, e.StateWords(), tc.words)
 		}
 		var hs []HashedState
 		states, app := succStates(e, e.Initial(), e.NewScratch(), &hs, nil)
@@ -177,21 +130,20 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 		}
 		var b []byte
 		for _, s := range states {
-			b = e.AppendWords(b, s[:e.StateWords()])
+			b = e.AppendWords(b, []uint64{uint64(s)})
 		}
-		if len(b) != len(states)*8*e.StateWords() {
-			t.Fatalf("%s: batch is %d bytes for %d states of %d words", tc.name, len(b), len(states), e.StateWords())
+		if len(b) != len(states)*8 {
+			t.Fatalf("%s: batch is %d bytes for %d states", tc.name, len(b), len(states))
 		}
-		words, err := e.DecodeWords(b, nil)
+		back, err := e.DecodeWords(b, nil)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
-		back := packedOf(words, e.StateWords())
 		if len(back) != len(states) {
 			t.Fatalf("%s: %d states decoded, want %d", tc.name, len(back), len(states))
 		}
 		for i := range back {
-			if back[i] != states[i] {
+			if PackedState(back[i]) != states[i] {
 				t.Fatalf("%s: state %d round trip: %v vs %v", tc.name, i, back[i], states[i])
 			}
 		}
@@ -202,8 +154,8 @@ func TestExpanderBatchRoundTrip(t *testing.T) {
 }
 
 // TestSuccessorsHashedIntoMatches pins the batched-hashing expansion
-// path: on both encodings it must produce exactly the internal
-// successors() states in the same order, each paired with
+// path: it must produce exactly the internal successors() states in the
+// same order, each paired with
 // its Expander.Hash — the "hashed exactly once" contract of the mesh
 // workers' hot path — and surface violations with out unchanged.
 func TestSuccessorsHashedIntoMatches(t *testing.T) {
@@ -212,16 +164,13 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 		ps   []*switching.Profile
 	}{
 		{"narrow", fleet(3, 5, 2, 4, 20)},
-		{"wide", fleet(7, 6, 1, 2, 65)},
+		{"fullWord", fleet(8, 6, 1, 2, 32)},
 	} {
 		v, err := New(tc.ps, Config{NondetTies: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		e := v.Expander()
-		if v.wide != (tc.name == "wide") {
-			t.Fatalf("%s: wide=%v", tc.name, v.wide)
-		}
 		var sc expandScratch
 		hsc := e.NewScratch()
 		var plain []PackedState
@@ -266,59 +215,34 @@ func TestSuccessorsHashedIntoMatches(t *testing.T) {
 	}
 }
 
-// TestLessStateMatchesEncodings: the exported order must coincide with the
-// raw uint64 order on narrow embeddings and lessKey on wide states.
-func TestLessStateMatchesEncodings(t *testing.T) {
-	if !LessState(PackedState{1}, PackedState{2}) || LessState(PackedState{2}, PackedState{1}) {
-		t.Fatal("narrow embedding order broken")
-	}
-	a := PackedState{1, 9, 0}
-	b := PackedState{2, 0, 0}
-	if !LessState(a, b) || LessState(b, a) {
-		t.Fatal("word-0-most-significant order broken")
-	}
-	if LessState(a, a) {
-		t.Fatal("irreflexivity broken")
-	}
-	if lessKey([wideWords]uint64{3, 4, 6}, [wideWords]uint64{3, 4, 5}) != LessState(PackedState{3, 4, 6}, PackedState{3, 4, 5}) {
-		t.Fatal("LessState disagrees with lessKey")
-	}
-}
-
 // TestWordSeamMatchesPackedSeam holds the words-in/words-out seam of the
 // lanes to the PackedState one, level by level, to each fixture's verdict or
 // its first 50,000 states: a one-lane node's Absorb keeps exactly the
 // states that an AddHashed loop over the same slab of
 // SuccessorsHashedInto's successors reports fresh — a level's whole
 // successor slab at a time, so duplicates inside a slab are the rule — and
-// every hash is HashWords of the state's words. A violation appends no
-// successor.
+// every hash is Hash of the state. A violation appends no successor.
 func TestWordSeamMatchesPackedSeam(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		ps   []*switching.Profile
 		cfg  Config
-		wide bool
 	}{
-		{"narrow", fleet(3, 5, 2, 4, 20), Config{NondetTies: true}, false},
-		{"narrow-violating", fleet(3, 1, 3, 5, 20), Config{NondetTies: true}, false},
-		{"wide", fleet(7, 6, 1, 2, 65), Config{NondetTies: true}, true},
-		{"symmetric", fleet(5, 6, 1, 2, 12), Config{NondetTies: true, SymmetryReduction: true}, false},
+		{"narrow", fleet(3, 5, 2, 4, 20), Config{NondetTies: true}},
+		{"narrow-violating", fleet(3, 1, 3, 5, 20), Config{NondetTies: true}},
+		{"fullWord", fleet(8, 6, 1, 2, 32), Config{NondetTies: true}},
+		{"symmetric", fleet(5, 6, 1, 2, 12), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
 		e, err := NewExpander(tc.ps, tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		sw := e.StateWords()
-		if (sw > 1) != tc.wide {
-			t.Fatalf("%s: %d-word states, want wide=%v", tc.name, sw, tc.wide)
-		}
 		init := e.Initial()
 		lanes, packed := e.NewLanes(1), e.NewSet(16)
 		defer lanes.Release()
 		defer func() { packed.set.release() }() // now, not at a collection during a later test
-		lanes.Absorb([][]uint64{init[:sw]})
-		frontier := laneLevel(lanes, sw)
+		lanes.Absorb([][]uint64{{uint64(init)}})
+		frontier := laneLevel(lanes)
 		if !slices.Equal(frontier, []PackedState{init}) {
 			t.Fatalf("%s: the initial level is %x, want the initial state", tc.name, frontier)
 		}
@@ -341,21 +265,21 @@ func TestWordSeamMatchesPackedSeam(t *testing.T) {
 				}
 			}
 			for i, h := range hs {
-				if h.H != e.HashWords(h.S[:sw]) {
-					t.Fatalf("%s depth %d: successor %d hashes to %#x, its words to %#x", tc.name, depth, i, h.H, e.HashWords(h.S[:sw]))
+				if h.H != e.Hash(h.S) {
+					t.Fatalf("%s depth %d: successor %d hashes to %#x, Hash says %#x", tc.name, depth, i, h.H, e.Hash(h.S))
 				}
-				slab = append(slab, h.S[:sw]...)
+				slab = append(slab, uint64(h.S))
 			}
 			lanes.Advance()
 			lanes.Absorb([][]uint64{slab})
-			frontier = laneLevel(lanes, sw)
+			frontier = laneLevel(lanes)
 			want = want[:0]
 			for _, h := range hs {
 				if packed.AddHashed(h.S, h.H) {
 					want = append(want, h.S)
 				}
 			}
-			if sortStates(want); !slices.Equal(frontier, want) {
+			if slices.Sort(want); !slices.Equal(frontier, want) {
 				t.Fatalf("%s depth %d: slab absorb keeps %d fresh states, the AddHashed loop %d (or others)", tc.name, depth, len(frontier), len(want))
 			}
 			dups += len(hs) - len(frontier)
@@ -367,6 +291,6 @@ func TestWordSeamMatchesPackedSeam(t *testing.T) {
 		if violated != (tc.name == "narrow-violating") || dups == 0 {
 			t.Fatalf("%s: violated=%v after %d duplicate successors", tc.name, violated, dups)
 		}
-		t.Logf("%s: %d states of %d words, %d duplicates, violated=%v", tc.name, states, sw, dups, violated)
+		t.Logf("%s: %d states, %d duplicates, violated=%v", tc.name, states, dups, violated)
 	}
 }

@@ -14,23 +14,11 @@ import (
 )
 
 // kernelSuccessors expands one packed state through the kernel the way the
-// traced sequential driver does — disturbance masks asked for — on the
-// encoding v runs.
+// traced sequential driver does — disturbance masks asked for.
 func (v *Verifier) kernelSuccessors(s PackedState, sc *expandScratch, out []PackedState) ([]PackedState, []uint32, int) {
-	if v.wide {
-		return keySuccessors[[wideWords]uint64](v, s, sc, out)
-	}
-	return keySuccessors[[1]uint64](v, s, sc, out)
-}
-
-func keySuccessors[K stateKey](v *Verifier, s PackedState, sc *expandScratch, out []PackedState) ([]PackedState, []uint32, int) {
-	ks, masks, viol := successors(v, K(s[:]), sc, nil, []uint32{})
+	ks, masks, viol := successors(v, uint64(s), sc, nil, []uint32{})
 	for _, k := range ks {
-		var p PackedState
-		for i := 0; i < len(k); i++ {
-			p[i] = k[i]
-		}
-		out = append(out, p)
+		out = append(out, PackedState(k))
 	}
 	return out, masks, viol
 }
@@ -127,13 +115,13 @@ func syntheticSlots(t testing.TB, want int) [][]*switching.Profile {
 // deadline misses live — the kernel's successor list, order included, its
 // violator and its disturbance masks are the reference expansion's. The
 // sweep expands violating states too (the drivers stop there; the contract
-// does not) and runs every set on its fitted encoding and, when that is one
-// word, forced onto the wide one.
+// does not). The slots span the paper's sets, fleets that fill the word and
+// generated slots.
 func TestKernelMatchesReference(t *testing.T) {
 	type slot struct {
 		name string
 		ps   []*switching.Profile
-		cap  int // states per mode and encoding
+		cap  int // states per mode
 	}
 	slots := []slot{
 		{"S2", caseProfiles(t, "C6", "C2"), 3000},
@@ -141,10 +129,8 @@ func TestKernelMatchesReference(t *testing.T) {
 		{"F9", fleet(9, 8, 1, 2, 9), 3000},
 		{"W7", fleet(7, 5, 1, 2, 8), 3000},
 		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}, 1000},
-		{"wide/7r65", fleet(7, 2, 1, 2, 65), 1500},                                      // one lane word and the header
-		{"wide/9r65", append(fleet(8, 9, 1, 2, 65), prof("X", 4, 2, 3, 12)), 1500},      // two lane words
-		{"wide/12r100", append(fleet(9, 12, 1, 2, 100), fleet(3, 7, 2, 3, 60)...), 800}, // two lane words, the cap of 12 at 9-bit lanes
-		{"wide/mixed7", wideMixed7(), 1500},
+		{"full/8r32", append(fleet(7, 6, 1, 2, 32), prof("X", 4, 2, 3, 12)), 1500},  // eight 7-bit lanes and the header: 64 bits
+		{"full/6r127", append(fleet(5, 9, 1, 2, 127), prof("X", 4, 2, 3, 60)), 800}, // six 9-bit lanes, the widest
 	}
 	if testing.Short() {
 		slots = slots[:5]
@@ -153,25 +139,14 @@ func TestKernelMatchesReference(t *testing.T) {
 			slots = append(slots, slot{fmt.Sprintf("synthetic%02d", i), ps, 600})
 		}
 	}
-	states, wideRuns := 0, 0
+	states := 0
 	for _, sl := range slots {
 		for _, cfg := range kernelModes() {
-			for _, forceWide := range []bool{false, true} {
-				v := testVerifier(t, sl.ps, cfg, forceWide)
-				if forceWide && testVerifier(t, sl.ps, cfg, false).wide {
-					continue // wide by its own n and r: already run
-				}
-				if strings.HasPrefix(sl.name, "wide/") && !v.wide {
-					t.Fatalf("%s %s: expected a wide set", sl.name, modeName(cfg))
-				}
-				if v.wide {
-					wideRuns++
-				}
-				states += sweepKernel(t, fmt.Sprintf("%s/%s/forceWide=%v", sl.name, modeName(cfg), forceWide), v, sl.cap)
-			}
+			v := testVerifier(t, sl.ps, cfg)
+			states += sweepKernel(t, fmt.Sprintf("%s/%s", sl.name, modeName(cfg)), v, sl.cap)
 		}
 	}
-	t.Logf("%d states compared over %d slots, %d of the sweeps on the wide encoding", states, len(slots), wideRuns)
+	t.Logf("%d states compared over %d slots", states, len(slots))
 }
 
 // sweepKernel runs sameExpansion over a thinned breadth-first sweep of v's
@@ -306,7 +281,8 @@ func TestNewCostBounded(t *testing.T) {
 }
 
 // fuzzSet reads a small valid application set and a mode from the fuzz
-// input. n selects 1 to 8 applications (eight 7-bit lanes fill the word).
+// input. n selects 1 to 8 applications (eight 7-bit lanes fill the word;
+// eight at r > 32 do not fit it).
 // mode: bits 0–1 unused (they held the removed disturbance bound, so the
 // committed seeds keep their meaning), bit 2 lazy preemption, bit 3
 // deterministic ties, bit 4 the symmetry quotient, bits 5–6 the number of
@@ -346,8 +322,8 @@ func fuzzSet(n, mode uint8, at func(int) int) ([]*switching.Profile, Config) {
 
 // FuzzKernelVsReference draws a small application set, a mode and one
 // storable state of the set (fuzzSet, drawState) and holds the kernel to the
-// reference expansion on that state and on each of its successors, on the
-// fitted encoding and forced wide: equal successor lists, masks and violator
+// reference expansion on that state and on each of its successors: equal
+// successor lists, masks and violator
 // (sameExpansion), and no panic but the reference's own "occupant without
 // dwell window" — an occupant whose wait at grant exceeds its T*w, which no
 // search reaches; those states are skipped on the reference's verdict. The
@@ -356,6 +332,8 @@ func fuzzSet(n, mode uint8, at func(int) int) ([]*switching.Profile, Config) {
 // at and past the deadline, the dwell at 15, eight 7-bit lanes filling the
 // word, all lanes Steady (2ⁿ choices), and a two-class fleet whose occupant
 // sits in a class the canonical form reorders or whose occupant is evicted.
+// A set past the one word (eight applications at r > 32) must be refused
+// with ErrEncoding; the target then stops.
 func FuzzKernelVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n, mode uint8, data []byte) {
 		at := func(i int) int {
@@ -365,25 +343,23 @@ func FuzzKernelVsReference(f *testing.F) {
 			return 0
 		}
 		ps, cfg := fuzzSet(n, mode, at)
-		for _, forceWide := range []bool{false, true} {
-			v, err := New(ps, cfg)
+		v, err := New(ps, cfg)
+		if oneWord(ps) {
 			if err != nil {
 				t.Fatalf("a set inside every limit was refused: %v", err)
 			}
-			if v.wide && forceWide {
-				break
+		} else {
+			if !errors.Is(err, ErrEncoding) {
+				t.Fatalf("a set past the one word was not refused with ErrEncoding: %v", err)
 			}
-			v.wide = v.wide || forceWide
-			c := drawState(ps, at)
-			s := PackedState{v.pack(&c)}
-			if v.wide {
-				s = PackedState(v.packWide(&c))
-			}
-			var rsc refScratch
-			var ksc expandScratch
-			for _, ns := range append([]PackedState{s}, sameExpansionReachable(t, v, s, &rsc, &ksc)...) {
-				sameExpansionReachable(t, v, ns, &rsc, &ksc)
-			}
+			return
+		}
+		c := drawState(ps, at)
+		s := PackedState(v.pack(&c))
+		var rsc refScratch
+		var ksc expandScratch
+		for _, ns := range append([]PackedState{s}, sameExpansionReachable(t, v, s, &rsc, &ksc)...) {
+			sameExpansionReachable(t, v, ns, &rsc, &ksc)
 		}
 	})
 }

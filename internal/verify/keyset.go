@@ -3,18 +3,18 @@ package verify
 import "sync/atomic"
 
 // keySet is the visited set of every search driver: an open-addressing hash
-// set of packed states, one body for both encodings. The all-zero key is the
-// empty-slot sentinel; no encoding produces it (an idle slot stores a
-// nonzero occupant sentinel, an occupied one puts phase Granted in the
-// occupant's lane), so no remapping is needed.
+// set of packed states. The all-zero key is the empty-slot sentinel; no
+// state is zero (an idle slot stores a nonzero occupant sentinel, an
+// occupied one puts phase Granted in the occupant's lane), so no remapping
+// is needed.
 //
 // A table of mapTableBytes or more is mapped off the Go heap (newTable), so
 // the set owns its memory: growTo unmaps the table it replaces, and whoever
 // ends a search releases the set. Growth doubles a table while it stays on
 // the heap, and quadruples it from the mapped sizes on unless the set is a
 // lane's (doubling), up to the table of the search's state budget (grow).
-type keySet[K stateKey] struct {
-	slots []K
+type keySet struct {
+	slots []uint64
 	mem   []byte // the mapping behind slots; nil for a heap table
 	n     int
 	mask  uint64
@@ -35,13 +35,13 @@ const noBudget = 1 << 48
 
 // newKeySet creates a set with the given initial capacity (rounded up to a
 // power of two) and no state budget.
-func newKeySet[K stateKey](capacity int) *keySet[K] {
+func newKeySet(capacity int) *keySet {
 	size := 16
 	for size < capacity {
 		size <<= 1
 	}
-	s := &keySet[K]{mask: uint64(size - 1), maxKeys: noBudget}
-	s.slots, s.mem = newTable[K](size)
+	s := &keySet{mask: uint64(size - 1), maxKeys: noBudget}
+	s.slots, s.mem = newTable(size)
 	return s
 }
 
@@ -49,7 +49,7 @@ func newKeySet[K stateKey](capacity int) *keySet[K] {
 // maxStates + 1 keys (the one that trips the budget ends the search), so no
 // growth goes past the smallest table that holds that many at ¾ load. It
 // only stops growth; a table already larger keeps its size.
-func (s *keySet[K]) budget(maxStates int) { s.maxKeys = min(maxStates, noBudget) + 1 }
+func (s *keySet) budget(maxStates int) { s.maxKeys = min(maxStates, noBudget) + 1 }
 
 // tableFor is the smallest table, a power of two of at least 16 slots, that
 // holds keys keys at ¾ load.
@@ -62,8 +62,7 @@ func tableFor(keys int) int {
 }
 
 // mapTableBytes is the size from which a table is mapped off the heap: a
-// huge page, 256 Ki narrow slots; the first mapped wide table has 128 Ki
-// slots (3 MiB), its heap predecessor 1.5 MiB. Below it, mapping and
+// huge page, 256 Ki slots. Below it, mapping and
 // unmapping cost more in fresh-page faults than the heap's reuse does: a
 // search's first tables stay on the heap (DESIGN.md §4, "Table memory").
 const mapTableBytes = 2 << 20
@@ -74,7 +73,7 @@ var tablesMapped atomic.Int64
 
 // release hands a mapped table back to the kernel. The set is empty and
 // unusable after it; a heap table is left to the collector.
-func (s *keySet[K]) release() {
+func (s *keySet) release() {
 	freeTable(s.slots, s.mem)
 	s.slots, s.mem, s.n = nil, nil, 0
 }
@@ -89,46 +88,20 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// hashKey mixes a state for partitioning and probing: mix of the one word
-// (the chain from zero), or mix chained from a seed across the words of a
-// wide key, so every bit of every word diffuses into the owner and the probe
-// index. A state's shard (ShardOf: its owner node) and its partition within a node are functions of it;
-// TestStateKeyHashPinned holds its values. Its shape is deliberate
-// (DESIGN.md §4, "Probe-ahead inserts"): one loop for both widths keeps it
-// under the inliner's budget, so the sets' hot loops inline it, and testing
-// at the bottom leaves no loop in the narrow instantiation.
-func hashKey[K stateKey](k K) uint64 {
-	var h uint64
-	if len(k) > 1 {
-		h = 0x9e3779b97f4a7c15
-	}
-	for i := 0; ; i++ {
-		h = mix(h ^ k[i])
-		if i == len(k)-1 {
-			return h
-		}
-	}
-}
-
-// lessKey orders states lexicographically, word 0 most significant — the
-// raw uint64 order on one word — for the minimum-violator tie-break.
-func lessKey[K stateKey](a, b K) bool {
-	for i := 0; i < len(a); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
+// hashKey mixes a state for partitioning and probing: every bit of the
+// word diffuses into the owner and the probe index. A state's shard
+// (ShardOf: its owner node) and its partition within a node are functions
+// of it; TestStateKeyHashPinned holds its values. The sets' hot loops
+// inline it.
+func hashKey(k uint64) uint64 { return mix(k) }
 
 // add inserts k and reports whether it was absent.
-func (s *keySet[K]) add(k K) bool { return s.addHashed(k, hashKey(k)) }
+func (s *keySet) add(k uint64) bool { return s.addHashed(k, hashKey(k)) }
 
 // addHashed is add with the key's hash precomputed — search drivers that
 // already hashed a state for partitioning skip the second mix.
-func (s *keySet[K]) addHashed(k K, h uint64) bool {
-	var zero K
-	if k == zero {
+func (s *keySet) addHashed(k, h uint64) bool {
+	if k == 0 {
 		panic("keySet: zero key is reserved")
 	}
 	if 4*(s.n+1) > 3*len(s.slots) {
@@ -145,11 +118,10 @@ func (s *keySet[K]) addHashed(k K, h uint64) bool {
 // first empty slot of its run in slots (mask + 1 of them, with at least one
 // empty) unless the run holds k already, and reports whether it stored it.
 // It is small enough to inline into the loops that call it per key.
-func probe[K stateKey](slots []K, mask uint64, k K, h uint64) bool {
-	var zero K
+func probe(slots []uint64, mask uint64, k, h uint64) bool {
 	for i := h & mask; ; i = (i + 1) & mask {
 		switch slots[i] {
-		case zero:
+		case 0:
 			slots[i] = k
 			return true
 		case k:
@@ -164,14 +136,12 @@ func probe[K stateKey](slots []K, mask uint64, k K, h uint64) bool {
 // passes over the chunk. The first hashes every key and reads its home
 // slot's first word without looking at the value, so the loads are
 // independent and the core has the chunk's cache misses in flight together
-// instead of one per insert (a 24-byte wide slot crosses a cache line at
-// two of every eight offsets; touching its last word too measured no
-// faster). The second resolves the keys in
+// instead of one per insert. The second resolves the keys in
 // order, running probe inline on slots that are by then on their way into
 // the cache. The growth up front makes room for every key, so the table
 // cannot move between the passes and the second needs no per-key load
 // check.
-func (s *keySet[K]) addChunk(keys []K, fresh []int32) []int32 {
+func (s *keySet) addChunk(keys []uint64, fresh []int32) []int32 {
 	if need := s.n + len(keys); 4*need > 3*len(s.slots) {
 		s.grow(need)
 	}
@@ -181,14 +151,13 @@ func (s *keySet[K]) addChunk(keys []K, fresh []int32) []int32 {
 	hashes := s.hashes[:len(keys)]
 	slots, mask := s.slots, s.mask
 	var sink uint64
-	var zero K
 	for i, k := range keys {
-		if k == zero {
+		if k == 0 {
 			panic("keySet: zero key is reserved")
 		}
 		h := hashKey(k)
 		hashes[i] = h
-		sink += slots[h&mask][0]
+		sink += slots[h&mask]
 	}
 	s.sink = sink
 	n := len(fresh)
@@ -202,11 +171,11 @@ func (s *keySet[K]) addChunk(keys []K, fresh []int32) []int32 {
 }
 
 // len returns the number of stored keys.
-func (s *keySet[K]) len() int { return s.n }
+func (s *keySet) len() int { return s.n }
 
 // reset empties the set in place, keeping the table at its grown size: a
 // standing mesh worker serving repeated runs clears instead of reallocating.
-func (s *keySet[K]) reset() {
+func (s *keySet) reset() {
 	clear(s.slots)
 	s.n = 0
 }
@@ -215,7 +184,7 @@ func (s *keySet[K]) reset() {
 // keys, but not for keys past the search's budget, which it never stores.
 // The BFS drivers call it with the expected fanout of the coming level, so
 // inserts inside a level never rehash.
-func (s *keySet[K]) reserve(n int) {
+func (s *keySet) reserve(n int) {
 	if need := min(s.n+n, s.maxKeys); 4*need > 3*len(s.slots) {
 		s.grow(need)
 	}
@@ -231,14 +200,13 @@ func (s *keySet[K]) reserve(n int) {
 // past the budget's table (tableFor(maxKeys)), unless need keys do not fit
 // in it at all: the chunk that takes a search past its budget still lands,
 // at more than ¾ load.
-func (s *keySet[K]) grow(need int) {
+func (s *keySet) grow(need int) {
 	old := len(s.slots)
 	size := 2 * old
 	for 4*need > 3*size {
 		size <<= 1
 	}
-	var k K
-	if !s.doubling && 8*len(k)*size >= mapTableBytes {
+	if !s.doubling && 8*size >= mapTableBytes {
 		size = max(size, 4*old)
 	}
 	size = min(size, tableFor(s.maxKeys))
@@ -252,13 +220,12 @@ func (s *keySet[K]) grow(need int) {
 
 // growTo moves the keys into a table of size slots and frees the old table
 // as soon as the rehash is done.
-func (s *keySet[K]) growTo(size int) {
+func (s *keySet) growTo(size int) {
 	old, oldMem := s.slots, s.mem
-	s.slots, s.mem = newTable[K](size)
+	s.slots, s.mem = newTable(size)
 	s.mask = uint64(size - 1)
-	var zero K
 	for _, v := range old {
-		if v != zero {
+		if v != 0 {
 			probe(s.slots, s.mask, v, hashKey(v))
 		}
 	}

@@ -8,11 +8,10 @@ import (
 )
 
 // contains reports membership.
-func (s *keySet[K]) contains(k K) bool {
-	var zero K
+func (s *keySet) contains(k uint64) bool {
 	for i := hashKey(k) & s.mask; ; i = (i + 1) & s.mask {
 		switch s.slots[i] {
-		case zero:
+		case 0:
 			return false
 		case k:
 			return true
@@ -20,20 +19,18 @@ func (s *keySet[K]) contains(k K) bool {
 	}
 }
 
-// narrowKey and wideKey lift one test word into a key of either width; no
-// nonzero word lifts to the zero key.
-func narrowKey(x uint64) [1]uint64 { return [1]uint64{x} }
+// The two tests below keep the names of the u64Set tests they replace.
+func TestU64Set(t *testing.T) { checkKeySet(t, false) }
 
-func wideKey(x uint64) [wideWords]uint64 {
-	return [wideWords]uint64{x, x * 0x9e3779b97f4a7c15, ^x}
+// TestU64SetZeroKeyPanics checks that adding the reserved zero key panics.
+func TestU64SetZeroKeyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("adding the zero key did not panic")
+		}
+	}()
+	newKeySet(4).add(0)
 }
-
-// The four tests below keep the names of the u64Set and wideSet tests they
-// replace; each runs the one generic check at its width, on the same keys.
-func TestU64Set(t *testing.T)               { checkKeySet(t, narrowKey, false) }
-func TestWideSetGrowth(t *testing.T)        { checkKeySet(t, wideKey, false) }
-func TestU64SetZeroKeyPanics(t *testing.T)  { checkZeroKeyPanics[[1]uint64](t) }
-func TestWideSetZeroKeyPanics(t *testing.T) { checkZeroKeyPanics[[wideWords]uint64](t) }
 
 // checkKeySet holds the visited set to its contract against a map: fresh
 // and duplicate adds, membership and length, growth from a four-slot
@@ -44,15 +41,14 @@ func TestWideSetZeroKeyPanics(t *testing.T) { checkZeroKeyPanics[[wideWords]uint
 // throughout for a lane's set (doubling) — with the load at most ¾ after
 // every add. At every step the table-bytes gauge must count exactly the
 // table's bytes when it is mapped, and nothing when it is not.
-func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
+func checkKeySet(t *testing.T, doubling bool) {
 	base := obsTableBytes.Value()
-	s := newKeySet[K](4)
+	s := newKeySet(4)
 	s.doubling = doubling
-	ref := map[K]bool{}
+	ref := map[uint64]bool{}
 	accounted := func(step string) {
 		t.Helper()
-		var k K
-		bytes := int64(8 * len(k) * len(s.slots))
+		bytes := int64(8 * len(s.slots))
 		var want int64
 		if runtime.GOOS == "linux" && bytes >= mapTableBytes {
 			want = bytes
@@ -78,17 +74,17 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
 		accounted(step)
 	}
 	for _, x := range []uint64{1, 2, 3, 0xFFFFFFFFFFFFFFFF, 42, 1 << 40} {
-		if !s.add(key(x)) {
+		if !s.add(x) {
 			t.Fatalf("fresh add(%#x) returned false", x)
 		}
-		ref[key(x)] = true
+		ref[x] = true
 	}
 	for k := range ref {
 		if s.add(k) {
 			t.Fatalf("duplicate add(%x) returned true", k)
 		}
 	}
-	if s.contains(key(99)) {
+	if s.contains(99) {
 		t.Fatal("contains(99) true")
 	}
 	members("small")
@@ -96,11 +92,11 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
 	// each growth and the table's accounting whenever the count is a power
 	// of two.
 	rng := rand.New(rand.NewSource(7))
-	var keys []K // every key grow added, in order
+	var keys []uint64 // every key grow added, in order
 	grow := func(step string, n int) {
 		t.Helper()
 		for s.len() < n {
-			k := key(rng.Uint64() | 1)
+			k := rng.Uint64() | 1
 			size := len(s.slots)
 			if s.add(k) == ref[k] {
 				t.Fatalf("%s: add(%x) freshness mismatch", step, k)
@@ -110,7 +106,7 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
 			}
 			ref[k] = true
 			if len(s.slots) != size {
-				if want := rampOf[K](size, doubling); len(s.slots) != want {
+				if want := rampOf(size, doubling); len(s.slots) != want {
 					t.Fatalf("%s: a %d-slot table grew to %d slots, want %d", step, size, len(s.slots), want)
 				}
 			}
@@ -123,15 +119,9 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
 		}
 		members(step)
 	}
-	// 200,000 narrow keys take a table by doubling to 2¹⁷ slots (1 MiB),
-	// then in one step to 2¹⁹, mapped; 400,000 take it to 2²¹, or,
-	// doubling, to 2²⁰. A wide key is 24 bytes, so 150,000 take a table to
-	// 2¹⁶ (1.5 MiB), then to 2¹⁸; 300,000 take it to 2²⁰, or, doubling,
-	// from 2¹⁸ to 2¹⁹: each count ends one growth step past the other.
-	n := 200_000
-	if len(key(1)) > 1 {
-		n = 150_000
-	}
+	// 200,000 keys take a table by doubling to 2¹⁷ slots (1 MiB), then in
+	// one step to 2¹⁹, mapped; 400,000 take it to 2²¹, or, doubling, to 2²⁰.
+	const n = 200_000
 	grow("growth", n)
 	size := len(s.slots)
 	s.reset()
@@ -153,7 +143,7 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
 		t.Fatalf("refill with the same keys moved the table from %d to %d slots", size, len(s.slots))
 	}
 	grow("regrowth", 2*n)
-	if want := rampOf[K](size, doubling); len(s.slots) != want {
+	if want := rampOf(size, doubling); len(s.slots) != want {
 		t.Fatalf("regrowth: %d slots, want %d", len(s.slots), want)
 	}
 	s.release()
@@ -165,26 +155,24 @@ func checkKeySet[K stateKey](t *testing.T, key func(uint64) K, doubling bool) {
 // rampOf is the size a table of size slots grows to by one add: twice the
 // size while that stays under mapTableBytes, four times from there on — or
 // twice throughout, doubling.
-func rampOf[K stateKey](size int, doubling bool) int {
-	var k K
-	if doubling || 8*len(k)*2*size < mapTableBytes {
+func rampOf(size int, doubling bool) int {
+	if doubling || 8*2*size < mapTableBytes {
 		return 2 * size
 	}
 	return 4 * size
 }
 
-// TestKeySetLaneGrowth holds a lane's table to the doubling policy at both
-// widths, past the 2 MiB line too, and then the lanes of a search: S1 on two
+// TestKeySetLaneGrowth holds a lane's table to the doubling policy, past
+// the 2 MiB line too, and then the lanes of a search: S1 on two
 // lanes crosses the line, and no lane table ends larger than the doubling
 // policy's table for its keys — the 4× step would end each at twice that.
 func TestKeySetLaneGrowth(t *testing.T) {
-	t.Run("narrow", func(t *testing.T) { checkKeySet(t, narrowKey, true) })
-	t.Run("wide", func(t *testing.T) { checkKeySet(t, wideKey, true) })
+	t.Run("narrow", func(t *testing.T) { checkKeySet(t, true) })
 	t.Run("S1/workers=2", func(t *testing.T) {
-		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, false, 2)
-		e := newNode(v, 2, successors[[1]uint64], hashKey[[1]uint64])
+		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, 2)
+		e := newLanes(v, 2, successors, hashKey)
 		defer e.Release()
-		e.Absorb([][]uint64{appendKey(nil, initialState[[1]uint64](v))})
+		e.Absorb([][]uint64{{initialState(v)}})
 		for e.Stats().Level > 0 {
 			for e.LevelRound(nil) {
 			}
@@ -206,8 +194,7 @@ func TestKeySetLaneGrowth(t *testing.T) {
 }
 
 func TestKeySetBudget(t *testing.T) {
-	t.Run("narrow", func(t *testing.T) { checkKeySetBudget(t, narrowKey) })
-	t.Run("wide", func(t *testing.T) { checkKeySetBudget(t, wideKey) })
+	t.Run("narrow", checkKeySetBudget)
 }
 
 // checkKeySetBudget holds growth to the state budget: a set told its
@@ -216,13 +203,13 @@ func TestKeySetBudget(t *testing.T) {
 // level estimates far past the budget — while it stays at most ¾ loaded up
 // to the budget, and a chunk that crosses the budget still lands. A budget
 // smaller than the table never shrinks it.
-func checkKeySetBudget[K stateKey](t *testing.T, key func(uint64) K) {
+func checkKeySetBudget(t *testing.T) {
 	for _, c := range []struct {
 		maxStates int
 		estimate  bool
 	}{{40_000, false}, {100_000, false}, {100_000, true}, {393_215, false}, {700_000, false}, {700_000, true}} {
 		maxStates := c.maxStates
-		s := newKeySet[K](16)
+		s := newKeySet(16)
 		s.budget(maxStates)
 		limit := tableFor(maxStates + 1)
 		x := uint64(1)
@@ -230,9 +217,9 @@ func checkKeySetBudget[K stateKey](t *testing.T, key func(uint64) K) {
 			if c.estimate {
 				s.reserve(max(s.len(), 1024)) // past the budget from half of it on
 			}
-			chunk := make([]K, min(1024, maxStates+1-s.len()))
+			chunk := make([]uint64, min(1024, maxStates+1-s.len()))
 			for i := range chunk {
-				chunk[i] = key(mix(x))
+				chunk[i] = mix(x)
 				x++
 			}
 			if fresh := s.addChunk(chunk, nil); len(fresh) != len(chunk) {
@@ -248,9 +235,9 @@ func checkKeySetBudget[K stateKey](t *testing.T, key func(uint64) K) {
 		}
 		// A chunk past the budget, as large as the table's free slots plus
 		// one, must still find room: the one growth past the budget.
-		over := make([]K, len(s.slots)-s.len()+1)
+		over := make([]uint64, len(s.slots)-s.len()+1)
 		for i := range over {
-			over[i] = key(mix(x))
+			over[i] = mix(x)
 			x++
 		}
 		if fresh := s.addChunk(over, nil); len(fresh) != len(over) || s.len() >= len(s.slots) {
@@ -260,35 +247,21 @@ func checkKeySetBudget[K stateKey](t *testing.T, key func(uint64) K) {
 	}
 	// Past ¾ load of a table larger than its budget's, adds fill it and
 	// leave it its size.
-	s := newKeySet[K](1 << 12)
+	s := newKeySet(1 << 12)
 	s.budget(100)
 	for x := uint64(1); x <= 3500; x++ {
-		s.add(key(x))
+		s.add(x)
 	}
 	if len(s.slots) != 1<<12 || s.len() != 3500 {
 		t.Fatalf("a budget under the table's size: %d keys in %d slots, want 3500 in %d", s.len(), len(s.slots), 1<<12)
 	}
 }
 
-// checkZeroKeyPanics checks that adding the reserved zero key panics.
-func checkZeroKeyPanics[K stateKey](t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("adding the zero key did not panic")
-		}
-	}()
-	var zero K
-	newKeySet[K](4).add(zero)
-}
-
-// TestStateKeyHashPinned pins hashKey and lessKey on fixed keys of both
-// widths: the narrow rows to the values of the functions they replaced
-// (hashU64, raw uint64 order), the wide rows to the seeded splitmix64 chain
-// over three words, recomputed outside Go when the wide key lost its
-// always-zero fourth word. A state's shard (ShardOf: its owner node), its
-// partition within a node and the minimum-violator order are functions of
-// them, so a change here moves states between partitions and nodes — a
-// protoVersion bump, not a refactor.
+// TestStateKeyHashPinned pins hashKey on fixed states to the values of the
+// function it replaced (hashU64). A state's shard (ShardOf: its owner
+// node) and its partition within a node are functions of it, so a change
+// here moves states between partitions and nodes — a protoVersion bump,
+// not a refactor.
 func TestStateKeyHashPinned(t *testing.T) {
 	for _, c := range []struct {
 		k    uint64
@@ -299,38 +272,8 @@ func TestStateKeyHashPinned(t *testing.T) {
 		{0x123456789abcdef0, 0x9629f58e8ec5b906},
 		{^uint64(0), 0xb4d055fcf2cbbd7b},
 	} {
-		if got := hashKey([1]uint64{c.k}); got != c.want {
-			t.Errorf("hashKey(%#x) = %#x, want %#x", c.k, got, c.want)
-		}
-	}
-	for _, c := range []struct {
-		k    [wideWords]uint64
-		want uint64
-	}{
-		{[wideWords]uint64{0, 0, wideIdle}, 0x186ecc33eb9b67e3}, // the wide initial state
-		{[wideWords]uint64{1, 2, 3}, 0xeadba27e20362828},
-		{[wideWords]uint64{^uint64(0), 0x9e3779b97f4a7c15, 0x1FF}, 0x4e0b224e410a70a3},
-	} {
 		if got := hashKey(c.k); got != c.want {
 			t.Errorf("hashKey(%#x) = %#x, want %#x", c.k, got, c.want)
-		}
-	}
-	for _, c := range []struct {
-		a, b [wideWords]uint64
-		want bool
-	}{
-		{[wideWords]uint64{3, 4, 6}, [wideWords]uint64{3, 4, 5}, false},
-		{[wideWords]uint64{1, 9, 9}, [wideWords]uint64{2, 0, 0}, true},
-		{[wideWords]uint64{2, 0, 0}, [wideWords]uint64{2, 0, 1}, true},
-		{[wideWords]uint64{1, 2, 3}, [wideWords]uint64{1, 2, 3}, false},
-	} {
-		if got := lessKey(c.a, c.b); got != c.want {
-			t.Errorf("lessKey(%x, %x) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-	for _, c := range [][2]uint64{{1, 2}, {2, 1}, {5, 5}, {1 << 63, 1<<63 - 1}, {0xF << 32, 0xF<<32 | 1}} {
-		if got := lessKey([1]uint64{c[0]}, [1]uint64{c[1]}); got != (c[0] < c[1]) {
-			t.Errorf("lessKey(%#x, %#x) = %v, want the raw uint64 order", c[0], c[1], got)
 		}
 	}
 }

@@ -14,11 +14,10 @@ import (
 // violating packed state of the first violating level, found here by brute
 // force over the reference search's own level.
 
-// laneVerifier builds a Verifier that runs on the given number of lanes,
-// optionally forced onto the wide encoding.
-func laneVerifier(t testing.TB, ps []*switching.Profile, cfg Config, forceWide bool, lanes int) *Verifier {
+// laneVerifier builds a Verifier that runs on the given number of lanes.
+func laneVerifier(t testing.TB, ps []*switching.Profile, cfg Config, lanes int) *Verifier {
 	t.Helper()
-	v := testVerifier(t, ps, cfg, forceWide)
+	v := testVerifier(t, ps, cfg)
 	v.cfg.Workers = lanes
 	return v
 }
@@ -27,9 +26,9 @@ func laneVerifier(t testing.TB, ps []*switching.Profile, cfg Config, forceWide b
 // must report: the reference itself when the slot is schedulable, otherwise
 // depth and size of the violating level and the violator of its smallest
 // violating state.
-func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config, forceWide bool) Result {
+func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config) Result {
 	t.Helper()
-	want, err, visited, levels := refBFS(t, ps, cfg, forceWide)
+	want, err, visited, levels := refBFS(t, ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +40,14 @@ func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config, forceWide bool
 		start += w
 	}
 	level := visited[start : start+levels[want.Depth]]
-	e := testVerifier(t, ps, cfg, forceWide).Expander()
+	e := testVerifier(t, ps, cfg).Expander()
 	scr := e.NewScratch()
 	var buf []HashedState
 	found := false
 	var least PackedState
 	for _, s := range level {
 		var app int
-		if buf, app = e.SuccessorsHashedInto(s, scr, buf[:0]); app >= 0 && (!found || LessState(s, least)) {
+		if buf, app = e.SuccessorsHashedInto(s, scr, buf[:0]); app >= 0 && (!found || s < least) {
 			found, least, want.Violator = true, s, app
 		}
 	}
@@ -59,8 +58,8 @@ func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config, forceWide bool
 	return want
 }
 
-// TestLanesMatchReferenceBFS: lanes ∈ {2, 3, 4, 8} × narrow / forced or fitted wide ×
-// symmetry / deterministic ties against the reference search —
+// TestLanesMatchReferenceBFS: lanes ∈ {2, 3, 4, 8} × symmetry /
+// deterministic ties against the reference search —
 // States, Transitions and Depth on schedulable slots; Depth, the size of
 // levels 0..Depth and the minimum-state violator on violating ones.
 func TestLanesMatchReferenceBFS(t *testing.T) {
@@ -80,18 +79,14 @@ func TestLanesMatchReferenceBFS(t *testing.T) {
 		{"fleet5/sym", fleet(5, 6, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet5/viol", fleet(5, 3, 1, 2, 10), Config{NondetTies: true}},
 		{"fleet5/viol/sym", fleet(5, 3, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
-		{"fleet7/wide/viol", fleet(7, 2, 1, 2, 65), Config{NondetTies: true}},
-		{"mixed7/wide/sym", wideMixed7(), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
-		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
-			want := lanesWant(t, c.ps, c.cfg, forceWide)
-			for _, lanes := range []int{2, 3, 4, 8} {
-				got, err := laneVerifier(t, c.ps, c.cfg, forceWide, lanes).Run()
-				if !want.Schedulable {
-					got.Transitions = 0
-				}
-				sameVerdict(t, fmt.Sprintf("%s wide=%v lanes=%d", c.name, forceWide, lanes), got, err, want, nil)
+		want := lanesWant(t, c.ps, c.cfg)
+		for _, lanes := range []int{2, 3, 4, 8} {
+			got, err := laneVerifier(t, c.ps, c.cfg, lanes).Run()
+			if !want.Schedulable {
+				got.Transitions = 0
 			}
+			sameVerdict(t, fmt.Sprintf("%s lanes=%d", c.name, lanes), got, err, want, nil)
 		}
 	}
 }
@@ -108,27 +103,24 @@ func TestLanesBudget(t *testing.T) {
 	}{
 		{"C1C5C6", caseProfiles(t, "C1", "C5", "C6"), Config{NondetTies: true}},
 		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
-		{"mixed7/wide/sym", wideMixed7(), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
-		for _, forceWide := range encodings(t, c.name, c.ps, c.cfg) {
-			want, _, _, _ := refBFS(t, c.ps, c.cfg, forceWide)
-			n := want.States
-			for _, lanes := range []int{2, 3, 8} {
-				for _, max := range []int{1, n / 2, n - 1, n} {
-					cfg := c.cfg
-					cfg.MaxStates = max
-					got, err := laneVerifier(t, c.ps, cfg, forceWide, lanes).Run()
-					name := fmt.Sprintf("%s wide=%v lanes=%d MaxStates=%d", c.name, forceWide, lanes, max)
-					if max == n {
-						sameVerdict(t, name, got, err, want, nil)
-						continue
-					}
-					if !errors.Is(err, ErrTooLarge) {
-						t.Fatalf("%s: err %v, want ErrTooLarge", name, err)
-					}
-					if got.States <= max || got.States > n {
-						t.Fatalf("%s: stopped at %d states, want more than the budget and at most %d", name, got.States, n)
-					}
+		want, _, _, _ := refBFS(t, c.ps, c.cfg)
+		n := want.States
+		for _, lanes := range []int{2, 3, 8} {
+			for _, max := range []int{1, n / 2, n - 1, n} {
+				cfg := c.cfg
+				cfg.MaxStates = max
+				got, err := laneVerifier(t, c.ps, cfg, lanes).Run()
+				name := fmt.Sprintf("%s lanes=%d MaxStates=%d", c.name, lanes, max)
+				if max == n {
+					sameVerdict(t, name, got, err, want, nil)
+					continue
+				}
+				if !errors.Is(err, ErrTooLarge) {
+					t.Fatalf("%s: err %v, want ErrTooLarge", name, err)
+				}
+				if got.States <= max || got.States > n {
+					t.Fatalf("%s: stopped at %d states, want more than the budget and at most %d", name, got.States, n)
 				}
 			}
 		}
@@ -145,11 +137,11 @@ func TestLanesBudget(t *testing.T) {
 func TestLanesSyntheticGraph(t *testing.T) {
 	widths := []int{1, 3, serialLevelThreshold - 1, serialLevelThreshold, serialLevelThreshold + 1, 40, 2000, 3 * stageCap / 2, 700, 1}
 	// succ appends s's successors to out; lanes call it concurrently.
-	succ := func(violators map[[1]uint64]int, s [1]uint64, out [][1]uint64) ([][1]uint64, int) {
+	succ := func(violators map[uint64]int, s uint64, out []uint64) ([]uint64, int) {
 		if app, ok := violators[s]; ok {
 			return out, app
 		}
-		l, i := int(s[0]>>32), int(uint32(s[0]))-1
+		l, i := int(s>>32), int(uint32(s))-1
 		if l+1 == len(widths) {
 			return out, -1
 		}
@@ -158,21 +150,21 @@ func TestLanesSyntheticGraph(t *testing.T) {
 		w, wl := widths[l+1], widths[l]
 		first := len(out)
 		for j := i*w/wl - 1; j <= (i+1)*w/wl+1; j++ {
-			out = append(out, [1]uint64{uint64(l+1)<<32 | uint64((j+w)%w+1)})
+			out = append(out, uint64(l+1)<<32|uint64((j+w)%w+1))
 		}
 		return append(out, out[first]), -1
 	}
-	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{}, false)
+	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{})
 	const unlimited = 1 << 30
-	run := func(lanes int, hash func([1]uint64) uint64, violators map[[1]uint64]int, max int) (Result, error) {
+	run := func(lanes int, hash func(uint64) uint64, violators map[uint64]int, max int) (Result, error) {
 		v.cfg.MaxStates = max
-		return runLanes(v, lanes, [1]uint64{1}, func(_ *Verifier, s [1]uint64, _ *expandScratch, out [][1]uint64, masks []uint32) ([][1]uint64, []uint32, int) {
+		return runLanes(v, lanes, 1, func(_ *Verifier, s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
 			out, app := succ(violators, s, out)
 			return out, masks, app
 		}, hash)
 	}
-	var buf [][1]uint64
-	want, werr, visited, levels := refSearch([1]uint64{1}, unlimited, func(s [1]uint64) ([][1]uint64, int) {
+	var buf []uint64
+	want, werr, visited, levels := refSearch(uint64(1), unlimited, func(s uint64) ([]uint64, int) {
 		var app int
 		buf, app = succ(nil, s, buf[:0])
 		return buf, app
@@ -182,13 +174,13 @@ func TestLanesSyntheticGraph(t *testing.T) {
 			t.Fatalf("level %d of the synthetic graph has %d states, want %d", l, levels[l], w)
 		}
 	}
-	state := func(l, i int) [1]uint64 { return [1]uint64{uint64(l)<<32 | uint64(i+1)} }
-	owners := map[string]func([1]uint64) uint64{
-		"hashKey":       hashKey[[1]uint64],
-		"allOnFirst":    func([1]uint64) uint64 { return 0 },
-		"allOnLast":     func([1]uint64) uint64 { return ^uint64(0) },
-		"twoPartitions": func(k [1]uint64) uint64 { return k[0] << 63 },
-		"byLevel":       func(k [1]uint64) uint64 { return k[0] >> 32 << 61 },
+	state := func(l, i int) uint64 { return uint64(l)<<32 | uint64(i+1) }
+	owners := map[string]func(uint64) uint64{
+		"hashKey":       hashKey,
+		"allOnFirst":    func(uint64) uint64 { return 0 },
+		"allOnLast":     func(uint64) uint64 { return ^uint64(0) },
+		"twoPartitions": func(k uint64) uint64 { return k << 63 },
+		"byLevel":       func(k uint64) uint64 { return k >> 32 << 61 },
 	}
 	for name, hash := range owners {
 		for _, lanes := range []int{1, 2, 3, 8, 20} {
@@ -197,7 +189,7 @@ func TestLanesSyntheticGraph(t *testing.T) {
 
 			// Three violating states in level 6 and one in level 7: the
 			// verdict is level 6's smallest, whichever lanes own them.
-			viol := map[[1]uint64]int{state(6, 1500): 4, state(6, 77): 2, state(6, 1999): 1, state(7, 0): 3}
+			viol := map[uint64]int{state(6, 1500): 4, state(6, 77): 2, state(6, 1999): 1, state(7, 0): 3}
 			got, gerr = run(lanes, hash, viol, unlimited)
 			if gerr != nil || got.Schedulable || got.Depth != 6 || got.Violator != 2 || got.States != 1+3+511+512+513+40+2000 {
 				t.Fatalf("%s lanes=%d: %+v, %v; want violator 2 at depth 6 after the 3580 states of levels 0..6", name, lanes, got, gerr)
@@ -205,7 +197,7 @@ func TestLanesSyntheticGraph(t *testing.T) {
 
 			// A violator late in the widest level, which takes several
 			// rounds: the rounds before have inserted their successors.
-			got, gerr = run(lanes, hash, map[[1]uint64]int{state(7, widths[7]-1): 5}, unlimited)
+			got, gerr = run(lanes, hash, map[uint64]int{state(7, widths[7]-1): 5}, unlimited)
 			if gerr != nil || got.Schedulable || got.Depth != 7 || got.Violator != 5 || got.States != 3580+widths[7] {
 				t.Fatalf("%s lanes=%d: %+v, %v; want violator 5 at depth 7", name, lanes, got, gerr)
 			}
@@ -223,8 +215,7 @@ func TestLanesSyntheticGraph(t *testing.T) {
 // TestLanesPins pins the parallel engine on the slots the pipeline benchmark
 // pins: V5 = S1 + C6 violates at depth 12 with C4 (index 2) the violator of
 // its smallest violating state — not the sequential engine's C1 — and the
-// seven-instance fleet at depth 2 with F3, on one word (r = 8) and on the
-// multi-word encoding (r = 65), for every lane count.
+// seven-instance fleet W7 at depth 2 with F3, for every lane count.
 func TestLanesPins(t *testing.T) {
 	for _, c := range []struct {
 		name            string
@@ -233,7 +224,6 @@ func TestLanesPins(t *testing.T) {
 	}{
 		{"V5", caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), 12, 2},
 		{"W7", fleet(7, 2, 1, 2, 8), 2, 3},
-		{"W7/wide", fleet(7, 2, 1, 2, 65), 2, 3},
 	} {
 		for _, lanes := range []int{0, 2, 3} {
 			res, err := Slot(c.ps, Config{NondetTies: true, Workers: lanes})

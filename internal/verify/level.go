@@ -3,7 +3,7 @@ package verify
 // levelBlock is the size, in entries, of a block of a level store: a
 // multiple of seqChunk, so a chunk of frontier states that starts on a
 // chunk boundary never straddles two blocks. 8,192 entries are 64 KiB of
-// narrow keys, 192 KiB of wide ones: large enough that a block is one
+// states: large enough that a block is one
 // allocation per 8,192 states, small enough that a level rounds up by at
 // most one block (DESIGN.md §4, "Level store").
 const levelBlock = 8192

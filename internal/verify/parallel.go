@@ -44,36 +44,39 @@ func part(h uint64, n int) int { return int((h << 6 >> 32) * uint64(n) >> 32) }
 // lane is one goroutine's share of a node: the states of its partition
 // live in its private table and are expanded from its private frontier.
 // Other lanes read only out, and only across a barrier.
-type lane[K stateKey] struct {
-	table    keySet[K] // the lane's partition
-	frontier level[K]  // owned states of the level; [pos:] not yet expanded
+type lane struct {
+	table    keySet        // the lane's partition
+	frontier level[uint64] // owned states of the level; [pos:] not yet expanded
 	pos      int
-	prev     int          // the size of the lane's previous level
-	next     level[K]     // owned states first seen this level: the next frontier
-	pool     blockPool[K] // the blocks of the lane's finished levels
-	out      [][]K        // out[j]: successors staged for lane j in this round
-	foreign  [][]uint64   // foreign[d]: successors owned by node d, as words
-	trans    int          // successors generated in this round
-	fresh    int          // states first seen in this phase
-	viol     K            // smallest violating state of the level known to the lane…
-	violApp  int          // …and the application that misses its deadline there, or −1
-	succ     []K          // one round piece's successors, or inbound states as keys
+	prev     int               // the size of the lane's previous level
+	next     level[uint64]     // owned states first seen this level: the next frontier
+	pool     blockPool[uint64] // the blocks of the lane's finished levels
+	out      [][]uint64        // out[j]: successors staged for lane j in this round
+	foreign  [][]uint64        // foreign[d]: successors owned by node d
+	trans    int               // successors generated in this round
+	fresh    int               // states first seen in this phase
+	viol     uint64            // smallest violating state of the level known to the lane…
+	violApp  int               // …and the application that misses its deadline there, or −1
+	succ     []uint64          // one round piece's successors
 	freshIdx []int32
 	sc       expandScratch
 	_        [128]byte // keeps the next lane's cursor off this scratch's cache line
 }
 
-// node is the P lanes of one search node and the level round that drives
-// them: the whole local parallel search, or one mesh worker of
-// internal/dverify (through the Lanes seam). Every state has one owner —
-// the node its shard maps to, the lane its partition falls to — is inserted
+// Lanes is the P lanes of one search node and the level round that drives
+// them: the whole local parallel search, or one node of an external driver
+// (the mesh worker of internal/dverify). Every state has one owner — the
+// node its shard maps to, the lane its partition falls to — is inserted
 // into that lane's table and expanded by that lane: no shared set, no CAS,
-// no merge.
-type node[K stateKey] struct {
+// no merge. States cross it as word slabs, one word per state. A level
+// goes: Absorb the peers' states of it, then LevelRound until it reports
+// the level expanded, then Advance. Not safe for concurrent use; the node
+// runs its lanes itself.
+type Lanes struct {
 	v          *Verifier
-	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)
-	hash       func(K) uint64 // routes states: shard and lane
-	lanes      []lane[K]
+	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)
+	hash       func(uint64) uint64 // routes states: shard and lane
+	lanes      []lane
 
 	owners [NumShards]uint8
 	self   int
@@ -85,43 +88,43 @@ type node[K stateKey] struct {
 	tooLarge  bool // states exceeded maxStates
 	maxStates int
 	trans     int        // transitions of finished rounds
-	minViol   K          // the level's smallest violating state so far…
+	minViol   uint64     // the level's smallest violating state so far…
 	minApp    int        // …and its violator, or −1
 	in        [][]uint64 // Absorb's slabs: fresh keys join the level, not the next
 }
 
-// newNode builds a node of p lanes (clamped to 1..maxLanes) owning every
+// newLanes builds a node of p lanes (clamped to 1..maxLanes) owning every
 // shard, each lane with one table that grows by doubling alone.
-func newNode[K stateKey](v *Verifier, p int,
-	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
-	hash func(K) uint64) *node[K] {
+func newLanes(v *Verifier, p int,
+	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int),
+	hash func(uint64) uint64) *Lanes {
 	p = min(max(p, 1), maxLanes)
-	e := &node[K]{v: v, successors: successors, hash: hash, lanes: make([]lane[K], p),
+	e := &Lanes{v: v, successors: successors, hash: hash, lanes: make([]lane, p),
 		maxStates: v.cfg.MaxStates, minApp: -1}
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		l.table = *newKeySet[K](setCap[K]() / p)
+		l.table = *newKeySet(setCap / p)
 		l.table.budget(v.cfg.MaxStates)
 		l.table.doubling = true
-		l.out = make([][]K, p, p+outPad)
+		l.out = make([][]uint64, p, p+outPad)
 		l.violApp = -1
 	}
 	return e
 }
 
-// runLanes is the parallel search over either packed encoding: one node of
-// n lanes, owning every shard, runs the level round until a level is empty.
-// The levels are the sequential search's and each state is fresh once, so
-// on schedulable sets States, Transitions and Depth equal the sequential
-// counts for any lane count. On a violation the level is swept for its
-// minimum violating packed state (lessKey), a property of the level alone;
-// States is then the size of levels 0..Depth.
-func runLanes[K stateKey](v *Verifier, n int, init K,
-	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int),
-	hash func(K) uint64) (Result, error) {
-	e := newNode(v, n, successors, hash)
+// runLanes is the parallel search: one node of n lanes, owning every shard,
+// runs the level round until a level is empty. The levels are the
+// sequential search's and each state is fresh once, so on schedulable sets
+// States, Transitions and Depth equal the sequential counts for any lane
+// count. On a violation the level is swept for its minimum violating
+// packed state (the uint64 order), a property of the level alone; States
+// is then the size of levels 0..Depth.
+func runLanes(v *Verifier, n int, init uint64,
+	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int),
+	hash func(uint64) uint64) (Result, error) {
+	e := newLanes(v, n, successors, hash)
 	defer e.Release()
-	e.Absorb([][]uint64{appendKey(nil, init)})
+	e.Absorb([][]uint64{{init}})
 	res := Result{Schedulable: true}
 	for depth := 0; ; depth++ {
 		if depth > 0 {
@@ -149,45 +152,6 @@ func runLanes[K stateKey](v *Verifier, n int, init K,
 	}
 }
 
-// appendKey appends a key's words to dst.
-func appendKey[K stateKey](dst []uint64, k K) []uint64 {
-	for i := 0; i < len(k); i++ {
-		dst = append(dst, k[i])
-	}
-	return dst
-}
-
-// Lanes is one node's share of a level-synchronous search on P lanes — the
-// round the local parallel search runs, for an external driver (the mesh
-// worker of internal/dverify). States cross it as word slabs, StateWords()
-// words per state. A level goes: Absorb the peers' states of it, then
-// LevelRound until it reports the level expanded, then Advance. Not safe
-// for concurrent use; the node runs its lanes itself. It is an interface
-// because its one implementation is generic over the state width.
-type Lanes interface {
-	// Reset empties the node for a new search in which it owns the shards
-	// owners maps to self, with a budget of maxStates fresh states.
-	Reset(owners *[NumShards]uint8, self, maxStates int)
-	// Absorb inserts slabs of this node's states; the fresh ones join the
-	// level being expanded.
-	Absorb(slabs [][]uint64)
-	// LevelRound runs one round of the level: every lane expands up to
-	// stageCap successors and stages them by owner, then inserts what was
-	// staged for it; the other nodes' go to ship — on the calling
-	// goroutine, which returns an empty buffer for the next round. It reports whether the
-	// level has states left; once a violation is known nothing more is
-	// routed and the rest of the level is swept for a smaller violator.
-	LevelRound(ship func(node int, states []uint64) []uint64) bool
-	// Advance makes the states found in the level's rounds the next level.
-	Advance()
-	// Stats reports the search so far.
-	Stats() LaneStats
-	// Release hands the node's visited tables mapped off the heap back to
-	// the kernel at once: its owner is done with it, and it must not be
-	// used after. A second Release does nothing.
-	Release()
-}
-
 // LaneStats is a node's search so far.
 type LaneStats struct {
 	States, Transitions int         // fresh states and transitions since Reset
@@ -197,16 +161,13 @@ type LaneStats struct {
 	Viol                PackedState // …and its minimum violating state
 }
 
-// NewLanes returns a node of p lanes over the expander's encoding, owning
-// every shard until Reset says otherwise.
-func (e *Expander) NewLanes(p int) Lanes {
-	if e.v.wide {
-		return newNode(e.v, p, successors[[wideWords]uint64], hashKey[[wideWords]uint64])
-	}
-	return newNode(e.v, p, successors[[1]uint64], hashKey[[1]uint64])
-}
+// NewLanes returns a node of p lanes over the expander's set, owning every
+// shard until Reset says otherwise.
+func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p, successors, hashKey) }
 
-func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int) {
+// Reset empties the node for a new search in which it owns the shards
+// owners maps to self, with a budget of maxStates fresh states.
+func (e *Lanes) Reset(owners *[NumShards]uint8, self, maxStates int) {
 	e.owners, e.self = *owners, self
 	nodes := 0
 	for _, o := range owners {
@@ -226,7 +187,9 @@ func (e *node[K]) Reset(owners *[NumShards]uint8, self, maxStates int) {
 	e.states, e.tooLarge, e.maxStates, e.trans, e.minApp = 0, false, maxStates, 0, -1
 }
 
-func (e *node[K]) Absorb(slabs [][]uint64) {
+// Absorb inserts slabs of this node's states; the fresh ones join the
+// level being expanded.
+func (e *Lanes) Absorb(slabs [][]uint64) {
 	e.in = slabs
 	n := 0
 	for _, s := range slabs {
@@ -238,7 +201,13 @@ func (e *node[K]) Absorb(slabs [][]uint64) {
 	e.in = nil
 }
 
-func (e *node[K]) LevelRound(ship func(node int, states []uint64) []uint64) bool {
+// LevelRound runs one round of the level: every lane expands up to
+// stageCap successors and stages them by owner, then inserts what was
+// staged for it; the other nodes' go to ship — on the calling goroutine,
+// which returns an empty buffer for the next round. It reports whether the
+// level has states left; once a violation is known nothing more is routed
+// and the rest of the level is swept for a smaller violator.
+func (e *Lanes) LevelRound(ship func(node int, states []uint64) []uint64) bool {
 	parallel := e.Stats().Level >= serialLevelThreshold
 	e.each(phaseExpand, parallel)
 	more := false
@@ -247,7 +216,7 @@ func (e *node[K]) LevelRound(ship func(node int, states []uint64) []uint64) bool
 		e.trans += l.trans
 		l.trans = 0
 		more = more || l.pos < l.frontier.len()
-		if l.violApp >= 0 && (e.minApp < 0 || lessKey(l.viol, e.minViol)) {
+		if l.violApp >= 0 && (e.minApp < 0 || l.viol < e.minViol) {
 			e.minViol, e.minApp = l.viol, l.violApp
 		}
 		for d, f := range l.foreign {
@@ -262,7 +231,8 @@ func (e *node[K]) LevelRound(ship func(node int, states []uint64) []uint64) bool
 	return more && !e.tooLarge
 }
 
-func (e *node[K]) Advance() {
+// Advance makes the states found in the level's rounds the next level.
+func (e *Lanes) Advance() {
 	e.minApp = -1
 	for i := range e.lanes {
 		l := &e.lanes[i]
@@ -272,19 +242,23 @@ func (e *node[K]) Advance() {
 	}
 }
 
-func (e *node[K]) Stats() LaneStats {
+// Stats reports the search so far.
+func (e *Lanes) Stats() LaneStats {
 	s := LaneStats{States: e.states, Transitions: e.trans, TooLarge: e.tooLarge, ViolApp: e.minApp}
 	for i := range e.lanes {
 		s.Level += e.lanes[i].frontier.len()
 		s.Next += e.lanes[i].next.len()
 	}
-	for i := 0; e.minApp >= 0 && i < len(e.minViol); i++ {
-		s.Viol[i] = e.minViol[i]
+	if e.minApp >= 0 {
+		s.Viol = PackedState(e.minViol)
 	}
 	return s
 }
 
-func (e *node[K]) Release() {
+// Release hands the node's visited tables mapped off the heap back to the
+// kernel at once: its owner is done with it, and it must not be used
+// after. A second Release does nothing.
+func (e *Lanes) Release() {
 	for i := range e.lanes {
 		e.lanes[i].table.release()
 	}
@@ -295,7 +269,7 @@ func (e *node[K]) Release() {
 // stack depth, whoever calls) or, for a small level or one lane, all on the
 // caller. Then it folds the lanes' fresh counts into the budget. (A phase
 // is named, not passed as a method value: that would allocate per call.)
-func (e *node[K]) each(phase int, parallel bool) {
+func (e *Lanes) each(phase int, parallel bool) {
 	if !parallel || len(e.lanes) == 1 {
 		for i := range e.lanes {
 			e.run(phase, i)
@@ -325,7 +299,7 @@ const (
 	phaseInsert
 )
 
-func (e *node[K]) run(phase, i int) {
+func (e *Lanes) run(phase, i int) {
 	switch phase {
 	case phaseExpand:
 		e.expand(i)
@@ -338,10 +312,10 @@ func (e *node[K]) run(phase, i int) {
 
 // full reports whether lane l's inserts of the phase have taken the node
 // past its budget.
-func (e *node[K]) full(l *lane[K]) bool { return e.states+l.fresh > e.maxStates }
+func (e *Lanes) full(l *lane) bool { return e.states+l.fresh > e.maxStates }
 
 // target is where lane l puts the phase's fresh keys.
-func (e *node[K]) target(l *lane[K]) *level[K] {
+func (e *Lanes) target(l *lane) *level[uint64] {
 	if e.in != nil {
 		return &l.frontier
 	}
@@ -353,7 +327,7 @@ func (e *node[K]) target(l *lane[K]) *level[K] {
 // generated stageCap of them or its frontier is done. Once a violation is
 // known the level decides the verdict and nothing more is routed: the lane
 // sweeps the rest for a smaller violator.
-func (e *node[K]) expand(i int) {
+func (e *Lanes) expand(i int) {
 	l := &e.lanes[i]
 	if l.pos == 0 {
 		l.table.reserve(LevelReserve(l.frontier.len(), l.prev))
@@ -368,7 +342,7 @@ func (e *node[K]) expand(i int) {
 		l.pos += len(chunk)
 		succ = succ[:0]
 		for _, s := range chunk {
-			if violApp >= 0 && lessKey(viol, s) {
+			if violApp >= 0 && viol < s {
 				continue // cannot lower the minimum
 			}
 			n := len(succ)
@@ -390,30 +364,25 @@ func (e *node[K]) expand(i int) {
 }
 
 // absorb is lane i's part of Absorb: it routes every P-th slab.
-func (e *node[K]) absorb(i int) {
+func (e *Lanes) absorb(i int) {
 	l := &e.lanes[i]
 	for j := range l.out {
 		l.out[j] = l.out[j][:0]
 	}
-	var k K
 	for j := i; j < len(e.in); j += len(e.lanes) {
-		for w := e.in[j]; len(w) > 0; {
-			l.succ = l.succ[:0]
-			for ; len(w) > 0 && len(l.succ) < insertChunk; w = w[len(k):] {
-				l.succ = append(l.succ, K(w))
-			}
-			e.route(l, l.succ)
+		for w := e.in[j]; len(w) > 0; w = w[min(insertChunk, len(w)):] {
+			e.route(l, w[:min(insertChunk, len(w))])
 		}
 	}
 }
 
-// route sends keys to their owners: another node's to its foreign buffer
-// as words, every other one to the staging buffer of its lane.
-func (e *node[K]) route(l *lane[K], keys []K) {
+// route sends keys to their owners: another node's to its foreign buffer,
+// every other one to the staging buffer of its lane.
+func (e *Lanes) route(l *lane, keys []uint64) {
 	for _, k := range keys {
 		h := e.hash(k)
 		if d := int(e.owners[ShardOf(h)]); d != e.self {
-			l.foreign[d] = appendKey(l.foreign[d], k)
+			l.foreign[d] = append(l.foreign[d], k)
 			continue
 		}
 		p := part(h, len(e.lanes))
@@ -423,7 +392,7 @@ func (e *node[K]) route(l *lane[K], keys []K) {
 
 // insertStaged is lane i's insert phase: the keys every lane, itself
 // included, staged for it, in pieces of insertChunk.
-func (e *node[K]) insertStaged(i int) {
+func (e *Lanes) insertStaged(i int) {
 	l := &e.lanes[i]
 	for j := range e.lanes {
 		keys := e.lanes[j].out[i]
@@ -435,7 +404,7 @@ func (e *node[K]) insertStaged(i int) {
 
 // insert adds keys to lane l's table through the sets' probe-ahead addChunk
 // and appends the fresh ones to the level to.
-func (e *node[K]) insert(l *lane[K], keys []K, to *level[K]) {
+func (e *Lanes) insert(l *lane, keys []uint64, to *level[uint64]) {
 	l.freshIdx = l.table.addChunk(keys, l.freshIdx[:0])
 	to.gather(keys, l.freshIdx, &l.pool)
 	l.fresh += len(l.freshIdx)

@@ -49,35 +49,6 @@ func (v *Verifier) unpack(s uint64, c *cstate) {
 	c.cT = uint8(s >> v.ctShift & 0xF)
 }
 
-func (v *Verifier) packWide(c *cstate) [wideWords]uint64 {
-	var s [wideWords]uint64
-	for i := 0; i < v.n; i++ {
-		f := uint64(c.phase[i]) | uint64(c.val[i])<<phaseBits
-		s[i/v.lanes] |= f << (uint(i%v.lanes) * v.appBits)
-	}
-	occ := uint64(wideIdle)
-	if c.occ >= 0 {
-		occ = uint64(c.occ)
-	}
-	s[wideAppWords] = occ | uint64(c.cT)<<8
-	return s
-}
-
-func (v *Verifier) unpackWide(s [wideWords]uint64, c *cstate) {
-	for i := 0; i < v.n; i++ {
-		f := s[i/v.lanes] >> (uint(i%v.lanes) * v.appBits)
-		c.phase[i] = uint8(f & (1<<phaseBits - 1))
-		c.val[i] = uint8(f >> phaseBits & (1<<v.valBits - 1))
-	}
-	h := s[wideAppWords]
-	if h&0xFF == wideIdle {
-		c.occ = -1
-	} else {
-		c.occ = int8(h & 0xFF)
-	}
-	c.cT = uint8(h >> 8 & 0xF)
-}
-
 // refScratch owns every buffer the expansion core writes through: the
 // decoded base state, the successor arena (states plus the disturbance
 // bitmask that produced each) and the fixed-size index buffers of the
@@ -131,9 +102,7 @@ func (v *Verifier) canon(c *cstate) {
 // in place) and the arena is reset on entry, so callers must consume it
 // between calls. The return value is the index of the application whose
 // deadline some choice violated, or −1 when every choice stays safe; on a
-// violation the arena is truncated mid-choice and must be discarded. Both
-// packed encodings route their successor generation through here, so narrow
-// and wide searches explore identical semantics — without allocating.
+// violation the arena is truncated mid-choice and must be discarded.
 func (v *Verifier) expand(base *cstate, sc *refScratch) int {
 	sc.states = sc.states[:0]
 	sc.masks = sc.masks[:0]
@@ -432,20 +401,12 @@ func (v *Verifier) missCheck(c *cstate) int {
 // disturbance bitmask of each (it aliases sc and is valid until the next
 // call); on a violation out is returned as it came.
 func (v *Verifier) refSuccessors(s PackedState, sc *refScratch, out []PackedState) ([]PackedState, []uint32, int) {
-	if v.wide {
-		v.unpackWide([wideWords]uint64(s), &sc.base)
-	} else {
-		v.unpack(s[0], &sc.base)
-	}
+	v.unpack(uint64(s), &sc.base)
 	if viol := v.expand(&sc.base, sc); viol >= 0 {
 		return out, nil, viol
 	}
 	for i := range sc.states {
-		if v.wide {
-			out = append(out, PackedState(v.packWide(&sc.states[i])))
-		} else {
-			out = append(out, PackedState{v.pack(&sc.states[i])})
-		}
+		out = append(out, PackedState(v.pack(&sc.states[i])))
 	}
 	return out, sc.masks, -1
 }

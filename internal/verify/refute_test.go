@@ -19,7 +19,7 @@ func TestRefuteAgreesWithVerifier(t *testing.T) {
 		{"loosePair", fleet(2, 8, 2, 4, 40)},
 		{"fleet7ok", fleet(7, 6, 1, 2, 10)},
 		{"fleet8over", fleet(8, 6, 1, 2, 10)},
-		{"fleet12over", fleet(12, 3, 2, 3, 8)},
+		{"fleet12over", fleet(12, 3, 2, 3, 4)}, // 12·4+8 = 56 bits: the cap fits one word at r ≤ 4
 	}
 	for _, tc := range cases {
 		refuted := Refute(tc.ps, sched.PreemptEager)
@@ -36,7 +36,7 @@ func TestRefuteAgreesWithVerifier(t *testing.T) {
 	}
 	// The saturation replay must actually catch the canonical overload —
 	// one instance past a fleet's round-robin capacity.
-	if !Refute(fleet(12, 3, 2, 3, 8), sched.PreemptEager) {
+	if !Refute(fleet(12, 3, 2, 3, 4), sched.PreemptEager) {
 		t.Error("replay missed the saturated-fleet overload")
 	}
 }

@@ -20,15 +20,15 @@ const hugePage = 2 << 20
 // later collection. A smaller table, or one the kernel refuses to map, is
 // an ordinary slice. The keys hold no pointers, so the collector has
 // nothing to find in a mapping.
-func newTable[K stateKey](size int) ([]K, []byte) {
-	n := size * int(unsafe.Sizeof(*new(K)))
+func newTable(size int) ([]uint64, []byte) {
+	n := 8 * size
 	if n < mapTableBytes {
-		return make([]K, size), nil
+		return make([]uint64, size), nil
 	}
 	mem, err := syscall.Mmap(-1, 0, n+hugePage, syscall.PROT_READ|syscall.PROT_WRITE,
 		syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {
-		return make([]K, size), nil
+		return make([]uint64, size), nil
 	}
 	off := -int(uintptr(unsafe.Pointer(&mem[0]))) & (hugePage - 1)
 	table := mem[off : off+n]
@@ -37,16 +37,16 @@ func newTable[K stateKey](size int) ([]K, []byte) {
 	_ = syscall.Madvise(table, syscall.MADV_HUGEPAGE)
 	obsTableBytes.Add(int64(n))
 	tablesMapped.Add(1)
-	return unsafe.Slice((*K)(unsafe.Pointer(&table[0])), size), mem
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&table[0])), size), mem
 }
 
 // freeTable unmaps the mapping newTable returned with table; a heap table
 // (mem nil) is left to the collector.
-func freeTable[K stateKey](table []K, mem []byte) {
+func freeTable(table []uint64, mem []byte) {
 	if mem == nil {
 		return
 	}
-	obsTableBytes.Add(-int64(len(table) * int(unsafe.Sizeof(*new(K)))))
+	obsTableBytes.Add(-int64(8 * len(table)))
 	if err := syscall.Munmap(mem); err != nil {
 		panic("verify: unmapping a visited-set table: " + err.Error()) // only a bug passes a mapping twice
 	}

@@ -29,8 +29,8 @@ func TestTAModelAgreesWithPackedVerifier(t *testing.T) {
 		{"asym-pair", []*profSpec{{2, 2, 3, 15}, {9, 4, 6, 30}}, 650, 27},
 		{"barely", []*profSpec{{4, 2, 3, 20}, {4, 2, 3, 20}}, 14_577, 289},
 		{"hopeless-triple", []*profSpec{{1, 2, 3, 15}, {1, 2, 3, 15}, {1, 2, 3, 15}}, 1_761, 19},
-		// Past the old 6-app cap: the packed side runs the wide encoding.
-		// T*w = 0 keeps the generic engine's interleaving explosion shallow.
+		// Past the paper's 6-app cap: 7·6 + 8 = 50 bits at r = 10. T*w = 0
+		// keeps the generic engine's interleaving explosion shallow.
 		{"hopeless-seven", []*profSpec{
 			{0, 2, 3, 10}, {0, 2, 3, 10}, {0, 2, 3, 10}, {0, 2, 3, 10},
 			{0, 2, 3, 10}, {0, 2, 3, 10}, {0, 2, 3, 10}}, 103, 2},

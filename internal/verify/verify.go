@@ -13,15 +13,12 @@
 // of quiescent applications may have been disturbed during the preceding
 // interval (subject to the per-application minimum inter-arrival time r).
 //
-// Two packed encodings back the same semantics. Every application owns a
-// lane of 2 phase bits and a clock fitted to the set's largest r (⌈log₂ r⌉
-// bits, see Verifier.valBits); sets whose lanes plus the 8-bit
-// occupant/dwell header fit one machine word use the single-uint64
-// encoding (the fast path — every paper result and every fleet of up to 8
-// applications at r ≤ 32 runs here), larger sets up to maxApps
-// applications the multi-word wide encoding (kernel.go). Every driver, the
-// visited set and the kernel's output are generic over the one
-// packed-state type family, stateKey.
+// One packed encoding backs the semantics: a state is one uint64. Every
+// application owns a lane of 2 phase bits and a clock fitted to the set's
+// largest r (⌈log₂ r⌉ bits, see Verifier.valBits), and the lanes plus the
+// 8-bit occupant/dwell header must fit the word — the paper's six
+// applications at any r ≤ 127, eight at r ≤ 32, up to maxApps at r ≤ 4.
+// New refuses a larger set with ErrEncoding.
 // Sets of applications with identical profiles can additionally be checked
 // under a sound symmetry quotient (Config.SymmetryReduction), collapsing
 // the state space of homogeneous fleets by up to n! per class.
@@ -50,11 +47,11 @@ import (
 	"tightcps/internal/switching"
 )
 
-// Limits of the packed encodings. maxApps is the wide-encoding cap; a set
-// stays on the one-word fast path while n·appBits + 8 ≤ 64, where appBits =
-// phaseBits + ⌈log₂ max r⌉ — e.g. 8 apps at r ≤ 32, 6 at r ≤ 127.
+// Limits of the packed encoding. A set fits while n·appBits + 8 ≤ 64, where
+// appBits = phaseBits + ⌈log₂ max r⌉ — e.g. 8 apps at r ≤ 32, 6 at r ≤ 127 —
+// and n ≤ maxApps, which binds only at r ≤ 4.
 const (
-	maxApps   = 12  // wide-encoding application cap
+	maxApps   = 12  // application cap: occupant indices, the kernel's per-app tables
 	maxClock  = 127 // r, T*w ≤ 127 samples
 	maxTdw    = 15  // Tdw+ ≤ 15 samples
 	phaseBits = 2
@@ -202,7 +199,8 @@ func (w WireStats) Report() string {
 var ErrTooLarge = errors.New("verify: state space exceeds configured limit")
 
 // ErrEncoding is returned when the application set does not fit the packed
-// state encoding.
+// state encoding: more than maxApps applications, lanes and header past the
+// one 64-bit word, a clock past maxClock or a malformed dwell table.
 var ErrEncoding = errors.New("verify: application set exceeds packed-encoding limits")
 
 // Verifier checks slot-sharing feasibility for one application set.
@@ -220,8 +218,6 @@ type Verifier struct {
 	appBits  uint
 	occShift uint
 	ctShift  uint
-	wide     bool // state does not fit one uint64 (multi-word encoding)
-	lanes    int  // wide layout: application lanes per word
 
 	// Symmetry quotient (nil unless Config.SymmetryReduction found classes).
 	symOf     []int   // app index → symmetry-group index, −1 when unique
@@ -261,8 +257,10 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 	total := uint(n)*v.appBits + 4 /*occupant*/ + 4 /*cT*/
 	v.occShift = uint(n) * v.appBits
 	v.ctShift = v.occShift + 4
-	v.wide = total > 64
-	v.lanes = int(64 / v.appBits)
+	if total > 64 {
+		return nil, fmt.Errorf("%w: %d applications with largest r = %d need %d bits (%d-bit lanes and the 8-bit header), past the one-word limit of 64",
+			ErrEncoding, n, maxR, total, v.appBits)
+	}
 	if cfg.SymmetryReduction {
 		v.buildSymmetry()
 	}
@@ -327,8 +325,7 @@ func sameProfile(a, b *switching.Profile) bool {
 }
 
 // Run performs the BFS reachability analysis on Config.Workers
-// owner-partitioned lanes (sequentially when Workers is 1). Application sets that do not fit the one-word encoding run on
-// the multi-word wide path with identical semantics. Every completed run —
+// owner-partitioned lanes (sequentially when Workers is 1). Every completed run —
 // local or distributed — is folded into the engine metrics and, when
 // Config.RunTrace is set, finalizes the run trace here.
 func (v *Verifier) Run() (Result, error) {
@@ -346,36 +343,19 @@ func (v *Verifier) dispatch() (Result, error) {
 		cfg.Distributed = nil
 		return v.cfg.Distributed(v.profs, cfg)
 	}
-	if v.wide {
-		return search[[wideWords]uint64](v)
-	}
-	return search[[1]uint64](v)
-}
-
-// search runs the local driver Config asks for over one packed encoding:
-// the sequential one for Workers = 1, otherwise Workers lanes (GOMAXPROCS
-// for 0).
-func search[K stateKey](v *Verifier) (Result, error) {
 	workers := v.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return runSequential(v, initialState[K](v), successors[K])
+		return runSequential(v, initialState(v), successors)
 	}
-	return runLanes(v, workers, initialState[K](v), successors[K], hashKey[K])
+	return runLanes(v, workers, initialState(v), successors, hashKey)
 }
 
-// setCap is the initial capacity of a search's visited set — 512 KB of
-// narrow keys, 96 KB of wide ones; the parallel search splits it across
-// its lanes.
-func setCap[K stateKey]() int {
-	var k K
-	if len(k) == 1 {
-		return 1 << 16
-	}
-	return 1 << 12
-}
+// setCap is the initial capacity of a search's visited set, 512 KB; the
+// parallel search splits it across its lanes.
+const setCap = 1 << 16
 
 // LevelReserve estimates how many fresh states the coming level will
 // discover from the previous level's fanout — the previous level turned
@@ -400,7 +380,7 @@ func LevelReserve(frontier, prevFrontier int) int {
 // the slots it touched are still in cache when they are resolved.
 const seqChunk = 128
 
-// runSequential is the single-goroutine BFS over either packed encoding:
+// runSequential is the single-goroutine BFS:
 // frontier states are expanded in insertion order and the search stops at
 // the first violation encountered. Each level is processed in chunks of
 // seqChunk frontier states — expand the chunk into one successor buffer,
@@ -414,20 +394,20 @@ const seqChunk = 128
 // more than the larger of them. The chunk buffers and the expansion scratch
 // are recycled, so the steady-state loop allocates only when the visited
 // set or the store's block count grows.
-func runSequential[K stateKey](v *Verifier, init K,
-	successors func(*Verifier, K, *expandScratch, []K, []uint32) ([]K, []uint32, int)) (Result, error) {
+func runSequential(v *Verifier, init uint64,
+	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) (Result, error) {
 	res := Result{Schedulable: true}
-	visited := newKeySet[K](setCap[K]())
+	visited := newKeySet(setCap)
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
 	visited.add(init)
-	var pool blockPool[K]
-	var frontier, next level[K]
+	var pool blockPool[uint64]
+	var frontier, next level[uint64]
 	frontier.push(init, &pool)
 	res.States = 1
 
 	var sc expandScratch
-	var succ []K           // the chunk's successors, in expansion order
+	var succ []uint64      // the chunk's successors, in expansion order
 	var fresh []int32      // indices into succ of the first-seen ones
 	var ends [seqChunk]int // ends[i] = len(succ) once chunk[i] is expanded
 	prevFrontier := 1
@@ -500,46 +480,38 @@ func Counterexample(profiles []*switching.Profile, cfg Config, res Result) ([][]
 	if err != nil {
 		return nil, err
 	}
-	return v.counterexample(res)
-}
-
-// counterexample is Counterexample on the verifier's encoding.
-func (v *Verifier) counterexample(res Result) ([][]int, error) {
-	if v.wide {
-		return rebuildPath[[wideWords]uint64](v, res)
-	}
-	return rebuildPath[[1]uint64](v, res)
+	return rebuildPath(v, res)
 }
 
 // visit is a state of rebuildPath's search, the index in the level above of
 // the state it was first reached from, and the disturbance mask of that edge.
-type visit[K stateKey] struct {
-	s      K
+type visit struct {
+	s      uint64
 	parent int32
 	mask   uint32
 }
 
-// rebuildPath is Counterexample over one packed encoding. It expands and
+// rebuildPath is Counterexample's search. It expands and
 // inserts one state at a time, which orders states like runSequential's
 // chunks, and keeps every level, in the level store, for the walk back from
 // the miss. It inserts levels 0..res.Depth at most, which res.States counts
 // on every engine, so its set is sized once, before the search, and never
 // rehashes.
-func rebuildPath[K stateKey](v *Verifier, res Result) ([][]int, error) {
-	init := initialState[K](v)
-	visited := newKeySet[K](tableFor(min(res.States, v.cfg.MaxStates+1)))
+func rebuildPath(v *Verifier, res Result) ([][]int, error) {
+	init := initialState(v)
+	visited := newKeySet(tableFor(min(res.States, v.cfg.MaxStates+1)))
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
 	visited.add(init)
-	var pool blockPool[visit[K]]
-	levels := make([]level[visit[K]], 1, 64)
-	levels[0].push(visit[K]{s: init, parent: -1}, &pool)
+	var pool blockPool[visit]
+	levels := make([]level[visit], 1, 64)
+	levels[0].push(visit{s: init, parent: -1}, &pool)
 	states := 1
 	var sc expandScratch
-	var succ []K
+	var succ []uint64
 	masks := []uint32{} // non-nil: the kernel records a mask per successor
 	for depth := 0; depth <= res.Depth; depth++ {
-		levels = append(levels, level[visit[K]]{})
+		levels = append(levels, level[visit]{})
 		for p := 0; p < levels[depth].len(); p++ {
 			st := levels[depth].at(p)
 			var viol int
@@ -565,7 +537,7 @@ func rebuildPath[K stateKey](v *Verifier, res Result) ([][]int, error) {
 					if states++; states > v.cfg.MaxStates {
 						return nil, ErrTooLarge
 					}
-					levels[depth+1].push(visit[K]{s: s, parent: int32(p), mask: masks[i]}, &pool)
+					levels[depth+1].push(visit{s: s, parent: int32(p), mask: masks[i]}, &pool)
 				}
 			}
 		}

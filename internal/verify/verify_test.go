@@ -120,13 +120,12 @@ func TestPaperRejections(t *testing.T) {
 
 // TestCounterexampleReplaysInArbiter: the schedule Counterexample rebuilds
 // from a violation found by any engine — the sequential search or two and
-// three lanes, on the fitted encoding and forced onto the wide one — has one
-// step per level above the miss, and replayed through the runtime arbiter
-// with deterministic ties it reproduces the violator's miss: the two
-// implementations share semantics. The inputs are hand-made pairs, a
-// case-study set and the first generated slots that violate under
-// deterministic ties; TestWideTraceReplaysInArbiter covers a set wide by its
-// own r.
+// three lanes — has one step per level above the miss, and replayed
+// through the runtime arbiter with deterministic ties it reproduces the
+// violator's miss: the two implementations share semantics. The inputs are
+// hand-made pairs, a case-study set, the first generated slots that violate
+// under deterministic ties and a fleet of eight 7-bit lanes that fills the
+// word.
 func TestCounterexampleReplaysInArbiter(t *testing.T) {
 	type input struct {
 		name string
@@ -136,6 +135,7 @@ func TestCounterexampleReplaysInArbiter(t *testing.T) {
 		{"overload", []*switching.Profile{prof("A", 0, 3, 5, 20), prof("B", 0, 3, 5, 20)}},
 		{"pair", []*switching.Profile{prof("A", 3, 4, 6, 30), prof("B", 3, 4, 6, 30)}},
 		{"C1C5C4C6", caseProfiles(t, "C1", "C5", "C4", "C6")},
+		{"fullWord", fleet(8, 2, 1, 2, 32)},
 	}
 	generated := 0
 	for i, ps := range syntheticSlots(t, 32) {
@@ -152,25 +152,20 @@ func TestCounterexampleReplaysInArbiter(t *testing.T) {
 		t.Fatalf("only %d generated slots violate under deterministic ties", generated)
 	}
 	for _, c := range cases {
-		for _, forceWide := range []bool{false, true} {
-			v := testVerifier(t, c.ps, Config{}, forceWide) // deterministic ties, like the arbiter
-			if forceWide && testVerifier(t, c.ps, Config{}, false).wide {
-				continue
+		v := testVerifier(t, c.ps, Config{}) // deterministic ties, like the arbiter
+		for _, workers := range []int{1, 2, 3} {
+			name := fmt.Sprintf("%s/workers=%d", c.name, workers)
+			v.cfg.Workers = workers
+			res, err := v.Run()
+			if err != nil || res.Schedulable {
+				t.Fatalf("%s: schedulable=%v, %v; want a violation", name, res.Schedulable, err)
 			}
-			for _, workers := range []int{1, 2, 3} {
-				name := fmt.Sprintf("%s/wide=%v/workers=%d", c.name, v.wide, workers)
-				v.cfg.Workers = workers
-				res, err := v.Run()
-				if err != nil || res.Schedulable {
-					t.Fatalf("%s: schedulable=%v, %v; want a violation", name, res.Schedulable, err)
-				}
-				schedule, err := v.counterexample(res)
-				if err != nil || len(schedule) != res.Depth {
-					t.Fatalf("%s: %d-step schedule (%v) for a miss at depth %d", name, len(schedule), err, res.Depth)
-				}
-				if !replayMisses(t, c.ps, schedule, res.Violator) {
-					t.Errorf("%s: %s's miss did not reproduce in the arbiter", name, c.ps[res.Violator].Name)
-				}
+			schedule, err := rebuildPath(v, res)
+			if err != nil || len(schedule) != res.Depth {
+				t.Fatalf("%s: %d-step schedule (%v) for a miss at depth %d", name, len(schedule), err, res.Depth)
+			}
+			if !replayMisses(t, c.ps, schedule, res.Violator) {
+				t.Errorf("%s: %s's miss did not reproduce in the arbiter", name, c.ps[res.Violator].Name)
 			}
 		}
 	}
@@ -268,7 +263,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New([]*switching.Profile{prof("A", 5, 2, 4, 200)}, Config{}); err == nil {
 		t.Fatal("r > 127 accepted")
 	}
-	// Thirteen apps exceed even the wide packing.
+	// Thirteen apps exceed the application cap.
 	var many []*switching.Profile
 	for i := 0; i < 13; i++ {
 		many = append(many, prof("A", 5, 2, 4, 20))
@@ -331,8 +326,8 @@ func TestMaxStatesAborts(t *testing.T) {
 }
 
 // TestSearchesReleaseMappedTables: a search hands its visited tables back
-// when it ends, on every exit — the sequential driver and two lanes, on the
-// fitted and the forced-wide encoding, at a verdict, at MaxStates, at a
+// when it ends, on every exit — the sequential driver and two lanes, at a
+// verdict, at MaxStates, at a
 // violation, and Counterexample's rebuild at its miss and at MaxStates — so
 // the table-bytes gauge is back at its starting value after each. Every
 // cell first proves that it mapped a table, so the release it checks is of
@@ -344,21 +339,16 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 	}
 	base := obsTableBytes.Value()
 	for _, c := range []struct {
-		wide             bool
 		workers          int
 		ok, viol, over   []*switching.Profile
 		overMax, violMax int // budgets that over's search and viol's rebuild exceed
 	}{
-		{false, 1, caseProfiles(t, "C1", "C2", "C4"), caseProfiles(t, "C2", "C3", "C4", "C5", "C6"),
+		{1, caseProfiles(t, "C1", "C2", "C4"), caseProfiles(t, "C2", "C3", "C4", "C5", "C6"),
 			caseProfiles(t, "C1", "C2", "C4"), 100_000, 100_000},
-		{false, 2, caseProfiles(t, "C2", "C3", "C4"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
+		{2, caseProfiles(t, "C2", "C3", "C4"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
 			caseProfiles(t, "C1", "C2", "C3", "C4", "C5", "C6"), 400_000, 100_000},
-		{true, 1, caseProfiles(t, "C1", "C3", "C4"), caseProfiles(t, "C1", "C2", "C3", "C4"),
-			caseProfiles(t, "C1", "C3", "C4"), 50_000, 50_000},
-		{true, 2, caseProfiles(t, "C2", "C3", "C6"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
-			caseProfiles(t, "C1", "C5", "C4", "C3", "C6"), 400_000, 50_000},
 	} {
-		name := fmt.Sprintf("wide=%v/workers=%d", c.wide, c.workers)
+		name := fmt.Sprintf("workers=%d", c.workers)
 		// exit runs one search, which must end in want (nil: a verdict)
 		// having mapped a table, and give every mapped byte back.
 		exit := func(step string, want error, search func() error) {
@@ -374,7 +364,7 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 				t.Fatalf("%s/%s: %d table bytes still mapped after the search", name, step, got)
 			}
 		}
-		v := testVerifier(t, c.ok, Config{NondetTies: true}, c.wide)
+		v := testVerifier(t, c.ok, Config{NondetTies: true})
 		v.cfg.Workers = c.workers
 		exit("verdict", nil, func() error {
 			res, err := v.Run()
@@ -384,7 +374,7 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 			return err
 		})
 
-		v = testVerifier(t, c.viol, Config{NondetTies: true}, c.wide)
+		v = testVerifier(t, c.viol, Config{NondetTies: true})
 		v.cfg.Workers = c.workers
 		var res Result
 		exit("violation", nil, func() error {
@@ -395,11 +385,11 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 			}
 			return err
 		})
-		exit("counterexample", nil, func() error { _, err := v.counterexample(res); return err })
+		exit("counterexample", nil, func() error { _, err := rebuildPath(v, res); return err })
 		v.cfg.MaxStates = c.violMax
-		exit("counterexample at MaxStates", ErrTooLarge, func() error { _, err := v.counterexample(res); return err })
+		exit("counterexample at MaxStates", ErrTooLarge, func() error { _, err := rebuildPath(v, res); return err })
 
-		v = testVerifier(t, c.over, Config{NondetTies: true, MaxStates: c.overMax}, c.wide)
+		v = testVerifier(t, c.over, Config{NondetTies: true, MaxStates: c.overMax})
 		v.cfg.Workers = c.workers
 		exit("at MaxStates", ErrTooLarge, func() error { _, err := v.Run(); return err })
 	}

@@ -485,9 +485,8 @@ var deletedMechanisms = []struct {
 	{`func ClusterRetry`, ".", true, "the backend flags are one group in internal/cli: no per-command cluster helper"},
 	{`"(connect-retries|cpuprofile|memprofile)"`, ".", false, "the dial schedule is a constant; go test -bench and verifyd -pprof profile, not verifyslot flags"},
 	{``, "internal/dverify/mesh.go", false, "the mesh is five files with one worker lifecycle and one poll round (DESIGN.md §5)"},
-	{``, "internal/verify/u64set.go", false, "the visited set is one keySet over the stateKey family (DESIGN.md §4)"},
-	{``, "internal/verify/wideset.go", false, "the visited set is one keySet over the stateKey family (DESIGN.md §4)"},
-	{`type (u64Set|wideSet) |func \(v \*Verifier\) (successorsWide|expandWide)\(|func (hashW|lessW)\(`, ".", false, "no wide copy of the set, the expansion, the hash or the order (DESIGN.md §2)"},
+	{`\b(wideWords|wideAppWords|wideIdle|laneWords|stateKey|packWide|unpackWide|forceWide)\b|\[3\]uint64|type (u64Set|wideSet) |func \(v \*Verifier\) (successorsWide|expandWide)\(|func (hashW|lessW)\(`, ".", true,
+		"a state is one word: no multi-word layout, key-width type family, wide set, expansion, hash or order, and no forced-wide test axis (DESIGN.md §2)"},
 	{`codecFlate`, ".", true, "the DEFLATE frontier codec lost on every TCP row (DESIGN.md §4)"},
 	{`func \(w \*meshWorker\) reinit|roundFT|collectFT|SuccessorsInto`, ".", false, "no second worker reset, second poll loop or hash-less expansion call (DESIGN.md §5)"},
 	{`type cstate |func \(v \*Verifier\) (expand|expandGrouped|schedule|unpack|unpackWide)\(`, ".", false, "the decoded expansion core is the kernel's test oracle, not a second engine (DESIGN.md §2)"},
