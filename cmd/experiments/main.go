@@ -22,8 +22,8 @@
 //
 // Scale-out and warm-start knobs:
 //
-//	-nodes K / -connect a,b   run every slot verification on K loopback
-//	                          nodes or cmd/verifyd daemons (internal/cli's
+//	-connect a,b              run every slot verification on the
+//	                          cmd/verifyd daemons at a, b (internal/cli's
 //	                          backend group, with -workers and -ft);
 //	                          -maxstates then budgets states per node
 //	-cachedir warm            persist the -synthetic admission cache across
@@ -154,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // experiments is one invocation: where its report goes, and the backend
 // every slot verification runs on (-workers lanes, locally or on every
-// node of the -nodes/-connect cluster).
+// node of the -connect cluster).
 type experiments struct {
 	out, stderr io.Writer
 	cl          *cli.Cluster

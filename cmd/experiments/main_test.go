@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -25,6 +26,24 @@ func experimentsCmd(args ...string) (code int, stdout, stderr string) {
 	return code, o.String(), e.String()
 }
 
+// tcpWorkers starts n worker servers, verifyd's worker plane, on ephemeral
+// ports for the length of the test and returns them as a -connect list.
+func tcpWorkers(t *testing.T, n int) string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := dverify.NewServer(l, nil)
+		go srv.Serve()
+		t.Cleanup(srv.Shutdown)
+		addrs[i] = l.Addr().String()
+	}
+	return strings.Join(addrs, ",")
+}
+
 // TestFlagConflicts: every combination the command refuses exits 2 with a
 // message naming the conflict, before any experiment runs.
 func TestFlagConflicts(t *testing.T) {
@@ -38,9 +57,9 @@ func TestFlagConflicts(t *testing.T) {
 		{"-synthetic 5 -granularity-sweep 1,2,1 -cachedir d", "-cachedir applies to the plain -synthetic sweep"},
 		{"-synthetic 5 -granularity-sweep 3,1,1", "wants 1 ≤ lo ≤ hi"},
 		{"-table1 -json", "-json applies to -verifytime alone"},
-		{"-table1 -ft", "-ft is a distributed-run flag; it needs -nodes or -connect"},
-		{"-table1 -nodes 2 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
-		{"-table1 -nodes 2 -connect 127.0.0.1:1", "-nodes and -connect are mutually exclusive"},
+		{"-table1 -ft", "-ft is a distributed-run flag; it needs -connect"},
+		{"-table1 -connect 127.0.0.1:1 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
+		{"-table1 -nodes 2", "flag provided but not defined: -nodes"},
 		{"-table1 -workers -1", "-workers must be ≥ 0"},
 		{"-table2", "flag provided but not defined: -table2"},
 	} {
@@ -71,14 +90,14 @@ func TestTable1AndMapping(t *testing.T) {
 }
 
 // TestSynthetic: the seeded 30-application fleet takes 8 slots, on the
-// local engine and on a two-node loopback mesh.
+// local engine and over two TCP workers.
 func TestSynthetic(t *testing.T) {
 	for _, tc := range []struct {
 		backend []string
 		want    []string
 	}{
 		{nil, []string{"workers="}},
-		{[]string{"-nodes", "2"}, []string{"distributed verification: 2 loopback workers\n", "nodes=2]", "wire: routed="}},
+		{[]string{"-connect", tcpWorkers(t, 2)}, []string{"distributed verification: 2 TCP workers (", "nodes=2]", "wire: routed="}},
 	} {
 		args := append([]string{"-synthetic", "30", "-seed", "1", "-maxstates", "200000"}, tc.backend...)
 		code, stdout, stderr := experimentsCmd(args...)
@@ -99,7 +118,7 @@ func TestSynthetic(t *testing.T) {
 func TestVerifyTimeOnCluster(t *testing.T) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	backend := cli.BackendFlags(fs)
-	if err := fs.Parse([]string{"-nodes", "2"}); err != nil {
+	if err := fs.Parse([]string{"-connect", tcpWorkers(t, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := backend.Open(nil)
@@ -134,7 +153,7 @@ func TestVerifyTimeOnCluster(t *testing.T) {
 // it answers as the exact search does.
 func TestBudgetedSweepStoreIsNotTheServiceStore(t *testing.T) {
 	dir := t.TempDir()
-	if code, _, stderr := experimentsCmd("-synthetic", "30", "-seed", "1", "-nodes", "2", "-maxstates", "200", "-cachedir", dir); code != 0 {
+	if code, _, stderr := experimentsCmd("-synthetic", "30", "-seed", "1", "-connect", tcpWorkers(t, 2), "-maxstates", "200", "-cachedir", dir); code != 0 {
 		t.Fatalf("sweep: exit %d: %s", code, stderr)
 	}
 	ts := dverify.Loopback(2)

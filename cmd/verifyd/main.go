@@ -13,8 +13,8 @@
 // (internal/admit). POST /v1/admit submits a profile set + slot config
 // and returns the verdict with its search statistics; GET /v1/jobs/{id}
 // polls an async submit; /healthz and /statsz expose liveness and
-// counters. The front door verifies over loopback mesh nodes in this
-// process (-nodes), or over a worker fleet (-connect), with service-level
+// counters. The front door verifies on the local engine, or over a worker
+// fleet (-connect, one node per worker daemon), with service-level
 // coalescing of identical submits, a bounded request queue, and an
 // optional persistent verdict cache (-cachedir) checkpointed
 // incrementally by fingerprint-prefix shard.
@@ -22,10 +22,10 @@
 // Usage:
 //
 //	verifyd -listen 127.0.0.1:9471 [-quiet]                 # worker only
-//	verifyd -http 127.0.0.1:9833 -listen "" [-nodes 4]      # front door only
+//	verifyd -http 127.0.0.1:9833 -listen ""                 # front door only
 //	verifyd -http :9833 -connect host1:9471,host2:9471      # front door over a fleet
 //
-// The backend flags (internal/cli: -workers, -nodes, -connect, -ft)
+// The backend flags (internal/cli: -workers, -connect, -ft)
 // configure the admission plane and need -http; a worker inherits
 // its search from the coordinator's job. The service runs at least two
 // local lanes, so that every backend reports the same minimum-state
@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 	if *httpAddr == "" { // a worker inherits its search from the coordinator's job
 		if err := cli.Unset(fs, "configures the admission plane's backend; it needs -http",
-			"workers", "nodes", "connect", "ft"); err != nil {
+			"workers", "connect", "ft"); err != nil {
 			return err
 		}
 	}

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
 	"testing"
 
 	"tightcps/internal/cli"
+	"tightcps/internal/dverify"
 )
 
 // TestFlagConflicts: every combination the daemon refuses exits 2 with a
@@ -21,10 +23,10 @@ func TestFlagConflicts(t *testing.T) {
 		want string // substring of stderr
 	}{
 		{[]string{"-listen", "", "-http", ""}, "nothing to serve"},
-		{[]string{"-listen", "127.0.0.1:0", "-nodes", "2"}, "-nodes configures the admission plane's backend; it needs -http"},
-		{append(front, "-ft"), "-ft is a distributed-run flag; it needs -nodes or -connect"},
-		{append(front, "-nodes", "2", "-ft", "-ft"+"dir", "d"), "flag provided but not defined: -ft" + "dir"},
-		{append(front, "-nodes", "2", "-connect", "127.0.0.1:1"), "-nodes and -connect are mutually exclusive"},
+		{[]string{"-listen", "127.0.0.1:0", "-connect", "127.0.0.1:1"}, "-connect configures the admission plane's backend; it needs -http"},
+		{append(front, "-ft"), "-ft is a distributed-run flag; it needs -connect"},
+		{append(front, "-connect", "127.0.0.1:1", "-ft", "-ft"+"dir", "d"), "flag provided but not defined: -ft" + "dir"},
+		{append(front, "-nodes", "2"), "flag provided but not defined: -nodes"},
 		{append(front, "-workers", "-1"), "-workers must be ≥ 0"},
 		{[]string{"-connect" + "-retries", "3"}, "flag provided but not defined: -connect" + "-retries"},
 	} {
@@ -37,14 +39,25 @@ func TestFlagConflicts(t *testing.T) {
 }
 
 // TestServeThenDrain: a quiet daemon with both planes on ephemeral ports
-// and a two-node loopback backend answers S2 with its exact count over
+// and a backend of two TCP workers answers S2 with its exact count over
 // HTTP, then drains on the first signal down its channel and returns nil.
 func TestServeThenDrain(t *testing.T) {
+	var workers []string
+	for range 2 {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := dverify.NewServer(l, nil)
+		go srv.Serve()
+		t.Cleanup(srv.Shutdown)
+		workers = append(workers, l.Addr().String())
+	}
 	logR, logW := io.Pipe()
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-nodes", "2", "-quiet"}, io.Discard, logW, sigs)
+		done <- run([]string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-connect", strings.Join(workers, ","), "-quiet"}, io.Discard, logW, sigs)
 		logW.Close()
 	}()
 	lines := bufio.NewScanner(logR)
@@ -83,7 +96,7 @@ func TestServeThenDrain(t *testing.T) {
 		t.Errorf("run after a drain: %v", err)
 	}
 	log := strings.Join(append(seen, <-rest...), "\n")
-	for _, want := range []string{"worker listening on 127.0.0.1:", "(backend: distributed verification: 2 loopback workers)", "drained; bye"} {
+	for _, want := range []string{"worker listening on 127.0.0.1:", "(backend: distributed verification: 2 TCP workers (" + strings.Join(workers, ", ") + "))", "drained; bye"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("log lacks %q:\n%s", want, log)
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	verifyslot -apps C1,C5,C4,C3 [-lazy] [-workers N]
-//	           [-maxstates N] [-nodes K | -connect host:port,host:port]
+//	           [-maxstates N] [-connect host:port,host:port [-ft]]
 //	           [-json] [-tracefile out.json]
 //
 // -json replaces the text report with the per-run trace as JSON (verdict,
@@ -17,12 +17,11 @@
 //
 // The verdict is computed with the local search -workers asks for (the
 // sequential BFS for 1, owner-partitioned parallel lanes otherwise), or
-// — with -nodes or -connect — with the distributed backend of
-// internal/dverify: -nodes K runs K in-process loopback workers, -connect
-// drives cmd/verifyd daemons over TCP. The workers exchange frontiers over a
-// mesh of direct node↔node links, one barrier per BFS level. In
-// distributed runs -maxstates is a per-node budget, so a cluster of K
-// workers admits slots up to K times larger than one node.
+// — with -connect — with the distributed backend of internal/dverify over
+// cmd/verifyd daemons, one node per daemon process. The workers exchange
+// frontiers over a mesh of direct node↔node links, one barrier per BFS
+// level. In distributed runs -maxstates is a per-node budget, so a cluster
+// of K workers admits slots up to K times larger than one node.
 // When a violation is found, verify.Counterexample rebuilds the schedule
 // from that run's verdict (its depth and violator) with a local BFS, so the
 // schedule ends in a miss of the violator printed, on every backend.
@@ -31,7 +30,7 @@
 // (excluding profiling and counterexample reconstruction), so throughput
 // regressions — local or distributed — show up on any run.
 //
-// The backend flags (-workers, -nodes, -connect, -ft) are
+// The backend flags (-workers, -connect, -ft) are
 // internal/cli's group; -ta and -server refuse, by name, every flag their
 // mode cannot honour (DESIGN.md, "Commands").
 package main
@@ -70,13 +69,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *useTA {
 		if err := cli.Unset(fs, "is incompatible with -ta (the TA network is one local search of the eager policy, exact, unbudgeted and untraced)",
-			"nodes", "connect", "ft", "workers", "maxstates", "lazy", "server", "json", "tracefile"); err != nil {
+			"connect", "ft", "workers", "maxstates", "lazy", "server", "json", "tracefile"); err != nil {
 			return err
 		}
 	}
 	if *server != "" {
 		if err := cli.Unset(fs, "is incompatible with -server (the admission service runs the search; this process only asks)",
-			"nodes", "connect", "ft", "workers", "json", "tracefile"); err != nil {
+			"connect", "ft", "workers", "json", "tracefile"); err != nil {
 			return err
 		}
 	}

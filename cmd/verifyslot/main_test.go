@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"strings"
 	"testing"
 
 	"tightcps/internal/cli"
+	"tightcps/internal/dverify"
 )
 
 // verifyslot runs the command in process and returns its exit code and
@@ -17,6 +19,24 @@ func verifyslot(args ...string) (code int, stdout, stderr string) {
 	return code, o.String(), e.String()
 }
 
+// tcpWorkers starts n worker servers, verifyd's worker plane, on ephemeral
+// ports for the length of the test and returns them as a -connect list.
+func tcpWorkers(t *testing.T, n int) string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := dverify.NewServer(l, nil)
+		go srv.Serve()
+		t.Cleanup(srv.Shutdown)
+		addrs[i] = l.Addr().String()
+	}
+	return strings.Join(addrs, ",")
+}
+
 // TestFlagConflicts: every combination the command refuses exits 2 with a
 // message naming the conflict, before any verification runs.
 func TestFlagConflicts(t *testing.T) {
@@ -24,20 +44,22 @@ func TestFlagConflicts(t *testing.T) {
 		args string
 		want string // substring of stderr
 	}{
-		{"-ta -nodes 2", "-nodes is incompatible with -ta"},
+		{"-ta -connect 127.0.0.1:1", "-connect is incompatible with -ta"},
 		{"-ta -maxstates 5", "-maxstates is incompatible with -ta"},
 		// The TA network models the eager policy.
 		{"-ta -lazy", "-lazy is incompatible with -ta"},
 		{"-ta -workers 2", "-workers is incompatible with -ta"},
 		{"-ta -json", "-json is incompatible with -ta"},
 		{"-json -server http://127.0.0.1:1", "-json is incompatible with -server"},
-		{"-server http://127.0.0.1:1 -nodes 2", "-nodes is incompatible with -server"},
+		{"-server http://127.0.0.1:1 -connect 127.0.0.1:1", "-connect is incompatible with -server"},
 		{"-server http://127.0.0.1:1 -ft", "-ft is incompatible with -server"},
 		{"-server http://127.0.0.1:1 -workers 2", "-workers is incompatible with -server"},
-		{"-ft", "-ft is a distributed-run flag; it needs -nodes or -connect"},
-		{"-nodes 2 -connect 127.0.0.1:1", "-nodes and -connect are mutually exclusive"},
-		{"-nodes -1", "-nodes must be ≥ 0"},
+		{"-ft", "-ft is a distributed-run flag; it needs -connect"},
 		{"-workers -1", "-workers must be ≥ 0"},
+		// A -connect list is checked before any dial: nothing listens at
+		// these addresses, and a dial would fail with exit 1 after retries.
+		{"-apps C6,C2 -connect 127.0.0.1:1,", `-connect "127.0.0.1:1,": entry 2 is empty`},
+		{"-apps C6,C2 -connect 127.0.0.1:19471,127.0.0.1:19471", "127.0.0.1:19471 is listed twice"},
 		// Deleted flags; their names are split so a grep for them finds no
 		// Go file.
 		{"-mutex" + "profile m.pprof", "flag provided but not defined: -mutex" + "profile"},
@@ -45,13 +67,17 @@ func TestFlagConflicts(t *testing.T) {
 		{"-cpu" + "profile c.pprof", "flag provided but not defined: -cpu" + "profile"},
 		{"-mem" + "profile m.pprof", "flag provided but not defined: -mem" + "profile"},
 		{"-connect" + "-retries 3", "flag provided but not defined: -connect" + "-retries"},
-		{"-nodes 2 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
+		{"-connect 127.0.0.1:1 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
+		{"-nodes 2", "flag provided but not defined: -nodes"},
 		{"-server http://127.0.0.1:1 -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
 	} {
 		code, stdout, stderr := verifyslot(strings.Fields(tc.args)...)
 		if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" {
 			t.Errorf("verifyslot %s: exit %d, stdout %q, stderr %q; want exit 2 naming %q", tc.args, code, stdout, stderr, tc.want)
 		}
+	}
+	if code, stdout, stderr := verifyslot("-apps", "C6,C2", "-connect", " "); code != 2 || !strings.Contains(stderr, `-connect " ": entry 1 is empty`) || stdout != "" {
+		t.Errorf("verifyslot -connect \" \": exit %d, stdout %q, stderr %q; want exit 2 naming the empty entry", code, stdout, stderr)
 	}
 	if code, _, stderr := verifyslot("-h"); code != 0 || !strings.Contains(stderr, "-apps") {
 		t.Errorf("verifyslot -h: exit %d, stderr %q; want exit 0 and the usage text", code, stderr)
@@ -62,9 +88,9 @@ func TestFlagConflicts(t *testing.T) {
 }
 
 // TestSchedulableSlot: the paper's slot S2 verifies with its known count,
-// locally and on a two-node loopback mesh.
+// locally and over two TCP workers.
 func TestSchedulableSlot(t *testing.T) {
-	for _, args := range [][]string{{"-apps", "C6,C2"}, {"-apps", "C6,C2", "-nodes", "2"}} {
+	for _, args := range [][]string{{"-apps", "C6,C2"}, {"-apps", "C6,C2", "-connect", tcpWorkers(t, 2)}} {
 		code, stdout, stderr := verifyslot(args...)
 		if code != 0 || !strings.Contains(stdout, "schedulable=true") || !strings.Contains(stdout, "states=10201 ") {
 			t.Fatalf("%v: exit %d\nstdout: %s\nstderr: %s", args, code, stdout, stderr)

@@ -1,5 +1,5 @@
 // Package cli is what the commands under cmd/ share: the backend flag
-// group, which resolves -workers, -nodes, -connect and -ft to one
+// group, which resolves -workers, -connect and -ft to one
 // verify.Config, and the exit rule (Exit). A command is a run(args,
 // stdout, stderr) error over its own FlagSet; its main is cli.Main(name,
 // run), and its tests call run in process.
@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"tightcps/internal/dverify"
@@ -91,18 +92,17 @@ func Unset(fs *flag.FlagSet, why string, names ...string) error {
 // Backend is the backend flag group: the lanes of a search and, for a
 // distributed one, the cluster and its fault tolerance.
 type Backend struct {
-	workers, nodes int
-	connect        string
-	ft             bool
+	workers int
+	connect string
+	ft      bool
 }
 
 // BackendFlags registers the group's flags on fs.
 func BackendFlags(fs *flag.FlagSet) *Backend {
 	b := &Backend{}
-	fs.IntVar(&b.workers, "workers", 0, "lanes of a search, on every node of a -nodes/-connect cluster too (0 = GOMAXPROCS, shared by the nodes of one process; 1 = sequential locally, one lane per node)")
-	fs.IntVar(&b.nodes, "nodes", 0, "verify over K in-process loopback mesh nodes (0 = local search)")
+	fs.IntVar(&b.workers, "workers", 0, "lanes of a search, on every node of a -connect cluster too (0 = GOMAXPROCS of the process that runs them; 1 = sequential locally, one lane per node)")
 	fs.StringVar(&b.connect, "connect", "", "verify over the verifyd workers at these comma-separated addresses (each dialed up to 5 times, waiting 0.5, 1, 2 and 4 s)")
-	fs.BoolVar(&b.ft, "ft", false, "fault-tolerant distributed runs: survive worker deaths by handing the dead node's shards to the survivors and restarting the search on them (needs -nodes or -connect)")
+	fs.BoolVar(&b.ft, "ft", false, "fault-tolerant distributed runs: survive worker deaths by handing the dead node's shards to the survivors and restarting the search on them (needs -connect)")
 	return b
 }
 
@@ -119,45 +119,42 @@ type Cluster struct {
 }
 
 // Open checks the group's flags together and opens the backend they name:
-// the local engine, K loopback nodes, or the -connect workers, each dialed
-// on the fixed retry schedule (logf, when non-nil, gets one line per failed
-// attempt). The caller closes the cluster.
+// the local engine, or the -connect workers, each dialed on the fixed retry
+// schedule (logf, when non-nil, gets one line per failed attempt). A
+// -connect list with an empty or repeated address is refused before any
+// dial. The caller closes the cluster.
 func (b *Backend) Open(logf func(format string, args ...any)) (*Cluster, error) {
 	switch {
 	case b.workers < 0:
 		return nil, Usagef("-workers must be ≥ 0 (0 = GOMAXPROCS lanes, 1 = sequential), got %d", b.workers)
-	case b.nodes < 0:
-		return nil, Usagef("-nodes must be ≥ 0, got %d", b.nodes)
-	case b.nodes > 0 && b.connect != "":
-		return nil, Usagef("-nodes and -connect are mutually exclusive (one cluster per run)")
-	case b.ft && b.nodes == 0 && b.connect == "":
-		return nil, Usagef("-ft is a distributed-run flag; it needs -nodes or -connect")
+	case b.ft && b.connect == "":
+		return nil, Usagef("-ft is a distributed-run flag; it needs -connect")
 	}
 	c := &Cluster{Config: verify.Config{Workers: b.workers}}
-	switch {
-	case b.connect != "":
-		addrs := strings.Split(b.connect, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-		}
-		ts, err := dverify.DialRetry(addrs, 0, dialAttempts, logf)
-		if err != nil {
-			return nil, err
-		}
-		c.ts = ts
-		c.Banner = fmt.Sprintf("distributed verification: %d TCP workers (%s)", len(ts), strings.Join(addrs, ", "))
-	case b.nodes > 0:
-		c.ts = dverify.Loopback(b.nodes)
-		c.Banner = fmt.Sprintf("distributed verification: %d loopback workers", b.nodes)
-	default:
+	if b.connect == "" {
 		c.Width = fmt.Sprintf("workers=%d", cmp.Or(b.workers, runtime.GOMAXPROCS(0)))
 		return c, nil
 	}
-	c.Nodes = len(c.ts)
-	c.Width = fmt.Sprintf("nodes=%d", c.Nodes)
-	c.Config.Distributed = dverify.Runner(c.ts)
+	addrs := strings.Split(b.connect, ",")
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
+		switch {
+		case addrs[i] == "":
+			return nil, Usagef("-connect %q: entry %d is empty", b.connect, i+1)
+		case slices.Contains(addrs[:i], addrs[i]):
+			return nil, Usagef("-connect %q: %s is listed twice (a worker serves one node of a cluster)", b.connect, addrs[i])
+		}
+	}
+	ts, err := dverify.DialRetry(addrs, 0, dialAttempts, logf)
+	if err != nil {
+		return nil, err
+	}
+	c.ts, c.Nodes = ts, len(ts)
+	c.Banner = fmt.Sprintf("distributed verification: %d TCP workers (%s)", len(ts), strings.Join(addrs, ", "))
+	c.Width = fmt.Sprintf("nodes=%d", len(ts))
+	c.Config.Distributed = dverify.Runner(ts)
 	if b.ft {
-		c.Config.Distributed = dverify.FaultTolerantRunner(c.ts)
+		c.Config.Distributed = dverify.FaultTolerantRunner(ts)
 		c.Banner += " (fault-tolerant)"
 	}
 	return c, nil

@@ -110,7 +110,7 @@ func meshPeers(nodes []Transport) (peers []string, ok bool) {
 // returned function runs the distributed reachability analysis over the
 // nodes. The configuration is interpreted exactly like verify.Slot's,
 // except that Workers is the lane count of every node (0: the GOMAXPROCS
-// of the node's process, shared by the nodes it hosts; 1: one lane) and
+// of the node's process; 1: one lane) and
 // MaxStates is a per-node budget; verify.Counterexample rebuilds the
 // schedule of a violation locally. The nodes exchange frontiers over
 // direct worker↔worker links, so the transports must be what Loopback or

@@ -9,12 +9,11 @@ import (
 )
 
 // Loopback returns transports to n in-process worker nodes, each served by
-// its own goroutine over unbuffered channels. It is the test and
-// single-machine form of the cluster: protocol, partitioning and the mesh
-// exchange are exactly those of the TCP transport, with channel handoff in
-// place of gob framing — mesh links push state batches straight into the
-// peer's inbox, with no encoding. Close the transports (dverify.Close) to
-// stop the worker goroutines.
+// its own goroutine over unbuffered channels. It is the test and benchmark
+// form of the cluster (the commands dial verifyd workers): protocol,
+// partitioning and the mesh exchange are those of the TCP transport, with
+// channel handoff in place of gob framing and no encoding. Close the
+// transports (dverify.Close) to stop the worker goroutines.
 func Loopback(n int) []Transport {
 	g := &loopGroup{sessions: map[uint64]*loopSession{}}
 	ts := make([]Transport, n)

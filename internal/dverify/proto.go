@@ -73,8 +73,8 @@ type Job struct {
 	// the aggregate capacity of a run is NumNodes × MaxStates.
 	MaxStates int
 	// Workers is the node's lane count, verify.Config.Workers; 0 is worked
-	// out where the node runs (GOMAXPROCS, shared by the nodes of one
-	// process). It changes no verdict, exhaustive count or violator.
+	// out where the node runs (its process's GOMAXPROCS). It changes no
+	// verdict, exhaustive count or violator.
 	Workers int
 
 	// Session identifies this run's mesh rendezvous — the node opens (or

@@ -511,6 +511,8 @@ var deletedMechanisms = []struct {
 	{`\b(cntBits|cntShift|maxDist)\b`, ".", true, "a lane is its phase and clock: the bounded model's counter is gone (DESIGN.md §2)"},
 	{`"bounded"|json:"bounded|"maxDisturbances"`, ".", false, "no flag, config key or verdict field selects the bounded model; a request's bounded keys are skipped like any unknown key"},
 	{`writeSegment|readSegment|segMagic|CheckpointDir|ckptWriteHook|AppendLevel|SortWords|"ftdir"`, ".", false, "a worker death restarts the search on the survivors: rolling back to per-level checkpoint segments lost every measured pair to it (DESIGN.md §9, \"Recovery restarts the search\")"},
+	{`\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)?(Var)?\((&[\w.]+, *)?"nodes"`, ".", false,
+		"one node per process: a command reaches a cluster by -connect to verifyd workers; in-process nodes share one heap and the cores, tied the local lanes and multiplied the per-node -maxstates (DESIGN.md, \"Commands\")"},
 }
 
 // TestDeletedMechanismsStayDeleted holds the tree to deletedMechanisms.
