@@ -2,6 +2,7 @@ package dverify
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,10 +13,11 @@ import (
 
 // TestMeshAllocsFlatInNodeCount: per warm verdict, a 4-node loopback mesh
 // may allocate at most 1.5× what a 2-node one does on the paper's slot S1.
-// Each node recycles its inbox batches and frontier buckets across levels
-// and a standing cluster reuses its workers across Inits, so only per-link
-// structures scale with the node count; before the recycling fix the 4-node
-// run allocated about 2× the 2-node run.
+// Each node recycles its inbox batches and level blocks across levels and
+// a standing cluster reuses its workers' expanders and batch memory across
+// Inits, so only per-link structures and each node's own per-job tables and
+// level blocks scale with the node count; before the recycling fix the
+// 4-node run allocated about 2× the 2-node run.
 func TestMeshAllocsFlatInNodeCount(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
@@ -62,12 +64,13 @@ func TestMeshAllocsFlatInNodeCount(t *testing.T) {
 }
 
 // TestMeshRetainedAllocPerState: what a standing 2-node loopback cluster
-// keeps between jobs is its visited tables (11.6 B per S1 state at this
-// size), two frontier buffers per node and the batch free lists — at most
-// 24 live bytes per visited state after a warm S1 verdict, and no more after
-// three further verdicts: memory that tracks the widest level, not the
-// number of runs. Live bytes are the heap's plus the tables mapped off it
-// (tableBytes), so a table past the 2 MiB line still counts.
+// keeps between jobs is its expanders, lane structs and batch free lists —
+// a job's visited tables and level blocks go when it finishes — at most 2
+// live bytes per visited state after a warm S1 verdict (1.1 B measured;
+// 13.4 B when a worker kept its tables), and no more after three further
+// verdicts: memory that tracks neither the search nor the number of runs.
+// Live bytes are the heap's plus the tables mapped off it (tableBytes), so
+// a table past the 2 MiB line still counts.
 func TestMeshRetainedAllocPerState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
@@ -98,8 +101,8 @@ func TestMeshRetainedAllocPerState(t *testing.T) {
 	warm := retained(2) // one to build the steady state, one warm
 	later := retained(3)
 	t.Logf("standing 2-node cluster retains %.1f B per visited state after a warm S1 verdict, %.1f B three verdicts later", warm, later)
-	if warm > 24 {
-		t.Fatalf("standing cluster retains %.1f B per visited state after a warm verdict, want ≤ 24", warm)
+	if warm > 2 {
+		t.Fatalf("standing cluster retains %.1f B per visited state after a warm verdict, want ≤ 2", warm)
 	}
 	if later > warm+1 {
 		t.Fatalf("retention grew from %.1f to %.1f B per visited state over three verdicts", warm, later)
@@ -112,13 +115,16 @@ func tableBytes() int64 {
 	return obs.Default.Snapshot()["tightcps_verify_table_bytes"].(int64)
 }
 
-// TestLoopbackCloseReleasesTables: a standing Loopback(2) keeps its lanes'
-// tables between jobs — S1's are past the 2 MiB line, so the job must leave
-// them mapped — and hands every one back once Close has ended its workers,
-// so the table-bytes gauge returns to its value before the cluster. Close
-// does not wait for the worker goroutines — an earlier test's cluster may
-// still be unmapping its tables — so the test waits for the gauge to reach
-// zero before the cluster and to come back to it after.
+// TestLoopbackCloseReleasesTables: a standing cluster holds no visited
+// table between jobs. Each worker releases its tables when it answers the
+// Finish round, so the table-bytes gauge is back at its value before the
+// cluster as soon as each verdict returns, while the cluster still stands —
+// on Loopback(2) and on a standing Dial session to two TCP workers — and
+// stays there once Close has ended the workers. S1's tables are past the
+// 2 MiB line, so a sampler of the gauge during each run must see them
+// mapped. The workers of an earlier test's cluster may still be unmapping
+// when this one starts, so the test first waits for the gauge to reach
+// zero.
 func TestLoopbackCloseReleasesTables(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("tables are mapped off the heap only on Linux")
@@ -127,7 +133,7 @@ func TestLoopbackCloseReleasesTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unmapped := func(when string) {
+	unmapped := func(t *testing.T, when string) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); tableBytes() != 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -135,15 +141,63 @@ func TestLoopbackCloseReleasesTables(t *testing.T) {
 			}
 		}
 	}
-	unmapped("before the cluster")
-	ts := Loopback(2)
-	res, err := Runner(ts)(s1, verify.Config{NondetTies: true})
-	if err != nil || !res.Schedulable || res.States != 1440712 {
-		t.Fatalf("2-node S1: %+v, %v", res, err)
+	clusters := []struct {
+		name string
+		mk   func() []Transport
+	}{
+		{"loopback", func() []Transport { return Loopback(2) }},
+		{"tcp", func() []Transport {
+			ts, err := Dial([]string{startWorker(t), startWorker(t)}, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ts
+		}},
 	}
-	if tableBytes() == 0 {
-		t.Fatal("the standing cluster holds no mapped table after S1, so Close cannot show one released")
+	for _, cl := range clusters {
+		t.Run(cl.name, func(t *testing.T) {
+			unmapped(t, "before the cluster")
+			ts := cl.mk()
+			closed := false
+			defer func() {
+				if !closed {
+					Close(ts)
+				}
+			}()
+			for run := 1; run <= 2; run++ {
+				// peak samples the gauge until the verdict is in.
+				var peak atomic.Int64
+				stop, sampled := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(sampled)
+					for {
+						peak.Store(max(peak.Load(), tableBytes()))
+						select {
+						case <-stop:
+							return
+						case <-time.After(100 * time.Microsecond):
+						}
+					}
+				}()
+				res, err := Runner(ts)(s1, verify.Config{NondetTies: true})
+				after := tableBytes()
+				close(stop)
+				<-sampled
+				if err != nil || !res.Schedulable || res.States != 1440712 {
+					t.Fatalf("S1 run %d: %+v, %v", run, res, err)
+				}
+				if peak.Load() == 0 {
+					t.Fatalf("S1 run %d: no mapped table seen during the run, so its release shows nothing", run)
+				}
+				if after != 0 {
+					t.Fatalf("S1 run %d: %d table bytes still mapped when the verdict returned (%d at the run's peak seen)", run, after, peak.Load())
+				}
+			}
+			closed = true
+			if err := Close(ts); err != nil {
+				t.Fatal(err)
+			}
+			unmapped(t, "after Close")
+		})
 	}
-	Close(ts)
-	unmapped("after Close")
 }

@@ -8,12 +8,11 @@ import (
 )
 
 // jobsCompatible reports whether a worker built for prev can donate its
-// standing part to next: everything that shaped its expander, lanes,
-// visited partition and cluster placement must be identical. Session, Peers and
-// MaxStates may differ — they never shape worker memory. This is what
-// makes a standing cluster cheap to re-Init: the bench loop and a daemon
-// re-verifying the same slot skip the expander rebuild and the visited
-// reallocation entirely.
+// standing part to next: everything that shaped its expander, lane count
+// and cluster placement must be identical. Session, Peers and MaxStates may
+// differ — they shape only a job's visited tables, which no job inherits.
+// This is what makes a standing cluster cheap to re-Init: the bench loop
+// and a daemon re-verifying the same slot skip the expander rebuild.
 func jobsCompatible(prev, next *Job) bool {
 	if prev == nil || next == nil ||
 		prev.NumNodes != next.NumNodes || prev.NodeID != next.NodeID || prev.Workers != next.Workers ||
@@ -60,21 +59,13 @@ type handler struct {
 	mw *meshWorker
 }
 
-// reset tears down any live worker — its links and session registration
-// must never outlive its job (conn reuse ships a fresh Init).
+// reset tears down any live worker, at a new Init and when the session
+// ends — its links, session registration and visited tables must never
+// outlive its job (conn reuse ships a fresh Init).
 func (h *handler) reset() {
 	if h.mw != nil {
 		h.mw.shutdown()
 		h.mw = nil
-	}
-}
-
-// close ends the session: any live worker is torn down and its lanes hand
-// their mapped visited tables back, since no later job can reuse them.
-func (h *handler) close() {
-	if mw := h.mw; mw != nil {
-		h.reset()
-		mw.lanes.Release()
 	}
 }
 
@@ -93,14 +84,11 @@ func (h *handler) handle(req *Request) *Response {
 			return &Response{Err: "worker is busy with another coordinator session (one cluster per worker)"}
 		}
 		// Keep the torn-down worker around as a reuse donor: a compatible
-		// follow-up job takes over its expander, visited table and batch
-		// memory instead of rebuilding them.
+		// follow-up job takes over its expander, lane structs and batch
+		// memory instead of rebuilding them. Its tables are already gone.
 		prev := h.mw
 		h.reset()
 		mw, resp, err := newMeshWorker(req.Job, h.env, prev)
-		if prev != nil && prev != mw {
-			prev.lanes.Release() // a donor nothing took: its tables go now
-		}
 		if err != nil {
 			return &Response{Err: err.Error()}
 		}

@@ -7,6 +7,7 @@ package dverify
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +114,58 @@ func TestWedgedWorkerNamedError(t *testing.T) {
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines before the run, %d after Close", before, runtime.NumGoroutine())
+		}
+	}
+}
+
+// TestRecoverAfterFinishKeepsTheRun: a finished worker answers every later
+// poll with its final snapshot. A Recover order of a newer era sent after
+// Finish must not restart it — that would wipe the run's counts and seed a
+// search on closed links and released tables — so the reply keeps the
+// run's Fresh and FreshByLevel, as does a level poll after it.
+func TestRecoverAfterFinishKeepsTheRun(t *testing.T) {
+	ps := []*switching.Profile{prof("A", 3, 1, 2, 12), prof("B", 3, 1, 2, 12)}
+	cfg := verify.Config{NondetTies: true}
+	want, err := verify.Slot(ps, cfg)
+	if err != nil || !want.Schedulable {
+		t.Fatalf("fixture: %+v, %v", want, err)
+	}
+	ts := Loopback(1)
+	defer Close(ts)
+	h := handler{env: loopEnv{ts[0].(*loopTransport).group}}
+	defer h.reset()
+	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), NondetTies: true, Session: 1,
+		Profiles: []switching.Profile{*ps[0], *ps[1]}}
+	if r := h.handle(&Request{Kind: KindInit, Job: job}); r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	poll := func(ctl Control) *Response {
+		t.Helper()
+		r := h.handle(&Request{Kind: KindPoll, Ctl: &ctl})
+		if r.Err != "" {
+			t.Fatal(r.Err)
+		}
+		return r
+	}
+	for level := 0; ; {
+		r := poll(Control{Level: level})
+		if len(r.SentTo) == 0 {
+			continue // interim: poll the level again
+		}
+		if r.Next == 0 {
+			break
+		}
+		level++
+	}
+	fin := poll(Control{Finish: true})
+	fresh, byLevel := fin.Fresh, slices.Clone(fin.FreshByLevel)
+	if fresh != want.States {
+		t.Fatalf("Finish reply: %d fresh states, want the local search's %d", fresh, want.States)
+	}
+	for _, ctl := range []Control{{Recover: &Recover{Era: 1, Owners: defaultOwners(1)}}, {Level: 0}} {
+		if r := poll(ctl); r.Fresh != fresh || !slices.Equal(r.FreshByLevel, byLevel) {
+			t.Fatalf("poll %+v after Finish: %d fresh states by level %v, want the run's %d by %v",
+				ctl, r.Fresh, r.FreshByLevel, fresh, byLevel)
 		}
 	}
 }

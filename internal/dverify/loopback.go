@@ -174,7 +174,7 @@ type loopTransport struct {
 // its session registration nor its mapped visited tables leak.
 func (lt *loopTransport) serve() {
 	h := handler{env: loopEnv{lt.group}}
-	defer h.close()
+	defer h.reset()
 	for {
 		select {
 		case req, ok := <-lt.req:

@@ -385,7 +385,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 	h := handler{env: tcpEnv{host: s.host}, draining: s.isDraining, acquire: acquire}
-	defer h.close()
+	defer h.reset()
 	req := &first
 	for {
 		if req.Kind == KindInit && req.Job != nil && req.Job.RunID != "" {

@@ -39,9 +39,11 @@ type meshWorker struct {
 }
 
 // meshStanding is what a compatible follow-up job inherits: the expander,
-// the lanes with their visited tables and frontiers, and recycled memory.
-// None of it says anything about a run — resetEra empties what can hold
-// state. States are flat words throughout, one per state.
+// the lane structs and recycled batch memory. None of it says anything
+// about a run, and none of it grows with the search: the lanes' visited
+// tables and level blocks live only while a job's search runs (resetEra
+// gives the lanes fresh ones, shutdown releases them). States are flat
+// words throughout, one per state.
 type meshStanding struct {
 	exp    *verify.Expander
 	lanes  *verify.Lanes
@@ -116,14 +118,15 @@ type meshEra struct {
 
 // newMeshWorker builds a node for a mesh job and wires its data links
 // through env — the only build path. A previous worker whose job is
-// compatible donates its standing part (expander, lanes with their visited
-// tables — the dominant per-run allocation — and batch memory): a standing
-// cluster re-verifying a slot, a daemon serving successive coordinators or
-// the bench loop, does not restart its steady state from zero. The donor's
-// links are already down (Init goes through handler.reset) and its
-// registration is gone; what its run left parked — a violating or
-// over-budget run stops with frontier and sends in place — is recycled by
-// the same resets that start every worker.
+// compatible donates its standing part (expander, lane structs and batch
+// memory): a standing cluster re-verifying a slot, a daemon serving
+// successive coordinators or the bench loop, does not rebuild the expander
+// or refill its batch free list. The visited tables are not donated: the
+// new job grows its own from setCap, as every local search does. The
+// donor's links are already down and its tables released (Init goes
+// through handler.reset), and its registration is gone; what its run left
+// parked — a violating or over-budget run stops with sends in place — is
+// recycled by the same resets that start every worker.
 func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Response, error) {
 	if job.Proto != protoVersion {
 		return nil, nil, fmt.Errorf("dverify: coordinator speaks protocol %d, this worker speaks %d (rebuild the older side)",
@@ -203,11 +206,12 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 
 // resetEra is the one place a worker's search state is emptied — at Init
 // and on every recovery order. It recycles the outgoing era's waiting
-// batches into the free list, empties the lanes (visited tables, frontiers)
-// under the new ownership table, then starts the new era from a fresh
-// value: only what is named below differs from zero. dead is the complete
-// current dead set, and the cumulative LinkDown report restarts empty: the
-// coordinator already acted on everything reported before.
+// batches into the free list, resets the lanes (fresh visited tables,
+// empty frontiers) under the new ownership table, then starts the new era
+// from a fresh value: only what is named below differs from zero. dead is
+// the complete current dead set, and the cumulative LinkDown report
+// restarts empty: the coordinator already acted on everything reported
+// before.
 func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
 	for i, b := range w.ahead {
 		w.putBatch(b)
@@ -249,10 +253,12 @@ func (w *meshWorker) seed() {
 // finished round: it carries the round's SentTo and Next.
 func (w *meshWorker) snapshot(done bool) *Response {
 	st := w.lanes.Stats()
-	for len(w.levelFresh) < w.level+2 {
-		w.levelFresh = append(w.levelFresh, 0)
+	if !w.finished { // a finished worker's lanes hold no level: its counts stand
+		for len(w.levelFresh) < w.level+2 {
+			w.levelFresh = append(w.levelFresh, 0)
+		}
+		w.levelFresh[w.level], w.levelFresh[w.level+1] = st.Level, st.Next
 	}
-	w.levelFresh[w.level], w.levelFresh[w.level+1] = st.Level, st.Next
 	resp := &w.snapResp[w.snapFlip]
 	w.snapFlip ^= 1
 	*resp = Response{
@@ -295,8 +301,10 @@ func (w *meshWorker) snapshot(done bool) *Response {
 	return resp
 }
 
-// poll is one round on the worker side. A Recover order resets the worker
-// to the initial state and answers without expanding. Otherwise the worker
+// poll is one round on the worker side. A finished worker answers every
+// poll with its final snapshot, whatever the order. A Recover order resets
+// the worker to the initial state and answers without expanding; Finish
+// answers with the final snapshot and ends the worker. Otherwise the worker
 // absorbs until it holds the ctl.Expect states of level ctl.Level its peers
 // shipped it, runs the lanes' level rounds over its part of the level,
 // committing its own successors as they go and shipping the others', and
@@ -304,16 +312,17 @@ func (w *meshWorker) snapshot(done bool) *Response {
 // runs out first, with an interim one, and the coordinator polls it again
 // at the same level.
 func (w *meshWorker) poll(ctl *Control) *Response {
+	if w.finished {
+		return w.snapshot(false)
+	}
 	if ctl.Recover != nil {
 		w.recoverTo(ctl.Recover)
 		return w.snapshot(false)
 	}
 	if ctl.Finish {
+		resp := w.snapshot(false) // before shutdown releases the levels it reads
 		w.shutdown()
-		return w.snapshot(false)
-	}
-	if w.finished {
-		return w.snapshot(false)
+		return resp
 	}
 	switch ctl.Level {
 	case w.level:
@@ -374,9 +383,11 @@ func (w *meshWorker) waitData(deadline time.Time) bool {
 	}
 }
 
-// shutdown tears the node's data plane down (idempotent): links closed,
-// registry entry released. The session's cumulative counters fold into the
-// worker-side metrics here — once per session, zero hot-path cost.
+// shutdown ends the node's job (idempotent): links closed, registry entry
+// released, and the lanes' visited tables and level blocks released — they
+// live as long as the job's search, so an idle worker holds none. The
+// session's cumulative counters fold into the worker-side metrics here —
+// once per session, zero hot-path cost.
 func (w *meshWorker) shutdown() {
 	if w.finished {
 		return
@@ -394,4 +405,5 @@ func (w *meshWorker) shutdown() {
 	if w.env != nil {
 		w.env.leave(w.job)
 	}
+	w.lanes.Release()
 }

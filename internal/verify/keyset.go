@@ -71,8 +71,9 @@ const mapTableBytes = 2 << 20
 // tests read it: one that means to cross the 2 MiB line checks it did.
 var tablesMapped atomic.Int64
 
-// release hands a mapped table back to the kernel. The set is empty and
-// unusable after it; a heap table is left to the collector.
+// release hands a mapped table back to the kernel; a heap table is left to
+// the collector. The set is empty after it, with no table: its next insert
+// grows one from 16 slots.
 func (s *keySet) release() {
 	freeTable(s.slots, s.mem)
 	s.slots, s.mem, s.n = nil, nil, 0
@@ -173,13 +174,6 @@ func (s *keySet) addChunk(keys []uint64, fresh []int32) []int32 {
 // len returns the number of stored keys.
 func (s *keySet) len() int { return s.n }
 
-// reset empties the set in place, keeping the table at its grown size: a
-// standing mesh worker serving repeated runs clears instead of reallocating.
-func (s *keySet) reset() {
-	clear(s.slots)
-	s.n = 0
-}
-
 // reserve makes room, in a single rehash (grow), for an estimated n more
 // keys, but not for keys past the search's budget, which it never stores.
 // The BFS drivers call it with the expected fanout of the coming level, so
@@ -191,8 +185,9 @@ func (s *keySet) reserve(n int) {
 }
 
 // grow rehashes the table, once, for need keys. The size is the doubling
-// policy's — the smallest power of two of at least twice the table that
-// holds them at ¾ load — but a growth that reaches the mapped sizes goes to
+// policy's — the smallest power of two of at least twice the table, and of
+// at least 16 slots (a released set has none), that holds them at ¾ load —
+// but a growth that reaches the mapped sizes goes to
 // at least 4× the table, one rehash where doubling takes two: fewer keys
 // moved and fresh pages faulted, for a table at most twice the doubling
 // policy's. A lane's table (doubling) keeps to the doubling policy: its
@@ -202,7 +197,7 @@ func (s *keySet) reserve(n int) {
 // at more than ¾ load.
 func (s *keySet) grow(need int) {
 	old := len(s.slots)
-	size := 2 * old
+	size := max(2*old, 16)
 	for 4*need > 3*size {
 		size <<= 1
 	}

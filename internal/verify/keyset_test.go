@@ -5,10 +5,14 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // contains reports membership.
 func (s *keySet) contains(k uint64) bool {
+	if len(s.slots) == 0 {
+		return false // released
+	}
 	for i := hashKey(k) & s.mask; ; i = (i + 1) & s.mask {
 		switch s.slots[i] {
 		case 0:
@@ -35,8 +39,8 @@ func TestU64SetZeroKeyPanics(t *testing.T) {
 // checkKeySet holds the visited set to its contract against a map: fresh
 // and duplicate adds, membership and length, growth from a four-slot
 // request through several rehashes and past the 2 MiB line where tables
-// leave the heap (mapped to mapped included), then reset, refill with the
-// same keys, regrowth and release. Every growth must follow the rule —
+// leave the heap (mapped to mapped included), then release, refill with the
+// same keys from no table to the same size, regrowth and release. Every growth must follow the rule —
 // double under 2 MiB, quadruple from a doubling that reaches it, or double
 // throughout for a lane's set (doubling) — with the load at most ¾ after
 // every add. At every step the table-bytes gauge must count exactly the
@@ -124,23 +128,27 @@ func checkKeySet(t *testing.T, doubling bool) {
 	const n = 200_000
 	grow("growth", n)
 	size := len(s.slots)
-	s.reset()
+	s.release()
 	for k := range ref {
 		ref[k] = false
 	}
-	members("after reset")
-	if s.len() != 0 || len(s.slots) != size {
-		t.Fatalf("reset left %d keys in %d slots, want 0 in %d", s.len(), len(s.slots), size)
+	members("after release")
+	if s.len() != 0 || s.slots != nil {
+		t.Fatalf("release left %d keys in %d slots, want none", s.len(), len(s.slots))
 	}
 	for _, k := range keys {
+		before := len(s.slots)
 		if !s.add(k) || s.add(k) {
 			t.Fatalf("refill: add(%x) is not fresh once, then a duplicate", k)
 		}
 		ref[k] = true
+		if len(s.slots) != before && len(s.slots) != rampOf(before, doubling) {
+			t.Fatalf("refill: a %d-slot table grew to %d slots, want %d", before, len(s.slots), rampOf(before, doubling))
+		}
 	}
 	members("after refill")
 	if len(s.slots) != size {
-		t.Fatalf("refill with the same keys moved the table from %d to %d slots", size, len(s.slots))
+		t.Fatalf("refill with the same keys grew the table to %d slots, want the first fill's %d", len(s.slots), size)
 	}
 	grow("regrowth", 2*n)
 	if want := rampOf(size, doubling); len(s.slots) != want {
@@ -154,12 +162,32 @@ func checkKeySet(t *testing.T, doubling bool) {
 
 // rampOf is the size a table of size slots grows to by one add: twice the
 // size while that stays under mapTableBytes, four times from there on — or
-// twice throughout, doubling.
+// twice throughout, doubling. A released set, with no table, grows to 16.
 func rampOf(size int, doubling bool) int {
 	if doubling || 8*2*size < mapTableBytes {
-		return 2 * size
+		return max(2*size, 16)
 	}
 	return 4 * size
+}
+
+// TestKeySetAddAfterRelease: a released set is a valid empty set, and its
+// next insert grows a table from 16 slots. Before the 16-slot floor, growth
+// from no table doubled a size of 0 forever; the add runs on a goroutine so
+// such a spin fails the test instead of hanging it.
+func TestKeySetAddAfterRelease(t *testing.T) {
+	s := newKeySet(16)
+	s.add(3)
+	s.release()
+	done := make(chan bool, 1)
+	go func() { done <- s.add(5) }()
+	select {
+	case fresh := <-done:
+		if !fresh || !s.contains(5) || s.contains(3) || s.len() != 1 || len(s.slots) != 16 {
+			t.Fatalf("add to a released set: fresh %v, len %d in %d slots", fresh, s.len(), len(s.slots))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("add to a released set did not return within 5 s")
+	}
 }
 
 // TestKeySetLaneGrowth holds a lane's table to the doubling policy, past

@@ -94,21 +94,16 @@ type Lanes struct {
 }
 
 // newLanes builds a node of p lanes (clamped to 1..maxLanes) owning every
-// shard, each lane with one table that grows by doubling alone.
+// shard, reset for a search under the verifier's budget.
 func newLanes(v *Verifier, p int,
 	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int),
 	hash func(uint64) uint64) *Lanes {
 	p = min(max(p, 1), maxLanes)
-	e := &Lanes{v: v, successors: successors, hash: hash, lanes: make([]lane, p),
-		maxStates: v.cfg.MaxStates, minApp: -1}
+	e := &Lanes{v: v, successors: successors, hash: hash, lanes: make([]lane, p)}
 	for i := range e.lanes {
-		l := &e.lanes[i]
-		l.table = *newKeySet(setCap / p)
-		l.table.budget(v.cfg.MaxStates)
-		l.table.doubling = true
-		l.out = make([][]uint64, p, p+outPad)
-		l.violApp = -1
+		e.lanes[i].out = make([][]uint64, p, p+outPad)
 	}
+	e.Reset(&[NumShards]uint8{}, 0, v.cfg.MaxStates)
 	return e
 }
 
@@ -166,7 +161,10 @@ type LaneStats struct {
 func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p, successors, hashKey) }
 
 // Reset empties the node for a new search in which it owns the shards
-// owners maps to self, with a budget of maxStates fresh states.
+// owners maps to self, with a budget of maxStates fresh states. Every lane
+// gets a fresh table of setCap/P slots, growing by doubling alone: a table
+// lives as long as the search that fills it, and what an earlier search
+// grew is released here if Release has not done it already.
 func (e *Lanes) Reset(owners *[NumShards]uint8, self, maxStates int) {
 	e.owners, e.self = *owners, self
 	nodes := 0
@@ -175,8 +173,10 @@ func (e *Lanes) Reset(owners *[NumShards]uint8, self, maxStates int) {
 	}
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		l.table.reset()
+		l.table.release()
+		l.table = *newKeySet(setCap / len(e.lanes))
 		l.table.budget(maxStates)
+		l.table.doubling = true
 		l.frontier.release(&l.pool)
 		l.next.release(&l.pool)
 		l.pos, l.prev, l.violApp = 0, 0, -1
@@ -255,12 +255,16 @@ func (e *Lanes) Stats() LaneStats {
 	return s
 }
 
-// Release hands the node's visited tables mapped off the heap back to the
-// kernel at once: its owner is done with it, and it must not be used
-// after. A second Release does nothing.
+// Release ends the node's search: the visited tables mapped off the heap
+// go back to the kernel at once, and the tables on the heap and the level
+// blocks to the collector. Stats keeps the search's counts but reports no
+// level. Only Reset makes the node usable again; a second Release does
+// nothing.
 func (e *Lanes) Release() {
 	for i := range e.lanes {
-		e.lanes[i].table.release()
+		l := &e.lanes[i]
+		l.table.release()
+		l.frontier, l.next, l.pool = level[uint64]{}, level[uint64]{}, nil
 	}
 }
 
