@@ -24,7 +24,7 @@
 //
 //	-connect a,b              run every slot verification on the
 //	                          cmd/verifyd daemons at a, b (internal/cli's
-//	                          backend group, with -workers and -ft);
+//	                          backend group, with -workers);
 //	                          -maxstates then budgets states per node
 //	-cachedir warm            persist the -synthetic admission cache across
 //	                          invocations (verifyd -cachedir's layout: one

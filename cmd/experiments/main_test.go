@@ -57,8 +57,10 @@ func TestFlagConflicts(t *testing.T) {
 		{"-synthetic 5 -granularity-sweep 1,2,1 -cachedir d", "-cachedir applies to the plain -synthetic sweep"},
 		{"-synthetic 5 -granularity-sweep 3,1,1", "wants 1 ≤ lo ≤ hi"},
 		{"-table1 -json", "-json applies to -verifytime alone"},
-		{"-table1 -ft", "-ft is a distributed-run flag; it needs -connect"},
-		{"-table1 -connect 127.0.0.1:1 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
+		{"-table1 -ft", "flag provided but not defined: -ft"},
+		{"-table1 -retries 3", "flag provided but not defined: -retries"},
+		{"-table1 -breaker 2", "flag provided but not defined: -breaker"},
+		{"-table1 -connect 127.0.0.1:1 -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
 		{"-table1 -nodes 2", "flag provided but not defined: -nodes"},
 		{"-table1 -workers -1", "-workers must be ≥ 0"},
 		{"-table2", "flag provided but not defined: -table2"},

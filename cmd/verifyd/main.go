@@ -25,20 +25,19 @@
 //	verifyd -http 127.0.0.1:9833 -listen ""                 # front door only
 //	verifyd -http :9833 -connect host1:9471,host2:9471      # front door over a fleet
 //
-// The backend flags (internal/cli: -workers, -connect, -ft)
+// The backend flags (internal/cli: -workers, -connect)
 // configure the admission plane and need -http; a worker inherits
 // its search from the coordinator's job. The service runs at least two
 // local lanes, so that every backend reports the same minimum-state
 // violator.
 //
 // Resilience: -connect dials each worker up to 5 times, waiting 0.5, 1, 2
-// and 4 s between attempts, so the fleet may boot in any order. -ft makes the
-// distributed runs fault-tolerant — worker deaths are survived by
-// reassigning the dead node's hash shards to the survivors and restarting
-// the search on them, with the verdict and all exhaustive counts
-// unchanged. -retries, -breaker and
-// -localfallback govern the admission plane's backend retry policy,
-// circuit breaker, and local degraded mode (all off by default).
+// and 4 s between attempts, so the fleet may boot in any order. A worker
+// that dies leaves the fleet for good: the run it dies in restarts on the
+// survivors, with the verdict and all exhaustive counts unchanged, and
+// every later run uses the survivors alone. Once the last worker is dead,
+// -localfallback serves verdicts from the in-process engine instead of
+// answering 502 (off by default).
 //
 // Both planes drain on SIGINT/SIGTERM: new sessions and new submits are
 // refused (HTTP submits get 503 + Retry-After) while in-flight searches
@@ -105,9 +104,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	concurrency := fs.Int("concurrency", 1, "concurrent backend verifications")
 	maxstates := fs.Int("maxstates", 0, "clamp per-request state budgets (0 = engine default)")
 	timeout := fs.Duration("timeout", 0, "default per-request budget when the submit sets none (0 = none)")
-	retries := fs.Int("retries", 0, "retry transient backend failures this many times, waiting 100ms doubled per attempt, jittered, capped at 5s (0 = report the first failure)")
-	breaker := fs.Int("breaker", 0, "open the backend circuit for 30s after this many consecutive failed verifications (0 = no breaker)")
-	localFallback := fs.Bool("localfallback", false, "serve verdicts from the in-process engine when the backend is unavailable instead of returning 502")
+	localFallback := fs.Bool("localfallback", false, "serve verdicts from the in-process engine when the backend fails (every worker dead) instead of returning 502")
 	metricsAddr := fs.String("metrics", "", "HTTP admin address serving /metricsz (for worker-only daemons; the admission plane serves /metricsz itself)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof and /debug/vars on the HTTP surfaces")
 	quiet := fs.Bool("quiet", false, "suppress per-session and per-request logging")
@@ -120,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 	if *httpAddr == "" { // a worker inherits its search from the coordinator's job
 		if err := cli.Unset(fs, "configures the admission plane's backend; it needs -http",
-			"workers", "connect", "ft"); err != nil {
+			"workers", "connect"); err != nil {
 			return err
 		}
 	}
@@ -182,17 +179,15 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		}
 		defer cl.Close()
 		opts := admit.Options{
-			Workers:          cl.Config.Workers,
-			QueueDepth:       *queue,
-			Concurrency:      *concurrency,
-			MaxStates:        *maxstates,
-			DefaultTimeout:   *timeout,
-			CacheDir:         *cachedir,
-			Checkpoint:       *checkpoint,
-			RetryAttempts:    *retries,
-			BreakerThreshold: *breaker,
-			LocalFallback:    *localFallback,
-			Logf:             chatf,
+			Workers:        cl.Config.Workers,
+			QueueDepth:     *queue,
+			Concurrency:    *concurrency,
+			MaxStates:      *maxstates,
+			DefaultTimeout: *timeout,
+			CacheDir:       *cachedir,
+			Checkpoint:     *checkpoint,
+			LocalFallback:  *localFallback,
+			Logf:           chatf,
 		}
 		if cl.Nodes > 0 {
 			opts.Backend, opts.BackendNodes, opts.BackendDesc = cl.Config.Distributed, cl.Nodes, cl.Banner

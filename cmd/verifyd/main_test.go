@@ -24,8 +24,10 @@ func TestFlagConflicts(t *testing.T) {
 	}{
 		{[]string{"-listen", "", "-http", ""}, "nothing to serve"},
 		{[]string{"-listen", "127.0.0.1:0", "-connect", "127.0.0.1:1"}, "-connect configures the admission plane's backend; it needs -http"},
-		{append(front, "-ft"), "-ft is a distributed-run flag; it needs -connect"},
-		{append(front, "-connect", "127.0.0.1:1", "-ft", "-ft"+"dir", "d"), "flag provided but not defined: -ft" + "dir"},
+		{append(front, "-connect", "127.0.0.1:1", "-ft"), "flag provided but not defined: -ft"},
+		{append(front, "-ft"+"dir", "d"), "flag provided but not defined: -ft" + "dir"},
+		{append(front, "-retries", "3"), "flag provided but not defined: -retries"},
+		{append(front, "-breaker", "2"), "flag provided but not defined: -breaker"},
 		{append(front, "-nodes", "2"), "flag provided but not defined: -nodes"},
 		{append(front, "-workers", "-1"), "-workers must be ≥ 0"},
 		{[]string{"-connect" + "-retries", "3"}, "flag provided but not defined: -connect" + "-retries"},

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	verifyslot -apps C1,C5,C4,C3 [-lazy] [-workers N]
-//	           [-maxstates N] [-connect host:port,host:port [-ft]]
+//	           [-maxstates N] [-connect host:port,host:port]
 //	           [-json] [-tracefile out.json]
 //
 // -json replaces the text report with the per-run trace as JSON (verdict,
@@ -21,7 +21,9 @@
 // cmd/verifyd daemons, one node per daemon process. The workers exchange
 // frontiers over a mesh of direct node↔node links, one barrier per BFS
 // level. In distributed runs -maxstates is a per-node budget, so a cluster
-// of K workers admits slots up to K times larger than one node.
+// of K workers admits slots up to K times larger than one node. A worker
+// that dies mid-run leaves the cluster and the run restarts on the
+// survivors, with the same verdict and counts.
 // When a violation is found, verify.Counterexample rebuilds the schedule
 // from that run's verdict (its depth and violator) with a local BFS, so the
 // schedule ends in a miss of the violator printed, on every backend.
@@ -30,7 +32,7 @@
 // (excluding profiling and counterexample reconstruction), so throughput
 // regressions — local or distributed — show up on any run.
 //
-// The backend flags (-workers, -connect, -ft) are
+// The backend flags (-workers, -connect) are
 // internal/cli's group; -ta and -server refuse, by name, every flag their
 // mode cannot honour (DESIGN.md, "Commands").
 package main
@@ -69,13 +71,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *useTA {
 		if err := cli.Unset(fs, "is incompatible with -ta (the TA network is one local search of the eager policy, exact, unbudgeted and untraced)",
-			"connect", "ft", "workers", "maxstates", "lazy", "server", "json", "tracefile"); err != nil {
+			"connect", "workers", "maxstates", "lazy", "server", "json", "tracefile"); err != nil {
 			return err
 		}
 	}
 	if *server != "" {
 		if err := cli.Unset(fs, "is incompatible with -server (the admission service runs the search; this process only asks)",
-			"connect", "ft", "workers", "json", "tracefile"); err != nil {
+			"connect", "workers", "json", "tracefile"); err != nil {
 			return err
 		}
 	}

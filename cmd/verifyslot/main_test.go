@@ -52,9 +52,7 @@ func TestFlagConflicts(t *testing.T) {
 		{"-ta -json", "-json is incompatible with -ta"},
 		{"-json -server http://127.0.0.1:1", "-json is incompatible with -server"},
 		{"-server http://127.0.0.1:1 -connect 127.0.0.1:1", "-connect is incompatible with -server"},
-		{"-server http://127.0.0.1:1 -ft", "-ft is incompatible with -server"},
 		{"-server http://127.0.0.1:1 -workers 2", "-workers is incompatible with -server"},
-		{"-ft", "-ft is a distributed-run flag; it needs -connect"},
 		{"-workers -1", "-workers must be ≥ 0"},
 		// A -connect list is checked before any dial: nothing listens at
 		// these addresses, and a dial would fail with exit 1 after retries.
@@ -67,9 +65,12 @@ func TestFlagConflicts(t *testing.T) {
 		{"-cpu" + "profile c.pprof", "flag provided but not defined: -cpu" + "profile"},
 		{"-mem" + "profile m.pprof", "flag provided but not defined: -mem" + "profile"},
 		{"-connect" + "-retries 3", "flag provided but not defined: -connect" + "-retries"},
-		{"-connect 127.0.0.1:1 -ft -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
+		{"-connect 127.0.0.1:1 -ft", "flag provided but not defined: -ft"},
+		{"-connect 127.0.0.1:1 -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
 		{"-nodes 2", "flag provided but not defined: -nodes"},
-		{"-server http://127.0.0.1:1 -ft" + "dir d", "flag provided but not defined: -ft" + "dir"},
+		{"-server http://127.0.0.1:1 -ft", "flag provided but not defined: -ft"},
+		{"-connect 127.0.0.1:1 -retries 3", "flag provided but not defined: -retries"},
+		{"-connect 127.0.0.1:1 -breaker 2", "flag provided but not defined: -breaker"},
 	} {
 		code, stdout, stderr := verifyslot(strings.Fields(tc.args)...)
 		if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" {

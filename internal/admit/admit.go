@@ -106,27 +106,12 @@ type Options struct {
 	// Checkpoint is the periodic checkpoint interval for a hot service
 	// (default 30s when CacheDir is set).
 	Checkpoint time.Duration
-	// RetryAttempts is the number of times a failed backend verification
-	// is retried before the failure is reported (0 = no retries, the
-	// default). The first retry waits retryBackoff (100ms), and each
-	// later one doubles it (with jitter, capped at 5s). Only transient
-	// cluster faults are retried — budget (ErrTooLarge) and encoding
-	// errors are deterministic properties of the request and never retry;
-	// see retryable.
-	RetryAttempts int
-	// BreakerThreshold opens the backend circuit after this many
-	// consecutive failed verifications (retries exhausted); while open,
-	// submits skip the cluster entirely — served locally when
-	// LocalFallback is set, refused with 503 + Retry-After otherwise. The
-	// circuit stays open for breakerCooldown (30s); the first submit
-	// after it probes the cluster again. 0 (the default) disables the
-	// breaker.
-	BreakerThreshold int
 	// LocalFallback serves verdicts from the in-process engine when the
-	// cluster is unavailable (retries exhausted, or breaker open) instead
-	// of returning 502. Off by default: the local engine's MaxStates is a
-	// per-process budget, so a budget-capped question can get a
-	// different (still sound) ErrTooLarge boundary than the cluster.
+	// backend fails with an error that is not a property of the request —
+	// every worker of the cluster dead — instead of returning 502. Off by
+	// default: the local engine's MaxStates is a per-process budget, so a
+	// budget-capped question can get a different (still sound) ErrTooLarge
+	// boundary than the cluster.
 	LocalFallback bool
 	// Profiles resolves named applications ("apps" in a request) to
 	// profiles; nil uses the paper's case study (plants.ProfileList).
@@ -172,11 +157,6 @@ type Service struct {
 	queue    chan *call
 	draining bool
 	stats    Stats
-
-	// Circuit-breaker state (under mu): consecutive backend failures and
-	// the instant until which the circuit stays open.
-	breakerFails int
-	breakerUntil time.Time
 
 	workers   sync.WaitGroup
 	drainOnce sync.Once
@@ -593,18 +573,14 @@ func (s *Service) run(c *call) {
 }
 
 // statusOf classifies a verification error: budget and encoding problems
-// are the request's fault; an open circuit is a 503 (with Retry-After —
-// the cooldown will pass); anything else from an attached cluster is a
-// bad gateway (a crashed worker, a broken mesh link — the error names the
-// node).
+// are the request's fault; anything else from an attached cluster is a
+// bad gateway (every worker dead — the error names a node).
 func (s *Service) statusOf(err error) int {
 	switch {
 	case errors.Is(err, verify.ErrTooLarge):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, verify.ErrEncoding):
 		return http.StatusBadRequest
-	case errors.Is(err, errBreakerOpen):
-		return http.StatusServiceUnavailable
 	case s.opts.Backend != nil:
 		return http.StatusBadGateway
 	default:
@@ -732,10 +708,8 @@ type Stats struct {
 	WarmHits      int     `json:"warmHits"`  // answered from a bit-only record
 	Refused       int     `json:"refused"`
 	Errors        int     `json:"errors"`
-	// Backend resilience counters (zero unless the retry policy, breaker
-	// or local fallback are configured).
-	Retries        int  `json:"retries,omitempty"`
-	BreakerTrips   int  `json:"breakerTrips,omitempty"`
+	// LocalFallbacks counts the verdicts the local engine served for a
+	// failed backend (zero unless LocalFallback is set).
 	LocalFallbacks int  `json:"localFallbacks,omitempty"`
 	QueueDepth     int  `json:"queueDepth"`
 	Inflight       int  `json:"inflight"`

@@ -1,11 +1,12 @@
 package admit
 
-// Fault injection at the service boundary: a mesh worker process dies
-// mid-job behind the admission service. The HTTP client must get a clean
-// 502 naming the dead node — no hang — and the failed fingerprint must
-// not be poisoned in any cache layer: the next submit of the same
-// question runs a fresh backend verification and returns the real
-// verdict.
+// Fault injection at the service boundary: mesh worker processes die
+// mid-job behind the admission service. While one worker survives, the
+// cluster restarts the run on it and every submit gets its exact verdict.
+// With every worker dead the HTTP client gets a clean 502 naming a dead
+// node — no hang — and the failed fingerprint is not poisoned in any cache
+// layer: the next submit of the same question runs a fresh backend
+// verification and returns the real verdict.
 
 import (
 	"bytes"
@@ -50,23 +51,20 @@ func (l *crashListener) kill() {
 }
 
 func TestServiceMeshWorkerCrash(t *testing.T) {
-	// A 2-node TCP mesh, the second worker rigged to crash.
-	l0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// A 2-node TCP mesh of workers rigged to crash.
+	var ls [2]*crashListener
+	addrs := make([]string, 2)
+	for i := range ls {
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls[i] = &crashListener{Listener: raw}
+		t.Cleanup(ls[i].kill)
+		go dverify.NewServer(ls[i], nil).Serve()
+		addrs[i] = raw.Addr().String()
 	}
-	t.Cleanup(func() { l0.Close() })
-	go dverify.NewServer(l0, nil).Serve()
-
-	l1raw, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1 := &crashListener{Listener: l1raw}
-	t.Cleanup(l1.kill)
-	go dverify.NewServer(l1, nil).Serve()
-
-	ts, err := dverify.Dial([]string{l0.Addr().String(), l1.Addr().String()}, time.Second)
+	ts, err := dverify.Dial(addrs, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,37 +87,57 @@ func TestServiceMeshWorkerCrash(t *testing.T) {
 		o.BackendDesc = "tcp2 (crash-rigged)"
 	})
 
-	// The 4-app r=40 fleet runs to 2.9M states (seconds over TCP); the
-	// kill 100ms in lands mid-job.
-	ps := fleet(4, 8, 2, 4, 40)
-	req := inlineReq(ps, verify.Spec{})
-	time.AfterFunc(100*time.Millisecond, l1.kill)
-
 	type result struct {
-		status int
-		resp   *AdmitResponse
+		status  int
+		resp    *AdmitResponse
+		verdict []byte
 	}
-	done := make(chan result, 1)
-	go func() {
-		status, resp, _ := r.submit(t, req)
-		done <- result{status, resp}
-	}()
-	var got result
-	select {
-	case got = <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("HTTP client hung after the worker crash")
+	submit := func(ps []*switching.Profile) result {
+		t.Helper()
+		done := make(chan result, 1)
+		go func() {
+			status, resp, verdict := r.submit(t, inlineReq(ps, verify.Spec{}))
+			done <- result{status, resp, verdict}
+		}()
+		select {
+		case got := <-done:
+			return got
+		case <-time.After(60 * time.Second):
+			t.Fatal("HTTP client hung after a worker crash")
+		}
+		return result{}
 	}
+	exact := func(label string, ps []*switching.Profile) {
+		t.Helper()
+		want := localVerdictJSON(t, ps, verify.Spec{}, namesOf(ps))
+		got := submit(ps)
+		if got.status != http.StatusOK {
+			t.Fatalf("%s: HTTP %d (%s), want 200", label, got.status, got.resp.Error)
+		}
+		if !bytes.Equal(got.verdict, want) {
+			t.Fatalf("%s: verdict diverges:\n got %s\nwant %s", label, got.verdict, want)
+		}
+	}
+
+	// The 5-app fleet runs to 432k states (hundreds of milliseconds over
+	// TCP); the kill 30ms in lands mid-job, or else at the next Init.
+	time.AfterFunc(30*time.Millisecond, ls[1].kill)
+	exact("the submit worker 1 dies in", fleet(5, 7, 1, 2, 12))
+	exact("the submit after it", fleet(2, 5, 2, 4, 20))
+
+	// The last worker dies: a clean 502 naming a node.
+	ls[0].kill()
+	ps := fleet(2, 5, 2, 4, 25)
+	got := submit(ps)
 	if got.status != http.StatusBadGateway {
-		t.Fatalf("crashed backend: HTTP %d (%s), want 502", got.status, got.resp.Error)
+		t.Fatalf("dead cluster: HTTP %d (%s), want 502", got.status, got.resp.Error)
 	}
 	if !strings.Contains(got.resp.Error, "node") {
-		t.Fatalf("502 does not name the dead node: %q", got.resp.Error)
+		t.Fatalf("502 does not name a dead node: %q", got.resp.Error)
 	}
-
 	st := r.svc.ServiceStats()
-	if st.Errors == 0 || st.Verifications != 1 {
-		t.Fatalf("stats after crash: %+v", st)
+	if st.Errors != 1 || st.Verifications != 3 {
+		t.Fatalf("stats after the crashes: %+v", st)
 	}
 
 	// No poison: the same question over a healthy backend runs fresh and
@@ -127,7 +145,7 @@ func TestServiceMeshWorkerCrash(t *testing.T) {
 	// the failure.
 	useLocal.Store(true)
 	want := localVerdictJSON(t, ps, verify.Spec{}, namesOf(ps))
-	status, resp, verdict := r.submit(t, req)
+	status, resp, verdict := r.submit(t, inlineReq(ps, verify.Spec{}))
 	if status != http.StatusOK {
 		t.Fatalf("resubmit after crash: HTTP %d (%s)", status, resp.Error)
 	}
@@ -137,7 +155,7 @@ func TestServiceMeshWorkerCrash(t *testing.T) {
 	if !bytes.Equal(verdict, want) {
 		t.Fatalf("resubmit verdict diverges:\n got %s\nwant %s", verdict, want)
 	}
-	if st := r.svc.ServiceStats(); st.Verifications != 2 {
+	if st := r.svc.ServiceStats(); st.Verifications != 4 {
 		t.Fatalf("resubmit did not run a fresh verification: %+v", st)
 	}
 }

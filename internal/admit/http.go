@@ -239,7 +239,7 @@ type Client struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:9833".
 	BaseURL string
 	// Retry503 re-submits up to this many times when the service refuses
-	// with 503 (draining instance, full queue, open breaker), honoring
+	// with 503 (draining instance, full queue), honoring
 	// the server's Retry-After header up to maxRetryWait. 0 (the default)
 	// returns the 503 to the caller unchanged.
 	Retry503 int

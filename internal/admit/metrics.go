@@ -21,12 +21,8 @@ var (
 		"Time a leader call spent in the bounded queue before a worker picked it up.", obs.DefBuckets)
 	obsBackendRun = obs.NewHistogram("tightcps_admit_backend_seconds",
 		"Backend verification duration, one observation per actual search (cache and warm hits excluded).", obs.DefBuckets)
-	obsBackendRetries = obs.NewCounter("tightcps_admit_backend_retries_total",
-		"Backend verifications re-attempted after a transient cluster failure.")
-	obsBreakerTrips = obs.NewCounter("tightcps_admit_breaker_trips_total",
-		"Circuit-breaker openings after consecutive backend failures.")
 	obsLocalFallbacks = obs.NewCounter("tightcps_admit_local_fallbacks_total",
-		"Admission verdicts served by the in-process engine while the cluster was unavailable.")
+		"Admission verdicts served by the in-process engine after the cluster failed.")
 )
 
 // latencyFor returns the end-to-end admission latency histogram for one

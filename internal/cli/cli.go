@@ -1,8 +1,8 @@
 // Package cli is what the commands under cmd/ share: the backend flag
-// group, which resolves -workers, -connect and -ft to one
-// verify.Config, and the exit rule (Exit). A command is a run(args,
-// stdout, stderr) error over its own FlagSet; its main is cli.Main(name,
-// run), and its tests call run in process.
+// group, which resolves -workers and -connect to one verify.Config, and
+// the exit rule (Exit). A command is a run(args, stdout, stderr) error over
+// its own FlagSet; its main is cli.Main(name, run), and its tests call run
+// in process.
 package cli
 
 import (
@@ -90,11 +90,10 @@ func Unset(fs *flag.FlagSet, why string, names ...string) error {
 }
 
 // Backend is the backend flag group: the lanes of a search and, for a
-// distributed one, the cluster and its fault tolerance.
+// distributed one, the cluster.
 type Backend struct {
 	workers int
 	connect string
-	ft      bool
 }
 
 // BackendFlags registers the group's flags on fs.
@@ -102,14 +101,14 @@ func BackendFlags(fs *flag.FlagSet) *Backend {
 	b := &Backend{}
 	fs.IntVar(&b.workers, "workers", 0, "lanes of a search, on every node of a -connect cluster too (0 = GOMAXPROCS of the process that runs them; 1 = sequential locally, one lane per node)")
 	fs.StringVar(&b.connect, "connect", "", "verify over the verifyd workers at these comma-separated addresses (each dialed up to 5 times, waiting 0.5, 1, 2 and 4 s)")
-	fs.BoolVar(&b.ft, "ft", false, "fault-tolerant distributed runs: survive worker deaths by handing the dead node's shards to the survivors and restarting the search on them (needs -connect)")
 	return b
 }
 
 // Cluster is an opened backend. Config is what every verification of the
 // run starts from: Workers, and on a cluster Distributed, the hook that
-// carries -ft. Nodes, 0 for the local engine, salts the cache
-// keys of budgeted verdicts (MaxStates is per node).
+// keeps the cluster's survivors across its runs. Nodes, 0 for the local
+// engine, salts the cache keys of budgeted verdicts (MaxStates is per
+// node).
 type Cluster struct {
 	Config verify.Config
 	Nodes  int
@@ -124,11 +123,8 @@ type Cluster struct {
 // -connect list with an empty or repeated address is refused before any
 // dial. The caller closes the cluster.
 func (b *Backend) Open(logf func(format string, args ...any)) (*Cluster, error) {
-	switch {
-	case b.workers < 0:
+	if b.workers < 0 {
 		return nil, Usagef("-workers must be ≥ 0 (0 = GOMAXPROCS lanes, 1 = sequential), got %d", b.workers)
-	case b.ft && b.connect == "":
-		return nil, Usagef("-ft is a distributed-run flag; it needs -connect")
 	}
 	c := &Cluster{Config: verify.Config{Workers: b.workers}}
 	if b.connect == "" {
@@ -153,10 +149,6 @@ func (b *Backend) Open(logf func(format string, args ...any)) (*Cluster, error) 
 	c.Banner = fmt.Sprintf("distributed verification: %d TCP workers (%s)", len(ts), strings.Join(addrs, ", "))
 	c.Width = fmt.Sprintf("nodes=%d", len(ts))
 	c.Config.Distributed = dverify.Runner(ts)
-	if b.ft {
-		c.Config.Distributed = dverify.FaultTolerantRunner(ts)
-		c.Banner += " (fault-tolerant)"
-	}
 	return c, nil
 }
 

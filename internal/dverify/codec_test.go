@@ -271,11 +271,13 @@ func badState(exp *verify.Expander, states []uint64) int {
 // version-13 one, whose Job carries FT, Era and Cut and whose link reports
 // carry no cause, a version-15 one, which ships a wide state as four
 // words, a version-16 one, whose Recover order names a checkpoint cut to
-// roll back to, and a version-17 one, which ships a wide state as three
-// words and whose ViolState is three words.
+// roll back to, a version-17 one, which ships a wide state as three words
+// and whose ViolState is three words, and a version-18 one, whose Job
+// carries an ownership table, whose polls may order an in-session
+// recovery and whose frames carry an era.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {
@@ -295,33 +297,16 @@ func TestProtocolVersionHandshake(t *testing.T) {
 	}
 }
 
-// TestOwnershipTableRefused: a job always carries its ownership table, so a
-// worker refuses one that is missing, short or names a node outside the
-// cluster — at Init, and in a Recover order, which leaves the worker in its
-// era with the error — rather than routing a state to no node.
-func TestOwnershipTableRefused(t *testing.T) {
-	bad := map[string][]uint8{
-		"missing": nil,
-		"short":   defaultOwners(2)[:63],
-		"node 2":  append(defaultOwners(2)[:63:63], 2),
-	}
+// TestPlacementRefused: a node's shards follow from its placement, so a
+// worker refuses a job whose NodeID is not one of its NumNodes nodes
+// rather than route a state to no node.
+func TestPlacementRefused(t *testing.T) {
 	ps := fleet(2, 5, 2, 4, 20)
-	for name, owners := range bad {
-		job := &Job{Proto: protoVersion, NumNodes: 2, Owners: owners, Profiles: []switching.Profile{*ps[0], *ps[1]}}
-		if _, _, err := newMeshWorker(job, nil, nil); err == nil || !strings.Contains(err.Error(), "ownership table") {
-			t.Errorf("%s table at Init: err = %v", name, err)
+	for _, p := range [][2]int{{0, 0}, {-1, 2}, {2, 2}} {
+		job := &Job{Proto: protoVersion, NodeID: p[0], NumNodes: p[1], Profiles: []switching.Profile{*ps[0], *ps[1]}}
+		want := fmt.Sprintf("node %d of %d is not a valid placement", p[0], p[1])
+		if _, _, err := newMeshWorker(job, nil, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("node %d of %d: err = %v", p[0], p[1], err)
 		}
-	}
-	ts := Loopback(1)
-	defer Close(ts)
-	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), Profiles: []switching.Profile{*ps[0], *ps[1]}}
-	w, _, err := newMeshWorker(job, loopEnv{ts[0].(*loopTransport).group}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.shutdown()
-	w.recoverTo(&Recover{Era: 1, Owners: bad["short"]})
-	if w.err == nil || !strings.Contains(w.err.Error(), "ownership table") || w.era != 0 {
-		t.Fatalf("short table in a Recover order: era %d, err %v", w.era, w.err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package dverify distributes the slot-sharing verification of
 // internal/verify across worker nodes: the packed state space is
-// partitioned by hash — each node owns the hash shards its ownership table
-// names, a contiguous range of the 64 until a recovery hands a dead node's
-// to the survivors — and every node runs the local parallel search's level
+// partitioned by hash — node i of n owns the contiguous range
+// [i·64/n, (i+1)·64/n) of the 64 hash shards — and every node runs the
+// local parallel search's level
 // round (verify.Lanes) over its own states, on lanes of its own, shipping
 // the successors other nodes own straight to them.
 //
@@ -55,11 +55,15 @@
 // coordinator ends the run on the minimum violating state across workers —
 // no worker expands L+1 before L's round ends.
 //
-// Deaths are decided in one place. A worker behaves the same with and
-// without fault tolerance: it reports a dead mesh link with its cause in
-// its next answer (Response.LinkDown), never as its own error, and obeys
-// every Recover order. The coordinator's meshFT.recover decides what a
-// death means: on a FaultTolerantRunner run the survivors take over
-// the dead node's shards and restart the search from the initial state
-// (ft.go); without it the run ends in an error naming the dead node and the cause.
+// Deaths are decided in one place, and a recovery is a run. A worker
+// reports a dead mesh link with its cause in its next answer
+// (Response.LinkDown), never as its own error. The coordinator counts a
+// transport error, a worker Err, silence past meshDeathTimeout or such a
+// report as the node's death, at Init or in any round: the node leaves the
+// cluster for the life of the Runner hook, and the run starts over on the
+// survivors with a fresh Init — a new session, NumNodes the survivors,
+// renumbered nodes and the contiguous table of the new count. A run is
+// exact on any node count (the Loopback(1/2/4) matrices hold it to the
+// local search), so a restarted run is exact too; with no survivor left
+// the run ends in an error naming the lowest dead node and its cause.
 package dverify

@@ -3,8 +3,10 @@ package dverify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
+	"tightcps/internal/obs"
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
 )
@@ -20,24 +22,65 @@ const maxNodes = 64
 // Transport is one coordinator↔worker link carrying the request/response
 // protocol of proto.go. Calls are strictly sequential per transport (the
 // coordinator never has two outstanding requests to one node). A failed or
-// unanswered Call ends that node's part in the run — the run recovers under
-// fault tolerance and otherwise fails naming the node — but a new run
-// over the same transports starts clean, because KindInit resets every
-// node.
+// unanswered Call is the node's death: the Runner hook never calls that
+// transport again. A run over the survivors starts clean, because KindInit
+// resets every node.
 type Transport interface {
 	Call(*Request) (*Response, error)
 	Close() error
 }
 
-// verifyWithFaults runs the distributed reachability analysis for the
-// profiles over the given worker nodes, with or without fault tolerance
-// (without it a death ends the run) and with a deterministic
-// fault-injection plan (nil for production runs) attached: the plan's
-// kills fire before the rounds of given levels. The fault-matrix tests drive every recovery path through
-// this entry.
-func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []Transport, ft bool, plan *faultPlan) (verify.Result, error) {
-	if len(nodes) < 1 || len(nodes) > maxNodes {
-		return verify.Result{}, fmt.Errorf("dverify: %d nodes (want 1..%d)", len(nodes), maxNodes)
+// Runner adapts a worker set to the verify.Config.Distributed hook: the
+// returned function runs the distributed reachability analysis over the
+// nodes. The configuration is interpreted exactly like verify.Slot's,
+// except that Workers is the lane count of every node (0: the GOMAXPROCS
+// of the node's process; 1: one lane) and
+// MaxStates is a per-node budget; verify.Counterexample rebuilds the
+// schedule of a violation locally. The nodes exchange frontiers over
+// direct worker↔worker links, so the transports must be what Loopback or
+// Dial returned — one loopback group or one TCP cluster, unwrapped;
+// anything else is refused before a worker sees a request.
+//
+// A worker death — a transport error, a worker-reported error, no answer
+// within meshDeathTimeout, or a peer's report that its link to the node
+// failed — drops the node from the hook's cluster for good, and the run
+// restarts on the survivors from the initial state. The verdict and every
+// exhaustive count do not depend on the node count, so a recovered run
+// answers exactly what a healthy one does, and so does every later run on
+// the survivors. With no survivor left a run ends, without I/O, in an
+// error naming the lowest dead node and its cause. The function
+// serialises concurrent calls — the transports carry one protocol session
+// at a time.
+func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify.Result, error) {
+	return runner(nodes, nil)
+}
+
+// runner is Runner with a fault-injection plan for tests.
+func runner(nodes []Transport, plan *faultPlan) func([]*switching.Profile, verify.Config) (verify.Result, error) {
+	c := &cluster{nodes: nodes, dead: make([]error, len(nodes))}
+	var mu sync.Mutex
+	return func(profiles []*switching.Profile, cfg verify.Config) (verify.Result, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return c.verify(profiles, cfg, plan)
+	}
+}
+
+// cluster is what a Runner hook keeps across runs: its transports and, for
+// each, why it died (nil while it lives). A dead transport is never called
+// again — not even one only wedged, whose Call may still be blocked.
+type cluster struct {
+	nodes []Transport
+	dead  []error
+}
+
+// verify runs one distributed verification: attempts on the cluster's live
+// nodes until one ends without a death. plan (nil-safe) is the
+// deterministic fault-injection harness; its kills fire before the rounds
+// of given levels.
+func (c *cluster) verify(profiles []*switching.Profile, cfg verify.Config, plan *faultPlan) (verify.Result, error) {
+	if len(c.nodes) < 1 || len(c.nodes) > maxNodes {
+		return verify.Result{}, fmt.Errorf("dverify: %d nodes (want 1..%d)", len(c.nodes), maxNodes)
 	}
 	// Validate profiles and config (encoding limits, dwell tables) before
 	// shipping the job anywhere.
@@ -45,34 +88,64 @@ func verifyWithFaults(profiles []*switching.Profile, cfg verify.Config, nodes []
 	if _, err := verify.New(profiles, cfg); err != nil {
 		return verify.Result{}, err
 	}
-	peers, ok := meshPeers(nodes)
-	if !ok {
+	if _, ok := meshPeers(c.nodes); !ok {
 		return verify.Result{}, errors.New("dverify: these transports cannot form a worker mesh (an unwrapped loopback or TCP cluster is required)")
 	}
 
-	job := Job{
-		Proto:             protoVersion,
-		Profiles:          make([]switching.Profile, len(profiles)),
-		NumNodes:          len(nodes),
-		Owners:            defaultOwners(len(nodes)),
-		Policy:            cfg.Policy,
-		NondetTies:        cfg.NondetTies,
-		SymmetryReduction: cfg.SymmetryReduction,
-		MaxStates:         cfg.MaxStates,
-		Workers:           cfg.Workers,
-		RunID:             cfg.RunID,
+	r := meshRun{
+		c:     c,
+		trace: cfg.RunTrace,
+		plan:  plan,
+		job: Job{
+			Proto:             protoVersion,
+			Profiles:          make([]switching.Profile, len(profiles)),
+			Policy:            cfg.Policy,
+			NondetTies:        cfg.NondetTies,
+			SymmetryReduction: cfg.SymmetryReduction,
+			MaxStates:         cfg.MaxStates,
+			Workers:           cfg.Workers,
+			RunID:             cfg.RunID,
+		},
 	}
 	for i, p := range profiles {
-		job.Profiles[i] = *p
+		r.job.Profiles[i] = *p
 	}
-	if job.MaxStates <= 0 {
-		job.MaxStates = defaultMaxStates
+	if r.job.MaxStates <= 0 {
+		r.job.MaxStates = defaultMaxStates
 	}
+	for {
+		live := c.live()
+		if len(live) == 0 {
+			return verify.Result{Wire: r.aborted}, c.deathOf()
+		}
+		// The run trace is coordinator-side: attempt folds per-level and
+		// per-node spans in; verify.Run finishes it (verdict, wire, slot).
+		cfg.RunTrace.SetBackend("mesh", len(live))
+		res, died, err := r.attempt(live)
+		if !died {
+			res.Wire.Add(r.aborted)
+			return res, err
+		}
+	}
+}
 
-	// The run trace is coordinator-side: verifyMesh folds per-level and
-	// per-node spans in; verify.Run finishes it (verdict, wire, slot).
-	cfg.RunTrace.SetBackend("mesh", len(nodes))
-	return verifyMesh(job, ft, nodes, peers, cfg.RunTrace, plan)
+// live lists the nodes that have not died, in order: an attempt's node i
+// is the cluster's live[i].
+func (c *cluster) live() []int {
+	var live []int
+	for i, err := range c.dead {
+		if err == nil {
+			live = append(live, i)
+		}
+	}
+	return live
+}
+
+// deathOf is the error a run ends in when no node is left: it names the
+// lowest dead node and its cause.
+func (c *cluster) deathOf() error {
+	d := slices.IndexFunc(c.dead, func(err error) bool { return err != nil })
+	return fmt.Errorf("dverify: node %d: %w", d, c.dead[d])
 }
 
 // meshPeers reports whether the cluster's transports can carry direct
@@ -106,44 +179,17 @@ func meshPeers(nodes []Transport) (peers []string, ok bool) {
 	return addrs, true
 }
 
-// Runner adapts a worker set to the verify.Config.Distributed hook: the
-// returned function runs the distributed reachability analysis over the
-// nodes. The configuration is interpreted exactly like verify.Slot's,
-// except that Workers is the lane count of every node (0: the GOMAXPROCS
-// of the node's process; 1: one lane) and
-// MaxStates is a per-node budget; verify.Counterexample rebuilds the
-// schedule of a violation locally. The nodes exchange frontiers over
-// direct worker↔worker links, so the transports must be what Loopback or
-// Dial returned — one loopback group or one TCP cluster, unwrapped;
-// anything else is refused before a worker sees a request. A worker death
-// ends the run in an error naming the node and the cause;
-// FaultTolerantRunner's runs survive it. The function serialises
-// concurrent calls — the transports carry one protocol session at a time.
-func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify.Result, error) {
-	return runner(nodes, false, nil)
-}
-
-// FaultTolerantRunner is Runner for runs that survive worker deaths. The
-// coordinator detects a dead worker by transport failure, poll timeout or
-// a peer's dead-link report, reassigns its hash shards to the survivors
-// and restarts the search on them from the initial state; nothing is
-// written to disk. The verdict and every exhaustive count are unchanged by
-// recovery, so cached verdicts stay valid. Fault tolerance belongs to the
-// cluster: every run through the hook has it, whatever Config its caller
-// built.
-func FaultTolerantRunner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify.Result, error) {
-	return runner(nodes, true, nil)
-}
-
-// runner is the hook of Runner and FaultTolerantRunner, with a
-// fault-injection plan for tests.
-func runner(nodes []Transport, ft bool, plan *faultPlan) func([]*switching.Profile, verify.Config) (verify.Result, error) {
-	var mu sync.Mutex
-	return func(profiles []*switching.Profile, cfg verify.Config) (verify.Result, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return verifyWithFaults(profiles, cfg, nodes, ft, plan)
-	}
+// meshRun is one run's state across its attempts: the job every attempt
+// ships (placed per node), the restarts so far and the traffic of the
+// aborted attempts, which the result keeps — it crossed the links.
+type meshRun struct {
+	c        *cluster
+	job      Job
+	trace    *obs.Trace
+	plan     *faultPlan
+	restarts int
+	rounds   int
+	aborted  verify.WireStats
 }
 
 // Close closes every transport, returning the first error.

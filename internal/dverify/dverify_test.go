@@ -209,33 +209,42 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWorkerFailureMidLevelErrorsCleanly kills a worker after init (i.e.
-// during the level exchange) of a run without fault tolerance and requires
-// a clean error — not a hang — naming the failed node.
+// TestWorkerFailureMidLevelErrorsCleanly kills every worker after Init
+// (i.e. during the level exchange) and requires a clean error — not a hang
+// — naming the lowest dead node and its cause; the next run through the
+// hook, with no node left, returns the same error without a call.
 func TestWorkerFailureMidLevelErrorsCleanly(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
 	// The plan fires before the first poll round: init succeeded on both.
-	plan := &faultPlan{faults: []fault{{atLevel: 0, kill: func() { close(ts[1].(*loopTransport).kill) }}}}
+	plan := &faultPlan{faults: []fault{{atLevel: 0, kill: func() {
+		close(ts[1].(*loopTransport).kill)
+		close(ts[0].(*loopTransport).kill)
+	}}}}
+	run := runner(ts, plan)
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := verifyWithFaults(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}, ts, false, plan)
+		_, err := run(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true})
 		done <- err
 	}()
+	const want = "dverify: node 0: loopback worker was killed"
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "node 1") {
-			t.Fatalf("want an error naming node 1, got %v", err)
+		if err == nil || err.Error() != want {
+			t.Fatalf("want %q, got %v", want, err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("coordinator hung after worker failure")
 	}
+	if _, err := run(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true}); err == nil || err.Error() != want {
+		t.Fatalf("a run on a dead cluster: want %q, got %v", want, err)
+	}
 }
 
-// TestWorkerDisconnectTCP kills a TCP worker's connection mid-run: the
-// coordinator must surface the transport error instead of blocking on the
-// level barrier.
+// TestWorkerDisconnectTCP: a TCP worker whose connection drops at Init
+// leaves the cluster instead of blocking the level barrier — the run
+// finishes on the survivor with the local verdict.
 func TestWorkerDisconnectTCP(t *testing.T) {
 	// A "worker" that serves exactly one request, then drops the link.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -260,16 +269,26 @@ func TestWorkerDisconnectTCP(t *testing.T) {
 	}
 	defer Close(ts)
 
-	done := make(chan error, 1)
+	ps := fleet(3, 6, 1, 2, 10)
+	local, err := verify.Slot(ps, verify.Config{NondetTies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res verify.Result
+		err error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		_, err := Runner(ts)(fleet(3, 6, 1, 2, 10), verify.Config{NondetTies: true})
-		done <- err
+		res, err := Runner(ts)(ps, verify.Config{NondetTies: true})
+		done <- outcome{res, err}
 	}()
 	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "node 1") {
-			t.Fatalf("want an error naming node 1, got %v", err)
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("the survivor did not finish the run: %v", o.err)
 		}
+		checkMatchesLocal(t, "after a disconnect at Init", o.res, local)
 	case <-time.After(30 * time.Second):
 		t.Fatal("coordinator hung after TCP worker disconnect")
 	}

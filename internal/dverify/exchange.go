@@ -3,20 +3,14 @@ package dverify
 import (
 	"fmt"
 	"sync"
-
-	"tightcps/internal/verify"
 )
 
 // meshBatch is one level-tagged batch of states crossing a mesh link — flat
-// words, one per state, the form the kernel emits and the wire ships — or a link failure surfaced into the owner's inbox. era tags the
-// sender's recovery era (always 0 outside fault-tolerant runs): a receiver
-// in another era drops the batch. No worker expands in a new era before
-// every survivor has reset into it, so that batch is always an old
-// one, its accounting erased on both ends.
+// words, one per state, the form the kernel emits and the wire ships — or a
+// link failure surfaced into the owner's inbox.
 type meshBatch struct {
 	from   int
 	level  int
-	era    int
 	states []uint64
 	err    error
 }
@@ -76,15 +70,18 @@ func putBatch(b []uint64) {
 // states and returns the bytes shipped (raw width on loopback, encoded
 // batch size on TCP).
 type meshLink interface {
-	send(era, level int, states []uint64) (int, error)
+	send(level int, states []uint64) (int, error)
 	close() error
 }
 
 // meshEnv wires a worker into its cluster's data plane: the loopback
 // group registry or the TCP host. connect registers the worker's inbox and
-// opens its links; leave releases the registration of a connected worker.
+// opens its links, one per peer; a link that cannot be opened is left nil
+// and reported as down (noteLinkDown), so the coordinator learns of the
+// peer's death from the Init reply. leave releases the registration of a
+// connected worker.
 type meshEnv interface {
-	connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, error)
+	connect(w *meshWorker) ([]meshLink, error)
 	leave(job *Job)
 }
 
@@ -125,9 +122,7 @@ func (w *meshWorker) putBatch(b []uint64) {
 // all of its peers' level at the start of its round, so the barrier does not
 // wait on the one that finished first and was left the others' tail
 // (committing at once read about 10 % slower on S1 over two loopback
-// nodes). A link failure marks the peer dead (noteLinkDown). A batch of
-// another era is dropped: a recovery since has erased its accounting on
-// both ends.
+// nodes). A link failure marks the peer dead (noteLinkDown).
 func (w *meshWorker) drainInbox() {
 	batches := w.inbox.drain(w.spareQ)
 	for i := range batches {
@@ -135,8 +130,6 @@ func (w *meshWorker) drainInbox() {
 		switch {
 		case b.err != nil:
 			w.noteLinkDown(b.from, b.err)
-		case b.era != w.era:
-			w.putBatch(b.states)
 		case b.level == w.level:
 			w.got += len(b.states)
 			w.in = append(w.in, b.states)
@@ -181,14 +174,14 @@ func (w *meshWorker) noteLinkDown(peer int, cause error) {
 // a round, as a batch tagged level+1, counting it in the round's SentTo and
 // the wire totals, and returns the lanes an empty buffer for the next
 // round. A failed (or known-dead) destination drops the batch uncounted
-// and marks the link down: the coordinator either ends the run or restarts
-// it on the survivors, so no peer is left expecting it.
+// and marks the link down: the coordinator restarts the run on the
+// survivors, so no peer is left expecting it.
 func (w *meshWorker) ship(d int, states []uint64) []uint64 {
 	if w.deadPeers[d] {
 		return states[:0]
 	}
 	n := len(states)
-	bytes, err := w.links[d].send(w.era, w.level+1, states)
+	bytes, err := w.links[d].send(w.level+1, states)
 	if err != nil {
 		w.noteLinkDown(d, fmt.Errorf("mesh link from node %d: %v", w.id, err))
 		return w.getBatch()

@@ -1,12 +1,12 @@
 package dverify
 
-// Fault-matrix tests for the fault-tolerant distributed search: kill a
-// worker at a deterministic level across {loopback, TCP} × {2, 4 nodes},
-// and assert the run still finishes with a verdict, state count, depth and
-// minimal violator bit-identical to the local parallel search, its failover
+// Fault-matrix tests for the distributed search: kill a worker at a
+// deterministic level across {loopback, TCP} × {2, 4 nodes}, and assert
+// the run still finishes with a verdict, state count, depth and minimal
+// violator bit-identical to the local parallel search, its failover
 // handing exactly the victim's shards to the survivors — plus the
-// double-fault, severed-link and death-timeout paths. Every recovery
-// restarts the search on the survivors.
+// double-fault, severed-link, death-timeout and run-after-death paths.
+// Every recovery restarts the search on the survivors.
 
 import (
 	"errors"
@@ -14,7 +14,9 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,7 +45,7 @@ var ftCases = []struct {
 	}, 0},
 }
 
-// ftConfig is the shared configuration of the fault-tolerant runs.
+// ftConfig is the shared configuration of the fault-injected runs.
 func ftConfig(trace *obs.Trace) verify.Config {
 	return verify.Config{NondetTies: true, Workers: 2, RunTrace: trace}
 }
@@ -69,7 +71,7 @@ func runFTLanes(t *testing.T, label string, ps []*switching.Profile, nodes, lane
 	ts := Loopback(nodes)
 	defer Close(ts)
 	plan := mkPlan(ts)
-	dist, err := verifyWithFaults(ps, cfg, ts[:nodes], true, plan)
+	dist, err := runner(ts, plan)(ps, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -89,8 +91,9 @@ func runFTLanes(t *testing.T, label string, ps []*switching.Profile, nodes, lane
 // and last victim, on a deep schedulable space and a near-root violation,
 // killing the victim at a deterministic level must leave the verdict,
 // counts, depth and minimal violator bit-identical to the local search,
-// through one failover: era 1, the victim dead, and the victim's
-// contiguous share of the shards (64/nodes) reassigned to the survivors.
+// through one failover: the first restart, the victim dead, and the
+// victim's contiguous share of the shards (64/nodes) handed to the
+// survivors.
 func TestFTKillOneWorker(t *testing.T) {
 	recBefore := obsRecoveries.Value()
 	for _, tc := range ftCases {
@@ -102,11 +105,11 @@ func TestFTKillOneWorker(t *testing.T) {
 						lt := ts[victim].(*loopTransport)
 						return &faultPlan{faults: []fault{{atLevel: tc.atLevel, kill: func() { close(lt.kill) }}}}
 					})
-					want := obs.FailoverSpan{Era: 1, Dead: []int{victim}, Shards: verify.NumShards / nodes}
+					want := obs.FailoverSpan{Restart: 1, Dead: []int{victim}, Shards: verify.NumShards / nodes}
 					if len(trace.Failovers) != 1 {
 						t.Errorf("%s: %d failovers, want 1", label, len(trace.Failovers))
-					} else if f := trace.Failovers[0]; f.Era != want.Era || !slices.Equal(f.Dead, want.Dead) || f.Shards != want.Shards {
-						t.Errorf("%s: failover %+v, want era %d, dead %v, %d shards", label, f, want.Era, want.Dead, want.Shards)
+					} else if f := trace.Failovers[0]; f.Restart != want.Restart || !slices.Equal(f.Dead, want.Dead) || f.Shards != want.Shards {
+						t.Errorf("%s: failover %+v, want restart %d, dead %v, %d shards", label, f, want.Restart, want.Dead, want.Shards)
 					}
 				}
 			}
@@ -131,10 +134,9 @@ func TestFTKillEveryVictim(t *testing.T) {
 	}
 }
 
-// TestFTDoubleFault: a second worker dies while the takeover from the
-// first death is still settling. The simultaneous variant loses two
-// nodes in one round; the sequential variant arms the second kill to
-// fire only after the first recovery completed.
+// TestFTDoubleFault: a second worker dies after the first death. The
+// simultaneous variant loses two nodes in one round; the sequential
+// variant arms the second kill to fire only after the first restart.
 func TestFTDoubleFault(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 8, 2, 4, 40), prof("B", 8, 2, 4, 40)}
 	t.Run("simultaneous", func(t *testing.T) {
@@ -144,11 +146,11 @@ func TestFTDoubleFault(t *testing.T) {
 		})
 	})
 	t.Run("sequential", func(t *testing.T) {
-		trace := runFT(t, "double fault (mid-takeover)", ps, 4, func(ts []Transport) *faultPlan {
+		trace := runFT(t, "double fault (after a restart)", ps, 4, func(ts []Transport) *faultPlan {
 			l1, l2 := ts[1].(*loopTransport), ts[2].(*loopTransport)
 			return &faultPlan{faults: []fault{
 				{atLevel: 2, kill: func() { close(l1.kill) }},
-				{atLevel: 0, afterRecoveries: 1, kill: func() { close(l2.kill) }},
+				{atLevel: 0, afterRestarts: 1, kill: func() { close(l2.kill) }},
 			}}
 		})
 		if len(trace.Failovers) < 2 {
@@ -173,7 +175,7 @@ func TestFTDegradedNoCheckpointDir(t *testing.T) {
 	defer Close(ts)
 	lt := ts[1].(*loopTransport)
 	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: func() { close(lt.kill) }}}}
-	dist, err := verifyWithFaults(ps, ftConfig(trace), ts, true, plan)
+	dist, err := runner(ts, plan)(ps, ftConfig(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +188,11 @@ func TestFTDegradedNoCheckpointDir(t *testing.T) {
 	}
 }
 
-// TestFTHookSurvivesPerRunConfig: fault tolerance belongs to the hook
-// FaultTolerantRunner builds, not to the Config it is handed. Like the
-// admission service's verifyBackend, the run builds a fresh Config, hangs
-// the hook on it and calls verify.Slot; a node killed mid-S1 must still be
-// recovered from, with S1's exact counts.
+// TestFTHookSurvivesPerRunConfig: recovery belongs to the hook Runner
+// builds, not to the Config it is handed. Like the admission service's
+// verify, the run builds a fresh Config, hangs the hook on it and calls
+// verify.Slot; a node killed mid-S1 must still be recovered from, with
+// S1's exact counts.
 func TestFTHookSurvivesPerRunConfig(t *testing.T) {
 	s1, err := plants.ProfileList("C1", "C5", "C4", "C3")
 	if err != nil {
@@ -201,7 +203,7 @@ func TestFTHookSurvivesPerRunConfig(t *testing.T) {
 	plan := &faultPlan{faults: []fault{{atLevel: 25, kill: func() { close(ts[1].(*loopTransport).kill) }}}}
 	trace := obs.NewTrace("")
 	cfg := verify.Config{NondetTies: true, Workers: 2, RunTrace: trace}
-	cfg.Distributed = runner(ts, true, plan)
+	cfg.Distributed = runner(ts, plan)
 	res, err := verify.Slot(s1, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +238,7 @@ func TestFTSeverLink(t *testing.T) {
 		return nil
 	}
 	plan := &faultPlan{faults: []fault{{atLevel: 2, kill: func() { severed.Store(true) }}}}
-	dist, err := verifyWithFaults(ps, cfg, ts, true, plan)
+	dist, err := runner(ts, plan)(ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +249,8 @@ func TestFTSeverLink(t *testing.T) {
 }
 
 // TestFTDelayedDeliveryNoFalsePositive: delayed, reordered deliveries
-// under fault tolerance must recover nothing — slow is not dead. The
-// run completes exactly, with zero failovers.
+// must recover nothing — slow is not dead. The run completes exactly,
+// with zero failovers.
 func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 	ps := fleet(6, 5, 2, 4, 20)
 	local, err := verify.Slot(ps, verify.Config{NondetTies: true, Workers: 2})
@@ -269,7 +271,7 @@ func TestFTDelayedDeliveryNoFalsePositive(t *testing.T) {
 			time.AfterFunc(d, func() { push(b) })
 			return true
 		}
-		dist, err := FaultTolerantRunner(ts)(ps, cfg)
+		dist, err := Runner(ts)(ps, cfg)
 		Close(ts)
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
@@ -325,7 +327,7 @@ func TestFTTCPKill(t *testing.T) {
 		var dist verify.Result
 		var verr error
 		go func() {
-			dist, verr = verifyWithFaults(ps, cfg, ts, true, plan)
+			dist, verr = runner(ts, plan)(ps, cfg)
 			close(done)
 		}()
 		select {
@@ -344,10 +346,82 @@ func TestFTTCPKill(t *testing.T) {
 	}
 }
 
+// TestRunsAfterDeathStayExact: a dead worker leaves the cluster for good.
+// On three TCP workers and on Loopback(3), with a worker killed at level 2
+// of the first run or between the first and second (its death found at
+// the next Init), the run that meets the death and every later run through
+// the same hook — a schedulable, a violating and the schedulable set again
+// — equal the local search, and only the run that meets it restarts.
+func TestRunsAfterDeathStayExact(t *testing.T) {
+	sets := []func() []*switching.Profile{ftCases[0].ps, ftCases[1].ps, ftCases[0].ps}
+	clusters := []struct {
+		name string
+		mk   func() (ts []Transport, kill func())
+	}{
+		{"tcp3", func() ([]Transport, func()) {
+			addrs := make([]string, 3)
+			var victim *trackingListener
+			for i := range addrs {
+				raw, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := &trackingListener{Listener: raw}
+				t.Cleanup(l.kill)
+				go NewServer(l, nil).Serve()
+				addrs[i] = raw.Addr().String()
+				if i == 1 {
+					victim = l
+				}
+			}
+			ts, err := Dial(addrs, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ts, victim.kill
+		}},
+		{"loopback3", func() ([]Transport, func()) {
+			ts := Loopback(3)
+			return ts, func() { close(ts[1].(*loopTransport).kill) }
+		}},
+	}
+	for _, cl := range clusters {
+		for _, between := range []bool{false, true} {
+			ts, kill := cl.mk()
+			plan, dies := &faultPlan{faults: []fault{{atLevel: 2, kill: kill}}}, 0
+			if between {
+				plan, dies = nil, 1
+			}
+			run := runner(ts, plan)
+			for i, set := range sets {
+				label := fmt.Sprintf("%s, kill between runs %v: run %d", cl.name, between, i)
+				if between && i == dies {
+					kill()
+				}
+				local, err := verify.Slot(set(), verify.Config{NondetTies: true, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				trace := obs.NewTrace("")
+				dist, err := run(set(), ftConfig(trace))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkMatchesLocal(t, label, dist, local)
+				if want := i == dies; (len(trace.Failovers) == 1) != want || len(trace.Failovers) > 1 {
+					t.Errorf("%s: %d failovers, want one only in run %d", label, len(trace.Failovers), dies)
+				}
+			}
+			Close(ts)
+		}
+	}
+}
+
 // TestFTPollerDeathTimeout pins the liveness layer in isolation: a
 // worker that stops answering is declared dead once meshDeathTimeout
-// elapses, its eventual late answer is discarded by the sequence check,
-// and the survivors' rounds continue unharmed.
+// elapses, with the timeout as its cause, while the answering node's
+// reply stands; once the poller closes, releasing the wedged call ends
+// both call goroutines.
 func TestFTPollerDeathTimeout(t *testing.T) {
 	saved := meshDeathTimeout
 	meshDeathTimeout = 100 * time.Millisecond
@@ -363,8 +437,8 @@ func TestFTPollerDeathTimeout(t *testing.T) {
 		return &Response{Proto: protoVersion}, nil
 	})
 	ok := transportFunc(func(*Request) (*Response, error) { return &Response{Proto: protoVersion}, nil })
+	before := runtime.NumGoroutine()
 	p := newMeshPoller([]Transport{ok, hang})
-	defer p.close()
 	resps := make([]*Response, 2)
 
 	req := func(int) *Request { return &Request{Kind: KindPoll, Ctl: &Control{}} }
@@ -374,20 +448,17 @@ func TestFTPollerDeathTimeout(t *testing.T) {
 	if dead := p.round(resps, nil, req); len(dead) != 1 || dead[0] != 1 {
 		t.Fatalf("hung worker not declared dead: %v", dead)
 	}
-	p.evict(1)
-
-	// Release the wedged call: its late answer must be discarded, not
-	// misattributed to a later round.
+	if err := p.errs[1]; err == nil || !strings.Contains(err.Error(), "no answer to a poll within 100ms") {
+		t.Fatalf("cause of the death: %v", err)
+	}
+	if resps[0] == nil || resps[1] != nil {
+		t.Fatalf("after the death: survivor's answer %v, wedged node's %v", resps[0], resps[1])
+	}
+	p.close()
 	close(release)
-	for i := 0; i < 3; i++ {
-		if dead := p.round(resps, nil, req); len(dead) != 0 {
-			t.Fatalf("round %d after eviction declared deaths: %v", i, dead)
-		}
-		if resps[1] != nil {
-			t.Fatal("evicted node produced a response")
-		}
-		if resps[0] == nil {
-			t.Fatal("survivor's response went missing")
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the poller, %d after it closed", before, runtime.NumGoroutine())
 		}
 	}
 }

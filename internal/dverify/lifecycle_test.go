@@ -6,6 +6,7 @@ package dverify
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -18,10 +19,10 @@ import (
 
 // TestStandingClusterSequence serves, back to back on the same transports,
 // a schedulable slot, a violating one, an over-budget run, the first slot
-// again, a slot of the other encoding (an incompatible job: full rebuild), a
-// fault-tolerant run and the first slot once more — every way
-// a run can stop followed by a re-Init of the worker it left behind. Each
-// result must equal what a fresh cluster answers.
+// again, a slot that fills the word (an incompatible job: full rebuild) and
+// the first slot once more — every way a run can stop followed by a
+// re-Init of the worker it left behind. Each result must equal what a
+// fresh cluster answers.
 func TestStandingClusterSequence(t *testing.T) {
 	// S is shallow (depth 12, 172 states).
 	s := []*switching.Profile{prof("A", 3, 1, 2, 12), prof("B", 3, 1, 2, 12)}
@@ -33,15 +34,13 @@ func TestStandingClusterSequence(t *testing.T) {
 		name string
 		ps   []*switching.Profile
 		cfg  verify.Config
-		ft   bool // run through FaultTolerantRunner
 	}{
-		{"S", s, base, false},
-		{"V", v, base, false},
-		{"S over budget", s, overBudget, false},
-		{"S after a bust", s, base, false},
-		{"full-word V", fleet(7, 2, 1, 2, 64), base, false},
-		{"S fault-tolerant", s, base, true},
-		{"S after FT", s, base, false},
+		{"S", s, base},
+		{"V", v, base},
+		{"S over budget", s, overBudget},
+		{"S after a bust", s, base},
+		{"full-word V", fleet(7, 2, 1, 2, 64), base},
+		{"S after a rebuild", s, base},
 	}
 	clusters := []struct {
 		name string
@@ -56,8 +55,7 @@ func TestStandingClusterSequence(t *testing.T) {
 			return ts
 		}},
 	}
-	// The reference: each step on a cluster of its own (without fault
-	// tolerance, which the TestFT* matrix pins to the same answer).
+	// The reference: each step on a cluster of its own.
 	want, wantErr := make([]verify.Result, len(steps)), make([]error, len(steps))
 	for i, st := range steps {
 		want[i], wantErr[i] = verifyOver(t, 2, st.ps, st.cfg)
@@ -69,11 +67,7 @@ func TestStandingClusterSequence(t *testing.T) {
 		ts := cl.mk()
 		for i, st := range steps {
 			label := cl.name + ": " + st.name
-			run := Runner(ts)
-			if st.ft {
-				run = FaultTolerantRunner(ts)
-			}
-			got, err := run(st.ps, st.cfg)
+			got, err := Runner(ts)(st.ps, st.cfg)
 			if wantErr[i] != nil || err != nil {
 				if !errors.Is(wantErr[i], verify.ErrTooLarge) || !errors.Is(err, verify.ErrTooLarge) {
 					t.Fatalf("%s: standing cluster %v, fresh cluster %v", label, err, wantErr[i])
@@ -89,9 +83,13 @@ func TestStandingClusterSequence(t *testing.T) {
 }
 
 // TestWedgedWorkerNamedError: a worker that answers Init and then never
-// answers a poll — SIGSTOPped, partitioned — must end a run without fault
-// tolerance in an error naming the node and the timeout, not hang it, and
-// leave no goroutine behind once the transports are closed.
+// answers a poll — SIGSTOPped, partitioned — is dead once meshDeathTimeout
+// passes. Alone, it ends the run in an error naming the node and the
+// timeout, not a hang, and leaves no goroutine behind once the transports
+// are closed. Beside a live node 0, the run and the next one through the
+// hook finish on node 0, and the wedged worker sees no request after the
+// poll it never answered: its transport, whose Call is still blocked, is
+// never called again.
 func TestWedgedWorkerNamedError(t *testing.T) {
 	saved := meshDeathTimeout
 	meshDeathTimeout = 100 * time.Millisecond
@@ -116,14 +114,38 @@ func TestWedgedWorkerNamedError(t *testing.T) {
 			t.Fatalf("%d goroutines before the run, %d after Close", before, runtime.NumGoroutine())
 		}
 	}
+
+	ps := fleet(2, 6, 1, 2, 10)
+	cfg := verify.Config{NondetTies: true}
+	local, err := verify.Slot(ps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := Dial([]string{startWorker(t)}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer Close(live)
+	wedged, kinds := cannedWorker(t, Response{Proto: protoVersion}, 1)
+	run := Runner([]Transport{live[0], wedged})
+	for i := range 2 {
+		res, err := run(ps, cfg)
+		if err != nil {
+			t.Fatalf("run %d beside a wedged node 1: %v", i, err)
+		}
+		checkMatchesLocal(t, fmt.Sprintf("run %d beside a wedged node 1", i), res, local)
+	}
+	if got := kinds(); !slices.Equal(got, []Kind{KindInit, KindPoll}) {
+		t.Fatalf("the wedged worker saw %v, want one Init and one Poll", got)
+	}
 }
 
-// TestRecoverAfterFinishKeepsTheRun: a finished worker answers every later
-// poll with its final snapshot. A Recover order of a newer era sent after
-// Finish must not restart it — that would wipe the run's counts and seed a
-// search on closed links and released tables — so the reply keeps the
-// run's Fresh and FreshByLevel, as does a level poll after it.
-func TestRecoverAfterFinishKeepsTheRun(t *testing.T) {
+// TestPollAfterFinishKeepsTheRun: a finished worker answers every later
+// poll with its final snapshot. A level poll sent after Finish must not
+// restart it — that would wipe the run's counts and expand on closed links
+// and released tables — so the reply keeps the run's Fresh and
+// FreshByLevel.
+func TestPollAfterFinishKeepsTheRun(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 3, 1, 2, 12), prof("B", 3, 1, 2, 12)}
 	cfg := verify.Config{NondetTies: true}
 	want, err := verify.Slot(ps, cfg)
@@ -134,7 +156,7 @@ func TestRecoverAfterFinishKeepsTheRun(t *testing.T) {
 	defer Close(ts)
 	h := handler{env: loopEnv{ts[0].(*loopTransport).group}}
 	defer h.reset()
-	job := &Job{Proto: protoVersion, NumNodes: 1, Owners: defaultOwners(1), NondetTies: true, Session: 1,
+	job := &Job{Proto: protoVersion, NumNodes: 1, NondetTies: true, Session: 1,
 		Profiles: []switching.Profile{*ps[0], *ps[1]}}
 	if r := h.handle(&Request{Kind: KindInit, Job: job}); r.Err != "" {
 		t.Fatal(r.Err)
@@ -162,7 +184,7 @@ func TestRecoverAfterFinishKeepsTheRun(t *testing.T) {
 	if fresh != want.States {
 		t.Fatalf("Finish reply: %d fresh states, want the local search's %d", fresh, want.States)
 	}
-	for _, ctl := range []Control{{Recover: &Recover{Era: 1, Owners: defaultOwners(1)}}, {Level: 0}} {
+	for _, ctl := range []Control{{Level: 0}, {Level: 1}} {
 		if r := poll(ctl); r.Fresh != fresh || !slices.Equal(r.FreshByLevel, byLevel) {
 			t.Fatalf("poll %+v after Finish: %d fresh states by level %v, want the run's %d by %v",
 				ctl, r.Fresh, r.FreshByLevel, fresh, byLevel)

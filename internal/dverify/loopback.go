@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"tightcps/internal/verify"
 )
 
 // Loopback returns transports to n in-process worker nodes, each served by
@@ -96,7 +94,7 @@ type loopLink struct {
 	from, to int
 }
 
-func (l *loopLink) send(era, level int, states []uint64) (int, error) {
+func (l *loopLink) send(level int, states []uint64) (int, error) {
 	if hook := l.sess.failSend; hook != nil {
 		if err := hook(l.from, l.to); err != nil {
 			return 0, err
@@ -106,7 +104,7 @@ func (l *loopLink) send(era, level int, states []uint64) (int, error) {
 	if ib == nil {
 		return 0, fmt.Errorf("peer node %d is not registered in this session", l.to)
 	}
-	b := meshBatch{from: l.from, level: level, era: era, states: states}
+	b := meshBatch{from: l.from, level: level, states: states}
 	bytes := 8 * len(states)
 	if hook := l.sess.deliver; hook != nil && hook(l.from, l.to, b, ib.push) {
 		return bytes, nil
@@ -120,8 +118,9 @@ func (l *loopLink) close() error { return nil }
 // loopEnv wires a loopback worker into its group's session registry.
 type loopEnv struct{ g *loopGroup }
 
-func (e loopEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, error) {
-	sess, err := e.g.join(job, inbox)
+func (e loopEnv) connect(w *meshWorker) ([]meshLink, error) {
+	job := w.job
+	sess, err := e.g.join(job, w.inbox)
 	if err != nil {
 		return nil, err
 	}

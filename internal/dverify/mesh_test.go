@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -110,9 +109,11 @@ func TestMeshRoundsPerLevel(t *testing.T) {
 }
 
 // TestMeshLinkFaultInjection breaks one worker↔worker link mid-run: the
-// coordinator must surface a clean error — not hang an epoch — that names
-// the far end of the broken link as the dead node, the reporting end, and
-// the injected cause, and the cluster must stay reusable afterwards.
+// sender reports the far end dead and the run finishes on the reporter —
+// not hanging an epoch — with the local verdict and one failover naming
+// one node. A link of the broken session, held past its end like a TCP
+// peer reader, must not leak into the next one: a fresh hook with the
+// fault lifted verifies on both nodes.
 func TestMeshLinkFaultInjection(t *testing.T) {
 	ts := Loopback(2)
 	defer Close(ts)
@@ -127,7 +128,7 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 		}
 		return nil
 	}
-	// A link of the poisoned session, held past its end like a TCP peer
+	// A link of the broken session, held past its end like a TCP peer
 	// reader: its late EOF lands while the next session runs.
 	var stale func(meshBatch)
 	g.deliver = func(from, to int, b meshBatch, push func(meshBatch)) bool {
@@ -136,38 +137,49 @@ func TestMeshLinkFaultInjection(t *testing.T) {
 		if sends <= 3 {
 			stale = push
 		} else if stale != nil {
-			stale(meshBatch{from: from, err: errors.New("late EOF of the poisoned session")})
+			stale(meshBatch{from: from, err: errors.New("late EOF of the broken session")})
 			stale = nil
 		}
 		return false
 	}
 
+	ps := fleet(3, 6, 1, 2, 10)
 	cfg := verify.Config{NondetTies: true}
-	done := make(chan error, 1)
+	local, err := verify.Slot(ps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := obs.NewTrace("")
+	cfg.RunTrace = trace
+	type outcome struct {
+		res verify.Result
+		err error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		_, err := Runner(ts)(fleet(3, 6, 1, 2, 10), cfg)
-		done <- err
+		res, err := Runner(ts)(ps, cfg)
+		done <- outcome{res, err}
 	}()
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("a broken mesh link went unreported")
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("a broken mesh link ended the run: %v", o.err)
 		}
-		m := regexp.MustCompile(`^dverify: node (\d): mesh link from node (\d): injected link failure$`).FindStringSubmatch(err.Error())
-		if m == nil || m[1] == m[2] {
-			t.Fatalf("want an error naming the far end, the reporter and the cause, got %v", err)
+		checkMatchesLocal(t, "after a link failure", o.res, local)
+		if len(trace.Failovers) != 1 || len(trace.Failovers[0].Dead) != 1 {
+			t.Fatalf("failovers %+v, want one naming one dead node", trace.Failovers)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("coordinator hung after a mesh link failure")
 	}
 
-	// The poisoned session must not wedge the workers or leak into the next
-	// one: the same cluster verifies cleanly once the fault is lifted.
 	g.failSend = nil
-	res, err := Runner(ts)(fleet(3, 6, 1, 2, 10), cfg)
-	if err != nil || !res.Schedulable {
-		t.Fatalf("cluster not reusable after a link fault: %v %+v", err, res)
+	cfg.RunTrace = obs.NewTrace("")
+	res, err := Runner(ts)(ps, cfg)
+	if err != nil || len(cfg.RunTrace.Failovers) != 0 || cfg.RunTrace.Nodes != 2 {
+		t.Fatalf("cluster not reusable after a link fault: %v, %d failovers on %d nodes", err, len(cfg.RunTrace.Failovers), cfg.RunTrace.Nodes)
 	}
+	checkMatchesLocal(t, "a fresh hook after the fault", res, local)
 }
 
 // trackingListener records accepted connections so a test can sever them,
@@ -199,8 +211,9 @@ func (l *trackingListener) kill() {
 
 // TestMeshWorkerCrashMidEpoch crashes one TCP worker in the middle of a
 // mesh run (all of its connections die at once, like a killed process):
-// the coordinator must return a clean error naming the node, without
-// hanging, and the surviving worker must return to accepting sessions.
+// the run finishes on the surviving worker with the local count, without
+// hanging, and so does the next run through the same hook, which never
+// dials the dead worker.
 func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	l0, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -223,21 +236,34 @@ func TestMeshWorkerCrashMidEpoch(t *testing.T) {
 	}
 	defer Close(ts)
 
-	// The 4-app r=40 fleet runs to 2.9M states (≈ seconds over TCP), so a
-	// kill 100ms in lands squarely inside the epoch exchange.
-	time.AfterFunc(100*time.Millisecond, l1.kill)
-	done := make(chan error, 1)
-	go func() {
-		_, err := Runner(ts)(fleet(4, 8, 2, 4, 40), verify.Config{NondetTies: true})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "node") {
-			t.Fatalf("want a clean error naming the crashed node, got %v", err)
+	// The 5-app fleet runs to 432k states (hundreds of milliseconds over
+	// TCP), so a kill 30ms in lands inside the epoch exchange; one landing
+	// after the run is found at the next run's Init, with the same answer.
+	ps := fleet(5, 7, 1, 2, 12)
+	cfg := verify.Config{NondetTies: true}
+	local, err := verify.Slot(ps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(30*time.Millisecond, l1.kill)
+	run := Runner(ts)
+	for i := range 2 {
+		done := make(chan error, 1)
+		var res verify.Result
+		go func() {
+			var err error
+			res, err = run(ps, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d after a worker crash: %v", i, err)
+			}
+			checkMatchesLocal(t, fmt.Sprintf("run %d after a worker crash", i), res, local)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("coordinator hung in run %d after a worker crash mid-epoch", i)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("coordinator hung after a worker crash mid-epoch")
 	}
 }
 

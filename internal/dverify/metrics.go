@@ -16,11 +16,11 @@ var (
 		"Frontier bytes this worker shipped onto its mesh links across completed sessions.")
 	obsRoutedStates = obs.NewCounter("tightcps_dverify_routed_states_total",
 		"Foreign successors this worker routed onto its mesh links across completed sessions.")
-	// Coordinator-side fault-tolerance counters: a coordinator embedded in
-	// an admission service (or CLI) exposes recoveries through the same
+	// Coordinator-side recovery counters: a coordinator embedded in an
+	// admission service (or CLI) exposes recoveries through the same
 	// registry its /metricsz serves.
 	obsRecoveries = obs.NewCounter("tightcps_dverify_recoveries_total",
-		"Worker-death recoveries completed by fault-tolerant distributed runs on this process.")
+		"Worker-death recoveries (restarts of a distributed run on the survivors) on this process.")
 	obsShardsReassigned = obs.NewCounter("tightcps_dverify_shards_reassigned_total",
-		"Hash shards moved to new owners across all recoveries on this process.")
+		"Hash shards the dead nodes owned, handed to the survivors across all recoveries on this process.")
 )

@@ -22,12 +22,12 @@ import (
 // carries the coordinator's version in Job.Proto and the node echoes its
 // own in Response.Proto, so either side rejects a mismatch loudly before
 // any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
-// field, a batch format or the packed-state layout changes or goes. Version
-// 18 ships every state as one word — the multi-word layout is gone and
-// Response.ViolState is a uint64; version 17 drops the checkpoint fields of
-// Job, Recover and Response; what each earlier version was is in
-// CHANGES.md.
-const protoVersion = 18
+// field, a batch format or the packed-state layout changes or goes.
+// Version 19 drops the in-session recovery — Job.Owners, Control.Recover
+// and Frame.Era: a node's shards follow from NumNodes, and a recovery is a
+// fresh Init on the survivors; version 18 ships every state as one word;
+// what each earlier version was is in CHANGES.md.
+const protoVersion = 19
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -57,14 +57,11 @@ type Job struct {
 	// Profiles is the application set under verification, by value so the
 	// gob stream is self-contained.
 	Profiles []switching.Profile
-	// NumNodes and NodeID place this node in the cluster.
+	// NumNodes and NodeID place this node in the cluster. They also make
+	// its ownership table: node i owns the contiguous hash shards
+	// [i·64/NumNodes, (i+1)·64/NumNodes).
 	NumNodes int
 	NodeID   int
-	// Owners is the shard-ownership table: entry s names the node owning
-	// hash shard s (len verify.NumShards). A run starts from the contiguous
-	// default, node i owning [i·64/NumNodes, (i+1)·64/NumNodes); a Recover
-	// order replaces it.
-	Owners []uint8
 
 	Policy            sched.PreemptionPolicy
 	NondetTies        bool
@@ -114,25 +111,6 @@ type Control struct {
 	// Finish ends the session's search: the worker tears down its mesh
 	// links and answers with its final counter snapshot.
 	Finish bool
-	// Recover, when non-nil, orders the worker into a new era: drop its
-	// search state, adopt the new ownership table and seed the initial
-	// state if it owns it, answering without expanding. The run resumes
-	// with a round at Level 0, Expect 0.
-	Recover *Recover
-}
-
-// Recover is the coordinator's takeover order after worker deaths. Every
-// surviving worker performs the same reset — the one that starts a run —
-// under Owners, and the search restarts from the initial state.
-type Recover struct {
-	// Era is the new epoch of the run; batches tagged with older eras are
-	// dropped on receipt.
-	Era int
-	// Owners is the new shard-ownership table (len 64).
-	Owners []uint8
-	// Dead is the complete dead set after this recovery; workers ship
-	// nothing to these nodes (routing follows Owners).
-	Dead []int
 }
 
 // PeerHello identifies a dialed worker↔worker mesh link.
@@ -144,11 +122,8 @@ type PeerHello struct {
 
 // Frame is one level-tagged frontier batch on a TCP mesh link, following
 // the PeerHello on the same gob stream. Batch is encodeBatch's encoding.
-// Era tags the sender's recovery era (0 before any recovery); receivers
-// in another era drop the frame.
 type Frame struct {
 	Level int
-	Era   int
 	Batch []byte
 }
 
@@ -193,8 +168,8 @@ type Response struct {
 	// the L+1-tagged states this node shipped to node d in the round (its
 	// own entry stays 0: self-owned successors cross no link), Next the
 	// L+1 states it has committed. SentTo is empty on an interim answer —
-	// the level unfinished when the poll budget ran out — and on Init,
-	// Recover and Finish replies.
+	// the level unfinished when the poll budget ran out — and on Init and
+	// Finish replies.
 	SentTo []int
 	Next   int
 	// MaxFresh is the deepest level at which this node committed a fresh
@@ -209,9 +184,9 @@ type Response struct {
 	Links []verify.LinkWire
 
 	// LinkDown lists the peers this worker can no longer reach (send or
-	// receive failures on the mesh link), cumulative within an era. A dead
-	// link is always reported here, never through Err: what it leads to is
-	// the coordinator's decision.
+	// receive failures on the mesh link), cumulative within the session. A
+	// dead link is always reported here, never through Err: the coordinator
+	// counts it as the far end's death.
 	LinkDown []DeadLink
 }
 

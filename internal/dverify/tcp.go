@@ -202,10 +202,10 @@ type tcpMeshLink struct {
 	buf  []byte
 }
 
-func (l *tcpMeshLink) send(era, level int, states []uint64) (int, error) {
+func (l *tcpMeshLink) send(level int, states []uint64) (int, error) {
 	l.buf = encodeBatch(l.exp, l.buf[:0], states)
 	putBatch(states)
-	if err := l.enc.Encode(Frame{Level: level, Era: era, Batch: l.buf}); err != nil {
+	if err := l.enc.Encode(Frame{Level: level, Batch: l.buf}); err != nil {
 		return 0, err
 	}
 	return len(l.buf), nil
@@ -220,11 +220,12 @@ type tcpEnv struct {
 	host *meshHost
 }
 
-func (e tcpEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]meshLink, error) {
+func (e tcpEnv) connect(w *meshWorker) ([]meshLink, error) {
+	job := w.job
 	if len(job.Peers) != job.NumNodes {
 		return nil, fmt.Errorf("dverify: mesh init names %d peers for %d nodes", len(job.Peers), job.NumNodes)
 	}
-	if err := e.host.register(job.Session, job.NodeID, &hostNode{inbox: inbox, exp: exp}); err != nil {
+	if err := e.host.register(job.Session, job.NodeID, &hostNode{inbox: w.inbox, exp: w.exp}); err != nil {
 		return nil, err
 	}
 	session, id := job.Session, job.NodeID
@@ -243,18 +244,12 @@ func (e tcpEnv) connect(job *Job, inbox *meshInbox, exp *verify.Expander) ([]mes
 				Proto: protoVersion, Session: session, From: id, To: d,
 			}})
 			if err == nil {
-				links[d] = &tcpMeshLink{to: d, conn: conn, enc: enc, exp: exp}
+				links[d] = &tcpMeshLink{to: d, conn: conn, enc: enc, exp: w.exp}
 				continue
 			}
 			conn.Close()
 		}
-		for _, l := range links {
-			if l != nil {
-				l.close()
-			}
-		}
-		e.leave(job)
-		return nil, fmt.Errorf("dverify: node %d dialing mesh peer %d (%s): %v", id, d, job.Peers[d], err)
+		w.noteLinkDown(d, fmt.Errorf("mesh link from node %d: dialing %s: %v", id, job.Peers[d], err))
 	}
 	return links, nil
 }
@@ -443,6 +438,6 @@ func (s *Server) servePeer(conn net.Conn, dec *gob.Decoder, hello *PeerHello) {
 			n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link to node %d: %v", hello.To, err)})
 			return
 		}
-		n.inbox.push(meshBatch{from: hello.From, level: f.Level, era: f.Era, states: states})
+		n.inbox.push(meshBatch{from: hello.From, level: f.Level, states: states})
 	}
 }

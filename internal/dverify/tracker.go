@@ -20,17 +20,12 @@ type meshTracker struct {
 }
 
 // observe folds one round's answers into the tracker. Counters are
-// cumulative, so the round replaces (never accumulates) totals. Nil
-// responses (evicted nodes on a fault-tolerant run) are skipped — their
-// shards' counters live in the survivors after the restart. A violation
+// cumulative, so the round replaces (never accumulates) totals. A violation
 // is of the round's level; the minimum violating state across the nodes is
 // the verdict's violator, as in the local lanes.
 func (t *meshTracker) observe(resps []*Response) {
 	*t = meshTracker{violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}}
 	for _, r := range resps {
-		if r == nil {
-			continue
-		}
 		t.fresh += r.Fresh
 		t.transitions += r.Transitions
 		t.maxFresh = max(t.maxFresh, r.MaxFresh)
@@ -56,9 +51,6 @@ func nextRound(resps []*Response, expect []int) bool {
 	clear(expect)
 	more := false
 	for _, r := range resps {
-		if r == nil {
-			continue
-		}
 		for d, v := range r.SentTo {
 			expect[d] += v
 			more = more || v > 0
@@ -75,9 +67,6 @@ func nextRound(resps []*Response, expect []int) bool {
 func statesThrough(resps []*Response, depth int) int {
 	n := 0
 	for _, r := range resps {
-		if r == nil {
-			continue
-		}
 		for _, v := range r.FreshByLevel[:min(len(r.FreshByLevel), depth+1)] {
 			n += v
 		}
@@ -99,9 +88,6 @@ func foldMeshTrace(trace *obs.Trace, resps []*Response, rounds, depth int) {
 	}
 	recv := make([]int, len(resps))
 	for _, r := range resps {
-		if r == nil {
-			continue
-		}
 		for _, l := range r.Links {
 			if l.To < len(recv) {
 				recv[l.To] += l.States
@@ -109,9 +95,6 @@ func foldMeshTrace(trace *obs.Trace, resps []*Response, rounds, depth int) {
 		}
 	}
 	for i, r := range resps {
-		if r == nil {
-			continue // evicted node; its levels live in the survivors
-		}
 		for l, v := range r.FreshByLevel[:min(len(r.FreshByLevel), depth+1)] {
 			if v > 0 {
 				trace.AddLevel(l, v, 0)

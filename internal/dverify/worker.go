@@ -29,20 +29,17 @@ const (
 // Its state is split by lifetime, and each part is replaced as a whole —
 // never cleared field by field — so a field added to a part is zero at the
 // start of that lifetime by construction: meshStanding survives across jobs
-// (memory only, no facts about any run), meshSession lives for one job,
-// meshEra for one stretch of search between recoveries (a run without a
-// recovery has one era).
+// (memory only, no facts about any run), meshSession lives for one job.
 type meshWorker struct {
 	meshStanding
 	meshSession
-	meshEra
 }
 
 // meshStanding is what a compatible follow-up job inherits: the expander,
 // the lane structs and recycled batch memory. None of it says anything
 // about a run, and none of it grows with the search: the lanes' visited
-// tables and level blocks live only while a job's search runs (resetEra
-// gives the lanes fresh ones, shutdown releases them). States are flat
+// tables and level blocks live only while a job's search runs (Init gives
+// the lanes fresh ones, shutdown releases them). States are flat
 // words throughout, one per state.
 type meshStanding struct {
 	exp    *verify.Expander
@@ -70,12 +67,16 @@ type meshStanding struct {
 	initResp Response
 }
 
-// meshSession is one job on one cluster: placement, budget, the data plane
-// and what is true of the whole run whatever a recovery resets — the wire
-// history (traffic that happened). Nothing in a worker depends on fault
-// tolerance: a dead link is always reported (noteLinkDown) and a Recover
-// order always obeyed — what a death leads to is the coordinator's
-// decision.
+// meshSession is one job on one cluster: placement, budget, the data plane,
+// the wire history (traffic that happened) and the round in progress.
+// level is the level the coordinator last polled; got counts the
+// level-tagged states received from peers, against the round's Expect;
+// ahead holds the level+1-tagged batches until the round of their level
+// (drainInbox); sentTo counts the level+1 states shipped to each
+// destination this round. levelFresh counts the states committed per level
+// (the snapshots' FreshByLevel). deadPeers suppresses sends to peers whose
+// link failed; linkDown is the cumulative dead-link report for the
+// coordinator, which counts each as its far end's death.
 type meshSession struct {
 	id, n  int
 	job    *Job // what the worker was built for (reuse compatibility)
@@ -88,20 +89,6 @@ type meshSession struct {
 	routed    int
 	wireBytes int
 
-	finished bool
-}
-
-// meshEra is everything a recovery erases besides the lanes' search
-// state: the round in progress and the routing view. level is the level
-// the coordinator last polled; got counts the level-tagged states received
-// from peers, against the round's Expect; ahead holds the level+1-tagged
-// batches until the round of their level (drainInbox); sentTo counts the
-// level+1 states shipped to each destination this round. levelFresh counts
-// the states committed per level (the snapshots' FreshByLevel). owners is
-// the routing table (the Job's, then each Recover order's); deadPeers
-// suppresses sends to nodes known dead; linkDown is the cumulative
-// dead-peer report for the coordinator.
-type meshEra struct {
 	level  int
 	got    int
 	ahead  [][]uint64
@@ -110,10 +97,10 @@ type meshEra struct {
 	levelFresh []int
 	err        error
 
-	era       int
-	owners    [verify.NumShards]uint8
 	deadPeers []bool
 	linkDown  []DeadLink
+
+	finished bool
 }
 
 // newMeshWorker builds a node for a mesh job and wires its data links
@@ -126,7 +113,7 @@ type meshEra struct {
 // donor's links are already down and its tables released (Init goes
 // through handler.reset), and its registration is gone; what its run left
 // parked — a violating or over-budget run stops with sends in place — is
-// recycled by the same resets that start every worker.
+// recycled here.
 func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Response, error) {
 	if job.Proto != protoVersion {
 		return nil, nil, fmt.Errorf("dverify: coordinator speaks protocol %d, this worker speaks %d (rebuild the older side)",
@@ -135,9 +122,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	n := job.NumNodes
 	if n < 1 || job.NodeID < 0 || job.NodeID >= n {
 		return nil, nil, fmt.Errorf("dverify: node %d of %d is not a valid placement", job.NodeID, n)
-	}
-	if err := checkOwners(job.Owners, n); err != nil {
-		return nil, nil, err
 	}
 	w := prev
 	if w == nil || !jobsCompatible(w.job, job) {
@@ -176,21 +160,37 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	// The session. The inbox is new, not the old one swept: a peer reader
 	// of the previous session may still hold it and push a late frame — or
 	// the EOF of a link its sender has already closed — after any sweep.
+	// The round state's slices keep their backing arrays across jobs; the
+	// batches the previous run left waiting go back to the free list.
+	for i, b := range w.ahead {
+		w.putBatch(b)
+		w.ahead[i] = nil
+	}
+	if w.sentTo == nil {
+		w.sentTo, w.deadPeers = make([]int, n), make([]bool, n)
+	}
+	clear(w.sentTo)
+	clear(w.deadPeers)
 	clear(w.linkStates)
 	clear(w.linkBytes)
 	w.meshSession = meshSession{
-		id:     job.NodeID,
-		n:      n,
-		job:    job,
-		budget: job.MaxStates,
-		inbox:  newMeshInbox(),
+		id:         job.NodeID,
+		n:          n,
+		job:        job,
+		budget:     job.MaxStates,
+		inbox:      newMeshInbox(),
+		ahead:      w.ahead[:0],
+		sentTo:     w.sentTo,
+		levelFresh: w.levelFresh[:0],
+		deadPeers:  w.deadPeers,
+		linkDown:   w.linkDown[:0],
 	}
 	if w.budget <= 0 {
 		w.budget = defaultMaxStates
 	}
-	w.resetEra(0, job.Owners, nil)
+	w.lanes.Reset(n, w.id, w.budget)
 
-	links, err := env.connect(job, w.inbox, w.exp)
+	links, err := env.connect(w)
 	if err != nil {
 		w.lanes.Release() // nothing keeps this worker
 		return nil, nil, err
@@ -199,53 +199,12 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	if w.shipFn == nil {
 		w.shipFn = w.ship
 	}
-	w.seed()
-	w.initResp = Response{Proto: protoVersion, ViolApp: -1, Fresh: w.lanes.Stats().States}
+	if init := w.exp.Initial(); verify.ShardOf(w.exp.Hash(init))*n/verify.NumShards == w.id {
+		w.lanes.Absorb([][]uint64{{uint64(init)}}) // the initial state, on its owner
+	}
+	down := append(w.initResp.LinkDown[:0], w.linkDown...)
+	w.initResp = Response{Proto: protoVersion, ViolApp: -1, Fresh: w.lanes.Stats().States, LinkDown: down}
 	return w, &w.initResp, nil
-}
-
-// resetEra is the one place a worker's search state is emptied — at Init
-// and on every recovery order. It recycles the outgoing era's waiting
-// batches into the free list, resets the lanes (fresh visited tables,
-// empty frontiers) under the new ownership table, then starts the new era
-// from a fresh value: only what is named below differs from zero. dead is
-// the complete current dead set, and the cumulative LinkDown report
-// restarts empty: the coordinator already acted on everything reported
-// before.
-func (w *meshWorker) resetEra(era int, owners []uint8, dead []int) {
-	for i, b := range w.ahead {
-		w.putBatch(b)
-		w.ahead[i] = nil
-	}
-	if w.deadPeers == nil {
-		w.deadPeers, w.sentTo = make([]bool, w.n), make([]int, w.n)
-	}
-	clear(w.deadPeers)
-	clear(w.sentTo)
-	for _, d := range dead {
-		if d >= 0 && d < w.n {
-			w.deadPeers[d] = true
-		}
-	}
-	w.meshEra = meshEra{
-		ahead:      w.ahead[:0],
-		sentTo:     w.sentTo,
-		levelFresh: w.levelFresh[:0],
-		era:        era,
-		owners:     [verify.NumShards]uint8(owners),
-		deadPeers:  w.deadPeers,
-		linkDown:   w.linkDown[:0],
-	}
-	w.lanes.Reset(&w.owners, w.id, w.budget)
-}
-
-// seed commits the initial state on its owner: the start of a run, and of
-// every recovery.
-func (w *meshWorker) seed() {
-	init := w.exp.Initial()
-	if int(w.owners[verify.ShardOf(w.exp.Hash(init))]) == w.id {
-		w.lanes.Absorb([][]uint64{{uint64(init)}})
-	}
 }
 
 // snapshot builds a poll response from the cumulative counters, reusing
@@ -302,9 +261,8 @@ func (w *meshWorker) snapshot(done bool) *Response {
 }
 
 // poll is one round on the worker side. A finished worker answers every
-// poll with its final snapshot, whatever the order. A Recover order resets
-// the worker to the initial state and answers without expanding; Finish
-// answers with the final snapshot and ends the worker. Otherwise the worker
+// poll with its final snapshot, whatever the order. Finish answers with the
+// final snapshot and ends the worker. Otherwise the worker
 // absorbs until it holds the ctl.Expect states of level ctl.Level its peers
 // shipped it, runs the lanes' level rounds over its part of the level,
 // committing its own successors as they go and shipping the others', and
@@ -313,10 +271,6 @@ func (w *meshWorker) snapshot(done bool) *Response {
 // at the same level.
 func (w *meshWorker) poll(ctl *Control) *Response {
 	if w.finished {
-		return w.snapshot(false)
-	}
-	if ctl.Recover != nil {
-		w.recoverTo(ctl.Recover)
 		return w.snapshot(false)
 	}
 	if ctl.Finish {

@@ -69,13 +69,13 @@ type LinkSpan struct {
 	Bytes  int `json:"bytes"`
 }
 
-// FailoverSpan records one recovery of a fault-tolerant distributed run —
-// a restart of the search on the survivors: which nodes the coordinator
-// declared dead, and how many hash shards moved to new owners.
+// FailoverSpan records one recovery of a distributed run — a restart of
+// the search on the survivors: which nodes the coordinator declared dead,
+// and how many hash shards the newly dead owned.
 type FailoverSpan struct {
-	Era    int   `json:"era"`  // post-recovery routing era
-	Dead   []int `json:"dead"` // complete dead set after this recovery
-	Shards int   `json:"shardsReassigned"`
+	Restart int   `json:"restart"` // 1 for the run's first restart
+	Dead    []int `json:"dead"`    // the cluster's complete dead set after it
+	Shards  int   `json:"shardsReassigned"`
 }
 
 // WireSpan summarizes a distributed run's frontier-exchange volume.
@@ -170,14 +170,14 @@ func (t *Trace) AddLink(from, to, states, bytes int) {
 	t.mu.Unlock()
 }
 
-// AddFailover records one recovery of a fault-tolerant distributed run.
-func (t *Trace) AddFailover(era int, dead []int, shards int) {
+// AddFailover records one recovery of a distributed run.
+func (t *Trace) AddFailover(restart int, dead []int, shards int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.Failovers = append(t.Failovers, FailoverSpan{
-		Era: era, Dead: append([]int(nil), dead...), Shards: shards,
+		Restart: restart, Dead: append([]int(nil), dead...), Shards: shards,
 	})
 	t.mu.Unlock()
 }

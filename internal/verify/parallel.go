@@ -103,7 +103,7 @@ func newLanes(v *Verifier, p int,
 	for i := range e.lanes {
 		e.lanes[i].out = make([][]uint64, p, p+outPad)
 	}
-	e.Reset(&[NumShards]uint8{}, 0, v.cfg.MaxStates)
+	e.Reset(1, 0, v.cfg.MaxStates)
 	return e
 }
 
@@ -160,17 +160,17 @@ type LaneStats struct {
 // shard until Reset says otherwise.
 func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p, successors, hashKey) }
 
-// Reset empties the node for a new search in which it owns the shards
-// owners maps to self, with a budget of maxStates fresh states. Every lane
-// gets a fresh table of setCap/P slots, growing by doubling alone: a table
-// lives as long as the search that fills it, and what an earlier search
-// grew is released here if Release has not done it already.
-func (e *Lanes) Reset(owners *[NumShards]uint8, self, maxStates int) {
-	e.owners, e.self = *owners, self
-	nodes := 0
-	for _, o := range owners {
-		nodes = max(nodes, int(o)+1)
+// Reset empties the node for a new search as node self of nodes, owning
+// the contiguous shards [self·NumShards/nodes, (self+1)·NumShards/nodes),
+// with a budget of maxStates fresh states. Every lane gets a fresh table of
+// setCap/P slots, growing by doubling alone: a table lives as long as the
+// search that fills it, and what an earlier search grew is released here
+// if Release has not done it already.
+func (e *Lanes) Reset(nodes, self, maxStates int) {
+	for s := range e.owners {
+		e.owners[s] = uint8(s * nodes / NumShards)
 	}
+	e.self = self
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		l.table.release()

@@ -499,13 +499,17 @@ var deletedMechanisms = []struct {
 	{`func \(w \*meshWorker\) (setFinal|noteBound|drained|idle)\(`, ".", false, "one barrier per BFS level: no deferral lists (DESIGN.md §5)"},
 	{`map\[string\]bool|func encode\(|func \(n \*Network\) Successors\(`, "internal/ta", false, "the timed-automata checker keeps one slab-keyed store and one entry point, Reachable"},
 	{`sendFilter|wantFilter|filterBits|codecDelta|zigzag|frontierCodec|Filtered +int`, "internal/dverify", false, "a TCP link ships raw words: the send filter and the varint-delta codec lost on every measured host (DESIGN.md §4)"},
-	{`adoptedNow|newSpareOf|func \(p \*meshPoller\) adopt|spares +\[\]Transport|\.spares\b|\bw\.ft\b`, "internal/dverify", false, "a worker death is decided in meshFT.recover alone: no worker FT flag, no spare adoption (DESIGN.md §9)"},
+	{`adoptedNow|newSpareOf|func \(p \*meshPoller\) adopt|spares +\[\]Transport|\.spares\b|\bw\.ft\b`, "internal/dverify", false, "a worker death is decided by the coordinator alone: no worker FT flag, no spare adoption (DESIGN.md §9)"},
 	{`Trace +bool|Counterexample +\[\]\[\]int`, "internal/verify", false, "verify.Counterexample rebuilds a schedule from any verdict: no trace search mode or Result field (DESIGN.md §1)"},
 	{`scheduleEnds|traced re-run`, ".", false, "no labelled traced re-run in verifyslot"},
 	{`\b(DefaultVerify|syntheticAdmission|syntheticCacheKey|admissionStats|slotVerify)\b`, ".", true, "a slot set becomes an admission bit in mapping.Admission alone (DESIGN.md §1, \"Admission cache\")"},
 	{`\b(minParts|collectAfterStates|TestServiceCollectsAfterLargeVerdict)\b`, ".", true, "a lane keeps one table, mapped off the heap past 2 MiB: no 16-way partitions, no forced collection (DESIGN.md §1, \"Memory shape\")"},
-	{`FaultTolerance +bool`, "internal/verify", false, "fault tolerance is built into the cluster's hook by dverify.FaultTolerantRunner, not carried on verify.Config"},
-	{`HTTPClient|RetryBackoff +time|BreakerCooldown +time`, "internal/admit", false, "the service's retry and breaker timings are constants"},
+	{`FaultTolerance +bool`, "internal/verify", false, "recovery is the cluster's one behaviour, in every dverify.Runner hook: no switch on verify.Config"},
+	{`HTTPClient|RetryBackoff +time|BreakerCooldown +time`, "internal/admit", false, "the service has no backend retry or breaker, so no timings for them"},
+	{`FaultTolerantRunner|RetryAttempts|BreakerThreshold|type Recover struct|recoverTo|reassignOwners|checkOwners|\bEra +int`, ".", true,
+		"a dead worker leaves the cluster for good and every recovery is a fresh Init on the survivors: no opt-in hook, in-session Recover order, era tags or ownership tables, and no front-door retry or breaker, which only delayed the 502 of a cluster that never redialled (DESIGN.md §9)"},
+	{`\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)?(Var)?\(([&\w.]+, *)?"(ft|retries|breaker)"`, ".", false,
+		"recovery needs no flag, and -retries and -breaker never kept a cluster answering (DESIGN.md §9, \"Tried and removed\")"},
 	{`Switching +switching\.Config|Verify +verify\.Config`, "internal/core", true, "core.Options carries no nested verify or switching config"},
 	{`\b(MaxDisturbances|BoundFor)\b`, ".", true, "the bounded-disturbance model never stored fewer states than the exact one (DESIGN.md §4)"},
 	{`\b(cntBits|cntShift|maxDist)\b`, ".", true, "a lane is its phase and clock: the bounded model's counter is gone (DESIGN.md §2)"},
