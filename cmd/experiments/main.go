@@ -494,7 +494,7 @@ func (x *experiments) synthetic(n int, seed int64, adm *mapping.Admission, cache
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), x.cl.Width)
 	fmt.Fprintf(x.out, "  rejects: %d by counterexample replay, %d by state budget (conservative), %d over the encoding cap\n",
 		st.Refuted, st.BudgetRejects, st.EncodingRejects)
-	if st.Wire.RawBytes > 0 {
+	if st.Wire.RoutedStates > 0 {
 		fmt.Fprintf(x.out, "  %s\n", st.Wire.Report())
 	}
 	for si, names := range ff.SlotNames(ps) {

@@ -101,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	cachedir := fs.String("cachedir", "", "persist admission verdicts under this directory (sharded, incremental)")
 	checkpoint := fs.Duration("checkpoint", 30*time.Second, "verdict-cache checkpoint interval")
 	queue := fs.Int("queue", 64, "admission request queue depth")
-	concurrency := fs.Int("concurrency", 1, "concurrent backend verifications")
 	maxstates := fs.Int("maxstates", 0, "clamp per-request state budgets (0 = engine default)")
 	timeout := fs.Duration("timeout", 0, "default per-request budget when the submit sets none (0 = none)")
 	localFallback := fs.Bool("localfallback", false, "serve verdicts from the in-process engine when the backend fails (every worker dead) instead of returning 502")
@@ -181,7 +180,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		opts := admit.Options{
 			Workers:        cl.Config.Workers,
 			QueueDepth:     *queue,
-			Concurrency:    *concurrency,
 			MaxStates:      *maxstates,
 			DefaultTimeout: *timeout,
 			CacheDir:       *cachedir,

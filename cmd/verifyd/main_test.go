@@ -28,6 +28,7 @@ func TestFlagConflicts(t *testing.T) {
 		{append(front, "-ft"+"dir", "d"), "flag provided but not defined: -ft" + "dir"},
 		{append(front, "-retries", "3"), "flag provided but not defined: -retries"},
 		{append(front, "-breaker", "2"), "flag provided but not defined: -breaker"},
+		{append(front, "-concurrency", "2"), "flag provided but not defined: -concurrency"},
 		{append(front, "-nodes", "2"), "flag provided but not defined: -nodes"},
 		{append(front, "-workers", "-1"), "-workers must be ≥ 0"},
 		{[]string{"-connect" + "-retries", "3"}, "flag provided but not defined: -connect" + "-retries"},

@@ -161,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  states=%d transitions=%d depth=%d rate=%d states/s (%.2fs) [gomaxprocs=%d numcpu=%d %s]\n",
 		res.States, res.Transitions, res.Depth, rate, time.Since(t0).Seconds(),
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), cl.Width)
-	if res.Wire.RawBytes > 0 {
+	if res.Wire.RoutedStates > 0 {
 		fmt.Fprintf(stdout, "  %s\n", res.Wire.Report())
 	}
 	if !res.Schedulable {

@@ -22,7 +22,7 @@
 //     search no matter the fan-in.
 //
 //   - Bounded queue with per-request budgets. Leaders pass through a
-//     bounded queue drained by a fixed worker pool; a full queue refuses
+//     bounded queue drained by one queue worker; a full queue refuses
 //     with 503 + Retry-After instead of building unbounded backlog. Every
 //     request carries an optional wall-clock budget (timeoutMs) and a
 //     state budget (config.maxStates, clamped by the server): a waiter
@@ -62,8 +62,9 @@ import (
 
 // VerifyBackend runs one slot-sharing verification. The service's backend
 // is dverify.Runner over an attached cluster, or the local engine when
-// nil. Backends are invoked from the service's worker pool, at most
-// Options.Concurrency at a time.
+// nil. Backends are invoked from the service's one queue worker, one at a
+// time: a cluster hook serialises its runs anyway, and a local search
+// already uses every core.
 type VerifyBackend func(profiles []*switching.Profile, cfg verify.Config) (verify.Result, error)
 
 // Options configures a Service.
@@ -81,10 +82,6 @@ type Options struct {
 	// QueueDepth bounds the leader queue (default 64). A full queue
 	// refuses submits with 503 + Retry-After.
 	QueueDepth int
-	// Concurrency is the worker-pool size draining the queue (default 1:
-	// a distributed backend serializes its cluster sessions anyway, and
-	// the local engine already parallelizes inside one search).
-	Concurrency int
 	// Workers is the lane count of a search. On the in-process engine 0
 	// uses GOMAXPROCS and values below 2 are raised to 2: the parallel
 	// driver's minimum-state violator rule is what keeps verdicts identical
@@ -168,14 +165,11 @@ type Service struct {
 // beyond it.
 const maxJobs = 1024
 
-// New starts a Service: the worker pool begins draining the queue
+// New starts a Service: the queue worker begins draining the queue
 // immediately, and the checkpoint loop runs when persistence is on.
 func New(opts Options) *Service {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 1
 	}
 	if opts.Checkpoint <= 0 {
 		opts.Checkpoint = 30 * time.Second
@@ -212,10 +206,8 @@ func New(opts Options) *Service {
 			defer s.mu.Unlock()
 			return float64(len(s.inflight))
 		})
-	for i := 0; i < opts.Concurrency; i++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
+	s.workers.Add(1)
+	go s.worker()
 	if opts.CacheDir != "" {
 		go s.checkpointLoop()
 	}

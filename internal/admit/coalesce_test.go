@@ -129,7 +129,6 @@ func gatedQueue(t *testing.T, mod func(*Options)) (r *rig, release func() [2]int
 			return verify.Slot(ps, cfg)
 		}
 		o.QueueDepth = 1
-		o.Concurrency = 1
 		if mod != nil {
 			mod(o)
 		}

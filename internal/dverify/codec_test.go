@@ -57,26 +57,26 @@ func randStates(t testing.TB, rng *rand.Rand, exp *verify.Expander, n int) []uin
 }
 
 // TestFrontierCodecRoundTrip drives encode→decode across batch sizes: a
-// batch is the version byte, then the states' words little-endian in the
-// order given — and decodes to exactly those states. A zero-length batch
-// holds none.
+// batch is the states' words little-endian in the order given — no header,
+// protoVersion names the format — and decodes to exactly those states. A
+// zero-length batch holds none.
 func TestFrontierCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	exp := expanderFor(t)
-	if dec, err := decodeBatch(exp, nil, nil); err != nil || len(dec) != 0 {
+	if dec, err := exp.DecodeWords(nil, nil); err != nil || len(dec) != 0 {
 		t.Fatalf("empty batch decoded to %v, %v", dec, err)
 	}
 	for _, n := range []int{1, 2, 33, 4096} {
 		states := randStates(t, rng, exp, n)
-		enc := encodeBatch(exp, nil, states)
-		want := []byte{codecRaw}
+		enc := exp.AppendWords(nil, states)
+		var want []byte
 		for _, w := range states {
 			want = binary.LittleEndian.AppendUint64(want, w)
 		}
 		if !bytes.Equal(enc, want) {
-			t.Fatalf("n=%d: batch is not the version byte and the raw words", n)
+			t.Fatalf("n=%d: batch is not the raw words", n)
 		}
-		dec, err := decodeBatch(exp, enc, nil)
+		dec, err := exp.DecodeWords(enc, nil)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
@@ -92,7 +92,7 @@ func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 	exp := expanderFor(t)
 	two := randStates(t, rand.New(rand.NewSource(5)), exp, 2)
 	states := []uint64{two[1], two[0], two[1], two[0], two[1]}
-	dec, err := decodeBatch(exp, encodeBatch(exp, nil, states), nil)
+	dec, err := exp.DecodeWords(exp.AppendWords(nil, states), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,20 +101,20 @@ func TestFrontierCodecDuplicatesSurvive(t *testing.T) {
 	}
 }
 
-// TestFrontierCodecRawFallback pins the fixed-width format every batch now
-// uses: a batch hand-built as version byte codecRaw then little-endian words
-// decodes to exactly those states, in order, and a one-state batch whose
-// word has its top bit set goes out in that format and round-trips.
+// TestFrontierCodecRawFallback pins the fixed-width format every batch
+// uses: a batch hand-built as little-endian words decodes to exactly those
+// states, in order, and a one-state batch whose word has its top bit set
+// goes out as its 8 bytes and round-trips.
 func TestFrontierCodecRawFallback(t *testing.T) {
 	exp := expanderFor(t)
 	states := randStates(t, rand.New(rand.NewSource(3)), exp, 9)
 
 	// Hand-encode the fixed-width format.
-	legacy := []byte{codecRaw}
+	var hand []byte
 	for _, w := range states {
-		legacy = binary.LittleEndian.AppendUint64(legacy, w)
+		hand = binary.LittleEndian.AppendUint64(hand, w)
 	}
-	dec, err := decodeBatch(exp, legacy, nil)
+	dec, err := exp.DecodeWords(hand, nil)
 	if err != nil {
 		t.Fatalf("hand-built batch decode: %v", err)
 	}
@@ -129,31 +129,24 @@ func TestFrontierCodecRawFallback(t *testing.T) {
 		t.Fatalf("full-word fixture: %v", err)
 	}
 	one := []uint64{9<<60 | 3<<2 | 2} // occupant 0, Granted after a wait of 3, dwell 9
-	enc := encodeBatch(exp, nil, one)
-	if enc[0] != codecRaw || len(enc) != 9 {
-		t.Fatalf("top-bit batch used version %d in %d bytes, want the 9-byte raw format", enc[0], len(enc))
+	enc := exp.AppendWords(nil, one)
+	if len(enc) != 8 {
+		t.Fatalf("top-bit batch took %d bytes, want its 8", len(enc))
 	}
-	dec, err = decodeBatch(exp, enc, nil)
+	dec, err = exp.DecodeWords(enc, nil)
 	if err != nil || !slices.Equal(dec, one) {
 		t.Fatalf("raw round trip: %v %v", dec, err)
 	}
 }
 
-// TestFrontierCodecErrors: corrupted batches fail loudly, never silently —
-// among them batches opening with byte 1 or 2, the sorted varint-delta and
-// DEFLATE formats a protocol-11 or protocol-9 peer could still send.
+// TestFrontierCodecErrors: a batch off the 8-byte state stride fails
+// loudly, never silently, and decodes no state.
 func TestFrontierCodecErrors(t *testing.T) {
 	exp := expanderFor(t)
-	if _, err := decodeBatch(exp, []byte{codecRaw, 1, 2, 3}, nil); err == nil {
-		t.Fatal("short raw batch decoded")
-	}
-	if _, err := decodeBatch(exp, []byte{99, 1}, nil); err == nil {
-		t.Fatal("unknown codec version decoded")
-	}
-	for _, old := range []byte{1, 2} {
-		want := fmt.Sprintf("unknown frontier codec version %d", old)
-		if _, err := decodeBatch(exp, []byte{old, 0xff, 0xff}, nil); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("byte-%d batch: err = %v, want the unknown-version error", old, err)
+	for _, batch := range [][]byte{{1, 2, 3}, make([]byte, 17)} {
+		dec, err := exp.DecodeWords(batch, nil)
+		if err == nil || !strings.Contains(err.Error(), "not a multiple of the 8-byte state") || len(dec) != 0 {
+			t.Fatalf("%d-byte batch: %d states, err = %v", len(batch), len(dec), err)
 		}
 	}
 }
@@ -170,10 +163,10 @@ func TestDecodeRefusesZeroState(t *testing.T) {
 		name  string
 		batch []byte
 	}{
-		{"raw", append([]byte{codecRaw}, zero...)},
-		{"raw after a state", append(append([]byte{codecRaw}, one...), zero...)},
+		{"raw", zero},
+		{"raw after a state", append(one, zero...)},
 	} {
-		if _, err := decodeBatch(exp, tc.batch, nil); err == nil || !strings.Contains(err.Error(), "all-zero state") {
+		if _, err := exp.DecodeWords(tc.batch, nil); err == nil || !strings.Contains(err.Error(), "all-zero state") {
 			t.Errorf("%s batch %v: err = %v, want the all-zero-state error", tc.name, tc.batch, err)
 		}
 	}
@@ -206,25 +199,24 @@ func TestDecodeRefusesOutOfLayoutState(t *testing.T) {
 	}
 	for _, tc := range outOfLayout {
 		raw := exp.AppendWords(nil, []uint64{tc.state})
-		if _, err := decodeBatch(exp, append([]byte{codecRaw}, raw...), nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := exp.DecodeWords(raw, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("batch with %s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-// FuzzFrontierDecode feeds decodeBatch arbitrary bytes, as a mesh link
-// might: the outcome is a named error, or states that encodeBatch puts back
+// FuzzFrontierDecode feeds DecodeWords arbitrary bytes, as a mesh link
+// might: the outcome is a named error, or states that AppendWords puts back
 // byte for byte — never a panic and never a state CheckWords refuses (the
 // all-zero state is the visited sets' sentinel: absorb would panic on it; an
 // out-of-layout occupant panics the kernel). The seed corpus in
 // testdata/fuzz/FuzzFrontierDecode holds an empty batch, a raw batch, a
-// raw batch off the state stride, byte-1 batches (protocol 11's delta
-// format, a truncated varint among them) and a byte-2 one, and a raw batch
-// holding each state of outOfLayout.
+// raw batch off the state stride, and a raw batch holding each state of
+// outOfLayout.
 func FuzzFrontierDecode(f *testing.F) {
 	exp := expanderFor(f)
 	f.Fuzz(func(t *testing.T, batch []byte) {
-		dec, err := decodeBatch(exp, batch, nil)
+		dec, err := exp.DecodeWords(batch, nil)
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "dverify: ") && !strings.HasPrefix(err.Error(), "verify: ") {
 				t.Fatalf("unnamed error: %v", err)
@@ -234,13 +226,7 @@ func FuzzFrontierDecode(f *testing.F) {
 		if i := badState(exp, dec); i >= 0 {
 			t.Fatalf("state %d of the decoded batch fails CheckWords", i)
 		}
-		if len(batch) == 0 {
-			if len(dec) != 0 {
-				t.Fatalf("an empty batch decoded to %d words", len(dec))
-			}
-			return
-		}
-		if again := encodeBatch(exp, nil, dec); !bytes.Equal(again, batch) {
+		if again := exp.AppendWords(nil, dec); !bytes.Equal(again, batch) {
 			t.Fatalf("%d words re-encode to %d bytes, decoded from %d", len(dec), len(again), len(batch))
 		}
 	})
@@ -274,10 +260,11 @@ func badState(exp *verify.Expander, states []uint64) int {
 // roll back to, a version-17 one, which ships a wide state as three words
 // and whose ViolState is three words, and a version-18 one, whose Job
 // carries an ownership table, whose polls may order an in-session
-// recovery and whose frames carry an era.
+// recovery and whose frames carry an era, and a version-19 one, whose
+// answers restate their totals and whose batches open with a codec byte.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {

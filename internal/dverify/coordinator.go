@@ -40,11 +40,15 @@ func newSessionID() uint64 {
 // the workers' FreshByLevel snapshots), one NodeSpan per worker and the
 // round count.
 //
-// A death in the Init round or a level round — a transport error, a worker
-// Err, no answer within meshDeathTimeout, or a peer's LinkDown report —
-// ends the attempt: died is set, the dead leave the cluster, the failover
-// is recorded and the caller starts the next attempt on the survivors. A
-// protocol-version mismatch is the run's error, not a death.
+// A death in the Init round or a level round — a transport error, no
+// answer within meshDeathTimeout, a peer's LinkDown report, a worker Err in
+// a level round, or a draining worker at Init — ends the attempt: died is
+// set, the dead leave the cluster, the failover is recorded and the caller
+// starts the next attempt on the survivors. A draining node's transport is
+// closed too, so its drain can finish. Any other worker Err at Init refuses
+// the job (busy with another coordinator, another protocol): in a round
+// without deaths it is the run's error, naming the node, and the node stays
+// in the cluster; so is a protocol-version mismatch.
 func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) {
 	res.Schedulable = true
 	n := len(live)
@@ -69,12 +73,34 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 	}
 	poll := func(i int) *Request { return &reqs[i] }
 	resps := make([]*Response, n)
-	if dead := foldLinkDown(resps, poller.round(resps, nil, poll), poller.errs); len(dead) > 0 {
-		r.fail(poller, live, nil, dead)
+	// The round's deaths come first: they restart the attempt, and a
+	// refusal stands only in a round without them.
+	var deaths []int
+	var refused error
+	for _, d := range poller.round(resps, nil, poll) {
+		msg, ok := poller.errs[d].(workerErr)
+		switch {
+		case ok && msg == errDraining:
+			nodes[d].Close()
+		case ok:
+			if refused == nil {
+				refused = fmt.Errorf("dverify: node %d refused the job: %s", live[d], string(msg))
+			}
+			continue
+		}
+		deaths = append(deaths, d)
+	}
+	if deaths = foldLinkDown(resps, deaths, poller.errs); len(deaths) > 0 {
+		r.fail(poller, live, nil, deaths)
 		return res, true, nil
+	}
+	if refused != nil {
+		r.finish(poller, live, resps)
+		return res, false, refused
 	}
 	for i, resp := range resps {
 		if resp.Proto != protoVersion {
+			r.finish(poller, live, resps)
 			return res, false, fmt.Errorf("dverify: node %d speaks protocol %d, coordinator %d (restart verifyd with the current build)",
 				live[i], resp.Proto, protoVersion)
 		}
@@ -89,8 +115,8 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 	last := make([]*Response, n)
 	expect := make([]int, n)
 	pending := make([]int, 0, n)
-	// Each node reports one wire counter per peer: the fold's link list is
-	// sized once per attempt.
+	// Each node ships to at most every peer: the fold's link list is sized
+	// once per attempt.
 	tr := meshTracker{wire: verify.WireStats{Links: make([]verify.LinkWire, 0, n*(n-1))}}
 	rounds, level := 0, 0
 	for {
@@ -122,7 +148,7 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 			pending = left
 		}
 		tr.observe(resps)
-		if tr.haveViol || tr.tooLarge || !nextRound(resps, expect) {
+		if tr.haveViol || tr.tooLarge || !nextRound(resps, expect, level) {
 			break
 		}
 		level++
@@ -131,19 +157,12 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 	// so a death during it cannot change it: the node leaves the cluster,
 	// and its last snapshot stands in — a worker changes state only inside
 	// a poll, so it is the answer it would have given.
-	finish := Request{Kind: KindPoll, Ctl: &Control{Finish: true}}
-	for _, d := range poller.round(resps, nil, func(int) *Request { return &finish }) {
-		r.c.dead[live[d]] = poller.errs[d]
+	for _, d := range r.finish(poller, live, resps) {
 		resps[d] = last[d]
 	}
 	tr.observe(resps)
 	res.States, res.Transitions = tr.fresh, tr.transitions
 	res.Depth, res.Wire = tr.maxFresh, tr.wire
-	if tr.tooLarge && !tr.haveViol {
-		// Report the partial exploration: budget-busted admission checks
-		// still count their states and wire volume.
-		return res, false, verify.ErrTooLarge
-	}
 	// Like the local search, a recorded violation is preferred over
 	// ErrTooLarge when the budget trips: the verdict is sound, but on the
 	// budget edge the violator may not be the level minimum a larger budget
@@ -155,7 +174,31 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 		res.States = statesThrough(resps, level)
 	}
 	foldMeshTrace(r.trace, resps, r.rounds+rounds+1, res.Depth)
+	if tr.tooLarge && !tr.haveViol {
+		// Report the partial exploration: budget-busted admission checks
+		// still count their states and wire volume.
+		return res, false, verify.ErrTooLarge
+	}
 	return res, false, nil
+}
+
+// finish sends Finish to every node whose last answer speaks this
+// protocol (resps; nil for a node that gave none), ending its session, and
+// returns the nodes that died doing so: they leave the cluster with their
+// causes.
+func (r *meshRun) finish(p *meshPoller, live []int, resps []*Response) []int {
+	idxs := make([]int, 0, len(resps))
+	for i, resp := range resps {
+		if resp != nil && resp.Proto == protoVersion {
+			idxs = append(idxs, i)
+		}
+	}
+	finish := Request{Kind: KindPoll, Ctl: &Control{Finish: true}}
+	dead := p.round(resps, idxs, func(int) *Request { return &finish })
+	for _, d := range dead {
+		r.c.dead[live[d]] = p.errs[d]
+	}
+	return dead
 }
 
 // fail ends an attempt on the deaths of dead (attempt node numbers): they
@@ -164,17 +207,12 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 // a node is left to run it, the restart is counted and traced. The restart
 // itself is the next attempt.
 func (r *meshRun) fail(p *meshPoller, live []int, last []*Response, dead []int) {
-	n := len(live)
-	moved := 0
 	for _, d := range dead {
 		r.c.dead[live[d]] = p.errs[d]
-		// The dead node's shards: those the contiguous table of the
-		// attempt gave it.
-		moved += (d+1)*verify.NumShards/n - d*verify.NumShards/n
 	}
 	for _, s := range last {
 		if s != nil {
-			r.aborted.Add(verify.WireStats{RoutedStates: s.Routed, RawBytes: s.RawBytes, WireBytes: s.WireBytes})
+			r.aborted.Add(verify.WireStats{RoutedStates: s.routed()})
 		}
 	}
 	if len(r.c.live()) == 0 {
@@ -182,14 +220,13 @@ func (r *meshRun) fail(p *meshPoller, live []int, last []*Response, dead []int) 
 	}
 	r.restarts++
 	obsRecoveries.Inc()
-	obsShardsReassigned.Add(uint64(moved))
 	var deadSet []int
 	for i, err := range r.c.dead {
 		if err != nil {
 			deadSet = append(deadSet, i)
 		}
 	}
-	r.trace.AddFailover(r.restarts, deadSet, moved)
+	r.trace.AddFailover(r.restarts, deadSet)
 }
 
 // foldLinkDown turns worker-reported dead links into deaths, appended to

@@ -14,10 +14,11 @@
 // coordinator runs a thin control plane (session setup, one round per BFS
 // level, result aggregation; the round protocol and why it is exact are at
 // the end of this comment). Every routed state crosses its link and owners
-// dedup on absorb. A TCP link ships a batch as a version byte and the
-// states' raw words (see proto.go); loopback links hand the word batches
-// over in memory. Wire-volume counters, per-link breakdowns included, flow
-// back into verify.Result.Wire.
+// dedup on absorb. A TCP link ships a batch as the states' raw words, in a
+// format protoVersion names (see proto.go); loopback links hand the word
+// batches over in memory. Each worker reports the states it shipped to
+// each peer, and the coordinator derives verify.Result.Wire from those
+// counts, per-link breakdown included.
 //
 // States cross the package as flat []uint64, one word each, and
 // verify.PackedState only where one state crosses the control plane: a
@@ -37,10 +38,10 @@
 // peers shipped to it in the previous round. The worker absorbs until it
 // has all of them, blocking on its inbox, then runs its lanes' rounds over
 // its L states, committing its own L+1 successors and shipping the others',
-// and answers with what it shipped to each peer (SentTo), its own L+1
-// commits (Next) and the minimum violator of its part of L. The
-// coordinator folds the answers into the next round's Expects; nothing
-// shipped and nothing committed ends the search. A worker whose poll
+// and answers with what it shipped to each peer (SentTo), its commits per
+// level (FreshByLevel, L+1 among them) and the minimum violator of its part
+// of L. The coordinator folds the answers into the next round's Expects;
+// nothing shipped and nothing committed ends the search. A worker whose poll
 // budget runs out first answers an interim snapshot and is polled again at
 // the same level, so a slow level never looks like a dead node.
 //
@@ -58,12 +59,17 @@
 // Deaths are decided in one place, and a recovery is a run. A worker
 // reports a dead mesh link with its cause in its next answer
 // (Response.LinkDown), never as its own error. The coordinator counts a
-// transport error, a worker Err, silence past meshDeathTimeout or such a
-// report as the node's death, at Init or in any round: the node leaves the
-// cluster for the life of the Runner hook, and the run starts over on the
-// survivors with a fresh Init — a new session, NumNodes the survivors,
-// renumbered nodes and the contiguous table of the new count. A run is
-// exact on any node count (the Loopback(1/2/4) matrices hold it to the
-// local search), so a restarted run is exact too; with no survivor left
-// the run ends in an error naming the lowest dead node and its cause.
+// transport error, silence past meshDeathTimeout or such a report, at Init
+// or in any round, a worker Err in a level round and a draining worker at
+// Init as the node's death: the node leaves the cluster for the life of
+// the Runner hook (a draining node's transport is closed, so its drain can
+// finish), and the run starts over on the survivors with a fresh Init — a
+// new session, NumNodes the survivors, renumbered nodes and the contiguous
+// table of the new count. A run is exact on any node count (the
+// Loopback(1/2/4) matrices hold it to the local search), so a restarted run
+// is exact too; with no survivor left the run ends in an error naming the
+// lowest dead node and its cause. A worker's other Err at Init is a refusal
+// of the job — the worker is busy with another coordinator or speaks
+// another protocol — and, in an Init round without deaths, ends that run
+// in an error naming the node, which stays in the cluster.
 package dverify

@@ -41,15 +41,18 @@ type Transport interface {
 // Dial returned — one loopback group or one TCP cluster, unwrapped;
 // anything else is refused before a worker sees a request.
 //
-// A worker death — a transport error, a worker-reported error, no answer
-// within meshDeathTimeout, or a peer's report that its link to the node
-// failed — drops the node from the hook's cluster for good, and the run
+// A worker death — a transport error, no answer within meshDeathTimeout, a
+// peer's report that its link to the node failed, a worker-reported error
+// in a level round, or a draining worker at Init, whose transport the hook
+// closes so the drain can finish — drops the node from the hook's cluster for good, and the run
 // restarts on the survivors from the initial state. The verdict and every
 // exhaustive count do not depend on the node count, so a recovered run
 // answers exactly what a healthy one does, and so does every later run on
 // the survivors. With no survivor left a run ends, without I/O, in an
-// error naming the lowest dead node and its cause. The function
-// serialises concurrent calls — the transports carry one protocol session
+// error naming the lowest dead node and its cause. A worker that refuses
+// the job at Init (busy with another coordinator, another protocol) ends
+// the run in an error naming it and stays in the cluster. The function serialises
+// concurrent calls — the transports carry one protocol session
 // at a time.
 func Runner(nodes []Transport) func([]*switching.Profile, verify.Config) (verify.Result, error) {
 	return runner(nodes, nil)

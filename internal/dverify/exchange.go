@@ -67,10 +67,9 @@ func putBatch(b []uint64) {
 }
 
 // meshLink is one directed data link to a peer. send takes ownership of
-// states and returns the bytes shipped (raw width on loopback, encoded
-// batch size on TCP).
+// states.
 type meshLink interface {
-	send(level int, states []uint64) (int, error)
+	send(level int, states []uint64) error
 	close() error
 }
 
@@ -172,7 +171,7 @@ func (w *meshWorker) noteLinkDown(peer int, cause error) {
 
 // ship sends one destination's successors, handed over by the lanes after
 // a round, as a batch tagged level+1, counting it in the round's SentTo and
-// the wire totals, and returns the lanes an empty buffer for the next
+// the session's Shipped, and returns the lanes an empty buffer for the next
 // round. A failed (or known-dead) destination drops the batch uncounted
 // and marks the link down: the coordinator restarts the run on the
 // survivors, so no peer is left expecting it.
@@ -181,15 +180,11 @@ func (w *meshWorker) ship(d int, states []uint64) []uint64 {
 		return states[:0]
 	}
 	n := len(states)
-	bytes, err := w.links[d].send(w.level+1, states)
-	if err != nil {
+	if err := w.links[d].send(w.level+1, states); err != nil {
 		w.noteLinkDown(d, fmt.Errorf("mesh link from node %d: %v", w.id, err))
 		return w.getBatch()
 	}
 	w.sentTo[d] += n
-	w.routed += n
-	w.linkStates[d] += n
-	w.wireBytes += bytes
-	w.linkBytes[d] += bytes
+	w.shipped[d] += n
 	return w.getBatch()
 }

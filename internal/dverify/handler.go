@@ -39,6 +39,11 @@ func profilesEqual(a, b *switching.Profile) bool {
 		slices.Equal(a.JBest, b.JBest) && slices.Equal(a.JAtMin, b.JAtMin)
 }
 
+// errDraining is a draining worker's answer to Init. The coordinator takes
+// it for the node's death, not a refusal to wait out: the worker is leaving,
+// and its drain waits for this session to close.
+const errDraining = "worker is draining (shutting down); refusing new jobs"
+
 // handler serves one coordinator session, holding the mesh worker across
 // the session's requests. Both transports — the loopback goroutine and a
 // verifyd TCP session — dispatch through it, so worker behaviour is
@@ -78,7 +83,7 @@ func (h *handler) handle(req *Request) *Response {
 			return &Response{Err: "init without a job"}
 		}
 		if h.draining != nil && h.draining() {
-			return &Response{Err: "worker is draining (shutting down); refusing new jobs"}
+			return &Response{Err: errDraining}
 		}
 		if h.acquire != nil && !h.acquire() {
 			return &Response{Err: "worker is busy with another coordinator session (one cluster per worker)"}

@@ -88,29 +88,27 @@ func (s *loopSession) peer(to int) *meshInbox {
 }
 
 // loopLink is one directed in-process mesh link: a push into the peer's
-// inbox, no serialization. Reported bytes are the raw fixed-width volume.
+// inbox, no serialization.
 type loopLink struct {
 	sess     *loopSession
 	from, to int
 }
 
-func (l *loopLink) send(level int, states []uint64) (int, error) {
+func (l *loopLink) send(level int, states []uint64) error {
 	if hook := l.sess.failSend; hook != nil {
 		if err := hook(l.from, l.to); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	ib := l.sess.peer(l.to)
 	if ib == nil {
-		return 0, fmt.Errorf("peer node %d is not registered in this session", l.to)
+		return fmt.Errorf("peer node %d is not registered in this session", l.to)
 	}
 	b := meshBatch{from: l.from, level: level, states: states}
-	bytes := 8 * len(states)
-	if hook := l.sess.deliver; hook != nil && hook(l.from, l.to, b, ib.push) {
-		return bytes, nil
+	if hook := l.sess.deliver; hook == nil || !hook(l.from, l.to, b, ib.push) {
+		ib.push(b)
 	}
-	ib.push(b)
-	return bytes, nil
+	return nil
 }
 
 func (l *loopLink) close() error { return nil }

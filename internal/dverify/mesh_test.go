@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -307,41 +308,79 @@ func TestMeshTopologyForcedOnWrappedTransports(t *testing.T) {
 // TestServerSingleClusterAdmission: a daemon's worker slot is exclusive —
 // a second coordinator session's jobs are refused while the first session
 // lives (the per-node MaxStates memory model budgets ONE visited
-// partition), and the slot frees when that session ends.
+// partition), and the slot frees when that session ends. A refusal at Init
+// is the run's error, naming the node, and not a death: the same Runner
+// hook uses the node again once it is free, on a one-worker cluster and on
+// a two-worker one whose second worker was held. When the Init round that
+// holds the refusal also holds a death, the death is acted on first: it is
+// traced as a failover, and the refusal ends the restarted attempt.
 func TestServerSingleClusterAdmission(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go NewServer(l, nil).Serve()
-	addr := l.Addr().String()
-
+	defer func(d time.Duration) { slotWait = d }(slotWait)
+	slotWait = 300 * time.Millisecond
 	ps := fleet(2, 6, 1, 2, 10)
 	cfg := verify.Config{NondetTies: true}
-	ts1, err := Dial([]string{addr}, time.Second)
+	want, err := verify.Slot(ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Runner(ts1)(ps, cfg); err != nil {
-		t.Fatalf("first session: %v", err)
+	dial := func(addrs ...string) []Transport {
+		t.Helper()
+		ts, err := Dial(addrs, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
 	}
+	a, b, c := startWorker(t), startWorker(t), startWorker(t)
+	for _, tc := range []struct {
+		name    string
+		cluster []string
+		held    string // the worker another session holds
+		node    int    // its node number in the cluster
+		dead    int    // the node whose transport is closed first, or -1
+	}{
+		{"one worker", []string{a}, a, 0, -1},
+		{"two workers, the second held", []string{a, b}, b, 1, -1},
+		{"three workers, the second held, the third dead", []string{a, b, c}, b, 1, 2},
+	} {
+		holder := dial(tc.held)
+		if _, err := Runner(holder)(ps, cfg); err != nil {
+			t.Fatalf("%s: holding session: %v", tc.name, err)
+		}
+		// The holding session keeps the slot while its connection is open.
+		ts := dial(tc.cluster...)
+		run := Runner(ts)
+		nodes := len(ts)
+		if tc.dead >= 0 {
+			ts[tc.dead].Close()
+			nodes--
+		}
+		named := fmt.Sprintf("node %d refused the job", tc.node)
+		refusal := obs.NewTrace("")
+		cfg := cfg
+		cfg.RunTrace = refusal
+		if _, err := run(ps, cfg); err == nil || !strings.Contains(err.Error(), "busy") || !strings.Contains(err.Error(), named) {
+			t.Fatalf("%s: want a busy refusal naming node %d, got %v", tc.name, tc.node, err)
+		}
+		if tc.dead >= 0 && (len(refusal.Failovers) != 1 || !slices.Equal(refusal.Failovers[0].Dead, []int{tc.dead})) {
+			t.Fatalf("%s: failovers %+v, want one naming node %d", tc.name, refusal.Failovers, tc.dead)
+		}
 
-	// The first session still holds the slot (its connection is open).
-	ts2, err := Dial([]string{addr}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer Close(ts2)
-	if _, err := Runner(ts2)(ps, cfg); err == nil || !strings.Contains(err.Error(), "busy") {
-		t.Fatalf("second concurrent session: want a busy refusal, got %v", err)
-	}
-
-	// Ending the first session frees the slot. The release follows the
-	// connection close asynchronously, and the next Init waits for it.
-	Close(ts1)
-	if _, err := Runner(ts2)(ps, cfg); err != nil {
-		t.Fatalf("slot not handed on after the first session closed: %v", err)
+		// Ending the holding session frees the slot. The release follows
+		// the connection close asynchronously, and the next Init waits for
+		// it; the same hook then runs on every node.
+		Close(holder)
+		tr := obs.NewTrace("")
+		cfg.RunTrace = tr
+		got, err := run(ps, cfg)
+		if err != nil {
+			t.Fatalf("%s: slot not handed on after the holding session closed: %v", tc.name, err)
+		}
+		if got.Schedulable != want.Schedulable || got.States != want.States || got.Transitions != want.Transitions ||
+			got.Depth != want.Depth || tr.Nodes != nodes {
+			t.Fatalf("%s: %+v on %d nodes, want %+v on %d", tc.name, got, tr.Nodes, want, nodes)
+		}
+		Close(ts)
 	}
 }
 
@@ -402,5 +441,58 @@ func TestServerGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after the drained session closed")
+	}
+}
+
+// TestDrainedWorkerLeavesTheCluster: a draining worker is dead, not a
+// refusal to wait out. After one of two workers is shut down between runs,
+// the next two runs on the same Runner hook answer the local counts on the
+// survivor, and the hook closes the drained worker's session, so its Serve
+// returns while the hook lives.
+func TestDrainedWorkerLeavesTheCluster(t *testing.T) {
+	ps := fleet(2, 6, 1, 2, 10)
+	cfg := verify.Config{NondetTies: true}
+	want, err := verify.Slot(ps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(l, nil)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	ts, err := Dial([]string{startWorker(t), l.Addr().String()}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer Close(ts)
+	run := Runner(ts)
+	if _, err := run(ps, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.Shutdown()
+	for i := range 2 {
+		tr := obs.NewTrace("")
+		cfg := cfg
+		cfg.RunTrace = tr
+		got, err := run(ps, cfg)
+		if err != nil {
+			t.Fatalf("run %d after the drain: %v", i+1, err)
+		}
+		if got.Schedulable != want.Schedulable || got.States != want.States || got.Transitions != want.Transitions ||
+			got.Depth != want.Depth || tr.Nodes != 1 {
+			t.Fatalf("run %d after the drain: %+v on %d nodes, want %+v on 1", i+1, got, tr.Nodes, want)
+		}
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("drained Serve returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the drained worker's Serve did not return: its coordinator session is still open")
 	}
 }

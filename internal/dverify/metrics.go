@@ -12,8 +12,6 @@ var (
 		"Mesh worker sessions completed on this process (one per Init, counted at teardown).")
 	obsFresh = obs.NewCounter("tightcps_dverify_fresh_states_total",
 		"States committed into this worker's visited partitions across completed sessions.")
-	obsWireBytes = obs.NewCounter("tightcps_dverify_wire_bytes_total",
-		"Frontier bytes this worker shipped onto its mesh links across completed sessions.")
 	obsRoutedStates = obs.NewCounter("tightcps_dverify_routed_states_total",
 		"Foreign successors this worker routed onto its mesh links across completed sessions.")
 	// Coordinator-side recovery counters: a coordinator embedded in an
@@ -21,6 +19,4 @@ var (
 	// registry its /metricsz serves.
 	obsRecoveries = obs.NewCounter("tightcps_dverify_recoveries_total",
 		"Worker-death recoveries (restarts of a distributed run on the survivors) on this process.")
-	obsShardsReassigned = obs.NewCounter("tightcps_dverify_shards_reassigned_total",
-		"Hash shards the dead nodes owned, handed to the survivors across all recoveries on this process.")
 )

@@ -1,7 +1,6 @@
 package dverify
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -83,7 +82,7 @@ func (p *meshPoller) round(resps []*Response, idxs []int, reqf func(i int) *Requ
 			case r.err != nil:
 				p.errs[r.i] = r.err
 			case r.resp.Err != "":
-				p.errs[r.i] = errors.New(r.resp.Err)
+				p.errs[r.i] = workerErr(r.resp.Err)
 			default:
 				resps[r.i] = r.resp
 				continue
@@ -105,6 +104,12 @@ func (p *meshPoller) round(resps []*Response, idxs []int, reqf func(i int) *Requ
 	}
 	return dead
 }
+
+// workerErr is a failure the worker itself reported (Response.Err), as
+// opposed to one of its transport: at Init it is a refusal of the job.
+type workerErr string
+
+func (e workerErr) Error() string { return string(e) }
 
 func (p *meshPoller) close() {
 	for _, ch := range p.reqs {

@@ -1,8 +1,6 @@
 package dverify
 
 import (
-	"fmt"
-
 	"tightcps/internal/sched"
 	"tightcps/internal/switching"
 	"tightcps/internal/verify"
@@ -15,19 +13,19 @@ import (
 // types are plain data so the TCP transport can gob-encode them without
 // registration; the loopback transport passes them by pointer.
 
-// protoVersion guards the gob envelope. The batch format's version byte
-// covers only batch payloads; a field renamed on Request/Response would
-// otherwise be dropped silently by gob in a mixed-version cluster (a stale
-// verifyd daemon), corrupting the search with no error. KindInit therefore
-// carries the coordinator's version in Job.Proto and the node echoes its
-// own in Response.Proto, so either side rejects a mismatch loudly before
-// any frontier is exchanged. Bump it when a Kind, a Job/Request/Response
-// field, a batch format or the packed-state layout changes or goes.
-// Version 19 drops the in-session recovery — Job.Owners, Control.Recover
-// and Frame.Era: a node's shards follow from NumNodes, and a recovery is a
-// fresh Init on the survivors; version 18 ships every state as one word;
-// what each earlier version was is in CHANGES.md.
-const protoVersion = 19
+// protoVersion guards the gob envelope and the batch format: a field
+// renamed on Request/Response would otherwise be dropped silently by gob in
+// a mixed-version cluster (a stale verifyd daemon), corrupting the search
+// with no error. KindInit therefore carries the coordinator's version in
+// Job.Proto and the node echoes its own in Response.Proto, and a mesh link
+// opens with PeerHello.Proto, so either side rejects a mismatch loudly
+// before any frontier is exchanged. Bump it when a Kind, a
+// Job/Request/Response field, the batch format or the packed-state layout
+// changes or goes. Version 20 drops every Response field another one
+// determines, and the batch's version byte; version 19 drops the in-session
+// recovery — Job.Owners, Control.Recover and Frame.Era; what each earlier
+// version was is in CHANGES.md.
+const protoVersion = 20
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -121,14 +119,19 @@ type PeerHello struct {
 }
 
 // Frame is one level-tagged frontier batch on a TCP mesh link, following
-// the PeerHello on the same gob stream. Batch is encodeBatch's encoding.
+// the PeerHello on the same gob stream. A batch is the states' words
+// verbatim, little-endian, one word per state (Expander.AppendWords,
+// decoded by DecodeWords); protoVersion names that format.
 type Frame struct {
 	Level int
 	Batch []byte
 }
 
 // Response is one node→coordinator message. Err is the worker-side failure
-// channel; when non-empty every other field is meaningless.
+// channel; when non-empty every other field is meaningless. A snapshot
+// states each fact once: every total the coordinator reports — fresh
+// states, depth, the next level's commits, the states routed and their
+// bytes — is derived from these fields (tracker.go).
 type Response struct {
 	Err string
 
@@ -144,44 +147,28 @@ type Response struct {
 	// Transitions counts the successors generated (pre-dedup), mirroring
 	// the local searches.
 	Transitions int
-	// Routed counts the foreign successors the node shipped onto its mesh
-	// links, RawBytes their fixed-width size and WireBytes the bytes the
-	// links carried (on TCP, RawBytes plus one version byte per batch).
-	Routed    int
-	RawBytes  int
-	WireBytes int
-	// Fresh counts the states committed to this node's visited partition
-	// (on a KindInit reply: the initial state when this node owns it).
-	Fresh int
 	// TooLarge reports that the per-node visited budget was exhausted; the
 	// node stopped expanding and absorbing.
 	TooLarge bool
 
-	// Viol flags a deadline miss in the polled level: ViolState is the
-	// minimum violating state of this node's part of the level (the
-	// cross-node tie-break key) and ViolApp the application that missed.
-	Viol      bool
+	// ViolApp is the application that missed its deadline in the polled
+	// level, −1 for none, and ViolState the minimum violating state of this
+	// node's part of the level (the cross-node tie-break key).
 	ViolState verify.PackedState
 	ViolApp   int
 
-	// SentTo and Next answer a finished round of level L: SentTo[d] counts
-	// the L+1-tagged states this node shipped to node d in the round (its
-	// own entry stays 0: self-owned successors cross no link), Next the
-	// L+1 states it has committed. SentTo is empty on an interim answer —
-	// the level unfinished when the poll budget ran out — and on Init and
-	// Finish replies.
+	// SentTo answers a finished round of level L: SentTo[d] counts the
+	// L+1-tagged states this node shipped to node d in the round (its own
+	// entry stays 0: self-owned successors cross no link). SentTo is empty
+	// on an interim answer — the level unfinished when the poll budget ran
+	// out — and on Init and Finish replies.
 	SentTo []int
-	Next   int
-	// MaxFresh is the deepest level at which this node committed a fresh
-	// state (the node's contribution to Result.Depth).
-	MaxFresh int
 	// FreshByLevel counts the fresh states this node committed per BFS
-	// level (cumulative, like the other snapshot counters). The
-	// coordinator folds these into the run trace: summed across nodes,
-	// level L's count is the size of the global BFS frontier at depth L.
+	// level.
 	FreshByLevel []int
-	// Links are this node's cumulative per-destination wire counters.
-	Links []verify.LinkWire
+	// Shipped[d] counts the states this node shipped to node d over the
+	// session (its own entry stays 0).
+	Shipped []int
 
 	// LinkDown lists the peers this worker can no longer reach (send or
 	// receive failures on the mesh link), cumulative within the session. A
@@ -195,32 +182,4 @@ type Response struct {
 type DeadLink struct {
 	Peer  int
 	Cause string
-}
-
-// Frontier batch format: a version byte naming the format of the rest,
-// then the states. There is one format, codecRaw: the states' words
-// verbatim, little-endian, one word per state — the expander's AppendWords
-// layout, decoded by DecodeWords. The byte stays so that another format
-// can return behind a measured row;
-// any other value is refused by name, among them 1 (protocol 11's sorted
-// varint-delta batches) and 2 (protocol 9's DEFLATE ones).
-const codecRaw byte = 0
-
-// encodeBatch appends the batch encoding of states to dst.
-func encodeBatch(exp *verify.Expander, dst []byte, states []uint64) []byte {
-	return exp.AppendWords(append(dst, codecRaw), states)
-}
-
-// decodeBatch appends the states of one encoded batch to out. A zero-length
-// batch holds no states. DecodeWords refuses a body off the state stride
-// and any state Expander.CheckWords refuses: the all-zero state (the
-// visited sets' sentinel) and states outside the set's layout.
-func decodeBatch(exp *verify.Expander, batch []byte, out []uint64) ([]uint64, error) {
-	if len(batch) == 0 {
-		return out, nil
-	}
-	if batch[0] != codecRaw {
-		return out, fmt.Errorf("dverify: unknown frontier codec version %d", batch[0])
-	}
-	return exp.DecodeWords(batch[1:], out)
 }

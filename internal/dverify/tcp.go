@@ -2,6 +2,7 @@ package dverify
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -97,7 +98,14 @@ func (t *tcpTransport) Call(req *Request) (*Response, error) {
 	return &resp, nil
 }
 
-func (t *tcpTransport) Close() error { return t.conn.Close() }
+// Close closes the connection. A transport the Runner hook has already
+// closed — a drained worker's — closes again without error.
+func (t *tcpTransport) Close() error {
+	if err := t.conn.Close(); !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
+}
 
 // meshHost is a daemon's rendezvous between mesh workers (registered by
 // the coordinator session's Init) and inbound peer connections (which may
@@ -193,22 +201,18 @@ func (h *meshHost) await(session uint64, id int, timeout time.Duration) *hostNod
 }
 
 // tcpMeshLink is one directed worker↔worker link: batches are encoded
-// as raw words (encodeBatch) and shipped as gob Frames.
+// as their words (Expander.AppendWords) and shipped as gob Frames.
 type tcpMeshLink struct {
-	to   int
 	conn net.Conn
 	enc  *gob.Encoder
 	exp  *verify.Expander
 	buf  []byte
 }
 
-func (l *tcpMeshLink) send(level int, states []uint64) (int, error) {
-	l.buf = encodeBatch(l.exp, l.buf[:0], states)
+func (l *tcpMeshLink) send(level int, states []uint64) error {
+	l.buf = l.exp.AppendWords(l.buf[:0], states)
 	putBatch(states)
-	if err := l.enc.Encode(Frame{Level: level, Batch: l.buf}); err != nil {
-		return 0, err
-	}
-	return len(l.buf), nil
+	return l.enc.Encode(Frame{Level: level, Batch: l.buf})
 }
 
 func (l *tcpMeshLink) close() error { return l.conn.Close() }
@@ -244,7 +248,7 @@ func (e tcpEnv) connect(w *meshWorker) ([]meshLink, error) {
 				Proto: protoVersion, Session: session, From: id, To: d,
 			}})
 			if err == nil {
-				links[d] = &tcpMeshLink{to: d, conn: conn, enc: enc, exp: w.exp}
+				links[d] = &tcpMeshLink{conn: conn, enc: enc, exp: w.exp}
 				continue
 			}
 			conn.Close()
@@ -255,6 +259,11 @@ func (e tcpEnv) connect(w *meshWorker) ([]meshLink, error) {
 }
 
 func (e tcpEnv) leave(job *Job) { e.host.unregister(job.Session, job.NodeID) }
+
+// slotWait is how long a coordinator session's Init waits for the worker
+// slot before the worker refuses the job as busy. Package variable so tests
+// can shrink it.
+var slotWait = 3 * time.Second
 
 // Server runs a worker daemon: it accepts coordinator sessions and
 // inbound worker↔worker mesh links on one listener, distinguishing them
@@ -365,7 +374,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// the previous session's EOF processing by microseconds, and take
 		// the token the moment it is put back, while a genuinely
 		// concurrent second cluster still gets a clean refusal.
-		t := time.NewTimer(3 * time.Second)
+		t := time.NewTimer(slotWait)
 		defer t.Stop()
 		select {
 		case <-s.slot:
@@ -433,7 +442,7 @@ func (s *Server) servePeer(conn net.Conn, dec *gob.Decoder, hello *PeerHello) {
 			}
 			return
 		}
-		states, err := decodeBatch(n.exp, f.Batch, getBatch())
+		states, err := n.exp.DecodeWords(f.Batch, getBatch())
 		if err != nil {
 			n.inbox.push(meshBatch{from: hello.From, err: fmt.Errorf("mesh link to node %d: %v", hello.To, err)})
 			return

@@ -7,7 +7,8 @@ import (
 
 // meshTracker is the coordinator's fold of one set of answers — a finished
 // round's, or the Finish round's — into the run's totals and verdict. It is
-// pure bookkeeping (no I/O).
+// pure bookkeeping (no I/O), and the one place a total is derived from the
+// answers' per-level commits and per-peer shipments.
 type meshTracker struct {
 	fresh       int
 	transitions int
@@ -22,32 +23,55 @@ type meshTracker struct {
 // observe folds one round's answers into the tracker. Counters are
 // cumulative, so the round replaces (never accumulates) totals. A violation
 // is of the round's level; the minimum violating state across the nodes is
-// the verdict's violator, as in the local lanes.
+// the verdict's violator, as in the local lanes. The links are node i's
+// Shipped entries, in (From, To) order.
 func (t *meshTracker) observe(resps []*Response) {
 	*t = meshTracker{violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}}
-	for _, r := range resps {
-		t.fresh += r.Fresh
+	for i, r := range resps {
+		fresh, deepest := r.fresh()
+		t.fresh += fresh
+		t.maxFresh = max(t.maxFresh, deepest)
 		t.transitions += r.Transitions
-		t.maxFresh = max(t.maxFresh, r.MaxFresh)
 		t.tooLarge = t.tooLarge || r.TooLarge
-		if r.Viol && (!t.haveViol || r.ViolState < t.violState) {
+		if r.ViolApp >= 0 && (!t.haveViol || r.ViolState < t.violState) {
 			t.haveViol, t.violState, t.violApp = true, r.ViolState, r.ViolApp
 		}
-		t.wire.Add(verify.WireStats{
-			RoutedStates: r.Routed,
-			RawBytes:     r.RawBytes,
-			WireBytes:    r.WireBytes,
-			Links:        r.Links,
-		})
+		for d, n := range r.Shipped {
+			if n > 0 {
+				t.wire.RoutedStates += n
+				t.wire.Links = append(t.wire.Links, verify.LinkWire{From: i, To: d, States: n})
+			}
+		}
 	}
 }
 
-// nextRound turns a finished round's answers into the next round's Expect
-// per node — the states its peers shipped it — and reports whether the
-// next level can hold anything: a state shipped (it may prove a duplicate
-// on arrival, so a search can end on one round that absorbs duplicates
-// only) or committed.
-func nextRound(resps []*Response, expect []int) bool {
+// fresh sums the node's commits and names the deepest level holding one
+// (the node's contribution to Result.Depth).
+func (r *Response) fresh() (n, deepest int) {
+	for l, v := range r.FreshByLevel {
+		n += v
+		if v > 0 {
+			deepest = l
+		}
+	}
+	return n, deepest
+}
+
+// routed sums the states the node shipped to its peers.
+func (r *Response) routed() int {
+	n := 0
+	for _, v := range r.Shipped {
+		n += v
+	}
+	return n
+}
+
+// nextRound turns a finished round of level's answers into the next
+// round's Expect per node — the states its peers shipped it — and reports
+// whether the next level can hold anything: a state shipped (it may prove a
+// duplicate on arrival, so a search can end on one round that absorbs
+// duplicates only) or committed.
+func nextRound(resps []*Response, expect []int, level int) bool {
 	clear(expect)
 	more := false
 	for _, r := range resps {
@@ -55,7 +79,7 @@ func nextRound(resps []*Response, expect []int) bool {
 			expect[d] += v
 			more = more || v > 0
 		}
-		more = more || r.Next > 0
+		more = more || level+1 < len(r.FreshByLevel) && r.FreshByLevel[level+1] > 0
 	}
 	return more
 }
@@ -78,20 +102,17 @@ func statesThrough(resps []*Response, depth int) int {
 // cumulative per-level fresh commits sum (across nodes) to the global
 // frontier size of every BFS level through depth — the same per-level
 // counts the local drivers record — plus one NodeSpan per worker (states
-// it shipped, and states shipped to it, from the link counters) and the
-// round count. Per-level transitions are not attributed in the mesh
-// (workers count them per session, not per level), so the spans carry
-// states only.
+// it shipped, and states shipped to it) and the round count. Per-level
+// transitions are not attributed in the mesh (workers count them per
+// session, not per level), so the spans carry states only.
 func foldMeshTrace(trace *obs.Trace, resps []*Response, rounds, depth int) {
 	if trace == nil {
 		return
 	}
 	recv := make([]int, len(resps))
 	for _, r := range resps {
-		for _, l := range r.Links {
-			if l.To < len(recv) {
-				recv[l.To] += l.States
-			}
+		for d, v := range r.Shipped[:min(len(r.Shipped), len(recv))] {
+			recv[d] += v
 		}
 	}
 	for i, r := range resps {
@@ -100,7 +121,8 @@ func foldMeshTrace(trace *obs.Trace, resps []*Response, rounds, depth int) {
 				trace.AddLevel(l, v, 0)
 			}
 		}
-		trace.AddNode(i, r.Fresh, r.MaxFresh, r.Routed, recv[i])
+		fresh, deepest := r.fresh()
+		trace.AddNode(i, fresh, deepest, r.routed(), recv[i])
 	}
 	trace.SetEpochs(rounds)
 }

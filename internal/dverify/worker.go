@@ -47,9 +47,6 @@ type meshStanding struct {
 	shipFn func(int, []uint64) []uint64 // w.ship, bound once
 	spareQ []meshBatch
 	in     [][]uint64 // one drain's batches of the level, for Absorb
-	// Per-destination wire counters of the session, zeroed when one starts.
-	linkStates []int
-	linkBytes  []int
 
 	// Worker-local batch recycling: the slice free list fed by absorbed
 	// batches and drained by the lanes' shipments.
@@ -73,8 +70,9 @@ type meshStanding struct {
 // level-tagged states received from peers, against the round's Expect;
 // ahead holds the level+1-tagged batches until the round of their level
 // (drainInbox); sentTo counts the level+1 states shipped to each
-// destination this round. levelFresh counts the states committed per level
-// (the snapshots' FreshByLevel). deadPeers suppresses sends to peers whose
+// destination this round and shipped over the session (the snapshots'
+// Shipped). levelFresh counts the states committed per level (the
+// snapshots' FreshByLevel). deadPeers suppresses sends to peers whose
 // link failed; linkDown is the cumulative dead-link report for the
 // coordinator, which counts each as its far end's death.
 type meshSession struct {
@@ -86,13 +84,11 @@ type meshSession struct {
 	links []meshLink
 	env   meshEnv // set once connected: shutdown leaves through it
 
-	routed    int
-	wireBytes int
-
-	level  int
-	got    int
-	ahead  [][]uint64
-	sentTo []int
+	level   int
+	got     int
+	ahead   [][]uint64
+	sentTo  []int
+	shipped []int
 
 	levelFresh []int
 	err        error
@@ -151,9 +147,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 			exp:    exp,
 			lanes:  exp.NewLanes(lanes),
 			spareQ: make([]meshBatch, 0, 32),
-
-			linkStates: make([]int, n),
-			linkBytes:  make([]int, n),
 		}}
 	}
 
@@ -167,12 +160,11 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		w.ahead[i] = nil
 	}
 	if w.sentTo == nil {
-		w.sentTo, w.deadPeers = make([]int, n), make([]bool, n)
+		w.sentTo, w.shipped, w.deadPeers = make([]int, n), make([]int, n), make([]bool, n)
 	}
 	clear(w.sentTo)
+	clear(w.shipped)
 	clear(w.deadPeers)
-	clear(w.linkStates)
-	clear(w.linkBytes)
 	w.meshSession = meshSession{
 		id:         job.NodeID,
 		n:          n,
@@ -181,6 +173,7 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		inbox:      newMeshInbox(),
 		ahead:      w.ahead[:0],
 		sentTo:     w.sentTo,
+		shipped:    w.shipped,
 		levelFresh: w.levelFresh[:0],
 		deadPeers:  w.deadPeers,
 		linkDown:   w.linkDown[:0],
@@ -202,14 +195,13 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 	if init := w.exp.Initial(); verify.ShardOf(w.exp.Hash(init))*n/verify.NumShards == w.id {
 		w.lanes.Absorb([][]uint64{{uint64(init)}}) // the initial state, on its owner
 	}
-	down := append(w.initResp.LinkDown[:0], w.linkDown...)
-	w.initResp = Response{Proto: protoVersion, ViolApp: -1, Fresh: w.lanes.Stats().States, LinkDown: down}
+	w.initResp = Response{Proto: protoVersion, ViolApp: -1, LinkDown: append(w.initResp.LinkDown[:0], w.linkDown...)}
 	return w, &w.initResp, nil
 }
 
 // snapshot builds a poll response from the cumulative counters, reusing
 // the flip buffer's slices (see snapResp). done marks the answer to a
-// finished round: it carries the round's SentTo and Next.
+// finished round: it carries the round's SentTo.
 func (w *meshWorker) snapshot(done bool) *Response {
 	st := w.lanes.Stats()
 	if !w.finished { // a finished worker's lanes hold no level: its counts stand
@@ -222,40 +214,20 @@ func (w *meshWorker) snapshot(done bool) *Response {
 	w.snapFlip ^= 1
 	*resp = Response{
 		Proto:        protoVersion,
+		Transitions:  st.Transitions,
+		TooLarge:     st.TooLarge,
+		ViolState:    st.Viol,
+		ViolApp:      st.ViolApp,
 		SentTo:       resp.SentTo[:0],
 		FreshByLevel: append(resp.FreshByLevel[:0], w.levelFresh...),
-		Links:        resp.Links[:0],
-		Fresh:        st.States,
-		Transitions:  st.Transitions,
-		Routed:       w.routed,
-		RawBytes:     8 * w.routed,
-		WireBytes:    w.wireBytes,
-		TooLarge:     st.TooLarge,
-		ViolApp:      -1,
+		Shipped:      append(resp.Shipped[:0], w.shipped...),
 		LinkDown:     append(resp.LinkDown[:0], w.linkDown...),
-	}
-	for l, n := range w.levelFresh {
-		if n > 0 {
-			resp.MaxFresh = l
-		}
 	}
 	if done {
 		resp.SentTo = append(resp.SentTo, w.sentTo...)
-		resp.Next = st.Next
 	}
 	if w.err != nil {
 		resp.Err = w.err.Error()
-	}
-	if st.ViolApp >= 0 {
-		resp.Viol = true
-		resp.ViolState, resp.ViolApp = st.Viol, st.ViolApp
-	}
-	for d := range w.linkStates {
-		if d != w.id && (w.linkStates[d] > 0 || w.linkBytes[d] > 0) {
-			resp.Links = append(resp.Links, verify.LinkWire{
-				From: w.id, To: d, States: w.linkStates[d], Bytes: w.linkBytes[d],
-			})
-		}
 	}
 	return resp
 }
@@ -349,8 +321,9 @@ func (w *meshWorker) shutdown() {
 	w.finished = true
 	obsSessions.Inc()
 	obsFresh.Add(uint64(w.lanes.Stats().States))
-	obsWireBytes.Add(uint64(w.wireBytes))
-	obsRoutedStates.Add(uint64(w.routed))
+	for _, n := range w.shipped {
+		obsRoutedStates.Add(uint64(n))
+	}
 	for _, l := range w.links {
 		if l != nil {
 			l.close()

@@ -66,23 +66,20 @@ type LinkSpan struct {
 	From   int `json:"from"`
 	To     int `json:"to"`
 	States int `json:"states"`
-	Bytes  int `json:"bytes"`
 }
 
 // FailoverSpan records one recovery of a distributed run — a restart of
-// the search on the survivors: which nodes the coordinator declared dead,
-// and how many hash shards the newly dead owned.
+// the search on the survivors — and which nodes the coordinator declared
+// dead.
 type FailoverSpan struct {
 	Restart int   `json:"restart"` // 1 for the run's first restart
 	Dead    []int `json:"dead"`    // the cluster's complete dead set after it
-	Shards  int   `json:"shardsReassigned"`
 }
 
-// WireSpan summarizes a distributed run's frontier-exchange volume.
+// WireSpan summarizes a distributed run's frontier-exchange volume: the
+// states routed, each one 8-byte word on the wire.
 type WireSpan struct {
 	RoutedStates int `json:"routedStates"`
-	RawBytes     int `json:"rawBytes"`
-	WireBytes    int `json:"wireBytes"`
 }
 
 // Trace is the per-run record. Create with NewTrace, hand it to the
@@ -153,7 +150,7 @@ func (t *Trace) AddNode(node, states, maxLevel, sent, recv int) {
 }
 
 // AddLink records (accumulating by direction) one mesh link's volume.
-func (t *Trace) AddLink(from, to, states, bytes int) {
+func (t *Trace) AddLink(from, to, states int) {
 	if t == nil {
 		return
 	}
@@ -161,34 +158,33 @@ func (t *Trace) AddLink(from, to, states, bytes int) {
 	for i := range t.Links {
 		if t.Links[i].From == from && t.Links[i].To == to {
 			t.Links[i].States += states
-			t.Links[i].Bytes += bytes
 			t.mu.Unlock()
 			return
 		}
 	}
-	t.Links = append(t.Links, LinkSpan{From: from, To: to, States: states, Bytes: bytes})
+	t.Links = append(t.Links, LinkSpan{From: from, To: to, States: states})
 	t.mu.Unlock()
 }
 
 // AddFailover records one recovery of a distributed run.
-func (t *Trace) AddFailover(restart int, dead []int, shards int) {
+func (t *Trace) AddFailover(restart int, dead []int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.Failovers = append(t.Failovers, FailoverSpan{
-		Restart: restart, Dead: append([]int(nil), dead...), Shards: shards,
+		Restart: restart, Dead: append([]int(nil), dead...),
 	})
 	t.mu.Unlock()
 }
 
 // SetWire records the run's aggregate exchange volume.
-func (t *Trace) SetWire(routed, rawBytes, wireBytes int) {
-	if t == nil || rawBytes == 0 && routed == 0 {
+func (t *Trace) SetWire(routed int) {
+	if t == nil || routed == 0 {
 		return
 	}
 	t.mu.Lock()
-	t.Wire = &WireSpan{RoutedStates: routed, RawBytes: rawBytes, WireBytes: wireBytes}
+	t.Wire = &WireSpan{RoutedStates: routed}
 	t.mu.Unlock()
 }
 

@@ -36,8 +36,9 @@ func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.AddLevel(0, 1, 1)
 	tr.AddNode(0, 1, 1, 0, 0)
-	tr.AddLink(0, 1, 2, 3)
-	tr.SetWire(1, 2, 3)
+	tr.AddLink(0, 1, 2)
+	tr.SetWire(1)
+	tr.AddFailover(1, []int{0})
 	tr.SetBackend("mesh", 2)
 	tr.SetEpochs(9)
 	tr.SetResult(true, 1, 1, 1)
@@ -56,8 +57,9 @@ func TestTraceRoundTrip(t *testing.T) {
 	tr.AddLevel(0, 1, 0)
 	tr.AddLevel(1, 3, 4)
 	tr.AddNode(0, 2, 1, 5, 6)
-	tr.AddLink(0, 1, 10, 80)
-	tr.SetWire(10, 80, 40)
+	tr.AddLink(0, 1, 10)
+	tr.AddLink(0, 1, 2)
+	tr.SetWire(12)
 	tr.SetEpochs(3)
 	tr.SetResult(true, 4, 4, 1)
 
@@ -83,10 +85,10 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Errorf("result round-trip: levels=%d states=%d sched=%v",
 			got.LevelStates(), got.States, got.Schedulable)
 	}
-	if len(got.Links) != 1 || got.Links[0].Bytes != 80 {
+	if len(got.Links) != 1 || got.Links[0].States != 12 {
 		t.Errorf("links round-trip = %+v", got.Links)
 	}
-	if got.Wire == nil || got.Wire.WireBytes != 40 {
+	if got.Wire == nil || got.Wire.RoutedStates != 12 {
 		t.Errorf("wire round-trip = %+v", got.Wire)
 	}
 	if got.ElapsedSec <= 0 || got.StatesPerSec <= 0 {

@@ -8,9 +8,9 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"tightcps/internal/flexray"
+	"tightcps/internal/lti"
 	"tightcps/internal/sched"
 	"tightcps/internal/switching"
 )
@@ -145,26 +145,12 @@ func (r *Runner) Run(sc Scenario) (*Result, error) {
 			continue
 		}
 		tail := a.Y[lastDist[i]:]
-		j, ok := settleIndex(tail, r.tol)
+		j, ok := lti.SettlingIndex(tail, r.tol)
 		a.Settled = ok
 		a.J = j
 		a.Met = ok && j <= r.plants[i].JStar
 	}
 	return res, nil
-}
-
-func settleIndex(y []float64, tol float64) (int, bool) {
-	k := len(y)
-	for i := len(y) - 1; i >= 0; i-- {
-		if math.Abs(y[i]) > tol {
-			break
-		}
-		k = i
-	}
-	if k == len(y) {
-		return k, false
-	}
-	return k, true
 }
 
 // BusResult augments a co-simulation with bus-level transmission records.

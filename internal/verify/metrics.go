@@ -48,40 +48,28 @@ type ContentionStats struct {
 // Contention returns zeros (see ContentionStats).
 func Contention() ContentionStats { return ContentionStats{} }
 
-// linkCounters are the labeled wire-volume handles of one directed mesh
-// link. They are cached in wireCounters below because the registry lookup
-// renders labels (and allocates) on every call: a 4-node mesh has 12
-// directed links, and re-registering them per run made the mesh's per-op
-// allocations grow with cluster size — exactly what the bench alloc-trend
-// gate exists to catch. With the cache, repeat runs on a standing cluster
-// touch only a map read and two atomics per link.
-type linkCounters struct {
-	bytes  *obs.Counter
-	states *obs.Counter
-}
-
+// linkSeries caches the labeled wire-volume counter of each directed mesh
+// link, because the registry lookup renders labels (and allocates) on
+// every call: a 4-node mesh has 12 directed links, and re-registering them
+// per run made the mesh's per-op allocations grow with cluster size —
+// exactly what the bench alloc-trend gate exists to catch. With the cache,
+// repeat runs on a standing cluster touch only a map read and an atomic
+// per link.
 var (
 	linkMu     sync.Mutex
-	linkSeries = map[uint64]linkCounters{}
+	linkSeries = map[uint64]*obs.Counter{}
 )
 
-// wireCounters finds (or registers once) the counter handles for the
-// from→to link.
-func wireCounters(from, to int) linkCounters {
+// wireCounter finds (or registers once) the counter of the from→to link.
+func wireCounter(from, to int) *obs.Counter {
 	key := uint64(uint32(from))<<32 | uint64(uint32(to))
 	linkMu.Lock()
 	defer linkMu.Unlock()
 	c, ok := linkSeries[key]
 	if !ok {
-		lbl := fmt.Sprintf("%d->%d", from, to)
-		c = linkCounters{
-			bytes: obs.NewCounter("tightcps_verify_wire_bytes_total",
-				"Bytes shipped over each directed worker-to-worker mesh link (coordinator view).",
-				"link", lbl),
-			states: obs.NewCounter("tightcps_verify_wire_states_total",
-				"States shipped over each directed worker-to-worker mesh link (coordinator view).",
-				"link", lbl),
-		}
+		c = obs.NewCounter("tightcps_verify_wire_states_total",
+			"States shipped over each directed worker-to-worker mesh link (coordinator view).",
+			"link", fmt.Sprintf("%d->%d", from, to))
 		linkSeries[key] = c
 	}
 	return c
@@ -110,17 +98,15 @@ func (v *Verifier) recordRun(res Result, err error) {
 		obsViolations.Inc()
 	}
 	for _, l := range res.Wire.Links {
-		c := wireCounters(l.From, l.To)
-		c.bytes.Add(uint64(l.Bytes))
-		c.states.Add(uint64(l.States))
+		wireCounter(l.From, l.To).Add(uint64(l.States))
 	}
 	tr := v.cfg.RunTrace
 	if tr == nil {
 		return
 	}
-	tr.SetWire(res.Wire.RoutedStates, res.Wire.RawBytes, res.Wire.WireBytes)
+	tr.SetWire(res.Wire.RoutedStates)
 	for _, l := range res.Wire.Links {
-		tr.AddLink(l.From, l.To, l.States, l.Bytes)
+		tr.AddLink(l.From, l.To, l.States)
 	}
 	names := make([]string, len(v.profs))
 	for i, p := range v.profs {

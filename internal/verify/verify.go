@@ -136,17 +136,18 @@ type Result struct {
 	Wire WireStats
 }
 
-// WireStats counts the bytes and states a distributed search moved between
-// nodes. Every routed state is shipped as its raw words, so WireBytes is
-// RawBytes plus one version byte per TCP batch.
+// WireStats counts the states a distributed search moved between nodes.
+// Every routed state crosses its link as one 8-byte word, so both byte
+// counts are 8 × RoutedStates; Add is the one place that fills them in.
 type WireStats struct {
 	RoutedStates int // states shipped onto the mesh links
-	// FilteredStates is always 0: no state is held back. It stays because
-	// the benchmark harness's dverify.filtered_states row reads it.
+	// FilteredStates is always 0: no state is held back. It, RawBytes and
+	// WireBytes stay because the benchmark harness's dverify rows read
+	// them.
 	FilteredStates int
-	RawBytes       int // fixed-width size of the routed states
-	WireBytes      int // bytes actually shipped (batches incl. version byte)
-	// Links breaks the totals down per directed worker↔worker link,
+	RawBytes       int
+	WireBytes      int
+	// Links breaks the total down per directed worker↔worker link,
 	// ordered by (From, To).
 	Links []LinkWire
 }
@@ -155,20 +156,18 @@ type WireStats struct {
 type LinkWire struct {
 	From, To int // node IDs, From ≠ To
 	States   int // states shipped over the link
-	Bytes    int // bytes shipped (encoded batches; raw width on loopback)
 }
 
 // Add accumulates other into w, merging per-link counters by (From, To).
 func (w *WireStats) Add(other WireStats) {
 	w.RoutedStates += other.RoutedStates
-	w.RawBytes += other.RawBytes
-	w.WireBytes += other.WireBytes
+	w.RawBytes = 8 * w.RoutedStates
+	w.WireBytes = w.RawBytes
 	for _, l := range other.Links {
 		merged := false
 		for i := range w.Links {
 			if w.Links[i].From == l.From && w.Links[i].To == l.To {
 				w.Links[i].States += l.States
-				w.Links[i].Bytes += l.Bytes
 				merged = true
 				break
 			}
@@ -177,9 +176,8 @@ func (w *WireStats) Add(other WireStats) {
 			w.Links = append(w.Links, l)
 		}
 	}
-	// slices.SortFunc, not sort.Slice: the mesh tracker folds a WireStats
-	// per node into its total every poll round, and sort.Slice's
-	// reflection-based swapper allocates on each call.
+	// slices.SortFunc, not sort.Slice: sort.Slice's reflection-based
+	// swapper allocates on each call.
 	slices.SortFunc(w.Links, func(a, b LinkWire) int {
 		if a.From != b.From {
 			return a.From - b.From
@@ -192,7 +190,7 @@ func (w *WireStats) Add(other WireStats) {
 // the distributed CI smoke greps this exact shape, so it lives here rather
 // than being duplicated per command.
 func (w WireStats) Report() string {
-	return fmt.Sprintf("wire: routed=%d raw=%dB shipped=%dB", w.RoutedStates, w.RawBytes, w.WireBytes)
+	return fmt.Sprintf("wire: routed=%d", w.RoutedStates)
 }
 
 // ErrTooLarge is returned when the state cap is exceeded.

@@ -515,6 +515,15 @@ var deletedMechanisms = []struct {
 	{`\b(cntBits|cntShift|maxDist)\b`, ".", true, "a lane is its phase and clock: the bounded model's counter is gone (DESIGN.md §2)"},
 	{`"bounded"|json:"bounded|"maxDisturbances"`, ".", false, "no flag, config key or verdict field selects the bounded model; a request's bounded keys are skipped like any unknown key"},
 	{`writeSegment|readSegment|segMagic|CheckpointDir|ckptWriteHook|AppendLevel|SortWords|"ftdir"`, ".", false, "a worker death restarts the search on the survivors: rolling back to per-level checkpoint segments lost every measured pair to it (DESIGN.md §9, \"Recovery restarts the search\")"},
+	{`codecRaw|encodeBatch|decodeBatch`, ".", true, "a batch is the states' words and protoVersion names the format: no per-batch codec byte (DESIGN.md §4)"},
+	{`^\s+(Fresh|MaxFresh|Next|Routed|RawBytes|WireBytes) +int$|^\s+Viol +bool$|^\s+Links +\[\]verify\.LinkWire$`, "internal/dverify", true,
+		"a worker answer states each fact once: per-level commits, per-peer states and the violator; the coordinator derives every total (DESIGN.md §5)"},
+	{`tightcps_(dverify|verify)_wire_bytes_total|shards_?[rR]eassigned|Shards +int`, ".", false,
+		"a state crosses a link as one 8-byte word, so a byte series only restates the state series; a restart re-partitions every shard, so a reassigned-shard count describes nothing (DESIGN.md §8)"},
+	{`Concurrency +int`, "internal/admit", true, "the service runs one queue worker: a cluster hook serialises its runs and a local search already uses every core"},
+	{`\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)?(Var)?\(([&\w.]+, *)?"concurrency"`, ".", false,
+		"one queue worker: a second concurrent verification can only wait behind the cluster hook's lock or share the cores"},
+	{`func settleIndex`, "internal/sim", false, "the co-simulator's settling index is lti.SettlingIndex"},
 	{`\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)?(Var)?\((&[\w.]+, *)?"nodes"`, ".", false,
 		"one node per process: a command reaches a cluster by -connect to verifyd workers; in-process nodes share one heap and the cores, tied the local lanes and multiplied the per-node -maxstates (DESIGN.md, \"Commands\")"},
 }
