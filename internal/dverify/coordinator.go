@@ -117,7 +117,7 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 	pending := make([]int, 0, n)
 	// Each node ships to at most every peer: the fold's link list is sized
 	// once per attempt.
-	tr := meshTracker{wire: verify.WireStats{Links: make([]verify.LinkWire, 0, n*(n-1))}}
+	tr := meshTracker{wire: verify.WireStats{Links: make([]verify.LinkWire, 0, n*(n-1))}, live: live}
 	rounds, level := 0, 0
 	for {
 		r.plan.fire(level, r.restarts)
@@ -173,7 +173,7 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 		res.Depth = level
 		res.States = statesThrough(resps, level)
 	}
-	foldMeshTrace(r.trace, resps, r.rounds+rounds+1, res.Depth)
+	foldMeshTrace(r.trace, resps, live, r.rounds+rounds+1, res.Depth)
 	if tr.tooLarge && !tr.haveViol {
 		// Report the partial exploration: budget-busted admission checks
 		// still count their states and wire volume.
@@ -202,19 +202,17 @@ func (r *meshRun) finish(p *meshPoller, live []int, resps []*Response) []int {
 }
 
 // fail ends an attempt on the deaths of dead (attempt node numbers): they
-// leave the cluster with their causes, the attempt's traffic is kept from
-// every node's last snapshot (last, nil before the first poll), and, when
-// a node is left to run it, the restart is counted and traced. The restart
-// itself is the next attempt.
+// leave the cluster with their causes, the attempt's traffic is kept, per
+// link between cluster nodes, from every node's last snapshot (last, nil
+// before the first poll), and, when a node is left to run it, the restart
+// is counted and traced. The restart itself is the next attempt.
 func (r *meshRun) fail(p *meshPoller, live []int, last []*Response, dead []int) {
 	for _, d := range dead {
 		r.c.dead[live[d]] = p.errs[d]
 	}
-	for _, s := range last {
-		if s != nil {
-			r.aborted.Add(verify.WireStats{RoutedStates: s.routed()})
-		}
-	}
+	var shipped verify.WireStats
+	addShipments(&shipped, last, live)
+	r.aborted.Add(shipped)
 	if len(r.c.live()) == 0 {
 		return
 	}

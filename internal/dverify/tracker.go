@@ -18,16 +18,18 @@ type meshTracker struct {
 	violState   verify.PackedState
 	violApp     int
 	wire        verify.WireStats
+	live        []int // the attempt's node i is the cluster's live[i]
 }
 
 // observe folds one round's answers into the tracker. Counters are
 // cumulative, so the round replaces (never accumulates) totals. A violation
 // is of the round's level; the minimum violating state across the nodes is
-// the verdict's violator, as in the local lanes. The links are node i's
-// Shipped entries, in (From, To) order.
+// the verdict's violator, as in the local lanes. The links are the nodes'
+// Shipped entries (addShipments).
 func (t *meshTracker) observe(resps []*Response) {
-	*t = meshTracker{violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}}
-	for i, r := range resps {
+	*t = meshTracker{violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}, live: t.live}
+	addShipments(&t.wire, resps, t.live)
+	for _, r := range resps {
 		fresh, deepest := r.fresh()
 		t.fresh += fresh
 		t.maxFresh = max(t.maxFresh, deepest)
@@ -36,10 +38,23 @@ func (t *meshTracker) observe(resps []*Response) {
 		if r.ViolApp >= 0 && (!t.haveViol || r.ViolState < t.violState) {
 			t.haveViol, t.violState, t.violApp = true, r.ViolState, r.ViolApp
 		}
+	}
+}
+
+// addShipments folds the states each answer of an attempt shipped (a nil
+// answer shipped nothing) into w: the routed total, and one link per peer
+// shipped to, named by cluster node — the attempt's node i is live[i], so
+// the links of attempts on different survivors add up per real link. live
+// is ascending, so the links come in (From, To) order.
+func addShipments(w *verify.WireStats, resps []*Response, live []int) {
+	for i, r := range resps {
+		if r == nil {
+			continue
+		}
 		for d, n := range r.Shipped {
 			if n > 0 {
-				t.wire.RoutedStates += n
-				t.wire.Links = append(t.wire.Links, verify.LinkWire{From: i, To: d, States: n})
+				w.RoutedStates += n
+				w.Links = append(w.Links, verify.LinkWire{From: live[i], To: live[d], States: n})
 			}
 		}
 	}
@@ -98,14 +113,15 @@ func statesThrough(resps []*Response, depth int) int {
 	return n
 }
 
-// foldMeshTrace folds the final answers into the run trace: each worker's
-// cumulative per-level fresh commits sum (across nodes) to the global
-// frontier size of every BFS level through depth — the same per-level
-// counts the local drivers record — plus one NodeSpan per worker (states
-// it shipped, and states shipped to it) and the round count. Per-level
+// foldMeshTrace folds the final attempt's answers into the run trace: each
+// worker's cumulative per-level fresh commits sum (across nodes) to the
+// global frontier size of every BFS level through depth — the same
+// per-level counts the local drivers record — plus one NodeSpan per worker
+// (states it shipped, and states shipped to it), named by cluster node
+// (live), and the round count. Per-level
 // transitions are not attributed in the mesh (workers count them per
 // session, not per level), so the spans carry states only.
-func foldMeshTrace(trace *obs.Trace, resps []*Response, rounds, depth int) {
+func foldMeshTrace(trace *obs.Trace, resps []*Response, live []int, rounds, depth int) {
 	if trace == nil {
 		return
 	}
@@ -122,7 +138,7 @@ func foldMeshTrace(trace *obs.Trace, resps []*Response, rounds, depth int) {
 			}
 		}
 		fresh, deepest := r.fresh()
-		trace.AddNode(i, fresh, deepest, r.routed(), recv[i])
+		trace.AddNode(live[i], fresh, deepest, r.routed(), recv[i])
 	}
 	trace.SetEpochs(rounds)
 }

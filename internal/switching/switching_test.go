@@ -370,6 +370,8 @@ func TestSurface(t *testing.T) {
 	}
 }
 
+// TestRLERoundTrip: expanding the runs of EncodeRLE gives the table back,
+// with no empty run and no two neighbouring runs of one value.
 func TestRLERoundTrip(t *testing.T) {
 	cases := [][]int{
 		{3, 4, 3, 3, 3, 3, 3, 3, 3, 4, 4, 5},
@@ -379,18 +381,17 @@ func TestRLERoundTrip(t *testing.T) {
 		{1, 2, 3, 4},
 	}
 	for _, c := range cases {
-		enc := EncodeRLE(c)
-		dec := enc.Decode()
-		if !intsEqual(dec, c) && !(len(c) == 0 && len(dec) == 0) {
-			t.Errorf("round trip %v -> %v", c, dec)
-		}
-		if enc.Len() != len(c) {
-			t.Errorf("Len() = %d, want %d", enc.Len(), len(c))
-		}
-		for i, v := range c {
-			if enc.At(i) != v {
-				t.Errorf("At(%d) = %d, want %d", i, enc.At(i), v)
+		var dec []int
+		for i, r := range EncodeRLE(c).Runs {
+			if r.Len < 1 || i > 0 && dec[len(dec)-1] == r.Value {
+				t.Errorf("%v: run %d is %+v after %v", c, i, r, dec)
 			}
+			for range r.Len {
+				dec = append(dec, r.Value)
+			}
+		}
+		if !intsEqual(dec, c) {
+			t.Errorf("round trip %v -> %v", c, dec)
 		}
 	}
 	// Compression actually happens on a Table-1-like array.
@@ -398,15 +399,6 @@ func TestRLERoundTrip(t *testing.T) {
 	if enc.Words() != 1 {
 		t.Errorf("constant table should compress to 1 run, got %d", enc.Words())
 	}
-}
-
-func TestRLEAtOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	EncodeRLE([]int{1, 2}).At(5)
 }
 
 func TestDistinctValues(t *testing.T) {

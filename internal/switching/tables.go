@@ -1,7 +1,6 @@
 package switching
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -30,37 +29,6 @@ func EncodeRLE(table []int) RLETable {
 		out.Runs = append(out.Runs, RLERun{Len: 1, Value: v})
 	}
 	return out
-}
-
-// Decode expands the table back to a flat slice.
-func (t RLETable) Decode() []int {
-	var out []int
-	for _, r := range t.Runs {
-		for i := 0; i < r.Len; i++ {
-			out = append(out, r.Value)
-		}
-	}
-	return out
-}
-
-// Len returns the decoded length.
-func (t RLETable) Len() int {
-	n := 0
-	for _, r := range t.Runs {
-		n += r.Len
-	}
-	return n
-}
-
-// At returns entry i without decoding.
-func (t RLETable) At(i int) int {
-	for _, r := range t.Runs {
-		if i < r.Len {
-			return r.Value
-		}
-		i -= r.Len
-	}
-	panic(fmt.Sprintf("switching: RLE index %d out of range", i))
 }
 
 // Words returns the number of (len, value) pairs — the storage cost the

@@ -9,10 +9,11 @@ import "sync/atomic"
 // is needed.
 //
 // A table of mapTableBytes or more is mapped off the Go heap (newTable), so
-// the set owns its memory: growTo unmaps the table it replaces, and whoever
-// ends a search releases the set. Growth doubles a table while it stays on
-// the heap, and quadruples it from the mapped sizes on unless the set is a
-// lane's (doubling), up to the table of the search's state budget (grow).
+// the set owns its memory: growTo hands the table it replaces back piece by
+// piece as it rehashes, and whoever ends a search releases the set. Growth
+// doubles a table while it stays on the heap, and quadruples it from the
+// mapped sizes on unless the set is a lane's (doubling), up to the table of
+// the search's state budget (grow).
 type keySet struct {
 	slots []uint64
 	mem   []byte // the mapping behind slots; nil for a heap table
@@ -27,6 +28,11 @@ type keySet struct {
 
 	hashes []uint64 // addChunk scratch: one hash per key of the chunk
 	sink   uint64   // keeps addChunk's touch loads alive
+
+	// pieceMoved, when set, runs in growTo after the keys of old[:moved]
+	// have moved and before the last piece of them is handed back; tests
+	// watch the memory a growth holds through it.
+	pieceMoved func(old []uint64, moved int)
 }
 
 // noBudget is the keys of a set no search budget bounds: far past any table
@@ -213,16 +219,36 @@ func (s *keySet) grow(need int) {
 	}
 }
 
-// growTo moves the keys into a table of size slots and frees the old table
-// as soon as the rehash is done.
+// rehashPiece is the slots growTo moves between two hand-backs of a mapped
+// old table: 64 KiB, whole pages of a table that starts on a huge-page
+// boundary and is a power of two of at least 2 MiB. A piece must end on a
+// page boundary: the kernel rounds a length up to the page, and a piece
+// ending mid-page would zero keys not yet moved.
+const rehashPiece = 8192
+
+// growTo moves the keys into a table of size slots, walking the old table
+// in order, a piece at a time, and hands each piece of a mapped old table
+// back to the kernel once its keys have moved (releasePart). A key at old
+// slot i lands near slot i + k·len(old) of the new table, for each k below
+// the growth factor, so the new table's pages fault in as the old one's go
+// back: a growth holds the new table plus one piece, not both tables
+// (DESIGN.md §4, "Table memory", Growth). A heap table is left to the
+// collector whole.
 func (s *keySet) growTo(size int) {
 	old, oldMem := s.slots, s.mem
 	s.slots, s.mem = newTable(size)
 	s.mask = uint64(size - 1)
-	for _, v := range old {
-		if v != 0 {
-			probe(s.slots, s.mask, v, hashKey(v))
+	for start := 0; start < len(old); start += rehashPiece {
+		piece := old[start:min(start+rehashPiece, len(old))]
+		for _, v := range piece {
+			if v != 0 {
+				probe(s.slots, s.mask, v, hashKey(v))
+			}
 		}
+		if s.pieceMoved != nil {
+			s.pieceMoved(old, start+len(piece))
+		}
+		releasePart(piece, oldMem)
 	}
-	freeTable(old, oldMem)
+	freeTable(nil, oldMem) // every piece is handed back already
 }

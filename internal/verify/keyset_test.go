@@ -3,7 +3,9 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -219,6 +221,87 @@ func TestKeySetLaneGrowth(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestKeySetGrowthHoldsOneTable: a mapped table's growth to a mapped one,
+// by the 4× step and by a lane's doubling, keeps every key and holds at
+// most the new table plus one piece (rehashPiece) at any point. After each
+// piece's keys have moved (pieceMoved) the test counts what the set holds:
+// the old table's pieces not yet handed back, which the table-bytes gauge
+// must count exactly and the one piece before which must read as zeros
+// (its pages went back), plus the new table's pages that keys have
+// touched. The gauge is back at its base after release.
+func TestKeySetGrowthHoldsOneTable(t *testing.T) {
+	for _, doubling := range []bool{false, true} {
+		t.Run(fmt.Sprintf("doubling=%v", doubling), func(t *testing.T) {
+			base := obsTableBytes.Value()
+			const size = mapTableBytes / 8
+			s := newKeySet(size)
+			s.doubling = doubling
+			if s.mem == nil {
+				t.Skip("tables are mapped off the heap only on Linux")
+			}
+			rng := rand.New(rand.NewSource(11))
+			var keys []uint64
+			for s.len() < 3*size/4 {
+				if k := rng.Uint64() | 1; s.add(k) {
+					keys = append(keys, k)
+				}
+			}
+			page := os.Getpagesize() / 8 // slots
+			pieces := 0
+			s.pieceMoved = func(old []uint64, moved int) {
+				pieces++
+				if moved != pieces*rehashPiece {
+					t.Fatalf("piece %d ends at slot %d, want %d", pieces, moved, pieces*rehashPiece)
+				}
+				if prev := old[max(moved-2*rehashPiece, 0) : moved-rehashPiece]; slices.ContainsFunc(prev, func(v uint64) bool { return v != 0 }) {
+					t.Fatalf("piece %d: the piece before it still reads keys: not handed back", pieces)
+				}
+				newBytes := int64(8 * len(s.slots))
+				oldHeld := obsTableBytes.Value() - base - newBytes
+				if want := int64(8 * (len(old) - moved + rehashPiece)); oldHeld != want {
+					t.Fatalf("piece %d: the gauge holds %d bytes of the old table, want %d", pieces, oldHeld, want)
+				}
+				touched := 0
+				for p := 0; p < len(s.slots); p += page {
+					if slices.ContainsFunc(s.slots[p:p+page], func(v uint64) bool { return v != 0 }) {
+						touched++
+					}
+				}
+				if held := oldHeld + int64(8*page*touched); held > newBytes+8*rehashPiece {
+					t.Fatalf("piece %d: %d bytes held (%d of the old table, %d pages of the new), want at most the new table's %d plus a piece",
+						pieces, held, oldHeld, touched, newBytes)
+				}
+			}
+			for n := s.len(); s.len() == n; { // one more key grows the table
+				if k := rng.Uint64() | 1; s.add(k) {
+					keys = append(keys, k)
+				}
+			}
+			if want := rampOf(size, doubling); len(s.slots) != want || s.mem == nil {
+				t.Fatalf("grew to %d slots (mapped: %v), want %d mapped", len(s.slots), s.mem != nil, want)
+			}
+			if pieces != size/rehashPiece {
+				t.Fatalf("the growth moved %d pieces, want %d", pieces, size/rehashPiece)
+			}
+			for _, k := range keys {
+				if !s.contains(k) {
+					t.Fatalf("key %x lost in the growth", k)
+				}
+			}
+			if s.len() != len(keys) {
+				t.Fatalf("len %d after the growth, want %d", s.len(), len(keys))
+			}
+			if got := obsTableBytes.Value() - base; got != int64(8*len(s.slots)) {
+				t.Fatalf("after the growth the gauge holds %d bytes, want the new table's %d", got, 8*len(s.slots))
+			}
+			s.release()
+			if got := obsTableBytes.Value() - base; got != 0 {
+				t.Fatalf("release left %d bytes held", got)
+			}
+		})
+	}
 }
 
 func TestKeySetBudget(t *testing.T) {

@@ -32,7 +32,7 @@ var (
 	obsActive = obs.NewGauge("tightcps_verify_active_runs",
 		"Verification runs currently executing.")
 	obsTableBytes = obs.NewGauge("tightcps_verify_table_bytes",
-		"Bytes of visited-set tables mapped off the Go heap (tables of 2 MiB and up); back to its value before a search once the search ends.")
+		"Bytes of visited-set tables held off the Go heap (tables of 2 MiB and up; a growing table's old pieces until the rehash hands them back); back to its value before a search once the search ends.")
 )
 
 // ContentionStats and Contention are a zero-returning shim: nothing feeds

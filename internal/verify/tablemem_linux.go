@@ -16,10 +16,10 @@ const hugePage = 2 << 20
 // off the Go heap: an anonymous private mapping, the table placed at its
 // first huge-page boundary and advised MADV_HUGEPAGE, so the kernel can back
 // it with huge pages where transparent huge pages are "always" or
-// "madvise". Its pages go back to the kernel in freeTable, not at some
-// later collection. A smaller table, or one the kernel refuses to map, is
-// an ordinary slice. The keys hold no pointers, so the collector has
-// nothing to find in a mapping.
+// "madvise". Its pages go back to the kernel in releasePart and freeTable,
+// not at some later collection. A smaller table, or one the kernel refuses
+// to map, is an ordinary slice. The keys hold no pointers, so the collector
+// has nothing to find in a mapping.
 func newTable(size int) ([]uint64, []byte) {
 	n := 8 * size
 	if n < mapTableBytes {
@@ -40,8 +40,25 @@ func newTable(size int) ([]uint64, []byte) {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&table[0])), size), mem
 }
 
-// freeTable unmaps the mapping newTable returned with table; a heap table
-// (mem nil) is left to the collector.
+// releasePart hands the pages of part, a piece of the mapped table behind
+// mem that holds nothing the caller still needs, back to the kernel
+// (MADV_DONTNEED): the mapping stays, and the piece reads as zeros from then
+// on. part must be whole pages, or the advice, rounded up to the page,
+// would zero what follows it. A heap table (mem nil) is left alone.
+func releasePart(part []uint64, mem []byte) {
+	if mem == nil {
+		return
+	}
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&part[0])), 8*len(part))
+	if err := syscall.Madvise(b, syscall.MADV_DONTNEED); err != nil {
+		panic("verify: releasing a visited-set table's pages: " + err.Error()) // only a bug passes a piece outside a mapping
+	}
+	obsTableBytes.Add(-int64(len(b)))
+}
+
+// freeTable unmaps the mapping newTable returned with table, where table is
+// what of it is still held: the whole table, or nil once releasePart has
+// handed every piece back. A heap table (mem nil) is left to the collector.
 func freeTable(table []uint64, mem []byte) {
 	if mem == nil {
 		return

@@ -524,6 +524,7 @@ var deletedMechanisms = []struct {
 	{`\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)?(Var)?\(([&\w.]+, *)?"concurrency"`, ".", false,
 		"one queue worker: a second concurrent verification can only wait behind the cluster hook's lock or share the cores"},
 	{`func settleIndex`, "internal/sim", false, "the co-simulator's settling index is lti.SettlingIndex"},
+	{`func \(t RLETable\) (Decode|Len|At)\(`, "internal/switching", true, "a dwell table's runs are counted (Words), never expanded or indexed: no command reads an entry back from them"},
 	{`\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)?(Var)?\((&[\w.]+, *)?"nodes"`, ".", false,
 		"one node per process: a command reaches a cluster by -connect to verifyd workers; in-process nodes share one heap and the cores, tied the local lanes and multiplied the per-node -maxstates (DESIGN.md, \"Commands\")"},
 }
