@@ -105,7 +105,8 @@ type meshSession struct {
 // memory): a standing cluster re-verifying a slot, a daemon serving
 // successive coordinators or the bench loop, does not rebuild the expander
 // or refill its batch free list. The visited tables are not donated: the
-// new job grows its own from setCap, as every local search does. The
+// new job grows its own from setCap scaled by the lanes' share of the
+// cluster's search (verify.Lanes.Reset), as every local search does. The
 // donor's links are already down and its tables released (Init goes
 // through handler.reset), and its registration is gone; what its run left
 // parked — a violating or over-budget run stops with sends in place — is

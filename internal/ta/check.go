@@ -35,12 +35,12 @@ type CheckOptions struct {
 var ErrStateLimit = errors.New("ta: state limit exceeded")
 
 // ErrValueRange is returned when a reached state holds a location, variable
-// or clock outside [0, 65535], the 16 bits the visited set stores per field.
-var ErrValueRange = errors.New("ta: state field outside [0, 65535]")
+// or clock outside [0, 255], the 8 bits the visited set stores per field.
+var ErrValueRange = errors.New("ta: state field outside [0, 255]")
 
-// A stored key packs a state's fields, in Locs, Vars, Clocks order, 16 bits
-// each and four to a uint64 word.
-const fieldsPerWord = 4
+// A stored key packs a state's fields, in Locs, Vars, Clocks order, 8 bits
+// each and eight to a uint64 word.
+const fieldsPerWord = 8
 
 // keyWords is the number of words a key of n fields takes.
 func keyWords(n int) int { return (n + fieldsPerWord - 1) / fieldsPerWord }
@@ -59,14 +59,20 @@ func (n *Network) flatState() (s *State, flat []int) {
 }
 
 // pack writes a flat state into key. It reports false, leaving key partly
-// written, when a field is outside [0, 65535].
+// written, when a field is outside [0, 255].
 func pack(flat []int, key []uint64) bool {
 	for k := range key {
 		f := (*[fieldsPerWord]int)(flat[fieldsPerWord*k:])
-		if uint(f[0])|uint(f[1])|uint(f[2])|uint(f[3]) > math.MaxUint16 {
+		var w uint64
+		var all uint
+		for j := fieldsPerWord - 1; j >= 0; j-- {
+			all |= uint(f[j])
+			w = w<<8 | uint64(f[j])&math.MaxUint8
+		}
+		if all > math.MaxUint8 {
 			return false
 		}
-		key[k] = uint64(f[0]) | uint64(f[1])<<16 | uint64(f[2])<<32 | uint64(f[3])<<48
+		key[k] = w
 	}
 	return true
 }
@@ -75,7 +81,9 @@ func pack(flat []int, key []uint64) bool {
 func unpack(key []uint64, flat []int) {
 	for k, w := range key {
 		f := (*[fieldsPerWord]int)(flat[fieldsPerWord*k:])
-		f[0], f[1], f[2], f[3] = int(w&math.MaxUint16), int(w>>16&math.MaxUint16), int(w>>32&math.MaxUint16), int(w>>48)
+		for j := range f {
+			f[j] = int(w >> (8 * j) & math.MaxUint8)
+		}
 	}
 }
 

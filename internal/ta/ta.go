@@ -23,13 +23,13 @@
 //     keeping the reachable state space finite.
 //
 // Reachable is a breadth-first search over a pointer-free state store: each
-// visited state is a key of 16 bits per field (locations, then variables,
-// then clocks, four fields to a uint64 word) appended to a slab of
+// visited state is a key of 8 bits per field (locations, then variables,
+// then clocks, eight fields to a uint64 word) appended to a slab of
 // fixed-size blocks, which is also the BFS queue, and found again through an
 // open-addressing index of hash-tagged slab indices. Successors are built in
 // reused scratch states, so a check allocates per visited state only for a
 // witness. The field contract follows from the key: every location, variable
-// and clock of a reached state must lie in [0, 65535]; a state outside it
+// and clock of a reached state must lie in [0, 255]; a state outside it
 // ends the check with ErrValueRange instead of wrapping onto another state.
 //
 // The package depends on no other package of this module: it is the

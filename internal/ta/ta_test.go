@@ -2,6 +2,7 @@ package ta
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -293,16 +294,16 @@ func TestAnyLocationUnknownNames(t *testing.T) {
 	}
 }
 
-// TestValueRangeRefused: the visited set stores 16 bits per field, so a
-// state holding a field outside [0, 65535] ends the check with
-// ErrValueRange rather than a key that wraps onto another state (65,536
-// onto 0, −1 onto 65,535), which would report v == 65537 unreachable.
+// TestValueRangeRefused: the visited set stores 8 bits per field, so a
+// state holding a field outside [0, 255] ends the check with ErrValueRange
+// rather than a key that wraps onto another state (256 onto 0, −1 onto
+// 255), which would report v == 257 unreachable.
 func TestValueRangeRefused(t *testing.T) {
 	counter := &Automaton{
 		Name:      "A",
 		Locations: []Location{{Name: "S"}},
 		Edges: []Edge{{From: 0, To: 0, Label: "inc",
-			Guard:  func(s *State) bool { return s.Vars[0] < 70_000 },
+			Guard:  func(s *State) bool { return s.Vars[0] < 300 },
 			Update: func(s *State) { s.Vars[0]++ }}},
 	}
 	negative := &Automaton{
@@ -316,13 +317,45 @@ func TestValueRangeRefused(t *testing.T) {
 		a    *Automaton
 		p    Property
 	}{
-		{"past 65535", counter, func(s *State) bool { return s.Vars[0] == 65_537 }},
+		{"past 255", counter, func(s *State) bool { return s.Vars[0] == 257 }},
 		{"negative", negative, func(s *State) bool { return s.Vars[0] == -2 }},
 	} {
 		n := &Network{Automata: []*Automaton{tc.a}, VarNames: []string{"v"}}
 		res, err := n.Reachable(tc.p, CheckOptions{})
 		if !errors.Is(err, ErrValueRange) {
 			t.Fatalf("%s: want ErrValueRange, got %v (%+v)", tc.name, err, res)
+		}
+	}
+}
+
+// TestPackFieldLimits holds the key to its field contract at the limits: in
+// every field of a three-word key, 0 and 255 pack and unpack to themselves
+// beside neighbours holding the other limit, and 256 and −1 are refused.
+func TestPackFieldLimits(t *testing.T) {
+	const fields = 3 * fieldsPerWord
+	flat := make([]int, fields)
+	key := make([]uint64, keyWords(fields))
+	back := make([]int, fields)
+	for i := range fields {
+		for _, v := range []int{0, 255} {
+			for j := range flat {
+				flat[j] = 255 - v
+			}
+			flat[i] = v
+			if !pack(flat, key) {
+				t.Fatalf("field %d = %d refused", i, v)
+			}
+			unpack(key, back)
+			if !slices.Equal(back, flat) {
+				t.Fatalf("field %d = %d: unpacked %v, want %v", i, v, back, flat)
+			}
+		}
+		for _, v := range []int{256, -1} {
+			clear(flat)
+			flat[i] = v
+			if pack(flat, key) {
+				t.Fatalf("field %d = %d packed, want it refused", i, v)
+			}
 		}
 	}
 }

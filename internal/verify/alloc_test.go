@@ -279,7 +279,7 @@ func TestLevelStoreAllocBytes(t *testing.T) {
 		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, lanes)
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		e := newLanes(v, lanes, successors, hashKey)
+		e := newLanes(v, lanes, successors)
 		defer e.Release()
 		e.Absorb([][]uint64{{initialState(v)}})
 		var widths []int

@@ -10,10 +10,10 @@ import "sync/atomic"
 //
 // A table of mapTableBytes or more is mapped off the Go heap (newTable), so
 // the set owns its memory: growTo hands the table it replaces back piece by
-// piece as it rehashes, and whoever ends a search releases the set. Growth
-// doubles a table while it stays on the heap, and quadruples it from the
-// mapped sizes on unless the set is a lane's (doubling), up to the table of
-// the search's state budget (grow).
+// piece as it rehashes, and whoever ends a search releases the set. Every
+// set grows on one schedule, scaled by its share of the search: it doubles
+// while share such tables stay under the 2 MiB line and quadruples from
+// there on, up to the table of the search's state budget (grow).
 type keySet struct {
 	slots []uint64
 	mem   []byte // the mapping behind slots; nil for a heap table
@@ -21,10 +21,10 @@ type keySet struct {
 	mask  uint64
 	// maxKeys is the most keys the search stores: its MaxStates + 1.
 	maxKeys int
-	// doubling keeps growth to the doubling policy past the 2 MiB line too:
-	// a lane's table, one of P that grow in the same level (DESIGN.md §4,
-	// "Table memory").
-	doubling bool
+	// share is how many such sets the search's states are spread over: 1
+	// for a sequential search, P·nodes for a lane of a P-lane node (DESIGN.md
+	// §4, "Table memory").
+	share int
 
 	hashes []uint64 // addChunk scratch: one hash per key of the chunk
 	sink   uint64   // keeps addChunk's touch loads alive
@@ -40,13 +40,13 @@ type keySet struct {
 const noBudget = 1 << 48
 
 // newKeySet creates a set with the given initial capacity (rounded up to a
-// power of two) and no state budget.
+// power of two), a share of 1 and no state budget.
 func newKeySet(capacity int) *keySet {
 	size := 16
 	for size < capacity {
 		size <<= 1
 	}
-	s := &keySet{mask: uint64(size - 1), maxKeys: noBudget}
+	s := &keySet{mask: uint64(size - 1), maxKeys: noBudget, share: 1}
 	s.slots, s.mem = newTable(size)
 	return s
 }
@@ -193,21 +193,21 @@ func (s *keySet) reserve(n int) {
 // grow rehashes the table, once, for need keys. The size is the doubling
 // policy's — the smallest power of two of at least twice the table, and of
 // at least 16 slots (a released set has none), that holds them at ¾ load —
-// but a growth that reaches the mapped sizes goes to
-// at least 4× the table, one rehash where doubling takes two: fewer keys
-// moved and fresh pages faulted, for a table at most twice the doubling
-// policy's. A lane's table (doubling) keeps to the doubling policy: its
-// node's P tables would each overshoot in the same level. No growth goes
-// past the budget's table (tableFor(maxKeys)), unless need keys do not fit
-// in it at all: the chunk that takes a search past its budget still lands,
-// at more than ¾ load.
+// but once share such tables reach the mapped sizes the growth goes to at
+// least 4× the table, one rehash where doubling takes two: fewer keys moved
+// and fresh pages faulted, for a table at most twice the doubling policy's.
+// A set of share s thus follows the sequential table's sizes divided by s,
+// and a node's tables add up to the sequential table. No growth goes past
+// the budget's table (tableFor(maxKeys)), unless need keys do not fit in it
+// at all: the chunk that takes a search past its budget still lands, at
+// more than ¾ load.
 func (s *keySet) grow(need int) {
 	old := len(s.slots)
 	size := max(2*old, 16)
 	for 4*need > 3*size {
 		size <<= 1
 	}
-	if !s.doubling && 8*size >= mapTableBytes {
+	if 8*size*s.share >= mapTableBytes {
 		size = max(size, 4*old)
 	}
 	size = min(size, tableFor(s.maxKeys))
@@ -215,16 +215,28 @@ func (s *keySet) grow(need int) {
 		size <<= 1
 	}
 	if size > old {
+		if tableGrown != nil {
+			tableGrown(s, size)
+		}
 		s.growTo(size)
 	}
 }
 
+// tableGrown, when set, runs in grow before every rehash with the set and
+// its new size; tests watch the growth schedule through it. The lanes of a
+// node grow at once, so it must be safe for concurrent use.
+var tableGrown func(s *keySet, size int)
+
 // rehashPiece is the slots growTo moves between two hand-backs of a mapped
-// old table: 64 KiB, whole pages of a table that starts on a huge-page
-// boundary and is a power of two of at least 2 MiB. A piece must end on a
-// page boundary: the kernel rounds a length up to the page, and a piece
-// ending mid-page would zero keys not yet moved.
-const rehashPiece = 8192
+// old table: one huge page where the kernel may back tables with them, 64
+// KiB (smallPiece) otherwise (tablePiece). Either is whole pages of a table
+// that starts on a huge-page boundary and is a power of two of at least 2
+// MiB. A piece must end on a page boundary: the kernel rounds a length up
+// to the page, and a piece ending mid-page would zero keys not yet moved.
+var rehashPiece = tablePiece()
+
+// smallPiece is rehashPiece where tables sit on small pages: 64 KiB.
+const smallPiece = 8192
 
 // growTo moves the keys into a table of size slots, walking the old table
 // in order, a piece at a time, and hands each piece of a mapped old table

@@ -26,7 +26,7 @@ func (s *keySet) contains(k uint64) bool {
 }
 
 // The two tests below keep the names of the u64Set tests they replace.
-func TestU64Set(t *testing.T) { checkKeySet(t, false) }
+func TestU64Set(t *testing.T) { checkKeySet(t, 1) }
 
 // TestU64SetZeroKeyPanics checks that adding the reserved zero key panics.
 func TestU64SetZeroKeyPanics(t *testing.T) {
@@ -43,14 +43,14 @@ func TestU64SetZeroKeyPanics(t *testing.T) {
 // request through several rehashes and past the 2 MiB line where tables
 // leave the heap (mapped to mapped included), then release, refill with the
 // same keys from no table to the same size, regrowth and release. Every growth must follow the rule —
-// double under 2 MiB, quadruple from a doubling that reaches it, or double
-// throughout for a lane's set (doubling) — with the load at most ¾ after
-// every add. At every step the table-bytes gauge must count exactly the
-// table's bytes when it is mapped, and nothing when it is not.
-func checkKeySet(t *testing.T, doubling bool) {
+// double while share such tables stay under 2 MiB, quadruple from a
+// doubling that takes them to it — with the load at most ¾ after every add.
+// At every step the table-bytes gauge must count exactly the table's bytes
+// when it is mapped, and nothing when it is not.
+func checkKeySet(t *testing.T, share int) {
 	base := obsTableBytes.Value()
 	s := newKeySet(4)
-	s.doubling = doubling
+	s.share = share
 	ref := map[uint64]bool{}
 	accounted := func(step string) {
 		t.Helper()
@@ -112,7 +112,7 @@ func checkKeySet(t *testing.T, doubling bool) {
 			}
 			ref[k] = true
 			if len(s.slots) != size {
-				if want := rampOf(size, doubling); len(s.slots) != want {
+				if want := rampOf(size, share); len(s.slots) != want {
 					t.Fatalf("%s: a %d-slot table grew to %d slots, want %d", step, size, len(s.slots), want)
 				}
 			}
@@ -126,7 +126,8 @@ func checkKeySet(t *testing.T, doubling bool) {
 		members(step)
 	}
 	// 200,000 keys take a table by doubling to 2¹⁷ slots (1 MiB), then in
-	// one step to 2¹⁹, mapped; 400,000 take it to 2²¹, or, doubling, to 2²⁰.
+	// one step to 2¹⁹, mapped; 400,000 take it to 2²¹. A share of 4 takes
+	// the 4× step from 2¹⁵ slots: 2¹⁷, 2¹⁹, then 2²¹.
 	const n = 200_000
 	grow("growth", n)
 	size := len(s.slots)
@@ -144,8 +145,8 @@ func checkKeySet(t *testing.T, doubling bool) {
 			t.Fatalf("refill: add(%x) is not fresh once, then a duplicate", k)
 		}
 		ref[k] = true
-		if len(s.slots) != before && len(s.slots) != rampOf(before, doubling) {
-			t.Fatalf("refill: a %d-slot table grew to %d slots, want %d", before, len(s.slots), rampOf(before, doubling))
+		if len(s.slots) != before && len(s.slots) != rampOf(before, share) {
+			t.Fatalf("refill: a %d-slot table grew to %d slots, want %d", before, len(s.slots), rampOf(before, share))
 		}
 	}
 	members("after refill")
@@ -153,7 +154,7 @@ func checkKeySet(t *testing.T, doubling bool) {
 		t.Fatalf("refill with the same keys grew the table to %d slots, want the first fill's %d", len(s.slots), size)
 	}
 	grow("regrowth", 2*n)
-	if want := rampOf(size, doubling); len(s.slots) != want {
+	if want := rampOf(size, share); len(s.slots) != want {
 		t.Fatalf("regrowth: %d slots, want %d", len(s.slots), want)
 	}
 	s.release()
@@ -162,11 +163,12 @@ func checkKeySet(t *testing.T, doubling bool) {
 	}
 }
 
-// rampOf is the size a table of size slots grows to by one add: twice the
-// size while that stays under mapTableBytes, four times from there on — or
-// twice throughout, doubling. A released set, with no table, grows to 16.
-func rampOf(size int, doubling bool) int {
-	if doubling || 8*2*size < mapTableBytes {
+// rampOf is the size a table of size slots and the given share grows to by
+// one add: twice the size while share such tables stay under
+// mapTableBytes, four times from there on. A released set, with no table,
+// grows to 16.
+func rampOf(size, share int) int {
+	if 8*2*size*share < mapTableBytes {
 		return max(2*size, 16)
 	}
 	return 4 * size
@@ -192,15 +194,17 @@ func TestKeySetAddAfterRelease(t *testing.T) {
 	}
 }
 
-// TestKeySetLaneGrowth holds a lane's table to the doubling policy, past
-// the 2 MiB line too, and then the lanes of a search: S1 on two
-// lanes crosses the line, and no lane table ends larger than the doubling
-// policy's table for its keys — the 4× step would end each at twice that.
+// TestKeySetLaneGrowth holds a lane's table to the schedule scaled by its
+// share — at a share of 4 the 4× step comes at a quarter of the size — and then
+// the lanes of a search: S1 on two lanes crosses the line, and no lane
+// table ends larger than the smallest table for its keys, 2²⁰ slots: the
+// sequential table's 2²¹ halved, where the unscaled 4× step would end each
+// at 2²¹.
 func TestKeySetLaneGrowth(t *testing.T) {
-	t.Run("narrow", func(t *testing.T) { checkKeySet(t, true) })
+	t.Run("narrow", func(t *testing.T) { checkKeySet(t, 4) })
 	t.Run("S1/workers=2", func(t *testing.T) {
 		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, 2)
-		e := newLanes(v, 2, successors, hashKey)
+		e := newLanes(v, 2, successors)
 		defer e.Release()
 		e.Absorb([][]uint64{{initialState(v)}})
 		for e.Stats().Level > 0 {
@@ -214,7 +218,7 @@ func TestKeySetLaneGrowth(t *testing.T) {
 		for i := range e.lanes {
 			s := &e.lanes[i].table
 			if want := tableFor(s.len()); len(s.slots) > want {
-				t.Errorf("lane %d: %d keys in %d slots, want the doubling policy's %d", i, s.len(), len(s.slots), want)
+				t.Errorf("lane %d: %d keys in %d slots, want at most %d", i, s.len(), len(s.slots), want)
 			}
 			if runtime.GOOS == "linux" && s.mem == nil {
 				t.Errorf("lane %d: a %d-slot table left on the heap, want it mapped", i, len(s.slots))
@@ -224,20 +228,21 @@ func TestKeySetLaneGrowth(t *testing.T) {
 }
 
 // TestKeySetGrowthHoldsOneTable: a mapped table's growth to a mapped one,
-// by the 4× step and by a lane's doubling, keeps every key and holds at
-// most the new table plus one piece (rehashPiece) at any point. After each
+// the 4× step at any share, keeps every key and holds at most the new table
+// plus one piece (rehashPiece, whichever size was picked) at any point. The
+// old table is the 2 MiB line's or four pieces, whichever is larger. After each
 // piece's keys have moved (pieceMoved) the test counts what the set holds:
 // the old table's pieces not yet handed back, which the table-bytes gauge
 // must count exactly and the one piece before which must read as zeros
 // (its pages went back), plus the new table's pages that keys have
 // touched. The gauge is back at its base after release.
 func TestKeySetGrowthHoldsOneTable(t *testing.T) {
-	for _, doubling := range []bool{false, true} {
-		t.Run(fmt.Sprintf("doubling=%v", doubling), func(t *testing.T) {
+	for _, share := range []int{1, 4} {
+		t.Run(fmt.Sprintf("share=%d", share), func(t *testing.T) {
 			base := obsTableBytes.Value()
-			const size = mapTableBytes / 8
+			size := max(mapTableBytes/8, 4*rehashPiece)
 			s := newKeySet(size)
-			s.doubling = doubling
+			s.share = share
 			if s.mem == nil {
 				t.Skip("tables are mapped off the heap only on Linux")
 			}
@@ -269,7 +274,7 @@ func TestKeySetGrowthHoldsOneTable(t *testing.T) {
 						touched++
 					}
 				}
-				if held := oldHeld + int64(8*page*touched); held > newBytes+8*rehashPiece {
+				if held := oldHeld + int64(8*page*touched); held > newBytes+int64(8*rehashPiece) {
 					t.Fatalf("piece %d: %d bytes held (%d of the old table, %d pages of the new), want at most the new table's %d plus a piece",
 						pieces, held, oldHeld, touched, newBytes)
 				}
@@ -279,7 +284,7 @@ func TestKeySetGrowthHoldsOneTable(t *testing.T) {
 					keys = append(keys, k)
 				}
 			}
-			if want := rampOf(size, doubling); len(s.slots) != want || s.mem == nil {
+			if want := rampOf(size, share); len(s.slots) != want || s.mem == nil {
 				t.Fatalf("grew to %d slots (mapped: %v), want %d mapped", len(s.slots), s.mem != nil, want)
 			}
 			if pieces != size/rehashPiece {

@@ -131,9 +131,13 @@ func TestLanesBudget(t *testing.T) {
 // level widths sit below, on and above serialLevelThreshold and whose widest
 // level generates more successors than one round stages, under owner
 // functions from even to degenerate: every state on one lane, every state
-// on the last partition, two partitions only (most lanes empty), and the
-// real hash. State (level l, index i) is l<<32 | i+1; violators maps a
-// state to the application that misses its deadline there.
+// on the last partition, two partitions only (most lanes empty), partitions
+// by level, and the real hash. State (level l, index i) is l<<32 | i+1;
+// violators maps a state to the application that misses its deadline there.
+// The lanes route by hashKey, so a planted owner function stores state x as
+// the word unmix(h), where h is a 53-bit scramble of x with the partition
+// bits above it set by the owner function: the tables still probe from mixed
+// low bits, and the successor function reads x back from the hash.
 func TestLanesSyntheticGraph(t *testing.T) {
 	widths := []int{1, 3, serialLevelThreshold - 1, serialLevelThreshold, serialLevelThreshold + 1, 40, 2000, 3 * stageCap / 2, 700, 1}
 	// succ appends s's successors to out; lanes call it concurrently.
@@ -156,12 +160,28 @@ func TestLanesSyntheticGraph(t *testing.T) {
 	}
 	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{})
 	const unlimited = 1 << 30
-	run := func(lanes int, hash func(uint64) uint64, violators map[uint64]int, max int) (Result, error) {
+	at := func(l, i int) uint64 { return uint64(l)<<32 | uint64(i+1) }
+	// A coder stores each state under an owner function: word is state x's
+	// word, state the state of word w. The real hash stores x as itself.
+	type coder struct{ word, state func(uint64) uint64 }
+	self := func(x uint64) uint64 { return x }
+	const low53 = 1<<53 - 1
+	planted := func(bits func(x uint64) uint64) coder {
+		return coder{
+			word:  func(x uint64) uint64 { return unmix(bits(x) | scramble(x)) },
+			state: func(w uint64) uint64 { return unscramble(hashKey(w) & low53) },
+		}
+	}
+	run := func(lanes int, c coder, violators map[uint64]int, max int) (Result, error) {
 		v.cfg.MaxStates = max
-		return runLanes(v, lanes, 1, func(_ *Verifier, s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
-			out, app := succ(violators, s, out)
+		return runLanes(v, lanes, c.word(1), func(_ *Verifier, w uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+			n := len(out)
+			out, app := succ(violators, c.state(w), out)
+			for i := n; i < len(out); i++ {
+				out[i] = c.word(out[i])
+			}
 			return out, masks, app
-		}, hash)
+		})
 	}
 	var buf []uint64
 	want, werr, visited, levels := refSearch(uint64(1), unlimited, func(s uint64) ([]uint64, int) {
@@ -174,36 +194,45 @@ func TestLanesSyntheticGraph(t *testing.T) {
 			t.Fatalf("level %d of the synthetic graph has %d states, want %d", l, levels[l], w)
 		}
 	}
-	state := func(l, i int) uint64 { return uint64(l)<<32 | uint64(i+1) }
-	owners := map[string]func(uint64) uint64{
-		"hashKey":       hashKey,
-		"allOnFirst":    func(uint64) uint64 { return 0 },
-		"allOnLast":     func(uint64) uint64 { return ^uint64(0) },
-		"twoPartitions": func(k uint64) uint64 { return k << 63 },
-		"byLevel":       func(k uint64) uint64 { return k >> 32 << 61 },
+	// A state's lane is part of its hash's bits 26..57; the top five of
+	// them pick it for any lane count up to 20.
+	owners := map[string]coder{
+		"hashKey":       {self, self},
+		"allOnFirst":    planted(func(uint64) uint64 { return 0 }),
+		"allOnLast":     planted(func(uint64) uint64 { return 0x1f << 53 }),
+		"twoPartitions": planted(func(x uint64) uint64 { return x & 1 << 57 }),
+		"byLevel":       planted(func(x uint64) uint64 { return x >> 32 << 54 }),
 	}
-	for name, hash := range owners {
+	for name, c := range owners {
 		for _, lanes := range []int{1, 2, 3, 8, 20} {
-			got, gerr := run(lanes, hash, nil, unlimited)
+			got, gerr := run(lanes, c, nil, unlimited)
 			sameVerdict(t, fmt.Sprintf("%s lanes=%d", name, lanes), got, gerr, want, werr)
 
 			// Three violating states in level 6 and one in level 7: the
-			// verdict is level 6's smallest, whichever lanes own them.
-			viol := map[uint64]int{state(6, 1500): 4, state(6, 77): 2, state(6, 1999): 1, state(7, 0): 3}
-			got, gerr = run(lanes, hash, viol, unlimited)
-			if gerr != nil || got.Schedulable || got.Depth != 6 || got.Violator != 2 || got.States != 1+3+511+512+513+40+2000 {
-				t.Fatalf("%s lanes=%d: %+v, %v; want violator 2 at depth 6 after the 3580 states of levels 0..6", name, lanes, got, gerr)
+			// verdict is the violator of level 6's smallest word, whichever
+			// lanes own them.
+			viol := map[uint64]int{at(6, 1500): 4, at(6, 77): 2, at(6, 1999): 1, at(7, 0): 3}
+			wantApp := -1
+			var least uint64
+			for x, app := range viol {
+				if w := c.word(x); x>>32 == 6 && (wantApp < 0 || w < least) {
+					wantApp, least = app, w
+				}
+			}
+			got, gerr = run(lanes, c, viol, unlimited)
+			if gerr != nil || got.Schedulable || got.Depth != 6 || got.Violator != wantApp || got.States != 1+3+511+512+513+40+2000 {
+				t.Fatalf("%s lanes=%d: %+v, %v; want violator %d at depth 6 after the 3580 states of levels 0..6", name, lanes, got, gerr, wantApp)
 			}
 
 			// A violator late in the widest level, which takes several
 			// rounds: the rounds before have inserted their successors.
-			got, gerr = run(lanes, hash, map[uint64]int{state(7, widths[7]-1): 5}, unlimited)
+			got, gerr = run(lanes, c, map[uint64]int{at(7, widths[7]-1): 5}, unlimited)
 			if gerr != nil || got.Schedulable || got.Depth != 7 || got.Violator != 5 || got.States != 3580+widths[7] {
 				t.Fatalf("%s lanes=%d: %+v, %v; want violator 5 at depth 7", name, lanes, got, gerr)
 			}
 
 			for _, max := range []int{1, 600, len(visited) / 2, len(visited) - 1} {
-				got, gerr = run(lanes, hash, nil, max)
+				got, gerr = run(lanes, c, nil, max)
 				if !errors.Is(gerr, ErrTooLarge) || got.States <= max || got.States > len(visited) {
 					t.Fatalf("%s lanes=%d MaxStates=%d: %d states, %v", name, lanes, max, got.States, gerr)
 				}
@@ -232,4 +261,43 @@ func TestLanesPins(t *testing.T) {
 			}
 		}
 	}
+}
+
+// unmix is the inverse of mix: mix(unmix(h)) == h.
+func unmix(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= invMix2
+	x ^= x>>27 ^ x>>54
+	x *= invMix1
+	x ^= x>>30 ^ x>>60
+	return x
+}
+
+// scramble is a bijection of the 53-bit words whose low bits depend on
+// every bit of x; unscramble inverts it. (x ^= x>>27 is its own inverse
+// below 2⁵³.)
+func scramble(x uint64) uint64 {
+	x = x * golden & (1<<53 - 1)
+	return x ^ x>>27
+}
+
+func unscramble(x uint64) uint64 {
+	x ^= x >> 27
+	return x * invGolden & (1<<53 - 1)
+}
+
+const golden = 0x9e3779b97f4a7c15
+
+// The multiplicative inverses, modulo 2⁶⁴, of mix's two multipliers and of
+// scramble's.
+var invMix1, invMix2, invGolden = inverse(0xbf58476d1ce4e5b9), inverse(0x94d049bb133111eb), inverse(golden)
+
+// inverse is the multiplicative inverse of an odd c modulo 2⁶⁴ (Newton's
+// iteration doubles the correct low bits: 3, 6, …, 96).
+func inverse(c uint64) uint64 {
+	inv := c
+	for range 5 {
+		inv *= 2 - c*inv
+	}
+	return inv
 }

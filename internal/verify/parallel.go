@@ -75,7 +75,6 @@ type lane struct {
 type Lanes struct {
 	v          *Verifier
 	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)
-	hash       func(uint64) uint64 // routes states: shard and lane
 	lanes      []lane
 
 	owners [NumShards]uint8
@@ -96,10 +95,9 @@ type Lanes struct {
 // newLanes builds a node of p lanes (clamped to 1..maxLanes) owning every
 // shard, reset for a search under the verifier's budget.
 func newLanes(v *Verifier, p int,
-	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int),
-	hash func(uint64) uint64) *Lanes {
+	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) *Lanes {
 	p = min(max(p, 1), maxLanes)
-	e := &Lanes{v: v, successors: successors, hash: hash, lanes: make([]lane, p)}
+	e := &Lanes{v: v, successors: successors, lanes: make([]lane, p)}
 	for i := range e.lanes {
 		e.lanes[i].out = make([][]uint64, p, p+outPad)
 	}
@@ -115,9 +113,8 @@ func newLanes(v *Verifier, p int,
 // packed state (the uint64 order), a property of the level alone; States
 // is then the size of levels 0..Depth.
 func runLanes(v *Verifier, n int, init uint64,
-	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int),
-	hash func(uint64) uint64) (Result, error) {
-	e := newLanes(v, n, successors, hash)
+	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) (Result, error) {
+	e := newLanes(v, n, successors)
 	defer e.Release()
 	e.Absorb([][]uint64{{init}})
 	res := Result{Schedulable: true}
@@ -158,25 +155,29 @@ type LaneStats struct {
 
 // NewLanes returns a node of p lanes over the expander's set, owning every
 // shard until Reset says otherwise.
-func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p, successors, hashKey) }
+func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p, successors) }
 
 // Reset empties the node for a new search as node self of nodes, owning
 // the contiguous shards [self·NumShards/nodes, (self+1)·NumShards/nodes),
-// with a budget of maxStates fresh states. Every lane gets a fresh table of
-// setCap/P slots, growing by doubling alone: a table lives as long as the
-// search that fills it, and what an earlier search grew is released here
-// if Release has not done it already.
+// with a budget of maxStates fresh states. Every lane gets a fresh table,
+// one of P·nodes that share the search's states: it starts at setCap/(P·nodes)
+// slots and grows on the sequential table's schedule scaled by that share
+// (keySet.grow), so a node's tables follow the sequential table's sizes
+// divided by the node count. A table lives as long as the search that fills
+// it, and what an earlier search grew is released here if Release has not
+// done it already.
 func (e *Lanes) Reset(nodes, self, maxStates int) {
 	for s := range e.owners {
 		e.owners[s] = uint8(s * nodes / NumShards)
 	}
 	e.self = self
+	share := len(e.lanes) * nodes
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		l.table.release()
-		l.table = *newKeySet(setCap / len(e.lanes))
+		l.table = *newKeySet(setCap / share)
 		l.table.budget(maxStates)
-		l.table.doubling = true
+		l.table.share = share
 		l.frontier.release(&l.pool)
 		l.next.release(&l.pool)
 		l.pos, l.prev, l.violApp = 0, 0, -1
@@ -384,7 +385,7 @@ func (e *Lanes) absorb(i int) {
 // every other one to the staging buffer of its lane.
 func (e *Lanes) route(l *lane, keys []uint64) {
 	for _, k := range keys {
-		h := e.hash(k)
+		h := hashKey(k)
 		if d := int(e.owners[ShardOf(h)]); d != e.self {
 			l.foreign[d] = append(l.foreign[d], k)
 			continue

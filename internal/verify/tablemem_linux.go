@@ -3,6 +3,8 @@
 package verify
 
 import (
+	"bytes"
+	"os"
 	"syscall"
 	"unsafe"
 )
@@ -67,4 +69,18 @@ func freeTable(table []uint64, mem []byte) {
 	if err := syscall.Munmap(mem); err != nil {
 		panic("verify: unmapping a visited-set table: " + err.Error()) // only a bug passes a mapping twice
 	}
+}
+
+// tablePiece is rehashPiece: a huge page of slots unless transparent huge
+// pages are off ("[never]", or no such setting), else smallPiece. Tables are
+// advised MADV_HUGEPAGE, so under "always" and "madvise" a touched table is
+// backed by huge pages, and handing one back in smaller pieces splits each
+// first: a 4 MiB table took 0.46–0.50 ms in 64 KiB pieces against 0.03 ms
+// in 2 MiB ones. On small pages a smaller piece holds less per growth.
+func tablePiece() int {
+	b, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	if err != nil || bytes.Contains(b, []byte("[never]")) {
+		return smallPiece
+	}
+	return hugePage / 8
 }

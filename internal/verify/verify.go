@@ -348,11 +348,11 @@ func (v *Verifier) dispatch() (Result, error) {
 	if workers == 1 {
 		return runSequential(v, initialState(v), successors)
 	}
-	return runLanes(v, workers, initialState(v), successors, hashKey)
+	return runLanes(v, workers, initialState(v), successors)
 }
 
-// setCap is the initial capacity of a search's visited set, 512 KB; the
-// parallel search splits it across its lanes.
+// setCap is the initial capacity of a search's visited set, 512 KB; a
+// table that holds a share s of the search's states starts at setCap/s.
 const setCap = 1 << 16
 
 // LevelReserve estimates how many fresh states the coming level will

@@ -504,6 +504,7 @@ var deletedMechanisms = []struct {
 	{`scheduleEnds|traced re-run`, ".", false, "no labelled traced re-run in verifyslot"},
 	{`\b(DefaultVerify|syntheticAdmission|syntheticCacheKey|admissionStats|slotVerify)\b`, ".", true, "a slot set becomes an admission bit in mapping.Admission alone (DESIGN.md §1, \"Admission cache\")"},
 	{`\b(minParts|collectAfterStates|TestServiceCollectsAfterLargeVerdict)\b`, ".", true, "a lane keeps one table, mapped off the heap past 2 MiB: no 16-way partitions, no forced collection (DESIGN.md §1, \"Memory shape\")"},
+	{`\bdoubling +bool|\.doubling\b|hash +func\(uint64\) uint64`, "internal/verify", false, "every visited table grows on one schedule scaled by its share of the search, and the lanes route by hashKey alone (DESIGN.md §4, \"Table memory\", Growth)"},
 	{`FaultTolerance +bool`, "internal/verify", false, "recovery is the cluster's one behaviour, in every dverify.Runner hook: no switch on verify.Config"},
 	{`HTTPClient|RetryBackoff +time|BreakerCooldown +time`, "internal/admit", false, "the service has no backend retry or breaker, so no timings for them"},
 	{`FaultTolerantRunner|RetryAttempts|BreakerThreshold|type Recover struct|recoverTo|reassignOwners|checkOwners|\bEra +int`, ".", true,
