@@ -13,7 +13,8 @@
 // document instead of grepping rate= out of the stats line. -tracefile
 // writes the same trace to a file while keeping the text output, so CI
 // can assert on both. Both flags record the run with an internal/obs
-// trace; level spans come from whichever driver ran (local or distributed).
+// trace; its level spans are the result's level vector (verify.Result.Levels),
+// which every engine, local or distributed, fills.
 //
 // The verdict is computed with the local search -workers asks for (the
 // sequential BFS for 1, owner-partitioned parallel lanes otherwise), or

@@ -36,9 +36,9 @@ func newSessionID() uint64 {
 // polled at the level with the states it is owed for it, and polled again
 // while its answer is interim — until a round finds a violation, trips a
 // budget or leaves the next level empty, and a Finish round collects final
-// counters. The trace (nil-safe) gains the per-level frontier sizes (from
-// the workers' FreshByLevel snapshots), one NodeSpan per worker and the
-// round count.
+// counters: the workers' FreshByLevel, summed through Depth, are the
+// result's Levels and States. The trace (nil-safe) gains one NodeSpan per
+// worker and the round count.
 //
 // A death in the Init round or a level round — a transport error, no
 // answer within meshDeathTimeout, a peer's LinkDown report, a worker Err in
@@ -161,8 +161,7 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 		resps[d] = last[d]
 	}
 	tr.observe(resps)
-	res.States, res.Transitions = tr.fresh, tr.transitions
-	res.Depth, res.Wire = tr.maxFresh, tr.wire
+	res.Transitions, res.Depth, res.Wire = tr.transitions, tr.maxFresh, tr.wire
 	// Like the local search, a recorded violation is preferred over
 	// ErrTooLarge when the budget trips: the verdict is sound, but on the
 	// budget edge the violator may not be the level minimum a larger budget
@@ -171,9 +170,12 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 		res.Schedulable = false
 		res.Violator = tr.violApp
 		res.Depth = level
-		res.States = statesThrough(resps, level)
 	}
-	foldMeshTrace(r.trace, resps, live, r.rounds+rounds+1, res.Depth)
+	res.Levels = levels(resps, res.Depth)
+	for _, n := range res.Levels {
+		res.States += n
+	}
+	foldMeshTrace(r.trace, resps, live, r.rounds+rounds+1)
 	if tr.tooLarge && !tr.haveViol {
 		// Report the partial exploration: budget-busted admission checks
 		// still count their states and wire volume.

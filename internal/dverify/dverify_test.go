@@ -83,15 +83,17 @@ var equivalenceCases = []struct {
 }
 
 // checkMatchesLocal asserts one distributed result against the local
-// parallel search: bit-identical verdict; on exhaustively-searched
-// (schedulable) sets identical state/transition/depth counts; on
-// violations the same minimal violator (minimum violating packed state of
-// the first violating level) and the same first-violating-level depth.
+// parallel search: bit-identical verdict and levels 0..Depth; on
+// exhaustively-searched (schedulable) sets identical state/transition/depth
+// counts; on violations the same minimal violator (minimum violating packed
+// state of the first violating level) and the same first-violating-level
+// depth.
 func checkMatchesLocal(t *testing.T, label string, dist, local verify.Result) {
 	t.Helper()
 	if dist.Schedulable != local.Schedulable {
 		t.Errorf("%s: schedulable=%v, local=%v", label, dist.Schedulable, local.Schedulable)
 	}
+	sameLevels(t, label, dist, local)
 	if local.Schedulable {
 		if dist.States != local.States || dist.Transitions != local.Transitions || dist.Depth != local.Depth {
 			t.Errorf("%s: counts (%d,%d,%d), local (%d,%d,%d)", label,
@@ -104,6 +106,38 @@ func checkMatchesLocal(t *testing.T, label string, dist, local verify.Result) {
 		if dist.Depth != local.Depth {
 			t.Errorf("%s: violation depth=%d, local=%d", label, dist.Depth, local.Depth)
 		}
+	}
+}
+
+// checkLevels asserts that res.Levels covers levels 0..Depth and sums to
+// States.
+func checkLevels(t *testing.T, label string, res verify.Result) bool {
+	t.Helper()
+	sum := 0
+	for _, n := range res.Levels {
+		sum += n
+	}
+	if len(res.Levels) <= res.Depth || sum != res.States {
+		t.Errorf("%s: %d levels summing to %d states, for depth %d and %d states", label, len(res.Levels), sum, res.Depth, res.States)
+		return false
+	}
+	return true
+}
+
+// sameLevels asserts that both results' Levels sum to their States and
+// that got's levels 0..Depth are want's, from the first that differs.
+func sameLevels(t *testing.T, label string, got, want verify.Result) {
+	t.Helper()
+	if !checkLevels(t, label, got) || !checkLevels(t, label+" (want)", want) {
+		return
+	}
+	g, w := got.Levels[:got.Depth+1], want.Levels[:want.Depth+1]
+	k := 0
+	for k < len(g) && k < len(w) && g[k] == w[k] {
+		k++
+	}
+	if k < len(g) || k < len(w) {
+		t.Errorf("%s: levels differ from level %d on: %v, want %v", label, k, g[k:], w[k:])
 	}
 }
 

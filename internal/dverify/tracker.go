@@ -10,7 +10,6 @@ import (
 // pure bookkeeping (no I/O), and the one place a total is derived from the
 // answers' per-level commits and per-peer shipments.
 type meshTracker struct {
-	fresh       int
 	transitions int
 	maxFresh    int
 	tooLarge    bool
@@ -30,8 +29,7 @@ func (t *meshTracker) observe(resps []*Response) {
 	*t = meshTracker{violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}, live: t.live}
 	addShipments(&t.wire, resps, t.live)
 	for _, r := range resps {
-		fresh, deepest := r.fresh()
-		t.fresh += fresh
+		_, deepest := r.fresh()
 		t.maxFresh = max(t.maxFresh, deepest)
 		t.transitions += r.Transitions
 		t.tooLarge = t.tooLarge || r.TooLarge
@@ -99,29 +97,25 @@ func nextRound(resps []*Response, expect []int, level int) bool {
 	return more
 }
 
-// statesThrough sums the nodes' commits to levels 0..depth: a violating
-// run's States, the local searches' count up to the violating level (the
-// nodes that found no violation there have already committed some of the
-// next).
-func statesThrough(resps []*Response, depth int) int {
-	n := 0
+// levels sums the nodes' commits per level through depth: the run's
+// Result.Levels. A violating run stops at its level (the nodes that found
+// no violation there have already committed some of the next); every other
+// run's commits all lie within depth, the deepest level holding one.
+func levels(resps []*Response, depth int) []int {
+	out := make([]int, depth+1)
 	for _, r := range resps {
-		for _, v := range r.FreshByLevel[:min(len(r.FreshByLevel), depth+1)] {
-			n += v
+		for l, v := range r.FreshByLevel[:min(len(r.FreshByLevel), depth+1)] {
+			out[l] += v
 		}
 	}
-	return n
+	return out
 }
 
-// foldMeshTrace folds the final attempt's answers into the run trace: each
-// worker's cumulative per-level fresh commits sum (across nodes) to the
-// global frontier size of every BFS level through depth — the same
-// per-level counts the local drivers record — plus one NodeSpan per worker
-// (states it shipped, and states shipped to it), named by cluster node
-// (live), and the round count. Per-level
-// transitions are not attributed in the mesh (workers count them per
-// session, not per level), so the spans carry states only.
-func foldMeshTrace(trace *obs.Trace, resps []*Response, live []int, rounds, depth int) {
+// foldMeshTrace folds the final attempt's answers into the run trace: one
+// NodeSpan per worker (states it committed and shipped, and states shipped
+// to it), named by cluster node (live), and the round count. The level
+// spans come from Result.Levels, as on every engine.
+func foldMeshTrace(trace *obs.Trace, resps []*Response, live []int, rounds int) {
 	if trace == nil {
 		return
 	}
@@ -132,11 +126,6 @@ func foldMeshTrace(trace *obs.Trace, resps []*Response, live []int, rounds, dept
 		}
 	}
 	for i, r := range resps {
-		for l, v := range r.FreshByLevel[:min(len(r.FreshByLevel), depth+1)] {
-			if v > 0 {
-				trace.AddLevel(l, v, 0)
-			}
-		}
 		fresh, deepest := r.fresh()
 		trace.AddNode(live[i], fresh, deepest, r.routed(), recv[i])
 	}

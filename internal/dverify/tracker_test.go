@@ -18,8 +18,9 @@ import (
 // and per-peer shipments only, and every total of a run is derived from
 // them. On two and four loopback nodes and on two TCP workers, for S1, for
 // V5 (a violation at depth 12) and for S1 over a per-node budget, the
-// result's States is the nodes' FreshByLevel summed through Depth (the
-// trace's level spans) and the local search's count, the states each node
+// result's Levels are the nodes' FreshByLevel summed through Depth, sum to
+// its States (the local search's count) and are the trace's level spans,
+// the states each node
 // shipped sum to RoutedStates as the states shipped to each node and the
 // per-link counts do, and both byte counts are 8 B per routed state. The
 // same sums hold across a recovery (the last case).
@@ -52,7 +53,7 @@ func TestMeshTotalsAreDerived(t *testing.T) {
 		}{{"S1", 0, s1}, {"V5", 0, v5}, {"S1 over budget", 200_000, s1}} {
 			label := fmt.Sprintf("%s, %s", c.name, tc.name)
 			tr := obs.NewTrace("")
-			res, err := run(tc.ps, verify.Config{NondetTies: true, Workers: 2, MaxStates: tc.maxStates, RunTrace: tr})
+			res, err := verify.Slot(tc.ps, verify.Config{NondetTies: true, Workers: 2, MaxStates: tc.maxStates, RunTrace: tr, Distributed: run})
 			switch {
 			case tc.maxStates > 0:
 				if !errors.Is(err, verify.ErrTooLarge) || res.States <= tc.maxStates {
@@ -65,9 +66,7 @@ func TestMeshTotalsAreDerived(t *testing.T) {
 			case tc.name == "V5" && (res.Schedulable || res.States != 478_335 || res.Depth != 12 || tc.ps[res.Violator].Name != "C4"):
 				t.Fatalf("%s: %+v, want C4 at depth 12 after 478335 states", label, res)
 			}
-			if got := tr.LevelStates(); got != res.States {
-				t.Errorf("%s: the nodes commit %d states through depth %d, the result counts %d", label, got, res.Depth, res.States)
-			}
+			traceHasLevels(t, label, tr, res)
 			if len(tr.Cluster) != len(c.ts) {
 				t.Fatalf("%s: %d node spans", label, len(tr.Cluster))
 			}

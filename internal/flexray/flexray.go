@@ -105,9 +105,6 @@ func NewBus(cfg Config) (*Bus, error) {
 // Config returns the bus configuration.
 func (b *Bus) Config() Config { return b.cfg }
 
-// Cycle returns the current cycle number.
-func (b *Bus) Cycle() int { return b.cycle }
-
 // AddFrame registers a frame, initially routed through the dynamic segment.
 func (b *Bus) AddFrame(f Frame) error {
 	if _, dup := b.frames[f.ID]; dup {

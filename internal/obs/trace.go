@@ -5,12 +5,12 @@ package obs
 // service, or the CLI for direct runs — and rides verify.Config through
 // the engine and dverify's Job onto every mesh worker, so one grep joins
 // the front door's log line, the coordinator's epochs and each worker's
-// session. The trace itself is coordinator-side: the engine's drivers
-// record one LevelSpan per BFS level, the mesh coordinator folds each
-// node's per-level fresh-commit counts, per-node totals and per-link wire
-// counters in, and the finished trace serializes as structured JSON — a
-// -tracefile report whose per-level state counts sum exactly to the run's
-// visited-state total.
+// session. The trace itself is coordinator-side: the engine writes one
+// LevelSpan per entry of the run's level vector (verify.Result.Levels)
+// and its per-link wire counters when the run ends, the mesh coordinator
+// adds per-node totals, and the finished trace serializes as structured
+// JSON — a -tracefile report whose per-level state counts sum exactly to
+// the run's visited-state total.
 
 import (
 	"crypto/rand"
@@ -44,12 +44,10 @@ func NewRunID() string {
 
 // LevelSpan is the per-BFS-level record of a run: States counts the
 // states whose BFS depth is exactly Level (every visited state lands in
-// exactly one level, so the spans' States sum to the run total), and
-// Transitions the successors generated expanding that level.
+// exactly one level, so the spans' States sum to the run total).
 type LevelSpan struct {
-	Level       int `json:"level"`
-	States      int `json:"states"`
-	Transitions int `json:"transitions,omitempty"`
+	Level  int `json:"level"`
+	States int `json:"states"`
 }
 
 // NodeSpan is one distributed worker's contribution.
@@ -123,19 +121,17 @@ func NewTrace(runID string) *Trace {
 	return &Trace{RunID: runID, Started: time.Now()}
 }
 
-// AddLevel folds states/transitions into the span for the given level,
-// growing the span table as needed. Called once per level per node, so
-// amortized allocation stays far below the engine's O(1)-per-state gate.
-func (t *Trace) AddLevel(level, states, transitions int) {
-	if t == nil || level < 0 {
+// SetLevels writes one span per entry of a run's level vector: span k
+// holds levels[k], the states first inserted at BFS level k.
+func (t *Trace) SetLevels(levels []int) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	for len(t.Levels) <= level {
-		t.Levels = append(t.Levels, LevelSpan{Level: len(t.Levels)})
+	t.Levels = t.Levels[:0]
+	for k, n := range levels {
+		t.Levels = append(t.Levels, LevelSpan{Level: k, States: n})
 	}
-	t.Levels[level].States += states
-	t.Levels[level].Transitions += transitions
 	t.mu.Unlock()
 }
 
@@ -234,8 +230,8 @@ func (t *Trace) SetSlot(names []string, violator string) {
 	t.mu.Unlock()
 }
 
-// LevelStates sums the per-level state counts — for a completed exhaustive
-// run it equals States (every visited state has exactly one BFS level).
+// LevelStates sums the per-level state counts: the run's visited states
+// (every visited state has exactly one BFS level).
 func (t *Trace) LevelStates() int {
 	if t == nil {
 		return 0

@@ -4,37 +4,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
-
-// TestAddLevelMerge: levels arrive out of order and in fragments (the mesh
-// folds per-node cumulative counts), and AddLevel must grow the span list
-// densely and merge fragments of the same level.
-func TestAddLevelMerge(t *testing.T) {
-	tr := NewTrace("")
-	tr.AddLevel(2, 5, 7)
-	tr.AddLevel(0, 1, 0)
-	tr.AddLevel(2, 3, 2) // second node's share of level 2
-	tr.AddLevel(1, 4, 6)
-	if len(tr.Levels) != 3 {
-		t.Fatalf("levels = %d, want 3 dense spans", len(tr.Levels))
-	}
-	for i, want := range []struct{ states, trans int }{{1, 0}, {4, 6}, {8, 9}} {
-		l := tr.Levels[i]
-		if l.Level != i || l.States != want.states || l.Transitions != want.trans {
-			t.Errorf("level %d = %+v, want states=%d transitions=%d", i, l, want.states, want.trans)
-		}
-	}
-	if got := tr.LevelStates(); got != 13 {
-		t.Errorf("LevelStates = %d, want 13", got)
-	}
-}
 
 // TestTraceNilSafe: every mutator on a nil trace is a no-op — the engine
 // calls them unconditionally, traced or not.
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	tr.AddLevel(0, 1, 1)
+	tr.SetLevels([]int{1})
 	tr.AddNode(0, 1, 1, 0, 0)
 	tr.AddLink(0, 1, 2)
 	tr.SetWire(1)
@@ -50,12 +28,14 @@ func TestTraceNilSafe(t *testing.T) {
 
 // TestTraceRoundTrip: a file written by WriteFile parses back with the
 // spans, and the run ID survives (the file is the cross-process join key).
+// The level spans are the level vector's entries, one per level, and carry
+// states only.
 func TestTraceRoundTrip(t *testing.T) {
 	tr := NewTrace("deadbeef00000000")
 	tr.SetSlot([]string{"C1", "C5"}, "")
 	tr.SetBackend("mesh", 2)
-	tr.AddLevel(0, 1, 0)
-	tr.AddLevel(1, 3, 4)
+	tr.SetLevels([]int{5, 5}) // replaced by the next call
+	tr.SetLevels([]int{1, 3})
 	tr.AddNode(0, 2, 1, 5, 6)
 	tr.AddLink(0, 1, 10)
 	tr.AddLink(0, 1, 2)
@@ -74,6 +54,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	got := &Trace{}
 	if err := json.Unmarshal(b, got); err != nil {
 		t.Fatal(err)
+	}
+	var raw struct{ Levels []map[string]int }
+	if err := json.Unmarshal(b, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if want := []map[string]int{{"level": 0, "states": 1}, {"level": 1, "states": 3}}; !reflect.DeepEqual(raw.Levels, want) {
+		t.Errorf("level spans = %v, want %v", raw.Levels, want)
 	}
 	if got.RunID != "deadbeef00000000" {
 		t.Errorf("run ID = %q", got.RunID)

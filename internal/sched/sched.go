@@ -134,9 +134,6 @@ func NewArbiter(profiles []*switching.Profile, opts Options) *Arbiter {
 // Phase returns application i's phase.
 func (a *Arbiter) Phase(i int) Phase { return a.apps[i].phase }
 
-// Wait returns application i's current wait (valid while Waiting).
-func (a *Arbiter) Wait(i int) int { return a.apps[i].wt }
-
 // Events returns the event log accumulated so far.
 func (a *Arbiter) Events() []Event { return a.events }
 

@@ -147,13 +147,7 @@ func (n *Network) Validate() error {
 	return nil
 }
 
-// Initial returns the initial configuration.
-func (n *Network) Initial() *State {
-	s, _ := n.initial()
-	return s
-}
-
-// initial is Initial as a flatState.
+// initial returns the initial configuration and its flatState.
 func (n *Network) initial() (*State, []int) {
 	s, flat := n.flatState()
 	for i, a := range n.Automata {

@@ -85,8 +85,8 @@ func TestExpansionCoreAllocFree(t *testing.T) {
 // included — must cost far less than one allocation per hundred states.
 // The PR-3 core allocated ~3 per state. The traced subtest runs the same
 // search with the full telemetry plane attached (metrics are always on; a
-// RunTrace adds the per-level spans) under the same budget: telemetry is
-// level-granular, so it must not change the gate.
+// RunTrace adds the level spans, written once from Result.Levels) under
+// the same budget: telemetry is per run, so it must not change the gate.
 func TestSequentialSearchAllocAmortized(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
@@ -256,30 +256,23 @@ func TestLevelStoreAllocBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	t.Run("V5/sequential", func(t *testing.T) {
 		ps := caseProfiles(t, "C1", "C5", "C4", "C3", "C6")
-		tr := obs.NewTrace("")
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := Slot(ps, Config{NondetTies: true, Workers: 1, RunTrace: tr})
+		res, err := Slot(ps, Config{NondetTies: true, Workers: 1})
 		runtime.ReadMemStats(&after)
 		if err != nil || res.States != 681400 {
 			t.Fatalf("V5: %d states (%v), want 681400", res.States, err)
 		}
-		// The trace has every expanded level's width; the search stopped at
-		// the violation with the rest of its states in the next level.
-		var widths []int
-		rest := res.States
-		for _, l := range tr.Levels {
-			widths = append(widths, l.States)
-			rest -= l.States
-		}
-		gate(t, after.TotalAlloc-before.TotalAlloc, append(widths, rest), 2<<20)
+		// The search stopped at the violation with the rest of its states
+		// in the next level, Levels' last entry.
+		gate(t, after.TotalAlloc-before.TotalAlloc, res.Levels, 2<<20)
 	})
 	t.Run("S1/lanes=2", func(t *testing.T) {
 		const lanes = 2
 		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, lanes)
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		e := newLanes(v, lanes, successors)
+		e := newLanes(v, lanes)
 		defer e.Release()
 		e.Absorb([][]uint64{{initialState(v)}})
 		var widths []int

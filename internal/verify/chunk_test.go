@@ -19,23 +19,24 @@ import (
 // refSearch is the per-successor reference search over any successor
 // function: expand one state, stop if it violates, otherwise insert its
 // successors one by one, stopping at the first that exceeds the budget. It
-// returns what the sequential engine must return, the visited states in
-// discovery order, and the size of every level's frontier.
-func refSearch[K comparable](init K, maxStates int, successors func(K) ([]K, int)) (Result, error, []K, []int) {
-	res := Result{Schedulable: true, States: 1}
+// returns what the sequential engine must return — its Levels count each
+// level's states as they are inserted, so a search that stops inside a
+// level ends with that level's part — and the visited states in discovery
+// order.
+func refSearch[K comparable](init K, maxStates int, successors func(K) ([]K, int)) (Result, error, []K) {
+	res := Result{Schedulable: true, States: 1, Levels: []int{1}}
 	seen := map[K]bool{init: true}
 	visited := []K{init}
 	frontier := []K{init}
-	var levels []int
-	for depth := 0; len(frontier) > 0; depth++ {
+	for depth := 0; ; depth++ {
 		res.Depth = depth
-		levels = append(levels, len(frontier))
+		res.Levels = append(res.Levels, 0) // level depth+1, counted as found
 		var next []K
 		for _, s := range frontier {
 			succ, viol := successors(s)
 			if viol >= 0 {
 				res.Schedulable, res.Violator = false, viol
-				return res, nil, visited, levels
+				return res, nil, visited
 			}
 			res.Transitions += len(succ)
 			for _, ns := range succ {
@@ -44,16 +45,27 @@ func refSearch[K comparable](init K, maxStates int, successors func(K) ([]K, int
 				}
 				seen[ns] = true
 				res.States++
+				res.Levels[depth+1]++
 				if res.States > maxStates {
-					return res, ErrTooLarge, visited, levels
+					return res, ErrTooLarge, visited
 				}
 				visited = append(visited, ns)
 				next = append(next, ns)
 			}
 		}
+		if len(next) == 0 {
+			res.Levels = res.Levels[:depth+1]
+			return res, nil, visited
+		}
 		frontier = next
 	}
-	return res, nil, visited, levels
+}
+
+// plant makes the search drivers expand the synthetic graph succ until the
+// test ends.
+func plant(t *testing.T, succ func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) {
+	expandState = succ
+	t.Cleanup(func() { expandState = successors })
 }
 
 // testVerifier builds a sequential Verifier.
@@ -71,14 +83,14 @@ func testVerifier(t testing.TB, ps []*switching.Profile, cfg Config) *Verifier {
 // expands must decode and pack again to the same bits — the fitted layout
 // loses nothing a reachable state holds — and every state it stores must
 // pass CheckWords: a peer's or a disk's copy of it is accepted.
-func refBFS(t testing.TB, ps []*switching.Profile, cfg Config) (Result, error, []PackedState, []int) {
+func refBFS(t testing.TB, ps []*switching.Profile, cfg Config) (Result, error, []PackedState) {
 	t.Helper()
 	v := testVerifier(t, ps, cfg)
 	e := v.Expander()
 	scr := e.NewScratch()
 	var buf []PackedState
 	var hbuf []HashedState
-	res, err, visited, levels := refSearch(e.Initial(), v.cfg.MaxStates, func(s PackedState) ([]PackedState, int) {
+	return refSearch(e.Initial(), v.cfg.MaxStates, func(s PackedState) ([]PackedState, int) {
 		var c cstate
 		v.unpack(uint64(s), &c)
 		if again := PackedState(v.pack(&c)); again != s {
@@ -96,10 +108,10 @@ func refBFS(t testing.TB, ps []*switching.Profile, cfg Config) (Result, error, [
 		}
 		return buf, viol
 	})
-	return res, err, visited, levels
 }
 
-// sameVerdict compares everything the sequential engine promises to keep.
+// sameVerdict compares everything the sequential engine promises to keep:
+// the verdict, the counts and the level vector through Depth.
 func sameVerdict(t *testing.T, name string, got Result, gerr error, want Result, werr error) {
 	t.Helper()
 	if !errors.Is(gerr, werr) {
@@ -108,6 +120,26 @@ func sameVerdict(t *testing.T, name string, got Result, gerr error, want Result,
 	if got.Schedulable != want.Schedulable || got.States != want.States || got.Transitions != want.Transitions ||
 		got.Depth != want.Depth || got.Violator != want.Violator {
 		t.Fatalf("%s:\n engine    %+v\n reference %+v", name, got, want)
+	}
+	checkLevels(t, name+" (reference)", want)
+	checkLevels(t, name, got)
+	for k, n := range want.Levels[:want.Depth+1] {
+		if got.Levels[k] != n {
+			t.Fatalf("%s: level %d holds %d states, reference %d", name, k, got.Levels[k], n)
+		}
+	}
+}
+
+// checkLevels fails unless res.Levels covers levels 0..Depth and sums to
+// States.
+func checkLevels(t *testing.T, name string, res Result) {
+	t.Helper()
+	sum := 0
+	for _, n := range res.Levels {
+		sum += n
+	}
+	if len(res.Levels) <= res.Depth || sum != res.States {
+		t.Fatalf("%s: %d levels summing to %d states, for depth %d and %d states", name, len(res.Levels), sum, res.Depth, res.States)
 	}
 }
 
@@ -137,12 +169,12 @@ func TestSequentialMatchesReferenceBFS(t *testing.T) {
 		{"fleet5/viol/sym", fleet(5, 3, 1, 2, 10), Config{NondetTies: true, SymmetryReduction: true}},
 		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
-		_, _, visited, _ := refBFS(t, c.ps, c.cfg)
+		_, _, visited := refBFS(t, c.ps, c.cfg)
 		n := len(visited)
 		for _, max := range []int{0, 1, 2, seqChunk, seqChunk + 1, n / 2, n - 1, n} {
 			cfg := c.cfg
 			cfg.MaxStates = max
-			want, werr, _, _ := refBFS(t, c.ps, cfg)
+			want, werr, _ := refBFS(t, c.ps, cfg)
 			got, gerr := testVerifier(t, c.ps, cfg).Run()
 			name := fmt.Sprintf("%s MaxStates=%d", c.name, max)
 			sameVerdict(t, name, got, gerr, want, werr)
@@ -184,25 +216,27 @@ func TestSequentialChunkBoundaries(t *testing.T) {
 		}
 	}
 	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{})
+	var succ func(uint64) ([]uint64, int)
+	plant(t, func(_ *Verifier, s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+		ns, viol := succ(s)
+		if viol >= 0 {
+			return out, masks, viol
+		}
+		for _, n := range ns {
+			out, masks = append(out, n), append(masks, 0)
+		}
+		return out, masks, -1
+	})
 	run := func(violator uint64, max int) (Result, error) {
 		v.cfg.MaxStates = max
-		succ := graph(violator)
-		return runSequential(v, 1, func(_ *Verifier, s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
-			ns, viol := succ(s)
-			if viol >= 0 {
-				return out, masks, viol
-			}
-			for _, n := range ns {
-				out, masks = append(out, n), append(masks, 0)
-			}
-			return out, masks, -1
-		})
+		succ = graph(violator)
+		return runSequential(v, 1)
 	}
 	const unlimited = 1 << 30
-	want, werr, visited, levels := refSearch(1, unlimited, graph(0))
+	want, werr, visited := refSearch(1, unlimited, graph(0))
 	for l, w := range widths {
-		if levels[l] != w {
-			t.Fatalf("level %d of the synthetic graph has %d states, want %d", l, levels[l], w)
+		if want.Levels[l] != w {
+			t.Fatalf("level %d of the synthetic graph has %d states, want %d", l, want.Levels[l], w)
 		}
 	}
 	got, gerr := run(0, unlimited)
@@ -217,14 +251,14 @@ func TestSequentialChunkBoundaries(t *testing.T) {
 			}
 			viol := uint64(l)<<32 | uint64(i+1)
 			for _, max := range []int{unlimited, len(visited) / 3} {
-				want, werr, _, _ := refSearch(1, max, graph(viol))
+				want, werr, _ := refSearch(1, max, graph(viol))
 				got, gerr := run(viol, max)
 				sameVerdict(t, fmt.Sprintf("violator (%d,%d) MaxStates=%d", l, i, max), got, gerr, want, werr)
 			}
 		}
 	}
 	for max := 1; max < len(visited); max++ {
-		want, werr, _, _ := refSearch(1, max, graph(0))
+		want, werr, _ := refSearch(1, max, graph(0))
 		got, gerr := run(0, max)
 		sameVerdict(t, fmt.Sprintf("MaxStates=%d", max), got, gerr, want, werr)
 		if got.States != max+1 {
@@ -383,7 +417,7 @@ func addChunkAllocs(t *testing.T) {
 // s1Keys returns the 1,440,712 states of slot S1 in the sequential engine's
 // discovery order — the key stream the visited set sees.
 func s1Keys(b *testing.B) []uint64 {
-	res, err, visited, _ := refBFS(b, caseProfiles(b, "C1", "C5", "C4", "C3"), Config{NondetTies: true})
+	res, err, visited := refBFS(b, caseProfiles(b, "C1", "C5", "C4", "C3"), Config{NondetTies: true})
 	if err != nil || res.States != 1440712 {
 		b.Fatalf("S1 reference search: %+v, %v", res, err)
 	}

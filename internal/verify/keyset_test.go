@@ -204,7 +204,7 @@ func TestKeySetLaneGrowth(t *testing.T) {
 	t.Run("narrow", func(t *testing.T) { checkKeySet(t, 4) })
 	t.Run("S1/workers=2", func(t *testing.T) {
 		v := laneVerifier(t, caseProfiles(t, "C1", "C5", "C4", "C3"), Config{NondetTies: true}, 2)
-		e := newLanes(v, 2, successors)
+		e := newLanes(v, 2)
 		defer e.Release()
 		e.Absorb([][]uint64{{initialState(v)}})
 		for e.Stats().Level > 0 {

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tightcps/internal/switching"
@@ -24,22 +25,23 @@ func laneVerifier(t testing.TB, ps []*switching.Profile, cfg Config, lanes int) 
 
 // lanesWant turns the reference search's outcome into what any lane count
 // must report: the reference itself when the slot is schedulable, otherwise
-// depth and size of the violating level and the violator of its smallest
-// violating state.
+// depth, levels 0..Depth and the violator of the violating level's
+// smallest violating state.
 func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config) Result {
 	t.Helper()
-	want, err, visited, levels := refBFS(t, ps, cfg)
+	want, err, visited := refBFS(t, ps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Schedulable {
 		return want
 	}
+	want.Levels = want.Levels[:want.Depth+1]
 	start := 0
-	for _, w := range levels[:want.Depth] {
+	for _, w := range want.Levels[:want.Depth] {
 		start += w
 	}
-	level := visited[start : start+levels[want.Depth]]
+	level := visited[start : start+want.Levels[want.Depth]]
 	e := testVerifier(t, ps, cfg).Expander()
 	scr := e.NewScratch()
 	var buf []HashedState
@@ -60,7 +62,7 @@ func lanesWant(t *testing.T, ps []*switching.Profile, cfg Config) Result {
 
 // TestLanesMatchReferenceBFS: lanes ∈ {2, 3, 4, 8} × symmetry /
 // deterministic ties against the reference search —
-// States, Transitions and Depth on schedulable slots; Depth, the size of
+// States, Transitions, Depth and Levels on schedulable slots; Depth,
 // levels 0..Depth and the minimum-state violator on violating ones.
 func TestLanesMatchReferenceBFS(t *testing.T) {
 	asym := []*switching.Profile{prof("A", 2, 2, 3, 15), prof("B", 6, 2, 4, 25), prof("C", 9, 3, 5, 30)}
@@ -104,7 +106,7 @@ func TestLanesBudget(t *testing.T) {
 		{"C1C5C6", caseProfiles(t, "C1", "C5", "C6"), Config{NondetTies: true}},
 		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
 	} {
-		want, _, _, _ := refBFS(t, c.ps, c.cfg)
+		want, _, _ := refBFS(t, c.ps, c.cfg)
 		n := want.States
 		for _, lanes := range []int{2, 3, 8} {
 			for _, max := range []int{1, n / 2, n - 1, n} {
@@ -119,6 +121,7 @@ func TestLanesBudget(t *testing.T) {
 				if !errors.Is(err, ErrTooLarge) {
 					t.Fatalf("%s: err %v, want ErrTooLarge", name, err)
 				}
+				checkLevels(t, name, got)
 				if got.States <= max || got.States > n {
 					t.Fatalf("%s: stopped at %d states, want more than the budget and at most %d", name, got.States, n)
 				}
@@ -172,27 +175,28 @@ func TestLanesSyntheticGraph(t *testing.T) {
 			state: func(w uint64) uint64 { return unscramble(hashKey(w) & low53) },
 		}
 	}
-	run := func(lanes int, c coder, violators map[uint64]int, max int) (Result, error) {
-		v.cfg.MaxStates = max
-		return runLanes(v, lanes, c.word(1), func(_ *Verifier, w uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
-			n := len(out)
-			out, app := succ(violators, c.state(w), out)
-			for i := n; i < len(out); i++ {
-				out[i] = c.word(out[i])
-			}
-			return out, masks, app
-		})
+	var coding coder
+	var violators map[uint64]int
+	plant(t, func(_ *Verifier, w uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+		n := len(out)
+		out, app := succ(violators, coding.state(w), out)
+		for i := n; i < len(out); i++ {
+			out[i] = coding.word(out[i])
+		}
+		return out, masks, app
+	})
+	run := func(lanes int, c coder, viol map[uint64]int, max int) (Result, error) {
+		v.cfg.MaxStates, coding, violators = max, c, viol
+		return runLanes(v, lanes, c.word(1))
 	}
 	var buf []uint64
-	want, werr, visited, levels := refSearch(uint64(1), unlimited, func(s uint64) ([]uint64, int) {
+	want, werr, visited := refSearch(uint64(1), unlimited, func(s uint64) ([]uint64, int) {
 		var app int
 		buf, app = succ(nil, s, buf[:0])
 		return buf, app
 	})
-	for l, w := range widths {
-		if levels[l] != w {
-			t.Fatalf("level %d of the synthetic graph has %d states, want %d", l, levels[l], w)
-		}
+	if !slices.Equal(want.Levels, widths) {
+		t.Fatalf("the synthetic graph's levels hold %v states, want %v", want.Levels, widths)
 	}
 	// A state's lane is part of its hash's bits 26..57; the top five of
 	// them pick it for any lane count up to 20.
@@ -205,8 +209,9 @@ func TestLanesSyntheticGraph(t *testing.T) {
 	}
 	for name, c := range owners {
 		for _, lanes := range []int{1, 2, 3, 8, 20} {
+			label := fmt.Sprintf("%s lanes=%d", name, lanes)
 			got, gerr := run(lanes, c, nil, unlimited)
-			sameVerdict(t, fmt.Sprintf("%s lanes=%d", name, lanes), got, gerr, want, werr)
+			sameVerdict(t, label, got, gerr, want, werr)
 
 			// Three violating states in level 6 and one in level 7: the
 			// verdict is the violator of level 6's smallest word, whichever
@@ -220,22 +225,25 @@ func TestLanesSyntheticGraph(t *testing.T) {
 				}
 			}
 			got, gerr = run(lanes, c, viol, unlimited)
-			if gerr != nil || got.Schedulable || got.Depth != 6 || got.Violator != wantApp || got.States != 1+3+511+512+513+40+2000 {
-				t.Fatalf("%s lanes=%d: %+v, %v; want violator %d at depth 6 after the 3580 states of levels 0..6", name, lanes, got, gerr, wantApp)
+			if gerr != nil || got.Schedulable || got.Depth != 6 || got.Violator != wantApp || !slices.Equal(got.Levels, widths[:7]) {
+				t.Fatalf("%s: %+v, %v; want violator %d at depth 6 after the 3580 states of levels 0..6", label, got, gerr, wantApp)
 			}
+			checkLevels(t, label, got)
 
 			// A violator late in the widest level, which takes several
 			// rounds: the rounds before have inserted their successors.
 			got, gerr = run(lanes, c, map[uint64]int{at(7, widths[7]-1): 5}, unlimited)
-			if gerr != nil || got.Schedulable || got.Depth != 7 || got.Violator != 5 || got.States != 3580+widths[7] {
-				t.Fatalf("%s lanes=%d: %+v, %v; want violator 5 at depth 7", name, lanes, got, gerr)
+			if gerr != nil || got.Schedulable || got.Depth != 7 || got.Violator != 5 || !slices.Equal(got.Levels, widths[:8]) {
+				t.Fatalf("%s: %+v, %v; want violator 5 at depth 7", label, got, gerr)
 			}
+			checkLevels(t, label, got)
 
 			for _, max := range []int{1, 600, len(visited) / 2, len(visited) - 1} {
 				got, gerr = run(lanes, c, nil, max)
 				if !errors.Is(gerr, ErrTooLarge) || got.States <= max || got.States > len(visited) {
-					t.Fatalf("%s lanes=%d MaxStates=%d: %d states, %v", name, lanes, max, got.States, gerr)
+					t.Fatalf("%s MaxStates=%d: %d states, %v", label, max, got.States, gerr)
 				}
+				checkLevels(t, label, got)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ var (
 	obsTransitions = obs.NewCounter("tightcps_verify_transitions_total",
 		"Transitions generated across completed and budget-exceeded verification runs.")
 	obsLevels = obs.NewCounter("tightcps_verify_levels_total",
-		"BFS levels expanded by local search drivers.")
+		"BFS levels expanded (Result.Depth + 1) across completed and budget-exceeded verification runs, local and distributed.")
 	obsViolations = obs.NewCounter("tightcps_verify_violations_total",
 		"Completed runs whose verdict was a deadline violation.")
 	obsErrors = obs.NewCounter("tightcps_verify_errors_total",
@@ -75,33 +75,39 @@ func wireCounter(from, to int) *obs.Counter {
 	return c
 }
 
-// recordRun folds one completed run into the engine metrics and finishes
-// the run trace, if one rides the config. Runs once per Run call — the
-// only allocations (first-sighting link registration, trace finalization)
-// are per-run and only on distributed/traced runs.
+// recordRun is the one place a run turns into telemetry: it folds the
+// result into the engine metrics and writes the run trace, if one rides
+// the config, from the result alone. Runs once per Run call — the only
+// allocations (first-sighting link registration, the trace) are per-run
+// and only on distributed/traced runs.
 func (v *Verifier) recordRun(res Result, err error) {
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrTooLarge):
+		// A budget-exceeded run did real work: its levels, states and
+		// transitions count too.
 		obsErrors.Inc()
-		// A budget-exceeded run did real work — its levels are already in
-		// obsLevels — so the states it explored count too.
-		if errors.Is(err, ErrTooLarge) {
-			obsBudgetExceeded.Inc()
-			obsStates.Add(uint64(res.States))
-			obsTransitions.Add(uint64(res.Transitions))
-		}
+		obsBudgetExceeded.Inc()
+	case err != nil:
+		obsErrors.Inc()
 		return
+	default:
+		obsRuns.Inc()
+		if !res.Schedulable {
+			obsViolations.Inc()
+		}
+		for _, l := range res.Wire.Links {
+			wireCounter(l.From, l.To).Add(uint64(l.States))
+		}
 	}
-	obsRuns.Inc()
 	obsStates.Add(uint64(res.States))
 	obsTransitions.Add(uint64(res.Transitions))
-	if !res.Schedulable {
-		obsViolations.Inc()
-	}
-	for _, l := range res.Wire.Links {
-		wireCounter(l.From, l.To).Add(uint64(l.States))
-	}
+	obsLevels.Add(uint64(res.Depth + 1))
 	tr := v.cfg.RunTrace
 	if tr == nil {
+		return
+	}
+	tr.SetLevels(res.Levels)
+	if err != nil {
 		return
 	}
 	tr.SetWire(res.Wire.RoutedStates)

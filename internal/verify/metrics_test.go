@@ -12,7 +12,8 @@ import (
 // obs registry: a run that stops at MaxStates adds the states and
 // transitions it explored to the totals and bumps the budget-exceeded
 // counter (and the error counter, as before); a run that fails for another
-// reason still adds nothing. Deltas, because the registry is process-wide.
+// reason still adds nothing; a distributed run adds its levels like a local
+// one. Deltas, because the registry is process-wide.
 func TestBudgetExceededRunIsCounted(t *testing.T) {
 	counters := func() map[string]uint64 {
 		out := map[string]uint64{}
@@ -64,9 +65,30 @@ func TestBudgetExceededRunIsCounted(t *testing.T) {
 		"tightcps_verify_errors_total":          1,
 		"tightcps_verify_states_total":          0,
 		"tightcps_verify_transitions_total":     0,
+		"tightcps_verify_levels_total":          0,
 	} {
 		if got := delta(before, after, name); got != want {
 			t.Errorf("failed run moved %s by %d, want %d", name, got, want)
+		}
+	}
+
+	// A distributed run counts like a local one: Run records it from its
+	// result, levels included.
+	before = after
+	if _, err := Slot(ps, Config{NondetTies: true, Distributed: func([]*switching.Profile, Config) (Result, error) {
+		return Result{Schedulable: true, States: 3, Transitions: 4, Depth: 2, Levels: []int{1, 1, 1}}, nil
+	}}); err != nil {
+		t.Fatalf("distributed hook: %v", err)
+	}
+	after = counters()
+	for name, want := range map[string]uint64{
+		"tightcps_verify_runs_total":        1,
+		"tightcps_verify_states_total":      3,
+		"tightcps_verify_transitions_total": 4,
+		"tightcps_verify_levels_total":      3,
+	} {
+		if got := delta(before, after, name); got != want {
+			t.Errorf("distributed run moved %s by %d, want %d", name, got, want)
 		}
 	}
 }

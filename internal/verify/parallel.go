@@ -73,9 +73,8 @@ type lane struct {
 // the level expanded, then Advance. Not safe for concurrent use; the node
 // runs its lanes itself.
 type Lanes struct {
-	v          *Verifier
-	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)
-	lanes      []lane
+	v     *Verifier
+	lanes []lane
 
 	owners [NumShards]uint8
 	self   int
@@ -94,10 +93,9 @@ type Lanes struct {
 
 // newLanes builds a node of p lanes (clamped to 1..maxLanes) owning every
 // shard, reset for a search under the verifier's budget.
-func newLanes(v *Verifier, p int,
-	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) *Lanes {
+func newLanes(v *Verifier, p int) *Lanes {
 	p = min(max(p, 1), maxLanes)
-	e := &Lanes{v: v, successors: successors, lanes: make([]lane, p)}
+	e := &Lanes{v: v, lanes: make([]lane, p)}
 	for i := range e.lanes {
 		e.lanes[i].out = make([][]uint64, p, p+outPad)
 	}
@@ -112,12 +110,11 @@ func newLanes(v *Verifier, p int,
 // count. On a violation the level is swept for its minimum violating
 // packed state (the uint64 order), a property of the level alone; States
 // is then the size of levels 0..Depth.
-func runLanes(v *Verifier, n int, init uint64,
-	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) (Result, error) {
-	e := newLanes(v, n, successors)
+func runLanes(v *Verifier, n int, init uint64) (Result, error) {
+	e := newLanes(v, n)
 	defer e.Release()
 	e.Absorb([][]uint64{{init}})
-	res := Result{Schedulable: true}
+	res := Result{Schedulable: true, Levels: make([]int, 0, levelsCap)}
 	for depth := 0; ; depth++ {
 		if depth > 0 {
 			e.Advance()
@@ -126,17 +123,15 @@ func runLanes(v *Verifier, n int, init uint64,
 		if width == 0 {
 			return res, nil
 		}
-		res.Depth, res.States = depth, e.states
-		obsLevels.Inc()
-		levelTrans := e.trans
+		res.Depth, res.States, res.Levels = depth, e.states, append(res.Levels, width)
 		for e.LevelRound(nil) {
 		}
 		res.Transitions = e.trans
 		if e.tooLarge {
-			res.States = e.states
+			// The states past levels 0..depth are the next level's.
+			res.States, res.Levels = e.states, append(res.Levels, e.states-res.States)
 			return res, ErrTooLarge
 		}
-		v.cfg.RunTrace.AddLevel(depth, width, e.trans-levelTrans)
 		if e.minApp >= 0 {
 			res.Schedulable, res.Violator = false, e.minApp
 			return res, nil
@@ -155,7 +150,7 @@ type LaneStats struct {
 
 // NewLanes returns a node of p lanes over the expander's set, owning every
 // shard until Reset says otherwise.
-func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p, successors) }
+func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p) }
 
 // Reset empties the node for a new search as node self of nodes, owning
 // the contiguous shards [self·NumShards/nodes, (self+1)·NumShards/nodes),
@@ -340,7 +335,7 @@ func (e *Lanes) expand(i int) {
 	for j := range l.out {
 		l.out[j] = l.out[j][:0]
 	}
-	v, successors, succ, trans := e.v, e.successors, l.succ, 0
+	v, succ, trans := e.v, l.succ, 0
 	viol, violApp := e.minViol, e.minApp
 	for gen := 0; l.pos < l.frontier.len() && (gen < stageCap || violApp >= 0) && !e.full(l); {
 		chunk := l.frontier.span(l.pos, seqChunk)
@@ -352,7 +347,7 @@ func (e *Lanes) expand(i int) {
 			}
 			n := len(succ)
 			var app int
-			succ, _, app = successors(v, s, &l.sc, succ, nil)
+			succ, _, app = expandState(v, s, &l.sc, succ, nil)
 			if app >= 0 {
 				viol, violApp = s, app
 				continue

@@ -113,11 +113,10 @@ type Config struct {
 	// propagated through the Distributed hook onto every mesh worker; it
 	// never affects the verdict or any cache key.
 	RunID string
-	// RunTrace, when non-nil, receives the run's telemetry: per-level spans
-	// from the search drivers, per-node/per-link breakdowns from a
-	// distributed backend, and the verdict totals on completion. Recording
-	// is level-granular — the expansion hot path is untouched — so the
-	// zero-allocation gates hold with a trace attached.
+	// RunTrace, when non-nil, receives the run's telemetry once it ends:
+	// one span per entry of Result.Levels, per-node/per-link breakdowns
+	// from a distributed backend, and the verdict totals. Run writes it
+	// from the Result alone, so the search drivers never see it.
 	RunTrace *obs.Trace
 }
 
@@ -127,6 +126,11 @@ type Result struct {
 	States      int // states visited
 	Transitions int // transitions taken
 	Depth       int // BFS depth reached (samples)
+	// Levels[k] is the number of states first inserted at BFS level k, for
+	// k = 0..Depth on every engine, and one entry more where the search
+	// stopped inside level Depth+1 (a budget bust; the sequential search's
+	// violation). States is their sum.
+	Levels []int
 	// Violator is the application that missed its deadline (valid when
 	// !Schedulable); Counterexample rebuilds a schedule leading to the miss.
 	Violator int
@@ -323,9 +327,9 @@ func sameProfile(a, b *switching.Profile) bool {
 }
 
 // Run performs the BFS reachability analysis on Config.Workers
-// owner-partitioned lanes (sequentially when Workers is 1). Every completed run —
-// local or distributed — is folded into the engine metrics and, when
-// Config.RunTrace is set, finalizes the run trace here.
+// owner-partitioned lanes (sequentially when Workers is 1). Every run —
+// local or distributed — ends in recordRun, which writes the engine
+// metrics and, when Config.RunTrace is set, the run trace from its Result.
 func (v *Verifier) Run() (Result, error) {
 	obsActive.Add(1)
 	res, err := v.dispatch()
@@ -346,10 +350,18 @@ func (v *Verifier) dispatch() (Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return runSequential(v, initialState(v), successors)
+		return runSequential(v, initialState(v))
 	}
-	return runLanes(v, workers, initialState(v), successors)
+	return runLanes(v, workers, initialState(v))
 }
+
+// levelsCap is the capacity a driver gives Result.Levels up front: one
+// allocation holds every level of the paper's slots (S1 has 51).
+const levelsCap = 64
+
+// expandState is the search drivers' expansion. It is successors; the
+// drivers' tests plant synthetic graphs in it.
+var expandState = successors
 
 // setCap is the initial capacity of a search's visited set, 512 KB; a
 // table that holds a share s of the search's states starts at setCap/s.
@@ -392,9 +404,8 @@ const seqChunk = 128
 // more than the larger of them. The chunk buffers and the expansion scratch
 // are recycled, so the steady-state loop allocates only when the visited
 // set or the store's block count grows.
-func runSequential(v *Verifier, init uint64,
-	successors func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) (Result, error) {
-	res := Result{Schedulable: true}
+func runSequential(v *Verifier, init uint64) (Result, error) {
+	res := Result{Schedulable: true, Levels: make([]int, 0, levelsCap)}
 	visited := newKeySet(setCap)
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
@@ -410,9 +421,8 @@ func runSequential(v *Verifier, init uint64,
 	var ends [seqChunk]int // ends[i] = len(succ) once chunk[i] is expanded
 	prevFrontier := 1
 	for depth := 0; frontier.len() > 0; depth++ {
-		res.Depth = depth
-		obsLevels.Inc()
-		levelTrans, width := res.Transitions, frontier.len()
+		width := frontier.len()
+		res.Depth, res.Levels = depth, append(res.Levels, width)
 		visited.reserve(LevelReserve(width, prevFrontier))
 		for lo := 0; lo < width; lo += seqChunk {
 			if lo%levelBlock == 0 && lo > 0 {
@@ -422,7 +432,7 @@ func runSequential(v *Verifier, init uint64,
 			succ = succ[:0]
 			viol := -1
 			for i, s := range chunk {
-				succ, _, viol = successors(v, s, &sc, succ, nil)
+				succ, _, viol = expandState(v, s, &sc, succ, nil)
 				if viol >= 0 {
 					break // the violator's successors are not inserted
 				}
@@ -440,6 +450,7 @@ func runSequential(v *Verifier, init uint64,
 				}
 				res.States = v.cfg.MaxStates + 1
 				res.Transitions += ends[p]
+				res.Levels = append(res.Levels, next.len()+len(fresh)-over+1)
 				return res, ErrTooLarge
 			}
 			res.States += len(fresh)
@@ -448,11 +459,10 @@ func runSequential(v *Verifier, init uint64,
 			if viol >= 0 {
 				res.Schedulable = false
 				res.Violator = viol
-				v.cfg.RunTrace.AddLevel(depth, width, res.Transitions-levelTrans)
+				res.Levels = append(res.Levels, next.len())
 				return res, nil
 			}
 		}
-		v.cfg.RunTrace.AddLevel(depth, width, res.Transitions-levelTrans)
 		prevFrontier = width
 		frontier.release(&pool)
 		frontier, next = next, frontier

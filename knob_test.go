@@ -505,6 +505,9 @@ var deletedMechanisms = []struct {
 	{`\b(DefaultVerify|syntheticAdmission|syntheticCacheKey|admissionStats|slotVerify)\b`, ".", true, "a slot set becomes an admission bit in mapping.Admission alone (DESIGN.md §1, \"Admission cache\")"},
 	{`\b(minParts|collectAfterStates|TestServiceCollectsAfterLargeVerdict)\b`, ".", true, "a lane keeps one table, mapped off the heap past 2 MiB: no 16-way partitions, no forced collection (DESIGN.md §1, \"Memory shape\")"},
 	{`\bdoubling +bool|\.doubling\b|hash +func\(uint64\) uint64`, "internal/verify", false, "every visited table grows on one schedule scaled by its share of the search, and the lanes route by hashKey alone (DESIGN.md §4, \"Table memory\", Growth)"},
+	{`successors +func\(`, "internal/verify", false, "the search drivers expand with the kernel's successors: no expansion parameter or field"},
+	{`\b(AddLevel|statesThrough|levelTrans)\b`, ".", true,
+		"a verdict carries its level vector, Result.Levels, on every engine, and Run writes the trace's level spans from it: no per-level trace writer, per-level transition count or violation-only state sum (DESIGN.md §8)"},
 	{`FaultTolerance +bool`, "internal/verify", false, "recovery is the cluster's one behaviour, in every dverify.Runner hook: no switch on verify.Config"},
 	{`HTTPClient|RetryBackoff +time|BreakerCooldown +time`, "internal/admit", false, "the service has no backend retry or breaker, so no timings for them"},
 	{`FaultTolerantRunner|RetryAttempts|BreakerThreshold|type Recover struct|recoverTo|reassignOwners|checkOwners|\bEra +int`, ".", true,
