@@ -25,7 +25,7 @@
 //	-connect a,b              run every slot verification on the
 //	                          cmd/verifyd daemons at a, b (internal/cli's
 //	                          backend group, with -workers);
-//	                          -maxstates then budgets states per node
+//	                          -maxstates budgets each check as locally
 //	-cachedir warm            persist the -synthetic admission cache across
 //	                          invocations (verifyd -cachedir's layout: one
 //	                          subdirectory per config salt, safe across runs)
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		all        = fs.Bool("all", false, "run every paper experiment above (excludes -synthetic)")
 		synthetic  = fs.Int("synthetic", 0, "dimension a synthetic workload of N applications (0 = off)")
 		seed       = fs.Int64("seed", 1, "random seed for -synthetic")
-		maxStates  = fs.Int("maxstates", 30_000_000, "per-admission state budget for -synthetic (per node when distributed); busted checks are rejected conservatively")
+		maxStates  = fs.Int("maxstates", 30_000_000, "per-admission state budget for -synthetic, on a -connect cluster too; busted checks are rejected conservatively")
 		cachedir   = fs.String("cachedir", "", "load/save the -synthetic admission cache under this directory (warm starts across runs)")
 		granSweep  = fs.String("granularity-sweep", "", "with -synthetic: re-dimension at every Tw granularity lo,hi,step (e.g. 1,8,1)")
 	)
@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// The sweeps admit on the symmetry quotient under the state budget.
 		cfg := cl.Config
 		cfg.SymmetryReduction, cfg.MaxStates = true, *maxStates
-		adm := mapping.NewAdmission(cfg, cl.Nodes)
+		adm := mapping.NewAdmission(cfg)
 		if *granSweep != "" {
 			err = x.granularitySweep(*synthetic, *seed, adm, lo, hi, step)
 		} else {
@@ -307,7 +307,7 @@ func (x *experiments) mapping() error {
 		return err
 	}
 	// The partitioner's subsets include every slot first-fit asked about.
-	adm, cache := mapping.NewAdmission(x.cl.Config, x.cl.Nodes), mapping.NewCache()
+	adm, cache := mapping.NewAdmission(x.cl.Config), mapping.NewCache()
 	t0 := time.Now()
 	ff, err := mapping.FirstFitCached(ps, adm.Verify, cache)
 	if err != nil {

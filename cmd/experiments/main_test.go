@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -149,18 +150,29 @@ func TestVerifyTimeOnCluster(t *testing.T) {
 }
 
 // TestBudgetedSweepStoreIsNotTheServiceStore: a budgeted sweep stores the
-// conservative rejects of its busted checks. An admission service on a
-// cluster of the same size, with the same budget and cache directory, must
-// not serve one of them as a verdict: every pair of archetypes it answers,
-// it answers as the exact search does.
+// conservative rejects of its busted checks. The store crosses the cluster
+// boundary — a local re-run of the same sweep is answered from what two
+// TCP workers' run wrote, with no miss — but an admission service on a
+// cluster, with the same budget and cache directory, must not serve one
+// of them as a verdict: every pair of archetypes it answers, it answers as
+// the exact search does.
 func TestBudgetedSweepStoreIsNotTheServiceStore(t *testing.T) {
 	dir := t.TempDir()
-	if code, _, stderr := experimentsCmd("-synthetic", "30", "-seed", "1", "-connect", tcpWorkers(t, 2), "-maxstates", "200", "-cachedir", dir); code != 0 {
+	sweep := []string{"-synthetic", "30", "-seed", "1", "-maxstates", "400", "-cachedir", dir}
+	if code, _, stderr := experimentsCmd(append(sweep, "-connect", tcpWorkers(t, 2))...); code != 0 {
 		t.Fatalf("sweep: exit %d: %s", code, stderr)
+	}
+	code, stdout, stderr := experimentsCmd(sweep...)
+	if code != 0 {
+		t.Fatalf("local re-run: exit %d: %s", code, stderr)
+	}
+	m := regexp.MustCompile(`admission cache: (\d+) hits / (\d+) lookups`).FindStringSubmatch(stdout)
+	if m == nil || m[1] != m[2] || m[1] == "0" {
+		t.Fatalf("local re-run of the cluster's sweep: %q, want every lookup a hit\n%s", m, stdout)
 	}
 	ts := dverify.Loopback(2)
 	defer dverify.Close(ts)
-	svc := admit.New(admit.Options{Backend: dverify.Runner(ts), BackendNodes: 2, MaxStates: 200, CacheDir: dir})
+	svc := admit.New(admit.Options{Backend: dverify.Runner(ts), MaxStates: 400, CacheDir: dir})
 	defer svc.Drain()
 
 	x := &experiments{out: io.Discard}

@@ -187,8 +187,8 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 			LocalFallback:  *localFallback,
 			Logf:           chatf,
 		}
-		if cl.Nodes > 0 {
-			opts.Backend, opts.BackendNodes, opts.BackendDesc = cl.Config.Distributed, cl.Nodes, cl.Banner
+		if cl.Config.Distributed != nil {
+			opts.Backend, opts.BackendDesc = cl.Config.Distributed, cl.Banner
 		}
 		l, err := net.Listen("tcp", *httpAddr)
 		if err != nil {

@@ -21,8 +21,8 @@
 // — with -connect — with the distributed backend of internal/dverify over
 // cmd/verifyd daemons, one node per daemon process. The workers exchange
 // frontiers over a mesh of direct node↔node links, one barrier per BFS
-// level. In distributed runs -maxstates is a per-node budget, so a cluster
-// of K workers admits slots up to K times larger than one node. A worker
+// level. -maxstates bounds the whole search on any backend: a slot busts,
+// or not, at the same level locally and on any number of workers. A worker
 // that dies mid-run leaves the cluster and the run restarts on the
 // survivors, with the same verdict and counts.
 // When a violation is found, verify.Counterexample rebuilds the schedule
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	appsFlag := fs.String("apps", "C1,C5,C4,C3", "comma-separated applications")
 	useTA := fs.Bool("ta", false, "check the faithful Fig. 5–7 timed-automata network (eager policy, exact, unbudgeted) instead of the packed verifier")
 	lazy := fs.Bool("lazy", false, "verify the lazy-preemption policy")
-	maxStates := fs.Int("maxstates", 0, "visited-state budget, per node when distributed (0 = 200M)")
+	maxStates := fs.Int("maxstates", 0, "visited-state budget of the search, on a -connect cluster too (0 = 200M)")
 	server := fs.String("server", "", "submit to an admission service at this base URL (e.g. http://host:9833) instead of verifying locally")
 	serverRetries := fs.Int("server-retries", 0, "retry -server submits refused with 503 (drain, full queue) this many times, honoring Retry-After")
 	jsonOut := fs.Bool("json", false, "emit the run report as JSON (the per-run trace: verdict, per-level table, wire stats) instead of text")

@@ -72,11 +72,6 @@ type Options struct {
 	// Backend verifies admission questions; nil uses the in-process
 	// engine (verify.Slot).
 	Backend VerifyBackend
-	// BackendNodes is the attached cluster's size. It salts cache keys —
-	// MaxStates is a per-node budget in distributed runs, so aggregate
-	// capacity (and budget-capped verdicts) depends on it — and is
-	// reported by /statsz.
-	BackendNodes int
 	// BackendDesc names the backend in /statsz ("local engine" when "").
 	BackendDesc string
 	// QueueDepth bounds the leader queue (default 64). A full queue
@@ -106,9 +101,8 @@ type Options struct {
 	// LocalFallback serves verdicts from the in-process engine when the
 	// backend fails with an error that is not a property of the request —
 	// every worker of the cluster dead — instead of returning 502. Off by
-	// default: the local engine's MaxStates is a per-process budget, so a
-	// budget-capped question can get a different (still sound) ErrTooLarge
-	// boundary than the cluster.
+	// default: the fallback runs the cluster's questions on one machine's
+	// memory and cores.
 	LocalFallback bool
 	// Profiles resolves named applications ("apps" in a request) to
 	// profiles; nil uses the paper's case study (plants.ProfileList).
@@ -278,15 +272,12 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 
-	// The config salt covers every verdict-relevant knob plus the cluster
-	// size (per-node budgets scale aggregate capacity). Symmetry reduction
-	// is salted in too — mapping.VerifyConfigKey excludes it because it
-	// never flips the admission bit, but the service serves full verdicts
-	// whose state/depth counts the quotient does change.
+	// The config salt covers every verdict-relevant knob, the budget among
+	// them: a question busts or not on any backend alike. Symmetry
+	// reduction is salted in too — mapping.VerifyConfigKey excludes it
+	// because it never flips the admission bit, but the service serves full
+	// verdicts whose state/depth counts the quotient does change.
 	var extra []uint64
-	if s.opts.Backend != nil && s.opts.BackendNodes > 0 {
-		extra = append(extra, uint64(s.opts.BackendNodes))
-	}
 	if cfg.SymmetryReduction {
 		extra = append(extra, 0xa11ce5)
 	}
@@ -692,7 +683,6 @@ func (s *Service) Draining() bool {
 type Stats struct {
 	UptimeSec     float64 `json:"uptimeSec"`
 	Backend       string  `json:"backend"`
-	BackendNodes  int     `json:"backendNodes,omitempty"`
 	Submitted     int     `json:"submitted"`
 	Verifications int     `json:"verifications"`
 	Coalesced     int     `json:"coalesced"`
@@ -724,7 +714,6 @@ func (s *Service) ServiceStats() Stats {
 	if st.Backend == "" {
 		st.Backend = "local engine"
 	}
-	st.BackendNodes = s.opts.BackendNodes
 	st.QueueDepth = len(s.queue)
 	st.Inflight = len(s.inflight)
 	st.Jobs = len(s.jobs)

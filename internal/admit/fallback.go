@@ -6,8 +6,8 @@ package admit
 // run restarts on the survivors with the same verdict. What reaches this
 // layer is the failure the cluster cannot recover — every worker dead — and
 // the optional local fallback answers it from the in-process engine: a
-// degraded mode (local MaxStates semantics, one machine's throughput) that
-// still produces sound verdicts. A dead cluster fails a run without I/O,
+// degraded mode (one machine's memory and throughput) that produces the
+// cluster's verdicts, budget busts included. A dead cluster fails a run without I/O,
 // so the fallback costs no cluster time. Off by default: a plain
 // Options{Backend: ...} service reports backend failures as 502.
 

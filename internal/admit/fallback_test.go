@@ -76,7 +76,6 @@ func TestLocalFallbackServesDeadCluster(t *testing.T) {
 			}
 			return res, err
 		}
-		o.BackendNodes = 2
 		o.BackendDesc = "loopback2 (every worker dead)"
 		o.LocalFallback = true
 	})

@@ -83,7 +83,6 @@ func TestServiceMeshWorkerCrash(t *testing.T) {
 	}
 	r := newRig(t, backendCase{name: "crashy"}, func(o *Options) {
 		o.Backend = backend
-		o.BackendNodes = 2
 		o.BackendDesc = "tcp2 (crash-rigged)"
 	})
 

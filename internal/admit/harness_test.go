@@ -112,7 +112,6 @@ func newRig(t testing.TB, bc backendCase, mod func(*Options)) *rig {
 		}
 		t.Cleanup(func() { dverify.Close(ts) })
 		opts.Backend = dverify.Runner(ts)
-		opts.BackendNodes = bc.nodes
 		opts.BackendDesc = bc.name
 	}
 	if mod != nil {

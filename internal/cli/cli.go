@@ -106,12 +106,9 @@ func BackendFlags(fs *flag.FlagSet) *Backend {
 
 // Cluster is an opened backend. Config is what every verification of the
 // run starts from: Workers, and on a cluster Distributed, the hook that
-// keeps the cluster's survivors across its runs. Nodes, 0 for the local
-// engine, salts the cache keys of budgeted verdicts (MaxStates is per
-// node).
+// keeps the cluster's survivors across its runs.
 type Cluster struct {
 	Config verify.Config
-	Nodes  int
 	Banner string // "distributed verification: …", "" for the local engine
 	Width  string // what runs a search, for a stats line: "workers=N" or "nodes=K"
 	ts     []dverify.Transport
@@ -145,7 +142,7 @@ func (b *Backend) Open(logf func(format string, args ...any)) (*Cluster, error) 
 	if err != nil {
 		return nil, err
 	}
-	c.ts, c.Nodes = ts, len(ts)
+	c.ts = ts
 	c.Banner = fmt.Sprintf("distributed verification: %d TCP workers (%s)", len(ts), strings.Join(addrs, ", "))
 	c.Width = fmt.Sprintf("nodes=%d", len(ts))
 	c.Config.Distributed = dverify.Runner(ts)

@@ -126,7 +126,7 @@ func (d *Dimensioner) Dimension() (*Allocation, error) {
 // Admission returns the slot admission the options verify with: the
 // default search under Policy, on Workers lanes.
 func (o Options) Admission() *mapping.Admission {
-	return mapping.NewAdmission(verify.Config{Policy: o.Policy, Workers: o.Workers}, 0)
+	return mapping.NewAdmission(verify.Config{Policy: o.Policy, Workers: o.Workers})
 }
 
 // VerifySlotSharing checks whether the given applications can share one TT

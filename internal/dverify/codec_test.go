@@ -260,11 +260,13 @@ func badState(exp *verify.Expander, states []uint64) int {
 // roll back to, a version-17 one, which ships a wide state as three words
 // and whose ViolState is three words, and a version-18 one, whose Job
 // carries an ownership table, whose polls may order an in-session
-// recovery and whose frames carry an era, and a version-19 one, whose
-// answers restate their totals and whose batches open with a codec byte.
+// recovery and whose frames carry an era, a version-19 one, whose
+// answers restate their totals and whose batches open with a codec byte,
+// and a version-20 one, whose node stops at its own budget and says so in
+// TooLarge.
 func TestProtocolVersionHandshake(t *testing.T) {
 	ps := []*switching.Profile{prof("A", 5, 2, 4, 20)}
-	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19} {
+	for _, stale := range []int{0, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20} {
 		named := fmt.Sprintf("protocol %d", stale)
 		job := Job{Proto: stale, Profiles: []switching.Profile{*ps[0]}, NumNodes: 1}
 		if _, _, err := newMeshWorker(&job, nil, nil); err == nil || !strings.Contains(err.Error(), named) {

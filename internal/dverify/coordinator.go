@@ -34,11 +34,12 @@ func newSessionID() uint64 {
 // numbered 0..len(live)-1 for the attempt: Init wires the worker↔worker
 // links, then the coordinator runs one round per BFS level — every worker
 // polled at the level with the states it is owed for it, and polled again
-// while its answer is interim — until a round finds a violation, trips a
-// budget or leaves the next level empty, and a Finish round collects final
-// counters: the workers' FreshByLevel, summed through Depth, are the
-// result's Levels and States. The trace (nil-safe) gains one NodeSpan per
-// worker and the round count.
+// while its answer is interim — until a round finds a violation, busts the
+// budget (meshTracker.bust) or leaves the next level empty, and a Finish
+// round collects final counters: the workers' FreshByLevel, summed per
+// level through Depth and, on a bust, the level that passed the budget, are
+// the result's Levels and States. The trace (nil-safe) gains one NodeSpan
+// per worker and the round count.
 //
 // A death in the Init round or a level round — a transport error, no
 // answer within meshDeathTimeout, a peer's LinkDown report, a worker Err in
@@ -118,7 +119,7 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 	// Each node ships to at most every peer: the fold's link list is sized
 	// once per attempt.
 	tr := meshTracker{wire: verify.WireStats{Links: make([]verify.LinkWire, 0, n*(n-1))}, live: live}
-	rounds, level := 0, 0
+	rounds, level, bust := 0, 0, -1
 	for {
 		r.plan.fire(level, r.restarts)
 		for i := range ctls {
@@ -148,7 +149,7 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 			pending = left
 		}
 		tr.observe(resps)
-		if tr.haveViol || tr.tooLarge || !nextRound(resps, expect, level) {
+		if bust = tr.bust(level, r.job.MaxStates); bust >= 0 || tr.haveViol || !nextRound(resps, expect, level) {
 			break
 		}
 		level++
@@ -161,27 +162,21 @@ func (r *meshRun) attempt(live []int) (res verify.Result, died bool, err error) 
 		resps[d] = last[d]
 	}
 	tr.observe(resps)
-	res.Transitions, res.Depth, res.Wire = tr.transitions, tr.maxFresh, tr.wire
-	// Like the local search, a recorded violation is preferred over
-	// ErrTooLarge when the budget trips: the verdict is sound, but on the
-	// budget edge the violator may not be the level minimum a larger budget
-	// would report.
-	if tr.haveViol {
-		res.Schedulable = false
-		res.Violator = tr.violApp
-		res.Depth = level
+	res.Transitions, res.Wire, res.Depth = tr.transitions, tr.wire, level
+	switch {
+	case bust >= 0:
+		res.Depth, err = bust-1, verify.ErrTooLarge
+	case tr.haveViol:
+		res.Schedulable, res.Violator = false, tr.violApp
+	case tr.levels[level] == 0:
+		res.Depth = level - 1 // the last round absorbed duplicates only
 	}
-	res.Levels = levels(resps, res.Depth)
+	res.Levels = tr.levels[:max(res.Depth, bust)+1] // a bust's has the level that passed the budget
 	for _, n := range res.Levels {
 		res.States += n
 	}
 	foldMeshTrace(r.trace, resps, live, r.rounds+rounds+1)
-	if tr.tooLarge && !tr.haveViol {
-		// Report the partial exploration: budget-busted admission checks
-		// still count their states and wire volume.
-		return res, false, verify.ErrTooLarge
-	}
-	return res, false, nil
+	return res, false, err
 }
 
 // finish sends Finish to every node whose last answer speaks this

@@ -28,10 +28,12 @@
 //
 // Coordinator communication goes through the Transport interface: Loopback
 // (in-process channel workers) or the TCP/gob client returned by Dial,
-// served by the cmd/verifyd worker daemon. Config.MaxStates is a per-node
-// budget — it models per-node memory — so a cluster of k nodes verifies
-// slots up to k times larger than one node admits. Config.Workers is every
-// node's lane count.
+// served by the cmd/verifyd worker daemon. Config.MaxStates bounds the
+// question as it does locally: after each level round the coordinator busts
+// the run on the nodes' summed commits (the levels 0..D rule of
+// verify.Config), and a node that passes the budget on its own stores
+// nothing more — its memory bound — and only sweeps its level for a
+// violator. Config.Workers is every node's lane count.
 //
 // One barrier per level, as in the local lanes. The coordinator polls
 // every worker with a level L and Expect, the number of L-tagged states the

@@ -11,8 +11,7 @@ import (
 	"tightcps/internal/verify"
 )
 
-// defaultMaxStates mirrors the local verifier's per-run state cap; in the
-// distributed search it applies per node.
+// defaultMaxStates mirrors the local verifier's state cap.
 const defaultMaxStates = 200_000_000
 
 // maxNodes is the cluster-size cap: nodes own contiguous ranges of the 64
@@ -34,9 +33,9 @@ type Transport interface {
 // returned function runs the distributed reachability analysis over the
 // nodes. The configuration is interpreted exactly like verify.Slot's,
 // except that Workers is the lane count of every node (0: the GOMAXPROCS
-// of the node's process; 1: one lane) and
-// MaxStates is a per-node budget; verify.Counterexample rebuilds the
-// schedule of a violation locally. The nodes exchange frontiers over
+// of the node's process; 1: one lane); MaxStates busts a run at the same
+// level, with the same Depth, as the local lanes. verify.Counterexample
+// rebuilds the schedule of a violation locally. The nodes exchange frontiers over
 // direct worker↔worker links, so the transports must be what Loopback or
 // Dial returned — one loopback group or one TCP cluster, unwrapped;
 // anything else is refused before a worker sees a request.

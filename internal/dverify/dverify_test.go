@@ -161,37 +161,79 @@ func TestLoopbackMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestPerNodeBudgetScalesCapacity pins the distribution lever: under the
-// same MaxStates, the single-node run must reject with ErrTooLarge while a
-// 4-node cluster — whose budget is per node — completes the search and
-// reproduces the unbounded counts.
-func TestPerNodeBudgetScalesCapacity(t *testing.T) {
-	ps := fleet(4, 6, 1, 2, 10)
-	cfg := verify.Config{NondetTies: true, Workers: 2}
-	full, err := verify.Slot(ps, cfg)
+// TestClusterBustsWhereLanesBust: MaxStates bounds the question, not a
+// node. A run is ErrTooLarge iff levels 0..D — D the first violating level,
+// or the last — hold more than the budget, and a bust's Depth is the
+// deepest level whose prefix fits. At budgets that straddle such a prefix
+// the local lanes, one- and four-node loopback clusters and two TCP
+// workers give the same outcome, Depth, levels 0..Depth and violator: a
+// schedulable fleet at two thirds of its states and at all of them; S1
+// (C1,C5,C4,C3) one state short of levels 0..16 and at exactly them; V5
+// (S1 + C6) and C1,C2,C3,C5 one state short of levels 0..D — a bust at
+// D−1 — and at exactly them, a violation: C1,C2,C3,C5's level 14 holds two
+// violating states, so the nodes without one commit level 15 and pass the
+// budget before the round ends.
+func TestClusterBustsWhereLanesBust(t *testing.T) {
+	s1, err := plants.ProfileList("C1", "C5", "C4", "C3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full.Schedulable {
-		t.Fatalf("expected a schedulable set, got %+v", full)
-	}
-	cfg.MaxStates = full.States * 2 / 3
-	if _, err := verify.Slot(ps, cfg); !errors.Is(err, verify.ErrTooLarge) {
-		t.Fatalf("local run under budget %d: want ErrTooLarge, got %v", cfg.MaxStates, err)
-	}
-	busted, err := verifyOver(t, 1, ps, cfg)
-	if !errors.Is(err, verify.ErrTooLarge) {
-		t.Fatalf("1-node run under budget %d: want ErrTooLarge, got %v", cfg.MaxStates, err)
-	}
-	if busted.States == 0 {
-		t.Fatalf("budget-busted run reported no partial exploration (want States > 0 like the local search)")
-	}
-	dist, err := verifyOver(t, 4, ps, cfg)
+	v5, err := plants.ProfileList("C1", "C5", "C4", "C3", "C6")
 	if err != nil {
-		t.Fatalf("4-node run under per-node budget %d: %v", cfg.MaxStates, err)
+		t.Fatal(err)
 	}
-	if !dist.Schedulable || dist.States != full.States {
-		t.Fatalf("4-node run %+v, unbounded local %+v", dist, full)
+	sparse, err := plants.ProfileList("C1", "C2", "C3", "C5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := Dial([]string{startWorker(t), startWorker(t)}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := []struct {
+		name string
+		ts   []Transport
+	}{{"Loopback(1)", Loopback(1)}, {"Loopback(4)", Loopback(4)}, {"2 TCP workers", tcp}}
+	for _, c := range clusters {
+		defer Close(c.ts)
+	}
+	fleet4 := fleet(4, 6, 1, 2, 10)
+	full, err := verify.Slot(fleet4, verify.Config{NondetTies: true, Workers: 2})
+	if err != nil || !full.Schedulable {
+		t.Fatalf("fleet4: %+v, %v; want a schedulable set", full, err)
+	}
+	for _, tc := range []struct {
+		name   string
+		ps     []*switching.Profile
+		budget int
+		depth  int
+		bust   bool
+	}{
+		{"fleet4", fleet4, full.States * 2 / 3, 8, true},
+		{"fleet4", fleet4, full.States, full.Depth, false},
+		{"S1", s1, 91_460, 15, true},
+		{"S1", s1, 91_461, 16, true},
+		{"V5", v5, 478_334, 11, true},
+		{"V5", v5, 478_335, 12, false},
+		{"C1,C2,C3,C5", sparse, 55_043, 13, true},
+		{"C1,C2,C3,C5", sparse, 55_044, 14, false},
+	} {
+		cfg := verify.Config{NondetTies: true, Workers: 2, MaxStates: tc.budget}
+		local, lerr := verify.Slot(tc.ps, cfg)
+		label := fmt.Sprintf("%s under budget %d", tc.name, tc.budget)
+		if errors.Is(lerr, verify.ErrTooLarge) != tc.bust || local.Depth != tc.depth || tc.bust && local.States <= tc.budget {
+			t.Fatalf("%s, local lanes: %+v, %v; want a bust %v at depth %d", label, local, lerr, tc.bust, tc.depth)
+		}
+		if tc.name == "V5" && !tc.bust && (local.Schedulable || tc.ps[local.Violator].Name != "C4") {
+			t.Fatalf("%s, local lanes: %+v; want C4", label, local)
+		}
+		for _, c := range clusters {
+			got, err := Runner(c.ts)(tc.ps, cfg)
+			if !errors.Is(err, lerr) || got.Depth != local.Depth || got.Schedulable != local.Schedulable || got.Violator != local.Violator || tc.bust && got.States <= tc.budget {
+				t.Fatalf("%s, %s: %+v, %v; the local lanes: %+v, %v", label, c.name, got, err, local, lerr)
+			}
+			sameLevels(t, label+", "+c.name, got, local)
+		}
 	}
 }
 

@@ -56,8 +56,8 @@ type handler struct {
 	draining func() bool
 	// acquire, when non-nil, claims the host's single worker slot on the
 	// session's first job — a worker node belongs to one cluster at a
-	// time (its visited partition is sized by the per-node MaxStates
-	// memory model, so concurrent coordinators would multiply residency).
+	// time (it holds up to MaxStates of a search's states, so concurrent
+	// coordinators would multiply residency).
 	// The slot is held across re-Inits and released when the session ends.
 	acquire func() bool
 

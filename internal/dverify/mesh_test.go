@@ -307,8 +307,8 @@ func TestMeshTopologyForcedOnWrappedTransports(t *testing.T) {
 
 // TestServerSingleClusterAdmission: a daemon's worker slot is exclusive —
 // a second coordinator session's jobs are refused while the first session
-// lives (the per-node MaxStates memory model budgets ONE visited
-// partition), and the slot frees when that session ends. A refusal at Init
+// lives (a node holds one search's visited partition at a time), and the
+// slot frees when that session ends. A refusal at Init
 // is the run's error, naming the node, and not a death: the same Runner
 // hook uses the node again once it is free, on a one-worker cluster and on
 // a two-worker one whose second worker was held. When the Init round that

@@ -21,11 +21,11 @@ import (
 // opens with PeerHello.Proto, so either side rejects a mismatch loudly
 // before any frontier is exchanged. Bump it when a Kind, a
 // Job/Request/Response field, the batch format or the packed-state layout
-// changes or goes. Version 20 drops every Response field another one
-// determines, and the batch's version byte; version 19 drops the in-session
-// recovery — Job.Owners, Control.Recover and Frame.Era; what each earlier
+// changes or goes. Version 21 drops Response.TooLarge: the coordinator
+// derives a bust from FreshByLevel; version 20 drops every Response field
+// another one determines, and the batch's version byte; what each earlier
 // version was is in CHANGES.md.
-const protoVersion = 20
+const protoVersion = 21
 
 // Kind discriminates coordinator requests.
 type Kind uint8
@@ -64,8 +64,10 @@ type Job struct {
 	Policy            sched.PreemptionPolicy
 	NondetTies        bool
 	SymmetryReduction bool
-	// MaxStates is the per-node visited budget (per-node memory model):
-	// the aggregate capacity of a run is NumNodes × MaxStates.
+	// MaxStates is the run's visited budget, verify.Config.MaxStates. The
+	// coordinator busts the run on the nodes' summed FreshByLevel; a node
+	// holds its own count to it, its memory bound, and once past it stores
+	// nothing more and only sweeps its level for a violator.
 	MaxStates int
 	// Workers is the node's lane count, verify.Config.Workers; 0 is worked
 	// out where the node runs (its process's GOMAXPROCS). It changes no
@@ -130,8 +132,8 @@ type Frame struct {
 // Response is one node→coordinator message. Err is the worker-side failure
 // channel; when non-empty every other field is meaningless. A snapshot
 // states each fact once: every total the coordinator reports — fresh
-// states, depth, the next level's commits, the states routed and their
-// bytes — is derived from these fields (tracker.go).
+// states, depth, a budget bust, the next level's commits, the states
+// routed and their bytes — is derived from these fields (tracker.go).
 type Response struct {
 	Err string
 
@@ -147,9 +149,6 @@ type Response struct {
 	// Transitions counts the successors generated (pre-dedup), mirroring
 	// the local searches.
 	Transitions int
-	// TooLarge reports that the per-node visited budget was exhausted; the
-	// node stopped expanding and absorbing.
-	TooLarge bool
 
 	// ViolApp is the application that missed its deadline in the polled
 	// level, −1 for none, and ViolState the minimum violating state of this

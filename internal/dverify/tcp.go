@@ -271,8 +271,8 @@ var slotWait = 3 * time.Second
 // Connections are served concurrently — a daemon hosts one cluster's
 // worker while accepting the peer links of that same cluster — but the
 // worker slot itself is exclusive: a second coordinator session's jobs
-// are refused until the first ends, preserving the per-node MaxStates
-// memory model (one visited partition resident at a time).
+// are refused until the first ends: one visited partition is resident at
+// a time.
 type Server struct {
 	l    net.Listener
 	logf func(format string, args ...any)

@@ -33,10 +33,13 @@ func traceHasLevels(t *testing.T, label string, tr *obs.Trace, res verify.Result
 // TestTraceLevelsAreTheResultVector: Run writes a trace's level spans from
 // Result.Levels alone, so the spans are the result's level vector and sum
 // to its States — on the sequential search, on two and four local lanes
-// and on a two-node mesh, for S1, for V5 and for a budget bust. Levels 0..Depth are
-// the same on every engine (S1's 51 sum to 1,440,712, V5's 13 to 478,335);
-// only the sequential search, which stops inside V5's level 13, has one
-// more: the 203,065 states it inserted there.
+// and on a two-node mesh, for S1, for V5 and for S1 over a 100,000-state
+// budget. Levels 0..Depth are the same on every engine (S1's 51 sum to
+// 1,440,712, V5's 13 to 478,335, the bust's 17 to 91,461: its Depth is the
+// deepest level whose prefix fits the budget); the sequential search, which
+// stops inside V5's level 13, has one more — the 203,065 states it
+// inserted there — and every engine's bust has one more, the part of level
+// 17 it stored, which may differ between engines.
 func TestTraceLevelsAreTheResultVector(t *testing.T) {
 	s1, err := plants.ProfileList("C1", "C5", "C4", "C3")
 	if err != nil {
@@ -62,20 +65,23 @@ func TestTraceLevelsAreTheResultVector(t *testing.T) {
 	for _, slot := range []struct {
 		name          string
 		ps            []*switching.Profile
-		depth, states int // Depth, and the states of levels 0..Depth
-		seqPartial    int // the sequential search's entry past Depth, or 0 for none
+		maxStates     int
+		err           error // ErrTooLarge for the bust
+		depth, states int   // Depth, and the states of levels 0..Depth
+		seqPartial    int   // the sequential search's entry past Depth, or 0 for none
 		schedulable   bool
 	}{
 		{name: "S1", ps: s1, depth: 50, states: 1_440_712, schedulable: true},
 		{name: "V5", ps: v5, depth: 12, states: 478_335, seqPartial: 203_065},
+		{name: "S1 over a 100000-state budget", ps: s1, maxStates: 100_000, err: verify.ErrTooLarge, depth: 16, states: 91_461},
 	} {
 		var first verify.Result
 		for i, e := range engines {
 			label := fmt.Sprintf("%s, %s", slot.name, e.name)
 			tr := obs.NewTrace("")
-			res, err := verify.Slot(slot.ps, verify.Config{NondetTies: true, Workers: e.workers, RunTrace: tr, Distributed: e.hook})
-			if err != nil || res.Schedulable != slot.schedulable || res.Depth != slot.depth {
-				t.Fatalf("%s: %+v, %v; want schedulable=%v at depth %d", label, res, err, slot.schedulable, slot.depth)
+			res, err := verify.Slot(slot.ps, verify.Config{NondetTies: true, Workers: e.workers, MaxStates: slot.maxStates, RunTrace: tr, Distributed: e.hook})
+			if !errors.Is(err, slot.err) || err == nil && res.Schedulable != slot.schedulable || res.Depth != slot.depth {
+				t.Fatalf("%s: %+v, %v; want %v, schedulable=%v at depth %d", label, res, err, slot.err, slot.schedulable, slot.depth)
 			}
 			traceHasLevels(t, label, tr, res)
 			through := 0
@@ -83,26 +89,19 @@ func TestTraceLevelsAreTheResultVector(t *testing.T) {
 				through += n
 			}
 			partial := res.Levels[res.Depth+1:]
-			wantPartial := e.workers == 1 && e.hook == nil && slot.seqPartial > 0
-			if through != slot.states || wantPartial != (len(partial) == 1) || len(partial) > 1 || wantPartial && partial[0] != slot.seqPartial {
+			bust := slot.err != nil
+			wantPartial := bust || e.workers == 1 && e.hook == nil && slot.seqPartial > 0
+			if through != slot.states || wantPartial != (len(partial) == 1) || len(partial) > 1 || !bust && wantPartial && partial[0] != slot.seqPartial {
 				t.Fatalf("%s: levels 0..%d hold %d states and %v past them; want %d and, on the sequential search, %d", label, res.Depth, through, partial, slot.states, slot.seqPartial)
+			}
+			if bust && through+partial[0] <= slot.maxStates {
+				t.Fatalf("%s: %d states past level %d, which leave levels 0..%d within the budget", label, partial[0], res.Depth, res.Depth+1)
 			}
 			if i == 0 {
 				first = res
 			}
 			sameLevels(t, label, res, first)
 		}
-	}
-
-	// A budget bust: the spans hold the states found up to the bust.
-	for _, e := range engines {
-		label := "S1 over a 100000-state budget, " + e.name
-		tr := obs.NewTrace("")
-		res, err := verify.Slot(s1, verify.Config{NondetTies: true, Workers: e.workers, MaxStates: 100_000, RunTrace: tr, Distributed: e.hook})
-		if !errors.Is(err, verify.ErrTooLarge) || res.States <= 100_000 {
-			t.Fatalf("%s: %d states, %v; want a budget bust", label, res.States, err)
-		}
-		traceHasLevels(t, label, tr, res)
 	}
 }
 

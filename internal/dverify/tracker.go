@@ -11,8 +11,7 @@ import (
 // answers' per-level commits and per-peer shipments.
 type meshTracker struct {
 	transitions int
-	maxFresh    int
-	tooLarge    bool
+	levels      []int // the nodes' commits summed per level
 	haveViol    bool
 	violState   verify.PackedState
 	violApp     int
@@ -26,17 +25,38 @@ type meshTracker struct {
 // the verdict's violator, as in the local lanes. The links are the nodes'
 // Shipped entries (addShipments).
 func (t *meshTracker) observe(resps []*Response) {
-	*t = meshTracker{violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}, live: t.live}
+	*t = meshTracker{levels: t.levels[:0], violApp: -1, wire: verify.WireStats{Links: t.wire.Links[:0]}, live: t.live}
 	addShipments(&t.wire, resps, t.live)
 	for _, r := range resps {
-		_, deepest := r.fresh()
-		t.maxFresh = max(t.maxFresh, deepest)
+		for l, n := range r.FreshByLevel {
+			if l == len(t.levels) {
+				t.levels = append(t.levels, 0)
+			}
+			t.levels[l] += n
+		}
 		t.transitions += r.Transitions
-		t.tooLarge = t.tooLarge || r.TooLarge
 		if r.ViolApp >= 0 && (!t.haveViol || r.ViolState < t.violState) {
 			t.haveViol, t.violState, t.violApp = true, r.ViolState, r.ViolApp
 		}
 	}
+}
+
+// bust applies the budget rule to a finished round of level: it returns
+// the first level whose prefix of the summed commits passes the budget —
+// the run busts with the level before it as its Depth — or −1: every
+// prefix fits, or only level+1's does not and a violator at level is the
+// verdict. A node past its own budget makes the sum pass too.
+func (t *meshTracker) bust(level, budget int) int {
+	sum := 0
+	for l, n := range t.levels {
+		if sum += n; sum > budget {
+			if t.haveViol && l > level {
+				return -1
+			}
+			return l
+		}
+	}
+	return -1
 }
 
 // addShipments folds the states each answer of an attempt shipped (a nil
@@ -95,20 +115,6 @@ func nextRound(resps []*Response, expect []int, level int) bool {
 		more = more || level+1 < len(r.FreshByLevel) && r.FreshByLevel[level+1] > 0
 	}
 	return more
-}
-
-// levels sums the nodes' commits per level through depth: the run's
-// Result.Levels. A violating run stops at its level (the nodes that found
-// no violation there have already committed some of the next); every other
-// run's commits all lie within depth, the deepest level holding one.
-func levels(resps []*Response, depth int) []int {
-	out := make([]int, depth+1)
-	for _, r := range resps {
-		for l, v := range r.FreshByLevel[:min(len(r.FreshByLevel), depth+1)] {
-			out[l] += v
-		}
-	}
-	return out
 }
 
 // foldMeshTrace folds the final attempt's answers into the run trace: one

@@ -64,7 +64,7 @@ type meshStanding struct {
 	initResp Response
 }
 
-// meshSession is one job on one cluster: placement, budget, the data plane,
+// meshSession is one job on one cluster: placement, the data plane,
 // the wire history (traffic that happened) and the round in progress.
 // level is the level the coordinator last polled; got counts the
 // level-tagged states received from peers, against the round's Expect;
@@ -76,9 +76,8 @@ type meshStanding struct {
 // link failed; linkDown is the cumulative dead-link report for the
 // coordinator, which counts each as its far end's death.
 type meshSession struct {
-	id, n  int
-	job    *Job // what the worker was built for (reuse compatibility)
-	budget int
+	id, n int
+	job   *Job // what the worker was built for (reuse compatibility)
 
 	inbox *meshInbox
 	links []meshLink
@@ -109,7 +108,7 @@ type meshSession struct {
 // cluster's search (verify.Lanes.Reset), as every local search does. The
 // donor's links are already down and its tables released (Init goes
 // through handler.reset), and its registration is gone; what its run left
-// parked — a violating or over-budget run stops with sends in place — is
+// parked — a violating or busted run stops with sends in place — is
 // recycled here.
 func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Response, error) {
 	if job.Proto != protoVersion {
@@ -170,7 +169,6 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		id:         job.NodeID,
 		n:          n,
 		job:        job,
-		budget:     job.MaxStates,
 		inbox:      newMeshInbox(),
 		ahead:      w.ahead[:0],
 		sentTo:     w.sentTo,
@@ -179,10 +177,11 @@ func newMeshWorker(job *Job, env meshEnv, prev *meshWorker) (*meshWorker, *Respo
 		deadPeers:  w.deadPeers,
 		linkDown:   w.linkDown[:0],
 	}
-	if w.budget <= 0 {
-		w.budget = defaultMaxStates
+	budget := job.MaxStates
+	if budget <= 0 {
+		budget = defaultMaxStates
 	}
-	w.lanes.Reset(n, w.id, w.budget)
+	w.lanes.Reset(n, w.id, budget)
 
 	links, err := env.connect(w)
 	if err != nil {
@@ -216,7 +215,6 @@ func (w *meshWorker) snapshot(done bool) *Response {
 	*resp = Response{
 		Proto:        protoVersion,
 		Transitions:  st.Transitions,
-		TooLarge:     st.TooLarge,
 		ViolState:    st.Viol,
 		ViolApp:      st.ViolApp,
 		SentTo:       resp.SentTo[:0],
@@ -268,7 +266,7 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 	}
 	deadline := time.Now().Add(meshPollBudget)
 	done := false
-	for w.err == nil && !w.lanes.Stats().TooLarge {
+	for w.err == nil {
 		w.drainInbox()
 		if w.got < ctl.Expect {
 			if !w.waitData(deadline) {
@@ -284,9 +282,7 @@ func (w *meshWorker) poll(ctl *Control) *Response {
 			break
 		}
 	}
-	// A worker over its budget stops here: its round is as finished as it
-	// will get, and the coordinator ends the run with it.
-	return w.snapshot(done || w.lanes.Stats().TooLarge)
+	return w.snapshot(done)
 }
 
 // waitData blocks until a mesh batch arrives or the poll deadline passes,

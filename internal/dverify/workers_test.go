@@ -1,7 +1,9 @@
 package dverify
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tightcps/internal/plants"
@@ -19,6 +21,14 @@ import (
 // lanes' minimum-violating-state tie-break (the sequential search
 // short-circuits at the first violator in expansion order instead), so the
 // ground truth is the local parallel search, as in the main matrix.
+//
+// Each slot is also run under three budgets: one state short of levels
+// 0..D (D the violating level, or the last), exactly them, and half of
+// them. The outcome, Depth, levels 0..Depth and the violator must be
+// budgetRule's on local Workers 2/3/4 and on 1, 2 and 4 nodes of 1 and 2
+// lanes. Workers 1 joins on schedulable slots only: on a violating one the
+// sequential search stops at the first violator it meets, and its budget
+// edge moves with that (ROADMAP item 11).
 func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 	type slot struct {
 		name    string
@@ -85,7 +95,58 @@ func TestWorkerPoolMatrixMatchesLocal(t *testing.T) {
 				checkMatchesLocal(t, fmt.Sprintf("%s: nodes=%d workers=%d", s.name, nodes, workers), dist, local)
 			}
 		}
+		for _, budget := range []int{local.States - 1, local.States, local.States / 2} {
+			if budget < 1 {
+				continue // 0 is the engine's default budget
+			}
+			cfg.MaxStates = budget
+			check := func(engine string, got verify.Result, err error) {
+				t.Helper()
+				label := fmt.Sprintf("%s MaxStates=%d: %s", s.name, budget, engine)
+				depth, wantErr := budgetRule(local, budget)
+				if !errors.Is(err, wantErr) || got.Depth != depth {
+					t.Fatalf("%s: depth %d, %v; want depth %d, %v", label, got.Depth, err, depth, wantErr)
+				}
+				if wantErr == nil {
+					checkMatchesLocal(t, label, got, local)
+					return
+				}
+				checkLevels(t, label, got)
+				if got.States <= budget || len(got.Levels) != depth+2 || !slices.Equal(got.Levels[:depth+1], local.Levels[:depth+1]) {
+					t.Errorf("%s: levels %v; want more than the budget, in levels 0..%d, the first %d of them %v", label, got.Levels, depth+1, depth+1, local.Levels[:depth+1])
+				}
+			}
+			for _, workers := range []int{1, 2, 3, 4} {
+				if workers == 1 && !local.Schedulable {
+					continue
+				}
+				cfg.Workers = workers
+				got, err := verify.Slot(s.ps, cfg)
+				check(fmt.Sprintf("Workers=%d", workers), got, err)
+			}
+			for _, nodes := range []int{1, 2, 4} {
+				for _, workers := range []int{1, 2} {
+					cfg.Workers = workers
+					got, err := verifyOver(t, nodes, s.ps, cfg)
+					check(fmt.Sprintf("nodes=%d workers=%d", nodes, workers), got, err)
+				}
+			}
+		}
 	}
+}
+
+// budgetRule is what every engine answers under budget, from a slot's
+// unbudgeted lanes result: that result when levels 0..Depth fit the
+// budget, and otherwise ErrTooLarge with the deepest level whose prefix
+// fits as its Depth.
+func budgetRule(unbudgeted verify.Result, budget int) (depth int, err error) {
+	sum := 0
+	for k, n := range unbudgeted.Levels[:unbudgeted.Depth+1] {
+		if sum += n; sum > budget {
+			return k - 1, verify.ErrTooLarge
+		}
+	}
+	return unbudgeted.Depth, nil
 }
 
 // syntheticDesigns computes the profiles of the synthetic fleet generator's

@@ -18,7 +18,6 @@ import (
 // one question at a time.
 type Admission struct {
 	cfg   verify.Config
-	nodes int
 	stats AdmissionStats
 }
 
@@ -38,12 +37,13 @@ type AdmissionStats struct {
 // run's — shares it.
 const budgetedStore = 0xb0d6e7ed5a1757e5
 
-// NewAdmission returns the admission for cfg, run on a cluster of nodes
-// nodes (0 for the local engine). Ties are explored nondeterministically,
-// which is what makes a "yes" sound.
-func NewAdmission(cfg verify.Config, nodes int) *Admission {
+// NewAdmission returns the admission for cfg, on the local engine or the
+// cluster cfg.Distributed runs on: MaxStates bounds the question, so both
+// answer it alike. Ties are explored nondeterministically, which is what
+// makes a "yes" sound.
+func NewAdmission(cfg verify.Config) *Admission {
 	cfg.NondetTies = true
-	return &Admission{cfg: cfg, nodes: nodes}
+	return &Admission{cfg: cfg}
 }
 
 // Config returns the config the exact search runs under.
@@ -81,18 +81,14 @@ func (a *Admission) Verify(set []*switching.Profile) (bool, error) {
 func (a *Admission) Stats() AdmissionStats { return a.stats }
 
 // Salt is the cache salt of this admission's answers: VerifyConfigKey of
-// its config, the cluster size when there is one (MaxStates is a per-node
-// budget), and, when the config sets MaxStates, a marker — such a store
+// its config and, when the config sets MaxStates, a marker — such a store
 // holds conservative rejects, which no exact store may serve as verdicts.
+// It is the same on every backend.
 func (a *Admission) Salt() uint64 {
-	var extra []uint64
-	if a.nodes > 0 {
-		extra = append(extra, uint64(a.nodes))
-	}
 	if a.cfg.MaxStates > 0 {
-		extra = append(extra, budgetedStore)
+		return VerifyConfigKey(a.cfg, budgetedStore)
 	}
-	return VerifyConfigKey(a.cfg, extra...)
+	return VerifyConfigKey(a.cfg)
 }
 
 // CheckCache returns ErrCacheConfig when c is salted for another

@@ -44,7 +44,7 @@ func TestAdmissionRefutesFirst(t *testing.T) {
 	if !verify.Refute(missing, sched.PreemptEager) {
 		t.Fatal("fixture: replay finds no miss")
 	}
-	adm := mapping.NewAdmission(verify.Config{}, 0)
+	adm := mapping.NewAdmission(verify.Config{})
 	if ok, err := adm.Verify(missing); ok || err != nil {
 		t.Fatalf("%v, %v; want a refuted no", ok, err)
 	}
@@ -59,7 +59,7 @@ func TestAdmissionBudgetPolicy(t *testing.T) {
 	if err != nil || !exact.Schedulable || exact.States < 2 {
 		t.Fatalf("fixture: %+v, %v", exact, err)
 	}
-	budgeted := mapping.NewAdmission(verify.Config{MaxStates: 1}, 0)
+	budgeted := mapping.NewAdmission(verify.Config{MaxStates: 1})
 	if ok, err := budgeted.Verify(fits); ok || err != nil {
 		t.Fatalf("over budget: %v, %v; want a conservative no", ok, err)
 	}
@@ -68,7 +68,7 @@ func TestAdmissionBudgetPolicy(t *testing.T) {
 	}
 	// Without a budget the engine's own cap is not a verdict: the caller
 	// gets the error.
-	unbudgeted := mapping.NewAdmission(verify.Config{Distributed: backend(7, verify.ErrTooLarge)}, 2)
+	unbudgeted := mapping.NewAdmission(verify.Config{Distributed: backend(7, verify.ErrTooLarge)})
 	if _, err := unbudgeted.Verify(fits); !errors.Is(err, verify.ErrTooLarge) {
 		t.Fatalf("no budget: %v; want ErrTooLarge", err)
 	}
@@ -82,7 +82,7 @@ func TestAdmissionBudgetPolicy(t *testing.T) {
 func TestAdmissionCountersAddUp(t *testing.T) {
 	boom := errors.New("node lost")
 	for _, budget := range []int{0, 1} {
-		adm := mapping.NewAdmission(verify.Config{MaxStates: budget}, 0)
+		adm := mapping.NewAdmission(verify.Config{MaxStates: budget})
 		asks := []struct {
 			set  []*switching.Profile
 			want bool
@@ -101,7 +101,7 @@ func TestAdmissionCountersAddUp(t *testing.T) {
 			t.Errorf("budget %d: %+v; want 1 refuted, 1 encoding reject, %d budget rejects and states", budget, st, budget)
 		}
 	}
-	failing := mapping.NewAdmission(verify.Config{MaxStates: 1, Distributed: backend(3, boom)}, 2)
+	failing := mapping.NewAdmission(verify.Config{MaxStates: 1, Distributed: backend(3, boom)})
 	if _, err := failing.Verify(design(1, 3, 1)); !errors.Is(err, boom) {
 		t.Fatalf("backend failure: %v; want it returned", err)
 	}
@@ -112,8 +112,8 @@ func TestAdmissionCountersAddUp(t *testing.T) {
 
 // TestAdmissionSalts: unbudgeted salts are the values dimension -cachedir
 // and the admission service's exact stores were written under before
-// Admission existed; a budgeted store never shares the salt of an exact
-// one.
+// Admission existed; a cluster's store is salted like the local engine's,
+// budgeted or not; a budgeted store never shares the salt of an exact one.
 func TestAdmissionSalts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -122,24 +122,22 @@ func TestAdmissionSalts(t *testing.T) {
 	}{
 		{"core eager", core.Options{}.Admission().Salt(), 0xb2938d7bb5691066},
 		{"core lazy", core.Options{Policy: sched.PreemptLazy}.Admission().Salt(), 0x10af0e044fee10cb},
-		{"zero config", mapping.NewAdmission(verify.Config{}, 0).Salt(), 0xb2938d7bb5691066},
-		{"exact on 2 nodes", mapping.NewAdmission(verify.Config{Workers: 3}, 2).Salt(),
-			mapping.VerifyConfigKey(verify.Config{NondetTies: true}, 2)},
+		{"zero config", mapping.NewAdmission(verify.Config{}).Salt(), 0xb2938d7bb5691066},
+		{"a cluster's salt is the local salt", mapping.NewAdmission(verify.Config{Workers: 3, Distributed: backend(1, nil)}).Salt(),
+			0xb2938d7bb5691066},
+		{"a budgeted cluster's salt is the local salt", mapping.NewAdmission(verify.Config{MaxStates: 200, Distributed: backend(1, nil)}).Salt(),
+			mapping.NewAdmission(verify.Config{MaxStates: 200}).Salt()},
 	} {
 		if tc.salt != tc.want {
 			t.Errorf("%s: salt %#x, want %#x", tc.name, tc.salt, tc.want)
 		}
 	}
 	budget := verify.Config{NondetTies: true, MaxStates: 200}
-	for _, nodes := range []int{0, 2} {
+	for _, hook := range []func([]*switching.Profile, verify.Config) (verify.Result, error){nil, backend(1, nil)} {
 		sweep := budget
-		sweep.SymmetryReduction = true
-		exact := mapping.VerifyConfigKey(budget)
-		if nodes > 0 {
-			exact = mapping.VerifyConfigKey(budget, uint64(nodes))
-		}
-		if got := mapping.NewAdmission(sweep, nodes).Salt(); got == exact {
-			t.Errorf("%d nodes: the budgeted store shares the exact store's salt %#x", nodes, got)
+		sweep.SymmetryReduction, sweep.Distributed = true, hook
+		if exact, got := mapping.VerifyConfigKey(budget), mapping.NewAdmission(sweep).Salt(); got == exact {
+			t.Errorf("cluster %v: the budgeted store shares the exact store's salt %#x", hook != nil, got)
 		}
 	}
 }

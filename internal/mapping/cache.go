@@ -114,8 +114,8 @@ func Fingerprint(profiles []*switching.Profile) uint64 {
 
 // VerifyConfigKey fingerprints the verdict-relevant fields of a
 // verification config — policy, tie exploration and the state budget —
-// plus any extra salts the caller folds in (e.g. the cluster size of a
-// distributed run, whose per-node budget scales aggregate capacity).
+// plus any extra salts the caller folds in (a budgeted store's marker, the
+// service's symmetry salt).
 // Workers, SymmetryReduction and Distributed do not change an exact verdict
 // and are excluded, so warm caches carry across those knobs. A
 // conservative reject of a busted budget is not a verdict: Admission.Salt

@@ -83,7 +83,7 @@ func SortOrder(profiles []*switching.Profile) []int {
 // CacheMisses report the cache traffic of this run alone.
 func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (*Result, error) {
 	if vf == nil {
-		vf = NewAdmission(verify.Config{}, 0).Verify
+		vf = NewAdmission(verify.Config{}).Verify
 	}
 	res := &Result{}
 	defer res.traffic(cache)()
@@ -131,7 +131,7 @@ func FirstFitCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) 
 // zero config's Admission.
 func OptimalCached(profiles []*switching.Profile, vf VerifyFunc, cache *Cache) (*Result, error) {
 	if vf == nil {
-		vf = NewAdmission(verify.Config{}, 0).Verify
+		vf = NewAdmission(verify.Config{}).Verify
 	}
 	n := len(profiles)
 	if n == 0 {

@@ -93,10 +93,15 @@ func TestLanesMatchReferenceBFS(t *testing.T) {
 	}
 }
 
-// TestLanesBudget: a budget of 1, of half the states and of all but the last
-// one ends the parallel search with ErrTooLarge and more states than the
-// budget (how many more depends on the lane count: lanes notice the bust a
-// piece apart); the exact number of states is within budget.
+// TestLanesBudget holds the parallel search to the one budget rule the
+// reference search computes: a run is ErrTooLarge iff levels 0..D — D the
+// first violating level, or the last — hold more than MaxStates states,
+// and then its Depth is the deepest level whose prefix fits, levels
+// 0..Depth are the reference's and one more entry holds the part of the
+// next level it stored, past the budget (how far past depends on the lane
+// count: lanes notice the bust a piece apart). Budgets of 1, half of
+// levels 0..D, one state short of them and exactly them, on schedulable
+// and violating slots.
 func TestLanesBudget(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -105,9 +110,11 @@ func TestLanesBudget(t *testing.T) {
 	}{
 		{"C1C5C6", caseProfiles(t, "C1", "C5", "C6"), Config{NondetTies: true}},
 		{"fleet7/sym", fleet(7, 6, 1, 2, 9), Config{NondetTies: true, SymmetryReduction: true}},
+		{"viol4", caseProfiles(t, "C1", "C5", "C4", "C6"), Config{NondetTies: true}},
+		{"fleet5/viol", fleet(5, 3, 1, 2, 10), Config{NondetTies: true}},
 	} {
-		want, _, _ := refBFS(t, c.ps, c.cfg)
-		n := want.States
+		want := lanesWant(t, c.ps, c.cfg)
+		n := want.States // levels 0..D
 		for _, lanes := range []int{2, 3, 8} {
 			for _, max := range []int{1, n / 2, n - 1, n} {
 				cfg := c.cfg
@@ -115,15 +122,22 @@ func TestLanesBudget(t *testing.T) {
 				got, err := laneVerifier(t, c.ps, cfg, lanes).Run()
 				name := fmt.Sprintf("%s lanes=%d MaxStates=%d", c.name, lanes, max)
 				if max == n {
+					if !want.Schedulable {
+						got.Transitions = 0
+					}
 					sameVerdict(t, name, got, err, want, nil)
 					continue
 				}
-				if !errors.Is(err, ErrTooLarge) {
-					t.Fatalf("%s: err %v, want ErrTooLarge", name, err)
+				depth := 0
+				for through := want.Levels[0]; through+want.Levels[depth+1] <= max; depth++ {
+					through += want.Levels[depth+1]
+				}
+				if !errors.Is(err, ErrTooLarge) || got.Depth != depth {
+					t.Fatalf("%s: depth %d, %v; want ErrTooLarge at depth %d", name, got.Depth, err, depth)
 				}
 				checkLevels(t, name, got)
-				if got.States <= max || got.States > n {
-					t.Fatalf("%s: stopped at %d states, want more than the budget and at most %d", name, got.States, n)
+				if len(got.Levels) != depth+2 || !slices.Equal(got.Levels[:depth+1], want.Levels[:depth+1]) || got.States <= max || got.States > n {
+					t.Fatalf("%s: levels %v, %d states; want %v and part of the next, past the budget and at most %d", name, got.Levels, got.States, want.Levels[:depth+1], n)
 				}
 			}
 		}
@@ -231,10 +245,25 @@ func TestLanesSyntheticGraph(t *testing.T) {
 			checkLevels(t, label, got)
 
 			// A violator late in the widest level, which takes several
-			// rounds: the rounds before have inserted their successors.
-			got, gerr = run(lanes, c, map[uint64]int{at(7, widths[7]-1): 5}, unlimited)
-			if gerr != nil || got.Schedulable || got.Depth != 7 || got.Violator != 5 || !slices.Equal(got.Levels, widths[:8]) {
-				t.Fatalf("%s: %+v, %v; want violator 5 at depth 7", label, got, gerr)
+			// rounds: the rounds before have inserted their successors. A
+			// budget of exactly levels 0..7 trips on those inserts, the
+			// rounds after sweep the level without inserting, and the
+			// violator is still the verdict; one state less busts at depth 6.
+			late := map[uint64]int{at(7, widths[7]-1): 5}
+			through7 := 0
+			for _, w := range widths[:8] {
+				through7 += w
+			}
+			for _, max := range []int{unlimited, through7} {
+				got, gerr = run(lanes, c, late, max)
+				if gerr != nil || got.Schedulable || got.Depth != 7 || got.Violator != 5 || !slices.Equal(got.Levels, widths[:8]) {
+					t.Fatalf("%s MaxStates=%d: %+v, %v; want violator 5 at depth 7", label, max, got, gerr)
+				}
+				checkLevels(t, label, got)
+			}
+			got, gerr = run(lanes, c, late, through7-1)
+			if !errors.Is(gerr, ErrTooLarge) || got.Depth != 6 || len(got.Levels) != 8 || !slices.Equal(got.Levels[:7], widths[:7]) {
+				t.Fatalf("%s MaxStates=%d: %+v, %v; want a bust at depth 6", label, through7-1, got, gerr)
 			}
 			checkLevels(t, label, got)
 

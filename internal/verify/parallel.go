@@ -109,7 +109,8 @@ func newLanes(v *Verifier, p int) *Lanes {
 // States, Transitions and Depth equal the sequential counts for any lane
 // count. On a violation the level is swept for its minimum violating
 // packed state (the uint64 order), a property of the level alone; States
-// is then the size of levels 0..Depth.
+// is then the size of levels 0..Depth. A level whose round trips the budget
+// is swept to its end for a violator first (Config.MaxStates' rule).
 func runLanes(v *Verifier, n int, init uint64) (Result, error) {
 	e := newLanes(v, n)
 	defer e.Release()
@@ -127,14 +128,14 @@ func runLanes(v *Verifier, n int, init uint64) (Result, error) {
 		for e.LevelRound(nil) {
 		}
 		res.Transitions = e.trans
+		if e.minApp >= 0 {
+			res.Schedulable, res.Violator = false, e.minApp
+			return res, nil
+		}
 		if e.tooLarge {
 			// The states past levels 0..depth are the next level's.
 			res.States, res.Levels = e.states, append(res.Levels, e.states-res.States)
 			return res, ErrTooLarge
-		}
-		if e.minApp >= 0 {
-			res.Schedulable, res.Violator = false, e.minApp
-			return res, nil
 		}
 	}
 }
@@ -143,7 +144,6 @@ func runLanes(v *Verifier, n int, init uint64) (Result, error) {
 type LaneStats struct {
 	States, Transitions int         // fresh states and transitions since Reset
 	Level, Next         int         // states of the level and of the next found so far
-	TooLarge            bool        // States exceeded the budget
 	ViolApp             int         // the level's violator, or −1…
 	Viol                PackedState // …and its minimum violating state
 }
@@ -154,7 +154,8 @@ func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p) }
 
 // Reset empties the node for a new search as node self of nodes, owning
 // the contiguous shards [self·NumShards/nodes, (self+1)·NumShards/nodes),
-// with a budget of maxStates fresh states. Every lane gets a fresh table,
+// with a budget of maxStates fresh states on the node, past which it
+// stores nothing (LevelRound). Every lane gets a fresh table,
 // one of P·nodes that share the search's states: it starts at setCap/(P·nodes)
 // slots and grows on the sequential table's schedule scaled by that share
 // (keySet.grow), so a node's tables follow the sequential table's sizes
@@ -201,8 +202,9 @@ func (e *Lanes) Absorb(slabs [][]uint64) {
 // stageCap successors and stages them by owner, then inserts what was
 // staged for it; the other nodes' go to ship — on the calling goroutine,
 // which returns an empty buffer for the next round. It reports whether the
-// level has states left; once a violation is known nothing more is routed
-// and the rest of the level is swept for a smaller violator.
+// level has states left. Once a violation is known, or the node's budget is
+// spent, nothing more is routed: the rest of the level is swept for a
+// (smaller) violator, which decides the verdict either way.
 func (e *Lanes) LevelRound(ship func(node int, states []uint64) []uint64) bool {
 	parallel := e.Stats().Level >= serialLevelThreshold
 	e.each(phaseExpand, parallel)
@@ -221,10 +223,10 @@ func (e *Lanes) LevelRound(ship func(node int, states []uint64) []uint64) bool {
 			}
 		}
 	}
-	if e.minApp < 0 {
+	if e.minApp < 0 && !e.tooLarge {
 		e.each(phaseInsert, parallel)
 	}
-	return more && !e.tooLarge
+	return more
 }
 
 // Advance makes the states found in the level's rounds the next level.
@@ -240,7 +242,7 @@ func (e *Lanes) Advance() {
 
 // Stats reports the search so far.
 func (e *Lanes) Stats() LaneStats {
-	s := LaneStats{States: e.states, Transitions: e.trans, TooLarge: e.tooLarge, ViolApp: e.minApp}
+	s := LaneStats{States: e.states, Transitions: e.trans, ViolApp: e.minApp}
 	for i := range e.lanes {
 		s.Level += e.lanes[i].frontier.len()
 		s.Next += e.lanes[i].next.len()
@@ -325,8 +327,8 @@ func (e *Lanes) target(l *lane) *level[uint64] {
 // expand is lane i's part of a round: expand its frontier from the cursor,
 // a chunk at a time, and route each chunk's successors, until it has
 // generated stageCap of them or its frontier is done. Once a violation is
-// known the level decides the verdict and nothing more is routed: the lane
-// sweeps the rest for a smaller violator.
+// known, or the budget is spent, the level decides the verdict and nothing
+// more is routed: the lane sweeps the rest for a (smaller) violator.
 func (e *Lanes) expand(i int) {
 	l := &e.lanes[i]
 	if l.pos == 0 {
@@ -337,7 +339,8 @@ func (e *Lanes) expand(i int) {
 	}
 	v, succ, trans := e.v, l.succ, 0
 	viol, violApp := e.minViol, e.minApp
-	for gen := 0; l.pos < l.frontier.len() && (gen < stageCap || violApp >= 0) && !e.full(l); {
+	sweep := violApp >= 0 || e.tooLarge
+	for gen := 0; l.pos < l.frontier.len() && (gen < stageCap || sweep); {
 		chunk := l.frontier.span(l.pos, seqChunk)
 		l.pos += len(chunk)
 		succ = succ[:0]
@@ -349,11 +352,11 @@ func (e *Lanes) expand(i int) {
 			var app int
 			succ, _, app = expandState(v, s, &l.sc, succ, nil)
 			if app >= 0 {
-				viol, violApp = s, app
+				viol, violApp, sweep = s, app, true
 				continue
 			}
 			trans += len(succ) - n
-			if violApp >= 0 {
+			if sweep {
 				succ = succ[:n]
 			}
 		}

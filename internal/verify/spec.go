@@ -23,9 +23,9 @@ type Spec struct {
 	// (cross-validation only; the default nondeterministic exploration is
 	// what makes verdicts sound).
 	DetTies bool `json:"detTies,omitempty"`
-	// MaxStates is the visited-state budget — per node on a distributed
-	// backend. 0 is the engine default (200M); the serving side may clamp
-	// it further.
+	// MaxStates is the visited-state budget of the search, on any backend.
+	// 0 is the engine default (200M); the serving side may clamp it
+	// further.
 	MaxStates int `json:"maxStates,omitempty"`
 	// Symmetry enables the identical-profile symmetry quotient.
 	Symmetry bool `json:"symmetry,omitempty"`

@@ -75,8 +75,11 @@ type Config struct {
 	// verification). When false, ties break deterministically exactly like
 	// the runtime arbiter (used for cross-validation).
 	NondetTies bool
-	// MaxStates aborts the search beyond this many visited states
-	// (0 = 200 million).
+	// MaxStates bounds the question (0 = 200 million): on lanes and on a
+	// cluster a run is ErrTooLarge iff levels 0..D — D the first violating
+	// level, or the last — hold more states, at the deepest level whose
+	// prefix fits as its Depth. (The sequential search stops at the first
+	// violator it meets, so on a violating set its edge can differ.)
 	MaxStates int
 	// Workers is the number of lanes of the search: 0 means GOMAXPROCS, 1
 	// forces the sequential search. The parallel search partitions the
@@ -103,10 +106,9 @@ type Config struct {
 	// Distributed, when non-nil, hands the whole reachability run to an
 	// external backend (internal/dverify.Runner): Run ships the profiles
 	// and this Config — with Distributed cleared — to the hook instead of
-	// searching in-process. In distributed runs MaxStates is a per-node
-	// visited budget (it models per-node memory), so the aggregate capacity
-	// grows with the cluster size. Counterexample rebuilds the schedule of
-	// a distributed verdict locally.
+	// searching in-process. MaxStates bounds the run as it does a local
+	// one. Counterexample rebuilds the schedule of a distributed verdict
+	// locally.
 	Distributed func(profiles []*switching.Profile, cfg Config) (Result, error)
 	// RunID tags this run in logs, traces and distributed worker sessions.
 	// Minted at the admission boundary (or by the CLI) via obs.NewRunID and

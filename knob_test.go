@@ -530,7 +530,13 @@ var deletedMechanisms = []struct {
 	{`func settleIndex`, "internal/sim", false, "the co-simulator's settling index is lti.SettlingIndex"},
 	{`func \(t RLETable\) (Decode|Len|At)\(`, "internal/switching", true, "a dwell table's runs are counted (Words), never expanded or indexed: no command reads an entry back from them"},
 	{`\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|Text)?(Var)?\((&[\w.]+, *)?"nodes"`, ".", false,
-		"one node per process: a command reaches a cluster by -connect to verifyd workers; in-process nodes share one heap and the cores, tied the local lanes and multiplied the per-node -maxstates (DESIGN.md, \"Commands\")"},
+		"one node per process: a command reaches a cluster by -connect to verifyd workers; in-process nodes share one heap and the cores and tied the local lanes (DESIGN.md, \"Commands\")"},
+	{`BackendNodes|backendNodes`, ".", true,
+		"MaxStates bounds the question on every backend, so the cluster size salts no cache key and /statsz has no node count to report (DESIGN.md §3, item 4)"},
+	{`TooLarge +bool`, "internal/dverify", true,
+		"the coordinator derives a budget bust from the nodes' summed FreshByLevel: a worker states no fact another field determines (protoVersion 21)"},
+	{`TooLarge +bool`, "internal/verify", true,
+		"a node past its budget sweeps its level as one that knows a violator does, and the level decides the verdict: verify.LaneStats needs no budget flag"},
 }
 
 // TestDeletedMechanismsStayDeleted holds the tree to deletedMechanisms.
