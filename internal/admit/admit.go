@@ -104,9 +104,6 @@ type Options struct {
 	// default: the fallback runs the cluster's questions on one machine's
 	// memory and cores.
 	LocalFallback bool
-	// Profiles resolves named applications ("apps" in a request) to
-	// profiles; nil uses the paper's case study (plants.ProfileList).
-	Profiles func(names []string) ([]*switching.Profile, error)
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 }
@@ -167,11 +164,6 @@ func New(opts Options) *Service {
 	}
 	if opts.Checkpoint <= 0 {
 		opts.Checkpoint = 30 * time.Second
-	}
-	if opts.Profiles == nil {
-		opts.Profiles = func(names []string) ([]*switching.Profile, error) {
-			return plants.ProfileList(names...)
-		}
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -243,7 +235,7 @@ func (s *Service) resolve(req *AdmitRequest) (*resolved, int, error) {
 			names[i] = p.Name
 		}
 	case len(req.Apps) > 0:
-		ps, err := s.opts.Profiles(req.Apps)
+		ps, err := plants.ProfileList(req.Apps...)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}

@@ -318,7 +318,7 @@ func TestServiceStatsAndHealth(t *testing.T) {
 			t.Fatalf("submit %d: HTTP %d", i, status)
 		}
 	}
-	st, err := r.cli.Stats()
+	st, err := statsOf(r.cli)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestServiceWarmStart(t *testing.T) {
 	if resp.Verdict.States != 0 || resp.Verdict.Violator != -1 {
 		t.Fatalf("warm verdict invented search counts: %+v", resp.Verdict)
 	}
-	st, err := r2.cli.Stats()
+	st, err := statsOf(r2.cli)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestServiceValidation(t *testing.T) {
 			t.Errorf("%s: error %q lacks the malformed-request prefix", tc.name, ar.Error)
 		}
 	}
-	st, err := r.cli.Stats()
+	st, err := statsOf(r.cli)
 	if err != nil {
 		t.Fatal(err)
 	}

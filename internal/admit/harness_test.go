@@ -123,6 +123,20 @@ func newRig(t testing.TB, bc backendCase, mod func(*Options)) *rig {
 	return &rig{svc: svc, ts: hts, cli: &Client{BaseURL: hts.URL}}
 }
 
+// statsOf fetches c's /statsz.
+func statsOf(c *Client) (*Stats, error) {
+	resp, err := http.Get(c.BaseURL + "/statsz")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&st); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
 // postRaw submits a raw JSON body to POST /v1/admit, returning the HTTP
 // response and its full body.
 func (r *rig) postRaw(t testing.TB, body string) (*http.Response, []byte) {

@@ -328,17 +328,3 @@ func (c *Client) VerifyFunc(spec verify.Spec) func(profiles []*switching.Profile
 		return resp.Verdict.Schedulable, nil
 	}
 }
-
-// Stats fetches /statsz.
-func (c *Client) Stats() (*Stats, error) {
-	resp, err := http.Get(c.BaseURL + "/statsz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}

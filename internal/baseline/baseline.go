@@ -46,8 +46,6 @@ type AppTiming struct {
 	D int
 	// R is the minimum disturbance inter-arrival time (samples).
 	R int
-	// Delay is the request offset of strategy 2 (0 under strategy 1).
-	Delay int
 }
 
 // FromProfile derives the default baseline timing of an application from

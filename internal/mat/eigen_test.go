@@ -138,7 +138,7 @@ func TestEigenvalueTraceDetProperty(t *testing.T) {
 			sum += l
 			prod *= l
 		}
-		if math.Abs(real(sum)-a.Trace()) > 1e-7*(1+math.Abs(a.Trace())) {
+		if math.Abs(real(sum)-trace(a)) > 1e-7*(1+math.Abs(trace(a))) {
 			return false
 		}
 		if math.Abs(imag(sum)) > 1e-7 {

@@ -223,18 +223,6 @@ func mustSameShape(a, b *Matrix) {
 	}
 }
 
-// Trace returns the sum of diagonal entries of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if m.rows != m.cols {
-		panic(ErrDimension)
-	}
-	s := 0.0
-	for i := 0; i < m.rows; i++ {
-		s += m.data[i*m.cols+i]
-	}
-	return s
-}
-
 // NormFro returns the Frobenius norm.
 func (m *Matrix) NormFro() float64 {
 	s := 0.0

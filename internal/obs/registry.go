@@ -5,7 +5,7 @@
 //
 // The registry serves the hot paths of internal/verify and
 // internal/dverify, so its update operations — Counter.Add,
-// Gauge.Set/Add, Histogram.Observe — are lock-free atomics and
+// Gauge.Add, Histogram.Observe — are lock-free atomics and
 // allocation-free: the S1 sequential search holds an ~80 allocs/op gate
 // with telemetry enabled, which no map lookup or label rendering on the
 // update path would survive. All allocation
@@ -197,11 +197,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value.
+// Gauge is an instantaneous value that moves up and down.
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by d (negative to decrement).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }

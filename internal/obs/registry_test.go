@@ -48,7 +48,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("t_total", "Counts\nthings with a \\ in the help.").Add(3)
 	r.Counter("t_labeled_total", "Labeled.", "link", `0->1`).Add(7)
 	r.Counter("t_labeled_total", "Labeled.", "link", "quote\"back\\slash\nnl").Inc()
-	r.Gauge("t_depth", "Depth.").Set(-2)
+	r.Gauge("t_depth", "Depth.").Add(-2)
 	r.GaugeFunc("t_fn", "Func gauge.", func() float64 { return 2.5 })
 	h := r.Histogram("t_seconds", "Latency.", []float64{0.1, 1})
 	// Dyadic values: the CAS-accumulated sum must format exactly.
@@ -153,7 +153,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Add(1)
-		g.Set(-4)
+		g.Add(-4)
 		h.Observe(0.25)
 		h.Observe(1e6) // overflow bucket
 	})

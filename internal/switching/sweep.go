@@ -110,7 +110,7 @@ func (c *certificate) holds(s *Simulator) bool {
 }
 
 // sweeper is the one settling kernel behind SettleAfterSwitch, Surface,
-// Profile.Validate and Compute. It holds a simulator at the end of the
+// Compute and the tests' Validate. It holds a simulator at the end of the
 // pattern "tw samples ME, then dwell samples MT" together with the last
 // out-of-band sample seen on the way there, and lets the caller lengthen the
 // wait or the dwell a sample at a time and ask, at any point, when the loop

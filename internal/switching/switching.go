@@ -439,31 +439,3 @@ func (p *Profile) MaxTdwPlus() int {
 	}
 	return m
 }
-
-// Validate cross-checks internal consistency of a profile: table lengths,
-// Tdw− ≤ Tdw+, and that every dwell in [Tdw−, Tdw+] still meets the
-// requirement (the scheduler may preempt anywhere in that window, so the
-// whole window must be safe). It re-simulates every dwell in every window.
-func (p *Profile) Validate(pl Plant, cfg Config) error {
-	want := p.TwStar/p.Granularity + 1
-	if len(p.TdwMinus) != want || len(p.TdwPlus) != want {
-		return fmt.Errorf("switching: table length %d/%d, want %d", len(p.TdwMinus), len(p.TdwPlus), want)
-	}
-	w := newSweeper(pl, cfg.withDefaults())
-	for i := range p.TdwMinus {
-		if p.TdwMinus[i] > p.TdwPlus[i] {
-			return fmt.Errorf("switching: Tdw−[%d]=%d > Tdw+[%d]=%d", i, p.TdwMinus[i], i, p.TdwPlus[i])
-		}
-		tw := i * p.Granularity
-		w.waitTo(tw)
-		for d := p.TdwMinus[i]; d <= p.TdwPlus[i]; d++ {
-			w.dwellTo(d)
-			j, ok := w.settle()
-			if !ok || j > p.JStar {
-				return fmt.Errorf("switching: dwell %d in window [%d,%d] at Tw=%d violates J*: J=%d",
-					d, p.TdwMinus[i], p.TdwPlus[i], tw, j)
-			}
-		}
-	}
-	return nil
-}

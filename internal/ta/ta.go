@@ -190,11 +190,10 @@ func (n *Network) anyUrgentOrCommitted(s *State) bool {
 
 // Step describes one transition for traces.
 type Step struct {
-	Delay   bool
-	AutoA   int    // acting automaton (emitter for syncs)
-	AutoB   int    // receiver for syncs, −1 otherwise
-	Label   string // edge label(s)
-	Elapsed int    // cumulative delay steps before this action
+	Delay bool
+	AutoA int    // acting automaton (emitter for syncs)
+	AutoB int    // receiver for syncs, −1 otherwise
+	Label string // edge label(s)
 }
 
 // scratch holds the successor states of one expansion, reused from state to

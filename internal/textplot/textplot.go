@@ -16,17 +16,16 @@ type Series struct {
 
 // Options sizes a plot.
 type Options struct {
-	Width  int // columns of the plot area (default 70)
 	Height int // rows (default 18)
 }
+
+// plotWidth is the number of columns of a plot area.
+const plotWidth = 70
 
 var markers = []byte{'*', '+', 'o', 'x', '#', '@'}
 
 // Lines renders the series over a common x-index as an ASCII chart.
 func Lines(series []Series, opt Options) string {
-	if opt.Width <= 0 {
-		opt.Width = 70
-	}
 	if opt.Height <= 0 {
 		opt.Height = 18
 	}
@@ -53,17 +52,17 @@ func Lines(series []Series, opt Options) string {
 	}
 	grid := make([][]byte, opt.Height)
 	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", opt.Width))
+		grid[r] = []byte(strings.Repeat(" ", plotWidth))
 	}
 	for si, s := range series {
 		m := markers[si%len(markers)]
 		for i, v := range s.Y {
 			c := 0
 			if maxLen > 1 {
-				c = i * (opt.Width - 1) / (maxLen - 1)
+				c = i * (plotWidth - 1) / (maxLen - 1)
 			}
 			r := int(math.Round((hi - v) / (hi - lo) * float64(opt.Height-1)))
-			if r >= 0 && r < opt.Height && c >= 0 && c < opt.Width {
+			if r >= 0 && r < opt.Height && c >= 0 && c < plotWidth {
 				grid[r][c] = m
 			}
 		}
@@ -73,7 +72,7 @@ func Lines(series []Series, opt Options) string {
 	for _, row := range grid {
 		fmt.Fprintf(&b, "%10s │%s\n", "", string(row))
 	}
-	fmt.Fprintf(&b, "%10.3g ┼%s\n", lo, strings.Repeat("─", opt.Width))
+	fmt.Fprintf(&b, "%10.3g ┼%s\n", lo, strings.Repeat("─", plotWidth))
 	legend := make([]string, 0, len(series))
 	for si, s := range series {
 		legend = append(legend, fmt.Sprintf("%c %s", markers[si%len(markers)], s.Name))

@@ -9,7 +9,7 @@ func TestLinesBasic(t *testing.T) {
 	out := Lines([]Series{
 		{Name: "a", Y: []float64{0, 1, 0.5, 0.2}},
 		{Name: "b", Y: []float64{1, 0.5, 0.25, 0.1}},
-	}, Options{Width: 40, Height: 10})
+	}, Options{Height: 10})
 	if !strings.Contains(out, "* a") || !strings.Contains(out, "+ b") {
 		t.Fatalf("legend missing:\n%s", out)
 	}
@@ -26,7 +26,7 @@ func TestLinesEmptyAndFlat(t *testing.T) {
 		t.Fatalf("empty plot: %q", out)
 	}
 	// A constant series must not divide by zero.
-	out := Lines([]Series{{Name: "c", Y: []float64{2, 2, 2}}}, Options{Width: 10, Height: 4})
+	out := Lines([]Series{{Name: "c", Y: []float64{2, 2, 2}}}, Options{Height: 4})
 	if !strings.Contains(out, "*") {
 		t.Fatalf("flat series unplotted:\n%s", out)
 	}

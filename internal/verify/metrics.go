@@ -40,8 +40,6 @@ var (
 // in the next [benchmark] PR.
 type ContentionStats struct {
 	CASRetries uint64
-	ProbeSteps uint64
-	Overflows  uint64
 	Steals     uint64
 }
 

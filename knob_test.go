@@ -1,10 +1,12 @@
 package tightcps_test
 
 // The knob rule (ROADMAP.md): an option field or a function stays only if
-// a command or a benchmark op reaches it. TestOptionFieldsAreSet scans the
-// tree with go/parser and fails on every exported field of an option
-// struct under internal/ that no code outside its package sets;
-// TestFunctionsAreReached fails on every non-test function no command,
+// a command or a benchmark op reaches it. Its two tests share one go/types
+// load of the module, the commands, benchmark/ and the README's examples
+// (loadTree), so every use resolves to the one field or function it names,
+// never to a namesake: TestOptionFieldsAreSet fails on every exported field
+// of an option struct under internal/ that no code outside its package
+// sets, and TestFunctionsAreReached on every non-test function no command,
 // benchmark op or README example reaches. Deleted mechanisms stay deleted:
 // TestDeletedMechanismsStayDeleted fails on any line of Go that brings one
 // back. TestPlacementRules keeps a few calls and imports in the files they
@@ -12,18 +14,26 @@ package tightcps_test
 // command.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"regexp/syntax"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,137 +42,116 @@ var knobExempt = map[string]string{
 	"plants.SyntheticOptions.Archetypes":   "shapes the generator behind fleet-sweep; only a [benchmark] change may alter that workload",
 	"plants.SyntheticOptions.UnstableFrac": "shapes the generator behind fleet-sweep; only a [benchmark] change may alter that workload",
 	"sim.SporadicConfig":                   "ROADMAP item 17 builds on the Monte-Carlo scenarios",
+	"ta.CheckOptions.MaxStates":            "the timed-automata oracle's budget: its own tests and ROADMAP item 12 drive it, and benchmark/ passes the type's zero value",
+	"ta.CheckOptions.Trace":                "the timed-automata oracle's witness: its own tests and ROADMAP item 12 drive it, and benchmark/ passes the type's zero value",
 }
 
 // knobStructs names the scanned structs beyond the *Options and *Config
 // ones: the wire form of verify.Config and the service's client.
 var knobStructs = map[string]bool{"verify.Spec": true, "admit.Client": true}
 
-// knobFile is one parsed Go file of the tree.
-type knobFile struct {
-	path    string // slash-separated, relative to the repo root
-	dir     string // path's directory
-	test    bool
-	ast     *ast.File
-	fset    *token.FileSet
-	imports map[string]string // local name → import path
-}
-
 // TestOptionFieldsAreSet fails on an exported field of an exported
 // internal/ struct named *Options or *Config (or in knobStructs) that no
-// file outside its package sets, counting only non-test files and the
-// files under benchmark/. A field is set by a keyed or positional
-// composite literal of its struct, or by an assignment, an increment or
-// an address-of (&x.F, how flag and decoder code fill one) of a selector
-// with its name. The last three go by name alone, so a field is let
-// through when any struct's field of that name is assigned: the test
-// misses some dead fields, but never fails a live one.
+// non-test code outside its package sets, the commands and benchmark/
+// included. The type checker resolves each use to the field itself. A field
+// is set by a keyed composite literal naming it, a positional one of its
+// struct, or a selector of it that is assigned, incremented or
+// decremented, or whose address is taken (&x.F, how flag and decoder code
+// fill one); x.F.G = v sets G alone.
 func TestOptionFieldsAreSet(t *testing.T) {
-	files := parseTree(t)
+	tree := loadTree(t)
 
-	// fields maps "pkg.Type" to its exported fields; pkgDir maps "pkg" to
-	// its directory (internal/<pkg>).
-	fields := map[string][]string{}
-	pkgDir := map[string]string{}
-	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+	fields := map[*types.Var]string{} // scanned field → pkg.Type.Field
+	scanned := map[string]bool{}      // pkg.Type and pkg.Type.Field
+	for _, p := range tree.pkgs {
+		if p.example || !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		pkg := f.ast.Name.Name
-		for _, d := range f.ast.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			label := p.types.Name() + "." + name
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || knobStructs[label]) {
 				continue
 			}
-			for _, s := range gd.Specs {
-				ts := s.(*ast.TypeSpec)
-				st, ok := ts.Type.(*ast.StructType)
-				name := pkg + "." + ts.Name.Name
-				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Options") ||
-					strings.HasSuffix(ts.Name.Name, "Config") || knobStructs[name]) {
-					continue
-				}
-				pkgDir[pkg] = f.dir
-				for _, fl := range st.Fields.List {
-					for _, n := range fl.Names {
-						if n.IsExported() {
-							fields[name] = append(fields[name], n.Name)
-						}
-					}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			scanned[label] = true
+			for f := range st.Fields() {
+				if f.Exported() && !f.Embedded() {
+					fields[f] = label + "." + f.Name()
+					scanned[label+"."+f.Name()] = true
 				}
 			}
 		}
 	}
 
-	// set holds the "pkg.Type.Field" keys of literals; named maps a field
-	// name to the directories of the files that set it by name.
-	set := map[string]bool{}
-	named := map[string][]string{}
-	for _, f := range files {
-		if f.test && !strings.HasPrefix(f.dir, "benchmark") {
+	set := map[*types.Var]bool{}
+	for _, p := range tree.pkgs {
+		if p.example {
 			continue
 		}
-		byName := func(e ast.Expr) {
-			for {
-				sel, ok := e.(*ast.SelectorExpr)
-				if !ok {
-					return
-				}
-				named[sel.Sel.Name] = append(named[sel.Sel.Name], f.dir)
-				e = sel.X
+		mark := func(v *types.Var) {
+			if v = v.Origin(); v.Pkg() != p.types {
+				set[v] = true
 			}
 		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				sel, ok := n.Type.(*ast.SelectorExpr)
-				if !ok {
-					break
+		// written marks the field e selects, if it selects one.
+		written := func(e ast.Expr) {
+			if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+					mark(s.Obj().(*types.Var))
 				}
-				x, ok := sel.X.(*ast.Ident)
-				if !ok {
-					break
-				}
-				path := f.imports[x.Name]
-				name := path[strings.LastIndex(path, "/")+1:] + "." + sel.Sel.Name
-				for _, el := range n.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok { // positional: every field is set
-						for _, fl := range fields[name] {
-							set[name+"."+fl] = true
-						}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := p.info.TypeOf(n)
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
 						break
 					}
-					if k, ok := kv.Key.(*ast.Ident); ok {
-						set[name+"."+k.Name] = true
+					for _, el := range n.Elts {
+						kv, ok := el.(*ast.KeyValueExpr)
+						if !ok { // positional: every field is set
+							for f := range st.Fields() {
+								mark(f)
+							}
+							break
+						}
+						if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							mark(v)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						written(l)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written(n.X)
 					}
 				}
-			case *ast.AssignStmt:
-				for _, l := range n.Lhs {
-					byName(l)
-				}
-			case *ast.IncDecStmt:
-				byName(n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					byName(n.X)
-				}
-			}
-			return true
-		})
-	}
-	var unset []string
-	for name, names := range fields {
-		if _, ok := knobExempt[name]; ok {
-			continue
+				return true
+			})
 		}
-		own := pkgDir[name[:strings.Index(name, ".")]]
-		for _, fl := range names {
-			key := name + "." + fl
-			_, exempt := knobExempt[key]
-			if !exempt && !set[key] && !slices.ContainsFunc(named[fl], func(d string) bool { return d != own }) {
-				unset = append(unset, key)
-			}
+	}
+
+	var unset []string
+	for f, key := range fields {
+		_, exempt := knobExempt[key]
+		_, whole := knobExempt[key[:strings.LastIndex(key, ".")]]
+		if !set[f] && !exempt && !whole {
+			unset = append(unset, key)
 		}
 	}
 	slices.Sort(unset)
@@ -171,8 +160,7 @@ func TestOptionFieldsAreSet(t *testing.T) {
 			strings.Join(unset, "\n\t"))
 	}
 	for name := range knobExempt {
-		parts := strings.Split(name, ".")
-		if names, ok := fields[parts[0]+"."+parts[1]]; !ok || len(parts) == 3 && !slices.Contains(names, parts[2]) {
+		if !scanned[name] {
 			t.Errorf("exemption %s names no scanned struct or field", name)
 		}
 	}
@@ -188,9 +176,11 @@ var reachExempt = map[string]string{
 	"mat.Diag":                    "a fixture of the lti, control and mat tests",
 }
 
-// reachRoots are the methods the standard library calls through its
-// interfaces (fmt.Stringer, error, http.Handler, sort.Interface, io).
-var reachRoots = []string{"String", "Error", "ServeHTTP", "Len", "Less", "Swap", "Read", "Write", "Close", "Unwrap"}
+// rootInterfaces name the interfaces through which the standard library
+// calls a type's methods, beside error and Unwrap() error (errors).
+var rootInterfaces = []string{
+	"fmt.Stringer", "net/http.Handler", "sort.Interface", "io.Reader", "io.Writer", "io.Closer",
+}
 
 // readmeExample matches a README line naming a testable example.
 var readmeExample = regexp.MustCompile("`(internal/\\w+)` `(Example\\w*)`")
@@ -198,95 +188,152 @@ var readmeExample = regexp.MustCompile("`(internal/\\w+)` `(Example\\w*)`")
 // TestFunctionsAreReached fails on a non-test function that no command, no
 // benchmark op and no README example reaches. The roots are every main
 // under cmd/ and benchmark/, every init, every package-level var
-// initializer, the methods named in reachRoots and the examples the README
-// lists; a reached function reaches every function and method its body
-// names. A plain function is keyed by its package directory and name, a
-// method by its name alone, and every declaration sharing a key is reached
-// together (the build-tagged tablemem files). Going by name, the test
-// misses some dead methods, but never fails a live function.
+// initializer, the examples the README lists, and the methods the standard
+// library calls through its interfaces (rootInterfaces) on a type of the
+// module that implements one. A reached function reaches every function
+// and method its body names, as the type checker resolves them; a call of
+// an interface method reaches that method on every type of the module that
+// implements the interface. A function of a file another platform's build
+// takes (tablemem_other.go) must have a twin of its name in the package's
+// checked files, and is reached with it; its body is not type-checked, so
+// what only it calls is not seen.
 func TestFunctionsAreReached(t *testing.T) {
-	files := parseTree(t)
+	tree := loadTree(t)
 
 	type decl struct {
-		body  *ast.BlockStmt
-		file  *knobFile
-		label string // pkg.Name or pkg.Recv.Name; a command's pkg is its directory
+		body *ast.BlockStmt
+		pkg  *knobPkg
 	}
-	decls := map[string][]decl{} // key → declarations sharing it
-	var queue []string
-	reached := map[string]bool{}
-	mark := func(key string) {
-		if !reached[key] {
-			reached[key] = true
-			queue = append(queue, key)
+	decls := map[*types.Func]decl{}
+	labels := map[string]*types.Func{} // pkg.Name or pkg.Recv.Name → non-test function
+	var named []*types.Named           // the module's concrete types
+	reached := map[*types.Func]bool{}
+	var queue []*types.Func
+	mark := func(fn *types.Func) {
+		if fn = fn.Origin(); !reached[fn] {
+			reached[fn] = true
+			queue = append(queue, fn)
 		}
 	}
-	// walk marks what n names: a plain function of f's package by its
-	// identifier, one of another package by its selector — keyed by its
-	// directory in the module, by its import path outside it — and every
-	// method of any other selector's name.
-	walk := func(f *knobFile, n ast.Node) {
+	walk := func(p *knobPkg, n ast.Node) {
 		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				mark(f.dir + "." + n.Name)
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if path, ok := f.imports[x.Name]; ok {
-						mark(strings.TrimPrefix(path, "tightcps/") + "." + n.Sel.Name)
-						return false
-					}
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := p.info.Uses[id].(*types.Func); ok {
+					mark(fn)
 				}
-				mark("." + n.Sel.Name)
 			}
 			return true
 		})
 	}
-	for i := range files {
-		f := &files[i]
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				pkg := f.ast.Name.Name
-				if pkg == "main" {
-					pkg = f.dir
+	// implement marks the methods of the module's types that implement
+	// iface and are named by one of its methods in names.
+	implement := func(iface *types.Interface, names ...*types.Func) {
+		for _, n := range named {
+			for _, typ := range []types.Type{n, types.NewPointer(n)} {
+				if !types.Implements(typ, iface) {
+					continue
 				}
-				key, label := f.dir+"."+d.Name.Name, pkg+"."+d.Name.Name
-				if d.Recv != nil {
-					key, label = "."+d.Name.Name, pkg+"."+recvName(d.Recv.List[0].Type)+"."+d.Name.Name
+				for _, m := range names {
+					obj, _, _ := types.LookupFieldOrMethod(typ, true, m.Pkg(), m.Name())
+					mark(obj.(*types.Func))
 				}
-				decls[key] = append(decls[key], decl{d.Body, f, label})
-				if d.Recv == nil && (d.Name.Name == "init" ||
-					d.Name.Name == "main" && (strings.HasPrefix(f.dir, "cmd/") || f.dir == "benchmark")) {
-					mark(key)
-				}
-			case *ast.GenDecl:
-				if d.Tok == token.VAR && !f.test {
-					walk(f, d)
-				}
+				break
 			}
 		}
 	}
-	for _, name := range reachRoots {
-		mark("." + name)
-	}
+
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
+	examples := map[string]bool{} // dir.Example the README lists
 	for _, m := range readmeExample.FindAllStringSubmatch(string(readme), -1) {
-		if len(decls[m[1]+"."+m[2]]) == 0 {
-			t.Errorf("README names example %s.%s, which does not exist", m[1], m[2])
+		examples[m[1]+"."+m[2]] = true
+	}
+	// Walking a root only queues what it names, so the roots are walked as
+	// they are found.
+	for _, p := range tree.pkgs {
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
 		}
-		mark(m[1] + "." + m[2])
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if p.example {
+						if key := p.dir + "." + d.Name.Name; examples[key] {
+							walk(p, d.Body)
+							delete(examples, key)
+						}
+						continue
+					}
+					if d.Recv == nil && d.Name.Name == "init" { // many per package, never named
+						walk(p, d.Body)
+						continue
+					}
+					fn := p.info.Defs[d.Name].(*types.Func)
+					decls[fn] = decl{d.Body, p}
+					label := funcLabel(p, fn)
+					if _, ok := labels[label]; ok {
+						t.Errorf("two functions are labelled %s", label)
+					}
+					labels[label] = fn
+					if d.Name.Name == "main" && d.Recv == nil && p.types.Name() == "main" {
+						mark(fn)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR && !p.example {
+						walk(p, d)
+					}
+				}
+			}
+		}
+		for _, f := range p.ignored {
+			for _, d := range f.Decls {
+				d, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if _, twin := p.types.Scope().Lookup(d.Name.Name).(*types.Func); !twin || d.Recv != nil {
+					t.Errorf("%s: %s has no twin: a build-tagged file declares only plain functions its package's other files declare too",
+						tree.fset.Position(d.Pos()), d.Name.Name)
+				}
+			}
+		}
+	}
+	for key := range examples {
+		t.Errorf("README names example %s, which does not exist", key)
+	}
+	errorType := types.Universe.Lookup("error").Type()
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap",
+		types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errorType)), false))
+	ifaces := []*types.Interface{errorType.Underlying().(*types.Interface), types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete()}
+	for _, name := range rootInterfaces {
+		i := strings.LastIndex(name, ".")
+		pkg, err := tree.imp.Import(name[:i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, pkg.Scope().Lookup(name[i+1:]).Type().Underlying().(*types.Interface))
+	}
+	for _, iface := range ifaces {
+		implement(iface, slices.Collect(iface.Methods())...)
 	}
 	drain := func() {
 		for len(queue) > 0 {
-			key := queue[len(queue)-1]
+			fn := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, d := range decls[key] {
+			if d, ok := decls[fn]; ok {
 				if d.body != nil {
-					walk(d.file, d.body)
+					walk(d.pkg, d.body)
+				}
+			} else if recv := fn.Signature().Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					implement(iface, fn)
 				}
 			}
 		}
@@ -295,28 +342,20 @@ func TestFunctionsAreReached(t *testing.T) {
 
 	// An exempt function must be unreached, and what it calls is kept
 	// with it.
-	keyOf := map[string]string{} // label → key, of non-test functions
-	for key, ds := range decls {
-		for _, d := range ds {
-			if !d.file.test {
-				keyOf[d.label] = key
-			}
-		}
-	}
 	for name := range reachExempt {
-		if key, ok := keyOf[name]; !ok {
+		if fn, ok := labels[name]; !ok {
 			t.Errorf("exemption %s names no non-test function", name)
-		} else if reached[key] {
+		} else if reached[fn] {
 			t.Errorf("exemption %s names a reached function", name)
 		} else {
-			mark(key)
+			mark(fn)
 		}
 	}
 	drain()
 
 	var unreached []string
-	for label, key := range keyOf {
-		if !reached[key] {
+	for label, fn := range labels {
+		if !reached[fn] {
 			unreached = append(unreached, label)
 		}
 	}
@@ -327,22 +366,207 @@ func TestFunctionsAreReached(t *testing.T) {
 	}
 }
 
-// recvName returns the type name of a method receiver.
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr: // generic receiver
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+// funcLabel names fn as pkg.Name or pkg.Recv.Name, a command's pkg being
+// its directory.
+func funcLabel(p *knobPkg, fn *types.Func) string {
+	pkg := p.types.Name()
+	if pkg == "main" {
+		pkg = p.dir
+	}
+	if recv := fn.Signature().Recv(); recv != nil {
+		typ := recv.Type()
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		if n, ok := typ.(*types.Named); ok {
+			pkg += "." + n.Obj().Name()
 		}
 	}
+	return pkg + "." + fn.Name()
+}
+
+// knobPkg is one type-checked package of the tree.
+type knobPkg struct {
+	dir     string // slash-separated, relative to the repo root
+	types   *types.Package
+	info    *types.Info
+	files   []*ast.File
+	ignored []*ast.File // non-test files only another platform's build takes
+	example bool        // the README's examples of a package: its external tests declaring them
+}
+
+// knobTree is the module type-checked once for the knob tests: every
+// non-test package (the commands among them), benchmark/, and the files
+// of the examples the README lists.
+type knobTree struct {
+	fset *token.FileSet
+	pkgs []*knobPkg // dependencies first
+	imp  types.Importer
+}
+
+func loadTree(t *testing.T) *knobTree {
+	t.Helper()
+	tree, err := knobTreeOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// knobTreeOnce loads the tree from source. The standard library comes
+// from its compiled export data, which one go list -export -deps per
+// module (the root, and benchmark/ with its replace) names.
+var knobTreeOnce = sync.OnceValues(func() (*knobTree, error) {
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	type listed struct {
+		ImportPath, Dir, Export               string
+		Standard                              bool
+		GoFiles, IgnoredGoFiles, XTestGoFiles []string
+	}
+	var module []listed
+	export := map[string]string{}
+	for _, dir := range []string{".", "benchmark"} {
+		cmd := exec.Command("go", "list", "-export", "-deps",
+			"-json=ImportPath,Dir,Export,Standard,GoFiles,IgnoredGoFiles,XTestGoFiles", "./...")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			err = fmt.Errorf("go list in %s: %w\n%s", dir, err, ee.Stderr)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+			var p listed
+			if err := dec.Decode(&p); err != nil {
+				return nil, err
+			}
+			if p.Standard {
+				export[p.ImportPath] = p.Export
+			} else if !slices.ContainsFunc(module, func(q listed) bool { return q.ImportPath == p.ImportPath }) {
+				module = append(module, p)
+			}
+		}
+	}
+
+	tree := &knobTree{fset: token.NewFileSet()}
+	std := importer.ForCompiler(tree.fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := export[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(f)
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	parse := func(dir string, names []string) ([]*ast.File, error) {
+		var files []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(tree.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		return files, nil
+	}
+	relDir := func(dir string) string {
+		rel, _ := filepath.Rel(root, dir) // go list's directories are under root
+		return filepath.ToSlash(rel)
+	}
+	check := func(path, dir string, files []*ast.File) (*knobPkg, error) {
+		p := &knobPkg{dir: dir, files: files, info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		var err error
+		if p.types, err = conf.Check(path, tree.fset, files, p.info); err != nil {
+			return nil, err
+		}
+		tree.pkgs = append(tree.pkgs, p)
+		return p, nil
+	}
+	// The README's examples: per package, the external test files that
+	// declare one, type-checked on their own.
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		return nil, err
+	}
+	want := map[string][]string{} // dir → examples
+	for _, m := range readmeExample.FindAllStringSubmatch(string(readme), -1) {
+		want[m[1]] = append(want[m[1]], m[2])
+	}
+	for _, lp := range module {
+		files, err := parse(lp.Dir, lp.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		p, err := check(lp.ImportPath, relDir(lp.Dir), files)
+		if err != nil {
+			return nil, err
+		}
+		checked[lp.ImportPath] = p.types
+		var ignored []string
+		for _, name := range lp.IgnoredGoFiles {
+			if !strings.HasSuffix(name, "_test.go") {
+				ignored = append(ignored, name)
+			}
+		}
+		if p.ignored, err = parse(lp.Dir, ignored); err != nil {
+			return nil, err
+		}
+	}
+	for _, lp := range module { // after every package an example may import
+		dir := relDir(lp.Dir)
+		if want[dir] == nil {
+			continue
+		}
+		xtests, err := parse(lp.Dir, lp.XTestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		xtests = slices.DeleteFunc(xtests, func(f *ast.File) bool {
+			return !slices.ContainsFunc(f.Decls, func(d ast.Decl) bool {
+				fn, ok := d.(*ast.FuncDecl)
+				return ok && slices.Contains(want[dir], fn.Name.Name)
+			})
+		})
+		if len(xtests) > 0 {
+			x, err := check(lp.ImportPath+"_test", dir, xtests)
+			if err != nil {
+				return nil, err
+			}
+			x.example = true
+		}
+	}
+	tree.imp = conf.Importer
+	return tree, nil
+})
+
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// knobFile is one parsed Go file of the tree.
+type knobFile struct {
+	path    string // slash-separated, relative to the repo root
+	dir     string // path's directory
+	test    bool
+	ast     *ast.File
+	fset    *token.FileSet
+	imports map[string]string // local name → import path
 }
 
 // parseTree parses every Go file under the repo root, skipping hidden
@@ -537,6 +761,15 @@ var deletedMechanisms = []struct {
 		"the coordinator derives a budget bust from the nodes' summed FreshByLevel: a worker states no fact another field determines (protoVersion 21)"},
 	{`TooLarge +bool`, "internal/verify", true,
 		"a node past its budget sweeps its level as one that knows a violator does, and the level decides the verdict: verify.LaneStats needs no budget flag"},
+	{`^\s+Profiles +func\(`, "internal/admit", true, "a request's named apps resolve through plants.ProfileList: no resolver option, which nothing set"},
+	{`func \(c \*Client\) Stats\(`, "internal/admit", true, "no command reads /statsz through the client; the tests fetch it with a helper"},
+	{`func \(m \*Matrix\) Trace\(`, "internal/mat", true, "no command takes a trace; the mat tests have a helper"},
+	{`func \(g \*Gauge\) Set\(`, "internal/obs", true, "every gauge moves by Add: no series is stored absolute"},
+	{`func \(p \*Profile\) Validate\(`, "internal/switching", false, "re-simulating a profile's windows is the sweep tests' oracle (export_test.go), not API"},
+	{`^\s+Width +int\b`, "internal/textplot", true, "every plot is plotWidth columns wide: no command sized one otherwise"},
+	{`^\s+Delay +int\b`, "internal/baseline", true, "no code read or wrote a baseline request offset"},
+	{`^\s+Elapsed +int\b`, "internal/ta", true, "no code read or wrote a trace step's elapsed delay"},
+	{`^\s+(ProbeSteps|Overflows) +uint64`, "internal/verify", true, "no code read or wrote them; benchmark/ reads CASRetries and Steals alone"},
 }
 
 // TestDeletedMechanismsStayDeleted holds the tree to deletedMechanisms.
