@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"tightcps/internal/switching"
@@ -31,18 +32,18 @@ func TestSingleAppImmediateGrantAndVacate(t *testing.T) {
 	p := prof("A", 5, 2, 4, 30)
 	a := NewArbiter([]*switching.Profile{p}, Options{})
 	mustTick(t, a, 0) // disturbance observed at instant 0
-	if a.occupant != 0 {
-		t.Fatalf("not granted immediately: occupant=%d", a.occupant)
+	if a.State.Occupant != 0 {
+		t.Fatalf("not granted immediately: occupant=%d", a.State.Occupant)
 	}
 	// Holds for Tdw+ = 4 samples (no competitor), then vacates.
 	for k := 1; k <= 3; k++ {
 		mustTick(t, a)
-		if a.occupant != 0 {
+		if a.State.Occupant != 0 {
 			t.Fatalf("evicted early at sample %d", k)
 		}
 	}
 	mustTick(t, a) // cT reaches 4 = Tdw+
-	if a.occupant != -1 {
+	if a.State.Occupant != -1 {
 		t.Fatalf("not vacated at Tdw+")
 	}
 	if a.Phase(0) != Cooldown {
@@ -87,6 +88,10 @@ func TestPrematureDisturbanceRejected(t *testing.T) {
 	if err := a.Tick([]int{0}); err == nil {
 		t.Fatalf("disturbance during Granted accepted (violates r)")
 	}
+	b := NewArbiter([]*switching.Profile{p}, Options{})
+	if err := b.Tick([]int{0, 0}); err == nil {
+		t.Fatalf("two disturbances of one app at one instant accepted (violates r)")
+	}
 }
 
 func TestEDFOrderAndPreemption(t *testing.T) {
@@ -96,16 +101,16 @@ func TestEDFOrderAndPreemption(t *testing.T) {
 	p1 := prof("B", 10, 2, 5, 40)
 	a := NewArbiter([]*switching.Profile{p0, p1}, Options{Policy: PreemptEager})
 	mustTick(t, a, 0, 1)
-	if a.occupant != 0 {
-		t.Fatalf("EDF violated: occupant=%d", a.occupant)
+	if a.State.Occupant != 0 {
+		t.Fatalf("EDF violated: occupant=%d", a.State.Occupant)
 	}
 	mustTick(t, a) // cT=1 < Tdw−: non-preemptable
-	if a.occupant != 0 {
+	if a.State.Occupant != 0 {
 		t.Fatalf("preempted inside non-preemptable window")
 	}
 	mustTick(t, a) // cT=2 = Tdw−: eager policy preempts, B granted
-	if a.occupant != 1 {
-		t.Fatalf("waiter not granted after Tdw−: occupant=%d", a.occupant)
+	if a.State.Occupant != 1 {
+		t.Fatalf("waiter not granted after Tdw−: occupant=%d", a.State.Occupant)
 	}
 	if a.Phase(0) != Cooldown {
 		t.Fatalf("preempted app phase = %v", a.Phase(0))
@@ -156,7 +161,7 @@ func TestLazyPreemptionDelaysEviction(t *testing.T) {
 	mustTick(t, lazy, 1) // B waits, wt=0
 	// Eager would evict at cT=2; lazy keeps A until B's slack hits 0
 	// (wt = T*w = 5).
-	for lazy.occupant == 0 {
+	for lazy.State.Occupant == 0 {
 		mustTick(t, lazy)
 	}
 	evictAt := 0
@@ -171,8 +176,96 @@ func TestLazyPreemptionDelaysEviction(t *testing.T) {
 	if lazy.Missed() {
 		t.Fatalf("lazy policy missed B's deadline")
 	}
-	if lazy.occupant != 1 {
+	if lazy.State.Occupant != 1 {
 		t.Fatalf("B not granted after lazy eviction")
+	}
+}
+
+// TestLazyPreemptionAtZeroSlack: the occupant's Tdw+ lies past the
+// waiter's deadline, so only the lazy rule can save the waiter. It must
+// evict at the exact instant the waiter's slack T*w − Tw reaches 0 — not
+// a sample later, when the waiter has missed, and not at Tdw+.
+func TestLazyPreemptionAtZeroSlack(t *testing.T) {
+	p0 := prof("A", 10, 2, 12, 60)
+	p1 := prof("B", 5, 2, 4, 60)
+	a := NewArbiter([]*switching.Profile{p0, p1}, Options{Policy: PreemptLazy})
+	mustTick(t, a, 0) // A granted at 0
+	mustTick(t, a, 1) // B waits from 1; its slack is 0 at 6
+	for range 8 {
+		mustTick(t, a)
+	}
+	want := []Event{
+		{Time: 0, App: 0, Kind: GrantedEv},
+		{Time: 6, App: 0, Kind: PreemptedEv, CT: 6},
+		{Time: 6, App: 1, Kind: GrantedEv, Tw: 5},
+	}
+	if !slices.Equal(a.Events(), want) {
+		t.Fatalf("events = %+v, want %+v", a.Events(), want)
+	}
+	if a.Missed() {
+		t.Fatalf("B missed its deadline")
+	}
+}
+
+// TestGrantByDeadlineNotWait: when the slot frees, the waiter with the
+// smaller deadline T*w − Tw wins although it has the higher index, the
+// larger max Tdw− and the smaller T*w + Tw never comes into it: A (T*w 5,
+// waited 4, deadline 1) against B (T*w 8, just disturbed, deadline 8).
+func TestGrantByDeadlineNotWait(t *testing.T) {
+	pc := prof("C", 10, 5, 5, 60) // holds the slot for exactly 5 samples
+	pb := prof("B", 8, 1, 4, 60)
+	pa := prof("A", 5, 3, 4, 60)
+	a := NewArbiter([]*switching.Profile{pc, pb, pa}, Options{})
+	mustTick(t, a, 0) // C granted
+	mustTick(t, a, 2) // A waits from 1
+	for range 3 {
+		mustTick(t, a)
+	}
+	mustTick(t, a, 1) // instant 5: C vacates, B is disturbed, A has waited 4
+	last := a.Events()[len(a.Events())-1]
+	if want := (Event{Time: 5, App: 2, Kind: GrantedEv, Tw: 4}); last != want {
+		t.Fatalf("last event %+v, want %+v", last, want)
+	}
+}
+
+// TestDecideTieChoice: two waiters tied at the smallest deadline, the
+// second with the smaller max Tdw−. tie < 0 grants by that key; tie = k
+// grants the k-th tied waiter in index order, whatever the key; a tie past
+// the last grants nobody. Every choice reports the two ties.
+func TestDecideTieChoice(t *testing.T) {
+	ps := []*switching.Profile{prof("A", 6, 5, 7, 60), prof("B", 6, 3, 7, 60), prof("C", 9, 1, 7, 60)}
+	for _, tc := range []struct{ tie, want int }{{-1, 1}, {0, 0}, {1, 1}, {2, -1}} {
+		a := NewArbiter(ps, Options{})
+		a.Advance()
+		if ties, missed := a.Decide([]int{0, 1, 2}, tc.tie); ties != 2 || missed >= 0 || a.State.Occupant != tc.want {
+			t.Errorf("tie %d: ties %d, missed %d, occupant %d; want 2, −1, %d", tc.tie, ties, missed, a.State.Occupant, tc.want)
+		}
+	}
+}
+
+// TestStepAllocFree: a model checker decides every choice of every state on
+// one arbiter, so a warm Advance and Decide — a disturbance, an eviction
+// and a grant among them — allocate nothing.
+func TestStepAllocFree(t *testing.T) {
+	ps := []*switching.Profile{prof("A", 10, 2, 6, 60), prof("B", 5, 2, 4, 60), prof("C", 5, 2, 4, 60)}
+	a := NewArbiter(ps, Options{Policy: PreemptEager})
+	mustTick(t, a, 0) // A granted
+	mustTick(t, a, 1) // B waits
+	snap := a.State
+	snap.Apps = slices.Clone(a.State.Apps)
+	dist := []int{2}
+	allocs := testing.AllocsPerRun(100, func() {
+		apps := a.State.Apps
+		a.State = snap
+		a.State.Apps = apps
+		copy(apps, snap.Apps)
+		a.Advance()
+		if _, missed := a.Decide(dist, 0); missed >= 0 || a.State.Occupant != 1 {
+			t.Fatalf("step: missed %d, occupant %d; want B granted", missed, a.State.Occupant)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Advance+Decide allocated %.1f times per step, want 0", allocs)
 	}
 }
 
@@ -185,8 +278,8 @@ func TestVacateThenImmediateGrant(t *testing.T) {
 	mustTick(t, a, 1)
 	mustTick(t, a)
 	mustTick(t, a) // cT=3 = Tdw+ → vacate; grant B same tick
-	if a.occupant != 1 {
-		t.Fatalf("slot not handed over in the vacate tick: occupant=%d", a.occupant)
+	if a.State.Occupant != 1 {
+		t.Fatalf("slot not handed over in the vacate tick: occupant=%d", a.State.Occupant)
 	}
 }
 
@@ -196,8 +289,8 @@ func TestTieBreakByMaxTdwMinus(t *testing.T) {
 	p1 := prof("B", 6, 3, 7, 60)
 	a := NewArbiter([]*switching.Profile{p0, p1}, Options{})
 	mustTick(t, a, 0, 1)
-	if a.occupant != 1 {
-		t.Fatalf("tie-break wrong: occupant=%d, want 1 (smaller max Tdw−)", a.occupant)
+	if a.State.Occupant != 1 {
+		t.Fatalf("tie-break wrong: occupant=%d, want 1 (smaller max Tdw−)", a.State.Occupant)
 	}
 }
 
@@ -219,8 +312,10 @@ func TestOccupancyReconstruction(t *testing.T) {
 
 func TestUnknownAppRejected(t *testing.T) {
 	a := NewArbiter([]*switching.Profile{prof("A", 5, 2, 4, 30)}, Options{})
-	if err := a.Tick([]int{7}); err == nil {
-		t.Fatalf("unknown app index accepted")
+	for _, i := range []int{7, 1, -1} { // 1 = len(apps), the first index past the set
+		if err := a.Tick([]int{i}); err == nil {
+			t.Fatalf("unknown app index %d accepted", i)
+		}
 	}
 }
 

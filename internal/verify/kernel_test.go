@@ -28,7 +28,10 @@ func (v *Verifier) kernelSuccessors(s PackedState, sc *expandScratch, out []Pack
 // violator. It returns the successors, nil on a violation.
 func sameExpansion(t testing.TB, v *Verifier, s PackedState, rsc *refScratch, ksc *expandScratch) []PackedState {
 	t.Helper()
-	want, wantMasks, wantViol := v.refSuccessors(s, rsc, nil)
+	want, wantMasks, wantViol, ok := v.refSuccessors(s, rsc, nil)
+	if !ok {
+		t.Fatalf("state %x: an occupant without a dwell window", s)
+	}
 	got, gotMasks, gotViol := v.kernelSuccessors(s, ksc, nil)
 	if gotViol != wantViol {
 		t.Fatalf("state %x: kernel violator %d, reference %d", s, gotViol, wantViol)
@@ -113,7 +116,8 @@ func syntheticSlots(t testing.TB, want int) [][]*switching.Profile {
 // breadth-first sweep — levels thinned to a fixed width so that a capped
 // sweep still reaches the deep levels, where evictions, lazy preemption and
 // deadline misses live — the kernel's successor list, order included, its
-// violator and its disturbance masks are the reference expansion's. The
+// violator and its disturbance masks are the reference expansion's: the
+// runtime arbiter's Advance and Decide over every choice. The
 // sweep expands violating states too (the drivers stop there; the contract
 // does not). The slots span the paper's sets, fleets that fill the word and
 // generated slots.
@@ -155,7 +159,7 @@ func TestKernelMatchesReference(t *testing.T) {
 func sweepKernel(t testing.TB, name string, v *Verifier, limit int) int {
 	t.Helper()
 	const width = 256 // states kept per level
-	var rsc refScratch
+	rsc := v.newRefScratch()
 	var ksc expandScratch
 	init := v.Expander().Initial()
 	seen := map[PackedState]bool{init: true}
@@ -173,7 +177,7 @@ func sweepKernel(t testing.TB, name string, v *Verifier, limit int) int {
 						t.Fatalf("%s: state %x: %v", name, s, r)
 					}
 				}()
-				for _, ns := range sameExpansion(t, v, s, &rsc, &ksc) {
+				for _, ns := range sameExpansion(t, v, s, rsc, &ksc) {
 					if !seen[ns] {
 						seen[ns] = true
 						next = append(next, ns)
@@ -322,11 +326,10 @@ func fuzzSet(n, mode uint8, at func(int) int) ([]*switching.Profile, Config) {
 
 // FuzzKernelVsReference draws a small application set, a mode and one
 // storable state of the set (fuzzSet, drawState) and holds the kernel to the
-// reference expansion on that state and on each of its successors: equal
-// successor lists, masks and violator
-// (sameExpansion), and no panic but the reference's own "occupant without
-// dwell window" — an occupant whose wait at grant exceeds its T*w, which no
-// search reaches; those states are skipped on the reference's verdict. The
+// reference expansion — the arbiter's step — on that state and on each of
+// its successors: equal successor lists, masks and violator
+// (sameExpansion). The one state skipped is one the lift refuses: an
+// occupant whose wait at grant exceeds its T*w, which no search reaches. The
 // seed corpus in testdata/fuzz/FuzzKernelVsReference holds the boundaries:
 // r a power of two with Cooldown clocks at r − 1, T*w = r − 1 with waiters
 // at and past the deadline, the dwell at 15, eight 7-bit lanes filling the
@@ -356,31 +359,19 @@ func FuzzKernelVsReference(f *testing.F) {
 		}
 		c := drawState(ps, at)
 		s := PackedState(v.pack(&c))
-		var rsc refScratch
+		rsc := v.newRefScratch()
 		var ksc expandScratch
-		for _, ns := range append([]PackedState{s}, sameExpansionReachable(t, v, s, &rsc, &ksc)...) {
-			sameExpansionReachable(t, v, ns, &rsc, &ksc)
+		for _, ns := range append([]PackedState{s}, sameExpansionReachable(t, v, s, rsc, &ksc)...) {
+			sameExpansionReachable(t, v, ns, rsc, &ksc)
 		}
 	})
 }
 
-// sameExpansionReachable is sameExpansion, skipping the states whose
-// reference expansion panics for an occupant without a dwell window.
+// sameExpansionReachable is sameExpansion, skipping a state the lift
+// refuses: an occupant without a dwell window.
 func sameExpansionReachable(t testing.TB, v *Verifier, s PackedState, rsc *refScratch, ksc *expandScratch) []PackedState {
 	t.Helper()
-	unreachable := func() (skip bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != "verify: occupant without dwell window" {
-					panic(r)
-				}
-				skip = true
-			}
-		}()
-		v.refSuccessors(s, rsc, nil)
-		return false
-	}()
-	if unreachable {
+	if _, _, _, ok := v.refSuccessors(s, rsc, nil); !ok {
 		return nil
 	}
 	return sameExpansion(t, v, s, rsc, ksc)

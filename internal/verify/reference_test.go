@@ -1,11 +1,16 @@
 package verify
 
-// The reference expansion: the decoded-state core the engine ran on until
-// the packed word became its working form (kernel.go). It is kept here,
-// verbatim, as the oracle — pack/unpack pin the bit layout the kernel works
-// on, and expand/expandGrouped/schedule/canon define, state by state, the
-// successor list, its order and the violator the kernel must reproduce
-// (TestKernelMatchesReference, FuzzKernelVsReference).
+// The reference expansion: the runtime arbiter's step (sched.Arbiter's
+// Advance and Decide) run over every choice the model leaves open. A
+// packed state is decoded (unpack), lifted into the arbiter's State and
+// advanced once; then every disturbed set of Steady applications — every
+// subset, or under the symmetry quotient every count per group — and,
+// under NondetTies, every waiter tied at the smallest deadline is decided
+// from that advanced state and projected back to a packed word (pack,
+// canon). The rules live in internal/sched alone; this file holds only the
+// encoding and the order of the choices, which TestKernelMatchesReference
+// and FuzzKernelVsReference hold the kernel to: the same successor list in
+// the same order, the same disturbance masks and the same violator.
 
 import (
 	"tightcps/internal/sched"
@@ -49,22 +54,78 @@ func (v *Verifier) unpack(s uint64, c *cstate) {
 	c.cT = uint8(s >> v.ctShift & 0xF)
 }
 
-// refScratch owns every buffer the expansion core writes through: the
-// decoded base state, the successor arena (states plus the disturbance
-// bitmask that produced each) and the fixed-size index buffers of the
-// scheduling helpers. Each search goroutine owns exactly one scratch —
-// the sequential driver keeps one on the stack, every lane of the parallel
-// driver and every distributed node embeds its own — so the hot path
-// performs no allocation once the arena has grown to the verifier's maximum
-// fanout (TestExpansionCoreAllocFree gates this).
+// refScratch is what one reference expansion writes through: the decoded
+// state, the successor arena (states plus the disturbance bitmask that
+// produced each), the arbiter that decides each choice and the advanced
+// state every choice starts from.
 type refScratch struct {
 	base   cstate
 	states []cstate // successor arena, reset by expand
 	masks  []uint32 // disturbance bitmask per successor, parallel to states
 
-	elig [maxApps]int8 // eligible-disturbance buffer (expand)
-	wait [maxApps]int8 // waiter buffer (schedule)
-	cand [maxApps]int8 // grant-candidate buffer (schedule)
+	arb  *sched.Arbiter
+	adv  sched.State   // the lifted state after Advance
+	elig [maxApps]int8 // eligible-disturbance buffer
+	dist [maxApps]int  // the disturbed set of one choice
+}
+
+// newRefScratch returns a scratch whose arbiter decides by v's profiles
+// and preemption policy.
+func (v *Verifier) newRefScratch() *refScratch {
+	return &refScratch{
+		arb: sched.NewArbiter(v.profs, sched.Options{Policy: v.cfg.Policy}),
+		adv: sched.State{Apps: make([]sched.AppState, v.n)},
+	}
+}
+
+// schedPhase maps a lane's phase to the arbiter's.
+var schedPhase = [...]sched.Phase{pSteady: sched.Steady, pWaiting: sched.Waiting, pGranted: sched.Granted, pCooldown: sched.Cooldown}
+
+// lift writes c into st as the arbiter holds it: the occupant's clock runs
+// on through its dwell, and its window is the one latched at grant. It
+// refuses (false) an occupant whose wait at grant has no dwell window,
+// which no search reaches.
+func (v *Verifier) lift(c *cstate, st *sched.State) bool {
+	for i := range st.Apps {
+		st.Apps[i] = sched.AppState{Phase: schedPhase[c.phase[i]], Clock: int(c.val[i])}
+	}
+	st.Occupant, st.Dwell = int(c.occ), int(c.cT)
+	if o := st.Occupant; o >= 0 {
+		var ok bool
+		if st.DtMin, st.DtMax, ok = v.profs[o].Lookup(int(c.val[o])); !ok {
+			return false
+		}
+		st.Apps[o].Clock += st.Dwell
+	}
+	return true
+}
+
+// project writes the arbiter's st back into c as the packed model holds
+// it: a Granted lane keeps its wait at grant, and a Cooldown lane whose
+// clock has reached r is Steady with val 0, as the kernel's eviction makes
+// it. st holds no Failed lane: a miss ends the expansion.
+func (v *Verifier) project(st *sched.State, c *cstate) {
+	*c = cstate{occ: int8(st.Occupant)}
+	for i, a := range st.Apps {
+		switch a.Phase {
+		case sched.Waiting:
+			c.phase[i], c.val[i] = pWaiting, uint8(a.Clock)
+		case sched.Granted:
+			c.phase[i], c.val[i], c.cT = pGranted, uint8(a.Clock-st.Dwell), uint8(st.Dwell)
+		case sched.Cooldown:
+			if a.Clock < v.profs[i].R {
+				c.phase[i], c.val[i] = pCooldown, uint8(a.Clock)
+			}
+		}
+	}
+}
+
+// restore sets dst to src, keeping dst's own per-application storage.
+func restore(dst, src *sched.State) {
+	apps := dst.Apps
+	*dst = *src
+	dst.Apps = apps
+	copy(apps, src.Apps)
 }
 
 // laneKey totally orders one application's lane content — by (val, phase),
@@ -95,77 +156,58 @@ func (v *Verifier) canon(c *cstate) {
 	}
 }
 
-// expand applies the shared per-sample semantics to one decoded state: it
-// advances clocks, enumerates the adversarial disturbance choices, and
-// appends every post-scheduling successor — together with the disturbance
-// bitmask that produced it — to sc's arena. base is consumed (clock-advanced
-// in place) and the arena is reset on entry, so callers must consume it
-// between calls. The return value is the index of the application whose
+// expand lifts base into the arbiter, advances it, enumerates the
+// adversarial disturbance choices and appends every successor — together
+// with the disturbance bitmask that produced it — to sc's arena, which is
+// reset on entry. The return value is the index of the application whose
 // deadline some choice violated, or −1 when every choice stays safe; on a
-// violation the arena is truncated mid-choice and must be discarded.
-func (v *Verifier) expand(base *cstate, sc *refScratch) int {
+// violation the arena is truncated mid-choice and must be discarded. ok is
+// false when the lift refuses base.
+func (v *Verifier) expand(base *cstate, sc *refScratch) (viol int, ok bool) {
 	sc.states = sc.states[:0]
 	sc.masks = sc.masks[:0]
-
-	// Step 1–2: advance clocks; finish cooldowns.
-	for i := 0; i < v.n; i++ {
-		switch base.phase[i] {
-		case pWaiting:
-			base.val[i]++
-		case pCooldown:
-			if int(base.val[i])+1 >= v.profs[i].R {
-				base.phase[i] = pSteady
-				base.val[i] = 0
-			} else {
-				base.val[i]++
-			}
-		}
+	if !v.lift(base, &sc.arb.State) {
+		return -1, false
 	}
-	if base.occ >= 0 {
-		base.cT++
-	}
+	sc.arb.Advance()
+	restore(&sc.adv, &sc.arb.State)
 
 	// Eligible disturbance set.
 	nelig := 0
-	for i := 0; i < v.n; i++ {
-		if base.phase[i] != pSteady {
-			continue
+	for i, a := range sc.adv.Apps {
+		if a.Phase == sched.Steady {
+			sc.elig[nelig] = int8(i)
+			nelig++
 		}
-		sc.elig[nelig] = int8(i)
-		nelig++
 	}
 
 	if v.symGroups != nil {
-		return v.expandGrouped(base, sc.elig[:nelig], sc)
+		return v.expandGrouped(sc.elig[:nelig], sc), true
 	}
 
 	for mask := 0; mask < 1<<nelig; mask++ {
-		c := *base
+		dist := sc.dist[:0]
 		var m uint32
 		for b := 0; b < nelig; b++ {
 			if mask&(1<<b) != 0 {
 				app := int(sc.elig[b])
-				c.phase[app] = pWaiting
-				c.val[app] = 0
+				dist = append(dist, app)
 				m |= 1 << uint(app)
 			}
 		}
-		if viol := v.schedule(&c, m, sc); viol >= 0 {
-			return viol
+		if viol := v.decide(dist, m, sc); viol >= 0 {
+			return viol, true
 		}
 	}
-	return -1
+	return -1, true
 }
 
 // expandGrouped is the symmetry-aware disturbance enumeration: eligible
 // applications are partitioned into interchangeable groups (same symmetry
 // class — identical lane content, since Steady lanes carry val 0), and only
-// the number disturbed per group is chosen.
-// The branching factor drops from 2^e subsets to Π(|group|+1) count
-// vectors; every successor is canonicalised in the arena before the next
-// choice runs. All scratch lives in fixed-size stack arrays and sc — this
-// runs once per explored state, tens of millions of times per fleet check.
-func (v *Verifier) expandGrouped(base *cstate, elig []int8, sc *refScratch) int {
+// the number disturbed per group is chosen: Π(|group|+1) count vectors
+// instead of 2^e subsets, the first members of each group disturbed.
+func (v *Verifier) expandGrouped(elig []int8, sc *refScratch) int {
 	// members holds the eligible apps reordered group by group;
 	// groupEnd[g] is the end offset of group g within it.
 	var members [maxApps]int8
@@ -212,24 +254,19 @@ func (v *Verifier) expandGrouped(base *cstate, elig []int8, sc *refScratch) int 
 
 	var counts [maxApps]int8
 	for {
-		c := *base
+		dist := sc.dist[:0]
 		var m uint32
 		start := int8(0)
 		for g := 0; g < ngroups; g++ {
 			for k := start; k < start+counts[g]; k++ {
 				app := int(members[k])
-				c.phase[app] = pWaiting
-				c.val[app] = 0
+				dist = append(dist, app)
 				m |= 1 << uint(app)
 			}
 			start = groupEnd[g]
 		}
-		first := len(sc.states)
-		if viol := v.schedule(&c, m, sc); viol >= 0 {
+		if viol := v.decide(dist, m, sc); viol >= 0 {
 			return viol
-		}
-		for i := first; i < len(sc.states); i++ {
-			v.canon(&sc.states[i])
 		}
 		// Odometer over per-group disturbance counts.
 		gi := 0
@@ -250,163 +287,45 @@ func (v *Verifier) expandGrouped(base *cstate, elig []int8, sc *refScratch) int 
 	}
 }
 
-// schedule applies eviction, granting and the deadline check to c,
-// appending the possible post-scheduling states (more than one only with
-// nondeterministic tie-breaking) to sc's arena, each paired with the
-// disturbance mask m. It returns the violating application's index, or −1;
-// on a violation the arena may hold a truncated choice and must be
-// discarded by the caller.
-func (v *Verifier) schedule(c *cstate, m uint32, sc *refScratch) int {
-	// Forced vacate at Tdw+; preemption in [Tdw−, Tdw+).
-	if c.occ >= 0 {
-		o := int(c.occ)
-		dtMin, dtMax, ok := v.profs[o].Lookup(int(c.val[o]))
-		if !ok {
-			// Cannot happen: grants only occur with a valid window.
-			panic("verify: occupant without dwell window")
+// decide runs one disturbed set through the arbiter's Decide from the
+// advanced state — once, or under NondetTies once per waiter tied at the
+// smallest deadline, in index order — and appends each canonical successor
+// with the set's mask m. It returns the violator of the first choice that
+// misses, or −1.
+func (v *Verifier) decide(dist []int, m uint32, sc *refScratch) int {
+	for k := 0; ; k++ {
+		restore(&sc.arb.State, &sc.adv)
+		tie := -1
+		if v.cfg.NondetTies {
+			tie = k
 		}
-		evict := false
-		if int(c.cT) >= dtMax {
-			evict = true
-		} else if int(c.cT) >= dtMin {
-			if nw := v.waiters(c, &sc.wait); nw > 0 {
-				switch v.cfg.Policy {
-				case sched.PreemptEager:
-					evict = true
-				case sched.PreemptLazy:
-					u := v.mostUrgent(c, sc.wait[:nw])
-					if v.profs[u].TwStar-int(c.val[u]) <= 0 {
-						evict = true
-					}
-				}
-			}
+		ties, missed := sc.arb.Decide(dist, tie)
+		if missed >= 0 {
+			return missed
 		}
-		if evict {
-			clk := int(c.val[o]) + int(c.cT) // time since disturbance
-			if clk >= v.profs[o].R {
-				c.phase[o] = pSteady
-				c.val[o] = 0
-			} else {
-				c.phase[o] = pCooldown
-				c.val[o] = uint8(clk)
-			}
-			c.occ = -1
-			c.cT = 0
+		sc.states = append(sc.states, cstate{})
+		c := &sc.states[len(sc.states)-1]
+		v.project(&sc.arb.State, c)
+		v.canon(c)
+		sc.masks = append(sc.masks, m)
+		if k+1 >= ties || tie < 0 {
+			return -1
 		}
 	}
-
-	// Grant: candidate states are built directly in the arena.
-	if c.occ < 0 {
-		if nw := v.waiters(c, &sc.wait); nw > 0 {
-			ncand := v.grantCandidates(c, sc.wait[:nw], &sc.cand)
-			granted := false
-			for _, g8 := range sc.cand[:ncand] {
-				g := int(g8)
-				if _, _, ok := v.profs[g].Lookup(int(c.val[g])); !ok {
-					continue // past T*w — the miss check below will fire
-				}
-				sc.states = append(sc.states, *c)
-				nc := &sc.states[len(sc.states)-1]
-				nc.phase[g] = pGranted
-				// val keeps tw (the wait at grant); cT restarts.
-				nc.occ = int8(g)
-				nc.cT = 0
-				if viol := v.missCheck(nc); viol >= 0 {
-					return viol
-				}
-				sc.masks = append(sc.masks, m)
-				granted = true
-			}
-			if granted {
-				return -1
-			}
-		}
-	}
-	if viol := v.missCheck(c); viol >= 0 {
-		return viol
-	}
-	sc.states = append(sc.states, *c)
-	sc.masks = append(sc.masks, m)
-	return -1
-}
-
-// waiters writes the indices of Waiting applications into buf (ascending)
-// and returns how many there are.
-func (v *Verifier) waiters(c *cstate, buf *[maxApps]int8) int {
-	n := 0
-	for i := 0; i < v.n; i++ {
-		if c.phase[i] == pWaiting {
-			buf[n] = int8(i)
-			n++
-		}
-	}
-	return n
-}
-
-// mostUrgent returns the waiter with minimum deadline D = T*w − wt, with
-// the runtime arbiter's deterministic tie-break.
-func (v *Verifier) mostUrgent(c *cstate, w []int8) int {
-	best := -1
-	bestD, bestTie := 0, 0
-	for _, i8 := range w {
-		i := int(i8)
-		d := v.profs[i].TwStar - int(c.val[i])
-		tie := v.profs[i].MaxTdwMinus()
-		if best < 0 || d < bestD || (d == bestD && tie < bestTie) {
-			best, bestD, bestTie = i, d, tie
-		}
-	}
-	return best
-}
-
-// grantCandidates writes into buf the waiters that may legally receive an
-// idle slot — the unique most-urgent one (deterministic mode) or all
-// waiters tied at the minimum deadline (nondeterministic mode) — and
-// returns how many there are.
-func (v *Verifier) grantCandidates(c *cstate, w []int8, buf *[maxApps]int8) int {
-	if !v.cfg.NondetTies {
-		buf[0] = int8(v.mostUrgent(c, w))
-		return 1
-	}
-	minD := 1 << 30
-	for _, i := range w {
-		if d := v.profs[i].TwStar - int(c.val[i]); d < minD {
-			minD = d
-		}
-	}
-	n := 0
-	for _, i := range w {
-		if v.profs[i].TwStar-int(c.val[i]) == minD {
-			buf[n] = i
-			n++
-		}
-	}
-	return n
-}
-
-// missCheck returns the index of a still-waiting application whose wait has
-// reached T*w — the earliest possible future grant (next sample) would
-// exceed T*w — or −1.
-func (v *Verifier) missCheck(c *cstate) int {
-	for i := 0; i < v.n; i++ {
-		if c.phase[i] == pWaiting && int(c.val[i]) >= v.profs[i].TwStar {
-			return i
-		}
-	}
-	return -1
 }
 
 // refSuccessors expands one packed state through the reference — decode,
 // expand, pack again — appending the successors to out. masks holds the
 // disturbance bitmask of each (it aliases sc and is valid until the next
-// call); on a violation out is returned as it came.
-func (v *Verifier) refSuccessors(s PackedState, sc *refScratch, out []PackedState) ([]PackedState, []uint32, int) {
+// call); on a violation out is returned as it came. ok is false when the
+// lift refuses the state (an occupant without a dwell window).
+func (v *Verifier) refSuccessors(s PackedState, sc *refScratch, out []PackedState) (_ []PackedState, masks []uint32, viol int, ok bool) {
 	v.unpack(uint64(s), &sc.base)
-	if viol := v.expand(&sc.base, sc); viol >= 0 {
-		return out, nil, viol
+	if viol, ok = v.expand(&sc.base, sc); !ok || viol >= 0 {
+		return out, nil, viol, ok
 	}
 	for i := range sc.states {
 		out = append(out, PackedState(v.pack(&sc.states[i])))
 	}
-	return out, sc.masks, -1
+	return out, sc.masks, -1, true
 }
