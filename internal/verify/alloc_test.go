@@ -24,7 +24,7 @@ func expansionAllocs(v *Verifier) (float64, int) {
 	var sc expandScratch
 	var states, succBuf []uint64
 	var choiceBuf []uint32
-	visited := newKeySet(1 << 12)
+	visited := newKeySet(1<<12, v.keyBytes)
 	frontier := []uint64{initialState(v)}
 	visited.add(frontier[0])
 	for d := 0; d < 3; d++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tightcps/internal/switching"
@@ -61,10 +62,12 @@ func refSearch[K comparable](init K, maxStates int, successors func(K) ([]K, int
 	}
 }
 
-// plant makes the search drivers expand the synthetic graph succ until the
-// test ends.
-func plant(t *testing.T, succ func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) {
+// plant makes v's search drivers expand the synthetic graph succ until the
+// test ends. Its states are any nonzero words, so v's tables get 8-byte
+// cells.
+func plant(t *testing.T, v *Verifier, succ func(*Verifier, uint64, *expandScratch, []uint64, []uint32) ([]uint64, []uint32, int)) {
 	expandState = succ
+	v.keyBytes = 8
 	t.Cleanup(func() { expandState = successors })
 }
 
@@ -217,7 +220,7 @@ func TestSequentialChunkBoundaries(t *testing.T) {
 	}
 	v := testVerifier(t, []*switching.Profile{prof("A", 5, 2, 4, 20)}, Config{})
 	var succ func(uint64) ([]uint64, int)
-	plant(t, func(_ *Verifier, s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+	plant(t, v, func(_ *Verifier, s uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
 		ns, viol := succ(s)
 		if viol >= 0 {
 			return out, masks, viol
@@ -331,20 +334,32 @@ func checkAddChunk(t *testing.T, set *keySet, chunks [][]uint64) {
 // random chunks with duplicates inside a chunk and keys already present,
 // chunks of every size around seqChunk, a chunk that carries a 16-slot
 // table across its load-factor threshold several times over, and chunks
-// whose keys all hash to the last slots of the table, so their probe
-// sequences wrap around its end.
+// whose keys all hash to the last cells of the table, so their probe
+// sequences wrap around its end and the last cell's load reads the padding —
+// at every cell width, with keys that set the width's top byte.
 func TestAddChunkRandomizedOracle(t *testing.T) {
-	t.Run("narrow", addChunkOracle)
+	t.Run("narrow", func(t *testing.T) {
+		t.Run("random", func(t *testing.T) { forWidths(t, addChunkRandom) })
+		t.Run("threshold", func(t *testing.T) { forWidths(t, addChunkThreshold) })
+		t.Run("wrap", func(t *testing.T) { forWidths(t, addChunkWrap) })
+	})
 }
 
-func addChunkOracle(t *testing.T) {
+// oraclePool draws 3000 keys of width w, few enough that chunks drawn from
+// them repeat keys, and returns the generator that drew them.
+func oraclePool(w int) (*rand.Rand, []uint64) {
 	rng := rand.New(rand.NewSource(7))
-
-	// Random chunks drawn from a pool small enough to repeat keys.
 	pool := make([]uint64, 3000)
 	for i := range pool {
-		pool[i] = rng.Uint64() | 1
+		pool[i] = widthKey(w, rng.Uint64())
 	}
+	return rng, pool
+}
+
+// addChunkRandom: random chunks drawn from the pool, of every size around
+// seqChunk, with duplicates inside a chunk and keys already present.
+func addChunkRandom(t *testing.T, w int) {
+	rng, pool := oraclePool(w)
 	var chunks [][]uint64
 	for _, size := range []int{0, 1, 2, seqChunk - 1, seqChunk, seqChunk + 1, 5 * seqChunk, 1, 700, 64, 2000} {
 		c := make([]uint64, size)
@@ -356,30 +371,39 @@ func addChunkOracle(t *testing.T) {
 		}
 		chunks = append(chunks, c)
 	}
-	t.Run("random", func(t *testing.T) { checkAddChunk(t, newKeySet(16), chunks) })
+	checkAddChunk(t, newKeySet(16, w), chunks)
+}
 
-	// One chunk of 1000 distinct keys into a 16-slot table: the reserve in
-	// front of the probe pass must carry it over the threshold (the touch
-	// pass indexes with the new mask, the insert pass must not rehash).
-	t.Run("threshold", func(t *testing.T) { checkAddChunk(t, newKeySet(16), [][]uint64{pool[:1000], pool[:1200]}) })
+// addChunkThreshold: one chunk of 1000 distinct keys into a 16-slot table:
+// the reserve in front of the probe pass must carry it over the threshold
+// (the touch pass indexes with the new mask, the insert pass must not
+// rehash).
+func addChunkThreshold(t *testing.T, w int) {
+	_, pool := oraclePool(w)
+	checkAddChunk(t, newKeySet(16, w), [][]uint64{pool[:1000], pool[:1200]})
+}
 
-	// Probe wrap-around: in a table of 1<<10 slots that will not grow, find
-	// keys whose home is one of the last three slots; forty of them form a
-	// run that wraps to slot 0.
-	const size = 1 << 10
+// addChunkWrap: probe wrap-around. In a table of 1<<10 cells (64 at one
+// byte, whose 128 keys would not find forty homes among the last three of
+// 1<<10) that will not grow, find keys whose home is one of the last three
+// cells; up to forty of them form a run that wraps to cell 0. Inserts change
+// only their cells' bytes: the padding stays zero.
+func addChunkWrap(t *testing.T, w int) {
+	size := min(1<<10, widthSpace(w)/2)
 	var tail []uint64
-	for x := uint64(1); len(tail) < 40; x++ {
-		if hashKey(x)&(size-1) >= size-3 {
-			tail = append(tail, x)
+	for x := uint64(0); len(tail) < 40 && x < uint64(widthSpace(w)); x++ {
+		if k := widthKey(w, x); hashKey(k)&uint64(size-1) >= uint64(size-3) {
+			tail = append(tail, k)
 		}
 	}
-	t.Run("wrap", func(t *testing.T) {
-		s := newKeySet(size)
-		checkAddChunk(t, s, [][]uint64{tail[:25], tail})
-		if len(s.slots) != size || s.slots[0] == 0 || s.slots[size-1] == 0 {
-			t.Fatalf("probe run did not wrap: table %d, slot0=%x last=%x", len(s.slots), s.slots[0], s.slots[size-1])
-		}
-	})
+	s := newKeySet(size, w)
+	checkAddChunk(t, s, [][]uint64{tail[:len(tail)*5/8], tail})
+	if s.size != size || s.cell(0) == 0 || s.cell(size-1) == 0 {
+		t.Fatalf("probe run of %d keys did not wrap: table %d, cell0=%x last=%x", len(tail), s.size, s.cell(0), s.cell(size-1))
+	}
+	if pad := s.tab[size*w:]; len(pad) != cellPad || slices.ContainsFunc(pad, func(b byte) bool { return b != 0 }) {
+		t.Fatalf("the table's padding reads %x, want %d zero bytes", pad, cellPad)
+	}
 }
 
 // TestAddChunkAllocFree is the steady-state gate of the chunk insert: once
@@ -401,7 +425,7 @@ func addChunkAllocs(t *testing.T) {
 		keys[i] = mix(uint64(i + 1))
 	}
 	fresh := make([]int32, 0, seqChunk)
-	s := newKeySet(16)
+	s := newKeySet(16, 8)
 	s.reserve(len(keys))
 	s.addChunk(keys[:seqChunk], fresh) // grows the hash scratch
 	lo := 0
@@ -437,7 +461,7 @@ func benchSetInsert(b *testing.B, keys []uint64, chunked bool) {
 	fresh := make([]int32, 0, seqChunk)
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
-		set := newKeySet(16)
+		set := newKeySet(16, 5) // S1's states are 40 bits
 		set.reserve(len(keys))
 		b.StartTimer()
 		for pass, ns := range []*int64{&missNs, &hitNs} {

@@ -212,12 +212,12 @@ func (e *Expander) refuse(s uint64, i int) error {
 	return fmt.Errorf("verify: state %d of the batch is outside the set's layout", i)
 }
 
-// NewSet returns an empty visited set of the expander's states, 8 bytes
-// each. Not safe for concurrent use — each search driver owns its
-// partition. A table mapped off the heap, having no search to end it, is
-// released when the set is collected.
+// NewSet returns an empty visited set of the expander's states, each in a
+// cell as wide as the states are. Not safe for concurrent use — each search
+// driver owns its partition. A table mapped off the heap, having no search
+// to end it, is released when the set is collected.
 func (e *Expander) NewSet(capacity int) *StateSet {
-	s := &StateSet{newKeySet(capacity)}
+	s := &StateSet{newKeySet(capacity, e.v.keyBytes)}
 	runtime.AddCleanup(s, (*keySet).release, s.set)
 	return s
 }

@@ -50,7 +50,8 @@ type kernel struct {
 	row          [maxApps]uint16
 	rows         []dwell // rows[row[a]+w]: the window of a grant to a after waiting w ≤ T*w
 
-	class []uint64 // phase-bit-0 mask of every symmetry class
+	class      []uint64  // phase-bit-0 mask of every symmetry class
+	classLanes [][]uint8 // the lane shift of every member of each class, in index order
 
 	// layout holds the bits the lanes and the header may set, and twv T*w
 	// in every clock field: what Expander.CheckWords holds a state from a
@@ -122,10 +123,13 @@ func (v *Verifier) buildKernel() error {
 	t.layout |= 0xFF << v.occShift // occupant and dwell
 	for _, g := range v.symGroups {
 		var m uint64
-		for _, a := range g {
+		sh := make([]uint8, len(g))
+		for i, a := range g {
 			m |= 1 << t.shift[a]
+			sh[i] = t.shift[a]
 		}
 		t.class = append(t.class, m)
+		t.classLanes = append(t.classLanes, sh)
 	}
 	return nil
 }
@@ -327,37 +331,50 @@ func put(v *Verifier, cw uint64, occ int, cT uint64) uint64 {
 // canonLanes rewrites a state into the canonical representative of its
 // symmetry orbit: within every group of identical-profile applications the
 // lanes are sorted by content — a lane read as an integer orders by clock,
-// then phase — and the occupant index follows its lane.
+// then phase — and the occupant index follows its lane. Most successors
+// are canonical already, so a class is read straight off the word and
+// sorted only from its first inversion on.
 func canonLanes(v *Verifier, cw uint64, occ int) (uint64, int) {
 	t := &v.kt
-	lane := uint64(1)<<(v.appBits&63) - 1
-	for gi, g := range v.symGroups {
-		var l [maxApps]uint64
-		sorted := true
-		for i, a := range g {
-			l[i] = cw >> (t.shift[a] & 63) & lane
-			sorted = sorted && (i == 0 || l[i-1] <= l[i])
-		}
-		if sorted {
-			continue
-		}
-		for i := 1; i < len(g); i++ {
-			for j := i; j > 0 && l[j] < l[j-1]; j-- {
-				l[j], l[j-1] = l[j-1], l[j]
-				if occ == g[j] {
-					occ = g[j-1]
-				} else if occ == g[j-1] {
-					occ = g[j]
-				}
+	lane := uint64(1)<<(t.laneBits&63) - 1
+	for gi, shifts := range t.classLanes {
+		prev := uint64(0)
+		for _, sh := range shifts {
+			l := cw >> (sh & 63) & lane
+			if l < prev {
+				cw, occ = sortClass(v, gi, cw, occ)
+				break
 			}
+			prev = l
 		}
-		var lanes uint64
-		for i, a := range g {
-			lanes |= l[i] << (t.shift[a] & 63)
-		}
-		cw = cw&^(t.class[gi]*lane) | lanes
 	}
 	return cw, occ
+}
+
+// sortClass sorts the lanes of symmetry class gi in cw, the occupant index
+// following its lane.
+func sortClass(v *Verifier, gi int, cw uint64, occ int) (uint64, int) {
+	t, g := &v.kt, v.symGroups[gi]
+	lane := uint64(1)<<(t.laneBits&63) - 1
+	var l [maxApps]uint64
+	for i, a := range g {
+		l[i] = cw >> (t.shift[a] & 63) & lane
+	}
+	for i := 1; i < len(g); i++ {
+		for j := i; j > 0 && l[j] < l[j-1]; j-- {
+			l[j], l[j-1] = l[j-1], l[j]
+			if occ == g[j] {
+				occ = g[j-1]
+			} else if occ == g[j-1] {
+				occ = g[j]
+			}
+		}
+	}
+	var lanes uint64
+	for i, a := range g {
+		lanes |= l[i] << (t.shift[a] & 63)
+	}
+	return cw&^(t.class[gi]*lane) | lanes, occ
 }
 
 // expandScratch is what a search goroutine keeps between expansions: the

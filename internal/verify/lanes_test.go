@@ -191,7 +191,7 @@ func TestLanesSyntheticGraph(t *testing.T) {
 	}
 	var coding coder
 	var violators map[uint64]int
-	plant(t, func(_ *Verifier, w uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
+	plant(t, v, func(_ *Verifier, w uint64, _ *expandScratch, out []uint64, masks []uint32) ([]uint64, []uint32, int) {
 		n := len(out)
 		out, app := succ(violators, coding.state(w), out)
 		for i := n; i < len(out); i++ {

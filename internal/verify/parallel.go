@@ -157,7 +157,7 @@ func (e *Expander) NewLanes(p int) *Lanes { return newLanes(e.v, p) }
 // with a budget of maxStates fresh states on the node, past which it
 // stores nothing (LevelRound). Every lane gets a fresh table,
 // one of P·nodes that share the search's states: it starts at setCap/(P·nodes)
-// slots and grows on the sequential table's schedule scaled by that share
+// cells and grows on the sequential table's schedule scaled by that share
 // (keySet.grow), so a node's tables follow the sequential table's sizes
 // divided by the node count. A table lives as long as the search that fills
 // it, and what an earlier search grew is released here if Release has not
@@ -171,7 +171,7 @@ func (e *Lanes) Reset(nodes, self, maxStates int) {
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		l.table.release()
-		l.table = *newKeySet(setCap / share)
+		l.table = *newKeySet(setCap/share, e.v.keyBytes)
 		l.table.budget(maxStates)
 		l.table.share = share
 		l.frontier.release(&l.pool)

@@ -30,11 +30,14 @@ func Refute(profiles []*switching.Profile, policy sched.PreemptionPolicy) bool {
 	// the moment they become eligible (greedy saturation — the classic
 	// critical instant). Larger staggers spread the initial burst, catching
 	// sets whose worst case needs a partially drained buffer.
+	// One disturbed set and one started mask serve every tick and stagger.
+	started := make([]bool, len(profiles))
+	dist := make([]int, 0, len(profiles))
 	for _, stagger := range []int{0, 1, 2, 3} {
 		arb := sched.NewArbiter(profiles, sched.Options{Policy: policy})
-		started := make([]bool, len(profiles))
+		clear(started)
 		for k := 0; k <= horizon; k++ {
-			var dist []int
+			dist = dist[:0]
 			for i := range profiles {
 				if !started[i] && k < i*stagger {
 					continue

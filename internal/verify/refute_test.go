@@ -40,3 +40,26 @@ func TestRefuteAgreesWithVerifier(t *testing.T) {
 		t.Error("replay missed the saturated-fleet overload")
 	}
 }
+
+// TestRefuteAllocs pins what one Refute call allocates: the disturbed set
+// and the started mask are made once and serve every tick and stagger, so
+// what remains is the arbiters, one per stagger tried, and their event
+// logs. A fresh set per disturbing tick and a fresh
+// mask per stagger made these 159 and 170.
+func TestRefuteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race CI job")
+	}
+	for _, c := range []struct {
+		names []string
+		want  float64
+	}{
+		{[]string{"C1", "C5", "C4", "C6"}, 28}, // refuted
+		{[]string{"C1", "C5", "C4", "C3"}, 34}, // not refuted: all four staggers
+	} {
+		ps := caseProfiles(t, c.names...)
+		if got := testing.AllocsPerRun(20, func() { Refute(ps, sched.PreemptEager) }); got != c.want {
+			t.Errorf("Refute(%v) allocates %v times per call, want %v", c.names, got, c.want)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // runs on, and the alignment of a mapped table.
 const hugePage = 2 << 20
 
-// newTable returns a zeroed table of size keys and, for a table of
+// newTable returns a zeroed table of n bytes and, for a table of
 // mapTableBytes or more, the memory mapping behind it. Such a table lives
 // off the Go heap: an anonymous private mapping, the table placed at its
 // first huge-page boundary and advised MADV_HUGEPAGE, so the kernel can back
@@ -22,15 +22,14 @@ const hugePage = 2 << 20
 // not at some later collection. A smaller table, or one the kernel refuses
 // to map, is an ordinary slice. The keys hold no pointers, so the collector
 // has nothing to find in a mapping.
-func newTable(size int) ([]uint64, []byte) {
-	n := 8 * size
+func newTable(n int) ([]byte, []byte) {
 	if n < mapTableBytes {
-		return make([]uint64, size), nil
+		return make([]byte, n), nil
 	}
 	mem, err := syscall.Mmap(-1, 0, n+hugePage, syscall.PROT_READ|syscall.PROT_WRITE,
 		syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {
-		return make([]uint64, size), nil
+		return make([]byte, n), nil
 	}
 	off := -int(uintptr(unsafe.Pointer(&mem[0]))) & (hugePage - 1)
 	table := mem[off : off+n]
@@ -39,39 +38,46 @@ func newTable(size int) ([]uint64, []byte) {
 	_ = syscall.Madvise(table, syscall.MADV_HUGEPAGE)
 	obsTableBytes.Add(int64(n))
 	tablesMapped.Add(1)
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&table[0])), size), mem
+	return table, mem
 }
 
 // releasePart hands the pages of part, a piece of the mapped table behind
 // mem that holds nothing the caller still needs, back to the kernel
 // (MADV_DONTNEED): the mapping stays, and the piece reads as zeros from then
-// on. part must be whole pages, or the advice, rounded up to the page,
-// would zero what follows it. A heap table (mem nil) is left alone.
-func releasePart(part []uint64, mem []byte) {
+// on. part must start on a page and end on one or at the table's end, or
+// the advice, rounded up to the page, would zero what follows it. A heap
+// table (mem nil) is left alone.
+func releasePart(part []byte, mem []byte) {
 	if mem == nil {
 		return
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&part[0])), 8*len(part))
-	if err := syscall.Madvise(b, syscall.MADV_DONTNEED); err != nil {
+	if err := syscall.Madvise(part, syscall.MADV_DONTNEED); err != nil {
 		panic("verify: releasing a visited-set table's pages: " + err.Error()) // only a bug passes a piece outside a mapping
 	}
-	obsTableBytes.Add(-int64(len(b)))
+	obsTableBytes.Add(-int64(len(part)))
 }
 
 // freeTable unmaps the mapping newTable returned with table, where table is
 // what of it is still held: the whole table, or nil once releasePart has
 // handed every piece back. A heap table (mem nil) is left to the collector.
-func freeTable(table []uint64, mem []byte) {
+func freeTable(table []byte, mem []byte) {
 	if mem == nil {
 		return
 	}
-	obsTableBytes.Add(-int64(8 * len(table)))
+	obsTableBytes.Add(-int64(len(table)))
 	if err := syscall.Munmap(mem); err != nil {
 		panic("verify: unmapping a visited-set table: " + err.Error()) // only a bug passes a mapping twice
 	}
 }
 
-// tablePiece is rehashPiece: a huge page of slots unless transparent huge
+// cellAt returns the 8 bytes of tab from byte off, which the caller keeps
+// at most len(tab) − 8 (keySet's probe: a cell starts below the padding),
+// without a bounds check.
+func cellAt(tab []byte, off uint64) *[8]byte {
+	return (*[8]byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(tab)), off))
+}
+
+// tablePiece is rehashPiece: a huge page unless transparent huge
 // pages are off ("[never]", or no such setting), else smallPiece. Tables are
 // advised MADV_HUGEPAGE, so under "always" and "madvise" a touched table is
 // backed by huge pages, and handing one back in smaller pieces splits each
@@ -82,5 +88,5 @@ func tablePiece() int {
 	if err != nil || bytes.Contains(b, []byte("[never]")) {
 		return smallPiece
 	}
-	return hugePage / 8
+	return hugePage
 }

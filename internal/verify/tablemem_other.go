@@ -2,15 +2,18 @@
 
 package verify
 
-// newTable returns a zeroed table of size keys on the heap: tables are
+// newTable returns a zeroed table of n bytes on the heap: tables are
 // mapped off the heap only on Linux (tablemem_linux.go).
-func newTable(size int) ([]uint64, []byte) { return make([]uint64, size), nil }
+func newTable(n int) ([]byte, []byte) { return make([]byte, n), nil }
 
 // freeTable leaves a heap table to the collector.
-func freeTable([]uint64, []byte) {}
+func freeTable([]byte, []byte) {}
 
 // releasePart has nothing to hand back: every table is on the heap.
-func releasePart([]uint64, []byte) {}
+func releasePart([]byte, []byte) {}
+
+// cellAt returns the 8 bytes of tab from byte off.
+func cellAt(tab []byte, off uint64) *[8]byte { return (*[8]byte)(tab[off:]) }
 
 // tablePiece is rehashPiece: no table is mapped, so no piece is handed back.
 func tablePiece() int { return smallPiece }

@@ -222,6 +222,9 @@ type Verifier struct {
 	appBits  uint
 	occShift uint
 	ctShift  uint
+	// keyBytes is the width of a visited-table cell: the bytes that hold the
+	// n lanes and the 8-bit header, ⌈(ctShift + 4)/8⌉.
+	keyBytes int
 
 	// Symmetry quotient (nil unless Config.SymmetryReduction found classes).
 	symOf     []int   // app index → symmetry-group index, −1 when unique
@@ -265,6 +268,7 @@ func New(profiles []*switching.Profile, cfg Config) (*Verifier, error) {
 		return nil, fmt.Errorf("%w: %d applications with largest r = %d need %d bits (%d-bit lanes and the 8-bit header), past the one-word limit of 64",
 			ErrEncoding, n, maxR, total, v.appBits)
 	}
+	v.keyBytes = int(total+7) / 8
 	if cfg.SymmetryReduction {
 		v.buildSymmetry()
 	}
@@ -365,8 +369,9 @@ const levelsCap = 64
 // drivers' tests plant synthetic graphs in it.
 var expandState = successors
 
-// setCap is the initial capacity of a search's visited set, 512 KB; a
-// table that holds a share s of the search's states starts at setCap/s.
+// setCap is the initial capacity of a search's visited set, in cells (64
+// KiB per byte of the states' cell width); a table that holds a share s of
+// the search's states starts at setCap/s.
 const setCap = 1 << 16
 
 // LevelReserve estimates how many fresh states the coming level will
@@ -389,7 +394,7 @@ func LevelReserve(frontier, prevFrontier int) int {
 // seqChunk is how many frontier states the sequential driver expands before
 // it inserts their successors: enough that one chunk's visited-set misses
 // overlap (see keySet.addChunk), few enough that the successor buffer and
-// the slots it touched are still in cache when they are resolved.
+// the cells it touched are still in cache when they are resolved.
 const seqChunk = 128
 
 // runSequential is the single-goroutine BFS:
@@ -408,7 +413,7 @@ const seqChunk = 128
 // set or the store's block count grows.
 func runSequential(v *Verifier, init uint64) (Result, error) {
 	res := Result{Schedulable: true, Levels: make([]int, 0, levelsCap)}
-	visited := newKeySet(setCap)
+	visited := newKeySet(setCap, v.keyBytes)
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
 	visited.add(init)
@@ -509,7 +514,7 @@ type visit struct {
 // rehashes.
 func rebuildPath(v *Verifier, res Result) ([][]int, error) {
 	init := initialState(v)
-	visited := newKeySet(tableFor(min(res.States, v.cfg.MaxStates+1)))
+	visited := newKeySet(tableFor(min(res.States, v.cfg.MaxStates+1)), v.keyBytes)
 	defer visited.release()
 	visited.budget(v.cfg.MaxStates)
 	visited.add(init)

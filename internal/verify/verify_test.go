@@ -331,8 +331,8 @@ func TestMaxStatesAborts(t *testing.T) {
 // violation, and Counterexample's rebuild at its miss and at MaxStates — so
 // the table-bytes gauge is back at its starting value after each. Every
 // cell first proves that it mapped a table, so the release it checks is of
-// memory off the heap: each runs the smallest case-study slot that crosses
-// the 2 MiB line there.
+// memory off the heap: each runs the smallest case-study slot whose table
+// crosses the 2 MiB line there at its states' cell width.
 func TestSearchesReleaseMappedTables(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("tables are mapped off the heap only on Linux")
@@ -344,9 +344,9 @@ func TestSearchesReleaseMappedTables(t *testing.T) {
 		overMax, violMax int // budgets that over's search and viol's rebuild exceed
 	}{
 		{1, caseProfiles(t, "C1", "C2", "C4"), caseProfiles(t, "C2", "C3", "C4", "C5", "C6"),
-			caseProfiles(t, "C1", "C2", "C4"), 100_000, 100_000},
-		{2, caseProfiles(t, "C2", "C3", "C4"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
-			caseProfiles(t, "C1", "C2", "C3", "C4", "C5", "C6"), 400_000, 100_000},
+			caseProfiles(t, "C2", "C3", "C4"), 200_000, 200_000},
+		{2, caseProfiles(t, "C1", "C5", "C4", "C3"), caseProfiles(t, "C1", "C5", "C4", "C3", "C6"),
+			caseProfiles(t, "C1", "C2", "C3", "C4", "C5", "C6"), 400_000, 200_000},
 	} {
 		name := fmt.Sprintf("workers=%d", c.workers)
 		// exit runs one search, which must end in want (nil: a verdict)
